@@ -7,7 +7,8 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: test verify lint hazards typecheck bench figures selftest chaos \
-	chaos-smoke perf-smoke race-smoke determinism-smoke compiled-smoke ci
+	chaos-smoke perf-smoke race-smoke determinism-smoke compiled-smoke \
+	e2e-smoke ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -185,8 +186,16 @@ determinism-smoke:
 # ruff/mypy when installed), the fault-injection self-tests, the
 # live-race gate, the determinism gate, the bounded chaos gate, and
 # the perf-regression gate.
+# The wall-clock benchmark's own gate (BENCHMARK.json): every workload
+# end to end at smoke scale (a failed operation or a wrong answer makes
+# run.py exit non-zero), then the benchmark's tests — they live outside
+# tests/, so nothing else runs them.
+e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
+	$(PYTHON) -m pytest benchmarks/e2e -q
+
 ci: verify selftest race-smoke determinism-smoke chaos-smoke perf-smoke \
-	compiled-smoke
+	compiled-smoke e2e-smoke
 
 lint:
 	$(PYTHON) -m repro verify --no-hazards --no-schedule --no-resilience \

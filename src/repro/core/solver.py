@@ -155,9 +155,19 @@ class SparseSolver:
     # ------------------------------------------------------------------
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
         assert self.factor is not None and self.analysis is not None
+        b = np.asarray(b)
+        if np.iscomplexobj(b) and not np.issubdtype(
+            self.factor.dtype, np.complexfloating
+        ):
+            # Real A: solve [Re b | Im b] as one block and recombine
+            # (exact); casting b to the factor's dtype would silently
+            # drop the imaginary part.
+            both = self._raw_solve(np.column_stack([b.real, b.imag]))
+            half = both.shape[1] // 2
+            return (both[:, :half] + 1j * both[:, half:]).reshape(b.shape)
         perm = self.analysis.perm
-        pb = perm.apply_to_vector(np.asarray(b, dtype=self.factor.dtype))
-        if self.options.runtime == "threaded" and pb.ndim == 1:
+        pb = perm.apply_to_vector(b.astype(self.factor.dtype, copy=False))
+        if self.options.runtime == "threaded":
             from repro.runtime.threaded import solve_threaded
 
             px = solve_threaded(

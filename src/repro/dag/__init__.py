@@ -13,7 +13,7 @@ granularities (paper §V):
 """
 
 from repro.dag.tasks import Task, TaskKind, TaskDAG
-from repro.dag.builder import build_dag, update_couples
+from repro.dag.builder import build_dag, get_dag, update_couples
 from repro.dag.solve_builder import build_solve_dag
 from repro.dag.analysis import (
     critical_path,
@@ -28,6 +28,7 @@ __all__ = [
     "TaskKind",
     "TaskDAG",
     "build_dag",
+    "get_dag",
     "update_couples",
     "build_solve_dag",
     "critical_path",

@@ -13,7 +13,24 @@ from repro.kernels.cost import (
 )
 from repro.symbolic.structures import SymbolMatrix
 
-__all__ = ["update_couples", "build_dag"]
+__all__ = ["update_couples", "build_dag", "get_dag", "symbol_memo"]
+
+
+def symbol_memo(symbol: SymbolMatrix, key: tuple, build) -> TaskDAG:
+    """The DAG ``build()`` returns, memoised on ``symbol`` under ``key``.
+
+    A DAG depends on the symbol only and runtimes only read it, so —
+    like the couple cache (:func:`repro.kernels.indexcache.\
+get_couple_cache`) — it lives on the symbol object: repeated solves,
+    refinement steps and refactorizations of one pattern build it once.
+    A lost race between concurrent first callers at worst builds twice;
+    both results are identical, so either may win.
+    """
+    memo = symbol.__dict__.setdefault("_dag_memo", {})
+    dag = memo.get(key)
+    if dag is None or dag.symbol is not symbol:
+        dag = memo[key] = build()
+    return dag
 
 
 def update_couples(
@@ -51,6 +68,44 @@ def update_couples(
         np.asarray(ms, dtype=np.int64),
         np.asarray(ns, dtype=np.int64),
     )
+
+
+def supernode_parent(symbol: SymbolMatrix) -> np.ndarray:
+    """Supernode-tree parent of every cblk (``-1`` for roots).
+
+    The parent is the first (lowest) facing cblk; by the facing-subset
+    property every other cblk a panel faces is an ancestor of it.
+    """
+    first = symbol.blok_ptr[:-1] + 1
+    has = first < symbol.blok_ptr[1:]
+    parent = np.full(symbol.n_cblk, -1, dtype=np.int64)
+    parent[has] = symbol.blok_face[first[has]]
+    return parent
+
+
+def fused_subtree_groups(
+    parent: np.ndarray, weight: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Assign every cblk to its fused leaf subtree (``-1``: unfused).
+
+    A cblk belongs to a fused group iff its whole subtree weighs at most
+    ``threshold``; the group's id is the subtree's topmost such cblk, so
+    the groups are exactly the maximal subtrees under the threshold.
+    Shared by the factorization DAG (weight: flops) and the solve DAG
+    (weight: panel storage).
+    """
+    K = parent.size
+    subtree = np.asarray(weight, dtype=np.float64).copy()
+    for k in range(K):  # ascending is bottom-up (parent > child)
+        if parent[k] >= 0:
+            subtree[parent[k]] += subtree[k]
+    group = np.full(K, -1, dtype=np.int64)
+    for k in range(K - 1, -1, -1):
+        if subtree[k] > threshold:
+            continue
+        p = parent[k]
+        group[k] = group[p] if p >= 0 and group[p] >= 0 else k
+    return group
 
 
 def _csr_from_edges(n: int, heads: np.ndarray, tails: np.ndarray):
@@ -202,42 +257,44 @@ def build_dag(
     )
 
 
+def get_dag(
+    symbol: SymbolMatrix,
+    factotype: str = "llt",
+    *,
+    granularity: str = "2d",
+    dtype=np.float64,
+    split_rows: int | None = None,
+) -> TaskDAG:
+    """:func:`build_dag` memoised on the symbol (see :func:`symbol_memo`).
+
+    What the runtimes execute; callers that edit a DAG (the verify
+    injectors, tests) keep building their own with :func:`build_dag`.
+    """
+    key = ("facto", factotype, np.dtype(dtype).str, granularity, split_rows)
+    return symbol_memo(symbol, key, lambda: build_dag(
+        symbol, factotype, granularity=granularity, dtype=dtype,
+        split_rows=split_rows,
+    ))
+
+
 def _build_fused(
     symbol, factotype, dtype, widths, below, src, tgt, ms, ns,
     panel_flops, upd_flops, threshold,
 ):
     """2D DAG with leaf subtrees under ``threshold`` flops fused.
 
-    Group assignment: a cblk belongs to a fused group iff its whole
-    subtree costs at most the threshold; the group's id is the subtree's
-    topmost such cblk.  Because work only flows upward, a fused subtree
-    is complete (no external dependency enters it) and every surviving
-    update leaves a group toward an unfused ancestor panel.
+    Group assignment: :func:`fused_subtree_groups` over per-cblk flops
+    (panel + the updates it sources).  Because work only flows upward,
+    a fused subtree is complete (no external dependency enters it) and
+    every surviving update leaves a group toward an unfused ancestor
+    panel.
     """
     K = symbol.n_cblk
     n_upd = src.size
 
-    # Supernode-tree parent: the first (lowest) facing cblk.
-    parent = np.full(K, -1, dtype=np.int64)
-    for i in range(n_upd - 1, -1, -1):  # first couple of each src wins
-        parent[src[i]] = tgt[i]
-
     own = panel_flops.copy()
     np.add.at(own, src, upd_flops)
-    subtree = own.copy()
-    for k in range(K):  # ascending is bottom-up (parent > child)
-        if parent[k] >= 0:
-            subtree[parent[k]] += subtree[k]
-
-    group = np.full(K, -1, dtype=np.int64)
-    for k in range(K - 1, -1, -1):
-        if subtree[k] > threshold:
-            continue
-        p = parent[k]
-        if p >= 0 and group[p] >= 0:
-            group[k] = group[p]
-        else:
-            group[k] = k  # topmost fused node of its subtree
+    group = fused_subtree_groups(supernode_parent(symbol), own, threshold)
 
     # Task layout: one task per "unit" (unfused panel or group root), then
     # the surviving update tasks.

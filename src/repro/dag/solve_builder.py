@@ -1,31 +1,63 @@
 """Task DAG of the solve phase (block triangular solves).
 
 PaStiX schedules the forward and backward substitutions through the same
-runtimes as the factorization.  The structure mirrors the factorization
-DAG at 2D granularity, once in each direction:
+runtimes as the factorization.  A solve does O(nnz) flops, so a task per
+couple (or even per panel) costs more to schedule than to run; the DAG
+is therefore coarse — the paper's own future work, §VI: "merging leaves
+or subtrees together yields bigger, more computationally intensive
+tasks".
 
-* forward: ``Pf(k)`` (diagonal tri-solve of panel ``k``) feeds
-  ``Uf(k, t)`` (the GEMV slice of ``k``'s below rows landing in panel
-  ``t``), which feeds ``Pf(t)``;
-* backward: edges reversed — ``Pb(t)`` feeds ``Ub(k, t)`` feeds
-  ``Pb(k)``; and ``Pf(k) → Pb(k)`` joins the phases.
+* A *unit* is a single panel or a *fused leaf subtree* of the supernode
+  tree: every maximal subtree whose panel storage is at most
+  ``total / (FUSE_UNITS_PER_WORKER · n_workers)``
+  (:func:`repro.dag.builder.fused_subtree_groups`, the grouping the
+  fused factorization DAG uses).  The units partition the panels.
+* There is **one task per unit per sweep**: ``F(u)`` runs the forward
+  steps of the unit's panels in ascending order, ``B(u)`` their backward
+  steps in descending order.
+* Edges follow the supernode tree only — forward
+  ``F(unit(child)) → F(unit(parent))``, backward reversed, and
+  ``F(u) → B(u)`` at every root unit joins the sweeps.
 
-Tasks are tiny (O(w²) and O(n·w) flops), which is exactly why the solve
-step scales poorly compared with the factorization — the simulation
-reproduces that, using a bandwidth-bound efficiency model
-(``dag.phase == "solve"``).
+That is enough to order every shared access of a *left-looking* solve
+(:mod:`repro.runtime.threaded`): the forward step of panel ``k`` reads
+its descendants' private contribution slabs, and every panel facing
+``k`` is a tree descendant of it; its backward step reads the final
+``x`` of the rows below ``k``, all of which belong to tree ancestors.
+No task needs a mutex (``dag.mutex`` is ``-1`` throughout) and there is
+no ``UPDATE`` task.
+
+Besides the :class:`TaskDAG` arrays the DAG carries ``solve_backward``
+(per task: which sweep), ``solve_unit`` (per task: its unit) and the
+unit membership in CSR form, ``unit_panels[unit_ptr[u]:unit_ptr[u+1]]``
+(ascending).  Consumers use these rather than the task-index layout.
+``gemm_m`` is a task's total below-diagonal rows, ``gemm_n`` the number
+of right-hand sides and ``gemm_k`` its flop-weighted mean panel width —
+the size the simulator's bandwidth-bound efficiency model
+(``dag.phase == "solve"``) is evaluated at.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dag.builder import _csr_from_edges, update_couples
+from repro.dag.builder import (
+    _csr_from_edges,
+    fused_subtree_groups,
+    supernode_parent,
+    symbol_memo,
+)
 from repro.dag.tasks import TaskDAG, TaskKind
 from repro.kernels.cost import complex_multiplier
 from repro.symbolic.structures import SymbolMatrix
 
-__all__ = ["build_solve_dag"]
+__all__ = ["build_solve_dag", "FUSE_UNITS_PER_WORKER"]
+
+#: Leaf subtrees are fused up to ``1 / (FUSE_UNITS_PER_WORKER ·
+#: n_workers)`` of the factor's panel storage: a worker then has about
+#: this many bottom-of-tree tasks to balance with, while the task count
+#: stays in the tens to low hundreds whatever the number of panels.
+FUSE_UNITS_PER_WORKER = 8
 
 
 def build_solve_dag(
@@ -34,94 +66,91 @@ def build_solve_dag(
     *,
     dtype=np.float64,
     nrhs: int = 1,
+    n_workers: int = 4,
 ) -> TaskDAG:
-    """Unroll the forward+backward solve of ``symbol`` into a DAG.
+    """The forward+backward solve of ``symbol`` as a coarse DAG.
 
-    ``nrhs`` scales every task's flops (block right-hand sides).
+    Memoised on the symbol (:func:`repro.dag.builder.symbol_memo`):
+    repeated solves, refinement steps and refactorizations of one
+    pattern share one DAG object, which callers must not modify.
+    ``nrhs`` scales every task's flops (block right-hand sides);
+    ``n_workers`` sets the fusion threshold (see the module docstring).
     The returned DAG has ``dag.phase == "solve"``; the simulator uses its
     bandwidth-bound efficiency model and keeps everything on CPUs (the
     paper does not offload the solve).
     """
+    nrhs, n_workers = int(nrhs), max(1, int(n_workers))
+    key = ("solve", factotype, np.dtype(dtype).str, nrhs, n_workers)
+    return symbol_memo(
+        symbol, key,
+        lambda: _build(symbol, factotype, dtype, nrhs, n_workers),
+    )
+
+
+def _build(symbol, factotype, dtype, nrhs, n_workers) -> TaskDAG:
     K = symbol.n_cblk
     widths = np.diff(symbol.cblk_ptr).astype(np.int64)
-    src, tgt, ms, ns = update_couples(symbol)
-    n_upd = src.size
+    heights = np.add.reduceat(
+        symbol.blok_lrow - symbol.blok_frow, symbol.blok_ptr[:-1]
+    ).astype(np.int64)
+    below = heights - widths
+
+    # Units: fused leaf subtrees, every other panel on its own.  A unit
+    # is named by its topmost panel; units are numbered by that panel.
+    parent = supernode_parent(symbol)
+    storage = (widths * heights).astype(np.float64)
+    group = fused_subtree_groups(
+        parent, storage, storage.sum() / (FUSE_UNITS_PER_WORKER * n_workers)
+    )
+    top = np.where(group >= 0, group, np.arange(K, dtype=np.int64))
+    roots, unit_of = np.unique(top, return_inverse=True)
+    U = roots.size
+    size = np.bincount(unit_of, minlength=U)
+    unit_ptr = np.concatenate(([0], np.cumsum(size))).astype(np.int64)
+    unit_panels = np.argsort(unit_of, kind="stable").astype(np.int64)
+
+    # Per sweep and panel: the diagonal tri-solve (w²) and the GEMV/GEMM
+    # of the below rows (2·below·w); same count in both sweeps.
     mult = complex_multiplier(dtype) * float(nrhs)
+    panel_flops = mult * (widths * (widths + 2 * below)).astype(np.float64)
+    flops = np.bincount(unit_of, weights=panel_flops, minlength=U)
+    mean_width = np.maximum(1, np.rint(
+        np.bincount(unit_of, weights=panel_flops * widths, minlength=U)
+        / np.maximum(flops, 1.0)
+    )).astype(np.int64)
+    rows_below = np.bincount(unit_of, weights=below, minlength=U).astype(
+        np.int64)
 
-    # Panel tasks: triangular solve on the diagonal block (both phases).
-    panel_flops = mult * widths.astype(np.float64) ** 2
-    if factotype == "lu":
-        pass  # forward uses L, backward uses U: same cost per phase
-    upd_flops = mult * 2.0 * ns.astype(np.float64) * widths[src]
+    # Layout [F(0..U-1) | B(0..U-1)]; edges along the unit tree.
+    fwd = np.arange(U, dtype=np.int64)
+    bwd = U + fwd
+    up = parent[roots]                 # panel above each unit (-1: root)
+    child = np.flatnonzero(up >= 0)
+    above = unit_of[up[child]]
+    tree_roots = np.flatnonzero(up < 0)
+    heads = np.concatenate([fwd[child], bwd[above], fwd[tree_roots]])
+    tails = np.concatenate([fwd[above], bwd[child], bwd[tree_roots]])
+    succ_ptr, succ_list = _csr_from_edges(2 * U, heads, tails)
 
-    # Layout: [Pf(0..K-1) | Uf(couples) | Pb(0..K-1) | Ub(couples)].
-    pf = np.arange(K, dtype=np.int64)
-    uf = K + np.arange(n_upd, dtype=np.int64)
-    pb = K + n_upd + np.arange(K, dtype=np.int64)
-    ub = 2 * K + n_upd + np.arange(n_upd, dtype=np.int64)
-    n_tasks = 2 * (K + n_upd)
-
-    kind = np.empty(n_tasks, dtype=np.int8)
-    kind[pf] = TaskKind.PANEL
-    kind[uf] = TaskKind.UPDATE
-    kind[pb] = TaskKind.PANEL
-    kind[ub] = TaskKind.UPDATE
-
-    cblk = np.concatenate([pf, src, pf, src])
-    target = np.concatenate([pf, tgt, pf, tgt])
-    flops = np.concatenate([panel_flops, upd_flops, panel_flops, upd_flops])
-    zeros_k = np.zeros(K, dtype=np.int64)
-    zeros_u = np.zeros(n_upd, dtype=np.int64)
-    gm = np.concatenate([zeros_k, ns, zeros_k, ns])
-    gn = np.concatenate([zeros_k, np.ones(n_upd, np.int64) * nrhs,
-                         zeros_k, np.ones(n_upd, np.int64) * nrhs])
-    gk = np.concatenate([zeros_k, widths[src], zeros_k, widths[src]])
-
-    # Mutexes: forward updates write into x-rows of the target panel;
-    # backward updates accumulate into the *source* panel's columns.
-    mutex = np.full(n_tasks, -1, dtype=np.int64)
-    mutex[uf] = tgt            # forward fan-in at the facing panel
-    mutex[ub] = K + src        # backward fan-in at the source panel
-    #                            (offset K: distinct group namespace)
-
-    heads = np.concatenate([
-        pf[src], uf,           # Pf(k) -> Uf(k,t) -> Pf(t)
-        pb[tgt], ub,           # Pb(t) -> Ub(k,t) -> Pb(k)
-        pf,                    # Pf(k) -> Pb(k)
-        uf,                    # Uf(k,t) -> Pb(k): the backward sweep may
-        #                        only overwrite x[cols k] once every
-        #                        forward update sourced from k has read it
-    ])
-    tails = np.concatenate([
-        uf, pf[tgt],
-        ub, pb[src],
-        pb,
-        pb[src],
-    ])
-    succ_ptr, succ_list = _csr_from_edges(n_tasks, heads, tails)
-
+    kind = np.where(size > 1, TaskKind.SUBTREE, TaskKind.PANEL).astype(np.int8)
     dag = TaskDAG(
-        kind=kind,
-        cblk=cblk,
-        target=target,
-        flops=flops,
-        gemm_m=gm,
-        gemm_n=gn,
-        gemm_k=gk,
+        kind=np.tile(kind, 2),
+        cblk=np.tile(roots, 2),
+        target=np.tile(roots, 2),
+        flops=np.tile(flops, 2),
+        gemm_m=np.tile(rows_below, 2),
+        gemm_n=np.full(2 * U, nrhs, dtype=np.int64),
+        gemm_k=np.tile(mean_width, 2),
         succ_ptr=succ_ptr,
         succ_list=succ_list,
-        mutex=mutex,
+        mutex=np.full(2 * U, -1, dtype=np.int64),
         granularity="2d",
         symbol=symbol,
         factotype=factotype,
     )
     dag.phase = "solve"
-    # Explicit per-task direction flag.  Consumers (the threaded solve,
-    # the verifiers) must use this rather than re-deriving the phase
-    # from the [Pf | Uf | Pb | Ub] index layout — the layout is an
-    # implementation detail of this builder and free to change.
-    solve_backward = np.zeros(n_tasks, dtype=bool)
-    solve_backward[pb] = True
-    solve_backward[ub] = True
-    dag.solve_backward = solve_backward
+    dag.solve_backward = np.repeat([False, True], U)
+    dag.solve_unit = np.tile(fwd, 2)
+    dag.unit_ptr = unit_ptr
+    dag.unit_panels = unit_panels
     return dag

@@ -72,7 +72,10 @@ class CoupleMapCache:
     (every ``(source, facing)`` pair with at least one facing row);
     ``facing[k]`` is the ascending array of targets panel ``k`` updates
     (the same enumeration as
-    :func:`repro.core.factorization.facing_cblks`, precomputed).
+    :func:`repro.core.factorization.facing_cblks`, precomputed), and
+    ``sources[t]`` its transpose: the ``(k, map)`` pairs of the couples
+    landing in panel ``t``, ascending in ``k`` — the fan-in list of the
+    left-looking triangular solve.
 
     ``hits``/``misses`` are best-effort counters (racy under threads, by
     design — they feed benchmark stats, not control flow).
@@ -83,6 +86,9 @@ class CoupleMapCache:
         self.symbol = symbol
         self.maps: dict[tuple[int, int], CoupleMap] = {}
         self.facing: list[np.ndarray] = []
+        self.sources: list[list[tuple[int, CoupleMap]]] = [
+            [] for _ in range(symbol.n_cblk)
+        ]
         self.hits = 0
         self.misses = 0
         self._build()
@@ -109,7 +115,7 @@ class CoupleMapCache:
                 t = int(t)
                 i0 = int(np.searchsorted(rk, ptr[t]))
                 i1 = int(np.searchsorted(rk, ptr[t + 1]))
-                self.maps[(k, t)] = CoupleMap(
+                cm = CoupleMap(
                     i0,
                     i1,
                     np.searchsorted(rows[t], rk[i0:]).astype(
@@ -118,6 +124,8 @@ class CoupleMapCache:
                     (rk[i0:i1] - ptr[t]).astype(np.int64, copy=False),
                     int(rk.size),
                 )
+                self.maps[(k, t)] = cm
+                self.sources[t].append((k, cm))
 
     # ------------------------------------------------------------------
     def lookup(self, k: int, t: int) -> CoupleMap | None:
@@ -151,6 +159,7 @@ class CoupleMapCache:
         out.symbol = self.symbol
         out.maps = dict(self.maps)
         out.facing = list(self.facing)
+        out.sources = [list(srcs) for srcs in self.sources]
         out.hits = 0
         out.misses = 0
         out.n_couples = self.n_couples

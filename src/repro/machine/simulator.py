@@ -286,11 +286,9 @@ class _Simulator:
 
         if getattr(dag, "phase", "facto") == "solve":
             # Solve-phase kernels are bandwidth-bound; nothing offloads.
+            # gemm_k is the task's (flop-weighted mean) panel width.
             for t in range(n):
-                size = float(dag.gemm_k[t]) if is_update[t] else float(
-                    widths[int(dag.cblk[t])]
-                )
-                eff = self.cpu_model.solve_eff(size)
+                eff = self.cpu_model.solve_eff(float(dag.gemm_k[t]))
                 cpu_dur[t] = dag.flops[t] / (peak * eff)
             self.cpu_duration = cpu_dur
             self.gpu_duration = gpu_dur

@@ -35,9 +35,10 @@ import time
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as sla
 
 from repro.core.factor import NumericFactor
-from repro.dag.builder import build_dag
+from repro.dag.builder import get_dag
 from repro.dag.tasks import TaskKind
 from repro.kernels.panel import (
     panel_factorize,
@@ -1081,75 +1082,85 @@ class _ThreadedRun(_PoolRun):
 
 
 class _ThreadedSolve:
-    """Task bodies for the parallel triangular solve.
+    """Task bodies of the parallel triangular solve (left-looking).
 
-    Executes the DAG of :func:`repro.dag.build_solve_dag` for real:
-    forward panel solves and GEMV slices, the LDLᵀ diagonal scaling
-    folded into the start of each backward panel, then the backward
-    sweep.  Shared-vector regions are protected by the same mutex
-    namespaces the DAG declares (forward: the facing panel; backward:
-    the source panel).  The forward/backward split comes from the DAG's
-    explicit ``solve_backward`` field, not from task-index arithmetic.
+    Executes the coarse DAG of :func:`repro.dag.build_solve_dag`: a task
+    runs the forward (ascending) or backward (descending) steps of its
+    unit's panels back to back.  Every shared access is ordered by a DAG
+    edge, so the bodies take no lock and the result does not depend on
+    worker count, scheduler or interleaving — it is bit-identical to
+    :func:`repro.core.triangular.solve_factored`:
+
+    * the forward step of panel ``k`` subtracts, in ascending source
+      order, its descendants' slices of their private contribution slabs
+      (``slab[j] = L[j][w:, :] @ y_j``), solves the diagonal triangle,
+      and writes only ``x[f:l]`` and its own slab;
+    * the backward step of ``k`` reads the final ``x`` of the rows below
+      it (all owned by tree ancestors), applies ``D⁻¹`` (LDLᵀ) to its own
+      segment, solves the transposed triangle and writes only ``x[f:l]``.
+
+    ``x`` may be one right-hand side ``(n,)`` or a block ``(n, k)``.
     """
 
     def __init__(self, factor: NumericFactor, x: np.ndarray) -> None:
-        import scipy.linalg as sla
+        from repro.kernels.indexcache import get_couple_cache
 
-        self.sla = sla
         self.factor = factor
         self.x = x
-        # Backward contributions accumulate separately so they never
-        # interleave with forward reads of the same panel columns.
-        self.acc = np.zeros_like(x)
-        self.sym = factor.symbol
-        self.K = self.sym.n_cblk
+        self.sources = get_couple_cache(factor.symbol).sources
+        self.ptr = factor.symbol.cblk_ptr.tolist()
+        self.slabs: list[Optional[np.ndarray]] = [None] * len(factor.L)
 
     def run_task(self, dag, task: int) -> None:
-        from repro.kernels.panel import update_slice
-
-        sla, factor, sym, x = self.sla, self.factor, self.sym, self.x
-        src, tgt = int(dag.cblk[task]), int(dag.target[task])
-        kind = TaskKind(int(dag.kind[task]))
-        f, l = int(sym.cblk_ptr[src]), int(sym.cblk_ptr[src + 1])
-        w = l - f
-        panel = factor.L[src]
-        backward = bool(dag.solve_backward[task])
-
-        if kind != TaskKind.UPDATE:
-            diag = panel[:w, :w]
-            unit = factor.factotype in ("ldlt", "lu")
-            if not backward:
-                x[f:l] = sla.solve_triangular(
-                    diag, x[f:l], lower=True, unit_diagonal=unit,
-                    check_finite=False,
-                )
-                return
-            rhs = x[f:l]
-            if factor.factotype == "ldlt":
-                rhs = rhs / factor.D[src]
-            rhs = rhs - self.acc[f:l]
-            if factor.factotype == "lu":
-                x[f:l] = sla.solve_triangular(
-                    diag, rhs, lower=False, check_finite=False
-                )
-            else:
-                x[f:l] = sla.solve_triangular(
-                    diag, rhs, lower=True, unit_diagonal=unit,
-                    trans="T", check_finite=False,
-                )
-            return
-
-        i0, i1, rk = update_slice(factor, src, tgt)
-        rows = rk[i0:i1]
-        if not backward:
-            x[rows] -= panel[w + i0: w + i1, :] @ x[f:l]
+        u = int(dag.solve_unit[task])
+        panels = dag.unit_panels[dag.unit_ptr[u]: dag.unit_ptr[u + 1]]
+        if dag.solve_backward[task]:
+            for k in panels[::-1].tolist():
+                self._backward(k)
         else:
-            block = (
-                factor.U[src][w + i0: w + i1, :]
-                if factor.factotype == "lu"
-                else panel[w + i0: w + i1, :]
+            for k in panels.tolist():
+                self._forward(k)
+
+    def _forward(self, k: int) -> None:
+        factor, x, slabs = self.factor, self.x, self.slabs
+        f, l = self.ptr[k], self.ptr[k + 1]
+        w = l - f
+        panel = factor.L[k]
+        rhs = x[f:l]
+        for j, cm in self.sources[k]:
+            rhs[cm.cols_local] -= slabs[j][cm.i0: cm.i1]
+        y = sla.solve_triangular(
+            panel[:w, :w], rhs, lower=True,
+            unit_diagonal=factor.factotype != "llt", check_finite=False,
+        )
+        x[f:l] = y
+        if panel.shape[0] > w:
+            slabs[k] = panel[w:, :] @ y
+
+    def _backward(self, k: int) -> None:
+        factor, x = self.factor, self.x
+        f, l = self.ptr[k], self.ptr[k + 1]
+        w = l - f
+        panel = factor.L[k]
+        lu = factor.factotype == "lu"
+        rhs = x[f:l]
+        if factor.factotype == "ldlt":
+            d = factor.D[k]
+            rhs = rhs / (d if rhs.ndim == 1 else d[:, None])
+        if panel.shape[0] > w:
+            tall = factor.U[k] if lu else panel
+            rhs = rhs - tall[w:, :].T @ x[factor.rows[k][w:]]
+        if lu:
+            # Packed LU: the diagonal block's upper triangle is U11.
+            x[f:l] = sla.solve_triangular(
+                panel[:w, :w], rhs, lower=False, check_finite=False
             )
-            self.acc[f:l] += block.T @ x[rows]
+        else:
+            x[f:l] = sla.solve_triangular(
+                panel[:w, :w], rhs, lower=True,
+                unit_diagonal=factor.factotype == "ldlt", trans="T",
+                check_finite=False,
+            )
 
 
 class _ThreadedSolveRun(_PoolRun):
@@ -1158,8 +1169,8 @@ class _ThreadedSolveRun(_PoolRun):
     Solve tasks mutate the right-hand-side vector in place, so bodies
     are *not* retryable (``max_retries`` is pinned to 0); the watchdog
     and quarantine machinery are inherited unchanged — a wedged solve
-    pool now raises the same named diagnostic as the factorization
-    instead of joining forever.
+    pool raises the same named diagnostic as the factorization instead
+    of joining forever.
     """
 
     phase_label = "solve"
@@ -1174,26 +1185,9 @@ class _ThreadedSolveRun(_PoolRun):
                          max_retries=0, watchdog_s=watchdog_s,
                          record_sync=record_sync)
         self.body = _ThreadedSolve(factor, x)
-        self.mutex_locks = [
-            threading.Lock() for _ in range(2 * factor.symbol.n_cblk)
-        ]
 
     def _run_task(self, t: int, worker: int) -> None:
-        grp = int(self.dag.mutex[t])
-        if grp < 0:
-            self.body.run_task(self.dag, t)
-            return
-        if self._sync_rows is None:
-            with self.mutex_locks[grp]:
-                self.body.run_task(self.dag, t)
-            return
-        t_req = self._now()
-        with self.mutex_locks[grp]:
-            t_acq = self._now()
-            self.body.run_task(self.dag, t)
-            t_rel = self._now()
-        self._sync("lock", worker, f"mutex{grp}", t, t_acq, t_rel,
-                   wait_s=t_acq - t_req)
+        self.body.run_task(self.dag, t)
 
 
 def solve_threaded(
@@ -1208,17 +1202,22 @@ def solve_threaded(
 ) -> np.ndarray:
     """Parallel triangular solve of the factored system on threads.
 
-    Equivalent to :func:`repro.core.triangular.solve_factored` (the tests
-    assert agreement to roundoff) but executes the solve-phase DAG on a
-    worker pool.  ``watchdog_s`` turns a wedged pool into a diagnostic
+    Bit-identical to :func:`repro.core.triangular.solve_factored` (one
+    right-hand side ``(n,)`` or a block ``(n, k)``) whatever the worker
+    count and scheduler, but executed as the coarse solve-phase DAG on a
+    worker pool; the DAG is memoised on the symbol, so repeated solves
+    build it once.  ``watchdog_s`` turns a wedged pool into a diagnostic
     ``RuntimeError`` instead of an unbounded ``join()``; ``scheduler``
-    picks the ready-queue policy (solve tasks are tiny, so the default
-    stays the cheap global FIFO).
+    picks the ready-queue policy (the DAG has a few tasks per worker, so
+    the default stays the cheap global FIFO).
     """
     from repro.dag.solve_builder import build_solve_dag
 
     x = np.array(b, dtype=factor.dtype, copy=True)
-    dag = build_solve_dag(factor.symbol, factor.factotype, dtype=factor.dtype)
+    dag = build_solve_dag(
+        factor.symbol, factor.factotype, dtype=factor.dtype,
+        nrhs=1 if x.ndim == 1 else x.shape[1], n_workers=n_workers,
+    )
     run = _ThreadedSolveRun(factor, x, dag, n_workers, trace=trace,
                             watchdog_s=watchdog_s, scheduler=scheduler,
                             record_sync=record_sync)
@@ -1328,7 +1327,7 @@ ThreadScheduler` instance; the choice is stamped into ``trace.meta``.
         from repro.kernels.dense import PivotMonitor
 
         factor.pivot_monitor = PivotMonitor(pivot_threshold)
-    dag = build_dag(
+    dag = get_dag(
         symbol, factotype, granularity="2d", dtype=factor.dtype,
         split_rows=split_rows,
     )

@@ -163,8 +163,8 @@ class SyncEvent:
     mutual-exclusion window when sync recording is on:
 
     * ``"lock"`` — a mutex hold window: ``obj`` is the lock name
-      (``"panel{t}"`` for the factorization's target-panel mutex,
-      ``"mutex{g}"`` for a solve mutex group), ``start`` the moment the
+      (``"panel{t}"``, the factorization's target-panel mutex; the
+      solve takes no lock), ``start`` the moment the
       lock was *acquired*, ``end`` its release, ``wait_s`` how long the
       acquire blocked, ``n`` how many scatters the window covered;
     * ``"flush"`` — one batched update's contribution committing inside

@@ -23,9 +23,9 @@ windows; edges are
 Checks:
 
 * **C701 unordered conflicting write** — two tasks in one mutex group
-  (scatter-adds into one facing panel; one solve vector region) ran on
-  different workers with no happens-before path between their write
-  operations, or two hold windows of one lock object overlap in time;
+  (scatter-adds into one facing panel) ran on different workers with
+  no happens-before path between their write operations, or two hold
+  windows of one lock object overlap in time;
 * **C702 read of unpublished completion** — a task started before some
   predecessor's completion was published to the pool (its dependency
   counter was decremented on state the reader could not yet see);
@@ -98,12 +98,6 @@ def _exec_worker(resource: str) -> int:
         except ValueError:
             return -1
     return -1
-
-
-def _mutex_obj(dag: TaskDAG, group: int) -> str:
-    """The lock-object name the runtime uses for one mutex group."""
-    return (f"panel{group}" if getattr(dag, "phase", "facto") == "facto"
-            else f"mutex{group}")
 
 
 def verify_concurrency(
@@ -269,7 +263,10 @@ def verify_concurrency(
 
     n_c701 = n_c703 = 0
     for g, members in sorted(groups.items()):
-        obj = _mutex_obj(dag, g)
+        # The runtime's lock object of a mutex group is the facing panel
+        # (a solve DAG has no groups: its shared accesses are ordered by
+        # DAG edges alone, which C702 audits).
+        obj = f"panel{g}"
         write_ops: list[tuple[int, _Op]] = []
         for t in members:
             if t in noops:
@@ -540,13 +537,13 @@ def unlocked_scatter(trace: ExecutionTrace) -> ExecutionTrace:
     Counts and held-time totals are unchanged (C707 stays quiet); the
     returned trace must fail C703, and fails C701 too whenever program
     and publish order do not coincidentally serialize the pair.  Raises
-    ``ValueError`` when no panel/mutex hold window exists.
+    ``ValueError`` when no panel hold window exists.
     """
     sync = trace.sorted_sync_events()
     victim = next(
         (e for e in sync
          if e.kind == "lock"
-         and (e.obj.startswith("panel") or e.obj.startswith("mutex"))
+         and e.obj.startswith("panel")
          and e.n == 1),
         None,
     )

@@ -53,9 +53,10 @@ Checks (``verify_couple_cache``):
   builder's ``searchsorted``), so a shared bug cannot hide;
 * **N508 couple coverage** — the cache holds exactly the couples the
   facing index enumerates (per target), and each panel's cached facing
-  list matches.  A cache that silently went stale against its symbol —
-  the one failure mode that would corrupt factors without any schedule
-  looking wrong — fails here (``make selftest`` injects one).
+  list and (ascending) source list match.  A cache that silently went
+  stale against its symbol — the one failure mode that would corrupt
+  factors without any schedule looking wrong — fails here (``make
+  selftest`` injects one).
 """
 
 from __future__ import annotations
@@ -502,6 +503,20 @@ def verify_couple_cache(
                 "N508",
                 f"panel {k}'s cached facing list {got.tolist()} differs "
                 f"from the facing-index targets {expect.tolist()}",
+            )
+
+    # The solve's fan-in lists: per target, its sources in ascending
+    # order (the order fixes the solve's floating-point reduction).
+    by_target: dict[int, list[int]] = {}
+    for k, t in sorted(want):
+        by_target.setdefault(t, []).append(k)
+    for t in range(symbol.n_cblk):
+        got_src = [k for k, _ in cache.sources[t]]
+        if got_src != by_target.get(t, []):
+            report.add(
+                "N508",
+                f"panel {t}'s cached source list {got_src} differs from "
+                f"the facing-index sources {by_target.get(t, [])}",
             )
 
     # N507: per-couple map contents, re-derived by different means.

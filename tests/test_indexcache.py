@@ -54,6 +54,29 @@ class TestCoupleMapCache:
                 cache.facing[k], facing_cblks(res.symbol, k)
             )
 
+    def test_source_lists_transpose_the_facing_lists(self, grid2d_small):
+        """``sources[t]``: the couples landing in ``t``, ascending in
+        their source, each with the map it is cached under — and the
+        audit notices a list that went out of order."""
+        res, _ = _setup(grid2d_small)
+        cache = CoupleMapCache(res.symbol)
+        seen = 0
+        for t, srcs in enumerate(cache.sources):
+            ks = [k for k, _ in srcs]
+            assert ks == sorted(set(ks))
+            for k, cm in srcs:
+                assert t in cache.facing[k]
+                assert cm is cache.maps[(k, t)]
+            seen += len(srcs)
+        assert seen == cache.n_couples
+        assert verify_couple_cache(res.symbol, cache).ok
+        bad = cache.clone()
+        t = max(range(len(bad.sources)), key=lambda i: len(bad.sources[i]))
+        bad.sources[t].reverse()
+        rep = verify_couple_cache(res.symbol, bad)
+        assert any(f.code == "N508" for f in rep.errors()), rep.format()
+        assert verify_couple_cache(res.symbol, cache).ok   # clone is deep enough
+
     def test_lookup_counts_and_miss(self, grid2d_small):
         res, _ = _setup(grid2d_small)
         cache = CoupleMapCache(res.symbol)

@@ -1,12 +1,14 @@
-"""Solve-phase DAG tests."""
+"""Solve-phase DAG tests (coarse: one task per unit per sweep)."""
 
 import numpy as np
 import pytest
 
 from repro.dag import build_dag, build_solve_dag, critical_path, update_couples
+from repro.dag.builder import supernode_parent
 from repro.dag.tasks import TaskKind
 from repro.machine import mirage, simulate
 from repro.runtime import get_policy
+from repro.sparse.generators import grid_laplacian_2d, grid_laplacian_3d
 from repro.symbolic import analyze
 
 
@@ -16,55 +18,185 @@ def sym(grid2d_medium):
 
 
 @pytest.fixture(scope="module")
+def sym3():
+    return analyze(grid_laplacian_3d(10, jitter=0.05, seed=2)).symbol
+
+
+@pytest.fixture(scope="module")
 def sdag(sym):
     return build_solve_dag(sym, "llt")
 
 
+def _units(dag):
+    """Member panels of every unit, by unit id."""
+    return [dag.unit_panels[dag.unit_ptr[u]: dag.unit_ptr[u + 1]]
+            for u in range(dag.unit_ptr.size - 1)]
+
+
+def _reaches(dag, src):
+    """Tasks reachable from ``src`` (inclusive)."""
+    seen, stack = {src}, [src]
+    while stack:
+        for s in dag.successors(stack.pop()):
+            if int(s) not in seen:
+                seen.add(int(s))
+                stack.append(int(s))
+    return seen
+
+
 class TestStructure:
     def test_task_count(self, sym, sdag):
-        n_upd = update_couples(sym)[0].size
-        assert sdag.n_tasks == 2 * (sym.n_cblk + n_upd)
+        """One task per unit per sweep: at most 2·K, and no UPDATE."""
+        n_units = sdag.unit_ptr.size - 1
+        assert sdag.n_tasks == 2 * n_units <= 2 * sym.n_cblk
+        assert not np.any(sdag.kind == TaskKind.UPDATE)
+        assert np.all(sdag.mutex == -1)
         assert sdag.phase == "solve"
 
     def test_acyclic_and_valid(self, sdag):
         sdag.validate()
 
+    @pytest.mark.parametrize("n_workers", [1, 2, 4, 64])
+    def test_units_partition_panels(self, sym, n_workers):
+        dag = build_solve_dag(sym, "llt", n_workers=n_workers)
+        assert np.array_equal(np.sort(dag.unit_panels),
+                              np.arange(sym.n_cblk))
+        for t in range(dag.n_tasks):
+            members = _units(dag)[int(dag.solve_unit[t])]
+            assert np.all(np.diff(members) > 0)          # ascending
+            assert int(dag.cblk[t]) == int(members[-1])  # named by its top
+            fused = dag.kind[t] == TaskKind.SUBTREE
+            assert fused == (members.size > 1)
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_fused_units_are_complete_subtrees(self, sym, n_workers):
+        """A fused unit holds *every* descendant of its top panel."""
+        dag = build_solve_dag(sym, "llt", n_workers=n_workers)
+        parent = supernode_parent(sym)
+        top = np.empty(sym.n_cblk, dtype=np.int64)
+        for members in _units(dag):
+            top[members] = members[-1]
+        n_fused = 0
+        for members in _units(dag):
+            if members.size == 1:
+                continue
+            n_fused += 1
+            inside = set(members.tolist())
+            for k in range(sym.n_cblk):
+                anc = k
+                while anc >= 0 and anc != members[-1]:
+                    anc = int(parent[anc])
+                assert (anc == members[-1]) == (k in inside)
+        assert n_fused > 0
+
+    def test_fewer_workers_fuse_more(self, sym):
+        counts = [build_solve_dag(sym, "llt", n_workers=w).n_tasks
+                  for w in (1, 2, 4, 64)]
+        assert counts == sorted(counts)
+        assert counts[0] < counts[-1]
+
     def test_forward_before_backward(self, sym, sdag):
-        """Pf(k) -> Pb(k) edges join the two sweeps."""
-        n_upd = update_couples(sym)[0].size
-        K = sym.n_cblk
-        for k in range(K):
-            assert (K + n_upd + k) in sdag.successors(k)
+        """F(root unit) -> B(root unit) joins the sweeps, and no forward
+        task is downstream of a backward one."""
+        parent = supernode_parent(sym)
+        n_units = sdag.unit_ptr.size - 1
+        fwd = np.flatnonzero(~sdag.solve_backward)
+        bwd = np.flatnonzero(sdag.solve_backward)
+        assert fwd.size == bwd.size == n_units
+        for f in fwd:
+            b = next(int(t) for t in bwd
+                     if sdag.solve_unit[t] == sdag.solve_unit[f])
+            if parent[sdag.cblk[f]] < 0:
+                assert sdag.has_edge(int(f), b)
+            assert b in _reaches(sdag, int(f))
+        for b in bwd:
+            assert all(sdag.solve_backward[s] for s in sdag.successors(int(b)))
 
     def test_backward_edges_reversed(self, sym, sdag):
-        """Backward updates depend on the *target* panel's backward task."""
+        """Every forward tree edge F(child) -> F(parent) has its mirror
+        B(parent) -> B(child), and edges follow the supernode tree."""
+        parent = supernode_parent(sym)
+        unit_of = np.empty(sym.n_cblk, dtype=np.int64)
+        for u, members in enumerate(_units(sdag)):
+            unit_of[members] = u
+        task = {(int(sdag.solve_unit[t]), bool(sdag.solve_backward[t])): t
+                for t in range(sdag.n_tasks)}
+        n_tree = 0
+        for u, members in enumerate(_units(sdag)):
+            up = int(parent[members[-1]])
+            if up < 0:
+                continue
+            n_tree += 1
+            pu = int(unit_of[up])
+            assert sdag.has_edge(task[(u, False)], task[(pu, False)])
+            assert sdag.has_edge(task[(pu, True)], task[(u, True)])
+        n_roots = int(np.count_nonzero(parent < 0))
+        assert sdag.n_edges == 2 * n_tree + n_roots
+
+    def test_every_couple_is_ordered_by_the_dag(self, sym, sdag):
+        """The lock-free bodies rely on it: for every update couple
+        (j -> k), F(unit(j)) precedes-or-is F(unit(k)) (k reads j's slab)
+        and B(unit(k)) precedes-or-is B(unit(j)) (j reads k's x)."""
+        unit_of = np.empty(sym.n_cblk, dtype=np.int64)
+        for u, members in enumerate(_units(sdag)):
+            unit_of[members] = u
+        task = {(int(sdag.solve_unit[t]), bool(sdag.solve_backward[t])): t
+                for t in range(sdag.n_tasks)}
+        reach = {t: _reaches(sdag, t) for t in range(sdag.n_tasks)}
         src, tgt, _, _ = update_couples(sym)
-        K = sym.n_cblk
-        n_upd = src.size
-        for i in range(min(n_upd, 50)):
-            ub = 2 * K + n_upd + i
-            pb_tgt = K + n_upd + int(tgt[i])
-            assert ub in sdag.successors(pb_tgt)
+        for j, k in zip(src.tolist(), tgt.tolist()):
+            uj, uk = int(unit_of[j]), int(unit_of[k])
+            assert task[(uk, False)] in reach[task[(uj, False)]]
+            assert task[(uj, True)] in reach[task[(uk, True)]]
 
     def test_flops_scale_with_nrhs(self, sym):
         one = build_solve_dag(sym, "llt", nrhs=1)
         four = build_solve_dag(sym, "llt", nrhs=4)
         assert four.total_flops() == pytest.approx(4 * one.total_flops())
+        assert np.all(four.gemm_n == 4)
+
+    def test_flops_independent_of_fusion(self, sym):
+        """Coarsening moves flops between tasks, never changes the sum:
+        per sweep, w² + 2·below·w per panel."""
+        widths = np.diff(sym.cblk_ptr)
+        below = np.array([sym.cblk_below(k) for k in range(sym.n_cblk)])
+        expect = 2.0 * float((widths * (widths + 2 * below)).sum())
+        for w in (1, 4, 64):
+            dag = build_solve_dag(sym, "llt", n_workers=w)
+            assert dag.total_flops() == pytest.approx(expect)
 
     def test_complex_multiplier(self, sym):
         real = build_solve_dag(sym, "ldlt", dtype=np.float64)
         cplx = build_solve_dag(sym, "ldlt", dtype=np.complex128)
         assert cplx.total_flops() == pytest.approx(4 * real.total_flops())
 
-    def test_solve_flops_much_smaller_than_facto(self):
+    def test_solve_flops_much_smaller_than_facto(self, sym3):
         # On a 3D problem the solve is a small fraction of the
         # factorization (O(nnz) vs O(n²)-ish).
-        from repro.sparse.generators import grid_laplacian_3d
-
-        sym3 = analyze(grid_laplacian_3d(10, jitter=0.05, seed=2)).symbol
         facto = build_dag(sym3, "llt")
         solve = build_solve_dag(sym3, "llt")
         assert solve.total_flops() < 0.1 * facto.total_flops()
+
+    def test_memoised_on_the_symbol(self, sym):
+        a = build_solve_dag(sym, "lu", dtype=np.float64, n_workers=2)
+        assert build_solve_dag(sym, "lu", dtype=np.float64, n_workers=2) is a
+        assert build_solve_dag(sym, "lu", dtype=np.float64, n_workers=3) is not a
+        assert build_solve_dag(sym, "lu", dtype=np.complex128,
+                               n_workers=2) is not a
+        assert build_solve_dag(sym, "llt", n_workers=2) is not a
+        same_pattern = analyze(
+            grid_laplacian_2d(16, jitter=0.05, seed=5)
+        ).symbol
+        assert build_solve_dag(same_pattern, "lu", n_workers=2) is not a
+
+    def test_single_panel_symbol(self):
+        from repro.sparse.csc import SparseMatrixCSC
+
+        one = analyze(SparseMatrixCSC.from_dense(np.array([[2.0]]))).symbol
+        dag = build_solve_dag(one, "llt")
+        assert dag.n_tasks == 2 and dag.n_edges == 1
+        assert dag.has_edge(0, 1)
+        dag.validate()
 
 
 class TestSimulation:
@@ -78,10 +210,12 @@ class TestSimulation:
         r = simulate(sdag, mirage(n_cores=4, n_gpus=2), get_policy("parsec"))
         assert all(not e.resource.startswith("gpu") for e in r.trace.events)
 
-    def test_solve_throughput_far_below_facto(self, sym, sdag):
+    def test_solve_throughput_far_below_facto(self, sym3):
         """The solve phase is bandwidth-bound: its achieved GFlop/s on 12
-        cores must sit far below the factorization's."""
-        fdag = build_dag(sym, "llt")
+        cores must sit far below the factorization's (on a 3D problem —
+        a toy 2D factorization is itself overhead-bound)."""
+        fdag = build_dag(sym3, "llt")
+        sdag = build_solve_dag(sym3, "llt", n_workers=12)
         gf_facto = simulate(fdag, mirage(12), get_policy("parsec"),
                             collect_trace=False).gflops
         gf_solve = simulate(sdag, mirage(12), get_policy("parsec"),
@@ -89,8 +223,14 @@ class TestSimulation:
         assert gf_solve < 0.4 * gf_facto
 
     def test_critical_path_two_sweeps(self, sym, sdag):
-        """The solve critical path spans both triangular sweeps: it is at
-        least twice the depth of the supernode tree in panel tasks."""
+        """The solve critical path spans both triangular sweeps: it climbs
+        to a root unit forward and descends from it backward."""
         _, path = critical_path(sdag)
-        panel_tasks = [t for t in path if sdag.kind[t] != TaskKind.UPDATE]
-        assert len(panel_tasks) >= 4
+        back = [bool(sdag.solve_backward[t]) for t in path]
+        assert len(path) >= 4
+        assert not back[0] and back[-1]
+        assert back == sorted(back)          # all forward, then all backward
+        parent = supernode_parent(sym)
+        turn = back.index(True)
+        assert parent[sdag.cblk[path[turn]]] < 0
+        assert sdag.solve_unit[path[turn - 1]] == sdag.solve_unit[path[turn]]

@@ -201,3 +201,130 @@ class TestErrorPaths:
         s = SparseSolver(SparseMatrixCSC.from_dense(d))
         with pytest.raises(np.linalg.LinAlgError):
             s.factorize()
+
+
+class TestThreadedSolvePath:
+    """``runtime="threaded"`` solves through ``solve_threaded`` whatever
+    the right-hand side's shape or dtype."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record the DAG and vector of every pool run."""
+        from repro.runtime import threaded
+
+        seen = []
+        init = threaded._ThreadedSolveRun.__init__
+
+        def spy(self, factor, x, dag, *args, **kwargs):
+            seen.append((dag, x.shape, x.dtype))
+            init(self, factor, x, dag, *args, **kwargs)
+
+        monkeypatch.setattr(threaded._ThreadedSolveRun, "__init__", spy)
+        return seen
+
+    @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
+    def test_block_rhs_runs_on_the_pool(self, grid2d_small, factotype,
+                                        monkeypatch):
+        """Regression: a 2-D right-hand side used to be routed to the
+        sequential solve behind the caller's back (hiding an LDLᵀ
+        broadcasting bug on the threaded path)."""
+        from repro.core.triangular import solve_factored
+
+        seen = self._spy(monkeypatch)
+        s = SparseSolver(grid2d_small, SolverOptions(
+            factotype=factotype, runtime="threaded", n_workers=2))
+        B = np.random.default_rng(4).standard_normal((grid2d_small.n_rows, 3))
+        X = s.solve(B, method="none")
+        assert [shape for _, shape, _ in seen] == [B.shape]
+        perm = s.analysis.perm
+        ref = perm.undo_on_vector(
+            solve_factored(s.factor, perm.apply_to_vector(B)))
+        assert np.array_equal(X, ref)
+        X = s.solve(B)
+        assert np.linalg.norm(B - grid2d_small.matvec(X)) \
+            < 1e-12 * np.linalg.norm(B)
+
+    def test_complex_block_rhs_runs_on_the_pool(self, helmholtz_small,
+                                                monkeypatch):
+        seen = self._spy(monkeypatch)
+        rng = np.random.default_rng(6)
+        n = helmholtz_small.n_rows
+        B = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        for factotype in ("ldlt", "lu"):
+            s = SparseSolver(helmholtz_small, SolverOptions(
+                factotype=factotype, runtime="threaded", n_workers=2))
+            X = s.solve(B)
+            assert np.linalg.norm(B - helmholtz_small.matvec(X)) \
+                < 1e-12 * np.linalg.norm(B)
+        assert seen and all(shape == B.shape for _, shape, _ in seen)
+
+    @pytest.mark.parametrize("runtime", ["sequential", "threaded"])
+    @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
+    def test_complex_rhs_on_real_factor(self, grid2d_small, factotype,
+                                        runtime):
+        """Regression: casting a complex ``b`` to a real factor's dtype
+        dropped the imaginary part (relative residual 0.707, only a
+        ComplexWarning).  Real A: solve [Re b | Im b] and recombine."""
+        import warnings
+
+        n = grid2d_small.n_rows
+        rng = np.random.default_rng(8)
+        b = np.ones(n) + 1j * np.ones(n)
+        B = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        s = SparseSolver(grid2d_small, SolverOptions(
+            factotype=factotype, runtime=runtime, n_workers=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rhs, methods in ((b, ("none", "refine", "gmres", "bicgstab")),
+                                 (B, ("none", "refine"))):
+                for method in methods:
+                    x = s.solve(rhs, method=method)
+                    assert np.iscomplexobj(x) and x.shape == rhs.shape
+                    resid = np.linalg.norm(rhs - grid2d_small.matvec(x))
+                    assert resid < 1e-10 * np.linalg.norm(rhs), method
+            # The real and imaginary parts are the two columns of one
+            # real block solve, recombined.
+            x = s.solve(b, method="none")
+            both = s.solve(np.column_stack([b.real, b.imag]), method="none")
+            assert np.array_equal(x, both[:, 0] + 1j * both[:, 1])
+
+    def test_solves_reuse_the_memoised_dag(self, grid2d_small, monkeypatch):
+        """One DAG object serves every solve, every refinement step and
+        the solves after a refactorization of the same pattern."""
+        from repro.sparse.generators import grid_laplacian_2d
+
+        seen = self._spy(monkeypatch)
+        s = SparseSolver(grid2d_small, SolverOptions(
+            factotype="ldlt", runtime="threaded", n_workers=2))
+        b = np.ones(grid2d_small.n_rows)
+        s.solve(b)
+        n_first = len(seen)
+        s.solve(np.random.default_rng(9).standard_normal(b.size))
+        s.update_values(grid_laplacian_2d(8, jitter=0.3, seed=99))
+        s.factorize()
+        x = s.solve(b)
+        assert s.residual_norm(x, b) < 1e-12
+        assert n_first >= 1 and len(seen) >= n_first + 2
+        assert all(dag is seen[0][0] for dag, _, _ in seen)
+        assert seen[0][0].n_tasks <= 2 * s.analysis.symbol.n_cblk
+
+    @pytest.mark.parametrize("runtime", ["sequential", "threaded"])
+    @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
+    def test_degenerate_matrices_solve(self, factotype, runtime):
+        from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
+
+        dense4 = 4.0 * np.eye(4) + np.ones((4, 4))
+        cases = {
+            "0x0": coo_to_csc(0, 0, [], [], np.array([], dtype=float)),
+            "1x1": SparseMatrixCSC.from_dense(np.array([[2.0]])),
+            "single panel": SparseMatrixCSC.from_dense(dense4),
+        }
+        opts = SolverOptions(factotype=factotype, runtime=runtime, n_workers=2)
+        for name, mat in cases.items():
+            s = SparseSolver(mat, opts)
+            n = mat.n_rows
+            for b in (np.ones(n), np.ones((n, 2))):
+                x = s.solve(b)
+                assert x.shape == b.shape, name
+                assert np.allclose(mat.matvec(x), b, atol=1e-12), name
+            assert s.analysis.symbol.n_cblk <= 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.factorization import factorize_sequential
+from repro.runtime.scheduling import THREAD_SCHEDULERS
 from repro.runtime.threaded import factorize_threaded
 from repro.runtime.tracing import ExecutionTrace
 from repro.dag import build_dag
@@ -164,30 +165,49 @@ def test_solve_dag_phase_field(grid2d_small):
                 assert dag.solve_backward[s]
 
 
+def _solve_cases(mat, factotype, complex_rhs=False):
+    """Factor + one ``(n,)`` and one ``(n, 3)`` right-hand side."""
+    res, permuted = _setup(mat, factotype)
+    factor = factorize_sequential(res.symbol, permuted, factotype)
+    rng = np.random.default_rng(11)
+    n = permuted.n_rows
+    rhs = [rng.standard_normal(n), rng.standard_normal((n, 3))]
+    if complex_rhs:
+        rhs = [b * (1 - 2j) + 1j * rng.standard_normal(b.shape) for b in rhs]
+    return factor, permuted, rhs
+
+
 class TestThreadedSolve:
+    """The threaded solve is *bit-identical* to ``solve_factored``: every
+    shared write is ordered by a DAG edge, so neither the worker count,
+    the scheduler nor the interleaving can change a single bit."""
+
     @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
     def test_matches_sequential_solve(self, grid2d_medium, factotype):
         from repro.core.triangular import solve_factored
         from repro.runtime.threaded import solve_threaded
 
-        res, permuted = _setup(grid2d_medium, factotype)
-        factor = factorize_sequential(res.symbol, permuted, factotype)
-        b = np.random.default_rng(11).standard_normal(permuted.n_rows)
-        ref = solve_factored(factor, b)
-        par = solve_threaded(factor, b, n_workers=4)
-        assert np.allclose(ref, par, atol=1e-11)
+        factor, _, rhs = _solve_cases(grid2d_medium, factotype)
+        for b in rhs:
+            ref = solve_factored(factor, b)
+            for n_workers in (1, 2, 4):
+                par = solve_threaded(factor, b, n_workers=n_workers)
+                assert par.shape == b.shape
+                assert np.array_equal(ref, par)
 
     def test_complex_threaded_solve(self, helmholtz_small):
         from repro.core.triangular import solve_factored
         from repro.runtime.threaded import solve_threaded
 
-        res, permuted = _setup(helmholtz_small, "ldlt")
-        factor = factorize_sequential(res.symbol, permuted, "ldlt")
-        rng = np.random.default_rng(12)
-        b = rng.standard_normal(permuted.n_rows) * (1 - 2j)
-        ref = solve_factored(factor, b)
-        par = solve_threaded(factor, b, n_workers=3)
-        assert np.allclose(ref, par, atol=1e-11)
+        for factotype in ("ldlt", "lu"):
+            factor, _, rhs = _solve_cases(helmholtz_small, factotype,
+                                          complex_rhs=True)
+            assert np.iscomplexobj(factor.L[0])
+            for b in rhs:
+                ref = solve_factored(factor, b)
+                for n_workers in (1, 2, 4):
+                    par = solve_threaded(factor, b, n_workers=n_workers)
+                    assert np.array_equal(ref, par)
 
     def test_actually_solves(self, grid2d_small):
         from repro.runtime.threaded import solve_threaded
@@ -198,19 +218,61 @@ class TestThreadedSolve:
         x = solve_threaded(factor, b, n_workers=2)
         assert np.allclose(permuted.matvec(x), b, atol=1e-9)
 
-    @pytest.mark.parametrize("scheduler", ["fifo", "ws", "priority"])
-    def test_solve_schedulers(self, grid2d_small, scheduler):
+    @pytest.mark.parametrize("scheduler", sorted(THREAD_SCHEDULERS))
+    def test_solve_schedulers(self, grid2d_small, helmholtz_small, scheduler):
         from repro.core.triangular import solve_factored
         from repro.runtime.threaded import solve_threaded
 
-        res, permuted = _setup(grid2d_small, "llt")
-        factor = factorize_sequential(res.symbol, permuted, "llt")
-        b = np.random.default_rng(17).standard_normal(permuted.n_rows)
-        assert np.allclose(
-            solve_threaded(factor, b, n_workers=3, scheduler=scheduler),
-            solve_factored(factor, b),
-            atol=1e-11,
-        )
+        cases = [_solve_cases(grid2d_small, ft) for ft in ("llt", "ldlt", "lu")]
+        cases += [_solve_cases(helmholtz_small, ft, complex_rhs=True)
+                  for ft in ("ldlt", "lu")]
+        for factor, _, rhs in cases:
+            for b in rhs:
+                ref = solve_factored(factor, b)
+                for n_workers in (1, 2, 4):
+                    par = solve_threaded(factor, b, n_workers=n_workers,
+                                         scheduler=scheduler)
+                    assert np.array_equal(ref, par)
+
+    def test_block_rhs_ldlt(self, grid2d_small):
+        """Regression: the LDLᵀ diagonal scaling used to divide a block
+        right-hand side by ``D`` without broadcasting — a ``ValueError``,
+        or a silently mis-scaled answer when the block is as wide as a
+        panel.  Cover both widths."""
+        from repro.core.triangular import solve_factored
+        from repro.runtime.threaded import solve_threaded
+
+        res, permuted = _setup(grid2d_small, "ldlt")
+        factor = factorize_sequential(res.symbol, permuted, "ldlt")
+        widths = {int(w) for w in np.diff(res.symbol.cblk_ptr)}
+        rng = np.random.default_rng(5)
+        for k in sorted(widths | {3}):
+            B = rng.standard_normal((permuted.n_rows, k))
+            X = solve_threaded(factor, B, n_workers=2)
+            assert np.array_equal(X, solve_factored(factor, B))
+            assert np.allclose(permuted.matvec(X), B, atol=1e-9)
+
+    def test_interleaving_cannot_change_the_result(self, grid2d_medium):
+        """Stress: more workers than cores and a tiny switch interval
+        force as many interleavings as the host allows; a write not
+        ordered by a DAG edge would show as a differing bit."""
+        import sys
+
+        from repro.core.triangular import solve_factored
+        from repro.runtime.threaded import solve_threaded
+
+        factor, _, rhs = _solve_cases(grid2d_medium, "ldlt")
+        refs = [solve_factored(factor, b) for b in rhs]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rep in range(10):
+                for b, ref in zip(rhs, refs):
+                    par = solve_threaded(factor, b, n_workers=8,
+                                         scheduler="ws", watchdog_s=30.0)
+                    assert np.array_equal(ref, par), rep
+        finally:
+            sys.setswitchinterval(old)
 
     def test_solve_watchdog_names_the_wedge(self, grid2d_small):
         """The solve pool inherits the factorization watchdog: a wedged
@@ -223,22 +285,25 @@ class TestThreadedSolve:
         res, permuted = _setup(grid2d_small, "llt")
         factor = factorize_sequential(res.symbol, permuted, "llt")
         x = np.ones(permuted.n_rows, dtype=factor.dtype)
-        dag = build_solve_dag(res.symbol, "llt", dtype=factor.dtype)
+        dag = build_solve_dag(res.symbol, "llt", dtype=factor.dtype,
+                              n_workers=2)
+        wedged = int(dag.sources()[0])
         release = threading.Event()
         run = _ThreadedSolveRun(factor, x, dag, 2, watchdog_s=0.25)
         original = run._execute
 
         def execute(t, worker):
-            if t == 0:
+            if t == wedged:
                 release.wait(timeout=10.0)
             original(t, worker)
 
         run._execute = execute
         try:
-            with pytest.raises(RuntimeError, match="no progress"):
+            with pytest.raises(RuntimeError, match="no progress") as info:
                 run.run()
         finally:
             release.set()
+        assert "threaded solve" in str(info.value)
         assert "solve" in run._watchdog_message()
 
     @pytest.mark.parametrize("n_workers", [1, 8])
@@ -249,11 +314,56 @@ class TestThreadedSolve:
         res, permuted = _setup(grid2d_small, "lu")
         factor = factorize_sequential(res.symbol, permuted, "lu")
         b = np.random.default_rng(13).standard_normal(permuted.n_rows)
-        assert np.allclose(
+        assert np.array_equal(
             solve_threaded(factor, b, n_workers=n_workers),
             solve_factored(factor, b),
-            atol=1e-11,
         )
+
+    def test_solve_without_index_cache(self, grid2d_small):
+        """The fan-in maps come from the symbol's memoised couple cache
+        whether or not the factorization attached one to the factor."""
+        from repro.core.triangular import solve_factored
+        from repro.runtime.threaded import solve_threaded
+
+        res, permuted = _setup(grid2d_small, "ldlt")
+        factor = factorize_sequential(res.symbol, permuted, "ldlt",
+                                      index_cache=False)
+        assert factor.index_cache is None
+        b = np.random.default_rng(3).standard_normal(permuted.n_rows)
+        assert np.array_equal(solve_threaded(factor, b, n_workers=2),
+                              solve_factored(factor, b))
+
+    def test_refactorization_reuses_the_dags(self, grid2d_small, monkeypatch):
+        """Runtimes only read a DAG, so both phases memoise theirs on
+        the symbol: a refactorization + solve builds nothing."""
+        from repro.dag import build_solve_dag, get_dag
+        from repro.runtime import threaded
+
+        seen = []
+        init = threaded._PoolRun.__init__
+
+        def spy(self, dag, *args, **kwargs):
+            seen.append(dag)
+            init(self, dag, *args, **kwargs)
+
+        monkeypatch.setattr(threaded._PoolRun, "__init__", spy)
+        res, permuted = _setup(grid2d_small, "ldlt")
+        for _ in range(2):
+            factor = factorize_threaded(res.symbol, permuted, "ldlt",
+                                        n_workers=2)
+            threaded.solve_threaded(factor, np.ones(permuted.n_rows),
+                                    n_workers=2)
+        facto, solve = seen[:2]
+        assert facto.phase == "facto" and solve.phase == "solve"
+        assert seen[2] is facto and seen[3] is solve
+        assert facto is get_dag(res.symbol, "ldlt", dtype=factor.dtype)
+        assert solve is build_solve_dag(res.symbol, "ldlt",
+                                        dtype=factor.dtype, n_workers=2)
+        # Other keys get their own DAG; build_dag itself stays unmemoised
+        # (callers that edit a DAG build their own).
+        assert get_dag(res.symbol, "ldlt", split_rows=4) is not facto
+        assert get_dag(res.symbol, "lu") is not facto
+        assert build_dag(res.symbol, "ldlt") is not facto
 
 
 class TestInversePriorityHardening:

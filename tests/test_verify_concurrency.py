@@ -71,21 +71,62 @@ def test_clean_run_passes(grid2d_small, scheduler, accumulate):
 
 
 def test_solve_run_passes(grid2d_small):
+    """The coarse solve DAG has no mutex group and its bodies take no
+    lock: the audit reduces to publish order along the DAG edges (C702)
+    plus the sync-stats provenance, and the trace must show no hold."""
     from repro.core.triangular import solve_factored
     from repro.dag.solve_builder import build_solve_dag
     from repro.runtime.threaded import solve_threaded
 
     res = analyze(grid2d_small)
     permuted = grid2d_small.permute(res.perm.perm)
-    factor = factorize_threaded(res.symbol, permuted, "llt", n_workers=3)
     b = np.random.default_rng(7).standard_normal(permuted.n_rows)
+    for factotype, scheduler in [("llt", "fifo"), ("ldlt", "ws"),
+                                 ("lu", "priority")]:
+        factor = factorize_threaded(res.symbol, permuted, factotype,
+                                    n_workers=3)
+        trace = ExecutionTrace()
+        x = solve_threaded(factor, b, n_workers=3, trace=trace,
+                           record_sync=True, scheduler=scheduler)
+        assert np.array_equal(x, solve_factored(factor, b))
+        dag = build_solve_dag(res.symbol, factotype, dtype=factor.dtype,
+                              n_workers=3)
+        assert len(trace.events) == dag.n_tasks
+        trace.validate(dag, exclusive_resources=[], check_mutex=False,
+                       tol=1e-5)
+        rep = verify_concurrency(dag, trace)
+        assert rep.ok, rep.format()
+        assert rep.stats["lock_windows"] == 0
+        assert rep.stats["mutex_groups"] == 0
+        counts = trace.meta["sync_stats"]["counts"]
+        assert counts.get("lock", 0) == 0
+        assert counts["publish"] == dag.n_tasks
+
+
+def test_solve_run_unpublished_read_is_caught(grid2d_small):
+    """C702 is what guards the lock-free solve: a task that started
+    before its predecessor's publish must be flagged."""
+    from repro.dag.solve_builder import build_solve_dag
+    from repro.runtime.threaded import solve_threaded
+    from repro.runtime.tracing import SyncEvent
+
+    res = analyze(grid2d_small)
+    permuted = grid2d_small.permute(res.perm.perm)
+    factor = factorize_threaded(res.symbol, permuted, "llt", n_workers=2)
     trace = ExecutionTrace()
-    x = solve_threaded(factor, b, n_workers=3, trace=trace,
-                       record_sync=True)
-    assert np.allclose(x, solve_factored(factor, b), atol=1e-11)
-    dag = build_solve_dag(res.symbol, "llt", dtype=factor.dtype)
+    solve_threaded(factor, np.ones(permuted.n_rows), n_workers=2,
+                   trace=trace, record_sync=True)
+    dag = build_solve_dag(res.symbol, "llt", dtype=factor.dtype, n_workers=2)
+    late = max(e.end for e in trace.events) + 1.0
+    victim = next(e for e in trace.sync_events
+                  if e.kind == "publish" and dag.successors(e.task).size)
+    trace.sync_events = [
+        SyncEvent(e.kind, e.worker, e.obj, e.task, late, late, e.wait_s, e.n)
+        if e is victim else e
+        for e in trace.sync_events
+    ]
     rep = verify_concurrency(dag, trace)
-    assert rep.ok, rep.format()
+    assert "C702" in _codes(rep)
 
 
 def test_ldlt_accumulate_run_passes(grid2d_small):
