@@ -55,6 +55,9 @@ selftest:
 			echo "inject $$inj: caught"; \
 		fi; \
 	done
+	@# Lock-window and publish-chain corruptions: the verify CLI applies
+	@# them to the 2D couple runs it requests explicitly (the default
+	@# unit run has no lock window to corrupt and must stay clean).
 	@for inj in drop-sync-event unlocked-scatter swallow-wakeup; do \
 		if $(PYTHON) -m repro verify --matrix lap2d --size 16 \
 			--no-lint --no-hazards --no-schedule --no-symbolic \
@@ -146,11 +149,19 @@ perf-smoke:
 		results/BENCH_threaded.json results/_perfsmoke.json; \
 	status=$$?; rm -f results/_perfsmoke.json; exit $$status
 
-# Quick concurrency gate: a real threaded sweep (every scheduler, both
-# fan-in accumulation variants) with sync tracing on, every traced run
-# checked by the C7xx happens-before auditor (bench_threaded --verify).
+# Quick concurrency gate.  First the runtime's default: `repro verify`
+# runs a sync-traced factorization on the lock-free unit DAG and audits
+# it against the DAG the trace names (C702 + C707, zero lock windows),
+# then the 2D couple DAG in both fan-in modes.  Then a real threaded
+# sweep of the couple path (every scheduler, both fan-in accumulation
+# variants) with sync tracing on, every traced run checked by the C7xx
+# happens-before auditor (bench_threaded --verify).
 race-smoke:
-	@PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_threaded.py \
+	@$(PYTHON) -m repro verify --matrix lap2d --size 16 \
+		--no-lint --no-hazards --no-schedule --no-symbolic \
+		--no-resilience --no-health --no-determinism \
+		--no-adaptive >/dev/null \
+	&& PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_threaded.py \
 		--quick --verify --repeats 1 --out results/_racesmoke.json \
 		>/dev/null; \
 	status=$$?; rm -f results/_racesmoke.json; \

@@ -40,6 +40,14 @@ and adds its own:
   replay DAG is built with the same ``split_rows`` so replay task ids
   match the traced run.
 
+Every cell runs the **2D couple DAG** (``granularity="2d"``, requested
+explicitly): the sweep compares scheduler policies and the ladder's
+knobs — fan-in accumulation, the row split — are defined on update
+couples, so mixing in the runtime's default (the lock-free unit DAG,
+a few tasks per worker, on which every policy degenerates to the same
+order) would compare granularities, not schedulers.  What the default
+costs end to end is ``benchmarks/e2e``'s job.
+
 ``perf_compare.py --gate-variants`` asserts each rung never falls
 behind the one below it (``opt`` vs ``base``, ``compiled`` vs ``opt``)
 within one report — the regression gate for this repo's hot-path
@@ -267,6 +275,7 @@ def run_cell(
             kernels="compiled" if compiled else "numpy",
             split_rows=split,
             record_sync=verify,
+            granularity="2d",
         )
         wall = time.perf_counter() - t0
         del factor

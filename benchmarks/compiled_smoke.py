@@ -72,7 +72,7 @@ def main() -> None:
     trace = ExecutionTrace()
     thr = factorize_threaded(
         res.symbol, permuted, "llt", n_workers=4, trace=trace,
-        kernels="compiled", split_rows=8,
+        kernels="compiled", split_rows=8, granularity="2d",
     )
     if trace.meta.get("kernels") != backend:
         sys.exit(f"trace stamped kernels={trace.meta.get('kernels')!r}, "

@@ -3,8 +3,11 @@
 Unlike the other examples (which *simulate* scheduling on a modelled
 machine), this one executes the factorization DAG for real: worker
 threads pull ready tasks and call the NumPy/BLAS kernels, which release
-the GIL, so panels genuinely factor in parallel.  The result is checked
-against the sequential driver and used to solve a system.
+the GIL, so panels genuinely factor in parallel.  The pool runs the
+coarse *unit* DAG (one lock-free task per panel or fused leaf subtree —
+a handful of tasks per worker, and a single task when the whole tree is
+worth under 1e8 flops), so the factor is bit-identical to the sequential
+driver's; it is checked against it and used to solve a system.
 
     python examples/threaded_factorization.py [grid] [workers]
 """

@@ -36,6 +36,24 @@ from repro.symbolic.analyze import AnalysisResult, analyze
 __all__ = ["SparseSolver", "FactorizationInfo"]
 
 
+def _symbol_counts(symbol, factotype: str, dtype) -> tuple[float, int]:
+    """``(flops, nnz_factor)`` of factorizing ``symbol``.
+
+    Both are Python loops over the panels and couples and depend on the
+    symbol only, so — like the couple cache and the DAGs — they are
+    computed once per analysis and memoised on the symbol object:
+    refactorizing new values of one pattern must not pay them again.
+    """
+    memo = symbol.__dict__.setdefault("_counts_memo", {})
+    key = (factotype, np.dtype(dtype).str)
+    if key not in memo:
+        memo[key] = (
+            flops_total(symbol, factotype, dtype),
+            symbol.nnz(factotype=factotype),
+        )
+    return memo[key]
+
+
 @dataclass(frozen=True)
 class FactorizationInfo:
     """Metrics of one factorization run."""
@@ -103,7 +121,7 @@ class SparseSolver:
         analysis = self.analyze()
         permuted = self._permuted_matrix()
         opts = self.options
-        flops = flops_total(
+        flops, nnz_factor = _symbol_counts(
             analysis.symbol, opts.factotype, self.matrix.values.dtype
         )
 
@@ -135,6 +153,9 @@ class SparseSolver:
                 dl_buffer=opts.dl_buffer,
                 accumulate=opts.accumulate,
                 kernels=opts.kernels,
+                # Fan-in accumulation batches update *couples*; every
+                # other configuration runs the lock-free unit DAG.
+                granularity="2d" if opts.accumulate else "unit",
             )
         else:  # pragma: no cover - guarded by SolverOptions
             raise ValueError(f"unknown runtime {opts.runtime!r}")
@@ -145,7 +166,7 @@ class SparseSolver:
             factotype=opts.factotype,
             runtime=opts.runtime,
             n=analysis.n,
-            nnz_factor=analysis.symbol.nnz(factotype=opts.factotype),
+            nnz_factor=nnz_factor,
             flops=flops,
             elapsed=elapsed,
             n_pivots_perturbed=0 if monitor is None else monitor.n_perturbed,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.dag.tasks import TaskDAG, TaskKind
@@ -13,7 +15,29 @@ from repro.kernels.cost import (
 )
 from repro.symbolic.structures import SymbolMatrix
 
-__all__ = ["update_couples", "build_dag", "get_dag", "symbol_memo"]
+__all__ = [
+    "update_couples",
+    "build_dag",
+    "get_dag",
+    "dag_of_trace",
+    "symbol_memo",
+    "FUSE_UNITS_PER_WORKER",
+    "MIN_UNIT_FLOPS",
+]
+
+#: Leaf subtrees are fused up to ``1 / (FUSE_UNITS_PER_WORKER ·
+#: n_workers)`` of the whole tree's weight (panel storage for the solve
+#: DAG, flops for the unit factorization DAG): a worker then has about
+#: this many bottom-of-tree tasks to balance with, while the task count
+#: stays in the tens to low hundreds whatever the number of panels.
+FUSE_UNITS_PER_WORKER = 8
+
+#: Flop floor of a factorization unit.  Below it a task is interpreter-
+#: bound: two threads sharing the GIL run such work *slower* than one
+#: (the two-thread floor of ``docs/performance.md``), and 1e8 flops is
+#: only ~2 ms of GEMM-rate arithmetic — so a tree worth less than this
+#: is one task, whatever the worker count.
+MIN_UNIT_FLOPS = 1e8
 
 
 def symbol_memo(symbol: SymbolMatrix, key: tuple, build) -> TaskDAG:
@@ -42,32 +66,25 @@ def update_couples(
     number of source rows inside the target panel and ``m`` the number of
     source rows at-and-after the first of them (the GEMM is ``m×n×w``).
     """
-    src: list[int] = []
-    tgt: list[int] = []
-    ms: list[int] = []
-    ns: list[int] = []
-    for k in range(symbol.n_cblk):
-        b0, b1 = int(symbol.blok_ptr[k]) + 1, int(symbol.blok_ptr[k + 1])
-        if b0 >= b1:
-            continue
-        sizes = (symbol.blok_lrow[b0:b1] - symbol.blok_frow[b0:b1]).astype(np.int64)
-        faces = symbol.blok_face[b0:b1]
-        suffix = np.cumsum(sizes[::-1])[::-1]
-        # Group maximal runs of equal face.
-        change = np.flatnonzero(faces[1:] != faces[:-1])
-        starts = np.concatenate(([0], change + 1))
-        ends = np.concatenate((change + 1, [faces.size]))
-        for s, e in zip(starts, ends):
-            src.append(k)
-            tgt.append(int(faces[s]))
-            ns.append(int(sizes[s:e].sum()))
-            ms.append(int(suffix[s]))
-    return (
-        np.asarray(src, dtype=np.int64),
-        np.asarray(tgt, dtype=np.int64),
-        np.asarray(ms, dtype=np.int64),
-        np.asarray(ns, dtype=np.int64),
-    )
+    owner = symbol.blok_owner
+    off = np.flatnonzero(symbol.blok_face != owner)  # drop diagonal bloks
+    own, face = owner[off], symbol.blok_face[off]
+    sizes = (symbol.blok_lrow[off] - symbol.blok_frow[off]).astype(np.int64)
+    # A couple is a maximal run of equal (owner, face): bloks are sorted
+    # by owner, then by row, hence by face.
+    first = np.ones(off.size, dtype=bool)
+    first[1:] = (own[1:] != own[:-1]) | (face[1:] != face[:-1])
+    starts = np.flatnonzero(first)
+    src = own[starts].astype(np.int64)
+    # Rows of the owner at-and-after each run: the running row count at
+    # the end of the owner's bloks minus the count before the run.
+    before = np.cumsum(sizes) - sizes
+    owner_end = np.cumsum(
+        np.bincount(own, weights=sizes, minlength=symbol.n_cblk)
+    ).astype(np.int64)
+    ms = owner_end[src] - before[starts]
+    ns = np.add.reduceat(sizes, starts) if starts.size else sizes
+    return src, face[starts].astype(np.int64), ms, ns
 
 
 def supernode_parent(symbol: SymbolMatrix) -> np.ndarray:
@@ -108,6 +125,59 @@ def fused_subtree_groups(
     return group
 
 
+class UnitPartition(NamedTuple):
+    """Panels grouped into *units* (see :func:`unit_partition`).
+
+    Units are numbered by their topmost panel ``roots[u]``; the members
+    of unit ``u`` are ``unit_panels[unit_ptr[u]:unit_ptr[u + 1]]``
+    (ascending) and ``unit_of[k]`` is panel ``k``'s unit.  The unit tree
+    is ``child[i] → above[i]`` (the unit holding the parent panel of
+    ``roots[child[i]]``); ``tree_roots`` are the units with no parent.
+    """
+
+    roots: np.ndarray
+    unit_of: np.ndarray
+    unit_ptr: np.ndarray
+    unit_panels: np.ndarray
+    child: np.ndarray
+    above: np.ndarray
+    tree_roots: np.ndarray
+
+    @property
+    def size(self) -> np.ndarray:
+        return np.diff(self.unit_ptr)
+
+
+def unit_partition(
+    symbol: SymbolMatrix, weight: np.ndarray, threshold: float
+) -> UnitPartition:
+    """Partition the panels into fused leaf subtrees and single panels.
+
+    Every maximal subtree of the supernode tree weighing at most
+    ``threshold`` (:func:`fused_subtree_groups`) is one unit, every other
+    panel a unit on its own.  A fused unit is a *complete* subtree, so
+    every descendant of a panel is in its own unit or in a unit below it
+    along the unit tree: a task per unit with edges ``child → above``
+    orders every descendant-to-ancestor access.  Shared by the solve DAG
+    and the unit-granular factorization DAG.
+    """
+    K = symbol.n_cblk
+    parent = supernode_parent(symbol)
+    group = fused_subtree_groups(parent, weight, threshold)
+    top = np.where(group >= 0, group, np.arange(K, dtype=np.int64))
+    roots, unit_of = np.unique(top, return_inverse=True)
+    unit_ptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(unit_of, minlength=roots.size)))
+    ).astype(np.int64)
+    unit_panels = np.argsort(unit_of, kind="stable").astype(np.int64)
+    up = parent[roots]                 # panel above each unit (-1: root)
+    child = np.flatnonzero(up >= 0)
+    return UnitPartition(
+        roots, unit_of, unit_ptr, unit_panels,
+        child, unit_of[up[child]], np.flatnonzero(up < 0),
+    )
+
+
 def _csr_from_edges(n: int, heads: np.ndarray, tails: np.ndarray):
     """CSR successor lists from edge arrays (head → tail)."""
     order = np.argsort(heads, kind="stable")
@@ -127,12 +197,16 @@ def build_dag(
     recompute_ld: bool = True,
     fuse_subtree_flops: float | None = None,
     split_rows: int | None = None,
+    n_workers: int = 4,
 ) -> TaskDAG:
     """Unroll ``symbol`` into a :class:`TaskDAG`.
 
-    ``granularity="2d"`` (runtimes): one panel task per cblk + one update
-    task per couple.  ``granularity="1d"`` (native PaStiX): panel and its
-    updates fused into a single task, dependencies panel→panel.
+    ``granularity="2d"`` (simulated runtimes): one panel task per cblk +
+    one update task per couple.  ``granularity="1d"`` (native PaStiX):
+    panel and its updates fused into a single task, dependencies
+    panel→panel.  ``granularity="unit"`` (what the real thread pool
+    executes): one left-looking task per *unit*, see :func:`_build_unit`;
+    ``n_workers`` sets its fusion threshold and is ignored otherwise.
 
     ``recompute_ld`` matches the runtime-style LDLᵀ update kernel (see
     :func:`repro.kernels.cost.flops_update`).
@@ -153,28 +227,25 @@ def build_dag(
     """
     K = symbol.n_cblk
     widths = np.diff(symbol.cblk_ptr).astype(np.int64)
-    below = np.array([symbol.cblk_below(k) for k in range(K)], dtype=np.int64)
+    below = symbol.cblk_heights() - widths
     mult = complex_multiplier(dtype)
     src, tgt, ms, ns = update_couples(symbol)
     n_upd = src.size
 
-    panel_flops = np.array(
-        [mult * flops_panel(int(widths[k]), int(below[k]), factotype) for k in range(K)]
-    )
-    upd_flops = np.array(
-        [
-            mult
-            * flops_update(
-                int(ms[i]), int(ns[i]), int(widths[src[i]]), factotype,
-                recompute_ld=recompute_ld,
-            )
-            for i in range(n_upd)
-        ]
+    # Array calls: one count per task, bit-identical to the scalar ones.
+    panel_flops = mult * flops_panel(widths, below, factotype)
+    upd_flops = mult * flops_update(
+        ms, ns, widths[src], factotype, recompute_ld=recompute_ld
     )
 
     if split_rows is not None and (granularity != "2d" or fuse_subtree_flops):
         raise ValueError(
             "split_rows requires plain 2d granularity (no subtree fusing)"
+        )
+    if granularity == "unit":
+        return _build_unit(
+            symbol, factotype, widths, below, src, tgt, ms, ns,
+            panel_flops, upd_flops, max(1, int(n_workers)),
         )
     if granularity == "2d" and fuse_subtree_flops:
         return _build_fused(
@@ -264,17 +335,102 @@ def get_dag(
     granularity: str = "2d",
     dtype=np.float64,
     split_rows: int | None = None,
+    n_workers: int = 4,
 ) -> TaskDAG:
     """:func:`build_dag` memoised on the symbol (see :func:`symbol_memo`).
 
     What the runtimes execute; callers that edit a DAG (the verify
     injectors, tests) keep building their own with :func:`build_dag`.
     """
-    key = ("facto", factotype, np.dtype(dtype).str, granularity, split_rows)
+    n_workers = max(1, int(n_workers))
+    key = ("facto", factotype, np.dtype(dtype).str, granularity, split_rows,
+           n_workers if granularity == "unit" else None)  # only units use it
     return symbol_memo(symbol, key, lambda: build_dag(
         symbol, factotype, granularity=granularity, dtype=dtype,
-        split_rows=split_rows,
+        split_rows=split_rows, n_workers=n_workers,
     ))
+
+
+def dag_of_trace(
+    symbol: SymbolMatrix, factotype: str, trace, *, dtype=np.float64
+) -> TaskDAG:
+    """The (memoised) factorization DAG a threaded run executed.
+
+    :func:`repro.runtime.threaded.factorize_threaded` stamps what it ran
+    into ``trace.meta`` (``granularity``, ``n_workers``, ``split_rows``);
+    auditing or replaying a trace against any other DAG pairs task ids
+    that do not mean the same thing.  A trace that predates the
+    ``granularity`` stamp ran the 2D couple DAG.
+    """
+    meta = trace.meta
+    return get_dag(
+        symbol, factotype, dtype=dtype,
+        granularity=meta.get("granularity", "2d"),
+        split_rows=meta.get("split_rows"),
+        n_workers=meta.get("n_workers", 4),
+    )
+
+
+def _build_unit(
+    symbol, factotype, widths, below, src, tgt, ms, ns,
+    panel_flops, upd_flops, n_workers,
+):
+    """One left-looking task per unit, edges along the unit tree only.
+
+    The paper's own levers, combined: §III's left-looking grouping ("all
+    tasks contributing to a single panel are associated in a single
+    task") and §VI's coarsening ("merging leaves or subtrees together
+    yields bigger, more computationally intensive tasks").  A unit
+    (:func:`unit_partition`) is a panel or a fused leaf subtree; a panel
+    weighs its own flops plus the updates it *receives* — exactly what
+    its unit's task executes — and subtrees are fused up to
+    ``max(total / (FUSE_UNITS_PER_WORKER · n_workers), MIN_UNIT_FLOPS)``.
+
+    Task ``u`` is unit ``u``: for each member panel ascending it applies
+    the updates of every source panel, then factorizes.  Every source is
+    a tree descendant, hence in the same unit (already done) or in a unit
+    below — ordered by the ``unit(child) → unit(parent)`` edges.  Every
+    write lands in a panel the task owns, so there is no mutex and no
+    ``UPDATE`` task.  ``fused_components`` lists each task's kernels for
+    the simulators' duration models; single-panel units are ``PANEL1D``
+    tasks (the ``"1d-left"`` grouping), fused ones ``SUBTREE``.
+    """
+    K = symbol.n_cblk
+    weight = panel_flops + np.bincount(tgt, weights=upd_flops, minlength=K)
+    part = unit_partition(symbol, weight, max(
+        weight.sum() / (FUSE_UNITS_PER_WORKER * n_workers), MIN_UNIT_FLOPS
+    ))
+    U = part.roots.size
+    unit_of = part.unit_of
+
+    fused_components: dict[int, list] = {u: [] for u in range(U)}
+    for u, w, b in zip(unit_of.tolist(), widths.tolist(), below.tolist()):
+        fused_components[u].append(("panel", w, b))
+    for u, m, n, w in zip(unit_of[tgt].tolist(), ms.tolist(), ns.tolist(),
+                          widths[src].tolist()):
+        fused_components[u].append(("update", m, n, w))
+
+    succ_ptr, succ_list = _csr_from_edges(U, part.child, part.above)
+    return TaskDAG(
+        kind=np.where(
+            part.size > 1, TaskKind.SUBTREE, TaskKind.PANEL1D
+        ).astype(np.int8),
+        cblk=part.roots,
+        target=part.roots.copy(),
+        flops=np.bincount(unit_of, weights=weight, minlength=U),
+        gemm_m=np.zeros(U, np.int64),
+        gemm_n=np.zeros(U, np.int64),
+        gemm_k=widths[part.roots],
+        succ_ptr=succ_ptr,
+        succ_list=succ_list,
+        mutex=np.full(U, -1, dtype=np.int64),
+        granularity="unit",
+        symbol=symbol,
+        factotype=factotype,
+        fused_components=fused_components,
+        unit_ptr=part.unit_ptr,
+        unit_panels=part.unit_panels,
+    )
 
 
 def _build_fused(

@@ -10,8 +10,8 @@ tasks".
 * A *unit* is a single panel or a *fused leaf subtree* of the supernode
   tree: every maximal subtree whose panel storage is at most
   ``total / (FUSE_UNITS_PER_WORKER · n_workers)``
-  (:func:`repro.dag.builder.fused_subtree_groups`, the grouping the
-  fused factorization DAG uses).  The units partition the panels.
+  (:func:`repro.dag.builder.unit_partition`, shared with the
+  unit-granular factorization DAG).  The units partition the panels.
 * There is **one task per unit per sweep**: ``F(u)`` runs the forward
   steps of the unit's panels in ascending order, ``B(u)`` their backward
   steps in descending order.
@@ -42,22 +42,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dag.builder import (
+    FUSE_UNITS_PER_WORKER,
     _csr_from_edges,
-    fused_subtree_groups,
-    supernode_parent,
     symbol_memo,
+    unit_partition,
 )
 from repro.dag.tasks import TaskDAG, TaskKind
 from repro.kernels.cost import complex_multiplier
 from repro.symbolic.structures import SymbolMatrix
 
 __all__ = ["build_solve_dag", "FUSE_UNITS_PER_WORKER"]
-
-#: Leaf subtrees are fused up to ``1 / (FUSE_UNITS_PER_WORKER ·
-#: n_workers)`` of the factor's panel storage: a worker then has about
-#: this many bottom-of-tree tasks to balance with, while the task count
-#: stays in the tens to low hundreds whatever the number of panels.
-FUSE_UNITS_PER_WORKER = 8
 
 
 def build_solve_dag(
@@ -88,26 +82,16 @@ def build_solve_dag(
 
 
 def _build(symbol, factotype, dtype, nrhs, n_workers) -> TaskDAG:
-    K = symbol.n_cblk
     widths = np.diff(symbol.cblk_ptr).astype(np.int64)
-    heights = np.add.reduceat(
-        symbol.blok_lrow - symbol.blok_frow, symbol.blok_ptr[:-1]
-    ).astype(np.int64)
+    heights = symbol.cblk_heights()
     below = heights - widths
 
-    # Units: fused leaf subtrees, every other panel on its own.  A unit
-    # is named by its topmost panel; units are numbered by that panel.
-    parent = supernode_parent(symbol)
     storage = (widths * heights).astype(np.float64)
-    group = fused_subtree_groups(
-        parent, storage, storage.sum() / (FUSE_UNITS_PER_WORKER * n_workers)
+    part = unit_partition(
+        symbol, storage, storage.sum() / (FUSE_UNITS_PER_WORKER * n_workers)
     )
-    top = np.where(group >= 0, group, np.arange(K, dtype=np.int64))
-    roots, unit_of = np.unique(top, return_inverse=True)
+    roots, unit_of = part.roots, part.unit_of
     U = roots.size
-    size = np.bincount(unit_of, minlength=U)
-    unit_ptr = np.concatenate(([0], np.cumsum(size))).astype(np.int64)
-    unit_panels = np.argsort(unit_of, kind="stable").astype(np.int64)
 
     # Per sweep and panel: the diagonal tri-solve (w²) and the GEMV/GEMM
     # of the below rows (2·below·w); same count in both sweeps.
@@ -124,15 +108,14 @@ def _build(symbol, factotype, dtype, nrhs, n_workers) -> TaskDAG:
     # Layout [F(0..U-1) | B(0..U-1)]; edges along the unit tree.
     fwd = np.arange(U, dtype=np.int64)
     bwd = U + fwd
-    up = parent[roots]                 # panel above each unit (-1: root)
-    child = np.flatnonzero(up >= 0)
-    above = unit_of[up[child]]
-    tree_roots = np.flatnonzero(up < 0)
+    child, above, tree_roots = part.child, part.above, part.tree_roots
     heads = np.concatenate([fwd[child], bwd[above], fwd[tree_roots]])
     tails = np.concatenate([fwd[above], bwd[child], bwd[tree_roots]])
     succ_ptr, succ_list = _csr_from_edges(2 * U, heads, tails)
 
-    kind = np.where(size > 1, TaskKind.SUBTREE, TaskKind.PANEL).astype(np.int8)
+    kind = np.where(
+        part.size > 1, TaskKind.SUBTREE, TaskKind.PANEL
+    ).astype(np.int8)
     dag = TaskDAG(
         kind=np.tile(kind, 2),
         cblk=np.tile(roots, 2),
@@ -147,10 +130,10 @@ def _build(symbol, factotype, dtype, nrhs, n_workers) -> TaskDAG:
         granularity="2d",
         symbol=symbol,
         factotype=factotype,
+        unit_ptr=part.unit_ptr,
+        unit_panels=part.unit_panels,
     )
     dag.phase = "solve"
     dag.solve_backward = np.repeat([False, True], U)
     dag.solve_unit = np.tile(fwd, 2)
-    dag.unit_ptr = unit_ptr
-    dag.unit_panels = unit_panels
     return dag

@@ -20,7 +20,9 @@ class TaskKind(IntEnum):
 
     ``PANEL``  — diagonal-block factorization + panel TRSM of one cblk;
     ``UPDATE`` — sparse GEMM of one (panel → facing panel) couple;
-    ``PANEL1D`` — PaStiX 1D task: PANEL plus all its UPDATEs fused;
+    ``PANEL1D`` — PaStiX 1D task: PANEL plus all its UPDATEs fused (also
+    a single-panel task of the ``"unit"`` DAG: the panel plus the
+    updates it receives);
     ``SUBTREE`` — a whole leaf subtree of the supernode tree fused into
     one task (the paper's future-work granularity coarsening, §VI).
     """
@@ -65,7 +67,8 @@ class TaskDAG:
         ``-1`` otherwise): two tasks in the same group must not run
         concurrently, modelling the in-out access to the facing panel.
     granularity:
-        ``"1d"`` or ``"2d"``.
+        ``"2d"``, ``"1d"``, ``"1d-left"`` or ``"unit"`` (see
+        :func:`repro.dag.builder.build_dag`).
     """
 
     def __init__(
@@ -87,6 +90,8 @@ class TaskDAG:
         row_lo: np.ndarray | None = None,
         row_hi: np.ndarray | None = None,
         split_rows: int | None = None,
+        unit_ptr: np.ndarray | None = None,
+        unit_panels: np.ndarray | None = None,
     ) -> None:
         self.kind = kind
         self.cblk = cblk
@@ -117,6 +122,12 @@ class TaskDAG:
         self.row_lo = row_lo
         self.row_hi = row_hi
         self.split_rows = split_rows
+        #: Unit-granular DAGs (``build_dag(granularity="unit")`` and the
+        #: solve DAG): the panels a task runs back to back, in CSR form —
+        #: unit ``u`` is ``unit_panels[unit_ptr[u]:unit_ptr[u + 1]]``,
+        #: ascending.  The units partition the panels.
+        self.unit_ptr = unit_ptr
+        self.unit_panels = unit_panels
         # In-degrees from the successor lists.
         n_deps = np.zeros(kind.size, dtype=np.int64)
         np.add.at(n_deps, succ_list, 1)

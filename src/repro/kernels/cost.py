@@ -74,7 +74,7 @@ def flops_getrf(w: int) -> float:
 
 def flops_trsm(w: int, h: int) -> float:
     """Triangular solve of an ``h×w`` panel against a ``w×w`` triangle."""
-    return float(h) * w * w
+    return 1.0 * h * w * w
 
 
 def flops_gemm(m: int, n: int, k: int) -> float:
@@ -86,12 +86,15 @@ def flops_panel(w: int, below: int, factotype: str) -> float:
     """One panel task: diagonal factorization + panel TRSM(s).
 
     ``below`` is the number of rows under the diagonal block.  LU panels
-    do the TRSM twice (L and U sides); LDLᵀ adds the D scaling.
+    do the TRSM twice (L and U sides); LDLᵀ adds the D scaling.  Like
+    :func:`flops_update` this also takes integer arrays (one entry per
+    task) and then returns the per-task counts — bit-identical to the
+    scalar calls, which is how the DAG builder costs a whole symbol.
     """
     if factotype == "llt":
         return flops_potrf(w) + flops_trsm(w, below)
     if factotype == "ldlt":
-        return flops_ldlt(w) + flops_trsm(w, below) + float(w) * below
+        return flops_ldlt(w) + flops_trsm(w, below) + 1.0 * w * below
     if factotype == "lu":
         return flops_getrf(w) + 2.0 * flops_trsm(w, below)
     raise ValueError(f"unknown factotype {factotype!r}")
@@ -113,10 +116,10 @@ def flops_update(
     if factotype == "llt":
         return flops_gemm(m, n, w)
     if factotype == "ldlt":
-        extra = float(n) * w if recompute_ld else 0.0
+        extra = 1.0 * n * w if recompute_ld else 0.0
         return flops_gemm(m, n, w) + extra
     if factotype == "lu":
-        return flops_gemm(m, n, w) + flops_gemm(max(m - n, 0), n, w)
+        return flops_gemm(m, n, w) + flops_gemm(np.maximum(m - n, 0), n, w)
     raise ValueError(f"unknown factotype {factotype!r}")
 
 

@@ -8,11 +8,18 @@ dominance, making that numerically safe, as in the paper's test set.
 
 All kernels operate on NumPy arrays and lean on BLAS/LAPACK through NumPy
 and SciPy (which release the GIL — the threaded runtime depends on this).
+That includes the no-pivot kernels: they first run LAPACK's *pivoting*
+factorization (``?sytrf`` / ``?getrf``) and keep its result only when it
+provably pivoted nowhere (:func:`_static_pivots_ok`), which on the
+diagonally dominant blocks of this solver is always; otherwise the
+Python column loop — the definition of static pivoting, with its
+zero-pivot error and tiny-pivot perturbation — runs as before.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -73,6 +80,52 @@ class PivotMonitor:
 
 _STRICT = PivotMonitor(0.0)
 
+#: LAPACK routines of the fast paths, by dtype (other dtypes take the
+#: column loop).  ``zsytrf`` is the complex-*symmetric* factorization
+#: (plain transpose), which is the LDLᵀ contract here; not ``zhetrf``.
+_SYTRF = {
+    np.dtype(np.float64): sla.lapack.dsytrf,
+    np.dtype(np.complex128): sla.lapack.zsytrf,
+}
+_GETRF = {
+    np.dtype(np.float64): sla.lapack.dgetrf,
+    np.dtype(np.complex128): sla.lapack.zgetrf,
+}
+
+
+def _static_pivots_ok(
+    pivots: np.ndarray, ipiv: np.ndarray, info: int, first: int,
+    monitor: PivotMonitor,
+) -> bool:
+    """Did a LAPACK pivoting factorization do what static pivoting does?
+
+    Only if it succeeded (``info == 0``), interchanged nothing
+    (``ipiv`` is the identity counted from ``first``, which also rules
+    out ``?sytrf``'s negative 2×2-block markers) and every pivot is one
+    the column loop would have kept as is: finite (a NaN or Inf anywhere
+    in the eliminated rows reaches a pivot) and not under the monitor's
+    threshold.  Anything else is left to the column loop.
+    """
+    size = np.abs(pivots)  # NaN fails both comparisons below
+    return bool(
+        info == 0
+        and size.min() >= monitor.threshold
+        and size.max() < np.inf
+        and (ipiv == np.arange(first, first + ipiv.size)).all()
+    )
+
+
+@lru_cache(maxsize=256)
+def _strict_lower_mask(w: int) -> np.ndarray:
+    """Read-only strict-lower-triangle mask of order ``w``.
+
+    ``np.tril`` rebuilds this mask on every call, which on the many
+    narrow diagonal blocks costs several times the LAPACK call itself.
+    """
+    mask = np.tri(w, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
 
 def ldlt_nopiv(
     block: np.ndarray, monitor: PivotMonitor | None = None
@@ -85,10 +138,21 @@ def ldlt_nopiv(
     transpose is plain, never conjugated, matching the paper's Z-LDLᵀ
     matrices.  ``monitor`` enables tiny-pivot perturbation.
 
-    Right-looking column loop: O(w) Python iterations of vectorised
-    rank-1 updates, fine for panel widths up to a few hundred.
+    Fast path: ``?sytrf(lower=1)`` when it pivoted nowhere
+    (:func:`_static_pivots_ok`) — the same elimination, blocked, so equal
+    to the loop below to roundoff.  Fallback, and the reference: a
+    right-looking column loop, O(w) Python iterations of vectorised
+    rank-1 updates.
     """
     monitor = monitor or _STRICT
+    sytrf = _SYTRF.get(block.dtype)
+    if sytrf is not None and block.size:
+        ldu, ipiv, info = sytrf(block, lower=1)
+        d = ldu.diagonal().copy()
+        if _static_pivots_ok(d, ipiv, info, 1, monitor):
+            L = np.where(_strict_lower_mask(d.size), ldu, 0.0)
+            np.fill_diagonal(L, 1.0)
+            return L, d
     a = np.array(block)  # working copy
     w = a.shape[0]
     d = np.empty(w, dtype=a.dtype)
@@ -112,8 +176,16 @@ def getrf_nopiv(
     Returns ``LU`` with the strict lower triangle holding ``L`` (unit
     diagonal implicit) and the upper triangle holding ``U``.
     ``monitor`` enables tiny-pivot perturbation.
+
+    Fast path: ``?getrf`` when partial pivoting interchanged nothing
+    (:func:`_static_pivots_ok`); fallback and reference: the column loop.
     """
     monitor = monitor or _STRICT
+    getrf = _GETRF.get(block.dtype)
+    if getrf is not None and block.size:
+        lu, piv, info = getrf(block)
+        if _static_pivots_ok(lu.diagonal(), piv, info, 0, monitor):
+            return lu
     a = np.array(block)
     w = a.shape[0]
     for j in range(w):

@@ -9,23 +9,37 @@ global FIFO baseline — selected via ``factorize_threaded(...,
 scheduler=...)`` and stamped into the trace's ``meta`` for the S2xx
 verifier.
 
-Lock discipline is deliberately narrow:
+What the pool executes by default is the *unit* DAG
+(``build_dag(granularity="unit")``): one left-looking task per panel or
+fused leaf subtree, edges along the supernode tree only.  A unit task
+applies, panel by panel, the updates its panels receive (ascending
+source order) and then factorizes them; every write lands in a panel the
+task owns and every read is ordered by a tree edge, so the bodies take
+**no lock** and the factor is bit-for-bit the sequential driver's —
+whatever the worker count, scheduler and interleaving
+(:class:`_ThreadedUnitRun`).  The solve runs the same way
+(:class:`_ThreadedSolve`).
+
+The 2D couple DAG (``granularity="2d"``: a panel task per cblk, an
+update task per couple) stays executable for the options defined on
+couples — fan-in ``accumulate``, ``split_rows``, hedged re-execution
+(:class:`_ThreadedRun`).  There several updates race into one facing
+panel, and the lock discipline is deliberately narrow:
 
 * the sparse GEMM of an update runs *outside* the target-panel mutex
   (:func:`repro.kernels.panel.panel_update_compute`); only the
   scatter-add into the facing panel serializes
   (:func:`~repro.kernels.panel.panel_update_scatter`);
+* the order updates reach a panel varies run to run, so the 2D factor
+  agrees with the sequential one to roundoff, not to the bit.
+
+Common to both (:class:`_PoolRun`):
+
 * completion notifications use per-worker wakeup events instead of one
   global condition variable, so finishing a task never stampedes the
   whole pool;
 * trace rows are buffered per worker and merged once at ``run()`` exit,
   so tracing never contends with the scheduler.
-
-This engine is the correctness twin of the simulated runtimes: it runs
-the same DAG with the same kernels and must produce bit-for-bit the same
-factor as the sequential driver (floating-point reduction order inside a
-panel is identical; only the inter-panel update order varies, which
-changes results within roundoff — the tests bound the difference).
 """
 
 from __future__ import annotations
@@ -38,6 +52,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from repro.core.factor import NumericFactor
+from repro.core.factorization import contributing_cblks
 from repro.dag.builder import get_dag
 from repro.dag.tasks import TaskKind
 from repro.kernels.panel import (
@@ -746,8 +761,58 @@ class _PoolRun:
             )
 
 
+class _ThreadedUnitRun(_PoolRun):
+    """One threaded factorization at unit granularity (the default).
+
+    Task ``u`` of the unit DAG (:func:`repro.dag.builder._build_unit`)
+    factorizes the panels of unit ``u`` left-looking: for each member
+    panel ascending, apply the updates of its source panels in ascending
+    source order, then :func:`panel_factorize` it.  That is the order
+    the sequential driver's updates reach each panel in, and every
+    source panel is final before the task starts (same unit, or ordered
+    by a tree edge) — so the factor is bit-identical to
+    :func:`repro.core.factorization.factorize_sequential` and the body
+    takes no lock.  The kernels are the sequential driver's
+    (:func:`panel_update`: workspace compute + scatter, the fused
+    compiled kernel, or the direct-scatter twin).
+    """
+
+    phase_label = "factorization"
+
+    def __init__(self, factor: NumericFactor, dag, n_workers: int,
+                 workspace: bool, trace: Optional[ExecutionTrace],
+                 **pool_options) -> None:
+        super().__init__(dag, n_workers, trace, **pool_options)
+        self.factor = factor
+        self.workspace = workspace
+
+    def _sources(self, k: int):
+        """Source panels whose updates land in panel ``k``, ascending."""
+        cache = self.factor.index_cache
+        if cache is not None:
+            return [j for j, _ in cache.sources[k]]
+        return contributing_cblks(self.factor.symbol, k).tolist()
+
+    def _run_task(self, t: int, worker: int) -> None:
+        dag, factor = self.dag, self.factor
+        timed = self.faults is not None or self.health is not None
+        k0 = time.perf_counter() if timed else 0.0
+        panels = dag.unit_panels[dag.unit_ptr[t]: dag.unit_ptr[t + 1]]
+        for k in panels.tolist():
+            for j in self._sources(k):
+                panel_update(factor, j, k, workspace=self.workspace)
+            panel_factorize(factor, k)
+        if timed:
+            self._inject(t, worker, time.perf_counter() - k0)
+            if self.health is not None:
+                # Stamped after the injected sleep: the slowdown is
+                # exactly what the monitor must see.
+                self._kern[worker] = time.perf_counter() - k0
+
+
 class _ThreadedRun(_PoolRun):
-    """One threaded factorization (see :class:`_PoolRun` for hardening).
+    """One threaded factorization on the 2D couple DAG
+    (``granularity="2d"``; see :class:`_PoolRun` for hardening).
 
     Update tasks are two-phase: the sparse GEMM runs lock-free against
     the already-factorized source panel, then the scatter-add takes the
@@ -1246,19 +1311,33 @@ def factorize_threaded(
     health: Optional[HealthPolicy] = None,
     kernels: str = "numpy",
     split_rows: int | None = None,
+    granularity: str = "unit",
 ) -> NumericFactor:
     """Factorize on a thread pool; returns the :class:`NumericFactor`.
+
+    ``granularity`` names the DAG the pool executes (the builder's
+    vocabulary, stamped into ``trace.meta["granularity"]``).  The
+    default ``"unit"`` runs one left-looking, lock-free task per panel
+    or fused leaf subtree (:class:`_ThreadedUnitRun`); its factor is
+    **bit-identical** to :func:`~repro.core.factorization.\
+factorize_sequential`'s for any worker count, scheduler and
+    interleaving.  ``"2d"`` runs the couple DAG — a panel task per cblk
+    and an update task per couple, scatter-adds serialized by a
+    per-panel mutex — whose factor agrees to roundoff; the three
+    options defined on couples (``accumulate``, ``split_rows``,
+    ``health.hedge``) need it and raise ``ValueError`` under ``"unit"``.
 
     The hot-path optimization toggles mirror the sequential driver's:
     ``index_cache`` reuses the symbol's precomputed couple scatter maps
     (bit-identical numerics), ``dl_buffer`` keeps the persistent LDLᵀ
     ``DLᵀ`` buffer (bit-identical numerics, per-update ``L·D``
-    recompute removed — paper §V-A), and ``accumulate`` merges ready
-    same-target updates in per-worker fan-in accumulators so the target
-    mutex is taken once per batch (changes the floating-point reduction
-    order like any cross-thread reordering, hence opt-in; results agree
-    with the sequential factor to roundoff).  The effective settings
-    and the cache/accumulator counters are stamped into ``trace.meta``.
+    recompute removed — paper §V-A), and ``accumulate`` (2D only) merges
+    ready same-target updates in per-worker fan-in accumulators so the
+    target mutex is taken once per batch (changes the floating-point
+    reduction order like any cross-thread reordering, hence opt-in;
+    results agree with the sequential factor to roundoff).  The
+    effective settings and the cache/accumulator counters are stamped
+    into ``trace.meta``.
 
     ``kernels`` selects the numeric backend: ``"numpy"`` (the
     bit-identity reference — traces and factors are unchanged from the
@@ -1266,8 +1345,8 @@ def factorize_threaded(
     compiled fan-in merge and assemble gather,
     :mod:`repro.kernels.compiled`; gracefully degrades to numpy when
     numba is absent).  Both the requested and the *effective* backend
-    are stamped into ``trace.meta``.  ``split_rows`` enables tall-panel
-    2D row-block splitting of the update DAG
+    are stamped into ``trace.meta``.  ``split_rows`` (2D only) enables
+    tall-panel row-block splitting of the update DAG
     (``build_dag(split_rows=...)``): couples taller than the threshold
     become several independent update tasks that share the target's
     mutex but parallelize their GEMMs.
@@ -1288,11 +1367,14 @@ ThreadScheduler` instance; the choice is stamped into ``trace.meta``.
     counter is thread-safe).
 
     ``record_sync=True`` (requires a trace) additionally records
-    first-class :class:`~repro.runtime.tracing.SyncEvent` rows — panel
-    mutex hold windows, worker park/wake, steal probes, accumulator
-    flushes, completion publishes — that the C7xx concurrency auditor
+    first-class :class:`~repro.runtime.tracing.SyncEvent` rows — worker
+    park/wake, steal probes, completion publishes and, on the 2D DAG,
+    panel mutex hold windows and accumulator flushes — that the C7xx
+    concurrency auditor
     (:func:`repro.verify.concurrency.verify_concurrency`) replays to
-    prove the run race-free.  Off (the default) the instrumentation is
+    prove the run race-free (a unit run has no lock windows: its
+    ``sync_stats`` report ``lock_held_s = lock_wait_s = 0.0``).  Off
+    (the default) the instrumentation is
     a dead branch: no clock reads, and the produced trace is
     bit-identical to an uninstrumented run's.
 
@@ -1305,13 +1387,29 @@ ThreadScheduler` instance; the choice is stamped into ``trace.meta``.
     slowdown detection against learned per-(kernel, size-bucket)
     expectations, degradation-aware scheduling (degraded workers stop
     stealing, quarantined workers stop dispatching), and — with
-    ``health.hedge`` — speculative re-execution of workspace-mode
+    ``health.hedge``, 2D only — speculative re-execution of workspace-mode
     updates stuck on suspect workers, raced through an idempotent
     commit gate (exactly-once: the R701 contract).  Both default off;
     when off every hook is a dead ``is None`` branch.
     """
     from repro.kernels.compiled import resolve_kernels
 
+    if granularity == "unit":
+        for option, on in (
+            ("accumulate", accumulate),
+            ("split_rows", split_rows is not None),
+            ("health.hedge", health is not None and health.hedge),
+        ):
+            if on:
+                raise ValueError(
+                    f"{option} is defined on update couples: pass "
+                    f"granularity='2d' (got granularity='unit')"
+                )
+    elif granularity != "2d":
+        raise ValueError(
+            f"the thread pool executes granularity 'unit' or '2d', "
+            f"not {granularity!r}"
+        )
     effective_kernels = resolve_kernels(kernels)
     factor = NumericFactor.assemble(
         symbol, matrix, factotype, dtype=dtype, kernels=effective_kernels
@@ -1328,14 +1426,23 @@ ThreadScheduler` instance; the choice is stamped into ``trace.meta``.
 
         factor.pivot_monitor = PivotMonitor(pivot_threshold)
     dag = get_dag(
-        symbol, factotype, granularity="2d", dtype=factor.dtype,
-        split_rows=split_rows,
+        symbol, factotype, granularity=granularity, dtype=factor.dtype,
+        split_rows=split_rows, n_workers=n_workers,
     )
-    run = _ThreadedRun(factor, dag, n_workers, workspace, trace,
-                       max_retries=max_retries, watchdog_s=watchdog_s,
-                       scheduler=scheduler, accumulate=accumulate,
-                       record_sync=record_sync, faults=faults,
-                       health=health)
+    pool_options = dict(
+        max_retries=max_retries, watchdog_s=watchdog_s, scheduler=scheduler,
+        record_sync=record_sync, faults=faults, health=health,
+    )
+    if granularity == "unit":
+        run = _ThreadedUnitRun(factor, dag, n_workers, workspace, trace,
+                               **pool_options)
+    else:
+        run = _ThreadedRun(factor, dag, n_workers, workspace, trace,
+                           accumulate=accumulate, **pool_options)
+    if trace is not None:
+        # Before the run: a trace names the DAG it ran even when the
+        # run raises (n_workers and scheduler are stamped by the pool).
+        trace.meta["granularity"] = granularity
     run.run()
     if trace is not None:
         trace.meta["index_cache"] = bool(index_cache)

@@ -37,6 +37,9 @@ META_FINGERPRINT_KEYS = (
     "policy",
     "scheduler",
     "n_workers",
+    # Which DAG a threaded run executed ("unit" / "2d"): task ids only
+    # mean something against it (repro.dag.builder.dag_of_trace).
+    "granularity",
     "fanin",
     "seed",
     "rng",

@@ -115,6 +115,12 @@ class SymbolMatrix:
     def cblk_widths(self) -> np.ndarray:
         return np.diff(self.cblk_ptr)
 
+    def cblk_heights(self) -> np.ndarray:
+        """:meth:`cblk_height` of every panel at once (int64)."""
+        return np.add.reduceat(
+            self.blok_lrow - self.blok_frow, self.blok_ptr[:-1]
+        ).astype(np.int64)
+
     def cblk_rows(self, k: int) -> np.ndarray:
         """All factor rows of panel ``k`` (own columns then below rows)."""
         b0, b1 = int(self.blok_ptr[k]), int(self.blok_ptr[k + 1])
@@ -155,10 +161,7 @@ class SymbolMatrix:
         (the diagonal is shared: counted once).
         """
         widths = np.diff(self.cblk_ptr).astype(np.int64)
-        heights = np.array(
-            [self.cblk_height(k) for k in range(self.n_cblk)], dtype=np.int64
-        )
-        below = heights - widths
+        below = self.cblk_heights() - widths
         lower = int((widths * (widths + 1) // 2 + widths * below).sum())
         if factotype in ("llt", "ldlt"):
             return lower

@@ -26,7 +26,16 @@ Per :class:`~repro.dag.tasks.TaskKind`:
   incoming (``"1d-left"``) updates: WRITE its cblk plus the union of the
   fused updates' accesses;
 * ``SUBTREE`` — WRITE every member cblk of the fused subtree; internal
-  updates stay inside the task.
+  updates stay inside the task;
+* a task of the ``"unit"`` DAG (what the thread pool executes) — WRITE
+  every member panel of its unit, READ every source panel outside the
+  unit.  It is left-looking like ``"1d-left"``: all its writes land in
+  panels it owns, so there is no cross-task ACCUM.  Membership is the
+  DAG's ``unit_ptr``/``unit_panels`` — not trusted builder metadata but
+  the very arrays the runtime's task body iterates, i.e. what the task
+  *does* touch; that they partition the panels is checked here (H105)
+  and that the edges order every cross-unit read is the hazard pass's
+  job, from the symbolically derived couples as always.
 
 Subtree membership is *re-derived* here rather than read from builder
 metadata: the couples absent from the DAG's ``UPDATE`` tasks must be the
@@ -129,6 +138,33 @@ def derive_accesses(dag: TaskDAG, report: Report | None = None) -> AccessSets:
 
     writer = np.full(K, -1, dtype=np.int64)
 
+    def left_looking() -> AccessSets:
+        # task(tgt) reads panel src; no cross-task accum.  (A target
+        # nobody owns was reported as H105 and has no reading task.)
+        owned = writer[tgt] >= 0
+        return AccessSets(writer, writer[tgt][owned], src[owned],
+                          np.full(int(owned.sum()), -1, dtype=np.int64),
+                          problems)
+
+    if dag.granularity == "unit":
+        unit_ptr, members = dag.unit_ptr, dag.unit_panels
+        if unit_ptr is None or members is None \
+                or unit_ptr.size != dag.n_tasks + 1:
+            note("H105", "unit DAG carries no unit_ptr/unit_panels "
+                         "membership for its tasks")
+            return AccessSets(writer, np.empty(0, np.int64),
+                              np.empty(0, np.int64), np.empty(0, np.int64),
+                              problems)
+        owners = np.bincount(members, minlength=K)
+        for k in np.flatnonzero(owners != 1)[:50]:
+            note("H105", f"panel {int(k)} is owned by {int(owners[k])} "
+                         "unit tasks (units must partition the panels)")
+        writer[members] = np.repeat(
+            np.arange(dag.n_tasks, dtype=np.int64), np.diff(unit_ptr)
+        )
+        writer[owners != 1] = -1
+        return left_looking()
+
     if dag.granularity in ("1d", "1d-left"):
         # One PANEL1D task per cblk, task index == cblk by construction;
         # verify rather than assume.
@@ -141,17 +177,10 @@ def derive_accesses(dag: TaskDAG, report: Report | None = None) -> AccessSets:
                               np.empty(0, np.int64), np.empty(0, np.int64),
                               problems)
         writer[dag.cblk] = np.arange(dag.n_tasks, dtype=np.int64)
-        if dag.granularity == "1d":
-            # Right-looking: task(src) scatter-adds into panel tgt.
-            couple_task = writer[src]
-            read_panel = src
-            accum_panel = tgt.copy()
-        else:
-            # Left-looking: task(tgt) reads panel src; no cross-task accum.
-            couple_task = writer[tgt]
-            read_panel = src
-            accum_panel = np.full(src.size, -1, dtype=np.int64)
-        return AccessSets(writer, couple_task, read_panel, accum_panel, problems)
+        if dag.granularity == "1d-left":
+            return left_looking()
+        # Right-looking: task(src) scatter-adds into panel tgt.
+        return AccessSets(writer, writer[src], src, tgt.copy(), problems)
 
     # ------------------------------------------------------------------
     # 2D (possibly with fused SUBTREE tasks).

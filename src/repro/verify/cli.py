@@ -9,7 +9,8 @@ graceful-degradation audit (a seeded limplock run with health
 monitoring and hedging armed, whose trace must satisfy the exactly-once
 commit, legal-transition, quarantine-respect, and hedge-accounting
 rules, plus a monitoring-off identity check), the C7xx concurrency
-audit (a live sync-instrumented threaded factorization whose trace
+audit (live sync-instrumented threaded factorizations — the default
+lock-free unit DAG, then the 2D couple DAG — whose traces
 must satisfy the happens-before race checks, plus the RV4xx
 lock-discipline lint over the runtime sources), the D8xx determinism
 audit (a seeded same-seed double-run of the machine simulator and a
@@ -57,7 +58,7 @@ _GENERATORS = {
     "shell": ("shell_like_2d", {}),
 }
 
-GRANULARITIES = ("2d", "1d", "1d-left", "subtree")
+GRANULARITIES = ("2d", "1d", "1d-left", "subtree", "unit")
 
 
 def add_verify_arguments(p: argparse.ArgumentParser) -> None:
@@ -545,16 +546,22 @@ def _determinism_pass(args: argparse.Namespace, symbol: Any,
 
 def _concurrency_pass(args: argparse.Namespace, matrix: Any, res: Any,
                       reports: list[Report]) -> None:
-    """C7xx + RV4xx: audit a live sync-instrumented threaded run.
+    """C7xx + RV4xx: audit live sync-instrumented threaded runs.
 
     Unlike the other passes this one executes the *real* threaded
-    runtime (``record_sync=True``) rather than the simulator, once per
-    fan-in accumulation mode, and feeds the recorded ``SyncEvent``
-    stream to the happens-before checker.  (The static shadow of the
-    same discipline — the RV4xx lock-discipline lint — runs with the
-    project linter in :func:`_lint_pass`.)
+    runtime (``record_sync=True``) rather than the simulator and feeds
+    the recorded ``SyncEvent`` stream to the happens-before checker:
+    once at the runtime's default (the lock-free unit DAG — no lock
+    windows, so the audit reduces to C702 + C707), then on the 2D
+    couple DAG, requested explicitly, once per fan-in accumulation
+    mode.  The ``--inject`` corruptions edit lock windows and publish
+    chains, which only the couple path has, so they apply to the 2D
+    runs.  Every trace is audited against the DAG it names
+    (:func:`repro.dag.builder.dag_of_trace`).  (The static shadow of
+    the same discipline — the RV4xx lock-discipline lint — runs with
+    the project linter in :func:`_lint_pass`.)
     """
-    from repro.dag import build_dag
+    from repro.dag.builder import dag_of_trace
     from repro.runtime.threaded import factorize_threaded
     from repro.runtime.tracing import ExecutionTrace
     from repro.verify.concurrency import (
@@ -565,16 +572,20 @@ def _concurrency_pass(args: argparse.Namespace, matrix: Any, res: Any,
     )
 
     permuted = matrix.permute(res.perm.perm)
-    dag = build_dag(res.symbol, args.factotype, granularity="2d")
-    for accumulate in (False, True):
+    runs = [
+        ("unit", {}),
+        ("plain", {"granularity": "2d"}),
+        ("accumulate", {"granularity": "2d", "accumulate": True}),
+    ]
+    for label, couple_path in runs:
         trace = ExecutionTrace()
         factorize_threaded(
             res.symbol, permuted, args.factotype,
             n_workers=args.cores, trace=trace, record_sync=True,
-            accumulate=accumulate,
+            **couple_path,
         )
-        label = "accumulate" if accumulate else "plain"
-        if args.inject in _CONCURRENCY_INJECTS:
+        dag = dag_of_trace(res.symbol, args.factotype, trace)
+        if couple_path and args.inject in _CONCURRENCY_INJECTS:
             try:
                 if args.inject == "drop-sync-event":
                     trace = drop_sync_event(trace)
@@ -604,14 +615,13 @@ def _adaptive_pass(args: argparse.Namespace, matrix: Any, res: Any,
     re-ranks from the durations the first fed back.  Both stamped
     traces must satisfy the A9xx accounting rules.
     """
-    from repro.dag import build_dag
+    from repro.dag.builder import dag_of_trace
     from repro.runtime.adaptive import AdaptiveScheduler
     from repro.runtime.threaded import factorize_threaded
     from repro.runtime.tracing import ExecutionTrace
     from repro.verify.adaptive import skew_model_stamp, verify_adaptive
 
     permuted = matrix.permute(res.perm.perm)
-    dag = build_dag(res.symbol, args.factotype, granularity="2d")
     sched = AdaptiveScheduler()
     for label in ("cold", "warm"):
         trace = ExecutionTrace()
@@ -619,6 +629,7 @@ def _adaptive_pass(args: argparse.Namespace, matrix: Any, res: Any,
             res.symbol, permuted, args.factotype,
             n_workers=args.cores, trace=trace, scheduler=sched,
         )
+        dag = dag_of_trace(res.symbol, args.factotype, trace)
         if args.inject == "skew-model":
             try:
                 trace = skew_model_stamp(trace)

@@ -103,6 +103,7 @@ def drop_edge(dag: TaskDAG, edge_index: int) -> TaskDAG:
         granularity=dag.granularity, symbol=dag.symbol,
         factotype=dag.factotype, fused_components=dag.fused_components,
         row_lo=dag.row_lo, row_hi=dag.row_hi, split_rows=dag.split_rows,
+        unit_ptr=dag.unit_ptr, unit_panels=dag.unit_panels,
     )
     out.phase = dag.phase
     return out

@@ -58,3 +58,16 @@ def helmholtz_small() -> SparseMatrixCSC:
 @pytest.fixture(scope="session")
 def random_spd_small() -> SparseMatrixCSC:
     return random_pattern_spd(60, 6.0, seed=13, locality=0.5)
+
+
+@pytest.fixture
+def no_unit_floor(monkeypatch):
+    """Drop the unit DAG's flop floor (``MIN_UNIT_FLOPS``).
+
+    The test matrices are worth far less than 1e8 flops, so with the
+    floor every unit DAG is one task; without it they get a real unit
+    tree (tens of tasks), which is what the concurrency, bit-identity
+    and structure tests of the unit path need to exercise.  DAGs are
+    memoised per symbol, so tests using this analyze their own symbol.
+    """
+    monkeypatch.setattr("repro.dag.builder.MIN_UNIT_FLOPS", 0.0)

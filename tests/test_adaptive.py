@@ -28,10 +28,14 @@ def _setup(mat, factotype="llt"):
 
 
 def _run(res, permuted, scheduler, n_workers=2, accumulate=True):
+    """The ranking under test orders update couples, so the default is
+    the 2D couple path (fan-in accumulation is defined on it); without
+    accumulation the runtime's own default (the unit DAG) runs."""
     trace = ExecutionTrace()
     factor = factorize_threaded(
         res.symbol, permuted, "llt", n_workers=n_workers, trace=trace,
         scheduler=scheduler, accumulate=accumulate,
+        granularity="2d" if accumulate else "unit",
     )
     return trace, factor
 

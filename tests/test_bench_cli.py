@@ -325,14 +325,14 @@ def test_perf_compare_gate_variants(bench_env, capsys):
              "--out", str(rep_path)])
     capsys.readouterr()
 
-    # Doctor the ladder so each rung clearly wins: the gate must pass.
+    # Replace the measured timings with fixed synthetic ones in which
+    # each rung clearly wins: the gate must pass.  (Scaling the measured
+    # values instead made the verdict depend on the host: the cells are
+    # milliseconds long, and one noisy repeat outweighs any margin.)
     data = json.loads(rep_path.read_text())
-    factor = {"opt": 0.8, "compiled": 0.7}
+    synthetic = {"base": 1.0, "opt": 0.8, "compiled": 0.56}
     for c in data["cells"]:
-        f = factor.get(c["variant"])
-        if f is not None:
-            c["model_makespan_s"] *= f
-            c["wall_s"] *= f
+        c["model_makespan_s"] = c["wall_s"] = synthetic[c["variant"]]
     good_path = tmp / "good.json"
     good_path.write_text(json.dumps(data))
     assert pc.main(["--gate-variants", "--no-wall",

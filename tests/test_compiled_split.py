@@ -104,11 +104,12 @@ def test_trace_meta_stamps(grid2d_small):
     trace = ExecutionTrace()
     factorize_threaded(
         res.symbol, permuted, "llt", n_workers=2, trace=trace,
-        kernels="compiled", split_rows=8,
+        kernels="compiled", split_rows=8, granularity="2d",
     )
     assert trace.meta["kernels"] == resolve_kernels("compiled")
     assert trace.meta["kernels_requested"] == "compiled"
     assert trace.meta["split_rows"] == 8
+    assert trace.meta["granularity"] == "2d"
 
 
 def test_trace_meta_numpy_default(grid2d_small):
@@ -118,6 +119,7 @@ def test_trace_meta_numpy_default(grid2d_small):
                        trace=trace)
     assert trace.meta["kernels"] == "numpy"
     assert "split_rows" not in trace.meta
+    assert trace.meta["granularity"] == "unit"
 
 
 @without_numba
@@ -134,13 +136,15 @@ def test_sequential_compiled_degrades_bit_identically(grid2d_small):
 def test_numpy_kernels_bit_identical_threaded(grid2d_small):
     """kernels="numpy" is the bit-identity reference: a single-worker
     run (deterministic task order) must be byte-equal to the default
-    path, with and without the 2D split."""
+    path, with and without the 2D split (couple path: the split is
+    defined on it, and its single-worker update order is its own)."""
     res, permuted = _setup(grid2d_small)
-    ref = factorize_threaded(res.symbol, permuted, "llt", n_workers=1)
+    ref = factorize_threaded(res.symbol, permuted, "llt", n_workers=1,
+                             granularity="2d")
     for split in (None, 8):
         got = factorize_threaded(
             res.symbol, permuted, "llt", n_workers=1,
-            kernels="numpy", split_rows=split,
+            kernels="numpy", split_rows=split, granularity="2d",
         )
         _assert_factors_close(ref, got, exact=True)
 
@@ -158,7 +162,7 @@ def test_compiled_matches_numpy(grid2d_medium, factotype, scheduler,
     got = factorize_threaded(
         res.symbol, permuted, factotype, n_workers=4,
         scheduler=scheduler, accumulate=accumulate,
-        kernels="compiled", split_rows=12,
+        kernels="compiled", split_rows=12, granularity="2d",
     )
     # Without numba the fallback is exact numpy; the threaded update
     # order still commutes (disjoint scatters under the target mutex),

@@ -6,6 +6,7 @@ import pytest
 from repro.core.factor import NumericFactor
 from repro.core.factorization import facing_cblks, factorize_sequential
 from repro.dag import TaskKind, build_dag
+from repro.dag.builder import dag_of_trace
 from repro.kernels.cost import index_overhead_flops
 from repro.kernels.indexcache import CoupleMapCache, get_couple_cache
 from repro.kernels.panel import update_slice
@@ -161,7 +162,7 @@ class TestFanInAccumulation:
         ref = factorize_sequential(res.symbol, permuted, "llt")
         par = factorize_threaded(
             res.symbol, permuted, "llt", n_workers=4,
-            scheduler=scheduler, accumulate=True,
+            scheduler=scheduler, accumulate=True, granularity="2d",
         )
         for a, b in zip(ref.L, par.L):
             assert np.allclose(a, b, atol=1e-10)
@@ -171,7 +172,7 @@ class TestFanInAccumulation:
         ref = factorize_sequential(res.symbol, permuted, "ldlt")
         par = factorize_threaded(
             res.symbol, permuted, "ldlt", n_workers=4,
-            accumulate=True, dl_buffer=True,
+            accumulate=True, dl_buffer=True, granularity="2d",
         )
         for a, b in zip(ref.L, par.L):
             assert np.allclose(a, b, atol=1e-10)
@@ -183,7 +184,7 @@ class TestFanInAccumulation:
         trace = ExecutionTrace()
         factorize_threaded(
             res.symbol, permuted, "llt", n_workers=2, trace=trace,
-            accumulate=True,
+            accumulate=True, granularity="2d",
         )
         assert trace.meta["index_cache"] is True
         assert trace.meta["accumulate"] is True
@@ -197,9 +198,9 @@ class TestFanInAccumulation:
         trace = ExecutionTrace()
         factorize_threaded(
             res.symbol, permuted, "llt", n_workers=4, trace=trace,
-            accumulate=True,
+            accumulate=True, granularity="2d",
         )
-        dag = build_dag(res.symbol, "llt", granularity="2d")
+        dag = dag_of_trace(res.symbol, "llt", trace)
         trace.validate(
             dag, exclusive_resources=[], check_mutex=False, tol=1e-5
         )

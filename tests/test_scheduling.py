@@ -228,8 +228,10 @@ class TestProvenance:
         )
         assert trace.meta["scheduler"] == "priority"
         assert trace.meta["n_workers"] == 2
+        assert trace.meta["granularity"] == "unit"
 
-    def test_verifier_accepts_known_scheduler(self, dag, grid2d_small):
+    def test_verifier_accepts_known_scheduler(self, grid2d_small):
+        from repro.dag.builder import dag_of_trace
         from repro.runtime.threaded import factorize_threaded
         from repro.runtime.tracing import ExecutionTrace
         from repro.verify import verify_schedule
@@ -242,12 +244,14 @@ class TestProvenance:
             trace=trace, scheduler="ws",
         )
         report = verify_schedule(
-            dag, trace, exclusive_resources=[], check_mutex=False, tol=1e-5
+            dag_of_trace(res.symbol, "llt", trace), trace,
+            exclusive_resources=[], check_mutex=False, tol=1e-5,
         )
-        assert report.ok
+        assert report.ok, report.format()
         assert report.stats["scheduler"] == "ws"
 
-    def test_verifier_flags_unknown_scheduler(self, dag, grid2d_small):
+    def test_verifier_flags_unknown_scheduler(self, grid2d_small):
+        from repro.dag.builder import dag_of_trace
         from repro.runtime.threaded import factorize_threaded
         from repro.runtime.tracing import ExecutionTrace
         from repro.verify import verify_schedule
@@ -260,10 +264,10 @@ class TestProvenance:
         )
         trace.meta["scheduler"] = "lottery"
         report = verify_schedule(
-            dag, trace, exclusive_resources=[], check_mutex=False, tol=1e-5
+            dag_of_trace(res.symbol, "llt", trace), trace,
+            exclusive_resources=[], check_mutex=False, tol=1e-5,
         )
-        assert not report.ok
-        assert any(f.code == "S208" for f in report.findings)
+        assert {f.code for f in report.findings} == {"S208"}
 
 
 # ----------------------------------------------------------------------

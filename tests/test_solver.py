@@ -152,6 +152,44 @@ class TestBlockAndReuse:
         x = s.solve(b)
         assert s.residual_norm(x, b) < 1e-12   # solves the NEW system
 
+    @pytest.mark.parametrize("runtime", ["sequential", "threaded"])
+    def test_refactorization_does_not_recount(self, grid2d_small,
+                                              monkeypatch, runtime):
+        """Regression: ``factorize()`` used to re-run ``flops_total`` and
+        ``symbol.nnz`` — Python loops over every panel and couple — on
+        each call, outside ``FactorizationInfo.elapsed`` but inside what
+        a caller times.  Both depend on the symbol only: once per
+        analysis (per factotype/dtype), never again."""
+        from repro.core import solver as solver_mod
+        from repro.sparse.generators import grid_laplacian_2d
+        from repro.symbolic.structures import SymbolMatrix
+
+        calls = {"flops": 0, "nnz": 0}
+        real_flops, real_nnz = solver_mod.flops_total, SymbolMatrix.nnz
+
+        def flops(*args, **kwargs):
+            calls["flops"] += 1
+            return real_flops(*args, **kwargs)
+
+        def nnz(self, **kwargs):
+            calls["nnz"] += 1
+            return real_nnz(self, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "flops_total", flops)
+        monkeypatch.setattr(SymbolMatrix, "nnz", nnz)
+        s = SparseSolver(grid2d_small, SolverOptions(
+            factotype="ldlt", runtime=runtime, n_workers=2))
+        first = s.factorize()
+        s.update_values(grid_laplacian_2d(8, jitter=0.3, seed=99))
+        again = s.factorize()
+        s.factorize()
+        assert calls == {"flops": 1, "nnz": 1}
+        assert (again.flops, again.nnz_factor) == \
+            (first.flops, first.nnz_factor)
+        assert first.flops == real_flops(s.analysis.symbol, "ldlt")
+        assert first.nnz_factor == real_nnz(s.analysis.symbol,
+                                            factotype="ldlt")
+
     def test_update_values_rejects_new_pattern(self, grid2d_small):
         from repro.sparse.generators import grid_laplacian_2d
 

@@ -7,7 +7,8 @@ from repro.core.factorization import factorize_sequential
 from repro.runtime.scheduling import THREAD_SCHEDULERS
 from repro.runtime.threaded import factorize_threaded
 from repro.runtime.tracing import ExecutionTrace
-from repro.dag import build_dag
+from repro.dag import build_dag, get_dag
+from repro.dag.builder import dag_of_trace
 from repro.symbolic import analyze
 
 
@@ -55,7 +56,8 @@ def test_trace_is_valid_schedule(grid2d_small):
     res, permuted = _setup(grid2d_small, "llt")
     trace = ExecutionTrace()
     factorize_threaded(res.symbol, permuted, "llt", n_workers=3, trace=trace)
-    dag = build_dag(res.symbol, "llt", granularity="2d")
+    dag = dag_of_trace(res.symbol, "llt", trace)
+    assert dag.granularity == trace.meta["granularity"] == "unit"
     # Real threads introduce timing noise; dependencies and exactly-once
     # execution must still hold (small tolerance for clock skew).
     trace.validate(dag, exclusive_resources=[], check_mutex=False, tol=1e-5)
@@ -336,7 +338,7 @@ class TestThreadedSolve:
     def test_refactorization_reuses_the_dags(self, grid2d_small, monkeypatch):
         """Runtimes only read a DAG, so both phases memoise theirs on
         the symbol: a refactorization + solve builds nothing."""
-        from repro.dag import build_solve_dag, get_dag
+        from repro.dag import build_solve_dag
         from repro.runtime import threaded
 
         seen = []
@@ -356,14 +358,25 @@ class TestThreadedSolve:
         facto, solve = seen[:2]
         assert facto.phase == "facto" and solve.phase == "solve"
         assert seen[2] is facto and seen[3] is solve
-        assert facto is get_dag(res.symbol, "ldlt", dtype=factor.dtype)
+        unit = dict(granularity="unit", n_workers=2)
+        assert facto.granularity == "unit"
+        assert facto is get_dag(res.symbol, "ldlt", dtype=factor.dtype,
+                                **unit)
         assert solve is build_solve_dag(res.symbol, "ldlt",
                                         dtype=factor.dtype, n_workers=2)
-        # Other keys get their own DAG; build_dag itself stays unmemoised
-        # (callers that edit a DAG build their own).
-        assert get_dag(res.symbol, "ldlt", split_rows=4) is not facto
-        assert get_dag(res.symbol, "lu") is not facto
-        assert build_dag(res.symbol, "ldlt") is not facto
+        # Other keys get their own DAG (the worker count sets the unit
+        # DAG's fusion threshold, so it is part of the key); build_dag
+        # itself stays unmemoised (callers that edit a DAG build their
+        # own).
+        assert get_dag(res.symbol, "ldlt", granularity="unit",
+                       n_workers=3) is not facto
+        assert get_dag(res.symbol, "ldlt") is not facto
+        assert get_dag(res.symbol, "ldlt", split_rows=4) \
+            is not get_dag(res.symbol, "ldlt")
+        assert get_dag(res.symbol, "ldlt", n_workers=3) \
+            is get_dag(res.symbol, "ldlt", n_workers=2)   # 2D: no units
+        assert get_dag(res.symbol, "lu", **unit) is not facto
+        assert build_dag(res.symbol, "ldlt", **unit) is not facto
 
 
 class TestInversePriorityHardening:
@@ -557,13 +570,17 @@ class TestThreadedDegradation:
         from repro.resilience import FaultModel, FaultSpec, HealthPolicy
 
         res, permuted = _setup(mat, "llt")
-        dag = build_dag(res.symbol, "llt", granularity="2d")
-        upd = next(
-            t for t in range(dag.n_tasks)
-            if int(dag.kind[t]) == int(TaskKind.UPDATE)
+        # Fan-in accumulation and hedging are defined on couples; the
+        # other cells degrade the runtime's default, the unit DAG.
+        granularity = "2d" if accumulate or hedge else "unit"
+        dag = get_dag(res.symbol, "llt", granularity=granularity,
+                      n_workers=3)
+        slow = next(
+            (t for t in range(dag.n_tasks)
+             if int(dag.kind[t]) == int(TaskKind.UPDATE)), 0,
         )
         faults = FaultModel([
-            FaultSpec("straggler", task=upd, factor=30.0),
+            FaultSpec("straggler", task=slow, factor=30.0),
             FaultSpec("limplock", time=0.0, until=0.05,
                       resource=0, factor=3.0),
         ], seed=0)
@@ -571,7 +588,7 @@ class TestThreadedDegradation:
         par = factorize_threaded(
             res.symbol, permuted, "llt", n_workers=3,
             scheduler=scheduler, accumulate=accumulate, trace=trace,
-            record_sync=True, faults=faults,
+            record_sync=True, faults=faults, granularity=granularity,
             health=HealthPolicy(hedge=hedge, **TestThreadedDegradation.POL),
         )
         return res, permuted, dag, trace, par
@@ -651,7 +668,7 @@ class TestThreadedDegradation:
         trace = ExecutionTrace()
         par = factorize_threaded(
             res.symbol, permuted, "llt", n_workers=2, trace=trace,
-            faults=faults,
+            faults=faults, granularity="2d",
             health=HealthPolicy(hedge=True, hedge_ratio=2.0,
                                 hedge_min_s=4e-3, **self.POL))
         kinds = {h.kind for h in trace.hedge_events}

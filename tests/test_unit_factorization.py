@@ -1,0 +1,421 @@
+"""Unit-granular factorization: the DAG the thread pool runs by default.
+
+``build_dag(granularity="unit")`` has one left-looking task per unit (a
+panel or a fused leaf subtree) and tree edges only; the threaded body
+takes no lock and must reproduce ``factorize_sequential`` *bit for bit*
+whatever the worker count, scheduler and interleaving.  The test
+matrices are far below ``MIN_UNIT_FLOPS``, so most tests lift the floor
+(``no_unit_floor``) to get a real unit tree.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro import SolverOptions, SparseSolver
+from repro.core.factor import NumericFactor
+from repro.core.factorization import factorize_sequential
+from repro.dag import TaskKind, build_dag, get_dag, update_couples
+from repro.dag.builder import (
+    FUSE_UNITS_PER_WORKER,
+    MIN_UNIT_FLOPS,
+    dag_of_trace,
+    supernode_parent,
+)
+from repro.kernels.cost import flops_total
+from repro.resilience import HealthPolicy
+from repro.runtime.scheduling import THREAD_SCHEDULERS
+from repro.runtime.threaded import _ThreadedUnitRun, factorize_threaded
+from repro.runtime.tracing import ExecutionTrace
+from repro.sparse.csc import SparseMatrixCSC
+from repro.symbolic import analyze
+from repro.verify.hazards import analyze_hazards, drop_edge
+
+#: (factotype, complex?) — LLᵀ is real-only (``potrf`` rejects complex).
+CASES = [("llt", False), ("ldlt", False), ("lu", False),
+         ("ldlt", True), ("lu", True)]
+
+
+def _setup(mat):
+    res = analyze(mat)
+    return res, mat.permute(res.perm.perm)
+
+
+def _assert_identical(ref, got):
+    for name in ("L", "U", "D"):
+        a, b = getattr(ref, name, None), getattr(got, name, None)
+        if a is None:
+            continue
+        assert len(a) == len(b)
+        for k, (x, y) in enumerate(zip(a, b)):
+            if x is not None or y is not None:
+                assert np.array_equal(x, y), f"{name}[{k}]"
+
+
+# ----------------------------------------------------------------------
+# bit-identity with the sequential driver
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("scheduler", sorted(THREAD_SCHEDULERS))
+@pytest.mark.parametrize("factotype,cplx", CASES)
+def test_bit_identical_to_sequential(grid2d_medium, helmholtz_small,
+                                     no_unit_floor, factotype, cplx,
+                                     scheduler):
+    res, permuted = _setup(helmholtz_small if cplx else grid2d_medium)
+    for index_cache in (True, False):
+        for dl_buffer in (False, True):
+            for workspace in (True, False):
+                ref = factorize_sequential(
+                    res.symbol, permuted, factotype, workspace=workspace,
+                    index_cache=index_cache, dl_buffer=dl_buffer)
+                assert np.iscomplexobj(ref.L[0]) == cplx
+                for n_workers in (1, 2, 3, 4):
+                    got = factorize_threaded(
+                        res.symbol, permuted, factotype,
+                        n_workers=n_workers, scheduler=scheduler,
+                        workspace=workspace, index_cache=index_cache,
+                        dl_buffer=dl_buffer, granularity="unit")
+                    _assert_identical(ref, got)
+    assert get_dag(res.symbol, factotype, granularity="unit",
+                   dtype=ref.dtype, n_workers=4).n_tasks > 4
+
+
+@pytest.mark.parametrize("factotype", ["ldlt", "lu"])
+def test_pivot_threshold_bit_identical(grid2d_medium, no_unit_floor,
+                                       factotype):
+    res, permuted = _setup(grid2d_medium)
+    threshold = 3.0  # above the smallest pivot: guaranteed to bite
+    ref = factorize_sequential(res.symbol, permuted, factotype,
+                               pivot_threshold=threshold)
+    assert ref.pivot_monitor.n_perturbed > 0
+    for n_workers in (1, 3):
+        got = factorize_threaded(res.symbol, permuted, factotype,
+                                 n_workers=n_workers,
+                                 pivot_threshold=threshold)
+        _assert_identical(ref, got)
+        assert got.pivot_monitor.n_perturbed == ref.pivot_monitor.n_perturbed
+
+
+def test_interleaving_cannot_change_the_factor(grid2d_medium, no_unit_floor):
+    """Stress: more workers than cores and a tiny switch interval force
+    as many interleavings as the host allows; a write not ordered by a
+    tree edge would show as a differing bit."""
+    res, permuted = _setup(grid2d_medium)
+    ref = factorize_sequential(res.symbol, permuted, "ldlt")
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            got = factorize_threaded(res.symbol, permuted, "ldlt",
+                                     n_workers=8, watchdog_s=30.0)
+            _assert_identical(ref, got)
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_degenerate_matrices(n):
+    """0×0, 1×1 and a dense single-panel matrix."""
+    mat = SparseMatrixCSC.from_dense(np.ones((n, n)) + 2.0 * np.eye(n))
+    res, permuted = _setup(mat)
+    assert res.symbol.n_cblk == min(n, 1)
+    for factotype in ("llt", "ldlt", "lu"):
+        dag = build_dag(res.symbol, factotype, granularity="unit")
+        dag.validate()
+        assert dag.n_tasks == min(n, 1) and dag.n_edges == 0
+        _assert_identical(
+            factorize_sequential(res.symbol, permuted, factotype),
+            factorize_threaded(res.symbol, permuted, factotype, n_workers=2))
+
+
+# ----------------------------------------------------------------------
+# unit-DAG structure
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("n_workers", [1, 2, 4])
+@pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
+def test_unit_dag_structure(grid2d_medium, no_unit_floor, factotype,
+                            n_workers):
+    sym = analyze(grid2d_medium).symbol
+    K = sym.n_cblk
+    dag = build_dag(sym, factotype, granularity="unit", n_workers=n_workers,
+                    recompute_ld=False)
+    dag.validate()
+    assert dag.granularity == "unit" and dag.phase == "facto"
+    assert 1 < dag.n_tasks <= K
+    assert TaskKind.UPDATE not in set(dag.kind.tolist())
+    assert np.all(dag.mutex == -1)
+
+    # The units partition the panels; members ascend; a unit is named
+    # (dag.cblk) by its topmost panel.
+    assert sorted(dag.unit_panels.tolist()) == list(range(K))
+    parent = supernode_parent(sym)
+    unit_of = np.empty(K, dtype=np.int64)
+    for u in range(dag.n_tasks):
+        members = dag.unit_panels[dag.unit_ptr[u]: dag.unit_ptr[u + 1]]
+        assert members.size and np.all(np.diff(members) > 0)
+        assert int(dag.cblk[u]) == int(members[-1])
+        unit_of[members] = u
+        fused = members.size > 1
+        assert dag.kind[u] == (TaskKind.SUBTREE if fused
+                               else TaskKind.PANEL1D)
+        if fused:
+            # A complete subtree: every child of a member is a member,
+            # and every member but the top has its parent inside.
+            inside = set(members.tolist())
+            assert all(int(parent[k]) in inside for k in members[:-1])
+            assert all(int(c) in inside
+                       for c in np.flatnonzero(np.isin(parent, members)))
+
+    # Tree edges only: unit(child) -> unit(parent), one per non-root.
+    edges = {(u, int(v)) for u in range(dag.n_tasks)
+             for v in dag.successors(u)}
+    tops = dag.cblk
+    expect = {(u, int(unit_of[parent[tops[u]]]))
+              for u in range(dag.n_tasks) if parent[tops[u]] >= 0}
+    assert edges == expect
+
+    # Flops: each unit weighs its panels plus the updates they receive.
+    assert dag.total_flops() == pytest.approx(
+        flops_total(sym, factotype), rel=1e-12)
+    n_upd = update_couples(sym)[0].size
+    comps = [c for u in range(dag.n_tasks) for c in dag.fused_components[u]]
+    assert sum(c[0] == "panel" for c in comps) == K
+    assert sum(c[0] == "update" for c in comps) == n_upd
+
+    # The threshold scales with the worker count.
+    limit = dag.total_flops() / (FUSE_UNITS_PER_WORKER * n_workers)
+    sizes = np.diff(dag.unit_ptr)
+    assert np.all(dag.flops[sizes > 1] <= limit * (1 + 1e-12))
+
+    # ... and every edge is needed: the hazard analysis (which derives
+    # the couples from the symbol, not from the DAG) is clean, and
+    # dropping any edge uncovers a read.
+    assert analyze_hazards(dag).ok
+    for e in range(dag.n_edges):
+        assert not analyze_hazards(drop_edge(dag, e)).ok
+
+
+def test_small_tree_is_one_task(grid2d_medium):
+    """Under MIN_UNIT_FLOPS the whole tree is a single task, whatever
+    the worker count (the two-thread floor: splitting interpreter-bound
+    work across GIL-sharing threads only slows it down)."""
+    sym = analyze(grid2d_medium).symbol
+    assert flops_total(sym, "lu") < MIN_UNIT_FLOPS
+    for n_workers in (1, 2, 16):
+        dag = build_dag(sym, "lu", granularity="unit", n_workers=n_workers)
+        assert dag.n_tasks == 1 and dag.n_edges == 0
+        assert dag.unit_panels.tolist() == list(range(sym.n_cblk))
+
+
+def test_unit_dag_simulates(grid2d_medium, no_unit_floor):
+    """``fused_components`` lets the machine simulator cost unit tasks."""
+    from repro.machine import mirage, simulate
+    from repro.runtime import get_policy
+
+    sym = analyze(grid2d_medium).symbol
+    dag = build_dag(sym, "llt", granularity="unit", n_workers=2)
+    r = simulate(dag, mirage(n_cores=2, n_gpus=0), get_policy("native"))
+    r.trace.validate(dag)
+    assert r.makespan > 0
+
+
+def test_solver_reuses_the_memoised_dag(grid2d_medium, monkeypatch):
+    """update_values + factorize builds nothing new: one unit DAG per
+    analysis, at most 64 tasks, and the 2D DAG is never built."""
+    from repro.runtime import threaded
+
+    seen = []
+    init = threaded._ThreadedUnitRun.__init__
+
+    def spy(self, factor, dag, *args, **kwargs):
+        seen.append(dag)
+        init(self, factor, dag, *args, **kwargs)
+
+    monkeypatch.setattr(threaded._ThreadedUnitRun, "__init__", spy)
+    solver = SparseSolver(grid2d_medium, SolverOptions(
+        factotype="ldlt", runtime="threaded", n_workers=2))
+    solver.factorize()
+    solver.update_values(grid2d_medium)
+    solver.factorize()
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert seen[0].granularity == "unit" and seen[0].n_tasks <= 64
+    memo = solver.analysis.symbol._dag_memo
+    assert [key[3] for key in memo if key[0] == "facto"] == ["unit"]
+
+
+def test_accumulate_still_routes_to_the_couple_dag(grid2d_small):
+    solver = SparseSolver(grid2d_small, SolverOptions(
+        runtime="threaded", n_workers=2, accumulate=True))
+    solver.factorize()
+    memo = solver.analysis.symbol._dag_memo
+    assert [key[3] for key in memo if key[0] == "facto"] == ["2d"]
+    b = np.ones(grid2d_small.n_rows)
+    assert solver.residual_norm(solver.solve(b), b) < 1e-10
+
+
+# ----------------------------------------------------------------------
+# options defined on couples
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("option,kwargs", [
+    ("accumulate", dict(accumulate=True)),
+    ("split_rows", dict(split_rows=8)),
+    ("hedge", dict(health=HealthPolicy(hedge=True))),
+])
+def test_couple_options_need_the_couple_dag(grid2d_small, option, kwargs):
+    res, permuted = _setup(grid2d_small)
+    with pytest.raises(ValueError, match=option):
+        factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
+                           **kwargs)
+    ref = factorize_sequential(res.symbol, permuted, "llt")
+    got = factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
+                             granularity="2d", **kwargs)
+    for a, b in zip(ref.L, got.L):
+        assert np.allclose(a, b, atol=1e-10)
+
+
+def test_unknown_granularity_rejected(grid2d_small):
+    res, permuted = _setup(grid2d_small)
+    with pytest.raises(ValueError, match="1d"):
+        factorize_threaded(res.symbol, permuted, "llt", granularity="1d")
+    # Monitoring without hedging is fine on units.
+    factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
+                       health=HealthPolicy(hedge=False))
+
+
+# ----------------------------------------------------------------------
+# regression: a trace names the DAG it ran
+# ----------------------------------------------------------------------
+def test_trace_names_its_dag(grid2d_medium, no_unit_floor):
+    res, permuted = _setup(grid2d_medium)
+    n_tasks = []
+    # (what the caller passes, the DAG that must have run)
+    for call, ran in [
+        ({}, dict(granularity="unit")),
+        (dict(granularity="2d"), dict(granularity="2d")),
+        (dict(granularity="2d", split_rows=8),
+         dict(granularity="2d", split_rows=8)),
+    ]:
+        trace = ExecutionTrace()
+        factorize_threaded(res.symbol, permuted, "llt", n_workers=3,
+                           trace=trace, **call)
+        assert trace.meta["granularity"] == ran["granularity"]
+        assert f'meta:granularity="{ran["granularity"]}"' \
+            in trace.fingerprint_lines()
+        dag = dag_of_trace(res.symbol, "llt", trace)
+        # The audited DAG is the one the pool ran: same memoised object,
+        # every task executed exactly once, dependencies honoured.
+        assert dag is get_dag(res.symbol, "llt", n_workers=3, **ran)
+        assert sorted(e.task for e in trace.events) == \
+            list(range(dag.n_tasks))
+        trace.validate(dag, exclusive_resources=[], check_mutex=False,
+                       tol=1e-5)
+        n_tasks.append(dag.n_tasks)
+    assert n_tasks[0] < n_tasks[1] < n_tasks[2]
+
+
+# ----------------------------------------------------------------------
+# pool hardening on unit tasks
+# ----------------------------------------------------------------------
+def _unit_run(mat, **pool_options):
+    res, permuted = _setup(mat)
+    factor = NumericFactor.assemble(res.symbol, permuted, "llt")
+    dag = build_dag(res.symbol, "llt", granularity="unit", n_workers=3,
+                    dtype=factor.dtype)
+    pool_options.setdefault("scheduler", "ws")
+    run = _ThreadedUnitRun(factor, dag, 3, True, None, **pool_options)
+    return res, permuted, factor, dag, run
+
+
+def test_retry_before_mutation_is_clean(grid2d_medium, no_unit_floor):
+    res, permuted, factor, dag, run = _unit_run(grid2d_medium,
+                                                max_retries=1)
+    original = run._execute
+    fails = {"left": 1}
+
+    def execute(t, worker):
+        if t == dag.n_tasks // 2 and fails["left"] > 0:
+            fails["left"] -= 1
+            raise RuntimeError("transient failure before mutation")
+        original(t, worker)
+
+    run._execute = execute
+    run.run()
+    assert run.n_done == dag.n_tasks and fails["left"] == 0
+    _assert_identical(factorize_sequential(res.symbol, permuted, "llt"),
+                      factor)
+
+
+def test_quarantine_spares_independent_units(grid2d_medium, no_unit_floor):
+    _, _, _, dag, run = _unit_run(grid2d_medium, max_retries=1)
+    original = run._execute
+
+    def execute(t, worker):
+        if t == 0:
+            raise RuntimeError("permanent failure on unit 0")
+        original(t, worker)
+
+    run._execute = execute
+    with pytest.raises(RuntimeError, match="permanent failure"):
+        run.run()
+    assert 0 in run.abandoned
+    assert run.n_done + len(run.abandoned) == dag.n_tasks
+    assert run.n_done > 0
+
+
+def test_watchdog_names_the_wedged_unit(grid2d_medium, no_unit_floor):
+    _, _, _, dag, run = _unit_run(grid2d_medium, watchdog_s=0.25)
+    release = threading.Event()
+    original = run._execute
+    wedged = int(dag.sources()[0])
+
+    def execute(t, worker):
+        if t == wedged:
+            release.wait(timeout=10.0)
+        original(t, worker)
+
+    run._execute = execute
+    try:
+        with pytest.raises(RuntimeError, match="no progress") as info:
+            run.run()
+    finally:
+        release.set()
+    assert "threaded factorization" in str(info.value)
+
+
+def test_faults_and_health_on_units(grid2d_medium, no_unit_floor):
+    """Timing-only faults and health monitoring work on unit tasks: the
+    straggler is trace-visible, the monitor observes every task, and the
+    factor does not move by a bit."""
+    from repro.resilience import FaultModel, FaultSpec
+    from repro.verify import verify_health, verify_resilience
+
+    res, permuted = _setup(grid2d_medium)
+    faults = FaultModel([
+        FaultSpec("straggler", task=1, factor=10.0),
+        FaultSpec("limplock", time=0.0, until=0.05, resource=0, factor=3.0),
+    ], seed=0)
+    trace = ExecutionTrace()
+    got = factorize_threaded(
+        res.symbol, permuted, "llt", n_workers=3, trace=trace,
+        record_sync=True, faults=faults,
+        health=HealthPolicy(min_duration_s=2e-3, min_samples=5))
+    _assert_identical(factorize_sequential(res.symbol, permuted, "llt"), got)
+    dag = dag_of_trace(res.symbol, "llt", trace)
+    assert {f.kind for f in trace.fault_events} == {"straggler", "limplock"}
+    assert trace.meta["health"]["n_observations"] == dag.n_tasks
+    for rep in (verify_health(trace), verify_resilience(trace, dag)):
+        assert rep.ok, rep.format()
+
+
+def test_hazards_flag_a_broken_partition(grid2d_medium, no_unit_floor):
+    """The hazard pass derives what a unit task writes from the arrays
+    its body iterates; units that do not partition the panels are an
+    ownership finding (H105), not a crash."""
+    sym = analyze(grid2d_medium).symbol
+    dag = build_dag(sym, "llt", granularity="unit", n_workers=4)
+    dag.unit_panels = dag.unit_panels.copy()
+    dag.unit_panels[0] = dag.unit_panels[1]     # one panel twice, one never
+    rep = analyze_hazards(dag)
+    assert not rep.ok
+    assert {f.code for f in rep.findings if f.severity == "error"} == {"H105"}

@@ -1,8 +1,12 @@
 """C7xx concurrency auditor + RV4xx lock-discipline lint tests.
 
 Live coverage: sync-instrumented threaded runs must come out clean for
-every scheduler and both fan-in accumulation modes, and instrumentation
-off must mean *off* (no events, no meta, unchanged numerics).  Checker
+every scheduler — on the default lock-free unit DAG (no lock windows:
+C702 + C707 carry the audit) and on the 2D couple DAG in both fan-in
+accumulation modes — and instrumentation off must mean *off* (no
+events, no meta, unchanged numerics).  Tests whose subject is a lock
+window (C701/C703/C704, the lock-editing injectors, accumulation) pin
+``granularity="2d"``; the rest audit the default.  Checker
 coverage: each C7xx code is triggered either by one of the shipped
 fault injectors or by a surgical hand-corruption of a real trace.
 RV4xx coverage: each lint rule on synthetic sources, plus the
@@ -15,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.dag import build_dag
+from repro.dag.builder import dag_of_trace
 from repro.runtime.threaded import factorize_threaded
 from repro.runtime.tracing import ExecutionTrace, SyncEvent
 from repro.symbolic import analyze
@@ -34,17 +38,19 @@ from repro.verify.lockdiscipline import (
 
 
 def _traced_run(mat, factotype="llt", *, accumulate=False,
-                scheduler="ws", n_workers=3, record_sync=True):
+                scheduler="ws", n_workers=3, record_sync=True,
+                granularity="unit"):
+    """Run, and pair the trace with the DAG it names."""
     res = analyze(mat)
     permuted = mat.permute(res.perm.perm)
     trace = ExecutionTrace()
     factor = factorize_threaded(
         res.symbol, permuted, factotype, n_workers=n_workers,
         trace=trace, scheduler=scheduler, accumulate=accumulate,
-        record_sync=record_sync,
+        record_sync=record_sync, granularity=granularity,
     )
-    dag = build_dag(res.symbol, factotype, granularity="2d",
-                    dtype=factor.dtype)
+    dag = dag_of_trace(res.symbol, factotype, trace, dtype=factor.dtype)
+    assert dag.granularity == granularity
     return dag, trace, factor
 
 
@@ -62,12 +68,37 @@ def _codes(report, errors_only=True):
 @pytest.mark.parametrize("accumulate", [False, True])
 def test_clean_run_passes(grid2d_small, scheduler, accumulate):
     dag, trace, _ = _traced_run(grid2d_small, accumulate=accumulate,
-                                scheduler=scheduler)
+                                scheduler=scheduler, granularity="2d")
     rep = verify_concurrency(dag, trace)
     assert rep.ok, rep.format()
     assert rep.stats["sync_events"] > 0
     assert rep.stats["lock_windows"] > 0
     assert rep.stats["mutex_groups"] > 0
+
+
+@pytest.mark.parametrize("scheduler",
+                         ["fifo", "ws", "priority", "affinity",
+                          "inverse-priority"])
+@pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
+def test_unit_run_passes(grid2d_medium, no_unit_floor, scheduler,
+                         factotype):
+    """The default unit DAG has no mutex group and its bodies take no
+    lock: as for the solve, the audit reduces to publish order along
+    the tree edges (C702) plus the sync-stats provenance (C707), and
+    the trace must show no hold window."""
+    dag, trace, _ = _traced_run(grid2d_medium, factotype,
+                                scheduler=scheduler)
+    assert 1 < dag.n_tasks == len(trace.events)
+    trace.validate(dag, exclusive_resources=[], check_mutex=False,
+                   tol=1e-5)
+    rep = verify_concurrency(dag, trace)
+    assert rep.ok, rep.format()
+    assert rep.stats["lock_windows"] == 0
+    assert rep.stats["mutex_groups"] == 0
+    stats = trace.meta["sync_stats"]
+    assert stats["lock_held_s"] == stats["lock_wait_s"] == 0.0
+    assert stats["counts"].get("lock", 0) == 0
+    assert stats["counts"]["publish"] == dag.n_tasks
 
 
 def test_solve_run_passes(grid2d_small):
@@ -130,7 +161,8 @@ def test_solve_run_unpublished_read_is_caught(grid2d_small):
 
 
 def test_ldlt_accumulate_run_passes(grid2d_small):
-    dag, trace, _ = _traced_run(grid2d_small, "ldlt", accumulate=True)
+    dag, trace, _ = _traced_run(grid2d_small, "ldlt", accumulate=True,
+                                granularity="2d")
     rep = verify_concurrency(dag, trace)
     assert rep.ok, rep.format()
 
@@ -164,7 +196,8 @@ def test_instrumentation_does_not_change_numerics(grid2d_small):
 # meta provenance (sync_stats stamp)
 # ----------------------------------------------------------------------
 def test_meta_sync_stats_match_events(grid2d_small):
-    _, trace, _ = _traced_run(grid2d_small, accumulate=True)
+    _, trace, _ = _traced_run(grid2d_small, accumulate=True,
+                              granularity="2d")
     assert trace.meta["sync_trace"] is True
     stats = trace.meta["sync_stats"]
     counts = {}
@@ -193,7 +226,7 @@ def test_stale_meta_is_convicted(grid2d_small):
 # the shipped injectors
 # ----------------------------------------------------------------------
 def test_drop_sync_event_caught(grid2d_small):
-    dag, trace, _ = _traced_run(grid2d_small)
+    dag, trace, _ = _traced_run(grid2d_small, granularity="2d")
     bad = drop_sync_event(trace)
     codes = _codes(verify_concurrency(dag, bad))
     assert "C707" in codes
@@ -202,7 +235,7 @@ def test_drop_sync_event_caught(grid2d_small):
 
 
 def test_unlocked_scatter_caught(grid2d_small):
-    dag, trace, _ = _traced_run(grid2d_small)
+    dag, trace, _ = _traced_run(grid2d_small, granularity="2d")
     bad = unlocked_scatter(trace)
     rep = verify_concurrency(dag, bad)
     codes = _codes(rep)
@@ -211,20 +244,24 @@ def test_unlocked_scatter_caught(grid2d_small):
     assert verify_concurrency(dag, trace).ok
 
 
-def test_swallow_wakeup_caught(grid2d_small):
-    dag, trace, _ = _traced_run(grid2d_small)
-    bad = swallow_wakeup(trace, dag)
-    rep = verify_concurrency(dag, bad)
-    assert _codes(rep) == {"C705"}  # a *runtime* bug: only C705 convicts
-    assert verify_concurrency(dag, trace).ok
+def test_swallow_wakeup_caught(grid2d_small, no_unit_floor):
+    for granularity in ("unit", "2d"):
+        dag, trace, _ = _traced_run(grid2d_small, granularity=granularity)
+        bad = swallow_wakeup(trace, dag)
+        rep = verify_concurrency(dag, bad)
+        # A *runtime* bug: only C705 convicts.
+        assert _codes(rep) == {"C705"}, granularity
+        assert verify_concurrency(dag, trace).ok
 
 
 def test_injectors_raise_when_impossible(grid2d_small):
-    dag, trace, _ = _traced_run(grid2d_small, record_sync=False)
-    with pytest.raises(ValueError):
-        drop_sync_event(trace)
-    with pytest.raises(ValueError):
-        unlocked_scatter(trace)
+    # Uninstrumented, or instrumented but lock-free: no window to edit.
+    for record_sync in (False, True):
+        dag, trace, _ = _traced_run(grid2d_small, record_sync=record_sync)
+        with pytest.raises(ValueError):
+            drop_sync_event(trace)
+        with pytest.raises(ValueError):
+            unlocked_scatter(trace)
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +270,7 @@ def test_injectors_raise_when_impossible(grid2d_small):
 def test_c701_overlapping_holds(grid2d_small):
     """Two overlapping hold windows of one panel mutex on different
     workers: mutual exclusion provably failed."""
-    dag, trace, _ = _traced_run(grid2d_small)
+    dag, trace, _ = _traced_run(grid2d_small, granularity="2d")
     hold = next(e for e in trace.sorted_sync_events()
                 if e.kind == "lock" and e.obj.startswith("panel"))
     # A phantom second hold of the same object, same window, from a
@@ -245,32 +282,34 @@ def test_c701_overlapping_holds(grid2d_small):
     assert "C701" in _codes(verify_concurrency(dag, trace))
 
 
-def test_c702_unpublished_read(grid2d_small):
+def test_c702_unpublished_read(grid2d_small, no_unit_floor):
     """Delay one interior task's publish past a successor's start: the
-    successor read a completion nobody had published yet."""
-    dag, trace, _ = _traced_run(grid2d_small)
-    pred = succ = None
-    for e in trace.sorted_events():
-        succs = dag.successors(int(e.task))
-        if len(succs):
-            pred, succ = int(e.task), int(succs[0])
-            break
-    assert pred is not None
-    succ_start = next(e.start for e in trace.events if e.task == succ)
-    trace.sync_events = [
-        (SyncEvent(e.kind, e.worker, e.obj, e.task, succ_start + 1.0,
-                   succ_start + 1.0)
-         if e.kind == "publish" and e.task == pred else e)
-        for e in trace.sync_events
-    ]
-    _restamp(trace)
-    assert "C702" in _codes(verify_concurrency(dag, trace))
+    successor read a completion nobody had published yet.  On the unit
+    DAG this check is the whole race argument."""
+    for granularity in ("unit", "2d"):
+        dag, trace, _ = _traced_run(grid2d_small, granularity=granularity)
+        pred = succ = None
+        for e in trace.sorted_events():
+            succs = dag.successors(int(e.task))
+            if len(succs):
+                pred, succ = int(e.task), int(succs[0])
+                break
+        assert pred is not None
+        succ_start = next(e.start for e in trace.events if e.task == succ)
+        trace.sync_events = [
+            (SyncEvent(e.kind, e.worker, e.obj, e.task, succ_start + 1.0,
+                       succ_start + 1.0)
+             if e.kind == "publish" and e.task == pred else e)
+            for e in trace.sync_events
+        ]
+        _restamp(trace)
+        assert "C702" in _codes(verify_concurrency(dag, trace)), granularity
 
 
 def test_c704_flush_after_publish(grid2d_small):
     """A batched update whose locked flush lands *after* its completion
     was published: successors could read the panel too early."""
-    dag, trace, _ = _traced_run(grid2d_small)
+    dag, trace, _ = _traced_run(grid2d_small, granularity="2d")
     mutex = dag.mutex
     victim = next(t for t in (e.task for e in trace.sorted_events())
                   if int(mutex[t]) >= 0)

@@ -76,6 +76,8 @@ def _threaded_trace(res, matrix, scheduler, accumulate):
     factorize_threaded(
         res.symbol, permuted, "llt", n_workers=2, trace=trace,
         scheduler=scheduler, accumulate=accumulate,
+        # Accumulation batches couples; otherwise the runtime default.
+        granularity="2d" if accumulate else "unit",
     )
     return trace
 
@@ -112,6 +114,9 @@ class TestFingerprintStability:
         b = _threaded_trace(res, grid2d_small, scheduler, accumulate)
         assert a.meta["clock"] == "wall"
         assert a.fingerprint() == b.fingerprint()
+        # The fingerprint names the DAG the task ids refer to.
+        assert any(line.startswith("meta:granularity=")
+                   for line in a.fingerprint_lines())
 
     def test_pickle_round_trip_preserves_fingerprint(self, dag):
         a = _machine_trace(dag, seed=5)
