@@ -1,15 +1,24 @@
 # Development targets.  Everything runs offline; ruff and mypy are
-# optional (not pinned as dependencies) and are skipped with a notice
-# when the tools are not installed.
+# optional (not pinned as dependencies): without them `make lint` /
+# `make typecheck` say SKIPPED, and `make ci` repeats it in its last
+# line so a green run cannot be mistaken for one that checked them.
 
 PYTHON     ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
+# "ok" when the optional tool $(1) is on PATH (so its stage ran, and
+# passed, by the time anything prints this), else that it was skipped.
+tool_status = $(shell command -v $(1) >/dev/null 2>&1 && echo ok \
+	|| echo "SKIPPED (tool not installed)")
+
 .PHONY: test verify lint hazards typecheck bench figures selftest chaos \
 	chaos-smoke perf-smoke race-smoke determinism-smoke compiled-smoke \
 	e2e-smoke ci
 
+# Tier-1: everything under tests/, which includes the golden analysis
+# fingerprints (test_analysis_golden.py) and the many-components
+# regression (test_many_components.py).
 test:
 	$(PYTHON) -m pytest -x -q
 
@@ -205,8 +214,14 @@ e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
+# make stops at the first failing stage, so reaching the recipe means
+# every stage that ran passed; the summary names the ones that did not run.
 ci: verify selftest race-smoke determinism-smoke chaos-smoke perf-smoke \
 	compiled-smoke e2e-smoke
+	@echo "ci: lint ok, ruff $(call tool_status,ruff), hazards ok," \
+		"mypy $(call tool_status,mypy), test ok, selftest ok," \
+		"race-smoke ok, determinism-smoke ok, chaos-smoke ok," \
+		"perf-smoke ok, compiled-smoke ok, e2e-smoke ok"
 
 lint:
 	$(PYTHON) -m repro verify --no-hazards --no-schedule --no-resilience \
@@ -214,7 +229,7 @@ lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples; \
 	else \
-		echo "ruff not installed -- skipped (pip install ruff)"; \
+		echo "ruff: SKIPPED (tool not installed)"; \
 	fi
 
 hazards:
@@ -224,7 +239,7 @@ typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy src/repro; \
 	else \
-		echo "mypy not installed -- skipped (pip install mypy)"; \
+		echo "mypy: SKIPPED (tool not installed)"; \
 	fi
 
 bench:

@@ -10,9 +10,9 @@ transposes throughout — the complex collection entries are complex
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.core.factor import NumericFactor
+from repro.kernels.dense import triangular_solve
 
 __all__ = ["forward_solve", "backward_solve", "solve_factored"]
 
@@ -33,9 +33,7 @@ def forward_solve(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
         f, l = int(sym.cblk_ptr[k]), int(sym.cblk_ptr[k + 1])
         w = l - f
         diag, unit = _diag_lower(factor, k)
-        y = sla.solve_triangular(
-            diag, x[f:l], lower=True, unit_diagonal=unit, check_finite=False
-        )
+        y = triangular_solve(diag, x[f:l], lower=True, unit=unit)
         x[f:l] = y
         panel = factor.L[k]
         if panel.shape[0] > w:
@@ -58,18 +56,15 @@ def backward_solve(factor: NumericFactor, y: np.ndarray) -> np.ndarray:
                 below = factor.rows[k][w:]
                 # U[cols, below] = Uᵀ-panel rows: subtract U12 · x2.
                 x[f:l] -= upanel[w:, :].T @ x[below]
-            x[f:l] = sla.solve_triangular(
-                diag, x[f:l], lower=False, check_finite=False
-            )
+            x[f:l] = triangular_solve(diag, x[f:l], lower=False)
         else:
             panel = factor.L[k]
             diag, unit = _diag_lower(factor, k)
             if panel.shape[0] > w:
                 below = factor.rows[k][w:]
                 x[f:l] -= panel[w:, :].T @ x[below]
-            x[f:l] = sla.solve_triangular(
-                diag, x[f:l], lower=True, unit_diagonal=unit,
-                trans="T", check_finite=False
+            x[f:l] = triangular_solve(
+                diag, x[f:l], lower=True, unit=unit, trans=True
             )
     return x
 

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.sparse.csc import SparseMatrixCSC
+from repro.sparse.csc import SparseMatrixCSC, bucket_pointers, entry_owners
 
 __all__ = ["Graph"]
 
@@ -28,6 +28,8 @@ class Graph:
     adjncy: np.ndarray
     vwgt: Optional[np.ndarray] = None
     ewgt: Optional[np.ndarray] = None
+    #: :meth:`subgraph`'s relabelling scratch (all ``-1`` between calls).
+    _relabel: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.vwgt is None:
@@ -48,6 +50,16 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.xadj)
 
+    def gather(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenated adjacency lists of ``vertices`` (duplicates and
+        all) and the length of each list."""
+        starts = self.xadj[vertices]
+        lens = self.xadj[vertices + 1] - starts
+        ends = lens.cumsum()
+        total = int(ends[-1]) if ends.size else 0
+        runs = (starts - ends + lens).repeat(lens) + np.arange(total)
+        return self.adjncy[runs], lens
+
     # ------------------------------------------------------------------
     @classmethod
     def from_matrix(cls, mat: SparseMatrixCSC) -> "Graph":
@@ -56,17 +68,13 @@ class Graph:
         The pattern is symmetrised (the graph of :math:`A + A^T`) and the
         diagonal is dropped, matching what PaStiX hands to Scotch.
         """
+        # A pattern-symmetric CSC minus its diagonal *is* the sorted
+        # adjacency (symmetrising an already symmetric pattern is cheap).
         sym = mat.symmetrize_pattern()
-        rows, cols, _ = sym.to_coo()
-        off = rows != cols
-        rows, cols = rows[off], cols[off]
-        # The symmetrised pattern already contains both (i,j) and (j,i).
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        xadj = np.zeros(sym.n_rows + 1, dtype=np.int64)
-        np.add.at(xadj, rows + 1, 1)
-        np.cumsum(xadj, out=xadj)
-        return cls(sym.n_rows, xadj, cols)
+        cols = entry_owners(sym.colptr)
+        off = sym.rowind != cols
+        return cls(sym.n_rows, bucket_pointers(cols[off], sym.n_rows),
+                   sym.rowind[off])
 
     @classmethod
     def from_edges(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
@@ -75,49 +83,34 @@ class Graph:
         v = np.asarray(v, dtype=np.int64)
         if np.any(u == v):
             raise ValueError("self-loops are not allowed")
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        # Drop duplicate edges.
-        if rows.size:
-            keep = np.ones(rows.size, dtype=bool)
-            keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            rows, cols = rows[keep], cols[keep]
-        xadj = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(xadj, rows + 1, 1)
-        np.cumsum(xadj, out=xadj)
-        return cls(n, xadj, cols)
+        # Both directions, sorted by (source, target), duplicates dropped.
+        key = np.unique(np.concatenate([u * n + v, v * n + u]))
+        rows, cols = np.divmod(key, max(n, 1))
+        return cls(n, bucket_pointers(rows, n), cols)
 
     # ------------------------------------------------------------------
     def subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Induced subgraph on ``vertices``.
 
         Returns ``(sub, vertices)`` where ``vertices[i]`` is the original
-        id of sub-vertex ``i``.  Fully vectorised: edges with an endpoint
-        outside the set are masked out via a global relabelling array.
+        id of sub-vertex ``i``.  Costs O(|vertices| + their edges): edges
+        leaving the set are masked out through a relabelling array kept
+        on the graph and reset after use.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        local = np.full(self.n, -1, dtype=np.int64)
+        if self._relabel is None:
+            self._relabel = np.full(self.n, -1, dtype=np.int64)
+        local = self._relabel
         local[vertices] = np.arange(vertices.size, dtype=np.int64)
-        counts = np.diff(self.xadj)
-        # Gather all adjacency of the selected vertices.
-        starts = self.xadj[vertices]
-        lens = counts[vertices]
-        total = int(lens.sum())
-        # Build gather indices: for each selected vertex, a contiguous run.
-        gather = np.repeat(starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens) + np.arange(total)
-        nbrs = self.adjncy[gather]
-        src_local = np.repeat(np.arange(vertices.size, dtype=np.int64), lens)
+        nbrs, lens = self.gather(vertices)
         dst_local = local[nbrs]
+        local[vertices] = -1
+        # Runs are in vertex order, so sources are already sorted.
+        src_local = np.repeat(np.arange(vertices.size, dtype=np.int64), lens)
         keep = dst_local >= 0
-        src_local, dst_local = src_local[keep], dst_local[keep]
-        xadj = np.zeros(vertices.size + 1, dtype=np.int64)
-        np.add.at(xadj, src_local + 1, 1)
-        np.cumsum(xadj, out=xadj)
-        # src_local is already sorted (runs in vertex order); dst follows.
-        sub = Graph(vertices.size, xadj, dst_local,
-                    vwgt=self.vwgt[vertices].copy())
+        sub = Graph(vertices.size,
+                    bucket_pointers(src_local[keep], vertices.size),
+                    dst_local[keep], vwgt=self.vwgt[vertices])
         return sub, vertices
 
     def check(self) -> None:
@@ -127,13 +120,12 @@ class Graph:
         if self.adjncy.size:
             if self.adjncy.min() < 0 or self.adjncy.max() >= self.n:
                 raise ValueError("neighbour index out of range")
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.xadj))
+        src = entry_owners(self.xadj)
         if np.any(src == self.adjncy):
             raise ValueError("self-loop present")
-        fwd = set(zip(src.tolist(), self.adjncy.tolist()))
-        for a, b in fwd:  # noqa: RV306 - order-insensitive validation
-            if (b, a) not in fwd:
-                raise ValueError(f"edge ({a},{b}) missing its reverse")
+        fwd, rev = src * self.n + self.adjncy, self.adjncy * self.n + src
+        if not np.array_equal(np.sort(fwd), np.sort(rev)):
+            raise ValueError("an edge is missing its reverse")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(n={self.n}, m={self.n_edges})"

@@ -2,8 +2,9 @@
 connected components.
 
 BFS is frontier-vectorised: each level expansion is a handful of NumPy
-gather/unique operations over the whole frontier rather than a per-vertex
-Python loop, following the project's vectorise-the-inner-loop idiom.
+gather/scatter operations over the whole frontier rather than a
+per-vertex Python loop, following the project's vectorise-the-inner-loop
+idiom.
 """
 
 from __future__ import annotations
@@ -15,16 +16,27 @@ from repro.graph.adjacency import Graph
 __all__ = ["bfs_levels", "pseudo_peripheral_vertex", "connected_components"]
 
 
-def _expand(graph: Graph, frontier: np.ndarray) -> np.ndarray:
-    """All neighbours of the frontier, with duplicates."""
-    starts = graph.xadj[frontier]
-    lens = graph.xadj[frontier + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offs = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    gather = np.repeat(starts - offs, lens) + np.arange(total)
-    return graph.adjncy[gather]
+def _flood(graph: Graph, frontier: np.ndarray, level: np.ndarray,
+           mark: np.ndarray) -> list[np.ndarray]:
+    """Breadth-first sweep from ``frontier`` over the vertices whose
+    ``level`` is negative, writing their depth; returns the frontiers.
+
+    A level costs O(its edges), never O(n): candidates write their slot
+    into ``mark`` (length-``n`` scratch, contents irrelevant) and the one
+    occurrence per vertex that reads its own slot back is kept.
+    """
+    frontiers = [frontier]
+    level[frontier] = 0
+    while True:
+        nbrs, _ = graph.gather(frontier)
+        nbrs = nbrs[level[nbrs] < 0]
+        if nbrs.size == 0:
+            return frontiers
+        level[nbrs] = len(frontiers)
+        slot = np.arange(nbrs.size)
+        mark[nbrs] = slot
+        frontier = nbrs[mark[nbrs] == slot]
+        frontiers.append(frontier)
 
 
 def bfs_levels(graph: Graph, start: int | np.ndarray) -> np.ndarray:
@@ -33,17 +45,8 @@ def bfs_levels(graph: Graph, start: int | np.ndarray) -> np.ndarray:
     Unreachable vertices get level ``-1``.
     """
     level = np.full(graph.n, -1, dtype=np.int64)
-    frontier = np.atleast_1d(np.asarray(start, dtype=np.int64))
-    level[frontier] = 0
-    depth = 0
-    while frontier.size:
-        nbrs = _expand(graph, frontier)
-        nbrs = nbrs[level[nbrs] < 0]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs)
-        depth += 1
-        level[frontier] = depth
+    _flood(graph, np.atleast_1d(np.asarray(start, dtype=np.int64)), level,
+           np.empty(graph.n, dtype=np.int64))
     return level
 
 
@@ -72,18 +75,26 @@ def pseudo_peripheral_vertex(graph: Graph, start: int = 0, *,
 
 
 def connected_components(graph: Graph) -> np.ndarray:
-    """Component id of every vertex (ids are dense, ordered by discovery)."""
-    comp = np.full(graph.n, -1, dtype=np.int64)
-    cid = 0
-    remaining = np.arange(graph.n, dtype=np.int64)
-    while remaining.size:
-        seed = int(remaining[0])
-        levels = bfs_levels(graph, seed)
-        # Restrict flood to still-unassigned vertices: levels computed on
-        # the full graph may touch other components only via paths, which
-        # cannot happen — levels >= 0 is exactly the component of seed.
-        members = np.flatnonzero((levels >= 0) & (comp < 0))
-        comp[members] = cid
-        cid += 1
-        remaining = np.flatnonzero(comp < 0)
-    return comp
+    """Component id of every vertex (ids are dense, ordered by discovery,
+    i.e. by the smallest vertex of each component).
+
+    One pass, O(n + edges + #components): each component is flooded once,
+    on shared arrays, from its smallest vertex; vertices without
+    neighbours (all of a diagonal matrix) are settled without a flood.
+    """
+    n = graph.n
+    # root[v]: smallest vertex of v's component, -1 while unknown.
+    root = np.where(np.diff(graph.xadj) == 0, np.arange(n, dtype=np.int64), -1)
+    mark = np.empty(n, dtype=np.int64)
+    left = n - np.count_nonzero(root >= 0)
+    seed = 0
+    while left:
+        while root[seed] >= 0:   # amortised O(n) over the whole call
+            seed += 1
+        members = np.concatenate(
+            _flood(graph, np.array([seed], dtype=np.int64), root, mark)
+        )
+        root[members] = seed
+        left -= members.size
+    is_root = root == np.arange(n, dtype=np.int64)
+    return (np.cumsum(is_root) - 1)[root]

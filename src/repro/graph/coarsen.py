@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
+from repro.sparse.csc import coo_to_csc, entry_owners
 
 __all__ = ["heavy_edge_matching", "coarsen_graph"]
 
@@ -57,29 +58,17 @@ def coarsen_graph(graph: Graph, match: np.ndarray) -> tuple[Graph, np.ndarray]:
     uniq, cmap = np.unique(canonical, return_inverse=True)
     nc = uniq.size
 
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
-    cu = cmap[src]
+    cu = cmap[entry_owners(graph.xadj)]
     cv = cmap[graph.adjncy]
     keep = cu != cv
-    cu, cv = cu[keep], cv[keep]
     ew = (graph.ewgt[keep] if graph.ewgt is not None
-          else np.ones(cu.size, dtype=np.int64))
-    # Merge parallel edges.
-    key = cu * nc + cv
-    order = np.argsort(key, kind="stable")
-    cu, cv, ew, key = cu[order], cv[order], ew[order], key[order]
-    if key.size:
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        seg = np.cumsum(first) - 1
-        acc = np.zeros(int(seg[-1]) + 1, dtype=np.int64)
-        np.add.at(acc, seg, ew)
-        cu, cv, ew = cu[first], cv[first], acc
+          else np.ones(np.count_nonzero(keep), dtype=np.int64))
+    # Coarse adjacency = the CSC of (target, source) triplets: sorted by
+    # source then target, parallel edges merged with summed weights.
+    merged = coo_to_csc(nc, nc, cv[keep], cu[keep], ew)
 
-    xadj = np.zeros(nc + 1, dtype=np.int64)
-    np.add.at(xadj, cu + 1, 1)
-    np.cumsum(xadj, out=xadj)
     vwgt = np.zeros(nc, dtype=np.int64)
     np.add.at(vwgt, cmap, graph.vwgt)
-    coarse = Graph(nc, xadj, cv, vwgt=vwgt, ewgt=ew)
+    coarse = Graph(nc, merged.colptr, merged.rowind, vwgt=vwgt,
+                   ewgt=merged.values)
     return coarse, cmap

@@ -17,15 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bfs import pseudo_peripheral_vertex, _expand
+from repro.graph.bfs import pseudo_peripheral_vertex
 from repro.graph.coarsen import heavy_edge_matching, coarsen_graph
+from repro.sparse.csc import entry_owners
 
 __all__ = ["multilevel_bisection", "edge_cut", "grow_bisection", "refine_bisection"]
 
 
 def edge_cut(graph: Graph, part: np.ndarray) -> int:
     """Total weight of edges crossing the partition."""
-    src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.xadj))
+    src = entry_owners(graph.xadj)
     cut = part[src] != part[graph.adjncy]
     if graph.ewgt is not None:
         return int(graph.ewgt[cut].sum()) // 2
@@ -64,7 +65,7 @@ def refine_bisection(
     """
     part = part.copy()
     n = graph.n
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
+    src = entry_owners(graph.xadj)
     ew = graph.ewgt if graph.ewgt is not None else np.ones(src.size, dtype=np.int64)
     limit = balance * graph.total_weight / 2.0
 
@@ -99,14 +100,9 @@ def refine_bisection(
             part[v] ^= 1
             improved = True
             # Update neighbour gains locally.
-            nbrs = graph.neighbors(v)
-            wns = (graph.ewgt[graph.xadj[v]: graph.xadj[v + 1]]
-                   if graph.ewgt is not None else np.ones(nbrs.size, dtype=np.int64))
-            for u, wu in zip(nbrs, wns):
-                if part[u] == part[v]:
-                    gain[u] -= 2 * wu
-                else:
-                    gain[u] += 2 * wu
+            lo, hi = graph.xadj[v], graph.xadj[v + 1]
+            nbrs = graph.adjncy[lo:hi]
+            gain[nbrs] += np.where(part[nbrs] == part[v], -2, 2) * ew[lo:hi]
             gain[v] = -gain[v]
         if not improved:
             break

@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bfs import pseudo_peripheral_vertex, _expand
+from repro.graph.bfs import pseudo_peripheral_vertex
+from repro.sparse.csc import entry_owners
 
 __all__ = ["level_set_separator", "thin_separator", "separator_from_edge_cut"]
 
@@ -46,34 +47,33 @@ def level_set_separator(
 
     w = graph.vwgt.astype(np.float64)
     total = w.sum()
-    # weight of each level, cumulative weight strictly below each level
+    # Interior levels 1 … depth-1: weight of the level, of all below it, of
+    # all above it (unreached vertices, level -1, land on the last level).
     level_w = np.zeros(depth + 1)
     np.add.at(level_w, levels, w)
-    below = np.concatenate(([0.0], np.cumsum(level_w)[:-1]))
-
-    best = None
-    for lev in range(1, depth):
-        wa = below[lev]
-        ws = level_w[lev]
-        wb = total - wa - ws
-        if wa == 0 or wb == 0:
-            continue
-        imbalance = max(wa, wb) / max(1.0, min(wa, wb))
-        score = ws * (1.0 + imbalance)
-        feasible = imbalance <= max_imbalance
-        key = (not feasible, score)
-        if best is None or key < best[0]:
-            best = (key, lev)
-    if best is None:
+    ws = level_w[1:depth]
+    wa = np.cumsum(level_w)[: depth - 1]
+    wb = total - wa - ws
+    usable = np.flatnonzero((wa != 0) & (wb != 0))
+    if usable.size == 0:
         # Degenerate level structure (e.g. two levels): fall back to the
         # always-valid one-vertex construction.
         return _neighborhood_separator(graph, seed_vertex)
-
-    lev = best[1]
+    wa, ws, wb = wa[usable], ws[usable], wb[usable]
+    imbalance = np.maximum(wa, wb) / np.maximum(1.0, np.minimum(wa, wb))
+    score = ws * (1.0 + imbalance)
+    # Feasible levels first, then the lowest score, then the lowest level.
+    best = np.lexsort((score, imbalance > max_imbalance))[0]
+    lev = int(usable[best]) + 1
     sep = np.flatnonzero(levels == lev).astype(np.int64)
     part_a = np.flatnonzero(levels < lev).astype(np.int64)
     part_b = np.flatnonzero(levels > lev).astype(np.int64)
     return thin_separator(graph, sep, part_a, part_b)
+
+
+def _by_side(side: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex arrays of a 0 / 1 / 2 labelling, in that order."""
+    return tuple(np.flatnonzero(side == s) for s in range(3))
 
 
 def _neighborhood_separator(
@@ -89,11 +89,7 @@ def _neighborhood_separator(
     side = np.full(graph.n, 2, dtype=np.int8)
     side[graph.neighbors(v)] = 0
     side[v] = 1
-    return (
-        np.flatnonzero(side == 0).astype(np.int64),
-        np.flatnonzero(side == 1).astype(np.int64),
-        np.flatnonzero(side == 2).astype(np.int64),
-    )
+    return _by_side(side)
 
 
 def thin_separator(
@@ -118,39 +114,22 @@ def thin_separator(
         sep_ids = np.flatnonzero(side == 0)
         if sep_ids.size == 0:
             break
-        moved = False
-        # For each separator vertex count neighbours on each side.
-        starts = graph.xadj[sep_ids]
-        lens = graph.xadj[sep_ids + 1] - starts
-        nbrs = _expand(graph, sep_ids)
+        # For each separator vertex: does it touch side A, side B?
+        nbrs, lens = graph.gather(sep_ids)
         owner = np.repeat(np.arange(sep_ids.size), lens)
         nbr_side = side[nbrs]
-        has_a = np.zeros(sep_ids.size, dtype=bool)
-        has_b = np.zeros(sep_ids.size, dtype=bool)
-        np.logical_or.at(has_a, owner, nbr_side == 1)
-        np.logical_or.at(has_b, owner, nbr_side == 2)
-        only_a = has_a & ~has_b
-        only_b = has_b & ~has_a
-        isolated = ~has_a & ~has_b
-        # Isolated separator vertices go to the lighter side.
+        has_a = np.bincount(owner[nbr_side == 1], minlength=sep_ids.size) > 0
+        has_b = np.bincount(owner[nbr_side == 2], minlength=sep_ids.size) > 0
+        # Touching one side only, join it; touching neither, the lighter.
         wa = graph.vwgt[side == 1].sum()
         wb = graph.vwgt[side == 2].sum()
-        if np.any(only_a):
-            side[sep_ids[only_a]] = 1
-            moved = True
-        if np.any(only_b):
-            side[sep_ids[only_b]] = 2
-            moved = True
-        if np.any(isolated):
-            side[sep_ids[isolated]] = 1 if wa <= wb else 2
-            moved = True
-        if not moved:
+        lighter = 1 if wa <= wb else 2
+        target = np.where(has_a, np.where(has_b, 0, 1),
+                          np.where(has_b, 2, lighter))
+        if not target.any():
             break
-    return (
-        np.flatnonzero(side == 0).astype(np.int64),
-        np.flatnonzero(side == 1).astype(np.int64),
-        np.flatnonzero(side == 2).astype(np.int64),
-    )
+        side[sep_ids] = target
+    return _by_side(side)
 
 
 def separator_from_edge_cut(
@@ -161,7 +140,7 @@ def separator_from_edge_cut(
     ``part`` is a 0/1 array.  Boundary vertices of the *smaller* boundary
     side form the separator (a cheap one-sided vertex cover of the cut).
     """
-    src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.xadj))
+    src = entry_owners(graph.xadj)
     cut = part[src] != part[graph.adjncy]
     b0 = np.unique(src[cut & (part[src] == 0)])
     b1 = np.unique(src[cut & (part[src] == 1)])

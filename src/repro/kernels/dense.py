@@ -28,6 +28,7 @@ __all__ = [
     "potrf",
     "ldlt_nopiv",
     "getrf_nopiv",
+    "triangular_solve",
     "trsm_lower_right",
     "trsm_unit_lower_left",
 ]
@@ -91,6 +92,53 @@ _GETRF = {
     np.dtype(np.float64): sla.lapack.dgetrf,
     np.dtype(np.complex128): sla.lapack.zgetrf,
 }
+_TRTRS = {
+    np.dtype(np.float64): sla.lapack.dtrtrs,
+    np.dtype(np.complex128): sla.lapack.ztrtrs,
+}
+
+
+def triangular_solve(
+    a: np.ndarray, b: np.ndarray, *, lower: bool, unit: bool = False,
+    trans: bool = False,
+) -> np.ndarray:
+    """Solve ``a x = b`` — ``aᵀ x = b`` when ``trans`` (plain transpose,
+    never conjugated) — for a triangular ``a``; ``b`` is ``(n,)`` or
+    ``(n, k)``.  Only the named triangle of ``a`` is read, and ``unit``
+    means its diagonal is taken as ones.
+
+    Every triangular solve of the factorization and of both solve paths
+    goes through here.  ``scipy.linalg.solve_triangular`` spends 10 µs
+    and more per call validating arguments and looking LAPACK up, several
+    times the arithmetic on a panel-sized block; this calls the held
+    ``?trtrs`` handle the way SciPy does (same arguments, so the same
+    bits) and keeps its contract: a zero on the diagonal raises
+    ``numpy.linalg.LinAlgError``, an illegal argument ``ValueError``,
+    any memory layout of ``a`` and ``b`` is accepted, and dtypes other
+    than float64/complex128 (or mixed ones) go to SciPy itself.
+    """
+    trtrs = _TRTRS.get(a.dtype)
+    if trtrs is None or b.dtype != a.dtype or not b.size:
+        return sla.solve_triangular(
+            a, b, lower=lower, trans=int(trans), unit_diagonal=unit,
+            check_finite=False,
+        )
+    if a.flags.f_contiguous:
+        x, info = trtrs(a, b, lower=lower, trans=trans, unitdiag=unit)
+    else:
+        # LAPACK reads column-major: hand a row-major block over as its
+        # (free) transposed view and solve the transposed system.
+        x, info = trtrs(a.T, b, lower=not lower, trans=not trans,
+                        unitdiag=unit)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    if info < 0:
+        raise ValueError(
+            f"illegal value in {-info}-th argument of internal trtrs"
+        )
+    return x
 
 
 def _static_pivots_ok(
@@ -204,10 +252,7 @@ def trsm_lower_right(diag_l: np.ndarray, b: np.ndarray, *, unit: bool = False) -
     diagonal.
     """
     # X L^T = B  <=>  L X^T = B^T
-    xt = sla.solve_triangular(
-        diag_l, b.T, lower=True, unit_diagonal=unit, check_finite=False
-    )
-    return xt.T
+    return triangular_solve(diag_l, b.T, lower=True, unit=unit).T
 
 
 def trsm_unit_lower_left(diag_l: np.ndarray, b: np.ndarray, *, unit: bool = True) -> np.ndarray:
@@ -215,6 +260,4 @@ def trsm_unit_lower_left(diag_l: np.ndarray, b: np.ndarray, *, unit: bool = True
 
     Used for the U panel of the LU factorization: ``U12 = L11^{-1} A12``.
     """
-    return sla.solve_triangular(
-        diag_l, b, lower=True, unit_diagonal=unit, check_finite=False
-    )
+    return triangular_solve(diag_l, b, lower=True, unit=unit)

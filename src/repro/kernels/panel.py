@@ -17,12 +17,12 @@ sequential driver, the threaded runtime, and the tests.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.kernels.dense import (
     getrf_nopiv,
     ldlt_nopiv,
     potrf,
+    triangular_solve,
     trsm_lower_right,
     trsm_unit_lower_left,
 )
@@ -68,9 +68,9 @@ def panel_factorize(factor, k: int) -> None:
         Uk = factor.U[k]
         if Lk.shape[0] > w:
             # L21 = A21 · U11^{-1}  ⇔  U11ᵀ · L21ᵀ = A21ᵀ
-            u11 = np.triu(lu)
-            Lk[w:, :] = sla.solve_triangular(
-                u11, Lk[w:, :].T, lower=False, trans="T", check_finite=False
+            # (only lu's upper triangle, U11, is read)
+            Lk[w:, :] = triangular_solve(
+                lu, Lk[w:, :].T, lower=False, trans=True
             ).T
             # U12ᵀ = A12ᵀ · L11^{-T}  (unit lower diagonal)
             Uk[w:, :] = trsm_lower_right(lu, Uk[w:, :], unit=True)

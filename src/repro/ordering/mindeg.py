@@ -15,6 +15,8 @@ envelope comfortably.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -22,6 +24,15 @@ from repro.graph.adjacency import Graph
 from repro.ordering.perm import Permutation
 
 __all__ = ["minimum_degree"]
+
+
+def _union(acc: int, which: int, sets: list[int]) -> int:
+    """``acc`` ∪ ``sets[i]`` for every member ``i`` of the bitset ``which``."""
+    while which:
+        low = which & -which
+        acc |= sets[low.bit_length() - 1]
+        which ^= low
+    return acc
 
 
 def minimum_degree(graph: Graph, *, tie_break: str = "index") -> Permutation:
@@ -33,51 +44,53 @@ def minimum_degree(graph: Graph, *, tie_break: str = "index") -> Permutation:
     if tie_break != "index":
         raise ValueError("only 'index' tie-breaking is implemented")
     n = graph.n
-    # Plain (uneliminated) neighbour sets, and per-vertex element lists.
-    nbr: list[set[int]] = [
-        set(graph.neighbors(v).tolist()) for v in range(n)
+    # Every vertex set is a Python int used as a bitset (bit u = vertex
+    # u): union, difference and cardinality are single C calls, where
+    # set objects paid a hash insertion per member per reach().
+    bit = [1 << v for v in range(n)]
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
+    # Plain (uneliminated) neighbours, and adjacent elements, per vertex.
+    nbr = [
+        reduce(or_, map(bit.__getitem__, adjncy[xadj[v]: xadj[v + 1]]), 0)
+        for v in range(n)
     ]
-    elems: list[set[int]] = [set() for _ in range(n)]
+    elems = [0] * n
     # element id -> variable set (element ids are the eliminated vertices)
-    elem_vars: dict[int, set[int]] = {}
-    eliminated = np.zeros(n, dtype=bool)
+    elem_vars = [0] * n
 
-    def reach(v: int) -> set[int]:
-        r = set(nbr[v])
-        for e in sorted(elems[v]):
-            r |= elem_vars[e]
-        r.discard(v)
-        return r
-
-    heap: list[tuple[int, int]] = [(len(nbr[v]), v) for v in range(n)]
+    degree = [m.bit_count() for m in nbr]
+    heap: list[tuple[int, int]] = [(degree[v], v) for v in range(n)]
     heapq.heapify(heap)
-    degree = [len(nbr[v]) for v in range(n)]
 
-    iperm = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        # Pop until a live, up-to-date entry surfaces (lazy deletion).
+    iperm = []
+    for _ in range(n):
+        # Pop until an up-to-date entry surfaces (lazy deletion); the
+        # eliminated vertex's degree of -1 makes its other entries stale.
         while True:
             d, v = heapq.heappop(heap)
-            if not eliminated[v] and d == degree[v]:
+            if d == degree[v]:
                 break
-        eliminated[v] = True
-        iperm[k] = v
+        degree[v] = -1
+        iperm.append(v)
 
-        r = reach(v)
-        # Absorb v's adjacent elements into the new element v.
+        # Reachable set of v: plain neighbours plus the variables of its
+        # adjacent elements, which the new element v absorbs.
         absorbed = elems[v]
-        elem_vars[v] = r
-        for e in absorbed:
-            del elem_vars[e]
-        for u in sorted(r):
-            nbr[u].discard(v)
-            # u's plain neighbours inside the new element become redundant.
-            nbr[u] -= r
-            elems[u] -= absorbed
-            elems[u].add(v)
-            degree[u] = len(reach(u))
+        r = elem_vars[v] = _union(nbr[v], absorbed, elem_vars) & ~bit[v]
+        outside = ~(r | bit[v])
+        m = r
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
+            # u loses v, and its plain neighbours inside the new element
+            # become redundant.
+            plain = nbr[u] = nbr[u] & outside
+            others = elems[u] & ~absorbed
+            elems[u] = others | bit[v]
+            reach = _union(plain | r, others, elem_vars)
+            degree[u] = (reach & ~low).bit_count()
             heapq.heappush(heap, (degree[u], u))
-        nbr[v].clear()
-        elems[v] = set()
+        nbr[v] = elems[v] = 0
 
-    return Permutation.from_iperm(iperm)
+    return Permutation.from_iperm(np.asarray(iperm, dtype=np.int64))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bfs import bfs_levels
+from repro.graph.bfs import connected_components
 from repro.graph.partition import multilevel_bisection
 from repro.graph.separator import level_set_separator, separator_from_edge_cut
 from repro.ordering.mindeg import minimum_degree
@@ -71,20 +71,6 @@ def _order_leaf(sub: Graph, opts: NestedDissectionOptions) -> np.ndarray:
     return minimum_degree(sub).iperm
 
 
-def _split_components(sub: Graph, mapping: np.ndarray) -> list[np.ndarray]:
-    """Split a subgraph's vertices into connected components (original ids)."""
-    comp = np.full(sub.n, -1, dtype=np.int64)
-    cid = 0
-    while True:
-        rest = np.flatnonzero(comp < 0)
-        if rest.size == 0:
-            break
-        levels = bfs_levels(sub, int(rest[0]))
-        comp[levels >= 0] = cid
-        cid += 1
-    return [mapping[comp == c] for c in range(cid)]
-
-
 def nested_dissection(
     source: Graph | SparseMatrixCSC,
     options: NestedDissectionOptions | None = None,
@@ -97,56 +83,59 @@ def nested_dissection(
     end of the ordering.
     """
     opts = options or NestedDissectionOptions()
-    graph = (
-        source
-        if isinstance(source, Graph)
-        else Graph.from_matrix(source)
-    )
+    graph = source if isinstance(source, Graph) else Graph.from_matrix(source)
     n = graph.n
     iperm = np.empty(n, dtype=np.int64)
 
-    # Work stack of (original-vertex-ids, lo, hi): fill iperm[lo:hi].
-    stack: list[tuple[np.ndarray, int, int]] = [
-        (np.arange(n, dtype=np.int64), 0, n)
+    # Work stack of (original-vertex-ids, lo, known-connected): the region
+    # fills iperm[lo : lo + size].
+    stack: list[tuple[np.ndarray, int, bool]] = [
+        (np.arange(n, dtype=np.int64), 0, False)
     ]
     while stack:
-        vertices, lo, hi = stack.pop()
+        vertices, lo, connected = stack.pop()
         size = vertices.size
-        assert hi - lo == size
+        hi = lo + size
         if size == 0:
             continue
         sub, mapping = graph.subgraph(vertices)
 
         # Disconnected regions: dissect each component independently.
-        comps = _split_components(sub, mapping)
-        if len(comps) > 1:
-            pos = lo
-            for comp_vertices in comps:
-                stack.append((comp_vertices, pos, pos + comp_vertices.size))
-                pos += comp_vertices.size
+        comp = None if connected else connected_components(sub)
+        if comp is not None and comp.max() > 0:
+            # Grouped by component, ascending inside each: already the
+            # final order of every component of one or two vertices (no
+            # separator exists and leaf orderings keep them in place), so
+            # only larger components go back on the stack.
+            members = mapping[np.argsort(comp, kind="stable")]
+            iperm[lo:hi] = members
+            sizes = np.bincount(comp)
+            starts = np.cumsum(sizes) - sizes
+            for c in np.flatnonzero(sizes > 2).tolist():
+                first = int(starts[c])
+                stack.append(
+                    (members[first: first + int(sizes[c])], lo + first, True)
+                )
             continue
 
         if size <= opts.leaf_size:
-            local = _order_leaf(sub, opts)
-            iperm[lo:hi] = mapping[local]
-            continue
-
-        if opts.separator == "multilevel":
+            sep = pa = pb = vertices[:0]
+        elif opts.separator == "multilevel":
             part = multilevel_bisection(sub, seed=opts.seed)
             sep, pa, pb = separator_from_edge_cut(sub, part)
         else:
             sep, pa, pb = level_set_separator(sub)
 
         if sep.size == 0 or pa.size == 0 or pb.size == 0:
-            # Separation failed (dense or tiny graph): order locally.
-            local = _order_leaf(sub, opts)
-            iperm[lo:hi] = mapping[local]
+            # A leaf, or separation failed (dense or tiny graph): order
+            # the region locally.
+            iperm[lo:hi] = mapping[_order_leaf(sub, opts)]
             continue
 
         # Layout: [A | B | separator]; separator gets the last positions.
         sep_lo = hi - sep.size
         iperm[sep_lo:hi] = mapping[sep]
-        stack.append((mapping[pa], lo, lo + pa.size))
-        stack.append((mapping[pb], lo + pa.size, sep_lo))
+        stack.append((mapping[pa], lo, False))
+        stack.append((mapping[pb], lo + pa.size, False))
 
     return Permutation.from_iperm(iperm)

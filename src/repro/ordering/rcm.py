@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.bfs import bfs_levels, pseudo_peripheral_vertex
+from repro.graph.bfs import connected_components, pseudo_peripheral_vertex
 from repro.ordering.perm import Permutation
 
 __all__ = ["reverse_cuthill_mckee"]
@@ -20,18 +20,18 @@ def reverse_cuthill_mckee(graph: Graph) -> Permutation:
     reversed.  Returned as scatter-form :class:`Permutation`.
     """
     n = graph.n
+    if n == 0:
+        return Permutation.identity(0)
     deg = graph.degrees()
     visited = np.zeros(n, dtype=bool)
     order: list[int] = []
     xadj, adjncy = graph.xadj, graph.adjncy
 
-    for comp_seed in range(n):
-        if visited[comp_seed]:
-            continue
-        # Restrict the pseudo-peripheral search to this component via BFS.
-        comp_levels = bfs_levels(graph, comp_seed)
-        comp = np.flatnonzero((comp_levels >= 0) & ~visited)
-        sub, mapping = graph.subgraph(comp)
+    comp = connected_components(graph)
+    by_comp = np.argsort(comp, kind="stable")
+    for members in np.split(by_comp, np.cumsum(np.bincount(comp))[:-1]):
+        # Restrict the pseudo-peripheral search to this component.
+        sub, mapping = graph.subgraph(members)
         start_local, _ = pseudo_peripheral_vertex(sub, 0)
         start = int(mapping[start_local])
 

@@ -49,12 +49,12 @@ import time
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.core.factor import NumericFactor
 from repro.core.factorization import contributing_cblks
 from repro.dag.builder import get_dag
 from repro.dag.tasks import TaskKind
+from repro.kernels.dense import triangular_solve
 from repro.kernels.panel import (
     panel_factorize,
     panel_update,
@@ -1194,9 +1194,8 @@ class _ThreadedSolve:
         rhs = x[f:l]
         for j, cm in self.sources[k]:
             rhs[cm.cols_local] -= slabs[j][cm.i0: cm.i1]
-        y = sla.solve_triangular(
-            panel[:w, :w], rhs, lower=True,
-            unit_diagonal=factor.factotype != "llt", check_finite=False,
+        y = triangular_solve(
+            panel[:w, :w], rhs, lower=True, unit=factor.factotype != "llt"
         )
         x[f:l] = y
         if panel.shape[0] > w:
@@ -1217,14 +1216,11 @@ class _ThreadedSolve:
             rhs = rhs - tall[w:, :].T @ x[factor.rows[k][w:]]
         if lu:
             # Packed LU: the diagonal block's upper triangle is U11.
-            x[f:l] = sla.solve_triangular(
-                panel[:w, :w], rhs, lower=False, check_finite=False
-            )
+            x[f:l] = triangular_solve(panel[:w, :w], rhs, lower=False)
         else:
-            x[f:l] = sla.solve_triangular(
+            x[f:l] = triangular_solve(
                 panel[:w, :w], rhs, lower=True,
-                unit_diagonal=factor.factotype == "ldlt", trans="T",
-                check_finite=False,
+                unit=factor.factotype == "ldlt", trans=True,
             )
 
 

@@ -23,7 +23,21 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["SparseMatrixCSC", "coo_to_csc"]
+__all__ = ["SparseMatrixCSC", "coo_to_csc", "bucket_pointers", "entry_owners"]
+
+
+def bucket_pointers(index: np.ndarray, n: int) -> np.ndarray:
+    """``ptr`` (length ``n + 1``) with ``ptr[i + 1] - ptr[i]`` = how many
+    entries of ``index`` equal ``i``: ``colptr`` from sorted column ids."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def entry_owners(ptr: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`bucket_pointers`: the bucket of every entry (the
+    column of every CSC entry, the source of every adjacency entry)."""
+    return np.repeat(np.arange(ptr.size - 1, dtype=np.int64), np.diff(ptr))
 
 
 def coo_to_csc(
@@ -50,34 +64,28 @@ def coo_to_csc(
     if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
         raise ValueError("column index out of range")
 
-    # Column-major sort: key = col * n_rows + row fits in int64 for any
-    # matrix we can hold in memory.
-    order = np.lexsort((rows, cols))
-    rows = rows[order]
-    cols = cols[order]
+    # Column-major sort on one key (fits int64 for any matrix that fits in
+    # memory); only the summation order of duplicate values needs it stable.
+    key = cols * n_rows + rows
+    stable = sum_duplicates and values is not None
+    order = np.argsort(key, kind="stable" if stable else None)
+    key, rows, cols = key[order], rows[order], cols[order]
     vals = None if values is None else np.asarray(values)[order]
 
-    if rows.size:
-        dup = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
-        if dup.size:
-            if not sum_duplicates:
-                raise ValueError(f"{dup.size} duplicate coordinates")
-            keep = np.ones(rows.size, dtype=bool)
-            keep[dup + 1] = False
-            if vals is not None:
-                # Accumulate runs of duplicates onto the first entry of
-                # each run via a segmented reduction.
-                seg = np.cumsum(keep) - 1
-                acc = np.zeros(int(seg[-1]) + 1, dtype=vals.dtype)
-                np.add.at(acc, seg, vals)
-                vals = acc
-            rows = rows[keep]
-            cols = cols[keep]
-
-    colptr = np.zeros(n_cols + 1, dtype=np.int64)
-    np.add.at(colptr, cols + 1, 1)
-    np.cumsum(colptr, out=colptr)
-    return SparseMatrixCSC(n_rows, n_cols, colptr, rows, vals)
+    keep = np.ones(key.size, dtype=bool)
+    keep[1:] = key[1:] != key[:-1]
+    if not keep.all():
+        if not sum_duplicates:
+            raise ValueError(f"{np.count_nonzero(~keep)} duplicate coordinates")
+        if vals is not None:
+            # Accumulate each run of duplicates onto its first entry.
+            first = np.zeros(np.count_nonzero(keep), dtype=vals.dtype)
+            np.add.at(first, np.cumsum(keep) - 1, vals)
+            vals = first
+        rows, cols = rows[keep], cols[keep]
+    return SparseMatrixCSC(
+        n_rows, n_cols, bucket_pointers(cols, n_cols), rows, vals
+    )
 
 
 @dataclass
@@ -146,10 +154,10 @@ class SparseMatrixCSC:
         if self.rowind.size:
             if self.rowind.min() < 0 or self.rowind.max() >= self.n_rows:
                 raise ValueError("row index out of range")
-        for j in range(self.n_cols):
-            c = self.col(j)
-            if c.size > 1 and np.any(np.diff(c) <= 0):
-                raise ValueError(f"column {j} not strictly sorted")
+        cols = entry_owners(self.colptr)
+        unsorted = (cols[1:] == cols[:-1]) & (np.diff(self.rowind) <= 0)
+        if unsorted.any():
+            raise ValueError(f"column {cols[1:][unsorted][0]} not strictly sorted")
         if self.values is not None and self.values.shape != self.rowind.shape:
             raise ValueError("values misaligned with rowind")
 
@@ -158,10 +166,7 @@ class SparseMatrixCSC:
     # ------------------------------------------------------------------
     def to_coo(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Return ``(rows, cols, values)`` coordinate arrays."""
-        cols = np.repeat(
-            np.arange(self.n_cols, dtype=np.int64), np.diff(self.colptr)
-        )
-        return self.rowind.copy(), cols, (
+        return self.rowind.copy(), entry_owners(self.colptr), (
             None if self.values is None else self.values.copy()
         )
 
@@ -241,11 +246,15 @@ class SparseMatrixCSC:
         if not self.is_square:
             raise ValueError("symmetrize requires a square matrix")
         rows, cols, _ = self.to_coo()
+        # Sorted by row (stably, so columns ascend within a row), a
+        # symmetric pattern is its own column-major listing with rows and
+        # columns swapped: the common case, and nothing to add then.
+        by_row = np.argsort(rows, kind="stable")
+        if np.array_equal(rows[by_row], cols) and np.array_equal(cols[by_row], rows):
+            return self.pattern()
         allr = np.concatenate([rows, cols])
         allc = np.concatenate([cols, rows])
-        m = coo_to_csc(self.n_rows, self.n_cols, allr, allc,
-                       np.zeros(allr.size), sum_duplicates=True)
-        return m.pattern()
+        return coo_to_csc(self.n_rows, self.n_cols, allr, allc)
 
     def symmetrize_values(self) -> "SparseMatrixCSC":
         """Numeric :math:`(A + A^T) / 2` — handy for building SPD tests."""
@@ -319,17 +328,20 @@ class SparseMatrixCSC:
         if self.values is None:
             raise ValueError("pattern-only matrix")
         x = np.asarray(x)
-        dtype = np.result_type(self.values.dtype, x.dtype)
-        cols = np.repeat(
-            np.arange(self.n_cols, dtype=np.int64), np.diff(self.colptr)
+        if x.ndim not in (1, 2) or x.shape[0] != self.n_cols:
+            raise ValueError(f"x has shape {x.shape}, not ({self.n_cols}[, k])")
+        # Entries are stored column by column: x[col] per entry is a repeat.
+        # A block goes one column at a time: no (nnz, k) temporary, and a
+        # 1-D ``np.add.at`` runs NumPy's indexed-loop fast path (the 2-D
+        # call has none) with the summation order it always had.
+        counts = np.diff(self.colptr)
+        out = np.zeros(
+            x.shape[1:] + (self.n_rows,),
+            dtype=np.result_type(self.values.dtype, x.dtype),
         )
-        if x.ndim == 1:
-            out = np.zeros(self.n_rows, dtype=dtype)
-            np.add.at(out, self.rowind, self.values * x[cols])
-        else:
-            out = np.zeros((self.n_rows, x.shape[1]), dtype=dtype)
-            np.add.at(out, self.rowind, self.values[:, None] * x[cols])
-        return out
+        for xj, oj in zip(np.atleast_2d(x.T), np.atleast_2d(out)):
+            np.add.at(oj, self.rowind, self.values * np.repeat(xj, counts))
+        return np.ascontiguousarray(out.T)
 
     def diagonal(self) -> np.ndarray:
         """Extract the diagonal as a dense vector (missing entries = 0)."""

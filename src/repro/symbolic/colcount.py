@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.csc import SparseMatrixCSC
+from repro.sparse.csc import SparseMatrixCSC, bucket_pointers, entry_owners
 
 __all__ = ["column_counts"]
 
@@ -35,17 +35,23 @@ def column_counts(
         Elimination tree and a postorder of it.
     """
     n = pattern.n_cols
-    colptr, rowind = pattern.colptr, pattern.rowind
+    # Python lists throughout: single-element indexing of an int64 array
+    # boxes a NumPy scalar per access.  Pass 2 reads the entries below the
+    # diagonal only, so only they convert.
+    cols = entry_owners(pattern.colptr)
+    lower = pattern.rowind > cols
+    ptr = bucket_pointers(cols[lower], n).tolist()
+    rows = pattern.rowind[lower].tolist()
+    parent, post = np.asarray(parent).tolist(), np.asarray(post).tolist()
 
-    delta = np.zeros(n, dtype=np.int64)
-    first = np.full(n, -1, dtype=np.int64)    # first descendant (postorder rank)
-    maxfirst = np.full(n, -1, dtype=np.int64)
-    prevleaf = np.full(n, -1, dtype=np.int64)
-    ancestor = np.arange(n, dtype=np.int64)   # union-find for LCAs
+    delta = [0] * n
+    first = [-1] * n      # first descendant (postorder rank)
+    maxfirst = [-1] * n
+    prevleaf = [-1] * n
+    ancestor = list(range(n))   # union-find for LCAs
 
     # Pass 1: first descendants and leaf deltas.
-    for k in range(n):
-        j = post[k]
+    for k, j in enumerate(post):
         delta[j] = 1 if first[j] == -1 else 0  # j is a leaf of the etree
         while j != -1 and first[j] == -1:
             first[j] = k
@@ -53,15 +59,15 @@ def column_counts(
 
     # Pass 2: process nodes in postorder; for each neighbour i > j decide
     # whether j is a (first or subsequent) leaf of i's row subtree.
-    for k in range(n):
-        j = post[k]
-        if parent[j] != -1:
-            delta[parent[j]] -= 1
-        for p in range(colptr[j], colptr[j + 1]):
-            i = rowind[p]
-            if i <= j or first[j] <= maxfirst[i]:
+    for j in post:
+        pj = parent[j]
+        if pj != -1:
+            delta[pj] -= 1
+        fj = first[j]
+        for i in rows[ptr[j]: ptr[j + 1]]:
+            if fj <= maxfirst[i]:
                 continue  # j is not a new leaf for row i
-            maxfirst[i] = first[j]
+            maxfirst[i] = fj
             jprev = prevleaf[i]
             prevleaf[i] = j
             delta[j] += 1
@@ -74,13 +80,12 @@ def column_counts(
                 while s != q:
                     s, ancestor[s] = ancestor[s], q
                 delta[q] -= 1
-        if parent[j] != -1:
-            ancestor[j] = parent[j]
+        if pj != -1:
+            ancestor[j] = pj
 
     # Pass 3: accumulate deltas up the tree in postorder.
     counts = delta
-    for k in range(n):
-        j = post[k]
+    for j in post:
         if parent[j] != -1:
             counts[parent[j]] += counts[j]
-    return counts
+    return np.asarray(counts, dtype=np.int64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sparse.csc import SparseMatrixCSC
+from repro.sparse.csc import SparseMatrixCSC, bucket_pointers, entry_owners
 
 __all__ = ["elimination_tree", "postorder", "tree_depths", "EliminationTree"]
 
@@ -30,13 +30,17 @@ def elimination_tree(pattern: SparseMatrixCSC) -> np.ndarray:
     n = pattern.n_cols
     if not pattern.is_square:
         raise ValueError("elimination tree needs a square matrix")
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    colptr = pattern.colptr
-    rowind = pattern.rowind
+    # The loop runs on Python lists: indexing an int64 array element by
+    # element boxes a NumPy scalar per access, ~5x the cost of a list.
+    # Only the entries above the diagonal drive it, so only they convert.
+    parent = [-1] * n
+    ancestor = [-1] * n
+    cols = entry_owners(pattern.colptr)
+    upper = pattern.rowind < cols
+    ptr = bucket_pointers(cols[upper], n).tolist()
+    rows = pattern.rowind[upper].tolist()
     for k in range(n):
-        for p in range(colptr[k], colptr[k + 1]):
-            i = rowind[p]
+        for i in rows[ptr[k]: ptr[k + 1]]:
             # Walk from i up to the root of its current subtree.
             while i != -1 and i < k:
                 nxt = ancestor[i]
@@ -44,7 +48,7 @@ def elimination_tree(pattern: SparseMatrixCSC) -> np.ndarray:
                 if nxt == -1:
                     parent[i] = k
                 i = nxt
-    return parent
+    return np.asarray(parent, dtype=np.int64)
 
 
 def postorder(parent: np.ndarray) -> np.ndarray:
@@ -55,18 +59,18 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     ascending index order, giving a deterministic result.
     """
     n = parent.size
+    parent = parent.tolist()   # list indexing, as in elimination_tree
     # Build child lists as a linked structure (head/next arrays) so the
     # traversal allocates nothing per node.
-    head = np.full(n, -1, dtype=np.int64)
-    nxt = np.full(n, -1, dtype=np.int64)
+    head = [-1] * n
+    nxt = [-1] * n
     # Iterate in reverse so each head list ends up in ascending order.
     for v in range(n - 1, -1, -1):
         p = parent[v]
         if p >= 0:
             nxt[v] = head[p]
             head[p] = v
-    post = np.empty(n, dtype=np.int64)
-    k = 0
+    post: list[int] = []
     stack: list[int] = []
     for root in range(n):
         if parent[root] != -1:
@@ -79,18 +83,18 @@ def postorder(parent: np.ndarray) -> np.ndarray:
                 head[node] = nxt[child]  # consume the child edge
                 stack.append(child)
             else:
-                post[k] = node
-                k += 1
+                post.append(node)
                 stack.pop()
-    if k != n:
+    if len(post) != n:
         raise ValueError("parent array contains a cycle")
-    return post
+    return np.asarray(post, dtype=np.int64)
 
 
 def tree_depths(parent: np.ndarray) -> np.ndarray:
     """Depth of every node (roots have depth 0)."""
     n = parent.size
-    depth = np.full(n, -1, dtype=np.int64)
+    parent = parent.tolist()
+    depth = [-1] * n
     for v in range(n):
         # Walk up until a node with a known depth, then unwind.
         path = []
@@ -102,7 +106,7 @@ def tree_depths(parent: np.ndarray) -> np.ndarray:
         for node in reversed(path):
             depth[node] = d
             d += 1
-    return depth
+    return np.asarray(depth, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.sparse.csc import bucket_pointers, entry_owners
+
 __all__ = ["SymbolMatrix", "CBlk", "Blok", "build_symbol"]
 
 
@@ -173,10 +175,7 @@ class SymbolMatrix:
     def _build_facing_index(self) -> None:
         offdiag = np.flatnonzero(self.blok_face != self.blok_owner)
         order = offdiag[np.argsort(self.blok_face[offdiag], kind="stable")]
-        face_ptr = np.zeros(self.n_cblk + 1, dtype=np.int64)
-        np.add.at(face_ptr, self.blok_face[offdiag] + 1, 1)
-        np.cumsum(face_ptr, out=face_ptr)
-        self.face_ptr = face_ptr
+        self.face_ptr = bucket_pointers(self.blok_face[offdiag], self.n_cblk)
         self.face_list = order.astype(np.int64)
 
     # ------------------------------------------------------------------
@@ -252,46 +251,36 @@ def build_symbol(
     single facing cblk; runs become off-diagonal bloks.
     """
     K = snptr.size - 1
-    col2cblk = np.empty(n, dtype=np.int64)
-    for k in range(K):
-        col2cblk[snptr[k]: snptr[k + 1]] = k
+    snptr = snptr.astype(np.int64)
+    cblks = np.arange(K, dtype=np.int64)
+    col2cblk = entry_owners(snptr)
 
-    frows: list[int] = []
-    lrows: list[int] = []
-    faces: list[int] = []
-    owners: list[int] = []
-    blok_ptr = np.zeros(K + 1, dtype=np.int64)
+    # Every below row with its owning and facing cblk, all panels at once.
+    rows = (np.concatenate(rowsets) if K else np.empty(0)).astype(np.int64)
+    owner = np.repeat(cblks, [r.size for r in rowsets])
+    face = col2cblk[rows]
+    # A run (off-diagonal blok) breaks on a new panel, a row gap or a
+    # facing-cblk change.
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (
+        (owner[1:] != owner[:-1])
+        | (rows[1:] != rows[:-1] + 1)
+        | (face[1:] != face[:-1])
+    )
+    run_start = np.flatnonzero(first)
+    run_last = np.append(run_start, rows.size)[1:] - 1
 
-    for k in range(K):
-        f, l = int(snptr[k]), int(snptr[k + 1])
-        frows.append(f)
-        lrows.append(l)
-        faces.append(k)
-        owners.append(k)
-        nblk = 1
-        r = rowsets[k]
-        if r.size:
-            # Break runs on gaps or facing-cblk changes.
-            breaks = np.flatnonzero(
-                (np.diff(r) != 1) | (col2cblk[r[1:]] != col2cblk[r[:-1]])
-            )
-            starts = np.concatenate(([0], breaks + 1))
-            ends = np.concatenate((breaks, [r.size - 1]))
-            for s, e in zip(starts, ends):
-                frows.append(int(r[s]))
-                lrows.append(int(r[e]) + 1)
-                faces.append(int(col2cblk[r[s]]))
-                owners.append(k)
-            nblk += starts.size
-        blok_ptr[k + 1] = blok_ptr[k] + nblk
-
+    # Panel k's bloks: its diagonal blok, then its runs in row order —
+    # a stable sort by owner of (all diagonal bloks, then all runs).
+    blok_owner = np.concatenate([cblks, owner[run_start]])
+    order = np.argsort(blok_owner, kind="stable")
     return SymbolMatrix(
         n=n,
-        cblk_ptr=snptr.astype(np.int64).copy(),
-        blok_ptr=blok_ptr,
-        blok_frow=np.asarray(frows, dtype=np.int64),
-        blok_lrow=np.asarray(lrows, dtype=np.int64),
-        blok_face=np.asarray(faces, dtype=np.int64),
-        blok_owner=np.asarray(owners, dtype=np.int64),
+        cblk_ptr=snptr,
+        blok_ptr=bucket_pointers(blok_owner, K),
+        blok_frow=np.concatenate([snptr[:-1], rows[run_start]])[order],
+        blok_lrow=np.concatenate([snptr[1:], rows[run_last] + 1])[order],
+        blok_face=np.concatenate([cblks, face[run_start]])[order],
+        blok_owner=blok_owner[order],
         col2cblk=col2cblk,
     )

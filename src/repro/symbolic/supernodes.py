@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.csc import SparseMatrixCSC
+from repro.sparse.csc import SparseMatrixCSC, bucket_pointers, entry_owners
 
 __all__ = ["fundamental_supernodes", "supernode_row_sets", "amalgamate"]
 
@@ -33,14 +33,12 @@ def fundamental_supernodes(
     ``snptr[s]:snptr[s+1]``.
     """
     n = parent.size
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    starts = [0]
-    for j in range(1, n):
-        if not (parent[j - 1] == j and counts[j - 1] == counts[j] + 1):
-            starts.append(j)
-    starts.append(n)
-    return np.asarray(starts, dtype=np.int64)
+    # Column j starts a supernode unless it continues column j-1's.
+    starts = np.ones(n + 1, dtype=bool)
+    starts[1:n] = ~(
+        (parent[:-1] == np.arange(1, n)) & (counts[:-1] == counts[1:] + 1)
+    )
+    return np.flatnonzero(starts).astype(np.int64)
 
 
 def supernode_row_sets(
@@ -63,39 +61,43 @@ def supernode_row_sets(
 
     Returns ``(rowsets, parent_snode)``.
     """
-    n = pattern.n_cols
     K = snptr.size - 1
-    col2sn = np.empty(n, dtype=np.int64)
-    for s in range(K):
-        col2sn[snptr[s]: snptr[s + 1]] = s
+    col2sn = entry_owners(snptr)
 
+    # A's own contribution to every supernode in one pass: the entries
+    # below their supernode's last column (CSC order groups them).
+    entry_sn = np.repeat(col2sn, np.diff(pattern.colptr))
+    below = pattern.rowind >= snptr[entry_sn + 1]
+    a_rows = pattern.rowind[below]
+    a_ptr = bucket_pointers(entry_sn[below], K).tolist()
+
+    expected = (None if counts is None
+                else (counts[snptr[:-1]] - np.diff(snptr)).tolist())
+    lcols = snptr[1:].tolist()
     rowsets: list[np.ndarray] = [None] * K  # type: ignore[list-item]
-    parent_snode = np.full(K, -1, dtype=np.int64)
+    parent_snode = [-1] * K
     contrib: list[list[np.ndarray]] = [[] for _ in range(K)]
 
-    colptr, rowind = pattern.colptr, pattern.rowind
     for s in range(K):
-        f, l = int(snptr[s]), int(snptr[s + 1])
-        pieces = contrib[s]
-        arows = rowind[colptr[f]: colptr[l]]
-        pieces.append(arows[arows >= l])
-        merged = np.unique(np.concatenate(pieces)) if pieces else np.empty(0, np.int64)
-        merged = merged[merged >= l]
-        rowsets[s] = merged
+        merged = np.concatenate(contrib[s] + [a_rows[a_ptr[s]: a_ptr[s + 1]]])
         contrib[s] = []  # free the inputs eagerly
-        if counts is not None and merged.size != counts[f] - (l - f):
+        merged.sort()
+        keep = np.ones(merged.size, dtype=bool)
+        keep[1:] = merged[1:] != merged[:-1]
+        rowsets[s] = merged = merged[keep]
+        if expected is not None and merged.size != expected[s]:
             raise AssertionError(
                 f"supernode {s}: row set size {merged.size} != "
-                f"count-derived {counts[f] - (l - f)}"
+                f"count-derived {expected[s]}"
             )
         if merged.size:
             p = int(col2sn[merged[0]])
             parent_snode[s] = p
             # Contribution to the parent: rows beyond the parent's columns.
-            beyond = merged[merged >= snptr[p + 1]]
+            beyond = merged[np.searchsorted(merged, lcols[p]):]
             if beyond.size:
                 contrib[p].append(beyond)
-    return rowsets, parent_snode
+    return rowsets, np.asarray(parent_snode, dtype=np.int64)
 
 
 def _sn_nnz(width: int, nrows: int) -> int:
@@ -123,44 +125,41 @@ def amalgamate(
     ``ratio = 0`` performs only zero-fill merges.  ``max_width`` caps the
     merged supernode width (useful when the splitting stage is disabled).
 
+    ``rowsets``/``parent_snode`` must come from a block symbolic
+    factorization (:func:`supernode_row_sets`): there a child's rows
+    beyond its parent's columns are a subset of the parent's rows, so a
+    merged supernode keeps exactly its parent's row set and a merge's fill
+    follows from two widths and two row counts — no set union per
+    candidate, O(#supernodes) heap work in all.
+
     Returns the new ``(snptr, rowsets)``.
     """
     import heapq
 
     K = snptr.size - 1
-    fcol = snptr[:-1].astype(np.int64).copy()
-    lcol = snptr[1:].astype(np.int64).copy()   # exclusive
-    rows: list[np.ndarray] = list(rowsets)
-    parent = parent_snode.copy()
-    alive = np.ones(K, dtype=bool)
-    version = np.zeros(K, dtype=np.int64)
+    fcol = snptr[:-1].tolist()
+    lcol = snptr[1:].tolist()   # exclusive
+    nrows = [r.size for r in rowsets]
+    parent = parent_snode.tolist()
+    alive = [True] * K
+    version = [0] * K
     children: list[list[int]] = [[] for _ in range(K)]
     for s in range(K):
         if parent[s] >= 0:
             children[parent[s]].append(s)
 
-    nnz_exact = sum(
-        _sn_nnz(int(lcol[s] - fcol[s]), rows[s].size) for s in range(K)
+    budget = ratio * sum(
+        _sn_nnz(lcol[s] - fcol[s], nrows[s]) for s in range(K)
     )
-    budget = ratio * nnz_exact
-
-    def merge_cost(c: int, p: int) -> tuple[int, np.ndarray]:
-        wc = int(lcol[c] - fcol[c])
-        wp = int(lcol[p] - fcol[p])
-        old = _sn_nnz(wc, rows[c].size) + _sn_nnz(wp, rows[p].size)
-        merged_rows = np.union1d(rows[p], rows[c][rows[c] >= lcol[p]])
-        new = _sn_nnz(wc + wp, merged_rows.size)
-        return new - old, merged_rows
-
     heap: list[tuple[int, int, int, int, int]] = []
 
     def push_candidate(c: int, p: int) -> None:
-        if max_width is not None and (
-            (lcol[p] - fcol[p]) + (lcol[c] - fcol[c]) > max_width
-        ):
+        wc, wp = lcol[c] - fcol[c], lcol[p] - fcol[p]
+        if max_width is not None and wp + wc > max_width:
             return
-        fill, _ = merge_cost(c, p)
-        heapq.heappush(heap, (fill, c, p, int(version[c]), int(version[p])))
+        fill = (_sn_nnz(wc + wp, nrows[p])
+                - _sn_nnz(wc, nrows[c]) - _sn_nnz(wp, nrows[p]))
+        heapq.heappush(heap, (fill, c, p, version[c], version[p]))
 
     for s in range(K):
         p = parent[s]
@@ -176,11 +175,9 @@ def amalgamate(
         if fill > budget:
             # Cheapest remaining merge exceeds the budget: done.
             break
-        # Recompute rows (cheap) and merge c into p.
-        _, merged_rows = merge_cost(c, p)
+        # Merge c into p: p grows downwards and keeps its rows.
         budget -= fill
         fcol[p] = fcol[c]
-        rows[p] = merged_rows
         alive[c] = False
         version[p] += 1
         for g in children[c]:
@@ -196,11 +193,13 @@ def amalgamate(
             if alive[g] and lcol[g] == fcol[p]:
                 push_candidate(g, p)
 
-    keep = np.flatnonzero(alive)
-    order = keep[np.argsort(fcol[keep])]
-    new_snptr = np.concatenate([fcol[order], [lcol[order[-1]]]]) if order.size else np.zeros(1, np.int64)
+    order = sorted((s for s in range(K) if alive[s]), key=fcol.__getitem__)
+    if not order:
+        return np.zeros(1, np.int64), []
+    new_snptr = np.asarray(
+        [fcol[s] for s in order] + [lcol[order[-1]]], dtype=np.int64
+    )
     # Sanity: contiguous partition.
-    if order.size and not np.array_equal(new_snptr[1:-1], lcol[order[:-1]]):
+    if not np.array_equal(new_snptr[1:-1], [lcol[s] for s in order[:-1]]):
         raise AssertionError("amalgamation produced a non-contiguous partition")
-    new_rowsets = [rows[s] for s in order]
-    return new_snptr.astype(np.int64), new_rowsets
+    return new_snptr, [rowsets[s] for s in order]

@@ -71,3 +71,37 @@ def no_unit_floor(monkeypatch):
     memoised per symbol, so tests using this analyze their own symbol.
     """
     monkeypatch.setattr("repro.dag.builder.MIN_UNIT_FLOPS", 0.0)
+
+
+#: 300 vertices in 40 components, from singletons to one of 116 (the
+#: one-pass component split of nested dissection must lay them out as
+#: the per-component recursion did).
+COMPONENT_SIZES = [1, 1, 2, 2, 3, 3, 4, 5] * 4 + [7, 9, 11, 13, 16, 20, 24, 116]
+
+
+def many_component_matrix(sizes, seed: int) -> SparseMatrixCSC:
+    """SPD matrix whose graph has exactly ``len(sizes)`` connected
+    components (of those sizes), their vertices interleaved by a seeded
+    permutation: a random spanning path plus a few chords per component.
+    """
+    rng = np.random.default_rng(seed)
+    u, v = [], []
+    offset = 0
+    for size in sizes:
+        path = offset + rng.permutation(size)
+        chords = offset + rng.integers(0, size, (2, size // 3))
+        u += [path[:-1], chords[0]]
+        v += [path[1:], chords[1]]
+        offset += size
+    n = offset
+    u, v = np.concatenate(u), np.concatenate(v)
+    scatter = rng.permutation(n)
+    diag = np.arange(n)
+    pattern = coo_to_csc(
+        n, n,
+        np.concatenate([scatter[u], scatter[v], diag]),
+        np.concatenate([scatter[v], scatter[u], diag]),
+    )
+    cols = np.repeat(diag, np.diff(pattern.colptr))
+    pattern.values = np.where(pattern.rowind == cols, 2.0 * n, -1.0)
+    return pattern

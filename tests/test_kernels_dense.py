@@ -11,6 +11,7 @@ from repro.kernels.dense import (
     getrf_nopiv,
     ldlt_nopiv,
     potrf,
+    triangular_solve,
     trsm_lower_right,
     trsm_unit_lower_left,
 )
@@ -240,6 +241,117 @@ class TestTrsm:
         b = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         x = trsm_lower_right(L, b)
         assert np.allclose(x @ L.T, b)  # .T, never .conj().T
+
+
+def _triangle(w, cplx, lower, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((w, w))
+    if cplx:
+        a = a + 1j * rng.standard_normal((w, w))
+    a += np.diag(np.full(w, 4.0 + w))
+    # The other triangle holds garbage on purpose: it must not be read.
+    return a, (np.tril(a) if lower else np.triu(a))
+
+
+class TestTriangularSolve:
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("unit", [False, True])
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("nrhs", [None, 1, 5])
+    def test_matches_scipy(self, cplx, lower, unit, trans, nrhs):
+        w = 7
+        a, tri = _triangle(w, cplx, lower, seed=w + 2 * lower + unit)
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((w,) if nrhs is None else (w, nrhs))
+        if cplx:
+            b = b + 1j * rng.standard_normal(b.shape)
+        ref = sla.solve_triangular(a, b, lower=lower, unit_diagonal=unit,
+                                   trans="T" if trans else "N")
+        x = triangular_solve(a, b, lower=lower, unit=unit, trans=trans)
+        assert x.shape == b.shape and x.dtype == b.dtype
+        assert np.allclose(x, ref, rtol=1e-14, atol=1e-14)
+        # ... and it solves the system it claims to, plain transpose.
+        if unit:
+            tri = tri - np.diag(np.diag(tri)) + np.eye(w)
+        assert np.allclose((tri.T if trans else tri) @ x, b)
+
+    @pytest.mark.parametrize("nrhs", [None, 4])
+    def test_any_memory_layout(self, nrhs):
+        w = 6
+        a, _ = _triangle(w, False, True, seed=1)
+        rng = np.random.default_rng(2)
+        b = rng.standard_normal((w,) if nrhs is None else (w, nrhs))
+        ref = sla.solve_triangular(a, b, lower=True)
+        panel = np.zeros((3 * w, w))
+        panel[:w] = a                      # C-ordered panel slice
+        wide = np.zeros((w, 2 * w))
+        wide[:, ::2] = a                   # neither C- nor F-contiguous
+        big_b = np.zeros((2 * w,) + b.shape[1:])
+        big_b[::2] = b
+        for aa in (a, np.asfortranarray(a), panel[:w, :w], wide[:, ::2]):
+            for bb in (b, np.asfortranarray(b), big_b[::2]):
+                x = triangular_solve(aa, bb, lower=True)
+                assert np.allclose(x, ref, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(panel[:w], a) and np.array_equal(big_b[::2], b)
+
+    def test_inputs_not_overwritten(self):
+        a, _ = _triangle(5, False, True, seed=4)
+        b = np.asfortranarray(np.random.default_rng(5).standard_normal((5, 3)))
+        a0, b0 = a.copy(), b.copy()
+        triangular_solve(a, b, lower=True)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_zero_on_the_diagonal_raises_linalgerror(self, lower):
+        a, _ = _triangle(4, False, lower, seed=6)
+        a[2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 2"):
+            triangular_solve(a, np.ones(4), lower=lower)
+        with pytest.raises(np.linalg.LinAlgError):
+            sla.solve_triangular(a, np.ones(4), lower=lower)
+        # ... unless the diagonal is declared unit, as SciPy has it.
+        x = triangular_solve(a, np.ones(4), lower=lower, unit=True)
+        assert np.all(np.isfinite(x))
+
+    def test_illegal_argument_raises_valueerror(self, monkeypatch):
+        def bad_trtrs(a, b, **kwargs):
+            return b, -3
+
+        monkeypatch.setitem(dense._TRTRS, np.dtype(np.float64), bad_trtrs)
+        with pytest.raises(ValueError, match="3-th argument"):
+            triangular_solve(np.eye(2), np.ones(2), lower=True)
+
+    @pytest.mark.parametrize("a_dtype,b_dtype", [
+        (np.float32, np.float32), (np.float64, np.complex128),
+        (np.float64, np.int64),
+    ])
+    def test_other_dtypes_go_to_scipy(self, monkeypatch, a_dtype, b_dtype):
+        def boom(*args, **kwargs):
+            raise AssertionError("held LAPACK handle used for a foreign dtype")
+
+        for dt in list(dense._TRTRS):
+            monkeypatch.setitem(dense._TRTRS, dt, boom)
+        a = (np.tril(np.ones((3, 3))) + 2 * np.eye(3)).astype(a_dtype)
+        b = np.arange(1, 4).astype(b_dtype)
+        x = triangular_solve(a, b, lower=True)
+        assert np.allclose(a @ x, b, atol=1e-5)
+
+    def test_empty_block_of_right_hand_sides(self):
+        x = triangular_solve(np.eye(3), np.empty((3, 0)), lower=True)
+        assert x.shape == (3, 0)
+
+    def test_every_solver_call_site_uses_the_helper(self):
+        """A raw ``trtrs`` and SciPy's wrapper may differ in the last bit,
+        so threaded ≡ sequential only holds if nobody calls SciPy's."""
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        for rel in ("core/triangular.py", "runtime/threaded.py",
+                    "kernels/panel.py"):
+            assert "solve_triangular" not in (root / rel).read_text(), rel
 
 
 @settings(max_examples=20, deadline=None)

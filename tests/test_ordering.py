@@ -112,6 +112,52 @@ class TestRCM:
         assert p.n == 5
 
 
+def _minimum_degree_with_sets(graph: Graph) -> np.ndarray:
+    """Reference quotient-graph minimum degree on Python ``set`` objects
+    (exact external degree, lowest index on ties); returns ``iperm``."""
+    import heapq
+
+    n = graph.n
+    nbr = [set(graph.neighbors(v).tolist()) for v in range(n)]
+    elems = [set() for _ in range(n)]
+    elem_vars = {}
+    eliminated = [False] * n
+
+    def reach(v):
+        r = set(nbr[v])
+        for e in elems[v]:
+            r |= elem_vars[e]
+        r.discard(v)
+        return r
+
+    degree = [len(nbr[v]) for v in range(n)]
+    heap = [(degree[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    iperm = []
+    for _ in range(n):
+        while True:
+            d, v = heapq.heappop(heap)
+            if not eliminated[v] and d == degree[v]:
+                break
+        eliminated[v] = True
+        iperm.append(v)
+        r = reach(v)
+        absorbed = elems[v]
+        elem_vars[v] = r
+        for e in absorbed:
+            del elem_vars[e]
+        for u in r:
+            nbr[u].discard(v)
+            nbr[u] -= r
+            elems[u] -= absorbed
+            elems[u].add(v)
+            degree[u] = len(reach(u))
+            heapq.heappush(heap, (degree[u], u))
+        nbr[v].clear()
+        elems[v] = set()
+    return np.asarray(iperm, dtype=np.int64)
+
+
 class TestMinimumDegree:
     def test_is_permutation(self):
         g = Graph.from_matrix(grid_laplacian_2d(5))
@@ -134,6 +180,22 @@ class TestMinimumDegree:
         # The hub keeps degree >= 2 until only two vertices remain, so it
         # must be one of the last two eliminated.
         assert p.perm[0] >= n - 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 70), avg_deg=st.floats(0.5, 9.0),
+           seed=st.integers(0, 10_000))
+    def test_equals_the_set_based_reference(self, n, avg_deg, seed):
+        rng = np.random.default_rng(seed)
+        m = int(n * avg_deg / 2)
+        u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+        g = Graph.from_edges(n, u[u != v], v[u != v])
+        assert np.array_equal(minimum_degree(g).iperm,
+                              _minimum_degree_with_sets(g))
+
+    def test_reference_agrees_on_a_grid(self):
+        g = Graph.from_matrix(grid_laplacian_2d(9))
+        assert np.array_equal(minimum_degree(g).iperm,
+                              _minimum_degree_with_sets(g))
 
     def test_rejects_unknown_tiebreak(self):
         g = Graph.from_matrix(grid_laplacian_2d(3))

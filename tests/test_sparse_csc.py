@@ -206,3 +206,155 @@ def test_property_symmetrize_is_symmetric(n, seed):
     m = SparseMatrixCSC.from_dense(d)
     s = m.symmetrize_pattern().to_dense()
     assert np.array_equal(s, s.T)
+
+
+# ----------------------------------------------------------------------
+# matvec and coo_to_csc against the loops they replaced
+# ----------------------------------------------------------------------
+def _matvec_add_at(m: SparseMatrixCSC, x: np.ndarray) -> np.ndarray:
+    """The ``np.add.at`` mat-vec ``matvec`` replaced (the exact oracle:
+    same products, same summation order)."""
+    x = np.asarray(x)
+    cols = np.repeat(np.arange(m.n_cols), np.diff(m.colptr))
+    prod = m.values * x[cols] if x.ndim == 1 else m.values[:, None] * x[cols]
+    out = np.zeros((m.n_rows,) + x.shape[1:],
+                   dtype=np.result_type(m.values.dtype, x.dtype))
+    np.add.at(out, m.rowind, prod)
+    return out
+
+
+def _coo_to_csc_lexsort(n_rows, n_cols, rows, cols, vals):
+    """The ``lexsort`` + ``np.add.at`` construction ``coo_to_csc`` replaced."""
+    rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+    order = np.lexsort((rows, cols))
+    rows, cols = rows[order], cols[order]
+    vals = None if vals is None else np.asarray(vals)[order]
+    keep = np.ones(rows.size, dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    if vals is not None and rows.size:
+        acc = np.zeros(int(keep.sum()), dtype=vals.dtype)
+        np.add.at(acc, np.cumsum(keep) - 1, vals)
+        vals = acc
+    colptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.add.at(colptr, cols[keep] + 1, 1)
+    return np.cumsum(colptr), rows[keep], vals
+
+
+def _random_matrix(rng, n_rows, n_cols, cplx, density=0.35):
+    d = rng.standard_normal((n_rows, n_cols))
+    if cplx:
+        d = d + 1j * rng.standard_normal((n_rows, n_cols))
+    d = d * (rng.random((n_rows, n_cols)) < density)
+    if n_rows > 2:
+        d[1, :] = 0  # a row with no entries
+    return SparseMatrixCSC.from_dense(d)
+
+
+_X_KINDS = ("real", "complex", "int")
+
+
+def _random_x(rng, shape, kind):
+    if kind == "int":
+        return rng.integers(-5, 6, size=shape)
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if kind == "complex" else x
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_rows=st.integers(1, 14), n_cols=st.integers(1, 14),
+    cplx=st.booleans(), x_kind=st.sampled_from(_X_KINDS),
+    k=st.sampled_from([None, 1, 2, 5]),
+    layout=st.sampled_from(["c", "f", "strided"]),
+    seed=st.integers(0, 10_000),
+)
+def test_property_matvec_is_the_add_at_matvec(n_rows, n_cols, cplx, x_kind,
+                                              k, layout, seed):
+    rng = np.random.default_rng(seed)
+    m = _random_matrix(rng, n_rows, n_cols, cplx)
+    shape = (n_cols,) if k is None else (n_cols, k)
+    if layout == "strided":
+        x = _random_x(rng, (2 * n_cols,) + shape[1:], x_kind)[::2]
+    else:
+        x = _random_x(rng, shape, x_kind)
+        if layout == "f":
+            x = np.asfortranarray(x)
+    got, ref = m.matvec(x), _matvec_add_at(m, x)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+
+
+class TestMatvecEdges:
+    def test_empty_matrix(self):
+        m = coo_to_csc(0, 0, [], [], np.empty(0))
+        assert m.matvec(np.empty(0)).shape == (0,)
+        assert m.matvec(np.empty((0, 3))).shape == (0, 3)
+
+    def test_no_entries_gives_zeros(self):
+        m = coo_to_csc(3, 2, [], [], np.empty(0))
+        assert np.array_equal(m.matvec(np.ones(2)), np.zeros(3))
+        assert np.array_equal(m.matvec(np.ones((2, 4))), np.zeros((3, 4)))
+
+    def test_float32_values_keep_their_precision(self):
+        m = _random_matrix(np.random.default_rng(0), 6, 6, False)
+        m32 = SparseMatrixCSC(6, 6, m.colptr, m.rowind,
+                              m.values.astype(np.float32))
+        x = np.random.default_rng(1).standard_normal(6).astype(np.float32)
+        got = m32.matvec(x)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, _matvec_add_at(m32, x))
+
+    def test_wrong_length_rejected(self):
+        m = SparseMatrixCSC.identity(3)
+        for bad in (np.ones(4), np.ones((2, 2)), np.ones((3, 1, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                m.matvec(bad)
+
+    def test_pattern_only_rejected_for_blocks_too(self):
+        with pytest.raises(ValueError, match="pattern"):
+            SparseMatrixCSC.identity(3).pattern().matvec(np.ones((3, 2)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_rows=st.integers(1, 9), n_cols=st.integers(1, 9),
+    nnz=st.integers(0, 60), kind=st.sampled_from(["real", "complex", "none"]),
+    presorted=st.booleans(), seed=st.integers(0, 10_000),
+)
+def test_property_coo_to_csc_is_the_lexsort_construction(
+        n_rows, n_cols, nnz, kind, presorted, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n_rows, nnz)
+    cols = rng.integers(0, n_cols, nnz)
+    if presorted:
+        order = np.lexsort((rows, cols))
+        rows, cols = rows[order], cols[order]
+    vals = None if kind == "none" else _random_x(rng, nnz, kind)
+    colptr, rowind, values = _coo_to_csc_lexsort(n_rows, n_cols, rows, cols,
+                                                 vals)
+    m = coo_to_csc(n_rows, n_cols, rows, cols, vals)
+    m.check()
+    assert np.array_equal(m.colptr, colptr)
+    assert np.array_equal(m.rowind, rowind)
+    if vals is None:
+        assert m.values is None
+    else:
+        assert m.values.dtype == values.dtype
+        assert np.array_equal(m.values, values)   # same summation order
+    has_duplicates = rowind.size < nnz
+    if has_duplicates:
+        with pytest.raises(ValueError, match="duplicate"):
+            coo_to_csc(n_rows, n_cols, rows, cols, vals, sum_duplicates=False)
+    else:
+        strict = coo_to_csc(n_rows, n_cols, rows, cols, vals,
+                            sum_duplicates=False)
+        assert np.array_equal(strict.rowind, rowind)
+        assert np.array_equal(strict.colptr, colptr)
+        if vals is not None:
+            assert np.array_equal(strict.values, values)
+
+
+def test_coo_to_csc_sums_integer_values_as_integers():
+    m = coo_to_csc(2, 2, [0, 0, 1], [0, 0, 1], np.array([1, 2, 5]))
+    assert m.values.dtype == np.array([1]).dtype
+    assert m.values.tolist() == [3, 5]

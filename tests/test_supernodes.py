@@ -126,6 +126,74 @@ class TestRowSets:
             supernode_row_sets(pat, snptr, bad)
 
 
+def _amalgamate_by_set_union(snptr, rowsets, parent_snode, ratio, max_width):
+    """Reference amalgamation: every candidate's fill from an explicit
+    ``np.union1d`` of the two row sets (what ``amalgamate`` did before it
+    used the nesting of the row structures)."""
+    import heapq
+
+    def nnz(width, nrows):
+        return width * (width + 1) // 2 + width * nrows
+
+    K = snptr.size - 1
+    fcol, lcol = snptr[:-1].copy(), snptr[1:].copy()
+    rows = list(rowsets)
+    parent = parent_snode.copy()
+    alive = np.ones(K, dtype=bool)
+    version = np.zeros(K, dtype=np.int64)
+    children = [[] for _ in range(K)]
+    for s in range(K):
+        if parent[s] >= 0:
+            children[parent[s]].append(s)
+    budget = ratio * sum(
+        nnz(int(lcol[s] - fcol[s]), rows[s].size) for s in range(K))
+
+    def merge_cost(c, p):
+        wc, wp = int(lcol[c] - fcol[c]), int(lcol[p] - fcol[p])
+        merged = np.union1d(rows[p], rows[c][rows[c] >= lcol[p]])
+        old = nnz(wc, rows[c].size) + nnz(wp, rows[p].size)
+        return nnz(wc + wp, merged.size) - old, merged
+
+    heap = []
+
+    def push(c, p):
+        if max_width is not None and (
+                (lcol[p] - fcol[p]) + (lcol[c] - fcol[c]) > max_width):
+            return
+        heapq.heappush(heap, (merge_cost(c, p)[0], c, p,
+                              int(version[c]), int(version[p])))
+
+    for s in range(K):
+        if parent[s] >= 0 and lcol[s] == fcol[parent[s]]:
+            push(s, parent[s])
+    while heap:
+        fill, c, p, vc, vp = heapq.heappop(heap)
+        if not (alive[c] and alive[p]) or version[c] != vc or version[p] != vp:
+            continue
+        if fill > budget:
+            break
+        budget -= fill
+        rows[p] = merge_cost(c, p)[1]
+        fcol[p] = fcol[c]
+        alive[c] = False
+        version[p] += 1
+        for g in children[c]:
+            if alive[g]:
+                parent[g] = p
+                children[p].append(g)
+        children[c] = []
+        gp = parent[p]
+        if gp >= 0 and alive[gp] and lcol[p] == fcol[gp]:
+            push(p, gp)
+        for g in children[p]:
+            if alive[g] and lcol[g] == fcol[p]:
+                push(g, p)
+    keep = np.flatnonzero(alive)
+    order = keep[np.argsort(fcol[keep])]
+    return (np.concatenate([fcol[order], [lcol[order[-1]]]]),
+            [rows[s] for s in order])
+
+
 class TestAmalgamation:
     def _pipeline(self, mat):
         pat, parent, counts = postordered_pipeline(mat)
@@ -168,6 +236,27 @@ class TestAmalgamation:
             r = r2[i]
             assert np.all(np.diff(r) > 0)
             assert r.size == 0 or r[0] >= s2[i + 1]
+
+    def test_rows_beyond_the_parent_nest_in_the_parent(self, grid3d_small):
+        """What lets ``amalgamate`` cost a merge from widths and row
+        counts alone: merged rows == the parent's rows."""
+        _, snptr, rowsets, psn = self._pipeline(grid3d_small)
+        for c, p in enumerate(psn):
+            if p >= 0:
+                beyond = rowsets[c][rowsets[c] >= snptr[p + 1]]
+                assert np.isin(beyond, rowsets[p]).all()
+
+    @pytest.mark.parametrize("ratio,cap", [(0.0, None), (0.12, None),
+                                           (0.4, 6), (3.0, None)])
+    def test_equals_the_set_union_reference(self, grid3d_small,
+                                            random_spd_small, ratio, cap):
+        for mat in (grid3d_small, random_spd_small):
+            _, snptr, rowsets, psn = self._pipeline(mat)
+            got = amalgamate(snptr, rowsets, psn, ratio=ratio, max_width=cap)
+            ref = _amalgamate_by_set_union(snptr, rowsets, psn, ratio, cap)
+            assert np.array_equal(got[0], ref[0])
+            assert len(got[1]) == len(ref[1])
+            assert all(np.array_equal(a, b) for a, b in zip(got[1], ref[1]))
 
     def test_max_width_cap(self, grid2d_medium):
         # The cap limits *merged* widths; fundamental supernodes that are
