@@ -12,9 +12,13 @@ export PYTHONPATH
 tool_status = $(shell command -v $(1) >/dev/null 2>&1 && echo ok \
 	|| echo "SKIPPED (tool not installed)")
 
+# "ok" when there is a C compiler for `make native-smoke` to build with.
+native_status = $(shell { command -v cc || command -v gcc; } >/dev/null 2>&1 \
+	&& echo ok || echo "SKIPPED (no C compiler)")
+
 .PHONY: test verify lint hazards typecheck bench figures selftest chaos \
 	chaos-smoke perf-smoke race-smoke determinism-smoke compiled-smoke \
-	e2e-smoke ci
+	native-smoke e2e-smoke ci
 
 # Tier-1: everything under tests/, which includes the golden analysis
 # fingerprints (test_analysis_golden.py) and the many-components
@@ -188,6 +192,17 @@ compiled-smoke:
 	if [ $$status -eq 0 ]; then echo "compiled-smoke: clean"; \
 	else echo "compiled-smoke: FAILED"; fi; exit $$status
 
+# Native-kernel gate: cold-build repro/kernels/native.c into a fresh
+# temporary cache directory (compiler, flags and build seconds are
+# printed), then factorize one small matrix per factotype in both
+# drivers on it and check the factors against the NumPy kernels (1e-12)
+# and each other (bit for bit).  No C compiler: SKIPPED, exit 0.
+native-smoke:
+	@$(PYTHON) benchmarks/native_smoke.py; \
+	status=$$?; \
+	if [ $$status -eq 0 ]; then echo "native-smoke: clean"; \
+	else echo "native-smoke: FAILED"; fi; exit $$status
+
 # D8xx determinism gate: a seeded same-seed double-run of the machine
 # simulator (with the fault scenario) and of the stream-burst simulator
 # on a small matrix; their canonical trace fingerprints must match
@@ -204,8 +219,8 @@ determinism-smoke:
 # Everything CI runs: tier-1 tests, the static-analysis gate
 # (lint/hazards/schedule/memory/symbolic/concurrency/determinism +
 # ruff/mypy when installed), the fault-injection self-tests, the
-# live-race gate, the determinism gate, the bounded chaos gate, and
-# the perf-regression gate.
+# live-race gate, the determinism gate, the bounded chaos gate, the
+# perf-regression gate, and the compiled- and native-kernel gates.
 # The wall-clock benchmark's own gate (BENCHMARK.json): every workload
 # end to end at smoke scale (a failed operation or a wrong answer makes
 # run.py exit non-zero), then the benchmark's tests — they live outside
@@ -217,11 +232,12 @@ e2e-smoke:
 # make stops at the first failing stage, so reaching the recipe means
 # every stage that ran passed; the summary names the ones that did not run.
 ci: verify selftest race-smoke determinism-smoke chaos-smoke perf-smoke \
-	compiled-smoke e2e-smoke
+	compiled-smoke native-smoke e2e-smoke
 	@echo "ci: lint ok, ruff $(call tool_status,ruff), hazards ok," \
 		"mypy $(call tool_status,mypy), test ok, selftest ok," \
 		"race-smoke ok, determinism-smoke ok, chaos-smoke ok," \
-		"perf-smoke ok, compiled-smoke ok, e2e-smoke ok"
+		"perf-smoke ok, compiled-smoke ok," \
+		"native-smoke $(native_status), e2e-smoke ok"
 
 lint:
 	$(PYTHON) -m repro verify --no-hazards --no-schedule --no-resilience \

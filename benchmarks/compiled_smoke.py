@@ -57,7 +57,7 @@ def main() -> None:
     res = analyze(matrix, SymbolicOptions(split_max_width=16))
     permuted = matrix.permute(res.perm.perm)
 
-    ref = factorize_sequential(res.symbol, permuted, "llt")
+    ref = factorize_sequential(res.symbol, permuted, "llt", kernels="numpy")
     seq = factorize_sequential(res.symbol, permuted, "llt",
                                kernels="compiled")
     if seq.kernels != backend:

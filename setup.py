@@ -16,6 +16,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The native backend compiles this at first use (repro.kernels.native).
+    package_data={"repro.kernels": ["native.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
 )

@@ -83,6 +83,13 @@ def cmd_analyze(args) -> int:
     print(f"flops        : {flops_total(sym, args.factotype, matrix.dtype) / 1e9:.3f} GFlop")
     print(f"tasks (2D)   : {s.n_tasks} ({s.n_panel} panel + {s.n_update} update)")
     print(f"parallelism  : {s.avg_parallelism:.2f} (flop-weighted)")
+    from repro.kernels.native import availability
+
+    reason = availability()
+    print("native kernel: " + (
+        "available" if reason is None
+        else f"unavailable, the NumPy kernels will run — {reason}"
+    ))
     return 0
 
 
@@ -108,7 +115,8 @@ def cmd_solve(args) -> int:
     info = solver.factorize()
     x = solver.solve(b)
     print(f"factorized in {info.elapsed:.3f} s "
-          f"({info.flops / 1e9:.3f} GFlop, {info.gflops:.2f} GFlop/s)")
+          f"({info.flops / 1e9:.3f} GFlop, {info.gflops:.2f} GFlop/s, "
+          f"{info.kernels} kernels)")
     print(f"residual: {solver.residual_norm(x, b):.3e}")
     if args.output:
         np.savetxt(args.output, np.column_stack([x.real, x.imag])

@@ -10,7 +10,12 @@ keeps the diagonal ``D[k]``.
 Storing each panel as one contiguous array is exactly the paper's §III
 design: "each panel is stored as a single tall and skinny matrix, such
 that the TRSM granularity can be decided at runtime and is independent of
-the data storage".
+the data storage".  The panels of one side are consecutive slices of one
+arena (``L_arena``; ``U_arena``, ``D_arena``), laid out by
+:class:`repro.kernels.indexcache.PanelLayout`: ``factor.L[k]`` is a view,
+and the native kernel (:mod:`repro.kernels.native`) reaches every panel
+from the arena's base pointer.  A factor built from plain per-panel lists
+has no arena and runs on the NumPy kernels only.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.kernels.indexcache import panel_layout
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic.structures import SymbolMatrix
 
@@ -52,37 +58,62 @@ class NumericFactor:
     dl_buffer: bool = False
     #: The per-panel DLᵀ buffers (``None`` entries until factorized).
     DL: Optional[list] = None
-    #: Effective numeric kernel backend (``"numpy"`` or ``"compiled"``,
-    #: see :mod:`repro.kernels.compiled`).  The update kernels consult it
-    #: to route through the fused jit path.
+    #: Effective numeric kernel backend: ``"native"``
+    #: (:mod:`repro.kernels.native`), ``"numpy"`` or ``"compiled"``
+    #: (:mod:`repro.kernels.compiled`; the update kernels consult it to
+    #: route through the fused jit path).
     kernels: str = "numpy"
+    #: The arenas ``L``/``U``/``D`` are views of (``None`` for a factor
+    #: built from plain lists).
+    L_arena: Optional[np.ndarray] = None
+    U_arena: Optional[np.ndarray] = None
+    D_arena: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @classmethod
     def allocate(
         cls, symbol: SymbolMatrix, factotype: str, dtype=np.float64
     ) -> "NumericFactor":
-        """Allocate zeroed panels for the given symbol structure."""
+        """Allocate zeroed panels for the given symbol structure.
+
+        One zeroed arena per side; ``L[k]`` (``U[k]``, ``D[k]``) are views
+        of it at the offsets of the symbol's ``PanelLayout``
+        (:mod:`repro.kernels.indexcache`), so the native kernel reaches
+        the same bytes from one base pointer.
+        """
         if factotype not in _FACTOTYPES:
             raise ValueError(f"factotype must be one of {_FACTOTYPES}")
         dtype = np.dtype(dtype)
-        rows = [symbol.cblk_rows(k) for k in range(symbol.n_cblk)]
-        widths = np.diff(symbol.cblk_ptr)
-        L = [
-            np.zeros((rows[k].size, int(widths[k])), dtype=dtype)
-            for k in range(symbol.n_cblk)
+        layout = panel_layout(symbol)
+        factor = cls(symbol, factotype, dtype, [], None, None,
+                     layout.panel_rows)
+        factor._bind_arenas(
+            np.zeros(int(layout.offset[-1]), dtype=dtype),
+            np.zeros(int(layout.offset[-1]), dtype=dtype)
+            if factotype == "lu" else None,
+            np.zeros(symbol.n, dtype=dtype) if factotype == "ldlt" else None,
+        )
+        return factor
+
+    def _bind_arenas(self, L_arena, U_arena, D_arena) -> None:
+        """Adopt the arenas and re-derive the per-panel views."""
+        layout = panel_layout(self.symbol)
+        off = layout.offset.tolist()
+        shapes = list(zip(layout.height.tolist(), layout.width.tolist()))
+
+        def panels(arena):
+            return [
+                arena[off[k]: off[k + 1]].reshape(shape)
+                for k, shape in enumerate(shapes)
+            ]
+
+        self.L_arena, self.U_arena, self.D_arena = L_arena, U_arena, D_arena
+        self.L = panels(L_arena)
+        self.U = None if U_arena is None else panels(U_arena)
+        ptr = self.symbol.cblk_ptr.tolist()
+        self.D = None if D_arena is None else [
+            D_arena[ptr[k]: ptr[k + 1]] for k in range(len(shapes))
         ]
-        U = (
-            [np.zeros_like(panel) for panel in L]
-            if factotype == "lu"
-            else None
-        )
-        D = (
-            [np.zeros(int(widths[k]), dtype=dtype) for k in range(symbol.n_cblk)]
-            if factotype == "ldlt"
-            else None
-        )
-        return cls(symbol, factotype, dtype, L, U, D, rows)
 
     @classmethod
     def assemble(
@@ -91,7 +122,6 @@ class NumericFactor:
         matrix: SparseMatrixCSC,
         factotype: str,
         dtype=None,
-        kernels: str = "numpy",
     ) -> "NumericFactor":
         """Allocate and scatter the (already permuted) matrix values in.
 
@@ -99,11 +129,6 @@ class NumericFactor:
         output of ``pattern.permute`` with the analysis permutation, with
         values).  For ``llt``/``ldlt`` only the lower triangle is read;
         for ``lu`` both triangles are scattered (L and U sides).
-
-        ``kernels="compiled"`` routes the per-panel gather through the
-        jit loop of :func:`repro.kernels.compiled.gather_assign` — pure
-        assignment at distinct positions, bit-identical to the
-        fancy-index form (and a no-op change when numba is absent).
         """
         if matrix.values is None:
             raise ValueError("assemble needs numeric values")
@@ -111,57 +136,25 @@ class NumericFactor:
             raise ValueError("matrix size does not match symbol")
         dtype = np.dtype(dtype or matrix.values.dtype)
         factor = cls.allocate(symbol, factotype, dtype)
+        layout = panel_layout(symbol)
 
         col2cblk = symbol.col2cblk
-        cblk_ptr = symbol.cblk_ptr
         rows_all, cols_all, vals_all = matrix.to_coo()
         owner = col2cblk[cols_all]
-        fcol = cblk_ptr[owner]
-        n = symbol.n
-        K = symbol.n_cblk
 
-        # One keyed row index over all panels: key(k, r) = k·n + r is
-        # strictly increasing along the concatenated per-panel row
-        # arrays, so a single global searchsorted localizes every entry
-        # (replacing the per-cblk searchsorted loop).
-        sizes = np.array([factor.rows[k].size for k in range(K)],
-                         dtype=np.int64)
-        row_ptr = np.zeros(K + 1, dtype=np.int64)
-        np.cumsum(sizes, out=row_ptr[1:])
-        keyed = (
-            np.concatenate(factor.rows)
-            + n * np.repeat(np.arange(K, dtype=np.int64), sizes)
-            if K else np.empty(0, dtype=np.int64)
-        )
-
-        from repro.kernels.compiled import gather_assign
-
-        use_compiled = kernels == "compiled"
-
-        def _scatter(panels, tgt, grow, gcol, gval):
-            """Grouped fancy-index assignment of (tgt, grow, gcol) = gval."""
-            order = np.argsort(tgt, kind="stable")
-            tgt, grow, gcol = tgt[order], grow[order], gcol[order]
-            gval = gval[order].astype(dtype, copy=False)
-            rloc = np.searchsorted(keyed, tgt * n + grow) - row_ptr[tgt]
-            cloc = gcol - cblk_ptr[tgt]
-            bounds = np.searchsorted(tgt, np.arange(K + 1))
-            for k in range(K):
-                s, e = bounds[k], bounds[k + 1]
-                if s == e:
-                    continue
-                if use_compiled:
-                    gather_assign(
-                        panels[k], rloc[s:e], cloc[s:e], gval[s:e]
-                    )
-                else:
-                    panels[k][rloc[s:e], cloc[s:e]] = gval[s:e]
+        def scatter(arena, tgt, grow, gcol, gval):
+            """One flat assignment of panel ``tgt``'s (grow, gcol) = gval."""
+            arena[
+                layout.offset[tgt]
+                + layout.local_rows(tgt, grow) * layout.width[tgt]
+                + (gcol - symbol.cblk_ptr[tgt])
+            ] = gval
 
         # Lower-and-diagonal part: entries with row inside the owner's
         # factor rows (row >= first column of the owning cblk).
-        low = rows_all >= fcol
-        _scatter(factor.L, owner[low], rows_all[low], cols_all[low],
-                 vals_all[low])
+        low = rows_all >= symbol.cblk_ptr[owner]
+        scatter(factor.L_arena, owner[low], rows_all[low], cols_all[low],
+                vals_all[low])
 
         if factotype == "lu":
             # Strict upper cross-cblk entries go to the row-owner's U panel
@@ -169,8 +162,8 @@ class NumericFactor:
             # already placed by the lower pass (row >= fcol covers them).
             # Entry (i, j), i < j: U[i, j] -> Uᵀ panel row j, col i.
             up = ~low
-            _scatter(factor.U, col2cblk[rows_all[up]], cols_all[up],
-                     rows_all[up], vals_all[up])
+            scatter(factor.U_arena, col2cblk[rows_all[up]], cols_all[up],
+                    rows_all[up], vals_all[up])
         return factor
 
     # ------------------------------------------------------------------
@@ -193,14 +186,19 @@ class NumericFactor:
 
     def copy(self) -> "NumericFactor":
         out = NumericFactor(
-            self.symbol,
-            self.factotype,
-            self.dtype,
-            [p.copy() for p in self.L],
-            None if self.U is None else [p.copy() for p in self.U],
-            None if self.D is None else [d.copy() for d in self.D],
-            self.rows,
+            self.symbol, self.factotype, self.dtype, [], None, None, self.rows
         )
+        if self.L_arena is not None:
+            out._bind_arenas(
+                *(None if a is None else a.copy()
+                  for a in (self.L_arena, self.U_arena, self.D_arena))
+            )
+        else:
+            out.L, out.U, out.D = (
+                None if side is None else [p.copy() for p in side]
+                for side in (self.L, self.U, self.D)
+            )
+        out.pivot_monitor = self.pivot_monitor
         out.index_cache = self.index_cache
         out.dl_buffer = self.dl_buffer
         out.kernels = self.kernels

@@ -1,10 +1,15 @@
-"""Sequential right-looking supernodal factorization.
+"""Sequential supernodal factorization.
 
-The reference driver: panels in ascending order, each panel factorized
-then immediately applied to all facing panels (the right-looking variant
-PaStiX uses, §III).  The task-based runtimes execute exactly the same
-kernel calls in a different (dependency-respecting) order, so this driver
-doubles as the correctness oracle for every scheduler.
+The reference driver on the NumPy kernels: panels in ascending order,
+each panel factorized then immediately applied to all facing panels (the
+right-looking variant PaStiX uses, §III).  The task-based runtimes
+execute exactly the same kernel calls in a different
+(dependency-respecting) order, so this driver doubles as the correctness
+oracle for every scheduler.  On the default native backend the whole
+factorization is one C call over all panels
+(:func:`repro.kernels.native.factorize_panels`), left-looking with
+ascending sources — the order in which the right-looking loop's updates
+reach each panel.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ def factorize_sequential(
     pivot_threshold: float = 0.0,
     index_cache: bool = True,
     dl_buffer: bool = False,
-    kernels: str = "numpy",
+    kernels: str = "native",
 ) -> NumericFactor:
     """Factorize ``matrix`` (already permuted to the analysis order).
 
@@ -84,19 +89,27 @@ def factorize_sequential(
     task").  Both compute the same factor; they differ in when each
     update executes — which the scheduling benches exploit.
 
-    ``kernels`` selects the numeric backend: ``"numpy"`` (the
-    bit-identity reference) or ``"compiled"`` (numba-jit fused kernels,
-    falling back to numpy when numba is absent — see
-    :func:`repro.kernels.compiled.resolve_kernels`).  The effective
-    backend is recorded as ``factor.kernels``.
+    ``kernels`` selects the numeric backend: ``"native"`` (the default:
+    the C kernel of :mod:`repro.kernels.native`, agreeing with the NumPy
+    kernels to roundoff), ``"numpy"`` (the reference the bit-identity
+    statements above are about) or ``"compiled"`` (numba-jit fused
+    kernels).  ``"native"`` falls back to ``"numpy"`` when it cannot be
+    built here and whenever one of the toggles above is off its default —
+    they are ablations of the NumPy kernels; ``"compiled"`` falls back
+    when numba is absent (:func:`repro.kernels.native.resolve_kernels`).
+    The effective backend is recorded as ``factor.kernels``.
     """
-    from repro.kernels.compiled import resolve_kernels
+    from repro.kernels.native import factorize_panels, resolve_kernels
 
-    effective_kernels = resolve_kernels(kernels)
-    factor = NumericFactor.assemble(
-        symbol, matrix, factotype, dtype=dtype, kernels=effective_kernels
+    if variant not in ("right", "left"):
+        raise ValueError(f"unknown variant {variant!r}")
+    factor = NumericFactor.assemble(symbol, matrix, factotype, dtype=dtype)
+    factor.kernels = resolve_kernels(
+        kernels,
+        ablation=not (workspace and index_cache and variant == "right")
+        or dl_buffer,
+        dtype=factor.dtype,
     )
-    factor.kernels = effective_kernels
     if index_cache:
         from repro.kernels.indexcache import get_couple_cache
 
@@ -107,16 +120,16 @@ def factorize_sequential(
         from repro.kernels.dense import PivotMonitor
 
         factor.pivot_monitor = PivotMonitor(pivot_threshold)
-    if variant == "right":
+    if factor.kernels == "native":
+        factorize_panels(factor, np.arange(symbol.n_cblk, dtype=np.int64))
+    elif variant == "right":
         for k in factorization_order(symbol):
             panel_factorize(factor, k)
             for t in facing_cblks(symbol, k):
                 panel_update(factor, k, int(t), workspace=workspace)
-    elif variant == "left":
+    else:
         for t in factorization_order(symbol):
             for k in contributing_cblks(symbol, t):
                 panel_update(factor, int(k), t, workspace=workspace)
             panel_factorize(factor, t)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     return factor

@@ -10,7 +10,7 @@ __all__ = ["SolverOptions"]
 
 _FACTOTYPES = ("llt", "ldlt", "lu")
 _RUNTIMES = ("sequential", "native", "starpu", "parsec", "threaded")
-_KERNELS = ("numpy", "compiled")
+_KERNELS = ("native", "numpy", "compiled")
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,18 @@ class SolverOptions:
         in a per-worker accumulator and take the target mutex once per
         batch instead of once per couple (fan-in accumulation).
     kernels:
-        Numeric kernel backend: ``"numpy"`` (the bit-identity reference)
-        or ``"compiled"`` (numba-jit fused update/merge/gather kernels,
-        :mod:`repro.kernels.compiled`).  ``"compiled"`` degrades
-        gracefully to numpy when numba is not installed; the *effective*
-        backend is stamped into ``trace.meta["kernels"]``.
+        Numeric kernel backend: ``"native"`` (the default: one C call
+        per unit, built on first use with the host's C compiler —
+        :mod:`repro.kernels.native`), ``"numpy"`` (the reference and the
+        fallback) or ``"compiled"`` (numba-jit fused update/merge
+        kernels, :mod:`repro.kernels.compiled`).  ``"native"`` degrades
+        to numpy with a ``RuntimeWarning`` when it cannot be built, and
+        silently when ``workspace_update``, ``index_cache``,
+        ``dl_buffer`` or ``accumulate`` is off its default (ablations of
+        the NumPy kernels); ``"compiled"`` degrades when numba is not
+        installed.  The *effective* backend is reported as
+        ``FactorizationInfo.kernels`` and stamped into
+        ``trace.meta["kernels"]``.
     refine:
         Run iterative refinement inside :meth:`SparseSolver.solve`.
     refine_tol / refine_max_iter:
@@ -69,7 +76,7 @@ class SolverOptions:
     index_cache: bool = True
     dl_buffer: bool = False
     accumulate: bool = False
-    kernels: str = "numpy"
+    kernels: str = "native"
     refine: bool = True
     refine_tol: float = 1e-12
     refine_max_iter: int = 10

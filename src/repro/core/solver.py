@@ -39,10 +39,10 @@ __all__ = ["SparseSolver", "FactorizationInfo"]
 def _symbol_counts(symbol, factotype: str, dtype) -> tuple[float, int]:
     """``(flops, nnz_factor)`` of factorizing ``symbol``.
 
-    Both are Python loops over the panels and couples and depend on the
-    symbol only, so — like the couple cache and the DAGs — they are
-    computed once per analysis and memoised on the symbol object:
-    refactorizing new values of one pattern must not pay them again.
+    Both depend on the symbol only, so — like the couple plan they are
+    read off and the DAGs — they are computed once per analysis and
+    memoised on the symbol object: refactorizing new values of one
+    pattern does not pay them again.
     """
     memo = symbol.__dict__.setdefault("_counts_memo", {})
     key = (factotype, np.dtype(dtype).str)
@@ -65,6 +65,9 @@ class FactorizationInfo:
     flops: float
     elapsed: float
     n_pivots_perturbed: int = 0
+    #: The numeric backend that actually ran (``"native"``, ``"numpy"``
+    #: or ``"compiled"``) — not the one requested.
+    kernels: str = "numpy"
 
     @property
     def gflops(self) -> float:
@@ -170,6 +173,7 @@ class SparseSolver:
             flops=flops,
             elapsed=elapsed,
             n_pivots_perturbed=0 if monitor is None else monitor.n_perturbed,
+            kernels=self.factor.kernels,
         )
         return self.last_info
 

@@ -194,33 +194,16 @@ def flops_total(symbol, factotype: str, dtype=np.float64) -> float:
 
     Sums the panel and update tasks exactly as the DAG will execute them
     (with ``recompute_ld=False`` — the canonical count, matching how the
-    paper computes GFlop/s from a fixed per-matrix flop count).
+    paper computes GFlop/s from a fixed per-matrix flop count), read off
+    the symbol's flat couple plan: one array expression per task kind.
     """
-    mult = complex_multiplier(dtype)
-    total = 0.0
-    K = symbol.n_cblk
-    widths = np.diff(symbol.cblk_ptr)
-    for k in range(K):
-        w = int(widths[k])
-        below = symbol.cblk_below(k)
-        total += flops_panel(w, below, factotype)
-        # Group off-diagonal bloks by facing cblk.
-        b0, b1 = int(symbol.blok_ptr[k]) + 1, int(symbol.blok_ptr[k + 1])
-        if b0 >= b1:
-            continue
-        sizes = symbol.blok_lrow[b0:b1] - symbol.blok_frow[b0:b1]
-        faces = symbol.blok_face[b0:b1]
-        # Suffix row counts: rows at-and-after each blok.
-        suffix = np.cumsum(sizes[::-1])[::-1]
-        i = 0
-        nb = b1 - b0
-        while i < nb:
-            j = i
-            n = 0
-            while j < nb and faces[j] == faces[i]:
-                n += int(sizes[j])
-                j += 1
-            m = int(suffix[i])
-            total += flops_update(m, n, w, factotype, recompute_ld=False)
-            i = j
-    return total * mult
+    from repro.kernels.indexcache import get_couple_cache
+
+    plan = get_couple_cache(symbol)
+    width, below = plan.layout.width, plan.layout.below
+    m = below[plan.src] - plan.i0
+    n = (plan.i1 - plan.i0).astype(np.int64)
+    total = np.sum(flops_panel(width, below, factotype)) + np.sum(
+        flops_update(m, n, width[plan.src], factotype, recompute_ld=False)
+    )
+    return float(total) * complex_multiplier(dtype)

@@ -1,176 +1,363 @@
-"""Symbolic scatter-map cache for the numeric hot path.
+"""Flat couple plan: the symbolic scatter maps of the numeric hot path.
 
-Every update couple ``(k, t)`` needs the same four pieces of index
-bookkeeping before its GEMM can scatter into the facing panel:
+Every update couple ``(k, t)`` needs the same index bookkeeping before
+its GEMM can scatter into the facing panel:
 
 * ``i0, i1`` — the slice of ``k``'s below-diagonal rows that lands
-  inside ``t``'s column range (two ``searchsorted`` calls);
-* ``cols_local`` — those rows rebased to ``t``-local column indices;
+  inside ``t``'s column range;
 * ``rows_local`` — the position of every tail row of ``k`` (at and
-  after ``i0``) inside ``t``'s factor-row array (one ``searchsorted``
-  over the whole tail).
+  after ``i0``) inside ``t``'s factor-row array.  Its first ``i1 - i0``
+  entries fall in ``t``'s diagonal block, whose rows *are* its columns,
+  so they double as the ``t``-local column map (``cols_local``) and the
+  remainder is the LU U-side row map.
 
-All four are **purely symbolic**: they depend only on the
-:class:`~repro.symbolic.structures.SymbolMatrix`, never on numeric
-values, so recomputing them inside every ``panel_update_compute`` call —
-on every factorization of the same pattern — is redundant work.  The
-paper's sparse-GEMM discussion (§V) singles out exactly this scatter
-bookkeeping as the non-BLAS cost of the update task; real supernodal
-codes precompute the block index maps once at analysis time (PaStiX's
-``blok``/``cblk`` solver structures play the same role).
+All of it is **purely symbolic**, so it is built once per
+:class:`~repro.symbolic.structures.SymbolMatrix` (:func:`get_couple_cache`
+memoises on the symbol object) and shared by every factorization and
+solve of that pattern.  The paper's sparse-GEMM discussion (§V) singles
+out exactly this bookkeeping as the non-BLAS cost of the update task;
+PaStiX's ``blok``/``cblk`` solver structures play the same role.
 
-:class:`CoupleMapCache` builds the maps once per symbol and is attached
-to a :class:`~repro.core.factor.NumericFactor` (``factor.index_cache``),
-where :func:`repro.kernels.panel.panel_update_compute` and
-:func:`~repro.kernels.panel.panel_update` pick it up.  Because the maps
-are symbol-owned, **repeated factorizations of the same pattern with new
-values reuse the same cache** (:func:`get_couple_cache` memoizes on the
-symbol object).
+The plan is a handful of flat arrays, because its first reader is C
+(:mod:`repro.kernels.native` walks them unchecked, one call per unit):
 
-The cache is audited: ``repro.verify.symbols.verify_couple_cache``
-(N507/N508) re-derives every map from the symbol through *different*
-primitives and fails on any mismatch, so a stale or corrupted cache can
-never silently produce a wrong factor (``make selftest`` proves the
-audit fires).
+=====================  ==================================================
+per couple ``c``       (sorted by target, then source — the left-looking
+                       order) ``src[c]``, ``tgt[c]``, ``i0[c]``,
+                       ``i1[c]``, and ``rows_local[rl_ptr[c]:rl_ptr[c+1]]``
+per target ``t``       its couples ``tgt_ptr[t]:tgt_ptr[t+1]`` (ascending
+                       source)
+per source ``k``       its couples ``by_src[src_ptr[k]:src_ptr[k+1]]``
+                       (ascending target)
+per panel              :class:`PanelLayout`: ``height``, ``width``, arena
+                       ``offset``, and the concatenated factor rows
+=====================  ==================================================
+
+The NumPy kernels, the threaded solve and the audit read the same arrays
+through :meth:`CoupleMapCache.lookup`, :attr:`~CoupleMapCache.sources`
+and :attr:`~CoupleMapCache.facing`, which hand out views.
+
+Because C indexes through the arrays unchecked,
+:meth:`CoupleMapCache.validate` proves them in range — every row map
+entry against the target row it names — once per plan, and raises
+:class:`CouplePlanError` before any native call otherwise.  Independently
+of that guard the plan is audited: ``repro.verify.symbols.
+verify_couple_cache`` (N507/N508) re-derives every map from the symbol
+through *different* primitives (``make selftest`` proves it fires).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from bisect import bisect_left
 
 import numpy as np
 
+from repro.sparse.csc import bucket_pointers, entry_owners
 from repro.symbolic.structures import SymbolMatrix
 
-__all__ = ["CoupleMap", "CoupleMapCache", "get_couple_cache"]
+__all__ = [
+    "CoupleMapCache",
+    "CouplePlanError",
+    "PanelLayout",
+    "get_couple_cache",
+    "panel_layout",
+]
 
 
-@dataclass(frozen=True)
-class CoupleMap:
-    """Precomputed scatter maps of one update couple ``(k, t)``.
+class CouplePlanError(ValueError):
+    """A couple plan failed its bounds checks (stale or corrupted)."""
 
-    ``rows_local`` spans ``k``'s whole tail from ``i0`` (the L-side
-    scatter rows); its first ``i1 - i0`` entries are the facing slice
-    and the remainder (``rows_local[i1 - i0:]``) is exactly the LU
-    U-side map — the searchsorted the uncached path recomputes.
-    ``rk_size`` is the length of ``k``'s below-diagonal row array, so
-    callers can test ``i1 < rk_size`` without touching the rows.
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[i], starts[i] + lengths[i])``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        int(ends[-1]) if ends.size else 0, dtype=np.int64
+    )
+
+
+class PanelLayout:
+    """Per-panel geometry of one symbol.
+
+    Panel ``k`` is ``height[k] × width[k]`` (``below[k]`` rows under the
+    diagonal block), row-major, and starts at element ``offset[k]`` of a
+    factor arena (``offset[-1]`` elements in all); its global factor rows (own columns, then the below rows) are
+    ``rows[row_ptr[k]:row_ptr[k+1]]``.  ``keyed = rows + n·panel`` is
+    strictly increasing, so one global ``searchsorted`` localises any
+    batch of ``(panel, row)`` pairs.  All arrays are read-only: they are
+    shared by every factor of the symbol.
     """
 
-    i0: int
-    i1: int
-    rows_local: np.ndarray
-    cols_local: np.ndarray
-    rk_size: int
+    def __init__(self, symbol: SymbolMatrix) -> None:
+        self.symbol = symbol
+        K = symbol.n_cblk
+        self.width = np.diff(symbol.cblk_ptr).astype(np.int64)
+        self.height = (
+            symbol.cblk_heights() if K else np.empty(0, dtype=np.int64)
+        )
+        self.below = self.height - self.width
+        self.offset = np.zeros(K + 1, dtype=np.int64)
+        np.cumsum(self.height * self.width, out=self.offset[1:])
+        self.row_ptr = np.zeros(K + 1, dtype=np.int64)
+        np.cumsum(self.height, out=self.row_ptr[1:])
+        self.rows = _ranges(
+            symbol.blok_frow.astype(np.int64, copy=False),
+            (symbol.blok_lrow - symbol.blok_frow).astype(np.int64, copy=False),
+        )
+        self.keyed = self.rows + symbol.n * entry_owners(self.row_ptr)
+        for arr in (self.width, self.height, self.below, self.offset,
+                    self.row_ptr, self.rows, self.keyed):
+            arr.flags.writeable = False
+        rp = self.row_ptr.tolist()
+        #: ``panel_rows[k]``: the rows of panel ``k`` (a view of ``rows``).
+        self.panel_rows = [self.rows[rp[k]: rp[k + 1]] for k in range(K)]
+
+    def local_rows(self, panel: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Position of global ``row[i]`` among the rows of ``panel[i]``."""
+        return (
+            np.searchsorted(
+                self.keyed,
+                panel.astype(np.int64, copy=False) * self.symbol.n + row,
+            )
+            - self.row_ptr[panel]
+        )
+
+
+def panel_layout(symbol: SymbolMatrix) -> PanelLayout:
+    """The symbol's :class:`PanelLayout`, built on first use, memoised."""
+    layout = getattr(symbol, "_panel_layout", None)
+    if layout is None or layout.symbol is not symbol:
+        layout = PanelLayout(symbol)
+        symbol._panel_layout = layout
+    return layout
 
 
 class CoupleMapCache:
-    """All couple scatter maps of one symbol, built in one pass.
+    """All couple scatter maps of one symbol as flat arrays (see the
+    module docstring for the layout), built in array passes.
 
-    ``maps[(k, t)]`` holds the :class:`CoupleMap` of every true couple
-    (every ``(source, facing)`` pair with at least one facing row);
-    ``facing[k]`` is the ascending array of targets panel ``k`` updates
-    (the same enumeration as
-    :func:`repro.core.factorization.facing_cblks`, precomputed), and
-    ``sources[t]`` its transpose: the ``(k, map)`` pairs of the couples
-    landing in panel ``t``, ascending in ``k`` — the fan-in list of the
-    left-looking triangular solve.
-
-    ``hits``/``misses`` are best-effort counters (racy under threads, by
-    design — they feed benchmark stats, not control flow).
+    ``n_couples`` counts the true couples: every ``(source, facing)``
+    pair with at least one facing row.
     """
 
     def __init__(self, symbol: SymbolMatrix) -> None:
         t0 = time.perf_counter()
         self.symbol = symbol
-        self.maps: dict[tuple[int, int], CoupleMap] = {}
-        self.facing: list[np.ndarray] = []
-        self.sources: list[list[tuple[int, CoupleMap]]] = [
-            [] for _ in range(symbol.n_cblk)
-        ]
-        self.hits = 0
-        self.misses = 0
+        self.layout = panel_layout(symbol)
         self._build()
-        self.n_couples = len(self.maps)
+        self._reset_derived()
         self.build_s = time.perf_counter() - t0
 
     def _build(self) -> None:
-        sym = self.symbol
-        ptr = sym.cblk_ptr
-        rows = [sym.cblk_rows(k) for k in range(sym.n_cblk)]
-        for k in range(sym.n_cblk):
-            w = sym.cblk_width(k)
-            rk = rows[k][w:]
-            b0, b1 = int(sym.blok_ptr[k]) + 1, int(sym.blok_ptr[k + 1])
-            if b0 >= b1:
-                self.facing.append(np.empty(0, dtype=np.int64))
-                continue
-            faces = sym.blok_face[b0:b1]
-            keep = np.ones(faces.size, dtype=bool)
-            keep[1:] = faces[1:] != faces[:-1]
-            targets = faces[keep].astype(np.int64, copy=False)
-            self.facing.append(targets)
-            for t in targets:
-                t = int(t)
-                i0 = int(np.searchsorted(rk, ptr[t]))
-                i1 = int(np.searchsorted(rk, ptr[t + 1]))
-                cm = CoupleMap(
-                    i0,
-                    i1,
-                    np.searchsorted(rows[t], rk[i0:]).astype(
-                        np.int64, copy=False
-                    ),
-                    (rk[i0:i1] - ptr[t]).astype(np.int64, copy=False),
-                    int(rk.size),
-                )
-                self.maps[(k, t)] = cm
-                self.sources[t].append((k, cm))
+        # Lazy: the DAG layer sits above the kernels it costs.
+        from repro.dag.builder import update_couples
+
+        lay, K = self.layout, self.symbol.n_cblk
+        # By (source, target); m rows at and after the first facing row,
+        # n of them facing.
+        src, tgt, m, n = update_couples(self.symbol)
+        i0 = lay.below[src] - m
+
+        order = np.argsort(tgt, kind="stable")   # (target, source) order
+        # Per-couple scalars are int32 (panel ids and row counts; the
+        # pointers and the row maps stay int64): C reads either, and the
+        # plan stays smaller than the maps alone used to be.
+        self.src = src[order].astype(np.int32)
+        self.tgt = tgt[order].astype(np.int32)
+        self.i0 = i0[order].astype(np.int32)
+        self.i1 = (i0 + n)[order].astype(np.int32)
+        self.tgt_ptr = bucket_pointers(self.tgt, K)
+        self.src_ptr = bucket_pointers(src, K)
+        self.by_src = np.empty(order.size, dtype=np.int32)
+        self.by_src[order] = np.arange(order.size, dtype=np.int32)
+
+        m = m[order]
+        self.rl_ptr = np.zeros(m.size + 1, dtype=np.int64)
+        np.cumsum(m, out=self.rl_ptr[1:])
+        self.rows_local = lay.local_rows(
+            np.repeat(self.tgt, m), lay.rows[self._tail_index(m)]
+        )
+
+    def _tail_index(self, m: np.ndarray) -> np.ndarray:
+        """Index into ``layout.rows`` of every couple's source tail rows."""
+        lay = self.layout
+        return _ranges(
+            lay.row_ptr[self.src] + lay.width[self.src] + self.i0, m
+        )
+
+    def _reset_derived(self) -> None:
+        self._valid = False
+        self._scalars: tuple | None = None
+        self._sources: list[tuple] | None = None
+        self._facing: list[np.ndarray] | None = None
+        #: ``plan_t`` of this plan, filled by :mod:`repro.kernels.native`.
+        self._native: object = None
+
+    @property
+    def n_couples(self) -> int:
+        return int(self.src.size)
 
     # ------------------------------------------------------------------
-    def lookup(self, k: int, t: int) -> CoupleMap | None:
-        """The couple's maps, or ``None`` when ``k`` does not face ``t``."""
-        cm = self.maps.get((k, t))
-        if cm is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return cm
+    def validate(self) -> None:
+        """Prove every index C will follow is in range, once per plan.
+
+        Checks the pointer arrays, ``src < tgt``, ``0 ≤ i0 < i1 ≤`` the
+        source's tail length, that every ``rows_local`` entry names the
+        target row holding the *same* global row as the source row it
+        maps (which bounds it by the target's height), and that the
+        facing slice lands in the target's diagonal block (it is used as
+        a column index).  Also sizes the native scratch
+        (``max_mn``/``max_nw``/``max_w``).  Raises
+        :class:`CouplePlanError`; a plan that passed is not re-checked.
+        """
+        if self._valid:
+            return
+        lay = self.layout
+        K, C = self.symbol.n_cblk, self.src.size
+
+        def require(ok, what: str) -> None:
+            if not bool(np.all(ok)):
+                raise CouplePlanError(f"couple plan rejected: {what}")
+
+        for name in self._ARRAYS:
+            arr = getattr(self, name)
+            require(
+                arr.dtype == self._DTYPES.get(name, np.int64)
+                and arr.ndim == 1 and arr.flags.c_contiguous,
+                f"{name} has the wrong dtype or layout",
+            )
+        require(
+            self.tgt.size == C and self.i0.size == C and self.i1.size == C
+            and self.tgt_ptr.size == K + 1 and self.rl_ptr.size == C + 1,
+            "array lengths disagree",
+        )
+        require(
+            self.tgt_ptr[0] == 0 and self.tgt_ptr[-1] == C
+            and np.array_equal(self.tgt, entry_owners(self.tgt_ptr)),
+            "tgt_ptr does not partition the couples by target",
+        )
+        require((0 <= self.src) & (self.src < self.tgt),
+                "a couple does not point from a lower to a higher panel")
+        same = self.tgt[1:] == self.tgt[:-1]
+        require(self.src[1:][same] > self.src[:-1][same],
+                "sources of a target are not strictly ascending")
+        tail = lay.below[self.src]
+        require((0 <= self.i0) & (self.i0 < self.i1) & (self.i1 <= tail),
+                "i0 <= i1 <= tail length violated")
+        m = tail - self.i0
+        require(
+            self.rl_ptr[0] == 0 and self.rl_ptr[-1] == self.rows_local.size
+            and np.array_equal(np.diff(self.rl_ptr), m),
+            "rl_ptr does not give every couple its tail length",
+        )
+        tgt_rep = np.repeat(self.tgt, m)
+        rl = self.rows_local
+        require((0 <= rl) & (rl < lay.height[tgt_rep]),
+                "rows_local out of the target panel's range")
+        require(
+            lay.rows[lay.row_ptr[tgt_rep] + rl]
+            == lay.rows[self._tail_index(m)],
+            "rows_local does not map source rows onto equal target rows",
+        )
+        n = self.i1 - self.i0
+        facing = _ranges(self.rl_ptr[:-1], n)
+        require(rl[facing] < np.repeat(lay.width[self.tgt], n),
+                "facing rows outside the target's diagonal block")
+        self.max_mn = int((m * n).max(initial=0))
+        self.max_nw = int((n * lay.width[self.src]).max(initial=0))
+        self.max_w = int(lay.width.max(initial=0))
+        self._valid = True
+
+    # ------------------------------------------------------------------
+    def _lists(self) -> tuple:
+        """``(tgt_ptr, src, i0, i1, rl_ptr)`` as Python lists: scalar
+        access from the interpreter is several times faster on them."""
+        if self._scalars is None:
+            self._scalars = tuple(
+                arr.tolist() for arr in
+                (self.tgt_ptr, self.src, self.i0, self.i1, self.rl_ptr)
+            )
+        return self._scalars
+
+    def lookup(self, k: int, t: int):
+        """``(i0, i1, rows_local, cols_local, rk_size)`` of couple
+        ``(k, t)`` — views, ``rk_size`` the length of ``k``'s tail — or
+        ``None`` when ``k`` does not face ``t``."""
+        tgt_ptr, src, i0s, i1s, rl_ptr = self._lists()
+        hi = tgt_ptr[t + 1]
+        c = bisect_left(src, k, tgt_ptr[t], hi)
+        if c == hi or src[c] != k:
+            return None
+        i0, i1 = i0s[c], i1s[c]
+        rows = self.rows_local[rl_ptr[c]: rl_ptr[c + 1]]
+        return i0, i1, rows, rows[: i1 - i0], i0 + rows.size
+
+    @property
+    def sources(self) -> list[tuple]:
+        """``sources[t]``: the couples landing in ``t`` as ``(k, i0, i1,
+        cols_local)`` tuples, ascending in ``k`` — the fan-in list of the
+        left-looking triangular solve, materialised on first use."""
+        if self._sources is None:
+            tp, src, i0s, i1s, rl = self._lists()
+            per = [
+                (k, i0s[c], i1s[c],
+                 self.rows_local[rl[c]: rl[c] + i1s[c] - i0s[c]])
+                for c, k in enumerate(src)
+            ]
+            self._sources = [
+                tuple(per[tp[t]: tp[t + 1]]) for t in range(len(tp) - 1)
+            ]
+        return self._sources
+
+    @property
+    def facing(self) -> list[np.ndarray]:
+        """``facing[k]``: the targets panel ``k`` updates, ascending (the
+        enumeration of :func:`repro.core.factorization.facing_cblks`)."""
+        if self._facing is None:
+            by_target = self.tgt[self.by_src]
+            sp = self.src_ptr.tolist()
+            self._facing = [
+                by_target[sp[k]: sp[k + 1]] for k in range(len(sp) - 1)
+            ]
+        return self._facing
+
+    def source_ids(self, t: int) -> list[int]:
+        """The panels whose updates land in ``t``, ascending."""
+        return self.src[self.tgt_ptr[t]: self.tgt_ptr[t + 1]].tolist()
+
+    # ------------------------------------------------------------------
+    _ARRAYS = ("src", "tgt", "i0", "i1", "rl_ptr", "rows_local", "tgt_ptr",
+               "src_ptr", "by_src")
+    _DTYPES = dict.fromkeys(("src", "tgt", "i0", "i1", "by_src"), np.int32)
 
     def nbytes(self) -> int:
-        return sum(
-            cm.rows_local.nbytes + cm.cols_local.nbytes
-            for cm in self.maps.values()
-        ) + sum(f.nbytes for f in self.facing)
+        return sum(getattr(self, name).nbytes for name in self._ARRAYS)
 
     def stats(self) -> dict:
         """Counters for ``ExecutionTrace.meta`` / benchmark reports."""
         return {
-            "couples": int(self.n_couples),
-            "hits": int(self.hits),
-            "misses": int(self.misses),
+            "couples": self.n_couples,
             "build_s": float(self.build_s),
             "nbytes": int(self.nbytes()),
         }
 
     def clone(self) -> "CoupleMapCache":
-        """Shallow clone with an independent ``maps`` dict (injectors)."""
+        """Independent copy of the arrays, unvalidated (injectors)."""
         out = object.__new__(CoupleMapCache)
         out.symbol = self.symbol
-        out.maps = dict(self.maps)
-        out.facing = list(self.facing)
-        out.sources = [list(srcs) for srcs in self.sources]
-        out.hits = 0
-        out.misses = 0
-        out.n_couples = self.n_couples
+        out.layout = self.layout
+        for name in self._ARRAYS:
+            setattr(out, name, getattr(self, name).copy())
         out.build_s = self.build_s
+        out._reset_derived()
         return out
 
 
 def get_couple_cache(symbol: SymbolMatrix) -> CoupleMapCache:
-    """The symbol's couple cache, built on first use and memoized.
+    """The symbol's couple plan, built on first use and memoized.
 
-    The cache lives on the symbol object itself (``_couple_cache``), so
+    The plan lives on the symbol object itself (``_couple_cache``), so
     two factorizations of the same pattern — and the sequential driver,
     the threaded runtime, and the verify audit — all share one build.
     A lost race between concurrent first callers at worst builds twice;

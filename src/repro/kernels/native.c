@@ -1,0 +1,251 @@
+/* Native unit kernel of the supernodal factorization.
+ *
+ * factorize_panels_{d,z}: for each listed panel, ascending — apply the
+ * updates of its source panels in ascending source order (GEMM into
+ * scratch, scatter-subtract through the couple plan's rows_local), then
+ * factor the diagonal block with LAPACK and solve the panel TRSM(s).
+ * One call per unit, made through ctypes, so the GIL is released for the
+ * whole unit.  See repro/kernels/native.py (loader, argument checks) and
+ * docs/solver_internals.md (layouts, the hand-back contract).
+ *
+ * Panels are row-major h x w, i.e. column-major w x h matrices with
+ * leading dimension w holding the transpose; every BLAS/LAPACK call below
+ * is written in those column-major terms.
+ *
+ * The pivot policy lives in Python only.  The diagonal block is factored
+ * in a scratch copy and committed only if LAPACK succeeded, interchanged
+ * nothing, and every pivot is finite and not under the threshold;
+ * otherwise the panel is handed back with its updates applied and its
+ * diagonal block untouched.
+ *
+ * The file includes itself twice: once for double, once for double
+ * complex.  No -ffast-math: the finite tests must hold.
+ */
+#ifndef REPRO_BODY
+
+#include <complex.h>
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+typedef struct {
+    int64_t n_cblk;
+    const int64_t *height, *width; /* per panel */
+    const int64_t *offset;         /* panel -> element offset in L / U */
+    const int64_t *d_off;          /* panel -> offset in D (cblk_ptr) */
+    const int64_t *tgt_ptr;        /* target -> its couples, ascending source */
+    const int32_t *src, *i0, *i1;  /* per couple */
+    const int64_t *rl_ptr;         /* couple -> its slice of rows_local */
+    const int64_t *rows_local;
+    int64_t max_mn, max_nw, max_w; /* scratch sizing, see native.py */
+} plan_t;
+
+enum { LLT = 0, LDLT = 1, LU = 2 };
+enum { GEMM, TRSM, POTRF, SYTRF, GETRF, N_FN };
+
+/* LAPACK workspace of ?sytrf, in elements per column of the block. */
+#define SYTRF_NB 64
+
+/* Entry points taken from scipy.linalg.cython_blas / cython_lapack:
+ * [0, N_FN) for double, [N_FN, 2 N_FN) for double complex. */
+static void *blas[2 * N_FN];
+
+void repro_init(void **pointers) { memcpy(blas, pointers, sizeof blas); }
+
+int64_t repro_work_len(const plan_t *p)
+{
+    return p->max_mn + p->max_nw + p->max_w * p->max_w + SYTRF_NB * p->max_w + 1;
+}
+
+#define REPRO_BODY
+
+#define T double
+#define S(name) name##_d
+#define BASE 0
+#define MODULUS(x) fabs(x)
+#define HAVE_POTRF 1
+#include "native.c"
+#undef T
+#undef S
+#undef BASE
+#undef MODULUS
+#undef HAVE_POTRF
+
+#define T double complex
+#define S(name) name##_z
+#define BASE N_FN
+#define MODULUS(x) cabs(x)
+#define HAVE_POTRF 0 /* complex LL^T is rejected in Python (TypeError) */
+#include "native.c"
+
+#else /* REPRO_BODY: one scalar type T */
+
+typedef void (*S(gemm_t))(char *, char *, int *, int *, int *, T *, T *, int *,
+                          T *, int *, T *, T *, int *);
+typedef void (*S(trsm_t))(char *, char *, char *, char *, int *, int *, T *,
+                          T *, int *, T *, int *);
+typedef void (*S(potrf_t))(char *, int *, T *, int *, int *);
+typedef void (*S(sytrf_t))(char *, int *, T *, int *, int *, T *, int *, int *);
+typedef void (*S(getrf_t))(int *, int *, T *, int *, int *, int *);
+
+/* out (rows x n, row-major) = a (rows x w) . b (n x w)^T */
+static void S(product)(T *a, T *b, int rows, int n, int w, T *out)
+{
+    T one = 1, zero = 0;
+    ((S(gemm_t))blas[BASE + GEMM])("T", "N", &n, &rows, &w, &one, b, &w, a, &w,
+                                   &zero, out, &n);
+}
+
+/* panel[rl[i], rl[j]] -= out[i, j]; the column map is the head of the
+ * couple's row map (the facing rows land in the diagonal block). */
+static void S(scatter)(T *panel, int64_t wt, const int64_t *rl_rows,
+                       const int64_t *rl_cols, int64_t rows, int64_t n,
+                       const T *out)
+{
+    for (int64_t i = 0; i < rows; i++) {
+        T *dst = panel + rl_rows[i] * wt;
+        const T *val = out + i * n;
+        for (int64_t j = 0; j < n; j++)
+            dst[rl_cols[j]] -= val[j];
+    }
+}
+
+/* Every update landing in panel t, ascending source. */
+static void S(update)(const plan_t *p, int ft, T *L, T *U, const T *D,
+                      int64_t t, T *work)
+{
+    T *out = work, *scaled = work + p->max_mn;
+    int64_t wt = p->width[t];
+    for (int64_t c = p->tgt_ptr[t]; c < p->tgt_ptr[t + 1]; c++) {
+        int64_t k = p->src[c], w = p->width[k];
+        int64_t i0 = p->i0[c], n = p->i1[c] - i0;
+        int64_t m = p->height[k] - w - i0;
+        const int64_t *rl = p->rows_local + p->rl_ptr[c];
+        T *tail = L + p->offset[k] + (w + i0) * w; /* m x w; first n rows face t */
+        T *facing = tail;
+        if (ft == LDLT) { /* (L.D) of the facing rows */
+            const T *d = D + p->d_off[k];
+            for (int64_t j = 0; j < n; j++)
+                for (int64_t q = 0; q < w; q++)
+                    scaled[j * w + q] = tail[j * w + q] * d[q];
+            facing = scaled;
+        } else if (ft == LU) {
+            facing = U + p->offset[k] + (w + i0) * w;
+        }
+        S(product)(tail, facing, (int)m, (int)n, (int)w, out);
+        S(scatter)(L + p->offset[t], wt, rl, rl, m, n, out);
+        if (ft == LU && m > n) { /* U side: rows strictly below t's block */
+            T *utail = U + p->offset[k] + (w + i0 + n) * w;
+            S(product)(utail, tail, (int)(m - n), (int)n, (int)w, out);
+            S(scatter)(U + p->offset[t], wt, rl + n, rl, m - n, n, out);
+        }
+    }
+}
+
+/* Did LAPACK do what static pivoting does?  (PR 15's _static_pivots_ok.) */
+static int S(pivots_ok)(const T *s, int64_t w, const int *ipiv, int info,
+                        double threshold)
+{
+    if (info != 0)
+        return 0;
+    for (int64_t i = 0; i < w; i++) {
+        double size = MODULUS(s[i + i * w]);
+        if (ipiv[i] != i + 1 || !(size >= threshold) || !(size < INFINITY))
+            return 0; /* interchange, 2x2 block, tiny, Inf or NaN pivot */
+    }
+    return 1;
+}
+
+/* Factor the diagonal block of panel k and solve its TRSM(s).
+ * Returns 0 to hand the panel back to Python, untouched. */
+static int S(factor)(const plan_t *p, int ft, T *L, T *U, T *D, int64_t k,
+                     double threshold, T *work, int *ipiv)
+{
+    int64_t w = p->width[k], below = p->height[k] - w;
+    T *blk = L + p->offset[k], *x = blk + w * w;
+    T *s = work + p->max_mn + p->max_nw; /* w x w, column-major */
+    T *lapack_work = s + p->max_w * p->max_w;
+    int iw = (int)w, ib = (int)below, info = 0;
+    int lwork = (int)(SYTRF_NB * p->max_w + 1);
+    T one = 1;
+    S(trsm_t) trsm = (S(trsm_t))blas[BASE + TRSM];
+
+    if (ft == LLT) {
+        if (!HAVE_POTRF)
+            return 0;
+        /* Only the row-major lower triangle is valid: that is the
+         * column-major upper one, and U^T U with U stored there is the
+         * row-major lower Cholesky factor. */
+        memcpy(s, blk, (size_t)(w * w) * sizeof(T));
+        ((S(potrf_t))blas[BASE + POTRF])("U", &iw, s, &iw, &info);
+        if (info != 0)
+            return 0;
+        for (int64_t i = 0; i < w; i++)
+            if (!(MODULUS(s[i + i * w]) < INFINITY))
+                return 0; /* a NaN/Inf anywhere reaches a pivot */
+        for (int64_t i = 0; i < w; i++)
+            for (int64_t j = 0; j < w; j++)
+                blk[i * w + j] = j <= i ? s[i * w + j] : 0;
+        if (below) /* L21 = A21 . L11^-T */
+            trsm("L", "U", "T", "N", &iw, &ib, &one, blk, &iw, x, &iw);
+        return 1;
+    }
+
+    /* ?sytrf('U') on the row-major block would eliminate backwards and
+     * ?getrf of it would factor the transpose, so lay the block out
+     * column-major (sytrf reads the lower triangle only). */
+    for (int64_t i = 0; i < w; i++)
+        for (int64_t j = 0; j < w; j++)
+            s[i + j * w] = blk[i * w + j];
+    if (ft == LDLT)
+        ((S(sytrf_t))blas[BASE + SYTRF])("L", &iw, s, &iw, ipiv, lapack_work,
+                                         &lwork, &info);
+    else
+        ((S(getrf_t))blas[BASE + GETRF])(&iw, &iw, s, &iw, ipiv, &info);
+    if (!S(pivots_ok)(s, w, ipiv, info, threshold))
+        return 0;
+
+    if (ft == LDLT) {
+        T *d = D + p->d_off[k];
+        for (int64_t i = 0; i < w; i++) {
+            d[i] = s[i + i * w];
+            for (int64_t j = 0; j < w; j++)
+                blk[i * w + j] = j < i ? s[i + j * w] : (j == i ? 1 : 0);
+        }
+        if (below) { /* L21 = A21 . L11^-T . D^-1 */
+            trsm("L", "U", "T", "U", &iw, &ib, &one, blk, &iw, x, &iw);
+            for (int64_t r = 0; r < below; r++)
+                for (int64_t q = 0; q < w; q++)
+                    x[r * w + q] /= d[q];
+        }
+    } else {
+        for (int64_t i = 0; i < w; i++) /* packed L\U, row-major */
+            for (int64_t j = 0; j < w; j++)
+                blk[i * w + j] = s[i + j * w];
+        if (below) {
+            /* L21 = A21 . U11^-1; U12^T = A12^T . L11^-T (unit lower) */
+            trsm("L", "L", "N", "N", &iw, &ib, &one, blk, &iw, x, &iw);
+            trsm("L", "U", "T", "U", &iw, &ib, &one, blk, &iw,
+                 U + p->offset[k] + w * w, &iw);
+        }
+    }
+    return 1;
+}
+
+/* Factorize panels[start..n).  Returns n, or the position of a panel
+ * handed back to Python (updates applied, diagonal block untouched);
+ * the caller factors it and re-enters at that position + 1. */
+int64_t S(repro_factorize_panels)(const plan_t *p, int ft, T *L, T *U, T *D,
+                                  const int64_t *panels, int64_t n,
+                                  int64_t start, double threshold, T *work,
+                                  int *ipiv)
+{
+    for (int64_t i = start; i < n; i++) {
+        S(update)(p, ft, L, U, D, panels[i], work);
+        if (!S(factor)(p, ft, L, U, D, panels[i], threshold, work, ipiv))
+            return i;
+    }
+    return n;
+}
+
+#endif /* REPRO_BODY */

@@ -1,0 +1,375 @@
+"""Native numeric backend: one GIL-free C call per unit.
+
+``native.c`` (next to this file) factorizes a run of panels left-looking
+— per panel, every update GEMM + scatter-subtract in ascending source
+order, then the LAPACK diagonal factorization and the panel TRSM(s) —
+reading the flat couple plan (:mod:`repro.kernels.indexcache`) and the
+factor arenas (:mod:`repro.core.factor`) through raw pointers.  This
+module builds it on first use with the host's C compiler, hands it the
+BLAS/LAPACK entry points of ``scipy.linalg.cython_blas`` /
+``cython_lapack``, checks every argument before a pointer crosses, and
+runs the C/Python hand-back loop:
+
+* the **pivot policy is not re-implemented in C**.  C commits a diagonal
+  block only when LAPACK did exactly what static pivoting does; any other
+  panel comes back with its updates applied and its diagonal block
+  untouched, :func:`repro.kernels.panel.panel_factorize` runs on it
+  (perturbation counting, ``ZeroDivisionError``, ``LinAlgError`` — one
+  implementation), and C is re-entered at the next panel;
+* the NumPy kernels stay the fallback and the oracle:
+  :func:`resolve_kernels` turns ``"native"`` into ``"numpy"`` (with a
+  ``RuntimeWarning``) when there is no compiler, no capsule or no place
+  to build, and silently for the ablation toggles, which are defined on
+  the NumPy kernels.
+
+The shared object is cached as ``${XDG_CACHE_HOME:-~/.cache}/repro/
+native-<hash>.so``, the hash covering the source, the compiler's version
+line and the flags; a cache directory that is not the caller's own is
+refused in favour of a per-process temporary directory.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import time
+import warnings
+from pathlib import Path
+from typing import Any, Optional, Union
+
+import numpy as np
+
+from repro.kernels import compiled
+from repro.kernels.indexcache import CoupleMapCache
+from repro.kernels.panel import panel_factorize
+
+__all__ = [
+    "NativeUnavailable",
+    "Scratch",
+    "availability",
+    "build",
+    "factorize_panels",
+    "load",
+    "resolve_kernels",
+]
+
+SOURCE = Path(__file__).with_name("native.c")
+#: No ``-ffast-math`` (the finite tests must hold), no ``-march=native``
+#: (the cached object must survive a host migration).
+FLAGS = ("-O2", "-shared", "-fPIC")
+
+_FACTOTYPES = {"llt": 0, "ldlt": 1, "lu": 2}
+#: Entry points per scalar type, in ``native.c``'s ``blas[]`` order
+#: (``None``: not used for that type).
+_ENTRY_POINTS = (
+    ("cython_blas", "dgemm"), ("cython_blas", "dtrsm"),
+    ("cython_lapack", "dpotrf"), ("cython_lapack", "dsytrf"),
+    ("cython_lapack", "dgetrf"),
+    ("cython_blas", "zgemm"), ("cython_blas", "ztrsm"),
+    None, ("cython_lapack", "zsytrf"), ("cython_lapack", "zgetrf"),
+)
+
+
+class NativeUnavailable(RuntimeError):
+    """The native backend cannot be built or loaded on this host."""
+
+
+class _Plan(ctypes.Structure):
+    """``plan_t`` of ``native.c``."""
+
+    _fields_ = [("n_cblk", ctypes.c_int64)] + [
+        (name, ctypes.c_void_p)
+        for name in ("height", "width", "offset", "d_off", "tgt_ptr", "src",
+                     "i0", "i1", "rl_ptr", "rows_local")
+    ] + [(name, ctypes.c_int64) for name in ("max_mn", "max_nw", "max_w")]
+
+
+# ----------------------------------------------------------------------
+# Build and load
+# ----------------------------------------------------------------------
+def _compiler() -> str:
+    for name in ("cc", "gcc"):
+        path = shutil.which(name)
+        if path:
+            return path
+    raise NativeUnavailable("no C compiler (cc/gcc) on PATH")
+
+
+def _cache_dir() -> Optional[Path]:
+    """The caller's own build cache, or ``None`` if there is no safe one."""
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    path = Path(root) / "repro"
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+    except OSError:
+        return None
+    # Code is loaded from here: it must be ours and only ours to write.
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        return None
+    return path if os.access(path, os.W_OK) else None
+
+
+def build(directory: Path) -> tuple[Path, dict[str, Any]]:
+    """Compile ``native.c`` into ``directory`` unless already there.
+
+    Returns the shared object's path and ``{"compiler", "flags",
+    "build_s", "cached"}``.  The object is written under a temporary name
+    and renamed into place, so concurrent first users never load a
+    half-written file.
+    """
+    cc = _compiler()
+    try:
+        version = subprocess.run(
+            [cc, "--version"], capture_output=True, text=True, check=True
+        ).stdout.splitlines()[0]
+        source = SOURCE.read_bytes()
+    except (OSError, subprocess.CalledProcessError, IndexError) as exc:
+        raise NativeUnavailable(f"cannot query {cc} or read native.c: {exc}")
+    digest = hashlib.sha256(
+        source + version.encode() + " ".join(FLAGS).encode()
+    ).hexdigest()[:16]
+    target = directory / f"native-{digest}.so"
+    info = {"compiler": version, "flags": " ".join(FLAGS), "build_s": 0.0,
+            "cached": target.exists()}
+    if info["cached"]:
+        return target, info
+    start = time.perf_counter()
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".so.tmp")
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [cc, *FLAGS, str(SOURCE), "-o", tmp, "-lm"],
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            raise NativeUnavailable(
+                f"build failed ({cc} exit {proc.returncode}):\n{proc.stderr}"
+            )
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise NativeUnavailable(f"build failed: {exc}")
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    info["build_s"] = time.perf_counter() - start
+    return target, info
+
+
+def _entry_point_table() -> Any:
+    """``void *[10]`` of the SciPy BLAS/LAPACK function pointers."""
+    get_name = ctypes.pythonapi.PyCapsule_GetName
+    get_name.restype = ctypes.c_char_p
+    get_name.argtypes = [ctypes.py_object]
+    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    get_pointer.restype = ctypes.c_void_p
+    get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    table = (ctypes.c_void_p * len(_ENTRY_POINTS))()
+    try:
+        import scipy.linalg.cython_blas
+        import scipy.linalg.cython_lapack
+
+        for slot, entry in enumerate(_ENTRY_POINTS):
+            if entry is None:
+                continue
+            module = getattr(scipy.linalg, entry[0])
+            capsule = module.__pyx_capi__[entry[1]]
+            table[slot] = get_pointer(capsule, get_name(capsule))
+    except (ImportError, AttributeError, KeyError, ValueError) as exc:
+        raise NativeUnavailable(f"no BLAS/LAPACK capsule: {exc!r}")
+    return table
+
+
+def _open(path: Path, entry_points: Any) -> ctypes.CDLL:
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError as exc:
+        raise NativeUnavailable(f"cannot load {path}: {exc}")
+    plan_p = ctypes.POINTER(_Plan)
+    lib.repro_init.argtypes = [ctypes.c_void_p]
+    lib.repro_init.restype = None
+    lib.repro_work_len.argtypes = [plan_p]
+    lib.repro_work_len.restype = ctypes.c_int64
+    for name in ("repro_factorize_panels_d", "repro_factorize_panels_z"):
+        fn = getattr(lib, name)
+        fn.argtypes = [
+            plan_p, ctypes.c_int,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,   # L, U, D
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,     # panels
+            ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,   # scratch
+        ]
+        fn.restype = ctypes.c_int64
+    lib.repro_init(entry_points)
+    return lib
+
+
+@functools.lru_cache(maxsize=None)
+def _library() -> Union[ctypes.CDLL, NativeUnavailable]:
+    """Build + load once per process; a failure is remembered too."""
+    try:
+        entry_points = _entry_point_table()   # before paying for a build
+        directory = _cache_dir()
+        if directory is not None:
+            return _open(build(directory)[0], entry_points)
+        scratch = Path(tempfile.mkdtemp(prefix="repro-native-"))
+        try:
+            # The mapping outlives the file: nothing to clean up at exit.
+            return _open(build(scratch)[0], entry_points)
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
+    except NativeUnavailable as exc:
+        return exc
+
+
+def load() -> ctypes.CDLL:
+    """The loaded kernel library; raises :class:`NativeUnavailable`."""
+    lib = _library()
+    if isinstance(lib, NativeUnavailable):
+        raise lib
+    return lib
+
+
+def availability() -> Optional[str]:
+    """``None`` when the native backend is usable, else the reason."""
+    try:
+        load()
+    except NativeUnavailable as exc:
+        return str(exc)
+    return None
+
+
+def resolve_kernels(
+    requested: str, *, ablation: bool = False, dtype: Any = np.float64
+) -> str:
+    """Effective kernel backend for a requested one.
+
+    ``"native"`` stays ``"native"`` when the library loads, the dtype is
+    float64/complex128 and no ablation toggle is set; the ablations
+    (``workspace=False``, ``index_cache=False``, ``variant="left"``,
+    ``dl_buffer=True``, ``granularity="2d"``) are defined on the NumPy
+    kernels and resolve to ``"numpy"`` silently, an unusable library
+    does so with a ``RuntimeWarning``.  The other values keep
+    :func:`repro.kernels.compiled.resolve_kernels`'s contract.
+    """
+    if requested != "native":
+        return compiled.resolve_kernels(requested)
+    if ablation or np.dtype(dtype) not in (np.float64, np.complex128):
+        return "numpy"
+    try:
+        load()
+    except NativeUnavailable as exc:
+        warnings.warn(
+            f"kernels='native' is unavailable ({exc}); "
+            "falling back to the NumPy kernels",
+            RuntimeWarning, stacklevel=3,
+        )
+        return "numpy"
+    return "native"
+
+
+# ----------------------------------------------------------------------
+# Calling the kernel
+# ----------------------------------------------------------------------
+def _plan_struct(plan: CoupleMapCache) -> _Plan:
+    """The validated plan as a ``plan_t`` (memoised on the plan, which
+    owns every array the pointers refer to)."""
+    struct = plan._native
+    if struct is None:
+        plan.validate()
+        lay = plan.layout
+        d_off = np.ascontiguousarray(plan.symbol.cblk_ptr, dtype=np.int64)
+        arrays = dict(
+            height=lay.height, width=lay.width, offset=lay.offset,
+            d_off=d_off, tgt_ptr=plan.tgt_ptr, src=plan.src, i0=plan.i0,
+            i1=plan.i1, rl_ptr=plan.rl_ptr, rows_local=plan.rows_local,
+        )
+        struct = _Plan(
+            n_cblk=plan.symbol.n_cblk, max_mn=plan.max_mn,
+            max_nw=plan.max_nw, max_w=plan.max_w,
+            **{name: arr.ctypes.data for name, arr in arrays.items()},
+        )
+        struct._keepalive = arrays
+        plan._native = struct
+    return struct
+
+
+class Scratch:
+    """Per-thread work buffers of one factor's native calls."""
+
+    def __init__(self, factor: Any) -> None:
+        plan = _plan_struct(factor.index_cache)
+        self.work = np.empty(
+            load().repro_work_len(ctypes.byref(plan)), dtype=factor.dtype
+        )
+        self.ipiv = np.empty(plan.max_w + 1, dtype=np.intc)
+
+
+def _arena_pointer(factor: Any, name: str, size: int) -> Optional[int]:
+    arena = getattr(factor, name)
+    if arena is None:
+        return None
+    if not (
+        isinstance(arena, np.ndarray) and arena.dtype == factor.dtype
+        and arena.ndim == 1 and arena.size == size
+        and arena.flags.c_contiguous and arena.flags.writeable
+    ):
+        raise ValueError(f"factor.{name} is not a writable arena of {size} "
+                         f"{factor.dtype} elements")
+    return int(arena.ctypes.data)
+
+
+def factorize_panels(
+    factor: Any, panels: np.ndarray, scratch: Optional[Scratch] = None
+) -> None:
+    """Factorize ``panels`` (ascending panel ids) of ``factor`` in place.
+
+    Every source panel of a listed panel must be final or listed before
+    it.  Equivalent to, per panel ``p``: ``panel_update(factor, k, p)``
+    for its sources ``k`` ascending, then ``panel_factorize(factor, p)``
+    — which is also exactly what runs for a panel C hands back.
+    """
+    lib = load()
+    plan = factor.index_cache
+    if plan is None or factor.L_arena is None:
+        raise ValueError("the native kernel needs an arena-backed factor "
+                         "with its couple plan attached")
+    if plan.symbol is not factor.symbol:
+        raise ValueError("the couple plan belongs to another symbol")
+    struct = _plan_struct(plan)
+    if factor.dtype == np.float64:
+        fn = lib.repro_factorize_panels_d
+    elif factor.dtype == np.complex128:
+        fn = lib.repro_factorize_panels_z
+    else:
+        raise ValueError(f"no native kernel for dtype {factor.dtype}")
+    ft = factor.factotype
+    size = int(plan.layout.offset[-1])
+    L = _arena_pointer(factor, "L_arena", size)
+    U = _arena_pointer(factor, "U_arena", size)
+    D = _arena_pointer(factor, "D_arena", factor.symbol.n)
+    if (U is None) != (ft != "lu") or (D is None) != (ft != "ldlt"):
+        raise ValueError(f"factor arenas do not match factotype {ft!r}")
+    panels = np.ascontiguousarray(panels, dtype=np.int64)
+    n = int(panels.size)
+    if n and not (0 <= panels.min() and panels.max() < factor.symbol.n_cblk):
+        raise ValueError("panel index out of range")
+    if scratch is None:
+        scratch = Scratch(factor)
+    monitor = factor.pivot_monitor
+    threshold = 0.0 if monitor is None else float(monitor.threshold)
+    position = 0
+    while True:
+        position = fn(
+            ctypes.byref(struct), _FACTOTYPES[ft], L, U, D,
+            panels.ctypes.data, n, position, threshold,
+            scratch.work.ctypes.data, scratch.ipiv.ctypes.data,
+        )
+        if position >= n:
+            return
+        panel_factorize(factor, int(panels[position]))
+        position += 1

@@ -52,7 +52,7 @@ def panel_factorize(factor, k: int) -> None:
     elif factor.factotype == "ldlt":
         ld, d = ldlt_nopiv(diag, monitor)
         Lk[:w, :w] = ld
-        factor.D[k] = d
+        factor.D[k][:] = d   # in place: D[k] is a view of the arena
         if Lk.shape[0] > w:
             # L21 = A21 · L11^{-T} · D^{-1}
             Lk[w:, :] = trsm_lower_right(ld, Lk[w:, :], unit=True) / d
@@ -98,8 +98,8 @@ def _update_maps(factor, k: int, t: int):
     """Scatter maps of couple ``(k, t)``: cached lookup or fallback.
 
     Returns ``None`` when ``k`` does not face ``t``, else
-    ``(i0, i1, rows_local, cols_local, rk_size)`` — the same arrays a
-    :class:`repro.kernels.indexcache.CoupleMap` carries.
+    ``(i0, i1, rows_local, cols_local, rk_size)`` — what
+    :meth:`repro.kernels.indexcache.CoupleMapCache.lookup` returns.
 
     The uncached fallback exploits the target's layout instead of binary
     searching the whole tail: the facing rows ``rk[i0:i1]`` land in the
@@ -112,10 +112,7 @@ def _update_maps(factor, k: int, t: int):
     """
     cache = getattr(factor, "index_cache", None)
     if cache is not None:
-        cm = cache.lookup(k, t)
-        if cm is None:
-            return None  # k does not actually face t
-        return cm.i0, cm.i1, cm.rows_local, cm.cols_local, cm.rk_size
+        return cache.lookup(k, t)
     i0, i1, rk = update_slice(factor, k, t)
     if i0 == i1:
         return None  # k does not actually face t

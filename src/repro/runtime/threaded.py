@@ -54,6 +54,7 @@ from repro.core.factor import NumericFactor
 from repro.core.factorization import contributing_cblks
 from repro.dag.builder import get_dag
 from repro.dag.tasks import TaskKind
+from repro.kernels import native
 from repro.kernels.dense import triangular_solve
 from repro.kernels.panel import (
     panel_factorize,
@@ -772,8 +773,10 @@ class _ThreadedUnitRun(_PoolRun):
     source panel is final before the task starts (same unit, or ordered
     by a tree edge) — so the factor is bit-identical to
     :func:`repro.core.factorization.factorize_sequential` and the body
-    takes no lock.  The kernels are the sequential driver's
-    (:func:`panel_update`: workspace compute + scatter, the fused
+    takes no lock.  The kernels are the sequential driver's: on the
+    native backend one GIL-free C call per unit
+    (:func:`repro.kernels.native.factorize_panels`, per-worker scratch),
+    else :func:`panel_update` (workspace compute + scatter, the fused
     compiled kernel, or the direct-scatter twin).
     """
 
@@ -785,12 +788,18 @@ class _ThreadedUnitRun(_PoolRun):
         super().__init__(dag, n_workers, trace, **pool_options)
         self.factor = factor
         self.workspace = workspace
+        # Here, not in the workers: a plan that fails its checks raises
+        # in the caller's thread, before the pool exists.
+        self._scratch = (
+            [native.Scratch(factor) for _ in range(n_workers)]
+            if factor.kernels == "native" else None
+        )
 
     def _sources(self, k: int):
         """Source panels whose updates land in panel ``k``, ascending."""
         cache = self.factor.index_cache
         if cache is not None:
-            return [j for j, _ in cache.sources[k]]
+            return cache.source_ids(k)
         return contributing_cblks(self.factor.symbol, k).tolist()
 
     def _run_task(self, t: int, worker: int) -> None:
@@ -798,10 +807,13 @@ class _ThreadedUnitRun(_PoolRun):
         timed = self.faults is not None or self.health is not None
         k0 = time.perf_counter() if timed else 0.0
         panels = dag.unit_panels[dag.unit_ptr[t]: dag.unit_ptr[t + 1]]
-        for k in panels.tolist():
-            for j in self._sources(k):
-                panel_update(factor, j, k, workspace=self.workspace)
-            panel_factorize(factor, k)
+        if self._scratch is not None:
+            native.factorize_panels(factor, panels, self._scratch[worker])
+        else:
+            for k in panels.tolist():
+                for j in self._sources(k):
+                    panel_update(factor, j, k, workspace=self.workspace)
+                panel_factorize(factor, k)
         if timed:
             self._inject(t, worker, time.perf_counter() - k0)
             if self.health is not None:
@@ -1192,8 +1204,8 @@ class _ThreadedSolve:
         w = l - f
         panel = factor.L[k]
         rhs = x[f:l]
-        for j, cm in self.sources[k]:
-            rhs[cm.cols_local] -= slabs[j][cm.i0: cm.i1]
+        for j, i0, i1, cols_local in self.sources[k]:
+            rhs[cols_local] -= slabs[j][i0:i1]
         y = triangular_solve(
             panel[:w, :w], rhs, lower=True, unit=factor.factotype != "llt"
         )
@@ -1305,7 +1317,7 @@ def factorize_threaded(
     record_sync: bool = False,
     faults: Optional[FaultModel] = None,
     health: Optional[HealthPolicy] = None,
-    kernels: str = "numpy",
+    kernels: str = "native",
     split_rows: int | None = None,
     granularity: str = "unit",
 ) -> NumericFactor:
@@ -1335,13 +1347,17 @@ factorize_sequential`'s for any worker count, scheduler and
     effective settings and the cache/accumulator counters are stamped
     into ``trace.meta``.
 
-    ``kernels`` selects the numeric backend: ``"numpy"`` (the
-    bit-identity reference — traces and factors are unchanged from the
-    pre-toggle code) or ``"compiled"`` (numba-jit fused update kernel +
-    compiled fan-in merge and assemble gather,
-    :mod:`repro.kernels.compiled`; gracefully degrades to numpy when
-    numba is absent).  Both the requested and the *effective* backend
-    are stamped into ``trace.meta``.  ``split_rows`` (2D only) enables
+    ``kernels`` selects the numeric backend: ``"native"`` (the default:
+    one C call per unit, :mod:`repro.kernels.native`; bit-identical to
+    the sequential driver *on the same backend*, equal to the NumPy
+    kernels to roundoff), ``"numpy"`` (the reference) or ``"compiled"``
+    (numba-jit fused update kernel + compiled fan-in merge,
+    :mod:`repro.kernels.compiled`).  ``"native"`` falls back to
+    ``"numpy"`` when it cannot be built here and whenever ``workspace``,
+    ``index_cache``, ``dl_buffer`` or ``granularity`` is off its default
+    (ablations of the NumPy kernels); ``"compiled"`` when numba is
+    absent.  Both the requested and the *effective* backend are stamped
+    into ``trace.meta``.  ``split_rows`` (2D only) enables
     tall-panel row-block splitting of the update DAG
     (``build_dag(split_rows=...)``): couples taller than the threshold
     become several independent update tasks that share the target's
@@ -1388,8 +1404,6 @@ ThreadScheduler` instance; the choice is stamped into ``trace.meta``.
     commit gate (exactly-once: the R701 contract).  Both default off;
     when off every hook is a dead ``is None`` branch.
     """
-    from repro.kernels.compiled import resolve_kernels
-
     if granularity == "unit":
         for option, on in (
             ("accumulate", accumulate),
@@ -1406,11 +1420,13 @@ ThreadScheduler` instance; the choice is stamped into ``trace.meta``.
             f"the thread pool executes granularity 'unit' or '2d', "
             f"not {granularity!r}"
         )
-    effective_kernels = resolve_kernels(kernels)
-    factor = NumericFactor.assemble(
-        symbol, matrix, factotype, dtype=dtype, kernels=effective_kernels
+    factor = NumericFactor.assemble(symbol, matrix, factotype, dtype=dtype)
+    factor.kernels = effective_kernels = native.resolve_kernels(
+        kernels,
+        ablation=not (workspace and index_cache and granularity == "unit")
+        or dl_buffer,
+        dtype=factor.dtype,
     )
-    factor.kernels = effective_kernels
     if index_cache:
         from repro.kernels.indexcache import get_couple_cache
 

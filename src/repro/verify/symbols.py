@@ -480,7 +480,10 @@ def verify_couple_cache(
     # N508: coverage — cached couples vs the facing-index enumeration.
     derived = derive_couples_by_target(symbol)
     want = set(derived.keys())
-    have = set(cache.maps.keys())
+    pairs = list(zip(cache.src.tolist(), cache.tgt.tolist()))
+    have = set(pairs)
+    if len(have) != len(pairs):
+        report.add("N508", "cache lists a couple more than once")
     for k, t in sorted(have - want):
         report.add(
             "N508",
@@ -505,24 +508,33 @@ def verify_couple_cache(
                 f"from the facing-index targets {expect.tolist()}",
             )
 
-    # The solve's fan-in lists: per target, its sources in ascending
-    # order (the order fixes the solve's floating-point reduction).
+    # The fan-in lists: per target, its sources in ascending order (the
+    # order fixes the floating-point reduction of the left-looking
+    # factorization and solve) — as the native kernel walks them
+    # (``tgt_ptr`` ranges of ``src``) and as the solve reads them
+    # (``sources``).
     by_target: dict[int, list[int]] = {}
     for k, t in sorted(want):
         by_target.setdefault(t, []).append(k)
     for t in range(symbol.n_cblk):
-        got_src = [k for k, _ in cache.sources[t]]
-        if got_src != by_target.get(t, []):
-            report.add(
-                "N508",
-                f"panel {t}'s cached source list {got_src} differs from "
-                f"the facing-index sources {by_target.get(t, [])}",
-            )
+        for what, got_src in (
+            ("source range", cache.source_ids(t)),
+            ("source list", [entry[0] for entry in cache.sources[t]]),
+        ):
+            if got_src != by_target.get(t, []):
+                report.add(
+                    "N508",
+                    f"panel {t}'s cached {what} {got_src} differs from "
+                    f"the facing-index sources {by_target.get(t, [])}",
+                )
 
     # N507: per-couple map contents, re-derived by different means.
     n_bad = 0
-    for (k, t) in sorted(have & want):
-        cm = cache.maps[(k, t)]
+    for c, (k, t) in enumerate(pairs):
+        if (k, t) not in want:
+            continue
+        i0c, i1c = int(cache.i0[c]), int(cache.i1[c])
+        rows_c = cache.rows_local[cache.rl_ptr[c]: cache.rl_ptr[c + 1]]
         w = symbol.cblk_width(k)
         rk = rows_of[k][w:]
         i0 = int(np.count_nonzero(rk < ptr[t]))
@@ -531,21 +543,21 @@ def verify_couple_cache(
         exp_rows = np.flatnonzero(np.isin(rows_t, rk[i0:]))
         exp_cols = rk[i0:i1] - ptr[t]
         bad = (
-            cm.i0 != i0
-            or cm.i1 != i1
-            or cm.rk_size != rk.size
-            or not np.array_equal(cm.rows_local, exp_rows)
-            or not np.array_equal(cm.cols_local, exp_cols)
+            i0c != i0
+            or i1c != i1
+            or not np.array_equal(rows_c, exp_rows)
+            or not np.array_equal(rows_c[: i1 - i0], exp_cols)
         )
         if bad:
             n_bad += 1
             if n_bad <= max_reported:
                 report.add(
                     "N507",
-                    f"couple {k} -> {t}: cached maps (i0={cm.i0}, "
-                    f"i1={cm.i1}, rk_size={cm.rk_size}) disagree with "
+                    f"couple {k} -> {t}: cached maps (i0={i0c}, "
+                    f"i1={i1c}, {rows_c.size} tail rows) disagree with "
                     f"the re-derivation (i0={i0}, i1={i1}, "
-                    f"rk_size={rk.size}) or the row/column maps differ",
+                    f"{rk.size - i0} tail rows) or the row/column maps "
+                    "differ",
                 )
             elif n_bad == max_reported + 1:
                 report.add("N507", "... further map findings suppressed")
@@ -566,17 +578,12 @@ def stale_couple_map(cache) -> tuple[object, tuple[int, int]]:
     produce, and the corruption N507 exists to catch.  Returns the
     corrupted cache and the affected couple.
     """
-    from repro.kernels.indexcache import CoupleMap
-
-    if not cache.maps:
+    if not cache.n_couples:
         raise ValueError("cache holds no couples to corrupt")
-    key = max(cache.maps, key=lambda kt: cache.maps[kt].rows_local.size)
-    cm = cache.maps[key]
-    rows = cm.rows_local.copy()
-    rows[rows.size // 2] += 1
+    c = int(np.argmax(np.diff(cache.rl_ptr)))
     out = cache.clone()
-    out.maps[key] = CoupleMap(cm.i0, cm.i1, rows, cm.cols_local, cm.rk_size)
-    return out, key
+    out.rows_local[(out.rl_ptr[c] + out.rl_ptr[c + 1]) // 2] += 1
+    return out, (int(out.src[c]), int(out.tgt[c]))
 
 
 def skew_flops(dag: TaskDAG, factor: float = 1.5) -> tuple[TaskDAG, int]:

@@ -18,6 +18,21 @@ def test_analyze_command(mtx_file, capsys):
     assert main(["analyze", mtx_file]) == 0
     out = capsys.readouterr().out
     assert "nnz(L)" in out and "parallelism" in out
+    assert "native kernel: available" in out or (
+        "native kernel: unavailable, the NumPy kernels will run" in out)
+
+
+def test_analyze_says_why_native_is_unavailable(mtx_file, capsys, monkeypatch):
+    from repro.kernels import native
+
+    def failing():
+        raise native.NativeUnavailable("build failed (cc exit 1):\nboom")
+
+    monkeypatch.setattr(native, "load", failing)
+    assert main(["analyze", mtx_file]) == 0
+    out = capsys.readouterr().out
+    assert "unavailable" in out and "build failed (cc exit 1)" in out
+    assert "boom" in out
 
 
 def test_solve_command(mtx_file, capsys, tmp_path):
@@ -25,6 +40,7 @@ def test_solve_command(mtx_file, capsys, tmp_path):
     assert main(["solve", mtx_file, "--output", str(out_file)]) == 0
     out = capsys.readouterr().out
     assert "residual" in out
+    assert "native kernels)" in out or "numpy kernels)" in out
     x = np.loadtxt(out_file)
     assert x.size > 0
 

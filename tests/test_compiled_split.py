@@ -112,11 +112,22 @@ def test_trace_meta_stamps(grid2d_small):
     assert trace.meta["granularity"] == "2d"
 
 
-def test_trace_meta_numpy_default(grid2d_small):
+def test_trace_meta_default_backend(grid2d_small):
+    from repro.kernels.native import resolve_kernels as resolve_default
+
     res, permuted = _setup(grid2d_small)
     trace = ExecutionTrace()
     factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
                        trace=trace)
+    assert trace.meta["kernels_requested"] == "native"
+    assert trace.meta["kernels"] == resolve_default("native")
+
+
+def test_trace_meta_numpy_default(grid2d_small):
+    res, permuted = _setup(grid2d_small)
+    trace = ExecutionTrace()
+    factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
+                       trace=trace, kernels="numpy")
     assert trace.meta["kernels"] == "numpy"
     assert "split_rows" not in trace.meta
     assert trace.meta["granularity"] == "unit"
@@ -126,7 +137,7 @@ def test_trace_meta_numpy_default(grid2d_small):
 def test_sequential_compiled_degrades_bit_identically(grid2d_small):
     """Without numba, kernels="compiled" must be byte-equal to numpy."""
     res, permuted = _setup(grid2d_small)
-    ref = factorize_sequential(res.symbol, permuted, "llt")
+    ref = factorize_sequential(res.symbol, permuted, "llt", kernels="numpy")
     deg = factorize_sequential(res.symbol, permuted, "llt",
                                kernels="compiled")
     assert deg.kernels == "numpy"

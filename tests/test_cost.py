@@ -15,7 +15,18 @@ from repro.kernels.cost import (
     flops_trsm,
     flops_update,
 )
+from repro.sparse import load_matrix
+from repro.sparse.collection import collection_names
 from repro.symbolic import analyze
+from tests.test_analysis_golden import E2E_INPUTS
+
+#: ``benchmarks/e2e/harness.WORKLOADS[*].flops_ref`` (frozen there).
+E2E_FLOPS_REF = {
+    "shell2d_lu": 19568189.0,
+    "vol3d_ldlt": 66328134.666667536,
+    "helm3d_zldlt": 9833513533.333326,
+    "elast3d_llt_seq_rhs16": 1114362692.0,
+}
 
 
 def count_flops_potrf_brute(w: int) -> float:
@@ -117,3 +128,48 @@ class TestTotals:
         res = analyze(m)
         total = flops_total(res.symbol, "llt")
         assert total == pytest.approx(60**3 / 3, rel=0.25)
+
+
+def flops_total_by_blok_loop(symbol, factotype, dtype=np.float64) -> float:
+    """``flops_total`` as it was before it read the flat couple plan: a
+    Python walk over every blok (kept as the reference)."""
+    total = 0.0
+    widths = np.diff(symbol.cblk_ptr)
+    for k in range(symbol.n_cblk):
+        w = int(widths[k])
+        total += flops_panel(w, symbol.cblk_below(k), factotype)
+        b0, b1 = int(symbol.blok_ptr[k]) + 1, int(symbol.blok_ptr[k + 1])
+        sizes = symbol.blok_lrow[b0:b1] - symbol.blok_frow[b0:b1]
+        faces = symbol.blok_face[b0:b1]
+        suffix = np.cumsum(sizes[::-1])[::-1]
+        i = 0
+        while i < b1 - b0:
+            j = i
+            n = 0
+            while j < b1 - b0 and faces[j] == faces[i]:
+                n += int(sizes[j])
+                j += 1
+            total += flops_update(int(suffix[i]), n, w, factotype,
+                                  recompute_ld=False)
+            i = j
+    return total * complex_multiplier(dtype)
+
+
+class TestTotalFromPlan:
+    """``flops_total`` reads the couple plan; same value as the blok walk."""
+
+    @pytest.mark.parametrize("name", collection_names())
+    def test_collection(self, name):
+        symbol = analyze(load_matrix(name, 0.3, 0)).symbol
+        for ft in ("llt", "ldlt", "lu"):
+            for dtype in (np.float64, np.complex128):
+                assert flops_total(symbol, ft, dtype) == pytest.approx(
+                    flops_total_by_blok_loop(symbol, ft, dtype), rel=1e-12)
+
+    @pytest.mark.parametrize("workload", sorted(E2E_FLOPS_REF))
+    def test_bench_inputs_keep_their_frozen_count(self, workload):
+        matrix = load_matrix(*E2E_INPUTS[workload], 0)
+        ft = workload.split("_")[1].lstrip("z")
+        assert flops_total(
+            analyze(matrix).symbol, ft, matrix.values.dtype
+        ) == pytest.approx(E2E_FLOPS_REF[workload], rel=1e-12)

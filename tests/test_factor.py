@@ -57,6 +57,74 @@ class TestAllocate:
         assert f.nbytes() > 16 * res.symbol.nnz()
 
 
+class TestArena:
+    """One arena per side; ``L[k]``/``U[k]``/``D[k]`` are views of it."""
+
+    @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
+    def test_panels_are_views_at_the_layout_offsets(self, grid2d_small,
+                                                    factotype):
+        from repro.kernels.indexcache import panel_layout
+
+        sym = analyze(grid2d_small).symbol
+        f = NumericFactor.allocate(sym, factotype, np.complex128)
+        layout = panel_layout(sym)
+        assert f.L_arena.size == layout.offset[-1] == sum(p.size for p in f.L)
+        assert (f.U_arena is None) == (factotype != "lu")
+        assert (f.D_arena is None) == (factotype != "ldlt")
+        for k in range(sym.n_cblk):
+            f.L[k][...] = k + 1
+            chunk = f.L_arena[layout.offset[k]: layout.offset[k + 1]]
+            assert f.L[k].flags.c_contiguous and np.all(chunk == k + 1)
+            assert np.array_equal(f.rows[k], sym.cblk_rows(k))
+        if factotype == "lu":
+            assert all(np.shares_memory(u, f.U_arena) for u in f.U)
+        if factotype == "ldlt":
+            assert all(np.shares_memory(d, f.D_arena) for d in f.D)
+            assert f.D_arena.size == sym.n
+
+    def test_ldlt_panel_factorize_writes_d_in_place(self, grid2d_small):
+        from repro.kernels.panel import panel_factorize
+
+        res = analyze(grid2d_small)
+        permuted = grid2d_small.permute(res.perm.perm)
+        f = NumericFactor.assemble(res.symbol, permuted, "ldlt")
+        panel_factorize(f, 0)
+        w = res.symbol.cblk_width(0)
+        assert np.shares_memory(f.D[0], f.D_arena)
+        assert np.all(f.D_arena[:w] != 0) and np.all(f.D_arena[w:] == 0)
+
+    @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
+    def test_copy_copies_the_arena_and_reviews(self, grid2d_small, factotype):
+        from repro.core.factorization import factorize_sequential
+
+        res = analyze(grid2d_small)
+        permuted = grid2d_small.permute(res.perm.perm)
+        f = factorize_sequential(res.symbol, permuted, factotype,
+                                 pivot_threshold=1e-8)
+        g = f.copy()
+        assert g.pivot_monitor is f.pivot_monitor is not None
+        assert g.kernels == f.kernels and g.index_cache is f.index_cache
+        for name in ("L", "U", "D"):
+            if getattr(f, name) is None:
+                assert getattr(g, name) is None
+                continue
+            arena = getattr(g, name + "_arena")
+            assert not np.shares_memory(arena, getattr(f, name + "_arena"))
+            for a, b in zip(getattr(f, name), getattr(g, name)):
+                assert np.array_equal(a, b) and np.shares_memory(b, arena)
+
+    def test_list_built_factor_copies_without_an_arena(self, grid2d_small):
+        sym = analyze(grid2d_small).symbol
+        f = NumericFactor.allocate(sym, "ldlt")
+        lists = NumericFactor(sym, "ldlt", f.dtype,
+                              [p + 1.0 for p in f.L], None,
+                              [d + 2.0 for d in f.D], f.rows)
+        g = lists.copy()
+        assert g.L_arena is None and g.D_arena is None
+        assert all(np.array_equal(a, b) and not np.shares_memory(a, b)
+                   for a, b in zip(lists.L + lists.D, g.L + g.D))
+
+
 class TestAssemble:
     def test_lower_scatter_exact(self, grid2d_small):
         res = analyze(grid2d_small)

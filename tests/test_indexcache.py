@@ -4,17 +4,28 @@ import numpy as np
 import pytest
 
 from repro.core.factor import NumericFactor
-from repro.core.factorization import facing_cblks, factorize_sequential
+from repro.core.factorization import (
+    contributing_cblks,
+    facing_cblks,
+    factorize_sequential,
+)
 from repro.dag import TaskKind, build_dag
 from repro.dag.builder import dag_of_trace
 from repro.kernels.cost import index_overhead_flops
-from repro.kernels.indexcache import CoupleMapCache, get_couple_cache
+from repro.kernels.indexcache import (
+    CoupleMapCache,
+    CouplePlanError,
+    get_couple_cache,
+)
 from repro.kernels.panel import update_slice
 from repro.runtime.scheduling import WorkStealingScheduler
 from repro.runtime.threaded import factorize_threaded
 from repro.runtime.tracing import ExecutionTrace
+from repro.sparse import load_matrix
+from repro.sparse.collection import collection_names
 from repro.symbolic import analyze
 from repro.verify import stale_couple_map, verify_couple_cache
+from tests.test_analysis_golden import E2E_INPUTS
 
 
 def _setup(mat):
@@ -22,30 +33,69 @@ def _setup(mat):
     return res, mat.permute(res.perm.perm)
 
 
+#: ``CoupleMapCache.nbytes()`` of the dict-of-dataclasses cache the flat
+#: plan replaced (commit 01c798e), on the four ``bench_e2e`` symbols.
+PARENT_NBYTES = {
+    "shell2d_lu": 403336,
+    "vol3d_ldlt": 658144,
+    "helm3d_zldlt": 1964504,
+    "elast3d_llt_seq_rhs16": 2095168,
+}
+
+
+def _assert_plan_matches_symbol(sym):
+    """Every plan array against ``update_slice`` / the enumerations."""
+    factor = NumericFactor.allocate(sym, "llt")
+    cache = CoupleMapCache(sym)
+    n_checked = 0
+    for k in range(sym.n_cblk):
+        targets = facing_cblks(sym, k)
+        assert np.array_equal(cache.facing[k], targets)
+        for t in targets.tolist():
+            i0, i1, rows_local, cols_local, rk_size = cache.lookup(k, t)
+            e0, e1, rk = update_slice(factor, k, t)
+            assert (i0, i1, rk_size) == (e0, e1, rk.size)
+            assert np.array_equal(
+                rows_local, np.searchsorted(factor.rows[t], rk[i0:])
+            )
+            assert np.array_equal(cols_local, rk[i0:i1] - sym.cblk_ptr[t])
+            n_checked += 1
+    assert n_checked == cache.n_couples
+    for t in range(sym.n_cblk):
+        expect = contributing_cblks(sym, t).tolist()
+        assert cache.source_ids(t) == expect
+        assert [k for k, *_ in cache.sources[t]] == expect
+        for k, i0, i1, cols_local in cache.sources[t]:
+            hit = cache.lookup(k, t)
+            assert hit[:2] == (i0, i1)
+            assert np.array_equal(cols_local, hit[3])
+    # The couples are stored by (target, source); ``by_src`` lists them
+    # by (source, target).
+    assert np.array_equal(cache.tgt, np.repeat(
+        np.arange(sym.n_cblk), np.diff(cache.tgt_ptr)))
+    by_src = cache.by_src
+    key = cache.src[by_src].astype(np.int64) * sym.n_cblk + cache.tgt[by_src]
+    assert np.all(np.diff(key) > 0)
+    cache.validate()
+    return cache
+
+
 class TestCoupleMapCache:
     def test_maps_match_update_slice(self, grid2d_small):
         """Every cached map equals what the uncached kernel derives."""
-        res, permuted = _setup(grid2d_small)
-        factor = NumericFactor.assemble(res.symbol, permuted, "llt")
-        cache = CoupleMapCache(res.symbol)
-        sym = res.symbol
-        n_checked = 0
-        for k in range(sym.n_cblk):
-            for t in facing_cblks(sym, k):
-                t = int(t)
-                cm = cache.lookup(k, t)
-                assert cm is not None
-                i0, i1, rk = update_slice(factor, k, t)
-                assert cm.i0 == i0 and cm.i1 == i1
-                assert cm.rk_size == rk.size
-                assert np.array_equal(
-                    cm.rows_local, np.searchsorted(factor.rows[t], rk[i0:])
-                )
-                assert np.array_equal(
-                    cm.cols_local, rk[i0:i1] - sym.cblk_ptr[t]
-                )
-                n_checked += 1
-        assert n_checked == cache.n_couples > 0
+        res, _ = _setup(grid2d_small)
+        assert _assert_plan_matches_symbol(res.symbol).n_couples > 0
+
+    @pytest.mark.parametrize("name", collection_names())
+    def test_plan_matches_symbol_on_collection(self, name):
+        sym = analyze(load_matrix(name, 0.3, 0)).symbol
+        _assert_plan_matches_symbol(sym)
+        assert verify_couple_cache(sym, get_couple_cache(sym)).ok
+
+    @pytest.mark.parametrize("workload", sorted(PARENT_NBYTES))
+    def test_plan_smaller_than_the_maps_it_replaced(self, workload):
+        sym = analyze(load_matrix(*E2E_INPUTS[workload], 0)).symbol
+        assert 0 < get_couple_cache(sym).nbytes() < PARENT_NBYTES[workload]
 
     def test_facing_lists_match_enumeration(self, grid2d_small):
         res, _ = _setup(grid2d_small)
@@ -57,37 +107,39 @@ class TestCoupleMapCache:
 
     def test_source_lists_transpose_the_facing_lists(self, grid2d_small):
         """``sources[t]``: the couples landing in ``t``, ascending in
-        their source, each with the map it is cached under — and the
-        audit notices a list that went out of order."""
+        their source, each with its slice bounds and column map — and
+        the audit notices a range that went out of order."""
         res, _ = _setup(grid2d_small)
         cache = CoupleMapCache(res.symbol)
         seen = 0
         for t, srcs in enumerate(cache.sources):
-            ks = [k for k, _ in srcs]
+            ks = [k for k, *_ in srcs]
             assert ks == sorted(set(ks))
-            for k, cm in srcs:
+            for k, *_ in srcs:
                 assert t in cache.facing[k]
-                assert cm is cache.maps[(k, t)]
             seen += len(srcs)
         assert seen == cache.n_couples
         assert verify_couple_cache(res.symbol, cache).ok
         bad = cache.clone()
-        t = max(range(len(bad.sources)), key=lambda i: len(bad.sources[i]))
-        bad.sources[t].reverse()
+        t = int(np.argmax(np.diff(bad.tgt_ptr)))
+        lo, hi = bad.tgt_ptr[t], bad.tgt_ptr[t + 1]
+        bad.src[lo:hi] = bad.src[lo:hi][::-1].copy()
         rep = verify_couple_cache(res.symbol, bad)
         assert any(f.code == "N508" for f in rep.errors()), rep.format()
+        with pytest.raises(CouplePlanError, match="ascending"):
+            bad.validate()
         assert verify_couple_cache(res.symbol, cache).ok   # clone is deep enough
 
     def test_lookup_counts_and_miss(self, grid2d_small):
         res, _ = _setup(grid2d_small)
         cache = CoupleMapCache(res.symbol)
-        k, t = next(iter(sorted(cache.maps)))
+        k, t = int(cache.src[0]), int(cache.tgt[0])
         assert cache.lookup(k, t) is not None
         assert cache.lookup(t, k) is None  # couples never point downward
-        assert cache.hits == 1 and cache.misses == 1
         stats = cache.stats()
         assert stats["couples"] == cache.n_couples
-        assert stats["nbytes"] > 0
+        assert stats["nbytes"] == cache.nbytes() > 0
+        assert set(stats) == {"couples", "nbytes", "build_s"}
 
     def test_memoized_on_symbol(self, grid2d_small):
         res, _ = _setup(grid2d_small)
@@ -97,6 +149,9 @@ class TestCoupleMapCache:
 
 
 class TestBitIdenticalFactors:
+    """Statements about the NumPy kernels (``kernels="numpy"`` pinned on
+    the side that would otherwise run the native backend)."""
+
     @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
     def test_cached_equals_uncached(self, grid2d_small, factotype):
         res, permuted = _setup(grid2d_small)
@@ -104,8 +159,10 @@ class TestBitIdenticalFactors:
             res.symbol, permuted, factotype, index_cache=False
         )
         cached = factorize_sequential(
-            res.symbol, permuted, factotype, index_cache=True
+            res.symbol, permuted, factotype, index_cache=True,
+            kernels="numpy",
         )
+        assert ref.kernels == cached.kernels == "numpy"
         for a, b in zip(ref.L, cached.L):
             assert np.array_equal(a, b)
         if factotype == "ldlt":
@@ -118,7 +175,7 @@ class TestBitIdenticalFactors:
     def test_dl_buffer_equals_recompute(self, grid2d_small):
         res, permuted = _setup(grid2d_small)
         ref = factorize_sequential(
-            res.symbol, permuted, "ldlt", dl_buffer=False
+            res.symbol, permuted, "ldlt", dl_buffer=False, kernels="numpy"
         )
         buf = factorize_sequential(
             res.symbol, permuted, "ldlt", dl_buffer=True
@@ -136,19 +193,16 @@ class TestBitIdenticalFactors:
         assert f.dl_buffer is False and f.DL is None
 
     def test_cache_reused_across_factorizations(self, grid2d_small):
-        """Same symbol, new values: one cache build, hits keep growing."""
+        """Same symbol, new values: one plan, built once."""
         res, permuted = _setup(grid2d_small)
         f1 = factorize_sequential(res.symbol, permuted, "llt")
         cache = f1.index_cache
         assert cache is get_couple_cache(res.symbol)
-        hits_after_first = cache.hits
-        assert hits_after_first >= cache.n_couples
 
         rescaled = grid2d_small.permute(res.perm.perm)
         rescaled.values[:] = rescaled.values * 2.0
         f2 = factorize_sequential(res.symbol, rescaled, "llt")
         assert f2.index_cache is cache
-        assert cache.hits >= 2 * hits_after_first
         for a, b in zip(f1.L, f2.L):
             # Cholesky of 2·A is √2·L — the values really differed.
             assert np.allclose(np.sqrt(2.0) * a, b, atol=1e-10)
@@ -259,15 +313,19 @@ class TestVerifyAudit:
         report = verify_couple_cache(res.symbol, corrupted)
         assert not report.ok
         assert any(f.code == "N507" for f in report.errors())
-        assert couple in corrupted.maps
+        assert corrupted.lookup(*couple) is not None
         # The pristine cache is untouched by the injection.
         assert verify_couple_cache(res.symbol, cache).ok
 
     def test_missing_couple_caught(self, grid2d_small):
         res, _ = _setup(grid2d_small)
         corrupted = CoupleMapCache(res.symbol).clone()
-        key = next(iter(sorted(corrupted.maps)))
-        del corrupted.maps[key]
+        # Re-source one couple to a panel that does not face its target:
+        # the true couple goes missing and a phantom one appears.
+        c = next(c for c in range(corrupted.n_couples)
+                 if corrupted.lookup(0, int(corrupted.tgt[c])) is None
+                 and corrupted.tgt[c] > 0)
+        corrupted.src[c] = 0
         report = verify_couple_cache(res.symbol, corrupted)
         assert not report.ok
         assert any(f.code == "N508" for f in report.errors())

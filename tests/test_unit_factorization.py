@@ -66,16 +66,20 @@ def test_bit_identical_to_sequential(grid2d_medium, helmholtz_small,
     for index_cache in (True, False):
         for dl_buffer in (False, True):
             for workspace in (True, False):
+                # A statement about the NumPy kernels under every toggle
+                # (the native backend: tests/test_native_kernels.py).
                 ref = factorize_sequential(
                     res.symbol, permuted, factotype, workspace=workspace,
-                    index_cache=index_cache, dl_buffer=dl_buffer)
+                    index_cache=index_cache, dl_buffer=dl_buffer,
+                    kernels="numpy")
                 assert np.iscomplexobj(ref.L[0]) == cplx
                 for n_workers in (1, 2, 3, 4):
                     got = factorize_threaded(
                         res.symbol, permuted, factotype,
                         n_workers=n_workers, scheduler=scheduler,
                         workspace=workspace, index_cache=index_cache,
-                        dl_buffer=dl_buffer, granularity="unit")
+                        dl_buffer=dl_buffer, granularity="unit",
+                        kernels="numpy")
                     _assert_identical(ref, got)
     assert get_dag(res.symbol, factotype, granularity="unit",
                    dtype=ref.dtype, n_workers=4).n_tasks > 4
@@ -102,14 +106,17 @@ def test_interleaving_cannot_change_the_factor(grid2d_medium, no_unit_floor):
     as many interleavings as the host allows; a write not ordered by a
     tree edge would show as a differing bit."""
     res, permuted = _setup(grid2d_medium)
-    ref = factorize_sequential(res.symbol, permuted, "ldlt")
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(10):
-            got = factorize_threaded(res.symbol, permuted, "ldlt",
-                                     n_workers=8, watchdog_s=30.0)
-            _assert_identical(ref, got)
+        for kernels in ("numpy", "native"):
+            ref = factorize_sequential(res.symbol, permuted, "ldlt",
+                                       kernels=kernels)
+            for _ in range(10):
+                got = factorize_threaded(res.symbol, permuted, "ldlt",
+                                         n_workers=8, watchdog_s=30.0,
+                                         kernels=kernels)
+                _assert_identical(ref, got)
     finally:
         sys.setswitchinterval(old)
 
@@ -342,8 +349,11 @@ def test_retry_before_mutation_is_clean(grid2d_medium, no_unit_floor):
     run._execute = execute
     run.run()
     assert run.n_done == dag.n_tasks and fails["left"] == 0
-    _assert_identical(factorize_sequential(res.symbol, permuted, "llt"),
-                      factor)
+    # _unit_run assembles its own factor, which runs the NumPy kernels.
+    _assert_identical(
+        factorize_sequential(res.symbol, permuted, "llt", kernels="numpy"),
+        factor,
+    )
 
 
 def test_quarantine_spares_independent_units(grid2d_medium, no_unit_floor):

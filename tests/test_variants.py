@@ -21,7 +21,8 @@ class TestLeftLooking:
     def test_matches_right_looking(self, grid2d_medium, factotype):
         res = analyze(grid2d_medium)
         permuted = grid2d_medium.permute(res.perm.perm)
-        right = factorize_sequential(res.symbol, permuted, factotype)
+        right = factorize_sequential(res.symbol, permuted, factotype,
+                                     kernels="numpy")
         left = factorize_sequential(
             res.symbol, permuted, factotype, variant="left"
         )
