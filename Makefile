@@ -192,11 +192,14 @@ compiled-smoke:
 	if [ $$status -eq 0 ]; then echo "compiled-smoke: clean"; \
 	else echo "compiled-smoke: FAILED"; fi; exit $$status
 
-# Native-kernel gate: cold-build repro/kernels/native.c into a fresh
-# temporary cache directory (compiler, flags and build seconds are
-# printed), then factorize one small matrix per factotype in both
-# drivers on it and check the factors against the NumPy kernels (1e-12)
-# and each other (bit for bit).  No C compiler: SKIPPED, exit 0.
+# Native-code gate: cold-build repro/kernels/native.c and
+# repro/graph/analysis.c into a fresh temporary cache directory
+# (compiler, flags and build seconds are printed for each), then
+# factorize one small matrix per factotype in both drivers and check the
+# factors against the NumPy kernels (1e-12) and each other (bit for
+# bit), and analyse one matrix per generator family with the C helper
+# and with the Python bodies (identical arrays).  No C compiler:
+# SKIPPED, exit 0.
 native-smoke:
 	@$(PYTHON) benchmarks/native_smoke.py; \
 	status=$$?; \

@@ -1,13 +1,15 @@
-"""Native-kernel smoke gate (``make native-smoke``).
+"""Native-code smoke gate (``make native-smoke``).
 
-Builds ``repro/kernels/native.c`` into a *fresh* temporary cache
-directory — so a cold build is proven to work, and its compiler, flags
-and seconds are printed — loads it from there, and runs the differential
-check on one small matrix per factotype in both drivers: the native
-factor against the NumPy one (1e-12) and the threaded native factor
-against the sequential native one (bit for bit).  Prints the effective
-backend.  Without a C compiler there is nothing to build: it says
-``SKIPPED (no C compiler)`` and exits 0.
+Builds ``repro/kernels/native.c`` and ``repro/graph/analysis.c`` into a
+*fresh* temporary cache directory — so a cold build is proven to work,
+and its compiler, flags and seconds are printed — loads them from there,
+and runs the differential checks: one small matrix per factotype in both
+drivers (the native factor against the NumPy one, 1e-12, and the threaded
+native factor against the sequential native one, bit for bit), and one
+matrix per generator family through the analysis with the C helper and
+with the Python bodies (equal fingerprints, equal minimum-degree
+orderings).  Prints the effective backend.  Without a C compiler there is
+nothing to build: it says ``SKIPPED (no C compiler)`` and exits 0.
 """
 
 from __future__ import annotations
@@ -23,6 +25,55 @@ import numpy as np
 RTOL = 1e-12
 
 
+def _analysis_arrays(res) -> list[np.ndarray]:
+    sym = res.symbol
+    return [res.perm.perm, res.parent, res.counts, res.pattern.colptr,
+            res.pattern.rowind, sym.cblk_ptr, sym.blok_ptr, sym.blok_frow,
+            sym.blok_lrow, sym.blok_face]
+
+
+def cold_build(module, cache: Path) -> None:
+    """Build ``module.SOURCE`` into the empty ``cache`` and load it."""
+    from repro import cbuild
+
+    path, info = cbuild.build(module.SOURCE, cache)
+    print(f"native-smoke: cold build of {path.name} in "
+          f"{info['build_s']:.2f} s — {info['compiler']}, {info['flags']}")
+    if info["cached"] or module.availability() is not None:
+        sys.exit(f"native-smoke: cold build of {module.SOURCE.name} "
+                 f"unusable: {module.availability()}")
+
+
+def check_analysis() -> None:
+    """C helper == Python bodies on one matrix per generator family."""
+    from unittest import mock
+
+    from repro.graph import Graph, native
+    from repro.ordering import minimum_degree
+    from repro.sparse import generators as gen
+    from repro.symbolic import analyze
+
+    families = {
+        "lap2d": gen.grid_laplacian_2d(20, jitter=0.05, seed=0),
+        "lap3d": gen.grid_laplacian_3d(7, jitter=0.05, seed=1),
+        "random": gen.random_pattern_spd(300, 6.0, seed=2, locality=0.5),
+        "elasticity": gen.elasticity_like_3d(4, seed=3),
+        "helmholtz": gen.helmholtz_like_2d(14, seed=4),
+        "shell": gen.shell_like_2d(12, 12, seed=5),
+    }
+    for name, matrix in families.items():
+        graph = Graph.from_matrix(matrix)
+        got = _analysis_arrays(analyze(matrix)) + [minimum_degree(graph).perm]
+        with mock.patch.object(native, "library", lambda: None):
+            ref = _analysis_arrays(analyze(matrix)) + [
+                minimum_degree(graph).perm]
+        if not all(np.array_equal(a, b) for a, b in zip(got, ref)):
+            sys.exit(f"native-smoke: analysis of {name} differs between "
+                     "the C helper and the Python bodies")
+        print(f"native-smoke: analysis {name} n={matrix.n_rows} ok "
+              "(C helper == Python bodies)")
+
+
 def _flat(factor, side: str) -> np.ndarray:
     return np.concatenate([p.ravel() for p in getattr(factor, side)])
 
@@ -35,6 +86,7 @@ def main() -> None:
         # Before the first load: the library is cached under here.
         os.environ["XDG_CACHE_HOME"] = tmp
         from repro.core.factorization import factorize_sequential
+        from repro.graph import native as native_analysis
         from repro.kernels import native
         from repro.runtime.threaded import factorize_threaded
         from repro.sparse.generators import grid_laplacian_2d, helmholtz_like_2d
@@ -42,12 +94,8 @@ def main() -> None:
 
         cache = Path(tmp) / "repro"
         cache.mkdir(mode=0o700)
-        path, info = native.build(cache)
-        print(f"native-smoke: cold build of {path.name} in "
-              f"{info['build_s']:.2f} s — {info['compiler']}, {info['flags']}")
-        if info["cached"] or native.availability() is not None:
-            sys.exit(f"native-smoke: cold build unusable: "
-                     f"{native.availability()}")
+        cold_build(native, cache)
+        cold_build(native_analysis, cache)
 
         cases = [("llt", grid_laplacian_2d(24, jitter=0.05, seed=0)),
                  ("ldlt", helmholtz_like_2d(12, seed=1)),
@@ -75,6 +123,7 @@ def main() -> None:
                              "factor is not bit-identical to the sequential")
             print(f"native-smoke: {ft} {matrix.values.dtype} ok "
                   f"(effective backend {seq.kernels!r}, both drivers)")
+        check_analysis()
 
 
 if __name__ == "__main__":

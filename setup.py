@@ -16,8 +16,10 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # The native backend compiles this at first use (repro.kernels.native).
-    package_data={"repro.kernels": ["native.c"]},
+    # Compiled at first use (repro.cbuild) by repro.kernels.native and
+    # repro.graph.native.
+    package_data={"repro.kernels": ["native.c"],
+                  "repro.graph": ["analysis.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
 )

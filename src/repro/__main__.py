@@ -66,12 +66,28 @@ def _add_matrix_args(p: argparse.ArgumentParser, positional: bool) -> None:
 
 
 def cmd_analyze(args) -> int:
+    import dataclasses
+    import time
+
     from repro.dag import build_dag, dag_summary
+    from repro.graph import native as native_analysis
     from repro.kernels.cost import flops_total
+    from repro.kernels.native import availability
+    from repro.ordering import nested_dissection
     from repro.symbolic import analyze
 
     matrix = _load_matrix(args)
-    res = analyze(matrix, _symbolic_options(args))
+    opts = _symbolic_options(args)
+    # The ordering on its own, then everything after it: same result as
+    # one analyze() call, with the two halves timed.
+    start = time.perf_counter()
+    if opts.ordering == "nd":
+        opts = dataclasses.replace(opts, ordering=nested_dissection(
+            matrix.symmetrize_pattern().with_full_diagonal(), opts.nd_options
+        ))
+    ordered = time.perf_counter()
+    res = analyze(matrix, opts)
+    done = time.perf_counter()
     sym = res.symbol
     dag = build_dag(sym, args.factotype)
     s = dag_summary(dag)
@@ -83,13 +99,17 @@ def cmd_analyze(args) -> int:
     print(f"flops        : {flops_total(sym, args.factotype, matrix.dtype) / 1e9:.3f} GFlop")
     print(f"tasks (2D)   : {s.n_tasks} ({s.n_panel} panel + {s.n_update} update)")
     print(f"parallelism  : {s.avg_parallelism:.2f} (flop-weighted)")
-    from repro.kernels.native import availability
-
-    reason = availability()
-    print("native kernel: " + (
-        "available" if reason is None
-        else f"unavailable, the NumPy kernels will run — {reason}"
-    ))
+    print(f"ordering     : {ordered - start:.4f} s")
+    print(f"symbolic     : {done - ordered:.4f} s")
+    for label, reason, fallback in (
+        ("native analysis", native_analysis.availability(),
+         "the Python ordering and symbolic loops ran"),
+        ("native kernel", availability(), "the NumPy kernels will run"),
+    ):
+        print(f"{label}: " + (
+            "available" if reason is None
+            else f"unavailable, {fallback} — {reason}"
+        ))
     return 0
 
 

@@ -1,0 +1,246 @@
+"""Native analysis helper: the ordering and symbolic loops as C calls.
+
+``analysis.c`` (next to this file) holds the default nested dissection,
+the minimum-degree ordering and the elimination-tree / postorder /
+column-count / supernode-row passes.  :mod:`repro.cbuild` compiles and
+caches it on first use; no BLAS or LAPACK is involved.  The public
+functions of :mod:`repro.ordering` and :mod:`repro.symbolic` ask
+:func:`library` and call the wrappers below when it answers, their own
+Python bodies otherwise — the bodies are the fallback and the oracle, and
+the results are identical element for element.
+
+Every array is checked before its pointer crosses (C-contiguous int64,
+pointer arrays non-decreasing from 0 to the index count, indices in
+range): O(n + nnz) and vectorised.  The C side keeps no state between
+calls and ctypes releases the GIL for each.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import warnings
+from pathlib import Path
+from typing import Optional, Union
+
+import numpy as np
+
+from repro import cbuild
+from repro.cbuild import NativeUnavailable
+
+__all__ = [
+    "availability",
+    "column_counts",
+    "elimination_tree",
+    "library",
+    "minimum_degree",
+    "nested_dissection",
+    "postorder",
+    "supernode_rows",
+]
+
+SOURCE = Path(__file__).with_name("analysis.c")
+
+#: ``analysis.c``'s status codes.
+_NO_MEMORY, _INCONSISTENT = -1, -2
+
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+_SIGNATURES = {
+    "repro_nested_dissection": [_I64, _PTR, _PTR, _PTR, _I64, ctypes.c_int,
+                                _PTR],
+    "repro_minimum_degree": [_I64, _PTR, _PTR, _PTR],
+    "repro_etree": [_I64, _PTR, _PTR, _PTR],
+    "repro_postorder": [_I64, _PTR, _PTR],
+    "repro_column_counts": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR],
+    "repro_supernode_rows": [_I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _library() -> Union[ctypes.CDLL, NativeUnavailable]:
+    """Build + load once per process; a failure is remembered (and
+    reported, once) too."""
+    try:
+        lib = cbuild.load_library(SOURCE)
+    except NativeUnavailable as exc:
+        warnings.warn(
+            f"the native analysis helper is unavailable ({exc}); the "
+            "Python ordering and symbolic loops will run",
+            RuntimeWarning, stacklevel=3,
+        )
+        return exc
+    for name, argtypes in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = _I64
+    return lib
+
+
+def library() -> Optional[ctypes.CDLL]:
+    """The loaded helper, or ``None`` when the Python bodies must run."""
+    lib = _library()
+    return None if isinstance(lib, NativeUnavailable) else lib
+
+
+def availability() -> Optional[str]:
+    """``None`` when the helper is usable, else the reason."""
+    lib = _library()
+    return str(lib) if isinstance(lib, NativeUnavailable) else None
+
+
+# ----------------------------------------------------------------------
+# Argument checks
+# ----------------------------------------------------------------------
+def _int64(name: str, arr: np.ndarray, size: int) -> np.ndarray:
+    """``arr`` as a C-contiguous int64 vector of ``size`` entries."""
+    arr = np.asarray(arr)
+    if arr.ndim != 1 or arr.size != size or (
+            size and arr.dtype.kind not in "iu"):
+        raise ValueError(f"{name} must be {size} integers, got "
+                         f"{arr.dtype}{list(arr.shape)}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
+def _within(name: str, arr: np.ndarray, lo: int, hi: int) -> None:
+    if arr.size and not (lo <= arr.min() and arr.max() < hi):
+        raise ValueError(f"{name} has an entry outside [{lo}, {hi})")
+
+
+def _pointers(name: str, ptr: np.ndarray, count: int, last: int) -> np.ndarray:
+    """``count + 1`` checked offsets running from 0 to ``last`` without
+    decreasing."""
+    if count < 0:
+        raise ValueError(f"{name} is empty")
+    ptr = _int64(name, ptr, count + 1)
+    if ptr[0] != 0 or ptr[-1] != last or (count and np.diff(ptr).min() < 0):
+        raise ValueError(f"{name} must run from 0 to {last} without "
+                         "decreasing")
+    return ptr
+
+
+def _compressed(
+    n: int, ptr: np.ndarray, idx: np.ndarray, names: tuple[str, str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A checked CSR/CSC pair: ``ptr`` runs from 0 to ``idx.size`` without
+    decreasing and ``idx`` stays in ``[0, n)``."""
+    idx = _int64(names[1], idx, np.size(idx))
+    ptr = _pointers(names[0], ptr, n, idx.size)
+    _within(names[1], idx, 0, n)
+    return ptr, idx
+
+
+def _checked(status: int) -> bool:
+    """``True`` for success, ``False`` when C gave the input back."""
+    if status == _NO_MEMORY:
+        raise MemoryError("native analysis work arrays")
+    return status != _INCONSISTENT
+
+
+# ----------------------------------------------------------------------
+# Ordering
+# ----------------------------------------------------------------------
+def nested_dissection(
+    lib: ctypes.CDLL, n: int, xadj: np.ndarray, adjncy: np.ndarray,
+    vwgt: np.ndarray, leaf_size: int, leaf_mindeg: bool,
+) -> Optional[np.ndarray]:
+    """``iperm`` of the default nested dissection, or ``None`` when the
+    adjacency turned out not to be symmetric (the Python driver decides
+    what that means)."""
+    xadj, adjncy = _compressed(n, xadj, adjncy, ("xadj", "adjncy"))
+    vwgt = _int64("vwgt", vwgt, n)
+    iperm = np.empty(n, dtype=np.int64)
+    # Every leaf_size >= n means "one leaf"; keep the value inside int64.
+    status = lib.repro_nested_dissection(
+        n, xadj.ctypes.data, adjncy.ctypes.data, vwgt.ctypes.data,
+        max(-1, min(int(leaf_size), n)), int(leaf_mindeg), iperm.ctypes.data,
+    )
+    return iperm if _checked(status) else None
+
+
+def minimum_degree(
+    lib: ctypes.CDLL, n: int, xadj: np.ndarray, adjncy: np.ndarray
+) -> Optional[np.ndarray]:
+    """``iperm`` of the minimum-degree ordering (``None`` as above)."""
+    xadj, adjncy = _compressed(n, xadj, adjncy, ("xadj", "adjncy"))
+    iperm = np.empty(n, dtype=np.int64)
+    status = lib.repro_minimum_degree(
+        n, xadj.ctypes.data, adjncy.ctypes.data, iperm.ctypes.data
+    )
+    return iperm if _checked(status) else None
+
+
+# ----------------------------------------------------------------------
+# Symbolic
+# ----------------------------------------------------------------------
+def elimination_tree(
+    lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray
+) -> np.ndarray:
+    colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
+    parent = np.empty(n, dtype=np.int64)
+    _checked(lib.repro_etree(
+        n, colptr.ctypes.data, rowind.ctypes.data, parent.ctypes.data
+    ))
+    return parent
+
+
+def postorder(lib: ctypes.CDLL, parent: np.ndarray) -> Optional[np.ndarray]:
+    """A postorder of ``parent``, or ``None`` when it is not a forest."""
+    n = np.size(parent)
+    parent = _int64("parent", parent, n)
+    if n and parent.max() >= n:
+        raise ValueError("parent has an entry outside the tree")
+    post = np.empty(n, dtype=np.int64)
+    placed = lib.repro_postorder(n, parent.ctypes.data, post.ctypes.data)
+    _checked(placed)
+    return post if placed == n else None
+
+
+def column_counts(
+    lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray,
+    parent: np.ndarray, post: np.ndarray,
+) -> np.ndarray:
+    colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
+    parent = _int64("parent", parent, n)
+    post = _int64("post", post, n)
+    _within("parent", parent, -1, n)
+    _within("post", post, 0, n)
+    # A permutation in which every node precedes its parent: the tree is
+    # acyclic, which is what bounds the C loops.
+    rank = np.full(n, -1, dtype=np.int64)
+    rank[post] = np.arange(n, dtype=np.int64)
+    child = np.flatnonzero(parent >= 0)
+    if (rank < 0).any() or (rank[parent[child]] <= rank[child]).any():
+        raise ValueError("post is not a postorder of parent")
+    counts = np.empty(n, dtype=np.int64)
+    _checked(lib.repro_column_counts(
+        n, colptr.ctypes.data, rowind.ctypes.data, parent.ctypes.data,
+        post.ctypes.data, counts.ctypes.data,
+    ))
+    return counts
+
+
+def supernode_rows(
+    lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray,
+    snptr: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat ``(ptr, rows, parent_snode)`` of the below-supernode row sets:
+    supernode ``s`` owns ``rows[ptr[s]:ptr[s + 1]]``, ascending."""
+    colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
+    n_sn = np.size(snptr) - 1
+    snptr = _pointers("snptr", snptr, n_sn, n)
+    ptr = np.zeros(n_sn + 1, dtype=np.int64)
+    parent_sn = np.empty(n_sn, dtype=np.int64)
+
+    def run(rows: Optional[np.ndarray]) -> None:
+        _checked(lib.repro_supernode_rows(
+            n, colptr.ctypes.data, rowind.ctypes.data, n_sn,
+            snptr.ctypes.data, ptr.ctypes.data,
+            None if rows is None else rows.ctypes.data,
+            parent_sn.ctypes.data,
+        ))
+
+    run(None)                      # sizes into ptr[1:]
+    np.cumsum(ptr, out=ptr)
+    rows = np.empty(int(ptr[-1]), dtype=np.int64)
+    run(rows)
+    return ptr, rows, parent_sn

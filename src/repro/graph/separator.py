@@ -45,10 +45,13 @@ def level_set_separator(
     if depth <= 0:
         return _neighborhood_separator(graph, seed_vertex)
 
+    # Vertices the sweep did not reach (other components) are weighed and
+    # filed with the last level, i.e. on the B side of any interior level.
+    levels = np.where(levels < 0, depth, levels)
     w = graph.vwgt.astype(np.float64)
     total = w.sum()
     # Interior levels 1 … depth-1: weight of the level, of all below it, of
-    # all above it (unreached vertices, level -1, land on the last level).
+    # all above it.
     level_w = np.zeros(depth + 1)
     np.add.at(level_w, levels, w)
     ws = level_w[1:depth]

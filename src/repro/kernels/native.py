@@ -22,28 +22,22 @@ runs the C/Python hand-back loop:
   to build, and silently for the ablation toggles, which are defined on
   the NumPy kernels.
 
-The shared object is cached as ``${XDG_CACHE_HOME:-~/.cache}/repro/
-native-<hash>.so``, the hash covering the source, the compiler's version
-line and the flags; a cache directory that is not the caller's own is
-refused in favour of a per-process temporary directory.
+Compiling, caching (``${XDG_CACHE_HOME:-~/.cache}/repro/
+native-<hash>.so``) and loading are :mod:`repro.cbuild`'s.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-import time
 import warnings
 from pathlib import Path
 from typing import Any, Optional, Union
 
 import numpy as np
 
+from repro import cbuild
+from repro.cbuild import NativeUnavailable
 from repro.kernels import compiled
 from repro.kernels.indexcache import CoupleMapCache
 from repro.kernels.panel import panel_factorize
@@ -59,9 +53,6 @@ __all__ = [
 ]
 
 SOURCE = Path(__file__).with_name("native.c")
-#: No ``-ffast-math`` (the finite tests must hold), no ``-march=native``
-#: (the cached object must survive a host migration).
-FLAGS = ("-O2", "-shared", "-fPIC")
 
 _FACTOTYPES = {"llt": 0, "ldlt": 1, "lu": 2}
 #: Entry points per scalar type, in ``native.c``'s ``blas[]`` order
@@ -73,10 +64,6 @@ _ENTRY_POINTS = (
     ("cython_blas", "zgemm"), ("cython_blas", "ztrsm"),
     None, ("cython_lapack", "zsytrf"), ("cython_lapack", "zgetrf"),
 )
-
-
-class NativeUnavailable(RuntimeError):
-    """The native backend cannot be built or loaded on this host."""
 
 
 class _Plan(ctypes.Structure):
@@ -92,73 +79,11 @@ class _Plan(ctypes.Structure):
 # ----------------------------------------------------------------------
 # Build and load
 # ----------------------------------------------------------------------
-def _compiler() -> str:
-    for name in ("cc", "gcc"):
-        path = shutil.which(name)
-        if path:
-            return path
-    raise NativeUnavailable("no C compiler (cc/gcc) on PATH")
-
-
-def _cache_dir() -> Optional[Path]:
-    """The caller's own build cache, or ``None`` if there is no safe one."""
-    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    path = Path(root) / "repro"
-    try:
-        path.mkdir(mode=0o700, parents=True, exist_ok=True)
-        st = path.stat()
-    except OSError:
-        return None
-    # Code is loaded from here: it must be ours and only ours to write.
-    if st.st_uid != os.getuid() or st.st_mode & 0o022:
-        return None
-    return path if os.access(path, os.W_OK) else None
-
-
 def build(directory: Path) -> tuple[Path, dict[str, Any]]:
-    """Compile ``native.c`` into ``directory`` unless already there.
-
-    Returns the shared object's path and ``{"compiler", "flags",
-    "build_s", "cached"}``.  The object is written under a temporary name
-    and renamed into place, so concurrent first users never load a
-    half-written file.
-    """
-    cc = _compiler()
-    try:
-        version = subprocess.run(
-            [cc, "--version"], capture_output=True, text=True, check=True
-        ).stdout.splitlines()[0]
-        source = SOURCE.read_bytes()
-    except (OSError, subprocess.CalledProcessError, IndexError) as exc:
-        raise NativeUnavailable(f"cannot query {cc} or read native.c: {exc}")
-    digest = hashlib.sha256(
-        source + version.encode() + " ".join(FLAGS).encode()
-    ).hexdigest()[:16]
-    target = directory / f"native-{digest}.so"
-    info = {"compiler": version, "flags": " ".join(FLAGS), "build_s": 0.0,
-            "cached": target.exists()}
-    if info["cached"]:
-        return target, info
-    start = time.perf_counter()
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".so.tmp")
-    os.close(fd)
-    try:
-        proc = subprocess.run(
-            [cc, *FLAGS, str(SOURCE), "-o", tmp, "-lm"],
-            capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            raise NativeUnavailable(
-                f"build failed ({cc} exit {proc.returncode}):\n{proc.stderr}"
-            )
-        os.replace(tmp, target)
-    except OSError as exc:
-        raise NativeUnavailable(f"build failed: {exc}")
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    info["build_s"] = time.perf_counter() - start
-    return target, info
+    """Compile ``native.c`` into ``directory`` unless already there
+    (:func:`repro.cbuild.build`: path and ``{"compiler", "flags",
+    "build_s", "cached"}``)."""
+    return cbuild.build(SOURCE, directory)
 
 
 def _entry_point_table() -> Any:
@@ -185,11 +110,7 @@ def _entry_point_table() -> Any:
     return table
 
 
-def _open(path: Path, entry_points: Any) -> ctypes.CDLL:
-    try:
-        lib = ctypes.CDLL(str(path))
-    except OSError as exc:
-        raise NativeUnavailable(f"cannot load {path}: {exc}")
+def _declare(lib: ctypes.CDLL, entry_points: Any) -> ctypes.CDLL:
     plan_p = ctypes.POINTER(_Plan)
     lib.repro_init.argtypes = [ctypes.c_void_p]
     lib.repro_init.restype = None
@@ -213,15 +134,7 @@ def _library() -> Union[ctypes.CDLL, NativeUnavailable]:
     """Build + load once per process; a failure is remembered too."""
     try:
         entry_points = _entry_point_table()   # before paying for a build
-        directory = _cache_dir()
-        if directory is not None:
-            return _open(build(directory)[0], entry_points)
-        scratch = Path(tempfile.mkdtemp(prefix="repro-native-"))
-        try:
-            # The mapping outlives the file: nothing to clean up at exit.
-            return _open(build(scratch)[0], entry_points)
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
+        return _declare(cbuild.load_library(SOURCE), entry_points)
     except NativeUnavailable as exc:
         return exc
 

@@ -20,6 +20,7 @@ from operator import or_
 
 import numpy as np
 
+from repro.graph import native
 from repro.graph.adjacency import Graph
 from repro.ordering.perm import Permutation
 
@@ -35,15 +36,20 @@ def _union(acc: int, which: int, sets: list[int]) -> int:
     return acc
 
 
-def minimum_degree(graph: Graph, *, tie_break: str = "index") -> Permutation:
-    """Minimum-degree ordering of ``graph`` (scatter-form permutation).
+def minimum_degree(graph: Graph) -> Permutation:
+    """Minimum-degree ordering of ``graph`` (scatter-form permutation);
+    ties go to the lowest vertex id.
 
-    ``tie_break`` is ``"index"`` (deterministic, lowest id first) —
-    kept as a parameter so ablations can plug alternatives in.
+    Runs in C when :mod:`repro.graph.native` loads (a marker-array
+    quotient graph, O(n + edges) memory); the body below is the fallback
+    and the oracle.
     """
-    if tie_break != "index":
-        raise ValueError("only 'index' tie-breaking is implemented")
     n = graph.n
+    lib = native.library()
+    if lib is not None:
+        iperm = native.minimum_degree(lib, n, graph.xadj, graph.adjncy)
+        if iperm is not None:
+            return Permutation.from_iperm(iperm)
     # Every vertex set is a Python int used as a bitset (bit u = vertex
     # u): union, difference and cardinality are single C calls, where
     # set objects paid a hash insertion per member per reach().

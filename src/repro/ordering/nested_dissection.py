@@ -7,7 +7,11 @@ supernodes at the top of the elimination tree — exactly the blocks the
 paper offloads to GPUs.
 
 PaStiX delegates this to Scotch; here it is built on
-:mod:`repro.graph`.  Two separator engines are available:
+:mod:`repro.graph`, and the default configuration (level-set separators,
+``"mindeg"`` or ``"natural"`` leaves) runs as one C call when
+:mod:`repro.graph.native` loads — the driver below is its fallback and its
+oracle, permutation for permutation.  Two separator engines are
+available:
 
 * ``"levelset"`` (default) — BFS level-set separator, cheap and robust;
 * ``"multilevel"`` — multilevel edge bisection + vertex cover, better
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graph import native
 from repro.graph.adjacency import Graph
 from repro.graph.bfs import connected_components
 from repro.graph.partition import multilevel_bisection
@@ -85,6 +90,15 @@ def nested_dissection(
     opts = options or NestedDissectionOptions()
     graph = source if isinstance(source, Graph) else Graph.from_matrix(source)
     n = graph.n
+    if (opts.separator == "levelset" and opts.leaf_ordering != "rcm"
+            and graph.vwgt.dtype.kind in "iu"
+            and (lib := native.library()) is not None):
+        iperm = native.nested_dissection(
+            lib, n, graph.xadj, graph.adjncy, graph.vwgt, opts.leaf_size,
+            opts.leaf_ordering == "mindeg",
+        )
+        if iperm is not None:
+            return Permutation.from_iperm(iperm)
     iperm = np.empty(n, dtype=np.int64)
 
     # Work stack of (original-vertex-ids, lo, known-connected): the region

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph import native
 from repro.sparse.csc import SparseMatrixCSC, bucket_pointers, entry_owners
 
 __all__ = ["fundamental_supernodes", "supernode_row_sets", "amalgamate"]
@@ -62,6 +63,22 @@ def supernode_row_sets(
     Returns ``(rowsets, parent_snode)``.
     """
     K = snptr.size - 1
+    expected = None if counts is None else counts[snptr[:-1]] - np.diff(snptr)
+    lib = native.library()
+    if lib is not None:
+        # Row by row in C: every set comes out sorted, in one flat array.
+        ptr, rows, parent_snode = native.supernode_rows(
+            lib, pattern.n_cols, pattern.colptr, pattern.rowind, snptr)
+        sizes = np.diff(ptr)
+        if expected is not None and not np.array_equal(sizes, expected):
+            s = int(np.flatnonzero(sizes != expected)[0])
+            raise AssertionError(
+                f"supernode {s}: row set size {sizes[s]} != "
+                f"count-derived {expected[s]}"
+            )
+        bounds = ptr.tolist()
+        return ([rows[a:b] for a, b in zip(bounds, bounds[1:])],
+                parent_snode)
     col2sn = entry_owners(snptr)
 
     # A's own contribution to every supernode in one pass: the entries
@@ -71,8 +88,6 @@ def supernode_row_sets(
     a_rows = pattern.rowind[below]
     a_ptr = bucket_pointers(entry_sn[below], K).tolist()
 
-    expected = (None if counts is None
-                else (counts[snptr[:-1]] - np.diff(snptr)).tolist())
     lcols = snptr[1:].tolist()
     rowsets: list[np.ndarray] = [None] * K  # type: ignore[list-item]
     parent_snode = [-1] * K

@@ -73,6 +73,13 @@ def no_unit_floor(monkeypatch):
     monkeypatch.setattr("repro.dag.builder.MIN_UNIT_FLOPS", 0.0)
 
 
+@pytest.fixture
+def python_analysis(monkeypatch):
+    """Run the ordering and symbolic passes through their Python bodies
+    (the oracle), as on a host where ``repro.graph.native`` cannot load."""
+    monkeypatch.setattr("repro.graph.native.library", lambda: None)
+
+
 #: 300 vertices in 40 components, from singletons to one of 116 (the
 #: one-pass component split of nested dissection must lay them out as
 #: the per-component recursion did).

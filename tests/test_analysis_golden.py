@@ -7,6 +7,10 @@ permuted pattern or block symbol: every D8xx baseline and every
 ``tests/data/analysis_golden.json`` were recorded at commit 75ae8d3
 (before the array-native rewrite of ``graph``/``ordering``/``symbolic``)
 with ``python -m tests.test_analysis_golden --record``.
+
+Every digest is checked twice: through whatever backend this host runs by
+default (the C helper of ``repro.graph.native`` when it loads) and through
+the Python bodies, which must agree byte for byte.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.graph import native
 from repro.ordering import NestedDissectionOptions
 from repro.sparse import grid_laplacian_2d, load_matrix
 from repro.sparse.collection import collection_names
@@ -78,11 +83,38 @@ def _digest(inp, opts) -> str:
     return fingerprint(analyze(matrix, opts))
 
 
-@pytest.mark.parametrize("key,inp,opts", list(_cases()),
-                         ids=[c[0] for c in _cases()])
-def test_analysis_matches_golden(key, inp, opts):
+@pytest.fixture
+def etree_calls(monkeypatch):
+    """Calls that reached the C helper (every analysis needs an
+    elimination tree, whatever its ordering)."""
+    calls = []
+    inner = native.elimination_tree
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(native, "elimination_tree", spy)
+    return calls
+
+
+CASES = pytest.mark.parametrize("key,inp,opts", list(_cases()),
+                                ids=[c[0] for c in _cases()])
+
+
+@CASES
+def test_analysis_matches_golden(key, inp, opts, etree_calls):
     golden = json.loads(GOLDEN.read_text())
     assert _digest(inp, opts) == golden[key]
+    assert bool(etree_calls) == (native.availability() is None)
+
+
+@CASES
+def test_python_bodies_match_golden(key, inp, opts, etree_calls,
+                                    python_analysis):
+    golden = json.loads(GOLDEN.read_text())
+    assert _digest(inp, opts) == golden[key]
+    assert not etree_calls
 
 
 def test_golden_covers_every_case():

@@ -20,6 +20,12 @@ def test_analyze_command(mtx_file, capsys):
     assert "nnz(L)" in out and "parallelism" in out
     assert "native kernel: available" in out or (
         "native kernel: unavailable, the NumPy kernels will run" in out)
+    assert "native analysis: available" in out or (
+        "native analysis: unavailable, the Python ordering and symbolic "
+        "loops ran" in out)
+    for phase in ("ordering", "symbolic"):
+        seconds = out.split(f"{phase}     : ")[1].split(" s")[0]
+        assert float(seconds) > 0.0
 
 
 def test_analyze_says_why_native_is_unavailable(mtx_file, capsys, monkeypatch):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import SolverOptions, SparseSolver
+from repro import SolverOptions, SparseSolver, cbuild
 from repro.core.factor import NumericFactor
 from repro.core.factorization import factorize_sequential
 from repro.kernels import native
@@ -425,7 +425,8 @@ def test_unloadable_library_falls_back_to_numpy(grid2d_small, monkeypatch,
 def test_cold_build_and_cache_hit(tmp_path):
     path, info = native.build(tmp_path)
     assert path.parent == tmp_path and path.exists() and not info["cached"]
-    assert info["build_s"] > 0 and info["flags"] == "-O2 -shared -fPIC"
+    assert info["build_s"] > 0 and info["flags"] == (
+        "-O2 -ffp-contract=off -shared -fPIC")
     again, info2 = native.build(tmp_path)
     assert again == path and info2["cached"]
     assert [p.name for p in tmp_path.iterdir()] == [path.name]   # no temp left
@@ -433,11 +434,11 @@ def test_cold_build_and_cache_hit(tmp_path):
 
 def test_cache_directory_must_be_the_callers_own(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    cache = native._cache_dir()
+    cache = cbuild.cache_dir()
     assert cache == tmp_path / "repro"
     assert cache.stat().st_mode & 0o777 == 0o700
     cache.chmod(0o777)   # writable by others: code must not be loaded from it
-    assert native._cache_dir() is None
+    assert cbuild.cache_dir() is None
 
 
 def test_build_failure_is_reported_with_the_compiler_output(tmp_path,

@@ -197,11 +197,6 @@ class TestMinimumDegree:
         assert np.array_equal(minimum_degree(g).iperm,
                               _minimum_degree_with_sets(g))
 
-    def test_rejects_unknown_tiebreak(self):
-        g = Graph.from_matrix(grid_laplacian_2d(3))
-        with pytest.raises(ValueError):
-            minimum_degree(g, tie_break="random")
-
 
 class TestNestedDissection:
     def test_is_permutation(self, grid2d_medium):

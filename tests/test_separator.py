@@ -57,6 +57,20 @@ class TestLevelSet:
         assert_valid_separator(g, sep, pa, pb)
 
 
+    def test_unreached_component_is_filed_where_it_was_weighed(self):
+        # A path of 9 and, out of the sweep's reach, a path of 6.  The
+        # unreached vertices count with the last level when the levels
+        # are scored, so that is the side they must end up on: the chosen
+        # level balances 7 against 1 + 6, not 7 + 6 against 1.
+        path, other = np.arange(9), np.arange(9, 15)
+        g = Graph.from_edges(15, np.concatenate([path[:-1], other[:-1]]),
+                             np.concatenate([path[1:], other[1:]]))
+        sep, pa, pb = level_set_separator(g)
+        assert_valid_separator(g, sep, pa, pb)
+        assert sep.size == 1 and pa.size == pb.size == 7
+        assert set(other) <= set(pb.tolist())
+
+
 class TestThinning:
     def test_thinning_never_invalidates(self):
         g = Graph.from_matrix(grid_laplacian_2d(7))
