@@ -17,8 +17,7 @@ native_status = $(shell { command -v cc || command -v gcc; } >/dev/null 2>&1 \
 	&& echo ok || echo "SKIPPED (no C compiler)")
 
 .PHONY: test verify lint hazards typecheck bench figures selftest chaos \
-	chaos-smoke perf-smoke race-smoke determinism-smoke compiled-smoke \
-	native-smoke e2e-smoke ci
+	chaos-smoke race-smoke determinism-smoke native-smoke e2e-smoke ci
 
 # Tier-1: everything under tests/, which includes the golden analysis
 # fingerprints (test_analysis_golden.py) and the many-components
@@ -37,8 +36,8 @@ verify: lint hazards typecheck test
 # The memory injections need a problem large enough that the scheduler
 # actually offloads (hence --size 32).
 selftest:
-	@for inj in drop-edge overlap-trace break-mutex skew-flops stale-cache \
-			stale-split; do \
+	@for inj in drop-edge overlap-trace break-mutex skew-flops \
+			stale-cache; do \
 		if $(PYTHON) -m repro verify --matrix lap2d --size 20 \
 			--no-lint --no-resilience --no-health --no-concurrency \
 			--no-determinism --no-adaptive \
@@ -68,10 +67,9 @@ selftest:
 			echo "inject $$inj: caught"; \
 		fi; \
 	done
-	@# Lock-window and publish-chain corruptions: the verify CLI applies
-	@# them to the 2D couple runs it requests explicitly (the default
-	@# unit run has no lock window to corrupt and must stay clean).
-	@for inj in drop-sync-event unlocked-scatter swallow-wakeup; do \
+	@# A dropped completion publish must trip the C707 provenance check
+	@# on the sync-traced threaded run.
+	@for inj in drop-sync-event; do \
 		if $(PYTHON) -m repro verify --matrix lap2d --size 16 \
 			--no-lint --no-hazards --no-schedule --no-symbolic \
 			--no-resilience --no-health --no-determinism \
@@ -115,20 +113,6 @@ selftest:
 			echo "inject $$inj: caught"; \
 		fi; \
 	done
-	@# A deliberately mis-prioritized schedule (priority cells silently
-	@# running the anti-critical-path heap) must trip the perf gate's
-	@# replay-makespan check against the committed baseline.
-	@PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_threaded.py \
-		--quick --mis-prioritize --out results/_misprio.json >/dev/null 2>&1
-	@if PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/perf_compare.py \
-		--no-wall results/BENCH_threaded.json results/_misprio.json \
-		>/dev/null 2>&1; then \
-		rm -f results/_misprio.json; \
-		echo "inject mis-prioritize: NOT caught"; exit 1; \
-	else \
-		rm -f results/_misprio.json; \
-		echo "inject mis-prioritize: caught"; \
-	fi
 
 # Chaos matrix: every (fault kind x scheduler policy) cell must finish
 # all tasks and produce a trace the R6xx resilience auditor, the S2xx
@@ -146,51 +130,17 @@ chaos-smoke:
 	if [ $$status -eq 0 ]; then echo "chaos-smoke: clean"; \
 	else echo "chaos-smoke: FAILED"; fi; exit $$status
 
-# Perf-regression gate: quick threaded-scheduler sweep, diffed against
-# the committed baseline.  The deterministic replay-makespan metric is
-# gated at 15%; normalized wall clock is a lax (50%) gross-failure
-# backstop; --gate-variants additionally requires the cached hot path
-# ('opt') to beat the uncached one ('base') within the fresh report;
-# --gate-adaptive requires the history-driven 'adaptive' scheduler to
-# hold the static 'priority' replay makespan -- see
-# benchmarks/perf_compare.py.
-perf-smoke:
-	@PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_threaded.py \
-		--quick --out results/_perfsmoke.json
-	@PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/perf_compare.py \
-		--gate-variants --gate-adaptive \
-		results/BENCH_threaded.json results/_perfsmoke.json; \
-	status=$$?; rm -f results/_perfsmoke.json; exit $$status
-
-# Quick concurrency gate.  First the runtime's default: `repro verify`
-# runs a sync-traced factorization on the lock-free unit DAG and audits
-# it against the DAG the trace names (C702 + C707, zero lock windows),
-# then the 2D couple DAG in both fan-in modes.  Then a real threaded
-# sweep of the couple path (every scheduler, both fan-in accumulation
-# variants) with sync tracing on, every traced run checked by the C7xx
-# happens-before auditor (bench_threaded --verify).
+# Quick concurrency gate: `repro verify` runs a sync-traced threaded
+# factorization and audits it against the DAG the trace names (C702
+# publish order, C705 lost wakeups, C707 sync provenance).
 race-smoke:
 	@$(PYTHON) -m repro verify --matrix lap2d --size 16 \
 		--no-lint --no-hazards --no-schedule --no-symbolic \
 		--no-resilience --no-health --no-determinism \
-		--no-adaptive >/dev/null \
-	&& PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_threaded.py \
-		--quick --verify --repeats 1 --out results/_racesmoke.json \
-		>/dev/null; \
-	status=$$?; rm -f results/_racesmoke.json; \
+		--no-adaptive >/dev/null; \
+	status=$$?; \
 	if [ $$status -eq 0 ]; then echo "race-smoke: clean"; \
 	else echo "race-smoke: FAILED"; fi; exit $$status
-
-# Compiled-kernel gate: factorize a small problem with
-# kernels="compiled" (sequential and threaded, with a 2D row split) and
-# check the factors against the numpy reference.  With numba installed
-# this exercises the jit kernels; without it the toggle must degrade
-# gracefully to the bit-identical numpy fallback (reported as such).
-compiled-smoke:
-	@$(PYTHON) benchmarks/compiled_smoke.py; \
-	status=$$?; \
-	if [ $$status -eq 0 ]; then echo "compiled-smoke: clean"; \
-	else echo "compiled-smoke: FAILED"; fi; exit $$status
 
 # Native-code gate: cold-build repro/kernels/native.c and
 # repro/graph/analysis.c into a fresh temporary cache directory
@@ -219,11 +169,6 @@ determinism-smoke:
 	if [ $$status -eq 0 ]; then echo "determinism-smoke: clean"; \
 	else echo "determinism-smoke: FAILED"; fi; exit $$status
 
-# Everything CI runs: tier-1 tests, the static-analysis gate
-# (lint/hazards/schedule/memory/symbolic/concurrency/determinism +
-# ruff/mypy when installed), the fault-injection self-tests, the
-# live-race gate, the determinism gate, the bounded chaos gate, the
-# perf-regression gate, and the compiled- and native-kernel gates.
 # The wall-clock benchmark's own gate (BENCHMARK.json): every workload
 # end to end at smoke scale (a failed operation or a wrong answer makes
 # run.py exit non-zero), then the benchmark's tests — they live outside
@@ -232,14 +177,18 @@ e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
-# make stops at the first failing stage, so reaching the recipe means
-# every stage that ran passed; the summary names the ones that did not run.
-ci: verify selftest race-smoke determinism-smoke chaos-smoke perf-smoke \
-	compiled-smoke native-smoke e2e-smoke
+# Everything CI runs: tier-1 tests, the static-analysis gate
+# (lint/hazards/schedule/memory/symbolic/concurrency/determinism +
+# ruff/mypy when installed), the fault-injection self-tests, the
+# live-race gate, the determinism gate, the bounded chaos gate, the
+# native-kernel gate and the wall-clock benchmark's smoke run.  make
+# stops at the first failing stage, so reaching the recipe means every
+# stage that ran passed; the summary names the ones that did not run.
+ci: verify selftest race-smoke determinism-smoke chaos-smoke \
+	native-smoke e2e-smoke
 	@echo "ci: lint ok, ruff $(call tool_status,ruff), hazards ok," \
 		"mypy $(call tool_status,mypy), test ok, selftest ok," \
 		"race-smoke ok, determinism-smoke ok, chaos-smoke ok," \
-		"perf-smoke ok, compiled-smoke ok," \
 		"native-smoke $(native_status), e2e-smoke ok"
 
 lint:

@@ -52,16 +52,8 @@ class NumericFactor:
     #: the precomputed per-couple scatter maps; the panel kernels use it
     #: when present instead of re-deriving the maps per update.
     index_cache: Optional[object] = None
-    #: When True, ``panel_factorize`` fills ``DL[k] = L21 · D`` (LDLᵀ
-    #: only) so updates read the persistent DLᵀ buffer instead of
-    #: recomputing ``L·D`` per couple (paper §V-A, Figure 2).
-    dl_buffer: bool = False
-    #: The per-panel DLᵀ buffers (``None`` entries until factorized).
-    DL: Optional[list] = None
     #: Effective numeric kernel backend: ``"native"``
-    #: (:mod:`repro.kernels.native`), ``"numpy"`` or ``"compiled"``
-    #: (:mod:`repro.kernels.compiled`; the update kernels consult it to
-    #: route through the fused jit path).
+    #: (:mod:`repro.kernels.native`) or ``"numpy"``.
     kernels: str = "numpy"
     #: The arenas ``L``/``U``/``D`` are views of (``None`` for a factor
     #: built from plain lists).
@@ -200,24 +192,8 @@ class NumericFactor:
             )
         out.pivot_monitor = self.pivot_monitor
         out.index_cache = self.index_cache
-        out.dl_buffer = self.dl_buffer
         out.kernels = self.kernels
-        if self.DL is not None:
-            out.DL = [None if p is None else p.copy() for p in self.DL]
         return out
-
-    def enable_dl_buffer(self) -> None:
-        """Switch on the persistent DLᵀ buffer (LDLᵀ only; no-op else).
-
-        Allocates the per-panel slots; ``panel_factorize`` fills
-        ``DL[k]`` when it factorizes panel ``k``, and the update kernels
-        read it instead of recomputing ``L·D`` per couple.
-        """
-        if self.factotype != "ldlt":
-            return
-        self.dl_buffer = True
-        if self.DL is None:
-            self.DL = [None] * self.n_cblk
 
     # ------------------------------------------------------------------
     def lower_csc(self) -> SparseMatrixCSC:

@@ -59,23 +59,16 @@ def factorize_sequential(
     workspace: bool = True,
     variant: str = "right",
     pivot_threshold: float = 0.0,
-    index_cache: bool = True,
-    dl_buffer: bool = False,
     kernels: str = "native",
 ) -> NumericFactor:
     """Factorize ``matrix`` (already permuted to the analysis order).
 
     ``workspace`` selects the CPU two-step update kernel (temporary +
     dispatch) vs. the direct-scatter GPU-twin kernel; both produce
-    identical factors.
-
-    ``index_cache`` attaches the symbol's precomputed couple scatter
-    maps (:func:`repro.kernels.indexcache.get_couple_cache`) so no
-    update re-derives its index bookkeeping; the maps are identical
-    arrays, so the factor is bit-identical either way.  ``dl_buffer``
-    (LDLᵀ only) keeps the persistent DLᵀ buffer filled at panel time
-    instead of recomputing ``L·D`` inside each update — also
-    bit-identical, per-update work strictly removed (paper §V-A).
+    identical factors.  The symbol's couple plan
+    (:func:`repro.kernels.indexcache.get_couple_cache`) is attached as
+    ``factor.index_cache``, so no update re-derives its index
+    bookkeeping.
 
     ``pivot_threshold`` > 0 enables static-pivot perturbation: pivots
     smaller in magnitude are replaced by ±threshold and counted on
@@ -91,14 +84,14 @@ def factorize_sequential(
 
     ``kernels`` selects the numeric backend: ``"native"`` (the default:
     the C kernel of :mod:`repro.kernels.native`, agreeing with the NumPy
-    kernels to roundoff), ``"numpy"`` (the reference the bit-identity
-    statements above are about) or ``"compiled"`` (numba-jit fused
-    kernels).  ``"native"`` falls back to ``"numpy"`` when it cannot be
-    built here and whenever one of the toggles above is off its default —
-    they are ablations of the NumPy kernels; ``"compiled"`` falls back
-    when numba is absent (:func:`repro.kernels.native.resolve_kernels`).
-    The effective backend is recorded as ``factor.kernels``.
+    kernels to roundoff) or ``"numpy"`` (the reference the bit-identity
+    statements above are about).  ``"native"`` falls back to ``"numpy"``
+    when it cannot be built here and whenever ``workspace`` or
+    ``variant`` is off its default — they are ablations of the NumPy
+    kernels (:func:`repro.kernels.native.resolve_kernels`).  The
+    effective backend is recorded as ``factor.kernels``.
     """
+    from repro.kernels.indexcache import get_couple_cache
     from repro.kernels.native import factorize_panels, resolve_kernels
 
     if variant not in ("right", "left"):
@@ -106,16 +99,10 @@ def factorize_sequential(
     factor = NumericFactor.assemble(symbol, matrix, factotype, dtype=dtype)
     factor.kernels = resolve_kernels(
         kernels,
-        ablation=not (workspace and index_cache and variant == "right")
-        or dl_buffer,
+        ablation=not (workspace and variant == "right"),
         dtype=factor.dtype,
     )
-    if index_cache:
-        from repro.kernels.indexcache import get_couple_cache
-
-        factor.index_cache = get_couple_cache(symbol)
-    if dl_buffer:
-        factor.enable_dl_buffer()
+    factor.index_cache = get_couple_cache(symbol)
     if pivot_threshold > 0.0:
         from repro.kernels.dense import PivotMonitor
 

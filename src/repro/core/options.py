@@ -10,7 +10,7 @@ __all__ = ["SolverOptions"]
 
 _FACTOTYPES = ("llt", "ldlt", "lu")
 _RUNTIMES = ("sequential", "native", "starpu", "parsec", "threaded")
-_KERNELS = ("native", "numpy", "compiled")
+_KERNELS = ("native", "numpy")
 
 
 @dataclass(frozen=True)
@@ -32,30 +32,14 @@ class SolverOptions:
         Worker threads for the threaded runtime.
     workspace_update:
         CPU two-step update kernel (True) vs. direct-scatter GPU twin.
-    index_cache:
-        Precompute each couple's scatter maps once per symbolic
-        structure and reuse them in every update (bit-identical to the
-        uncached path; see :mod:`repro.kernels.indexcache`).
-    dl_buffer:
-        LDLᵀ only: keep the persistent DLᵀ buffer filled at panel
-        time instead of recomputing ``L·D`` inside each update (the
-        paper's generic-runtime penalty, §V-A).  Off by default so the
-        Figure-2 penalty curve stays reproducible.
-    accumulate:
-        Threaded runtime only: merge same-target update contributions
-        in a per-worker accumulator and take the target mutex once per
-        batch instead of once per couple (fan-in accumulation).
     kernels:
         Numeric kernel backend: ``"native"`` (the default: one C call
         per unit, built on first use with the host's C compiler —
-        :mod:`repro.kernels.native`), ``"numpy"`` (the reference and the
-        fallback) or ``"compiled"`` (numba-jit fused update/merge
-        kernels, :mod:`repro.kernels.compiled`).  ``"native"`` degrades
-        to numpy with a ``RuntimeWarning`` when it cannot be built, and
-        silently when ``workspace_update``, ``index_cache``,
-        ``dl_buffer`` or ``accumulate`` is off its default (ablations of
-        the NumPy kernels); ``"compiled"`` degrades when numba is not
-        installed.  The *effective* backend is reported as
+        :mod:`repro.kernels.native`) or ``"numpy"`` (the reference and
+        the fallback).  ``"native"`` degrades to numpy with a
+        ``RuntimeWarning`` when it cannot be built, and silently when
+        ``workspace_update`` is off (an ablation of the NumPy kernels).
+        The *effective* backend is reported as
         ``FactorizationInfo.kernels`` and stamped into
         ``trace.meta["kernels"]``.
     refine:
@@ -73,9 +57,6 @@ class SolverOptions:
     runtime: str = "sequential"
     n_workers: int = 4
     workspace_update: bool = True
-    index_cache: bool = True
-    dl_buffer: bool = False
-    accumulate: bool = False
     kernels: str = "native"
     refine: bool = True
     refine_tol: float = 1e-12

@@ -65,8 +65,8 @@ class FactorizationInfo:
     flops: float
     elapsed: float
     n_pivots_perturbed: int = 0
-    #: The numeric backend that actually ran (``"native"``, ``"numpy"``
-    #: or ``"compiled"``) — not the one requested.
+    #: The numeric backend that actually ran (``"native"`` or
+    #: ``"numpy"``) — not the one requested.
     kernels: str = "numpy"
 
     @property
@@ -138,8 +138,6 @@ class SparseSolver:
                 opts.factotype,
                 workspace=opts.workspace_update,
                 pivot_threshold=opts.pivot_threshold,
-                index_cache=opts.index_cache,
-                dl_buffer=opts.dl_buffer,
                 kernels=opts.kernels,
             )
         elif opts.runtime == "threaded":
@@ -152,13 +150,7 @@ class SparseSolver:
                 n_workers=opts.n_workers,
                 workspace=opts.workspace_update,
                 pivot_threshold=opts.pivot_threshold,
-                index_cache=opts.index_cache,
-                dl_buffer=opts.dl_buffer,
-                accumulate=opts.accumulate,
                 kernels=opts.kernels,
-                # Fan-in accumulation batches update *couples*; every
-                # other configuration runs the lock-free unit DAG.
-                granularity="2d" if opts.accumulate else "unit",
             )
         else:  # pragma: no cover - guarded by SolverOptions
             raise ValueError(f"unknown runtime {opts.runtime!r}")

@@ -7,12 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.dag.tasks import TaskDAG, TaskKind
-from repro.kernels.cost import (
-    complex_multiplier,
-    flops_panel,
-    flops_update,
-    flops_update_part,
-)
+from repro.kernels.cost import complex_multiplier, flops_panel, flops_update
 from repro.symbolic.structures import SymbolMatrix
 
 __all__ = [
@@ -196,7 +191,6 @@ def build_dag(
     dtype=np.float64,
     recompute_ld: bool = True,
     fuse_subtree_flops: float | None = None,
-    split_rows: int | None = None,
     n_workers: int = 4,
 ) -> TaskDAG:
     """Unroll ``symbol`` into a :class:`TaskDAG`.
@@ -217,13 +211,6 @@ def build_dag(
     supernode tree whose total work is at most the threshold becomes one
     CPU task, removing its internal scheduling overhead; updates leaving
     the subtree stay individual tasks (2D granularity only).
-
-    ``split_rows`` enables tall-panel 2D row-block splitting (2D
-    granularity only): every couple whose GEMM height exceeds the
-    threshold becomes several independent update tasks, one per row
-    block of :func:`repro.symbolic.splitting.plan_update_rowblocks`.
-    Parts write disjoint target rows but keep the target-panel mutex;
-    their flop counts tile :func:`flops_update` exactly (N509).
     """
     K = symbol.n_cblk
     widths = np.diff(symbol.cblk_ptr).astype(np.int64)
@@ -238,10 +225,6 @@ def build_dag(
         ms, ns, widths[src], factotype, recompute_ld=recompute_ld
     )
 
-    if split_rows is not None and (granularity != "2d" or fuse_subtree_flops):
-        raise ValueError(
-            "split_rows requires plain 2d granularity (no subtree fusing)"
-        )
     if granularity == "unit":
         return _build_unit(
             symbol, factotype, widths, below, src, tgt, ms, ns,
@@ -251,11 +234,6 @@ def build_dag(
         return _build_fused(
             symbol, factotype, dtype, widths, below, src, tgt, ms, ns,
             panel_flops, upd_flops, fuse_subtree_flops,
-        )
-    if granularity == "2d" and split_rows is not None:
-        return _build_split(
-            symbol, factotype, widths, src, tgt, ms, ns,
-            panel_flops, split_rows, recompute_ld, mult,
         )
     if granularity == "2d":
         n_tasks = K + n_upd
@@ -334,7 +312,6 @@ def get_dag(
     *,
     granularity: str = "2d",
     dtype=np.float64,
-    split_rows: int | None = None,
     n_workers: int = 4,
 ) -> TaskDAG:
     """:func:`build_dag` memoised on the symbol (see :func:`symbol_memo`).
@@ -343,11 +320,11 @@ def get_dag(
     injectors, tests) keep building their own with :func:`build_dag`.
     """
     n_workers = max(1, int(n_workers))
-    key = ("facto", factotype, np.dtype(dtype).str, granularity, split_rows,
+    key = ("facto", factotype, np.dtype(dtype).str, granularity,
            n_workers if granularity == "unit" else None)  # only units use it
     return symbol_memo(symbol, key, lambda: build_dag(
         symbol, factotype, granularity=granularity, dtype=dtype,
-        split_rows=split_rows, n_workers=n_workers,
+        n_workers=n_workers,
     ))
 
 
@@ -357,7 +334,7 @@ def dag_of_trace(
     """The (memoised) factorization DAG a threaded run executed.
 
     :func:`repro.runtime.threaded.factorize_threaded` stamps what it ran
-    into ``trace.meta`` (``granularity``, ``n_workers``, ``split_rows``);
+    into ``trace.meta`` (``granularity``, ``n_workers``);
     auditing or replaying a trace against any other DAG pairs task ids
     that do not mean the same thing.  A trace that predates the
     ``granularity`` stamp ran the 2D couple DAG.
@@ -366,7 +343,6 @@ def dag_of_trace(
     return get_dag(
         symbol, factotype, dtype=dtype,
         granularity=meta.get("granularity", "2d"),
-        split_rows=meta.get("split_rows"),
         n_workers=meta.get("n_workers", 4),
     )
 
@@ -530,84 +506,3 @@ def _build_fused(
         fused_components=fused_components,
     )
 
-
-def _build_split(
-    symbol, factotype, widths, src, tgt, ms, ns,
-    panel_flops, split_rows, recompute_ld, mult,
-):
-    """2D DAG with tall couples split into row-block update tasks.
-
-    Each row block is an independent task: disjoint target rows, same
-    target mutex (the scatter still serializes per panel), dependencies
-    panel(src) → part → panel(tgt) exactly as for unsplit updates.  The
-    per-part ``(row_lo, row_hi)`` bounds come from the canonical plan
-    (:func:`repro.symbolic.splitting.plan_update_rowblocks`), which the
-    hazard/symbolic auditors re-derive to check the DAG against.
-    """
-    from repro.symbolic.splitting import rowblock_bounds
-
-    K = symbol.n_cblk
-    n_upd = src.size
-    p_src: list[int] = []
-    p_tgt: list[int] = []
-    p_m: list[int] = []
-    p_n: list[int] = []
-    p_k: list[int] = []
-    p_lo: list[int] = []
-    p_hi: list[int] = []
-    p_flops: list[float] = []
-    for i in range(n_upd):
-        m, n, w = int(ms[i]), int(ns[i]), int(widths[src[i]])
-        for lo, hi in rowblock_bounds(m, split_rows):
-            p_src.append(int(src[i]))
-            p_tgt.append(int(tgt[i]))
-            p_m.append(hi - lo)
-            p_n.append(n)
-            p_k.append(w)
-            p_lo.append(lo)
-            p_hi.append(hi)
-            p_flops.append(mult * flops_update_part(
-                m, n, w, factotype, lo, hi, recompute_ld=recompute_ld,
-            ))
-
-    n_parts = len(p_src)
-    n_tasks = K + n_parts
-    kind = np.empty(n_tasks, dtype=np.int8)
-    kind[:K] = TaskKind.PANEL
-    kind[K:] = TaskKind.UPDATE
-    psrc = np.asarray(p_src, dtype=np.int64)
-    ptgt = np.asarray(p_tgt, dtype=np.int64)
-    cblk = np.concatenate([np.arange(K, dtype=np.int64), psrc])
-    target = np.concatenate([np.arange(K, dtype=np.int64), ptgt])
-    flops = np.concatenate([panel_flops, np.asarray(p_flops)])
-    gm = np.concatenate([np.zeros(K, np.int64), np.asarray(p_m, np.int64)])
-    gn = np.concatenate([np.zeros(K, np.int64), np.asarray(p_n, np.int64)])
-    gk = np.concatenate([np.zeros(K, np.int64), np.asarray(p_k, np.int64)])
-    row_lo = np.full(n_tasks, -1, dtype=np.int64)
-    row_hi = np.full(n_tasks, -1, dtype=np.int64)
-    row_lo[K:] = np.asarray(p_lo, dtype=np.int64)
-    row_hi[K:] = np.asarray(p_hi, dtype=np.int64)
-    upd_ids = K + np.arange(n_parts, dtype=np.int64)
-    heads = np.concatenate([psrc, upd_ids])
-    tails = np.concatenate([upd_ids, ptgt])
-    mutex = np.full(n_tasks, -1, dtype=np.int64)
-    mutex[K:] = ptgt
-    succ_ptr, succ_list = _csr_from_edges(n_tasks, heads, tails)
-    return TaskDAG(
-        kind=kind,
-        cblk=cblk,
-        target=target,
-        flops=flops,
-        gemm_m=gm,
-        gemm_n=gn,
-        gemm_k=gk,
-        succ_ptr=succ_ptr,
-        succ_list=succ_list,
-        mutex=mutex,
-        granularity="2d",
-        symbol=symbol,
-        factotype=factotype,
-        row_lo=row_lo,
-        row_hi=row_hi,
-        split_rows=int(split_rows),
-    )

@@ -87,9 +87,6 @@ class TaskDAG:
         symbol=None,
         factotype: str = "llt",
         fused_components: dict | None = None,
-        row_lo: np.ndarray | None = None,
-        row_hi: np.ndarray | None = None,
-        split_rows: int | None = None,
         unit_ptr: np.ndarray | None = None,
         unit_panels: np.ndarray | None = None,
     ) -> None:
@@ -113,15 +110,6 @@ class TaskDAG:
         #: ("panel", width, below) or ("update", m, n, w) — used by the
         #: simulator's duration models.
         self.fused_components = fused_components or {}
-        #: 2D row-block splitting (``build_dag(split_rows=...)``): the
-        #: tail-relative ``[row_lo, row_hi)`` bounds of each update task
-        #: (``-1`` for non-update tasks) and the ``max_rows`` threshold
-        #: the plan was derived from.  ``split_rows is None`` means the
-        #: classic one-task-per-couple DAG; the auditors treat duplicate
-        #: couples in that case as a hazard (H110).
-        self.row_lo = row_lo
-        self.row_hi = row_hi
-        self.split_rows = split_rows
         #: Unit-granular DAGs (``build_dag(granularity="unit")`` and the
         #: solve DAG): the panels a task runs back to back, in CSR form —
         #: unit ``u`` is ``unit_panels[unit_ptr[u]:unit_ptr[u + 1]]``,
@@ -215,13 +203,6 @@ class TaskDAG:
         if self.phase == "facto":
             assert np.all(self.mutex[upd] == self.target[upd])
         assert np.all(self.mutex[~upd] == -1)
-        if self.split_rows is not None:
-            assert self.row_lo is not None and self.row_hi is not None
-            assert np.all(self.row_hi[upd] > self.row_lo[upd])
-            assert np.all(
-                self.gemm_m[upd] == self.row_hi[upd] - self.row_lo[upd]
-            )
-            assert np.all(self.row_lo[~upd] == -1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,221 +1,18 @@
-"""Optional compiled (numba-jit) numeric kernels.
+"""numba availability probe.
 
-The paper's premise is that the numeric kernels — not the runtime — set
-the GFlop/s ceiling.  This module provides jit-compiled twins of the
-three scatter-gather hot spots, selected with the
-``kernels="numpy"|"compiled"`` toggle on
-:func:`repro.core.factorization.factorize_sequential`,
-:func:`repro.runtime.threaded.factorize_threaded` and
-:class:`repro.core.options.SolverOptions`:
-
-* :func:`fused_gemm_scatter` — the update GEMM fused with its scatter:
-  ``contrib`` is written straight into the target panel through the
-  :class:`repro.kernels.indexcache.CoupleMap` index arrays, no
-  ``np.ix_`` temporaries, one ``prange`` loop, GIL released so threaded
-  workers overlap updates for real;
-* :func:`merge_add` — the fan-in merge of
-  :class:`repro.kernels.accumulate.FanInAccumulator` as an elementwise
-  scatter-add (bit-identical to the ``np.ix_`` form it replaces);
-* :func:`gather_assign` — the :meth:`NumericFactor.assemble` gather as
-  an elementwise loop (pure assignment, bit-identical).
-
-numba is an *optional* dependency (the ``[compiled]`` extra in
-``pyproject.toml``).  When it is absent every entry point falls back to
-the pure-numpy path, and :func:`resolve_kernels` reports the effective
-backend as ``"numpy"`` — which the runtimes stamp into ``trace.meta`` so
-a trace always says which kernels really ran.  ``kernels="numpy"`` is
-the bit-identity reference: it never routes through this module's fused
-kernel, whose per-element dot products re-associate the reduction.
+The numba kernel backend is gone; only this flag remains, because the
+frozen wall-clock benchmark (``benchmarks/e2e/harness.py``) stamps it
+into its host provenance record.  ROADMAP item 1, which re-aims that
+benchmark, deletes this module.
 """
 
 from __future__ import annotations
 
-import numpy as np
+__all__ = ["HAVE_NUMBA"]
 
-__all__ = [
-    "HAVE_NUMBA",
-    "resolve_kernels",
-    "fused_gemm_scatter",
-    "merge_add",
-    "gather_assign",
-    "panel_update_fused",
-]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit, prange
+try:  # pragma: no cover - numba is not a dependency
+    import numba  # noqa: F401
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the offline default
+except ImportError:  # pragma: no cover
     HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        """Identity decorator so the kernels stay importable sans numba."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-    prange = range
-
-
-def resolve_kernels(requested: str) -> str:
-    """Effective kernel backend for a requested one.
-
-    ``"compiled"`` resolves to itself only when numba is importable;
-    otherwise it *gracefully* degrades to ``"numpy"`` (no error — the
-    request is a preference, the stamp in ``trace.meta`` is the truth).
-    """
-    if requested not in ("numpy", "compiled"):
-        raise ValueError(f"unknown kernels backend {requested!r}")
-    if requested == "compiled" and not HAVE_NUMBA:
-        return "numpy"
-    return requested
-
-
-# ----------------------------------------------------------------------
-# jit bodies.  Each has a numpy twin used when numba is absent; the
-# numpy twins of merge_add / gather_assign are the exact expressions the
-# call sites used before this module existed, so the fallback is
-# bit-identical by construction.  The fused kernel's fallback materializes
-# the contribution (BLAS GEMM) and scatters it — same values as the
-# two-phase path, only the jit version re-associates.
-# ----------------------------------------------------------------------
-
-
-@njit(nogil=True, parallel=True, cache=True)
-def _fused_gemm_scatter_nb(a, b, out, rows, cols):  # pragma: no cover
-    m = a.shape[0]
-    n = b.shape[0]
-    w = a.shape[1]
-    for i in prange(m):
-        r = rows[i]
-        for j in range(n):
-            acc = a[i, 0] * b[j, 0]
-            for p in range(1, w):
-                acc += a[i, p] * b[j, p]
-            out[r, cols[j]] -= acc
-
-
-@njit(nogil=True, cache=True)
-def _merge_add_nb(acc, rows, cols, contrib):  # pragma: no cover
-    for i in range(rows.shape[0]):
-        r = rows[i]
-        for j in range(cols.shape[0]):
-            acc[r, cols[j]] += contrib[i, j]
-
-
-@njit(nogil=True, cache=True)
-def _gather_assign_nb(panel, rloc, cloc, vals):  # pragma: no cover
-    for i in range(rloc.shape[0]):
-        panel[rloc[i], cloc[i]] = vals[i]
-
-
-def fused_gemm_scatter(
-    a: np.ndarray,
-    b: np.ndarray,
-    out: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> None:
-    """``out[rows, cols] -= a @ b.T`` with no ``np.ix_`` temporary.
-
-    The compiled form runs one GIL-free ``prange`` over the ``m`` rows,
-    each iteration dotting against the ``n`` facing rows and subtracting
-    in place.  The fallback forms the contribution with BLAS and
-    scatters it — numerically the two re-associate, hence the pinned
-    ``allclose`` bound in the tolerance tests rather than bit equality.
-    """
-    if HAVE_NUMBA:
-        _fused_gemm_scatter_nb(a, b, out, rows, cols)
-    else:
-        out[np.ix_(rows, cols)] -= a @ b.T
-
-
-def merge_add(
-    acc: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    contrib: np.ndarray,
-) -> None:
-    """``acc[rows, cols] += contrib`` — the fan-in merge.
-
-    One contribution lands on distinct ``(row, col)`` pairs, so the
-    elementwise loop performs the *same* adds in the same order as the
-    ``np.ix_`` fancy-index form: compiled and numpy merges are
-    bit-identical.
-    """
-    if HAVE_NUMBA:
-        _merge_add_nb(acc, rows, cols, contrib)
-    else:
-        acc[np.ix_(rows, cols)] += contrib
-
-
-def gather_assign(
-    panel: np.ndarray,
-    rloc: np.ndarray,
-    cloc: np.ndarray,
-    vals: np.ndarray,
-) -> None:
-    """``panel[rloc, cloc] = vals`` — the assemble gather.
-
-    Pure assignment at distinct positions: the compiled loop and the
-    fancy-index form are bit-identical.
-    """
-    if HAVE_NUMBA:
-        _gather_assign_nb(panel, rloc, cloc, vals)
-    else:
-        panel[rloc, cloc] = vals
-
-
-def panel_update_fused(factor, k: int, t: int, part=None) -> None:
-    """Fused compute+scatter of couple ``(k, t)`` into panel ``t``.
-
-    The compiled twin of ``panel_update_compute`` +
-    ``panel_update_scatter`` collapsed into one kernel: the contribution
-    is never materialized — each ``(row, col)`` product is subtracted
-    straight from the target through the couple's index maps.  Writes
-    panel ``t``, so callers must hold ``t``'s mutex around the whole
-    call (the GIL is released inside the jit region, which is what lets
-    other workers' fused updates to *other* panels overlap).
-
-    ``part=(lo, hi)`` applies one row-block of a 2D-split update.
-    """
-    from repro.kernels.panel import _update_maps
-
-    sym = factor.symbol
-    w = sym.cblk_width(k)
-    maps = _update_maps(factor, k, t)
-    if maps is None:
-        return  # k does not actually face t
-    i0, i1, rows_local, cols_local, rk_size = maps
-    Lk = factor.L[k]
-
-    lo, hi = (0, rk_size - i0) if part is None else (int(part[0]), int(part[1]))
-    a_tail = Lk[w + i0 + lo: w + i0 + hi, :]
-    b_mid = Lk[w + i0: w + i1, :]
-    if factor.factotype == "ldlt":
-        DL = getattr(factor, "DL", None)
-        if DL is not None and DL[k] is not None:
-            b_mid = DL[k][i0:i1, :]
-        else:
-            b_mid = b_mid * factor.D[k]
-    elif factor.factotype == "lu":
-        b_mid = factor.U[k][w + i0: w + i1, :]
-
-    fused_gemm_scatter(
-        np.ascontiguousarray(a_tail), np.ascontiguousarray(b_mid),
-        factor.L[t], rows_local[lo:hi], cols_local,
-    )
-
-    nn = i1 - i0
-    if factor.factotype == "lu" and hi > nn:
-        u0 = max(lo, nn)
-        u_tail = factor.U[k][w + i0 + u0: w + i0 + hi, :]
-        l_mid = Lk[w + i0: w + i1, :]
-        fused_gemm_scatter(
-            np.ascontiguousarray(u_tail), np.ascontiguousarray(l_mid),
-            factor.U[t], rows_local[u0:hi], cols_local,
-        )

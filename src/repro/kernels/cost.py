@@ -22,7 +22,6 @@ __all__ = [
     "flops_gemm",
     "flops_panel",
     "flops_update",
-    "flops_update_part",
     "flops_total",
     "index_overhead_flops",
     "panel_bytes",
@@ -120,36 +119,6 @@ def flops_update(
         return flops_gemm(m, n, w) + extra
     if factotype == "lu":
         return flops_gemm(m, n, w) + flops_gemm(np.maximum(m - n, 0), n, w)
-    raise ValueError(f"unknown factotype {factotype!r}")
-
-
-def flops_update_part(
-    m: int,
-    n: int,
-    w: int,
-    factotype: str,
-    lo: int,
-    hi: int,
-    *,
-    recompute_ld: bool = True,
-) -> float:
-    """One row-block ``[lo, hi)`` of a 2D-split update task.
-
-    The parts of any tiling of ``[0, m)`` sum *exactly* to
-    :func:`flops_update`: the L-side GEMM splits by rows; the LDLᵀ
-    ``(L·D)`` rebuild is charged once, to the part containing row 0; the
-    LU U-side GEMM covers tail rows ``[n, m)``, so a part is charged its
-    overlap with that range.  The symbolic auditor's N509 check holds
-    split DAGs to this identity.
-    """
-    if factotype == "llt":
-        return flops_gemm(hi - lo, n, w)
-    if factotype == "ldlt":
-        extra = float(n) * w if recompute_ld and lo == 0 else 0.0
-        return flops_gemm(hi - lo, n, w) + extra
-    if factotype == "lu":
-        u_rows = max(0, min(hi, m) - max(lo, n))
-        return flops_gemm(hi - lo, n, w) + flops_gemm(u_rows, n, w)
     raise ValueError(f"unknown factotype {factotype!r}")
 
 

@@ -19,8 +19,8 @@ runs the C/Python hand-back loop:
 * the NumPy kernels stay the fallback and the oracle:
   :func:`resolve_kernels` turns ``"native"`` into ``"numpy"`` (with a
   ``RuntimeWarning``) when there is no compiler, no capsule or no place
-  to build, and silently for the ablation toggles, which are defined on
-  the NumPy kernels.
+  to build, and silently for the update-variant ablations, which are
+  defined on the NumPy kernels.
 
 Compiling, caching (``${XDG_CACHE_HOME:-~/.cache}/repro/
 native-<hash>.so``) and loading are :mod:`repro.cbuild`'s.
@@ -38,7 +38,6 @@ import numpy as np
 
 from repro import cbuild
 from repro.cbuild import NativeUnavailable
-from repro.kernels import compiled
 from repro.kernels.indexcache import CoupleMapCache
 from repro.kernels.panel import panel_factorize
 
@@ -161,16 +160,17 @@ def resolve_kernels(
 ) -> str:
     """Effective kernel backend for a requested one.
 
-    ``"native"`` stays ``"native"`` when the library loads, the dtype is
-    float64/complex128 and no ablation toggle is set; the ablations
-    (``workspace=False``, ``index_cache=False``, ``variant="left"``,
-    ``dl_buffer=True``, ``granularity="2d"``) are defined on the NumPy
-    kernels and resolve to ``"numpy"`` silently, an unusable library
-    does so with a ``RuntimeWarning``.  The other values keep
-    :func:`repro.kernels.compiled.resolve_kernels`'s contract.
+    ``"numpy"`` is always honoured.  ``"native"`` stays ``"native"``
+    when the library loads, the dtype is float64/complex128 and no
+    ablation is set; the ablations (``workspace=False``,
+    ``variant="left"``) are defined on the NumPy kernels and resolve to
+    ``"numpy"`` silently, an unusable library does so with a
+    ``RuntimeWarning``.
     """
+    if requested == "numpy":
+        return "numpy"
     if requested != "native":
-        return compiled.resolve_kernels(requested)
+        raise ValueError(f"unknown kernels backend {requested!r}")
     if ablation or np.dtype(dtype) not in (np.float64, np.complex128):
         return "numpy"
     try:

@@ -56,12 +56,6 @@ def panel_factorize(factor, k: int) -> None:
         if Lk.shape[0] > w:
             # L21 = A21 · L11^{-T} · D^{-1}
             Lk[w:, :] = trsm_lower_right(ld, Lk[w:, :], unit=True) / d
-        if getattr(factor, "dl_buffer", False):
-            # Persistent DLᵀ buffer (PaStiX's native LDLᵀ update path):
-            # (L·D) for the whole tail is formed once here, so no update
-            # task ever recomputes it.  The generic-runtime variant the
-            # paper penalizes in Figure 2 is dl_buffer=False.
-            factor.DL[k] = Lk[w:, :] * d
     elif factor.factotype == "lu":
         lu = getrf_nopiv(diag, monitor)
         Lk[:w, :w] = lu  # packed L\U diagonal block
@@ -126,25 +120,16 @@ def _update_maps(factor, k: int, t: int):
     return i0, i1, rows_local, cols_local, int(rk.size)
 
 
-def panel_update_compute(factor, k: int, t: int, part=None):
+def panel_update_compute(factor, k: int, t: int):
     """Compute half of the workspace update: the GEMM, no writes.
 
     Forms panel ``k``'s contribution to facing panel ``t`` in contiguous
     temporaries ("the outer product is computed in a contiguous
     temporary buffer").  Reads only panel ``k``'s numerics and ``t``'s
-    *static* row structure — never ``t``'s values — so concurrent
-    callers may run it without holding ``t``'s mutex.  The threaded
-    runtime's lock narrowing hinges on that: the expensive GEMM happens
-    outside the panel lock, and only the cheap scatter-add
-    (:func:`panel_update_scatter`) serializes.
+    *static* row structure — never ``t``'s values.
 
     Returns ``None`` when ``k`` does not actually face ``t``, else an
     opaque parts tuple for :func:`panel_update_scatter`.
-
-    ``part=(lo, hi)`` restricts the contribution to tail rows
-    ``rk[i0+lo : i0+hi]`` — one row-block of a 2D-split update (see
-    :func:`repro.symbolic.splitting.plan_update_rowblocks`).  The parts
-    of a tiling of ``[0, m)`` sum to exactly the unsplit contribution.
 
     When the factor carries a couple index cache
     (:class:`repro.kernels.indexcache.CoupleMapCache`, attached as
@@ -158,48 +143,32 @@ def panel_update_compute(factor, k: int, t: int, part=None):
     maps = _update_maps(factor, k, t)
     if maps is None:
         return None  # k does not actually face t
-    i0, i1, rows_local, cols_local, rk_size = maps
+    i0, i1, rows_local, cols_local, _rk_size = maps
     Lk = factor.L[k]
 
-    lo, hi = (0, rk_size - i0) if part is None else (int(part[0]), int(part[1]))
-    a_tail = Lk[w + i0 + lo: w + i0 + hi, :]
-    rows_part = rows_local[lo:hi]
-    b_mid = Lk[w + i0: w + i1, :]
-    if factor.factotype == "ldlt":
-        DL = getattr(factor, "DL", None)
-        if DL is not None and DL[k] is not None:
-            # Persistent DLᵀ buffer filled at panel_factorize time.
-            b_mid = DL[k][i0:i1, :]
-        else:
-            # Recompute (L·D) for the facing rows — the generic-runtime
-            # variant the paper discusses (no persistent DLᵀ buffer).
-            b_mid = b_mid * factor.D[k]
-    elif factor.factotype == "lu":
-        b_mid = factor.U[k][w + i0: w + i1, :]
-
+    a_tail = Lk[w + i0:, :]
+    b_mid = _facing_operand(factor, k, w, i0, i1)
     contrib = a_tail @ b_mid.T
 
     rows_local_u = None
     contrib_u = None
     nn = i1 - i0
-    if factor.factotype == "lu" and hi > nn:
+    if factor.factotype == "lu" and rows_local.size > nn:
         # U-side update: strictly-below rows of the target's U panel —
-        # tail rows past the facing slice, clipped to this part.  Its
-        # row map is the tail of the L-side map — no second searchsorted.
-        u0 = max(lo, nn)
-        u_tail = factor.U[k][w + i0 + u0: w + i0 + hi, :]
+        # tail rows past the facing slice.  Its row map is the tail of
+        # the L-side map — no second searchsorted.
+        u_tail = factor.U[k][w + i1:, :]
         l_mid = Lk[w + i0: w + i1, :]
-        rows_local_u = rows_local[u0:hi]
+        rows_local_u = rows_local[nn:]
         contrib_u = u_tail @ l_mid.T
-    return rows_part, cols_local, contrib, rows_local_u, contrib_u
+    return rows_local, cols_local, contrib, rows_local_u, contrib_u
 
 
 def panel_update_scatter(factor, t: int, parts) -> None:
     """Scatter half: dispatch a precomputed contribution into ``t``.
 
     ``parts`` comes from :func:`panel_update_compute`.  This is the only
-    half that writes panel ``t``, so concurrent callers must hold ``t``'s
-    mutex around *this call only*.
+    half that writes panel ``t``.
     """
     rows_local, cols_local, contrib, rows_local_u, contrib_u = parts
     factor.L[t][np.ix_(rows_local, cols_local)] -= contrib
@@ -207,37 +176,29 @@ def panel_update_scatter(factor, t: int, parts) -> None:
         factor.U[t][np.ix_(rows_local_u, cols_local)] -= contrib_u
 
 
-def panel_update(
-    factor, k: int, t: int, *, workspace: bool = True, part=None
-) -> None:
+def _facing_operand(factor, k: int, w: int, i0: int, i1: int):
+    """The right operand of couple ``(k, ·)``'s GEMM: ``k``'s facing
+    rows ``[i0, i1)`` of its tail — times ``D`` for LDLᵀ, from ``U`` for
+    LU."""
+    if factor.factotype == "lu":
+        return factor.U[k][w + i0: w + i1, :]
+    b_mid = factor.L[k][w + i0: w + i1, :]
+    if factor.factotype == "ldlt":
+        b_mid = b_mid * factor.D[k]
+    return b_mid
+
+
+def panel_update(factor, k: int, t: int, *, workspace: bool = True) -> None:
     """Apply the update of factorized panel ``k`` onto facing panel ``t``.
 
     ``workspace=True`` computes the outer product into a contiguous
     temporary and scatters it afterwards (the paper's CPU strategy,
-    split into :func:`panel_update_compute` + :func:`panel_update_scatter`
-    so the threaded runtime can lock only the scatter);
+    :func:`panel_update_compute` + :func:`panel_update_scatter`);
     ``workspace=False`` routes through the blok-wise direct-scatter kernel
     (the GPU-style kernel twin, see :mod:`repro.kernels.sparse_gemm`).
-
-    When the factor requests the compiled backend
-    (``factor.kernels == "compiled"`` and numba is importable), the
-    workspace path runs the fused compute+scatter kernel instead —
-    callers must then hold ``t``'s mutex around the whole call, as with
-    ``workspace=False``.
-
-    ``part=(lo, hi)`` applies one row-block of a 2D-split update (see
-    :func:`panel_update_compute`).
     """
     if workspace:
-        from repro.kernels import compiled
-
-        if (
-            getattr(factor, "kernels", "numpy") == "compiled"
-            and compiled.HAVE_NUMBA
-        ):
-            compiled.panel_update_fused(factor, k, t, part=part)
-            return
-        parts = panel_update_compute(factor, k, t, part=part)
+        parts = panel_update_compute(factor, k, t)
         if parts is not None:
             panel_update_scatter(factor, t, parts)
         return
@@ -247,32 +208,19 @@ def panel_update(
     maps = _update_maps(factor, k, t)
     if maps is None:
         return  # k does not actually face t
-    i0, i1, rows_local, cols_local, rk_size = maps
+    i0, i1, rows_local, cols_local, _rk_size = maps
     Lk = factor.L[k]
-
-    lo, hi = (0, rk_size - i0) if part is None else (int(part[0]), int(part[1]))
-    a_tail = Lk[w + i0 + lo: w + i0 + hi, :]
-    b_mid = Lk[w + i0: w + i1, :]
-    if factor.factotype == "ldlt":
-        DL = getattr(factor, "DL", None)
-        if DL is not None and DL[k] is not None:
-            b_mid = DL[k][i0:i1, :]
-        else:
-            b_mid = b_mid * factor.D[k]
-    elif factor.factotype == "lu":
-        b_mid = factor.U[k][w + i0: w + i1, :]
 
     from repro.kernels.sparse_gemm import sparse_gemm_scatter
 
     sparse_gemm_scatter(
-        a_tail, b_mid, factor.L[t], rows_local[lo:hi], cols_local
+        Lk[w + i0:, :], _facing_operand(factor, k, w, i0, i1), factor.L[t],
+        rows_local, cols_local,
     )
 
     nn = i1 - i0
-    if factor.factotype == "lu" and hi > nn:
-        u0 = max(lo, nn)
-        u_tail = factor.U[k][w + i0 + u0: w + i0 + hi, :]
-        l_mid = Lk[w + i0: w + i1, :]
+    if factor.factotype == "lu" and rows_local.size > nn:
         sparse_gemm_scatter(
-            u_tail, l_mid, factor.U[t], rows_local[u0:hi], cols_local
+            factor.U[k][w + i1:, :], Lk[w + i0: w + i1, :], factor.U[t],
+            rows_local[nn:], cols_local,
         )

@@ -10,10 +10,10 @@ is never corrected by reality.  This module closes the loop:
 * :class:`PerfHistory` — a per-(kernel, size-bucket) duration model
   keyed by :func:`repro.resilience.health.bucket_key` (the same
   bucketing the health monitor's EWMA uses, so the two measured-duration
-  consumers can never drift apart).  It is seeded from the committed
-  ``results/BENCH_*.json`` corpus and updated online from the durations
-  the threaded runtime feeds back for every committed task
-  (:meth:`~repro.runtime.scheduling.ThreadScheduler.on_duration`);
+  consumers can never drift apart).  It is updated online from the
+  durations the threaded runtime feeds back for every completed task
+  (:meth:`~repro.runtime.scheduling.ThreadScheduler.on_duration`) and
+  persists as JSON (:meth:`~PerfHistory.to_json`);
 * :class:`AdaptiveScheduler` (``"adaptive"`` in
   :data:`~repro.runtime.scheduling.THREAD_SCHEDULERS`) — a shared heap
   ranked by expected-completion levels: bottom levels recomputed with
@@ -22,9 +22,7 @@ is never corrected by reality.  This module closes the loop:
   each task the PCIe staging cost its panels would pay on the simulated
   GPU path.  With an empty history it degrades exactly to
   :class:`~repro.runtime.scheduling.CriticalPathScheduler` (same heap
-  entries, same pop order — the cold-start identity the tests pin);
-* :func:`suggest_config` — picks scheduler x accumulate x index_cache
-  for a matrix from the benchmark corpus (minimum replay makespan).
+  entries, same pop order — the cold-start identity the tests pin).
 
 Determinism contract: the model holds no wall-clock keys, iterates
 dictionaries in sorted order, and breaks warm-heap ties with a
@@ -39,7 +37,6 @@ from __future__ import annotations
 import heapq
 import json
 import threading
-from pathlib import Path
 from typing import Any, Optional
 
 import numpy as np
@@ -53,17 +50,12 @@ __all__ = [
     "MODEL_VERSION",
     "PerfHistory",
     "AdaptiveScheduler",
-    "suggest_config",
-    "suggest_blocking",
 ]
 
 #: Version of the stamped model provenance (``trace.meta["adaptive"]``);
 #: bumped whenever the bucket format or the stamp schema changes so the
 #: A9xx auditor can reject stamps it does not understand.
 MODEL_VERSION = 1
-
-#: Default benchmark-corpus location for seeding and suggestions.
-DEFAULT_RESULTS = Path("results")
 
 
 class PerfHistory:
@@ -73,9 +65,9 @@ class PerfHistory:
     whose :func:`~repro.resilience.health.bucket_key` matches; a bucket's
     rate is ``sum_flops / sum_seconds``.  Prediction falls back from the
     exact bucket to the nearest same-kernel bucket to the global
-    measured rate, so a cold model with only corpus-level seeding still
-    predicts durations proportional to flops — which is exactly the
-    static ``"priority"`` ranking.
+    measured rate, so a model with only a global rate still predicts
+    durations proportional to flops — which is exactly the static
+    ``"priority"`` ranking.
 
     Thread-safety: ``observe`` is called concurrently from worker
     threads and takes the internal lock; reads used for ranking happen
@@ -87,92 +79,12 @@ class PerfHistory:
         self._buckets: dict[str, list[float]] = {}
         self._global: list[float] = [0.0, 0.0, 0.0]
         self._lock = threading.Lock()
-        #: Samples consumed by :meth:`seed_from_results`.
+        #: Samples a persisted model was seeded with (kept through
+        #: :meth:`to_json` / :meth:`from_json`).
         self.n_seeded = 0
         #: Per-bucket observation counts of the current run (reset by
         #: :meth:`start_run`); the deterministic half of the A9xx stamp.
         self.run_counts: dict[str, int] = {}
-
-    # -- seeding -------------------------------------------------------
-    def seed_from_results(
-        self, path: "Path | str" = DEFAULT_RESULTS
-    ) -> int:
-        """Seed the global rate from a committed benchmark corpus.
-
-        ``path`` is a ``BENCH_*.json`` report or a directory of them.
-        The corpus stores per-cell aggregates (total flops, wall
-        seconds), not per-kernel durations, so seeding fills the
-        *global* rate: single-worker cells contribute their measured
-        ``flops / wall_s`` (serial wall time is pure compute), and the
-        report's ``calib_gflops`` is folded in as one weak sample when
-        no such cell exists.  A report may additionally carry a
-        top-level ``"buckets"`` section (``{key: [n, sum_flops,
-        sum_seconds]}`` keyed by :func:`~repro.resilience.health.\
-bucket_key` — the kernel micro-benchmark ``BENCH_kernels.json``
-        emits one); those seed the per-bucket rates directly.  Returns
-        the number of samples consumed.
-        """
-        p = Path(path)
-        files = sorted(p.glob("BENCH_*.json")) if p.is_dir() else [p]
-        consumed = 0
-        for f in files:
-            if not f.exists():
-                continue
-            try:
-                payload = json.loads(f.read_text())
-            except (OSError, ValueError):
-                continue
-            cells = payload.get("cells", [])
-            had_serial = False
-            for cell in cells:
-                try:
-                    flops = float(cell["flops"])
-                    wall = float(cell["wall_s"])
-                    workers = int(cell.get("n_workers", 0))
-                except (KeyError, TypeError, ValueError):
-                    continue
-                if workers == 1 and flops > 0.0 and wall > 0.0:
-                    with self._lock:
-                        self._global[0] += 1.0
-                        self._global[1] += flops
-                        self._global[2] += wall
-                    consumed += 1
-                    had_serial = True
-            buckets = payload.get("buckets", {})
-            if isinstance(buckets, dict):
-                for key in sorted(buckets):
-                    vals = buckets[key]
-                    try:
-                        ns = float(vals[0])
-                        fl = float(vals[1])
-                        sec = float(vals[2])
-                    except (TypeError, ValueError, IndexError):
-                        continue
-                    if ns <= 0.0 or fl <= 0.0 or sec <= 0.0:
-                        continue
-                    with self._lock:
-                        b = self._buckets.setdefault(
-                            str(key), [0.0, 0.0, 0.0]
-                        )
-                        b[0] += ns
-                        b[1] += fl
-                        b[2] += sec
-                        self._global[0] += ns
-                        self._global[1] += fl
-                        self._global[2] += sec
-                    consumed += 1
-                    had_serial = True  # measured rates: skip calib fold
-            calib = float(payload.get("calib_gflops", 0.0) or 0.0)
-            if not had_serial and calib > 0.0:
-                # One synthetic second at the calibrated rate.
-                with self._lock:
-                    self._global[0] += 1.0
-                    self._global[1] += calib * 1e9
-                    self._global[2] += 1.0
-                consumed += 1
-        with self._lock:
-            self.n_seeded += consumed
-        return consumed
 
     # -- online updates ------------------------------------------------
     def start_run(self) -> None:
@@ -461,121 +373,3 @@ longest_path_levels`) computed over *predicted durations* from the
 
 THREAD_SCHEDULERS[AdaptiveScheduler.name] = AdaptiveScheduler
 
-
-def suggest_config(
-    matrix: str,
-    *,
-    n_workers: Optional[int] = None,
-    path: "Path | str" = DEFAULT_RESULTS / "BENCH_threaded.json",
-) -> dict[str, Any]:
-    """Pick scheduler x accumulate x index_cache for ``matrix``.
-
-    Scans the committed threaded-benchmark corpus for the cell with the
-    minimum deterministic replay makespan (``model_makespan_s``) on the
-    given matrix (optionally pinned to ``n_workers``) and returns the
-    knobs that produced it::
-
-        {"scheduler": ..., "n_workers": ..., "accumulate": ...,
-         "index_cache": ..., "dl_buffer": ..., "kernels": ...,
-         "model_makespan_s": ...}
-
-    A ``"compiled"``-variant cell maps to the opt toggles plus
-    ``kernels="compiled"``; any other non-base variant keeps
-    ``kernels="numpy"``.
-
-    Ties break deterministically (scheduler name, then variant).  The
-    fault-injection-only ``"inverse-priority"`` scheduler is never
-    suggested.  Raises ``ValueError`` when the corpus has no usable cell
-    for the matrix.
-    """
-    p = Path(path)
-    try:
-        payload = json.loads(p.read_text())
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"unreadable bench corpus {p}: {exc}") from exc
-    best: Optional[tuple[float, str, str, dict[str, Any]]] = None
-    for cell in payload.get("cells", []):
-        if cell.get("matrix") != matrix:
-            continue
-        sched = str(cell.get("scheduler", ""))
-        if sched in ("", "inverse-priority"):
-            continue
-        if n_workers is not None \
-                and int(cell.get("n_workers", -1)) != n_workers:
-            continue
-        mk = float(cell.get("model_makespan_s", 0.0) or 0.0)
-        if mk <= 0.0:
-            continue
-        key = (mk, sched, str(cell.get("variant", "base")))
-        if best is None or key < best[:3]:
-            best = key + (cell,)
-    if best is None:
-        raise ValueError(
-            f"no usable cells for matrix {matrix!r} in {p}"
-        )
-    cell = best[3]
-    variant = str(cell.get("variant", "base"))
-    opt = variant != "base"
-    return {
-        "matrix": matrix,
-        "scheduler": cell["scheduler"],
-        "n_workers": int(cell.get("n_workers", 0)),
-        "accumulate": opt,
-        "index_cache": opt,
-        "dl_buffer": opt,
-        "kernels": "compiled" if variant == "compiled" else "numpy",
-        "model_makespan_s": float(cell["model_makespan_s"]),
-    }
-
-
-def suggest_blocking(
-    history: PerfHistory, *, target_task_s: float = 2e-3
-) -> dict[str, Any]:
-    """Derive split/amalgamation thresholds from measured kernel rates.
-
-    The symbolic splitting knobs trade task count against per-task
-    weight; the right trade depends on how fast the numeric kernels
-    actually run, which only a measured :class:`PerfHistory` (seeded
-    from ``BENCH_kernels.json`` / ``BENCH_threaded.json`` or warmed
-    online) knows.  Sizing rule: an update part of GEMM shape
-    ``rows x w x w`` costs about ``2 * rows * w**2`` flops, so
-
-    * panel width: ``2 * w**3 = target_task_s * rate`` (the square
-      ``w x w x w`` update hits the target) — the
-      ``SymbolicOptions.split_max_width`` suggestion, clamped to
-      ``[8, 256]``;
-    * rows per part: ``2 * split_rows * w**2 = target_task_s * rate``
-      at that width — the ``build_dag(split_rows=...)`` suggestion,
-      clamped to ``[w, 4096]``.
-
-    The rate is refined once through :meth:`PerfHistory.predict` at the
-    implied update size so a bucket-seeded history beats the global
-    average.  Raises ``ValueError`` on an empty history or a
-    non-positive ``target_task_s``.
-    """
-    from repro.dag.tasks import TaskKind
-
-    if target_task_s <= 0.0:
-        raise ValueError("target_task_s must be positive")
-    rate = history.global_rate()
-    if rate <= 0.0:
-        raise ValueError(
-            "history holds no measured rate; seed it from a benchmark "
-            "corpus (PerfHistory.seed_from_results) or run first"
-        )
-    w = 8
-    for _ in range(2):
-        w = int(min(max(round((target_task_s * rate / 2.0) ** (1.0 / 3.0)),
-                        8), 256))
-        flops = 2.0 * float(w) ** 3
-        dur = history.predict(int(TaskKind.UPDATE), flops)
-        if dur > 0.0:
-            rate = flops / dur
-    split_rows = int(min(max(round(target_task_s * rate
-                                   / (2.0 * float(w) ** 2)), w), 4096))
-    return {
-        "split_max_width": w,
-        "split_rows": split_rows,
-        "rate_gflops": rate / 1e9,
-        "target_task_s": float(target_task_s),
-    }

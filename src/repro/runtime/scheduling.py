@@ -25,8 +25,8 @@ be measured on real wall-clock:
   whose cache holds it; stealing backstops load balance.
 * :class:`InversePriorityScheduler` (``"inverse-priority"``) — a
   deliberately mis-prioritized heap (shortest path first).  Exists only
-  as fault injection for the perf-regression gate's self-test
-  (``make selftest``); never a sensible choice.
+  as fault injection for the robustness tests (the worst admissible
+  pop order must still give the same factor); never a sensible choice.
 
 Thread-safety contract: ``push``/``pop``/``on_complete`` are called
 concurrently from worker threads.  ``pop`` may transiently return
@@ -111,19 +111,6 @@ class ThreadScheduler:
     def on_complete(self, task: int, worker: int) -> None:
         """Bookkeeping hook after ``task`` finished on ``worker``."""
 
-    def pop_same_target(self, worker: int, target: int) -> Optional[int]:
-        """Pop another ready update task into panel ``target`` from
-        ``worker``'s own queue, if the policy tracks one.
-
-        The fan-in accumulation hook: when the threaded runtime batches
-        same-target updates it asks the scheduler for more of them
-        before taking the target mutex.  Policies without per-worker
-        queues (or that cannot answer cheaply) return ``None`` — the
-        batch simply stays at size one.  Must only return tasks that
-        ``pop`` could have returned to this worker.
-        """
-        return None
-
     def has_work(self) -> bool:
         """Approximate emptiness probe (used by the parking protocol)."""
         raise NotImplementedError
@@ -137,7 +124,7 @@ class ThreadScheduler:
         """Measured wall-clock duration of a *committed* ``task``.
 
         Called by the threaded runtime once per successful task body
-        (never for a cancelled hedge loser or a failed attempt), from
+        (never for a failed attempt), from
         the worker thread that ran it.  The default is a no-op; the
         adaptive scheduler folds the sample into its
         :class:`~repro.runtime.adaptive.PerfHistory`.
@@ -212,7 +199,6 @@ class WorkStealingScheduler(ThreadScheduler):
         self._seed_next = 0
         self._n_steals = [0] * n
         self._n_local = [0] * n
-        self._n_batched = [0] * n
 
     def _route(self, task: int, worker: int) -> int:
         """Which deque should ``task`` land on?"""
@@ -267,68 +253,6 @@ class WorkStealingScheduler(ThreadScheduler):
                     return t
         return None
 
-    #: How many entries of a deque the batching probe inspects; bounds
-    #: the cost of :meth:`pop_same_target` on long queues.
-    _BATCH_SCAN = 32
-
-    def _pop_matching(self, owner: int, worker: int, target: int,
-                      from_lifo: bool) -> Optional[int]:
-        """Remove one ready update into ``target`` from ``owner``'s
-        deque, scanning from the LIFO (hot) or FIFO (cold) end."""
-        dag = self.dag
-        upd = int(TaskKind.UPDATE)
-        with self._locks[owner]:
-            q = self._local[owner]
-            # Emptiness and target match are decided together *under*
-            # the owner's lock.  The victim scan used to pre-probe
-            # ``self._local[v]`` unlocked and skip "empty" victims — a
-            # TOCTOU window in which a concurrent push could land a
-            # matching update that the batch probe then never saw
-            # (and the probe itself was an unlocked read of a deque
-            # mid-mutation, safe only by CPython accident).
-            if not q:
-                return None
-            span = min(len(q), self._BATCH_SCAN)
-            idx = (
-                range(len(q) - 1, len(q) - 1 - span, -1)
-                if from_lifo else range(span)
-            )
-            for i in idx:
-                t = q[i]
-                if (int(dag.kind[t]) == upd
-                        and int(dag.target[t]) == target):
-                    del q[i]
-                    self._n_batched[worker] += 1
-                    return int(t)
-        return None
-
-    def pop_same_target(self, worker: int, target: int) -> Optional[int]:
-        """Find a ready update into panel ``target``: this worker's own
-        deque first (LIFO end — the hot path), then each victim's FIFO
-        end (a targeted steal; same-target updates released by other
-        panels' owners usually live there).
-
-        The victim scan takes each victim's deque lock unconditionally
-        and lets :meth:`_pop_matching` decide emptiness under it; the
-        runtime's ``_ready_upd`` guard already keeps this sweep off the
-        no-sibling hot path, so the per-victim lock acquisition is the
-        price of a race-free probe (see the TOCTOU note in
-        :meth:`_pop_matching`)."""
-        t = self._pop_matching(worker, worker, target, from_lifo=True)
-        if t is not None:
-            return t
-        hr = self.health_rank
-        if hr is not None and hr(worker) >= 1:
-            return None  # degraded workers batch locally, never steal
-        for v in self._victims[worker]:
-            t = self._pop_matching(v, worker, target, from_lifo=False)
-            if t is not None:
-                obs = self.observer
-                if obs is not None:
-                    obs("steal", worker, v, t)
-                return t
-        return None
-
     def has_work(self) -> bool:
         # Deliberately lock-free (same memory-model argument as the
         # FIFO probe): len() of a deque is one atomic read per victim,
@@ -352,7 +276,6 @@ class WorkStealingScheduler(ThreadScheduler):
         return {  # noqa: RV405
             "steals": int(sum(self._n_steals)),
             "local_pops": int(sum(self._n_local)),
-            "batched_pops": int(sum(self._n_batched)),
         }
 
 
@@ -457,13 +380,12 @@ class CriticalPathScheduler(ThreadScheduler):
 
 
 class InversePriorityScheduler(CriticalPathScheduler):
-    """Anti-critical-path heap: fault injection for the perf gate.
+    """Anti-critical-path heap: fault injection for the tests.
 
     Pops the ready task with the *shortest* remaining chain first —
-    the worst admissible list schedule.  ``bench_threaded.py
-    --mis-prioritize`` swaps it in for ``"priority"`` so ``make
-    selftest`` can prove the regression gate notices a wrecked
-    schedule; it must never be reachable from production entry points.
+    the worst admissible list schedule, which the scheduler sweeps and
+    the watchdog/quarantine tests run the pool under; it must never be
+    reachable from production entry points.
     """
 
     name = "inverse-priority"

@@ -37,15 +37,12 @@ META_FINGERPRINT_KEYS = (
     "policy",
     "scheduler",
     "n_workers",
-    # Which DAG a threaded run executed ("unit" / "2d"): task ids only
-    # mean something against it (repro.dag.builder.dag_of_trace).
+    # Which DAG a threaded run executed ("unit"): task ids only mean
+    # something against it (repro.dag.builder.dag_of_trace).
     "granularity",
     "fanin",
     "seed",
     "rng",
-    "index_cache",
-    "accumulate",
-    "dl_buffer",
     "health",
     # Adaptive-model provenance: model version + deterministic sample
     # counts (never measured means), stamped by the threaded runtime
@@ -162,23 +159,15 @@ class SyncEvent:
     DAG task the action served (``-1`` when none).  ``[start, end]`` is
     the wall-clock window on the run's clock (instantaneous actions
     have ``start == end``).  The C7xx concurrency auditor replays these
-    together with the task events, so the runtime must emit every
-    mutual-exclusion window when sync recording is on:
+    together with the task events:
 
-    * ``"lock"`` — a mutex hold window: ``obj`` is the lock name
-      (``"panel{t}"``, the factorization's target-panel mutex; the
-      solve takes no lock), ``start`` the moment the
-      lock was *acquired*, ``end`` its release, ``wait_s`` how long the
-      acquire blocked, ``n`` how many scatters the window covered;
-    * ``"flush"`` — one batched update's contribution committing inside
-      an accumulator flush; it shares the batch's ``"lock"`` window
-      coordinates (``n`` is the batch size) so the auditor can tell a
-      fan-in commit from a plain scatter;
-    * ``"noop"`` — an update whose compute half produced no facing
-      contribution; no lock was (or needed to be) taken;
+    * ``"lock"`` — a mutex hold window: ``obj`` is the lock name,
+      ``start`` the moment the lock was *acquired*, ``end`` its release,
+      ``wait_s`` how long the acquire blocked, ``n`` how many writes the
+      window covered (no task body of today's pool takes a lock, so its
+      runs report zero lock time);
     * ``"publish"`` — a task's completion became visible to the pool
-      (dependency counters decremented); for batched updates this
-      happens strictly after their flush;
+      (dependency counters decremented);
     * ``"park"`` — a worker's idle nap window (``obj`` =
       ``"worker{w}"``), bounded by the runtime's park timeout;
     * ``"wake"`` — this worker set ``obj`` = ``"worker{v}"``'s wakeup
@@ -396,14 +385,6 @@ class ExecutionTrace:
         return sorted(self.sync_events,
                       key=lambda e: (e.start, e.end, e.worker, e.obj))
 
-    def lock_held_time(self) -> dict[str, float]:
-        """Total seconds each lock object was held (``"lock"`` windows)."""
-        out: dict[str, float] = {}
-        for e in self.sync_events:
-            if e.kind == "lock":
-                out[e.obj] = out.get(e.obj, 0.0) + e.duration
-        return out
-
     def sorted_fault_events(self) -> list[FaultEvent]:
         """Fault events ordered by (end, start, task) — the auditor's view."""
         return sorted(self.fault_events,
@@ -444,10 +425,9 @@ class ExecutionTrace:
           and thread placement legitimately vary run to run, so only
           the order-insensitive deterministic content enters: the
           sorted set of executed tasks and the fault/recovery
-          *decisions* ``(kind, task, cblk, attempt)``.  Health and
-          hedge events are *excluded* in this domain: which worker
-          trips the EWMA detector (and which in-flight task gets
-          hedged) depends on measured wall durations, so same-seed
+          *decisions* ``(kind, task, cblk, attempt)``.  Health events
+          are *excluded* in this domain: which worker trips the EWMA
+          detector depends on measured wall durations, so same-seed
           replays legitimately differ there.
         """
         import json

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["split_supernodes", "rowblock_bounds", "plan_update_rowblocks"]
+__all__ = ["split_supernodes"]
 
 
 def split_supernodes(
@@ -66,52 +66,3 @@ def split_supernodes(
         assert start == l
     return np.asarray(new_bounds, dtype=np.int64), new_rowsets
 
-
-def rowblock_bounds(m: int, max_rows: int) -> list[tuple[int, int]]:
-    """Near-equal tiling of ``[0, m)`` into blocks of at most ``max_rows``.
-
-    The first ``m % p`` blocks get one extra row (the same convention as
-    :func:`split_supernodes`'s column widths), so the partition is a
-    deterministic function of ``(m, max_rows)`` — what lets the hazard
-    and symbolic auditors re-derive a DAG's split structure
-    independently of the builder.
-    """
-    if max_rows < 1:
-        raise ValueError("max_rows must be >= 1")
-    if m <= 0:
-        return []
-    p = -(-m // max_rows)
-    base, extra = divmod(m, p)
-    bounds: list[tuple[int, int]] = []
-    lo = 0
-    for i in range(p):
-        hi = lo + base + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    assert lo == m
-    return bounds
-
-
-def plan_update_rowblocks(
-    symbol, *, max_rows: int
-) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """2D (row-block) split plan for every update couple of ``symbol``.
-
-    Tall panels produce updates whose GEMM height ``m`` dwarfs the facing
-    width; splitting those into row blocks yields several *independent*
-    tasks per couple — they write disjoint target rows, so they still
-    share the target's mutex but parallelize their GEMMs (the A64FX
-    sparse-Cholesky 2D decomposition).  Returns ``{(src, tgt): [(lo, hi),
-    ...]}`` with tail-relative bounds for **every** couple — a single
-    whole-range part when ``m <= max_rows`` — so consumers (DAG builder,
-    auditors, couple cache users) agree on one canonical plan.
-    """
-    from repro.dag.builder import update_couples
-
-    src, tgt, ms, _ns = update_couples(symbol)
-    plan: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i in range(src.size):
-        plan[(int(src[i]), int(tgt[i]))] = rowblock_bounds(
-            int(ms[i]), max_rows
-        )
-    return plan

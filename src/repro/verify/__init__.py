@@ -29,15 +29,12 @@ through ``python -m repro verify``:
   exactly-once commit of hedged tasks, legal health-state transition
   chains, no dispatch onto quarantined workers, launch/win/cancel
   hedge accounting, and a monitoring-off identity check (R7xx);
-* :func:`repro.verify.concurrency.verify_concurrency` — a vector-clock
-  happens-before checker over the ``SyncEvent`` stream the threaded
-  runtime records (``record_sync=True``): unordered conflicting
-  writes, reads of unpublished completions, scatters outside the
-  update lock, accumulator flush/drain races, lost wakeups, lock-order
-  cycles, and sync-stats provenance (C7xx);
-* :func:`repro.verify.lockdiscipline.lockdiscipline_paths` — the static
-  shadow of the same discipline: an AST lint over ``repro.runtime`` and
-  ``repro.kernels.accumulate`` for unlocked shared writes, condition
+* :func:`repro.verify.concurrency.verify_concurrency` — replays the
+  ``SyncEvent`` stream the threaded runtime records
+  (``record_sync=True``): reads of unpublished completions, lost
+  wakeups, and sync-stats provenance (C7xx);
+* :func:`repro.verify.lockdiscipline.lockdiscipline_paths` — an AST
+  lint over ``repro.runtime`` for unlocked shared writes, condition
   waits without a predicate loop, inconsistent lock acquisition order,
   sleep-as-synchronization, and unguarded reads of lock-guarded state
   in return position (RV4xx);
@@ -75,7 +72,6 @@ from repro.verify.adaptive import skew_model_stamp, verify_adaptive
 from repro.verify.concurrency import (
     drop_sync_event,
     swallow_wakeup,
-    unlocked_scatter,
     verify_concurrency,
 )
 from repro.verify.determinism import (
@@ -162,7 +158,6 @@ __all__ = [
     "stale_couple_map",
     "verify_concurrency",
     "drop_sync_event",
-    "unlocked_scatter",
     "swallow_wakeup",
     "verify_adaptive",
     "skew_model_stamp",

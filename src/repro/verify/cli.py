@@ -9,10 +9,10 @@ graceful-degradation audit (a seeded limplock run with health
 monitoring and hedging armed, whose trace must satisfy the exactly-once
 commit, legal-transition, quarantine-respect, and hedge-accounting
 rules, plus a monitoring-off identity check), the C7xx concurrency
-audit (live sync-instrumented threaded factorizations — the default
-lock-free unit DAG, then the 2D couple DAG — whose traces
-must satisfy the happens-before race checks, plus the RV4xx
-lock-discipline lint over the runtime sources), the D8xx determinism
+audit (a live sync-instrumented threaded factorization whose trace must
+satisfy the publish-order, lost-wakeup and sync-provenance checks, plus
+the RV4xx lock-discipline lint over the runtime sources), the D8xx
+determinism
 audit (a seeded same-seed double-run of the machine simulator and a
 kernel burst whose canonical trace fingerprints must match
 bit-for-bit, with tie-break totality and RNG-draw provenance checks on
@@ -27,10 +27,8 @@ pass is clean, which is what the ``make verify`` gate and CI consume.
 ``--inject`` deliberately corrupts the artifact under test (drops a DAG
 edge, an h2d transfer, a recovery event, or a sync event; overlaps two
 trace events; breaks a mutex window; overflows device residency; skews
-a task's flop count; leaves a 2D row-split part's bounds stale;
-records a completion twice; unlocks a scatter;
-swallows a wakeup; collapses a heap tie-break; forges the replay RNG
-provenance; erases the sequence stamps; double-commits a hedged task;
+a task's flop count; records a completion twice; collapses a heap
+tie-break; forges the replay RNG provenance; erases the sequence stamps; double-commits a hedged task;
 dispatches onto a quarantined worker; forges an illegal health
 transition) to demonstrate that the passes actually catch what they
 claim to catch; an injected run is *expected* to exit non-zero.
@@ -95,7 +93,7 @@ def add_verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-health", action="store_true",
                    help="skip the R7xx graceful-degradation/hedging audit")
     p.add_argument("--no-concurrency", action="store_true",
-                   help="skip the C7xx happens-before / RV4xx "
+                   help="skip the C7xx sync-trace / RV4xx "
                         "lock-discipline concurrency audit")
     p.add_argument("--no-determinism", action="store_true",
                    help="skip the D8xx same-seed replay/fingerprint "
@@ -112,9 +110,8 @@ def add_verify_arguments(p: argparse.ArgumentParser) -> None:
         "--inject", default="none",
         choices=["none", "drop-edge", "overlap-trace", "break-mutex",
                  "drop-transfer", "overflow-residency", "skew-flops",
-                 "stale-cache", "stale-split", "drop-recovery",
-                 "double-complete",
-                 "drop-sync-event", "unlocked-scatter", "swallow-wakeup",
+                 "stale-cache", "drop-recovery", "double-complete",
+                 "drop-sync-event",
                  "reorder-ties", "reseed-midrun", "drop-seq",
                  "double-commit-hedge", "steal-from-quarantined",
                  "illegal-transition", "skew-model"],
@@ -459,8 +456,7 @@ def _health_pass(args: argparse.Namespace, symbol: Any,
         reports.append(brep)
 
 
-_CONCURRENCY_INJECTS = ("drop-sync-event", "unlocked-scatter",
-                        "swallow-wakeup")
+_CONCURRENCY_INJECTS = ("drop-sync-event",)
 
 _DETERMINISM_INJECTS = ("reorder-ties", "reseed-midrun", "drop-seq")
 
@@ -546,63 +542,40 @@ def _determinism_pass(args: argparse.Namespace, symbol: Any,
 
 def _concurrency_pass(args: argparse.Namespace, matrix: Any, res: Any,
                       reports: list[Report]) -> None:
-    """C7xx + RV4xx: audit live sync-instrumented threaded runs.
+    """C7xx: audit a live sync-instrumented threaded factorization.
 
     Unlike the other passes this one executes the *real* threaded
     runtime (``record_sync=True``) rather than the simulator and feeds
-    the recorded ``SyncEvent`` stream to the happens-before checker:
-    once at the runtime's default (the lock-free unit DAG — no lock
-    windows, so the audit reduces to C702 + C707), then on the 2D
-    couple DAG, requested explicitly, once per fan-in accumulation
-    mode.  The ``--inject`` corruptions edit lock windows and publish
-    chains, which only the couple path has, so they apply to the 2D
-    runs.  Every trace is audited against the DAG it names
-    (:func:`repro.dag.builder.dag_of_trace`).  (The static shadow of
-    the same discipline — the RV4xx lock-discipline lint — runs with
-    the project linter in :func:`_lint_pass`.)
+    the recorded ``SyncEvent`` stream to the auditor, against the DAG
+    the trace names (:func:`repro.dag.builder.dag_of_trace`).
+    ``--inject drop-sync-event`` deletes one completion publish, which
+    the stamped ``sync_stats`` no longer match (C707).  (The static
+    side — the RV4xx lock-discipline lint — runs with the project
+    linter in :func:`_lint_pass`.)
     """
     from repro.dag.builder import dag_of_trace
     from repro.runtime.threaded import factorize_threaded
     from repro.runtime.tracing import ExecutionTrace
-    from repro.verify.concurrency import (
-        drop_sync_event,
-        swallow_wakeup,
-        unlocked_scatter,
-        verify_concurrency,
-    )
+    from repro.verify.concurrency import drop_sync_event, verify_concurrency
 
-    permuted = matrix.permute(res.perm.perm)
-    runs = [
-        ("unit", {}),
-        ("plain", {"granularity": "2d"}),
-        ("accumulate", {"granularity": "2d", "accumulate": True}),
-    ]
-    for label, couple_path in runs:
-        trace = ExecutionTrace()
-        factorize_threaded(
-            res.symbol, permuted, args.factotype,
-            n_workers=args.cores, trace=trace, record_sync=True,
-            **couple_path,
-        )
-        dag = dag_of_trace(res.symbol, args.factotype, trace)
-        if couple_path and args.inject in _CONCURRENCY_INJECTS:
-            try:
-                if args.inject == "drop-sync-event":
-                    trace = drop_sync_event(trace)
-                elif args.inject == "unlocked-scatter":
-                    trace = unlocked_scatter(trace)
-                else:
-                    trace = swallow_wakeup(trace, dag)
-            except ValueError as exc:
-                raise SystemExit(
-                    f"--inject {args.inject}: {exc}"
-                ) from exc
-            label += f"+{args.inject}"
-        t0 = time.perf_counter()
-        rep = verify_concurrency(dag, trace)
-        rep.name = f"concurrency[{label}]"
-        rep.stats["seconds"] = time.perf_counter() - t0
-        reports.append(rep)
+    trace = ExecutionTrace()
+    factorize_threaded(
+        res.symbol, matrix.permute(res.perm.perm), args.factotype,
+        n_workers=args.cores, trace=trace, record_sync=True,
+    )
+    dag = dag_of_trace(res.symbol, args.factotype, trace)
+    label = "unit"
+    if args.inject == "drop-sync-event":
+        try:
+            trace = drop_sync_event(trace)
+        except ValueError as exc:
+            raise SystemExit(f"--inject {args.inject}: {exc}") from exc
+        label += f"+{args.inject}"
+    t0 = time.perf_counter()
+    rep = verify_concurrency(dag, trace)
+    rep.name = f"concurrency[{label}]"
+    rep.stats["seconds"] = time.perf_counter() - t0
+    reports.append(rep)
 
 
 def _adaptive_pass(args: argparse.Namespace, matrix: Any, res: Any,
@@ -649,11 +622,9 @@ def _symbolic_pass(args: argparse.Namespace, matrix: Any, res: Any,
     from repro.dag import build_dag
     from repro.kernels.indexcache import CoupleMapCache
     from repro.symbolic import SymbolicOptions, analyze
-    from repro.verify.hazards import analyze_hazards
     from repro.verify.symbols import (
         skew_flops,
         stale_couple_map,
-        stale_split,
         verify_couple_cache,
         verify_dag_costs,
         verify_symbolic,
@@ -686,34 +657,6 @@ def _symbolic_pass(args: argparse.Namespace, matrix: Any, res: Any,
     rep = verify_dag_costs(dag, name=f"dag-costs[{label}]")
     rep.stats["seconds"] = time.perf_counter() - t0
     reports.append(rep)
-
-    # Split-DAG audit: the same couples, row-block split so the largest
-    # couple yields several parts.  The parts must tile their couples
-    # exactly under both the symbolic (N509) and hazard (H110)
-    # re-derivations — a split whose maps went stale fails both.
-    mmax = int(dag.gemm_m.max()) if dag.n_tasks else 0
-    split_rows = max(1, mmax // 2)
-    sdag = build_dag(res.symbol, args.factotype, granularity="2d",
-                     split_rows=split_rows)
-    slabel = f"2d-split({split_rows})"
-    if args.inject == "stale-split":
-        try:
-            sdag, task = stale_split(sdag)
-        except ValueError as exc:
-            raise SystemExit(
-                f"--inject stale-split: {exc} (a larger --size gives "
-                "the builder couples tall enough to split)"
-            ) from exc
-        slabel += f"+stale-split(task {task})"
-    t0 = time.perf_counter()
-    rep = verify_dag_costs(sdag, name=f"dag-costs[{slabel}]")
-    rep.stats["seconds"] = time.perf_counter() - t0
-    reports.append(rep)
-    t0 = time.perf_counter()
-    hrep = analyze_hazards(sdag)
-    hrep.name = f"hazards[{slabel}]"
-    hrep.stats["seconds"] = time.perf_counter() - t0
-    reports.append(hrep)
 
     # Couple-index-cache audit: the scatter maps the numeric hot path
     # reuses must agree with an independent re-derivation (N507/N508).
@@ -787,7 +730,7 @@ def run_verify(args: argparse.Namespace) -> int:
             "--inject skew-model corrupts the adaptive pass; "
             "drop --no-adaptive to run it"
         )
-    if args.inject in ("skew-flops", "stale-cache", "stale-split") \
+    if args.inject in ("skew-flops", "stale-cache") \
             and args.no_symbolic:
         raise SystemExit(
             f"--inject {args.inject} corrupts the symbolic pass; "

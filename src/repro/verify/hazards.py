@@ -24,24 +24,17 @@ Checked hazards (panels are the memory objects):
   ``H106``, emitted by the access derivation);
 * **ACCUM/ACCUM exclusivity** — two accumulations into one panel need
   mutual exclusion, not ordering; in 2D facto DAGs they must share a
-  ``mutex`` group (``H107``).  1D DAGs rely on engine-level panel locks
-  (the threaded engine's per-panel mutex), reported as info (``H109``).
+  ``mutex`` group (``H107``).  1D DAGs rely on the engine that runs
+  them to exclude same-panel tasks, reported as info (``H109``).
 * **redundant edges** — optionally (``find_redundant``), transitive
   edges whose removal leaves the pair still path-connected (``H108``,
   info): harmless for correctness but extra runtime bookkeeping.
-* **2D split structure** — when the DAG declares tall-panel row-block
-  splitting (``split_rows``), every couple's parts must tile ``[0, m)``
-  of the *re-derived* couple height exactly (contiguous, gap- and
-  overlap-free, ``gemm_m == hi - lo``); without a declared split, a
-  couple appearing as more than one update task is itself the hazard
-  (``H110``): two tasks would scatter the same contribution twice.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dag.builder import update_couples
 from repro.dag.tasks import TaskDAG, TaskKind
 from repro.verify.access import derive_accesses
 from repro.verify.reach import ReachabilityOracle
@@ -102,92 +95,10 @@ def drop_edge(dag: TaskDAG, edge_index: int) -> TaskDAG:
         succ_ptr=succ_ptr, succ_list=succ_list, mutex=dag.mutex,
         granularity=dag.granularity, symbol=dag.symbol,
         factotype=dag.factotype, fused_components=dag.fused_components,
-        row_lo=dag.row_lo, row_hi=dag.row_hi, split_rows=dag.split_rows,
         unit_ptr=dag.unit_ptr, unit_panels=dag.unit_panels,
     )
     out.phase = dag.phase
     return out
-
-
-def _check_split_structure(
-    dag: TaskDAG, report: Report, max_reported: int
-) -> None:
-    """H110: per-couple 2D row-block structure, re-derived independently.
-
-    The couple heights come from :func:`update_couples` (the symbolic
-    structure), never from the DAG's own ``gemm_m`` — a builder that
-    mis-split a couple cannot vouch for itself.
-    """
-    if dag.symbol is None or dag.granularity != "2d":
-        return
-    upd = np.flatnonzero(dag.kind == TaskKind.UPDATE)
-    if not upd.size:
-        return
-    K = int(dag.symbol.n_cblk)
-    keys = dag.cblk[upd].astype(np.int64) * K + dag.target[upd]
-    n_bad = 0
-    if dag.split_rows is None:
-        uniq, counts = np.unique(keys, return_counts=True)
-        for key, cnt in zip(uniq[counts > 1], counts[counts > 1]):
-            s, t = divmod(int(key), K)
-            if n_bad < max_reported:
-                report.add(
-                    "H110",
-                    f"couple {s}->{t} appears as {int(cnt)} update tasks "
-                    "but the DAG declares no 2D split: the contribution "
-                    "would scatter more than once",
-                )
-            n_bad += 1
-        report.stats["split_bad_couples"] = n_bad
-        return
-
-    src, tgt, ms, _ns = update_couples(dag.symbol)
-    m_of = {
-        (int(src[i]), int(tgt[i])): int(ms[i]) for i in range(src.size)
-    }
-    row_lo = dag.row_lo
-    row_hi = dag.row_hi
-    if row_lo is None or row_hi is None:
-        report.add(
-            "H110",
-            "DAG declares split_rows but carries no row_lo/row_hi bounds",
-        )
-        return
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    bounds = np.flatnonzero(np.diff(keys_sorted)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [keys_sorted.size]))
-    for s_idx, e_idx in zip(starts, ends):
-        group = upd[order[s_idx:e_idx]]
-        s, t = divmod(int(keys_sorted[s_idx]), K)
-        m = m_of.get((s, t))
-        if m is None:
-            continue  # H106 already flags couples unknown to the symbol
-        los = row_lo[group]
-        his = row_hi[group]
-        part_order = np.argsort(los, kind="stable")
-        los, his = los[part_order], his[part_order]
-        tasks = group[part_order]
-        ok = (
-            int(los[0]) == 0
-            and int(his[-1]) == m
-            and np.all(his[:-1] == los[1:])
-            and np.all(his > los)
-            and np.all(dag.gemm_m[tasks] == his - los)
-        )
-        if not ok:
-            parts = [(int(a), int(b)) for a, b in zip(los[:6], his[:6])]
-            if n_bad < max_reported:
-                report.add(
-                    "H110",
-                    f"couple {s}->{t}: row-block parts {parts} do not "
-                    f"tile [0, {m}) with consistent gemm_m — stale or "
-                    "corrupted 2D split",
-                    tasks=tuple(int(x) for x in tasks[:6]),
-                )
-            n_bad += 1
-    report.stats["split_bad_couples"] = n_bad
 
 
 def find_redundant_edges(dag: TaskDAG, *, limit: int = 200) -> list[tuple[int, int]]:
@@ -361,11 +272,6 @@ def analyze_hazards(
                     tasks=tuple(int(t) for t in group_tasks[:4]),
                 )
         report.stats["accum_groups"] = n_groups_checked
-
-    # ------------------------------------------------------------------
-    # 2D row-block split structure (or absence thereof).
-    # ------------------------------------------------------------------
-    _check_split_structure(dag, report, max_reported)
 
     # ------------------------------------------------------------------
     if find_redundant:

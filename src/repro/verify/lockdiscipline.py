@@ -1,11 +1,11 @@
 """Lock-discipline linter (RV4xx): static concurrency rules for the
 threaded runtime (AST-based, stdlib only).
 
-The C7xx pass (:mod:`repro.verify.concurrency`) convicts races from
-recorded traces; this pass convicts the *source shapes* that breed
-them, over the modules that actually run concurrent code —
-``repro.runtime`` and ``repro.kernels.accumulate`` by default.  Four
-rules, suppressible like the RV3xx project lint with ``# noqa: RV4xx``
+The C7xx pass (:mod:`repro.verify.concurrency`) convicts publish and
+wakeup bugs from recorded traces; this pass convicts the *source
+shapes* that breed races, over the package that actually runs
+concurrent code — ``repro.runtime`` by default (the pool's state lock,
+the scheduler deques, the adaptive model).  Five rules, suppressible like the RV3xx project lint with ``# noqa: RV4xx``
 on the offending line:
 
 * **RV401 unlocked shared write** — inside a class that owns a
@@ -21,8 +21,7 @@ on the offending line:
   (``threading.Event.wait`` is exempt — it latches);
 * **RV403 inconsistent lock order** — lexically nested ``with
   self.<lockA>: ... with self.<lockB>:`` acquisitions whose order
-  graph, accumulated across the linted tree, contains a cycle: the
-  static shadow of the C706 runtime check;
+  graph, accumulated across the linted tree, contains a cycle;
 * **RV404 sleep as synchronization** — any ``time.sleep(...)`` in the
   scoped modules: the runtime synchronizes with events and joins;
   sleeping for another thread's progress is a latent race and a
@@ -480,7 +479,7 @@ def lockdiscipline_sources(
 
 #: Modules the lock-discipline lint covers by default: everything that
 #: runs (or is mutated by) worker threads.
-DEFAULT_SCOPE = ("src/repro/runtime", "src/repro/kernels/accumulate.py")
+DEFAULT_SCOPE = ("src/repro/runtime",)
 
 
 def _default_paths() -> list[Path]:
@@ -489,7 +488,7 @@ def _default_paths() -> list[Path]:
     import repro
 
     pkg = Path(repro.__file__).resolve().parent
-    return [pkg / "runtime", pkg / "kernels" / "accumulate.py"]
+    return [pkg / "runtime"]
 
 
 def lockdiscipline_paths(

@@ -36,14 +36,7 @@ Checks (``verify_dag_costs``):
   ``face_ptr``/``face_list`` — a different traversal than the builder's
   per-source ``update_couples``;
 * **N506 total flops** — the DAG's flop total matches the independent
-  total (any granularity, both LDLᵀ update conventions accepted);
-* **N509 2D row split** — when the DAG declares a row-block split
-  (``split_rows``), the parts of every couple must tile its re-derived
-  tail ``[0, m)`` exactly (start at 0, end at ``m``, contiguous) and
-  each part's flop annotation must match the part-aware cost model
-  (:func:`repro.kernels.cost.flops_update_part`).  A split whose couple
-  maps were not rebuilt after the symbol changed fails here
-  (``make selftest`` injects one via ``--inject stale-split``).
+  total (any granularity, both LDLᵀ update conventions accepted).
 
 Checks (``verify_couple_cache``):
 
@@ -64,12 +57,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dag.tasks import TaskDAG, TaskKind
-from repro.kernels.cost import (
-    complex_multiplier,
-    flops_panel,
-    flops_update,
-    flops_update_part,
-)
+from repro.kernels.cost import complex_multiplier, flops_panel, flops_update
 from repro.symbolic.analyze import AnalysisResult
 from repro.symbolic.colcount import column_counts
 from repro.symbolic.etree import elimination_tree, postorder
@@ -83,7 +71,6 @@ __all__ = [
     "derive_couples_by_target",
     "skew_flops",
     "stale_couple_map",
-    "stale_split",
 ]
 
 _REL_TOL = 1e-9
@@ -298,15 +285,7 @@ def verify_dag_costs(
     if dag.granularity != "2d" or TaskKind.SUBTREE in dag.kind:
         return report
 
-    split = dag.split_rows is not None
-    if split and (dag.row_lo is None or dag.row_hi is None):
-        report.add(
-            "N509",
-            "DAG declares a 2D row split but carries no row_lo/row_hi "
-            "part bounds",
-        )
-        return report
-    if not split and n_upd_tasks != n_couples:
+    if n_upd_tasks != n_couples:
         report.add(
             "N505",
             f"DAG has {n_upd_tasks} update tasks but the facing index "
@@ -314,9 +293,6 @@ def verify_dag_costs(
         )
 
     remaining = {key: list(v) for key, v in couples.items()}
-    # Split DAGs carry several parts per couple: collect them here and
-    # audit the tiling per couple after the per-task loop.
-    parts_of: dict[tuple[int, int], list[int]] = {}
     n_bad = 0
 
     def _flag(code: str, msg: str, task: int) -> None:
@@ -343,9 +319,6 @@ def verify_dag_costs(
                 )
         elif kind == TaskKind.UPDATE:
             s, tg = int(dag.cblk[t]), int(dag.target[t])
-            if split:
-                parts_of.setdefault((s, tg), []).append(t)
-                continue
             m, nn, kk = int(dag.gemm_m[t]), int(dag.gemm_n[t]), int(dag.gemm_k[t])
             mns = remaining.get((s, tg), [])
             if (m, nn) not in mns:
@@ -379,67 +352,6 @@ def verify_dag_costs(
                     f"{expected[0]:.6g}",
                     t,
                 )
-    if split:
-        row_lo, row_hi = dag.row_lo, dag.row_hi
-        assert row_lo is not None and row_hi is not None
-        for (s, tg), tasks in sorted(parts_of.items()):
-            mns = remaining.get((s, tg), [])
-            if not mns:
-                _flag(
-                    "N505",
-                    f"split update tasks for couple {s} -> {tg} match no "
-                    "couple in the facing index",
-                    tasks[0],
-                )
-                continue
-            m, nn = mns[0]
-            mns.remove((m, nn))
-            order = sorted(tasks, key=lambda u: int(row_lo[u]))
-            los = [int(row_lo[u]) for u in order]
-            his = [int(row_hi[u]) for u in order]
-            tiles = (
-                los[0] == 0
-                and his[-1] == m
-                and all(h > lo for lo, h in zip(los, his))
-                and all(his[i] == los[i + 1] for i in range(len(order) - 1))
-                and all(int(dag.gemm_m[u]) == h - lo
-                        for u, lo, h in zip(order, los, his))
-            )
-            if not tiles:
-                _flag(
-                    "N509",
-                    f"couple {s} -> {tg}: parts {list(zip(los, his))} do "
-                    f"not tile the re-derived tail [0, {m}) (or gemm_m "
-                    "disagrees with the part bounds)",
-                    order[0],
-                )
-                continue
-            for u, lo, h in zip(order, los, his):
-                nn_u, kk = int(dag.gemm_n[u]), int(dag.gemm_k[u])
-                if nn_u != nn or kk != int(widths[s]):
-                    _flag(
-                        "N504",
-                        f"split update task {u} ({s} -> {tg}) has GEMM "
-                        f"n={nn_u}, k={kk}; the re-derived couple says "
-                        f"n={nn}, k={int(widths[s])}",
-                        u,
-                    )
-                    continue
-                expected = [
-                    mult * flops_update_part(m, nn, kk, dag.factotype,
-                                             lo, h, recompute_ld=r)
-                    for r in (False, True)
-                ]
-                if not any(_close(float(dag.flops[u]), e) for e in expected):
-                    _flag(
-                        "N509",
-                        f"split update task {u} ({s} -> {tg}, rows "
-                        f"[{lo}, {h})) annotates "
-                        f"{float(dag.flops[u]):.6g} flops; the part-aware "
-                        f"cost model says {expected[0]:.6g}",
-                        u,
-                    )
-
     leftovers = sum(len(v) for v in remaining.values())
     if leftovers:
         pair = next(key for key, v in remaining.items() if v)
@@ -614,57 +526,7 @@ def skew_flops(dag: TaskDAG, factor: float = 1.5) -> tuple[TaskDAG, int]:
         symbol=dag.symbol,
         factotype=dag.factotype,
         fused_components=dag.fused_components,
-        row_lo=dag.row_lo,
-        row_hi=dag.row_hi,
-        split_rows=dag.split_rows,
     )
     out.phase = dag.phase
     return out, t
 
-
-def stale_split(dag: TaskDAG) -> tuple[TaskDAG, int]:
-    """Return a copy of ``dag`` with one 2D part's row bounds gone stale.
-
-    Picks a couple that was split into several parts and extends the
-    first part's ``row_hi`` by one row *without* touching ``gemm_m`` or
-    the flop annotation — exactly the drift a symbol re-split without
-    rebuilding its couple maps produces.  The corrupted DAG fails both
-    H110 (hazard pass: the parts no longer tile the couple contiguously
-    and ``gemm_m`` disagrees with the bounds) and N509 (symbolic pass).
-    Returns the corrupted DAG and the affected task id.
-    """
-    if dag.split_rows is None or dag.row_lo is None or dag.row_hi is None:
-        raise ValueError("DAG declares no 2D row split to corrupt")
-    is_update = dag.kind == TaskKind.UPDATE
-    K = int(dag.target.max()) + 1 if dag.n_tasks else 1
-    keys = dag.cblk.astype(np.int64) * K + dag.target.astype(np.int64)
-    keys[~is_update] = -1
-    uniq, counts = np.unique(keys[is_update], return_counts=True)
-    multi = uniq[counts > 1]
-    if multi.size == 0:
-        raise ValueError("no couple is split into multiple parts")
-    members = np.flatnonzero(keys == int(multi[0]))
-    t = int(members[np.argmin(dag.row_lo[members])])
-    row_hi = dag.row_hi.copy()
-    row_hi[t] += 1
-    out = TaskDAG(
-        kind=dag.kind,
-        cblk=dag.cblk,
-        target=dag.target,
-        flops=dag.flops,
-        gemm_m=dag.gemm_m,
-        gemm_n=dag.gemm_n,
-        gemm_k=dag.gemm_k,
-        succ_ptr=dag.succ_ptr,
-        succ_list=dag.succ_list,
-        mutex=dag.mutex,
-        granularity=dag.granularity,
-        symbol=dag.symbol,
-        factotype=dag.factotype,
-        fused_components=dag.fused_components,
-        row_lo=dag.row_lo,
-        row_hi=row_hi,
-        split_rows=dag.split_rows,
-    )
-    out.phase = dag.phase
-    return out, t

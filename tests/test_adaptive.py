@@ -6,14 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.dag import build_dag
+from repro.dag import dag_of_trace
 from repro.resilience.health import bucket_key
-from repro.runtime.adaptive import (
-    MODEL_VERSION,
-    AdaptiveScheduler,
-    PerfHistory,
-    suggest_config,
-)
+from repro.runtime.adaptive import MODEL_VERSION, AdaptiveScheduler, PerfHistory
 from repro.runtime.scheduling import THREAD_SCHEDULERS, get_thread_scheduler
 from repro.runtime.threaded import factorize_threaded
 from repro.runtime.tracing import ExecutionTrace
@@ -27,15 +22,13 @@ def _setup(mat, factotype="llt"):
     return res, permuted
 
 
-def _run(res, permuted, scheduler, n_workers=2, accumulate=True):
-    """The ranking under test orders update couples, so the default is
-    the 2D couple path (fan-in accumulation is defined on it); without
-    accumulation the runtime's own default (the unit DAG) runs."""
+def _run(res, permuted, scheduler, n_workers=2, record_sync=False):
+    """One traced pool run; the tests that rank a real unit tree drop
+    the unit flop floor (``no_unit_floor``)."""
     trace = ExecutionTrace()
     factor = factorize_threaded(
         res.symbol, permuted, "llt", n_workers=n_workers, trace=trace,
-        scheduler=scheduler, accumulate=accumulate,
-        granularity="2d" if accumulate else "unit",
+        scheduler=scheduler, record_sync=record_sync,
     )
     return trace, factor
 
@@ -64,7 +57,7 @@ def test_bucket_key_single_source():
 
 
 # ----------------------------------------------------------------------
-# PerfHistory: seeding, prediction fallbacks, persistence.
+# PerfHistory: prediction fallbacks, persistence.
 # ----------------------------------------------------------------------
 def test_perf_history_observe_and_predict():
     h = PerfHistory()
@@ -102,41 +95,10 @@ def test_perf_history_json_roundtrip():
         PerfHistory.from_json(json.dumps(bad))
 
 
-def test_seed_from_results(tmp_path):
-    report = {
-        "bench": "threaded",
-        "calib_gflops": 4.0,
-        "cells": [
-            {"matrix": "audi", "scheduler": "fifo", "n_workers": 1,
-             "flops": 2e9, "wall_s": 1.0},
-            {"matrix": "audi", "scheduler": "fifo", "n_workers": 4,
-             "flops": 2e9, "wall_s": 0.3},
-        ],
-    }
-    (tmp_path / "BENCH_threaded.json").write_text(json.dumps(report))
-    h = PerfHistory()
-    assert h.seed_from_results(tmp_path) == 1  # only the serial cell
-    assert h.n_seeded == 1
-    assert h.global_rate() == pytest.approx(2e9)
-    # Seeding fills only the global tier: predictions stay proportional
-    # to flops, i.e. the static priority ordering.
-    assert h.predict(0, 4e9) == pytest.approx(2.0)
-
-    # No serial cell -> the calibration is folded as one weak sample.
-    report["cells"] = [report["cells"][1]]
-    (tmp_path / "BENCH_threaded.json").write_text(json.dumps(report))
-    h2 = PerfHistory()
-    assert h2.seed_from_results(tmp_path) == 1
-    assert h2.global_rate() == pytest.approx(4e9)
-
-    # Missing corpus: zero samples, no error.
-    assert PerfHistory().seed_from_results(tmp_path / "nope") == 0
-
-
 # ----------------------------------------------------------------------
 # Cold start: bit-identical to the static priority scheduler.
 # ----------------------------------------------------------------------
-def test_cold_start_identical_to_priority(grid2d_small):
+def test_cold_start_identical_to_priority(grid2d_small, no_unit_floor):
     res, permuted = _setup(grid2d_small)
     t_prio, f_prio = _run(res, permuted, get_thread_scheduler("priority"),
                           n_workers=1)
@@ -155,18 +117,20 @@ def test_cold_start_identical_to_priority(grid2d_small):
 # Same-seed determinism: identical fingerprints, cold and warm.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
-@pytest.mark.parametrize("accumulate", [False, True])
-def test_same_seed_fingerprint_identity(grid2d_small, n_workers,
-                                        accumulate):
+@pytest.mark.parametrize("record_sync", [False, True])
+def test_same_seed_fingerprint_identity(grid2d_small, no_unit_floor,
+                                        n_workers, record_sync):
+    """Sync instrumentation (wall-clock events) must not leak into the
+    stamp or the fingerprint either."""
     res, permuted = _setup(grid2d_small)
     h1, h2 = PerfHistory(), PerfHistory()
 
     # Cold pair: two identically-configured runs must stamp and
     # fingerprint identically.
     ta, _ = _run(res, permuted, AdaptiveScheduler(history=h1),
-                 n_workers=n_workers, accumulate=accumulate)
+                 n_workers=n_workers, record_sync=record_sync)
     tb, _ = _run(res, permuted, AdaptiveScheduler(history=h2),
-                 n_workers=n_workers, accumulate=accumulate)
+                 n_workers=n_workers, record_sync=record_sync)
     assert ta.meta["adaptive"] == tb.meta["adaptive"]
     assert ta.fingerprint() == tb.fingerprint()
 
@@ -174,9 +138,9 @@ def test_same_seed_fingerprint_identity(grid2d_small, n_workers,
     # durations, but the stamp is a function of the task set alone, so
     # the fingerprints must still match.
     tc, _ = _run(res, permuted, AdaptiveScheduler(history=h1),
-                 n_workers=n_workers, accumulate=accumulate)
+                 n_workers=n_workers, record_sync=record_sync)
     td, _ = _run(res, permuted, AdaptiveScheduler(history=h2),
-                 n_workers=n_workers, accumulate=accumulate)
+                 n_workers=n_workers, record_sync=record_sync)
     assert tc.meta["adaptive"]["cold_start"] is False
     assert tc.meta["adaptive"] == td.meta["adaptive"]
     assert tc.fingerprint() == td.fingerprint()
@@ -188,11 +152,12 @@ def test_same_seed_fingerprint_identity(grid2d_small, n_workers,
 # ----------------------------------------------------------------------
 # A9xx: stamped provenance audited against the trace.
 # ----------------------------------------------------------------------
-def test_verify_adaptive_clean_and_skewed(grid2d_small):
+def test_verify_adaptive_clean_and_skewed(grid2d_small, no_unit_floor):
     res, permuted = _setup(grid2d_small)
-    dag = build_dag(res.symbol, "llt", granularity="2d")
     sched = AdaptiveScheduler()
     trace, _ = _run(res, permuted, sched, n_workers=2)
+    dag = dag_of_trace(res.symbol, "llt", trace)
+    assert dag.n_tasks > 1
 
     stamp = trace.meta["adaptive"]
     assert stamp["model_version"] == MODEL_VERSION
@@ -210,11 +175,11 @@ def test_verify_adaptive_clean_and_skewed(grid2d_small):
     assert "A904" in codes  # bucket drift vs rebuilt counts
 
 
-def test_verify_adaptive_provenance_mismatch(grid2d_small):
+def test_verify_adaptive_provenance_mismatch(grid2d_small, no_unit_floor):
     res, permuted = _setup(grid2d_small)
-    dag = build_dag(res.symbol, "llt", granularity="2d")
     # A priority-produced trace must not carry an adaptive stamp.
     trace, _ = _run(res, permuted, get_thread_scheduler("priority"))
+    dag = dag_of_trace(res.symbol, "llt", trace)
     assert "adaptive" not in trace.meta
     trace.meta["adaptive"] = {"model_version": 1, "cold_start": True,
                               "seeded": 0, "keys_at_bind": 0,
@@ -229,48 +194,16 @@ def test_verify_adaptive_provenance_mismatch(grid2d_small):
 
 
 # ----------------------------------------------------------------------
-# Registry and corpus-driven configuration.
+# Registry and warm ranking.
 # ----------------------------------------------------------------------
 def test_adaptive_registered():
     assert "adaptive" in THREAD_SCHEDULERS
     assert isinstance(get_thread_scheduler("adaptive"), AdaptiveScheduler)
 
 
-def test_suggest_config(tmp_path):
-    report = {
-        "bench": "threaded",
-        "cells": [
-            {"matrix": "audi", "scheduler": "priority", "n_workers": 4,
-             "variant": "opt", "model_makespan_s": 2.0},
-            {"matrix": "audi", "scheduler": "adaptive", "n_workers": 4,
-             "variant": "opt", "model_makespan_s": 1.5},
-            {"matrix": "audi", "scheduler": "inverse-priority",
-             "n_workers": 4, "variant": "opt", "model_makespan_s": 0.1},
-            {"matrix": "audi", "scheduler": "ws", "n_workers": 2,
-             "variant": "base", "model_makespan_s": 1.0},
-        ],
-    }
-    path = tmp_path / "BENCH_threaded.json"
-    path.write_text(json.dumps(report))
-
-    cfg = suggest_config("audi", path=path)
-    assert cfg["scheduler"] == "ws"  # global minimum
-    assert cfg["n_workers"] == 2
-    assert cfg["accumulate"] is cfg["index_cache"] is False
-
-    cfg4 = suggest_config("audi", n_workers=4, path=path)
-    # inverse-priority is fault-injection-only: never suggested even
-    # when it posts the best makespan.
-    assert cfg4["scheduler"] == "adaptive"
-    assert cfg4["accumulate"] is cfg4["dl_buffer"] is True
-
-    with pytest.raises(ValueError, match="no usable cells"):
-        suggest_config("nosuchmatrix", path=path)
-
-
-def test_warm_ranking_still_valid_schedule(grid2d_medium):
+def test_warm_ranking_still_valid_schedule(grid2d_medium, no_unit_floor):
     """A genuinely warm (measured, non-uniform) model must still yield a
-    dependency-respecting schedule and correct factors."""
+    dependency-respecting schedule and the sequential factor."""
     from repro.core.factorization import factorize_sequential
 
     res, permuted = _setup(grid2d_medium)
@@ -280,11 +213,12 @@ def test_warm_ranking_still_valid_schedule(grid2d_medium):
     trace, factor = _run(res, permuted, AdaptiveScheduler(history=hist),
                          n_workers=4)
     assert trace.meta["adaptive"]["cold_start"] is False
-    dag = build_dag(res.symbol, "llt", granularity="2d")
+    dag = dag_of_trace(res.symbol, "llt", trace)
+    assert dag.n_tasks > 1
     trace.validate(dag, exclusive_resources=[], check_mutex=False,
                    tol=1e-5)
     for a, b in zip(ref.L, factor.L):
-        assert np.allclose(a, b, atol=1e-10)
+        assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------

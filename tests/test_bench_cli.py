@@ -187,273 +187,3 @@ def test_simulate_cell_verify_gate(bench_env):
     assert cell["verified"] is True
     assert cell["gflops"] > 0
 
-
-# ----------------------------------------------------------------------
-# Threaded-scheduler sweep + perf-regression gate.
-# ----------------------------------------------------------------------
-def test_bench_threaded_quick(bench_env, capsys):
-    import json
-
-    load, tmp = bench_env
-    mod = load("bench_threaded")
-    out_path = tmp / "bt.json"
-    mod.main(["--scale", "0.3", "--matrices", "audi", "--workers", "2",
-              "--repeats", "1", "--verify", "--out", str(out_path)])
-    out = capsys.readouterr().out
-    for sched in ("fifo", "ws", "priority", "affinity", "adaptive"):
-        assert sched in out
-    data = json.loads(out_path.read_text())
-    assert data["bench"] == "threaded"
-    assert data["calib_gflops"] > 0
-    # 5 schedulers x 3 hot-path variants (base/opt/compiled).
-    assert len(data["cells"]) == 15
-    assert {c["variant"] for c in data["cells"]} == {
-        "base", "opt", "compiled",
-    }
-    for c in data["cells"]:
-        assert c["wall_s"] > 0
-        assert c["model_makespan_s"] >= c["model_cp_s"] > 0
-        assert c["verified"] is True
-        # Compiled cells record the 2D split and the effective backend
-        # (which degrades to "numpy" when numba is absent).
-        if c["variant"] == "compiled":
-            assert c["split_rows"] == mod.SPLIT_ROWS
-            assert c["kernels"] in ("numpy", "compiled")
-        else:
-            assert c["split_rows"] is None
-            assert c["kernels"] == "numpy"
-    # The summary compares each scheduler against the fifo baseline.
-    assert {s["scheduler"] for s in data["summary"]} == {
-        "ws", "priority", "affinity", "adaptive",
-    }
-    # Every scheduler gets both ladder pairings (opt/base,
-    # compiled/opt).
-    assert {(s["scheduler"], s["pair"])
-            for s in data["variant_summary"]} == {
-        (sched, pair)
-        for sched in ("fifo", "ws", "priority", "affinity", "adaptive")
-        for pair in ("opt/base", "compiled/opt")
-    }
-    for s in data["variant_summary"]:
-        assert s["model_speedup"] > 0
-
-
-def test_perf_compare_pass_and_regression(bench_env, capsys):
-    import copy
-    import json
-
-    load, tmp = bench_env
-    bt = load("bench_threaded")
-    pc = load("perf_compare")
-    base_path = tmp / "base.json"
-    bt.main(["--scale", "0.3", "--matrices", "audi", "--workers", "2",
-             "--repeats", "1", "--out", str(base_path)])
-    capsys.readouterr()
-
-    # Identical report: must pass.
-    assert pc.main([str(base_path), str(base_path)]) == 0
-    assert "PASS" in capsys.readouterr().out
-
-    # Doctor one cell's replay makespan beyond the 15% gate: must fail.
-    doctored = copy.deepcopy(json.loads(base_path.read_text()))
-    doctored["cells"][0]["model_makespan_s"] *= 1.5
-    bad_path = tmp / "bad.json"
-    bad_path.write_text(json.dumps(doctored))
-    assert pc.main([str(base_path), str(bad_path)]) == 1
-    assert "REGRESSION(model)" in capsys.readouterr().out
-
-    # A gross wall slowdown trips the lax wall backstop even when the
-    # replay metric is untouched.
-    slow = copy.deepcopy(json.loads(base_path.read_text()))
-    for c in slow["cells"]:
-        c["wall_s"] *= 2.0
-    slow_path = tmp / "slow.json"
-    slow_path.write_text(json.dumps(slow))
-    assert pc.main([str(base_path), str(slow_path)]) == 1
-    assert "REGRESSION(wall)" in capsys.readouterr().out
-    # ... but --no-wall ignores it.
-    assert pc.main(["--no-wall", str(base_path), str(slow_path)]) == 0
-
-
-def test_perf_compare_rejects_disjoint_reports(bench_env, capsys):
-    import json
-
-    load, tmp = bench_env
-    pc = load("perf_compare")
-    a = {"bench": "threaded", "cells": [
-        {"matrix": "x", "scheduler": "fifo", "n_workers": 1, "scale": 1.0,
-         "wall_s": 1.0, "model_makespan_s": 1.0}]}
-    b = {"bench": "threaded", "cells": [
-        {"matrix": "y", "scheduler": "fifo", "n_workers": 1, "scale": 1.0,
-         "wall_s": 1.0, "model_makespan_s": 1.0}]}
-    pa, pb = tmp / "a.json", tmp / "b.json"
-    pa.write_text(json.dumps(a))
-    pb.write_text(json.dumps(b))
-    assert pc.main([str(pa), str(pb)]) == 1
-    assert "no comparable cells" in capsys.readouterr().out
-
-
-def test_bench_threaded_mis_prioritize_is_caught(bench_env, capsys):
-    """The gate's self-test mechanism: a mis-prioritized 'priority' cell
-    must inflate the replay makespan past the threshold."""
-    load, tmp = bench_env
-    bt = load("bench_threaded")
-    pc = load("perf_compare")
-    base_path = tmp / "base.json"
-    mis_path = tmp / "mis.json"
-    common_args = ["--scale", "0.75", "--matrices", "audi",
-                   "--workers", "4", "--repeats", "1",
-                   "--schedulers", "priority", "--variants", "opt"]
-    bt.main(common_args + ["--out", str(base_path)])
-    bt.main(common_args + ["--mis-prioritize", "--out", str(mis_path)])
-    capsys.readouterr()
-    assert pc.main(["--no-wall", str(base_path), str(mis_path)]) == 1
-    assert "REGRESSION(model)" in capsys.readouterr().out
-
-
-def test_perf_compare_gate_variants(bench_env, capsys):
-    """--gate-variants: any ladder rung losing to its reference fails."""
-    import copy
-    import json
-
-    load, tmp = bench_env
-    bt = load("bench_threaded")
-    pc = load("perf_compare")
-    rep_path = tmp / "rep.json"
-    bt.main(["--scale", "0.3", "--matrices", "audi", "--workers", "2",
-             "--repeats", "1", "--schedulers", "ws",
-             "--out", str(rep_path)])
-    capsys.readouterr()
-
-    # Replace the measured timings with fixed synthetic ones in which
-    # each rung clearly wins: the gate must pass.  (Scaling the measured
-    # values instead made the verdict depend on the host: the cells are
-    # milliseconds long, and one noisy repeat outweighs any margin.)
-    data = json.loads(rep_path.read_text())
-    synthetic = {"base": 1.0, "opt": 0.8, "compiled": 0.56}
-    for c in data["cells"]:
-        c["model_makespan_s"] = c["wall_s"] = synthetic[c["variant"]]
-    good_path = tmp / "good.json"
-    good_path.write_text(json.dumps(data))
-    assert pc.main(["--gate-variants", "--no-wall",
-                    str(good_path), str(good_path)]) == 0
-    out = capsys.readouterr().out
-    assert "every variant rung beats its reference" in out
-    assert "opt/base" in out and "compiled/opt" in out
-
-    # Doctor the opt cell to lose to base: the gate must fail even
-    # though the baseline diff itself is clean.
-    bad = copy.deepcopy(data)
-    for c in bad["cells"]:
-        if c["variant"] == "opt":
-            c["model_makespan_s"] *= 2.0
-    bad_path = tmp / "bad.json"
-    bad_path.write_text(json.dumps(bad))
-    assert pc.main(["--gate-variants", "--no-wall", "--threshold", "3.0",
-                    str(bad_path), str(bad_path)]) == 1
-    assert "VARIANT REGRESSION" in capsys.readouterr().out
-
-    # Compiled losing to opt trips the second rung the same way.
-    bad2 = copy.deepcopy(data)
-    for c in bad2["cells"]:
-        if c["variant"] == "compiled":
-            c["model_makespan_s"] *= 2.0
-    bad2_path = tmp / "bad2.json"
-    bad2_path.write_text(json.dumps(bad2))
-    assert pc.main(["--gate-variants", "--no-wall", "--threshold", "3.0",
-                    str(bad2_path), str(bad2_path)]) == 1
-    assert "VARIANT REGRESSION" in capsys.readouterr().out
-
-    # A report with no gateable pairs must not silently pass the gate.
-    only_base = copy.deepcopy(data)
-    only_base["cells"] = [
-        c for c in only_base["cells"] if c["variant"] == "base"
-    ]
-    ob_path = tmp / "only_base.json"
-    ob_path.write_text(json.dumps(only_base))
-    assert pc.main(["--gate-variants", "--no-wall",
-                    str(ob_path), str(ob_path)]) == 1
-    assert "no variant cell pairs" in capsys.readouterr().out
-
-
-def test_perf_compare_gate_adaptive(bench_env, capsys):
-    """--gate-adaptive: adaptive losing to priority on replay fails."""
-    import copy
-    import json
-
-    load, tmp = bench_env
-    pc = load("perf_compare")
-
-    def cell(sched, makespan):
-        return {"matrix": "audi", "scheduler": sched, "n_workers": 2,
-                "scale": 0.3, "variant": "opt", "wall_s": 0.1,
-                "model_makespan_s": makespan}
-
-    good = {"bench": "threaded", "calib_gflops": 1.0,
-            "cells": [cell("priority", 1.0), cell("adaptive", 0.98)]}
-    good_path = tmp / "good.json"
-    good_path.write_text(json.dumps(good))
-    assert pc.main(["--gate-adaptive", "--no-wall",
-                    str(good_path), str(good_path)]) == 0
-    assert "adaptive holds priority" in capsys.readouterr().out
-
-    # Adaptive worse than priority beyond the threshold: fail.
-    bad = copy.deepcopy(good)
-    bad["cells"][1]["model_makespan_s"] = 1.2
-    bad_path = tmp / "bad.json"
-    bad_path.write_text(json.dumps(bad))
-    assert pc.main(["--gate-adaptive", "--no-wall",
-                    str(good_path), str(bad_path)]) == 1
-    assert "ADAPTIVE REGRESSION" in capsys.readouterr().out
-    # ...but a looser threshold tolerates it (self-diff keeps the
-    # baseline comparison itself clean).
-    assert pc.main(["--gate-adaptive", "--no-wall",
-                    "--adaptive-threshold", "0.5",
-                    str(bad_path), str(bad_path)]) == 0
-    capsys.readouterr()
-
-    # No adaptive/priority pairs at all must not silently pass.
-    only_prio = {"bench": "threaded", "calib_gflops": 1.0,
-                 "cells": [cell("priority", 1.0)]}
-    op_path = tmp / "only_prio.json"
-    op_path.write_text(json.dumps(only_prio))
-    assert pc.main(["--gate-adaptive", "--no-wall",
-                    str(op_path), str(op_path)]) == 1
-    assert "no adaptive/priority cell pairs" in capsys.readouterr().out
-
-
-def test_perf_compare_calibration_warning_and_strict(bench_env, capsys):
-    """A missing calibration must be loud, and fatal under
-    --strict-calibration (the wall gate silently comparing raw
-    cross-host seconds was a bug)."""
-    import json
-
-    load, tmp = bench_env
-    pc = load("perf_compare")
-    cells = [{"matrix": "audi", "scheduler": "fifo", "n_workers": 2,
-              "scale": 0.3, "variant": "opt", "wall_s": 0.1,
-              "model_makespan_s": 1.0}]
-    cal = {"bench": "threaded", "calib_gflops": 2.0, "cells": cells}
-    uncal = {"bench": "threaded", "cells": cells}
-    cal_path, uncal_path = tmp / "cal.json", tmp / "uncal.json"
-    cal_path.write_text(json.dumps(cal))
-    uncal_path.write_text(json.dumps(uncal))
-
-    # Calibrated on both sides: silent.
-    assert pc.main([str(cal_path), str(cal_path)]) == 0
-    assert "WARNING" not in capsys.readouterr().err
-
-    # Uncalibrated side: loud warning naming the report, still exit 0.
-    assert pc.main([str(cal_path), str(uncal_path)]) == 0
-    err = capsys.readouterr().err
-    assert "WARNING" in err and "uncal.json" in err
-    assert "RAW wall seconds" in err
-
-    # --strict-calibration turns the fallback into a failure...
-    assert pc.main(["--strict-calibration",
-                    str(cal_path), str(uncal_path)]) == 1
-    assert "strict-calibration" in capsys.readouterr().err
-    # ...unless the wall gate is off entirely.
-    assert pc.main(["--strict-calibration", "--no-wall",
-                    str(cal_path), str(uncal_path)]) == 0
-    assert "WARNING" not in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Couple scatter-map cache, DLᵀ buffer, and fan-in accumulation."""
+"""Couple scatter-map cache (the flat plan) and its consumers."""
 
 import numpy as np
 import pytest
@@ -17,8 +17,7 @@ from repro.kernels.indexcache import (
     CouplePlanError,
     get_couple_cache,
 )
-from repro.kernels.panel import update_slice
-from repro.runtime.scheduling import WorkStealingScheduler
+from repro.kernels.panel import panel_factorize, panel_update, update_slice
 from repro.runtime.threaded import factorize_threaded
 from repro.runtime.tracing import ExecutionTrace
 from repro.sparse import load_matrix
@@ -154,15 +153,19 @@ class TestBitIdenticalFactors:
 
     @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
     def test_cached_equals_uncached(self, grid2d_small, factotype):
+        """A factor built without a plan takes the kernels' uncached
+        fallback and must land on the same bits."""
         res, permuted = _setup(grid2d_small)
-        ref = factorize_sequential(
-            res.symbol, permuted, factotype, index_cache=False
-        )
+        ref = NumericFactor.assemble(res.symbol, permuted, factotype)
+        assert ref.index_cache is None
+        for k in range(res.symbol.n_cblk):
+            panel_factorize(ref, k)
+            for t in facing_cblks(res.symbol, k).tolist():
+                panel_update(ref, k, t)
         cached = factorize_sequential(
-            res.symbol, permuted, factotype, index_cache=True,
-            kernels="numpy",
+            res.symbol, permuted, factotype, kernels="numpy",
         )
-        assert ref.kernels == cached.kernels == "numpy"
+        assert cached.index_cache is get_couple_cache(res.symbol)
         for a, b in zip(ref.L, cached.L):
             assert np.array_equal(a, b)
         if factotype == "ldlt":
@@ -171,26 +174,6 @@ class TestBitIdenticalFactors:
         if factotype == "lu":
             for a, b in zip(ref.U, cached.U):
                 assert np.array_equal(a, b)
-
-    def test_dl_buffer_equals_recompute(self, grid2d_small):
-        res, permuted = _setup(grid2d_small)
-        ref = factorize_sequential(
-            res.symbol, permuted, "ldlt", dl_buffer=False, kernels="numpy"
-        )
-        buf = factorize_sequential(
-            res.symbol, permuted, "ldlt", dl_buffer=True
-        )
-        for a, b in zip(ref.L, buf.L):
-            assert np.array_equal(a, b)
-        for a, b in zip(ref.D, buf.D):
-            assert np.array_equal(a, b)
-
-    def test_dl_buffer_ignored_for_llt(self, grid2d_small):
-        res, permuted = _setup(grid2d_small)
-        f = factorize_sequential(
-            res.symbol, permuted, "llt", dl_buffer=True
-        )
-        assert f.dl_buffer is False and f.DL is None
 
     def test_cache_reused_across_factorizations(self, grid2d_small):
         """Same symbol, new values: one plan, built once."""
@@ -208,94 +191,45 @@ class TestBitIdenticalFactors:
             assert np.allclose(np.sqrt(2.0) * a, b, atol=1e-10)
 
 
-class TestFanInAccumulation:
+class TestThreadedPlan:
+    """The pool attaches the memoised plan and stamps its counters."""
+
     @pytest.mark.parametrize("scheduler", ["fifo", "ws", "priority",
                                            "affinity"])
-    def test_matches_sequential(self, grid2d_medium, scheduler):
+    def test_matches_sequential(self, grid2d_medium, no_unit_floor,
+                                scheduler):
         res, permuted = _setup(grid2d_medium)
         ref = factorize_sequential(res.symbol, permuted, "llt")
         par = factorize_threaded(
-            res.symbol, permuted, "llt", n_workers=4,
-            scheduler=scheduler, accumulate=True, granularity="2d",
+            res.symbol, permuted, "llt", n_workers=4, scheduler=scheduler,
         )
+        assert par.index_cache is ref.index_cache
         for a, b in zip(ref.L, par.L):
-            assert np.allclose(a, b, atol=1e-10)
-
-    def test_ldlt_with_all_toggles(self, grid2d_medium):
-        res, permuted = _setup(grid2d_medium)
-        ref = factorize_sequential(res.symbol, permuted, "ldlt")
-        par = factorize_threaded(
-            res.symbol, permuted, "ldlt", n_workers=4,
-            accumulate=True, dl_buffer=True, granularity="2d",
-        )
-        for a, b in zip(ref.L, par.L):
-            assert np.allclose(a, b, atol=1e-10)
-        for a, b in zip(ref.D, par.D):
-            assert np.allclose(a, b, atol=1e-10)
+            assert np.array_equal(a, b)
 
     def test_trace_meta_stamps(self, grid2d_small):
         res, permuted = _setup(grid2d_small)
         trace = ExecutionTrace()
         factorize_threaded(
             res.symbol, permuted, "llt", n_workers=2, trace=trace,
-            accumulate=True, granularity="2d",
         )
-        assert trace.meta["index_cache"] is True
-        assert trace.meta["accumulate"] is True
-        assert trace.meta["dl_buffer"] is False
+        assert trace.meta["granularity"] == "unit"
         assert trace.meta["index_cache_stats"]["couples"] > 0
-        assert trace.meta["accumulate_stats"]["batches"] >= 0
+        for gone in ("index_cache", "accumulate", "dl_buffer",
+                     "split_rows", "accumulate_stats"):
+            assert gone not in trace.meta
 
-    def test_trace_is_valid_schedule(self, grid2d_medium):
-        """Batched completions must still honour every DAG edge."""
+    def test_trace_is_valid_schedule(self, grid2d_medium, no_unit_floor):
         res, permuted = _setup(grid2d_medium)
         trace = ExecutionTrace()
         factorize_threaded(
             res.symbol, permuted, "llt", n_workers=4, trace=trace,
-            accumulate=True, granularity="2d",
         )
         dag = dag_of_trace(res.symbol, "llt", trace)
+        assert dag.n_tasks > 1
         trace.validate(
             dag, exclusive_resources=[], check_mutex=False, tol=1e-5
         )
-
-
-class TestPopSameTarget:
-    def _two_same_target_updates(self, symbol):
-        dag = build_dag(symbol, "llt", granularity="2d")
-        upd = np.flatnonzero(dag.kind == int(TaskKind.UPDATE))
-        by_target: dict[int, list[int]] = {}
-        for t in upd:
-            by_target.setdefault(int(dag.target[t]), []).append(int(t))
-        for tgt in sorted(by_target):
-            if len(by_target[tgt]) >= 2:
-                return dag, tgt, by_target[tgt][:2]
-        pytest.skip("symbol has no fan-in target")
-
-    def test_pops_from_own_deque(self, grid2d_medium):
-        res, _ = _setup(grid2d_medium)
-        dag, tgt, (t1, t2) = self._two_same_target_updates(res.symbol)
-        sched = WorkStealingScheduler()
-        sched.bind(dag, 2)
-        sched.push(t1, 0)
-        sched.push(t2, 0)
-        first = sched.pop(0)
-        assert first in (t1, t2)
-        second = sched.pop_same_target(0, tgt)
-        assert second == (t2 if first == t1 else t1)
-        assert sched.pop_same_target(0, tgt) is None
-        assert sched.stats()["batched_pops"] == 1
-
-    def test_steals_from_victim(self, grid2d_medium):
-        res, _ = _setup(grid2d_medium)
-        dag, tgt, (t1, t2) = self._two_same_target_updates(res.symbol)
-        sched = WorkStealingScheduler()
-        sched.bind(dag, 2)
-        sched.push(t1, 0)
-        sched.push(t2, 1)  # same-target update on the other worker
-        assert sched.pop(0) == t1
-        assert sched.pop_same_target(0, tgt) == t2
-        assert sched.pop(1) is None
 
 
 class TestVerifyAudit:

@@ -188,8 +188,11 @@ def test_solver_reports_the_effective_backend(grid2d_small):
         assert solver.factorize().kernels == requested
         assert solver.residual_norm(solver.solve(b), b) < 1e-12
     assert SolverOptions().kernels == "native"
-    ablated = SparseSolver(grid2d_small, SolverOptions(index_cache=False))
+    ablated = SparseSolver(grid2d_small,
+                           SolverOptions(workspace_update=False))
     assert ablated.factorize().kernels == "numpy"
+    with pytest.raises(ValueError, match="kernels"):
+        SolverOptions(kernels="compiled")
 
 
 # ----------------------------------------------------------------------
@@ -386,18 +389,16 @@ def test_ablations_resolve_to_numpy_silently(grid2d_small):
     symbol, permuted = _setup(grid2d_small)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for toggle in (dict(workspace=False), dict(index_cache=False),
-                       dict(variant="left"), dict(dl_buffer=True),
+        for toggle in (dict(workspace=False), dict(variant="left"),
                        dict(dtype=np.float32)):
             f = factorize_sequential(symbol, permuted, "ldlt", **toggle)
             assert f.kernels == "numpy", toggle
-        for toggle in (dict(workspace=False), dict(index_cache=False),
-                       dict(dl_buffer=True), dict(granularity="2d")):
-            f = factorize_threaded(symbol, permuted, "ldlt", n_workers=2,
-                                   **toggle)
-            assert f.kernels == "numpy", toggle
-    with pytest.raises(ValueError, match="unknown kernels"):
-        native.resolve_kernels("fortran")
+        f = factorize_threaded(symbol, permuted, "ldlt", n_workers=2,
+                               workspace=False)
+        assert f.kernels == "numpy"
+    for backend in ("fortran", "compiled"):
+        with pytest.raises(ValueError, match="unknown kernels"):
+            native.resolve_kernels(backend)
 
 
 @pytest.mark.parametrize("reason", [

@@ -339,16 +339,23 @@ class TestDistributed:
 # ----------------------------------------------------------------------
 class TestThreaded:
     @pytest.fixture()
-    def run_parts(self, grid2d_small):
+    def run_parts(self, grid2d_small, no_unit_floor):
+        """A bare pool run over a real unit tree (tests patch its
+        ``_execute``)."""
+        from functools import partial
+
         from repro.core.factor import NumericFactor
-        from repro.runtime.threaded import _ThreadedRun
+        from repro.kernels.indexcache import get_couple_cache
+        from repro.runtime.threaded import _ThreadedUnitRun
 
         res = analyze(grid2d_small)
         permuted = grid2d_small.permute(res.perm.perm)
         factor = NumericFactor.assemble(res.symbol, permuted, "llt")
-        dag = build_dag(res.symbol, "llt", granularity="2d",
-                        dtype=factor.dtype)
-        return _ThreadedRun, factor, dag
+        factor.index_cache = get_couple_cache(res.symbol)
+        dag = build_dag(res.symbol, "llt", granularity="unit",
+                        dtype=factor.dtype, n_workers=3)
+        assert dag.n_tasks > 2
+        return partial(_ThreadedUnitRun, scheduler="ws"), factor, dag
 
     @staticmethod
     def _flaky(run, victim, n_failures):

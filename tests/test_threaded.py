@@ -118,20 +118,33 @@ def test_ldlt_pivot_threshold_threaded(grid2d_medium):
     assert par.pivot_monitor.n_perturbed == ref.pivot_monitor.n_perturbed
 
 
-@pytest.mark.parametrize("scheduler", ["fifo", "ws", "priority", "affinity"])
-def test_retry_before_mutation_is_clean(grid2d_small, scheduler):
-    """A task that fails *before* touching its panel re-runs under every
-    scheduler and still produces the exact sequential factor."""
+def _unit_run(res, permuted, factotype="llt", n_workers=3, **options):
+    """A bare unit-DAG pool run on the NumPy kernels (tests patch its
+    ``_execute``), and the sequential factor it must reproduce."""
     from repro.core.factor import NumericFactor
-    from repro.dag import build_dag as _build
-    from repro.runtime.threaded import _ThreadedRun
+    from repro.kernels.indexcache import get_couple_cache
+    from repro.runtime.threaded import _ThreadedUnitRun
 
+    ref = factorize_sequential(res.symbol, permuted, factotype,
+                               kernels="numpy")
+    factor = NumericFactor.assemble(res.symbol, permuted, factotype)
+    factor.index_cache = get_couple_cache(res.symbol)
+    dag = build_dag(res.symbol, factotype, granularity="unit",
+                    dtype=factor.dtype, n_workers=n_workers)
+    options.setdefault("scheduler", "ws")
+    run = _ThreadedUnitRun(factor, dag, n_workers, True, None, **options)
+    return ref, factor, dag, run
+
+
+@pytest.mark.parametrize("scheduler", ["fifo", "ws", "priority", "affinity"])
+def test_retry_before_mutation_is_clean(grid2d_small, no_unit_floor,
+                                        scheduler):
+    """A task that fails *before* touching its panels re-runs under every
+    scheduler and still produces the exact sequential factor."""
     res, permuted = _setup(grid2d_small, "llt")
-    ref = factorize_sequential(res.symbol, permuted, "llt")
-    factor = NumericFactor.assemble(res.symbol, permuted, "llt")
-    dag = _build(res.symbol, "llt", granularity="2d", dtype=factor.dtype)
-    run = _ThreadedRun(factor, dag, 3, True, None, max_retries=1,
-                       scheduler=scheduler)
+    ref, factor, dag, run = _unit_run(res, permuted, max_retries=1,
+                                      scheduler=scheduler)
+    assert dag.n_tasks > 2
     original = run._execute
     fails = {"left": 1}
 
@@ -146,7 +159,78 @@ def test_retry_before_mutation_is_clean(grid2d_small, scheduler):
     run.run()
     assert run.n_done == dag.n_tasks
     for a, b in zip(ref.L, factor.L):
-        assert np.allclose(a, b, atol=1e-10)
+        assert np.array_equal(a, b)
+
+
+def _factor_sides(factor):
+    return [side for side in (factor.L, factor.U, factor.D)
+            if side is not None]
+
+
+@pytest.mark.parametrize("kernels", ["numpy", "native"])
+@pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
+def test_retry_after_mutation_restores_the_panels(monkeypatch, factotype,
+                                                  kernels):
+    """A unit that raises after it has updated and factorized some of its
+    panels in place is retried from a copy of those panels taken before
+    the attempt, so the retry gives the sequential factor bit for bit.
+    Without the copy the retry re-applies every update to panels that
+    already hold them: a wrong LDLᵀ/LU factor with no error, and an LLᵀ
+    that reports an SPD matrix as not positive definite."""
+    from repro.kernels import native
+    from repro.runtime import threaded
+    from repro.sparse.generators import grid_laplacian_2d
+
+    if kernels == "native" and native.availability() is not None:
+        pytest.skip("the native kernel cannot be built here")
+    res, permuted = _setup(grid_laplacian_2d(12), factotype)
+    ref = factorize_sequential(res.symbol, permuted, factotype,
+                               kernels=kernels)
+    assert get_dag(res.symbol, factotype, granularity="unit",
+                   n_workers=1).n_tasks == 1
+    last = res.symbol.n_cblk - 1
+    fails = {"left": 1}
+    if kernels == "numpy":
+        original = threaded.panel_factorize
+
+        def panel_factorize(factor, k):
+            if k == last and fails["left"] > 0:
+                fails["left"] -= 1
+                raise MemoryError("transient failure on the last panel")
+            original(factor, k)
+
+        monkeypatch.setattr(threaded, "panel_factorize", panel_factorize)
+    else:
+        original = native.factorize_panels
+
+        def factorize_panels(factor, panels, scratch=None):
+            if fails["left"] > 0:
+                fails["left"] -= 1
+                original(factor, panels[: panels.size // 2], scratch)
+                raise MemoryError("transient failure mid-unit")
+            original(factor, panels, scratch)
+
+        monkeypatch.setattr(native, "factorize_panels", factorize_panels)
+    trace = ExecutionTrace()
+    par = factorize_threaded(res.symbol, permuted, factotype, n_workers=1,
+                             max_retries=1, kernels=kernels, trace=trace)
+    assert fails["left"] == 0
+    assert [f.kind for f in trace.fault_events] == ["task-error"]
+    for a_side, b_side in zip(_factor_sides(ref), _factor_sides(par)):
+        for a, b in zip(a_side, b_side):
+            assert np.array_equal(a, b)
+
+
+def test_no_checkpoint_without_a_retry_budget(grid2d_small, monkeypatch):
+    """At the default ``max_retries=0`` a unit body copies no panel."""
+    from repro.runtime import threaded
+
+    res, permuted = _setup(grid2d_small, "ldlt")
+    copies = []
+    monkeypatch.setattr(threaded._ThreadedUnitRun, "_sides",
+                        lambda self: copies.append(1) or [])
+    factorize_threaded(res.symbol, permuted, "ldlt", n_workers=2)
+    assert copies == []
 
 
 def test_solve_dag_phase_field(grid2d_small):
@@ -328,9 +412,8 @@ class TestThreadedSolve:
         from repro.runtime.threaded import solve_threaded
 
         res, permuted = _setup(grid2d_small, "ldlt")
-        factor = factorize_sequential(res.symbol, permuted, "ldlt",
-                                      index_cache=False)
-        assert factor.index_cache is None
+        factor = factorize_sequential(res.symbol, permuted, "ldlt")
+        factor.index_cache = None
         b = np.random.default_rng(3).standard_normal(permuted.n_rows)
         assert np.array_equal(solve_threaded(factor, b, n_workers=2),
                               solve_factored(factor, b))
@@ -371,8 +454,6 @@ class TestThreadedSolve:
         assert get_dag(res.symbol, "ldlt", granularity="unit",
                        n_workers=3) is not facto
         assert get_dag(res.symbol, "ldlt") is not facto
-        assert get_dag(res.symbol, "ldlt", split_rows=4) \
-            is not get_dag(res.symbol, "ldlt")
         assert get_dag(res.symbol, "ldlt", n_workers=3) \
             is get_dag(res.symbol, "ldlt", n_workers=2)   # 2D: no units
         assert get_dag(res.symbol, "lu", **unit) is not facto
@@ -380,29 +461,14 @@ class TestThreadedSolve:
 
 
 class TestInversePriorityHardening:
-    """Watchdog + quarantine under the inverse-priority scheduler with
-    fan-in accumulation on: the anti-critical-path heap maximizes how
-    long failed work's descendants linger ready, and batching adds the
-    drain/flush machinery to the failure path — the hardening must hold
-    regardless."""
+    """Watchdog + quarantine under the inverse-priority scheduler: the
+    anti-critical-path heap maximizes how long failed work's
+    descendants linger ready — the hardening must hold regardless."""
 
-    @staticmethod
-    def _run_parts(mat):
-        from repro.core.factor import NumericFactor
-
-        res, permuted = _setup(mat, "llt")
-        ref = factorize_sequential(res.symbol, permuted, "llt")
-        factor = NumericFactor.assemble(res.symbol, permuted, "llt")
-        dag = build_dag(res.symbol, "llt", granularity="2d",
-                        dtype=factor.dtype)
-        return ref, factor, dag
-
-    def test_retry_recovers_with_accumulate(self, grid2d_small):
-        from repro.runtime.threaded import _ThreadedRun
-
-        ref, factor, dag = self._run_parts(grid2d_small)
-        run = _ThreadedRun(factor, dag, 3, True, None, max_retries=2,
-                           scheduler="inverse-priority", accumulate=True)
+    def test_retry_recovers(self, grid2d_small, no_unit_floor):
+        res, permuted = _setup(grid2d_small, "llt")
+        ref, factor, dag, run = _unit_run(
+            res, permuted, max_retries=2, scheduler="inverse-priority")
         original = run._execute
         fails = {"left": 2}
 
@@ -417,14 +483,13 @@ class TestInversePriorityHardening:
         assert run.n_done == dag.n_tasks
         assert not run.quarantined
         for a, b in zip(ref.L, factor.L):
-            assert np.allclose(a, b, atol=1e-10)
+            assert np.array_equal(a, b)
 
-    def test_quarantine_spares_independent_tasks(self, grid2d_small):
-        from repro.runtime.threaded import _ThreadedRun
-
-        _, factor, dag = self._run_parts(grid2d_small)
-        run = _ThreadedRun(factor, dag, 3, True, None, max_retries=1,
-                           scheduler="inverse-priority", accumulate=True)
+    def test_quarantine_spares_independent_tasks(self, grid2d_small,
+                                                 no_unit_floor):
+        res, permuted = _setup(grid2d_small, "llt")
+        _, _, dag, run = _unit_run(res, permuted, max_retries=1,
+                                   scheduler="inverse-priority")
         original = run._execute
 
         def execute(t, worker):
@@ -439,15 +504,14 @@ class TestInversePriorityHardening:
         assert run.n_done + len(run.abandoned) == dag.n_tasks
         assert run.n_done > 0
 
-    def test_watchdog_names_the_wedge(self, grid2d_small):
+    def test_watchdog_names_the_wedge(self, grid2d_small, no_unit_floor):
         import threading
 
-        from repro.runtime.threaded import _ThreadedRun
-
-        _, factor, dag = self._run_parts(grid2d_small)
+        res, permuted = _setup(grid2d_small, "llt")
+        _, _, _, run = _unit_run(res, permuted, n_workers=2,
+                                 watchdog_s=0.25,
+                                 scheduler="inverse-priority")
         release = threading.Event()
-        run = _ThreadedRun(factor, dag, 2, True, None, watchdog_s=0.25,
-                           scheduler="inverse-priority", accumulate=True)
         original = run._execute
 
         def execute(t, worker):
@@ -464,97 +528,14 @@ class TestInversePriorityHardening:
         assert "factorization" in run._watchdog_message()
 
 
-class TestPopSameTargetProbe:
-    """Regression tests for the batching probe's victim scan: emptiness
-    must be decided under the victim's deque lock (the unlocked
-    pre-probe had a TOCTOU window that hid freshly pushed siblings)."""
-
-    @staticmethod
-    def _bound_scheduler(mat, n_workers=2):
-        from repro.runtime.scheduling import WorkStealingScheduler
-
-        res, _ = _setup(mat, "llt")
-        dag = build_dag(res.symbol, "llt", granularity="2d")
-        sched = WorkStealingScheduler()
-        sched.bind(dag, n_workers)
-        return dag, sched
-
-    @staticmethod
-    def _updates_by_target(dag):
-        from collections import Counter
-
-        from repro.dag.tasks import TaskKind
-
-        upd = [t for t in range(dag.n_tasks)
-               if int(dag.kind[t]) == int(TaskKind.UPDATE)]
-        tgt, _ = Counter(
-            int(dag.target[t]) for t in upd).most_common(1)[0]
-        return tgt, [t for t in upd if int(dag.target[t]) == tgt]
-
-    def test_probe_sees_victim_work(self, grid2d_small):
-        dag, sched = self._bound_scheduler(grid2d_small)
-        tgt, siblings = self._updates_by_target(dag)
-        assert len(siblings) >= 2
-        mine, theirs = siblings[0], siblings[1]
-        sched.push(mine, 0)
-        sched.push(theirs, 1)          # lives on the victim's deque
-        assert sched.pop_same_target(0, tgt) == mine   # own LIFO first
-        assert sched.pop_same_target(0, tgt) == theirs  # victim steal
-        assert sched.pop_same_target(0, tgt) is None    # drained: None
-
-    def test_probe_ignores_other_targets(self, grid2d_small):
-        dag, sched = self._bound_scheduler(grid2d_small)
-        tgt, siblings = self._updates_by_target(dag)
-        other = next(
-            t for t in range(dag.n_tasks)
-            if int(dag.target[t]) not in (-1, tgt)
-        )
-        sched.push(other, 1)
-        assert sched.pop_same_target(0, tgt) is None
-        assert sched.pop(1) == other   # still there for a normal pop
-
-    def test_concurrent_push_is_never_missed(self, grid2d_small):
-        """Hammer the probe while a victim's deque flaps between empty
-        and one matching update: with the locked probe, every pushed
-        sibling is eventually found and returned exactly once."""
-        import threading
-
-        dag, sched = self._bound_scheduler(grid2d_small)
-        tgt, siblings = self._updates_by_target(dag)
-        n_rounds = 400
-        fed = [siblings[i % len(siblings)] for i in range(n_rounds)]
-
-        def pusher():
-            for t in fed:
-                sched.push(t, 1)
-
-        got = []
-
-        def popper():
-            while len(got) < n_rounds:
-                t = sched.pop_same_target(0, tgt)
-                if t is not None:
-                    got.append(t)
-
-        threads = [threading.Thread(target=pusher),
-                   threading.Thread(target=popper)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=30.0)
-        assert not any(th.is_alive() for th in threads)
-        assert got == fed              # exactly once, FIFO per victim
-        assert not sched.has_work()
-
-
 # ----------------------------------------------------------------------
 # Graceful degradation: injected slowdowns (straggler + limplock) under
-# every scheduler x fan-in-accumulation combination, with worker health
-# monitoring armed.  Faults in the threaded runtime are purely temporal
-# (sleeps proportional to measured kernel time), so numerics must stay
-# within roundoff of the sequential factor, and the trace must satisfy
-# the S2xx schedule, R6xx resilience, R7xx degradation, and C7xx
-# happens-before audits simultaneously.
+# every scheduler x kernel backend, with worker health monitoring armed.
+# Faults in the threaded runtime are purely temporal (sleeps
+# proportional to measured kernel time), so the factor must stay the
+# sequential one bit for bit, and the trace must satisfy the S2xx
+# schedule, R6xx resilience, R7xx degradation, and C7xx sync audits
+# simultaneously.
 class TestThreadedDegradation:
     # Conservative thresholds for wall-clock runs: the min_duration_s
     # floor keeps micro-task jitter out of the state machine, and the
@@ -565,50 +546,44 @@ class TestThreadedDegradation:
                recover_ratio=2.0)
 
     @staticmethod
-    def _faulty_run(mat, scheduler, accumulate, *, hedge=False):
-        from repro.dag.tasks import TaskKind
+    def _faulty_run(mat, scheduler, kernels):
         from repro.resilience import FaultModel, FaultSpec, HealthPolicy
 
         res, permuted = _setup(mat, "llt")
-        # Fan-in accumulation and hedging are defined on couples; the
-        # other cells degrade the runtime's default, the unit DAG.
-        granularity = "2d" if accumulate or hedge else "unit"
-        dag = get_dag(res.symbol, "llt", granularity=granularity,
-                      n_workers=3)
-        slow = next(
-            (t for t in range(dag.n_tasks)
-             if int(dag.kind[t]) == int(TaskKind.UPDATE)), 0,
-        )
+        dag = get_dag(res.symbol, "llt", granularity="unit", n_workers=3)
         faults = FaultModel([
-            FaultSpec("straggler", task=slow, factor=30.0),
+            # The root unit: every other task waits on nothing it holds.
+            FaultSpec("straggler", task=dag.n_tasks - 1, factor=30.0),
             FaultSpec("limplock", time=0.0, until=0.05,
                       resource=0, factor=3.0),
         ], seed=0)
         trace = ExecutionTrace()
         par = factorize_threaded(
-            res.symbol, permuted, "llt", n_workers=3,
-            scheduler=scheduler, accumulate=accumulate, trace=trace,
-            record_sync=True, faults=faults, granularity=granularity,
-            health=HealthPolicy(hedge=hedge, **TestThreadedDegradation.POL),
+            res.symbol, permuted, "llt", n_workers=3, kernels=kernels,
+            scheduler=scheduler, trace=trace, record_sync=True,
+            faults=faults, health=HealthPolicy(**TestThreadedDegradation.POL),
         )
         return res, permuted, dag, trace, par
 
     @pytest.mark.parametrize("scheduler",
                              ["fifo", "ws", "priority", "affinity"])
-    @pytest.mark.parametrize("accumulate", [False, True])
-    def test_faulty_run_audits_clean(self, grid2d_small, scheduler,
-                                     accumulate):
+    @pytest.mark.parametrize("native", [False, True])
+    def test_faulty_run_audits_clean(self, grid2d_small, no_unit_floor,
+                                     scheduler, native):
         from repro.verify import (
             verify_concurrency,
             verify_health,
             verify_resilience,
         )
 
+        kernels = "native" if native else "numpy"
         res, permuted, dag, trace, par = self._faulty_run(
-            grid2d_small, scheduler, accumulate)
-        ref = factorize_sequential(res.symbol, permuted, "llt")
+            grid2d_small, scheduler, kernels)
+        assert dag.n_tasks > 2
+        ref = factorize_sequential(res.symbol, permuted, "llt",
+                                   kernels=kernels)
         for a, b in zip(ref.L, par.L):
-            assert np.allclose(a, b, atol=1e-10)
+            assert np.array_equal(a, b)
         # The injected straggler is trace-visible and absorbed in place.
         assert any(f.kind == "straggler" for f in trace.fault_events)
         assert any(f.kind == "limplock" for f in trace.fault_events)
@@ -638,62 +613,15 @@ class TestThreadedDegradation:
         for a, b in zip(plain.L, limped.L):
             assert np.array_equal(a, b)
 
-    def test_tail_straggler_is_hedged(self):
-        """A task-pinned straggler wedging a tail update triggers a
-        speculative duplicate: launch/win/cancel fire, the task commits
-        exactly once, and the numerics survive the race."""
-        from repro.resilience import FaultModel, FaultSpec, HealthPolicy
-        from repro.sparse.generators import grid_laplacian_2d
-        from repro.verify import verify_health
-
-        from repro.dag.tasks import TaskKind
-
-        mat = grid_laplacian_2d(30, jitter=0.05, seed=0)
-        res, permuted = _setup(mat, "llt")
-        dag = build_dag(res.symbol, "llt", granularity="2d")
-        last = int(dag.symbol.n_cblk) - 1
-        # The biggest *update* feeding the last column block: wedging
-        # it parks the critical path behind one limping worker, which
-        # is the configuration hedging exists for.  (Panel tasks have
-        # target == cblk but are never hedgeable — their bodies mutate
-        # shared panels in place.)
-        big = max(
-            (t for t in range(dag.n_tasks)
-             if int(dag.kind[t]) == int(TaskKind.UPDATE)
-             and int(dag.target[t]) == last),
-            key=lambda t: (int(dag.cblk[t]), float(dag.flops[t])),
-        )
-        faults = FaultModel(
-            [FaultSpec("straggler", task=big, factor=5000.0)])
-        trace = ExecutionTrace()
-        par = factorize_threaded(
-            res.symbol, permuted, "llt", n_workers=2, trace=trace,
-            faults=faults, granularity="2d",
-            health=HealthPolicy(hedge=True, hedge_ratio=2.0,
-                                hedge_min_s=4e-3, **self.POL))
-        kinds = {h.kind for h in trace.hedge_events}
-        assert kinds == {"launch", "win", "cancel"}
-        assert sorted(e.task for e in trace.events) == \
-            list(range(dag.n_tasks))
-        rep = verify_health(trace)
-        assert rep.ok, rep.format()
-        ref = factorize_sequential(res.symbol, permuted, "llt")
-        for a, b in zip(ref.L, par.L):
-            assert np.allclose(a, b, atol=1e-10)
-
     def test_watchdog_dump_names_worker_health(self, grid2d_small):
         """The stall report includes each worker's health state, time
         since its last completion, and in-flight task ages."""
-        from repro.core.factor import NumericFactor
         from repro.resilience import HealthPolicy
-        from repro.runtime.threaded import _ThreadedRun
 
         res, permuted = _setup(grid2d_small, "llt")
-        factor = NumericFactor.assemble(res.symbol, permuted, "llt")
-        dag = build_dag(res.symbol, "llt", granularity="2d",
-                        dtype=factor.dtype)
-        run = _ThreadedRun(factor, dag, 2, True, None, watchdog_s=0.25,
-                           health=HealthPolicy(**self.POL))
+        _, _, _, run = _unit_run(res, permuted, n_workers=2,
+                                 watchdog_s=0.25,
+                                 health=HealthPolicy(**self.POL))
         run._inflight[3] = (1, run._now())
         msg = run._watchdog_message()
         assert "worker health [" in msg

@@ -25,6 +25,7 @@ from repro.dag.builder import (
     supernode_parent,
 )
 from repro.kernels.cost import flops_total
+from repro.kernels.indexcache import get_couple_cache
 from repro.resilience import HealthPolicy
 from repro.runtime.scheduling import THREAD_SCHEDULERS
 from repro.runtime.threaded import _ThreadedUnitRun, factorize_threaded
@@ -63,24 +64,18 @@ def test_bit_identical_to_sequential(grid2d_medium, helmholtz_small,
                                      no_unit_floor, factotype, cplx,
                                      scheduler):
     res, permuted = _setup(helmholtz_small if cplx else grid2d_medium)
-    for index_cache in (True, False):
-        for dl_buffer in (False, True):
-            for workspace in (True, False):
-                # A statement about the NumPy kernels under every toggle
-                # (the native backend: tests/test_native_kernels.py).
-                ref = factorize_sequential(
-                    res.symbol, permuted, factotype, workspace=workspace,
-                    index_cache=index_cache, dl_buffer=dl_buffer,
-                    kernels="numpy")
-                assert np.iscomplexobj(ref.L[0]) == cplx
-                for n_workers in (1, 2, 3, 4):
-                    got = factorize_threaded(
-                        res.symbol, permuted, factotype,
-                        n_workers=n_workers, scheduler=scheduler,
-                        workspace=workspace, index_cache=index_cache,
-                        dl_buffer=dl_buffer, granularity="unit",
-                        kernels="numpy")
-                    _assert_identical(ref, got)
+    for workspace in (True, False):
+        # A statement about the NumPy kernels under both update kernels
+        # (the native backend: tests/test_native_kernels.py).
+        ref = factorize_sequential(
+            res.symbol, permuted, factotype, workspace=workspace,
+            kernels="numpy")
+        assert np.iscomplexobj(ref.L[0]) == cplx
+        for n_workers in (1, 2, 3, 4):
+            got = factorize_threaded(
+                res.symbol, permuted, factotype, n_workers=n_workers,
+                scheduler=scheduler, workspace=workspace, kernels="numpy")
+            _assert_identical(ref, got)
     assert get_dag(res.symbol, factotype, granularity="unit",
                    dtype=ref.dtype, n_workers=4).n_tasks > 4
 
@@ -251,40 +246,21 @@ def test_solver_reuses_the_memoised_dag(grid2d_medium, monkeypatch):
     assert [key[3] for key in memo if key[0] == "facto"] == ["unit"]
 
 
-def test_accumulate_still_routes_to_the_couple_dag(grid2d_small):
-    solver = SparseSolver(grid2d_small, SolverOptions(
-        runtime="threaded", n_workers=2, accumulate=True))
-    solver.factorize()
-    memo = solver.analysis.symbol._dag_memo
-    assert [key[3] for key in memo if key[0] == "facto"] == ["2d"]
-    b = np.ones(grid2d_small.n_rows)
-    assert solver.residual_norm(solver.solve(b), b) < 1e-10
-
-
 # ----------------------------------------------------------------------
-# options defined on couples
+# the pool runs the unit DAG only
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("option,kwargs", [
-    ("accumulate", dict(accumulate=True)),
-    ("split_rows", dict(split_rows=8)),
-    ("hedge", dict(health=HealthPolicy(hedge=True))),
-])
-def test_couple_options_need_the_couple_dag(grid2d_small, option, kwargs):
+def test_hedging_is_simulated_only(grid2d_small):
     res, permuted = _setup(grid2d_small)
-    with pytest.raises(ValueError, match=option):
+    with pytest.raises(ValueError, match="simulated only"):
         factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
-                           **kwargs)
-    ref = factorize_sequential(res.symbol, permuted, "llt")
-    got = factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
-                             granularity="2d", **kwargs)
-    for a, b in zip(ref.L, got.L):
-        assert np.allclose(a, b, atol=1e-10)
+                           health=HealthPolicy(hedge=True))
 
 
 def test_unknown_granularity_rejected(grid2d_small):
+    """The pool has one DAG: there is no granularity to choose."""
     res, permuted = _setup(grid2d_small)
-    with pytest.raises(ValueError, match="1d"):
-        factorize_threaded(res.symbol, permuted, "llt", granularity="1d")
+    with pytest.raises(TypeError, match="granularity"):
+        factorize_threaded(res.symbol, permuted, "llt", granularity="2d")
     # Monitoring without hedging is fine on units.
     factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
                        health=HealthPolicy(hedge=False))
@@ -295,30 +271,20 @@ def test_unknown_granularity_rejected(grid2d_small):
 # ----------------------------------------------------------------------
 def test_trace_names_its_dag(grid2d_medium, no_unit_floor):
     res, permuted = _setup(grid2d_medium)
-    n_tasks = []
-    # (what the caller passes, the DAG that must have run)
-    for call, ran in [
-        ({}, dict(granularity="unit")),
-        (dict(granularity="2d"), dict(granularity="2d")),
-        (dict(granularity="2d", split_rows=8),
-         dict(granularity="2d", split_rows=8)),
-    ]:
-        trace = ExecutionTrace()
-        factorize_threaded(res.symbol, permuted, "llt", n_workers=3,
-                           trace=trace, **call)
-        assert trace.meta["granularity"] == ran["granularity"]
-        assert f'meta:granularity="{ran["granularity"]}"' \
-            in trace.fingerprint_lines()
-        dag = dag_of_trace(res.symbol, "llt", trace)
-        # The audited DAG is the one the pool ran: same memoised object,
-        # every task executed exactly once, dependencies honoured.
-        assert dag is get_dag(res.symbol, "llt", n_workers=3, **ran)
-        assert sorted(e.task for e in trace.events) == \
-            list(range(dag.n_tasks))
-        trace.validate(dag, exclusive_resources=[], check_mutex=False,
-                       tol=1e-5)
-        n_tasks.append(dag.n_tasks)
-    assert n_tasks[0] < n_tasks[1] < n_tasks[2]
+    trace = ExecutionTrace()
+    factorize_threaded(res.symbol, permuted, "llt", n_workers=3,
+                       trace=trace)
+    assert trace.meta["granularity"] == "unit"
+    assert 'meta:granularity="unit"' in trace.fingerprint_lines()
+    dag = dag_of_trace(res.symbol, "llt", trace)
+    # The audited DAG is the one the pool ran: same memoised object,
+    # every task executed exactly once, dependencies honoured.
+    assert dag is get_dag(res.symbol, "llt", granularity="unit",
+                          n_workers=3)
+    assert dag.n_tasks > 1
+    assert sorted(e.task for e in trace.events) == list(range(dag.n_tasks))
+    trace.validate(dag, exclusive_resources=[], check_mutex=False,
+                   tol=1e-5)
 
 
 # ----------------------------------------------------------------------
@@ -327,6 +293,7 @@ def test_trace_names_its_dag(grid2d_medium, no_unit_floor):
 def _unit_run(mat, **pool_options):
     res, permuted = _setup(mat)
     factor = NumericFactor.assemble(res.symbol, permuted, "llt")
+    factor.index_cache = get_couple_cache(res.symbol)
     dag = build_dag(res.symbol, "llt", granularity="unit", n_workers=3,
                     dtype=factor.dtype)
     pool_options.setdefault("scheduler", "ws")

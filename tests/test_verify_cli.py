@@ -163,21 +163,20 @@ def test_memory_inject_without_gpu_refused():
               "--gpus", "0", "--inject", "drop-transfer"])
 
 
-def test_inject_stale_split_fails_naming_task(capsys):
+def test_inject_drop_sync_event_fails(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
                      "--no-lint", "--no-hazards", "--no-schedule",
-                     "--inject", "stale-split"], capsys)
+                     "--no-symbolic", "--no-resilience", "--no-health",
+                     "--no-determinism", "--no-adaptive",
+                     "--inject", "drop-sync-event"], capsys)
     assert code == 1
-    assert "N509" in out and "H110" in out
-    import re
-
-    assert re.search(r"2d-split\(\d+\)\+stale-split\(task \d+\)", out)
+    assert "concurrency[unit+drop-sync-event]" in out and "C707" in out
 
 
-def test_stale_split_inject_requires_symbolic_pass():
+def test_stale_cache_inject_requires_symbolic_pass():
     with pytest.raises(SystemExit, match="corrupts the symbolic pass"):
         main(["verify", "--matrix", "lap2d", "--size", "10", "--no-lint",
-              "--no-symbolic", "--inject", "stale-split"])
+              "--no-symbolic", "--inject", "stale-cache"])
 
 
 def test_resilience_pass_runs_clean(capsys):

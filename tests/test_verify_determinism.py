@@ -70,14 +70,12 @@ def _burst_trace():
     return tr
 
 
-def _threaded_trace(res, matrix, scheduler, accumulate):
+def _threaded_trace(res, matrix, scheduler, kernels):
     permuted = matrix.permute(res.perm.perm)
     trace = ExecutionTrace()
     factorize_threaded(
         res.symbol, permuted, "llt", n_workers=2, trace=trace,
-        scheduler=scheduler, accumulate=accumulate,
-        # Accumulation batches couples; otherwise the runtime default.
-        granularity="2d" if accumulate else "unit",
+        scheduler=scheduler, kernels=kernels,
     )
     return trace
 
@@ -107,11 +105,12 @@ class TestFingerprintStability:
         assert _burst_trace().fingerprint() == _burst_trace().fingerprint()
 
     @pytest.mark.parametrize("scheduler", sorted(THREAD_SCHEDULERS))
-    @pytest.mark.parametrize("accumulate", [False, True])
+    @pytest.mark.parametrize("native", [False, True])
     def test_threaded_fingerprint_stable(self, res, grid2d_small,
-                                         scheduler, accumulate):
-        a = _threaded_trace(res, grid2d_small, scheduler, accumulate)
-        b = _threaded_trace(res, grid2d_small, scheduler, accumulate)
+                                         scheduler, native):
+        kernels = "native" if native else "numpy"
+        a = _threaded_trace(res, grid2d_small, scheduler, kernels)
+        b = _threaded_trace(res, grid2d_small, scheduler, kernels)
         assert a.meta["clock"] == "wall"
         assert a.fingerprint() == b.fingerprint()
         # The fingerprint names the DAG the task ids refer to.
