@@ -131,8 +131,9 @@ chaos-smoke:
 	else echo "chaos-smoke: FAILED"; fi; exit $$status
 
 # Quick concurrency gate: `repro verify` runs a sync-traced threaded
-# factorization and audits it against the DAG the trace names (C702
-# publish order, C705 lost wakeups, C707 sync provenance).
+# factorization and a threaded solve on its factor, and audits each
+# against the DAG it ran (C702 publish order, C705 lost wakeups, C707
+# sync provenance).
 race-smoke:
 	@$(PYTHON) -m repro verify --matrix lap2d --size 16 \
 		--no-lint --no-hazards --no-schedule --no-symbolic \
@@ -147,7 +148,9 @@ race-smoke:
 # (compiler, flags and build seconds are printed for each), then
 # factorize one small matrix per factotype in both drivers and check the
 # factors against the NumPy kernels (1e-12) and each other (bit for
-# bit), and analyse one matrix per generator family with the C helper
+# bit), solve each with 1 and 3 columns the same two ways (native sweeps
+# vs NumPy bodies, threaded vs sequential), and analyse one matrix per
+# generator family with the C helper
 # and with the Python bodies (identical arrays).  No C compiler:
 # SKIPPED, exit 0.
 native-smoke:

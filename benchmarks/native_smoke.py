@@ -8,7 +8,10 @@ drivers (the native factor against the NumPy one, 1e-12, and the threaded
 native factor against the sequential native one, bit for bit), and one
 matrix per generator family through the analysis with the C helper and
 with the Python bodies (equal fingerprints, equal minimum-degree
-orderings).  Prints the effective backend.  Without a C compiler there is
+orderings).  Each factor is also solved with a 1- and a 3-column
+right-hand side: the native sweeps against the NumPy bodies (1e-12) and
+the threaded native solve against the sequential one (bit for bit).
+Prints the effective backend.  Without a C compiler there is
 nothing to build: it says ``SKIPPED (no C compiler)`` and exits 0.
 """
 
@@ -78,6 +81,31 @@ def _flat(factor, side: str) -> np.ndarray:
     return np.concatenate([p.ravel() for p in getattr(factor, side)])
 
 
+def check_solve(ft: str, factor) -> None:
+    """Native sweeps == NumPy bodies (1e-12) on the same factor, threaded
+    native solve == sequential native solve (bits), 1 and 3 columns."""
+    import dataclasses
+
+    from repro.core.triangular import solve_factored
+    from repro.runtime.threaded import solve_threaded
+
+    reference = dataclasses.replace(factor, kernels="numpy")
+    rng = np.random.default_rng(0)
+    for nrhs in (1, 3):
+        b = rng.standard_normal((factor.n, nrhs))
+        ref = solve_factored(reference, b)
+        seq = solve_factored(factor, b)
+        err = float(np.abs(ref - seq).max() / np.abs(ref).max())
+        if not err <= RTOL:
+            sys.exit(f"native-smoke: {ft} solve with {nrhs} column(s) "
+                     f"deviates from the NumPy bodies by {err:.3e} "
+                     f"(bound {RTOL})")
+        if not np.array_equal(seq, solve_threaded(factor, b, n_workers=2)):
+            sys.exit(f"native-smoke: {ft} threaded native solve with {nrhs} "
+                     "column(s) is not bit-identical to the sequential")
+    print(f"native-smoke: {ft} solve ok (1 and 3 columns, both runtimes)")
+
+
 def main() -> None:
     if not (shutil.which("cc") or shutil.which("gcc")):
         print("native-smoke: SKIPPED (no C compiler)")
@@ -123,6 +151,7 @@ def main() -> None:
                              "factor is not bit-identical to the sequential")
             print(f"native-smoke: {ft} {matrix.values.dtype} ok "
                   f"(effective backend {seq.kernels!r}, both drivers)")
+            check_solve(ft, seq)
         check_analysis()
 
 

@@ -41,7 +41,9 @@ def iterative_refinement(
 
     ``solve`` applies the (approximately) factored operator; the loop is
     ``r = b − A x``, ``x += solve(r)`` until the relative residual drops
-    under ``tol`` or stops improving.
+    under ``tol`` or stops improving.  A non-finite residual (a NaN or Inf
+    in ``b``, the matrix or the factor) ends the loop at once with
+    ``converged=False``: no further sweep can make it finite.
     """
     b = np.asarray(b)
     bnorm = float(np.linalg.norm(b))
@@ -57,6 +59,8 @@ def iterative_refinement(
         history.append(resnorm)
         if resnorm <= tol:
             return RefinementResult(x, it, resnorm, True, tuple(history))
+        if not np.isfinite(resnorm):
+            break
         if len(history) >= 2 and resnorm >= history[-2] * 0.5:
             # Stagnation: further sweeps will not help.
             break

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.factor import NumericFactor
+from repro.kernels import native
 from repro.kernels.dense import triangular_solve
 
 __all__ = ["forward_solve", "backward_solve", "solve_factored"]
@@ -75,9 +76,22 @@ def solve_factored(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
     ``b`` may be one right-hand side (shape ``(n,)``) or a block of them
     (shape ``(n, k)``) — the block variant amortises the factor traversal,
     as in the solvers' multiple-RHS interfaces.
+
+    The backend follows ``factor.kernels``: on a native factor one C call
+    per sweep (:class:`repro.kernels.native.SolveSweeps`: the steps
+    ``solve_threaded`` runs per task, in the same order per row, so the
+    two are bit-identical), otherwise the NumPy sweeps above.
     """
-    y = forward_solve(factor, b)
+    x = np.array(b, dtype=factor.dtype, order="C")
+    sweeps = native.solve_sweeps(factor, x)
+    if sweeps is not None:
+        sweeps.run(0, factor.n_cblk, backward=False)
+        sweeps.run(0, factor.n_cblk, backward=True)
+        return x
+    y = forward_solve(factor, x)
     if factor.factotype == "ldlt":
-        d = np.concatenate(factor.D)
+        d = factor.D_arena
+        if d is None:   # a factor built from per-panel lists
+            d = np.concatenate([np.empty(0, factor.dtype), *factor.D])
         y = y / (d if y.ndim == 1 else d[:, None])
     return backward_solve(factor, y)

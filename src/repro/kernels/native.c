@@ -1,9 +1,14 @@
-/* Native unit kernel of the supernodal factorization.
+/* Native unit kernels of the supernodal factorization and solve.
  *
  * factorize_panels_{d,z}: for each listed panel, ascending — apply the
  * updates of its source panels in ascending source order (GEMM into
  * scratch, scatter-subtract through the couple plan's rows_local), then
  * factor the diagonal block with LAPACK and solve the panel TRSM(s).
+ *
+ * solve_panels_{d,z}: the forward (listed panels ascending) or backward
+ * (descending) steps of the left-looking triangular solve, over the same
+ * plan and arenas, on x in place.
+ *
  * One call per unit, made through ctypes, so the GIL is released for the
  * whole unit.  See repro/kernels/native.py (loader, argument checks) and
  * docs/solver_internals.md (layouts, the hand-back contract).
@@ -37,11 +42,12 @@ typedef struct {
     const int32_t *src, *i0, *i1;  /* per couple */
     const int64_t *rl_ptr;         /* couple -> its slice of rows_local */
     const int64_t *rows_local;
+    const int64_t *row_ptr, *rows; /* panel -> its global factor rows */
     int64_t max_mn, max_nw, max_w; /* scratch sizing, see native.py */
 } plan_t;
 
 enum { LLT = 0, LDLT = 1, LU = 2 };
-enum { GEMM, TRSM, POTRF, SYTRF, GETRF, N_FN };
+enum { GEMM, TRSM, POTRF, SYTRF, GETRF, GEMV, TRSV, N_FN };
 
 /* LAPACK workspace of ?sytrf, in elements per column of the block. */
 #define SYTRF_NB 64
@@ -87,6 +93,10 @@ typedef void (*S(trsm_t))(char *, char *, char *, char *, int *, int *, T *,
 typedef void (*S(potrf_t))(char *, int *, T *, int *, int *);
 typedef void (*S(sytrf_t))(char *, int *, T *, int *, int *, T *, int *, int *);
 typedef void (*S(getrf_t))(int *, int *, T *, int *, int *, int *);
+typedef void (*S(gemv_t))(char *, int *, int *, T *, T *, int *, T *, int *,
+                          T *, T *, int *);
+typedef void (*S(trsv_t))(char *, char *, char *, int *, T *, int *, T *,
+                          int *);
 
 /* out (rows x n, row-major) = a (rows x w) . b (n x w)^T */
 static void S(product)(T *a, T *b, int rows, int n, int w, T *out)
@@ -246,6 +256,123 @@ int64_t S(repro_factorize_panels)(const plan_t *p, int ft, T *L, T *U, T *D,
             return i;
     }
     return n;
+}
+
+/* x holds n x nrhs row-major, so a segment of w rows is the column-major
+ * nrhs x w matrix X^T (leading dimension nrhs): a left solve op(A) X = B
+ * is the right solve X^T op(A)^T = B^T below.  With one right-hand side
+ * the same solves and products are ?trsv / ?gemv on the plain vector.
+ * slab[k], the product L21 . y_k of panel k, holds below x nrhs elements
+ * at (row_ptr[k] - d_off[k]) . nrhs: the running sum of height - width.
+ *
+ * Without a slab arena (slab == NULL: one sweep over every panel in
+ * ascending order) the forward step is right-looking instead: L21 . y_k
+ * goes to the gather buffer and straight into the rows below k.  Every row
+ * receives the same values in the same ascending source order, so the
+ * bits are those of the left-looking steps. */
+
+/* Forward step of panel k: subtract the slabs of its sources in ascending
+ * source order, y_k = L11^-1 x[f:l], then slab[k] = L21 . y_k. */
+static void S(forward)(const plan_t *p, int ft, T *L, T *x, int64_t nrhs,
+                       T *slab, int64_t k, T *gather)
+{
+    int64_t w = p->width[k], below = p->height[k] - w;
+    T *xk = x + p->d_off[k] * nrhs, *blk = L + p->offset[k];
+    for (int64_t c = p->tgt_ptr[k]; slab && c < p->tgt_ptr[k + 1]; c++) {
+        int64_t j = p->src[c], i0 = p->i0[c], n = p->i1[c] - i0;
+        const int64_t *cols = p->rows_local + p->rl_ptr[c];
+        const T *s = slab + (p->row_ptr[j] - p->d_off[j] + i0) * nrhs;
+        for (int64_t i = 0; i < n; i++) {
+            T *dst = xk + cols[i] * nrhs;
+            for (int64_t r = 0; r < nrhs; r++)
+                dst[r] -= s[i * nrhs + r];
+        }
+    }
+    T *out = slab ? slab + (p->row_ptr[k] - p->d_off[k]) * nrhs : gather;
+    char *diag = ft == LLT ? "N" : "U";
+    int iw = (int)w, ib = (int)below, ir = (int)nrhs, inc = 1;
+    T one = 1, zero = 0;
+    if (nrhs == 1) {
+        /* L11 is the column-major upper triangle's transpose */
+        ((S(trsv_t))blas[BASE + TRSV])("U", "T", diag, &iw, blk, &iw, xk, &inc);
+        if (below)
+            ((S(gemv_t))blas[BASE + GEMV])("T", &iw, &ib, &one, blk + w * w,
+                                           &iw, xk, &inc, &zero, out, &inc);
+    } else {
+        ((S(trsm_t))blas[BASE + TRSM])("R", "U", "N", diag, &ir, &iw, &one,
+                                       blk, &iw, xk, &ir);
+        if (below)
+            ((S(gemm_t))blas[BASE + GEMM])("N", "N", &ir, &ib, &iw, &one, xk,
+                                           &ir, blk + w * w, &iw, &zero, out,
+                                           &ir);
+    }
+    if (!slab) {
+        const int64_t *rows = p->rows + p->row_ptr[k] + w;
+        for (int64_t i = 0; i < below; i++) {
+            T *dst = x + rows[i] * nrhs;
+            for (int64_t r = 0; r < nrhs; r++)
+                dst[r] -= out[i * nrhs + r];
+        }
+    }
+}
+
+/* Backward step of panel k: x[f:l] = op(diag)^-1 (D^-1 x[f:l] - tall^T .
+ * x[rows below k]), tall = L21 (U21 for LU); op(diag) = L11^T, or U11 for
+ * LU (the packed block's upper triangle: column-major lower). */
+static void S(backward)(const plan_t *p, int ft, T *L, T *U, const T *D,
+                        T *x, int64_t nrhs, int64_t k, T *gather)
+{
+    int64_t w = p->width[k], below = p->height[k] - w;
+    T *xk = x + p->d_off[k] * nrhs, *blk = L + p->offset[k];
+    int iw = (int)w, ib = (int)below, ir = (int)nrhs, inc = 1;
+    T one = 1, minus_one = -1;
+    if (ft == LDLT) {
+        const T *d = D + p->d_off[k];
+        for (int64_t q = 0; q < w; q++)
+            for (int64_t r = 0; r < nrhs; r++)
+                xk[q * nrhs + r] /= d[q];
+    }
+    if (below) {
+        const int64_t *rows = p->rows + p->row_ptr[k] + w;
+        T *tall = (ft == LU ? U : L) + p->offset[k] + w * w;
+        for (int64_t i = 0; i < below; i++) {
+            const T *src = x + rows[i] * nrhs;
+            for (int64_t r = 0; r < nrhs; r++)
+                gather[i * nrhs + r] = src[r];
+        }
+        if (nrhs == 1)
+            ((S(gemv_t))blas[BASE + GEMV])("N", &iw, &ib, &minus_one, tall,
+                                           &iw, gather, &inc, &one, xk, &inc);
+        else
+            ((S(gemm_t))blas[BASE + GEMM])("N", "T", &ir, &iw, &ib, &minus_one,
+                                           gather, &ir, tall, &iw, &one, xk,
+                                           &ir);
+    }
+    char *uplo = ft == LU ? "L" : "U", *diag = ft == LDLT ? "U" : "N";
+    if (nrhs == 1)
+        ((S(trsv_t))blas[BASE + TRSV])(uplo, ft == LU ? "T" : "N", diag, &iw,
+                                       blk, &iw, xk, &inc);
+    else
+        ((S(trsm_t))blas[BASE + TRSM])("R", uplo, ft == LU ? "N" : "T", diag,
+                                       &ir, &iw, &one, blk, &iw, xk, &ir);
+}
+
+/* Forward steps of panels[0..n) ascending, or backward steps descending;
+ * gather holds max(height - width) x nrhs elements, slab is NULL or the
+ * slab arena (see above).  No right-hand side: nothing to do (and BLAS
+ * would reject a zero leading dimension). */
+void S(repro_solve_panels)(const plan_t *p, int ft, T *L, T *U, const T *D,
+                           T *x, int64_t nrhs, T *slab, const int64_t *panels,
+                           int64_t n, int backward, T *gather)
+{
+    if (nrhs <= 0)
+        return;
+    if (backward)
+        for (int64_t i = n - 1; i >= 0; i--)
+            S(backward)(p, ft, L, U, D, x, nrhs, panels[i], gather);
+    else
+        for (int64_t i = 0; i < n; i++)
+            S(forward)(p, ft, L, x, nrhs, slab, panels[i], gather);
 }
 
 #endif /* REPRO_BODY */

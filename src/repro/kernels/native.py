@@ -3,8 +3,10 @@
 ``native.c`` (next to this file) factorizes a run of panels left-looking
 — per panel, every update GEMM + scatter-subtract in ascending source
 order, then the LAPACK diagonal factorization and the panel TRSM(s) —
-reading the flat couple plan (:mod:`repro.kernels.indexcache`) and the
-factor arenas (:mod:`repro.core.factor`) through raw pointers.  This
+and runs the forward or backward triangular sweep over a run of panels
+(:class:`SolveSweeps`), reading the flat couple plan
+(:mod:`repro.kernels.indexcache`) and the factor arenas
+(:mod:`repro.core.factor`) through raw pointers.  This
 module builds it on first use with the host's C compiler, hands it the
 BLAS/LAPACK entry points of ``scipy.linalg.cython_blas`` /
 ``cython_lapack``, checks every argument before a pointer crosses, and
@@ -44,24 +46,30 @@ from repro.kernels.panel import panel_factorize
 __all__ = [
     "NativeUnavailable",
     "Scratch",
+    "SolveSweeps",
     "availability",
     "build",
     "factorize_panels",
     "load",
     "resolve_kernels",
+    "solve_sweeps",
 ]
 
 SOURCE = Path(__file__).with_name("native.c")
 
 _FACTOTYPES = {"llt": 0, "ldlt": 1, "lu": 2}
+#: The C function suffix per factor dtype.
+_SUFFIX = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
 #: Entry points per scalar type, in ``native.c``'s ``blas[]`` order
 #: (``None``: not used for that type).
 _ENTRY_POINTS = (
     ("cython_blas", "dgemm"), ("cython_blas", "dtrsm"),
     ("cython_lapack", "dpotrf"), ("cython_lapack", "dsytrf"),
-    ("cython_lapack", "dgetrf"),
+    ("cython_lapack", "dgetrf"), ("cython_blas", "dgemv"),
+    ("cython_blas", "dtrsv"),
     ("cython_blas", "zgemm"), ("cython_blas", "ztrsm"),
     None, ("cython_lapack", "zsytrf"), ("cython_lapack", "zgetrf"),
+    ("cython_blas", "zgemv"), ("cython_blas", "ztrsv"),
 )
 
 
@@ -71,7 +79,7 @@ class _Plan(ctypes.Structure):
     _fields_ = [("n_cblk", ctypes.c_int64)] + [
         (name, ctypes.c_void_p)
         for name in ("height", "width", "offset", "d_off", "tgt_ptr", "src",
-                     "i0", "i1", "rl_ptr", "rows_local")
+                     "i0", "i1", "rl_ptr", "rows_local", "row_ptr", "rows")
     ] + [(name, ctypes.c_int64) for name in ("max_mn", "max_nw", "max_w")]
 
 
@@ -86,7 +94,7 @@ def build(directory: Path) -> tuple[Path, dict[str, Any]]:
 
 
 def _entry_point_table() -> Any:
-    """``void *[10]`` of the SciPy BLAS/LAPACK function pointers."""
+    """``void *[14]`` of the SciPy BLAS/LAPACK function pointers."""
     get_name = ctypes.pythonapi.PyCapsule_GetName
     get_name.restype = ctypes.c_char_p
     get_name.argtypes = [ctypes.py_object]
@@ -124,6 +132,16 @@ def _declare(lib: ctypes.CDLL, entry_points: Any) -> ctypes.CDLL:
             ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,   # scratch
         ]
         fn.restype = ctypes.c_int64
+    for name in ("repro_solve_panels_d", "repro_solve_panels_z"):
+        fn = getattr(lib, name)
+        fn.argtypes = [
+            plan_p, ctypes.c_int,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,   # L, U, D
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,    # x, slab
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int,       # panels
+            ctypes.c_void_p,                                     # gather
+        ]
+        fn.restype = None
     lib.repro_init(entry_points)
     return lib
 
@@ -200,6 +218,7 @@ def _plan_struct(plan: CoupleMapCache) -> _Plan:
             height=lay.height, width=lay.width, offset=lay.offset,
             d_off=d_off, tgt_ptr=plan.tgt_ptr, src=plan.src, i0=plan.i0,
             i1=plan.i1, rl_ptr=plan.rl_ptr, rows_local=plan.rows_local,
+            row_ptr=lay.row_ptr, rows=lay.rows,
         )
         struct = _Plan(
             n_cblk=plan.symbol.n_cblk, max_mn=plan.max_mn,
@@ -236,6 +255,39 @@ def _arena_pointer(factor: Any, name: str, size: int) -> Optional[int]:
     return int(arena.ctypes.data)
 
 
+def _bind(factor: Any, name: str) -> tuple:
+    """Check ``factor`` for a native call of ``repro_<name>_{d,z}``:
+    ``(function, plan_t, L, U, D)``, the arenas as pointers."""
+    lib = load()
+    plan = factor.index_cache
+    if plan is None or factor.L_arena is None:
+        raise ValueError("the native kernel needs an arena-backed factor "
+                         "with its couple plan attached")
+    if plan.symbol is not factor.symbol:
+        raise ValueError("the couple plan belongs to another symbol")
+    struct = _plan_struct(plan)
+    suffix = _SUFFIX.get(np.dtype(factor.dtype))
+    if suffix is None:
+        raise ValueError(f"no native kernel for dtype {factor.dtype}")
+    ft = factor.factotype
+    size = int(plan.layout.offset[-1])
+    L = _arena_pointer(factor, "L_arena", size)
+    U = _arena_pointer(factor, "U_arena", size)
+    D = _arena_pointer(factor, "D_arena", factor.symbol.n)
+    if (U is None) != (ft != "lu") or (D is None) != (ft != "ldlt"):
+        raise ValueError(f"factor arenas do not match factotype {ft!r}")
+    return getattr(lib, f"repro_{name}_{suffix}"), struct, L, U, D
+
+
+def _panel_list(factor: Any, panels: np.ndarray) -> np.ndarray:
+    panels = np.ascontiguousarray(panels, dtype=np.int64)
+    if panels.size and not (
+        0 <= panels.min() and panels.max() < factor.symbol.n_cblk
+    ):
+        raise ValueError("panel index out of range")
+    return panels
+
+
 def factorize_panels(
     factor: Any, panels: np.ndarray, scratch: Optional[Scratch] = None
 ) -> None:
@@ -246,31 +298,9 @@ def factorize_panels(
     for its sources ``k`` ascending, then ``panel_factorize(factor, p)``
     — which is also exactly what runs for a panel C hands back.
     """
-    lib = load()
-    plan = factor.index_cache
-    if plan is None or factor.L_arena is None:
-        raise ValueError("the native kernel needs an arena-backed factor "
-                         "with its couple plan attached")
-    if plan.symbol is not factor.symbol:
-        raise ValueError("the couple plan belongs to another symbol")
-    struct = _plan_struct(plan)
-    if factor.dtype == np.float64:
-        fn = lib.repro_factorize_panels_d
-    elif factor.dtype == np.complex128:
-        fn = lib.repro_factorize_panels_z
-    else:
-        raise ValueError(f"no native kernel for dtype {factor.dtype}")
-    ft = factor.factotype
-    size = int(plan.layout.offset[-1])
-    L = _arena_pointer(factor, "L_arena", size)
-    U = _arena_pointer(factor, "U_arena", size)
-    D = _arena_pointer(factor, "D_arena", factor.symbol.n)
-    if (U is None) != (ft != "lu") or (D is None) != (ft != "ldlt"):
-        raise ValueError(f"factor arenas do not match factotype {ft!r}")
-    panels = np.ascontiguousarray(panels, dtype=np.int64)
+    fn, struct, L, U, D = _bind(factor, "factorize_panels")
+    panels = _panel_list(factor, panels)
     n = int(panels.size)
-    if n and not (0 <= panels.min() and panels.max() < factor.symbol.n_cblk):
-        raise ValueError("panel index out of range")
     if scratch is None:
         scratch = Scratch(factor)
     monitor = factor.pivot_monitor
@@ -278,7 +308,7 @@ def factorize_panels(
     position = 0
     while True:
         position = fn(
-            ctypes.byref(struct), _FACTOTYPES[ft], L, U, D,
+            ctypes.byref(struct), _FACTOTYPES[factor.factotype], L, U, D,
             panels.ctypes.data, n, position, threshold,
             scratch.work.ctypes.data, scratch.ipiv.ctypes.data,
         )
@@ -286,3 +316,73 @@ def factorize_panels(
             return
         panel_factorize(factor, int(panels[position]))
         position += 1
+
+
+class SolveSweeps:
+    """The native triangular sweeps of one solve, over ``x`` in place.
+
+    ``x`` is ``(n,)`` or ``(n, nrhs)``, C-contiguous, writable and of the
+    factor's dtype.  ``panels`` is the panel list the calls take ranges of
+    (ascending within every range), run by a pool of ``n_workers``: the
+    forward steps are left-looking over a slab arena (``L21 · y`` of every
+    panel, Σ (height − width) · nrhs elements).  ``panels=None`` means
+    every panel ascending, run by one thread in ascending ranges: no slab
+    arena, each forward step pushes its product straight into the rows
+    below — the same values in the same order, so the same bits.
+    Everything is checked here, once, before any pointer crosses: the
+    factor's arenas and plan, ``x`` and the panel ids.
+    """
+
+    def __init__(self, factor: Any, x: np.ndarray,
+                 panels: Optional[np.ndarray] = None,
+                 n_workers: int = 1) -> None:
+        fn, struct, L, U, D = _bind(factor, "solve_panels")
+        n = factor.symbol.n
+        if not (
+            isinstance(x, np.ndarray) and x.dtype == factor.dtype
+            and x.ndim in (1, 2) and x.shape[0] == n
+            and x.flags.c_contiguous and x.flags.writeable
+        ):
+            raise ValueError(f"x must be a writable C-contiguous ({n},) or "
+                             f"({n}, nrhs) array of {factor.dtype}")
+        nrhs = 1 if x.ndim == 1 else x.shape[1]
+        lay = factor.index_cache.layout
+        if panels is None:
+            self.panels = np.arange(factor.symbol.n_cblk, dtype=np.int64)
+            self.slab = None
+        else:
+            self.panels = _panel_list(factor, panels)
+            self.slab = np.empty((int(lay.row_ptr[-1]) - n) * nrhs, x.dtype)
+        self.gather = [
+            np.empty(int(lay.below.max(initial=0)) * nrhs, x.dtype)
+            for _ in range(max(1, n_workers))
+        ]
+        self._keepalive = (factor, x)
+        # Raw addresses, taken once: ``ndarray.ctypes`` costs about a
+        # microsecond per access, the call itself a few.
+        self._base = self.panels.ctypes.data
+        self._gather = [g.ctypes.data for g in self.gather]
+        self._call = functools.partial(
+            fn, ctypes.byref(struct), _FACTOTYPES[factor.factotype], L, U, D,
+            x.ctypes.data, nrhs,
+            None if self.slab is None else self.slab.ctypes.data,
+        )
+
+    def run(self, lo: int, hi: int, backward: bool, worker: int = 0) -> None:
+        """Forward steps of ``panels[lo:hi]`` ascending, or backward steps
+        descending, on ``worker``'s gather buffer."""
+        if not 0 <= lo <= hi <= self.panels.size:
+            raise ValueError("panel range out of bounds")
+        self._call(self._base + 8 * lo, hi - lo, backward, self._gather[worker])
+
+
+def solve_sweeps(factor: Any, x: np.ndarray,
+                 panels: Optional[np.ndarray] = None,
+                 n_workers: int = 1) -> Optional[SolveSweeps]:
+    """The native sweeps of a solve of ``factor``, or ``None`` for the
+    NumPy bodies: the solve follows ``factor.kernels``, and needs an
+    arena-backed factor with its plan attached."""
+    if (factor.kernels != "native" or factor.L_arena is None
+            or factor.index_cache is None):
+        return None
+    return SolveSweeps(factor, x, panels, n_workers)

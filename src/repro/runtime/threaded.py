@@ -674,7 +674,7 @@ class _ThreadedSolve:
     unit's panels back to back.  Every shared access is ordered by a DAG
     edge, so the bodies take no lock and the result does not depend on
     worker count, scheduler or interleaving — it is bit-identical to
-    :func:`repro.core.triangular.solve_factored`:
+    :func:`repro.core.triangular.solve_factored` on the same backend:
 
     * the forward step of panel ``k`` subtracts, in ascending source
       order, its descendants' slices of their private contribution slabs
@@ -685,23 +685,40 @@ class _ThreadedSolve:
       segment, solves the transposed triangle and writes only ``x[f:l]``.
 
     ``x`` may be one right-hand side ``(n,)`` or a block ``(n, k)``.
+
+    The backend follows ``factor.kernels``: on a native factor a task is
+    one GIL-free C call over its unit's panels
+    (:class:`repro.kernels.native.SolveSweeps`: one slab arena, a gather
+    buffer per worker, all allocated before the pool starts) — the steps
+    above, in C, which ``solve_factored`` runs as two calls.  Otherwise
+    the NumPy bodies below run, the fallback and the oracle.
     """
 
-    def __init__(self, factor: NumericFactor, x: np.ndarray) -> None:
+    def __init__(self, factor: NumericFactor, x: np.ndarray, dag,
+                 n_workers: int) -> None:
         self.factor = factor
         self.x = x
-        self.sources = get_couple_cache(factor.symbol).sources
-        self.ptr = factor.symbol.cblk_ptr.tolist()
-        self.slabs: list[Optional[np.ndarray]] = [None] * len(factor.L)
+        unit = dag.solve_unit
+        self.tasks = list(zip(dag.unit_ptr[unit].tolist(),
+                              dag.unit_ptr[unit + 1].tolist(),
+                              dag.solve_backward.tolist()))
+        self.panels = dag.unit_panels
+        self.sweeps = native.solve_sweeps(factor, x, dag.unit_panels,
+                                          n_workers)
+        if self.sweeps is None:
+            self.sources = get_couple_cache(factor.symbol).sources
+            self.ptr = factor.symbol.cblk_ptr.tolist()
+            self.slabs: list[Optional[np.ndarray]] = [None] * len(factor.L)
 
-    def run_task(self, dag, task: int) -> None:
-        u = int(dag.solve_unit[task])
-        panels = dag.unit_panels[dag.unit_ptr[u]: dag.unit_ptr[u + 1]]
-        if dag.solve_backward[task]:
-            for k in panels[::-1].tolist():
+    def run_task(self, task: int, worker: int) -> None:
+        lo, hi, backward = self.tasks[task]
+        if self.sweeps is not None:
+            self.sweeps.run(lo, hi, backward, worker)
+        elif backward:
+            for k in self.panels[lo:hi][::-1].tolist():
                 self._backward(k)
         else:
-            for k in panels.tolist():
+            for k in self.panels[lo:hi].tolist():
                 self._forward(k)
 
     def _forward(self, k: int) -> None:
@@ -763,10 +780,12 @@ class _ThreadedSolveRun(_PoolRun):
         super().__init__(dag, n_workers, trace, scheduler,
                          max_retries=0, watchdog_s=watchdog_s,
                          record_sync=record_sync)
-        self.body = _ThreadedSolve(factor, x)
+        # Here, not in the workers: a factor or right-hand side that
+        # fails the native checks raises before the pool exists.
+        self.body = _ThreadedSolve(factor, x, dag, self.n_workers)
 
     def _run_task(self, t: int, worker: int) -> None:
-        self.body.run_task(self.dag, t)
+        self.body.run_task(t, worker)
 
 
 def solve_threaded(
@@ -781,18 +800,24 @@ def solve_threaded(
 ) -> np.ndarray:
     """Parallel triangular solve of the factored system on threads.
 
-    Bit-identical to :func:`repro.core.triangular.solve_factored` (one
-    right-hand side ``(n,)`` or a block ``(n, k)``) whatever the worker
+    Bit-identical to :func:`repro.core.triangular.solve_factored` on the
+    same factor (one right-hand side ``(n,)`` or a block ``(n, k)``, copied
+    C-contiguous in the factor's dtype) whatever the worker
     count and scheduler, but executed as the coarse solve-phase DAG on a
     worker pool; the DAG is memoised on the symbol, so repeated solves
     build it once.  ``watchdog_s`` turns a wedged pool into a diagnostic
     ``RuntimeError`` instead of an unbounded ``join()``; ``scheduler``
     picks the ready-queue policy (the DAG has a few tasks per worker, so
     the default stays the cheap global FIFO).
+
+    The task bodies follow ``factor.kernels`` (:class:`_ThreadedSolve`):
+    one native C call per task on a native factor, the NumPy bodies
+    otherwise; a passed ``trace`` gets the effective backend stamped in
+    ``trace.meta["kernels"]``, as the factorization does.
     """
     from repro.dag.solve_builder import build_solve_dag
 
-    x = np.array(b, dtype=factor.dtype, copy=True)
+    x = np.array(b, dtype=factor.dtype, order="C")
     dag = build_solve_dag(
         factor.symbol, factor.factotype, dtype=factor.dtype,
         nrhs=1 if x.ndim == 1 else x.shape[1], n_workers=n_workers,
@@ -800,6 +825,9 @@ def solve_threaded(
     run = _ThreadedSolveRun(factor, x, dag, n_workers, trace=trace,
                             watchdog_s=watchdog_s, scheduler=scheduler,
                             record_sync=record_sync)
+    if trace is not None:
+        trace.meta["kernels"] = (
+            "numpy" if run.body.sweeps is None else "native")
     run.run()
     return x
 

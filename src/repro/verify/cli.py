@@ -542,28 +542,34 @@ def _determinism_pass(args: argparse.Namespace, symbol: Any,
 
 def _concurrency_pass(args: argparse.Namespace, matrix: Any, res: Any,
                       reports: list[Report]) -> None:
-    """C7xx: audit a live sync-instrumented threaded factorization.
+    """C7xx: audit a live sync-instrumented threaded factorization and
+    the threaded solve on its factor.
 
     Unlike the other passes this one executes the *real* threaded
     runtime (``record_sync=True``) rather than the simulator and feeds
     the recorded ``SyncEvent`` stream to the auditor, against the DAG
-    the trace names (:func:`repro.dag.builder.dag_of_trace`).
-    ``--inject drop-sync-event`` deletes one completion publish, which
-    the stamped ``sync_stats`` no longer match (C707).  (The static
-    side — the RV4xx lock-discipline lint — runs with the project
-    linter in :func:`_lint_pass`.)
+    the trace names (:func:`repro.dag.builder.dag_of_trace`; the solve
+    DAG for the solve).  ``--inject drop-sync-event`` deletes one
+    completion publish of the factorization trace, which the stamped
+    ``sync_stats`` no longer match (C707).  (The static side — the RV4xx
+    lock-discipline lint — runs with the project linter in
+    :func:`_lint_pass`.)
     """
     from repro.dag.builder import dag_of_trace
-    from repro.runtime.threaded import factorize_threaded
+    from repro.dag.solve_builder import build_solve_dag
+    from repro.runtime.threaded import factorize_threaded, solve_threaded
     from repro.runtime.tracing import ExecutionTrace
     from repro.verify.concurrency import drop_sync_event, verify_concurrency
 
     trace = ExecutionTrace()
-    factorize_threaded(
+    factor = factorize_threaded(
         res.symbol, matrix.permute(res.perm.perm), args.factotype,
         n_workers=args.cores, trace=trace, record_sync=True,
     )
     dag = dag_of_trace(res.symbol, args.factotype, trace)
+    solve_trace = ExecutionTrace()
+    solve_threaded(factor, np.ones(res.symbol.n), n_workers=args.cores,
+                   trace=solve_trace, record_sync=True)
     label = "unit"
     if args.inject == "drop-sync-event":
         try:
@@ -571,11 +577,19 @@ def _concurrency_pass(args: argparse.Namespace, matrix: Any, res: Any,
         except ValueError as exc:
             raise SystemExit(f"--inject {args.inject}: {exc}") from exc
         label += f"+{args.inject}"
-    t0 = time.perf_counter()
-    rep = verify_concurrency(dag, trace)
-    rep.name = f"concurrency[{label}]"
-    rep.stats["seconds"] = time.perf_counter() - t0
-    reports.append(rep)
+    runs = (
+        (label, dag, trace),
+        (f"solve, {solve_trace.meta['kernels']}",
+         build_solve_dag(res.symbol, args.factotype, dtype=factor.dtype,
+                         n_workers=args.cores),
+         solve_trace),
+    )
+    for label, dag, run_trace in runs:
+        t0 = time.perf_counter()
+        rep = verify_concurrency(dag, run_trace)
+        rep.name = f"concurrency[{label}]"
+        rep.stats["seconds"] = time.perf_counter() - t0
+        reports.append(rep)
 
 
 def _adaptive_pass(args: argparse.Namespace, matrix: Any, res: Any,

@@ -1,0 +1,297 @@
+"""The native triangular solve against its oracle, the NumPy bodies.
+
+Differential tests on the *same* factor: ``factor.kernels`` picks the
+solve backend, so a copy with ``kernels="numpy"`` runs the NumPy sweeps
+over the very same panels.  Native is within 1e-12 of NumPy, and the
+threaded solve is bit-identical to ``solve_factored`` *within* each
+backend (both make the same calls, only grouped differently).  Malformed
+arguments never reach C, and a host that cannot load the library solves
+exactly as the NumPy bodies do.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import SolverOptions, SparseSolver
+from repro.core.factorization import factorize_sequential
+from repro.core.triangular import solve_factored
+from repro.dag.solve_builder import build_solve_dag
+from repro.kernels import native
+from repro.runtime.scheduling import THREAD_SCHEDULERS
+from repro.runtime.threaded import solve_threaded
+from repro.runtime.tracing import ExecutionTrace
+from repro.sparse.csc import SparseMatrixCSC
+from repro.symbolic import analyze
+from tests.test_native_kernels import NO_AMALGAMATION, factotypes, make_matrix
+
+pytestmark = pytest.mark.skipif(
+    native.availability() is not None,
+    reason=f"native backend unavailable: {native.availability()}",
+)
+
+RTOL = 1e-12
+
+
+# ----------------------------------------------------------------------
+# helpers
+# ----------------------------------------------------------------------
+def _factor(mat, ft, options=None):
+    res = analyze(mat, options)
+    factor = factorize_sequential(res.symbol, mat.permute(res.perm.perm), ft)
+    assert factor.kernels == "native"
+    return factor
+
+
+def _numpy(factor):
+    """The same panels, solved by the NumPy bodies."""
+    return dataclasses.replace(factor, kernels="numpy")
+
+
+def _rhs(rng, n, shape, cplx=False):
+    b = rng.standard_normal((n, *shape))
+    return b + 1j * rng.standard_normal(b.shape) if cplx else b
+
+
+def assert_close(ref, got):
+    """Normwise 1e-12, and non-finite entries in the same places."""
+    finite = np.isfinite(ref)
+    assert np.array_equal(finite, np.isfinite(got))
+    scale = np.abs(ref[finite]).max(initial=0.0)
+    assert np.allclose(ref[finite], got[finite], rtol=RTOL,
+                       atol=RTOL * scale), (
+        np.abs(ref[finite] - got[finite]).max(initial=0.0), scale)
+
+
+def assert_parity(factor, b, n_workers=2, scheduler="fifo"):
+    """Both backends × both runtimes on ``b``; returns the native answer."""
+    got = {}
+    for backend, f in (("native", factor), ("numpy", _numpy(factor))):
+        seq = solve_factored(f, b)
+        par = solve_threaded(f, b, n_workers=n_workers, scheduler=scheduler)
+        assert seq.shape == b.shape and seq.dtype == factor.dtype
+        assert np.array_equal(seq, par, equal_nan=True), backend
+        got[backend] = seq
+    assert_close(got["numpy"], got["native"])
+    return got["native"]
+
+
+# ----------------------------------------------------------------------
+# native == numpy (1e-12), threaded == sequential (bits)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (16,)],
+                         ids=["n", "n1", "n3", "n16"])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_native_matches_numpy_bodies(cplx, shape):
+    rng = np.random.default_rng(1)
+    for ft in factotypes(cplx):
+        mat = make_matrix("grid", 196, 3, cplx, unsymmetric=ft == "lu")
+        factor = _factor(mat, ft)
+        assert np.iscomplexobj(factor.L_arena) == cplx
+        b = _rhs(rng, mat.n_rows, shape, cplx)
+        x = assert_parity(factor, b)
+        permuted = mat.permute(analyze(mat).perm.perm)
+        resid = permuted.matvec(x) - b
+        assert np.abs(resid).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("scheduler", sorted(THREAD_SCHEDULERS))
+def test_threaded_equals_sequential_every_scheduler(
+        grid2d_medium, helmholtz_small, no_unit_floor, scheduler):
+    rng = np.random.default_rng(2)
+    for mat, cplx in ((grid2d_medium, False), (helmholtz_small, True)):
+        for ft in factotypes(cplx):
+            factor = _factor(mat, ft)
+            for shape in ((), (3,)):
+                b = _rhs(rng, mat.n_rows, shape, cplx)
+                for f in (factor, _numpy(factor)):
+                    ref = solve_factored(f, b)
+                    for n_workers in (1, 2, 4):
+                        assert np.array_equal(ref, solve_threaded(
+                            f, b, n_workers=n_workers, scheduler=scheduler))
+
+
+def test_one_call_per_sweep_and_per_task(grid2d_medium, monkeypatch):
+    calls = []
+    run = native.SolveSweeps.run
+
+    def counting(self, lo, hi, backward, worker=0):
+        calls.append(backward)
+        run(self, lo, hi, backward, worker)
+
+    monkeypatch.setattr(native.SolveSweeps, "run", counting)
+    factor = _factor(grid2d_medium, "ldlt")
+    b = np.ones(grid2d_medium.n_rows)
+    solve_factored(factor, b)
+    assert calls == [False, True]
+    del calls[:]
+    trace = ExecutionTrace()
+    solve_threaded(factor, b, n_workers=2, trace=trace)
+    dag = build_solve_dag(factor.symbol, "ldlt", n_workers=2)
+    assert len(calls) == dag.n_tasks and sum(calls) == dag.n_tasks // 2
+    assert trace.meta["kernels"] == "native"
+    trace = ExecutionTrace()
+    solve_threaded(_numpy(factor), b, n_workers=2, trace=trace)
+    assert trace.meta["kernels"] == "numpy"
+    assert len(calls) == dag.n_tasks
+
+
+# ----------------------------------------------------------------------
+# edge cases
+# ----------------------------------------------------------------------
+def _edge_rhs(n: int) -> dict:
+    rng = np.random.default_rng(4)
+    return {
+        "fortran": np.asfortranarray(rng.standard_normal((n, 3))),
+        "strided-block": rng.standard_normal((n, 6))[:, ::2],
+        "strided-vector": rng.standard_normal(2 * n)[::2],
+        "no-columns": np.empty((n, 0)),
+        "int64": np.arange(n) - n // 2,
+        "float32": rng.standard_normal((n, 2)).astype(np.float32),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_edge_rhs(1)))
+@pytest.mark.parametrize("ft", ["llt", "ldlt", "lu"])
+def test_rhs_layouts_and_dtypes(grid2d_small, ft, case):
+    factor = _factor(grid2d_small, ft)
+    b = _edge_rhs(grid2d_small.n_rows)[case]
+    assert_parity(factor, b)
+    plain = np.ascontiguousarray(b, dtype=factor.dtype)
+    for f in (factor, _numpy(factor)):
+        assert np.array_equal(solve_factored(f, b), solve_factored(f, plain))
+
+
+@pytest.mark.parametrize("runtime", ["sequential", "threaded"])
+def test_complex_rhs_on_a_real_factor(grid2d_small, runtime):
+    rng = np.random.default_rng(5)
+    b = _rhs(rng, grid2d_small.n_rows, (), cplx=True)
+    got = {}
+    for kernels in ("native", "numpy"):
+        solver = SparseSolver(grid2d_small, SolverOptions(
+            kernels=kernels, runtime=runtime, n_workers=2))
+        got[kernels] = solver.solve(b, method="none")
+        assert np.iscomplexobj(got[kernels])
+        assert solver.residual_norm(got[kernels], b) < 1e-12
+    assert_close(got["numpy"], got["native"])
+
+
+@pytest.mark.parametrize("ft", ["llt", "ldlt", "lu"])
+def test_nan_propagates_alike(grid2d_small, ft):
+    factor = _factor(grid2d_small, ft)
+    b = np.ones((grid2d_small.n_rows, 2))
+    b[5, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        x = assert_parity(factor, b)
+    assert np.isnan(x[:, 1]).any() and np.isfinite(x[:, 0]).all()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("ft", ["llt", "ldlt", "lu"])
+def test_tiny_systems(n, ft):
+    factor = _factor(SparseMatrixCSC.from_dense(3.0 * np.eye(n)), ft)
+    for shape in ((), (3,)):
+        b = np.ones((n, *shape))
+        x = assert_parity(factor, b)
+        assert np.allclose(3.0 * x, b)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(["grid", "arrowhead", "chain"]),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    cplx=st.booleans(),
+    chains=st.booleans(),
+    nrhs=st.sampled_from([None, 1, 3, 16]),
+    n_workers=st.sampled_from([1, 2, 4]),
+)
+def test_generated_systems(no_unit_floor, kind, n, seed, cplx, chains, nrhs,
+                           n_workers):
+    """Grids, arrowheads and width-1 chains (no amalgamation)."""
+    rng = np.random.default_rng(seed)
+    for ft in factotypes(cplx):
+        mat = make_matrix(kind, n, seed, cplx, unsymmetric=ft == "lu")
+        factor = _factor(mat, ft, NO_AMALGAMATION if chains else None)
+        shape = () if nrhs is None else (nrhs,)
+        assert_parity(factor, _rhs(rng, mat.n_rows, shape, cplx),
+                      n_workers=n_workers)
+
+
+# ----------------------------------------------------------------------
+# malformed arguments never reach C
+# ----------------------------------------------------------------------
+def test_malformed_arguments_are_rejected(grid2d_small):
+    factor = _factor(grid2d_small, "ldlt")
+    n, K = factor.n, factor.n_cblk
+    x = np.ones(n)
+    panels = np.arange(K)
+    for bad_x in (np.ones(n, dtype=np.float32), np.ones(n + 1),
+                  np.ones((n, 2), order="F"), np.ones((n, 2, 1)),
+                  np.ones(n, dtype=np.complex128), [1.0] * n):
+        with pytest.raises(ValueError, match="x must be"):
+            native.SolveSweeps(factor, bad_x, panels)
+    for bad in (np.array([K]), np.array([-1, 0])):
+        with pytest.raises(ValueError, match="out of range"):
+            native.SolveSweeps(factor, x, bad)
+    for sweeps in (native.SolveSweeps(factor, x, panels),
+                   native.SolveSweeps(factor, x)):
+        for lo, hi in ((-1, 2), (2, 1), (0, K + 1)):
+            with pytest.raises(ValueError, match="out of bounds"):
+                sweeps.run(lo, hi, False)
+    assert np.array_equal(x, np.ones(n))   # C never ran
+    for name, arena in (("L_arena", factor.L_arena[:-1]),
+                        ("L_arena", factor.L_arena.astype(np.float32)),
+                        ("D_arena", factor.D_arena.astype(np.complex128))):
+        broken = dataclasses.replace(factor, **{name: arena})
+        with pytest.raises(ValueError, match=name):
+            native.SolveSweeps(broken, x, panels)
+    with pytest.raises(ValueError, match="factotype"):
+        native.SolveSweeps(dataclasses.replace(factor, D_arena=None), x,
+                           panels)
+    with pytest.raises(ValueError, match="couple plan"):
+        native.SolveSweeps(dataclasses.replace(factor, index_cache=None), x,
+                           panels)
+
+
+def test_factors_without_arenas_take_the_numpy_bodies(grid2d_small):
+    factor = _factor(grid2d_small, "lu")
+    lists = dataclasses.replace(factor, L_arena=None, U_arena=None)
+    b = np.random.default_rng(6).standard_normal(grid2d_small.n_rows)
+    x = np.ones(grid2d_small.n_rows)
+    assert native.solve_sweeps(lists, x, np.arange(factor.n_cblk)) is None
+    assert np.array_equal(solve_factored(lists, b),
+                          solve_factored(_numpy(factor), b))
+    assert np.array_equal(solve_threaded(lists, b, n_workers=2),
+                          solve_factored(_numpy(factor), b))
+
+
+def test_unloadable_library_solves_exactly_like_numpy(grid2d_small,
+                                                      monkeypatch):
+    res = analyze(grid2d_small)
+    permuted = grid2d_small.permute(res.perm.perm)
+    refs = {ft: factorize_sequential(res.symbol, permuted, ft,
+                                     kernels="numpy")
+            for ft in ("llt", "ldlt", "lu")}
+
+    def failing():
+        raise native.NativeUnavailable("no C compiler (cc/gcc) on PATH")
+
+    monkeypatch.setattr(native, "load", failing)
+    rng = np.random.default_rng(7)
+    for ft, ref in refs.items():
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            factor = factorize_sequential(res.symbol, permuted, ft)
+        assert factor.kernels == "numpy"
+        for shape in ((), (3,)):
+            b = _rhs(rng, permuted.n_rows, shape)
+            expected = solve_factored(ref, b)
+            assert np.array_equal(solve_factored(factor, b), expected)
+            assert np.array_equal(solve_threaded(factor, b, n_workers=2),
+                                  expected)

@@ -60,6 +60,41 @@ def test_max_iter_respected():
     assert len(result.history) <= 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_residual_stops_at_once(bad):
+    """A NaN or Inf in ``b`` makes every residual non-finite, which the
+    stagnation test (``resnorm >= 0.5 · previous``) never catches: the
+    loop must stop at the first one instead of running ``max_iter``."""
+    d, m, b = make_system()
+    inv = np.linalg.inv(d)
+    calls = []
+
+    def solve(r):
+        calls.append(r)
+        return inv @ r
+
+    b[3] = bad
+    with np.errstate(invalid="ignore"):
+        result = iterative_refinement(m, solve, b, max_iter=10)
+    assert len(calls) <= 2
+    assert not result.converged
+    assert not np.isfinite(result.residual_norm)
+    assert len(result.history) == 1
+
+
+def test_solver_reports_non_finite_rhs_unconverged(grid2d_small):
+    from repro import SparseSolver
+
+    solver = SparseSolver(grid2d_small)
+    b = np.ones(grid2d_small.n_rows)
+    b[0] = np.nan
+    with np.errstate(invalid="ignore"):
+        x = solver.solve(b)
+    assert np.isnan(x).any()
+    assert not solver.last_refinement.converged
+    assert solver.last_refinement.iterations == 1
+
+
 def test_result_solves_system():
     d, m, b = make_system(seed=3)
     inv = np.linalg.inv(d)

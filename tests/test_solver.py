@@ -370,3 +370,20 @@ class TestThreadedSolvePath:
                 assert x.shape == b.shape, name
                 assert np.allclose(mat.matvec(x), b, atol=1e-12), name
             assert s.analysis.symbol.n_cblk <= 1
+
+    @pytest.mark.parametrize("kernels", ["native", "numpy"])
+    @pytest.mark.parametrize("runtime", ["sequential", "threaded"])
+    @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
+    def test_empty_system_raw_solve(self, factotype, runtime, kernels):
+        """Regression: a sequential LDLᵀ solve of a 0×0 system raised
+        (``np.concatenate`` of no diagonal blocks).  Refinement hid it —
+        a zero ``b`` returns before any solve — so solve without it."""
+        from repro.sparse.csc import coo_to_csc
+
+        mat = coo_to_csc(0, 0, [], [], np.array([], dtype=float))
+        s = SparseSolver(mat, SolverOptions(
+            factotype=factotype, runtime=runtime, kernels=kernels,
+            n_workers=2))
+        for shape in ((0,), (0, 3)):
+            x = s.solve(np.zeros(shape), method="none")
+            assert x.shape == shape and x.dtype == np.float64

@@ -173,6 +173,18 @@ def test_inject_drop_sync_event_fails(capsys):
     assert "concurrency[unit+drop-sync-event]" in out and "C707" in out
 
 
+def test_concurrency_pass_audits_the_threaded_solve(capsys):
+    from repro.kernels import native
+
+    code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
+                     "--no-lint", "--no-hazards", "--no-schedule",
+                     "--no-symbolic", "--no-resilience", "--no-health",
+                     "--no-determinism", "--no-adaptive"], capsys)
+    assert code == 0
+    backend = "native" if native.availability() is None else "numpy"
+    assert f"concurrency[solve, {backend}]" in out
+
+
 def test_stale_cache_inject_requires_symbolic_pass():
     with pytest.raises(SystemExit, match="corrupts the symbolic pass"):
         main(["verify", "--matrix", "lap2d", "--size", "10", "--no-lint",

@@ -10,6 +10,7 @@ RV4xx coverage: each lint rule on synthetic sources, plus the
 noqa-stripped real runtime tree.
 """
 
+import itertools
 import re
 from pathlib import Path
 
@@ -97,7 +98,9 @@ def test_unit_run_passes(grid2d_medium, no_unit_floor, scheduler,
 def test_solve_run_passes(grid2d_small):
     """The coarse solve DAG has no mutex group and its bodies take no
     lock: the audit reduces to publish order along the DAG edges (C702)
-    plus the sync-stats provenance, and the trace must show no hold."""
+    plus the sync-stats provenance, and the trace must show no hold —
+    for the native task bodies (one C call per task, the default) and
+    the NumPy ones alike."""
     from repro.core.triangular import solve_factored
     from repro.dag.solve_builder import build_solve_dag
     from repro.runtime.threaded import solve_threaded
@@ -105,13 +108,15 @@ def test_solve_run_passes(grid2d_small):
     res = analyze(grid2d_small)
     permuted = grid2d_small.permute(res.perm.perm)
     b = np.random.default_rng(7).standard_normal(permuted.n_rows)
-    for factotype, scheduler in [("llt", "fifo"), ("ldlt", "ws"),
-                                 ("lu", "priority")]:
+    for (factotype, scheduler), kernels in itertools.product(
+            [("llt", "fifo"), ("ldlt", "ws"), ("lu", "priority")],
+            ["native", "numpy"]):
         factor = factorize_threaded(res.symbol, permuted, factotype,
-                                    n_workers=3)
+                                    n_workers=3, kernels=kernels)
         trace = ExecutionTrace()
         x = solve_threaded(factor, b, n_workers=3, trace=trace,
                            record_sync=True, scheduler=scheduler)
+        assert trace.meta["kernels"] == factor.kernels
         assert np.array_equal(x, solve_factored(factor, b))
         dag = build_solve_dag(res.symbol, factotype, dtype=factor.dtype,
                               n_workers=3)
