@@ -40,8 +40,7 @@ selftest:
 			stale-cache; do \
 		if $(PYTHON) -m repro verify --matrix lap2d --size 20 \
 			--no-lint --no-resilience --no-health --no-concurrency \
-			--no-determinism --no-adaptive \
-			--inject $$inj >/dev/null 2>&1; then \
+			--no-determinism --inject $$inj >/dev/null 2>&1; then \
 			echo "inject $$inj: NOT caught"; exit 1; \
 		else \
 			echo "inject $$inj: caught"; \
@@ -51,7 +50,7 @@ selftest:
 		if $(PYTHON) -m repro verify --matrix lap2d --size 32 \
 			--no-lint --no-hazards --no-symbolic --no-resilience \
 			--no-health --no-concurrency --no-determinism \
-			--no-adaptive --inject $$inj >/dev/null 2>&1; then \
+			--inject $$inj >/dev/null 2>&1; then \
 			echo "inject $$inj: NOT caught"; exit 1; \
 		else \
 			echo "inject $$inj: caught"; \
@@ -61,7 +60,7 @@ selftest:
 		if $(PYTHON) -m repro verify --matrix lap2d --size 16 \
 			--no-lint --no-hazards --no-symbolic --no-schedule \
 			--no-health --no-concurrency --no-determinism \
-			--no-adaptive --inject $$inj >/dev/null 2>&1; then \
+			--inject $$inj >/dev/null 2>&1; then \
 			echo "inject $$inj: NOT caught"; exit 1; \
 		else \
 			echo "inject $$inj: caught"; \
@@ -73,7 +72,7 @@ selftest:
 		if $(PYTHON) -m repro verify --matrix lap2d --size 16 \
 			--no-lint --no-hazards --no-schedule --no-symbolic \
 			--no-resilience --no-health --no-determinism \
-			--no-adaptive --inject $$inj >/dev/null 2>&1; then \
+			--inject $$inj >/dev/null 2>&1; then \
 			echo "inject $$inj: NOT caught"; exit 1; \
 		else \
 			echo "inject $$inj: caught"; \
@@ -83,7 +82,7 @@ selftest:
 		if $(PYTHON) -m repro verify --matrix lap2d --size 16 \
 			--no-lint --no-hazards --no-schedule --no-symbolic \
 			--no-resilience --no-health --no-concurrency \
-			--no-adaptive --inject $$inj >/dev/null 2>&1; then \
+			--inject $$inj >/dev/null 2>&1; then \
 			echo "inject $$inj: NOT caught"; exit 1; \
 		else \
 			echo "inject $$inj: caught"; \
@@ -94,19 +93,6 @@ selftest:
 		if $(PYTHON) -m repro verify --matrix lap2d --size 20 \
 			--no-lint --no-hazards --no-schedule --no-symbolic \
 			--no-resilience --no-concurrency --no-determinism \
-			--no-adaptive --inject $$inj >/dev/null 2>&1; then \
-			echo "inject $$inj: NOT caught"; exit 1; \
-		else \
-			echo "inject $$inj: caught"; \
-		fi; \
-	done
-	@# A forged adaptive model stamp (one bucket count inflated) must
-	@# trip the A9xx provenance audit.
-	@for inj in skew-model; do \
-		if $(PYTHON) -m repro verify --matrix lap2d --size 16 \
-			--no-lint --no-hazards --no-schedule --no-symbolic \
-			--no-resilience --no-health --no-concurrency \
-			--no-determinism \
 			--inject $$inj >/dev/null 2>&1; then \
 			echo "inject $$inj: NOT caught"; exit 1; \
 		else \
@@ -137,8 +123,7 @@ chaos-smoke:
 race-smoke:
 	@$(PYTHON) -m repro verify --matrix lap2d --size 16 \
 		--no-lint --no-hazards --no-schedule --no-symbolic \
-		--no-resilience --no-health --no-determinism \
-		--no-adaptive >/dev/null; \
+		--no-resilience --no-health --no-determinism >/dev/null; \
 	status=$$?; \
 	if [ $$status -eq 0 ]; then echo "race-smoke: clean"; \
 	else echo "race-smoke: FAILED"; fi; exit $$status
@@ -166,8 +151,7 @@ native-smoke:
 determinism-smoke:
 	@$(PYTHON) -m repro verify --matrix lap2d --size 16 \
 		--no-lint --no-hazards --no-schedule --no-symbolic \
-		--no-resilience --no-health --no-concurrency \
-		--no-adaptive >/dev/null; \
+		--no-resilience --no-health --no-concurrency >/dev/null; \
 	status=$$?; \
 	if [ $$status -eq 0 ]; then echo "determinism-smoke: clean"; \
 	else echo "determinism-smoke: FAILED"; fi; exit $$status
@@ -196,7 +180,7 @@ ci: verify selftest race-smoke determinism-smoke chaos-smoke \
 
 lint:
 	$(PYTHON) -m repro verify --no-hazards --no-schedule --no-resilience \
-		--no-health --no-concurrency --no-determinism --no-adaptive
+		--no-health --no-concurrency --no-determinism
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples; \
 	else \

@@ -56,52 +56,33 @@ def factorize_sequential(
     factotype: str,
     *,
     dtype=None,
-    workspace: bool = True,
-    variant: str = "right",
     pivot_threshold: float = 0.0,
     kernels: str = "native",
 ) -> NumericFactor:
     """Factorize ``matrix`` (already permuted to the analysis order).
 
-    ``workspace`` selects the CPU two-step update kernel (temporary +
-    dispatch) vs. the direct-scatter GPU-twin kernel; both produce
-    identical factors.  The symbol's couple plan
-    (:func:`repro.kernels.indexcache.get_couple_cache`) is attached as
-    ``factor.index_cache``, so no update re-derives its index
-    bookkeeping.
+    The symbol's couple plan (:func:`repro.kernels.indexcache.\
+get_couple_cache`) is attached as ``factor.index_cache``, so no update
+    re-derives its index bookkeeping.
 
     ``pivot_threshold`` > 0 enables static-pivot perturbation: pivots
     smaller in magnitude are replaced by ±threshold and counted on
     ``factor.pivot_monitor`` (iterative refinement recovers the digits —
     the static-pivoting recipe PaStiX shares with SuperLU-dist).
 
-    ``variant`` picks the update grouping of §III: ``"right"`` (PaStiX's
-    choice — "all updates generated by a single panel are directly
-    applied to the multiple destination panels") or ``"left"`` ("all
-    tasks contributing to a single panel are associated in a single
-    task").  Both compute the same factor; they differ in when each
-    update executes — which the scheduling benches exploit.
-
     ``kernels`` selects the numeric backend: ``"native"`` (the default:
     the C kernel of :mod:`repro.kernels.native`, agreeing with the NumPy
-    kernels to roundoff) or ``"numpy"`` (the reference the bit-identity
-    statements above are about).  ``"native"`` falls back to ``"numpy"``
-    when it cannot be built here and whenever ``workspace`` or
-    ``variant`` is off its default — they are ablations of the NumPy
-    kernels (:func:`repro.kernels.native.resolve_kernels`).  The
-    effective backend is recorded as ``factor.kernels``.
+    kernels to roundoff) or ``"numpy"`` (the reference, right-looking:
+    each panel is factorized, then applied to every panel it faces).
+    ``"native"`` falls back to ``"numpy"`` when it cannot be built here
+    (:func:`repro.kernels.native.resolve_kernels`).  The effective
+    backend is recorded as ``factor.kernels``.
     """
     from repro.kernels.indexcache import get_couple_cache
     from repro.kernels.native import factorize_panels, resolve_kernels
 
-    if variant not in ("right", "left"):
-        raise ValueError(f"unknown variant {variant!r}")
     factor = NumericFactor.assemble(symbol, matrix, factotype, dtype=dtype)
-    factor.kernels = resolve_kernels(
-        kernels,
-        ablation=not (workspace and variant == "right"),
-        dtype=factor.dtype,
-    )
+    factor.kernels = resolve_kernels(kernels, dtype=factor.dtype)
     factor.index_cache = get_couple_cache(symbol)
     if pivot_threshold > 0.0:
         from repro.kernels.dense import PivotMonitor
@@ -109,14 +90,9 @@ def factorize_sequential(
         factor.pivot_monitor = PivotMonitor(pivot_threshold)
     if factor.kernels == "native":
         factorize_panels(factor, np.arange(symbol.n_cblk, dtype=np.int64))
-    elif variant == "right":
+    else:
         for k in factorization_order(symbol):
             panel_factorize(factor, k)
             for t in facing_cblks(symbol, k):
-                panel_update(factor, k, int(t), workspace=workspace)
-    else:
-        for t in factorization_order(symbol):
-            for k in contributing_cblks(symbol, t):
-                panel_update(factor, int(k), t, workspace=workspace)
-            panel_factorize(factor, t)
+                panel_update(factor, k, int(t))
     return factor

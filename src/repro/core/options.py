@@ -30,18 +30,14 @@ class SolverOptions:
         ``"parsec"``) when simulating.
     n_workers:
         Worker threads for the threaded runtime.
-    workspace_update:
-        CPU two-step update kernel (True) vs. direct-scatter GPU twin.
     kernels:
         Numeric kernel backend: ``"native"`` (the default: one C call
         per unit, built on first use with the host's C compiler —
         :mod:`repro.kernels.native`) or ``"numpy"`` (the reference and
         the fallback).  ``"native"`` degrades to numpy with a
-        ``RuntimeWarning`` when it cannot be built, and silently when
-        ``workspace_update`` is off (an ablation of the NumPy kernels).
-        The *effective* backend is reported as
-        ``FactorizationInfo.kernels`` and stamped into
-        ``trace.meta["kernels"]``.
+        ``RuntimeWarning`` when it cannot be built.  The *effective*
+        backend is reported as ``FactorizationInfo.kernels`` and stamped
+        into ``trace.meta["kernels"]``.
     refine:
         Run iterative refinement inside :meth:`SparseSolver.solve`.
     refine_tol / refine_max_iter:
@@ -56,7 +52,6 @@ class SolverOptions:
     symbolic: SymbolicOptions = field(default_factory=SymbolicOptions)
     runtime: str = "sequential"
     n_workers: int = 4
-    workspace_update: bool = True
     kernels: str = "native"
     refine: bool = True
     refine_tol: float = 1e-12

@@ -136,7 +136,6 @@ class SparseSolver:
                 analysis.symbol,
                 permuted,
                 opts.factotype,
-                workspace=opts.workspace_update,
                 pivot_threshold=opts.pivot_threshold,
                 kernels=opts.kernels,
             )
@@ -148,7 +147,6 @@ class SparseSolver:
                 permuted,
                 opts.factotype,
                 n_workers=opts.n_workers,
-                workspace=opts.workspace_update,
                 pivot_threshold=opts.pivot_threshold,
                 kernels=opts.kernels,
             )

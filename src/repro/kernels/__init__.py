@@ -1,10 +1,9 @@
 """Numerical kernels.
 
 Dense building blocks (POTRF / LDLᵀ / GETRF without pivoting, TRSM) used
-by the panel tasks, the supernodal update kernels (the sparse GEMM of the
-paper, in both the CPU two-step "temp buffer + dispatch" variant and the
-GPU-style direct scatter variant), and the flop-count models that drive
-both the static scheduler and the machine simulator.
+by the panel tasks, the supernodal update kernel (the paper's CPU
+two-step "temp buffer + dispatch" sparse GEMM), and the flop-count models
+that drive both the static scheduler and the machine simulator.
 """
 
 from repro.kernels.dense import (
@@ -18,7 +17,6 @@ from repro.kernels.panel import (
     panel_factorize,
     panel_update,
 )
-from repro.kernels.sparse_gemm import sparse_gemm_scatter
 from repro.kernels.cost import (
     flops_potrf,
     flops_trsm,
@@ -37,7 +35,6 @@ __all__ = [
     "trsm_unit_lower_left",
     "panel_factorize",
     "panel_update",
-    "sparse_gemm_scatter",
     "flops_potrf",
     "flops_trsm",
     "flops_gemm",

@@ -21,8 +21,7 @@ runs the C/Python hand-back loop:
 * the NumPy kernels stay the fallback and the oracle:
   :func:`resolve_kernels` turns ``"native"`` into ``"numpy"`` (with a
   ``RuntimeWarning``) when there is no compiler, no capsule or no place
-  to build, and silently for the update-variant ablations, which are
-  defined on the NumPy kernels.
+  to build, and silently for a dtype the C code has no body for.
 
 Compiling, caching (``${XDG_CACHE_HOME:-~/.cache}/repro/
 native-<hash>.so``) and loading are :mod:`repro.cbuild`'s.
@@ -173,23 +172,19 @@ def availability() -> Optional[str]:
     return None
 
 
-def resolve_kernels(
-    requested: str, *, ablation: bool = False, dtype: Any = np.float64
-) -> str:
+def resolve_kernels(requested: str, *, dtype: Any = np.float64) -> str:
     """Effective kernel backend for a requested one.
 
     ``"numpy"`` is always honoured.  ``"native"`` stays ``"native"``
-    when the library loads, the dtype is float64/complex128 and no
-    ablation is set; the ablations (``workspace=False``,
-    ``variant="left"``) are defined on the NumPy kernels and resolve to
-    ``"numpy"`` silently, an unusable library does so with a
-    ``RuntimeWarning``.
+    when the library loads and the dtype is float64/complex128; another
+    dtype resolves to ``"numpy"`` silently, an unusable library does so
+    with a ``RuntimeWarning``.
     """
     if requested == "numpy":
         return "numpy"
     if requested != "native":
         raise ValueError(f"unknown kernels backend {requested!r}")
-    if ablation or np.dtype(dtype) not in (np.float64, np.complex128):
+    if np.dtype(dtype) not in (np.float64, np.complex128):
         return "numpy"
     try:
         load()

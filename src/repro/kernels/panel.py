@@ -188,39 +188,13 @@ def _facing_operand(factor, k: int, w: int, i0: int, i1: int):
     return b_mid
 
 
-def panel_update(factor, k: int, t: int, *, workspace: bool = True) -> None:
+def panel_update(factor, k: int, t: int) -> None:
     """Apply the update of factorized panel ``k`` onto facing panel ``t``.
 
-    ``workspace=True`` computes the outer product into a contiguous
-    temporary and scatters it afterwards (the paper's CPU strategy,
-    :func:`panel_update_compute` + :func:`panel_update_scatter`);
-    ``workspace=False`` routes through the blok-wise direct-scatter kernel
-    (the GPU-style kernel twin, see :mod:`repro.kernels.sparse_gemm`).
+    The outer product is computed into a contiguous temporary and
+    scattered afterwards (the paper's CPU strategy,
+    :func:`panel_update_compute` + :func:`panel_update_scatter`).
     """
-    if workspace:
-        parts = panel_update_compute(factor, k, t)
-        if parts is not None:
-            panel_update_scatter(factor, t, parts)
-        return
-
-    sym = factor.symbol
-    w = sym.cblk_width(k)
-    maps = _update_maps(factor, k, t)
-    if maps is None:
-        return  # k does not actually face t
-    i0, i1, rows_local, cols_local, _rk_size = maps
-    Lk = factor.L[k]
-
-    from repro.kernels.sparse_gemm import sparse_gemm_scatter
-
-    sparse_gemm_scatter(
-        Lk[w + i0:, :], _facing_operand(factor, k, w, i0, i1), factor.L[t],
-        rows_local, cols_local,
-    )
-
-    nn = i1 - i0
-    if factor.factotype == "lu" and rows_local.size > nn:
-        sparse_gemm_scatter(
-            factor.U[k][w + i1:, :], Lk[w + i0: w + i1, :], factor.U[t],
-            rows_local[nn:], cols_local,
-        )
+    parts = panel_update_compute(factor, k, t)
+    if parts is not None:
+        panel_update_scatter(factor, t, parts)

@@ -34,45 +34,12 @@ import numpy as np
 __all__ = [
     "CpuPerfModel",
     "GpuKernelModel",
-    "TransferCostModel",
     "cublas_rate",
     "astra_rate",
     "sparse_astra_rate",
     "gemm_occupancy",
 ]
 
-
-@dataclass(frozen=True)
-class TransferCostModel:
-    """Latency + bandwidth cost of moving panel bytes over PCIe.
-
-    The defining ingredient of StarPU's ``dmda`` ("data-aware") ranking:
-    a task's expected completion on a device is its kernel time *plus*
-    the time to stage its operands across the link.  Defaults mirror
-    :class:`repro.machine.model.GpuSpec` (6 GB/s effective PCIe x16 gen2,
-    15 µs per-transfer latency); the adaptive scheduler uses this model
-    to charge each task its simulated-GPU staging cost when ranking by
-    expected completion (see :mod:`repro.runtime.adaptive`).
-    """
-
-    #: Per-transfer fixed latency in seconds.
-    latency_s: float = 15e-6
-    #: Effective link bandwidth, GB/s (both directions modelled as one).
-    gbps: float = 6.0
-
-    def cost(self, nbytes: float) -> float:
-        """Seconds to move ``nbytes`` across the link (one transfer)."""
-        if nbytes <= 0.0:
-            return 0.0
-        return self.latency_s + float(nbytes) / (self.gbps * 1e9)
-
-    @classmethod
-    def from_spec(cls, spec: "object") -> "TransferCostModel":
-        """Build from a :class:`~repro.machine.model.GpuSpec`."""
-        return cls(
-            latency_s=float(getattr(spec, "transfer_latency_s", 15e-6)),
-            gbps=float(getattr(spec, "h2d_gbps", 6.0)),
-        )
 
 # ----------------------------------------------------------------------
 # GPU kernel models (Figure 3)

@@ -23,8 +23,7 @@ backpressure, hedged re-execution):
   driven by an EWMA of observed-over-expected task duration per
   resource, where the expectation is per-(kernel, size-bucket): either
   supplied by the caller (the simulators know their duration model) or
-  learned online as a running mean over currently-healthy workers (the
-  real threaded runtime).
+  learned online as a running mean over currently-healthy workers.
 
 Every transition the monitor takes is returned to the caller, which
 records it as a :class:`~repro.runtime.tracing.HealthEvent`; the R702
@@ -56,12 +55,9 @@ def bucket_key(kind: int, flops: float) -> str:
 
     ``"<kind>:<log2 bucket>"`` where the bucket is the floor of
     ``log2(flops)`` (flops clamped to >= 1, so a costless task lands in
-    bucket 0).  Every consumer of per-kernel duration statistics — the
-    threaded runtime's health monitor, the machine simulator's, and the
-    adaptive scheduler's :class:`~repro.runtime.adaptive.PerfHistory` —
-    must key through this one helper so their buckets can never drift
-    apart (a drifted key would silently reset a worker's EWMA or fork
-    the duration model per engine).
+    bucket 0).  Every consumer of per-kernel duration statistics keys
+    through this one helper so their buckets can never drift apart (a
+    drifted key would silently reset a worker's EWMA).
     """
     return f"{int(kind)}:{int(math.log2(max(float(flops), 1.0)))}"
 
@@ -122,8 +118,8 @@ class HealthPolicy:
     #: Signal floor: an observation whose duration *and* expectation
     #: both sit below this carries no health signal (on microsecond
     #: tasks, scheduler jitter alone exceeds every ratio threshold)
-    #: and is only used to learn the expectation.  The wall-clock
-    #: runtime sets this to a few OS-scheduling quanta; the simulators
+    #: and is only used to learn the expectation.  On wall-clock
+    #: durations it would be a few OS-scheduling quanta; the simulators
     #: keep the 0.0 default (their virtual durations are exact).
     min_duration_s: float = 0.0
     #: Dwell time in quarantine before the probe into probation.
@@ -154,8 +150,8 @@ class HealthMonitor:
     :meth:`tick` from their dispatch loop; both return the list of
     transitions taken (``(resource, src, dst, time, ratio, reason)``)
     for the caller to record as trace :class:`HealthEvent` rows.  All
-    mutating entry points take an internal lock, so the threaded
-    runtime may observe from many workers concurrently.
+    mutating entry points take an internal lock, so an engine may
+    observe from many threads concurrently.
     """
 
     def __init__(

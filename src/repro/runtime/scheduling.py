@@ -1,38 +1,30 @@
-"""Pluggable ready-task schedulers for the real threaded runtime.
+"""Ready-task schedulers for the real threaded runtime.
 
 The machine *simulator* reproduces the paper's three software stacks as
-:class:`~repro.runtime.base.SchedulerPolicy` subclasses; this module is
-their **real-thread twin**: the same scheduling shapes, but driving live
-worker threads in :mod:`repro.runtime.threaded` instead of a virtual
-clock.  §IV of the paper argues that multicore performance is decided by
-exactly these policy differences, so the threaded engine lets each one
-be measured on real wall-clock:
+:class:`~repro.runtime.base.SchedulerPolicy` subclasses, dmda's
+measured-model loop included; this module holds the few policies the
+live worker pool of :mod:`repro.runtime.threaded` needs.  The pool runs
+a handful of unit tasks per worker, and on it no ordering measurably
+beats plain work stealing, so that is the default for both phases:
 
-* :class:`GlobalFifoScheduler` (``"fifo"``) — the engine's historical
-  baseline: one shared FIFO queue.  Every push and pop crosses one lock;
-  no locality, no priorities.  Kept as the reference the perf gate
-  measures the others against.
 * :class:`WorkStealingScheduler` (``"ws"``) — PaStiX-native twin: one
   deque per worker, LIFO push/pop on the owner's end (depth-first, warm
   caches) and randomized FIFO stealing from victims' opposite end.
-* :class:`CriticalPathScheduler` (``"priority"``) — dmda/StarPU twin: a
-  shared heap ordered by flops-weighted longest-path-to-sink levels
+* :class:`CriticalPathScheduler` (``"priority"``) — a shared heap
+  ordered by flops-weighted longest-path-to-sink levels
   (:func:`repro.dag.analysis.longest_path_levels`), so the critical
-  chain never waits behind bulk updates.
-* :class:`LastPanelAffinityScheduler` (``"affinity"``) — PaRSEC
-  cache-reuse twin: an update task is routed to the worker that last
-  touched its target panel, keeping a panel's scatter-adds on the core
-  whose cache holds it; stealing backstops load balance.
+  chain never waits behind bulk work; kept for DAGs with more tasks than
+  the unit DAG, where an order could start to matter.
 * :class:`InversePriorityScheduler` (``"inverse-priority"``) — a
   deliberately mis-prioritized heap (shortest path first).  Exists only
   as fault injection for the robustness tests (the worst admissible
   pop order must still give the same factor); never a sensible choice.
 
-Thread-safety contract: ``push``/``pop``/``on_complete`` are called
-concurrently from worker threads.  ``pop`` may transiently return
-``None`` while ``has_work()`` is true (a steal race); callers must
-re-poll rather than treat ``None`` as termination — the runtime's
-parking protocol in :mod:`repro.runtime.threaded` does exactly that.
+Thread-safety contract: ``push``/``pop`` are called concurrently from
+worker threads.  ``pop`` may transiently return ``None`` while
+``has_work()`` is true (a steal race); callers must re-poll rather than
+treat ``None`` as termination — the runtime's parking protocol in
+:mod:`repro.runtime.threaded` does exactly that.
 """
 
 from __future__ import annotations
@@ -43,14 +35,12 @@ import threading
 from collections import deque
 from typing import Callable, Optional
 
-from repro.dag.tasks import TaskDAG, TaskKind
+from repro.dag.tasks import TaskDAG
 
 __all__ = [
     "ThreadScheduler",
-    "GlobalFifoScheduler",
     "WorkStealingScheduler",
     "CriticalPathScheduler",
-    "LastPanelAffinityScheduler",
     "InversePriorityScheduler",
     "THREAD_SCHEDULERS",
     "get_thread_scheduler",
@@ -75,16 +65,6 @@ class ThreadScheduler:
     #: read on the steal path and nothing on the local path.
     observer: Optional[Callable[[str, int, int, int], None]] = None
 
-    #: Optional health oracle installed by the runtime when worker
-    #: health monitoring is armed: ``health_rank(worker) -> 0|1|2``
-    #: (see :data:`repro.resilience.HEALTH_RANK`).  Policies use it to
-    #: degrade gracefully — a rank>=1 (degraded) worker receives no
-    #: routed work and steals nothing, so a limping core drains its own
-    #: queue without accreting more.  ``None`` (the default) costs one
-    #: attribute read; scheduling is then byte-identical to a build
-    #: without health monitoring.
-    health_rank: Optional[Callable[[int], int]] = None
-
     dag: TaskDAG
     n_workers: int
 
@@ -108,27 +88,9 @@ class ThreadScheduler:
         """Hand ``worker`` a task, or ``None`` if it found nothing."""
         raise NotImplementedError
 
-    def on_complete(self, task: int, worker: int) -> None:
-        """Bookkeeping hook after ``task`` finished on ``worker``."""
-
     def has_work(self) -> bool:
         """Approximate emptiness probe (used by the parking protocol)."""
         raise NotImplementedError
-
-    # -- measured-duration feedback ------------------------------------
-    #: Set by policies that want :meth:`on_duration` called; the runtime
-    #: checks this flag so non-adaptive schedulers pay no clock reads.
-    wants_durations = False
-
-    def on_duration(self, task: int, seconds: float) -> None:
-        """Measured wall-clock duration of a *committed* ``task``.
-
-        Called by the threaded runtime once per successful task body
-        (never for a failed attempt), from
-        the worker thread that ran it.  The default is a no-op; the
-        adaptive scheduler folds the sample into its
-        :class:`~repro.runtime.adaptive.PerfHistory`.
-        """
 
     # -- diagnostics ---------------------------------------------------
     def snapshot(self, limit: int = 15) -> list[int]:
@@ -138,39 +100,6 @@ class ThreadScheduler:
     def stats(self) -> dict:
         """Counters for benchmark reports (best-effort, race-tolerant)."""
         return {}
-
-
-class GlobalFifoScheduler(ThreadScheduler):
-    """One shared FIFO deque behind one lock (the legacy engine)."""
-
-    name = "fifo"
-
-    def setup(self) -> None:
-        self._queue: deque[int] = deque()
-        self._lock = threading.Lock()
-
-    def push(self, task: int, worker: int) -> int:
-        with self._lock:
-            self._queue.append(task)
-        return -1
-
-    def pop(self, worker: int) -> Optional[int]:
-        with self._lock:
-            if self._queue:
-                return self._queue.popleft()
-        return None
-
-    def has_work(self) -> bool:
-        # Deliberately lock-free: a deque's truthiness is a single
-        # atomic length read under CPython's GIL (append/popleft never
-        # leave the length transiently wrong), and the parking protocol
-        # re-polls after a false positive/negative, so a stale answer
-        # costs at most one bounded nap — never a lost task.
-        return bool(self._queue)  # noqa: RV405
-
-    def snapshot(self, limit: int = 15) -> list[int]:
-        with self._lock:
-            return [int(t) for t in list(self._queue)[:limit]]
 
 
 class WorkStealingScheduler(ThreadScheduler):
@@ -200,25 +129,14 @@ class WorkStealingScheduler(ThreadScheduler):
         self._n_steals = [0] * n
         self._n_local = [0] * n
 
-    def _route(self, task: int, worker: int) -> int:
-        """Which deque should ``task`` land on?"""
-        hr = self.health_rank
-        if 0 <= worker < self.n_workers:
-            if hr is None or hr(worker) == 0:
-                return worker
-        for _ in range(self.n_workers):
+    def push(self, task: int, worker: int) -> int:
+        # A worker keeps what it releases; initial seeding (worker -1)
+        # deals the sources round-robin.
+        w = worker
+        if not 0 <= w < self.n_workers:
             with self._seed_lock:
                 w = self._seed_next
                 self._seed_next = (w + 1) % self.n_workers
-            if hr is None or hr(w) == 0:
-                return w
-        # Every worker is degraded or worse: fall back to anyone rather
-        # than strand the task (the monitor never quarantines the last
-        # dispatchable worker, so w is at worst degraded).
-        return w
-
-    def push(self, task: int, worker: int) -> int:
-        w = self._route(task, worker)
         with self._locks[w]:
             self._local[w].append(task)
         return w
@@ -228,13 +146,6 @@ class WorkStealingScheduler(ThreadScheduler):
             if self._local[worker]:
                 self._n_local[worker] += 1
                 return self._local[worker].pop()      # LIFO: own end
-        hr = self.health_rank
-        if hr is not None and hr(worker) >= 1:
-            # A degraded worker drains its own deque but never steals:
-            # pulling work onto a limping core only makes it slower for
-            # everyone.  (Stealing *from* it stays allowed — that is
-            # how its queue drains when the runtime parks it.)
-            return None
         order = self._victims[worker]
         if order:
             self._rngs[worker].shuffle(order)
@@ -254,10 +165,11 @@ class WorkStealingScheduler(ThreadScheduler):
         return None
 
     def has_work(self) -> bool:
-        # Deliberately lock-free (same memory-model argument as the
-        # FIFO probe): len() of a deque is one atomic read per victim,
-        # and the parking protocol tolerates stale answers by
-        # re-polling with a bounded nap.
+        # Deliberately lock-free: len() of a deque is one atomic read
+        # per victim under CPython's GIL (append/pop never leave the
+        # length transiently wrong), and the parking protocol tolerates
+        # a stale answer by re-polling after a bounded nap — never a
+        # lost task.
         return any(len(q) > 0 for q in self._local)  # noqa: RV405
 
     def snapshot(self, limit: int = 15) -> list[int]:
@@ -279,57 +191,6 @@ class WorkStealingScheduler(ThreadScheduler):
         }
 
 
-class LastPanelAffinityScheduler(WorkStealingScheduler):
-    """Route a panel's updates to the worker that last touched it.
-
-    The PaRSEC cache-reuse shape (§V-A): the completion hook records
-    which worker last wrote each panel; when an update task into that
-    panel becomes ready it is pushed onto that worker's deque, so the
-    scatter-adds into one facing panel tend to run where the panel is
-    already cached.  Everything else (local LIFO, randomized stealing)
-    is inherited from :class:`WorkStealingScheduler` — stealing keeps
-    the affinity preference from starving idle workers.
-    """
-
-    name = "affinity"
-
-    def setup(self) -> None:
-        super().setup()
-        n_panels = (
-            self.dag.symbol.n_cblk if self.dag.symbol is not None
-            else int(self.dag.target.max()) + 1 if self.dag.n_tasks else 0
-        )
-        # owner[p] == worker that last touched panel p (-1: nobody yet).
-        self._owner = [-1] * n_panels
-        self._n_affine = [0] * self.n_workers
-
-    def _route(self, task: int, worker: int) -> int:
-        if int(self.dag.kind[task]) == int(TaskKind.UPDATE):
-            owner = self._owner[int(self.dag.target[task])]
-            if 0 <= owner < self.n_workers:
-                hr = self.health_rank
-                if hr is not None and hr(owner) >= 1:
-                    # Cache affinity loses to health: a warm cache on a
-                    # limping core is still a limping core.
-                    return super()._route(task, worker)
-                if 0 <= worker < self.n_workers:
-                    # Best-effort counter: a lost increment only skews a
-                    # benchmark stat, never routing.
-                    self._n_affine[worker] += 1  # noqa: RV401
-                return owner
-        return super()._route(task, worker)
-
-    def on_complete(self, task: int, worker: int) -> None:
-        # A panel task touches its own panel; an update task touches the
-        # facing panel it scattered into.
-        self._owner[int(self.dag.target[task])] = worker
-
-    def stats(self) -> dict:
-        out = super().stats()
-        out["affine_routes"] = int(sum(self._n_affine))
-        return out
-
-
 class CriticalPathScheduler(ThreadScheduler):
     """Shared max-heap on longest-path-to-sink levels (dmda twin).
 
@@ -337,8 +198,7 @@ class CriticalPathScheduler(ThreadScheduler):
     homogeneous CPU pool that collapses to critical-path list
     scheduling, which this implements exactly: the ready task with the
     heaviest remaining dependency chain runs first.  One lock guards the
-    heap — the point of this policy is *ordering*, and the bench harness
-    quantifies what that ordering buys against the lock's cost.
+    heap — the point of this policy is *ordering*, not throughput.
     """
 
     name = "priority"
@@ -394,15 +254,10 @@ class InversePriorityScheduler(CriticalPathScheduler):
 
 
 THREAD_SCHEDULERS: dict[str, type[ThreadScheduler]] = {
-    GlobalFifoScheduler.name: GlobalFifoScheduler,
     WorkStealingScheduler.name: WorkStealingScheduler,
     CriticalPathScheduler.name: CriticalPathScheduler,
-    LastPanelAffinityScheduler.name: LastPanelAffinityScheduler,
     InversePriorityScheduler.name: InversePriorityScheduler,
 }
-# :class:`repro.runtime.adaptive.AdaptiveScheduler` ("adaptive")
-# registers itself when its module is imported (see the bottom of this
-# file); it lives apart because it pulls in the measured-history model.
 
 
 def get_thread_scheduler(
@@ -422,10 +277,3 @@ def get_thread_scheduler(
         ) from None
     return cls()
 
-
-# Imported last so the cycle resolves whichever module loads first:
-# repro.runtime.adaptive subclasses ThreadScheduler (defined above) and
-# registers itself in THREAD_SCHEDULERS at its own import time.  A plain
-# ``import`` (no attribute access) keeps this safe even when adaptive's
-# own import of this module triggered it.
-import repro.runtime.adaptive  # noqa: E402,F401  isort:skip

@@ -1,13 +1,11 @@
 """Real parallel execution of the factorization DAG on Python threads.
 
-NumPy's BLAS kernels release the GIL, so panel factorizations and GEMM
-updates genuinely overlap across worker threads.  Scheduling is
-pluggable (:mod:`repro.runtime.scheduling`): per-worker work-stealing
-deques (PaStiX twin), a critical-path-priority heap (dmda twin), a
-last-panel-affinity router (PaRSEC cache-reuse twin), or the legacy
-global FIFO baseline — selected via ``factorize_threaded(...,
-scheduler=...)`` and stamped into the trace's ``meta`` for the S2xx
-verifier.
+The native kernel and NumPy's BLAS release the GIL, so task bodies
+genuinely overlap across worker threads.  The ready queue is
+per-worker work stealing (the PaStiX shape) for both phases; a
+critical-path heap can be picked instead with ``scheduler="priority"``
+(:mod:`repro.runtime.scheduling`), and the choice is stamped into the
+trace's ``meta`` for the S2xx verifier.
 
 The pool executes the *unit* DAG (``build_dag(granularity="unit")``):
 one left-looking task per panel or fused leaf subtree, edges along the
@@ -21,7 +19,8 @@ interleaving (:class:`_ThreadedUnitRun`).  The solve runs the same way
 update task per couple) is the simulators' (:mod:`repro.machine`); no
 real execution runs it.
 
-Common to both (:class:`_PoolRun`):
+Common to both (:class:`_PoolRun`), whose worker loop is pop → run →
+publish:
 
 * completion notifications use per-worker wakeup events instead of one
   global condition variable, so finishing a task never stampedes the
@@ -44,13 +43,6 @@ from repro.kernels import native
 from repro.kernels.dense import triangular_solve
 from repro.kernels.indexcache import get_couple_cache
 from repro.kernels.panel import panel_factorize, panel_update
-from repro.resilience import (
-    FaultModel,
-    HealthMonitor,
-    HealthPolicy,
-    bucket_key,
-    window_factor,
-)
 from repro.runtime.scheduling import ThreadScheduler, get_thread_scheduler
 from repro.runtime.tracing import ExecutionTrace
 from repro.sparse.csc import SparseMatrixCSC
@@ -95,11 +87,11 @@ class _PoolRun:
                  scheduler: ThreadScheduler | str,
                  max_retries: int = 0,
                  watchdog_s: float | None = None,
-                 record_sync: bool = False,
-                 faults: Optional[FaultModel] = None,
-                 health: Optional[HealthPolicy] = None) -> None:
+                 record_sync: bool = False) -> None:
+        if int(n_workers) < 1:
+            raise ValueError("n_workers must be positive")
         self.dag = dag
-        self.n_workers = max(1, int(n_workers))
+        self.n_workers = int(n_workers)
         self.trace = trace
         self.max_retries = max_retries
         self.watchdog_s = watchdog_s
@@ -130,57 +122,6 @@ class _PoolRun:
         self.aborted = False
         self.t0 = time.perf_counter()
 
-        # Fault injection (wall-clock engine).  Only *declarative*
-        # fault state is consumed — spec-pinned stragglers and the
-        # persistent limplock windows; rate-based kinds draw from a
-        # shared RNG whose consumption order is thread-racy here, so
-        # the simulators own those.  Slowdowns are injected as sleeps
-        # proportional to measured kernel time, which perturbs timing
-        # only: the numerics stay bitwise identical to a fault-free
-        # run.
-        self.faults = faults
-        self._limp: dict[int, list] = {}
-        self._straggle: dict[int, float] = {}
-        if faults is not None:
-            self._limp = faults.pop_windows("limplock")
-            # Only task-pinned stragglers: which attempt a floating or
-            # rate-drawn spec matches depends on thread interleaving.
-            for s in list(faults.specs):
-                if s.kind == "straggler" and s.task >= 0:
-                    self._straggle[s.task] = max(s.factor, 1.0)
-                    faults.specs.remove(s)
-            if trace is not None:
-                trace.meta["faults"] = {"seed": faults.seed}
-                for w, spans in sorted(self._limp.items()):
-                    for (w0, _until, _f) in spans:
-                        trace.record_fault("limplock", -1, -1,
-                                           f"cpu{w}", w0, w0)
-                        trace.record_recovery("degrade", -1, -1,
-                                              f"cpu{w}", w0)
-
-        # Worker health monitoring.  Every hook below is gated on
-        # ``self.health is not None`` so a run without monitoring goes
-        # through byte-identical code paths.  Hedged re-execution is
-        # simulated only (the machine simulator's R7xx scenarios).
-        self.health: Optional[HealthMonitor] = None
-        if health is not None:
-            self.health = HealthMonitor(
-                (f"cpu{w}" for w in range(self.n_workers)), policy=health)
-            #: task -> (worker, start) of the attempts in flight (the
-            #: watchdog's in-flight ages).
-            self._inflight: dict[int, tuple[int, float]] = {}
-            # Per-worker event buffers, merged at run() exit like the
-            # task rows (recording never takes a shared lock).
-            self._health_rows: list[list[tuple]] = [
-                [] for _ in range(self.n_workers)
-            ]
-            #: Wall time of each worker's last completed task (watchdog
-            #: diagnostics; single-writer per slot, lock-free).
-            self._last_done = [0.0] * self.n_workers
-            self.scheduler.health_rank = (
-                lambda w: self.health.rank(f"cpu{w}"))
-            if trace is not None:
-                trace.meta["health"] = {"hedge": False}
         if trace is not None:
             trace.meta["producer"] = "runtime.threaded"
             # Wall clock: timings and thread placement vary run to run,
@@ -213,53 +154,6 @@ class _PoolRun:
             now = self._now()
             self._sync(kind, worker, f"worker{victim}", task, now, now)
 
-    # -- fault injection and health monitoring --------------------------
-    def _health_key(self, t: int) -> str:
-        """(kernel, size-bucket) expectation key for task ``t``."""
-        kind = int(self.dag.kind[t])
-        flops = getattr(self.dag, "flops", None)
-        if flops is None:
-            return bucket_key(kind, 0.0)
-        return bucket_key(kind, float(flops[t]))
-
-    def _record_health(self, worker: int, transitions) -> None:
-        """Buffer monitor transitions (caller is worker ``worker``)."""
-        if transitions and self.trace is not None:
-            self._health_rows[worker].extend(transitions)
-
-    def _inject(self, t: int, worker: int, kern_s: float) -> None:
-        """Sleep out the injected slowdown of task ``t`` on ``worker``.
-
-        The sleep is proportional to the just-measured kernel time
-        (``factor``x slowdown = ``(factor-1) * kern_s`` extra), so the
-        perturbation is purely temporal: numerics stay bitwise
-        identical to a fault-free run.
-        """
-        if self.faults is None:
-            return
-        now = self._now()
-        factor = window_factor(self._limp[worker], now) \
-            if worker in self._limp else 1.0
-        sf = self._straggle.pop(t, None)
-        if sf is not None:
-            factor *= sf
-        if factor <= 1.0:
-            return
-        extra = kern_s * (factor - 1.0)
-        if sf is not None and self.trace is not None:
-            cblk = int(self.dag.cblk[t])
-            # One-shot straggler: trace-visible as a fault absorbed in
-            # place (the R601 pairing for stragglers).  Persistent
-            # limplock was already recorded once at its onset.
-            with self.state:
-                self.trace.record_fault(
-                    "straggler", t, cblk, f"cpu{worker}", now, now + extra)
-                self.trace.record_recovery(
-                    "absorb", t, cblk, f"cpu{worker}", now + extra)
-        # The nap IS the fault being modeled (a limping core burning
-        # wall time), not a synchronization shortcut.
-        time.sleep(extra)  # noqa: RV404
-
     # -- task body (subclass surface) ----------------------------------
     def _run_task(self, t: int, worker: int) -> None:
         raise NotImplementedError
@@ -271,36 +165,14 @@ class _PoolRun:
         return self.scheduler.push(t, worker)  # noqa: RV405
 
     def _execute(self, t: int, worker: int) -> None:
-        start = time.perf_counter() - self.t0
-        if self.health is None:
+        if self.trace is None:
             self._run_task(t, worker)
-            if self.trace is not None or self.scheduler.wants_durations:
-                end = time.perf_counter() - self.t0
-                if self.trace is not None:
-                    # Buffered: merged into the trace at run() exit so
-                    # a traced completion never takes a shared lock.
-                    self._trace_rows[worker].append((t, start, end))
-                if self.scheduler.wants_durations:
-                    # Measured-duration feedback for the adaptive
-                    # model; exactly once per completed task.
-                    self.scheduler.on_duration(t, end - start)
             return
-        # Monitored: register the in-flight attempt (the watchdog's
-        # in-flight ages), time the body, and feed the duration to the
-        # health monitor.
-        self._inflight[t] = (worker, start)
-        try:
-            self._run_task(t, worker)
-        finally:
-            self._inflight.pop(t, None)
-        end = time.perf_counter() - self.t0
-        self._record_health(worker, self.health.observe(
-            f"cpu{worker}", self._health_key(t), end - start, end))
-        self._last_done[worker] = end
-        if self.scheduler.wants_durations:
-            self.scheduler.on_duration(t, end - start)
-        if self.trace is not None:
-            self._trace_rows[worker].append((t, start, end))
+        start = self._now()
+        self._run_task(t, worker)
+        # Buffered: merged into the trace at run() exit so a traced
+        # completion never takes a shared lock.
+        self._trace_rows[worker].append((t, start, self._now()))
 
     # -- bookkeeping ---------------------------------------------------
     def _settled(self) -> int:
@@ -362,9 +234,6 @@ class _PoolRun:
             pub = self._now() if self._sync_rows is not None else 0.0
         if self._sync_rows is not None:
             self._sync("publish", worker, "pool", t, pub, pub)
-        # Affinity bookkeeping first, so freshly released successors
-        # route to the worker whose cache just touched the panel.
-        self.scheduler.on_complete(t, worker)
         if terminal:
             self._wake_all()
             return
@@ -430,18 +299,6 @@ class _PoolRun:
             with self.state:
                 if self.aborted or self._settled() >= self.dag.n_tasks:
                     return
-            if self.health is not None \
-                    and self.health.rank(f"cpu{worker}") == 2:
-                # Quarantined: take no work (the R703 contract).  Park
-                # on the usual timeout and tick the monitor so the
-                # dwell timer can release us into probation; peers keep
-                # stealing whatever sits in our deque.
-                self._record_health(
-                    worker, self.health.tick(self._now()))
-                ev = self.wakeups[worker]
-                ev.clear()
-                ev.wait(timeout=_PARK_TIMEOUT_S)
-                continue
             t = self.scheduler.pop(worker)
             if t is None:
                 self._park(worker)
@@ -468,7 +325,7 @@ class _PoolRun:
             blocked = int(
                 sum(1 for t in pending if self.deps_left[t] > 0)
             )
-            msg = (
+            return (
                 f"threaded {self.phase_label} made no progress for "
                 f"{self.watchdog_s}s: "
                 f"{self.n_done}/{self.dag.n_tasks} done, "
@@ -477,25 +334,6 @@ class _PoolRun:
                 f"{len(frontier)} released-but-unrun task(s) "
                 f"{frontier[:15]}; {blocked} task(s) with deps_left > 0"
             )
-            if self.health is not None:
-                # Which worker is wedged and how long has its in-flight
-                # task sat there — the first question a stalled-pool
-                # report gets asked.
-                now = self._now()
-                snap = self.health.snapshot()
-                per = ", ".join(
-                    f"cpu{w}:{snap[f'cpu{w}'][0]}"
-                    f"(ewma={snap[f'cpu{w}'][1]:.2f},"
-                    f" last_done={now - self._last_done[w]:.2f}s ago)"
-                    for w in range(self.n_workers)
-                )
-                ages = {
-                    t: f"{now - st:.2f}s on cpu{w}"
-                    for t, (w, st) in sorted(self._inflight.items())
-                }
-                msg += (f"; worker health [{per}]; "
-                        f"in-flight task ages {ages}")
-            return msg
 
     def _merge_trace(self) -> None:
         if self.trace is None:
@@ -504,22 +342,6 @@ class _PoolRun:
             for t, start, end in self._trace_rows[w]:
                 self.trace.record(t, f"cpu{w}", start, end)
         self._trace_rows = [[] for _ in range(self.n_workers)]
-        stamp = getattr(self.scheduler, "model_stamp", None)
-        if stamp is not None:
-            # Adaptive-model provenance (model version + sample counts);
-            # deterministic by contract, so it is safe inside the D8xx
-            # fingerprint whitelist and audited by the A9xx pass.
-            self.trace.meta["adaptive"] = stamp()
-        if self.health is not None:
-            for w in range(self.n_workers):
-                for (res, src, dst, when, ratio, rsn) in self._health_rows[w]:
-                    self.trace.record_health(res, src, dst, when, ratio, rsn)
-            self._health_rows = [[] for _ in range(self.n_workers)]
-            self.trace.meta["health"] = {
-                "hedge": False,
-                "n_observations": self.health.n_observations,
-                "n_transitions": self.health.n_transitions,
-            }
         if self._sync_rows is not None:
             for rows in self._sync_rows:
                 for r in rows:
@@ -608,8 +430,7 @@ class _ThreadedUnitRun(_PoolRun):
     takes no lock.  The kernels are the sequential driver's: on the
     native backend one GIL-free C call per unit
     (:func:`repro.kernels.native.factorize_panels`, per-worker scratch),
-    else :func:`panel_update` (workspace compute + scatter, or the
-    direct-scatter twin).
+    else :func:`panel_update` and :func:`panel_factorize`.
 
     A body only writes its own unit's panels, so with a retry budget it
     copies them first and puts the copy back when it raises: the retry
@@ -619,15 +440,13 @@ class _ThreadedUnitRun(_PoolRun):
     phase_label = "factorization"
 
     def __init__(self, factor: NumericFactor, dag, n_workers: int,
-                 workspace: bool, trace: Optional[ExecutionTrace],
-                 **pool_options) -> None:
+                 trace: Optional[ExecutionTrace], **pool_options) -> None:
         super().__init__(dag, n_workers, trace, **pool_options)
         self.factor = factor
-        self.workspace = workspace
         # Here, not in the workers: a plan that fails its checks raises
         # in the caller's thread, before the pool exists.
         self._scratch = (
-            [native.Scratch(factor) for _ in range(n_workers)]
+            [native.Scratch(factor) for _ in range(self.n_workers)]
             if factor.kernels == "native" else None
         )
 
@@ -645,7 +464,6 @@ class _ThreadedUnitRun(_PoolRun):
              for side in self._sides()]
             if self.max_retries > 0 else None
         )
-        k0 = time.perf_counter() if self.faults is not None else 0.0
         try:
             if self._scratch is not None:
                 native.factorize_panels(factor, panels,
@@ -654,7 +472,7 @@ class _ThreadedUnitRun(_PoolRun):
                 cache = factor.index_cache
                 for k in panels.tolist():
                     for j in cache.source_ids(k):
-                        panel_update(factor, j, k, workspace=self.workspace)
+                        panel_update(factor, j, k)
                     panel_factorize(factor, k)
         except BaseException:
             if saved is not None:
@@ -662,8 +480,6 @@ class _ThreadedUnitRun(_PoolRun):
                     for k, copy in zip(panels.tolist(), copies):
                         side[k][...] = copy
             raise
-        if self.faults is not None:
-            self._inject(t, worker, time.perf_counter() - k0)
 
 
 class _ThreadedSolve:
@@ -775,7 +591,7 @@ class _ThreadedSolveRun(_PoolRun):
                  n_workers: int,
                  trace: Optional[ExecutionTrace] = None,
                  watchdog_s: float | None = None,
-                 scheduler: ThreadScheduler | str = "fifo",
+                 scheduler: ThreadScheduler | str = "ws",
                  record_sync: bool = False) -> None:
         super().__init__(dag, n_workers, trace, scheduler,
                          max_retries=0, watchdog_s=watchdog_s,
@@ -794,7 +610,7 @@ def solve_threaded(
     *,
     n_workers: int = 4,
     watchdog_s: float | None = None,
-    scheduler: ThreadScheduler | str = "fifo",
+    scheduler: ThreadScheduler | str = "ws",
     trace: Optional[ExecutionTrace] = None,
     record_sync: bool = False,
 ) -> np.ndarray:
@@ -807,8 +623,8 @@ def solve_threaded(
     worker pool; the DAG is memoised on the symbol, so repeated solves
     build it once.  ``watchdog_s`` turns a wedged pool into a diagnostic
     ``RuntimeError`` instead of an unbounded ``join()``; ``scheduler``
-    picks the ready-queue policy (the DAG has a few tasks per worker, so
-    the default stays the cheap global FIFO).
+    picks the ready-queue policy (work stealing by default, as for the
+    factorization).
 
     The task bodies follow ``factor.kernels`` (:class:`_ThreadedSolve`):
     one native C call per task on a native factor, the NumPy bodies
@@ -838,7 +654,6 @@ def factorize_threaded(
     factotype: str,
     *,
     n_workers: int = 4,
-    workspace: bool = True,
     dtype=None,
     trace: Optional[ExecutionTrace] = None,
     max_retries: int = 0,
@@ -846,8 +661,6 @@ def factorize_threaded(
     scheduler: ThreadScheduler | str = "ws",
     pivot_threshold: float = 0.0,
     record_sync: bool = False,
-    faults: Optional[FaultModel] = None,
-    health: Optional[HealthPolicy] = None,
     kernels: str = "native",
 ) -> NumericFactor:
     """Factorize on a thread pool; returns the :class:`NumericFactor`.
@@ -862,15 +675,13 @@ factorize_sequential`'s on the same backend for any worker count,
     ``kernels`` selects the numeric backend: ``"native"`` (the default:
     one C call per unit, :mod:`repro.kernels.native`; equal to the NumPy
     kernels to roundoff) or ``"numpy"`` (the reference).  ``"native"``
-    falls back to ``"numpy"`` when it cannot be built here and when
-    ``workspace`` is off (an ablation of the NumPy kernels).  Both the
+    falls back to ``"numpy"`` when it cannot be built here.  Both the
     requested and the *effective* backend are stamped into
     ``trace.meta``, with the couple plan's counters.
 
     ``scheduler`` selects the ready-queue policy by registry name
-    (``"ws"`` work stealing — the default, ``"priority"`` critical-path
-    heap, ``"affinity"`` last-panel cache reuse, ``"fifo"`` the legacy
-    shared queue) or accepts a :class:`~repro.runtime.scheduling.\
+    (``"ws"`` work stealing — the default — or ``"priority"``, a
+    critical-path heap) or accepts a :class:`~repro.runtime.scheduling.\
 ThreadScheduler` instance; the choice is stamped into ``trace.meta``.
 
     Pass an :class:`ExecutionTrace` to collect per-task timings (rows
@@ -892,28 +703,12 @@ ThreadScheduler` instance; the choice is stamped into ``trace.meta``.
     ``sync_stats`` report ``lock_held_s = lock_wait_s = 0.0``).  Off
     (the default) the instrumentation is a dead branch: no clock reads,
     and the produced trace is bit-identical to an uninstrumented run's.
-
-    ``faults`` injects *timing-only* faults into the wall-clock run:
-    task-pinned stragglers and persistent ``limplock`` windows become
-    proportional sleeps after a task's kernels, so numerics stay bitwise
-    identical to a fault-free run while the schedule degrades for real.
-    ``health`` arms the :class:`~repro.resilience.health.HealthMonitor`:
-    per-worker EWMA slowdown detection against learned per-(kernel,
-    size-bucket) expectations and degradation-aware scheduling (degraded
-    workers stop stealing, quarantined workers stop dispatching).
-    Hedged re-execution (``health.hedge``) is simulated only and raises
-    ``ValueError`` here.  Both default off; when off every hook is a
-    dead ``is None`` branch.
+    Fault injection and worker health monitoring are simulated only
+    (:func:`repro.machine.simulate`).
     """
-    if health is not None and health.hedge:
-        raise ValueError(
-            "hedged re-execution is simulated only (repro.machine."
-            "simulate); the thread pool cannot run health.hedge"
-        )
     factor = NumericFactor.assemble(symbol, matrix, factotype, dtype=dtype)
     factor.kernels = effective_kernels = native.resolve_kernels(
-        kernels, ablation=not workspace, dtype=factor.dtype,
-    )
+        kernels, dtype=factor.dtype)
     factor.index_cache = get_couple_cache(symbol)
     if pivot_threshold > 0.0:
         from repro.kernels.dense import PivotMonitor
@@ -922,9 +717,8 @@ ThreadScheduler` instance; the choice is stamped into ``trace.meta``.
     dag = get_dag(symbol, factotype, granularity="unit", dtype=factor.dtype,
                   n_workers=n_workers)
     run = _ThreadedUnitRun(
-        factor, dag, n_workers, workspace, trace, max_retries=max_retries,
+        factor, dag, n_workers, trace, max_retries=max_retries,
         watchdog_s=watchdog_s, scheduler=scheduler, record_sync=record_sync,
-        faults=faults, health=health,
     )
     if trace is not None:
         # Before the run: a trace names the DAG it ran even when the

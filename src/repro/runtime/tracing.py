@@ -44,10 +44,6 @@ META_FINGERPRINT_KEYS = (
     "seed",
     "rng",
     "health",
-    # Adaptive-model provenance: model version + deterministic sample
-    # counts (never measured means), stamped by the threaded runtime
-    # and audited by the A9xx pass (repro.verify.adaptive).
-    "adaptive",
 )
 
 
@@ -426,9 +422,9 @@ class ExecutionTrace:
           the order-insensitive deterministic content enters: the
           sorted set of executed tasks and the fault/recovery
           *decisions* ``(kind, task, cblk, attempt)``.  Health events
-          are *excluded* in this domain: which worker trips the EWMA
-          detector depends on measured wall durations, so same-seed
-          replays legitimately differ there.
+          are *excluded* in this domain: health monitoring is
+          simulated only, and a detector fed wall durations would
+          legitimately differ between same-seed replays.
         """
         import json
 

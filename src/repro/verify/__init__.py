@@ -44,11 +44,6 @@ through ``python -m repro verify``:
   first-divergence localization, and meta/seed stamping completeness
   (D8xx) over the canonical order-sensitive trace fingerprint
   (:meth:`~repro.runtime.tracing.ExecutionTrace.fingerprint`);
-* :func:`repro.verify.adaptive.verify_adaptive` — audits the adaptive
-  scheduler's stamped duration-model provenance
-  (``trace.meta["adaptive"]``: model version + deterministic sample
-  counts) against the trace's own task events and the shared
-  :func:`repro.resilience.health.bucket_key` bucketing (A9xx);
 * :func:`repro.verify.eventloop.eventloop_paths` — the static shadow
   of the same discipline: an AST lint over the three discrete-event
   simulators and the fault layer for heap pushes without a monotonic
@@ -68,7 +63,6 @@ invariant — fails tier-1 rather than silently corrupting a panel.
 """
 
 from repro.verify.access import ACCUM, READ, WRITE, AccessSets, derive_accesses
-from repro.verify.adaptive import skew_model_stamp, verify_adaptive
 from repro.verify.concurrency import (
     drop_sync_event,
     swallow_wakeup,
@@ -159,8 +153,6 @@ __all__ = [
     "verify_concurrency",
     "drop_sync_event",
     "swallow_wakeup",
-    "verify_adaptive",
-    "skew_model_stamp",
     "verify_determinism",
     "trace_diff",
     "reorder_ties",

@@ -1,6 +1,6 @@
 """Driver behind ``python -m repro verify``.
 
-Runs the eight static-analysis passes — DAG hazard coverage, simulated
+Runs the static-analysis passes — DAG hazard coverage, simulated
 schedule feasibility, the M4xx memory/data-movement audit, the N5xx
 symbolic-structure audit, the R6xx resilience audit (a seeded
 fault-injection run whose recovered trace must satisfy the fault/
@@ -12,16 +12,12 @@ rules, plus a monitoring-off identity check), the C7xx concurrency
 audit (a live sync-instrumented threaded factorization whose trace must
 satisfy the publish-order, lost-wakeup and sync-provenance checks, plus
 the RV4xx lock-discipline lint over the runtime sources), the D8xx
-determinism
-audit (a seeded same-seed double-run of the machine simulator and a
-kernel burst whose canonical trace fingerprints must match
-bit-for-bit, with tie-break totality and RNG-draw provenance checks on
-top), the A9xx adaptive-model audit (a cold + warm double-run of the
-real threaded runtime under the ``"adaptive"`` scheduler whose stamped
-duration-model provenance must match the traces' own task events), and
-the project linters (RV3xx plus the RV5xx event-loop-discipline lint
-over the simulator sources) — on a chosen matrix and prints one report
-per pass.  Exit status is 0 iff every
+determinism audit (a seeded same-seed double-run of the machine
+simulator and a kernel burst whose canonical trace fingerprints must
+match bit-for-bit, with tie-break totality and RNG-draw provenance
+checks on top), and the project linters (RV3xx plus the RV5xx
+event-loop-discipline lint over the simulator sources) — on a chosen
+matrix and prints one report per pass.  Exit status is 0 iff every
 pass is clean, which is what the ``make verify`` gate and CI consume.
 
 ``--inject`` deliberately corrupts the artifact under test (drops a DAG
@@ -98,9 +94,6 @@ def add_verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-determinism", action="store_true",
                    help="skip the D8xx same-seed replay/fingerprint "
                         "determinism audit")
-    p.add_argument("--no-adaptive", action="store_true",
-                   help="skip the A9xx adaptive-scheduler model-stamp "
-                        "audit")
     p.add_argument("--no-lint", action="store_true")
     p.add_argument("--redundant", action="store_true",
                    help="also report transitive (redundant) DAG edges")
@@ -114,7 +107,7 @@ def add_verify_arguments(p: argparse.ArgumentParser) -> None:
                  "drop-sync-event",
                  "reorder-ties", "reseed-midrun", "drop-seq",
                  "double-commit-hedge", "steal-from-quarantined",
-                 "illegal-transition", "skew-model"],
+                 "illegal-transition"],
         help="fault injection self-test (expected to FAIL the run)",
     )
     p.add_argument("-v", "--verbose", action="store_true",
@@ -592,45 +585,6 @@ def _concurrency_pass(args: argparse.Namespace, matrix: Any, res: Any,
         reports.append(rep)
 
 
-def _adaptive_pass(args: argparse.Namespace, matrix: Any, res: Any,
-                   reports: list[Report]) -> None:
-    """A9xx: audit the adaptive scheduler's stamped duration model.
-
-    Runs the *real* threaded runtime twice with the ``"adaptive"``
-    scheduler sharing one :class:`~repro.runtime.adaptive.PerfHistory`:
-    the first run is a cold start (static-levels fallback), the second
-    re-ranks from the durations the first fed back.  Both stamped
-    traces must satisfy the A9xx accounting rules.
-    """
-    from repro.dag.builder import dag_of_trace
-    from repro.runtime.adaptive import AdaptiveScheduler
-    from repro.runtime.threaded import factorize_threaded
-    from repro.runtime.tracing import ExecutionTrace
-    from repro.verify.adaptive import skew_model_stamp, verify_adaptive
-
-    permuted = matrix.permute(res.perm.perm)
-    sched = AdaptiveScheduler()
-    for label in ("cold", "warm"):
-        trace = ExecutionTrace()
-        factorize_threaded(
-            res.symbol, permuted, args.factotype,
-            n_workers=args.cores, trace=trace, scheduler=sched,
-        )
-        dag = dag_of_trace(res.symbol, args.factotype, trace)
-        if args.inject == "skew-model":
-            try:
-                trace = skew_model_stamp(trace)
-            except ValueError as exc:
-                raise SystemExit(
-                    f"--inject skew-model: {exc}"
-                ) from exc
-            label += "+skew-model"
-        t0 = time.perf_counter()
-        rep = verify_adaptive(dag, trace, name=f"adaptive[{label}]")
-        rep.stats["seconds"] = time.perf_counter() - t0
-        reports.append(rep)
-
-
 def _symbolic_pass(args: argparse.Namespace, matrix: Any, res: Any,
                    reports: list[Report]) -> None:
     from repro.dag import build_dag
@@ -739,11 +693,6 @@ def run_verify(args: argparse.Namespace) -> int:
             f"--inject {args.inject} corrupts the determinism pass; "
             "drop --no-determinism to run it"
         )
-    if args.inject == "skew-model" and args.no_adaptive:
-        raise SystemExit(
-            "--inject skew-model corrupts the adaptive pass; "
-            "drop --no-adaptive to run it"
-        )
     if args.inject in ("skew-flops", "stale-cache") \
             and args.no_symbolic:
         raise SystemExit(
@@ -754,7 +703,7 @@ def run_verify(args: argparse.Namespace) -> int:
     needs_matrix = not (args.no_hazards and args.no_schedule
                         and args.no_symbolic and args.no_resilience
                         and args.no_health and args.no_concurrency
-                        and args.no_determinism and args.no_adaptive)
+                        and args.no_determinism)
     if needs_matrix:
         matrix = _load(args)
         res = analyze(matrix, SymbolicOptions(split_max_width=args.split))
@@ -771,8 +720,6 @@ def run_verify(args: argparse.Namespace) -> int:
             _concurrency_pass(args, matrix, res, reports)
         if not args.no_determinism:
             _determinism_pass(args, symbol, reports)
-        if not args.no_adaptive:
-            _adaptive_pass(args, matrix, res, reports)
         if not args.no_symbolic:
             _symbolic_pass(args, matrix, res, reports)
     if not args.no_lint:

@@ -4,9 +4,9 @@ threaded runtime (AST-based, stdlib only).
 The C7xx pass (:mod:`repro.verify.concurrency`) convicts publish and
 wakeup bugs from recorded traces; this pass convicts the *source
 shapes* that breed races, over the package that actually runs
-concurrent code — ``repro.runtime`` by default (the pool's state lock,
-the scheduler deques, the adaptive model).  Five rules, suppressible like the RV3xx project lint with ``# noqa: RV4xx``
-on the offending line:
+concurrent code — ``repro.runtime`` by default (the pool's state lock
+and the scheduler deques and heap).  Five rules, suppressible like the
+RV3xx project lint with ``# noqa: RV4xx`` on the offending line:
 
 * **RV401 unlocked shared write** — inside a class that owns a
   ``threading.Lock``/``RLock``/``Condition`` attribute, an augmented

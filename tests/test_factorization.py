@@ -12,12 +12,10 @@ from repro.sparse.csc import SparseMatrixCSC
 from tests.conftest import random_spd_dense
 
 
-def solve_via_factor(mat, factotype, *, workspace=True, options=None):
+def solve_via_factor(mat, factotype, *, options=None):
     res = analyze(mat, options)
     permuted = mat.permute(res.perm.perm)
-    factor = factorize_sequential(
-        res.symbol, permuted, factotype, workspace=workspace
-    )
+    factor = factorize_sequential(res.symbol, permuted, factotype)
     rng = np.random.default_rng(42)
     b = rng.standard_normal(mat.n_rows)
     if np.issubdtype(factor.dtype, np.complexfloating):
@@ -47,14 +45,6 @@ class TestRealGrids:
     def test_random_pattern(self, random_spd_small, factotype):
         _, resid = solve_via_factor(random_spd_small, factotype)
         assert resid < 1e-11
-
-    def test_scatter_kernel_path_identical(self, grid2d_small):
-        res = analyze(grid2d_small)
-        permuted = grid2d_small.permute(res.perm.perm)
-        f1 = factorize_sequential(res.symbol, permuted, "llt", workspace=True)
-        f2 = factorize_sequential(res.symbol, permuted, "llt", workspace=False)
-        for a, b in zip(f1.L, f2.L):
-            assert np.allclose(a, b, atol=1e-14)
 
     def test_matches_scipy_spsolve(self, grid2d_medium):
         x, _ = solve_via_factor(grid2d_medium, "llt")

@@ -25,6 +25,7 @@ from repro.resilience.health import (
     HEALTH_RANK,
     HEALTH_STATES,
     LEGAL_TRANSITIONS,
+    bucket_key,
 )
 from repro.runtime import get_policy
 from repro.symbolic import SymbolicOptions, analyze
@@ -45,6 +46,24 @@ def _native_dag(sym):
     pol = get_policy("native")
     return build_dag(sym, "llt", granularity=pol.traits.granularity,
                      recompute_ld=pol.traits.recompute_ld)
+
+
+# ----------------------------------------------------------------------
+# shared bucketing: every duration consumer keys through one helper
+# ----------------------------------------------------------------------
+def test_bucket_key_format_pin():
+    assert bucket_key(3, 1024.0) == "3:10"
+    assert bucket_key(2, 0.0) == "2:0"  # log2 floor clamps at 1 flop
+    assert bucket_key(1, 1.5) == "1:0"
+    assert bucket_key(0, 2.0**20 + 5.0) == "0:20"
+
+
+def test_bucket_key_single_source():
+    """The machine simulator aliases the one shared helper."""
+    import repro.machine.simulator as simulator
+    import repro.resilience.health as health
+
+    assert simulator.bucket_key is health.bucket_key
 
 
 # ----------------------------------------------------------------------

@@ -194,8 +194,7 @@ class TestBitIdenticalFactors:
 class TestThreadedPlan:
     """The pool attaches the memoised plan and stamps its counters."""
 
-    @pytest.mark.parametrize("scheduler", ["fifo", "ws", "priority",
-                                           "affinity"])
+    @pytest.mark.parametrize("scheduler", ["ws", "priority"])
     def test_matches_sequential(self, grid2d_medium, no_unit_floor,
                                 scheduler):
         res, permuted = _setup(grid2d_medium)

@@ -1,76 +1,13 @@
-"""Panel kernel and sparse-GEMM tests."""
+"""Panel kernel tests."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.factor import NumericFactor
 from repro.core.factorization import facing_cblks, factorize_sequential
 from repro.kernels.panel import panel_factorize, panel_update, update_slice
-from repro.kernels.sparse_gemm import row_runs, sparse_gemm_scatter
 from repro.symbolic import analyze
 from tests.conftest import permutation_matrix
-
-
-class TestRowRuns:
-    def test_single_run(self):
-        assert row_runs(np.array([3, 4, 5])) == [(0, 3, 3)]
-
-    def test_multiple_runs(self):
-        assert row_runs(np.array([0, 1, 5, 6, 9])) == [
-            (0, 0, 2), (2, 5, 2), (4, 9, 1),
-        ]
-
-    def test_empty(self):
-        assert row_runs(np.empty(0, dtype=np.int64)) == []
-
-
-class TestSparseGemmScatter:
-    def test_matches_workspace_path(self):
-        rng = np.random.default_rng(0)
-        m, n, w = 9, 4, 3
-        a = rng.standard_normal((m, w))
-        b = rng.standard_normal((n, w))
-        rows = np.array([0, 1, 4, 5, 6, 8, 10, 11, 12])
-        cols = np.array([1, 2, 5, 7])
-        c1 = rng.standard_normal((13, 8))
-        c2 = c1.copy()
-        c1[np.ix_(rows, cols)] -= a @ b.T
-        sparse_gemm_scatter(a, b, c2, rows, cols)
-        assert np.allclose(c1, c2)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sparse_gemm_scatter(
-                np.ones((3, 2)), np.ones((2, 2)), np.ones((5, 5)),
-                np.array([0, 1]), np.array([0, 1]),
-            )
-
-    def test_empty_noop(self):
-        c = np.ones((3, 3))
-        sparse_gemm_scatter(
-            np.empty((0, 2)), np.empty((0, 2)), c,
-            np.empty(0, np.int64), np.empty(0, np.int64),
-        )
-        assert np.all(c == 1.0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 5000))
-    def test_property_equivalence(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.integers(1, 12)
-        n = rng.integers(1, 8)
-        w = rng.integers(1, 6)
-        ch, cw = m + 10, n + 10
-        rows = np.sort(rng.choice(ch, size=m, replace=False)).astype(np.int64)
-        cols = np.sort(rng.choice(cw, size=n, replace=False)).astype(np.int64)
-        a = rng.standard_normal((m, w))
-        b = rng.standard_normal((n, w))
-        c1 = rng.standard_normal((ch, cw))
-        c2 = c1.copy()
-        c1[np.ix_(rows, cols)] -= a @ b.T
-        sparse_gemm_scatter(a, b, c2, rows, cols)
-        assert np.allclose(c1, c2)
 
 
 class TestPanelKernels:

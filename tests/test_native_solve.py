@@ -68,12 +68,12 @@ def assert_close(ref, got):
         np.abs(ref[finite] - got[finite]).max(initial=0.0), scale)
 
 
-def assert_parity(factor, b, n_workers=2, scheduler="fifo"):
+def assert_parity(factor, b, n_workers=2):
     """Both backends × both runtimes on ``b``; returns the native answer."""
     got = {}
     for backend, f in (("native", factor), ("numpy", _numpy(factor))):
         seq = solve_factored(f, b)
-        par = solve_threaded(f, b, n_workers=n_workers, scheduler=scheduler)
+        par = solve_threaded(f, b, n_workers=n_workers)
         assert seq.shape == b.shape and seq.dtype == factor.dtype
         assert np.array_equal(seq, par, equal_nan=True), backend
         got[backend] = seq

@@ -374,7 +374,7 @@ class TestThreaded:
     def test_retry_recovers_transient_failure(self, run_parts):
         cls, factor, dag = run_parts
         trace = ExecutionTrace()
-        run = cls(factor, dag, 3, True, trace, max_retries=2)
+        run = cls(factor, dag, 3, trace, max_retries=2)
         self._flaky(run, victim=0, n_failures=2)
         run.run()  # must not raise: two failures, budget of two retries
         assert run.n_done == dag.n_tasks
@@ -389,7 +389,7 @@ class TestThreaded:
 
     def test_quarantine_spares_independent_tasks(self, run_parts):
         cls, factor, dag = run_parts
-        run = cls(factor, dag, 3, True, None, max_retries=1)
+        run = cls(factor, dag, 3, None, max_retries=1)
         self._flaky(run, victim=0, n_failures=99)
         with pytest.raises(RuntimeError, match="transient failure on task 0"):
             run.run()
@@ -404,7 +404,7 @@ class TestThreaded:
 
         cls, factor, dag = run_parts
         release = threading.Event()
-        run = cls(factor, dag, 2, True, None, watchdog_s=0.25)
+        run = cls(factor, dag, 2, None, watchdog_s=0.25)
         original = run._execute
 
         def execute(t, worker):
@@ -423,7 +423,7 @@ class TestThreaded:
 
     def test_worker_exception_propagates(self, run_parts):
         cls, factor, dag = run_parts
-        run = cls(factor, dag, 2, True, None)  # max_retries=0
+        run = cls(factor, dag, 2, None)  # max_retries=0
 
         def execute(t, worker):
             raise ValueError(f"boom on task {t}")

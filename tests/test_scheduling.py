@@ -5,13 +5,10 @@ import pytest
 
 from repro.dag import build_dag, longest_path_levels
 from repro.dag.analysis import critical_path
-from repro.dag.tasks import TaskKind
 from repro.runtime.scheduling import (
     THREAD_SCHEDULERS,
     CriticalPathScheduler,
-    GlobalFifoScheduler,
     InversePriorityScheduler,
-    LastPanelAffinityScheduler,
     ThreadScheduler,
     WorkStealingScheduler,
     get_thread_scheduler,
@@ -36,7 +33,7 @@ class TestRegistry:
             assert sched.name == name
 
     def test_instance_passthrough(self):
-        inst = GlobalFifoScheduler()
+        inst = CriticalPathScheduler()
         assert get_thread_scheduler(inst) is inst
 
     def test_class_is_instantiated(self):
@@ -46,13 +43,31 @@ class TestRegistry:
         )
 
     def test_unknown_name_lists_registry(self):
-        with pytest.raises(KeyError, match="fifo"):
+        with pytest.raises(KeyError, match="inverse-priority"):
             get_thread_scheduler("lottery")
 
     def test_expected_policies_registered(self):
-        assert {"fifo", "ws", "priority", "affinity"} <= set(
-            THREAD_SCHEDULERS
-        )
+        assert set(THREAD_SCHEDULERS) == {"ws", "priority",
+                                          "inverse-priority"}
+
+    @pytest.mark.parametrize("name", ["fifo", "affinity", "adaptive"])
+    def test_deleted_policies_are_unknown(self, name):
+        with pytest.raises(KeyError, match=r"available: \['inverse-priority', "
+                                           r"'priority', 'ws'\]"):
+            get_thread_scheduler(name)
+
+    def test_solve_defaults_to_work_stealing(self, grid2d_small):
+        from repro.core.factorization import factorize_sequential
+        from repro.runtime.threaded import solve_threaded
+        from repro.runtime.tracing import ExecutionTrace
+
+        res = analyze(grid2d_small)
+        factor = factorize_sequential(
+            res.symbol, grid2d_small.permute(res.perm.perm), "llt")
+        trace = ExecutionTrace()
+        solve_threaded(factor, np.ones(res.symbol.n), n_workers=2,
+                       trace=trace)
+        assert trace.meta["scheduler"] == "ws"
 
 
 # ----------------------------------------------------------------------
@@ -176,41 +191,6 @@ class TestWorkStealing:
             assert a._victims[0] == b._victims[0]
 
 
-class TestAffinity:
-    def test_update_routes_to_last_toucher(self, dag):
-        updates = [
-            t for t in range(dag.n_tasks)
-            if int(dag.kind[t]) == int(TaskKind.UPDATE)
-        ]
-        assert updates, "2d DAG must contain update tasks"
-        u = updates[0]
-        panel = int(dag.target[u])
-
-        sched = LastPanelAffinityScheduler()
-        sched.bind(dag, n_workers=3)
-        # Nobody touched the panel yet: falls back to ws routing.
-        assert sched.push(u, 1) == 1
-        assert sched.pop(1) == u
-        # Worker 2 touches the panel; the same update re-pushed from
-        # worker 1 must now land on worker 2's deque.
-        sched.on_complete(u, 2)
-        assert sched.push(u, 1) == 2
-        assert sched.pop(2) == u
-        assert sched.stats()["affine_routes"] == 1
-        assert panel == int(dag.target[u])
-
-    def test_panel_completion_claims_ownership(self, dag):
-        panels = [
-            t for t in range(dag.n_tasks)
-            if int(dag.kind[t]) != int(TaskKind.UPDATE)
-        ]
-        sched = LastPanelAffinityScheduler()
-        sched.bind(dag, n_workers=2)
-        p = panels[0]
-        sched.on_complete(p, 1)
-        assert sched._owner[int(dag.target[p])] == 1
-
-
 # ----------------------------------------------------------------------
 # provenance: trace.meta stamp + S208 audit
 # ----------------------------------------------------------------------
@@ -278,8 +258,8 @@ def test_custom_scheduler_instance(grid2d_small):
     from repro.core.factorization import factorize_sequential
     from repro.runtime.threaded import factorize_threaded
 
-    class NoisyFifo(GlobalFifoScheduler):
-        name = "fifo"  # keep a registered name for the S208 audit
+    class NoisyWs(WorkStealingScheduler):
+        name = "ws"  # keep a registered name for the S208 audit
 
         def setup(self):
             super().setup()
@@ -291,7 +271,7 @@ def test_custom_scheduler_instance(grid2d_small):
 
     res = analyze(grid2d_small)
     permuted = grid2d_small.permute(res.perm.perm)
-    sched = NoisyFifo()
+    sched = NoisyWs()
     ref = factorize_sequential(res.symbol, permuted, "llt")
     par = factorize_threaded(
         res.symbol, permuted, "llt", n_workers=2, scheduler=sched

@@ -63,16 +63,6 @@ def test_trace_is_valid_schedule(grid2d_small):
     trace.validate(dag, exclusive_resources=[], check_mutex=False, tol=1e-5)
 
 
-def test_scatter_kernel_path(grid2d_small):
-    res, permuted = _setup(grid2d_small, "llt")
-    ref = factorize_sequential(res.symbol, permuted, "llt")
-    par = factorize_threaded(
-        res.symbol, permuted, "llt", n_workers=2, workspace=False
-    )
-    for a, b in zip(ref.L, par.L):
-        assert np.allclose(a, b, atol=1e-10)
-
-
 def test_failure_propagates(grid2d_small):
     res, permuted = _setup(grid2d_small, "llt")
     bad = permuted.to_dense()
@@ -85,7 +75,7 @@ def test_failure_propagates(grid2d_small):
         factorize_threaded(res.symbol, broken, "llt", n_workers=2)
 
 
-@pytest.mark.parametrize("scheduler", ["fifo", "ws", "priority", "affinity"])
+@pytest.mark.parametrize("scheduler", ["ws", "priority"])
 def test_all_schedulers_match_sequential(grid2d_small, scheduler):
     res, permuted = _setup(grid2d_small, "llt")
     ref = factorize_sequential(res.symbol, permuted, "llt")
@@ -94,6 +84,29 @@ def test_all_schedulers_match_sequential(grid2d_small, scheduler):
     )
     for a, b in zip(ref.L, par.L):
         assert np.allclose(a, b, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_workers", [0, -1])
+@pytest.mark.parametrize("driver", ["factorize", "solve"])
+def test_non_positive_worker_count_is_rejected(grid2d_small, driver,
+                                               n_workers):
+    """Both drivers refuse ``n_workers < 1`` with the rule and the text
+    of ``SolverOptions``, before any worker starts."""
+    from repro.runtime.threaded import solve_threaded
+
+    res, permuted = _setup(grid2d_small, "llt")
+    if driver == "factorize":
+        def run():
+            factorize_threaded(res.symbol, permuted, "llt",
+                               n_workers=n_workers)
+    else:
+        factor = factorize_sequential(res.symbol, permuted, "llt")
+
+        def run():
+            solve_threaded(factor, np.ones(permuted.n_rows),
+                           n_workers=n_workers)
+    with pytest.raises(ValueError, match="n_workers must be positive"):
+        run()
 
 
 def test_ldlt_pivot_threshold_threaded(grid2d_medium):
@@ -132,11 +145,11 @@ def _unit_run(res, permuted, factotype="llt", n_workers=3, **options):
     dag = build_dag(res.symbol, factotype, granularity="unit",
                     dtype=factor.dtype, n_workers=n_workers)
     options.setdefault("scheduler", "ws")
-    run = _ThreadedUnitRun(factor, dag, n_workers, True, None, **options)
+    run = _ThreadedUnitRun(factor, dag, n_workers, None, **options)
     return ref, factor, dag, run
 
 
-@pytest.mark.parametrize("scheduler", ["fifo", "ws", "priority", "affinity"])
+@pytest.mark.parametrize("scheduler", ["ws", "priority"])
 def test_retry_before_mutation_is_clean(grid2d_small, no_unit_floor,
                                         scheduler):
     """A task that fails *before* touching its panels re-runs under every
@@ -526,105 +539,3 @@ class TestInversePriorityHardening:
         finally:
             release.set()
         assert "factorization" in run._watchdog_message()
-
-
-# ----------------------------------------------------------------------
-# Graceful degradation: injected slowdowns (straggler + limplock) under
-# every scheduler x kernel backend, with worker health monitoring armed.
-# Faults in the threaded runtime are purely temporal (sleeps
-# proportional to measured kernel time), so the factor must stay the
-# sequential one bit for bit, and the trace must satisfy the S2xx
-# schedule, R6xx resilience, R7xx degradation, and C7xx sync audits
-# simultaneously.
-class TestThreadedDegradation:
-    # Conservative thresholds for wall-clock runs: the min_duration_s
-    # floor keeps micro-task jitter out of the state machine, and the
-    # wide ratios keep the monitor armed without destabilizing a run
-    # whose injected limp is mild.
-    POL = dict(min_duration_s=2e-3, min_samples=5, suspect_ratio=3.0,
-               degraded_ratio=8.0, quarantine_ratio=15.0,
-               recover_ratio=2.0)
-
-    @staticmethod
-    def _faulty_run(mat, scheduler, kernels):
-        from repro.resilience import FaultModel, FaultSpec, HealthPolicy
-
-        res, permuted = _setup(mat, "llt")
-        dag = get_dag(res.symbol, "llt", granularity="unit", n_workers=3)
-        faults = FaultModel([
-            # The root unit: every other task waits on nothing it holds.
-            FaultSpec("straggler", task=dag.n_tasks - 1, factor=30.0),
-            FaultSpec("limplock", time=0.0, until=0.05,
-                      resource=0, factor=3.0),
-        ], seed=0)
-        trace = ExecutionTrace()
-        par = factorize_threaded(
-            res.symbol, permuted, "llt", n_workers=3, kernels=kernels,
-            scheduler=scheduler, trace=trace, record_sync=True,
-            faults=faults, health=HealthPolicy(**TestThreadedDegradation.POL),
-        )
-        return res, permuted, dag, trace, par
-
-    @pytest.mark.parametrize("scheduler",
-                             ["fifo", "ws", "priority", "affinity"])
-    @pytest.mark.parametrize("native", [False, True])
-    def test_faulty_run_audits_clean(self, grid2d_small, no_unit_floor,
-                                     scheduler, native):
-        from repro.verify import (
-            verify_concurrency,
-            verify_health,
-            verify_resilience,
-        )
-
-        kernels = "native" if native else "numpy"
-        res, permuted, dag, trace, par = self._faulty_run(
-            grid2d_small, scheduler, kernels)
-        assert dag.n_tasks > 2
-        ref = factorize_sequential(res.symbol, permuted, "llt",
-                                   kernels=kernels)
-        for a, b in zip(ref.L, par.L):
-            assert np.array_equal(a, b)
-        # The injected straggler is trace-visible and absorbed in place.
-        assert any(f.kind == "straggler" for f in trace.fault_events)
-        assert any(f.kind == "limplock" for f in trace.fault_events)
-        trace.validate(dag, exclusive_resources=[], check_mutex=False,
-                       tol=1e-5)
-        for rep in (verify_health(trace),
-                    verify_resilience(trace, dag),
-                    verify_concurrency(dag, trace)):
-            assert rep.ok, rep.format()
-
-    def test_single_worker_faults_are_purely_temporal(self, grid2d_small):
-        """With one worker there is no interleaving: a faulted run must
-        be bitwise identical to a fault-free one."""
-        from repro.resilience import FaultModel, FaultSpec, HealthPolicy
-
-        res, permuted = _setup(grid2d_small, "llt")
-        plain = factorize_threaded(
-            res.symbol, permuted, "llt", n_workers=1)
-        faults = FaultModel([
-            FaultSpec("straggler", task=0, factor=20.0),
-            FaultSpec("limplock", time=0.0, until=0.05,
-                      resource=0, factor=3.0),
-        ])
-        limped = factorize_threaded(
-            res.symbol, permuted, "llt", n_workers=1, faults=faults,
-            health=HealthPolicy(**self.POL))
-        for a, b in zip(plain.L, limped.L):
-            assert np.array_equal(a, b)
-
-    def test_watchdog_dump_names_worker_health(self, grid2d_small):
-        """The stall report includes each worker's health state, time
-        since its last completion, and in-flight task ages."""
-        from repro.resilience import HealthPolicy
-
-        res, permuted = _setup(grid2d_small, "llt")
-        _, _, _, run = _unit_run(res, permuted, n_workers=2,
-                                 watchdog_s=0.25,
-                                 health=HealthPolicy(**self.POL))
-        run._inflight[3] = (1, run._now())
-        msg = run._watchdog_message()
-        assert "worker health [" in msg
-        assert "cpu0:healthy" in msg and "cpu1:healthy" in msg
-        assert "last_done=" in msg
-        assert "in-flight task ages" in msg and "on cpu1" in msg

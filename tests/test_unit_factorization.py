@@ -26,7 +26,6 @@ from repro.dag.builder import (
 )
 from repro.kernels.cost import flops_total
 from repro.kernels.indexcache import get_couple_cache
-from repro.resilience import HealthPolicy
 from repro.runtime.scheduling import THREAD_SCHEDULERS
 from repro.runtime.threaded import _ThreadedUnitRun, factorize_threaded
 from repro.runtime.tracing import ExecutionTrace
@@ -64,18 +63,16 @@ def test_bit_identical_to_sequential(grid2d_medium, helmholtz_small,
                                      no_unit_floor, factotype, cplx,
                                      scheduler):
     res, permuted = _setup(helmholtz_small if cplx else grid2d_medium)
-    for workspace in (True, False):
-        # A statement about the NumPy kernels under both update kernels
-        # (the native backend: tests/test_native_kernels.py).
-        ref = factorize_sequential(
-            res.symbol, permuted, factotype, workspace=workspace,
-            kernels="numpy")
-        assert np.iscomplexobj(ref.L[0]) == cplx
-        for n_workers in (1, 2, 3, 4):
-            got = factorize_threaded(
-                res.symbol, permuted, factotype, n_workers=n_workers,
-                scheduler=scheduler, workspace=workspace, kernels="numpy")
-            _assert_identical(ref, got)
+    # A statement about the NumPy kernels (the native backend:
+    # tests/test_native_kernels.py).
+    ref = factorize_sequential(res.symbol, permuted, factotype,
+                               kernels="numpy")
+    assert np.iscomplexobj(ref.L[0]) == cplx
+    for n_workers in (1, 2, 3, 4):
+        got = factorize_threaded(
+            res.symbol, permuted, factotype, n_workers=n_workers,
+            scheduler=scheduler, kernels="numpy")
+        _assert_identical(ref, got)
     assert get_dag(res.symbol, factotype, granularity="unit",
                    dtype=ref.dtype, n_workers=4).n_tasks > 4
 
@@ -249,21 +246,11 @@ def test_solver_reuses_the_memoised_dag(grid2d_medium, monkeypatch):
 # ----------------------------------------------------------------------
 # the pool runs the unit DAG only
 # ----------------------------------------------------------------------
-def test_hedging_is_simulated_only(grid2d_small):
-    res, permuted = _setup(grid2d_small)
-    with pytest.raises(ValueError, match="simulated only"):
-        factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
-                           health=HealthPolicy(hedge=True))
-
-
 def test_unknown_granularity_rejected(grid2d_small):
     """The pool has one DAG: there is no granularity to choose."""
     res, permuted = _setup(grid2d_small)
     with pytest.raises(TypeError, match="granularity"):
         factorize_threaded(res.symbol, permuted, "llt", granularity="2d")
-    # Monitoring without hedging is fine on units.
-    factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
-                       health=HealthPolicy(hedge=False))
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +284,7 @@ def _unit_run(mat, **pool_options):
     dag = build_dag(res.symbol, "llt", granularity="unit", n_workers=3,
                     dtype=factor.dtype)
     pool_options.setdefault("scheduler", "ws")
-    run = _ThreadedUnitRun(factor, dag, 3, True, None, **pool_options)
+    run = _ThreadedUnitRun(factor, dag, 3, None, **pool_options)
     return res, permuted, factor, dag, run
 
 
@@ -358,31 +345,6 @@ def test_watchdog_names_the_wedged_unit(grid2d_medium, no_unit_floor):
     finally:
         release.set()
     assert "threaded factorization" in str(info.value)
-
-
-def test_faults_and_health_on_units(grid2d_medium, no_unit_floor):
-    """Timing-only faults and health monitoring work on unit tasks: the
-    straggler is trace-visible, the monitor observes every task, and the
-    factor does not move by a bit."""
-    from repro.resilience import FaultModel, FaultSpec
-    from repro.verify import verify_health, verify_resilience
-
-    res, permuted = _setup(grid2d_medium)
-    faults = FaultModel([
-        FaultSpec("straggler", task=1, factor=10.0),
-        FaultSpec("limplock", time=0.0, until=0.05, resource=0, factor=3.0),
-    ], seed=0)
-    trace = ExecutionTrace()
-    got = factorize_threaded(
-        res.symbol, permuted, "llt", n_workers=3, trace=trace,
-        record_sync=True, faults=faults,
-        health=HealthPolicy(min_duration_s=2e-3, min_samples=5))
-    _assert_identical(factorize_sequential(res.symbol, permuted, "llt"), got)
-    dag = dag_of_trace(res.symbol, "llt", trace)
-    assert {f.kind for f in trace.fault_events} == {"straggler", "limplock"}
-    assert trace.meta["health"]["n_observations"] == dag.n_tasks
-    for rep in (verify_health(trace), verify_resilience(trace, dag)):
-        assert rep.ok, rep.format()
 
 
 def test_hazards_flag_a_broken_partition(grid2d_medium, no_unit_floor):

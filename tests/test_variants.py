@@ -1,4 +1,4 @@
-"""Left-looking variant, 1d-left DAG, and static-pivot perturbation."""
+"""Left-looking couple order, 1d-left DAG, and static-pivot perturbation."""
 
 import numpy as np
 import pytest
@@ -17,18 +17,6 @@ from repro.symbolic import analyze
 
 
 class TestLeftLooking:
-    @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
-    def test_matches_right_looking(self, grid2d_medium, factotype):
-        res = analyze(grid2d_medium)
-        permuted = grid2d_medium.permute(res.perm.perm)
-        right = factorize_sequential(res.symbol, permuted, factotype,
-                                     kernels="numpy")
-        left = factorize_sequential(
-            res.symbol, permuted, factotype, variant="left"
-        )
-        for a, b in zip(right.L, left.L):
-            assert np.allclose(a, b, atol=1e-10)
-
     def test_contributing_is_inverse_of_facing(self, grid2d_medium):
         sym = analyze(grid2d_medium).symbol
         for k in range(sym.n_cblk):
@@ -37,12 +25,6 @@ class TestLeftLooking:
         for t in range(sym.n_cblk):
             for k in contributing_cblks(sym, t):
                 assert t in facing_cblks(sym, int(k))
-
-    def test_unknown_variant(self, grid2d_small):
-        res = analyze(grid2d_small)
-        permuted = grid2d_small.permute(res.perm.perm)
-        with pytest.raises(ValueError):
-            factorize_sequential(res.symbol, permuted, "llt", variant="up")
 
 
 class TestLeftDag:

@@ -167,7 +167,7 @@ def test_inject_drop_sync_event_fails(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
                      "--no-lint", "--no-hazards", "--no-schedule",
                      "--no-symbolic", "--no-resilience", "--no-health",
-                     "--no-determinism", "--no-adaptive",
+                     "--no-determinism",
                      "--inject", "drop-sync-event"], capsys)
     assert code == 1
     assert "concurrency[unit+drop-sync-event]" in out and "C707" in out
@@ -179,7 +179,7 @@ def test_concurrency_pass_audits_the_threaded_solve(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
                      "--no-lint", "--no-hazards", "--no-schedule",
                      "--no-symbolic", "--no-resilience", "--no-health",
-                     "--no-determinism", "--no-adaptive"], capsys)
+                     "--no-determinism"], capsys)
     assert code == 0
     backend = "native" if native.availability() is None else "numpy"
     assert f"concurrency[solve, {backend}]" in out
