@@ -23,8 +23,7 @@ the sender, receives at the receiver.
 from __future__ import annotations
 
 import dataclasses
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,12 +36,10 @@ from repro.resilience import (
     HealthMonitor,
     HealthPolicy,
     RecoveryPolicy,
-    UnrecoverableError,
-    window_factor,
 )
 from repro.runtime.base import bottom_levels
-from repro.runtime.seq import monotonic_counter
 from repro.runtime.tracing import ExecutionTrace
+from repro.sim import EventLoop, FaultLedger, ReadyHeap
 from repro.symbolic.structures import SymbolMatrix
 
 __all__ = ["simulate_distributed", "DistributedResult"]
@@ -90,7 +87,7 @@ class DistributedResult:
         )
 
 
-class _DistSim:
+class _DistSim(EventLoop):
     def __init__(
         self,
         symbol: SymbolMatrix,
@@ -107,6 +104,7 @@ class _DistSim:
         recovery: RecoveryPolicy | None = None,
         health: HealthPolicy | None = None,
     ) -> None:
+        super().__init__()
         self.symbol = symbol
         self.owner = np.asarray(owner, dtype=np.int64)
         self.cluster = cluster
@@ -115,21 +113,17 @@ class _DistSim:
         self.fanin = fanin
         self.cpu_model = cpu_model or CpuPerfModel()
         self.overhead = task_overhead_s
-        self.trace = ExecutionTrace() if collect_trace else None
+        self.ledger = FaultLedger("distributed.simulator", collect_trace,
+                                  faults, recovery)
+        self.trace = self.ledger.trace
         if self.trace is not None:
-            self.trace.meta["producer"] = "distributed.simulator"
-            self.trace.meta["clock"] = "virtual"
             self.trace.meta["fanin"] = bool(fanin)
 
         # Resilience.  Every fault hook below is gated on
         # ``self.faults is not None`` so a run without a fault model goes
         # through byte-identical code paths.
         self.faults = faults
-        self.recovery = recovery or RecoveryPolicy()
-        self.attempts: dict = {}
-        self.n_faults = 0
-        self.n_reexecuted = 0
-        self.bytes_retransferred = 0.0
+        self.recovery = self.ledger.recovery
 
         # Health monitoring.  Tasks are owner-bound here (the factorized
         # panel never travels), so quarantining a node outright would
@@ -140,12 +134,10 @@ class _DistSim:
         # healthy peer that could run an owner-bound duplicate.
         self.health: HealthMonitor | None = None
         if health is not None:
-            policy = dataclasses.replace(
-                health, allow_quarantine=False, hedge=False)
-            self.health = HealthMonitor(
-                (f"n{n}" for n in range(cluster.n_nodes)), policy=policy)
-            if self.trace is not None:
-                self.trace.meta["health"] = {"hedge": False}
+            self.health = self.ledger.monitor(
+                (f"n{n}" for n in range(cluster.n_nodes)),
+                dataclasses.replace(health, allow_quarantine=False,
+                                    hedge=False))
 
         K = symbol.n_cblk
         if self.owner.shape != (K,):
@@ -157,32 +149,11 @@ class _DistSim:
 
         self._precompute()
         self._init_state()
-
-        # Persistent slowdown windows (consumed whole at init; they are
-        # declarative state, not per-attempt draws).
-        self._limp: dict[int, list] = {}
-        self._linkdeg: dict[int, list] = {}
-
-        if faults is not None:
-            # Node failures are purely time-driven: pre-schedule them.
-            for spec in faults.pop_timed("node-fail"):
-                nidx = spec.resource if spec.resource >= 0 else 0
-                if nidx < cluster.n_nodes:
-                    self._schedule(spec.time, self._node_loss, nidx)
-            # Persistent conditions: pre-schedule the onset events so
-            # the limp/degradation is trace-visible as a fault the R6xx
-            # auditor can pair.  A limplock resource index is a node; a
-            # degraded-link index is the sending node's NIC.
-            self._limp = faults.pop_windows("limplock")
-            self._linkdeg = faults.pop_windows("degraded-link")
-            for n, spans in sorted(self._limp.items()):
-                for (t0, _t1, _f) in spans:
-                    self._schedule(t0, self._limp_onset, "limplock",
-                                   f"n{n}", t0)
-            for n, spans in sorted(self._linkdeg.items()):
-                for (t0, _t1, _f) in spans:
-                    self._schedule(t0, self._limp_onset, "degraded-link",
-                                   f"net{n}", t0)
+        # Node failures are purely time-driven.  A limplock resource
+        # index is a node; a degraded-link index is the sending node's
+        # NIC.
+        self.ledger.arm(self, "node-fail", cluster.n_nodes, self._node_loss,
+                        "n{}", "net{}")
 
     # ------------------------------------------------------------------
     def _precompute(self) -> None:
@@ -256,12 +227,7 @@ class _DistSim:
     # ------------------------------------------------------------------
     def _init_state(self) -> None:
         n_nodes = self.cluster.n_nodes
-        self.time = 0.0
-        self._heap: list = []
-        self._seq = monotonic_counter()
-        self.ready: list[list[tuple[float, int, tuple]]] = [
-            [] for _ in range(n_nodes)
-        ]
+        self.ready = [ReadyHeap() for _ in range(n_nodes)]
         self.idle: list[set[int]] = [
             set(range(self.cluster.cores_per_node)) for _ in range(n_nodes)
         ]
@@ -273,11 +239,13 @@ class _DistSim:
         self.n_messages = 0
         self.bytes_on_wire = 0.0
         self.panels_done = 0
-        self._tick = monotonic_counter()
         # Resilience bookkeeping (only consulted when faults are armed).
         self.node_up = [True] * n_nodes
         self.node_epoch = [0] * n_nodes
         self.node_restore_at = [0.0] * n_nodes
+        #: Attempts in flight: ``(node, core) -> (task, start, charged)``,
+        #: where ``node_busy`` already counts ``[start, charged)`` of the
+        #: attempt: its end, or its start for one doomed to fail.
         self.running: dict[tuple[int, int], tuple] = {}
         # Health bookkeeping: (node, core) -> start time of the attempt
         # whose completion the monitor will observe.
@@ -285,7 +253,7 @@ class _DistSim:
 
     # ------------------------------------------------------------------
     def _push_ready(self, node: int, prio: float, task: tuple) -> None:
-        heapq.heappush(self.ready[node], (-prio, next(self._tick), task))
+        self.ready[node].push(prio, task)
         self._kick(node)
 
     def _kick(self, node: int) -> None:
@@ -304,7 +272,7 @@ class _DistSim:
                     self.cluster.cores_per_node - len(self.idle[node])
                     >= cap):
                 break
-            _, _, task = heapq.heappop(self.ready[node])
+            task = self.ready[node].pop()
             grp = self._mutex_group(task)
             if grp is not None and grp in self.mutex_held:
                 self.mutex_wait.setdefault(grp, []).append(task)
@@ -355,108 +323,55 @@ class _DistSim:
             self._hstart[(node, core)] = self.time
         if self.faults is not None:
             tid = self._tid(task)
-            factor = self.faults.straggler(tid, self.time)
-            if factor > 1.0:
-                self.n_faults += 1
-                if self.trace is not None:
-                    att = self.attempts.get(tid, 0) + 1
-                    self.trace.record_fault(
-                        "straggler", tid, -1, f"n{node}c{core}",
-                        self.time, self.time + dur * factor, att,
-                    )
-                    self.trace.record_recovery(
-                        "absorb", tid, -1, f"n{node}c{core}",
-                        self.time, att,
-                    )
-                dur *= factor
-            if self._limp:
-                dur *= window_factor(self._limp.get(node), self.time)
+            dur = self.ledger.stretch(tid, -1, f"n{node}c{core}", node,
+                                      self.time, dur)
             if self.faults.task_fault(tid, -1, self.time) is not None:
                 # The attempt dies halfway through; no TraceEvent — the
-                # task will re-execute after the backoff.
-                self._schedule(self.time + 0.5 * dur, self._task_fault,
-                               node, core, task, self.time)
+                # task will re-execute after the backoff.  It occupies
+                # its core until then, so a node loss restarts it.
+                self.running[(node, core)] = (task, self.time, self.time)
+                self.schedule(self.time + 0.5 * dur, self._task_fault,
+                              node, core, task, self.node_epoch[node])
                 return
-            end = self.time + dur
-            self.node_busy[node] += dur
-            self.running[(node, core)] = (task, self.time)
-            self._schedule(end, self._finish, node, core, task,
-                           self.node_epoch[node])
-            return
         end = self.time + dur
         self.node_busy[node] += dur
-        if self.trace is not None:
+        if self.faults is not None:
+            # Recorded at commit: a node loss may still void the attempt.
+            self.running[(node, core)] = (task, self.time, end)
+        elif self.trace is not None:
             self.trace.record(
                 self._tid(task), f"n{node}c{core}", self.time, end,
             )
-        self._schedule(end, self._finish, node, core, task)
-
-    def _schedule(self, when, fn, *args) -> None:
-        heapq.heappush(self._heap, (when, next(self._seq), fn, args))
+        self.schedule(end, self._finish, node, core, task,
+                      self.node_epoch[node])
 
     # ------------------------------------------------------------------
     # fault handling
     # ------------------------------------------------------------------
     def _task_fault(self, node: int, core: int, task: tuple,
-                    start: float) -> None:
+                    epoch: int) -> None:
         """A task attempt dies mid-execution (transient fault)."""
+        if not self.node_up[node] or epoch != self.node_epoch[node]:
+            return  # stale: the node died and restarted this attempt
+        start = self.running.pop((node, core))[1]
         tid = self._tid(task)
-        att = self.attempts.get(tid, 0) + 1
-        self.attempts[tid] = att
-        self.n_faults += 1
+        res = f"n{node}c{core}"
         self.node_busy[node] += self.time - start  # the wasted half
-        if self.trace is not None:
-            self.trace.record_fault("task-fault", tid, -1,
-                                    f"n{node}c{core}", start, self.time, att)
-        if att > self.recovery.max_retries:
-            raise UnrecoverableError(
-                f"distributed task {task!r} failed {att} attempt(s) on "
-                f"node {node}; retry budget "
-                f"max_retries={self.recovery.max_retries} exhausted"
-            )
+        att = self.ledger.charge(tid, "task-fault", tid, -1, res, start,
+                                 self.time,
+                                 what=f"distributed task {task!r} on node "
+                                      f"{node}")
         grp = self._mutex_group(task)
         if grp is not None:
             self.mutex_held.discard(grp)
-        delay = self._backoff(att - 1)
-        if self.trace is not None:
-            self.trace.record_recovery("requeue", tid, -1,
-                                       f"n{node}c{core}", self.time, att,
-                                       delay)
-        self.n_reexecuted += 1
-        if self.node_up[node]:
-            self.idle[node].add(core)
-        retry = max(self.time + delay, self.node_restore_at[node])
-        self._schedule(retry, self._requeue, node, task)
+        delay = self.ledger.backoff(att - 1)
+        self.ledger.rerun("requeue", tid, -1, res, self.time, att, delay)
+        self.idle[node].add(core)
+        self.schedule(self.time + delay, self._requeue, node, task)
         self._kick(node)
 
     def _requeue(self, node: int, task: tuple) -> None:
         self._push_ready(node, self._task_prio(task), task)
-
-    def _backoff(self, attempt: int) -> float:
-        """Recovery backoff; jitter (when configured) draws from the
-        run's single fault RNG so D803 draw accounting balances."""
-        if self.recovery.jitter > 0.0 and self.faults is not None:
-            return self.recovery.backoff(attempt,
-                                         self.faults.backoff_jitter())
-        return self.recovery.backoff(attempt)
-
-    def _limp_onset(self, kind: str, resource: str, t0: float) -> None:
-        """A persistent condition (limplock / degraded-link) begins.
-
-        The slowdown itself is applied where durations are computed;
-        this event only makes the onset trace-visible as a paired
-        fault/recovery (kind ``"degrade"``: the runtime tolerates the
-        condition in place and degrades around it).
-        """
-        self.n_faults += 1
-        if self.trace is not None:
-            self.trace.record_fault(kind, -1, -1, resource, t0, t0)
-            self.trace.record_recovery("degrade", -1, -1, resource, t0)
-
-    def _record_health(self, transitions) -> None:
-        if self.trace is not None:
-            for (res, src, dst, when, ratio, reason) in transitions:
-                self.trace.record_health(res, src, dst, when, ratio, reason)
 
     def _node_loss(self, node: int) -> None:
         """Node ``node`` crashes: panel-granularity checkpointing means
@@ -466,46 +381,33 @@ class _DistSim:
             return
         self.node_up[node] = False
         self.node_epoch[node] += 1
-        restore = self.time + self.recovery.node_restart_s
+        restart = self.recovery.node_restart_s
+        restore = self.time + restart
         self.node_restore_at[node] = restore
-        self.n_faults += 1
-        if self.trace is not None:
-            self.trace.record_fault("node-fail", -1, -1, f"n{node}",
-                                    self.time, self.time)
-            self.trace.record_recovery("restart", -1, -1, f"n{node}",
-                                       self.time,
-                                       delay_s=self.recovery.node_restart_s)
+        self.ledger.fault("node-fail", -1, -1, f"n{node}", self.time,
+                          self.time)
+        self.ledger.recover("restart", -1, -1, f"n{node}", self.time,
+                            delay=restart)
         lost: list[tuple] = []
-        for (nd, core), (task, start) in list(self.running.items()):
+        for (nd, core), (task, start, charged) in list(self.running.items()):
             if nd != node:
                 continue
             del self.running[(nd, core)]
             tid = self._tid(task)
-            att = self.attempts.get(tid, 0) + 1
-            self.attempts[tid] = att
-            self.n_faults += 1
-            self.node_busy[node] -= start + self._duration(task) - self.time
-            if self.trace is not None:
-                self.trace.record_fault("node-fail", tid, -1,
-                                        f"n{node}c{core}", start, self.time,
-                                        att)
-            if att > self.recovery.max_retries:
-                raise UnrecoverableError(
-                    f"distributed task {task!r} failed {att} attempt(s) "
-                    f"(node {node} crashed); retry budget "
-                    f"max_retries={self.recovery.max_retries} exhausted"
-                )
+            res = f"n{node}c{core}"
+            # Keep only the part of the attempt that ran.
+            self.node_busy[node] -= charged - self.time
+            att = self.ledger.charge(tid, "node-fail", tid, -1, res, start,
+                                     self.time,
+                                     what=f"distributed task {task!r} "
+                                          f"(node {node} crashed)")
             grp = self._mutex_group(task)
             if grp is not None:
                 self.mutex_held.discard(grp)
-            if self.trace is not None:
-                self.trace.record_recovery(
-                    "restart", tid, -1, f"n{node}c{core}", self.time, att,
-                    self.recovery.node_restart_s,
-                )
-            self.n_reexecuted += 1
+            self.ledger.rerun("restart", tid, -1, res, self.time, att,
+                              restart)
             lost.append(task)
-        self._schedule(restore, self._node_restored, node, tuple(lost))
+        self.schedule(restore, self._node_restored, node, tuple(lost))
 
     def _node_restored(self, node: int, lost: tuple) -> None:
         self.node_up[node] = True
@@ -516,7 +418,7 @@ class _DistSim:
 
     # ------------------------------------------------------------------
     def _finish(self, node: int, core: int, task: tuple,
-                epoch: int = 0) -> None:
+                epoch: int) -> None:
         if self.faults is not None:
             if not self.node_up[node] or epoch != self.node_epoch[node]:
                 return  # stale: the node died while this task ran
@@ -527,7 +429,7 @@ class _DistSim:
         if self.health is not None:
             hstart = self._hstart.pop((node, core), None)
             if hstart is not None:
-                self._record_health(self.health.observe(
+                self.ledger.record_health(self.health.observe(
                     f"n{node}", task[0], self.time - hstart, self.time,
                     expected=self._duration(task),
                 ))
@@ -586,79 +488,37 @@ class _DistSim:
 
     def _send(self, a: int, b: int, target: int, nbytes: float) -> None:
         start = max(self.time, self.send_free[a])
-        wire = self.cluster.transfer_time(nbytes)
-        if self._linkdeg:
-            # A degraded link divides the sender NIC's bandwidth; the
-            # per-message latency is unaffected.
-            deg = window_factor(self._linkdeg.get(a), start)
-            if deg > 1.0:
-                wire = self.cluster.net_latency_s + deg * nbytes / (
-                    self.cluster.net_gbps * 1e9)
-        if self.faults is not None:
-            attempt = 1
-            while self.faults.transfer_fails(b, target, start):
-                # A failed wire attempt occupies the NIC for at most the
-                # per-attempt timeout, then backs off exponentially.
-                cost = min(wire, self.recovery.transfer_timeout_s)
-                self.n_faults += 1
-                self.bytes_retransferred += nbytes
-                if self.trace is not None:
-                    self.trace.record_fault(
-                        "transfer-fail", -1, target, f"net{a}->{b}",
-                        start, start + cost, attempt, nbytes,
-                    )
-                if attempt > self.recovery.max_retries:
-                    raise UnrecoverableError(
-                        f"message for panel {target} on net{a}->{b} failed "
-                        f"{attempt} attempt(s); retry budget "
-                        f"max_retries={self.recovery.max_retries} exhausted"
-                    )
-                delay = self._backoff(attempt - 1)
-                if self.trace is not None:
-                    self.trace.record_recovery(
-                        "retry-transfer", -1, target, f"net{a}->{b}",
-                        start + cost, attempt, delay,
-                    )
-                start = start + cost + delay
-                attempt += 1
+        # A degraded link slows the sender's NIC.
+        deg = self.ledger.link_factor(a, start)
+        wire = self.cluster.net_latency_s + deg * nbytes / (
+            self.cluster.net_gbps * 1e9)
+        net = f"net{a}->{b}"
+        start = self.ledger.transfer(b, target, net, start, wire, nbytes)
         self.send_free[a] = start + wire
         arrival = max(start + wire, self.recv_free[b])
         self.recv_free[b] = arrival
         self.n_messages += 1
         self.bytes_on_wire += nbytes
         if self.trace is not None:
-            self.trace.record_transfer(target, f"net{a}->{b}", start, arrival)
-        self._schedule(arrival, self._arrive, a, b, target, nbytes)
+            self.trace.record_transfer(target, net, start, arrival)
+        self.schedule(arrival, self._arrive, a, b, target, nbytes)
 
     def _arrive(self, a: int, b: int, target: int, nbytes: float) -> None:
         if self.faults is not None and not self.node_up[b]:
             # The destination is down: the message is lost and must be
             # retransmitted once the node is back (the runtime knows the
             # restart delay, so the resend is timed to land after it).
-            key = ("msg", a, b, target)
-            att = self.attempts.get(key, 0) + 1
-            self.attempts[key] = att
-            self.n_faults += 1
-            self.bytes_retransferred += nbytes
-            if self.trace is not None:
-                self.trace.record_fault(
-                    "message-loss", -1, target, f"net{a}->{b}",
-                    self.time, self.time, att, nbytes,
-                )
-            if att > self.recovery.max_retries:
-                raise UnrecoverableError(
-                    f"message for panel {target} to node {b} lost "
-                    f"{att} time(s); retry budget "
-                    f"max_retries={self.recovery.max_retries} exhausted"
-                )
-            retry = max(self.time + self._backoff(att - 1),
+            net = f"net{a}->{b}"
+            att = self.ledger.charge(
+                ("msg", a, b, target), "message-loss", -1, target, net,
+                self.time, self.time, nbytes,
+                what=f"message for panel {target} to node {b}",
+            )
+            retry = max(self.time + self.ledger.backoff(att - 1),
                         self.node_restore_at[b])
-            if self.trace is not None:
-                self.trace.record_recovery(
-                    "resend", -1, target, f"net{a}->{b}", self.time, att,
-                    retry - self.time,
-                )
-            self._schedule(retry, self._send, a, b, target, nbytes)
+            self.ledger.recover("resend", -1, target, net, self.time, att,
+                                retry - self.time)
+            self.schedule(retry, self._send, a, b, target, nbytes)
             return
         self._push_ready(
             b, float(self.panel_prio[target]), ("acc", a, target, nbytes)
@@ -671,24 +531,15 @@ class _DistSim:
                 int(self.owner[k]), float(self.panel_prio[k]),
                 ("panel", int(k)),
             )
-        while self._heap:
-            when, _, fn, args = heapq.heappop(self._heap)
-            if (self.panels_done == self.symbol.n_cblk
-                    and fn == self._limp_onset):
-                continue  # a limp beginning after completion is moot
-            self.time = when
-            fn(*args)
+        # A limp beginning after completion is moot.
+        self.run_events(lambda: self.panels_done == self.symbol.n_cblk,
+                        (self.ledger.onset,))
         if self.panels_done != self.symbol.n_cblk:
             raise RuntimeError(
                 f"distributed simulation stalled: "
                 f"{self.panels_done}/{self.symbol.n_cblk} panels"
             )
-        if self.trace is not None:
-            # D8xx provenance: the run's single RNG and its consumption.
-            self.trace.meta["rng"] = (
-                {"seed": self.faults.seed, "draws": self.faults.n_draws}
-                if self.faults is not None else None
-            )
+        self.ledger.stamp_rng()
         return DistributedResult(
             cluster=self.cluster,
             fanin=self.fanin,
@@ -698,9 +549,9 @@ class _DistSim:
             bytes_on_wire=self.bytes_on_wire,
             node_busy=self.node_busy,
             trace=self.trace,
-            n_faults=self.n_faults,
-            n_reexecuted=self.n_reexecuted,
-            bytes_retransferred=self.bytes_retransferred,
+            n_faults=self.ledger.n_faults,
+            n_reexecuted=self.ledger.n_reexecuted,
+            bytes_retransferred=self.ledger.bytes_retransferred,
             n_health_transitions=(
                 self.health.n_transitions if self.health is not None else 0
             ),

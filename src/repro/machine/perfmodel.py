@@ -28,8 +28,7 @@ upstream).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 __all__ = [
     "CpuPerfModel",
@@ -38,6 +37,7 @@ __all__ = [
     "astra_rate",
     "sparse_astra_rate",
     "gemm_occupancy",
+    "stream_shares",
 ]
 
 
@@ -59,6 +59,29 @@ _R_INF = 415.0
 #: occupancy × DECAY^i (scheduling friction makes stream gains sub-linear,
 #: as the measured Fig. 3 two→three stream steps show).
 STREAM_OVERLAP_DECAY = 0.8
+
+#: Rate floor of a kernel left no capacity: starved kernels keep creeping
+#: forward so an event loop waiting on them cannot deadlock.
+STARVED_RATE_FRACTION = 0.02
+
+
+def stream_shares(occupancies: Sequence[float]) -> list[float]:
+    """Fraction of its solo rate each concurrent kernel on one GPU gets.
+
+    ``occupancies`` lists the running kernels in FIFO (start-time)
+    order.  The i-th kernel receives ``min(occ · DECAY^i, capacity
+    left)`` of the device, so big kernels serialize while small ones
+    overlap — the multi-stream effect of Figure 3.  Both the DAG
+    simulator and :func:`repro.machine.streamsim.simulate_kernel_burst`
+    share device capacity through this one function.
+    """
+    capacity = 1.0
+    fracs = []
+    for i, occ in enumerate(occupancies):
+        share = min(occ * STREAM_OVERLAP_DECAY**i, max(capacity, 0.0))
+        capacity -= share
+        fracs.append(max(share / occ, STARVED_RATE_FRACTION))
+    return fracs
 
 
 def cublas_rate(m: float, n: float, k: float) -> float:

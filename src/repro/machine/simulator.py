@@ -24,16 +24,15 @@ compute-heavy GEMM updates, §V-B).
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.dag.tasks import TaskDAG, TaskKind
 from repro.machine.model import MachineSpec
-from repro.machine.perfmodel import CpuPerfModel, GpuKernelModel
+from repro.machine.perfmodel import CpuPerfModel, GpuKernelModel, stream_shares
 from repro.resilience import (
     FaultModel,
     HealthMonitor,
@@ -41,10 +40,9 @@ from repro.resilience import (
     RecoveryPolicy,
     UnrecoverableError,
     bucket_key,
-    window_factor,
 )
-from repro.runtime.seq import monotonic_counter
 from repro.runtime.tracing import ExecutionTrace
+from repro.sim import EventLoop, FaultLedger
 
 __all__ = ["simulate", "SimulationResult"]
 
@@ -133,7 +131,7 @@ class _GpuState:
         return self.streams + self.PREFETCH_DEPTH - committed
 
 
-class _Simulator:
+class _Simulator(EventLoop):
     """One simulation run (see :func:`simulate`)."""
 
     HOST = -1
@@ -152,38 +150,31 @@ class _Simulator:
         recovery: RecoveryPolicy | None = None,
         health: HealthPolicy | None = None,
     ) -> None:
+        super().__init__()
         self.dag = dag
         self.machine = machine
         self.policy = policy
         self.dtype = np.dtype(dtype)
         self.cpu_model = cpu_model or CpuPerfModel()
         self.gpu_model = gpu_model or GpuKernelModel("sparse")
-        self.trace = ExecutionTrace() if collect_trace else None
+        self.ledger = FaultLedger("machine.simulator", collect_trace,
+                                  faults, recovery)
+        self.trace = self.ledger.trace
         if self.trace is not None:
-            self.trace.meta["producer"] = "machine.simulator"
-            self.trace.meta["clock"] = "virtual"
             self.trace.meta["policy"] = policy.traits.name
 
         # Resilience.  Every fault hook below is gated on
         # ``self.faults is not None`` so a run without a fault model goes
         # through byte-identical code paths (no overhead, same trace).
         self.faults = faults
-        self.recovery = recovery or RecoveryPolicy()
-        self.attempts: dict[int, int] = {}
+        self.recovery = self.ledger.recovery
         self.dead_gpus: set[int] = set()
         self.dead_workers: set[int] = set()
-        self.n_faults = 0
-        self.n_reexecuted = 0
-        self.bytes_retransferred = 0.0
 
         traits = policy.traits
         self.n_cpu_workers = machine.n_cores
         if traits.dedicated_gpu_workers:
             self.n_cpu_workers = max(1, machine.n_cores - machine.n_gpus)
-
-        self.time = 0.0
-        self._heap: list = []
-        self._seq = monotonic_counter()
 
         n = dag.n_tasks
         self.deps_left = dag.n_deps.copy()
@@ -204,6 +195,8 @@ class _Simulator:
             _GpuState(g, machine.streams_per_gpu)
             for g in range(machine.n_gpus)
         ]
+        #: Kernel start time per task running on a GPU (FIFO share order).
+        self._gpu_start_time: dict[int, float] = {}
 
         # Coherence: newest location and valid-copy sets per cblk.
         self._newest: dict[int, int] = {}
@@ -218,10 +211,8 @@ class _Simulator:
         # trace fingerprints (the R705/D8xx identity).
         self.health: HealthMonitor | None = None
         if health is not None:
-            self.health = HealthMonitor(
-                (f"cpu{w}" for w in range(self.n_cpu_workers)),
-                policy=health,
-            )
+            self.health = self.ledger.monitor(
+                (f"cpu{w}" for w in range(self.n_cpu_workers)), health)
             #: Live CPU attempts: ``(task, worker) -> start time``.  With
             #: hedging a task may have two; the first to finish commits.
             self._live_attempt: dict[tuple[int, int], float] = {}
@@ -230,37 +221,14 @@ class _Simulator:
             #: Overstayed tasks waiting for a healthy worker to duplicate
             #: them (served ahead of fresh policy work).
             self._hedge_wanted: list[int] = []
-            if self.trace is not None:
-                self.trace.meta["health"] = {"hedge": health.hedge}
         self.n_hedges = 0
-
-        # Persistent slowdown windows (consumed whole at init; they are
-        # declarative state, not per-attempt draws).
-        self._limp: dict[int, list] = {}
-        self._linkdeg: dict[int, list] = {}
 
         self._precompute()
         policy.bind(self)
-
-        if faults is not None:
-            # Device losses are purely time-driven: pre-schedule them.
-            for spec in faults.pop_timed("gpu-loss"):
-                gidx = spec.resource if spec.resource >= 0 else 0
-                if gidx < len(self.gpus):
-                    self._schedule(spec.time, self._device_loss, gidx)
-            # Persistent conditions: pre-schedule the onset events so
-            # the limp/degradation is trace-visible as a fault the R6xx
-            # auditor can pair.
-            self._limp = faults.pop_windows("limplock")
-            self._linkdeg = faults.pop_windows("degraded-link")
-            for w, spans in sorted(self._limp.items()):
-                for (t0, _t1, _f) in spans:
-                    self._schedule(t0, self._limp_onset, "limplock",
-                                   f"cpu{w}", t0)
-            for l, spans in sorted(self._linkdeg.items()):
-                for (t0, _t1, _f) in spans:
-                    self._schedule(t0, self._limp_onset, "degraded-link",
-                                   f"link{l}", t0)
+        # Device losses are purely time-driven; limplock windows are per
+        # CPU worker, degraded-link windows per GPU link.
+        self.ledger.arm(self, "gpu-loss", len(self.gpus), self._device_loss,
+                        "cpu{}", "link{}")
 
     # ------------------------------------------------------------------
     # static models
@@ -383,33 +351,17 @@ class _Simulator:
     # ------------------------------------------------------------------
     # event machinery
     # ------------------------------------------------------------------
-    def _schedule(self, when: float, fn: Callable, *args) -> None:
-        heapq.heappush(self._heap, (when, next(self._seq), fn, args))
-
     def run(self) -> SimulationResult:
         n_total = self.dag.n_tasks
         for t in self.dag.sources():
             self._task_ready(int(t))
         self._kick()
-        while self._heap:
-            when, _, fn, args = heapq.heappop(self._heap)
-            if (
-                self.faults is not None
-                and self.n_done == n_total
-                and fn in (self._device_loss, self._limp_onset)
-            ):
-                # A device loss (or limp onset) scheduled past the end
-                # of the run must not drag the makespan out to its (now
-                # moot) time.
-                continue
-            if (
-                self.health is not None
-                and self.n_done == n_total
-                and fn == self._hedge_check
-            ):
-                continue
-            self.time = when
-            fn(*args)
+        # A device loss, limp onset or hedge check timed past the last
+        # completion is moot.
+        self.run_events(
+            lambda: self.n_done == n_total,
+            (self._device_loss, self.ledger.onset, self._hedge_check),
+        )
         if self.n_done != n_total:
             if (
                 self.faults is not None
@@ -421,14 +373,7 @@ class _Simulator:
                     "resource can run the CPU-only frontier"
                 )
             raise RuntimeError(self._stall_message())
-        if self.trace is not None:
-            # D8xx provenance: the one RNG every stochastic decision of
-            # this run came from, and how many draws it served (ties are
-            # broken by self._seq, whose total is the trace's next_seq).
-            self.trace.meta["rng"] = (
-                {"seed": self.faults.seed, "draws": self.faults.n_draws}
-                if self.faults is not None else None
-            )
+        self.ledger.stamp_rng()
         busy = self.trace.busy_time() if self.trace else {}
         return SimulationResult(
             policy=self.policy.traits.name,
@@ -443,9 +388,9 @@ class _Simulator:
             peak_gpu_bytes=float(
                 max((g.peak_bytes for g in self.gpus), default=0)
             ),
-            n_faults=self.n_faults,
-            n_reexecuted=self.n_reexecuted,
-            bytes_retransferred=self.bytes_retransferred,
+            n_faults=self.ledger.n_faults,
+            n_reexecuted=self.ledger.n_reexecuted,
+            bytes_retransferred=self.ledger.bytes_retransferred,
             n_health_transitions=(
                 self.health.n_transitions if self.health is not None else 0
             ),
@@ -501,7 +446,7 @@ class _Simulator:
         quarantined workers are not polled at all (the R703 contract)."""
         if self.health is None:
             return sorted(self.idle_workers)
-        self._record_health(self.health.tick(self.time))
+        self.ledger.record_health(self.health.tick(self.time))
         ranked = sorted(
             self.idle_workers,
             key=lambda w: (self.health.rank(f"cpu{w}"), w),
@@ -558,58 +503,21 @@ class _Simulator:
         keeps holding on recovered traces.  Raises
         :class:`UnrecoverableError` once the retry budget is exhausted.
         """
-        attempt = self.attempts.get(t, 0) + 1
-        self.attempts[t] = attempt
-        self.n_faults += 1
         cblk = int(self.dag.cblk[t])
-        if self.trace is not None:
-            self.trace.record_fault(kind, t, cblk, resource, start, end,
-                                    attempt)
-        if attempt > self.recovery.max_retries:
-            raise UnrecoverableError(
-                f"task {t} failed {attempt} attempt(s) (last: {kind} on "
-                f"{resource} at t={end:.6g}); retry budget "
-                f"max_retries={self.recovery.max_retries} exhausted"
-            )
+        attempt = self.ledger.charge(
+            t, kind, t, cblk, resource, start, end,
+            what=f"task {t} (last: {kind} on {resource} at t={end:.6g})",
+        )
         # The failed attempt still holds its mutex (locked at dispatch):
         # release it before requeueing or the retry deadlocks on itself.
         self._unlock(t)
-        delay = self._backoff(attempt - 1)
-        if self.trace is not None:
-            self.trace.record_recovery(recovery, t, cblk, resource, end,
-                                       attempt, delay)
-        self.n_reexecuted += 1
-        self._schedule(end + delay, self._requeue_task, t)
-
-    def _backoff(self, attempt: int) -> float:
-        """Recovery backoff; jitter (when configured) draws from the
-        run's single fault RNG so D803 draw accounting balances."""
-        if self.recovery.jitter > 0.0 and self.faults is not None:
-            return self.recovery.backoff(attempt,
-                                         self.faults.backoff_jitter())
-        return self.recovery.backoff(attempt)
+        delay = self.ledger.backoff(attempt - 1)
+        self.ledger.rerun(recovery, t, cblk, resource, end, attempt, delay)
+        self.schedule(end + delay, self._requeue_task, t)
 
     def _requeue_task(self, t: int) -> None:
         self.policy.on_ready(t)
         self._kick()
-
-    def _limp_onset(self, kind: str, resource: str, t0: float) -> None:
-        """A persistent condition (limplock / degraded-link) begins.
-
-        The slowdown itself is applied where durations are computed;
-        this event only makes the onset trace-visible as a paired
-        fault/recovery (kind ``"degrade"``: the runtime tolerates the
-        condition in place and degrades around it).
-        """
-        self.n_faults += 1
-        if self.trace is not None:
-            self.trace.record_fault(kind, -1, -1, resource, t0, t0)
-            self.trace.record_recovery("degrade", -1, -1, resource, t0)
-
-    def _record_health(self, transitions) -> None:
-        if self.trace is not None:
-            for (res, src, dst, when, ratio, reason) in transitions:
-                self.trace.record_health(res, src, dst, when, ratio, reason)
 
     def _cpu_fault(self, t: int, w: int, kind: str, start: float) -> None:
         """A CPU task attempt dies mid-execution (scheduled by
@@ -632,15 +540,11 @@ class _Simulator:
                 # A duplicate is still running: absorb the fault in
                 # place instead of re-queueing (the survivor commits;
                 # a requeue would race it for the task's mutex).
-                self.n_faults += 1
                 cblk = int(self.dag.cblk[t])
-                att = self.attempts.get(t, 0) + 1
-                self.attempts[t] = att
-                if self.trace is not None:
-                    self.trace.record_fault(kind, t, cblk, f"cpu{w}",
-                                            start, self.time, att)
-                    self.trace.record_recovery("absorb", t, cblk, f"cpu{w}",
-                                               self.time, att)
+                att = self.ledger.charge(t, kind, t, cblk, f"cpu{w}", start,
+                                         self.time)
+                self.ledger.recover("absorb", t, cblk, f"cpu{w}", self.time,
+                                    att)
                 self._kick()
                 return
         self._fail_task(t, kind, f"cpu{w}", start, self.time)
@@ -660,7 +564,6 @@ class _Simulator:
             return
         g = self.gpus[gidx]
         self.dead_gpus.add(gidx)
-        self.n_faults += 1
         # Outbound (d2h) transfers already committed to the link drain
         # normally — the DMA queue survives long enough to flush, which
         # is what makes the optimistic host-validity marks honest.
@@ -680,19 +583,16 @@ class _Simulator:
                     d for d in self.trace.data_events
                     if id(d) not in dropped
                 ]
-            # The fault window spans the loss instant through the link
-            # drain; the R6xx auditor treats traffic inside the window
-            # as the drain, traffic after it as use of a dead device.
-            self.trace.record_fault("gpu-loss", -1, -1, f"gpu{gidx}",
-                                    self.time, drain)
+        # The fault window spans the loss instant through the link
+        # drain; the R6xx auditor treats traffic inside the window as
+        # the drain, traffic after it as use of a dead device.
+        self.ledger.fault("gpu-loss", -1, -1, f"gpu{gidx}", self.time, drain)
         if not self.recovery.gpu_blacklist:
             raise UnrecoverableError(
                 f"GPU {gidx} lost at t={self.time:.6g} and gpu_blacklist "
                 f"recovery is disabled"
             )
-        if self.trace is not None:
-            self.trace.record_recovery("reroute-cpu", -1, -1, f"gpu{gidx}",
-                                       drain)
+        self.ledger.recover("reroute-cpu", -1, -1, f"gpu{gidx}", drain)
         # Account partial progress before killing the active kernels.
         self._gpu_progress(g)
         active = list(g.active_rem)
@@ -700,8 +600,8 @@ class _Simulator:
         # Tasks whose transfers are in flight have a pending
         # _gpu_data_ready event in the heap; the dead-GPU guard there
         # makes the event a no-op, and we fail the task here.
-        staged = [a[0] for (_, _, fn, a) in self._heap
-                  if fn == self._gpu_data_ready and a[1] is g]
+        staged = [t for (t, gg) in self.pending(self._gpu_data_ready)
+                  if gg is g]
         for d in (g.active_rem, g.active_rate, g.active_base, g.active_occ):
             d.clear()
         g.ready_queue.clear()
@@ -801,43 +701,10 @@ class _Simulator:
         """Occupy GPU ``g``'s PCIe link; returns completion time."""
         spec = self.machine.gpu
         start = max(self.time, g.link_free)
-        dur = spec.transfer_latency_s + nbytes / (spec.h2d_gbps * 1e9)
-        if self.faults is not None:
-            # Degraded link: bandwidth divides by the window's factor.
-            deg = window_factor(self._linkdeg.get(g.index), start)
-            if deg > 1.0:
-                dur = spec.transfer_latency_s + deg * nbytes / (
-                    spec.h2d_gbps * 1e9
-                )
-        if self.faults is not None:
-            attempt = 1
-            while self.faults.transfer_fails(g.index, cblk, start):
-                # Each failed attempt occupies the link for at most the
-                # per-attempt timeout, then backs off exponentially.  No
-                # DataEvent is emitted for failed attempts (the bytes
-                # never landed), so the M4xx replay stays consistent.
-                cost = min(dur, self.recovery.transfer_timeout_s)
-                self.n_faults += 1
-                self.bytes_retransferred += nbytes
-                if self.trace is not None:
-                    self.trace.record_fault(
-                        "transfer-fail", -1, cblk, f"link{g.index}",
-                        start, start + cost, attempt, nbytes,
-                    )
-                if attempt > self.recovery.max_retries:
-                    raise UnrecoverableError(
-                        f"transfer of panel {cblk} on link {g.index} failed "
-                        f"{attempt} attempt(s); retry budget "
-                        f"max_retries={self.recovery.max_retries} exhausted"
-                    )
-                delay = self._backoff(attempt - 1)
-                if self.trace is not None:
-                    self.trace.record_recovery(
-                        "retry-transfer", -1, cblk, f"link{g.index}",
-                        start + cost, attempt, delay,
-                    )
-                start = start + cost + delay
-                attempt += 1
+        deg = self.ledger.link_factor(g.index, start)
+        dur = spec.transfer_latency_s + deg * nbytes / (spec.h2d_gbps * 1e9)
+        start = self.ledger.transfer(g.index, cblk, f"link{g.index}", start,
+                                     dur, nbytes)
         g.link_free = start + dur
         if kind == "h2d":
             self.bytes_h2d += nbytes
@@ -959,24 +826,8 @@ class _Simulator:
             dur /= self.machine.cpu.cache_reuse_bonus
         start = data_ready
         if self.faults is not None:
-            factor = self.faults.straggler(t, start)
-            if factor > 1.0:
-                # Straggler: the attempt still succeeds, just slower.
-                # The runtime absorbs it in place (no re-execution).
-                self.n_faults += 1
-                if self.trace is not None:
-                    cblk = int(dag.cblk[t])
-                    att = self.attempts.get(t, 0) + 1
-                    self.trace.record_fault(
-                        "straggler", t, cblk, f"cpu{w}",
-                        start, start + dur * factor, att,
-                    )
-                    self.trace.record_recovery(
-                        "absorb", t, cblk, f"cpu{w}", start, att,
-                    )
-                dur *= factor
-            # Persistent limplock: every attempt inside the window slows.
-            dur *= window_factor(self._limp.get(w), start)
+            dur = self.ledger.stretch(t, int(dag.cblk[t]), f"cpu{w}", w,
+                                      start, dur)
             if self.health is not None:
                 self._live_attempt[(t, w)] = start
             kind = self.faults.task_fault(t, w, start)
@@ -984,14 +835,14 @@ class _Simulator:
                 # The attempt dies halfway through: the wasted time is
                 # the fault window, and no TraceEvent is recorded (the
                 # task did not complete here — it will re-execute).
-                self._schedule(start + 0.5 * dur, self._cpu_fault,
-                               t, w, kind, start)
+                self.schedule(start + 0.5 * dur, self._cpu_fault,
+                              t, w, kind, start)
                 return
         end = start + dur
         if self.health is None:
             if self.trace is not None:
                 self.trace.record(t, f"cpu{w}", start, end)
-            self._schedule(end, self._finish_cpu, t, w)
+            self.schedule(end, self._finish_cpu, t, w)
             return
         # Monitoring on: the TraceEvent is recorded at *commit* (a hedge
         # duplicate may beat this attempt to it), and an overstay check
@@ -1002,8 +853,8 @@ class _Simulator:
             expected = (self.cpu_duration[t]
                         + self.policy.traits.task_overhead_s)
             after = max(p.hedge_ratio * expected, p.hedge_min_s)
-            self._schedule(start + after, self._hedge_check, t)
-        self._schedule(end, self._finish_cpu, t, w)
+            self.schedule(start + after, self._hedge_check, t)
+        self.schedule(end, self._finish_cpu, t, w)
 
     def _hedge_check(self, t: int) -> None:
         """The in-flight attempt of ``t`` overstayed its hedge threshold:
@@ -1025,7 +876,7 @@ class _Simulator:
             expected = (self.cpu_duration[t]
                         + self.policy.traits.task_overhead_s)
             retry = max(p.hedge_ratio * expected, p.hedge_min_s)
-            self._schedule(self.time + retry, self._hedge_check, t)
+            self.schedule(self.time + retry, self._hedge_check, t)
             return
         spare = [h for h in sorted(self.idle_workers)
                  if self.health.rank(f"cpu{h}") == 0]
@@ -1059,10 +910,9 @@ class _Simulator:
             self.trace.record_hedge("launch", t, f"cpu{h}", self.time,
                                     f"cpu{primary}")
         dur = self.cpu_duration[t] + self.policy.traits.task_overhead_s
-        if self.faults is not None:
-            dur *= window_factor(self._limp.get(h), self.time)
+        dur *= self.ledger.limp_factor(h, self.time)
         self._live_attempt[(t, h)] = self.time
-        self._schedule(self.time + dur, self._finish_cpu, t, h)
+        self.schedule(self.time + dur, self._finish_cpu, t, h)
 
     def _finish_cpu(self, t: int, w: int) -> None:
         if self.health is not None:
@@ -1091,13 +941,13 @@ class _Simulator:
                 # Without it a worker that always loses its hedges never
                 # completes anything, its EWMA freezes, and it keeps
                 # black-holing fresh dispatches as "suspect" forever.
-                self._record_health(self.health.observe(
+                self.ledger.record_health(self.health.observe(
                     f"cpu{ww}", self._health_key(t), self.time - lstart,
                     self.time, expected=expected,
                 ))
             if self.trace is not None:
                 self.trace.record(t, f"cpu{w}", start, self.time)
-            self._record_health(self.health.observe(
+            self.ledger.record_health(self.health.observe(
                 f"cpu{w}", self._health_key(t), self.time - start,
                 self.time, expected=expected,
             ))
@@ -1125,7 +975,7 @@ class _Simulator:
         data_ready = max(
             self._fetch_to_gpu(src, g), self._fetch_to_gpu(tgt, g)
         )
-        self._schedule(max(data_ready, self.time), self._gpu_data_ready, t, g)
+        self.schedule(max(data_ready, self.time), self._gpu_data_ready, t, g)
 
     def _gpu_data_ready(self, t: int, g: _GpuState) -> None:
         if self.faults is not None and g.index in self.dead_gpus:
@@ -1153,8 +1003,6 @@ class _Simulator:
         )
         g.active_occ[t] = float(self.gpu_occupancy[t])
         g.active_rate[t] = 0.0
-        if not hasattr(self, "_gpu_start_time"):
-            self._gpu_start_time = {}
         self._gpu_start_time[t] = self.time
         self._gpu_recompute(g)
 
@@ -1178,23 +1026,17 @@ class _Simulator:
         g.version += 1
         if not g.active_rem:
             return
-        from repro.machine.perfmodel import STREAM_OVERLAP_DECAY
-
         order = sorted(g.active_rem, key=lambda t: self._gpu_start_time[t])
-        capacity = 1.0
+        fracs = stream_shares([g.active_occ[t] for t in order])
         soonest, soonest_t = np.inf, None
-        for i, t in enumerate(order):
-            occ = g.active_occ[t]
-            share = min(occ * STREAM_OVERLAP_DECAY**i, max(capacity, 0.0))
-            capacity -= share
-            frac = max(share / occ, 0.02)
+        for t, frac in zip(order, fracs):
             rate = g.active_base[t] * frac
             g.active_rate[t] = rate
             eta = g.active_rem[t] / rate if rate > 0 else np.inf
             if eta < soonest:
                 soonest, soonest_t = eta, t
         if soonest_t is not None:
-            self._schedule(
+            self.schedule(
                 self.time + soonest, self._finish_gpu, soonest_t, g, g.version
             )
 
@@ -1208,11 +1050,8 @@ class _Simulator:
             return
         for d in (g.active_rem, g.active_rate, g.active_base, g.active_occ):
             d.pop(t, None)
-        src, tgt = int(self.dag.cblk[t]), int(self.dag.target[t])
-        for cblk in (src, tgt):
-            g.pinned[cblk] -= 1
-            if g.pinned[cblk] == 0:
-                del g.pinned[cblk]
+        self._unpin(t, g)
+        tgt = int(self.dag.target[t])
         self._mark_write(tgt, g.index)
         g.resident.move_to_end(tgt, last=True)
         if self.faults is not None and self.recovery.checkpoint_writeback:

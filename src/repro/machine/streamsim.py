@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.machine.perfmodel import (
     astra_rate,
     cublas_rate,
     gemm_occupancy,
     sparse_astra_rate,
+    stream_shares,
 )
 from repro.runtime.tracing import ExecutionTrace
 
@@ -108,17 +107,11 @@ def simulate_kernel_burst(
             n_submitted += 1
             remaining[s] -= 1
 
-    from repro.machine.perfmodel import STREAM_OVERLAP_DECAY
-
     while active:
         # FIFO capacity shares with decaying overlap efficiency.
         order = sorted(active, key=lambda s: started[s])
-        capacity = 1.0
-        rates = {}
-        for i, s in enumerate(order):
-            share = min(occ * STREAM_OVERLAP_DECAY**i, max(capacity, 0.0))
-            capacity -= share
-            rates[s] = rate * max(share / occ, 0.02)
+        rates = {s: rate * frac for s, frac
+                 in zip(order, stream_shares([occ] * len(order)))}
         # Advance to the earliest completion.
         dt = min(active[s] / rates[s] for s in order)
         time += dt

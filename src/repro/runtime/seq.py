@@ -1,9 +1,10 @@
 """Shared monotonic sequence counter for event-heap tie-breaking.
 
-Every discrete-event loop in the project (the machine simulator's event
-heap, the distributed simulator's event heap *and* its per-node ready
-heaps) breaks simultaneous-event ties with a monotonically increasing
-integer drawn from one of these counters: ``(when, next(ctr), ...)``.
+Every discrete-event heap in the project (:class:`repro.sim.EventLoop`,
+which both simulators run on, and the distributed simulator's per-node
+:class:`repro.sim.ReadyHeap` queues) breaks simultaneous-event ties with
+a monotonically increasing integer drawn from one of these counters:
+``(when, next(ctr), ...)``.
 A heap tuple whose time key compares equal then falls through to the
 sequence element, which is unique, so the pop order of simultaneous
 events is total, reproducible, and independent of hash seeds, allocation

@@ -45,11 +45,11 @@ through ``python -m repro verify``:
   (D8xx) over the canonical order-sensitive trace fingerprint
   (:meth:`~repro.runtime.tracing.ExecutionTrace.fingerprint`);
 * :func:`repro.verify.eventloop.eventloop_paths` — the static shadow
-  of the same discipline: an AST lint over the three discrete-event
-  simulators and the fault layer for heap pushes without a monotonic
-  tie-breaker, float equality on simulated clocks, unordered-set
-  choices feeding the event order, and wall clocks or unseeded RNGs
-  inside a simulation step (RV5xx);
+  of the same discipline: an AST lint over the shared event core, the
+  three discrete-event simulators and the fault layer for heap pushes
+  without a monotonic tie-breaker, float equality on simulated clocks,
+  unordered-set choices feeding the event order, and wall clocks or
+  unseeded RNGs inside a simulation step (RV5xx);
 * :func:`repro.verify.lint.lint_paths` — an AST linter enforcing the
   project's simulation invariants (no frozen-dataclass mutation, no
   float-equality on times, ``traits`` on every policy, no ambiguous

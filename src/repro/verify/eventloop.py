@@ -3,9 +3,10 @@ the discrete-event simulators (AST-based, stdlib only).
 
 The D8xx pass (:mod:`repro.verify.determinism`) convicts replay
 divergence from recorded traces; this pass convicts the *source shapes*
-that breed it, over the modules that hand-roll event loops —
-``machine.simulator``, ``machine.streamsim``, ``distributed.simulator``
-and the ``repro.resilience`` fault layer by default.  Five rules,
+that breed it, over the event-loop modules — the shared core
+``repro.sim``, ``machine.simulator``, ``machine.streamsim``,
+``distributed.simulator`` and the ``repro.resilience`` fault layer by
+default.  Five rules,
 suppressible like the other lints with ``# noqa: RV5xx`` on the
 offending line:
 
@@ -48,6 +49,7 @@ from repro.verify.lint import (
     _NOQA_RE,
     _set_container_names,
     _set_typed_names,
+    scope_sources,
 )
 from repro.verify.report import Report
 
@@ -311,11 +313,12 @@ def eventloop_sources(sources: dict[str, str]) -> list[LintFinding]:
     return findings
 
 
-#: Modules the event-loop lint covers by default: the three hand-rolled
-#: discrete-event loops and the fault layer whose RNG they consume.
+#: Modules the event-loop lint covers by default: the shared event core,
+#: the three simulators and the fault layer whose RNG they consume.
 #: (The threaded runtime legitimately reads wall clocks and is audited
 #: by RV4xx/C7xx instead.)
 DEFAULT_SCOPE = (
+    "src/repro/sim.py",
     "src/repro/machine/simulator.py",
     "src/repro/machine/streamsim.py",
     "src/repro/distributed/simulator.py",
@@ -323,35 +326,12 @@ DEFAULT_SCOPE = (
 )
 
 
-def _default_paths() -> list[Path]:
-    """Resolve :data:`DEFAULT_SCOPE` relative to the installed package
-    (works from any CWD, including an installed tree)."""
-    import repro
-
-    pkg = Path(repro.__file__).resolve().parent
-    return [
-        pkg / "machine" / "simulator.py",
-        pkg / "machine" / "streamsim.py",
-        pkg / "distributed" / "simulator.py",
-        pkg / "resilience",
-    ]
-
-
 def eventloop_paths(
     paths: Optional[Sequence[str | Path]] = None,
 ) -> list[LintFinding]:
-    """Lint ``*.py`` files under the given paths (default: the three
-    simulator modules plus ``repro.resilience``)."""
-    targets = ([Path(p) for p in paths] if paths is not None
-               else _default_paths())
-    files: list[Path] = []
-    for p in targets:
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
-        elif p.exists():
-            files.append(p)
-    sources = {str(f): f.read_text() for f in files}
-    return eventloop_sources(sources)
+    """Lint ``*.py`` files under the given paths (default:
+    :data:`DEFAULT_SCOPE`)."""
+    return eventloop_sources(scope_sources(paths, DEFAULT_SCOPE))
 
 
 def eventloop_report(

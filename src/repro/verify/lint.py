@@ -689,6 +689,29 @@ def lint_paths(paths: Sequence[str | Path]) -> list[LintFinding]:
     return lint_sources(sources)
 
 
+def scope_sources(
+    paths: Sequence[str | Path] | None, scope: Sequence[str],
+) -> dict[str, str]:
+    """``{path: source}`` of every ``*.py`` file under ``paths``, or by
+    default under ``scope``: ``src/repro/...`` entries resolved against
+    the imported package (so any CWD works, including an installed
+    tree).  Missing paths are skipped."""
+    if paths is None:
+        import repro
+
+        pkg = Path(repro.__file__).resolve().parent
+        targets = [pkg / Path(p).relative_to("src/repro") for p in scope]
+    else:
+        targets = [Path(p) for p in paths]
+    files: list[Path] = []
+    for p in targets:
+        if p.is_dir():
+            files.extend(sorted(p.rglob("*.py")))
+        elif p.exists():
+            files.append(p)
+    return {str(f): f.read_text() for f in files}
+
+
 def lint_report(paths: Sequence[str | Path]) -> Report:
     """Run the linter and wrap findings in a :class:`Report`."""
     findings = lint_paths(paths)

@@ -44,7 +44,7 @@ import ast
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.verify.lint import LintFinding, _NOQA_RE
+from repro.verify.lint import LintFinding, _NOQA_RE, scope_sources
 from repro.verify.report import Report
 
 __all__ = [
@@ -482,30 +482,12 @@ def lockdiscipline_sources(
 DEFAULT_SCOPE = ("src/repro/runtime",)
 
 
-def _default_paths() -> list[Path]:
-    """Resolve :data:`DEFAULT_SCOPE` relative to the installed package
-    (works from any CWD, including an installed tree)."""
-    import repro
-
-    pkg = Path(repro.__file__).resolve().parent
-    return [pkg / "runtime"]
-
-
 def lockdiscipline_paths(
     paths: Optional[Sequence[str | Path]] = None,
 ) -> list[LintFinding]:
-    """Lint ``*.py`` files under the given paths (default: the
-    threaded-runtime scope)."""
-    targets = ([Path(p) for p in paths] if paths is not None
-               else _default_paths())
-    files: list[Path] = []
-    for p in targets:
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
-        elif p.exists():
-            files.append(p)
-    sources = {str(f): f.read_text() for f in files}
-    return lockdiscipline_sources(sources)
+    """Lint ``*.py`` files under the given paths (default:
+    :data:`DEFAULT_SCOPE`, the threaded runtime)."""
+    return lockdiscipline_sources(scope_sources(paths, DEFAULT_SCOPE))
 
 
 def lockdiscipline_report(

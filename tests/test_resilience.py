@@ -333,6 +333,63 @@ class TestDistributed:
             simulate_distributed(sym, owner, cluster, faults=faults,
                                  recovery=RecoveryPolicy(max_retries=1))
 
+    @pytest.fixture(scope="class")
+    def grid40(self):
+        from repro.sparse.generators import grid_laplacian_2d
+        from repro.symbolic import SymbolicOptions
+
+        matrix = grid_laplacian_2d(40)
+        sym = analyze(matrix, SymbolicOptions(split_max_width=32)).symbol
+        owner = map_cblks(sym, 2, strategy="cyclic")
+        cluster = ClusterSpec(n_nodes=2, cores_per_node=4)
+        clean = simulate_distributed(sym, owner, cluster)
+        return sym, owner, cluster, clean.makespan
+
+    @staticmethod
+    def _assert_node_busy_is_what_ran(r):
+        """Each node's busy time is its committed trace events plus its
+        wasted fault windows (a straggler window re-describes an attempt
+        that either committed or was lost, so it is not added)."""
+        for n, busy in enumerate(r.node_busy):
+            core = f"n{n}c"
+            ran = sum(e.end - e.start for e in r.trace.events
+                      if e.resource.startswith(core))
+            wasted = sum(f.end - f.start for f in r.trace.fault_events
+                         if f.resource.startswith(core)
+                         and f.kind != "straggler")
+            assert busy == pytest.approx(ran + wasted, rel=1e-12)
+
+    def test_node_loss_restarts_failing_attempts(self, grid40):
+        """An attempt doomed to fail that is in flight when its node dies
+        restarts with the node; its fault event then fires stale and must
+        not hand the (busy again) core back a second time."""
+        sym, owner, cluster, mk = grid40
+        faults = FaultModel(
+            [FaultSpec("node-fail", time=0.2 * mk, resource=1)],
+            seed=2, task_fail_rate=0.3,
+        )
+        r = simulate_distributed(
+            sym, owner, cluster, collect_trace=True, faults=faults,
+            recovery=RecoveryPolicy(node_restart_s=1e-7, max_retries=50),
+        )
+        rep = verify_resilience(r.trace, check_double_complete=False)
+        assert rep.ok, rep.format()
+        self._assert_node_busy_is_what_ran(r)
+
+    def test_node_loss_uncharges_stretched_attempts(self, grid40):
+        """A straggling attempt lost to a node failure keeps only the
+        part of its stretched duration that ran in ``node_busy``."""
+        sym, owner, cluster, mk = grid40
+        faults = FaultModel(
+            [FaultSpec("straggler", factor=50.0),
+             FaultSpec("node-fail", time=0.05 * mk, resource=0)],
+            seed=0,
+        )
+        r = simulate_distributed(sym, owner, cluster, collect_trace=True,
+                                 faults=faults)
+        assert any(f.kind == "straggler" for f in r.trace.fault_events)
+        self._assert_node_busy_is_what_ran(r)
+
 
 # ----------------------------------------------------------------------
 # threaded runtime

@@ -1,10 +1,12 @@
 """D8xx determinism audit + RV5xx event-loop lint + trace fingerprints."""
 
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.dag import build_dag
 from repro.distributed import ClusterSpec, map_cblks, simulate_distributed
 from repro.machine import mirage, simulate
@@ -23,7 +25,12 @@ from repro.verify.determinism import (
     trace_diff,
     verify_determinism,
 )
-from repro.verify.eventloop import eventloop_paths, eventloop_sources
+from repro.verify.eventloop import (
+    DEFAULT_SCOPE,
+    eventloop_paths,
+    eventloop_sources,
+)
+from repro.verify.lint import scope_sources
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +243,18 @@ def _codes(src):
 class TestEventloopLint:
     def test_default_scope_clean(self):
         assert eventloop_paths() == []
+
+    def test_default_scope_covers_every_event_heap(self):
+        """The scope resolves to real files, the shared event core among
+        them, and the simulator packages hold no heap of their own."""
+        pkg = Path(repro.__file__).parent
+        linted = {Path(p).relative_to(pkg).as_posix()
+                  for p in scope_sources(None, DEFAULT_SCOPE)}
+        assert {"sim.py", "machine/simulator.py", "machine/streamsim.py",
+                "distributed/simulator.py"} <= linted
+        for sub in ("machine", "distributed"):
+            for f in (pkg / sub).glob("*.py"):
+                assert "import heapq" not in f.read_text(), f
 
     def test_rv501_non_tuple_and_missing_tiebreak(self):
         src = (
