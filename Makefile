@@ -16,6 +16,10 @@ tool_status = $(shell command -v $(1) >/dev/null 2>&1 && echo ok \
 native_status = $(shell { command -v cc || command -v gcc; } >/dev/null 2>&1 \
 	&& echo ok || echo "SKIPPED (no C compiler)")
 
+# Number of `repro verify --inject` modes `make selftest` covers.
+inject_modes = $(shell PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c \
+	'from repro.verify.cli import INJECTS; print(len(INJECTS))')
+
 .PHONY: test verify lint hazards typecheck bench figures selftest chaos \
 	chaos-smoke race-smoke determinism-smoke native-smoke e2e-smoke ci
 
@@ -30,75 +34,12 @@ test:
 # verify), plus ruff/mypy when available, plus the test suite.
 verify: lint hazards typecheck test
 
-# Fault-injection self-tests: every corruption must make the verifier
-# exit non-zero.  A mode that slips through means an analyzer has been
-# lobotomized, so the target fails loudly on the first silent pass.
-# The memory injections need a problem large enough that the scheduler
-# actually offloads (hence --size 32).
+# Fault-injection self-tests: every `--inject` mode of
+# repro.verify.cli.INJECTS must make its own pass exit 1 and report one
+# of the codes the mode declares.  A mode that slips through means an
+# analyzer has been lobotomized.
 selftest:
-	@for inj in drop-edge overlap-trace break-mutex skew-flops \
-			stale-cache; do \
-		if $(PYTHON) -m repro verify --matrix lap2d --size 20 \
-			--no-lint --no-resilience --no-health --no-concurrency \
-			--no-determinism --inject $$inj >/dev/null 2>&1; then \
-			echo "inject $$inj: NOT caught"; exit 1; \
-		else \
-			echo "inject $$inj: caught"; \
-		fi; \
-	done
-	@for inj in drop-transfer overflow-residency; do \
-		if $(PYTHON) -m repro verify --matrix lap2d --size 32 \
-			--no-lint --no-hazards --no-symbolic --no-resilience \
-			--no-health --no-concurrency --no-determinism \
-			--inject $$inj >/dev/null 2>&1; then \
-			echo "inject $$inj: NOT caught"; exit 1; \
-		else \
-			echo "inject $$inj: caught"; \
-		fi; \
-	done
-	@for inj in drop-recovery double-complete; do \
-		if $(PYTHON) -m repro verify --matrix lap2d --size 16 \
-			--no-lint --no-hazards --no-symbolic --no-schedule \
-			--no-health --no-concurrency --no-determinism \
-			--inject $$inj >/dev/null 2>&1; then \
-			echo "inject $$inj: NOT caught"; exit 1; \
-		else \
-			echo "inject $$inj: caught"; \
-		fi; \
-	done
-	@# A dropped completion publish must trip the C707 provenance check
-	@# on the sync-traced threaded run.
-	@for inj in drop-sync-event; do \
-		if $(PYTHON) -m repro verify --matrix lap2d --size 16 \
-			--no-lint --no-hazards --no-schedule --no-symbolic \
-			--no-resilience --no-health --no-determinism \
-			--inject $$inj >/dev/null 2>&1; then \
-			echo "inject $$inj: NOT caught"; exit 1; \
-		else \
-			echo "inject $$inj: caught"; \
-		fi; \
-	done
-	@for inj in reorder-ties reseed-midrun drop-seq; do \
-		if $(PYTHON) -m repro verify --matrix lap2d --size 16 \
-			--no-lint --no-hazards --no-schedule --no-symbolic \
-			--no-resilience --no-health --no-concurrency \
-			--inject $$inj >/dev/null 2>&1; then \
-			echo "inject $$inj: NOT caught"; exit 1; \
-		else \
-			echo "inject $$inj: caught"; \
-		fi; \
-	done
-	@for inj in double-commit-hedge steal-from-quarantined \
-			illegal-transition; do \
-		if $(PYTHON) -m repro verify --matrix lap2d --size 20 \
-			--no-lint --no-hazards --no-schedule --no-symbolic \
-			--no-resilience --no-concurrency --no-determinism \
-			--inject $$inj >/dev/null 2>&1; then \
-			echo "inject $$inj: NOT caught"; exit 1; \
-		else \
-			echo "inject $$inj: caught"; \
-		fi; \
-	done
+	$(PYTHON) -m pytest -q tests/test_verify_cli.py -k test_inject_trips_its_code
 
 # Chaos matrix: every (fault kind x scheduler policy) cell must finish
 # all tasks and produce a trace the R6xx resilience auditor, the S2xx
@@ -122,8 +63,7 @@ chaos-smoke:
 # sync provenance).
 race-smoke:
 	@$(PYTHON) -m repro verify --matrix lap2d --size 16 \
-		--no-lint --no-hazards --no-schedule --no-symbolic \
-		--no-resilience --no-health --no-determinism >/dev/null; \
+		--only concurrency >/dev/null; \
 	status=$$?; \
 	if [ $$status -eq 0 ]; then echo "race-smoke: clean"; \
 	else echo "race-smoke: FAILED"; fi; exit $$status
@@ -150,8 +90,7 @@ native-smoke:
 # bit-for-bit and every tie-break/provenance audit must pass.
 determinism-smoke:
 	@$(PYTHON) -m repro verify --matrix lap2d --size 16 \
-		--no-lint --no-hazards --no-schedule --no-symbolic \
-		--no-resilience --no-health --no-concurrency >/dev/null; \
+		--only determinism >/dev/null; \
 	status=$$?; \
 	if [ $$status -eq 0 ]; then echo "determinism-smoke: clean"; \
 	else echo "determinism-smoke: FAILED"; fi; exit $$status
@@ -174,13 +113,13 @@ e2e-smoke:
 ci: verify selftest race-smoke determinism-smoke chaos-smoke \
 	native-smoke e2e-smoke
 	@echo "ci: lint ok, ruff $(call tool_status,ruff), hazards ok," \
-		"mypy $(call tool_status,mypy), test ok, selftest ok," \
+		"mypy $(call tool_status,mypy), test ok," \
+		"selftest ok ($(inject_modes) inject modes caught)," \
 		"race-smoke ok, determinism-smoke ok, chaos-smoke ok," \
 		"native-smoke $(native_status), e2e-smoke ok"
 
 lint:
-	$(PYTHON) -m repro verify --no-hazards --no-schedule --no-resilience \
-		--no-health --no-concurrency --no-determinism
+	$(PYTHON) -m repro verify --only lint
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples; \
 	else \
@@ -188,7 +127,8 @@ lint:
 	fi
 
 hazards:
-	$(PYTHON) -m repro verify --matrix lap2d --size 30 --no-lint
+	$(PYTHON) -m repro verify --matrix lap2d --size 30 --only \
+		hazards,schedule,resilience,health,concurrency,determinism,symbolic
 
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \

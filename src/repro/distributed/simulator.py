@@ -531,9 +531,9 @@ class _DistSim(EventLoop):
                 int(self.owner[k]), float(self.panel_prio[k]),
                 ("panel", int(k)),
             )
-        # A limp beginning after completion is moot.
+        # A node loss or limp onset timed past completion is moot.
         self.run_events(lambda: self.panels_done == self.symbol.n_cblk,
-                        (self.ledger.onset,))
+                        (self._node_loss, self.ledger.onset))
         if self.panels_done != self.symbol.n_cblk:
             raise RuntimeError(
                 f"distributed simulation stalled: "

@@ -11,7 +11,7 @@ events is total, reproducible, and independent of hash seeds, allocation
 order, or callback-registration order.
 
 This module exists so there is exactly one blessed implementation for
-the RV5xx event-loop lint (:mod:`repro.verify.eventloop`) to recognize
+the RV5xx event-loop lint (:mod:`repro.verify.lint`) to recognize
 and for the D8xx determinism auditor to trust:
 
 * unlike ``itertools.count`` the counter exposes :attr:`~MonotonicCounter.count`

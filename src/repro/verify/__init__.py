@@ -33,29 +33,31 @@ through ``python -m repro verify``:
   ``SyncEvent`` stream the threaded runtime records
   (``record_sync=True``): reads of unpublished completions, lost
   wakeups, and sync-stats provenance (C7xx);
-* :func:`repro.verify.lockdiscipline.lockdiscipline_paths` — an AST
-  lint over ``repro.runtime`` for unlocked shared writes, condition
-  waits without a predicate loop, inconsistent lock acquisition order,
-  sleep-as-synchronization, and unguarded reads of lock-guarded state
-  in return position (RV4xx);
 * :func:`repro.verify.determinism.verify_determinism` — replays a
   seeded run and convicts divergence: same-seed fingerprint mismatch,
   event-time monotonicity and tie-break totality, RNG-draw provenance,
   first-divergence localization, and meta/seed stamping completeness
   (D8xx) over the canonical order-sensitive trace fingerprint
   (:meth:`~repro.runtime.tracing.ExecutionTrace.fingerprint`);
-* :func:`repro.verify.eventloop.eventloop_paths` — the static shadow
-  of the same discipline: an AST lint over the shared event core, the
-  three discrete-event simulators and the fault layer for heap pushes
-  without a monotonic tie-breaker, float equality on simulated clocks,
-  unordered-set choices feeding the event order, and wall clocks or
-  unseeded RNGs inside a simulation step (RV5xx);
-* :func:`repro.verify.lint.lint_paths` — an AST linter enforcing the
-  project's simulation invariants (no frozen-dataclass mutation, no
-  float-equality on times, ``traits`` on every policy, no ambiguous
-  NumPy truthiness, no shared mutable dataclass defaults, no iteration
-  over unordered sets in scheduling code, no unseeded randomness in
-  simulation sources).
+* :func:`repro.verify.lint.lint_paths` — one AST lint engine for three
+  rule families (``family=`` ``"RV3"``/``"RV4"``/``"RV5"``): the
+  project's simulation invariants over the package (RV3xx: no
+  frozen-dataclass mutation, no float-equality on times, ``traits`` on
+  every policy, no ambiguous NumPy truthiness, no shared mutable
+  dataclass defaults, no iteration over unordered sets, no unseeded
+  randomness); the lock discipline of ``repro.runtime`` (RV4xx:
+  unlocked shared writes, condition waits without a predicate loop,
+  inconsistent lock order, sleep-as-synchronization, unguarded reads of
+  lock-guarded state); and the event-loop discipline of the shared
+  event core, the simulators and the fault layer, the static shadow of
+  D8xx (RV5xx: heap pushes without a monotonic tie-breaker, float
+  equality on simulated clocks, unordered-set choices, wall clocks or
+  unseeded RNGs in a simulation step).
+
+``python -m repro verify`` runs them as the passes of
+:data:`repro.verify.cli.PASSES` (``--only`` selects), and each
+``--inject`` mode of :data:`repro.verify.cli.INJECTS` names the pass it
+corrupts and the codes it must trip.
 
 The hazard analyzer and the linter run inside the test suite, so a
 builder change that drops an edge — or a scheduler change that breaks an
@@ -75,11 +77,6 @@ from repro.verify.determinism import (
     trace_diff,
     verify_determinism,
 )
-from repro.verify.eventloop import (
-    eventloop_paths,
-    eventloop_report,
-    eventloop_sources,
-)
 from repro.verify.health import (
     double_commit_hedge,
     illegal_transition,
@@ -92,11 +89,12 @@ from repro.verify.hazards import (
     find_cycle,
     find_redundant_edges,
 )
-from repro.verify.lint import LintFinding, lint_paths, lint_report, lint_sources
-from repro.verify.lockdiscipline import (
-    lockdiscipline_paths,
-    lockdiscipline_report,
-    lockdiscipline_sources,
+from repro.verify.lint import (
+    FAMILIES,
+    LintFinding,
+    lint_paths,
+    lint_report,
+    lint_sources,
 )
 from repro.verify.memory import drop_transfer, overflow_residency, verify_memory
 from repro.verify.reach import ReachabilityOracle
@@ -158,12 +156,7 @@ __all__ = [
     "reorder_ties",
     "reseed_midrun",
     "drop_seq",
-    "eventloop_paths",
-    "eventloop_sources",
-    "eventloop_report",
-    "lockdiscipline_paths",
-    "lockdiscipline_sources",
-    "lockdiscipline_report",
+    "FAMILIES",
     "lint_paths",
     "lint_sources",
     "lint_report",

@@ -1,33 +1,32 @@
 """Driver behind ``python -m repro verify``.
 
-Runs the static-analysis passes — DAG hazard coverage, simulated
-schedule feasibility, the M4xx memory/data-movement audit, the N5xx
-symbolic-structure audit, the R6xx resilience audit (a seeded
-fault-injection run whose recovered trace must satisfy the fault/
-recovery pairing rules *and* the schedule and memory audits), the R7xx
-graceful-degradation audit (a seeded limplock run with health
-monitoring and hedging armed, whose trace must satisfy the exactly-once
-commit, legal-transition, quarantine-respect, and hedge-accounting
-rules, plus a monitoring-off identity check), the C7xx concurrency
-audit (a live sync-instrumented threaded factorization whose trace must
-satisfy the publish-order, lost-wakeup and sync-provenance checks, plus
-the RV4xx lock-discipline lint over the runtime sources), the D8xx
-determinism audit (a seeded same-seed double-run of the machine
-simulator and a kernel burst whose canonical trace fingerprints must
-match bit-for-bit, with tie-break totality and RNG-draw provenance
-checks on top), and the project linters (RV3xx plus the RV5xx
-event-loop-discipline lint over the simulator sources) — on a chosen
-matrix and prints one report per pass.  Exit status is 0 iff every
-pass is clean, which is what the ``make verify`` gate and CI consume.
+Runs the passes of :data:`PASSES` on a chosen matrix and prints one
+report per audited artifact:
 
-``--inject`` deliberately corrupts the artifact under test (drops a DAG
-edge, an h2d transfer, a recovery event, or a sync event; overlaps two
-trace events; breaks a mutex window; overflows device residency; skews
-a task's flop count; records a completion twice; collapses a heap
-tie-break; forges the replay RNG provenance; erases the sequence stamps; double-commits a hedged task;
-dispatches onto a quarantined worker; forges an illegal health
-transition) to demonstrate that the passes actually catch what they
-claim to catch; an injected run is *expected* to exit non-zero.
+* ``hazards`` — H1xx DAG hazard coverage, per granularity;
+* ``schedule`` — S2xx feasibility of a simulated schedule per policy,
+  plus the M4xx memory/data-movement audit of the same trace;
+* ``resilience`` — R6xx audit of a seeded fault-injection run, whose
+  recovered trace must also pass the schedule and memory audits;
+* ``health`` — R7xx audit of a seeded limplock run with health
+  monitoring and hedging armed, plus a monitoring-off identity check;
+* ``concurrency`` — C7xx audit of a live sync-instrumented threaded
+  factorization and of the threaded solve on its factor;
+* ``determinism`` — D8xx same-seed double-run of the machine simulator
+  and of a kernel burst (fingerprints, tie-breaks, RNG provenance);
+* ``symbolic`` — N5xx symbolic-structure, DAG-cost and couple-cache
+  audits;
+* ``lint`` — the RV3xx project lint, RV5xx event-loop lint and RV4xx
+  lock-discipline lint (:mod:`repro.verify.lint`).
+
+``--only PASS[,PASS]`` selects passes (default: all).  Exit status is 0
+iff every report is clean, which is what ``make verify`` and CI consume.
+
+``--inject MODE`` corrupts one artifact under test to show that its pass
+catches what it claims to catch.  :data:`INJECTS` maps each mode to the
+pass that runs it (added to the selection), the report stage whose
+artifact it rewrites, the corruption, and the codes at least one of
+which the run must report; an injected run is *expected* to exit 1.
 """
 
 from __future__ import annotations
@@ -35,13 +34,25 @@ from __future__ import annotations
 import argparse
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from repro.verify.concurrency import drop_sync_event
+from repro.verify.determinism import drop_seq, reorder_ties, reseed_midrun
+from repro.verify.hazards import drop_edge
+from repro.verify.health import (
+    double_commit_hedge,
+    illegal_transition,
+    steal_from_quarantined,
+)
+from repro.verify.memory import drop_transfer, overflow_residency
 from repro.verify.report import Report
+from repro.verify.resilience import double_complete, drop_recovery
+from repro.verify.schedule import break_mutex, overlap_trace
+from repro.verify.symbols import skew_flops, stale_couple_map
 
-__all__ = ["run_verify", "add_verify_arguments"]
+__all__ = ["run_verify", "add_verify_arguments", "PASSES", "INJECTS"]
 
 _GENERATORS = {
     "lap2d": ("grid_laplacian_2d", {"jitter": 0.05}),
@@ -53,6 +64,85 @@ _GENERATORS = {
 }
 
 GRANULARITIES = ("2d", "1d", "1d-left", "subtree", "unit")
+
+
+class Inject(NamedTuple):
+    """One ``--inject`` mode."""
+
+    pass_name: str
+    stage: str
+    corrupt: Callable[..., Any]
+    codes: tuple[str, ...]
+
+
+def _drop_seeded_edge(dag: Any, seed: int) -> Any:
+    return drop_edge(dag, int(np.random.default_rng(seed).integers(dag.n_edges)))
+
+
+#: Stage call signatures: hazards ``(dag, seed)``; schedule and memory
+#: ``(trace, dag, machine)``; dag-costs ``(dag)`` and couple-cache
+#: ``(cache)``, each returning ``(artifact, what)``; the others
+#: ``(trace)``.
+INJECTS: dict[str, Inject] = {
+    "drop-edge": Inject("hazards", "hazards", _drop_seeded_edge,
+                        ("H101", "H102")),
+    "overlap-trace": Inject("schedule", "schedule",
+                            lambda trace, dag, machine: overlap_trace(trace),
+                            ("S204",)),
+    "break-mutex": Inject("schedule", "schedule",
+                          lambda trace, dag, machine: break_mutex(trace, dag),
+                          ("S205",)),
+    "drop-transfer": Inject(
+        "schedule", "memory",
+        lambda trace, dag, machine: drop_transfer(trace, dag), ("M401",)),
+    "overflow-residency": Inject(
+        "schedule", "memory",
+        lambda trace, dag, machine: overflow_residency(trace, machine),
+        ("M402",)),
+    "skew-flops": Inject("symbolic", "dag-costs", skew_flops, ("N504",)),
+    "stale-cache": Inject("symbolic", "couple-cache", stale_couple_map,
+                          ("N507",)),
+    "drop-recovery": Inject("resilience", "resilience", drop_recovery,
+                            ("R601",)),
+    "double-complete": Inject("resilience", "resilience", double_complete,
+                              ("R602",)),
+    "double-commit-hedge": Inject("health", "health", double_commit_hedge,
+                                  ("R701",)),
+    "steal-from-quarantined": Inject("health", "health",
+                                     steal_from_quarantined, ("R703",)),
+    "illegal-transition": Inject("health", "health", illegal_transition,
+                                 ("R702",)),
+    "drop-sync-event": Inject("concurrency", "concurrency", drop_sync_event,
+                              ("C707",)),
+    "reorder-ties": Inject("determinism", "determinism", reorder_ties,
+                           ("D802",)),
+    "reseed-midrun": Inject("determinism", "determinism", reseed_midrun,
+                            ("D803",)),
+    "drop-seq": Inject("determinism", "determinism", drop_seq, ("D802",)),
+}
+
+
+def _targets(args: argparse.Namespace, stage: str) -> bool:
+    """Does ``--inject`` corrupt the artifact of report stage ``stage``?"""
+    inj = INJECTS.get(args.inject)
+    return inj is not None and inj.stage == stage
+
+
+def _corrupt(args: argparse.Namespace, where: str, *artifacts: Any) -> Any:
+    try:
+        return INJECTS[args.inject].corrupt(*artifacts)
+    except ValueError as exc:
+        raise SystemExit(f"--inject {args.inject}: {exc} ({where})") from exc
+
+
+def _pass_list(text: str) -> list[str]:
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    unknown = [n for n in names if n not in PASSES]
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(
+            f"unknown pass {','.join(unknown)!r}; choose from "
+            f"{','.join(PASSES)}")
+    return names
 
 
 def add_verify_arguments(p: argparse.ArgumentParser) -> None:
@@ -74,41 +164,22 @@ def add_verify_arguments(p: argparse.ArgumentParser) -> None:
                    help="which DAG granularities the hazard pass covers")
     p.add_argument("--policy", default="parsec",
                    choices=["native", "starpu", "parsec", "all"],
-                   help="scheduler policy for the schedule pass")
+                   help="scheduler policy of the simulated passes")
     p.add_argument("--cores", type=int, default=4)
     p.add_argument("--gpus", type=int, default=1)
     p.add_argument("--streams", type=int, default=2)
-    p.add_argument("--no-hazards", action="store_true")
-    p.add_argument("--no-schedule", action="store_true")
-    p.add_argument("--no-memory", action="store_true",
-                   help="skip the M4xx data-movement audit")
-    p.add_argument("--no-symbolic", action="store_true",
-                   help="skip the N5xx symbolic-structure audit")
-    p.add_argument("--no-resilience", action="store_true",
-                   help="skip the R6xx fault-injection/recovery audit")
-    p.add_argument("--no-health", action="store_true",
-                   help="skip the R7xx graceful-degradation/hedging audit")
-    p.add_argument("--no-concurrency", action="store_true",
-                   help="skip the C7xx sync-trace / RV4xx "
-                        "lock-discipline concurrency audit")
-    p.add_argument("--no-determinism", action="store_true",
-                   help="skip the D8xx same-seed replay/fingerprint "
-                        "determinism audit")
-    p.add_argument("--no-lint", action="store_true")
+    p.add_argument("--only", type=_pass_list, default=None,
+                   metavar="PASS[,PASS]",
+                   help="run only these passes (default: all of %s)"
+                        % ",".join(PASSES))
     p.add_argument("--redundant", action="store_true",
                    help="also report transitive (redundant) DAG edges")
     p.add_argument("--lint-path", default=None,
                    help="directory to lint (default: the repro package)")
     p.add_argument(
-        "--inject", default="none",
-        choices=["none", "drop-edge", "overlap-trace", "break-mutex",
-                 "drop-transfer", "overflow-residency", "skew-flops",
-                 "stale-cache", "drop-recovery", "double-complete",
-                 "drop-sync-event",
-                 "reorder-ties", "reseed-midrun", "drop-seq",
-                 "double-commit-hedge", "steal-from-quarantined",
-                 "illegal-transition"],
-        help="fault injection self-test (expected to FAIL the run)",
+        "--inject", default="none", choices=["none", *INJECTS],
+        help="fault injection self-test (expected to FAIL the run); "
+             "runs the pass it corrupts even when --only leaves it out",
     )
     p.add_argument("-v", "--verbose", action="store_true",
                    help="also print info-severity findings")
@@ -135,24 +206,53 @@ def _load(args: argparse.Namespace) -> Any:
     return read_matrix_market(args.matrix)
 
 
-def _hazard_pass(args: argparse.Namespace, symbol: Any,
+def _policies(args: argparse.Namespace) -> list[str]:
+    return (["native", "starpu", "parsec"] if args.policy == "all"
+            else [args.policy])
+
+
+def _simulation(args: argparse.Namespace, symbol: Any, name: str,
+                offload: bool = True) -> tuple[Any, Callable[[], Any], Any]:
+    """``(machine, policy factory, dag)`` to simulate policy ``name`` on
+    the ``--cores/--gpus/--streams`` Mirage node.  ``offload`` lowers the
+    GPU threshold so that small problems exercise the GPU paths (the
+    native policy is CPU-only and takes no threshold)."""
+    from repro.dag import build_dag
+    from repro.machine import mirage
+    from repro.runtime import get_policy
+
+    machine = mirage(
+        n_cores=args.cores, n_gpus=args.gpus,
+        streams_per_gpu=args.streams if args.gpus else 1,
+    )
+
+    def policy() -> Any:
+        if not offload or name == "native":
+            return get_policy(name)
+        return get_policy(name, gpu_flops_threshold=1e3)
+
+    traits = policy().traits
+    dag = build_dag(symbol, args.factotype, granularity=traits.granularity,
+                    recompute_ld=traits.recompute_ld)
+    return machine, policy, dag
+
+
+def _hazard_pass(args: argparse.Namespace, matrix: Any, res: Any,
                  reports: list[Report]) -> None:
     from repro.dag import build_dag
-    from repro.verify.hazards import analyze_hazards, drop_edge
+    from repro.verify.hazards import analyze_hazards
 
     grans = GRANULARITIES if args.granularity == "all" else (args.granularity,)
-    injected = args.inject == "drop-edge"
     for gran in grans:
         if gran == "subtree":
-            dag = build_dag(symbol, args.factotype,
+            dag = build_dag(res.symbol, args.factotype,
                             fuse_subtree_flops=1e5)
         else:
-            dag = build_dag(symbol, args.factotype, granularity=gran)
+            dag = build_dag(res.symbol, args.factotype, granularity=gran)
         label = gran
-        if injected and dag.n_edges:
-            rng = np.random.default_rng(args.seed)
-            dag = drop_edge(dag, int(rng.integers(dag.n_edges)))
-            label += "+drop-edge"
+        if _targets(args, "hazards") and dag.n_edges:
+            dag = _corrupt(args, gran, dag, args.seed)
+            label += f"+{args.inject}"
         t0 = time.perf_counter()
         rep = analyze_hazards(dag, find_redundant=args.redundant)
         rep.name = f"hazards[{label}]"
@@ -160,108 +260,36 @@ def _hazard_pass(args: argparse.Namespace, symbol: Any,
         reports.append(rep)
 
 
-def _schedule_pass(args: argparse.Namespace, symbol: Any,
+def _schedule_pass(args: argparse.Namespace, matrix: Any, res: Any,
                    reports: list[Report]) -> None:
-    from repro.dag import build_dag
-    from repro.machine import mirage, simulate
-    from repro.runtime import get_policy
-    from repro.runtime.tracing import ExecutionTrace, TraceEvent
-    from repro.verify.memory import (
-        drop_transfer,
-        overflow_residency,
-        verify_memory,
-    )
+    from repro.machine import simulate
+    from repro.verify.memory import verify_memory
     from repro.verify.schedule import verify_schedule
 
-    policies = (
-        ["native", "starpu", "parsec"] if args.policy == "all"
-        else [args.policy]
-    )
-    machine = mirage(
-        n_cores=args.cores, n_gpus=args.gpus,
-        streams_per_gpu=args.streams if args.gpus else 1,
-    )
-    memory_inject = args.inject in ("drop-transfer", "overflow-residency")
+    memory_inject = _targets(args, "memory")
     if memory_inject and args.gpus < 1:
         raise SystemExit(f"--inject {args.inject} needs at least one GPU")
-    for name in policies:
-        if memory_inject:
-            # Force GPU offload so the trace has transfers to corrupt —
-            # the default thresholds keep small test problems CPU-only.
-            pol = get_policy(name, gpu_flops_threshold=1e3)
-        else:
-            pol = get_policy(name)
-        dag = build_dag(
-            symbol, args.factotype,
-            granularity=pol.traits.granularity,
-            recompute_ld=pol.traits.recompute_ld,
-        )
-        r = simulate(dag, machine, pol)
-        trace = r.trace
-        label = name
-        if args.inject == "overlap-trace" and len(trace.events) >= 2:
-            # Shift the second event of the busiest CPU back onto the
-            # first — a textbook double-booking of one worker.
-            by_res = trace.events_by_resource()
-            cpu = max(
-                (res for res in by_res if res.startswith("cpu")),
-                key=lambda res: len(by_res[res]), default=None,
-            )
-            if cpu and len(by_res[cpu]) >= 2:
-                a, b = by_res[cpu][0], by_res[cpu][1]
-                moved = TraceEvent(b.task, b.resource,
-                                   a.start + 0.25 * a.duration,
-                                   a.start + 0.25 * a.duration + b.duration)
-                trace = ExecutionTrace(
-                    events=[moved if e is b else e for e in trace.events],
-                    transfers=trace.transfers,
-                )
-                label += "+overlap-trace"
-        elif args.inject == "break-mutex":
-            # Start every update of one mutex group at the same instant.
-            groups = {}
-            for e in trace.events:
-                g = int(dag.mutex[e.task])
-                if g >= 0:
-                    groups.setdefault(g, []).append(e)
-            big = max(groups.values(), key=len, default=[])
-            if len(big) >= 2:
-                t0 = min(e.start for e in big)
-                clones = {e.task: TraceEvent(e.task, e.resource, t0,
-                                             t0 + e.duration)
-                          for e in big}
-                trace = ExecutionTrace(
-                    events=[clones.get(e.task, e) for e in trace.events],
-                    transfers=trace.transfers,
-                )
-                label += "+break-mutex"
+    for name in _policies(args):
+        # The memory injections force GPU offload so the trace has
+        # transfers to corrupt.
+        machine, policy, dag = _simulation(args, res.symbol, name,
+                                           offload=memory_inject)
+        r = simulate(dag, machine, policy())
+        trace, label = r.trace, name
+        if _targets(args, "schedule"):
+            trace = _corrupt(args, f"policy {name}", trace, dag, machine)
+            label += f"+{args.inject}"
         rep = verify_schedule(dag, trace)
         rep.name = f"schedule[{label}]"
         rep.stats["makespan_ms"] = r.makespan * 1e3
         reports.append(rep)
 
-        if args.no_memory:
-            continue
-        mem_label = name
-        mem_trace = trace
-        if args.inject == "drop-transfer":
-            try:
-                mem_trace = drop_transfer(trace, dag)
-                mem_label += "+drop-transfer"
-            except ValueError as exc:
-                raise SystemExit(
-                    f"--inject drop-transfer: {exc} (policy {name}; "
-                    "a larger --size makes the scheduler offload)"
-                ) from exc
-        elif args.inject == "overflow-residency":
-            try:
-                mem_trace = overflow_residency(trace, machine)
-                mem_label += "+overflow-residency"
-            except ValueError as exc:
-                raise SystemExit(
-                    f"--inject overflow-residency: {exc} (policy {name}; "
-                    "a larger --size makes the scheduler offload)"
-                ) from exc
+        mem_trace, mem_label = trace, name
+        if memory_inject:
+            mem_trace = _corrupt(
+                args, f"policy {name}; a larger --size makes the "
+                "scheduler offload", trace, dag, machine)
+            mem_label += f"+{args.inject}"
         t0 = time.perf_counter()
         mrep = verify_memory(dag, mem_trace, machine)
         mrep.name = f"memory[{mem_label}]"
@@ -269,7 +297,7 @@ def _schedule_pass(args: argparse.Namespace, symbol: Any,
         reports.append(mrep)
 
 
-def _resilience_pass(args: argparse.Namespace, symbol: Any,
+def _resilience_pass(args: argparse.Namespace, matrix: Any, res: Any,
                      reports: list[Report]) -> None:
     """R6xx: run a seeded fault scenario, audit the recovered trace.
 
@@ -280,42 +308,15 @@ def _resilience_pass(args: argparse.Namespace, symbol: Any,
     regular schedule + memory audits — recovery is only correct if the
     schedule it produces is still feasible.
     """
-    from repro.dag import build_dag
-    from repro.machine import mirage, simulate
+    from repro.machine import simulate
     from repro.resilience import FaultModel, FaultSpec, RecoveryPolicy
-    from repro.runtime import get_policy
     from repro.verify.memory import verify_memory
-    from repro.verify.resilience import (
-        double_complete,
-        drop_recovery,
-        verify_resilience,
-    )
+    from repro.verify.resilience import verify_resilience
     from repro.verify.schedule import verify_schedule
 
-    policies = (
-        ["native", "starpu", "parsec"] if args.policy == "all"
-        else [args.policy]
-    )
-    machine = mirage(
-        n_cores=args.cores, n_gpus=args.gpus,
-        streams_per_gpu=args.streams if args.gpus else 1,
-    )
-    def _policy(name: str):
-        # Low offload threshold so small test problems exercise the GPU
-        # paths (same idiom as the memory-injection runs above); the
-        # native policy is CPU-only and takes no threshold.
-        if name == "native":
-            return get_policy(name)
-        return get_policy(name, gpu_flops_threshold=1e3)
-
-    for name in policies:
-        pol = _policy(name)
-        dag = build_dag(
-            symbol, args.factotype,
-            granularity=pol.traits.granularity,
-            recompute_ld=pol.traits.recompute_ld,
-        )
-        clean = simulate(dag, machine, pol)
+    for name in _policies(args):
+        machine, policy, dag = _simulation(args, res.symbol, name)
+        clean = simulate(dag, machine, policy())
         specs = [
             FaultSpec("worker-crash", time=0.0, resource=0),
             FaultSpec("straggler", time=0.0, factor=3.0),
@@ -324,7 +325,7 @@ def _resilience_pass(args: argparse.Namespace, symbol: Any,
             specs.append(FaultSpec("gpu-loss", time=0.3 * clean.makespan,
                                    resource=0))
         faults = FaultModel(specs, seed=args.seed, task_fail_rate=0.02)
-        r = simulate(dag, machine, _policy(name),
+        r = simulate(dag, machine, policy(),
                      faults=faults, recovery=RecoveryPolicy())
         trace = r.trace
 
@@ -341,30 +342,18 @@ def _resilience_pass(args: argparse.Namespace, symbol: Any,
         srep = verify_schedule(dag, trace)
         srep.name = f"schedule[{name}+faults]"
         reports.append(srep)
-        if not args.no_memory:
-            mrep = verify_memory(dag, trace, machine)
-            mrep.name = f"memory[{name}+faults]"
-            reports.append(mrep)
+        mrep = verify_memory(dag, trace, machine)
+        mrep.name = f"memory[{name}+faults]"
+        reports.append(mrep)
 
-        if args.inject in ("drop-recovery", "double-complete"):
-            corrupt = (drop_recovery if args.inject == "drop-recovery"
-                       else double_complete)
-            try:
-                bad = corrupt(trace)
-            except ValueError as exc:
-                raise SystemExit(
-                    f"--inject {args.inject}: {exc} (policy {name})"
-                ) from exc
-            brep = verify_resilience(bad, dag)
+        if _targets(args, "resilience"):
+            brep = verify_resilience(
+                _corrupt(args, f"policy {name}", trace), dag)
             brep.name = f"resilience[{name}+{args.inject}]"
             reports.append(brep)
 
 
-_HEALTH_INJECTS = ("double-commit-hedge", "steal-from-quarantined",
-                   "illegal-transition")
-
-
-def _health_pass(args: argparse.Namespace, symbol: Any,
+def _health_pass(args: argparse.Namespace, matrix: Any, res: Any,
                  reports: list[Report]) -> None:
     """R7xx: run a seeded limplock scenario, audit degradation/hedging.
 
@@ -375,34 +364,13 @@ def _health_pass(args: argparse.Namespace, symbol: Any,
     configuration is audited first — it must carry zero health or hedge
     events (the R705 identity).
     """
-    from repro.dag import build_dag
-    from repro.machine import mirage, simulate
+    from repro.machine import simulate
     from repro.resilience import FaultModel, FaultSpec, HealthPolicy
-    from repro.runtime import get_policy
-    from repro.verify.health import (
-        double_commit_hedge,
-        illegal_transition,
-        steal_from_quarantined,
-        verify_health,
-    )
+    from repro.verify.health import verify_health
 
     name = args.policy if args.policy != "all" else "parsec"
-    machine = mirage(
-        n_cores=args.cores, n_gpus=args.gpus,
-        streams_per_gpu=args.streams if args.gpus else 1,
-    )
-
-    def _policy():
-        if name == "native":
-            return get_policy(name)
-        return get_policy(name, gpu_flops_threshold=1e3)
-
-    dag = build_dag(
-        symbol, args.factotype,
-        granularity=_policy().traits.granularity,
-        recompute_ld=_policy().traits.recompute_ld,
-    )
-    clean = simulate(dag, machine, _policy())
+    machine, policy, dag = _simulation(args, res.symbol, name)
+    clean = simulate(dag, machine, policy())
     mk = clean.makespan
 
     t0 = time.perf_counter()
@@ -410,19 +378,16 @@ def _health_pass(args: argparse.Namespace, symbol: Any,
     rep.stats["seconds"] = time.perf_counter() - t0
     reports.append(rep)
 
-    def _faults():
-        return FaultModel(
-            [FaultSpec("limplock", time=0.1 * mk, resource=0,
-                       factor=50.0)],
-            seed=args.seed,
-        )
-    policy = HealthPolicy(
+    faults = FaultModel(
+        [FaultSpec("limplock", time=0.1 * mk, resource=0, factor=50.0)],
+        seed=args.seed,
+    )
+    health = HealthPolicy(
         min_samples=3, suspect_ratio=2.0, degraded_ratio=4.0,
         quarantine_ratio=3.0, quarantine_s=0.6 * mk,
         hedge=True, hedge_ratio=3.0,
     )
-    r = simulate(dag, machine, _policy(), faults=_faults(),
-                 health=policy)
+    r = simulate(dag, machine, policy(), faults=faults, health=health)
     trace = r.trace
 
     t0 = time.perf_counter()
@@ -434,27 +399,14 @@ def _health_pass(args: argparse.Namespace, symbol: Any,
     rep.stats["clean_makespan_ms"] = mk * 1e3
     reports.append(rep)
 
-    if args.inject in _HEALTH_INJECTS:
-        corrupt = {"double-commit-hedge": double_commit_hedge,
-                   "steal-from-quarantined": steal_from_quarantined,
-                   "illegal-transition": illegal_transition}[args.inject]
-        try:
-            bad = corrupt(trace)
-        except ValueError as exc:
-            raise SystemExit(
-                f"--inject {args.inject}: {exc} (policy {name}; a "
-                "larger --size gives the monitor more samples)"
-            ) from exc
-        brep = verify_health(bad, name=f"health[{name}+{args.inject}]")
-        reports.append(brep)
+    if _targets(args, "health"):
+        bad = _corrupt(args, f"policy {name}; a larger --size gives the "
+                       "monitor more samples", trace)
+        reports.append(verify_health(bad,
+                                     name=f"health[{name}+{args.inject}]"))
 
 
-_CONCURRENCY_INJECTS = ("drop-sync-event",)
-
-_DETERMINISM_INJECTS = ("reorder-ties", "reseed-midrun", "drop-seq")
-
-
-def _determinism_pass(args: argparse.Namespace, symbol: Any,
+def _determinism_pass(args: argparse.Namespace, matrix: Any, res: Any,
                       reports: list[Report]) -> None:
     """D8xx: same-seed replay of the machine simulator and a burst.
 
@@ -464,35 +416,14 @@ def _determinism_pass(args: argparse.Namespace, symbol: Any,
     total tie-breaks, and matching RNG-draw provenance.  A second,
     cheap audit double-runs the stream-burst simulator the same way.
     """
-    from repro.dag import build_dag
-    from repro.machine import mirage, simulate
+    from repro.machine import simulate
     from repro.machine.streamsim import simulate_kernel_burst
     from repro.resilience import FaultModel, FaultSpec, RecoveryPolicy
-    from repro.runtime import get_policy
     from repro.runtime.tracing import ExecutionTrace
-    from repro.verify.determinism import (
-        drop_seq,
-        reorder_ties,
-        reseed_midrun,
-        verify_determinism,
-    )
+    from repro.verify.determinism import verify_determinism
 
     name = args.policy if args.policy != "all" else "parsec"
-    machine = mirage(
-        n_cores=args.cores, n_gpus=args.gpus,
-        streams_per_gpu=args.streams if args.gpus else 1,
-    )
-
-    def _policy():
-        if name == "native":
-            return get_policy(name)
-        return get_policy(name, gpu_flops_threshold=1e3)
-
-    dag = build_dag(
-        symbol, args.factotype,
-        granularity=_policy().traits.granularity,
-        recompute_ld=_policy().traits.recompute_ld,
-    )
+    machine, policy, dag = _simulation(args, res.symbol, name)
     specs = [
         FaultSpec("worker-crash", time=0.0, resource=0),
         FaultSpec("straggler", time=0.0, factor=3.0),
@@ -500,20 +431,14 @@ def _determinism_pass(args: argparse.Namespace, symbol: Any,
     base = FaultModel(specs, seed=args.seed, task_fail_rate=0.02)
 
     def run_sim() -> Any:
-        r = simulate(dag, machine, _policy(),
+        r = simulate(dag, machine, policy(),
                      faults=base.fresh(), recovery=RecoveryPolicy())
         return r.trace
 
     trace = run_sim()
     label = f"{name}+faults"
-    if args.inject in _DETERMINISM_INJECTS:
-        corrupt = {"reorder-ties": reorder_ties,
-                   "reseed-midrun": reseed_midrun,
-                   "drop-seq": drop_seq}[args.inject]
-        try:
-            trace = corrupt(trace)
-        except ValueError as exc:
-            raise SystemExit(f"--inject {args.inject}: {exc}") from exc
+    if _targets(args, "determinism"):
+        trace = _corrupt(args, f"policy {name}", trace)
         label += f"+{args.inject}"
     t0 = time.perf_counter()
     rep = verify_determinism(run_sim, trace=trace,
@@ -539,20 +464,17 @@ def _concurrency_pass(args: argparse.Namespace, matrix: Any, res: Any,
     the threaded solve on its factor.
 
     Unlike the other passes this one executes the *real* threaded
-    runtime (``record_sync=True``) rather than the simulator and feeds
-    the recorded ``SyncEvent`` stream to the auditor, against the DAG
-    the trace names (:func:`repro.dag.builder.dag_of_trace`; the solve
-    DAG for the solve).  ``--inject drop-sync-event`` deletes one
-    completion publish of the factorization trace, which the stamped
-    ``sync_stats`` no longer match (C707).  (The static side — the RV4xx
-    lock-discipline lint — runs with the project linter in
-    :func:`_lint_pass`.)
+    runtime (``record_sync=True``) and feeds the recorded ``SyncEvent``
+    stream to the auditor, against the DAG the trace names
+    (:func:`repro.dag.builder.dag_of_trace`; the solve DAG for the
+    solve).  (The static side — the RV4xx lock-discipline lint — runs
+    in the lint pass.)
     """
     from repro.dag.builder import dag_of_trace
     from repro.dag.solve_builder import build_solve_dag
     from repro.runtime.threaded import factorize_threaded, solve_threaded
     from repro.runtime.tracing import ExecutionTrace
-    from repro.verify.concurrency import drop_sync_event, verify_concurrency
+    from repro.verify.concurrency import verify_concurrency
 
     trace = ExecutionTrace()
     factor = factorize_threaded(
@@ -564,11 +486,8 @@ def _concurrency_pass(args: argparse.Namespace, matrix: Any, res: Any,
     solve_threaded(factor, np.ones(res.symbol.n), n_workers=args.cores,
                    trace=solve_trace, record_sync=True)
     label = "unit"
-    if args.inject == "drop-sync-event":
-        try:
-            trace = drop_sync_event(trace)
-        except ValueError as exc:
-            raise SystemExit(f"--inject {args.inject}: {exc}") from exc
+    if _targets(args, "concurrency"):
+        trace = _corrupt(args, label, trace)
         label += f"+{args.inject}"
     runs = (
         (label, dag, trace),
@@ -591,8 +510,6 @@ def _symbolic_pass(args: argparse.Namespace, matrix: Any, res: Any,
     from repro.kernels.indexcache import CoupleMapCache
     from repro.symbolic import SymbolicOptions, analyze
     from repro.verify.symbols import (
-        skew_flops,
-        stale_couple_map,
         verify_couple_cache,
         verify_dag_costs,
         verify_symbolic,
@@ -618,9 +535,9 @@ def _symbolic_pass(args: argparse.Namespace, matrix: Any, res: Any,
     # DAG cost audit on the production symbol.
     dag = build_dag(res.symbol, args.factotype, granularity="2d")
     label = "2d"
-    if args.inject == "skew-flops":
-        dag, task = skew_flops(dag)
-        label += f"+skew-flops(task {task})"
+    if _targets(args, "dag-costs"):
+        dag, task = _corrupt(args, label, dag)
+        label += f"+{args.inject}(task {task})"
     t0 = time.perf_counter()
     rep = verify_dag_costs(dag, name=f"dag-costs[{label}]")
     rep.stats["seconds"] = time.perf_counter() - t0
@@ -630,9 +547,9 @@ def _symbolic_pass(args: argparse.Namespace, matrix: Any, res: Any,
     # reuses must agree with an independent re-derivation (N507/N508).
     cache = CoupleMapCache(res.symbol)
     clabel = "fresh"
-    if args.inject == "stale-cache":
-        cache, couple = stale_couple_map(cache)
-        clabel = f"stale-cache({couple[0]} -> {couple[1]})"
+    if _targets(args, "couple-cache"):
+        cache, couple = _corrupt(args, clabel, cache)
+        clabel = f"{args.inject}({couple[0]} -> {couple[1]})"
     t0 = time.perf_counter()
     rep = verify_couple_cache(res.symbol, cache,
                               name=f"couple-cache[{clabel}]")
@@ -640,90 +557,54 @@ def _symbolic_pass(args: argparse.Namespace, matrix: Any, res: Any,
     reports.append(rep)
 
 
-def _lint_pass(args: argparse.Namespace,
+def _lint_pass(args: argparse.Namespace, matrix: Any, res: Any,
                reports: list[Report]) -> None:
+    """RV3xx over the package (or ``--lint-path``), then the RV5xx
+    event-loop lint and the RV4xx lock-discipline lint over their
+    default scopes (the static counterparts of D8xx and C7xx)."""
     import repro
     from repro.verify.lint import lint_report
-    from repro.verify.lockdiscipline import lockdiscipline_report
 
-    from repro.verify.eventloop import eventloop_report
+    root = Path(args.lint_path or Path(repro.__file__).parent)
+    for family, paths in (("RV3", [root]), ("RV5", None), ("RV4", None)):
+        t0 = time.perf_counter()
+        rep = lint_report(paths, family)
+        rep.stats["seconds"] = time.perf_counter() - t0
+        if family == "RV3":
+            rep.name = f"lint[{root}]"
+        reports.append(rep)
 
-    root = Path(args.lint_path) if args.lint_path else Path(repro.__file__).parent
-    rep = lint_report([root])
-    rep.name = f"lint[{root}]"
-    reports.append(rep)
 
-    # RV5xx event-loop-discipline lint over the simulator sources (the
-    # static counterpart of the D8xx replay audit).
-    t0 = time.perf_counter()
-    erep = eventloop_report()
-    erep.stats["seconds"] = time.perf_counter() - t0
-    reports.append(erep)
-
-    # RV4xx lock-discipline lint over the threaded-runtime scope (the
-    # static counterpart of the C7xx trace audit).
-    t0 = time.perf_counter()
-    lrep = lockdiscipline_report()
-    lrep.stats["seconds"] = time.perf_counter() - t0
-    reports.append(lrep)
+#: Pass name -> runner, in report order.
+PASSES: dict[str, Callable[..., None]] = {
+    "hazards": _hazard_pass,
+    "schedule": _schedule_pass,
+    "resilience": _resilience_pass,
+    "health": _health_pass,
+    "concurrency": _concurrency_pass,
+    "determinism": _determinism_pass,
+    "symbolic": _symbolic_pass,
+    "lint": _lint_pass,
+}
 
 
 def run_verify(args: argparse.Namespace) -> int:
     """Entry point for the ``verify`` subcommand; returns the exit code."""
     from repro.symbolic import SymbolicOptions, analyze
 
-    if args.inject in ("drop-recovery", "double-complete") \
-            and args.no_resilience:
-        raise SystemExit(
-            f"--inject {args.inject} corrupts the resilience pass; "
-            "drop --no-resilience to run it"
-        )
-    if args.inject in _HEALTH_INJECTS and args.no_health:
-        raise SystemExit(
-            f"--inject {args.inject} corrupts the health pass; "
-            "drop --no-health to run it"
-        )
-    if args.inject in _CONCURRENCY_INJECTS and args.no_concurrency:
-        raise SystemExit(
-            f"--inject {args.inject} corrupts the concurrency pass; "
-            "drop --no-concurrency to run it"
-        )
-    if args.inject in _DETERMINISM_INJECTS and args.no_determinism:
-        raise SystemExit(
-            f"--inject {args.inject} corrupts the determinism pass; "
-            "drop --no-determinism to run it"
-        )
-    if args.inject in ("skew-flops", "stale-cache") \
-            and args.no_symbolic:
-        raise SystemExit(
-            f"--inject {args.inject} corrupts the symbolic pass; "
-            "drop --no-symbolic to run it"
-        )
-    reports: list[Report] = []
-    needs_matrix = not (args.no_hazards and args.no_schedule
-                        and args.no_symbolic and args.no_resilience
-                        and args.no_health and args.no_concurrency
-                        and args.no_determinism)
-    if needs_matrix:
+    selected = set(args.only or PASSES)
+    if args.inject != "none":
+        selected.add(INJECTS[args.inject].pass_name)
+    if args.lint_path is not None and not Path(args.lint_path).exists():
+        raise SystemExit(f"--lint-path {args.lint_path!r} does not exist")
+    matrix = res = None
+    if selected - {"lint"}:
         matrix = _load(args)
         res = analyze(matrix, SymbolicOptions(split_max_width=args.split))
-        symbol = res.symbol
-        if not args.no_hazards:
-            _hazard_pass(args, symbol, reports)
-        if not args.no_schedule:
-            _schedule_pass(args, symbol, reports)
-        if not args.no_resilience:
-            _resilience_pass(args, symbol, reports)
-        if not args.no_health:
-            _health_pass(args, symbol, reports)
-        if not args.no_concurrency:
-            _concurrency_pass(args, matrix, res, reports)
-        if not args.no_determinism:
-            _determinism_pass(args, symbol, reports)
-        if not args.no_symbolic:
-            _symbolic_pass(args, matrix, res, reports)
-    if not args.no_lint:
-        _lint_pass(args, reports)
+    reports: list[Report] = []
+    for name, run in PASSES.items():
+        if name in selected:
+            run(args, matrix, res, reports)
 
     for rep in reports:
         print(rep.format(verbose=args.verbose))

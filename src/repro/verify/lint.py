@@ -1,97 +1,86 @@
-"""Project-invariant linter for ``src/repro`` (AST-based, stdlib only).
+"""Project lint engine (AST-based, stdlib only): one parse per file, one
+``# noqa`` path, three rule families.
 
-Seven rules encode invariants the simulation stack depends on; each has
-a stable code so findings can be suppressed inline with ``# noqa: RV3xx``
-(or a bare ``# noqa``) on the offending line.
+A family is registered under its code prefix as ``(report name,
+default scope, check)``; the check walks the parsed files of its scope and emits
+findings through :meth:`_File.emit`, which honours ``# noqa`` (bare) or
+``# noqa: RVxxx[, ...]`` on the offending line.  A file that does not
+parse yields ``RVx00`` and the other files are still linted.
+
+**RV3xx — project invariants** (scope: the whole ``repro`` package).
 
 * **RV301 frozen-mutation** — no attribute assignment on instances of
   the project's frozen dataclasses (``PolicyTraits``, ``Task``,
-  ``TraceEvent``, ...).  ``object.__setattr__(self, ...)`` inside the
-  class's own methods is the sanctioned ``__post_init__`` idiom and is
-  allowed; any other ``object.__setattr__`` is flagged.
+  ``TraceEvent``, ...; every ``@dataclass(frozen=True)`` in the linted
+  tree is discovered first).  ``object.__setattr__(self, ...)`` inside a
+  class's own methods is the sanctioned ``__post_init__`` idiom; any
+  other ``object.__setattr__`` is flagged.
 * **RV302 float-equality** — no ``==``/``!=`` between two time-like
   expressions (``time``, ``start``, ``end``, ``makespan``, ...) or
-  between a time-like expression and a float literal.  Simulated times
-  are accumulated floats; use a tolerance comparison.
+  between a time-like expression and a float literal.
 * **RV303 policy-traits** — every concrete ``SchedulerPolicy`` subclass
-  must define ``traits`` (class attribute or ``self.traits = ...``).
+  defines ``traits`` (class attribute or ``self.traits = ...``).
 * **RV304 numpy-truthiness** — no boolean test directly on a call known
-  to return an array (``np.flatnonzero(x)`` &c.): ambiguous for size
-  != 1; test ``.size`` instead.
+  to return an array (``np.flatnonzero(x)`` &c.); test ``.size``.
 * **RV305 mutable-default** — no dataclass field defaulting to a shared
   mutable (``[]``, ``{}``, ``set()``, ``np.zeros(...)``, ...); use
-  ``field(default_factory=...)``.  The stdlib only rejects the literal
-  ``list``/``dict``/``set`` cases at runtime — an ``np.ndarray`` or
-  ``OrderedDict`` default silently aliases across instances.
-* **RV306 unordered-iteration** — no bare ``for``/comprehension over a
-  ``set``-typed collection: set order varies across processes (hash
-  randomization), so any schedule decision derived from it is
-  nondeterministic.  Wrap the iterable in ``sorted(...)``.  Covers
-  plain set-typed names, subscripts of containers *of* sets
-  (``elems[v]`` where ``elems: list[set[int]]``, ``defaultdict(set)``
-  values), and zero-argument ``.pop()`` on any of those — ``set.pop()``
-  removes a hash-ordered arbitrary element; pick deterministically with
-  ``min(...)`` then ``.discard(...)``.
-* **RV307 unseeded-random** — no draws from hidden global RNG state
-  (legacy ``np.random.<sampler>(...)`` module calls, stdlib
-  ``random.<sampler>(...)``) and no RNG constructed without an explicit
-  seed (``np.random.default_rng()`` / ``random.Random()`` with no
-  arguments).  Every stochastic choice in the simulation stack — fault
-  injection above all — must replay bit-identically from a seed.
+  ``field(default_factory=...)``.
+* **RV306 unordered-iteration** — no ``for``/``async for``/
+  comprehension over a set (literal, ``set(...)``, a set-typed name, an
+  element of a container of sets such as ``defaultdict(set)``) and no
+  zero-argument ``.pop()`` on one: set order follows hash seeding.
+* **RV307 unseeded-random** — no legacy ``np.random.<sampler>(...)`` or
+  stdlib ``random.<sampler>(...)`` module draws, and no
+  ``np.random.default_rng()`` / ``random.Random()`` without a seed.
 
-The discovery pre-pass collects every ``@dataclass(frozen=True)`` class
-in the linted tree, so new frozen types are covered automatically;
-set-typed names are collected from annotations and ``set()``-valued
-assignments per file.
+**RV4xx — lock discipline** (scope: ``repro.runtime``, the code worker
+threads run; the static side of the C7xx trace audit).
+
+* **RV401 unlocked shared write** — in a class owning a ``threading``
+  lock/condition (directly or through a base in the linted set), an
+  augmented assignment on a ``self`` attribute outside any ``with
+  self.<lock>:`` block and outside the setup methods.
+* **RV402 wait without predicate loop** — ``self.<condition>.wait()``
+  not lexically inside a ``while`` loop.
+* **RV403 inconsistent lock order** — a cycle in the graph of lexically
+  nested ``with self.<lockA>: ... with self.<lockB>:`` acquisitions.
+* **RV404 sleep as synchronization** — any ``time.sleep(...)``.
+* **RV405 unguarded read of lock-guarded state** — a ``return`` outside
+  any lock block (and outside setup methods) reading an attribute the
+  class both touches under a lock and mutates in place.
+
+**RV5xx — event-loop discipline** (scope: the shared event core, the
+three simulators and the fault layer; the static side of the D8xx
+replay audit).
+
+* **RV501 heap push without a tie-breaker** — a ``heapq.heappush``
+  whose item is not a tuple holding ``next(<counter>)``.
+* **RV502 float equality on a simulated clock** — ``==``/``!=``
+  against a ``time``/``now``/``when``/``clock``/``deadline`` value.
+* **RV503 unordered choice feeding the event order** — RV306's shape.
+* **RV504 wall clock or unseeded RNG in a simulation step** —
+  ``time.time``/``perf_counter``/..., ``datetime.now``, any stdlib
+  ``random.*`` or legacy ``np.random.*`` call, a seedless
+  ``default_rng()``.
+* **RV505 payload compared before the tie-breaker** — a heap tuple
+  whose ``next(...)`` is not element 1, or that carries a ``lambda``.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.verify.report import Report
 
-__all__ = ["LintFinding", "lint_paths", "lint_sources", "lint_report"]
-
-_TIME_NAMES = {
-    "time", "start", "end", "makespan", "elapsed", "deadline",
-    "start_time", "end_time", "last_time", "link_free", "data_ready",
-    "t0", "t1", "when",
-}
-_TIME_RE = re.compile(r"(^|_)(time|makespan)(_|$)")
-
-_ARRAY_RETURNING = {
-    "array", "arange", "zeros", "ones", "empty", "full", "concatenate",
-    "flatnonzero", "nonzero", "where", "unique", "diff", "intersect1d",
-    "setdiff1d", "union1d", "argsort", "sort", "repeat", "cumsum",
-    "asarray", "searchsorted", "minimum", "maximum", "isin",
-}
+__all__ = ["LintFinding", "Family", "FAMILIES", "lint_sources",
+           "lint_paths", "lint_report"]
 
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
-
-#: Constructors whose result is a shared mutable when used as a
-#: dataclass default (RV305).
-_MUTABLE_CALLS = {
-    "list", "dict", "set", "bytearray", "OrderedDict", "defaultdict",
-    "deque", "Counter",
-}
-
-#: Names that declare a set when they appear as an annotation base
-#: (RV306): ``x: set[int]``, ``x: frozenset``, ``x: Set[str]``.
-_SET_ANNOTATIONS = {"set", "frozenset", "Set", "FrozenSet", "MutableSet"}
-
-#: stdlib ``random`` module-level samplers that touch the shared global
-#: RNG (RV307).
-_STDLIB_RANDOM_FNS = {
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "normalvariate", "betavariate",
-    "expovariate", "triangular", "vonmisesvariate", "seed", "getrandbits",
-    "randbytes",
-}
 
 
 @dataclass(frozen=True)
@@ -109,59 +98,143 @@ class LintFinding:
         return f"{self.path}:{self.line}"
 
 
-def _terminal_name(node: ast.expr) -> str | None:
-    """The rightmost simple name of a ``Name``/``Attribute`` chain."""
+# ----------------------------------------------------------------------
+# Engine
+# ----------------------------------------------------------------------
+@functools.lru_cache
+def _parse(source: str) -> ast.Module | SyntaxError:
+    """Parse once per distinct source text, so the families linting one
+    file in a run share its tree (every rule only reads it; the cache's
+    128 entries hold the whole package)."""
+    try:
+        return ast.parse(source)
+    except SyntaxError as exc:
+        return exc
+
+
+class _File:
+    """One parsed source file and the one emit path every rule uses."""
+
+    def __init__(self, path: str, source: str, tree: ast.Module,
+                 findings: list[LintFinding]) -> None:
+        self.path = path
+        self.lines = source.splitlines()
+        self.tree = tree
+        self.findings = findings
+
+    def emit_at(self, line: int, col: int, code: str, message: str) -> None:
+        if 1 <= line <= len(self.lines):
+            m = _NOQA_RE.search(self.lines[line - 1])
+            if m and (m.group("codes") is None or code in {
+                c.strip().upper() for c in m.group("codes").split(",")
+            }):
+                return
+        self.findings.append(LintFinding(self.path, line, col, code, message))
+
+    def emit(self, node: ast.AST, code: str, message: str) -> None:
+        self.emit_at(getattr(node, "lineno", 0),
+                     getattr(node, "col_offset", 0), code, message)
+
+    @functools.cached_property
+    def set_names(self) -> set[str]:
+        return _set_typed_names(self.tree)
+
+    @functools.cached_property
+    def set_containers(self) -> set[str]:
+        return _set_container_names(self.tree)
+
+
+@dataclass(frozen=True)
+class Family:
+    """A rule family: its report name, default scope (``src/repro/...``
+    entries, resolved against the imported package) and the check run
+    over the parsed files."""
+
+    name: str
+    scope: tuple[str, ...]
+    check: Callable[[list[_File]], None]
+
+
+#: Registered families by code prefix.
+FAMILIES: dict[str, Family] = {}
+
+
+def _family(prefix: str, name: str, scope: tuple[str, ...]):
+    def register(check: Callable[[list[_File]], None]):
+        FAMILIES[prefix] = Family(name, scope, check)
+        return check
+    return register
+
+
+def lint_sources(sources: dict[str, str],
+                 family: str = "RV3") -> list[LintFinding]:
+    """Lint a ``{path: source}`` mapping with one family; returns the
+    findings sorted by location."""
+    findings: list[LintFinding] = []
+    files = []
+    for path, src in sources.items():
+        tree = _parse(src)
+        if isinstance(tree, SyntaxError):
+            findings.append(LintFinding(path, tree.lineno or 0,
+                                        tree.offset or 0, f"{family}00",
+                                        f"syntax error: {tree.msg}"))
+        else:
+            files.append(_File(path, src, tree, findings))
+    FAMILIES[family].check(files)
+    findings.sort(key=lambda f: (f.path, f.line, f.col))
+    return findings
+
+
+def _read(paths: Optional[Sequence[str | Path]],
+          family: str) -> dict[str, str]:
+    """``{path: source}`` of every ``*.py`` file under ``paths``, by
+    default under the family's scope.  A missing path raises."""
+    if paths is None:
+        import repro
+
+        pkg = Path(repro.__file__).parent
+        paths = [pkg / Path(p).relative_to("src/repro")
+                 for p in FAMILIES[family].scope]
+    files: list[Path] = []
+    for p in map(Path, paths):
+        files.extend(sorted(p.rglob("*.py")) if p.is_dir() else [p])
+    return {str(f): f.read_text() for f in files}
+
+
+def lint_paths(paths: Optional[Sequence[str | Path]] = None,
+               family: str = "RV3") -> list[LintFinding]:
+    """Lint every ``*.py`` file under the given files/directories
+    (default: the family's scope)."""
+    return lint_sources(_read(paths, family), family)
+
+
+def lint_report(paths: Optional[Sequence[str | Path]] = None,
+                family: str = "RV3") -> Report:
+    """Run one family and wrap its findings in a :class:`Report`."""
+    sources = _read(paths, family)
+    findings = lint_sources(sources, family)
+    report = Report(FAMILIES[family].name)
+    report.stats["files"] = len(sources)
+    report.stats["findings"] = len(findings)
+    for f in findings:
+        report.add(f.code, f.message, location=f.location)
+    return report
+
+
+# ----------------------------------------------------------------------
+# Shared predicates
+# ----------------------------------------------------------------------
+#: Names that declare a set when they appear as an annotation base.
+_SET_ANNOTATIONS = {"set", "frozenset", "Set", "FrozenSet", "MutableSet"}
+
+
+def _terminal_name(node: ast.expr) -> Optional[str]:
+    """``a.b.c`` -> ``"c"``; ``name`` -> ``"name"``; else ``None``."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
-
-
-def _is_time_like(node: ast.expr) -> bool:
-    """Heuristic: does this expression name a simulation time?"""
-    terminal: str | None = None
-    if isinstance(node, ast.Name):
-        terminal = node.id
-    elif isinstance(node, ast.Attribute):
-        terminal = node.attr
-    elif isinstance(node, ast.Subscript):
-        return _is_time_like(node.value)
-    elif isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            terminal = func.attr
-    if terminal is None:
-        return False
-    low = terminal.lower()
-    return low in _TIME_NAMES or bool(_TIME_RE.search(low))
-
-
-def _is_float_literal(node: ast.expr) -> bool:
-    if isinstance(node, ast.Constant):
-        return isinstance(node.value, float)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        return _is_float_literal(node.operand)
-    return False
-
-
-def _is_mutable_default(node: ast.expr) -> bool:
-    """Would this dataclass-field default alias across instances?"""
-    if isinstance(node, (ast.List, ast.Dict, ast.Set,
-                         ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        f = node.func
-        if isinstance(f, ast.Name) and f.id in _MUTABLE_CALLS:
-            return True
-        if (
-            isinstance(f, ast.Attribute)
-            and isinstance(f.value, ast.Name)
-            and f.value.id in ("np", "numpy")
-            and f.attr in _ARRAY_RETURNING
-        ):
-            return True
-    return False
 
 
 def _annotation_is_set(ann: ast.expr | None) -> bool:
@@ -195,64 +268,202 @@ def _annotation_contains_set(ann: ast.expr | None) -> bool:
     return False
 
 
-def _set_container_names(tree: ast.Module) -> set[str]:
-    """Names holding containers *of* sets (RV306 subscript checks).
-
-    ``idle: list[set[int]]``, ``valid: dict[int, set[str]]`` and
-    ``defaultdict(set)`` assignments all qualify: subscripting one
-    yields a set, so iterating (or ``.pop()``-ing) the element is
-    hash-ordered even though the container itself is ordered.
-    """
+def _assigned_names(tree: ast.Module, annotated: Callable[[ast.expr], bool],
+                    assigned: Callable[[ast.expr], bool]) -> set[str]:
+    """Names (or attribute names) whose annotation satisfies
+    ``annotated`` or whose assigned value satisfies ``assigned``."""
     names: set[str] = set()
     for node in ast.walk(tree):
         targets: list[ast.expr] = []
         if isinstance(node, ast.AnnAssign):
-            if (
-                _annotation_contains_set(node.annotation)
-                and not _annotation_is_set(node.annotation)
-            ):
+            if annotated(node.annotation):
                 targets = [node.target]
-        elif isinstance(node, ast.Assign):
-            v = node.value
-            if (
-                isinstance(v, ast.Call)
-                and isinstance(v.func, ast.Name)
-                and v.func.id == "defaultdict"
-                and v.args
-                and isinstance(v.args[0], ast.Name)
-                and v.args[0].id in ("set", "frozenset")
-            ):
-                targets = list(node.targets)
+        elif isinstance(node, ast.Assign) and assigned(node.value):
+            targets = list(node.targets)
         for t in targets:
             if isinstance(t, ast.Name):
                 names.add(t.id)
             elif isinstance(t, ast.Attribute):
                 names.add(t.attr)
     return names
+
+
+def _calls(node: ast.expr, names: Iterable[str]) -> bool:
+    """``node`` is ``<name>(...)`` for one of ``names``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in names)
 
 
 def _set_typed_names(tree: ast.Module) -> set[str]:
-    """Variable/attribute names declared or assigned as sets (RV306)."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.AnnAssign):
-            if _annotation_is_set(node.annotation):
-                targets = [node.target]
-        elif isinstance(node, ast.Assign):
-            v = node.value
-            if isinstance(v, (ast.Set, ast.SetComp)) or (
-                isinstance(v, ast.Call)
-                and isinstance(v.func, ast.Name)
-                and v.func.id in ("set", "frozenset")
-            ):
-                targets = list(node.targets)
-        for t in targets:
-            if isinstance(t, ast.Name):
-                names.add(t.id)
-            elif isinstance(t, ast.Attribute):
-                names.add(t.attr)
-    return names
+    """Names declared or assigned as sets."""
+    return _assigned_names(
+        tree, _annotation_is_set,
+        lambda v: isinstance(v, (ast.Set, ast.SetComp))
+        or _calls(v, ("set", "frozenset")))
+
+
+def _set_container_names(tree: ast.Module) -> set[str]:
+    """Names holding containers *of* sets: ``idle: list[set[int]]``,
+    ``valid: dict[int, set[str]]``, ``defaultdict(set)`` — subscripting
+    one yields a set, so its element is hash-ordered."""
+    return _assigned_names(
+        tree,
+        lambda a: _annotation_contains_set(a) and not _annotation_is_set(a),
+        lambda v: _calls(v, ("defaultdict",)) and bool(v.args)
+        and isinstance(v.args[0], ast.Name)
+        and v.args[0].id in ("set", "frozenset"))
+
+
+def _set_choice(node: ast.expr, f: _File) -> Optional[tuple[str, str]]:
+    """Is ``node`` a hash-ordered set (RV306 / RV503)?  Returns ``(kind,
+    label)``: kind ``literal`` (``{...}``, a set comprehension),
+    ``ctor`` (``set(...)``), ``element`` (an element of a container of
+    sets) or ``name`` (a set-typed name); the label names it."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return "literal", "set literal"
+    if _calls(node, ("set", "frozenset")):
+        return "ctor", f"{node.func.id}(...)"
+    if isinstance(node, ast.Subscript):
+        base = _terminal_name(node.value)
+        return ("element", f"{base}[...]") \
+            if base in f.set_containers else None
+    name = _terminal_name(node)
+    return ("name", name) if name in f.set_names else None
+
+
+def _is_bare_pop(node: ast.Call) -> bool:
+    return (isinstance(node.func, ast.Attribute) and node.func.attr == "pop"
+            and not node.args and not node.keywords)
+
+
+def _rng_call(node: ast.Call) -> Optional[tuple[str, str]]:
+    """``("np", member)`` for ``np.random.<member>(...)``, ``("random",
+    member)`` for the stdlib module's ``random.<member>(...)`` (RV307 /
+    RV504); else ``None``."""
+    f = node.func
+    if not isinstance(f, ast.Attribute):
+        return None
+    base = f.value
+    if isinstance(base, ast.Name) and base.id == "random":
+        return "random", f.attr
+    if (
+        isinstance(base, ast.Attribute)
+        and base.attr == "random"
+        and isinstance(base.value, ast.Name)
+        and base.value.id in ("np", "numpy")
+    ):
+        return "np", f.attr
+    return None
+
+
+class _Rules(ast.NodeVisitor):
+    """Per-file visitor base: hands every ``for`` / ``async for`` /
+    comprehension iterable to :meth:`iterates`."""
+
+    def __init__(self, f: _File) -> None:
+        self.f = f
+
+    def iterates(self, itr: ast.expr) -> None:
+        raise NotImplementedError
+
+    def visit_For(self, node) -> None:
+        self.iterates(node.iter)
+        self.generic_visit(node)
+
+    visit_AsyncFor = visit_For
+
+    def _visit_comprehension(self, node) -> None:
+        for gen in node.generators:
+            self.iterates(gen.iter)
+        self.generic_visit(node)
+
+    visit_ListComp = _visit_comprehension
+    visit_SetComp = _visit_comprehension
+    visit_DictComp = _visit_comprehension
+    visit_GeneratorExp = _visit_comprehension
+
+
+# ----------------------------------------------------------------------
+# RV3xx: project invariants
+# ----------------------------------------------------------------------
+_TIME_NAMES = {
+    "time", "start", "end", "makespan", "elapsed", "deadline",
+    "start_time", "end_time", "last_time", "link_free", "data_ready",
+    "t0", "t1", "when",
+}
+_TIME_RE = re.compile(r"(^|_)(time|makespan)(_|$)")
+
+_ARRAY_RETURNING = {
+    "array", "arange", "zeros", "ones", "empty", "full", "concatenate",
+    "flatnonzero", "nonzero", "where", "unique", "diff", "intersect1d",
+    "setdiff1d", "union1d", "argsort", "sort", "repeat", "cumsum",
+    "asarray", "searchsorted", "minimum", "maximum", "isin",
+}
+
+#: Constructors whose result is a shared mutable as a dataclass default.
+_MUTABLE_CALLS = {
+    "list", "dict", "set", "bytearray", "OrderedDict", "defaultdict",
+    "deque", "Counter",
+}
+
+#: stdlib ``random`` module-level samplers on the shared global RNG.
+_STDLIB_RANDOM_FNS = {
+    "random", "randint", "randrange", "choice", "choices", "shuffle",
+    "sample", "uniform", "gauss", "normalvariate", "betavariate",
+    "expovariate", "triangular", "vonmisesvariate", "seed", "getrandbits",
+    "randbytes",
+}
+
+_RV306_ITERATION = {
+    "literal": "iteration over a set literal is hash-ordered; wrap in "
+               "sorted(...) before deriving schedule decisions",
+    "ctor": "iteration over {} is hash-ordered; wrap in sorted(...)",
+    "element": "iteration over set-valued element `{}` is hash-ordered; "
+               "wrap in sorted(...) before deriving schedule decisions",
+    "name": "iteration over set `{}` is hash-ordered; wrap in "
+            "sorted(...) before deriving schedule decisions",
+}
+
+
+def _is_np_array_call(node: ast.expr) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+        and node.func.attr in _ARRAY_RETURNING
+    )
+
+
+def _is_time_like(node: ast.expr) -> bool:
+    """Heuristic: does this expression name a simulation time?"""
+    if isinstance(node, ast.Subscript):
+        return _is_time_like(node.value)
+    if isinstance(node, ast.Call):
+        terminal = node.func.attr \
+            if isinstance(node.func, ast.Attribute) else None
+    else:
+        terminal = _terminal_name(node)
+    if terminal is None:
+        return False
+    low = terminal.lower()
+    return low in _TIME_NAMES or bool(_TIME_RE.search(low))
+
+
+def _is_float_literal(node: ast.expr) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        return _is_float_literal(node.operand)
+    return False
+
+
+def _is_mutable_default(node: ast.expr) -> bool:
+    """Would this dataclass-field default alias across instances?"""
+    if isinstance(node, (ast.List, ast.Dict, ast.Set,
+                         ast.ListComp, ast.DictComp, ast.SetComp)):
+        return True
+    return _calls(node, _MUTABLE_CALLS) or _is_np_array_call(node)
 
 
 def _frozen_dataclasses(trees: Iterable[ast.Module]) -> set[str]:
@@ -260,72 +471,29 @@ def _frozen_dataclasses(trees: Iterable[ast.Module]) -> set[str]:
     out: set[str] = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for dec in node.decorator_list:
-                if (
-                    isinstance(dec, ast.Call)
-                    and isinstance(dec.func, ast.Name)
-                    and dec.func.id == "dataclass"
-                ):
-                    for kw in dec.keywords:
-                        if (
-                            kw.arg == "frozen"
-                            and isinstance(kw.value, ast.Constant)
-                            and kw.value.value is True
-                        ):
-                            out.add(node.name)
+            if isinstance(node, ast.ClassDef) and any(
+                _calls(dec, ("dataclass",)) and any(
+                    kw.arg == "frozen"
+                    and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is True
+                    for kw in dec.keywords
+                )
+                for dec in node.decorator_list
+            ):
+                out.add(node.name)
     return out
 
 
-class _FileLinter(ast.NodeVisitor):
-    def __init__(
-        self,
-        path: str,
-        source: str,
-        frozen: set[str],
-        set_names: set[str] | None = None,
-        set_container_names: set[str] | None = None,
-    ) -> None:
-        self.path = path
-        self.lines = source.splitlines()
+class _ProjectRules(_Rules):
+    def __init__(self, f: _File, frozen: set[str]) -> None:
+        super().__init__(f)
         self.frozen = frozen
-        self.set_names = set_names or set()
-        self.set_container_names = set_container_names or set()
-        self.findings: list[LintFinding] = []
         #: var name -> frozen class name, per enclosing function scope.
         self._scopes: list[dict[str, str]] = []
         self._class_stack: list[ast.ClassDef] = []
 
-    # -- plumbing ------------------------------------------------------
-    def _suppressed(self, line: int, code: str) -> bool:
-        if not 1 <= line <= len(self.lines):
-            return False
-        m = _NOQA_RE.search(self.lines[line - 1])
-        if not m:
-            return False
-        codes = m.group("codes")
-        if codes is None:
-            return True
-        return code in {c.strip().upper() for c in codes.split(",")}
-
-    def _emit(self, node: ast.AST, code: str, message: str) -> None:
-        line = getattr(node, "lineno", 0)
-        if self._suppressed(line, code):
-            return
-        self.findings.append(
-            LintFinding(self.path, line, getattr(node, "col_offset", 0),
-                        code, message)
-        )
-
     # -- scope tracking ------------------------------------------------
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
-
-    def _visit_function(self, node) -> None:
+    def visit_FunctionDef(self, node) -> None:
         scope: dict[str, str] = {}
         # Parameters annotated with a frozen dataclass type participate.
         args = node.args
@@ -340,6 +508,8 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
         self._scopes.pop()
 
+    visit_AsyncFunctionDef = visit_FunctionDef
+
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._class_stack.append(node)
         self._check_policy_traits(node)
@@ -350,12 +520,7 @@ class _FileLinter(ast.NodeVisitor):
     # -- RV301 frozen mutation ----------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
         # Track `x = FrozenClass(...)` constructions.
-        if (
-            self._scopes
-            and isinstance(node.value, ast.Call)
-            and isinstance(node.value.func, ast.Name)
-            and node.value.func.id in self.frozen
-        ):
+        if self._scopes and _calls(node.value, self.frozen):
             for tgt in node.targets:
                 if isinstance(tgt, ast.Name):
                     self._scopes[-1][tgt.id] = node.value.func.id
@@ -374,7 +539,7 @@ class _FileLinter(ast.NodeVisitor):
         if isinstance(base, ast.Name) and self._scopes:
             cls = self._scopes[-1].get(base.id)
             if cls is not None:
-                self._emit(
+                self.f.emit(
                     tgt, "RV301",
                     f"attribute assignment on frozen dataclass {cls} "
                     f"instance `{base.id}` (dataclasses.replace() instead)",
@@ -391,56 +556,55 @@ class _FileLinter(ast.NodeVisitor):
             first = node.args[0] if node.args else None
             is_self = isinstance(first, ast.Name) and first.id == "self"
             if not (is_self and self._class_stack):
-                self._emit(
+                self.f.emit(
                     node, "RV301",
                     "object.__setattr__ outside a frozen class's own "
                     "methods bypasses immutability",
                 )
         self._check_unseeded_random(node)
-        self._check_set_pop(node)
+        if _is_bare_pop(node):
+            choice = _set_choice(node.func.value, self.f)
+            if choice and choice[0] != "literal":
+                self.f.emit(
+                    node, "RV306",
+                    f"`{choice[1]}.pop()` removes a hash-ordered arbitrary "
+                    "element; pick deterministically (min(...) then "
+                    ".discard(...))",
+                )
         self.generic_visit(node)
 
     # -- RV307 unseeded randomness ------------------------------------
     def _check_unseeded_random(self, node: ast.Call) -> None:
-        func = node.func
-        if not isinstance(func, ast.Attribute):
+        rng = _rng_call(node)
+        if rng is None:
             return
-        base = func.value
-        if (
-            isinstance(base, ast.Attribute)
-            and base.attr == "random"
-            and isinstance(base.value, ast.Name)
-            and base.value.id in ("np", "numpy")
-        ):
-            # np.random.<something>(...)
-            if func.attr == "default_rng":
-                if not node.args and not node.keywords:
-                    self._emit(
-                        node, "RV307",
-                        "np.random.default_rng() without a seed is "
-                        "nondeterministic; pass an explicit seed",
-                    )
-            elif func.attr[:1].islower():
-                self._emit(
+        module, member = rng
+        if module == "np" and member == "default_rng":
+            if not node.args and not node.keywords:
+                self.f.emit(
                     node, "RV307",
-                    f"legacy np.random.{func.attr}(...) draws from hidden "
-                    "global state; use a seeded np.random.default_rng(seed)",
+                    "np.random.default_rng() without a seed is "
+                    "nondeterministic; pass an explicit seed",
                 )
-        elif isinstance(base, ast.Name) and base.id == "random":
-            # stdlib random.<something>(...)
-            if func.attr == "Random":
-                if not node.args:
-                    self._emit(
-                        node, "RV307",
-                        "random.Random() without a seed is "
-                        "nondeterministic; pass an explicit seed",
-                    )
-            elif func.attr in _STDLIB_RANDOM_FNS:
-                self._emit(
+        elif module == "np" and member[:1].islower():
+            self.f.emit(
+                node, "RV307",
+                f"legacy np.random.{member}(...) draws from hidden "
+                "global state; use a seeded np.random.default_rng(seed)",
+            )
+        elif module == "random" and member == "Random":
+            if not node.args:
+                self.f.emit(
                     node, "RV307",
-                    f"module-level random.{func.attr}(...) uses the shared "
-                    "global RNG; use a seeded generator instead",
+                    "random.Random() without a seed is "
+                    "nondeterministic; pass an explicit seed",
                 )
+        elif module == "random" and member in _STDLIB_RANDOM_FNS:
+            self.f.emit(
+                node, "RV307",
+                f"module-level random.{member}(...) uses the shared "
+                "global RNG; use a seeded generator instead",
+            )
 
     # -- RV302 float equality -----------------------------------------
     def visit_Compare(self, node: ast.Compare) -> None:
@@ -451,7 +615,7 @@ class _FileLinter(ast.NodeVisitor):
             lt, rt = _is_time_like(lhs), _is_time_like(rhs)
             if (lt and rt) or (lt and _is_float_literal(rhs)) \
                     or (rt and _is_float_literal(lhs)):
-                self._emit(
+                self.f.emit(
                     node, "RV302",
                     "==/!= between floating-point simulation times; "
                     "compare with a tolerance (abs(a - b) <= tol)",
@@ -464,9 +628,7 @@ class _FileLinter(ast.NodeVisitor):
             b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
             for b in node.bases
         }
-        if "SchedulerPolicy" not in base_names:
-            return
-        if "ABC" in base_names:
+        if "SchedulerPolicy" not in base_names or "ABC" in base_names:
             return
         for stmt in ast.walk(node):
             if isinstance(stmt, ast.Assign):
@@ -480,29 +642,19 @@ class _FileLinter(ast.NodeVisitor):
                         and tgt.value.id == "self"
                     ):
                         return
-            if isinstance(stmt, ast.AnnAssign):
-                tgt = stmt.target
-                if stmt.value is not None and (
-                    (isinstance(tgt, ast.Name) and tgt.id == "traits")
-                    or (isinstance(tgt, ast.Attribute) and tgt.attr == "traits")
-                ):
-                    return
-        self._emit(
+            if isinstance(stmt, ast.AnnAssign) and stmt.value is not None \
+                    and _terminal_name(stmt.target) == "traits":
+                return
+        self.f.emit(
             node, "RV303",
             f"SchedulerPolicy subclass {node.name} never defines `traits`",
         )
 
     # -- RV305 mutable dataclass defaults -----------------------------
     def _check_mutable_defaults(self, node: ast.ClassDef) -> None:
-        if not any(
-            (isinstance(dec, ast.Name) and dec.id == "dataclass")
-            or (
-                isinstance(dec, ast.Call)
-                and isinstance(dec.func, ast.Name)
-                and dec.func.id == "dataclass"
-            )
-            for dec in node.decorator_list
-        ):
+        if not any((isinstance(dec, ast.Name) and dec.id == "dataclass")
+                   or _calls(dec, ("dataclass",))
+                   for dec in node.decorator_list):
             return
         for stmt in node.body:
             value = None
@@ -515,134 +667,33 @@ class _FileLinter(ast.NodeVisitor):
                     and isinstance(stmt.targets[0], ast.Name):
                 value, fname = stmt.value, stmt.targets[0].id
             if value is not None and _is_mutable_default(value):
-                self._emit(
+                self.f.emit(
                     stmt, "RV305",
                     f"dataclass field `{fname}` defaults to a shared "
                     "mutable; use field(default_factory=...)",
                 )
 
     # -- RV306 unordered set iteration --------------------------------
-    def _check_iteration_order(self, itr: ast.expr) -> None:
-        if isinstance(itr, (ast.Set, ast.SetComp)):
-            self._emit(
-                itr, "RV306",
-                "iteration over a set literal is hash-ordered; wrap in "
-                "sorted(...) before deriving schedule decisions",
-            )
-            return
-        if (
-            isinstance(itr, ast.Call)
-            and isinstance(itr.func, ast.Name)
-            and itr.func.id in ("set", "frozenset")
-        ):
-            self._emit(
-                itr, "RV306",
-                f"iteration over {itr.func.id}(...) is hash-ordered; "
-                "wrap in sorted(...)",
-            )
-            return
-        if isinstance(itr, ast.Subscript):
-            base = _terminal_name(itr.value)
-            if base is not None and base in self.set_container_names:
-                self._emit(
-                    itr, "RV306",
-                    f"iteration over set-valued element `{base}[...]` is "
-                    "hash-ordered; wrap in sorted(...) before deriving "
-                    "schedule decisions",
-                )
-            return
-        name = _terminal_name(itr)
-        if name is not None and name in self.set_names:
-            self._emit(
-                itr, "RV306",
-                f"iteration over set `{name}` is hash-ordered; wrap in "
-                "sorted(...) before deriving schedule decisions",
-            )
-
-    def _check_set_pop(self, node: ast.Call) -> None:
-        f = node.func
-        if not (
-            isinstance(f, ast.Attribute)
-            and f.attr == "pop"
-            and not node.args
-            and not node.keywords
-        ):
-            return
-        recv = f.value
-        is_set = False
-        label = "set"
-        if isinstance(recv, ast.Subscript):
-            base = _terminal_name(recv.value)
-            if base is not None and base in self.set_container_names:
-                is_set, label = True, f"{base}[...]"
-        elif (
-            isinstance(recv, ast.Call)
-            and isinstance(recv.func, ast.Name)
-            and recv.func.id in ("set", "frozenset")
-        ):
-            is_set, label = True, f"{recv.func.id}(...)"
-        else:
-            name = _terminal_name(recv)
-            if name is not None and name in self.set_names:
-                is_set, label = True, name
-        if is_set:
-            self._emit(
-                node, "RV306",
-                f"`{label}.pop()` removes a hash-ordered arbitrary "
-                "element; pick deterministically (min(...) then "
-                ".discard(...))",
-            )
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iteration_order(node.iter)
-        self.generic_visit(node)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._check_iteration_order(node.iter)
-        self.generic_visit(node)
-
-    def _visit_comprehension(self, node) -> None:
-        for gen in node.generators:
-            self._check_iteration_order(gen.iter)
-        self.generic_visit(node)
-
-    visit_ListComp = _visit_comprehension
-    visit_SetComp = _visit_comprehension
-    visit_DictComp = _visit_comprehension
-    visit_GeneratorExp = _visit_comprehension
+    def iterates(self, itr: ast.expr) -> None:
+        choice = _set_choice(itr, self.f)
+        if choice:
+            self.f.emit(itr, "RV306",
+                        _RV306_ITERATION[choice[0]].format(choice[1]))
 
     # -- RV304 numpy truthiness ---------------------------------------
     def _check_bool_context(self, expr: ast.expr) -> None:
-        if not isinstance(expr, ast.Call):
-            return
-        func = expr.func
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in ("np", "numpy")
-            and func.attr in _ARRAY_RETURNING
-        ):
-            self._emit(
+        if _is_np_array_call(expr):
+            self.f.emit(
                 expr, "RV304",
-                f"truth value of np.{func.attr}(...) is ambiguous for "
+                f"truth value of np.{expr.func.attr}(...) is ambiguous for "
                 "arrays; test `.size` explicitly",
             )
 
-    def visit_If(self, node: ast.If) -> None:
+    def _visit_test(self, node) -> None:
         self._check_bool_context(node.test)
         self.generic_visit(node)
 
-    def visit_While(self, node: ast.While) -> None:
-        self._check_bool_context(node.test)
-        self.generic_visit(node)
-
-    def visit_Assert(self, node: ast.Assert) -> None:
-        self._check_bool_context(node.test)
-        self.generic_visit(node)
-
-    def visit_IfExp(self, node: ast.IfExp) -> None:
-        self._check_bool_context(node.test)
-        self.generic_visit(node)
+    visit_If = visit_While = visit_Assert = visit_IfExp = _visit_test
 
     def visit_BoolOp(self, node: ast.BoolOp) -> None:
         for value in node.values:
@@ -655,69 +706,436 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_sources(sources: dict[str, str]) -> list[LintFinding]:
-    """Lint a ``{path: source}`` mapping; returns sorted findings."""
-    trees: dict[str, ast.Module] = {}
-    for path, src in sources.items():
-        try:
-            trees[path] = ast.parse(src, filename=path)
-        except SyntaxError as exc:
-            return [LintFinding(path, exc.lineno or 0, exc.offset or 0,
-                                "RV300", f"syntax error: {exc.msg}")]
-    frozen = _frozen_dataclasses(trees.values())
-    findings: list[LintFinding] = []
-    for path, tree in trees.items():
-        linter = _FileLinter(path, sources[path], frozen,
-                             _set_typed_names(tree),
-                             _set_container_names(tree))
-        linter.visit(tree)
-        findings.extend(linter.findings)
-    findings.sort(key=lambda f: (f.path, f.line, f.col))
-    return findings
+@_family("RV3", "lint", ("src/repro",))
+def _project_rules(files: list[_File]) -> None:
+    frozen = _frozen_dataclasses(f.tree for f in files)
+    for f in files:
+        _ProjectRules(f, frozen).visit(f.tree)
 
 
-def lint_paths(paths: Sequence[str | Path]) -> list[LintFinding]:
-    """Lint every ``*.py`` file under the given files/directories."""
-    files: list[Path] = []
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
+# ----------------------------------------------------------------------
+# RV4xx: lock discipline
+# ----------------------------------------------------------------------
+#: Methods that run before (or after) the worker threads exist.
+_SETUP_METHODS = {"__init__", "setup", "bind", "__post_init__"}
+
+#: threading constructors whose product is a mutual-exclusion object.
+_LOCK_CTORS = {"Lock", "RLock", "Condition", "Semaphore",
+               "BoundedSemaphore"}
+
+#: Container methods that mutate their receiver in place.
+_MUTATOR_METHODS = {
+    "append", "appendleft", "pop", "popleft", "extend", "extendleft",
+    "add", "remove", "discard", "clear", "update", "setdefault",
+    "insert",
+}
+
+#: ``heapq`` functions that mutate their first argument.
+_HEAPQ_MUTATORS = {"heappush", "heappop", "heapify", "heappushpop",
+                   "heapreplace"}
+
+
+def _module_call(node: ast.AST, module: str, names: Iterable[str]) -> bool:
+    """``node`` is ``<module>.<name>(...)`` for one of ``names``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in names
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == module
+    )
+
+
+def _self_attr(node: ast.expr) -> Optional[str]:
+    """``self.X`` or ``self.X[...]`` -> ``"X"``; else ``None``."""
+    if isinstance(node, ast.Subscript):
+        return _self_attr(node.value)
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _assigned_self_attrs(cls: ast.ClassDef, ctors: set[str]) -> set[str]:
+    """``self`` attributes assigned a value constructing one of the
+    ``threading`` classes ``ctors`` (possibly inside a list or
+    comprehension, the per-panel lock-table idiom)."""
+    out: set[str] = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Assign) and any(
+            _module_call(sub, "threading", ctors)
+            for sub in ast.walk(node.value)
+        ):
+            out.update(a for a in map(_self_attr, node.targets) if a)
+    return out
+
+
+def _condition_attrs(cls: ast.ClassDef) -> set[str]:
+    return _assigned_self_attrs(cls, {"Condition"})
+
+
+def _lock_attrs(cls: ast.ClassDef) -> set[str]:
+    return _assigned_self_attrs(cls, _LOCK_CTORS)
+
+
+def _witnessed_attrs(lock_attrs: set[str]):
+    """Probe factory: ``self`` attributes touched inside a ``with
+    self.<lock>:`` body of the probed class."""
+
+    def probe(cls: ast.ClassDef) -> set[str]:
+        out: set[str] = set()
+        for node in ast.walk(cls):
+            if isinstance(node, ast.With) and any(
+                _self_attr(item.context_expr) in lock_attrs
+                for item in node.items
+            ):
+                for stmt in node.body:
+                    for sub in ast.walk(stmt):
+                        if isinstance(sub, ast.Attribute) and _self_attr(sub):
+                            out.add(_self_attr(sub))
+        return out - lock_attrs
+
+    return probe
+
+
+def _mutated_attrs(cls: ast.ClassDef) -> set[str]:
+    """``self`` attributes the class mutates anywhere (shared state):
+    augmented or subscript assignment, in-place container calls, or
+    ``heapq`` operations.  Plain ``self.X = ...`` rebinds are treated
+    as initialisation, not mutation."""
+    out: set[str] = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.AugAssign):
+            out.add(_self_attr(node.target))
+        elif isinstance(node, (ast.Assign, ast.Delete)):
+            out.update(_self_attr(t) for t in node.targets
+                       if isinstance(t, ast.Subscript))
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _MUTATOR_METHODS:
+                out.add(_self_attr(node.func.value))
+            elif _module_call(node, "heapq", _HEAPQ_MUTATORS) and node.args:
+                out.add(_self_attr(node.args[0]))
+    out.discard(None)
+    return out
+
+
+class _LockRules:
+    """Lint one class's methods against the RV401/402/403/405 rules."""
+
+    def __init__(self, f: _File, cls: ast.ClassDef, lock_attrs: set[str],
+                 cond_attrs: set[str], guarded_attrs: set[str],
+                 lock_order: dict[str, set[str]]) -> None:
+        self.f = f
+        self.cls = cls
+        self.lock_attrs = lock_attrs
+        self.cond_attrs = cond_attrs
+        self.guarded_attrs = guarded_attrs
+        self.lock_order = lock_order
+
+    def lint(self) -> None:
+        for stmt in self.cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._walk(stmt.body, held=[],
+                           in_setup=stmt.name in _SETUP_METHODS,
+                           in_while=False)
+
+    def _walk(self, body, held: list[str], in_setup: bool,
+              in_while: bool) -> None:
+        for stmt in body:
+            if isinstance(stmt, ast.With):
+                acquired = [a for a in (_self_attr(item.context_expr)
+                                        for item in stmt.items)
+                            if a is not None and a in self.lock_attrs]
+                for new in acquired:
+                    for outer in held:
+                        if outer != new:
+                            self.lock_order.setdefault(
+                                f"{self.cls.name}.{outer}", set()
+                            ).add(f"{self.cls.name}.{new}")
+                self._walk(stmt.body, held + acquired, in_setup, in_while)
+                # Expressions in the with header still need the scans.
+                for item in stmt.items:
+                    self._scan_waits(item.context_expr, in_while)
+                continue
+            if isinstance(stmt, ast.While):
+                self._scan_waits(stmt.test, in_while=True)
+                self._walk(stmt.body + stmt.orelse, held, in_setup,
+                           in_while=True)
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # Nested defs (callbacks) run on unknown threads: lint
+                # them as non-setup code holding nothing.
+                self._walk(stmt.body, held=[], in_setup=False,
+                           in_while=False)
+                continue
+            if not in_setup and not held:
+                self._check_unlocked(stmt)
+            for child in ast.iter_child_nodes(stmt):
+                if isinstance(child, ast.expr):
+                    self._scan_waits(child, in_while)
+            # Recurse into compound statements (if/for/try bodies).
+            for field in ("body", "orelse", "finalbody"):
+                sub = getattr(stmt, field, None)
+                if sub:
+                    self._walk(sub, held, in_setup, in_while)
+            for h in getattr(stmt, "handlers", None) or ():
+                self._walk(h.body, held, in_setup, in_while)
+
+    def _check_unlocked(self, stmt: ast.stmt) -> None:
+        """RV401 / RV405 on a statement run outside setup and any lock."""
+        if isinstance(stmt, ast.AugAssign):
+            attr = _self_attr(stmt.target)
+            if attr is not None and attr not in self.lock_attrs:
+                self.f.emit(
+                    stmt, "RV401",
+                    f"read-modify-write of shared attribute self.{attr} in "
+                    f"lock-owning class {self.cls.name} outside any "
+                    "`with self.<lock>:` block",
+                )
+        if isinstance(stmt, ast.Return) and stmt.value is not None:
+            for node in ast.walk(stmt.value):
+                attr = _self_attr(node) \
+                    if isinstance(node, ast.Attribute) else None
+                if attr is not None and attr in self.guarded_attrs:
+                    self.f.emit(
+                        stmt, "RV405",
+                        f"return reads lock-guarded attribute self.{attr} "
+                        f"of {self.cls.name} without holding the lock that "
+                        "elsewhere guards its mutation (torn read against "
+                        "a concurrent multi-step update)",
+                    )
+                    return
+
+    def _scan_waits(self, expr: ast.expr, in_while: bool) -> None:
+        if in_while:
+            return
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "wait":
+                base_attr = _self_attr(node.func.value)
+                if base_attr is not None and base_attr in self.cond_attrs:
+                    self.f.emit(
+                        node, "RV402",
+                        f"self.{base_attr}.wait() outside a while "
+                        "loop: condition waits wake spuriously; "
+                        "re-check the predicate in a loop",
+                    )
+
+
+def _lock_order_cycle(lock_order: dict[str, set[str]]) -> list[str]:
+    """The first cycle (as a node path) in the acquisition graph."""
+    state: dict[str, int] = {}
+    cycle: list[str] = []
+
+    def dfs(n: str, pathstack: list[str]) -> bool:
+        state[n] = 1
+        pathstack.append(n)
+        for nxt in sorted(lock_order.get(n, ())):
+            if state.get(nxt, 0) == 1:
+                cycle.extend(pathstack[pathstack.index(nxt):] + [nxt])
+                return True
+            if state.get(nxt, 0) == 0 and dfs(nxt, pathstack):
+                return True
+        pathstack.pop()
+        state[n] = 2
+        return False
+
+    for n in sorted(lock_order):
+        if state.get(n, 0) == 0 and dfs(n, []):
+            break
+    return cycle
+
+
+@_family("RV4", "lockdiscipline", ("src/repro/runtime",))
+def _lock_rules(files: list[_File]) -> None:
+    # Resolve lock ownership through base classes named in the linted
+    # set: a subclass of a lock-owning scheduler shares its discipline.
+    by_name: dict[str, ast.ClassDef] = {}
+    for f in files:
+        for node in ast.walk(f.tree):
+            if isinstance(node, ast.ClassDef):
+                by_name.setdefault(node.name, node)
+
+    def inherited(cls: ast.ClassDef, probe) -> set[str]:
+        out: set[str] = set(probe(cls))
+        seen = {cls.name}
+        stack = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+        while stack:
+            name = stack.pop()
+            if name in seen or name not in by_name:
+                continue
+            seen.add(name)
+            base = by_name[name]
+            out |= probe(base)
+            stack.extend(b.id for b in base.bases
+                         if isinstance(b, ast.Name))
+        return out
+
+    lock_order: dict[str, set[str]] = {}
+    order_sites: dict[str, tuple[_File, int]] = {}
+    for f in files:
+        for node in ast.walk(f.tree):
+            if _module_call(node, "time", ("sleep",)):
+                f.emit(node, "RV404",
+                       "time.sleep() in concurrent runtime code: "
+                       "synchronize with events/joins, never with naps")
+        for node in ast.walk(f.tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            locks = inherited(node, _lock_attrs)
+            conds = inherited(node, _condition_attrs)
+            if not locks and not conds:
+                continue
+            # RV405 guarded set: attributes the class hierarchy both
+            # touches under a lock AND mutates in place somewhere.
+            guarded = inherited(node, _witnessed_attrs(locks | conds)) \
+                & inherited(node, _mutated_attrs)
+            before = {k: set(v) for k, v in lock_order.items()}
+            _LockRules(f, node, locks | conds, conds, guarded,
+                       lock_order).lint()
+            for k, v in lock_order.items():
+                for dst in v - before.get(k, set()):
+                    order_sites.setdefault(f"{k}->{dst}", (f, node.lineno))
+    cycle = _lock_order_cycle(lock_order)
+    if cycle:
+        edge = f"{cycle[0]}->{cycle[1]}" if len(cycle) > 1 else ""
+        f, line = order_sites.get(edge, (files[0], 0))
+        f.emit_at(line, 0, "RV403", "inconsistent lock acquisition order: "
+                  + " -> ".join(cycle))
+
+
+# ----------------------------------------------------------------------
+# RV5xx: event-loop discipline
+# ----------------------------------------------------------------------
+#: Terminal attribute/variable names treated as simulated-clock values.
+_CLOCK_NAMES = {"time", "now", "when", "clock", "deadline"}
+
+#: ``time`` module members that read the host's wall clock.
+_WALL_CLOCK_FNS = {"time", "perf_counter", "monotonic", "process_time",
+                   "clock_gettime", "time_ns", "perf_counter_ns",
+                   "monotonic_ns"}
+
+
+class _EventLoopRules(_Rules):
+    # -- RV501 / RV505: heap pushes ------------------------------------
+    def visit_Call(self, node: ast.Call) -> None:
+        if _module_call(node, "heapq", ("heappush", "heappushpop")) \
+                and len(node.args) >= 2:
+            self._check_heap_item(node, node.args[1])
+        self._check_wall_clock(node)
+        if _is_bare_pop(node) and _set_choice(node.func.value, self.f):
+            self.f.emit(
+                node, "RV503",
+                "set.pop() takes a hash-order-dependent element: pick "
+                "deterministically (min(...) then discard)",
+            )
+        self.generic_visit(node)
+
+    def _check_heap_item(self, call: ast.Call, item: ast.expr) -> None:
+        if not isinstance(item, ast.Tuple):
+            self.f.emit(
+                call, "RV501",
+                "heap push of a non-tuple item: simultaneous events "
+                "need an explicit (key, next(<counter>), ...) shape so "
+                "ties have a total, reproducible order",
+            )
+            return
+        next_at = [i for i, el in enumerate(item.elts)
+                   if _calls(el, ("next",))]
+        if not next_at:
+            self.f.emit(
+                call, "RV501",
+                "heap push without a monotonic next(<counter>) "
+                "tie-breaker: simultaneous events compare by payload, "
+                "so pop order depends on push/hash order "
+                "(use repro.runtime.seq.monotonic_counter)",
+            )
+            return
+        if next_at[0] != 1:
+            self.f.emit(
+                call, "RV505",
+                f"heap tuple's next(...) tie-breaker is element "
+                f"{next_at[0]}, not element 1: the payload before it "
+                "participates in comparisons before ties are broken",
+            )
+        for el in item.elts:
+            if isinstance(el, ast.Lambda):
+                self.f.emit(
+                    el, "RV505",
+                    "lambda inside a heap tuple: callables compare by "
+                    "identity, i.e. by registration order",
+                )
+
+    # -- RV502: float equality on clocks -------------------------------
+    def visit_Compare(self, node: ast.Compare) -> None:
+        clockish = [
+            operand for operand in [node.left, *node.comparators]
+            if _terminal_name(operand) in _CLOCK_NAMES
+        ]
+        if clockish and any(isinstance(op, (ast.Eq, ast.NotEq))
+                            for op in node.ops):
+            name = _terminal_name(clockish[0])
+            self.f.emit(
+                node, "RV502",
+                f"float equality against simulated clock value "
+                f"{name!r}: simulated times are float sums; compare "
+                "with an order relation or a tolerance",
+            )
+        self.generic_visit(node)
+
+    # -- RV503: unordered iteration ------------------------------------
+    def iterates(self, itr: ast.expr) -> None:
+        if _set_choice(itr, self.f):
+            self.f.emit(
+                itr, "RV503",
+                "iteration over an unordered set feeds the event "
+                "order: wrap in sorted(...) (or use min/max)",
+            )
+
+    # -- RV504: wall clocks and unseeded RNGs --------------------------
+    def _check_wall_clock(self, node: ast.Call) -> None:
+        f = node.func
+        if not isinstance(f, ast.Attribute):
+            return
+        rng = _rng_call(node)
+        if _module_call(node, "time", _WALL_CLOCK_FNS):
+            message = (f"time.{f.attr}() inside a simulation step: "
+                       "simulated runs must not read the host's wall clock")
+        elif f.attr == "now" and _terminal_name(f.value) in ("datetime",
+                                                             "date"):
+            message = ("datetime.now() inside a simulation step: simulated "
+                       "runs must not read the host's wall clock")
+        elif rng and rng[0] == "random":
+            message = (f"random.{f.attr}() uses the global unseeded RNG: "
+                       "draw from the run's one seeded FaultModel/"
+                       "scheduler RNG")
+        elif rng and rng[1] != "default_rng":
+            message = (f"np.random.{f.attr}() uses the legacy global RNG: "
+                       "draw from one seeded default_rng(seed)")
+        elif f.attr == "default_rng" and not node.args \
+                and not node.keywords:
+            message = ("default_rng() without a seed: the run is no longer "
+                       "a function of its inputs")
         else:
-            files.append(p)
-    sources = {str(f): f.read_text() for f in files}
-    return lint_sources(sources)
+            return
+        self.f.emit(node, "RV504", message)
 
 
-def scope_sources(
-    paths: Sequence[str | Path] | None, scope: Sequence[str],
-) -> dict[str, str]:
-    """``{path: source}`` of every ``*.py`` file under ``paths``, or by
-    default under ``scope``: ``src/repro/...`` entries resolved against
-    the imported package (so any CWD works, including an installed
-    tree).  Missing paths are skipped."""
-    if paths is None:
-        import repro
-
-        pkg = Path(repro.__file__).resolve().parent
-        targets = [pkg / Path(p).relative_to("src/repro") for p in scope]
-    else:
-        targets = [Path(p) for p in paths]
-    files: list[Path] = []
-    for p in targets:
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
-        elif p.exists():
-            files.append(p)
-    return {str(f): f.read_text() for f in files}
-
-
-def lint_report(paths: Sequence[str | Path]) -> Report:
-    """Run the linter and wrap findings in a :class:`Report`."""
-    findings = lint_paths(paths)
-    report = Report("lint")
-    report.stats["files"] = len({f.path for f in findings}) if findings else 0
-    report.stats["findings"] = len(findings)
-    for f in findings:
-        report.add(f.code, f.message, location=f.location)
-    return report
+@_family("RV5", "eventloop", (
+    # The shared event core, the three simulators and the fault layer
+    # whose RNG they consume.  (The threaded runtime legitimately reads
+    # wall clocks and is audited by RV4xx/C7xx instead.)
+    "src/repro/sim.py",
+    "src/repro/machine/simulator.py",
+    "src/repro/machine/streamsim.py",
+    "src/repro/distributed/simulator.py",
+    "src/repro/resilience",
+))
+def _eventloop_rules(files: list[_File]) -> None:
+    for f in files:
+        _EventLoopRules(f).visit(f.tree)

@@ -8,6 +8,7 @@ and render results the same way regardless of which pass produced them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 __all__ = ["Finding", "Report", "ERROR", "WARNING", "INFO"]
@@ -89,6 +90,11 @@ class Report:
         hidden = len(ranked) - len(shown)
         if hidden > 0:
             lines.append(f"   ... and {hidden} more finding(s)")
-        verdict = "OK" if self.ok else f"FAILED ({self.count()} error(s))"
+        # The verdict names every error code, even past max_findings.
+        per_code = Counter(f.code for f in self.errors())
+        verdict = "OK" if self.ok else (
+            f"FAILED ({self.count()} error(s): "
+            + ", ".join(f"{c} x{n}" for c, n in sorted(per_code.items()))
+            + ")")
         lines.append(f"   -> {verdict}")
         return "\n".join(lines)

@@ -27,6 +27,10 @@ delegates here).  Given a :class:`~repro.dag.tasks.TaskDAG` and an
 
 All comparisons use an absolute tolerance ``tol`` — simulated times are
 floats and exact equality would misreport back-to-back events.
+
+Two fault injectors (``python -m repro verify --inject``) corrupt a
+valid trace the way S204 and S205 exist to catch:
+:func:`overlap_trace` and :func:`break_mutex`.
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.dag.tasks import TaskDAG, TaskKind
-from repro.runtime.tracing import ExecutionTrace
+from repro.runtime.tracing import ExecutionTrace, TraceEvent
 from repro.verify.report import Report
 
-__all__ = ["verify_schedule", "assert_valid_schedule", "ScheduleError"]
+__all__ = ["verify_schedule", "assert_valid_schedule", "ScheduleError",
+           "overlap_trace", "break_mutex"]
 
 
 def _ft(x: float) -> str:
@@ -224,3 +229,43 @@ def assert_valid_schedule(
     )
     if not report.ok:
         raise ScheduleError(report)
+
+
+def overlap_trace(trace: ExecutionTrace) -> ExecutionTrace:
+    """Copy of ``trace`` (task events and transfers) with the second
+    event of the busiest CPU worker shifted back onto the first: a
+    double-booking of one worker (S204)."""
+    by_res = trace.events_by_resource()
+    cpu = max(
+        (res for res in by_res if res.startswith("cpu")),
+        key=lambda res: len(by_res[res]), default=None,
+    )
+    if cpu is None or len(by_res[cpu]) < 2:
+        raise ValueError("trace has no CPU worker with two events to overlap")
+    a, b = by_res[cpu][0], by_res[cpu][1]
+    start = a.start + 0.25 * a.duration
+    moved = TraceEvent(b.task, b.resource, start, start + b.duration)
+    return ExecutionTrace(
+        events=[moved if e is b else e for e in trace.events],
+        transfers=trace.transfers,
+    )
+
+
+def break_mutex(trace: ExecutionTrace, dag: TaskDAG) -> ExecutionTrace:
+    """Copy of ``trace`` (task events and transfers) with every update of
+    the largest mutex group started at the same instant (S205)."""
+    groups: dict[int, list[TraceEvent]] = {}
+    for e in trace.events:
+        g = int(dag.mutex[e.task])
+        if g >= 0:
+            groups.setdefault(g, []).append(e)
+    big = max(groups.values(), key=len, default=[])
+    if len(big) < 2:
+        raise ValueError("trace has no mutex group with two tasks to overlap")
+    t0 = min(e.start for e in big)
+    clones = {e.task: TraceEvent(e.task, e.resource, t0, t0 + e.duration)
+              for e in big}
+    return ExecutionTrace(
+        events=[clones.get(e.task, e) for e in trace.events],
+        transfers=trace.transfers,
+    )

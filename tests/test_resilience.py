@@ -315,6 +315,20 @@ class TestDistributed:
         rep = verify_resilience(r.trace, check_double_complete=False)
         assert rep.ok, rep.format()
 
+    def test_node_failure_after_the_last_panel_is_moot(self, dist):
+        """A node loss timed past completion must not drag the makespan
+        out to it (the machine simulator drops a late gpu-loss alike)."""
+        sym, owner, cluster = dist
+        clean = simulate_distributed(sym, owner, cluster)
+        faults = FaultModel(
+            [FaultSpec("node-fail", time=10 * clean.makespan, resource=1)],
+            seed=5,
+        )
+        r = simulate_distributed(sym, owner, cluster, faults=faults,
+                                 recovery=RecoveryPolicy())
+        assert r.makespan == clean.makespan
+        assert r.n_faults == 0
+
     def test_message_loss_resends(self, dist):
         sym, owner, cluster = dist
         faults = FaultModel(seed=6, transfer_fail_rate=0.3)

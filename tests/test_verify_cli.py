@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.verify.cli import INJECTS
 
 
 def run(argv, capsys):
@@ -25,7 +26,8 @@ def test_clean_run_exits_zero(capsys):
 def test_single_granularity_and_policy(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "8",
                      "--granularity", "2d", "--policy", "native",
-                     "--no-lint", "--cores", "2", "--gpus", "0"], capsys)
+                     "--only", "hazards,schedule", "--cores", "2",
+                     "--gpus", "0"], capsys)
     assert code == 0
     assert "hazards[2d]" in out and "hazards[1d]" not in out
     assert "schedule[native]" in out
@@ -33,7 +35,7 @@ def test_single_granularity_and_policy(capsys):
 
 def test_inject_drop_edge_fails_and_names_pair(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
-                     "--granularity", "2d", "--no-schedule", "--no-lint",
+                     "--granularity", "2d", "--only", "hazards",
                      "--inject", "drop-edge"], capsys)
     assert code == 1
     assert "drop-edge" in out
@@ -46,7 +48,7 @@ def test_inject_drop_edge_fails_and_names_pair(capsys):
 
 def test_inject_overlap_trace_fails(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
-                     "--no-hazards", "--no-lint", "--cores", "2",
+                     "--only", "schedule", "--cores", "2",
                      "--gpus", "0", "--inject", "overlap-trace"], capsys)
     assert code == 1
     assert "overlap on cpu" in out
@@ -57,7 +59,7 @@ def test_inject_overlap_trace_fails(capsys):
 
 def test_inject_break_mutex_fails(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
-                     "--no-hazards", "--no-lint", "--cores", "2",
+                     "--only", "schedule", "--cores", "2",
                      "--gpus", "1", "--inject", "break-mutex"], capsys)
     assert code == 1
     assert "violated" in out
@@ -74,7 +76,7 @@ def test_lint_only_flags_bad_tree(tmp_path, capsys):
         "    t = F(1)\n"
         "    t.x = 2\n"
     )
-    code, out = run(["verify", "--no-hazards", "--no-schedule",
+    code, out = run(["verify", "--only", "lint",
                      "--lint-path", str(tmp_path)], capsys)
     assert code == 1
     assert "RV301" in out
@@ -83,7 +85,7 @@ def test_lint_only_flags_bad_tree(tmp_path, capsys):
 def test_verbose_shows_info_findings(capsys):
     # 1D accum groups surface as info (H109) only with --verbose.
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
-                     "--granularity", "1d", "--no-schedule", "--no-lint",
+                     "--granularity", "1d", "--only", "hazards",
                      "-v"], capsys)
     assert code == 0
     assert "H109" in out
@@ -92,14 +94,26 @@ def test_verbose_shows_info_findings(capsys):
 def test_unknown_matrix_name_exits_with_message():
     with pytest.raises(SystemExit, match="neither a generator name"):
         main(["verify", "--matrix", "/nonexistent/mat.mtx",
-              "--no-lint", "--no-schedule"])
+              "--only", "hazards"])
     with pytest.raises(SystemExit, match="lap2d"):
-        main(["verify", "--matrix", "lapd2", "--no-lint", "--no-schedule"])
+        main(["verify", "--matrix", "lapd2", "--only", "hazards"])
+
+
+def test_missing_lint_path_exits_with_message():
+    with pytest.raises(SystemExit, match="/nonexistent/dir"):
+        main(["verify", "--only", "lint", "--lint-path", "/nonexistent/dir"])
+
+
+def test_only_rejects_unknown_pass(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--only", "hazards,memory"])
+    assert "unknown pass 'memory'" in capsys.readouterr().err
 
 
 def test_clean_run_includes_memory_and_symbolic_passes(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
-                     "--no-lint", "--cores", "2", "--gpus", "1"], capsys)
+                     "--only", "schedule,symbolic", "--cores", "2",
+                     "--gpus", "1"], capsys)
     assert code == 0
     assert "memory[parsec]" in out
     assert "symbolic[exact]" in out
@@ -109,19 +123,19 @@ def test_clean_run_includes_memory_and_symbolic_passes(capsys):
 
 def test_passes_can_be_disabled(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
-                     "--no-lint", "--no-hazards", "--no-memory",
-                     "--no-symbolic", "--cores", "2", "--gpus", "1"], capsys)
+                     "--only", "schedule", "--cores", "2", "--gpus", "1"],
+                    capsys)
     assert code == 0
-    assert "memory[" not in out
-    assert "symbolic[" not in out
-    assert "schedule[" in out
+    assert "schedule[parsec]" in out and "memory[parsec]" in out
+    for other in ("hazards[", "resilience[", "symbolic[", "lint["):
+        assert other not in out
 
 
 def test_inject_drop_transfer_fails_naming_task_and_panel(capsys):
     # The memory injections need a problem large enough that the
     # scheduler offloads at the forced threshold (hence --size 32).
     code, out = run(["verify", "--matrix", "lap2d", "--size", "32",
-                     "--no-lint", "--no-hazards", "--no-symbolic",
+                     "--only", "schedule",
                      "--policy", "parsec", "--cores", "2", "--gpus", "1",
                      "--inject", "drop-transfer"], capsys)
     assert code == 1
@@ -134,7 +148,7 @@ def test_inject_drop_transfer_fails_naming_task_and_panel(capsys):
 
 def test_inject_overflow_residency_fails_naming_gpu_and_panel(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "32",
-                     "--no-lint", "--no-hazards", "--no-symbolic",
+                     "--only", "schedule",
                      "--policy", "parsec", "--cores", "2", "--gpus", "1",
                      "--inject", "overflow-residency"], capsys)
     assert code == 1
@@ -148,8 +162,8 @@ def test_inject_overflow_residency_fails_naming_gpu_and_panel(capsys):
 
 def test_inject_skew_flops_fails_naming_task(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
-                     "--no-lint", "--no-hazards", "--no-schedule",
-                     "--inject", "skew-flops"], capsys)
+                     "--only", "symbolic", "--inject", "skew-flops"],
+                    capsys)
     assert code == 1
     assert "N504" in out
     import re
@@ -159,15 +173,13 @@ def test_inject_skew_flops_fails_naming_task(capsys):
 
 def test_memory_inject_without_gpu_refused():
     with pytest.raises(SystemExit, match="needs at least one GPU"):
-        main(["verify", "--matrix", "lap2d", "--size", "32", "--no-lint",
-              "--gpus", "0", "--inject", "drop-transfer"])
+        main(["verify", "--matrix", "lap2d", "--size", "32", "--only",
+              "schedule", "--gpus", "0", "--inject", "drop-transfer"])
 
 
 def test_inject_drop_sync_event_fails(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
-                     "--no-lint", "--no-hazards", "--no-schedule",
-                     "--no-symbolic", "--no-resilience", "--no-health",
-                     "--no-determinism",
+                     "--only", "concurrency",
                      "--inject", "drop-sync-event"], capsys)
     assert code == 1
     assert "concurrency[unit+drop-sync-event]" in out and "C707" in out
@@ -177,24 +189,15 @@ def test_concurrency_pass_audits_the_threaded_solve(capsys):
     from repro.kernels import native
 
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
-                     "--no-lint", "--no-hazards", "--no-schedule",
-                     "--no-symbolic", "--no-resilience", "--no-health",
-                     "--no-determinism"], capsys)
+                     "--only", "concurrency"], capsys)
     assert code == 0
     backend = "native" if native.availability() is None else "numpy"
     assert f"concurrency[solve, {backend}]" in out
 
 
-def test_stale_cache_inject_requires_symbolic_pass():
-    with pytest.raises(SystemExit, match="corrupts the symbolic pass"):
-        main(["verify", "--matrix", "lap2d", "--size", "10", "--no-lint",
-              "--no-symbolic", "--inject", "stale-cache"])
-
-
 def test_resilience_pass_runs_clean(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "12",
-                     "--no-hazards", "--no-symbolic", "--no-lint",
-                     "--no-schedule", "--policy", "native"], capsys)
+                     "--only", "resilience", "--policy", "native"], capsys)
     assert code == 0
     assert "resilience[native]" in out
     assert "schedule[native+faults]" in out
@@ -202,8 +205,7 @@ def test_resilience_pass_runs_clean(capsys):
 
 def test_inject_drop_recovery_fails_naming_fault(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "12",
-                     "--no-hazards", "--no-symbolic", "--no-lint",
-                     "--no-schedule", "--policy", "native",
+                     "--only", "resilience", "--policy", "native",
                      "--inject", "drop-recovery"], capsys)
     assert code == 1
     assert "resilience[native+drop-recovery]" in out
@@ -213,8 +215,7 @@ def test_inject_drop_recovery_fails_naming_fault(capsys):
 
 def test_inject_double_complete_fails_naming_task(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "12",
-                     "--no-hazards", "--no-symbolic", "--no-lint",
-                     "--no-schedule", "--policy", "native",
+                     "--only", "resilience", "--policy", "native",
                      "--inject", "double-complete"], capsys)
     assert code == 1
     assert "resilience[native+double-complete]" in out
@@ -222,15 +223,8 @@ def test_inject_double_complete_fails_naming_task(capsys):
     assert "completes twice" in out
 
 
-def test_resilience_inject_without_resilience_pass_refused():
-    with pytest.raises(SystemExit, match="resilience"):
-        main(["verify", "--matrix", "lap2d", "--size", "12", "--no-lint",
-              "--no-resilience", "--inject", "drop-recovery"])
-
-
 _DET_BASE = ["verify", "--matrix", "lap2d", "--size", "12",
-             "--no-hazards", "--no-schedule", "--no-symbolic",
-             "--no-resilience", "--no-concurrency", "--no-lint",
+             "--only", "determinism",
              "--policy", "native", "--cores", "2", "--gpus", "0"]
 
 
@@ -263,15 +257,28 @@ def test_inject_drop_seq_fails(capsys):
     assert "D802" in out
 
 
-def test_determinism_inject_without_pass_refused():
-    with pytest.raises(SystemExit, match="determinism"):
-        main(["verify", "--matrix", "lap2d", "--size", "12", "--no-lint",
-              "--no-determinism", "--inject", "drop-seq"])
-
-
 def test_lint_pass_includes_eventloop(capsys):
-    code, out = run(["verify", "--no-hazards", "--no-schedule",
-                     "--no-symbolic", "--no-resilience",
-                     "--no-concurrency", "--no-determinism"], capsys)
+    code, out = run(["verify", "--only", "lint"], capsys)
     assert code == 0
-    assert "eventloop" in out
+    assert "== eventloop ==" in out and "== lockdiscipline ==" in out
+    assert "hazards[" not in out and "health[" not in out
+
+
+def test_inject_runs_its_own_pass(capsys):
+    code, out = run(["verify", "--matrix", "lap2d", "--size", "12",
+                     "--only", "hazards", "--inject", "drop-seq"], capsys)
+    assert code == 1
+    assert "hazards[2d]" in out and "determinism[parsec+faults+drop-seq]" in out
+
+
+@pytest.mark.parametrize("mode", sorted(INJECTS))
+def test_inject_trips_its_code(mode, capsys):
+    """Every ``--inject`` mode makes its own pass exit 1 naming one of
+    the codes the mode declares (``make selftest``).  The memory modes
+    need a problem large enough that the scheduler offloads."""
+    inj = INJECTS[mode]
+    size = "32" if inj.stage == "memory" else "20"
+    code, out = run(["verify", "--matrix", "lap2d", "--size", size,
+                     "--only", inj.pass_name, "--inject", mode], capsys)
+    assert code == 1
+    assert any(c in out for c in inj.codes), out

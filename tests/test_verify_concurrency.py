@@ -28,11 +28,7 @@ from repro.verify.concurrency import (
     swallow_wakeup,
     verify_concurrency,
 )
-from repro.verify.lockdiscipline import (
-    lockdiscipline_paths,
-    lockdiscipline_report,
-    lockdiscipline_sources,
-)
+from repro.verify.lint import lint_paths, lint_report, lint_sources
 
 
 def _traced_run(mat, factotype="llt", *, scheduler="ws", n_workers=3,
@@ -275,9 +271,9 @@ _SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def test_real_tree_is_clean():
-    findings = lockdiscipline_paths()
+    findings = lint_paths(family="RV4")
     assert findings == []
-    rep = lockdiscipline_report()
+    rep = lint_report(family="RV4")
     assert rep.ok
 
 
@@ -289,7 +285,7 @@ def test_noqa_stripped_tree_flags_the_counters():
     for name in ("runtime/threaded.py", "runtime/scheduling.py"):
         p = _SRC / name
         sources[str(p)] = re.sub(r"#\s*noqa: RV4\d\d", "", p.read_text())
-    findings = lockdiscipline_sources(sources)
+    findings = lint_sources(sources, "RV4")
 
     def site(f):
         tree = ast.parse(sources[f.path])
@@ -329,7 +325,7 @@ class Pool:
         n = 0
         n += 1
 """
-    findings = lockdiscipline_sources({"m.py": src})
+    findings = lint_sources({"m.py": src}, "RV4")
     assert [(f.code, f.line) for f in findings] == [("RV401", 12)]
 
 
@@ -350,7 +346,7 @@ class NoLocks:
     def fine(self):
         self.count += 1
 """
-    findings = lockdiscipline_sources({"m.py": src})
+    findings = lint_sources({"m.py": src}, "RV4")
     assert [(f.code, f.line) for f in findings] == [("RV401", 9)]
 
 
@@ -369,7 +365,7 @@ class Waiter:
             while not self.ready:
                 self.cv.wait()
 """
-    findings = lockdiscipline_sources({"m.py": src})
+    findings = lint_sources({"m.py": src}, "RV4")
     assert [(f.code, f.line) for f in findings] == [("RV402", 9)]
 
 
@@ -389,7 +385,7 @@ class TwoLocks:
             with self.a:
                 pass
 """
-    findings = lockdiscipline_sources({"m.py": src})
+    findings = lint_sources({"m.py": src}, "RV4")
     assert [f.code for f in findings] == ["RV403"]
     assert "->" in findings[0].message
 
@@ -410,7 +406,7 @@ class TwoLocks:
             with self.b:
                 pass
 """
-    assert lockdiscipline_sources({"m.py": src}) == []
+    assert lint_sources({"m.py": src}, "RV4") == []
 
 
 def test_rv404_sleep_as_synchronization():
@@ -421,7 +417,7 @@ def poll():
 def vouched():
     time.sleep(0.05)  # noqa: RV404
 """
-    findings = lockdiscipline_sources({"m.py": src})
+    findings = lint_sources({"m.py": src}, "RV4")
     assert [(f.code, f.line) for f in findings] == [("RV404", 4)]
 
 
@@ -445,7 +441,7 @@ class S:
 
 def test_rv405_flags_unguarded_has_work():
     """The lint regression for an unguarded ``has_work()`` on a heap."""
-    findings = lockdiscipline_sources({"s.py": _RACY_HAS_WORK})
+    findings = lint_sources({"s.py": _RACY_HAS_WORK}, "RV4")
     assert [(f.code, f.line) for f in findings] == [("RV405", 15)]
     assert "self._heap" in findings[0].message
 
@@ -455,8 +451,8 @@ def test_rv405_flags_unguarded_has_work():
         "        with self._lock:\n"
         "            return bool(self._heap)\n",
     )
-    assert lockdiscipline_sources({"s.py": fixed}) == []
+    assert lint_sources({"s.py": fixed}, "RV4") == []
 
 
 def test_rv405_default_scope_clean():
-    assert [f for f in lockdiscipline_paths() if f.code == "RV405"] == []
+    assert [f for f in lint_paths(family="RV4") if f.code == "RV405"] == []

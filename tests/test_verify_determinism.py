@@ -25,12 +25,7 @@ from repro.verify.determinism import (
     trace_diff,
     verify_determinism,
 )
-from repro.verify.eventloop import (
-    DEFAULT_SCOPE,
-    eventloop_paths,
-    eventloop_sources,
-)
-from repro.verify.lint import scope_sources
+from repro.verify.lint import FAMILIES, lint_paths, lint_sources
 
 
 @pytest.fixture(scope="module")
@@ -237,21 +232,22 @@ class TestMonotonicCounter:
 # RV5xx event-loop lint
 # ----------------------------------------------------------------------
 def _codes(src):
-    return [f.code for f in eventloop_sources({"x.py": src})]
+    return [f.code for f in lint_sources({"x.py": src}, "RV5")]
 
 
 class TestEventloopLint:
     def test_default_scope_clean(self):
-        assert eventloop_paths() == []
+        assert lint_paths(family="RV5") == []
 
     def test_default_scope_covers_every_event_heap(self):
         """The scope resolves to real files, the shared event core among
         them, and the simulator packages hold no heap of their own."""
         pkg = Path(repro.__file__).parent
-        linted = {Path(p).relative_to(pkg).as_posix()
-                  for p in scope_sources(None, DEFAULT_SCOPE)}
+        scope = {Path(p).relative_to("src/repro").as_posix()
+                 for p in FAMILIES["RV5"].scope}
+        assert all((pkg / p).exists() for p in scope)
         assert {"sim.py", "machine/simulator.py", "machine/streamsim.py",
-                "distributed/simulator.py"} <= linted
+                "distributed/simulator.py"} <= scope
         for sub in ("machine", "distributed"):
             for f in (pkg / sub).glob("*.py"):
                 assert "import heapq" not in f.read_text(), f

@@ -230,6 +230,18 @@ def test_syntax_error_reported_not_raised():
     assert codes(found) == ["RV300"]
 
 
+@pytest.mark.parametrize("family, snippet, code", [
+    ("RV3", FROZEN_PRELUDE + "def f(tr: PolicyTraits):\n    tr.name = 1\n",
+     "RV301"),
+    ("RV4", "import time\ntime.sleep(1)\n", "RV404"),
+    ("RV5", "import time\nt = time.time()\n", "RV504"),
+])
+def test_syntax_error_does_not_hide_other_files(family, snippet, code):
+    found = lint_sources({"a.py": "def broken(:\n", "b.py": snippet}, family)
+    assert [(f.path, f.code) for f in found] == [
+        ("a.py", f"{family}00"), ("b.py", code)]
+
+
 def test_lint_paths_and_report(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(FROZEN_PRELUDE + """
@@ -248,6 +260,13 @@ def f():
     assert rep.stats["findings"] == 1
     rep_good = lint_report([good])
     assert rep_good.ok and rep_good.stats["findings"] == 0
+
+
+def test_report_counts_files_linted(tmp_path):
+    for name in ("a.py", "b.py"):
+        (tmp_path / name).write_text("x = 1\n")
+    rep = lint_report([tmp_path])
+    assert rep.ok and rep.stats["files"] == 2
 
 
 def test_repro_package_lints_clean():
