@@ -82,7 +82,7 @@ def _check_trace(name: str, label: str, dag, result, *,
             f"{name}/{label}: {len(result.trace.events)} of "
             f"{dag.n_tasks} tasks completed"
         )
-    reps = [verify_resilience(result.trace, dag),
+    reps = [verify_resilience(result.trace),
             verify_schedule(dag, result.trace)]
     if health:
         reps.append(verify_health(result.trace))

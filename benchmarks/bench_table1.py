@@ -48,8 +48,8 @@ def table1_rows(scale: float = 1.0, names=None, *,
             # only *adds* fill, never loses entries).
             from repro.verify import verify_symbolic
 
-            rep = verify_symbolic(matrix, res, exact=False,
-                                  name=f"symbolic[{name}]")
+            rep = verify_symbolic(matrix, res, exact=False)
+            rep.name = f"symbolic[{name}]"
             if not rep.ok:
                 raise RuntimeError(
                     f"{name} failed the symbolic audit:\n" + rep.format()

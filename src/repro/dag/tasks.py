@@ -7,8 +7,10 @@ at API boundaries and in tests.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Any
 
 import numpy as np
 
@@ -121,6 +123,17 @@ class TaskDAG:
         np.add.at(n_deps, succ_list, 1)
         self.n_deps = n_deps
 
+    def copy(self, **fields: Any) -> "TaskDAG":
+        """Copy of the DAG — arrays copied, ``symbol`` shared, ``phase``
+        kept — with only the constructor ``fields`` named replaced."""
+        args = {name: getattr(self, name)
+                for name in inspect.signature(TaskDAG).parameters
+                if name not in fields}
+        out = TaskDAG(**{n: v.copy() if isinstance(v, np.ndarray) else v
+                         for n, v in args.items()}, **fields)
+        out.phase = self.phase
+        return out
+
     # ------------------------------------------------------------------
     @property
     def n_tasks(self) -> int:
@@ -173,8 +186,9 @@ class TaskDAG:
         return float(self.flops.sum())
 
     # ------------------------------------------------------------------
-    def topological_order(self) -> np.ndarray:
-        """Kahn topological order; raises on cycles."""
+    def kahn_order(self) -> np.ndarray:
+        """Kahn's pass: every task in a dependency order — or, when the
+        graph has a cycle, only the tasks no cycle blocks."""
         indeg = self.n_deps.copy()
         order = np.empty(self.n_tasks, dtype=np.int64)
         stack = list(np.flatnonzero(indeg == 0))
@@ -187,7 +201,12 @@ class TaskDAG:
                 indeg[s] -= 1
                 if indeg[s] == 0:
                     stack.append(int(s))
-        if pos != self.n_tasks:
+        return order[:pos]
+
+    def topological_order(self) -> np.ndarray:
+        """Kahn topological order; raises on cycles."""
+        order = self.kahn_order()
+        if order.size != self.n_tasks:
             raise ValueError("task graph contains a cycle")
         return order
 

@@ -44,7 +44,7 @@ from repro.kernels.dense import triangular_solve
 from repro.kernels.indexcache import get_couple_cache
 from repro.kernels.panel import panel_factorize, panel_update
 from repro.runtime.scheduling import ThreadScheduler, get_thread_scheduler
-from repro.runtime.tracing import ExecutionTrace
+from repro.runtime.tracing import ExecutionTrace, sync_stats
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic.structures import SymbolMatrix
 
@@ -351,26 +351,12 @@ class _PoolRun:
             self._stamp_sync_stats()
 
     def _stamp_sync_stats(self) -> None:
-        """Summarize the merged sync events into ``trace.meta``.
-
-        Counts per kind plus total lock-held/lock-wait seconds — the
+        """Summarize the merged sync events into ``trace.meta`` — the
         benchmark's tuning signal and the C707 provenance anchor: the
-        concurrency auditor recomputes these from the events and a
-        mismatch means the trace was edited after the run.
-        """
+        concurrency auditor recomputes it from the events and a mismatch
+        means the trace was edited after the run."""
         assert self.trace is not None
-        counts: dict[str, int] = {}
-        held = wait = 0.0
-        for e in self.trace.sync_events:
-            counts[e.kind] = counts.get(e.kind, 0) + 1
-            if e.kind == "lock":
-                held += e.duration
-                wait += e.wait_s
-        self.trace.meta["sync_stats"] = {
-            "counts": counts,
-            "lock_held_s": held,
-            "lock_wait_s": wait,
-        }
+        self.trace.meta["sync_stats"] = sync_stats(self.trace.sync_events)
 
     # -- driver --------------------------------------------------------
     def run(self) -> None:

@@ -7,8 +7,9 @@ benchmark reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from copy import copy as shallow_copy
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, Iterable, Optional
 
 from repro.dag.tasks import TaskDAG
 
@@ -22,6 +23,8 @@ __all__ = [
     "HedgeEvent",
     "ExecutionTrace",
     "META_FINGERPRINT_KEYS",
+    "resource_index",
+    "sync_stats",
 ]
 
 #: DataEvent kinds.
@@ -233,6 +236,80 @@ class HedgeEvent:
     primary: str = ""
 
 
+def _hx(x: float) -> str:
+    return float(x).hex()
+
+
+#: Per stream, in fingerprint order: its canonical sort key (the
+#: ``sorted_*`` views) and the :meth:`ExecutionTrace.fingerprint_lines`
+#: rendering of one event.
+_STREAMS: dict[str, tuple[Callable[[Any], tuple], Callable[[Any], str]]] = {
+    "events": (
+        lambda e: (e.start, e.end, e.task),
+        lambda e: f"ev|{e.task}|{e.resource}|{_hx(e.start)}|{_hx(e.end)}|{e.seq}"),
+    "transfers": (
+        lambda e: (e.start, e.end, e.resource, e.task),
+        lambda e: f"tr|{e.task}|{e.resource}|{_hx(e.start)}|{_hx(e.end)}|{e.seq}"),
+    "data_events": (
+        lambda d: (d.end, d.start, d.cblk),
+        lambda d: (f"da|{d.kind}|{d.cblk}|{d.gpu}|{d.nbytes!r}|{_hx(d.start)}|"
+                   f"{_hx(d.end)}|{d.reason}")),
+    "fault_events": (
+        lambda f: (f.end, f.start, f.task),
+        lambda f: (f"fa|{f.kind}|{f.task}|{f.cblk}|{f.resource}|{_hx(f.start)}|"
+                   f"{_hx(f.end)}|{f.attempt}|{f.nbytes!r}")),
+    "recovery_events": (
+        lambda r: (r.time, r.task, r.attempt),
+        lambda r: (f"re|{r.kind}|{r.task}|{r.cblk}|{r.resource}|{_hx(r.time)}|"
+                   f"{r.attempt}|{r.delay_s!r}")),
+    "sync_events": (
+        lambda s: (s.start, s.end, s.worker, s.obj),
+        lambda s: (f"sy|{s.kind}|{s.worker}|{s.obj}|{s.task}|{_hx(s.start)}|"
+                   f"{_hx(s.end)}|{s.wait_s!r}|{s.n}")),
+    "health_events": (
+        lambda h: (h.time, h.resource, h.src, h.dst),
+        lambda h: (f"he|{h.resource}|{h.src}|{h.dst}|{_hx(h.time)}|{h.ratio!r}|"
+                   f"{h.reason}")),
+    "hedge_events": (
+        lambda g: (g.time, g.task, g.kind, g.resource),
+        lambda g: (f"hg|{g.kind}|{g.task}|{g.resource}|{g.primary}|"
+                   f"{_hx(g.time)}")),
+}
+
+
+def _sorted_view(stream: str) -> Callable[["ExecutionTrace"], list]:
+    def view(self: "ExecutionTrace") -> list:
+        return sorted(getattr(self, stream), key=_STREAMS[stream][0])
+
+    view.__doc__ = f"``{stream}`` in canonical order (the audits' view)."
+    return view
+
+
+def resource_index(resource: str, kind: str) -> int:
+    """Index of a ``kind`` resource (``resource_index("gpu3", "gpu") ==
+    3``); ``-1`` when ``resource`` is not ``kind`` plus an integer."""
+    if resource.startswith(kind):
+        try:
+            return int(resource[len(kind):])
+        except ValueError:
+            pass
+    return -1
+
+
+def sync_stats(events: Iterable[SyncEvent]) -> dict:
+    """Counts per kind plus total lock-held/lock-wait seconds of ``events``:
+    what the threaded engine stamps into ``meta["sync_stats"]`` and the
+    C707 audit recounts."""
+    counts: dict[str, int] = {}
+    held = wait = 0.0
+    for e in events:
+        counts[e.kind] = counts.get(e.kind, 0) + 1
+        if e.kind == "lock":
+            held += e.duration
+            wait += e.wait_s
+    return {"counts": counts, "lock_held_s": held, "lock_wait_s": wait}
+
+
 @dataclass
 class ExecutionTrace:
     """A complete schedule: task executions plus optional transfers.
@@ -259,6 +336,13 @@ class ExecutionTrace:
         s = self.next_seq
         self.next_seq = s + 1
         return s
+
+    def copy(self, **streams: Any) -> "ExecutionTrace":
+        """Copy of the trace — every stream, ``meta`` and ``next_seq`` —
+        with only the fields named in ``streams`` replaced."""
+        kept = {f.name: shallow_copy(getattr(self, f.name)) for f in fields(self)
+                if f.name not in streams}
+        return replace(self, **kept, **streams)
 
     def record(self, task: int, resource: str, start: float, end: float) -> None:
         self.events.append(
@@ -366,36 +450,6 @@ class ExecutionTrace:
             HedgeEvent(kind, task, resource, time, primary)
         )
 
-    def sorted_health_events(self) -> list[HealthEvent]:
-        """Health transitions ordered by (time, resource) — the R702 view."""
-        return sorted(self.health_events,
-                      key=lambda e: (e.time, e.resource, e.src, e.dst))
-
-    def sorted_hedge_events(self) -> list[HedgeEvent]:
-        """Hedge steps ordered by (time, task, kind) — the R704 view."""
-        return sorted(self.hedge_events,
-                      key=lambda e: (e.time, e.task, e.kind, e.resource))
-
-    def sorted_sync_events(self) -> list[SyncEvent]:
-        """Sync events ordered by (start, end, worker) — the C7xx view."""
-        return sorted(self.sync_events,
-                      key=lambda e: (e.start, e.end, e.worker, e.obj))
-
-    def sorted_fault_events(self) -> list[FaultEvent]:
-        """Fault events ordered by (end, start, task) — the auditor's view."""
-        return sorted(self.fault_events,
-                      key=lambda e: (e.end, e.start, e.task))
-
-    def sorted_recovery_events(self) -> list[RecoveryEvent]:
-        """Recovery events ordered by (time, task, attempt)."""
-        return sorted(self.recovery_events,
-                      key=lambda e: (e.time, e.task, e.attempt))
-
-    def sorted_data_events(self) -> list[DataEvent]:
-        """Data events ordered by (end, start, cblk) — the auditor's view."""
-        return sorted(self.data_events,
-                      key=lambda e: (e.end, e.start, e.cblk))
-
     def bytes_moved(self, kind: str) -> float:
         """Total transferred bytes of one kind (``"h2d"`` or ``"d2h"``)."""
         return sum(e.nbytes for e in self.data_events if e.kind == kind)
@@ -446,32 +500,8 @@ class ExecutionTrace:
                 for e in self.recovery_events
             ))
             return lines
-        for e in self.sorted_events():
-            lines.append(f"ev|{e.task}|{e.resource}|{float(e.start).hex()}|"
-                         f"{float(e.end).hex()}|{e.seq}")
-        for tr in sorted(self.transfers,
-                         key=lambda e: (e.start, e.end, e.resource, e.task)):
-            lines.append(f"tr|{tr.task}|{tr.resource}|{float(tr.start).hex()}|"
-                         f"{float(tr.end).hex()}|{tr.seq}")
-        for d in self.sorted_data_events():
-            lines.append(f"da|{d.kind}|{d.cblk}|{d.gpu}|{d.nbytes!r}|"
-                         f"{float(d.start).hex()}|{float(d.end).hex()}|{d.reason}")
-        for f in self.sorted_fault_events():
-            lines.append(f"fa|{f.kind}|{f.task}|{f.cblk}|{f.resource}|"
-                         f"{float(f.start).hex()}|{float(f.end).hex()}|{f.attempt}|"
-                         f"{f.nbytes!r}")
-        for r in self.sorted_recovery_events():
-            lines.append(f"re|{r.kind}|{r.task}|{r.cblk}|{r.resource}|"
-                         f"{float(r.time).hex()}|{r.attempt}|{r.delay_s!r}")
-        for s in self.sorted_sync_events():
-            lines.append(f"sy|{s.kind}|{s.worker}|{s.obj}|{s.task}|"
-                         f"{float(s.start).hex()}|{float(s.end).hex()}|{s.wait_s!r}|{s.n}")
-        for h in self.sorted_health_events():
-            lines.append(f"he|{h.resource}|{h.src}|{h.dst}|"
-                         f"{float(h.time).hex()}|{h.ratio!r}|{h.reason}")
-        for g in self.sorted_hedge_events():
-            lines.append(f"hg|{g.kind}|{g.task}|{g.resource}|{g.primary}|"
-                         f"{float(g.time).hex()}")
+        for stream, (key, render) in _STREAMS.items():
+            lines.extend(render(e) for e in sorted(getattr(self, stream), key=key))
         return lines
 
     def fingerprint(self) -> str:
@@ -506,55 +536,42 @@ class ExecutionTrace:
     def resources(self) -> list[str]:
         return sorted({e.resource for e in self.events})
 
-    def start_end(self, task: int) -> tuple[float, float]:
-        for e in self.events:
-            if e.task == task:
-                return e.start, e.end
-        raise KeyError(f"task {task} not in trace")
+    sorted_events = _sorted_view("events")
+    sorted_data_events = _sorted_view("data_events")
+    sorted_fault_events = _sorted_view("fault_events")
+    sorted_recovery_events = _sorted_view("recovery_events")
+    sorted_sync_events = _sorted_view("sync_events")
+    sorted_health_events = _sorted_view("health_events")
+    sorted_hedge_events = _sorted_view("hedge_events")
 
-    def sorted_events(self) -> list[TraceEvent]:
-        """Events ordered by (start, end, task) — the verifier's view."""
-        return sorted(self.events, key=lambda e: (e.start, e.end, e.task))
+    def _group(self, attr: str) -> dict:
+        out: dict = {}
+        for e in self.sorted_events():
+            out.setdefault(getattr(e, attr), []).append(e)
+        return out
 
     def events_by_resource(self) -> dict[str, list[TraceEvent]]:
         """Per-resource event lists, each sorted by (start, end, task)."""
-        out: dict[str, list[TraceEvent]] = {}
-        for e in self.sorted_events():
-            out.setdefault(e.resource, []).append(e)
-        return out
+        return self._group("resource")
 
-    def iter_resource(self, resource: str) -> Iterable[TraceEvent]:
-        """Time-ordered events of one resource."""
-        return iter(self.events_by_resource().get(resource, []))
+    def events_by_task(self) -> dict[int, list[TraceEvent]]:
+        """Per-task event lists (retries and duplicates included), each
+        sorted by (start, end, task)."""
+        return self._group("task")
 
     # ------------------------------------------------------------------
-    def validate(
-        self,
-        dag: TaskDAG,
-        *,
-        exclusive_resources: Optional[Iterable[str]] = None,
-        check_mutex: bool = True,
-        check_gpu_kind: bool = True,
-        tol: float = 1e-12,
-    ) -> None:
-        """Assert the schedule is feasible.
+    def validate(self, dag: TaskDAG) -> None:
+        """Raise :class:`repro.verify.schedule.ScheduleError` (an
+        ``AssertionError`` carrying the report) unless
+        :func:`repro.verify.schedule.verify_schedule` accepts the trace:
+        every task exactly once, happens-before on every edge, CPU
+        workers never double-booked, GPU placement restricted to UPDATE
+        tasks, mutex windows disjoint."""
+        from repro.verify.schedule import ScheduleError, verify_schedule
 
-        Thin wrapper over :func:`repro.verify.schedule.assert_valid_schedule`
-        (the canonical implementation): every task exactly once,
-        happens-before on every edge, exclusive resources never
-        double-booked, GPU placement restricted to UPDATE tasks, mutex
-        windows disjoint.  Raises ``AssertionError`` on violations.
-        """
-        from repro.verify.schedule import assert_valid_schedule
-
-        assert_valid_schedule(
-            dag,
-            self,
-            exclusive_resources=exclusive_resources,
-            check_mutex=check_mutex,
-            check_gpu_kind=check_gpu_kind,
-            tol=tol,
-        )
+        report = verify_schedule(dag, self)
+        if not report.ok:
+            raise ScheduleError(report)
 
     # ------------------------------------------------------------------
     def gantt(self, *, width: int = 100) -> str:

@@ -9,7 +9,9 @@ through ``python -m repro verify``:
   (reachability via topological + interval labeling, not pairwise BFS);
 * :func:`repro.verify.schedule.verify_schedule` — checks an
   :class:`~repro.runtime.tracing.ExecutionTrace` for happens-before,
-  resource exclusivity, GPU placement, and mutex-window violations;
+  resource exclusivity, GPU placement, and mutex-window violations
+  (:meth:`~repro.runtime.tracing.ExecutionTrace.validate` raises
+  :class:`~repro.verify.schedule.ScheduleError` on them);
 * :func:`repro.verify.memory.verify_memory` — replays the simulator's
   :class:`~repro.runtime.tracing.DataEvent` stream against the task
   events and checks residency-before-use, device-memory capacity,
@@ -57,7 +59,15 @@ through ``python -m repro verify``:
 ``python -m repro verify`` runs them as the passes of
 :data:`repro.verify.cli.PASSES` (``--only`` selects), and each
 ``--inject`` mode of :data:`repro.verify.cli.INJECTS` names the pass it
-corrupts and the codes it must trip.
+corrupts, the trace fields it changes (every other field of the copy
+equals the input) and the codes it must trip.
+
+Every report stores at most :data:`repro.verify.report.
+MAX_FINDINGS_PER_CODE` findings per code and counts the rest, so its
+error count and verdict line are true totals.  The trace audits read
+the trace through :class:`~repro.runtime.tracing.ExecutionTrace`'s own
+views (``sorted_*``, ``events_by_task``/``events_by_resource``) and copy
+it with :meth:`~repro.runtime.tracing.ExecutionTrace.copy`.
 
 The hazard analyzer and the linter run inside the test suite, so a
 builder change that drops an edge — or a scheduler change that breaks an
@@ -104,11 +114,7 @@ from repro.verify.resilience import (
     drop_recovery,
     verify_resilience,
 )
-from repro.verify.schedule import (
-    ScheduleError,
-    assert_valid_schedule,
-    verify_schedule,
-)
+from repro.verify.schedule import ScheduleError, verify_schedule
 from repro.verify.symbols import (
     derive_couples_by_target,
     skew_flops,
@@ -130,7 +136,6 @@ __all__ = [
     "find_redundant_edges",
     "ReachabilityOracle",
     "verify_schedule",
-    "assert_valid_schedule",
     "ScheduleError",
     "verify_memory",
     "drop_transfer",

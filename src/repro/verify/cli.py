@@ -25,8 +25,9 @@ iff every report is clean, which is what ``make verify`` and CI consume.
 ``--inject MODE`` corrupts one artifact under test to show that its pass
 catches what it claims to catch.  :data:`INJECTS` maps each mode to the
 pass that runs it (added to the selection), the report stage whose
-artifact it rewrites, the corruption, and the codes at least one of
-which the run must report; an injected run is *expected* to exit 1.
+artifact it rewrites, the corruption, the fields it changes (and
+nothing else), and the codes at least one of which the run must report;
+an injected run is *expected* to exit 1.
 """
 
 from __future__ import annotations
@@ -67,11 +68,16 @@ GRANULARITIES = ("2d", "1d", "1d-left", "subtree", "unit")
 
 
 class Inject(NamedTuple):
-    """One ``--inject`` mode."""
+    """One ``--inject`` mode: the pass that runs it, the report stage
+    whose artifact it rewrites, the corruption, the artifact fields the
+    corruption changes (every other field of the copy it returns equals
+    the input, which it leaves untouched), and the codes at least one of
+    which the run must report."""
 
     pass_name: str
     stage: str
     corrupt: Callable[..., Any]
+    changes: tuple[str, ...]
     codes: tuple[str, ...]
 
 
@@ -85,40 +91,44 @@ def _drop_seeded_edge(dag: Any, seed: int) -> Any:
 #: ``(trace)``.
 INJECTS: dict[str, Inject] = {
     "drop-edge": Inject("hazards", "hazards", _drop_seeded_edge,
-                        ("H101", "H102")),
+                        ("succ_ptr", "succ_list"), ("H101", "H102")),
     "overlap-trace": Inject("schedule", "schedule",
                             lambda trace, dag, machine: overlap_trace(trace),
-                            ("S204",)),
+                            ("events",), ("S204",)),
     "break-mutex": Inject("schedule", "schedule",
                           lambda trace, dag, machine: break_mutex(trace, dag),
-                          ("S205",)),
+                          ("events",), ("S205",)),
     "drop-transfer": Inject(
         "schedule", "memory",
-        lambda trace, dag, machine: drop_transfer(trace, dag), ("M401",)),
+        lambda trace, dag, machine: drop_transfer(trace, dag),
+        ("data_events", "transfers"), ("M401",)),
     "overflow-residency": Inject(
         "schedule", "memory",
         lambda trace, dag, machine: overflow_residency(trace, machine),
-        ("M402",)),
-    "skew-flops": Inject("symbolic", "dag-costs", skew_flops, ("N504",)),
+        ("data_events",), ("M402",)),
+    "skew-flops": Inject("symbolic", "dag-costs", skew_flops, ("flops",),
+                         ("N504",)),
     "stale-cache": Inject("symbolic", "couple-cache", stale_couple_map,
-                          ("N507",)),
+                          ("rows_local",), ("N507",)),
     "drop-recovery": Inject("resilience", "resilience", drop_recovery,
-                            ("R601",)),
+                            ("recovery_events",), ("R601",)),
     "double-complete": Inject("resilience", "resilience", double_complete,
-                              ("R602",)),
+                              ("events",), ("R602",)),
     "double-commit-hedge": Inject("health", "health", double_commit_hedge,
-                                  ("R701",)),
+                                  ("events",), ("R701",)),
     "steal-from-quarantined": Inject("health", "health",
-                                     steal_from_quarantined, ("R703",)),
+                                     steal_from_quarantined, ("events",),
+                                     ("R703",)),
     "illegal-transition": Inject("health", "health", illegal_transition,
-                                 ("R702",)),
+                                 ("health_events",), ("R702",)),
     "drop-sync-event": Inject("concurrency", "concurrency", drop_sync_event,
-                              ("C707",)),
+                              ("sync_events",), ("C707",)),
     "reorder-ties": Inject("determinism", "determinism", reorder_ties,
-                           ("D802",)),
+                           ("events",), ("D802",)),
     "reseed-midrun": Inject("determinism", "determinism", reseed_midrun,
-                            ("D803",)),
-    "drop-seq": Inject("determinism", "determinism", drop_seq, ("D802",)),
+                            ("meta",), ("D803",)),
+    "drop-seq": Inject("determinism", "determinism", drop_seq, ("events",),
+                       ("D802",)),
 }
 
 
@@ -330,7 +340,7 @@ def _resilience_pass(args: argparse.Namespace, matrix: Any, res: Any,
         trace = r.trace
 
         t0 = time.perf_counter()
-        rep = verify_resilience(trace, dag)
+        rep = verify_resilience(trace)
         rep.name = f"resilience[{name}]"
         rep.stats["seconds"] = time.perf_counter() - t0
         rep.stats["faults_injected"] = float(r.n_faults)
@@ -347,8 +357,7 @@ def _resilience_pass(args: argparse.Namespace, matrix: Any, res: Any,
         reports.append(mrep)
 
         if _targets(args, "resilience"):
-            brep = verify_resilience(
-                _corrupt(args, f"policy {name}", trace), dag)
+            brep = verify_resilience(_corrupt(args, f"policy {name}", trace))
             brep.name = f"resilience[{name}+{args.inject}]"
             reports.append(brep)
 
@@ -374,7 +383,8 @@ def _health_pass(args: argparse.Namespace, matrix: Any, res: Any,
     mk = clean.makespan
 
     t0 = time.perf_counter()
-    rep = verify_health(clean.trace, name=f"health[{name}+off]")
+    rep = verify_health(clean.trace)
+    rep.name = f"health[{name}+off]"
     rep.stats["seconds"] = time.perf_counter() - t0
     reports.append(rep)
 
@@ -391,7 +401,8 @@ def _health_pass(args: argparse.Namespace, matrix: Any, res: Any,
     trace = r.trace
 
     t0 = time.perf_counter()
-    rep = verify_health(trace, name=f"health[{name}+limplock]")
+    rep = verify_health(trace)
+    rep.name = f"health[{name}+limplock]"
     rep.stats["seconds"] = time.perf_counter() - t0
     rep.stats["transitions"] = float(r.n_health_transitions)
     rep.stats["hedges"] = float(r.n_hedges)
@@ -402,8 +413,9 @@ def _health_pass(args: argparse.Namespace, matrix: Any, res: Any,
     if _targets(args, "health"):
         bad = _corrupt(args, f"policy {name}; a larger --size gives the "
                        "monitor more samples", trace)
-        reports.append(verify_health(bad,
-                                     name=f"health[{name}+{args.inject}]"))
+        rep = verify_health(bad)
+        rep.name = f"health[{name}+{args.inject}]"
+        reports.append(rep)
 
 
 def _determinism_pass(args: argparse.Namespace, matrix: Any, res: Any,
@@ -441,8 +453,8 @@ def _determinism_pass(args: argparse.Namespace, matrix: Any, res: Any,
         trace = _corrupt(args, f"policy {name}", trace)
         label += f"+{args.inject}"
     t0 = time.perf_counter()
-    rep = verify_determinism(run_sim, trace=trace,
-                             name=f"determinism[{label}]")
+    rep = verify_determinism(run_sim, trace=trace)
+    rep.name = f"determinism[{label}]"
     rep.stats["seconds"] = time.perf_counter() - t0
     reports.append(rep)
 
@@ -453,7 +465,8 @@ def _determinism_pass(args: argparse.Namespace, matrix: Any, res: Any,
         return tr
 
     t0 = time.perf_counter()
-    rep = verify_determinism(run_burst, name="determinism[burst]")
+    rep = verify_determinism(run_burst)
+    rep.name = "determinism[burst]"
     rep.stats["seconds"] = time.perf_counter() - t0
     reports.append(rep)
 
@@ -520,15 +533,15 @@ def _symbolic_pass(args: argparse.Namespace, matrix: Any, res: Any,
     t0 = time.perf_counter()
     exact_res = analyze(matrix, SymbolicOptions(
         split_max_width=args.split, amalgamation_ratio=None))
-    rep = verify_symbolic(matrix, exact_res, exact=True,
-                          name="symbolic[exact]")
+    rep = verify_symbolic(matrix, exact_res, exact=True)
+    rep.name = "symbolic[exact]"
     rep.stats["seconds"] = time.perf_counter() - t0
     reports.append(rep)
 
     # Amalgamated audit: the production structure may only *add* fill.
     t0 = time.perf_counter()
-    rep = verify_symbolic(matrix, res, exact=False,
-                          name="symbolic[amalgamated]")
+    rep = verify_symbolic(matrix, res, exact=False)
+    rep.name = "symbolic[amalgamated]"
     rep.stats["seconds"] = time.perf_counter() - t0
     reports.append(rep)
 
@@ -539,7 +552,8 @@ def _symbolic_pass(args: argparse.Namespace, matrix: Any, res: Any,
         dag, task = _corrupt(args, label, dag)
         label += f"+{args.inject}(task {task})"
     t0 = time.perf_counter()
-    rep = verify_dag_costs(dag, name=f"dag-costs[{label}]")
+    rep = verify_dag_costs(dag)
+    rep.name = f"dag-costs[{label}]"
     rep.stats["seconds"] = time.perf_counter() - t0
     reports.append(rep)
 
@@ -551,8 +565,8 @@ def _symbolic_pass(args: argparse.Namespace, matrix: Any, res: Any,
         cache, couple = _corrupt(args, clabel, cache)
         clabel = f"{args.inject}({couple[0]} -> {couple[1]})"
     t0 = time.perf_counter()
-    rep = verify_couple_cache(res.symbol, cache,
-                              name=f"couple-cache[{clabel}]")
+    rep = verify_couple_cache(res.symbol, cache)
+    rep.name = f"couple-cache[{clabel}]"
     rep.stats["seconds"] = time.perf_counter() - t0
     reports.append(rep)
 

@@ -31,10 +31,17 @@ rather than guessing.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.dag.tasks import TaskDAG
-from repro.runtime.tracing import ExecutionTrace, SyncEvent, TraceEvent
+from repro.runtime.tracing import (
+    ExecutionTrace,
+    SyncEvent,
+    TraceEvent,
+    resource_index,
+    sync_stats,
+)
 from repro.verify.report import INFO, Report
 
 __all__ = [
@@ -48,28 +55,12 @@ __all__ = [
 #: honest nap never comes close.
 PARK_HORIZON_S = 0.1
 
-
-def _exec_worker(resource: str) -> int:
-    """Worker index of a threaded-engine resource (``"cpu3"`` -> 3)."""
-    if resource.startswith("cpu"):
-        try:
-            return int(resource[3:])
-        except ValueError:
-            return -1
-    return -1
+_TOL = 1e-9
 
 
-def verify_concurrency(
-    dag: TaskDAG,
-    trace: ExecutionTrace,
-    *,
-    park_horizon_s: float = PARK_HORIZON_S,
-    tol: float = 1e-9,
-    max_reported: int = 25,
-    name: str = "concurrency",
-) -> Report:
+def verify_concurrency(dag: TaskDAG, trace: ExecutionTrace) -> Report:
     """Audit ``trace``'s synchronization against ``dag`` (C7xx)."""
-    report = Report(name)
+    report = Report("concurrency")
     sync = trace.sorted_sync_events()
     report.stats["sync_events"] = float(len(sync))
 
@@ -92,30 +83,22 @@ def verify_concurrency(
     report.stats["parks"] = float(len(parks))
 
     # The last (successful) execution of every task.
-    exec_of: dict[int, TraceEvent] = {}
-    for ev in trace.sorted_events():
-        exec_of[ev.task] = ev
+    exec_of = {t: evs[-1] for t, evs in trace.events_by_task().items()}
 
     # ------------------------------------------------------------- C702
-    n_c702 = 0
     for t, op in sorted(exec_of.items()):
         if not 0 <= t < dag.n_tasks:
             continue
         for p in dag.predecessors(int(t)):
             pt = publish.get(int(p))
-            if pt is not None and op.start + tol < pt:
-                n_c702 += 1
-                if n_c702 <= max_reported:
-                    report.add(
-                        "C702",
-                        f"task {t} starts at t={op.start:.6g}, before "
-                        f"predecessor {int(p)}'s completion was "
-                        f"published at t={pt:.6g}",
-                        tasks=(t, int(p)),
-                    )
-    if n_c702 > max_reported:
-        report.add("C702", f"... further {n_c702 - max_reported} "
-                           "unpublished read(s) suppressed")
+            if pt is not None and op.start + _TOL < pt:
+                report.add(
+                    "C702",
+                    f"task {t} starts at t={op.start:.6g}, before "
+                    f"predecessor {int(p)}'s completion was "
+                    f"published at t={pt:.6g}",
+                    tasks=(t, int(p)),
+                )
 
     # ------------------------------------------------------------- C705
     # Ready time of a task: the latest publish among its predecessors
@@ -138,11 +121,11 @@ def verify_concurrency(
             if complete:
                 ready_time[t] = r
         for e in parks:
-            if e.duration < park_horizon_s:
+            if e.duration < PARK_HORIZON_S:
                 continue
             for t, r in sorted(ready_time.items()):
                 op = exec_of[t]
-                if r <= e.start + tol and op.start + tol >= e.end:
+                if r <= e.start + _TOL and op.start + _TOL >= e.end:
                     report.add(
                         "C705",
                         f"worker {e.worker} parked for "
@@ -156,13 +139,8 @@ def verify_concurrency(
 
     # ------------------------------------------------------------- C707
     stamped = trace.meta.get("sync_stats")
-    counts: dict[str, int] = {}
-    r_held = r_wait = 0.0
-    for e in sync:
-        counts[e.kind] = counts.get(e.kind, 0) + 1
-        if e.kind == "lock":
-            r_held += e.duration
-            r_wait += e.wait_s
+    recount = sync_stats(sync)
+    counts = recount["counts"]
     if stamped is None:
         report.add(
             "C707",
@@ -177,8 +155,8 @@ def verify_concurrency(
                 f"match the recorded events {counts}: trace edited "
                 "after the run",
             )
-        for key, recomputed in (("lock_held_s", r_held),
-                                ("lock_wait_s", r_wait)):
+        for key in ("lock_held_s", "lock_wait_s"):
+            recomputed = recount[key]
             val = float(stamped.get(key, -1.0))
             if abs(val - recomputed) > 1e-6 + 1e-6 * abs(recomputed):
                 report.add(
@@ -194,36 +172,11 @@ def verify_concurrency(
 # ----------------------------------------------------------------------
 # fault injectors (verify-the-verifier)
 # ----------------------------------------------------------------------
-def _clone(trace: ExecutionTrace,
-           events: Optional[list[TraceEvent]] = None,
-           sync_events: Optional[list[SyncEvent]] = None,
-           meta: Optional[dict] = None) -> ExecutionTrace:
-    return ExecutionTrace(
-        events=list(trace.events) if events is None else events,
-        transfers=list(trace.transfers),
-        data_events=list(trace.data_events),
-        fault_events=list(trace.fault_events),
-        recovery_events=list(trace.recovery_events),
-        sync_events=(list(trace.sync_events) if sync_events is None
-                     else sync_events),
-        meta=dict(trace.meta) if meta is None else meta,
-    )
-
-
 def _restamp(trace: ExecutionTrace) -> ExecutionTrace:
     """Recompute ``meta['sync_stats']`` to match the (edited) events —
     used by injectors that simulate a *runtime* bug, where the engine
     would have stamped self-consistent numbers."""
-    counts: dict[str, int] = {}
-    held = wait = 0.0
-    for e in trace.sync_events:
-        counts[e.kind] = counts.get(e.kind, 0) + 1
-        if e.kind == "lock":
-            held += e.duration
-            wait += e.wait_s
-    trace.meta["sync_stats"] = {
-        "counts": counts, "lock_held_s": held, "lock_wait_s": wait,
-    }
+    trace.meta["sync_stats"] = sync_stats(trace.sync_events)
     return trace
 
 
@@ -239,15 +192,11 @@ def drop_sync_event(trace: ExecutionTrace) -> ExecutionTrace:
     )
     if victim is None:
         raise ValueError("trace has no publish sync events to drop")
-    kept = [e for e in trace.sync_events if e is not victim]
-    return _clone(trace, sync_events=kept)
+    return trace.copy(sync_events=[
+        e for e in trace.sync_events if e is not victim])
 
 
-def swallow_wakeup(
-    trace: ExecutionTrace,
-    dag: TaskDAG,
-    horizon_s: float = PARK_HORIZON_S,
-) -> ExecutionTrace:
+def swallow_wakeup(trace: ExecutionTrace, dag: TaskDAG) -> ExecutionTrace:
     """Corrupt ``trace`` to look like a lost wakeup: a sink task's
     execution is delayed past the horizon while its worker's park
     window silently spans the whole wait.
@@ -273,19 +222,18 @@ def swallow_wakeup(
             break
     if victim_ev is None:
         raise ValueError("trace has no published sink task to delay")
-    delay = ready + 2.0 * horizon_s - victim_ev.start
-    moved = TraceEvent(victim_ev.task, victim_ev.resource,
-                       victim_ev.start + delay, victim_ev.end + delay)
+    delay = ready + 2.0 * PARK_HORIZON_S - victim_ev.start
+    moved = replace(victim_ev, start=victim_ev.start + delay,
+                    end=victim_ev.end + delay)
     events = [moved if e is victim_ev else e for e in trace.events]
-    worker = _exec_worker(victim_ev.resource)
+    worker = resource_index(victim_ev.resource, "cpu")
     park = SyncEvent("park", worker, f"worker{worker}", -1,
                      ready, moved.start)
     sync = list(trace.sync_events) + [park]
     # The delayed completion publishes late, too.
     sync = [
-        (SyncEvent(e.kind, e.worker, e.obj, e.task,
-                   e.start + delay, e.end + delay, e.wait_s, e.n)
+        (replace(e, start=e.start + delay, end=e.end + delay)
          if e.kind == "publish" and e.task == victim_ev.task else e)
         for e in sync
     ]
-    return _restamp(_clone(trace, events=events, sync_events=sync))
+    return _restamp(trace.copy(events=events, sync_events=sync))

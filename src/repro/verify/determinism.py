@@ -57,6 +57,8 @@ __all__ = [
     "drop_seq",
 ]
 
+_TOL = 0.0
+
 
 def trace_diff(a: ExecutionTrace, b: ExecutionTrace) -> Optional[str]:
     """First diverging canonical line between two traces (D804).
@@ -78,8 +80,7 @@ def trace_diff(a: ExecutionTrace, b: ExecutionTrace) -> Optional[str]:
     return None
 
 
-def _audit_order(trace: ExecutionTrace, report: Report,
-                 max_reported: int, tol: float) -> None:
+def _audit_order(trace: ExecutionTrace, report: Report) -> None:
     """D802: seq stamping, uniqueness, and time/sequence consistency."""
     stamped = [e for e in trace.events if e.seq >= 0]
     missing = len(trace.events) - len(stamped)
@@ -89,41 +90,35 @@ def _audit_order(trace: ExecutionTrace, report: Report,
             f"{missing} event(s) carry no tie-break sequence stamp "
             f"(seq=-1): simultaneous events have no total order",
         )
-    n_back = 0
     for e in trace.events:
-        if e.end < e.start - tol:
-            n_back += 1
-            if n_back <= max_reported:
-                report.add(
-                    "D802",
-                    f"time runs backwards in task {e.task} on "
-                    f"{e.resource}: start={e.start!r} > end={e.end!r}",
-                    tasks=(e.task,),
-                )
+        if e.end < e.start - _TOL:
+            report.add(
+                "D802",
+                f"time runs backwards in task {e.task} on "
+                f"{e.resource}: start={e.start!r} > end={e.end!r}",
+                tasks=(e.task,),
+            )
     seen: dict[int, TraceEvent] = {}
-    n_dup = 0
-    for e in list(trace.events) + list(trace.transfers):
+    for e in trace.events + trace.transfers:
         if e.seq < 0:
             continue
         other = seen.get(e.seq)
-        if other is not None:
-            n_dup += 1
-            if n_dup <= max_reported:
-                tie = (
-                    " at equal time"
-                    if other.start == e.start else ""  # noqa: RV302 (label)
-                )
-                where = (f"on {e.resource}" if other.resource == e.resource
-                         else f"on {other.resource} and {e.resource}")
-                report.add(
-                    "D802",
-                    f"two events{tie} {where} share sequence {e.seq} "
-                    f"(tasks {other.task} and {e.task}): the tie-break "
-                    f"is not total",
-                    tasks=(other.task, e.task),
-                )
-        else:
+        if other is None:
             seen[e.seq] = e
+        else:
+            tie = (
+                " at equal time"
+                if other.start == e.start else ""  # noqa: RV302 (label)
+            )
+            where = (f"on {e.resource}" if other.resource == e.resource
+                     else f"on {other.resource} and {e.resource}")
+            report.add(
+                "D802",
+                f"two events{tie} {where} share sequence {e.seq} "
+                f"(tasks {other.task} and {e.task}): the tie-break "
+                f"is not total",
+                tasks=(other.task, e.task),
+            )
     # On a *serial* resource (no overlapping executions) the record
     # order must agree with the time order regardless of whether the
     # producer records at start or at finish.  Stream-parallel
@@ -132,34 +127,24 @@ def _audit_order(trace: ExecutionTrace, report: Report,
     by_res: dict[str, list[TraceEvent]] = {}
     for e in stamped:
         by_res.setdefault(e.resource, []).append(e)
-    n_inv = 0
     for res, evs in sorted(by_res.items()):
         by_time = sorted(evs, key=lambda e: (e.start, e.end, e.seq))
         serial = all(
-            a.end <= b.start + tol for a, b in zip(by_time, by_time[1:])
+            a.end <= b.start + _TOL for a, b in zip(by_time, by_time[1:])
         )
         if not serial:
             continue
         by_seq = sorted(evs, key=lambda e: e.seq)
         for a, b in zip(by_seq, by_seq[1:]):
-            if a.start > b.start + tol:
-                n_inv += 1
-                if n_inv <= max_reported:
-                    report.add(
-                        "D802",
-                        f"on serial resource {res}, sequence order "
-                        f"contradicts time order: seq {a.seq} (task "
-                        f"{a.task}) at t={a.start!r} recorded before "
-                        f"seq {b.seq} (task {b.task}) at t={b.start!r}",
-                        tasks=(a.task, b.task),
-                    )
-    for count, label in ((n_back, "backwards event(s)"),
-                         (n_dup, "duplicate sequence(s)"),
-                         (n_inv, "order inversion(s)")):
-        if count > max_reported:
-            report.add("D802",
-                       f"... further {count - max_reported} {label} "
-                       "suppressed")
+            if a.start > b.start + _TOL:
+                report.add(
+                    "D802",
+                    f"on serial resource {res}, sequence order "
+                    f"contradicts time order: seq {a.seq} (task "
+                    f"{a.task}) at t={a.start!r} recorded before "
+                    f"seq {b.seq} (task {b.task}) at t={b.start!r}",
+                    tasks=(a.task, b.task),
+                )
 
 
 def _audit_meta(trace: ExecutionTrace, report: Report) -> None:
@@ -205,9 +190,6 @@ def verify_determinism(
     trace: Optional[ExecutionTrace] = None,
     *,
     replay: bool = True,
-    tol: float = 0.0,
-    max_reported: int = 25,
-    name: str = "determinism",
 ) -> Report:
     """Audit one scenario's determinism (D8xx).
 
@@ -219,7 +201,7 @@ def verify_determinism(
     ``replay=False`` restricts the audit to the static D802/D805 checks
     on ``trace`` alone.
     """
-    report = Report(name)
+    report = Report("determinism")
     if trace is None:
         trace = run()
     report.stats["events"] = float(len(trace.events))
@@ -229,7 +211,7 @@ def verify_determinism(
 
     _audit_meta(trace, report)
     if trace.meta.get("clock", "virtual") == "virtual":
-        _audit_order(trace, report, max_reported, tol)
+        _audit_order(trace, report)
 
     if not replay:
         return report
@@ -264,21 +246,6 @@ def verify_determinism(
 # ----------------------------------------------------------------------
 # fault injectors (verify-the-verifier)
 # ----------------------------------------------------------------------
-def _clone(trace: ExecutionTrace,
-           events: Optional[list[TraceEvent]] = None,
-           meta: Optional[dict] = None) -> ExecutionTrace:
-    return ExecutionTrace(
-        events=list(trace.events) if events is None else events,
-        transfers=list(trace.transfers),
-        data_events=list(trace.data_events),
-        fault_events=list(trace.fault_events),
-        recovery_events=list(trace.recovery_events),
-        sync_events=list(trace.sync_events),
-        meta=dict(trace.meta) if meta is None else meta,
-        next_seq=trace.next_seq,
-    )
-
-
 def reorder_ties(trace: ExecutionTrace) -> ExecutionTrace:
     """Corrupt ``trace`` by collapsing one tie-break: two events end up
     with the same sequence number (preferring a pair at equal start
@@ -307,7 +274,7 @@ def reorder_ties(trace: ExecutionTrace) -> ExecutionTrace:
     keep, victim = pair
     moved = replace(victim, seq=keep.seq)
     events = [moved if e is victim else e for e in trace.events]
-    return _clone(trace, events=events)
+    return trace.copy(events=events)
 
 
 def drop_seq(trace: ExecutionTrace) -> ExecutionTrace:
@@ -318,8 +285,7 @@ def drop_seq(trace: ExecutionTrace) -> ExecutionTrace:
     """
     if not any(e.seq >= 0 for e in trace.events):
         raise ValueError("trace has no seq-stamped events to erase")
-    events = [replace(e, seq=-1) for e in trace.events]
-    return _clone(trace, events=events)
+    return trace.copy(events=[replace(e, seq=-1) for e in trace.events])
 
 
 def reseed_midrun(trace: ExecutionTrace) -> ExecutionTrace:
@@ -338,6 +304,4 @@ def reseed_midrun(trace: ExecutionTrace) -> ExecutionTrace:
         bad: Optional[dict] = {"seed": None, "draws": 3}
     else:
         bad = {"seed": rng.get("seed"), "draws": int(rng.get("draws", 0)) + 7}
-    meta = dict(trace.meta)
-    meta["rng"] = bad
-    return _clone(trace, meta=meta)
+    return trace.copy(meta={**trace.meta, "rng": bad})

@@ -45,33 +45,18 @@ __all__ = ["analyze_hazards", "find_cycle", "find_redundant_edges", "drop_edge"]
 
 def find_cycle(dag: TaskDAG) -> list[int]:
     """Return one dependency cycle as a task list, or ``[]`` if acyclic."""
-    n = dag.n_tasks
-    indeg = dag.n_deps.copy()
-    stack = list(np.flatnonzero(indeg == 0))
-    done = 0
-    while stack:
-        t = stack.pop()
-        done += 1
-        for s in dag.successors(t):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                stack.append(int(s))
-    if done == n:
+    blocked = np.ones(dag.n_tasks, dtype=bool)
+    blocked[dag.kahn_order()] = False
+    if not blocked.any():
         return []
-    # Walk successors inside the leftover (cyclic) region until a repeat.
-    leftover = np.flatnonzero(indeg > 0)
-    start = int(leftover[0])
+    # Walk successors inside the blocked (cyclic) region until a repeat.
     seen: dict[int, int] = {}
     path: list[int] = []
-    v = start
+    v = int(np.flatnonzero(blocked)[0])
     while v not in seen:
         seen[v] = len(path)
         path.append(v)
-        nxt = None
-        for s in dag.successors(v):
-            if indeg[s] > 0:
-                nxt = int(s)
-                break
+        nxt = next((int(s) for s in dag.successors(v) if blocked[s]), None)
         assert nxt is not None, "cyclic region must keep a cyclic successor"
         v = nxt
     return path[seen[v]:]
@@ -88,17 +73,8 @@ def drop_edge(dag: TaskDAG, edge_index: int) -> TaskDAG:
     head = int(np.searchsorted(dag.succ_ptr, edge_index, side="right") - 1)
     succ_ptr = dag.succ_ptr.copy()
     succ_ptr[head + 1:] -= 1
-    succ_list = np.delete(dag.succ_list, edge_index)
-    out = TaskDAG(
-        kind=dag.kind, cblk=dag.cblk, target=dag.target, flops=dag.flops,
-        gemm_m=dag.gemm_m, gemm_n=dag.gemm_n, gemm_k=dag.gemm_k,
-        succ_ptr=succ_ptr, succ_list=succ_list, mutex=dag.mutex,
-        granularity=dag.granularity, symbol=dag.symbol,
-        factotype=dag.factotype, fused_components=dag.fused_components,
-        unit_ptr=dag.unit_ptr, unit_panels=dag.unit_panels,
-    )
-    out.phase = dag.phase
-    return out
+    return dag.copy(succ_ptr=succ_ptr,
+                    succ_list=np.delete(dag.succ_list, edge_index))
 
 
 def find_redundant_edges(dag: TaskDAG, *, limit: int = 200) -> list[tuple[int, int]]:
@@ -130,7 +106,6 @@ def analyze_hazards(
     dag: TaskDAG,
     *,
     find_redundant: bool = False,
-    max_reported: int = 100,
 ) -> Report:
     """Run the hazard-coverage analysis; returns a :class:`Report`.
 
@@ -198,34 +173,25 @@ def analyze_hazards(
     if missing.size:
         # Distinguish "no path at all" from "path in the wrong direction".
         rev = oracle.reachable_many(vs[missing], us[missing])
-        n_shown = 0
         for j, idx in enumerate(missing):
             u, v = int(us[idx]), int(vs[idx])
             hz = "RAW (panel read before its factorization is ordered)" \
                 if pk[idx] == 0 else \
                 "ACCUM (scatter-add not ordered before the panel write)"
-            if n_shown < max_reported:
-                if rev[j]:
-                    report.add(
-                        "H103",
-                        f"hazard path between tasks {u} and {v} exists only "
-                        f"in the wrong direction ({v} -> {u}); {hz}",
-                        tasks=(u, v),
-                    )
-                else:
-                    report.add(
-                        "H101" if pk[idx] == 0 else "H102",
-                        f"missing dependency path {u} -> {v}: {hz}; "
-                        f"task {u} and task {v} may race on a panel",
-                        tasks=(u, v),
-                    )
-            n_shown += 1
-        if n_shown > max_reported:
-            report.add(
-                "H101",
-                f"... {n_shown - max_reported} further uncovered hazard "
-                "pair(s) suppressed",
-            )
+            if rev[j]:
+                report.add(
+                    "H103",
+                    f"hazard path between tasks {u} and {v} exists only "
+                    f"in the wrong direction ({v} -> {u}); {hz}",
+                    tasks=(u, v),
+                )
+            else:
+                report.add(
+                    "H101" if pk[idx] == 0 else "H102",
+                    f"missing dependency path {u} -> {v}: {hz}; "
+                    f"task {u} and task {v} may race on a panel",
+                    tasks=(u, v),
+                )
     report.stats["uncovered_pairs"] = int(missing.size)
 
     # ------------------------------------------------------------------
@@ -277,7 +243,7 @@ def analyze_hazards(
     if find_redundant:
         redundant = find_redundant_edges(dag)
         report.stats["redundant_edges"] = len(redundant)
-        for u, v in redundant[:max_reported]:
+        for u, v in redundant:
             report.add(
                 "H108",
                 f"edge {u} -> {v} is transitive (another path covers it)",

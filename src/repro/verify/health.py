@@ -42,6 +42,8 @@ __all__ = [
     "illegal_transition",
 ]
 
+_TOL = 1e-12
+
 
 def _quarantine_windows(
     health_events: list[HealthEvent],
@@ -62,15 +64,9 @@ def _quarantine_windows(
     return windows
 
 
-def verify_health(
-    trace: ExecutionTrace,
-    *,
-    tol: float = 1e-12,
-    max_reported: int = 25,
-    name: str = "health",
-) -> Report:
+def verify_health(trace: ExecutionTrace) -> Report:
     """Audit ``trace``'s health-transition and hedge streams (R7xx)."""
-    report = Report(name)
+    report = Report("health")
     health = trace.sorted_health_events()
     hedges = trace.sorted_hedge_events()
     report.stats["health_events"] = float(len(health))
@@ -81,7 +77,7 @@ def verify_health(
     # shadow of that claim is "no events at all".
     meta = trace.meta.get("health")
     if meta is None:
-        for e in (health + hedges)[:max_reported]:
+        for e in health + hedges:
             report.add(
                 "R705",
                 f"{type(e).__name__} recorded on {e.resource} at "
@@ -91,7 +87,7 @@ def verify_health(
         # Without monitoring none of the remaining checks can fire.
         return report
     if not meta.get("hedge", False):
-        for e in hedges[:max_reported]:
+        for e in hedges:
             report.add(
                 "R705",
                 f"hedge {e.kind!r} of task {e.task} on {e.resource} at "
@@ -101,7 +97,6 @@ def verify_health(
             )
 
     # ------------------------------------------------------------- R702
-    n_bad = 0
     by_resource: dict[str, list[HealthEvent]] = {}
     for e in health:
         by_resource.setdefault(e.resource, []).append(e)
@@ -110,83 +105,68 @@ def verify_health(
         prev_t = float("-inf")
         for e in chain:
             if e.src not in HEALTH_STATES or e.dst not in HEALTH_STATES:
-                if n_bad < max_reported:
-                    report.add(
-                        "R702",
-                        f"{res}: unknown health state in transition "
-                        f"{e.src!r} -> {e.dst!r} at t={e.time:.6g}",
-                    )
-                n_bad += 1
+                report.add(
+                    "R702",
+                    f"{res}: unknown health state in transition "
+                    f"{e.src!r} -> {e.dst!r} at t={e.time:.6g}",
+                )
                 prev, prev_t = e.dst, e.time
                 continue
             if e.src != prev:
-                if n_bad < max_reported:
-                    report.add(
-                        "R702",
-                        f"{res}: transition chain breaks at "
-                        f"t={e.time:.6g}: recorded {e.src} -> {e.dst} "
-                        f"but the resource was in state {prev!r}",
-                    )
-                n_bad += 1
+                report.add(
+                    "R702",
+                    f"{res}: transition chain breaks at "
+                    f"t={e.time:.6g}: recorded {e.src} -> {e.dst} "
+                    f"but the resource was in state {prev!r}",
+                )
             elif (e.src, e.dst) not in LEGAL_TRANSITIONS:
-                if n_bad < max_reported:
-                    report.add(
-                        "R702",
-                        f"{res}: illegal transition {e.src} -> {e.dst} "
-                        f"at t={e.time:.6g} (not an edge of the health "
-                        "state machine)",
-                    )
-                n_bad += 1
-            if e.time < prev_t - tol:
-                if n_bad < max_reported:
-                    report.add(
-                        "R702",
-                        f"{res}: transition at t={e.time:.6g} predates "
-                        f"the previous one at t={prev_t:.6g}",
-                    )
-                n_bad += 1
+                report.add(
+                    "R702",
+                    f"{res}: illegal transition {e.src} -> {e.dst} "
+                    f"at t={e.time:.6g} (not an edge of the health "
+                    "state machine)",
+                )
+            if e.time < prev_t - _TOL:
+                report.add(
+                    "R702",
+                    f"{res}: transition at t={e.time:.6g} predates "
+                    f"the previous one at t={prev_t:.6g}",
+                )
             prev, prev_t = e.dst, e.time
     report.stats["resources_tracked"] = float(len(by_resource))
 
     # ------------------------------------------------------------- R703
     windows = _quarantine_windows(health)
-    n_quar = 0
     if windows:
         for ev in trace.sorted_events():
             for (t0, t1) in windows.get(ev.resource, ()):
-                if t0 - tol <= ev.start < t1 - tol:
-                    if n_quar < max_reported:
-                        report.add(
-                            "R703",
-                            f"task {ev.task} starts on {ev.resource} at "
-                            f"t={ev.start:.6g}, inside its quarantine "
-                            f"window [{t0:.6g}, "
-                            f"{'inf' if t1 == float('inf') else format(t1, '.6g')})",
-                            tasks=(ev.task,),
-                        )
-                    n_quar += 1
+                if t0 - _TOL <= ev.start < t1 - _TOL:
+                    report.add(
+                        "R703",
+                        f"task {ev.task} starts on {ev.resource} at "
+                        f"t={ev.start:.6g}, inside its quarantine "
+                        f"window [{t0:.6g}, "
+                        f"{'inf' if t1 == float('inf') else format(t1, '.6g')})",
+                        tasks=(ev.task,),
+                    )
         for h in hedges:
             if h.kind != "launch":
                 continue
             for (t0, t1) in windows.get(h.resource, ()):
-                if t0 - tol <= h.time < t1 - tol:
-                    if n_quar < max_reported:
-                        report.add(
-                            "R703",
-                            f"hedge duplicate of task {h.task} launched "
-                            f"on quarantined {h.resource} at "
-                            f"t={h.time:.6g}",
-                            tasks=(h.task,),
-                        )
-                    n_quar += 1
+                if t0 - _TOL <= h.time < t1 - _TOL:
+                    report.add(
+                        "R703",
+                        f"hedge duplicate of task {h.task} launched "
+                        f"on quarantined {h.resource} at "
+                        f"t={h.time:.6g}",
+                        tasks=(h.task,),
+                    )
     report.stats["quarantine_windows"] = float(
         sum(len(w) for w in windows.values())
     )
 
     # ----------------------------------------------------- R701 + R704
-    completions: dict[int, list[TraceEvent]] = {}
-    for ev in trace.sorted_events():
-        completions.setdefault(ev.task, []).append(ev)
+    completions = trace.events_by_task()
     by_task: dict[int, dict[str, list]] = {}
     for h in hedges:
         by_task.setdefault(h.task, {}).setdefault(h.kind, []).append(h)
@@ -196,7 +176,7 @@ def verify_health(
         wins = kinds.get("win", [])
         cancels = kinds.get("cancel", [])
         if not launches:
-            for h in (wins + cancels)[:max_reported]:
+            for h in wins + cancels:
                 report.add(
                     "R704",
                     f"hedge {h.kind!r} of task {t} on {h.resource} at "
@@ -220,7 +200,7 @@ def verify_health(
                 tasks=(t,),
             )
         if wins and launches and \
-                wins[0].time < min(la.time for la in launches) - tol:
+                wins[0].time < min(la.time for la in launches) - _TOL:
             report.add(
                 "R704",
                 f"hedged task {t} wins at t={wins[0].time:.6g}, before "
@@ -260,22 +240,6 @@ def verify_health(
 # ----------------------------------------------------------------------
 # fault injectors (verify-the-verifier)
 # ----------------------------------------------------------------------
-def _clone(trace: ExecutionTrace, **overrides) -> ExecutionTrace:
-    fields = dict(
-        events=list(trace.events),
-        transfers=list(trace.transfers),
-        data_events=list(trace.data_events),
-        fault_events=list(trace.fault_events),
-        recovery_events=list(trace.recovery_events),
-        sync_events=list(trace.sync_events),
-        health_events=list(trace.health_events),
-        hedge_events=list(trace.hedge_events),
-        meta=dict(trace.meta),
-    )
-    fields.update(overrides)
-    return ExecutionTrace(**fields)
-
-
 def double_commit_hedge(trace: ExecutionTrace) -> ExecutionTrace:
     """Corrupt ``trace`` by committing a hedged task twice: the losing
     attempt's completion is recorded as if the gate admitted it.  The
@@ -291,7 +255,7 @@ def double_commit_hedge(trace: ExecutionTrace) -> ExecutionTrace:
     orig = next(e for e in trace.events if e.task == loser.task)
     clone = TraceEvent(loser.task, loser.resource, loser.time,
                        loser.time + max(orig.duration, 1e-12))
-    return _clone(trace, events=list(trace.events) + [clone])
+    return trace.copy(events=trace.events + [clone])
 
 
 def steal_from_quarantined(trace: ExecutionTrace) -> ExecutionTrace:
@@ -310,7 +274,7 @@ def steal_from_quarantined(trace: ExecutionTrace) -> ExecutionTrace:
     donor = trace.sorted_events()[-1]
     clone = TraceEvent(donor.task, res, mid,
                        mid + min(donor.duration, 0.25 * (t1 - t0)))
-    return _clone(trace, events=list(trace.events) + [clone])
+    return trace.copy(events=trace.events + [clone])
 
 
 def illegal_transition(trace: ExecutionTrace) -> ExecutionTrace:
@@ -325,5 +289,4 @@ def illegal_transition(trace: ExecutionTrace) -> ExecutionTrace:
     last = health[-1]
     bad = HealthEvent(last.resource, "healthy", "quarantined",
                       last.time + 1e-9, 0.0, "corrupt")
-    return _clone(trace,
-                  health_events=list(trace.health_events) + [bad])
+    return trace.copy(health_events=trace.health_events + [bad])

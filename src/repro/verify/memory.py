@@ -35,12 +35,14 @@ simulator's MSI bookkeeping.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.dag.tasks import TaskDAG, TaskKind
 from repro.kernels.cost import panel_bytes
 from repro.machine.model import MachineSpec
-from repro.runtime.tracing import ExecutionTrace
+from repro.runtime.tracing import DataEvent, ExecutionTrace, resource_index
 from repro.verify.report import Report, WARNING
 
 __all__ = ["verify_memory", "drop_transfer", "overflow_residency"]
@@ -56,27 +58,15 @@ _PRI_TASK_END = 3
 _PRI_XFER_START = 4
 
 
-def _gpu_of(resource: str) -> int:
-    """``"gpu3"`` -> 3; anything else -> -1."""
-    if resource.startswith("gpu"):
-        try:
-            return int(resource[3:])
-        except ValueError:
-            return -1
-    return -1
-
-
 def verify_memory(
     dag: TaskDAG,
     trace: ExecutionTrace,
     machine: MachineSpec,
     *,
     dtype=np.float64,
-    max_reported: int = 50,
-    name: str = "memory",
 ) -> Report:
     """Audit ``trace``'s data movement against ``dag`` and ``machine``."""
-    report = Report(name)
+    report = Report("memory")
     pbytes = panel_bytes(dag.symbol, dtype, dag.factotype)
     limit = float(machine.gpu.memory_bytes)
     n = dag.n_tasks
@@ -121,22 +111,6 @@ def verify_memory(
     peak_bytes = [0.0] * n_gpus
     valid: list[set[int]] = [set() for _ in range(n_gpus)]
     redundant_bytes = 0.0
-    n_401 = n_402 = n_403 = n_405 = 0
-
-    def _report(code: str, count: int, msg: str, tasks=()) -> int:
-        if count < max_reported:
-            report.add(code, msg, tasks=tasks)
-        elif count == max_reported:
-            report.add(code, f"... further {code} findings suppressed")
-        return count + 1
-
-    def _warn(count: int, msg: str) -> int:
-        if count < max_reported:
-            report.add("M405", msg, severity=WARNING)
-        elif count == max_reported:
-            report.add("M405", "... further M405 findings suppressed",
-                       severity=WARNING)
-        return count + 1
 
     for entry in stream:
         when, _, tag, ev = entry
@@ -148,19 +122,20 @@ def verify_memory(
                 continue
             expect = float(pbytes[ev.cblk])
             if abs(ev.nbytes - expect) > 0.5:
-                n_405 = _warn(
-                    n_405,
+                report.add(
+                    "M405",
                     f"{ev.kind} of panel {ev.cblk} moved "
                     f"{ev.nbytes:.0f} B but the symbol says the panel is "
                     f"{expect:.0f} B",
+                    severity=WARNING,
                 )
             if tag == "d2h0":
                 continue
             # h2d start: redundant-traffic check, then reserve space.
             if ev.cblk in valid[g]:
                 redundant_bytes += ev.nbytes
-                n_403 = _report(
-                    "M403", n_403,
+                report.add(
+                    "M403",
                     f"redundant transfer: panel {ev.cblk} re-sent to "
                     f"gpu{g} at t={when:.6g} while a valid copy was "
                     f"resident ({ev.nbytes:.0f} B wasted)",
@@ -171,8 +146,8 @@ def verify_memory(
                 if reserved_bytes[g] > peak_bytes[g]:
                     peak_bytes[g] = reserved_bytes[g]
                 if reserved_bytes[g] > limit:
-                    n_402 = _report(
-                        "M402", n_402,
+                    report.add(
+                        "M402",
                         f"gpu{g} over capacity at t={when:.6g}: panel "
                         f"{ev.cblk} brings resident bytes to "
                         f"{reserved_bytes[g]:.0f} > {limit:.0f}",
@@ -193,7 +168,7 @@ def verify_memory(
                 reserved_bytes[g] -= nb
             valid[g].discard(ev.cblk)
         elif tag == "t0":
-            g = _gpu_of(ev.resource)
+            g = resource_index(ev.resource, "gpu")
             if g < 0:
                 continue
             for cblk, role in (
@@ -201,15 +176,15 @@ def verify_memory(
                 (int(dag.target[ev.task]), "facing"),
             ):
                 if g >= n_gpus or cblk not in valid[g]:
-                    n_401 = _report(
-                        "M401", n_401,
+                    report.add(
+                        "M401",
                         f"task {ev.task} started on gpu{g} at "
                         f"t={when:.6g} without a valid device copy of "
                         f"its {role} panel {cblk}",
                         tasks=(int(ev.task),),
                     )
         elif tag == "t1":
-            g = _gpu_of(ev.resource)
+            g = resource_index(ev.resource, "gpu")
             kind = TaskKind(int(dag.kind[ev.task]))
             writes = {int(dag.target[ev.task])}
             if kind != TaskKind.UPDATE:
@@ -238,7 +213,7 @@ def verify_memory(
     # ------------------------------------------------------------------
     touched: set[int] = set()
     for te in trace.events:
-        if _gpu_of(te.resource) >= 0 and 0 <= te.task < n:
+        if resource_index(te.resource, "gpu") >= 0 and 0 <= te.task < n:
             touched.add(int(dag.cblk[te.task]))
             touched.add(int(dag.target[te.task]))
     lower_bound = float(sum(pbytes[c] for c in sorted(touched)))
@@ -269,12 +244,13 @@ def drop_transfer(trace: ExecutionTrace, dag: TaskDAG) -> ExecutionTrace:
     """Remove one h2d transfer a later GPU task depends on.
 
     Picks the first h2d event whose panel is read by a GPU task starting
-    at-or-after the transfer completes, and deletes it — M401 must then
-    flag that task/panel pair (and usually M404 notices the missing
-    bytes too).  Returns a new trace; the input is not modified.
+    at-or-after the transfer completes, and deletes it and its
+    ``transfers`` row — M401 must then flag that task/panel pair (and
+    usually M404 notices the missing bytes too).  Returns a new trace;
+    the input is not modified.
     """
     gpu_events = sorted(
-        (te for te in trace.events if _gpu_of(te.resource) >= 0),
+        (te for te in trace.events if resource_index(te.resource, "gpu") >= 0),
         key=lambda te: (te.start, te.end),
     )
     victim = None
@@ -284,7 +260,7 @@ def drop_transfer(trace: ExecutionTrace, dag: TaskDAG) -> ExecutionTrace:
         # The earliest dependent kernel: it starts after this transfer
         # completes and before any re-transfer could restore validity.
         for te in gpu_events:
-            if te.start < ev.end or _gpu_of(te.resource) != ev.gpu:
+            if te.start < ev.end or resource_index(te.resource, "gpu") != ev.gpu:
                 continue
             if ev.cblk in (int(dag.cblk[te.task]), int(dag.target[te.task])):
                 victim = ev
@@ -294,13 +270,12 @@ def drop_transfer(trace: ExecutionTrace, dag: TaskDAG) -> ExecutionTrace:
     if victim is None:
         raise ValueError("trace has no h2d transfer feeding a GPU task; "
                          "run with at least one GPU")
-    out = ExecutionTrace(events=list(trace.events))
-    for ev in trace.data_events:
-        if ev is victim:
-            continue
-        out.record_data(ev.kind, ev.cblk, ev.gpu, ev.nbytes,
-                        ev.start, ev.end, ev.reason)
-    return out
+    row = (victim.cblk, f"link{victim.gpu}:h2d", victim.start, victim.end)
+    return trace.copy(
+        data_events=[ev for ev in trace.data_events if ev is not victim],
+        transfers=[t for t in trace.transfers
+                   if (t.task, t.resource, t.start, t.end) != row],
+    )
 
 
 def overflow_residency(
@@ -313,7 +288,7 @@ def overflow_residency(
     capacity limit the moment the transfer starts — M402 names the
     panel/GPU pair (M405 also warns about the size mismatch).
     """
-    first: dict[tuple[int, int], object] = {}
+    first: dict[tuple[int, int], DataEvent] = {}
     for ev in trace.sorted_data_events():
         if ev.kind == "h2d":
             first.setdefault((ev.cblk, ev.gpu), ev)
@@ -323,10 +298,6 @@ def overflow_residency(
     # First transfer of its (panel, gpu) pair: a re-transfer would be
     # idempotent in the reserved-bytes ledger and never trip M402.
     victim = max(first.values(), key=lambda ev: (ev.nbytes, -ev.start))
-    inflated = 1.25 * float(machine.gpu.memory_bytes)
-    out = ExecutionTrace(events=list(trace.events))
-    for ev in trace.data_events:
-        nbytes = inflated if ev is victim else ev.nbytes
-        out.record_data(ev.kind, ev.cblk, ev.gpu, nbytes,
-                        ev.start, ev.end, ev.reason)
-    return out
+    inflated = replace(victim, nbytes=1.25 * float(machine.gpu.memory_bytes))
+    return trace.copy(data_events=[inflated if ev is victim else ev
+                                   for ev in trace.data_events])

@@ -11,11 +11,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-__all__ = ["Finding", "Report", "ERROR", "WARNING", "INFO"]
+__all__ = ["Finding", "Report", "ERROR", "WARNING", "INFO",
+           "MAX_FINDINGS_PER_CODE"]
 
 ERROR = "error"
 WARNING = "warning"
 INFO = "info"
+
+#: Findings one report stores per code (:meth:`Report.add`).
+MAX_FINDINGS_PER_CODE = 25
 
 
 @dataclass(frozen=True)
@@ -41,11 +45,20 @@ class Finding:
 
 @dataclass
 class Report:
-    """Outcome of one verification pass."""
+    """Outcome of one verification pass.
+
+    :meth:`add` stores at most :data:`MAX_FINDINGS_PER_CODE` findings per
+    code; past that it only counts them in ``suppressed``, so
+    :meth:`count`, :meth:`format`'s per-code suppressed lines and its
+    verdict still report true totals.
+    """
 
     name: str
     findings: list[Finding] = field(default_factory=list)
     stats: dict[str, float] = field(default_factory=dict)
+    #: ``(code, severity) -> n`` findings counted past the cap.
+    suppressed: Counter = field(default_factory=Counter)
+    _stored: Counter = field(default_factory=Counter, repr=False)
 
     def add(
         self,
@@ -56,6 +69,10 @@ class Report:
         tasks: tuple[int, ...] = (),
         location: str = "",
     ) -> None:
+        if self._stored[code] >= MAX_FINDINGS_PER_CODE:
+            self.suppressed[code, severity] += 1
+            return
+        self._stored[code] += 1
         self.findings.append(Finding(code, message, severity, tasks, location))
 
     def errors(self) -> list[Finding]:
@@ -67,10 +84,13 @@ class Report:
         return not self.errors()
 
     def count(self, severity: str = ERROR) -> int:
-        return sum(1 for f in self.findings if f.severity == severity)
+        """Findings of ``severity``, suppressed ones included."""
+        return (sum(1 for f in self.findings if f.severity == severity)
+                + sum(n for (_, sev), n in self.suppressed.items()
+                      if sev == severity))
 
     # ------------------------------------------------------------------
-    def format(self, *, max_findings: int = 25, verbose: bool = False) -> str:
+    def format(self, *, verbose: bool = False) -> str:
         """Human-readable summary; errors first, then warnings/infos."""
         lines = [f"== {self.name} =="]
         for key, val in sorted(self.stats.items()):
@@ -78,20 +98,18 @@ class Report:
                 lines.append(f"   {key:<24}: {val:.4g}")
             else:
                 lines.append(f"   {key:<24}: {int(val)}")
-        ranked = sorted(
-            self.findings,
-            key=lambda f: {ERROR: 0, WARNING: 1, INFO: 2}.get(f.severity, 3),
-        )
-        if not verbose:
-            ranked = [f for f in ranked if f.severity != INFO]
-        shown = ranked[:max_findings]
+        rank = {ERROR: 0, WARNING: 1, INFO: 2}
+        shown = sorted((f for f in self.findings
+                        if verbose or f.severity != INFO),
+                       key=lambda f: rank.get(f.severity, 3))
         for f in shown:
             lines.append(f"   {f.severity.upper():<7} {f.render()}")
-        hidden = len(ranked) - len(shown)
-        if hidden > 0:
-            lines.append(f"   ... and {hidden} more finding(s)")
-        # The verdict names every error code, even past max_findings.
+        for (code, sev), n in sorted(self.suppressed.items()):
+            if verbose or sev != INFO:
+                lines.append(f"   ... {n} further {code} finding(s) suppressed")
         per_code = Counter(f.code for f in self.errors())
+        per_code.update({code: n for (code, sev), n in self.suppressed.items()
+                         if sev == ERROR})
         verdict = "OK" if self.ok else (
             f"FAILED ({self.count()} error(s): "
             + ", ".join(f"{c} x{n}" for c, n in sorted(per_code.items()))

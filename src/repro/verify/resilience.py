@@ -38,10 +38,12 @@ reuses ids across accumulate tasks).
 
 from __future__ import annotations
 
-from repro.runtime.tracing import ExecutionTrace, TraceEvent
+from repro.runtime.tracing import ExecutionTrace, TraceEvent, resource_index
 from repro.verify.report import Report
 
 __all__ = ["verify_resilience", "drop_recovery", "double_complete"]
+
+_TOL = 1e-12
 
 
 def _pair_key(task: int, cblk: int, resource: str, attempt: int):
@@ -49,16 +51,10 @@ def _pair_key(task: int, cblk: int, resource: str, attempt: int):
 
 
 def verify_resilience(
-    trace: ExecutionTrace,
-    dag=None,
-    *,
-    check_double_complete: bool = True,
-    tol: float = 1e-12,
-    max_reported: int = 25,
-    name: str = "resilience",
+    trace: ExecutionTrace, *, check_double_complete: bool = True
 ) -> Report:
     """Audit ``trace``'s fault and recovery events (R6xx)."""
-    report = Report(name)
+    report = Report("resilience")
     faults = trace.sorted_fault_events()
     recoveries = trace.sorted_recovery_events()
     report.stats["faults"] = float(len(faults))
@@ -74,11 +70,10 @@ def verify_resilience(
         ).append(i)
     consumed = [False] * len(recoveries)
     matched: dict[int, int] = {}  # fault index -> recovery index
-    n_unpaired = 0
     for fi, f in enumerate(faults):
         # A straggler is absorbed in place when the attempt *starts*;
         # every other fault is answered once the failed attempt ends.
-        earliest = (f.start if f.kind == "straggler" else f.end) - tol
+        earliest = (f.start if f.kind == "straggler" else f.end) - _TOL
         found = None
         for ri in unused.get(_pair_key(f.task, f.cblk, f.resource,
                                        f.attempt), []):
@@ -86,25 +81,21 @@ def verify_resilience(
                 found = ri
                 break
         if found is None:
-            n_unpaired += 1
-            if n_unpaired <= max_reported:
-                report.add(
-                    "R601",
-                    f"{f.kind} fault on {f.resource} at t={f.end:.6g} "
-                    f"(task {f.task}, cblk {f.cblk}, attempt {f.attempt}) "
-                    f"has no matching recovery",
-                    tasks=(f.task,) if f.task >= 0 else (),
-                )
+            report.add(
+                "R601",
+                f"{f.kind} fault on {f.resource} at t={f.end:.6g} "
+                f"(task {f.task}, cblk {f.cblk}, attempt {f.attempt}) "
+                f"has no matching recovery",
+                tasks=(f.task,) if f.task >= 0 else (),
+            )
         else:
             consumed[found] = True
             matched[fi] = found
-    if n_unpaired > max_reported:
-        report.add("R601", f"... further {n_unpaired - max_reported} "
-                           "unpaired fault(s) suppressed")
 
     # ------------------------------------------------------------- R603
-    orphans = [r for ri, r in enumerate(recoveries) if not consumed[ri]]
-    for r in orphans[:max_reported]:
+    for r, used in zip(recoveries, consumed):
+        if used:
+            continue
         report.add(
             "R603",
             f"{r.kind} recovery on {r.resource} at t={r.time:.6g} "
@@ -112,13 +103,8 @@ def verify_resilience(
             f"answers no recorded fault",
             tasks=(r.task,) if r.task >= 0 else (),
         )
-    if len(orphans) > max_reported:
-        report.add("R603", f"... further {len(orphans) - max_reported} "
-                           "orphan recover(ies) suppressed")
 
-    events_of: dict[int, list[TraceEvent]] = {}
-    for e in trace.sorted_events():
-        events_of.setdefault(e.task, []).append(e)
+    events_of = trace.events_by_task()
 
     # ------------------------------------------------------------- R602
     if check_double_complete:
@@ -128,7 +114,7 @@ def verify_resilience(
         for t, evs in events_of.items():
             for a, b in zip(evs, evs[1:]):
                 between = any(
-                    a.end - tol <= fe <= b.start + tol
+                    a.end - _TOL <= fe <= b.start + _TOL
                     for fe in fault_ends.get(t, ())
                 )
                 if not between:
@@ -150,7 +136,7 @@ def verify_resilience(
     if trace.transfers:
         horizon = max(horizon, max(t.end for t in trace.transfers))
     for fi, f in enumerate(faults):
-        if horizon + tol < f.end:
+        if horizon + _TOL < f.end:
             report.add(
                 "R604",
                 f"trace horizon {horizon:.6g} does not cover the "
@@ -170,7 +156,7 @@ def verify_resilience(
                 last_bound[f.task] = bound
         for t, bound in last_bound.items():
             evs = events_of.get(t, [])
-            if len(evs) == 1 and evs[0].start + tol < bound:
+            if len(evs) == 1 and evs[0].start + _TOL < bound:
                 report.add(
                     "R604",
                     f"task {t} starts at t={evs[0].start:.6g}, before its "
@@ -185,19 +171,14 @@ def verify_resilience(
     }
     for fi, ri in matched.items():
         f, r = faults[fi], recoveries[ri]
-        if f.kind != "transfer-fail" or not f.resource.startswith("link"):
-            continue
-        try:
-            gpu = int(f.resource[4:])
-        except ValueError:
-            continue
-        if f"gpu{gpu}" in lost_gpus:
+        gpu = resource_index(f.resource, "link")
+        if f.kind != "transfer-fail" or gpu < 0 or f"gpu{gpu}" in lost_gpus:
             continue
         bound = r.time + r.delay_s
         landed = [
             d for d in trace.data_events
             if d.cblk == f.cblk and d.gpu == gpu and d.kind in ("h2d", "d2h")
-            and d.start >= bound - tol
+            and d.start >= bound - _TOL
         ]
         if not landed:
             report.add(
@@ -212,15 +193,14 @@ def verify_resilience(
         if f.kind != "gpu-loss" or f.task >= 0:
             continue  # per-task gpu-loss faults are covered by pairing
         dead = f.resource
-        try:
-            gpu = int(dead[3:])
-        except ValueError:
+        gpu = resource_index(dead, "gpu")
+        if gpu < 0:
             continue
         for e in trace.events:
             # GPU task events carry the stream lane ("gpu0s1"); both the
             # bare device name and its streams are dead.
             if (e.resource == dead or e.resource.startswith(dead + "s")) \
-                    and e.end > f.end + tol:
+                    and e.end > f.end + _TOL:
                 report.add(
                     "R605",
                     f"task {e.task} runs on {dead} until t={e.end:.6g}, "
@@ -229,7 +209,7 @@ def verify_resilience(
                 )
         for d in trace.data_events:
             if d.gpu == gpu and d.kind in ("h2d", "d2h") \
-                    and d.start > f.end + tol:
+                    and d.start > f.end + _TOL:
                 report.add(
                     "R605",
                     f"{d.kind} of panel {d.cblk} on link {gpu} starts at "
@@ -254,14 +234,8 @@ def drop_recovery(trace: ExecutionTrace) -> ExecutionTrace:
     if not trace.recovery_events:
         raise ValueError("trace has no recovery events to drop")
     victim = trace.sorted_recovery_events()[0]
-    kept = [r for r in trace.recovery_events if r is not victim]
-    return ExecutionTrace(
-        events=list(trace.events),
-        transfers=list(trace.transfers),
-        data_events=list(trace.data_events),
-        fault_events=list(trace.fault_events),
-        recovery_events=kept,
-    )
+    return trace.copy(recovery_events=[
+        r for r in trace.recovery_events if r is not victim])
 
 
 def double_complete(trace: ExecutionTrace) -> ExecutionTrace:
@@ -284,10 +258,4 @@ def double_complete(trace: ExecutionTrace) -> ExecutionTrace:
     span = trace.makespan
     clone = TraceEvent(orig.task, orig.resource, span,
                        span + max(orig.duration, 1e-12))
-    return ExecutionTrace(
-        events=list(trace.events) + [clone],
-        transfers=list(trace.transfers),
-        data_events=list(trace.data_events),
-        fault_events=list(trace.fault_events),
-        recovery_events=list(trace.recovery_events),
-    )
+    return trace.copy(events=trace.events + [clone])

@@ -1,18 +1,15 @@
 """Schedule/trace verifier: does an ExecutionTrace respect the DAG?
 
-Centralizes the feasibility checks that were previously scattered as
-ad-hoc assertions through the tests and
-:meth:`repro.runtime.tracing.ExecutionTrace.validate` (which now
-delegates here).  Given a :class:`~repro.dag.tasks.TaskDAG` and an
+:meth:`repro.runtime.tracing.ExecutionTrace.validate` raises on what
+this pass reports.  Given a :class:`~repro.dag.tasks.TaskDAG` and an
 :class:`~repro.runtime.tracing.ExecutionTrace` it verifies:
 
 * **completeness** — every task executes exactly once (``S201``), with
   a non-negative duration (``S202``);
 * **happens-before** — no task starts before every predecessor has
   ended (``S203``);
-* **resource exclusivity** — an exclusive resource (CPU workers by
-  default) never runs two tasks at once (``S204``); GPU streams are
-  shared by design and may overlap;
+* **resource exclusivity** — a CPU worker never runs two tasks at once
+  (``S204``); GPU streams are shared by design and may overlap;
 * **mutex windows** — tasks in one mutex group (scatter-adds into one
   facing panel) never overlap in time, on any resource (``S205``);
 * **placement** — GPU resources only ever run UPDATE-kind tasks: panel
@@ -25,8 +22,11 @@ delegates here).  Given a :class:`~repro.dag.tasks.TaskDAG` and an
   ``report.stats`` so benchmark sweeps can audit which policy produced
   each schedule.
 
-All comparisons use an absolute tolerance ``tol`` — simulated times are
-floats and exact equality would misreport back-to-back events.
+All comparisons use an absolute tolerance ``_TOL`` — simulated times are
+floats and exact equality would misreport back-to-back events.  The
+threaded engine's wall-clock traces pass the same checks: each worker
+stamps its rows in order on one monotonic clock, and a successor is
+pushed only after its predecessor's end was stamped.
 
 Two fault injectors (``python -m repro verify --inject``) corrupt a
 valid trace the way S204 and S205 exist to catch:
@@ -35,7 +35,7 @@ valid trace the way S204 and S205 exist to catch:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,8 +43,9 @@ from repro.dag.tasks import TaskDAG, TaskKind
 from repro.runtime.tracing import ExecutionTrace, TraceEvent
 from repro.verify.report import Report
 
-__all__ = ["verify_schedule", "assert_valid_schedule", "ScheduleError",
-           "overlap_trace", "break_mutex"]
+__all__ = ["verify_schedule", "ScheduleError", "overlap_trace", "break_mutex"]
+
+_TOL = 1e-12
 
 
 def _ft(x: float) -> str:
@@ -53,30 +54,15 @@ def _ft(x: float) -> str:
 
 
 class ScheduleError(AssertionError):
-    """Raised by :func:`assert_valid_schedule`; carries the report."""
+    """Raised by :meth:`ExecutionTrace.validate`; carries the report."""
 
     def __init__(self, report: Report) -> None:
         super().__init__(report.format())
         self.report = report
 
 
-def verify_schedule(
-    dag: TaskDAG,
-    trace: ExecutionTrace,
-    *,
-    exclusive_resources: Optional[Iterable[str]] = None,
-    check_mutex: bool = True,
-    check_gpu_kind: bool = True,
-    tol: float = 1e-12,
-    max_reported: int = 50,
-) -> Report:
-    """Check ``trace`` against ``dag``; returns a :class:`Report`.
-
-    ``exclusive_resources`` defaults to every resource whose name starts
-    with ``"cpu"``; pass an explicit iterable (possibly empty) to
-    override — the threaded engine's wall-clock traces, for instance,
-    interleave records and are checked without exclusivity.
-    """
+def verify_schedule(dag: TaskDAG, trace: ExecutionTrace) -> Report:
+    """Check ``trace`` against ``dag``; returns a :class:`Report`."""
     report = Report("schedule")
     n = dag.n_tasks
     report.stats["tasks"] = n
@@ -110,7 +96,7 @@ def verify_schedule(
         seen[e.task] += 1
         start[e.task] = e.start
         end[e.task] = e.end
-        if e.end < e.start - tol:
+        if e.end < e.start - _TOL:
             report.add(
                 "S202",
                 f"task {e.task} ends before start "
@@ -134,8 +120,8 @@ def verify_schedule(
     # Happens-before along every edge, vectorized.
     heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(dag.succ_ptr))
     tails = dag.succ_list
-    bad = np.flatnonzero(start[tails] < end[heads] - tol)
-    for i in bad[:max_reported]:
+    bad = np.flatnonzero(start[tails] < end[heads] - _TOL)
+    for i in bad:
         t, s = int(heads[i]), int(tails[i])
         report.add(
             "S203",
@@ -143,22 +129,16 @@ def verify_schedule(
             f"(succ starts {_ft(start[s])} before pred ends {_ft(end[t])})",
             tasks=(t, s),
         )
-    if bad.size > max_reported:
-        report.add("S203", f"... {bad.size - max_reported} further "
-                           "dependency violations suppressed")
     report.stats["dependency_violations"] = int(bad.size)
 
-    # Resource exclusivity.
-    excl = (
-        set(exclusive_resources)
-        if exclusive_resources is not None
-        else {r for r in trace.resources() if r.startswith("cpu")}
-    )
-    for res, evs in trace.events_by_resource().items():
-        if res not in excl:
+    # Resource exclusivity: a CPU worker runs one task at a time; GPU
+    # streams share their device by design.
+    by_res = trace.events_by_resource()
+    for res, evs in by_res.items():
+        if not res.startswith("cpu"):
             continue
         for a, b in zip(evs, evs[1:]):
-            if b.start < a.end - tol:
+            if b.start < a.end - _TOL:
                 report.add(
                     "S204",
                     f"overlap on {res}: tasks {a.task} and {b.task} "
@@ -168,73 +148,46 @@ def verify_schedule(
                 )
 
     # GPU placement: only UPDATE tasks offload (facto); solve never does.
-    if check_gpu_kind:
-        for res, evs in trace.events_by_resource().items():
-            if not res.startswith("gpu"):
-                continue
-            for e in evs:
-                kind = TaskKind(int(dag.kind[e.task]))
-                if dag.phase != "facto" or kind != TaskKind.UPDATE:
-                    report.add(
-                        "S206",
-                        f"{kind.name} task {e.task} ran on {res}; only "
-                        "facto-phase UPDATE tasks may run on a GPU",
-                        tasks=(int(e.task),),
-                    )
+    for res, evs in by_res.items():
+        if not res.startswith("gpu"):
+            continue
+        for e in evs:
+            kind = TaskKind(int(dag.kind[e.task]))
+            if dag.phase != "facto" or kind != TaskKind.UPDATE:
+                report.add(
+                    "S206",
+                    f"{kind.name} task {e.task} ran on {res}; only "
+                    "facto-phase UPDATE tasks may run on a GPU",
+                    tasks=(int(e.task),),
+                )
 
     # Mutex windows: members of one group must not overlap in time.
-    if check_mutex:
-        groups: dict[int, list[int]] = {}
-        for t in range(n):
-            g = int(dag.mutex[t])
-            if g >= 0:
-                groups.setdefault(g, []).append(t)
-        n_viol = 0
-        for g, tasks in groups.items():
-            tasks.sort(key=lambda t: (start[t], end[t]))
-            for a, b in zip(tasks, tasks[1:]):
-                if start[b] < end[a] - tol:
-                    n_viol += 1
-                    if n_viol <= max_reported:
-                        report.add(
-                            "S205",
-                            f"mutex {g} violated by tasks {a}, {b}: "
-                            f"scatter-add windows overlap "
-                            f"([{_ft(start[a])}, {_ft(end[a])}] vs "
-                            f"[{_ft(start[b])}, {_ft(end[b])}])",
-                            tasks=(int(a), int(b)),
-                        )
-        report.stats["mutex_violations"] = n_viol
-
+    groups: dict[int, list[int]] = {}
+    for t in range(n):
+        g = int(dag.mutex[t])
+        if g >= 0:
+            groups.setdefault(g, []).append(t)
+    n_viol = 0
+    for g, tasks in groups.items():
+        tasks.sort(key=lambda t: (start[t], end[t]))
+        for a, b in zip(tasks, tasks[1:]):
+            if start[b] < end[a] - _TOL:
+                n_viol += 1
+                report.add(
+                    "S205",
+                    f"mutex {g} violated by tasks {a}, {b}: "
+                    f"scatter-add windows overlap "
+                    f"([{_ft(start[a])}, {_ft(end[a])}] vs "
+                    f"[{_ft(start[b])}, {_ft(end[b])}])",
+                    tasks=(int(a), int(b)),
+                )
+    report.stats["mutex_violations"] = n_viol
     return report
 
 
-def assert_valid_schedule(
-    dag: TaskDAG,
-    trace: ExecutionTrace,
-    *,
-    exclusive_resources: Optional[Iterable[str]] = None,
-    check_mutex: bool = True,
-    check_gpu_kind: bool = True,
-    tol: float = 1e-12,
-) -> None:
-    """Raise :class:`ScheduleError` (an ``AssertionError``) on violations."""
-    report = verify_schedule(
-        dag,
-        trace,
-        exclusive_resources=exclusive_resources,
-        check_mutex=check_mutex,
-        check_gpu_kind=check_gpu_kind,
-        tol=tol,
-    )
-    if not report.ok:
-        raise ScheduleError(report)
-
-
 def overlap_trace(trace: ExecutionTrace) -> ExecutionTrace:
-    """Copy of ``trace`` (task events and transfers) with the second
-    event of the busiest CPU worker shifted back onto the first: a
-    double-booking of one worker (S204)."""
+    """Copy of ``trace`` with the second event of the busiest CPU worker
+    shifted back onto the first: a double-booking of one worker (S204)."""
     by_res = trace.events_by_resource()
     cpu = max(
         (res for res in by_res if res.startswith("cpu")),
@@ -244,16 +197,13 @@ def overlap_trace(trace: ExecutionTrace) -> ExecutionTrace:
         raise ValueError("trace has no CPU worker with two events to overlap")
     a, b = by_res[cpu][0], by_res[cpu][1]
     start = a.start + 0.25 * a.duration
-    moved = TraceEvent(b.task, b.resource, start, start + b.duration)
-    return ExecutionTrace(
-        events=[moved if e is b else e for e in trace.events],
-        transfers=trace.transfers,
-    )
+    moved = replace(b, start=start, end=start + b.duration)
+    return trace.copy(events=[moved if e is b else e for e in trace.events])
 
 
 def break_mutex(trace: ExecutionTrace, dag: TaskDAG) -> ExecutionTrace:
-    """Copy of ``trace`` (task events and transfers) with every update of
-    the largest mutex group started at the same instant (S205)."""
+    """Copy of ``trace`` with every update of the largest mutex group
+    started at the same instant (S205)."""
     groups: dict[int, list[TraceEvent]] = {}
     for e in trace.events:
         g = int(dag.mutex[e.task])
@@ -263,9 +213,5 @@ def break_mutex(trace: ExecutionTrace, dag: TaskDAG) -> ExecutionTrace:
     if len(big) < 2:
         raise ValueError("trace has no mutex group with two tasks to overlap")
     t0 = min(e.start for e in big)
-    clones = {e.task: TraceEvent(e.task, e.resource, t0, t0 + e.duration)
-              for e in big}
-    return ExecutionTrace(
-        events=[clones.get(e.task, e) for e in trace.events],
-        transfers=trace.transfers,
-    )
+    moved = {e.task: replace(e, start=t0, end=t0 + e.duration) for e in big}
+    return trace.copy(events=[moved.get(e.task, e) for e in trace.events])

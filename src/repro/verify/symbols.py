@@ -88,8 +88,6 @@ def verify_symbolic(
     result: AnalysisResult,
     *,
     exact: bool = True,
-    max_reported: int = 25,
-    name: str = "symbolic",
 ) -> Report:
     """Audit ``result`` against a from-scratch re-derivation.
 
@@ -98,7 +96,7 @@ def verify_symbolic(
     legitimately contains extra fill, so pass ``exact=False`` to check
     domination (structure ≥ re-derived counts) instead.
     """
-    report = Report(name)
+    report = Report("symbolic")
     sym = result.symbol
     n = sym.n
 
@@ -156,15 +154,13 @@ def verify_symbolic(
         )
         if bad.size:
             n_bad += int(bad.size)
-            if report.count() <= max_reported:
-                j = int(bad[0])
-                rel = "!=" if exact else "<"
-                report.add(
-                    "N502",
-                    f"panel {k}, column {f + j}: structure stores "
-                    f"{int(stored[j])} entries {rel} re-derived count "
-                    f"{int(derived[j])}",
-                )
+            j = int(bad[0])
+            report.add(
+                "N502",
+                f"panel {k}, column {f + j}: structure stores "
+                f"{int(stored[j])} entries {'!=' if exact else '<'} "
+                f"re-derived count {int(derived[j])}",
+            )
     report.stats["column_mismatches"] = n_bad
 
     # N503: blok-level aggregation vs the height-based nnz formula.
@@ -232,11 +228,9 @@ def verify_dag_costs(
     dag: TaskDAG,
     *,
     dtype=np.float64,
-    max_reported: int = 25,
-    name: str = "dag-costs",
 ) -> Report:
     """Audit ``dag``'s per-task flop/GEMM annotations against the symbol."""
-    report = Report(name)
+    report = Report("dag-costs")
     sym = dag.symbol
     if sym is None:
         report.add("N505", "DAG carries no symbol; cannot re-derive costs")
@@ -293,16 +287,7 @@ def verify_dag_costs(
         )
 
     remaining = {key: list(v) for key, v in couples.items()}
-    n_bad = 0
-
-    def _flag(code: str, msg: str, task: int) -> None:
-        nonlocal n_bad
-        n_bad += 1
-        if n_bad <= max_reported:
-            report.add(code, msg, tasks=(task,))
-        elif n_bad == max_reported + 1:
-            report.add(code, "... further per-task findings suppressed")
-
+    n_before = report.count()
     for t in range(dag.n_tasks):
         kind = TaskKind(int(dag.kind[t]))
         if kind == TaskKind.PANEL:
@@ -310,32 +295,32 @@ def verify_dag_costs(
             expect = mult * flops_panel(int(widths[k]), int(below[k]),
                                         dag.factotype)
             if not _close(float(dag.flops[t]), expect):
-                _flag(
+                report.add(
                     "N504",
                     f"panel task {t} (panel {k}) annotates "
                     f"{float(dag.flops[t]):.6g} flops; structure says "
                     f"{expect:.6g}",
-                    t,
+                    tasks=(t,),
                 )
         elif kind == TaskKind.UPDATE:
             s, tg = int(dag.cblk[t]), int(dag.target[t])
             m, nn, kk = int(dag.gemm_m[t]), int(dag.gemm_n[t]), int(dag.gemm_k[t])
             mns = remaining.get((s, tg), [])
             if (m, nn) not in mns:
-                _flag(
+                report.add(
                     "N505",
                     f"update task {t} ({s} -> {tg}, GEMM {m}x{nn}x{kk}) "
                     "matches no couple in the facing index",
-                    t,
+                    tasks=(t,),
                 )
                 continue
             mns.remove((m, nn))
             if kk != int(widths[s]):
-                _flag(
+                report.add(
                     "N504",
                     f"update task {t} ({s} -> {tg}) has gemm_k={kk} but "
                     f"panel {s} is {int(widths[s])} wide",
-                    t,
+                    tasks=(t,),
                 )
                 continue
             expected = [
@@ -344,14 +329,16 @@ def verify_dag_costs(
                 for r in (False, True)
             ]
             if not any(_close(float(dag.flops[t]), e) for e in expected):
-                _flag(
+                report.add(
                     "N504",
                     f"update task {t} ({s} -> {tg}) annotates "
                     f"{float(dag.flops[t]):.6g} flops; the cost model on "
                     f"the re-derived GEMM {m}x{nn}x{kk} says "
                     f"{expected[0]:.6g}",
-                    t,
+                    tasks=(t,),
                 )
+    # At most one per-task finding per task.
+    report.stats["flop_mismatches"] = report.count() - n_before
     leftovers = sum(len(v) for v in remaining.values())
     if leftovers:
         pair = next(key for key, v in remaining.items() if v)
@@ -360,20 +347,13 @@ def verify_dag_costs(
             f"{leftovers} couple(s) in the facing index have no DAG "
             f"update task (first: {pair[0]} -> {pair[1]})",
         )
-    report.stats["flop_mismatches"] = n_bad
     return report
 
 
 # ----------------------------------------------------------------------
 # Couple-index-cache audit
 # ----------------------------------------------------------------------
-def verify_couple_cache(
-    symbol: SymbolMatrix,
-    cache,
-    *,
-    max_reported: int = 25,
-    name: str = "couple-cache",
-) -> Report:
+def verify_couple_cache(symbol: SymbolMatrix, cache) -> Report:
     """Audit a :class:`repro.kernels.indexcache.CoupleMapCache`.
 
     The cache's scatter maps steer every numeric scatter-add, so a
@@ -385,7 +365,7 @@ def verify_couple_cache(
     ``searchsorted``), and re-enumerates the couple set per *target*
     through the facing index (the builder walks per source).
     """
-    report = Report(name)
+    report = Report("couple-cache")
     ptr = symbol.cblk_ptr
     rows_of = [symbol.cblk_rows(k) for k in range(symbol.n_cblk)]
 
@@ -462,17 +442,14 @@ def verify_couple_cache(
         )
         if bad:
             n_bad += 1
-            if n_bad <= max_reported:
-                report.add(
-                    "N507",
-                    f"couple {k} -> {t}: cached maps (i0={i0c}, "
-                    f"i1={i1c}, {rows_c.size} tail rows) disagree with "
-                    f"the re-derivation (i0={i0}, i1={i1}, "
-                    f"{rk.size - i0} tail rows) or the row/column maps "
-                    "differ",
-                )
-            elif n_bad == max_reported + 1:
-                report.add("N507", "... further map findings suppressed")
+            report.add(
+                "N507",
+                f"couple {k} -> {t}: cached maps (i0={i0c}, "
+                f"i1={i1c}, {rows_c.size} tail rows) disagree with "
+                f"the re-derivation (i0={i0}, i1={i1}, "
+                f"{rk.size - i0} tail rows) or the row/column maps "
+                "differ",
+            )
     report.stats["couples_cached"] = len(have)
     report.stats["couples_derived"] = len(want)
     report.stats["map_mismatches"] = n_bad
@@ -498,35 +475,17 @@ def stale_couple_map(cache) -> tuple[object, tuple[int, int]]:
     return out, (int(out.src[c]), int(out.tgt[c]))
 
 
-def skew_flops(dag: TaskDAG, factor: float = 1.5) -> tuple[TaskDAG, int]:
+def skew_flops(dag: TaskDAG) -> tuple[TaskDAG, int]:
     """Return a copy of ``dag`` with one update task's flops skewed.
 
     Picks the largest update task and multiplies its flop annotation by
-    ``factor`` — exactly the drift N504 exists to catch.  Returns the
-    corrupted DAG and the task id.
+    1.5 — exactly the drift N504 exists to catch.  Returns the corrupted
+    DAG and the task id.
     """
     is_update = dag.kind == TaskKind.UPDATE
     if not is_update.any():
         raise ValueError("DAG has no update tasks to skew")
     t = int(np.flatnonzero(is_update)[np.argmax(dag.flops[is_update])])
     flops = dag.flops.copy()
-    flops[t] *= factor
-    out = TaskDAG(
-        kind=dag.kind,
-        cblk=dag.cblk,
-        target=dag.target,
-        flops=flops,
-        gemm_m=dag.gemm_m,
-        gemm_n=dag.gemm_n,
-        gemm_k=dag.gemm_k,
-        succ_ptr=dag.succ_ptr,
-        succ_list=dag.succ_list,
-        mutex=dag.mutex,
-        granularity=dag.granularity,
-        symbol=dag.symbol,
-        factotype=dag.factotype,
-        fused_components=dag.fused_components,
-    )
-    out.phase = dag.phase
-    return out, t
-
+    flops[t] *= 1.5
+    return dag.copy(flops=flops), t

@@ -261,7 +261,7 @@ class TestMachineSimHealth:
         r = self._run(dag, faults=self._limp(mk),
                       health=self._health(mk, hedge=True))
         for rep in (verify_health(r.trace),
-                    verify_resilience(r.trace, dag),
+                    verify_resilience(r.trace),
                     verify_schedule(dag, r.trace)):
             assert rep.ok, rep.format()
 

@@ -226,9 +226,7 @@ class TestThreadedPlan:
         )
         dag = dag_of_trace(res.symbol, "llt", trace)
         assert dag.n_tasks > 1
-        trace.validate(
-            dag, exclusive_resources=[], check_mutex=False, tol=1e-5
-        )
+        trace.validate(dag)
 
 
 class TestVerifyAudit:

@@ -71,7 +71,7 @@ def _dag(sym, name):
 
 def _assert_recovered(dag, result):
     assert len(result.trace.events) == dag.n_tasks
-    rep = verify_resilience(result.trace, dag)
+    rep = verify_resilience(result.trace)
     assert rep.ok, rep.format()
     srep = verify_schedule(dag, result.trace)
     assert srep.ok, srep.format()

@@ -224,9 +224,7 @@ class TestProvenance:
             trace=trace, scheduler="ws",
         )
         report = verify_schedule(
-            dag_of_trace(res.symbol, "llt", trace), trace,
-            exclusive_resources=[], check_mutex=False, tol=1e-5,
-        )
+            dag_of_trace(res.symbol, "llt", trace), trace)
         assert report.ok, report.format()
         assert report.stats["scheduler"] == "ws"
 
@@ -244,9 +242,7 @@ class TestProvenance:
         )
         trace.meta["scheduler"] = "lottery"
         report = verify_schedule(
-            dag_of_trace(res.symbol, "llt", trace), trace,
-            exclusive_resources=[], check_mutex=False, tol=1e-5,
-        )
+            dag_of_trace(res.symbol, "llt", trace), trace)
         assert {f.code for f in report.findings} == {"S208"}
 
 

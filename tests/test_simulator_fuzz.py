@@ -14,7 +14,6 @@ from repro.machine import MachineSpec, mirage, simulate
 from repro.runtime import get_policy
 from repro.sparse.generators import random_pattern_spd
 from repro.symbolic import SymbolicOptions, analyze
-from repro.verify import assert_valid_schedule
 
 
 @settings(max_examples=25, deadline=None)
@@ -41,7 +40,7 @@ def test_fuzz_simulated_schedules(seed, n, policy, cores, gpus, streams,
     machine = mirage(n_cores=cores, n_gpus=gpus,
                      streams_per_gpu=streams if gpus else 1)
     r = simulate(dag, machine, pol)
-    assert_valid_schedule(dag, r.trace)
+    r.trace.validate(dag)
     assert len(r.trace.events) == dag.n_tasks
     assert r.makespan > 0
     # Work conservation: busy time never exceeds capacity x makespan.
@@ -85,4 +84,4 @@ def test_fuzz_subtree_fusion_preserves_flops(seed, n):
     fused.validate()
     assert fused.total_flops() == pytest.approx(plain.total_flops())
     r = simulate(fused, mirage(n_cores=3), get_policy("parsec"))
-    assert_valid_schedule(fused, r.trace)
+    r.trace.validate(fused)

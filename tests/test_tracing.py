@@ -1,8 +1,8 @@
 """Execution-trace container tests (including violation detection).
 
 Schedule feasibility itself is checked by :mod:`repro.verify.schedule`;
-these tests exercise both the ``ExecutionTrace.validate`` wrapper (the
-historical entry point) and the report-producing ``verify_schedule``.
+these tests exercise both ``ExecutionTrace.validate`` (which raises
+``ScheduleError``) and the report-producing ``verify_schedule``.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 from repro.dag.tasks import TaskDAG, TaskKind
 from repro.runtime.tracing import ExecutionTrace, TraceEvent
-from repro.verify import ScheduleError, assert_valid_schedule, verify_schedule
+from repro.verify import ScheduleError, verify_schedule
 
 
 def chain_dag(n=3):
@@ -90,9 +90,7 @@ def test_overlap_on_cpu_detected():
     with pytest.raises(AssertionError, match="overlap"):
         tr.validate(dag)
     rep = verify_schedule(dag, tr)
-    assert any(f.code == "S204" and f.tasks == (0, 1) for f in rep.errors())
-    # Exclusivity can be waived explicitly (wall-clock traces).
-    assert verify_schedule(dag, tr, exclusive_resources=()).ok
+    assert [(f.code, f.tasks) for f in rep.errors()] == [("S204", (0, 1))]
 
 
 def test_gpu_overlap_allowed():
@@ -116,8 +114,7 @@ def test_gpu_wrong_kind_detected():
     with pytest.raises(AssertionError, match="GPU"):
         tr.validate(dag)
     rep = verify_schedule(dag, tr)
-    assert any(f.code == "S206" and f.tasks == (0,) for f in rep.errors())
-    assert verify_schedule(dag, tr, check_gpu_kind=False).ok
+    assert [(f.code, f.tasks) for f in rep.errors()] == [("S206", (0,))]
 
 
 def test_mutex_violation_detected():
@@ -129,8 +126,7 @@ def test_mutex_violation_detected():
     with pytest.raises(AssertionError, match="mutex"):
         tr.validate(dag)
     rep = verify_schedule(dag, tr)
-    assert any(f.code == "S205" and f.tasks == (0, 1) for f in rep.errors())
-    assert verify_schedule(dag, tr, check_mutex=False).ok
+    assert [(f.code, f.tasks) for f in rep.errors()] == [("S205", (0, 1))]
 
 
 def test_negative_duration_and_unknown_task_detected():
@@ -150,7 +146,7 @@ def test_schedule_error_carries_report():
     tr = ExecutionTrace()
     tr.record(0, "cpu0", 0.0, 1.0)
     with pytest.raises(ScheduleError) as exc:
-        assert_valid_schedule(dag, tr)
+        tr.validate(dag)
     assert not exc.value.report.ok
     assert any(f.code == "S201" for f in exc.value.report.errors())
 
@@ -164,8 +160,10 @@ def test_sorted_events_and_resource_iteration():
     by_res = tr.events_by_resource()
     assert sorted(by_res) == ["cpu0", "cpu1"]
     assert [e.task for e in by_res["cpu0"]] == [0, 1]
-    assert [e.task for e in tr.iter_resource("cpu1")] == [2]
-    assert list(tr.iter_resource("gpu9")) == []
+    tr.record(0, "cpu1", 3.0, 4.0)
+    by_task = tr.events_by_task()
+    assert sorted(by_task) == [0, 1, 2]
+    assert [e.resource for e in by_task[0]] == ["cpu0", "cpu1"]
     # Ties on start break by (end, task) so ordering is deterministic.
     tie = ExecutionTrace(events=[
         TraceEvent(5, "gpu0", 0.0, 2.0),
@@ -181,9 +179,6 @@ def test_busy_time_and_resources():
     tr.record(1, "cpu1", 0.0, 2.0)
     assert tr.busy_time() == {"cpu0": 1.0, "cpu1": 2.0}
     assert tr.resources() == ["cpu0", "cpu1"]
-    assert tr.start_end(1) == (0.0, 2.0)
-    with pytest.raises(KeyError):
-        tr.start_end(99)
 
 
 def test_gantt_renders():
@@ -261,3 +256,36 @@ def test_sorted_data_events_order():
     tr.record_data("h2d", 9, 0, 1.0, 0.0, 1.0)
     # Ordered by (end, start, cblk): ties on end break by start.
     assert [e.cblk for e in tr.sorted_data_events()] == [9, 2, 5]
+
+
+def test_copy_replaces_only_named_streams():
+    tr = ExecutionTrace(meta={"producer": "test"})
+    tr.record(0, "cpu0", 0.0, 1.0)
+    tr.record_data("h2d", 3, 0, 8.0, 0.0, 1.0)
+    tr.record_sync("publish", 0, "state", 0, 1.0, 1.0)
+    out = tr.copy(events=[])
+    assert out.events == [] and len(tr.events) == 1
+    assert out.data_events == tr.data_events
+    assert out.transfers == tr.transfers and out.sync_events == tr.sync_events
+    assert out.meta == tr.meta and out.next_seq == tr.next_seq == 2
+    # Every stream and meta are fresh containers: editing the copy
+    # leaves the original alone.
+    out.meta["producer"] = "edited"
+    out.sync_events.clear()
+    assert tr.meta["producer"] == "test" and len(tr.sync_events) == 1
+
+
+def test_resource_index_and_sync_stats():
+    from repro.runtime.tracing import resource_index, sync_stats
+
+    assert resource_index("gpu3", "gpu") == 3
+    assert resource_index("link0", "link") == 0
+    assert resource_index("cpu3", "gpu") == -1
+    assert resource_index("link0:h2d", "link") == -1
+    tr = ExecutionTrace()
+    tr.record_sync("lock", 0, "m", 1, 0.0, 0.5, wait_s=0.25)
+    tr.record_sync("publish", 0, "state", 1, 0.5, 0.5)
+    assert sync_stats(tr.sync_events) == {
+        "counts": {"lock": 1, "publish": 1},
+        "lock_held_s": 0.5, "lock_wait_s": 0.25,
+    }

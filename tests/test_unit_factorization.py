@@ -270,8 +270,7 @@ def test_trace_names_its_dag(grid2d_medium, no_unit_floor):
                           n_workers=3)
     assert dag.n_tasks > 1
     assert sorted(e.task for e in trace.events) == list(range(dag.n_tasks))
-    trace.validate(dag, exclusive_resources=[], check_mutex=False,
-                   tol=1e-5)
+    trace.validate(dag)
 
 
 # ----------------------------------------------------------------------

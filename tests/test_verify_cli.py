@@ -282,3 +282,88 @@ def test_inject_trips_its_code(mode, capsys):
                      "--only", inj.pass_name, "--inject", mode], capsys)
     assert code == 1
     assert any(c in out for c in inj.codes), out
+
+
+def _fields(artifact):
+    """``name -> value`` of every field a corruption could touch."""
+    import dataclasses
+    import inspect
+
+    from repro.dag.tasks import TaskDAG
+
+    if isinstance(artifact, TaskDAG):
+        names = [*inspect.signature(TaskDAG).parameters, "phase"]
+        return {n: getattr(artifact, n) for n in names}
+    return {f.name: getattr(artifact, f.name)
+            for f in dataclasses.fields(artifact)}
+
+
+def _snapshot(value):
+    """Comparable deep value: arrays as lists, events with their ``seq``,
+    shared objects (the symbol) by identity."""
+    import copy
+    import dataclasses
+
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [dataclasses.astuple(v) for v in value]
+    if value is None or isinstance(value, (dict, int, float, str)):
+        return copy.deepcopy(value)
+    return id(value)
+
+
+@pytest.mark.parametrize("mode", sorted(
+    m for m, inj in INJECTS.items() if inj.stage != "couple-cache"))
+def test_inject_changes_only_its_target(mode, capsys, monkeypatch):
+    """Each trace/DAG ``--inject`` mode returns a copy that differs from
+    its input in the fields the mode names and nowhere else — ``meta``
+    and ``next_seq`` included — and leaves the input untouched."""
+    inj = INJECTS[mode]
+    seen = []
+
+    def spy(artifact, *rest):
+        before = {k: _snapshot(v) for k, v in _fields(artifact).items()}
+        out = inj.corrupt(artifact, *rest)
+        seen.append((artifact, before, out[0] if isinstance(out, tuple)
+                     else out))
+        return out
+
+    monkeypatch.setitem(INJECTS, mode, inj._replace(corrupt=spy))
+    size = "32" if inj.stage == "memory" else "20"
+    code, out = run(["verify", "--matrix", "lap2d", "--size", size,
+                     "--only", inj.pass_name, "--inject", mode], capsys)
+    assert code == 1 and seen
+    for artifact, before, corrupted in seen:
+        assert corrupted is not artifact
+        now = {k: _snapshot(v) for k, v in _fields(artifact).items()}
+        after = {k: _snapshot(v) for k, v in _fields(corrupted).items()}
+        assert now == before, "the injector edited its input"
+        assert set(inj.changes) <= set(after)
+        changed = {k for k in after if after[k] != before[k]}
+        assert changed == set(inj.changes), (mode, changed)
+
+
+def test_report_caps_findings_per_code():
+    from repro.verify.report import ERROR, MAX_FINDINGS_PER_CODE, Report
+
+    rep = Report("capped")
+    n = MAX_FINDINGS_PER_CODE
+    for i in range(n + 7):
+        rep.add("X001", f"x {i}")
+    for i in range(n + 2):
+        rep.add("X002", f"y {i}")
+    rep.add("X003", "z", severity="warning")
+    assert [f.code for f in rep.findings].count("X001") == n
+    assert [f.code for f in rep.findings].count("X002") == n
+    assert rep.count(ERROR) == 2 * n + 9
+    assert rep.count("warning") == 1
+    text = rep.format()
+    assert text.count("ERROR   [X001]") == n
+    assert text.count("further") == 2
+    assert "... 7 further X001 finding(s) suppressed" in text
+    assert "... 2 further X002 finding(s) suppressed" in text
+    assert text.endswith(
+        f"-> FAILED ({2 * n + 9} error(s): X001 x{n + 7}, X002 x{n + 2})")

@@ -78,8 +78,7 @@ def test_unit_run_passes(grid2d_medium, no_unit_floor, scheduler,
     dag, trace, _ = _traced_run(grid2d_medium, factotype,
                                 scheduler=scheduler)
     assert 1 < dag.n_tasks == len(trace.events)
-    trace.validate(dag, exclusive_resources=[], check_mutex=False,
-                   tol=1e-5)
+    trace.validate(dag)
     rep = verify_concurrency(dag, trace)
     assert rep.ok, rep.format()
     stats = trace.meta["sync_stats"]
@@ -114,8 +113,7 @@ def test_solve_run_passes(grid2d_small):
         dag = build_solve_dag(res.symbol, factotype, dtype=factor.dtype,
                               n_workers=3)
         assert len(trace.events) == dag.n_tasks
-        trace.validate(dag, exclusive_resources=[], check_mutex=False,
-                       tol=1e-5)
+        trace.validate(dag)
         rep = verify_concurrency(dag, trace)
         assert rep.ok, rep.format()
         counts = trace.meta["sync_stats"]["counts"]

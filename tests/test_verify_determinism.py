@@ -139,8 +139,7 @@ class TestFingerprintStability:
 # ----------------------------------------------------------------------
 class TestDeterminismAudit:
     def test_clean_machine_replay_passes(self, dag):
-        rep = verify_determinism(lambda: _machine_trace(dag, seed=2),
-                                 name="determinism[test]")
+        rep = verify_determinism(lambda: _machine_trace(dag, seed=2))
         assert rep.ok, rep.format()
         assert rep.stats["replayed"] == 1
         assert rep.stats["rng_draws"] > 0

@@ -96,6 +96,17 @@ def test_overflow_residency_caught_with_gpu_and_panel(offloaded):
     assert "gpu" in m402.message and "panel" in m402.message
 
 
+def test_memory_injections_trip_no_determinism_code(offloaded):
+    """The corruptions touch only data movement: the provenance stamps
+    and every transfer's ``seq`` survive, so D802/D805 stay quiet."""
+    from repro.verify import verify_determinism
+
+    dag, trace, machine, _ = offloaded
+    for bad in (drop_transfer(trace, dag), overflow_residency(trace, machine)):
+        rep = verify_determinism(lambda: bad, trace=bad, replay=False)
+        assert rep.ok, rep.format()
+
+
 def test_injections_refuse_transferless_traces(offloaded):
     dag, _, machine, _ = offloaded
     empty = ExecutionTrace()
