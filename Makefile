@@ -21,7 +21,8 @@ inject_modes = $(shell PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c \
 	'from repro.verify.cli import INJECTS; print(len(INJECTS))')
 
 .PHONY: test verify lint hazards typecheck bench figures selftest chaos \
-	chaos-smoke race-smoke determinism-smoke native-smoke e2e-smoke ci
+	chaos-smoke race-smoke determinism-smoke native-smoke fuzz-smoke \
+	e2e-smoke ci
 
 # Tier-1: everything under tests/, which includes the golden analysis
 # fingerprints (test_analysis_golden.py) and the many-components
@@ -97,6 +98,18 @@ determinism-smoke:
 	if [ $$status -eq 0 ]; then echo "determinism-smoke: clean"; \
 	else echo "determinism-smoke: FAILED"; fi; exit $$status
 
+# Differential fuzzing gate: Hypothesis matrices (random patterns,
+# grids, arrowheads, 0 x 0 / 1 x 1, zero diagonals) through every
+# factotype x {sequential, threaded} x nrhs in {1, 3} with two
+# refactorizations, against SciPy's SuperLU; memoised assembly maps
+# against fresh ones; the C amalgamation against its Python body.  Also
+# part of tier-1; this runs it alone.
+fuzz-smoke:
+	@$(PYTHON) -m pytest -q tests/test_differential.py >/dev/null; \
+	status=$$?; \
+	if [ $$status -eq 0 ]; then echo "fuzz-smoke: clean"; \
+	else echo "fuzz-smoke: FAILED"; fi; exit $$status
+
 # The wall-clock benchmark's own gate (BENCHMARK.json): every workload
 # end to end at smoke scale (a failed operation or a wrong answer makes
 # run.py exit non-zero), then the benchmark's tests — they live outside
@@ -109,16 +122,17 @@ e2e-smoke:
 # (lint/hazards/schedule/memory/symbolic/concurrency/determinism +
 # ruff/mypy when installed), the fault-injection self-tests, the
 # live-race gate, the determinism gate, the bounded chaos gate, the
-# native-kernel gate and the wall-clock benchmark's smoke run.  make
+# native-kernel gate, the differential fuzzer and the wall-clock
+# benchmark's smoke run.  make
 # stops at the first failing stage, so reaching the recipe means every
 # stage that ran passed; the summary names the ones that did not run.
 ci: verify selftest race-smoke determinism-smoke chaos-smoke \
-	native-smoke e2e-smoke
+	native-smoke fuzz-smoke e2e-smoke
 	@echo "ci: lint ok, ruff $(call tool_status,ruff), hazards ok," \
 		"mypy $(call tool_status,mypy), test ok," \
 		"selftest ok ($(inject_modes) inject modes caught)," \
 		"race-smoke ok, determinism-smoke ok, chaos-smoke ok," \
-		"native-smoke $(native_status), e2e-smoke ok"
+		"native-smoke $(native_status), fuzz-smoke ok, e2e-smoke ok"
 
 lint:
 	$(PYTHON) -m repro verify --only lint

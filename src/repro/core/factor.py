@@ -13,25 +13,133 @@ that the TRSM granularity can be decided at runtime and is independent of
 the data storage".  The panels of one side are consecutive slices of one
 arena (``L_arena``; ``U_arena``, ``D_arena``), laid out by
 :class:`repro.kernels.indexcache.PanelLayout`: ``factor.L[k]`` is a view,
-and the native kernel (:mod:`repro.kernels.native`) reaches every panel
-from the arena's base pointer.  A factor built from plain per-panel lists
-has no arena and runs on the NumPy kernels only.
+made on first access (:class:`ArenaPanels`), and the native kernel
+(:mod:`repro.kernels.native`) reaches every panel from the arena's base
+pointer.  A factor built from plain per-panel lists has no arena and runs
+on the NumPy kernels only.
+
+Assembly is one gather-scatter per side, ``arena[dst] = values[src]``,
+through an :class:`AssemblyMap`: the value → arena positions depend on
+the symbol and the pattern only, so the map is built once and memoised on
+the symbol, keyed by the pattern arrays themselves (held by reference).
+A refactorization of the same pattern arrays reuses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.kernels.indexcache import panel_layout
-from repro.sparse.csc import SparseMatrixCSC
+from repro.sparse.csc import SparseMatrixCSC, entry_owners
 from repro.symbolic.structures import SymbolMatrix
 
-__all__ = ["NumericFactor"]
+__all__ = ["ArenaPanels", "AssemblyMap", "NumericFactor", "assembly_map"]
 
 _FACTOTYPES = ("llt", "ldlt", "lu")
+
+
+class ArenaPanels(Sequence):
+    """The panels of one arena: item ``k`` is ``arena[bounds[k]:bounds[k
+    + 1]]``, shaped ``(-1, width[k])`` when ``width`` is given (``L``,
+    ``U``) and flat otherwise (``D``).  A view is made on first access and
+    kept, so a factor the native kernel runs end to end makes none."""
+
+    def __init__(self, arena: np.ndarray, bounds: np.ndarray,
+                 width: Optional[np.ndarray] = None) -> None:
+        self.arena = arena
+        self._bounds = bounds
+        self._width = width
+        self._views: list[Optional[np.ndarray]] = [None] * (bounds.size - 1)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        view = self._views[k]
+        if view is None:
+            k = range(len(self))[k]
+            view = self.arena[int(self._bounds[k]): int(self._bounds[k + 1])]
+            if self._width is not None:
+                view = view.reshape(-1, int(self._width[k]))
+            self._views[k] = view
+        return view
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
+class AssemblyMap:
+    """Where every value of one pattern lands in the arenas of one symbol.
+
+    ``L_src`` / ``L_dst``: the value indices of the lower-and-diagonal
+    entries (row at or below the first column of the owning cblk) and
+    their ``L_arena`` positions.  ``U_src`` / ``U_dst`` (LU only): the
+    strict upper cross-cblk entries, stored transposed in the row owner's
+    U panel — entry ``(i, j)``, ``i < j``, is row ``j``, column ``i`` of
+    that panel.  ``colptr`` / ``rowind`` are the pattern arrays the map
+    was built from, kept by reference as its memo key
+    (:func:`assembly_map`).
+    """
+
+    def __init__(self, symbol: SymbolMatrix, colptr: np.ndarray,
+                 rowind: np.ndarray, lu: bool) -> None:
+        self.symbol, self.colptr, self.rowind = symbol, colptr, rowind
+        layout = panel_layout(symbol)
+        cols = entry_owners(colptr)
+        owner = symbol.col2cblk[cols]
+
+        def positions(tgt, grow, gcol):
+            """Arena index of panel ``tgt``'s (grow, gcol)."""
+            return (layout.offset[tgt]
+                    + layout.local_rows(tgt, grow) * layout.width[tgt]
+                    + (gcol - symbol.cblk_ptr[tgt]))
+
+        low = rowind >= symbol.cblk_ptr[owner]
+        self.L_src = np.flatnonzero(low)
+        self.L_dst = positions(owner[low], rowind[low], cols[low])
+        self.U_src = self.U_dst = None
+        if lu:
+            # In-diagonal-block upper entries were already placed by the
+            # lower side (row >= fcol covers them).
+            self.U_src = np.flatnonzero(~low)
+            urows = rowind[self.U_src]
+            self.U_dst = positions(symbol.col2cblk[urows], cols[self.U_src],
+                                   urows)
+
+    def apply(self, factor: "NumericFactor", values: np.ndarray) -> None:
+        """Scatter ``values`` into ``factor``'s (zeroed) arenas."""
+        factor.L_arena[self.L_dst] = values[self.L_src]
+        if factor.U_arena is not None:
+            factor.U_arena[self.U_dst] = values[self.U_src]
+
+
+def assembly_map(symbol: SymbolMatrix, matrix: SparseMatrixCSC,
+                 factotype: str) -> AssemblyMap:
+    """The :class:`AssemblyMap` of ``matrix``'s pattern into ``symbol``'s
+    panels, memoised on the symbol.
+
+    The memo keeps one map per side set (LU or not) and reuses it while
+    ``matrix`` carries the very ``colptr`` / ``rowind`` arrays it was
+    built from: a caller that refactorizes new values on the same pattern
+    arrays (:class:`repro.core.solver.SparseSolver`) builds it once.  Do
+    not edit those arrays in place.  A lost race between concurrent first
+    callers at worst builds twice; both results are identical.
+    """
+    lu = factotype == "lu"
+    memo = symbol.__dict__.setdefault("_assembly_memo", {})
+    amap = memo.get(lu)
+    if (amap is None or amap.symbol is not symbol
+            or amap.colptr is not matrix.colptr
+            or amap.rowind is not matrix.rowind):
+        amap = memo[lu] = AssemblyMap(symbol, matrix.colptr, matrix.rowind,
+                                      lu)
+    return amap
 
 
 @dataclass
@@ -41,9 +149,9 @@ class NumericFactor:
     symbol: SymbolMatrix
     factotype: str
     dtype: np.dtype
-    L: list[np.ndarray]
-    U: Optional[list[np.ndarray]]
-    D: Optional[list[np.ndarray]]
+    L: Sequence[np.ndarray]
+    U: Optional[Sequence[np.ndarray]]
+    D: Optional[Sequence[np.ndarray]]
     rows: list[np.ndarray]
     #: Optional :class:`repro.kernels.dense.PivotMonitor` enabling
     #: static-pivot perturbation during panel factorizations.
@@ -88,24 +196,14 @@ class NumericFactor:
         return factor
 
     def _bind_arenas(self, L_arena, U_arena, D_arena) -> None:
-        """Adopt the arenas and re-derive the per-panel views."""
+        """Adopt the arenas; the per-panel views follow on demand."""
         layout = panel_layout(self.symbol)
-        off = layout.offset.tolist()
-        shapes = list(zip(layout.height.tolist(), layout.width.tolist()))
-
-        def panels(arena):
-            return [
-                arena[off[k]: off[k + 1]].reshape(shape)
-                for k, shape in enumerate(shapes)
-            ]
-
         self.L_arena, self.U_arena, self.D_arena = L_arena, U_arena, D_arena
-        self.L = panels(L_arena)
-        self.U = None if U_arena is None else panels(U_arena)
-        ptr = self.symbol.cblk_ptr.tolist()
-        self.D = None if D_arena is None else [
-            D_arena[ptr[k]: ptr[k + 1]] for k in range(len(shapes))
-        ]
+        self.L = ArenaPanels(L_arena, layout.offset, layout.width)
+        self.U = (None if U_arena is None
+                  else ArenaPanels(U_arena, layout.offset, layout.width))
+        self.D = (None if D_arena is None
+                  else ArenaPanels(D_arena, self.symbol.cblk_ptr))
 
     @classmethod
     def assemble(
@@ -120,42 +218,17 @@ class NumericFactor:
         ``matrix`` must be ordered consistently with ``symbol`` (i.e. the
         output of ``pattern.permute`` with the analysis permutation, with
         values).  For ``llt``/``ldlt`` only the lower triangle is read;
-        for ``lu`` both triangles are scattered (L and U sides).
+        for ``lu`` both triangles are scattered (L and U sides).  The
+        positions come from the memoised :func:`assembly_map`.
         """
         if matrix.values is None:
             raise ValueError("assemble needs numeric values")
         if matrix.n_rows != symbol.n:
             raise ValueError("matrix size does not match symbol")
-        dtype = np.dtype(dtype or matrix.values.dtype)
-        factor = cls.allocate(symbol, factotype, dtype)
-        layout = panel_layout(symbol)
-
-        col2cblk = symbol.col2cblk
-        rows_all, cols_all, vals_all = matrix.to_coo()
-        owner = col2cblk[cols_all]
-
-        def scatter(arena, tgt, grow, gcol, gval):
-            """One flat assignment of panel ``tgt``'s (grow, gcol) = gval."""
-            arena[
-                layout.offset[tgt]
-                + layout.local_rows(tgt, grow) * layout.width[tgt]
-                + (gcol - symbol.cblk_ptr[tgt])
-            ] = gval
-
-        # Lower-and-diagonal part: entries with row inside the owner's
-        # factor rows (row >= first column of the owning cblk).
-        low = rows_all >= symbol.cblk_ptr[owner]
-        scatter(factor.L_arena, owner[low], rows_all[low], cols_all[low],
-                vals_all[low])
-
-        if factotype == "lu":
-            # Strict upper cross-cblk entries go to the row-owner's U panel
-            # (stored transposed).  In-diagonal-block upper entries were
-            # already placed by the lower pass (row >= fcol covers them).
-            # Entry (i, j), i < j: U[i, j] -> Uᵀ panel row j, col i.
-            up = ~low
-            scatter(factor.U_arena, col2cblk[rows_all[up]], cols_all[up],
-                    rows_all[up], vals_all[up])
+        amap = assembly_map(symbol, matrix, factotype)
+        factor = cls.allocate(symbol, factotype,
+                              dtype or matrix.values.dtype)
+        amap.apply(factor, matrix.values)
         return factor
 
     # ------------------------------------------------------------------
@@ -169,6 +242,10 @@ class NumericFactor:
 
     def nbytes(self) -> int:
         """Total bytes of panel storage."""
+        if self.L_arena is not None:
+            # The panels tile their arenas.
+            return sum(a.nbytes for a in (self.L_arena, self.U_arena,
+                                          self.D_arena) if a is not None)
         total = sum(p.nbytes for p in self.L)
         if self.U is not None:
             total += sum(p.nbytes for p in self.U)

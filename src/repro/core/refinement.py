@@ -15,7 +15,18 @@ import numpy as np
 
 from repro.sparse.csc import SparseMatrixCSC
 
-__all__ = ["iterative_refinement", "RefinementResult"]
+__all__ = ["iterative_refinement", "RefinementResult", "ConvergenceWarning"]
+
+
+class ConvergenceWarning(RuntimeWarning):
+    """:meth:`repro.SparseSolver.solve` returns an answer whose outer
+    iteration (refinement or Krylov) stopped short of its tolerance.
+
+    Without pivoting a tiny pivot can leave a factor that refinement
+    cannot correct; the warning is how such an answer is told apart from
+    a converged one (``warnings.simplefilter("error", ConvergenceWarning)``
+    turns it into an exception).
+    """
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ only), *factorize* (numeric, re-runnable for new values), *solve*
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +28,11 @@ import numpy as np
 from repro.core.factor import NumericFactor
 from repro.core.factorization import factorize_sequential
 from repro.core.options import SolverOptions
-from repro.core.refinement import RefinementResult, iterative_refinement
+from repro.core.refinement import (
+    ConvergenceWarning,
+    RefinementResult,
+    iterative_refinement,
+)
 from repro.core.triangular import solve_factored
 from repro.kernels.cost import flops_total
 from repro.sparse.csc import SparseMatrixCSC
@@ -102,6 +107,11 @@ class SparseSolver:
         self.analysis: Optional[AnalysisResult] = None
         self.factor: Optional[NumericFactor] = None
         self._permuted: Optional[SparseMatrixCSC] = None
+        #: The permuted pattern, and the index into ``matrix.values`` of
+        #: each of its entries: every later set of values on the same
+        #: pattern permutes by one gather, onto the same pattern arrays
+        #: (which keeps the symbol's memoised assembly map valid).
+        self._permuted_pattern: Optional[SparseMatrixCSC] = None
         self.last_info: Optional[FactorizationInfo] = None
         self.last_refinement: Optional[RefinementResult] = None
 
@@ -114,8 +124,17 @@ class SparseSolver:
 
     def _permuted_matrix(self) -> SparseMatrixCSC:
         if self._permuted is None:
-            analysis = self.analyze()
-            self._permuted = self.matrix.permute(analysis.perm.perm)
+            if self._permuted_pattern is None:
+                m = self.matrix
+                self._permuted_pattern = SparseMatrixCSC(
+                    m.n_rows, m.n_cols, m.colptr, m.rowind,
+                    np.arange(m.nnz, dtype=np.int64),
+                ).permute(self.analyze().perm.perm)
+            pattern = self._permuted_pattern
+            self._permuted = SparseMatrixCSC(
+                pattern.n_rows, pattern.n_cols, pattern.colptr,
+                pattern.rowind, self.matrix.values[pattern.values],
+            )
         return self._permuted
 
     # ------------------------------------------------------------------
@@ -204,6 +223,10 @@ class SparseSolver:
           is only approximate or the system is ill-conditioned);
         * ``"cg"`` — preconditioned conjugate gradients (SPD only);
         * ``"none"`` — a single forward/backward solve.
+
+        An answer whose iteration stopped short of ``refine_tol`` comes
+        with a :class:`~repro.core.refinement.ConvergenceWarning`
+        (``last_refinement`` holds the details).
         """
         if self.factor is None:
             self.factorize()
@@ -224,21 +247,32 @@ class SparseSolver:
                 tol=self.options.refine_tol,
                 max_iter=self.options.refine_max_iter,
             )
-            self.last_refinement = result
-            return result.x
-        from repro.core.krylov import bicgstab, conjugate_gradient, gmres
+        else:
+            from repro.core.krylov import (
+                bicgstab,
+                conjugate_gradient,
+                gmres,
+            )
 
-        solvers = {"gmres": gmres, "cg": conjugate_gradient, "bicgstab": bicgstab}
-        if method not in solvers:
-            raise ValueError(f"unknown solve method {method!r}")
-        result = solvers[method](
-            self.matrix,
-            b,
-            precondition=self._raw_solve,
-            tol=self.options.refine_tol,
-            max_iter=self.options.refine_max_iter * 10,
-        )
+            solvers = {"gmres": gmres, "cg": conjugate_gradient,
+                       "bicgstab": bicgstab}
+            if method not in solvers:
+                raise ValueError(f"unknown solve method {method!r}")
+            result = solvers[method](
+                self.matrix,
+                b,
+                precondition=self._raw_solve,
+                tol=self.options.refine_tol,
+                max_iter=self.options.refine_max_iter * 10,
+            )
         self.last_refinement = result
+        if not result.converged:
+            warnings.warn(
+                f"{method} stopped at relative residual "
+                f"{result.residual_norm:.3e} > {self.options.refine_tol:g} "
+                f"after {result.iterations} iteration(s)",
+                ConvergenceWarning, stacklevel=2,
+            )
         return result.x
 
     # ------------------------------------------------------------------

@@ -7,6 +7,7 @@
  *   repro_etree / repro_postorder / repro_column_counts
  *                            symbolic/etree.py, symbolic/colcount.py
  *   repro_supernode_rows     symbolic/supernodes.py (supernode_row_sets)
+ *   repro_amalgamate         symbolic/supernodes.py (amalgamate)
  *
  * Each is called through ctypes (GIL released) from repro/graph/native.py,
  * which checks every array before its pointer crosses.  The Python bodies
@@ -793,4 +794,206 @@ i64 repro_supernode_rows(i64 n, const i64 *colptr, const i64 *rowind,
         memcpy(ptr + 1, fill, (size_t)n_sn * sizeof(i64));
     free(mark);
     return OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* Amalgamation                                                        */
+/* ------------------------------------------------------------------ */
+
+/* One merge candidate, ordered as the Python tuple (fill, c, p, vc, vp):
+ * the key is a total order, so the pop order does not depend on how the
+ * heap breaks ties. */
+typedef struct {
+    i64 fill, c, p, vc, vp;
+} merge_t;
+
+static int merge_less(const merge_t *a, const merge_t *b)
+{
+    if (a->fill != b->fill)
+        return a->fill < b->fill;
+    if (a->c != b->c)
+        return a->c < b->c;
+    if (a->p != b->p)
+        return a->p < b->p;
+    if (a->vc != b->vc)
+        return a->vc < b->vc;
+    return a->vp < b->vp;
+}
+
+typedef struct {
+    merge_t *item;
+    i64 size, cap;
+} merge_heap_t;
+
+static int merge_push(merge_heap_t *h, merge_t m)
+{
+    i64 i;
+    if (h->size == h->cap) {
+        merge_t *grown = realloc(h->item, (size_t)(2 * h->cap) * sizeof m);
+        if (!grown)
+            return NO_MEMORY;
+        h->item = grown;
+        h->cap *= 2;
+    }
+    for (i = h->size++; i > 0; i = (i - 1) / 2) {
+        merge_t *up = &h->item[(i - 1) / 2];
+        if (!merge_less(&m, up))
+            break;
+        h->item[i] = *up;
+    }
+    h->item[i] = m;
+    return OK;
+}
+
+static merge_t merge_pop(merge_heap_t *h)
+{
+    merge_t top = h->item[0], last = h->item[--h->size];
+    i64 i = 0, c;
+    while ((c = 2 * i + 1) < h->size) {
+        if (c + 1 < h->size && merge_less(&h->item[c + 1], &h->item[c]))
+            c++;
+        if (!merge_less(&h->item[c], &last))
+            break;
+        h->item[i] = h->item[c];
+        i = c;
+    }
+    if (h->size)
+        h->item[i] = last;
+    return top;
+}
+
+/* nnz of one supernode of the (lower) factor. */
+static i64 sn_nnz(i64 width, i64 nrows)
+{
+    return width * (width + 1) / 2 + width * nrows;
+}
+
+typedef struct {
+    i64 *fcol, *lcol, *nrows, *parent, *version, *head, *next;
+    char *alive;
+    merge_heap_t heap;
+} amalg_t;
+
+/* Queue merging child c into parent p at its current versions. */
+static int amalg_push(amalg_t *a, i64 c, i64 p)
+{
+    i64 wc = a->lcol[c] - a->fcol[c], wp = a->lcol[p] - a->fcol[p];
+    merge_t m;
+    m.fill = sn_nnz(wc + wp, a->nrows[p]) - sn_nnz(wc, a->nrows[c])
+             - sn_nnz(wp, a->nrows[p]);
+    m.c = c;
+    m.p = p;
+    m.vc = a->version[c];
+    m.vp = a->version[p];
+    return merge_push(&a->heap, m);
+}
+
+/* Cheapest-fill-first merging of children into their parents
+ * (symbolic/supernodes.py, amalgamate): supernode s spans columns
+ * [snptr[s], snptr[s+1]), has ptr[s+1] - ptr[s] rows below them and
+ * parent_sn[s] > s (or -1).  A merge grows the parent downwards over the
+ * contiguous child and keeps the parent's rows; merges stop at the first
+ * one that costs more than the remaining budget, ratio x nnz(L).  The
+ * survivors go to `keep`, ascending (which is ascending first column);
+ * returns their number. */
+i64 repro_amalgamate(i64 n_sn, const i64 *snptr, const i64 *ptr,
+                     const i64 *parent_sn, double ratio, i64 *keep)
+{
+    amalg_t a;
+    i64 *block, s, g, n_keep = 0, total = 0;
+    double budget;
+    int status = OK;
+    if (n_sn == 0)
+        return 0;
+    block = malloc((size_t)(7 * n_sn) * sizeof(i64) + (size_t)n_sn);
+    a.heap.cap = n_sn + 1;
+    a.heap.size = 0;
+    a.heap.item = malloc((size_t)a.heap.cap * sizeof(merge_t));
+    if (!block || !a.heap.item) {
+        free(block);
+        free(a.heap.item);
+        return NO_MEMORY;
+    }
+    a.fcol = block;
+    a.lcol = a.fcol + n_sn;
+    a.nrows = a.lcol + n_sn;
+    a.parent = a.nrows + n_sn;
+    a.version = a.parent + n_sn;
+    a.head = a.version + n_sn;
+    a.next = a.head + n_sn;
+    a.alive = (char *)(a.next + n_sn);
+    for (s = 0; s < n_sn; s++) {
+        a.fcol[s] = snptr[s];
+        a.lcol[s] = snptr[s + 1];
+        a.nrows[s] = ptr[s + 1] - ptr[s];
+        a.parent[s] = parent_sn[s];
+        a.version[s] = 0;
+        a.head[s] = -1;
+        a.alive[s] = 1;
+        total += sn_nnz(a.lcol[s] - a.fcol[s], a.nrows[s]);
+    }
+    for (s = 0; s < n_sn; s++)
+        if (a.parent[s] >= 0) {
+            a.next[s] = a.head[a.parent[s]];
+            a.head[a.parent[s]] = s;
+        }
+    budget = ratio * (double)total;
+    for (s = 0; s < n_sn && status == OK; s++)
+        if (a.parent[s] >= 0 && a.lcol[s] == a.fcol[a.parent[s]])
+            status = amalg_push(&a, s, a.parent[s]);
+
+    while (status == OK && a.heap.size) {
+        merge_t m = merge_pop(&a.heap);
+        i64 c = m.c, p = m.p, gp, *link;
+        if (!(a.alive[c] && a.alive[p]))
+            continue;
+        if (a.version[c] != m.vc || a.version[p] != m.vp)
+            continue;
+        if ((double)m.fill > budget)
+            break; /* the cheapest remaining merge exceeds the budget */
+        /* Merge c into p: p grows downwards and keeps its rows. */
+        budget -= (double)m.fill;
+        a.fcol[p] = a.fcol[c];
+        a.alive[c] = 0;
+        a.version[p]++;
+        for (g = a.head[c]; g >= 0;) {
+            i64 after = a.next[g];
+            if (a.alive[g]) {
+                a.parent[g] = p;
+                a.next[g] = a.head[p];
+                a.head[p] = g;
+            }
+            g = after;
+        }
+        a.head[c] = -1;
+        /* New candidate pairs involving the grown parent. */
+        gp = a.parent[p];
+        if (gp >= 0 && a.alive[gp] && a.lcol[p] == a.fcol[gp])
+            status = amalg_push(&a, p, gp);
+        for (link = &a.head[p]; status == OK && *link >= 0;) {
+            g = *link;
+            if (!a.alive[g]) {
+                *link = a.next[g]; /* drop a merged child from the list */
+                continue;
+            }
+            if (a.lcol[g] == a.fcol[p])
+                status = amalg_push(&a, g, p);
+            link = &a.next[g];
+        }
+    }
+    if (status == OK) {
+        for (s = 0; s < n_sn; s++)
+            if (a.alive[s]) {
+                /* The survivors must tile the columns. */
+                if (a.fcol[s] != (n_keep ? a.lcol[keep[n_keep - 1]]
+                                         : snptr[0]))
+                    status = INCONSISTENT;
+                keep[n_keep++] = s;
+            }
+        if (n_keep && a.lcol[keep[n_keep - 1]] != snptr[n_sn])
+            status = INCONSISTENT;
+    }
+    free(block);
+    free(a.heap.item);
+    return status == OK ? n_keep : status;
 }

@@ -2,8 +2,8 @@
 
 ``analysis.c`` (next to this file) holds the default nested dissection,
 the minimum-degree ordering and the elimination-tree / postorder /
-column-count / supernode-row passes.  :mod:`repro.cbuild` compiles and
-caches it on first use; no BLAS or LAPACK is involved.  The public
+column-count / supernode-row / amalgamation passes.  :mod:`repro.cbuild`
+compiles and caches it on first use; no BLAS or LAPACK is involved.  The public
 functions of :mod:`repro.ordering` and :mod:`repro.symbolic` ask
 :func:`library` and call the wrappers below when it answers, their own
 Python bodies otherwise — the bodies are the fallback and the oracle, and
@@ -29,6 +29,7 @@ from repro import cbuild
 from repro.cbuild import NativeUnavailable
 
 __all__ = [
+    "amalgamate",
     "availability",
     "column_counts",
     "elimination_tree",
@@ -53,6 +54,7 @@ _SIGNATURES = {
     "repro_postorder": [_I64, _PTR, _PTR],
     "repro_column_counts": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR],
     "repro_supernode_rows": [_I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
+    "repro_amalgamate": [_I64, _PTR, _PTR, _PTR, ctypes.c_double, _PTR],
 }
 
 
@@ -244,3 +246,35 @@ def supernode_rows(
     rows = np.empty(int(ptr[-1]), dtype=np.int64)
     run(rows)
     return ptr, rows, parent_sn
+
+
+def amalgamate(
+    lib: ctypes.CDLL, snptr: np.ndarray, ptr: np.ndarray,
+    parent_sn: np.ndarray, ratio: float,
+) -> np.ndarray:
+    """The supernodes that survive the cheapest-fill-first merging, in
+    ascending first column; supernode ``s`` spans columns
+    ``snptr[s]:snptr[s + 1]`` above ``ptr[s + 1] - ptr[s]`` rows, and
+    ``parent_sn[s]`` is ``-1`` or a later supernode."""
+    snptr = _int64("snptr", snptr, np.size(snptr))
+    n_sn = snptr.size - 1
+    if n_sn < 0:
+        raise ValueError("snptr is empty")
+    snptr = _pointers("snptr", snptr, n_sn, int(snptr[-1]))
+    ptr = _int64("ptr", ptr, n_sn + 1)
+    ptr = _pointers("ptr", ptr, n_sn, int(ptr[-1]))
+    parent_sn = _int64("parent_snode", parent_sn, n_sn)
+    _within("parent_snode", parent_sn, -1, n_sn)
+    # Every merge then joins a supernode to a later one: the merge loop
+    # cannot cycle.
+    if ((parent_sn >= 0) & (parent_sn <= np.arange(n_sn))).any():
+        raise ValueError("parent_snode must name a later supernode")
+    keep = np.empty(n_sn, dtype=np.int64)
+    count = lib.repro_amalgamate(
+        n_sn, snptr.ctypes.data, ptr.ctypes.data, parent_sn.ctypes.data,
+        float(ratio), keep.ctypes.data,
+    )
+    if not _checked(count):
+        raise AssertionError("amalgamation produced a non-contiguous "
+                             "partition")
+    return keep[:count]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
@@ -436,7 +437,7 @@ class _ThreadedUnitRun(_PoolRun):
             if factor.kernels == "native" else None
         )
 
-    def _sides(self) -> list[list[np.ndarray]]:
+    def _sides(self) -> list[Sequence[np.ndarray]]:
         """The factor's per-panel arrays a task writes (L, U, D)."""
         factor = self.factor
         return [side for side in (factor.L, factor.U, factor.D)

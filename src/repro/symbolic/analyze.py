@@ -23,9 +23,8 @@ from repro.symbolic.etree import EliminationTree, elimination_tree, postorder
 from repro.symbolic.splitting import split_supernodes
 from repro.symbolic.structures import SymbolMatrix, build_symbol
 from repro.symbolic.supernodes import (
-    amalgamate,
+    amalgamated_row_sets,
     fundamental_supernodes,
-    supernode_row_sets,
 )
 
 __all__ = ["SymbolicOptions", "AnalysisResult", "analyze"]
@@ -131,13 +130,10 @@ def analyze(
 
     counts = column_counts(final_pattern, parent, etree.post)
 
-    snptr = fundamental_supernodes(parent, counts)
-    rowsets, parent_snode = supernode_row_sets(final_pattern, snptr, counts)
-
-    if opts.amalgamation_ratio is not None:
-        snptr, rowsets = amalgamate(
-            snptr, rowsets, parent_snode, ratio=opts.amalgamation_ratio
-        )
+    snptr, rowsets = amalgamated_row_sets(
+        final_pattern, fundamental_supernodes(parent, counts), counts,
+        opts.amalgamation_ratio,
+    )
     if opts.split_max_width is not None:
         snptr, rowsets = split_supernodes(
             snptr,

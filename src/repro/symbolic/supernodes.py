@@ -18,7 +18,12 @@ import numpy as np
 from repro.graph import native
 from repro.sparse.csc import SparseMatrixCSC, bucket_pointers, entry_owners
 
-__all__ = ["fundamental_supernodes", "supernode_row_sets", "amalgamate"]
+__all__ = [
+    "fundamental_supernodes",
+    "supernode_row_sets",
+    "amalgamated_row_sets",
+    "amalgamate",
+]
 
 
 def fundamental_supernodes(
@@ -62,6 +67,41 @@ def supernode_row_sets(
 
     Returns ``(rowsets, parent_snode)``.
     """
+    ptr, rows, parent_snode = _flat_row_sets(pattern, snptr, counts)
+    return _slices(ptr, rows, range(snptr.size - 1)), parent_snode
+
+
+def amalgamated_row_sets(
+    pattern: SparseMatrixCSC,
+    snptr: np.ndarray,
+    counts: np.ndarray | None,
+    ratio: float | None,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """:func:`supernode_row_sets` followed by :func:`amalgamate` (none
+    when ``ratio`` is ``None``), slicing the row sets of the surviving
+    supernodes only.  Returns the new ``(snptr, rowsets)``."""
+    ptr, rows, parent_snode = _flat_row_sets(pattern, snptr, counts)
+    if ratio is None:
+        keep: range | np.ndarray = range(snptr.size - 1)
+    else:
+        snptr, keep = _merge(snptr, ptr, parent_snode, ratio)
+    return snptr, _slices(ptr, rows, keep)
+
+
+def _slices(ptr: np.ndarray, rows: np.ndarray, keep) -> list[np.ndarray]:
+    """``rows[ptr[s]:ptr[s + 1]]`` for every ``s`` in ``keep``."""
+    lo, hi = ptr[:-1].tolist(), ptr[1:].tolist()
+    return [rows[lo[s]: hi[s]] for s in keep]
+
+
+def _flat_row_sets(
+    pattern: SparseMatrixCSC,
+    snptr: np.ndarray,
+    counts: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row sets of :func:`supernode_row_sets` as one flat array:
+    ``(ptr, rows, parent_snode)``, supernode ``s`` owning
+    ``rows[ptr[s]:ptr[s + 1]]``."""
     K = snptr.size - 1
     expected = None if counts is None else counts[snptr[:-1]] - np.diff(snptr)
     lib = native.library()
@@ -76,9 +116,7 @@ def supernode_row_sets(
                 f"supernode {s}: row set size {sizes[s]} != "
                 f"count-derived {expected[s]}"
             )
-        bounds = ptr.tolist()
-        return ([rows[a:b] for a, b in zip(bounds, bounds[1:])],
-                parent_snode)
+        return ptr, rows, parent_snode
     col2sn = entry_owners(snptr)
 
     # A's own contribution to every supernode in one pass: the entries
@@ -112,7 +150,10 @@ def supernode_row_sets(
             beyond = merged[np.searchsorted(merged, lcols[p]):]
             if beyond.size:
                 contrib[p].append(beyond)
-    return rowsets, np.asarray(parent_snode, dtype=np.int64)
+    ptr = np.zeros(K + 1, dtype=np.int64)
+    np.cumsum([r.size for r in rowsets], out=ptr[1:])
+    return (ptr, np.concatenate([np.empty(0, np.int64), *rowsets]),
+            np.asarray(parent_snode, dtype=np.int64))
 
 
 def _sn_nnz(width: int, nrows: int) -> int:
@@ -126,7 +167,6 @@ def amalgamate(
     parent_snode: np.ndarray,
     *,
     ratio: float = 0.12,
-    max_width: int | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Merge supernodes with their parents to build larger blocks.
 
@@ -135,10 +175,8 @@ def amalgamate(
     lazy invalidation) and the *total* extra structural fill is capped at
     ``ratio × nnz(L)`` — matching the paper's "allow up to 12 % more
     fill-in to build larger blocks" (a global budget, not a per-merge
-    ratio, which would compound without bound).
-
-    ``ratio = 0`` performs only zero-fill merges.  ``max_width`` caps the
-    merged supernode width (useful when the splitting stage is disabled).
+    ratio, which would compound without bound).  ``ratio = 0`` performs
+    only zero-fill merges.
 
     ``rowsets``/``parent_snode`` must come from a block symbolic
     factorization (:func:`supernode_row_sets`): there a child's rows
@@ -149,12 +187,37 @@ def amalgamate(
 
     Returns the new ``(snptr, rowsets)``.
     """
+    ptr = np.zeros(snptr.size, dtype=np.int64)
+    np.cumsum([r.size for r in rowsets], out=ptr[1:])
+    snptr, keep = _merge(snptr, ptr, parent_snode, ratio)
+    return snptr, [rowsets[s] for s in keep.tolist()]
+
+
+def _merge(
+    snptr: np.ndarray, ptr: np.ndarray, parent_snode: np.ndarray, ratio: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The merge loop of :func:`amalgamate` on row counts alone
+    (``ptr[s + 1] - ptr[s]`` rows below supernode ``s``): the new
+    ``snptr`` and the surviving supernodes, in ascending first column.
+    C when the analysis helper is loaded, the Python heap otherwise."""
+    lib = native.library()
+    if lib is not None:
+        keep = native.amalgamate(lib, snptr, ptr, parent_snode, ratio)
+    else:
+        keep = _merge_python(snptr, ptr, parent_snode, ratio)
+    new_snptr = np.concatenate([snptr[:1], snptr[keep + 1]])
+    return new_snptr.astype(np.int64, copy=False), keep
+
+
+def _merge_python(
+    snptr: np.ndarray, ptr: np.ndarray, parent_snode: np.ndarray, ratio: float
+) -> np.ndarray:
     import heapq
 
     K = snptr.size - 1
     fcol = snptr[:-1].tolist()
     lcol = snptr[1:].tolist()   # exclusive
-    nrows = [r.size for r in rowsets]
+    nrows = np.diff(ptr).tolist()
     parent = parent_snode.tolist()
     alive = [True] * K
     version = [0] * K
@@ -170,8 +233,6 @@ def amalgamate(
 
     def push_candidate(c: int, p: int) -> None:
         wc, wp = lcol[c] - fcol[c], lcol[p] - fcol[p]
-        if max_width is not None and wp + wc > max_width:
-            return
         fill = (_sn_nnz(wc + wp, nrows[p])
                 - _sn_nnz(wc, nrows[c]) - _sn_nnz(wp, nrows[p]))
         heapq.heappush(heap, (fill, c, p, version[c], version[p]))
@@ -209,12 +270,7 @@ def amalgamate(
                 push_candidate(g, p)
 
     order = sorted((s for s in range(K) if alive[s]), key=fcol.__getitem__)
-    if not order:
-        return np.zeros(1, np.int64), []
-    new_snptr = np.asarray(
-        [fcol[s] for s in order] + [lcol[order[-1]]], dtype=np.int64
-    )
     # Sanity: contiguous partition.
-    if not np.array_equal(new_snptr[1:-1], [lcol[s] for s in order[:-1]]):
+    if [fcol[s] for s in order[1:]] != [lcol[s] for s in order[:-1]]:
         raise AssertionError("amalgamation produced a non-contiguous partition")
-    return new_snptr, [rowsets[s] for s in order]
+    return np.asarray(order, dtype=np.int64)

@@ -1,0 +1,250 @@
+"""Differential fuzzing of the solver against SciPy's SuperLU.
+
+Hypothesis draws small matrices — random patterns, grids, arrowheads,
+0 x 0 / 1 x 1, with or without zero diagonal entries — and runs each
+through every factotype x {sequential, threaded} x nrhs in {1, 3}, with
+two ``update_values`` refactorizations.  Every solution must meet the
+scaled backward error of ``benchmarks/e2e/reference.py`` (imported, not
+copied) wherever SuperLU meets it; an input the solver rejects must raise
+a typed exception (or warning), quickly.  Every refactorization must
+assemble through the symbol's memoised map exactly what a fresh map
+assembles, and the C amalgamation must equal its Python body on random
+supernode trees.
+
+``make fuzz-smoke`` runs this file alone.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import SparseSolver
+from repro.core.factor import AssemblyMap, NumericFactor, assembly_map
+from repro.core.options import SolverOptions
+from repro.core.refinement import ConvergenceWarning
+from repro.graph import native
+from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
+from repro.symbolic import amalgamate
+
+_spec = importlib.util.spec_from_file_location(
+    "e2e_reference",
+    Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
+    / "reference.py",
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
+#: What a rejected input may raise: a pivot the diagonal cannot take
+#: (LAPACK's not-positive-definite, the static-pivot zero), an argument
+#: error, or — escalated here — the warning of an answer whose
+#: refinement stopped short of its tolerance (a tiny pivot).
+REJECTIONS = (np.linalg.LinAlgError, ZeroDivisionError, ValueError,
+              ConvergenceWarning)
+#: Seconds within which a rejection must arrive.
+REJECT_WITHIN_S = 5.0
+#: Solutions may be this many times SuperLU's backward error when that
+#: is above the benchmark's tolerance (an ill-conditioned draw).
+SUPERLU_SLACK = 100.0
+
+FACTOTYPES = ("llt", "ldlt", "lu")
+RUNTIMES = ("sequential", "threaded")
+
+
+# ----------------------------------------------------------------------
+# Inputs
+# ----------------------------------------------------------------------
+@st.composite
+def patterns(draw) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(n, rows, cols)`` of the strictly lower entries of a symmetric
+    pattern."""
+    kind = draw(st.sampled_from(["tiny", "random", "grid", "arrowhead"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if kind == "tiny":
+        n = draw(st.sampled_from([0, 1]))
+        i = j = np.empty(0, dtype=np.int64)
+    elif kind == "random":
+        n = draw(st.integers(2, 50))
+        m = int(n * draw(st.floats(0.0, 4.0)))
+        i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+    elif kind == "grid":
+        nx, ny = draw(st.integers(1, 8)), draw(st.integers(1, 7))
+        n = nx * ny
+        ids = np.arange(n).reshape(ny, nx)
+        i = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+        j = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    else:
+        n = draw(st.integers(2, 40))
+        hub = draw(st.sampled_from([0, n - 1]))
+        i, j = np.arange(n), np.full(n, hub)
+    lo, hi = np.maximum(i, j), np.minimum(i, j)
+    keep = lo != hi
+    key = np.unique(lo[keep] * max(n, 1) + hi[keep])
+    return n, key // max(n, 1), key % max(n, 1)
+
+
+def matrix_values(n: int, rows: np.ndarray, cols: np.ndarray,
+                  factotype: str, zero_diag: np.ndarray, stored: bool,
+                  rng: np.random.Generator) -> SparseMatrixCSC:
+    """Values on the pattern: strictly diagonally dominant (positive for
+    LLᵀ, random signs otherwise, unsymmetric for LU), so no pivot needs
+    pivoting — except the diagonal entries ``zero_diag`` zeroes (kept in
+    the pattern as explicit zeros when ``stored``, else left out)."""
+    lower = rng.uniform(-1.0, 1.0, rows.size)
+    upper = (rng.uniform(-1.0, 1.0, rows.size) if factotype == "lu"
+             else lower)
+    weight = np.zeros(n)
+    np.add.at(weight, rows, np.abs(lower))
+    np.add.at(weight, cols, np.abs(upper))
+    np.add.at(weight, cols, np.abs(lower))
+    np.add.at(weight, rows, np.abs(upper))
+    diag = weight + rng.uniform(0.5, 1.5, n)
+    if factotype != "llt":
+        diag *= rng.choice([-1.0, 1.0], n)
+    diag[zero_diag] = 0.0
+    every = np.arange(n)
+    if not stored:
+        every = np.setdiff1d(every, zero_diag)
+        diag = diag[every]
+    return coo_to_csc(
+        n, n,
+        np.concatenate([rows, cols, every]),
+        np.concatenate([cols, rows, every]),
+        np.concatenate([lower, upper, diag]),
+    )
+
+
+# ----------------------------------------------------------------------
+# Checks
+# ----------------------------------------------------------------------
+def superlu_backward_error(matrix: SparseMatrixCSC, b: np.ndarray) -> float:
+    """SuperLU's scaled backward error on ``A x = b`` (``inf`` when it
+    finds ``A`` singular)."""
+    import scipy.sparse.linalg as spla
+
+    a = reference.to_scipy(matrix.n_rows, matrix.colptr, matrix.rowind,
+                           matrix.values)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            x = spla.splu(a).solve(b)
+    except RuntimeError:   # "Factor is exactly singular"
+        return float("inf")
+    return reference.backward_error(a, x, b)
+
+
+def assert_memoised_map_is_fresh(solver: SparseSolver) -> None:
+    """The arenas the memoised map assembles equal a fresh map's."""
+    symbol, ft = solver.analysis.symbol, solver.options.factotype
+    permuted = solver._permuted_matrix()
+    memo = assembly_map(symbol, permuted, ft)
+    assert memo is symbol._assembly_memo[ft == "lu"]
+    fresh = solver.matrix.permute(solver.analysis.perm.perm)
+    arenas = []
+    for amap, values in ((memo, permuted.values),
+                         (AssemblyMap(symbol, fresh.colptr, fresh.rowind,
+                                      ft == "lu"), fresh.values)):
+        factor = NumericFactor.allocate(symbol, ft, values.dtype)
+        amap.apply(factor, values)
+        arenas.append(factor)
+    for side in ("L_arena", "U_arena", "D_arena"):
+        a, b = (getattr(f, side) for f in arenas)
+        assert (a is None) == (b is None)
+        assert a is None or np.array_equal(a, b)
+
+
+def solve_or_reject(solver: SparseSolver, b: np.ndarray):
+    """``solver.solve(b)``, or ``None`` when it rejected the matrix with
+    a typed exception within the time bound."""
+    start = time.perf_counter()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", ConvergenceWarning)
+            return solver.solve(b)
+    except REJECTIONS:
+        assert time.perf_counter() - start < REJECT_WITHIN_S
+        return None
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(pattern=patterns(), data=st.data())
+def test_solutions_match_superlu(pattern, data):
+    n, rows, cols = pattern
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    zeros = data.draw(st.sampled_from([0, 0, 1, 2]), label="zero pivots")
+    stored = data.draw(st.booleans(), label="stored zeros")
+    rng = np.random.default_rng(seed)
+    zero_diag = rng.permutation(n)[:min(zeros, n)]
+    for ft in FACTOTYPES:
+        values = [matrix_values(n, rows, cols, ft, zero_diag, stored, rng)
+                  for _ in range(3)]
+        for runtime in RUNTIMES:
+            solver = SparseSolver(values[0], SolverOptions(
+                factotype=ft, runtime=runtime, n_workers=2))
+            for matrix in values:
+                if matrix is not values[0]:
+                    solver.update_values(matrix)
+                for nrhs in (1, 3):
+                    b = rng.standard_normal((n,) if nrhs == 1 else (n, nrhs))
+                    x = solve_or_reject(solver, b)
+                    if x is None:
+                        continue
+                    assert x.shape == b.shape
+                    if n == 0:
+                        continue
+                    err = reference.backward_error(
+                        reference.to_scipy(n, matrix.colptr, matrix.rowind,
+                                           matrix.values), x, b)
+                    tol = max(reference.BACKWARD_TOL,
+                              SUPERLU_SLACK * superlu_backward_error(matrix,
+                                                                     b))
+                    assert err <= tol, (ft, runtime, nrhs, err, tol)
+                if solver.factor is not None:
+                    assert_memoised_map_is_fresh(solver)
+
+
+# ----------------------------------------------------------------------
+# C amalgamation == Python amalgamation
+# ----------------------------------------------------------------------
+@st.composite
+def supernode_trees(draw):
+    """``(snptr, rowsets, parent_snode)``: random widths and row counts,
+    every parent a later supernode (or none)."""
+    k = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    snptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(rng.integers(1, 6, k), out=snptr[1:])
+    parent = np.full(k, -1, dtype=np.int64)
+    for s in range(k - 1):
+        if rng.random() < 0.9:
+            # Mostly the next supernode, so that many pairs are contiguous.
+            parent[s] = s + 1 if rng.random() < 0.6 else rng.integers(s + 1, k)
+    rowsets = [np.arange(int(r)) for r in rng.integers(0, 40, k)]
+    return snptr, rowsets, parent
+
+
+@pytest.mark.skipif(native.availability() is not None,
+                    reason="native analysis unavailable")
+@settings(max_examples=300, deadline=None)
+@given(tree=supernode_trees(),
+       ratio=st.sampled_from([0.0, 0.05, 0.12, 0.5, 3.0, 1e6]))
+def test_native_amalgamate_equals_python(tree, ratio):
+    snptr, rowsets, parent = tree
+    got = amalgamate(snptr, rowsets, parent, ratio=ratio)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "library", lambda: None)
+        want = amalgamate(snptr, rowsets, parent, ratio=ratio)
+    assert got[0].dtype == want[0].dtype == np.int64
+    assert np.array_equal(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    assert all(a is b for a, b in zip(got[1], want[1]))

@@ -125,6 +125,49 @@ class TestArena:
                    for a, b in zip(lists.L + lists.D, g.L + g.D))
 
 
+@pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
+def test_nbytes_and_copy_with_and_without_arenas(grid2d_small, factotype,
+                                                monkeypatch):
+    """``nbytes()`` reads the arenas without making a panel view, and is
+    the per-panel sum a list-built factor of the same panels reports;
+    ``copy()`` keeps both, and the panels, on either kind of factor."""
+    from repro.core.factor import ArenaPanels
+
+    res = analyze(grid2d_small)
+    permuted = grid2d_small.permute(res.perm.perm)
+    backed = NumericFactor.assemble(res.symbol, permuted, factotype)
+    sides = [getattr(backed, name) for name in ("L", "U", "D")]
+    lists = NumericFactor(
+        res.symbol, factotype, backed.dtype,
+        *(None if side is None else [p.copy() for p in side]
+          for side in sides), backed.rows)
+    per_panel = sum(p.nbytes for side in sides if side is not None
+                    for p in side)
+
+    fresh = NumericFactor.assemble(res.symbol, permuted, factotype)
+    views = []
+    real_getitem = ArenaPanels.__getitem__
+
+    def spy(self, k):
+        views.append(k)
+        return real_getitem(self, k)
+
+    monkeypatch.setattr(ArenaPanels, "__getitem__", spy)
+    assert fresh.nbytes() == per_panel
+    assert not views
+    monkeypatch.undo()
+
+    for factor in (backed, lists):
+        assert factor.nbytes() == per_panel
+        twin = factor.copy()
+        assert twin.nbytes() == per_panel
+        for name in ("L", "U", "D"):
+            a, b = getattr(factor, name), getattr(twin, name)
+            assert (a is None) == (b is None)
+            assert a is None or all(np.array_equal(p, q)
+                                    for p, q in zip(a, b, strict=True))
+
+
 class TestAssemble:
     def test_lower_scatter_exact(self, grid2d_small):
         res = analyze(grid2d_small)

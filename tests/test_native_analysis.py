@@ -30,6 +30,7 @@ from repro.sparse import load_matrix
 from repro.sparse.collection import collection_names
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc, entry_owners
 from repro.symbolic import (
+    amalgamate,
     analyze,
     column_counts,
     elimination_tree,
@@ -101,6 +102,11 @@ def assert_symbolic_agrees(pattern: SparseMatrixCSC) -> None:
     assert len(rowsets) == len(ref_sets)
     for got, want in zip(rowsets, ref_sets):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    for ratio in (0.0, 0.12, 1.0):
+        got = amalgamate(snptr, rowsets, parent_sn, ratio=ratio)
+        want = oracle(amalgamate, snptr, rowsets, parent_sn, ratio=ratio)
+        assert np.array_equal(got[0], want[0])
+        assert [s.size for s in got[1]] == [s.size for s in want[1]]
 
 
 def graph_pattern(graph: Graph) -> SparseMatrixCSC:
@@ -246,6 +252,17 @@ def test_malformed_trees_and_partitions_are_rejected():
     for snptr in (_i64(0, 2), _i64(1, 3), _i64(0, 2, 1, 3), _i64()):
         with pytest.raises(ValueError):
             native.supernode_rows(lib, 3, colptr, rowind, snptr)
+    snptr, ptr = _i64(0, 1, 3, 4), _i64(0, 2, 3, 3)
+    for bad in (dict(parent=_i64(1, 2, 0)),    # a parent before its child
+                dict(parent=_i64(0, 2, -1)),   # its own parent
+                dict(parent=_i64(1, 3, -1)),   # out of range
+                dict(parent=_i64(1, -1)),      # too short
+                dict(snptr=_i64(0, 2, 1, 4)), dict(snptr=_i64()),
+                dict(ptr=_i64(0, 2, 1, 3)), dict(ptr=_i64(1, 2, 3, 3))):
+        args = {**dict(snptr=snptr, ptr=ptr, parent=_i64(1, 2, -1)), **bad}
+        with pytest.raises(ValueError):
+            native.amalgamate(lib, args["snptr"], args["ptr"],
+                              args["parent"], 0.12)
 
 
 @pytest.mark.parametrize("xadj,adjncy,dissection_notices", [

@@ -190,6 +190,40 @@ class TestBlockAndReuse:
         assert first.nnz_factor == real_nnz(s.analysis.symbol,
                                             factotype="ldlt")
 
+    @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
+    @pytest.mark.parametrize("runtime", ["sequential", "threaded"])
+    def test_refactorization_reuses_permutation_and_assembly(
+            self, grid2d_small, monkeypatch, factotype, runtime):
+        """After ``update_values`` the new values are permuted by one
+        gather onto the pattern arrays kept from the first ``permute``,
+        and assembled through the symbol's memoised map: no ``permute``
+        (an argsort), no ``to_coo`` copy, no ``local_rows`` (a
+        ``searchsorted``).  The answer is a fresh solver's, to the bit."""
+        from repro.kernels.indexcache import PanelLayout
+        from repro.sparse.csc import SparseMatrixCSC
+        from repro.sparse.generators import grid_laplacian_2d
+
+        opts = SolverOptions(factotype=factotype, runtime=runtime,
+                             n_workers=2)
+        s = SparseSolver(grid2d_small, opts)
+        s.factorize()
+        new = grid_laplacian_2d(8, jitter=0.3, seed=99)
+        s.update_values(new)
+        calls = []
+        for cls, name in ((SparseMatrixCSC, "permute"),
+                          (SparseMatrixCSC, "to_coo"),
+                          (PanelLayout, "local_rows")):
+            def spy(*args, _real=getattr(cls, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, spy)
+        s.factorize()
+        assert calls == []
+        monkeypatch.undo()
+        b = np.random.default_rng(5).standard_normal(new.n_rows)
+        assert np.array_equal(s.solve(b), SparseSolver(new, opts).solve(b))
+
     def test_update_values_rejects_new_pattern(self, grid2d_small):
         from repro.sparse.generators import grid_laplacian_2d
 

@@ -126,7 +126,7 @@ class TestRowSets:
             supernode_row_sets(pat, snptr, bad)
 
 
-def _amalgamate_by_set_union(snptr, rowsets, parent_snode, ratio, max_width):
+def _amalgamate_by_set_union(snptr, rowsets, parent_snode, ratio):
     """Reference amalgamation: every candidate's fill from an explicit
     ``np.union1d`` of the two row sets (what ``amalgamate`` did before it
     used the nesting of the row structures)."""
@@ -157,9 +157,6 @@ def _amalgamate_by_set_union(snptr, rowsets, parent_snode, ratio, max_width):
     heap = []
 
     def push(c, p):
-        if max_width is not None and (
-                (lcol[p] - fcol[p]) + (lcol[c] - fcol[c]) > max_width):
-            return
         heapq.heappush(heap, (merge_cost(c, p)[0], c, p,
                               int(version[c]), int(version[p])))
 
@@ -246,26 +243,13 @@ class TestAmalgamation:
                 beyond = rowsets[c][rowsets[c] >= snptr[p + 1]]
                 assert np.isin(beyond, rowsets[p]).all()
 
-    @pytest.mark.parametrize("ratio,cap", [(0.0, None), (0.12, None),
-                                           (0.4, 6), (3.0, None)])
+    @pytest.mark.parametrize("ratio", [0.0, 0.12, 0.4, 3.0])
     def test_equals_the_set_union_reference(self, grid3d_small,
-                                            random_spd_small, ratio, cap):
+                                            random_spd_small, ratio):
         for mat in (grid3d_small, random_spd_small):
             _, snptr, rowsets, psn = self._pipeline(mat)
-            got = amalgamate(snptr, rowsets, psn, ratio=ratio, max_width=cap)
-            ref = _amalgamate_by_set_union(snptr, rowsets, psn, ratio, cap)
+            got = amalgamate(snptr, rowsets, psn, ratio=ratio)
+            ref = _amalgamate_by_set_union(snptr, rowsets, psn, ratio)
             assert np.array_equal(got[0], ref[0])
             assert len(got[1]) == len(ref[1])
             assert all(np.array_equal(a, b) for a, b in zip(got[1], ref[1]))
-
-    def test_max_width_cap(self, grid2d_medium):
-        # The cap limits *merged* widths; fundamental supernodes that are
-        # already wider pass through untouched.
-        pat, snptr, rowsets, psn = self._pipeline(grid2d_medium)
-        cap = 8
-        fundamental_max = int(np.diff(snptr).max())
-        s2, _ = amalgamate(snptr, rowsets, psn, ratio=1.0, max_width=cap)
-        assert np.diff(s2).max() <= max(cap, fundamental_max)
-        # And strictly fewer merges than the uncapped run.
-        s_free, _ = amalgamate(snptr, rowsets, psn, ratio=1.0)
-        assert s2.size >= s_free.size
