@@ -76,8 +76,9 @@ race-smoke:
 # (compiler, flags and build seconds are printed for each), then
 # factorize one small matrix per factotype in both drivers and check the
 # factors against the NumPy kernels (1e-12) and each other (bit for
-# bit), solve each with 1 and 3 columns the same two ways (native sweeps
-# vs NumPy bodies, threaded vs sequential), and analyse one matrix per
+# bit), solve each with 1, 3 and 16 columns (native sweeps vs NumPy
+# bodies; the C DAG executor at 1, 2 and 3 workers vs the sequential
+# solve, plus one traced run through the C7xx audit), and analyse one matrix per
 # generator family with the C helper
 # and with the Python bodies (identical arrays).  No C compiler:
 # SKIPPED, exit 0.

@@ -8,9 +8,11 @@ drivers (the native factor against the NumPy one, 1e-12, and the threaded
 native factor against the sequential native one, bit for bit), and one
 matrix per generator family through the analysis with the C helper and
 with the Python bodies (equal fingerprints, equal minimum-degree
-orderings).  Each factor is also solved with a 1- and a 3-column
-right-hand side: the native sweeps against the NumPy bodies (1e-12) and
-the threaded native solve against the sequential one (bit for bit).
+orderings).  Each factor is also solved with 1, 3 and 16 right-hand
+sides: the native sweeps against the NumPy bodies (1e-12), and the C
+DAG executor (``solve_threaded``) with 1, 2 and 3 workers against the
+sequential native solve (bit for bit); one traced executor run per
+factor must pass the schedule check and the C7xx concurrency audit.
 Prints the effective backend.  Without a C compiler there is
 nothing to build: it says ``SKIPPED (no C compiler)`` and exits 0.
 """
@@ -82,16 +84,20 @@ def _flat(factor, side: str) -> np.ndarray:
 
 
 def check_solve(ft: str, factor) -> None:
-    """Native sweeps == NumPy bodies (1e-12) on the same factor, threaded
-    native solve == sequential native solve (bits), 1 and 3 columns."""
+    """Native sweeps == NumPy bodies (1e-12) on the same factor, the DAG
+    executor == sequential native solve (bits) at 1, 2 and 3 workers, 1,
+    3 and 16 columns; a traced executor run audits clean."""
     import dataclasses
 
     from repro.core.triangular import solve_factored
+    from repro.dag.solve_builder import build_solve_dag
     from repro.runtime.threaded import solve_threaded
+    from repro.runtime.tracing import ExecutionTrace
+    from repro.verify.concurrency import verify_concurrency
 
     reference = dataclasses.replace(factor, kernels="numpy")
     rng = np.random.default_rng(0)
-    for nrhs in (1, 3):
+    for nrhs in (1, 3, 16):
         b = rng.standard_normal((factor.n, nrhs))
         ref = solve_factored(reference, b)
         seq = solve_factored(factor, b)
@@ -100,10 +106,23 @@ def check_solve(ft: str, factor) -> None:
             sys.exit(f"native-smoke: {ft} solve with {nrhs} column(s) "
                      f"deviates from the NumPy bodies by {err:.3e} "
                      f"(bound {RTOL})")
-        if not np.array_equal(seq, solve_threaded(factor, b, n_workers=2)):
-            sys.exit(f"native-smoke: {ft} threaded native solve with {nrhs} "
-                     "column(s) is not bit-identical to the sequential")
-    print(f"native-smoke: {ft} solve ok (1 and 3 columns, both runtimes)")
+        for n_workers in (1, 2, 3):
+            if not np.array_equal(
+                    seq, solve_threaded(factor, b, n_workers=n_workers)):
+                sys.exit(f"native-smoke: {ft} DAG executor with {n_workers} "
+                         f"worker(s) and {nrhs} column(s) is not "
+                         "bit-identical to the sequential solve")
+    trace = ExecutionTrace()
+    solve_threaded(factor, np.ones(factor.n), n_workers=3, trace=trace,
+                   record_sync=True)
+    dag = build_solve_dag(factor.symbol, ft, dtype=factor.dtype, n_workers=3)
+    trace.validate(dag)
+    report = verify_concurrency(dag, trace)
+    if not report.ok or trace.meta["kernels"] != "native":
+        sys.exit(f"native-smoke: {ft} traced DAG executor run fails its "
+                 f"audit:\n{report.format()}")
+    print(f"native-smoke: {ft} solve ok (1, 3 and 16 columns; sequential "
+          "and the DAG executor at 1-3 workers; C7xx clean)")
 
 
 def main() -> None:

@@ -30,7 +30,8 @@ __all__ = ["FLAGS", "NativeUnavailable", "build", "cache_dir", "compiler",
 #: (the cached object must survive a host migration), no contraction of
 #: ``a * b + c`` into an FMA (gcc's default where the base ISA has one):
 #: the analysis scores must round as NumPy rounds them on every host.
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: ``-pthread``: the DAG executor of ``native.c`` starts its workers.
+FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 
 
 class NativeUnavailable(RuntimeError):

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["TaskKind", "Task", "TaskDAG"]
+__all__ = ["TaskKind", "Task", "TaskDAG", "kahn_order"]
 
 
 class TaskKind(IntEnum):
@@ -51,6 +51,26 @@ class Task:
     @property
     def is_update(self) -> bool:
         return self.kind == TaskKind.UPDATE
+
+
+def kahn_order(succ_ptr: np.ndarray, succ_list: np.ndarray,
+               n_deps: np.ndarray) -> np.ndarray:
+    """Kahn's pass over CSR successors with a LIFO ready stack (sources
+    pushed ascending): every task in a dependency order — or, when the
+    graph has a cycle, only the tasks no cycle blocks."""
+    indeg = np.array(n_deps, dtype=np.int64)
+    order = np.empty(indeg.size, dtype=np.int64)
+    stack = np.flatnonzero(indeg == 0).tolist()
+    pos = 0
+    while stack:
+        t = stack.pop()
+        order[pos] = t
+        pos += 1
+        for s in succ_list[succ_ptr[t]:succ_ptr[t + 1]].tolist():
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                stack.append(s)
+    return order[:pos]
 
 
 class TaskDAG:
@@ -189,19 +209,7 @@ class TaskDAG:
     def kahn_order(self) -> np.ndarray:
         """Kahn's pass: every task in a dependency order — or, when the
         graph has a cycle, only the tasks no cycle blocks."""
-        indeg = self.n_deps.copy()
-        order = np.empty(self.n_tasks, dtype=np.int64)
-        stack = list(np.flatnonzero(indeg == 0))
-        pos = 0
-        while stack:
-            t = stack.pop()
-            order[pos] = t
-            pos += 1
-            for s in self.successors(t):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    stack.append(int(s))
-        return order[:pos]
+        return kahn_order(self.succ_ptr, self.succ_list, self.n_deps)
 
     def topological_order(self) -> np.ndarray:
         """Kahn topological order; raises on cycles."""

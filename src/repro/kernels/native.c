@@ -13,6 +13,14 @@
  * whole unit.  See repro/kernels/native.py (loader, argument checks) and
  * docs/solver_internals.md (layouts, the hand-back contract).
  *
+ * run_dag: every task of a task DAG in one call.  The caller is worker
+ * 0 and n_workers - 1 pthreads join it; a finishing task decrements its
+ * successors' counters and queues the ones that reach zero, under one
+ * mutex.  A task is (lo, hi, kind): today the solve steps of
+ * panels[lo..hi), forward or backward.
+ *
+ * csc_matvec_{d,z}: A x for a CSC matrix, adding in stored order.
+ *
  * Panels are row-major h x w, i.e. column-major w x h matrices with
  * leading dimension w holding the transpose; every BLAS/LAPACK call below
  * is written in those column-major terms.
@@ -28,10 +36,18 @@
  */
 #ifndef REPRO_BODY
 
+#define _GNU_SOURCE /* CPU affinity of the executor's workers */
 #include <complex.h>
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <time.h>
+#ifndef CPU_SETSIZE
+#define CPU_SETSIZE 1 /* no worker binding off Linux */
+#endif
 
 typedef struct {
     int64_t n_cblk;
@@ -83,6 +99,356 @@ int64_t repro_work_len(const plan_t *p)
 #define MODULUS(x) cabs(x)
 #define HAVE_POTRF 0 /* complex LL^T is rejected in Python (TypeError) */
 #include "native.c"
+
+/* ---------------------------------------------------------------- */
+/* The DAG executor                                                  */
+/* ---------------------------------------------------------------- */
+
+/* A validated task DAG (see native.py: DagTasks). */
+typedef struct {
+    int64_t n_tasks;
+    const int64_t *succ_ptr, *succ_list; /* CSR successors */
+    const int64_t *n_deps;               /* in-degree of every task */
+    const int64_t *task;                 /* n_tasks x 3: lo, hi, kind */
+    const double *rank; /* NULL: LIFO ready set; else max-heap on rank */
+} dag_t;
+
+enum { FORWARD = 0, BACKWARD = 1 };
+
+/* The arguments of solve_panels_{d,z} every solve task shares; a task
+ * adds its panel range, its sweep and its worker's gather buffer. */
+typedef struct {
+    const plan_t *plan;
+    int64_t ft, nrhs, complex_, gather_len; /* gather_len: per worker */
+    void *L, *U, *D, *x, *slab, *gather;
+    const int64_t *panels;
+} solve_t;
+
+/* Rows of (task, worker, t0, t1), times in ns since the call began.
+ * rows == NULL: not recorded.  n counts past cap on overflow. */
+typedef struct {
+    int64_t *rows;
+    int64_t cap, n;
+} log_t;
+
+typedef struct {
+    log_t task, publish, park, wake;
+} trace_t;
+
+/* A parked worker re-checks the ready set at least this often, so a
+ * lost wakeup costs a short delay, never a hang. */
+#define PARK_NS 20000000LL
+
+typedef struct {
+    const dag_t *dag;
+    const solve_t *body;
+    trace_t *trace; /* NULL: no clock is read for the trace */
+    pthread_mutex_t mu;
+    pthread_cond_t cv;
+    int64_t *deps_left, *ready;
+    int64_t n_ready, n_done, n_parked, start;
+    int overflow;
+} exec_t;
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000LL + ts.tv_nsec;
+}
+
+static int64_t since(const exec_t *e) { return now_ns() - e->start; }
+
+/* Append a row (mutex held). */
+static void log_row(exec_t *e, log_t *log, int64_t task, int64_t worker,
+                    int64_t t0, int64_t t1)
+{
+    if (!log->rows)
+        return;
+    if (log->n >= log->cap) {
+        e->overflow = 1;
+    } else {
+        int64_t *r = log->rows + 4 * log->n;
+        r[0] = task, r[1] = worker, r[2] = t0, r[3] = t1;
+    }
+    log->n++;
+}
+
+/* Does a run before b?  Higher rank first, then the lower task id. */
+static int before(const double *rank, int64_t a, int64_t b)
+{
+    return rank[a] > rank[b] || (rank[a] == rank[b] && a < b);
+}
+
+/* The ready set: a stack (LIFO), or a binary max-heap on rank. */
+static void push(exec_t *e, int64_t t)
+{
+    const double *rank = e->dag->rank;
+    int64_t i = e->n_ready++;
+    while (rank && i > 0 && before(rank, t, e->ready[(i - 1) / 2])) {
+        e->ready[i] = e->ready[(i - 1) / 2];
+        i = (i - 1) / 2;
+    }
+    e->ready[i] = t;
+}
+
+static int64_t pop(exec_t *e)
+{
+    const double *rank = e->dag->rank;
+    int64_t n = --e->n_ready;
+    if (!rank)
+        return e->ready[n];
+    int64_t top = e->ready[0], last = e->ready[n], i = 0;
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && before(rank, e->ready[c + 1], e->ready[c]))
+            c++;
+        if (!before(rank, e->ready[c], last))
+            break;
+        e->ready[i] = e->ready[c];
+        i = c;
+    }
+    e->ready[i] = last;
+    return top;
+}
+
+static void run_task(const solve_t *b, const int64_t *task, int worker)
+{
+    int64_t lo = task[0], hi = task[1];
+    int backward = task[2] == BACKWARD;
+    if (b->complex_)
+        repro_solve_panels_z(b->plan, (int)b->ft, b->L, b->U, b->D, b->x,
+                             b->nrhs, b->slab, b->panels + lo, hi - lo,
+                             backward,
+                             (double complex *)b->gather
+                                 + worker * b->gather_len);
+    else
+        repro_solve_panels_d(b->plan, (int)b->ft, b->L, b->U, b->D, b->x,
+                             b->nrhs, b->slab, b->panels + lo, hi - lo,
+                             backward,
+                             (double *)b->gather + worker * b->gather_len);
+}
+
+/* The worker loop: pop, run, publish.  The mutex orders memory: a task's
+ * writes precede the unlock that publishes it, and every successor is
+ * popped under a later lock of the same mutex. */
+static void work(exec_t *e, int w)
+{
+    const dag_t *d = e->dag;
+    trace_t *tr = e->trace;
+    pthread_mutex_lock(&e->mu);
+    for (;;) {
+        if (e->n_ready == 0 && e->n_done < d->n_tasks) {
+            int64_t t0 = tr ? since(e) : 0;
+            e->n_parked++;
+            while (e->n_ready == 0 && e->n_done < d->n_tasks) {
+                int64_t deadline = now_ns() + PARK_NS;
+                struct timespec ts = {deadline / 1000000000LL,
+                                      deadline % 1000000000LL};
+                pthread_cond_timedwait(&e->cv, &e->mu, &ts);
+            }
+            e->n_parked--;
+            if (tr && tr->park.rows)
+                log_row(e, &tr->park, -1, w, t0, since(e));
+        }
+        if (e->n_done >= d->n_tasks)
+            break;
+        int64_t t = pop(e);
+        pthread_mutex_unlock(&e->mu);
+
+        int64_t t0 = tr ? since(e) : 0;
+        run_task(e->body, d->task + 3 * t, w);
+        int64_t t1 = tr ? since(e) : 0;
+
+        pthread_mutex_lock(&e->mu);
+        if (tr)
+            log_row(e, &tr->task, t, w, t0, t1);
+        int64_t released = 0;
+        for (int64_t i = d->succ_ptr[t]; i < d->succ_ptr[t + 1]; i++) {
+            int64_t s = d->succ_list[i];
+            if (--e->deps_left[s] == 0) {
+                push(e, s);
+                released++;
+            }
+        }
+        e->n_done++;
+        if (tr && tr->publish.rows) {
+            int64_t now = since(e);
+            log_row(e, &tr->publish, t, w, now, now);
+        }
+        if (e->n_done == d->n_tasks) {
+            pthread_cond_broadcast(&e->cv);
+            continue;
+        }
+        /* This worker runs one released task itself; each further one
+         * wakes a parked worker, if there is one. */
+        for (int64_t i = 1; i < released && i <= e->n_parked; i++) {
+            pthread_cond_signal(&e->cv);
+            if (tr && tr->wake.rows) {
+                int64_t now = since(e);
+                log_row(e, &tr->wake, -1, w, now, now);
+            }
+        }
+    }
+    pthread_mutex_unlock(&e->mu);
+}
+
+typedef struct {
+    exec_t *e;
+    int w;
+} worker_arg_t;
+
+static void *worker_main(void *arg)
+{
+    worker_arg_t *a = arg;
+    work(a->e, a->w);
+    return NULL;
+}
+
+/* Start worker a->w bound to CPU cpus[a->w % n_cpus] (n_cpus < 2: left
+ * to the kernel), as PaStiX, StarPU and PaRSEC bind their workers.  Left
+ * alone, a fresh thread shares its parent's CPU for a while, which
+ * serializes a short solve. */
+static int start_worker(pthread_t *thread, worker_arg_t *a, const int *cpus,
+                        int n_cpus)
+{
+    pthread_attr_t attr;
+    pthread_attr_init(&attr);
+#ifdef __linux__
+    if (n_cpus > 1) {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpus[a->w % n_cpus], &one);
+        pthread_attr_setaffinity_np(&attr, sizeof one, &one);
+    }
+#else
+    (void)cpus, (void)n_cpus;
+#endif
+    int status = pthread_create(thread, &attr, worker_main, a);
+    pthread_attr_destroy(&attr);
+    return status;
+}
+
+/* The CPUs this process may run on, starting with the caller's (worker
+ * 0's), so that the other workers land on the others first. */
+static int worker_cpus(int *cpus)
+{
+    int n = 0;
+#ifdef __linux__
+    cpu_set_t allowed;
+    int here = sched_getcpu();
+    if (sched_getaffinity(0, sizeof allowed, &allowed) != 0)
+        return 0;
+    if (here >= 0 && CPU_ISSET(here, &allowed))
+        cpus[n++] = here;
+    for (int c = 0; c < CPU_SETSIZE; c++)
+        if (CPU_ISSET(c, &allowed) && c != here)
+            cpus[n++] = c;
+#else
+    (void)cpus;
+#endif
+    return n;
+}
+
+/* Run every task of d.  Returns 0, -1 when out of memory (nothing ran)
+ * or -2 when a trace log overflowed (every task ran; the rows past cap
+ * are counted, not written). */
+int64_t repro_run_dag(const dag_t *d, const solve_t *body, int64_t n_workers,
+                      trace_t *trace)
+{
+    exec_t e = {.dag = d, .body = body, .trace = trace};
+    if (d->n_tasks == 0)
+        return 0;
+    e.deps_left = malloc((size_t)d->n_tasks * sizeof(int64_t));
+    e.ready = malloc((size_t)d->n_tasks * sizeof(int64_t));
+    pthread_t *threads = malloc((size_t)n_workers * sizeof(pthread_t));
+    worker_arg_t *args = malloc((size_t)n_workers * sizeof(worker_arg_t));
+    if (!e.deps_left || !e.ready || !threads || !args) {
+        free(e.deps_left), free(e.ready), free(threads), free(args);
+        return -1;
+    }
+    pthread_condattr_t attr;
+    pthread_condattr_init(&attr);
+    pthread_condattr_setclock(&attr, CLOCK_MONOTONIC);
+    pthread_cond_init(&e.cv, &attr);
+    pthread_condattr_destroy(&attr);
+    pthread_mutex_init(&e.mu, NULL);
+    if (trace)
+        e.start = now_ns();
+    memcpy(e.deps_left, d->n_deps, (size_t)d->n_tasks * sizeof(int64_t));
+    for (int64_t t = 0; t < d->n_tasks; t++)
+        if (d->n_deps[t] == 0)
+            push(&e, t);
+
+    int cpus[CPU_SETSIZE], n_cpus = n_workers > 1 ? worker_cpus(cpus) : 0;
+    int64_t started = 1; /* worker 0 is this thread */
+    for (int64_t w = 1; w < n_workers; w++) {
+        args[started] = (worker_arg_t){&e, (int)started};
+        if (start_worker(&threads[started], &args[started], cpus, n_cpus) == 0)
+            started++; /* else run with the workers there are */
+    }
+    work(&e, 0);
+    for (int64_t w = 1; w < started; w++)
+        pthread_join(threads[w], NULL);
+
+    pthread_cond_destroy(&e.cv);
+    pthread_mutex_destroy(&e.mu);
+    free(e.deps_left), free(e.ready), free(threads), free(args);
+    return e.overflow ? -2 : 0;
+}
+
+/* ---------------------------------------------------------------- */
+/* Sparse matrix times dense block                                   */
+/* ---------------------------------------------------------------- */
+
+/* out (n_rows x k, row-major, zeroed) += A x, x n_cols x k row-major:
+ * column by column, entry by entry in stored order — the order
+ * np.add.at adds in, so every output element gets the same sums. */
+void repro_csc_matvec_d(int64_t n_cols, const int64_t *colptr,
+                        const int64_t *rowind, const double *val,
+                        const double *x, int64_t k, double *out)
+{
+    for (int64_t j = 0; j < n_cols; j++)
+        for (int64_t e = colptr[j]; e < colptr[j + 1]; e++) {
+            double v = val[e], *o = out + rowind[e] * k;
+            const double *xj = x + j * k;
+            for (int64_t r = 0; r < k; r++)
+                o[r] += v * xj[r];
+        }
+}
+
+/* The same on interleaved (re, im) pairs.  The product is NumPy's v * x:
+ * fused != 0 rounds re = vr xr - vi xi and im = vr xi + vi xr once each
+ * (fma, as NumPy's FMA loops do), else each product separately.  On
+ * x86-64 a second clone is compiled for FMA hardware, picked at load
+ * time, so that fma() is an instruction there rather than a libm call;
+ * the rounding is the same either way. */
+#if defined(__x86_64__) && defined(__GNUC__)
+__attribute__((target_clones("fma", "default")))
+#endif
+void repro_csc_matvec_z(int64_t n_cols, const int64_t *colptr,
+                        const int64_t *rowind, const double *val,
+                        const double *x, int64_t k, double *out, int fused)
+{
+    for (int64_t j = 0; j < n_cols; j++)
+        for (int64_t e = colptr[j]; e < colptr[j + 1]; e++) {
+            double vr = val[2 * e], vi = val[2 * e + 1];
+            double *o = out + 2 * rowind[e] * k;
+            const double *xj = x + 2 * j * k;
+            for (int64_t r = 0; r < k; r++) {
+                double xr = xj[2 * r], xi = xj[2 * r + 1];
+                if (fused) {
+                    o[2 * r] += fma(vr, xr, -(vi * xi));
+                    o[2 * r + 1] += fma(vr, xi, vi * xr);
+                } else {
+                    o[2 * r] += vr * xr - vi * xi;
+                    o[2 * r + 1] += vr * xi + vi * xr;
+                }
+            }
+        }
+}
 
 #else /* REPRO_BODY: one scalar type T */
 

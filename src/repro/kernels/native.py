@@ -3,8 +3,10 @@
 ``native.c`` (next to this file) factorizes a run of panels left-looking
 — per panel, every update GEMM + scatter-subtract in ascending source
 order, then the LAPACK diagonal factorization and the panel TRSM(s) —
-and runs the forward or backward triangular sweep over a run of panels
-(:class:`SolveSweeps`), reading the flat couple plan
+runs the forward or backward triangular sweep over a run of panels
+(:class:`SolveSweeps`), runs every task of a solve DAG in one call
+(:func:`run_dag`, over a :class:`DagTasks`) and multiplies a CSC matrix
+by a dense block (:func:`csc_matvec`), reading the flat couple plan
 (:mod:`repro.kernels.indexcache`) and the factor arenas
 (:mod:`repro.core.factor`) through raw pointers.  This
 module builds it on first use with the host's C compiler, hands it the
@@ -43,14 +45,18 @@ from repro.kernels.indexcache import CoupleMapCache
 from repro.kernels.panel import panel_factorize
 
 __all__ = [
+    "DagLogs",
+    "DagTasks",
     "NativeUnavailable",
     "Scratch",
     "SolveSweeps",
     "availability",
     "build",
+    "csc_matvec",
     "factorize_panels",
     "load",
     "resolve_kernels",
+    "run_dag",
     "solve_sweeps",
 ]
 
@@ -80,6 +86,40 @@ class _Plan(ctypes.Structure):
         for name in ("height", "width", "offset", "d_off", "tgt_ptr", "src",
                      "i0", "i1", "rl_ptr", "rows_local", "row_ptr", "rows")
     ] + [(name, ctypes.c_int64) for name in ("max_mn", "max_nw", "max_w")]
+
+
+class _Dag(ctypes.Structure):
+    """``dag_t`` of ``native.c``."""
+
+    _fields_ = [("n_tasks", ctypes.c_int64)] + [
+        (name, ctypes.c_void_p)
+        for name in ("succ_ptr", "succ_list", "n_deps", "task", "rank")
+    ]
+
+
+class _SolveBody(ctypes.Structure):
+    """``solve_t`` of ``native.c``."""
+
+    _fields_ = [("plan", ctypes.c_void_p)] + [
+        (name, ctypes.c_int64)
+        for name in ("ft", "nrhs", "complex_", "gather_len")
+    ] + [
+        (name, ctypes.c_void_p)
+        for name in ("L", "U", "D", "x", "slab", "gather", "panels")
+    ]
+
+
+class _Log(ctypes.Structure):
+    """``log_t`` of ``native.c``."""
+
+    _fields_ = [("rows", ctypes.c_void_p), ("cap", ctypes.c_int64),
+                ("n", ctypes.c_int64)]
+
+
+class _Trace(ctypes.Structure):
+    """``trace_t`` of ``native.c``."""
+
+    _fields_ = [(name, _Log) for name in ("task", "publish", "park", "wake")]
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +180,17 @@ def _declare(lib: ctypes.CDLL, entry_points: Any) -> ctypes.CDLL:
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int,       # panels
             ctypes.c_void_p,                                     # gather
         ]
+        fn.restype = None
+    lib.repro_run_dag.argtypes = [
+        ctypes.POINTER(_Dag), ctypes.POINTER(_SolveBody), ctypes.c_int64,
+        ctypes.POINTER(_Trace),
+    ]
+    lib.repro_run_dag.restype = ctypes.c_int64
+    for name, extra in (("repro_csc_matvec_d", []),
+                        ("repro_csc_matvec_z", [ctypes.c_int])):
+        fn = getattr(lib, name)
+        fn.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 4 + [
+            ctypes.c_int64, ctypes.c_void_p] + extra
         fn.restype = None
     lib.repro_init(entry_points)
     return lib
@@ -318,9 +369,10 @@ class SolveSweeps:
 
     ``x`` is ``(n,)`` or ``(n, nrhs)``, C-contiguous, writable and of the
     factor's dtype.  ``panels`` is the panel list the calls take ranges of
-    (ascending within every range), run by a pool of ``n_workers``: the
-    forward steps are left-looking over a slab arena (``L21 · y`` of every
-    panel, Σ (height − width) · nrhs elements).  ``panels=None`` means
+    (ascending within every range), run by the ``n_workers`` of
+    :func:`run_dag` (one gather buffer each): the forward steps are
+    left-looking over a slab arena (``L21 · y`` of every panel,
+    Σ (height − width) · nrhs elements).  ``panels=None`` means
     every panel ascending, run by one thread in ascending ranges: no slab
     arena, each forward step pushes its product straight into the rows
     below — the same values in the same order, so the same bits.
@@ -348,27 +400,35 @@ class SolveSweeps:
         else:
             self.panels = _panel_list(factor, panels)
             self.slab = np.empty((int(lay.row_ptr[-1]) - n) * nrhs, x.dtype)
-        self.gather = [
-            np.empty(int(lay.below.max(initial=0)) * nrhs, x.dtype)
-            for _ in range(max(1, n_workers))
-        ]
+        # One gather buffer per worker, rows of one array: the executor
+        # finds worker w's at gather + w * gather_len.
+        self.gather = np.empty(
+            (max(1, n_workers), int(lay.below.max(initial=0)) * nrhs),
+            x.dtype)
         self._keepalive = (factor, x)
         # Raw addresses, taken once: ``ndarray.ctypes`` costs about a
         # microsecond per access, the call itself a few.
         self._base = self.panels.ctypes.data
-        self._gather = [g.ctypes.data for g in self.gather]
+        self._gather = self.gather.ctypes.data
+        slab = None if self.slab is None else self.slab.ctypes.data
         self._call = functools.partial(
             fn, ctypes.byref(struct), _FACTOTYPES[factor.factotype], L, U, D,
-            x.ctypes.data, nrhs,
-            None if self.slab is None else self.slab.ctypes.data,
+            x.ctypes.data, nrhs, slab,
+        )
+        self.body = _SolveBody(
+            plan=ctypes.addressof(struct), ft=_FACTOTYPES[factor.factotype],
+            nrhs=nrhs, complex_=np.iscomplexobj(x),
+            gather_len=self.gather.shape[1], L=L, U=U, D=D, x=x.ctypes.data,
+            slab=slab, gather=self._gather, panels=self._base,
         )
 
-    def run(self, lo: int, hi: int, backward: bool, worker: int = 0) -> None:
+    def run(self, lo: int, hi: int, backward: bool) -> None:
         """Forward steps of ``panels[lo:hi]`` ascending, or backward steps
-        descending, on ``worker``'s gather buffer."""
+        descending, on the first gather buffer (the executor, not this,
+        runs the workers of :func:`run_dag`)."""
         if not 0 <= lo <= hi <= self.panels.size:
             raise ValueError("panel range out of bounds")
-        self._call(self._base + 8 * lo, hi - lo, backward, self._gather[worker])
+        self._call(self._base + 8 * lo, hi - lo, backward, self._gather)
 
 
 def solve_sweeps(factor: Any, x: np.ndarray,
@@ -381,3 +441,213 @@ def solve_sweeps(factor: Any, x: np.ndarray,
             or factor.index_cache is None):
         return None
     return SolveSweeps(factor, x, panels, n_workers)
+
+
+# ----------------------------------------------------------------------
+# The DAG executor
+# ----------------------------------------------------------------------
+def _int64(name: str, a: Any, ndim: int = 1) -> np.ndarray:
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu" or a.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D integer array")
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+class DagTasks:
+    """A task DAG as :func:`run_dag` reads it, checked once.
+
+    ``succ_ptr`` / ``succ_list`` are the successors in CSR form,
+    ``n_deps`` every task's in-degree (it must be the number of times the
+    task appears in ``succ_list``), ``tasks`` one ``(lo, hi, kind)``
+    record per task: the panels ``[lo, hi)`` of the executor's panel list
+    (``0 <= lo <= hi <= n_panels``), forward (``kind`` 0) or backward (1).
+    The graph must be acyclic — a cycle would never drain — and
+    ``order`` is its Kahn order (:func:`repro.dag.tasks.kahn_order`, LIFO):
+    what the executor runs with one worker and the LIFO ready set, and
+    what a solve without the executor runs.  Every
+    violation is a ``ValueError``, raised here, before any pointer can
+    reach C.
+    """
+
+    def __init__(self, succ_ptr: Any, succ_list: Any, n_deps: Any,
+                 tasks: Any, n_panels: int) -> None:
+        self.succ_ptr = _int64("succ_ptr", succ_ptr)
+        self.succ_list = _int64("succ_list", succ_list)
+        self.n_deps = _int64("n_deps", n_deps)
+        self.tasks = _int64("tasks", tasks, ndim=2)
+        n = self.n_tasks = self.n_deps.size
+        if self.tasks.shape != (n, 3):
+            raise ValueError(f"tasks must be {n} (lo, hi, kind) records")
+        ptr = self.succ_ptr
+        if (ptr.size != n + 1 or ptr[0] != 0 or ptr[-1] != self.succ_list.size
+                or np.any(np.diff(ptr) < 0)):
+            raise ValueError("succ_ptr is not a CSR pointer over succ_list")
+        if self.succ_list.size and not (
+                0 <= self.succ_list.min() and self.succ_list.max() < n):
+            raise ValueError("successor out of range")
+        if not np.array_equal(np.bincount(self.succ_list, minlength=n),
+                              self.n_deps):
+            raise ValueError("n_deps is not the in-degree of succ_list")
+        lo, hi, kind = self.tasks.T
+        if n and not (np.all(0 <= lo) and np.all(lo <= hi)
+                      and np.all(hi <= n_panels)):
+            raise ValueError(f"task panel range out of [0, {n_panels}]")
+        if not np.all((kind == 0) | (kind == 1)):
+            raise ValueError("task kind must be 0 (forward) or 1 (backward)")
+        from repro.dag.tasks import kahn_order
+
+        self.order = kahn_order(ptr, self.succ_list, self.n_deps)
+        if self.order.size != n:
+            raise ValueError("task graph contains a cycle")
+        self.max_hi = int(hi.max(initial=0))
+        self._struct = _Dag(
+            n_tasks=n, succ_ptr=self.succ_ptr.ctypes.data,
+            succ_list=self.succ_list.ctypes.data,
+            n_deps=self.n_deps.ctypes.data, task=self.tasks.ctypes.data,
+        )
+
+
+class DagLogs:
+    """Preallocated ``(cap, 4)`` int64 rows ``(task, worker, t0_ns,
+    t1_ns)`` the executor writes a trace into, per kind: ``task`` (one
+    per task run), and the sync rows ``publish`` (taken under the mutex:
+    ``t0 == t1``), ``park`` (one per idle episode, ``task`` -1) and
+    ``wake`` (one per signal, ``task`` -1).  Times are nanoseconds since
+    the call began.  A kind with capacity 0 is not recorded."""
+
+    KINDS = ("task", "publish", "park", "wake")
+
+    def __init__(self, caps: dict[str, int]) -> None:
+        self.rows = {k: np.zeros((int(caps.get(k, 0)), 4), dtype=np.int64)
+                     for k in self.KINDS}
+        self.struct = _Trace(*(
+            _Log(rows=a.ctypes.data if a.size else None, cap=a.shape[0], n=0)
+            for a in self.rows.values()))
+
+    @classmethod
+    def sized_for(cls, n_tasks: int, n_workers: int,
+                  sync: bool) -> "DagLogs":
+        """Room for every row a run can write: a task runs and publishes
+        once, a park episode ends with a pop or at the end, and a signal
+        hands on a released task."""
+        caps = {"task": n_tasks}
+        if sync:
+            caps.update(publish=n_tasks, park=n_tasks + n_workers,
+                        wake=n_tasks)
+        return cls(caps)
+
+    def written(self, kind: str) -> np.ndarray:
+        """The rows of ``kind`` the run wrote."""
+        return self.rows[kind][:getattr(self.struct, kind).n]
+
+
+def run_dag(tasks: DagTasks, sweeps: SolveSweeps, n_workers: int,
+            rank: Optional[np.ndarray] = None,
+            logs: Optional[DagLogs] = None) -> None:
+    """Run every task of ``tasks`` on ``sweeps`` in one GIL-free call.
+
+    The calling thread is worker 0; ``n_workers - 1`` pthreads join it
+    (``sweeps`` must have a gather buffer for each).  The ready set is a
+    stack (LIFO) or, with ``rank``, a heap that pops the highest rank
+    first.  ``logs`` receives the trace rows; a log that runs out of
+    room raises ``RuntimeError`` after the run (the solve itself
+    completed).
+    """
+    n_workers = int(n_workers)
+    if not 1 <= n_workers <= sweeps.gather.shape[0]:
+        raise ValueError(f"n_workers must be in [1, {sweeps.gather.shape[0]}]")
+    if tasks.max_hi > sweeps.panels.size:
+        raise ValueError("task panel range out of the sweeps' panel list")
+    dag = tasks._struct
+    if rank is not None:
+        if not (isinstance(rank, np.ndarray) and rank.dtype == np.float64
+                and rank.shape == (tasks.n_tasks,)
+                and rank.flags.c_contiguous and np.all(np.isfinite(rank))):
+            raise ValueError(f"rank must be {tasks.n_tasks} finite float64")
+        dag = _Dag.from_buffer_copy(dag)
+        dag.rank = rank.ctypes.data
+    status = load().repro_run_dag(
+        ctypes.byref(dag), ctypes.byref(sweeps.body), n_workers,
+        None if logs is None else ctypes.byref(logs.struct))
+    if status == -1:
+        raise MemoryError("the DAG executor could not allocate its state")
+    if status == -2:
+        assert logs is not None
+        full = {k: (getattr(logs.struct, k).n, logs.rows[k].shape[0])
+                for k in DagLogs.KINDS
+                if getattr(logs.struct, k).n > logs.rows[k].shape[0]}
+        raise RuntimeError(f"trace log overflow (rows, capacity): {full}")
+
+
+# ----------------------------------------------------------------------
+# Sparse matrix times dense block
+# ----------------------------------------------------------------------
+_C128 = np.dtype(np.complex128)
+
+
+@functools.lru_cache(maxsize=None)
+def _complex_product() -> Optional[int]:
+    """How NumPy rounds a complex128 product on this host, as
+    ``SparseMatrixCSC.matvec`` forms it (``v * x``): ``1`` when
+    each part is one fused multiply-add (its SIMD loops), ``0`` when each
+    product is rounded, ``None`` when neither matches (complex mat-vecs
+    then stay on NumPy)."""
+    lib = load()
+    rng = np.random.default_rng(0)
+    n = 1024
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = v * x
+    ptr = np.arange(n + 1, dtype=np.int64)     # the diagonal matrix v
+    for fused in (1, 0):
+        got = np.zeros(n, _C128)
+        lib.repro_csc_matvec_z(n, ptr.ctypes.data, ptr.ctypes.data,
+                               v.ctypes.data, x.ctypes.data, 1,
+                               got.ctypes.data, fused)
+        if np.array_equal(got, want):
+            return fused
+    return None
+
+
+def csc_matvec(n_rows: int, colptr: np.ndarray, rowind: np.ndarray,
+               values: np.ndarray, x: np.ndarray) -> Optional[np.ndarray]:
+    """``A @ x`` in C for the CSC matrix ``(colptr, rowind, values)``,
+    bit-identical to ``SparseMatrixCSC.matvec``'s NumPy body, or ``None``
+    when that body must run: no library, a dtype other than a float64 or
+    complex128 matrix times an operand that casts to it exactly (a real
+    matrix times a complex ``x`` is NumPy's), a host whose complex
+    product rounding the C loop does not reproduce, or index arrays C
+    could not follow safely (NumPy then raises its own error).  ``x`` is
+    ``(n_cols,)`` or ``(n_cols, k)``."""
+    dtype = values.dtype
+    if dtype not in (np.float64, _C128) or x.dtype.kind not in "biufc" \
+            or np.result_type(dtype, x.dtype) != dtype:
+        return None
+    try:
+        lib = load()
+    except NativeUnavailable:
+        return None
+    fused = _complex_product() if dtype == _C128 else 0
+    if fused is None:
+        return None
+    colptr = np.ascontiguousarray(colptr, dtype=np.int64)
+    rowind = np.ascontiguousarray(rowind, dtype=np.int64)
+    values = np.ascontiguousarray(values)
+    n_cols = x.shape[0]
+    if not (colptr.size == n_cols + 1 and colptr[0] == 0
+            and colptr[-1] == rowind.size == values.size
+            and np.all(colptr[1:] >= colptr[:-1])
+            and (rowind.size == 0
+                 or (rowind.min() >= 0 and rowind.max() < n_rows))):
+        return None
+    x = np.ascontiguousarray(x, dtype=dtype)
+    out = np.zeros((n_rows,) + x.shape[1:], dtype=dtype)
+    k = 1 if x.ndim == 1 else x.shape[1]
+    if out.size and k:
+        args = (n_cols, colptr.ctypes.data, rowind.ctypes.data,
+                values.ctypes.data, x.ctypes.data, k, out.ctypes.data)
+        if dtype == _C128:
+            lib.repro_csc_matvec_z(*args, fused)
+        else:
+            lib.repro_csc_matvec_d(*args)
+    return out

@@ -1,8 +1,8 @@
-"""Real parallel execution of the factorization DAG on Python threads.
+"""Real parallel execution of the factorization and solve DAGs.
 
-The native kernel and NumPy's BLAS release the GIL, so task bodies
-genuinely overlap across worker threads.  The ready queue is
-per-worker work stealing (the PaStiX shape) for both phases; a
+The factorization runs on Python threads: the native kernel and NumPy's
+BLAS release the GIL, so task bodies genuinely overlap across workers.
+Its ready queue is per-worker work stealing (the PaStiX shape); a
 critical-path heap can be picked instead with ``scheduler="priority"``
 (:mod:`repro.runtime.scheduling`), and the choice is stamped into the
 trace's ``meta`` for the S2xx verifier.
@@ -14,19 +14,23 @@ its panels receive (ascending source order) and then factorizes them;
 every write lands in a panel the task owns and every read is ordered by
 a tree edge, so the bodies take **no lock** and the factor is bit-for-bit
 the sequential driver's — whatever the worker count, scheduler and
-interleaving (:class:`_ThreadedUnitRun`).  The solve runs the same way
-(:class:`_ThreadedSolve`).  The 2D couple DAG (a panel task per cblk, an
-update task per couple) is the simulators' (:mod:`repro.machine`); no
-real execution runs it.
+interleaving (:class:`_ThreadedUnitRun`).  The 2D couple DAG (a panel
+task per cblk, an update task per couple) is the simulators'
+(:mod:`repro.machine`); no real execution runs it.
 
-Common to both (:class:`_PoolRun`), whose worker loop is pop → run →
-publish:
+The pool (:class:`_PoolRun`), whose worker loop is pop → run → publish:
 
 * completion notifications use per-worker wakeup events instead of one
   global condition variable, so finishing a task never stampedes the
   whole pool;
 * trace rows are buffered per worker and merged once at ``run()`` exit,
   so tracing never contends with the scheduler.
+
+The solve (:func:`solve_threaded`) starts no Python thread: on a native
+factor one call to the C DAG executor (:func:`repro.kernels.native.\
+run_dag`) runs every task of the solve DAG, releasing dependencies as
+tasks finish; otherwise the same tasks run in a topological order on the
+calling thread (:class:`_ThreadedSolve`'s NumPy bodies).
 """
 
 from __future__ import annotations
@@ -44,7 +48,11 @@ from repro.kernels import native
 from repro.kernels.dense import triangular_solve
 from repro.kernels.indexcache import get_couple_cache
 from repro.kernels.panel import panel_factorize, panel_update
-from repro.runtime.scheduling import ThreadScheduler, get_thread_scheduler
+from repro.runtime.scheduling import (
+    THREAD_SCHEDULERS,
+    ThreadScheduler,
+    get_thread_scheduler,
+)
 from repro.runtime.tracing import ExecutionTrace, sync_stats
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic.structures import SymbolMatrix
@@ -60,17 +68,15 @@ _PARK_TIMEOUT_S = 0.02
 class _PoolRun:
     """Scheduler-driven thread-pool execution of one task DAG.
 
-    The shared engine beneath the factorization and solve runs; a
-    subclass supplies the task body (:meth:`_run_task`).  Hardening is
-    uniform across both phases:
+    The engine beneath the factorization; a subclass supplies the task
+    body (:meth:`_run_task`).  Hardening:
 
     * a task body that raises is retried up to ``max_retries`` times
       (each failed attempt lands in the trace as a ``"task-error"``
       fault with a ``"requeue"`` recovery).  A body that mutates shared
       state must leave it as it found it when it raises (the
       factorization restores its panels from a checkpoint taken only
-      when ``max_retries > 0``); the solve, which cannot, runs with no
-      retry budget;
+      when ``max_retries > 0``);
     * past the budget the task is *quarantined* — its exception is kept,
       its not-yet-run descendants are abandoned, and every independent
       task still executes (no whole-run abort).  ``run()`` re-raises the
@@ -80,7 +86,7 @@ class _PoolRun:
       scheduler queue and the blocked frontier.
     """
 
-    #: Used in stall/watchdog messages ("factorization" / "solve").
+    #: Used in stall/watchdog messages.
     phase_label = "run"
 
     def __init__(self, dag, n_workers: int,
@@ -470,14 +476,16 @@ class _ThreadedUnitRun(_PoolRun):
 
 
 class _ThreadedSolve:
-    """Task bodies of the parallel triangular solve (left-looking).
+    """NumPy task bodies of the triangular solve (left-looking): the
+    oracle of the native sweeps, and what runs a solve on a factor
+    without them.
 
-    Executes the coarse DAG of :func:`repro.dag.build_solve_dag`: a task
-    runs the forward (ascending) or backward (descending) steps of its
-    unit's panels back to back.  Every shared access is ordered by a DAG
-    edge, so the bodies take no lock and the result does not depend on
-    worker count, scheduler or interleaving — it is bit-identical to
-    :func:`repro.core.triangular.solve_factored` on the same backend:
+    A task of the coarse DAG of :func:`repro.dag.build_solve_dag` runs
+    the forward (ascending) or backward (descending) steps of its unit's
+    panels back to back.  Every shared access is ordered by a DAG edge,
+    so the result does not depend on the order the tasks run in — it is
+    bit-identical to :func:`repro.core.triangular.solve_factored` on the
+    same backend:
 
     * the forward step of panel ``k`` subtracts, in ascending source
       order, its descendants' slices of their private contribution slabs
@@ -487,37 +495,22 @@ class _ThreadedSolve:
       it (all owned by tree ancestors), applies ``D⁻¹`` (LDLᵀ) to its own
       segment, solves the transposed triangle and writes only ``x[f:l]``.
 
-    ``x`` may be one right-hand side ``(n,)`` or a block ``(n, k)``.
-
-    The backend follows ``factor.kernels``: on a native factor a task is
-    one GIL-free C call over its unit's panels
-    (:class:`repro.kernels.native.SolveSweeps`: one slab arena, a gather
-    buffer per worker, all allocated before the pool starts) — the steps
-    above, in C, which ``solve_factored`` runs as two calls.  Otherwise
-    the NumPy bodies below run, the fallback and the oracle.
+    ``x`` may be one right-hand side ``(n,)`` or a block ``(n, k)``.  The
+    native executor runs the same steps in C (``native.c``,
+    ``solve_panels``).
     """
 
-    def __init__(self, factor: NumericFactor, x: np.ndarray, dag,
-                 n_workers: int) -> None:
+    def __init__(self, factor: NumericFactor, x: np.ndarray,
+                 panels: np.ndarray) -> None:
         self.factor = factor
         self.x = x
-        unit = dag.solve_unit
-        self.tasks = list(zip(dag.unit_ptr[unit].tolist(),
-                              dag.unit_ptr[unit + 1].tolist(),
-                              dag.solve_backward.tolist()))
-        self.panels = dag.unit_panels
-        self.sweeps = native.solve_sweeps(factor, x, dag.unit_panels,
-                                          n_workers)
-        if self.sweeps is None:
-            self.sources = get_couple_cache(factor.symbol).sources
-            self.ptr = factor.symbol.cblk_ptr.tolist()
-            self.slabs: list[Optional[np.ndarray]] = [None] * len(factor.L)
+        self.panels = panels
+        self.sources = get_couple_cache(factor.symbol).sources
+        self.ptr = factor.symbol.cblk_ptr.tolist()
+        self.slabs: list[Optional[np.ndarray]] = [None] * len(factor.L)
 
-    def run_task(self, task: int, worker: int) -> None:
-        lo, hi, backward = self.tasks[task]
-        if self.sweeps is not None:
-            self.sweeps.run(lo, hi, backward, worker)
-        elif backward:
+    def run_task(self, lo: int, hi: int, backward: int) -> None:
+        if backward:
             for k in self.panels[lo:hi][::-1].tolist():
                 self._backward(k)
         else:
@@ -562,33 +555,89 @@ class _ThreadedSolve:
             )
 
 
-class _ThreadedSolveRun(_PoolRun):
-    """One threaded triangular solve on the shared pool engine.
+def _solve_tasks(dag) -> tuple[native.DagTasks, dict[str, np.ndarray]]:
+    """The solve DAG as the executor reads it — task ``t`` is ``(lo, hi,
+    backward)``, the panels ``unit_panels[lo:hi]`` of its unit — checked
+    once and memoised on the DAG, with the ready-set ranks of the heap
+    orders (filled on first use)."""
+    memo = getattr(dag, "_executor", None)
+    if memo is None:
+        unit = dag.solve_unit
+        records = np.column_stack([dag.unit_ptr[unit], dag.unit_ptr[unit + 1],
+                                   dag.solve_backward])
+        memo = dag._executor = (native.DagTasks(
+            dag.succ_ptr, dag.succ_list, dag.n_deps, records,
+            dag.unit_panels.size), {})
+    return memo
 
-    Solve tasks mutate the right-hand-side vector in place, so bodies
-    are *not* retryable (``max_retries`` is pinned to 0); the watchdog
-    and quarantine machinery are inherited unchanged — a wedged solve
-    pool raises the same named diagnostic as the factorization instead
-    of joining forever.
+
+def _rank(dag, ranks: dict[str, np.ndarray],
+          order: str) -> Optional[np.ndarray]:
+    """The executor's ready-set rank for a pop order: ``None`` (LIFO) for
+    ``"ws"``, the longest-path levels for ``"priority"``, their negation
+    for ``"inverse-priority"``."""
+    if order == "ws":
+        return None
+    if not ranks:
+        from repro.dag.analysis import longest_path_levels
+
+        levels = np.ascontiguousarray(longest_path_levels(dag),
+                                      dtype=np.float64)
+        ranks.update({"priority": levels, "inverse-priority": -levels})
+    return ranks[order]
+
+
+def _run_dag(factor: NumericFactor, x: np.ndarray, dag, n_workers: int,
+             order: str, trace: Optional[ExecutionTrace],
+             record_sync: bool) -> None:
+    """Run every task of the solve DAG ``dag`` on ``x`` in place: the
+    executor's entry point.
+
+    On a factor with native sweeps, one call to the C executor
+    (:func:`repro.kernels.native.run_dag`; the caller is worker 0).
+    Otherwise the tasks run in the DAG's Kahn order on the calling thread
+    with the NumPy bodies of :class:`_ThreadedSolve`, and a trace gets
+    the same shape: one task row each, and with ``record_sync`` one
+    publish each.
     """
-
-    phase_label = "solve"
-
-    def __init__(self, factor: NumericFactor, x: np.ndarray, dag,
-                 n_workers: int,
-                 trace: Optional[ExecutionTrace] = None,
-                 watchdog_s: float | None = None,
-                 scheduler: ThreadScheduler | str = "ws",
-                 record_sync: bool = False) -> None:
-        super().__init__(dag, n_workers, trace, scheduler,
-                         max_retries=0, watchdog_s=watchdog_s,
-                         record_sync=record_sync)
-        # Here, not in the workers: a factor or right-hand side that
-        # fails the native checks raises before the pool exists.
-        self.body = _ThreadedSolve(factor, x, dag, self.n_workers)
-
-    def _run_task(self, t: int, worker: int) -> None:
-        self.body.run_task(t, worker)
+    tasks, ranks = _solve_tasks(dag)
+    sweeps = native.solve_sweeps(factor, x, dag.unit_panels, n_workers)
+    sync = record_sync and trace is not None
+    rows: dict[str, list] = {}      # kind -> (task, worker, t0_ns, t1_ns)
+    if sweeps is not None:
+        logs = (None if trace is None
+                else native.DagLogs.sized_for(tasks.n_tasks, n_workers, sync))
+        native.run_dag(tasks, sweeps, n_workers, _rank(dag, ranks, order),
+                       logs)
+        if logs is not None:
+            rows = {k: logs.written(k).tolist() for k in logs.KINDS}
+    else:
+        body = _ThreadedSolve(factor, x, dag.unit_panels)
+        records = tasks.tasks.tolist()
+        rows = {"task": [], "publish": []}
+        start = time.perf_counter_ns()
+        for t in tasks.order.tolist():
+            t0 = time.perf_counter_ns() - start if trace is not None else 0
+            body.run_task(*records[t])
+            if trace is not None:
+                t1 = time.perf_counter_ns() - start
+                rows["task"].append((t, 0, t0, t1))
+                rows["publish"].append((t, 0, t1, t1))
+    if trace is None:
+        return
+    trace.meta.update(producer="runtime.threaded", clock="wall",
+                      scheduler=order, n_workers=n_workers,
+                      kernels="numpy" if sweeps is None else "native")
+    for t, w, t0, t1 in rows["task"]:
+        trace.record(t, f"cpu{w}", t0 * 1e-9, t1 * 1e-9)
+    if sync:
+        trace.meta["sync_trace"] = True
+        for kind, obj in (("publish", "pool"), ("park", None),
+                          ("wake", "pool")):
+            for t, w, t0, t1 in rows.get(kind, ()):
+                trace.record_sync(kind, w, obj or f"worker{w}", t,
+                                  t0 * 1e-9, t1 * 1e-9)
+        trace.meta["sync_stats"] = sync_stats(trace.sync_events)
 
 
 def solve_threaded(
@@ -596,42 +645,49 @@ def solve_threaded(
     b: np.ndarray,
     *,
     n_workers: int = 4,
-    watchdog_s: float | None = None,
     scheduler: ThreadScheduler | str = "ws",
     trace: Optional[ExecutionTrace] = None,
     record_sync: bool = False,
 ) -> np.ndarray:
-    """Parallel triangular solve of the factored system on threads.
+    """Parallel triangular solve of the factored system.
 
     Bit-identical to :func:`repro.core.triangular.solve_factored` on the
     same factor (one right-hand side ``(n,)`` or a block ``(n, k)``, copied
-    C-contiguous in the factor's dtype) whatever the worker
-    count and scheduler, but executed as the coarse solve-phase DAG on a
-    worker pool; the DAG is memoised on the symbol, so repeated solves
-    build it once.  ``watchdog_s`` turns a wedged pool into a diagnostic
-    ``RuntimeError`` instead of an unbounded ``join()``; ``scheduler``
-    picks the ready-queue policy (work stealing by default, as for the
-    factorization).
+    C-contiguous in the factor's dtype) whatever the worker count and
+    scheduler, but executed as the coarse solve-phase DAG; the DAG is
+    memoised on the symbol, so repeated solves build and check it once.
 
-    The task bodies follow ``factor.kernels`` (:class:`_ThreadedSolve`):
-    one native C call per task on a native factor, the NumPy bodies
-    otherwise; a passed ``trace`` gets the effective backend stamped in
-    ``trace.meta["kernels"]``, as the factorization does.
+    On a native factor one GIL-free call runs the whole DAG
+    (:func:`repro.kernels.native.run_dag`): the calling thread and
+    ``n_workers - 1`` C threads pop ready tasks from one shared set, and
+    a finishing task releases its successors itself.  No Python thread
+    starts.  ``scheduler`` names the pop order: ``"ws"`` (the default)
+    is LIFO, ``"priority"`` a heap on longest-path levels and
+    ``"inverse-priority"`` the reverse heap (a test-only worst order).
+    A NumPy or list-built factor runs the same tasks, in a topological
+    order, on the calling thread (:class:`_ThreadedSolve`).
+
+    A passed ``trace`` gets one row per task and ``meta`` stamped as the
+    factorization stamps it (``scheduler``, ``n_workers``, the effective
+    ``kernels``); ``record_sync=True`` adds the publish, park and wake
+    events the C7xx audit replays, and ``meta["sync_stats"]``.  Without
+    a trace the executor reads no clock for it.
     """
     from repro.dag.solve_builder import build_solve_dag
 
+    if int(n_workers) < 1:
+        raise ValueError("n_workers must be positive")
+    n_workers = int(n_workers)
+    order = get_thread_scheduler(scheduler).name
+    if order not in THREAD_SCHEDULERS:
+        raise ValueError(f"the solve's pop orders are "
+                         f"{sorted(THREAD_SCHEDULERS)}, not {order!r}")
     x = np.array(b, dtype=factor.dtype, order="C")
     dag = build_solve_dag(
         factor.symbol, factor.factotype, dtype=factor.dtype,
         nrhs=1 if x.ndim == 1 else x.shape[1], n_workers=n_workers,
     )
-    run = _ThreadedSolveRun(factor, x, dag, n_workers, trace=trace,
-                            watchdog_s=watchdog_s, scheduler=scheduler,
-                            record_sync=record_sync)
-    if trace is not None:
-        trace.meta["kernels"] = (
-            "numpy" if run.body.sweeps is None else "native")
-    run.run()
+    _run_dag(factor, x, dag, n_workers, order, trace, record_sync)
     return x
 
 

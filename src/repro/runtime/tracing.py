@@ -168,9 +168,11 @@ class SyncEvent:
     * ``"publish"`` — a task's completion became visible to the pool
       (dependency counters decremented);
     * ``"park"`` — a worker's idle nap window (``obj`` =
-      ``"worker{w}"``), bounded by the runtime's park timeout;
+      ``"worker{w}"``): one bounded wait in the factorization pool, one
+      idle episode of timed waits in the solve's C executor;
     * ``"wake"`` — this worker set ``obj`` = ``"worker{v}"``'s wakeup
-      event (instantaneous);
+      event, or (the C executor) signalled its condition variable,
+      ``obj`` = ``"pool"`` (instantaneous);
     * ``"steal"`` — a scheduler steal probe against ``obj`` =
       ``"worker{victim}"``: ``task`` is the stolen task, or ``-1``
       for a failed attempt (instantaneous).

@@ -330,6 +330,14 @@ class SparseMatrixCSC:
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[0] != self.n_cols:
             raise ValueError(f"x has shape {x.shape}, not ({self.n_cols}[, k])")
+        from repro.kernels.native import csc_matvec
+
+        out = csc_matvec(self.n_rows, self.colptr, self.rowind, self.values, x)
+        return self._matvec_numpy(x) if out is None else out
+
+    def _matvec_numpy(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`matvec`'s NumPy body: the path without a C compiler,
+        and the oracle the C loop is bit-identical to."""
         # Entries are stored column by column: x[col] per entry is a repeat.
         # A block goes one column at a time: no (nnz, k) temporary, and a
         # 1-D ``np.add.at`` runs NumPy's indexed-loop fast path (the 2-D
@@ -340,7 +348,12 @@ class SparseMatrixCSC:
             dtype=np.result_type(self.values.dtype, x.dtype),
         )
         for xj, oj in zip(np.atleast_2d(x.T), np.atleast_2d(out)):
-            np.add.at(oj, self.rowind, self.values * np.repeat(xj, counts))
+            # Named, not a temporary: NumPy reuses a temporary operand of
+            # 256 KiB or more as the output, with the operands swapped,
+            # and a complex product of its fused multiply-add loops is not
+            # symmetric in them — the rounding would depend on the size.
+            xs = np.repeat(xj, counts)
+            np.add.at(oj, self.rowind, self.values * xs)
         return np.ascontiguousarray(out.T)
 
     def diagonal(self) -> np.ndarray:

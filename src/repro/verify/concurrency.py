@@ -3,9 +3,11 @@ real threaded runtime.
 
 The threaded engine hand-rolls the synchronization the paper delegates
 to StarPU/PaRSEC — per-worker deques, completion publishes under one
-state lock, evented worker parking.  Its task bodies take no lock (each
-unit task writes only its own panels; every read is ordered by a DAG
-edge), so what is left to prove is that the *pool* honoured the DAG.
+state lock, evented worker parking (the factorization pool); one mutex,
+one condition variable and timed parks (the solve's C executor).  Its
+task bodies take no lock (each task writes only what it owns; every
+read is ordered by a DAG edge), so what is left to prove is that the
+*pool* honoured the DAG.
 This pass replays the :class:`~repro.runtime.tracing.SyncEvent` stream
 recorded by ``factorize_threaded(..., record_sync=True)`` (or
 ``solve_threaded``) together with the task events.
@@ -51,8 +53,10 @@ __all__ = [
 ]
 
 #: A park window at least this long, spanning a ready task's idle wait,
-#: is a lost wakeup (C705).  The runtime's park timeout is 0.02 s, so an
-#: honest nap never comes close.
+#: is a lost wakeup (C705).  The pool's park timeout is 0.02 s, so an
+#: honest nap never comes close.  The solve's C executor records whole
+#: idle episodes, which can be longer, but it parks a worker only while
+#: the ready set is empty, so no ready task waits through an honest one.
 PARK_HORIZON_S = 0.1
 
 _TOL = 1e-9

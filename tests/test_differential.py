@@ -3,7 +3,10 @@
 Hypothesis draws small matrices — random patterns, grids, arrowheads,
 0 x 0 / 1 x 1, with or without zero diagonal entries — and runs each
 through every factotype x {sequential, threaded} x nrhs in {1, 3}, with
-two ``update_values`` refactorizations.  Every solution must meet the
+two ``update_values`` refactorizations.  The threaded solve must equal
+``solve_factored`` bit for bit on every worker count in {1, 2, 3}, pop
+order and nrhs in {1, 3, 16}, for the native factor and for the same
+panels on the NumPy bodies.  Every solution must meet the
 scaled backward error of ``benchmarks/e2e/reference.py`` (imported, not
 copied) wherever SuperLU meets it; an input the solver rejects must raise
 a typed exception (or warning), quickly.  Every refactorization must
@@ -30,7 +33,10 @@ from repro import SparseSolver
 from repro.core.factor import AssemblyMap, NumericFactor, assembly_map
 from repro.core.options import SolverOptions
 from repro.core.refinement import ConvergenceWarning
+from repro.core.triangular import solve_factored
 from repro.graph import native
+from repro.runtime.scheduling import THREAD_SCHEDULERS
+from repro.runtime.threaded import solve_threaded
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
 from repro.symbolic import amalgamate
 
@@ -211,6 +217,42 @@ def test_solutions_match_superlu(pattern, data):
                     assert err <= tol, (ft, runtime, nrhs, err, tol)
                 if solver.factor is not None:
                     assert_memoised_map_is_fresh(solver)
+
+
+# ----------------------------------------------------------------------
+# threaded solve == sequential solve, bit for bit
+# ----------------------------------------------------------------------
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(pattern=patterns(), data=st.data())
+def test_threaded_solve_is_the_sequential_solve(pattern, data):
+    """Every worker count, pop order and block width, on both kernel
+    backends: the solve DAG orders every shared write, so no schedule
+    can change a bit."""
+    import dataclasses
+
+    n, rows, cols = pattern
+    ft = data.draw(st.sampled_from(FACTOTYPES), label="factotype")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16),
+                                          label="seed"))
+    matrix = matrix_values(n, rows, cols, ft, np.empty(0, dtype=np.int64),
+                           True, rng)
+    solver = SparseSolver(matrix, SolverOptions(factotype=ft))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        solver.factorize()
+    factor = solver.factor
+    for f in (factor, dataclasses.replace(factor, kernels="numpy")):
+        for nrhs in (1, 3, 16):
+            b = rng.standard_normal((n,) if nrhs == 1 else (n, nrhs))
+            ref = solve_factored(f, b)
+            for n_workers in (1, 2, 3):
+                for scheduler in sorted(THREAD_SCHEDULERS):
+                    got = solve_threaded(f, b, n_workers=n_workers,
+                                         scheduler=scheduler)
+                    assert np.array_equal(got, ref), (
+                        f.kernels, nrhs, n_workers, scheduler)
 
 
 # ----------------------------------------------------------------------

@@ -422,7 +422,7 @@ def test_cold_build_and_cache_hit(tmp_path):
     path, info = native.build(tmp_path)
     assert path.parent == tmp_path and path.exists() and not info["cached"]
     assert info["build_s"] > 0 and info["flags"] == (
-        "-O2 -ffp-contract=off -shared -fPIC")
+        "-O2 -ffp-contract=off -pthread -shared -fPIC")
     again, info2 = native.build(tmp_path)
     assert again == path and info2["cached"]
     assert [p.name for p in tmp_path.iterdir()] == [path.name]   # no temp left

@@ -117,14 +117,21 @@ def test_threaded_equals_sequential_every_scheduler(
 
 
 def test_one_call_per_sweep_and_per_task(grid2d_medium, monkeypatch):
+    """``solve_factored`` makes one sweep call per sweep; a threaded
+    solve makes one executor call, which runs each task once."""
     calls = []
-    run = native.SolveSweeps.run
+    run, run_dag = native.SolveSweeps.run, native.run_dag
 
-    def counting(self, lo, hi, backward, worker=0):
+    def counting(self, lo, hi, backward):
         calls.append(backward)
-        run(self, lo, hi, backward, worker)
+        run(self, lo, hi, backward)
+
+    def counting_dag(*args, **kwargs):
+        calls.append("dag")
+        run_dag(*args, **kwargs)
 
     monkeypatch.setattr(native.SolveSweeps, "run", counting)
+    monkeypatch.setattr(native, "run_dag", counting_dag)
     factor = _factor(grid2d_medium, "ldlt")
     b = np.ones(grid2d_medium.n_rows)
     solve_factored(factor, b)
@@ -133,12 +140,13 @@ def test_one_call_per_sweep_and_per_task(grid2d_medium, monkeypatch):
     trace = ExecutionTrace()
     solve_threaded(factor, b, n_workers=2, trace=trace)
     dag = build_solve_dag(factor.symbol, "ldlt", n_workers=2)
-    assert len(calls) == dag.n_tasks and sum(calls) == dag.n_tasks // 2
+    assert calls == ["dag"]
+    assert sorted(e.task for e in trace.events) == list(range(dag.n_tasks))
     assert trace.meta["kernels"] == "native"
     trace = ExecutionTrace()
     solve_threaded(_numpy(factor), b, n_workers=2, trace=trace)
     assert trace.meta["kernels"] == "numpy"
-    assert len(calls) == dag.n_tasks
+    assert calls == ["dag"] and len(trace.events) == dag.n_tasks
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +266,51 @@ def test_malformed_arguments_are_rejected(grid2d_small):
     with pytest.raises(ValueError, match="couple plan"):
         native.SolveSweeps(dataclasses.replace(factor, index_cache=None), x,
                            panels)
+
+
+def test_executor_arguments_and_trace_logs(grid2d_medium):
+    """``run_dag`` checks what its DagTasks could not (the worker count
+    against the gather buffers, the rank), and a trace log that runs out
+    of room is an error after a complete solve, never a silent cut."""
+    from repro.runtime.threaded import _solve_tasks
+
+    factor = _factor(grid2d_medium, "lu")
+    dag = build_solve_dag(factor.symbol, "lu", n_workers=2)
+    tasks, _ = _solve_tasks(dag)
+    b = np.random.default_rng(3).standard_normal(grid2d_medium.n_rows)
+    ref = solve_factored(factor, b)
+
+    def sweeps():
+        x = b.copy()
+        return x, native.SolveSweeps(factor, x, dag.unit_panels, 2)
+
+    for n_workers in (0, 3):
+        with pytest.raises(ValueError, match="n_workers"):
+            native.run_dag(tasks, sweeps()[1], n_workers)
+    for rank in (np.zeros(tasks.n_tasks + 1), np.zeros(tasks.n_tasks, int),
+                 np.full(tasks.n_tasks, np.nan)):
+        with pytest.raises(ValueError, match="rank"):
+            native.run_dag(tasks, sweeps()[1], 2, rank)
+    short = dag.copy(unit_panels=dag.unit_panels[:1])
+    with pytest.raises(ValueError, match="panel list"):
+        native.run_dag(tasks, native.SolveSweeps(
+            factor, b.copy(), short.unit_panels, 2), 2)
+
+    x, sw = sweeps()
+    logs = native.DagLogs.sized_for(tasks.n_tasks, 2, sync=True)
+    native.run_dag(tasks, sw, 2, -np.arange(tasks.n_tasks, dtype=float),
+                   logs)
+    assert np.array_equal(x, ref)
+    rows = logs.written("task")
+    assert sorted(rows[:, 0]) == list(range(tasks.n_tasks))
+    assert np.all((rows[:, 2] <= rows[:, 3]) & (rows[:, 1] < 2))
+    assert len(logs.written("publish")) == tasks.n_tasks
+    x, sw = sweeps()
+    logs = native.DagLogs({"task": tasks.n_tasks - 1})
+    with pytest.raises(RuntimeError, match="overflow.*'task'"):
+        native.run_dag(tasks, sw, 2, None, logs)
+    assert np.array_equal(x, ref)        # the solve itself completed
+    assert len(logs.written("task")) == tasks.n_tasks - 1
 
 
 def test_factors_without_arenas_take_the_numpy_bodies(grid2d_small):

@@ -281,17 +281,17 @@ class TestThreadedSolvePath:
 
     @staticmethod
     def _spy(monkeypatch):
-        """Record the DAG and vector of every pool run."""
+        """Record the DAG and vector of every executor run."""
         from repro.runtime import threaded
 
         seen = []
-        init = threaded._ThreadedSolveRun.__init__
+        run = threaded._run_dag
 
-        def spy(self, factor, x, dag, *args, **kwargs):
+        def spy(factor, x, dag, *args, **kwargs):
             seen.append((dag, x.shape, x.dtype))
-            init(self, factor, x, dag, *args, **kwargs)
+            run(factor, x, dag, *args, **kwargs)
 
-        monkeypatch.setattr(threaded._ThreadedSolveRun, "__init__", spy)
+        monkeypatch.setattr(threaded, "_run_dag", spy)
         return seen
 
     @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])

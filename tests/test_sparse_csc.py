@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.kernels import native
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
 
 
@@ -282,6 +283,91 @@ def test_property_matvec_is_the_add_at_matvec(n_rows, n_cols, cplx, x_kind,
     got, ref = m.matvec(x), _matvec_add_at(m, x)
     assert got.dtype == ref.dtype and got.shape == ref.shape
     assert np.array_equal(got, ref)
+
+
+def _csc_with_duplicates(rng, n_rows, n_cols, nnz, cplx):
+    """A CSC matrix whose columns hold repeated, unsorted row indices (and
+    a few signed zeros): ``coo_to_csc`` would sum them, so build it raw."""
+    if n_rows == 0 or n_cols == 0:
+        nnz = 0
+    cols = np.sort(rng.integers(0, max(n_cols, 1), nnz))
+    rows = rng.integers(0, max(n_rows, 1), nnz)
+    vals = rng.standard_normal(nnz)
+    if cplx:
+        vals = vals + 1j * rng.standard_normal(nnz)
+    vals[rng.random(nnz) < 0.1] *= -0.0
+    colptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=colptr[1:])
+    return SparseMatrixCSC(n_rows, n_cols, colptr, rows.astype(np.int64), vals)
+
+
+@pytest.mark.skipif(native.availability() is not None,
+                    reason="native backend unavailable")
+@settings(max_examples=150, deadline=None)
+@given(
+    n_rows=st.integers(0, 30), n_cols=st.integers(0, 30),
+    nnz=st.integers(0, 150), cplx=st.booleans(),
+    x_kind=st.sampled_from(("matrix", "real", "int")),
+    k=st.sampled_from([None, 0, 1, 3, 16]),
+    seed=st.integers(0, 10_000),
+)
+def test_property_native_matvec_is_the_numpy_matvec(n_rows, n_cols, nnz, cplx,
+                                                    x_kind, k, seed):
+    """The C loop adds in stored order, as ``np.add.at`` does: the same
+    bits for ``(n,)``, ``(n, k)`` and ``(n, 0)`` on float64 and
+    complex128 — a complex matrix times a real or integer ``x`` too."""
+    rng = np.random.default_rng(seed)
+    m = _csc_with_duplicates(rng, n_rows, n_cols, nnz, cplx)
+    shape = (n_cols,) if k is None else (n_cols, k)
+    kind = ("complex" if cplx else "real") if x_kind == "matrix" else x_kind
+    x = _random_x(rng, shape, kind)
+    got = native.csc_matvec(n_rows, m.colptr, m.rowind, m.values, x)
+    ref = m._matvec_numpy(x)
+    assert got is not None
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got.view(np.float64)),
+                          np.signbit(ref.view(np.float64)))
+    assert np.array_equal(m.matvec(x), ref)
+
+
+@pytest.mark.skipif(native.availability() is not None,
+                    reason="native backend unavailable")
+def test_native_matvec_equals_numpy_above_the_elision_size():
+    """Above 256 KiB NumPy may reuse a temporary operand as the output
+    and multiply with the operands swapped, which rounds a complex
+    product differently; the NumPy body names its operand, so its bits
+    do not depend on the size, and C reproduces them."""
+    rng = np.random.default_rng(3)
+    m = _csc_with_duplicates(rng, 3000, 3000, 40_000, True)
+    assert m.values.nbytes >= 256 * 1024
+    for shape in ((3000,), (3000, 2)):
+        x = _random_x(rng, shape, "complex")
+        got = native.csc_matvec(3000, m.colptr, m.rowind, m.values, x)
+        assert np.array_equal(got, m._matvec_numpy(x))
+
+
+@pytest.mark.skipif(native.availability() is not None,
+                    reason="native backend unavailable")
+def test_native_matvec_declines_what_it_cannot_reproduce():
+    """A real matrix times a complex ``x``, other dtypes and index arrays
+    C could not follow stay on the NumPy body (which raises its own
+    errors)."""
+    rng = np.random.default_rng(0)
+    m = _csc_with_duplicates(rng, 6, 5, 12, False)
+    z = _random_x(rng, (5, 2), "complex")
+    assert native.csc_matvec(6, m.colptr, m.rowind, m.values, z) is None
+    assert np.array_equal(m.matvec(z), m._matvec_numpy(z))
+    f32 = m.values.astype(np.float32)
+    assert native.csc_matvec(6, m.colptr, m.rowind, f32, np.ones(5)) is None
+    for rowind in (m.rowind + 6, m.rowind - 6):
+        assert native.csc_matvec(6, m.colptr, rowind, m.values,
+                                 np.ones(5)) is None
+    with pytest.raises(IndexError):
+        SparseMatrixCSC(6, 5, m.colptr, m.rowind + 6, m.values).matvec(
+            np.ones(5))
+    assert native.csc_matvec(6, m.colptr[::-1], m.rowind, m.values,
+                             np.ones(5)) is None
 
 
 class TestMatvecEdges:

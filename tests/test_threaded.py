@@ -369,42 +369,10 @@ class TestThreadedSolve:
             for rep in range(10):
                 for b, ref in zip(rhs, refs):
                     par = solve_threaded(factor, b, n_workers=8,
-                                         scheduler="ws", watchdog_s=30.0)
+                                         scheduler="ws")
                     assert np.array_equal(ref, par), rep
         finally:
             sys.setswitchinterval(old)
-
-    def test_solve_watchdog_names_the_wedge(self, grid2d_small):
-        """The solve pool inherits the factorization watchdog: a wedged
-        task turns into a named diagnostic instead of a hung join."""
-        import threading
-
-        from repro.dag.solve_builder import build_solve_dag
-        from repro.runtime.threaded import _ThreadedSolveRun
-
-        res, permuted = _setup(grid2d_small, "llt")
-        factor = factorize_sequential(res.symbol, permuted, "llt")
-        x = np.ones(permuted.n_rows, dtype=factor.dtype)
-        dag = build_solve_dag(res.symbol, "llt", dtype=factor.dtype,
-                              n_workers=2)
-        wedged = int(dag.sources()[0])
-        release = threading.Event()
-        run = _ThreadedSolveRun(factor, x, dag, 2, watchdog_s=0.25)
-        original = run._execute
-
-        def execute(t, worker):
-            if t == wedged:
-                release.wait(timeout=10.0)
-            original(t, worker)
-
-        run._execute = execute
-        try:
-            with pytest.raises(RuntimeError, match="no progress") as info:
-                run.run()
-        finally:
-            release.set()
-        assert "threaded solve" in str(info.value)
-        assert "solve" in run._watchdog_message()
 
     @pytest.mark.parametrize("n_workers", [1, 8])
     def test_worker_counts_solve(self, grid2d_small, n_workers):
@@ -440,12 +408,18 @@ class TestThreadedSolve:
 
         seen = []
         init = threaded._PoolRun.__init__
+        run = threaded._run_dag
 
         def spy(self, dag, *args, **kwargs):
             seen.append(dag)
             init(self, dag, *args, **kwargs)
 
+        def run_spy(factor, x, dag, *args, **kwargs):
+            seen.append(dag)
+            run(factor, x, dag, *args, **kwargs)
+
         monkeypatch.setattr(threaded._PoolRun, "__init__", spy)
+        monkeypatch.setattr(threaded, "_run_dag", run_spy)
         res, permuted = _setup(grid2d_small, "ldlt")
         for _ in range(2):
             factor = factorize_threaded(res.symbol, permuted, "ldlt",
@@ -472,6 +446,142 @@ class TestThreadedSolve:
             is get_dag(res.symbol, "ldlt", n_workers=2)   # 2D: no units
         assert get_dag(res.symbol, "lu", **unit) is not facto
         assert build_dag(res.symbol, "ldlt", **unit) is not facto
+
+
+class TestSolveExecutor:
+    """The solve runs its whole DAG in one executor call: no Python
+    thread, a DAG checked before any pointer reaches C, and the small
+    and degenerate cases run like any other."""
+
+    @staticmethod
+    def _factors(mat, factotype="ldlt"):
+        """The same panels on the native and the NumPy bodies."""
+        import dataclasses
+
+        res, permuted = _setup(mat, factotype)
+        factor = factorize_sequential(res.symbol, permuted, factotype)
+        return res, [factor, dataclasses.replace(factor, kernels="numpy")]
+
+    def test_solve_starts_no_python_thread(self, grid2d_medium, monkeypatch):
+        import threading
+
+        from repro.core.triangular import solve_factored
+        from repro.runtime.threaded import solve_threaded
+
+        started = []
+        start = threading.Thread.start
+
+        def spy(self):
+            started.append(self)
+            start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        res, factors = self._factors(grid2d_medium)
+        b = np.random.default_rng(1).standard_normal((res.symbol.n, 3))
+        for factor in factors:
+            for scheduler in sorted(THREAD_SCHEDULERS):
+                trace = ExecutionTrace()
+                x = solve_threaded(factor, b, n_workers=3, trace=trace,
+                                   scheduler=scheduler, record_sync=True)
+                assert np.array_equal(x, solve_factored(factor, b))
+        assert started == []
+        factorize_threaded(res.symbol, grid2d_medium.permute(res.perm.perm),
+                           "ldlt", n_workers=2)
+        assert len(started) == 2           # the spy sees the factorization
+
+    def test_malformed_dag_is_rejected_before_c(self, grid2d_medium,
+                                                monkeypatch):
+        import repro.dag.solve_builder as solve_builder
+        from repro.kernels import native
+        from repro.runtime.threaded import solve_threaded
+
+        res, factors = self._factors(grid2d_medium)
+        dag = solve_builder.build_solve_dag(res.symbol, "ldlt", n_workers=2)
+        assert dag.n_tasks > 2 and dag.n_edges > 0
+
+        def corrupt(edit):
+            bad = dag.copy()
+            bad.solve_unit = dag.solve_unit.copy()
+            bad.solve_backward = dag.solve_backward.copy()
+            edit(bad)
+            return bad
+
+        last = int(np.flatnonzero(np.diff(dag.succ_ptr))[-1])
+        cases = {
+            "in-degree": lambda d: d.n_deps.__setitem__(0, d.n_deps[0] + 1),
+            "range": lambda d: d.succ_list.__setitem__(0, d.n_tasks),
+            "panel range": lambda d: d.unit_ptr.__setitem__(
+                -1, d.unit_ptr[-1] + 1),
+            "cycle": lambda d: d.__setattr__("succ_list", np.where(
+                np.arange(d.succ_list.size) == d.succ_ptr[last],
+                d.sources()[0], d.succ_list)),
+        }
+
+        def c_entered(*args, **kwargs):
+            raise AssertionError("C was entered")
+
+        monkeypatch.setattr(native, "run_dag", c_entered)
+        for name, edit in cases.items():
+            bad = corrupt(edit)
+            if name == "cycle":
+                bad.n_deps = np.bincount(bad.succ_list, minlength=bad.n_tasks)
+            monkeypatch.setattr(solve_builder, "build_solve_dag",
+                                lambda *a, bad=bad, **k: bad)
+            for factor in factors:
+                with pytest.raises(ValueError):
+                    solve_threaded(factor, np.ones(res.symbol.n), n_workers=2)
+        with pytest.raises(ValueError, match="n_workers must be positive"):
+            solve_threaded(factors[0], np.ones(res.symbol.n), n_workers=0)
+
+    def test_tasks_are_checked_one_by_one(self):
+        from repro.kernels.native import DagTasks
+
+        ptr, succ = np.array([0, 1, 1]), np.array([1])
+        ok = np.array([[0, 1, 0], [1, 2, 1]])
+        assert DagTasks(ptr, succ, [0, 1], ok, 2).order.tolist() == [0, 1]
+        bad = [
+            ((np.array([0, 2, 1]), succ, [0, 1], ok, 2), "CSR"),
+            ((ptr, np.array([2]), [0, 1], ok, 2), "successor out of range"),
+            ((ptr, succ, [0, 0], ok, 2), "in-degree"),
+            ((ptr, succ, [0, 1], ok, 1), "panel range"),
+            ((ptr, succ, [0, 1], np.array([[1, 0, 0], [1, 2, 1]]), 2),
+             "panel range"),
+            ((ptr, succ, [0, 1], np.array([[0, 1, 2], [1, 2, 1]]), 2),
+             "kind"),
+            ((ptr, succ, [0, 1], ok[:1], 2), "records"),
+            ((ptr, succ.astype(float), [0, 1], ok, 2), "integer"),
+            ((np.array([0, 1, 2]), np.array([1, 0]), [1, 1], ok, 2), "cycle"),
+        ]
+        for args, match in bad:
+            with pytest.raises(ValueError, match=match):
+                DagTasks(*args)
+
+    @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
+    def test_degenerate_solves(self, grid2d_small, factotype):
+        """0 x 0 systems, ``(n, 0)`` right-hand sides and more workers
+        than tasks."""
+        from repro.core.triangular import solve_factored
+        from repro.dag.solve_builder import build_solve_dag
+        from repro.runtime.threaded import solve_threaded
+        from repro.sparse.csc import SparseMatrixCSC
+
+        for mat in (SparseMatrixCSC.from_dense(np.eye(0)), grid2d_small):
+            res, factors = self._factors(mat, factotype)
+            n = res.symbol.n
+            n_tasks = build_solve_dag(res.symbol, factotype,
+                                      n_workers=2).n_tasks
+            assert n_tasks == (0 if n == 0 else n_tasks)
+            for factor in factors:
+                for b in (np.ones(n), np.ones((n, 0)), np.ones((n, 2))):
+                    ref = solve_factored(factor, b)
+                    for n_workers in (1, 2, n_tasks + 5):
+                        trace = ExecutionTrace()
+                        x = solve_threaded(factor, b, n_workers=n_workers,
+                                           trace=trace, record_sync=True)
+                        assert x.shape == b.shape
+                        assert np.array_equal(x, ref)
+                        counts = trace.meta["sync_stats"]["counts"]
+                        assert counts.get("publish", 0) == len(trace.events)
 
 
 class TestInversePriorityHardening:
