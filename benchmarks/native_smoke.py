@@ -13,6 +13,10 @@ sides: the native sweeps against the NumPy bodies (1e-12), and the C
 DAG executor (``solve_threaded``) with 1, 2 and 3 workers against the
 sequential native solve (bit for bit); one traced executor run per
 factor must pass the schedule check and the C7xx concurrency audit.
+One more matrix, factorized with the split floors lowered so that its
+panels split into a diagonal task and row-block tasks, checks each
+factotype the same way (NumPy 1e-12; the pool at 1, 2 and 3 workers bit
+for bit) and audits one traced two-worker run (S2xx and C7xx).
 Prints the effective backend.  Without a C compiler there is
 nothing to build: it says ``SKIPPED (no C compiler)`` and exits 0.
 """
@@ -125,6 +129,57 @@ def check_solve(ft: str, factor) -> None:
           "and the DAG executor at 1-3 workers; C7xx clean)")
 
 
+def check_split() -> None:
+    """A matrix whose panels split: native factor == NumPy (1e-12), the
+    pool at 1, 2 and 3 workers == the sequential driver (bits), and one
+    traced two-worker run passes S2xx and C7xx."""
+    from repro.core.factorization import factorize_sequential
+    from repro.dag import TaskKind, builder
+    from repro.runtime.threaded import factorize_threaded
+    from repro.runtime.tracing import ExecutionTrace
+    from repro.sparse.generators import grid_laplacian_3d
+    from repro.symbolic import analyze
+    from repro.verify.concurrency import verify_concurrency
+    from repro.verify.schedule import verify_schedule
+
+    # Generator-sized matrices weigh less than the floors: lower them.
+    builder.MIN_UNIT_FLOPS = builder.MIN_SPLIT_FLOPS = 0.0
+    builder.ROW_BLOCK = 16
+    matrix = grid_laplacian_3d(9, jitter=0.05, seed=3)
+    res = analyze(matrix)
+    permuted = matrix.permute(res.perm.perm)
+    for ft in ("llt", "ldlt", "lu"):
+        dag = builder.get_dag(res.symbol, ft, granularity="unit", n_workers=2)
+        n_rows = int(np.sum(dag.kind == TaskKind.ROWS))
+        if not n_rows:
+            sys.exit(f"native-smoke: split {ft}: no panel split")
+        ref = factorize_sequential(res.symbol, permuted, ft, kernels="numpy")
+        seq = factorize_sequential(res.symbol, permuted, ft)
+        pars = [factorize_threaded(res.symbol, permuted, ft, n_workers=w)
+                for w in (1, 2, 3)]
+        for side in ("L", "U", "D"):
+            if getattr(ref, side) is None:
+                continue
+            a, b = _flat(ref, side), _flat(seq, side)
+            err = float(np.abs(a - b).max() / np.abs(a).max())
+            if not err <= RTOL:
+                sys.exit(f"native-smoke: split {ft} {side} deviates from "
+                         f"the NumPy kernels by {err:.3e} (bound {RTOL})")
+            if not all(np.array_equal(b, _flat(p, side)) for p in pars):
+                sys.exit(f"native-smoke: split {ft} {side}: a threaded "
+                         "factor is not bit-identical to the sequential")
+        trace = ExecutionTrace()
+        factorize_threaded(res.symbol, permuted, ft, n_workers=2,
+                           trace=trace, record_sync=True)
+        reports = [verify_schedule(dag, trace), verify_concurrency(dag, trace)]
+        if not all(r.ok for r in reports):
+            sys.exit(f"native-smoke: split {ft} traced run fails its audit:\n"
+                     + "\n".join(r.format() for r in reports))
+        print(f"native-smoke: split {ft} ok ({dag.n_tasks} tasks, {n_rows} "
+              "row blocks; NumPy 1e-12, pool at 1-3 workers bit for bit, "
+              "S2xx and C7xx clean)")
+
+
 def main() -> None:
     if not (shutil.which("cc") or shutil.which("gcc")):
         print("native-smoke: SKIPPED (no C compiler)")
@@ -171,6 +226,7 @@ def main() -> None:
             print(f"native-smoke: {ft} {matrix.values.dtype} ok "
                   f"(effective backend {seq.kernels!r}, both drivers)")
             check_solve(ft, seq)
+        check_split()
         check_analysis()
 
 

@@ -132,7 +132,7 @@ def to_dot(dag: TaskDAG, *, max_tasks: int = 500) -> str:
             label = f"P {dag.cblk[i]}"
         lines.append(
             f'  t{i} [label="{label}", style=filled, '
-            f'fillcolor={colors[int(dag.kind[i])]}];'
+            f'fillcolor={colors.get(int(dag.kind[i]), "white")}];'
         )
     for i in range(dag.n_tasks):
         for s in dag.successors(i):

@@ -7,7 +7,13 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.dag.tasks import TaskDAG, TaskKind
-from repro.kernels.cost import complex_multiplier, flops_panel, flops_update
+from repro.kernels.cost import (
+    complex_multiplier,
+    flops_panel,
+    flops_rows,
+    flops_update,
+    flops_update_rows,
+)
 from repro.symbolic.structures import SymbolMatrix
 
 __all__ = [
@@ -17,7 +23,11 @@ __all__ = [
     "dag_of_trace",
     "symbol_memo",
     "FUSE_UNITS_PER_WORKER",
+    "MIN_SPLIT_FLOPS",
     "MIN_UNIT_FLOPS",
+    "ROW_BLOCK",
+    "RowBlocks",
+    "row_blocks",
 ]
 
 #: Leaf subtrees are fused up to ``1 / (FUSE_UNITS_PER_WORKER ·
@@ -33,6 +43,16 @@ FUSE_UNITS_PER_WORKER = 8
 #: only ~2 ms of GEMM-rate arithmetic — so a tree worth less than this
 #: is one task, whatever the worker count.
 MIN_UNIT_FLOPS = 1e8
+
+#: Rows of a row-block task, on average: a split panel's below-diagonal
+#: rows are cut into ``ceil(below / ROW_BLOCK)`` blocks of about equal
+#: flops (:func:`row_blocks`).
+ROW_BLOCK = 128
+
+#: Flop floor of a split panel: its own flops plus the updates it
+#: receives, as the unit DAG weighs a panel.  Below it the diagonal task
+#: and one task per row block cost more than the overlap they buy.
+MIN_SPLIT_FLOPS = 1e8
 
 
 def symbol_memo(symbol: SymbolMatrix, key: tuple, build) -> TaskDAG:
@@ -50,6 +70,111 @@ get_couple_cache`) — it lives on the symbol object: repeated solves,
     if dag is None or dag.symbol is not symbol:
         dag = memo[key] = build()
     return dag
+
+
+def _weights(symbol: SymbolMatrix, factotype: str, dtype,
+             recompute_ld: bool = True):
+    """Per-panel geometry, the update couples and their flops:
+    ``(widths, below, (src, tgt, ms, ns), panel_flops, upd_flops)``."""
+    widths = np.diff(symbol.cblk_ptr).astype(np.int64)
+    below = symbol.cblk_heights() - widths
+    mult = complex_multiplier(dtype)
+    src, tgt, ms, ns = couples = update_couples(symbol)
+    # Array calls: one count per task, bit-identical to the scalar ones.
+    panel_flops = mult * flops_panel(widths, below, factotype)
+    upd_flops = mult * flops_update(
+        ms, ns, widths[src], factotype, recompute_ld=recompute_ld
+    )
+    return widths, below, couples, panel_flops, upd_flops
+
+
+class RowBlocks(NamedTuple):
+    """The row-block partition of a symbol's large panels
+    (:func:`row_blocks`).
+
+    Panel ``k`` is split iff ``ptr[k] < ptr[k + 1]``; its row blocks are
+    then ``[rows[j], rows[j + 1])`` for ``j`` in ``[ptr[k], ptr[k + 1] -
+    1)``, ascending from its width to its height.
+    """
+
+    ptr: np.ndarray
+    rows: np.ndarray
+    symbol: SymbolMatrix
+
+    def bounds(self, k: int) -> np.ndarray:
+        """Panel ``k``'s block boundaries (empty: not split)."""
+        return self.rows[self.ptr[k]: self.ptr[k + 1]]
+
+
+def row_blocks(symbol: SymbolMatrix, factotype: str = "llt",
+               dtype=np.float64) -> RowBlocks:
+    """Which panels split into a diagonal task plus row-block tasks.
+
+    A panel splits when its unit-DAG weight (own flops plus the updates
+    it receives) is at least ``MIN_SPLIT_FLOPS`` and its below-diagonal
+    part spans at least two ``ROW_BLOCK`` blocks; the blocks are cut at
+    equal shares of their rows' flops (:func:`_balanced_bounds`).  It
+    depends on the symbol only — not on values or workers — and is
+    memoised on it, so
+    the sequential driver (one C call over every panel) and the thread
+    pool (one task per block) cut every panel the same way, and their
+    factors stay bit-identical.
+    """
+    key = ("rows", factotype, np.dtype(dtype).str, ROW_BLOCK,
+           MIN_SPLIT_FLOPS)
+
+    def build() -> RowBlocks:
+        widths, below, couples, panel_flops, upd_flops = _weights(
+            symbol, factotype, dtype)
+        weight = panel_flops + np.bincount(couples[1], weights=upd_flops,
+                                           minlength=symbol.n_cblk)
+        nb = -(-below // max(1, int(ROW_BLOCK)))
+        nb[(nb < 2) | ~(weight >= MIN_SPLIT_FLOPS)] = 0
+        ptr = np.zeros(symbol.n_cblk + 1, dtype=np.int64)
+        np.cumsum(np.where(nb > 0, nb + 1, 0), out=ptr[1:])
+        split = np.flatnonzero(nb)
+        if split.size:
+            from repro.kernels.indexcache import get_couple_cache
+
+            plan = get_couple_cache(symbol)
+        rows = [_balanced_bounds(plan, factotype, k, int(nb[k]))
+                for k in split.tolist()]
+        return RowBlocks(ptr, np.concatenate(rows).astype(np.int64)
+                         if rows else np.empty(0, np.int64), symbol)
+
+    return symbol_memo(symbol, key, build)
+
+
+def _couples_into(plan, k: int):
+    """The couples landing in panel ``k``: per couple its facing rows
+    ``n`` and source width ``ws``, and per source tail row it maps, its
+    couple (``0..``) and its row of ``k`` (``rows_local``, ascending per
+    couple)."""
+    c0, c1 = int(plan.tgt_ptr[k]), int(plan.tgt_ptr[k + 1])
+    n = (plan.i1[c0:c1] - plan.i0[c0:c1]).astype(np.int64)
+    ws = plan.layout.width[plan.src[c0:c1]]
+    couple = np.repeat(np.arange(c1 - c0), np.diff(plan.rl_ptr[c0:c1 + 1]))
+    rows = plan.rows_local[plan.rl_ptr[c0]: plan.rl_ptr[c1]]
+    return n, ws, couple, rows
+
+
+def _balanced_bounds(plan, factotype: str, k: int, nb: int) -> np.ndarray:
+    """``nb + 1`` boundaries of panel ``k``'s row blocks, from its width
+    to its height: cut where the running flops of its rows (the update
+    GEMMs each row receives, then its TRSM) cross ``j / nb`` of the
+    total, at least one row per block."""
+    w, h = int(plan.layout.width[k]), int(plan.layout.height[k])
+    n, ws, couple, rows = _couples_into(plan, k)
+    below = rows >= w
+    per_row = flops_rows(w, 1, factotype) + np.bincount(
+        rows[below] - w, minlength=h - w,
+        weights=flops_update_rows(1, n, ws, factotype)[couple[below]])
+    cum = np.cumsum(per_row)
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, nb) / nb) + 1
+    bounds = [0]
+    for j, cut in enumerate(cuts.tolist(), 1):
+        bounds.append(min(max(cut, bounds[-1] + 1), h - w - (nb - j)))
+    return w + np.asarray(bounds + [h - w], dtype=np.int64)
 
 
 def update_couples(
@@ -213,22 +338,16 @@ def build_dag(
     the subtree stay individual tasks (2D granularity only).
     """
     K = symbol.n_cblk
-    widths = np.diff(symbol.cblk_ptr).astype(np.int64)
-    below = symbol.cblk_heights() - widths
-    mult = complex_multiplier(dtype)
-    src, tgt, ms, ns = update_couples(symbol)
+    widths, below, (src, tgt, ms, ns), panel_flops, upd_flops = _weights(
+        symbol, factotype, dtype, recompute_ld)
     n_upd = src.size
-
-    # Array calls: one count per task, bit-identical to the scalar ones.
-    panel_flops = mult * flops_panel(widths, below, factotype)
-    upd_flops = mult * flops_update(
-        ms, ns, widths[src], factotype, recompute_ld=recompute_ld
-    )
 
     if granularity == "unit":
         return _build_unit(
             symbol, factotype, widths, below, src, tgt, ms, ns,
             panel_flops, upd_flops, max(1, int(n_workers)),
+            row_blocks(symbol, factotype, dtype), complex_multiplier(dtype),
+            recompute_ld,
         )
     if granularity == "2d" and fuse_subtree_flops:
         return _build_fused(
@@ -320,8 +439,10 @@ def get_dag(
     injectors, tests) keep building their own with :func:`build_dag`.
     """
     n_workers = max(1, int(n_workers))
-    key = ("facto", factotype, np.dtype(dtype).str, granularity,
-           n_workers if granularity == "unit" else None)  # only units use it
+    # Only unit DAGs depend on the worker count and the split constants.
+    key = ("facto", factotype, np.dtype(dtype).str, granularity) + (
+        (n_workers, ROW_BLOCK, MIN_SPLIT_FLOPS) if granularity == "unit"
+        else ())
     return symbol_memo(symbol, key, lambda: build_dag(
         symbol, factotype, granularity=granularity, dtype=dtype,
         n_workers=n_workers,
@@ -349,9 +470,9 @@ def dag_of_trace(
 
 def _build_unit(
     symbol, factotype, widths, below, src, tgt, ms, ns,
-    panel_flops, upd_flops, n_workers,
+    panel_flops, upd_flops, n_workers, blocks, mult, recompute_ld,
 ):
-    """One left-looking task per unit, edges along the unit tree only.
+    """One left-looking task per unit, and per block of a split panel.
 
     The paper's own levers, combined: §III's left-looking grouping ("all
     tasks contributing to a single panel are associated in a single
@@ -362,51 +483,175 @@ def _build_unit(
     its unit's task executes — and subtrees are fused up to
     ``max(total / (FUSE_UNITS_PER_WORKER · n_workers), MIN_UNIT_FLOPS)``.
 
-    Task ``u`` is unit ``u``: for each member panel ascending it applies
-    the updates of every source panel, then factorizes.  Every source is
-    a tree descendant, hence in the same unit (already done) or in a unit
+    Task ``u`` of a unit: for each member panel ascending it applies the
+    updates of every source panel, then factorizes.  Every source is a
+    tree descendant, hence in the same unit (already done) or in a unit
     below — ordered by the ``unit(child) → unit(parent)`` edges.  Every
     write lands in a panel the task owns, so there is no mutex and no
-    ``UPDATE`` task.  ``fused_components`` lists each task's kernels for
-    the simulators' duration models; single-panel units are ``PANEL1D``
-    tasks (the ``"1d-left"`` grouping), fused ones ``SUBTREE``.
+    ``UPDATE`` task.
+
+    A panel :func:`row_blocks` splits is never fused (its subtree weighs
+    too much by fiat), and its unit becomes a ``DIAG`` task (the updates
+    into the diagonal block, then its factorization) and one ``ROWS``
+    task per row block (the updates into its rows, then their TRSM),
+    with edges child units → ``DIAG`` → every ``ROWS`` → the parent
+    unit's first task (between two split panels, :func:`_block_edges`).
+    The row blocks of a panel write disjoint rows and only read the
+    diagonal block and final source rows, so they run concurrently with
+    no lock; the top separators, which the unit tree leaves as one
+    chain, get their parallelism back.
+
+    ``fused_components`` lists each task's kernels for the simulators'
+    duration models (:func:`repro.kernels.cost.flops_component`), and
+    the ``DIAG`` / ``ROWS`` flops are their sums: the tasks of a panel
+    sum to its unit weight.  Single-panel units are ``PANEL1D`` tasks
+    (the ``"1d-left"`` grouping), fused ones ``SUBTREE``.
     """
     K = symbol.n_cblk
     weight = panel_flops + np.bincount(tgt, weights=upd_flops, minlength=K)
-    part = unit_partition(symbol, weight, max(
+    fusable = np.where(np.diff(blocks.ptr) > 0, np.inf, weight)
+    part = unit_partition(symbol, fusable, max(
         weight.sum() / (FUSE_UNITS_PER_WORKER * n_workers), MIN_UNIT_FLOPS
     ))
     U = part.roots.size
     unit_of = part.unit_of
+    n_bounds = np.diff(blocks.ptr)[part.roots]
+    split = n_bounds > 0
+    # Tasks in unit order: a unit's one task, or its DIAG then its ROWS.
+    n_sub = np.where(split, n_bounds, 1)
+    first = np.zeros(U + 1, dtype=np.int64)
+    np.cumsum(n_sub, out=first[1:])
+    n_tasks = int(first[-1])
+    task_unit = np.repeat(np.arange(U, dtype=np.int64), n_sub)
+    is_rows = np.arange(n_tasks) != first[task_unit]
+    kind = np.where(part.size > 1, TaskKind.SUBTREE, TaskKind.PANEL1D)
+    kind = np.where(split, TaskKind.DIAG, kind)[task_unit].astype(np.int8)
+    kind[is_rows] = TaskKind.ROWS
+    members = np.where(is_rows, 0, part.size[task_unit])
+    unit_ptr = np.zeros(n_tasks + 1, dtype=np.int64)
+    np.cumsum(members, out=unit_ptr[1:])
+    cblk = part.roots[task_unit]
 
-    fused_components: dict[int, list] = {u: [] for u in range(U)}
+    flops = np.zeros(n_tasks)
+    flops[~is_rows] = np.bincount(unit_of, weights=weight, minlength=U)
+    row_range = np.zeros((n_tasks, 2), dtype=np.int64)
+    comps: dict[int, list] = {int(first[u]): [] for u in range(U)}
     for u, w, b in zip(unit_of.tolist(), widths.tolist(), below.tolist()):
-        fused_components[u].append(("panel", w, b))
+        if not split[u]:
+            comps[int(first[u])].append(("panel", w, b))
     for u, m, n, w in zip(unit_of[tgt].tolist(), ms.tolist(), ns.tolist(),
                           widths[src].tolist()):
-        fused_components[u].append(("update", m, n, w))
+        if not split[u]:
+            comps[int(first[u])].append(("update", m, n, w))
+    if split.any():
+        from repro.kernels.indexcache import get_couple_cache
 
-    succ_ptr, succ_list = _csr_from_edges(U, part.child, part.above)
+        plan = get_couple_cache(symbol)
+        for u in np.flatnonzero(split).tolist():
+            k, t0 = int(part.roots[u]), int(first[u])
+            bounds = blocks.bounds(k)
+            w, nb = int(widths[k]), bounds.size - 1
+            n, ws, couple, rows = _couples_into(plan, k)
+            block = np.searchsorted(bounds, rows, side="right") - 1
+            mine = block >= 0                    # -1: the diagonal block
+            counts = np.bincount(couple[mine] * nb + block[mine],
+                                 minlength=n.size * nb).reshape(n.size, nb)
+            row_range[t0] = (0, w)
+            row_range[t0 + 1: t0 + 1 + nb] = np.column_stack(
+                [bounds[:-1], bounds[1:]])
+            comps[t0] = [("panel", w, 0)] + [
+                ("update", a, a, b) for a, b in zip(n.tolist(), ws.tolist())]
+            for j, r in enumerate(np.diff(bounds).tolist()):
+                got = np.flatnonzero(counts[:, j])
+                comps[t0 + 1 + j] = [("rows", w, r)] + [
+                    ("slice", a, b, c) for a, b, c in zip(
+                        counts[got, j].tolist(), n[got].tolist(),
+                        ws[got].tolist())]
+            flops[t0] = mult * (flops_panel(w, 0, factotype) + flops_update(
+                n, n, ws, factotype, recompute_ld=recompute_ld).sum())
+            flops[t0 + 1: t0 + 1 + nb] = mult * (
+                flops_rows(w, np.diff(bounds), factotype)
+                + flops_update_rows(counts, n[:, None], ws[:, None],
+                                    factotype).sum(axis=0))
+
+    # Edges: every last task of a child unit -> the parent unit's first
+    # task, unless both are split (below); a DIAG -> each of its ROWS.
+    last_lo = np.where(split, first[:-1] + 1, first[:-1])
+    n_last = first[1:] - last_lo
+    both = split[part.child] & split[part.above]
+    child, above = part.child[~both], part.above[~both]
+    heads = [np.repeat(last_lo[child], n_last[child])
+             + _ranges_within(n_last[child])]
+    tails = [np.repeat(first[above], n_last[child])]
+    rows_ids = np.flatnonzero(is_rows)
+    heads.append(first[task_unit[rows_ids]])
+    tails.append(rows_ids)
+    for cu, pu in zip(part.child[both].tolist(), part.above[both].tolist()):
+        h, t = _block_edges(symbol, blocks, int(part.roots[cu]),
+                            int(part.roots[pu]))
+        heads.append(first[cu] + h)
+        tails.append(first[pu] + t)
+    succ_ptr, succ_list = _csr_from_edges(
+        n_tasks, np.concatenate(heads), np.concatenate(tails))
     return TaskDAG(
-        kind=np.where(
-            part.size > 1, TaskKind.SUBTREE, TaskKind.PANEL1D
-        ).astype(np.int8),
-        cblk=part.roots,
-        target=part.roots.copy(),
-        flops=np.bincount(unit_of, weights=weight, minlength=U),
-        gemm_m=np.zeros(U, np.int64),
-        gemm_n=np.zeros(U, np.int64),
-        gemm_k=widths[part.roots],
+        kind=kind,
+        cblk=cblk,
+        target=cblk.copy(),
+        flops=flops,
+        gemm_m=np.zeros(n_tasks, np.int64),
+        gemm_n=np.zeros(n_tasks, np.int64),
+        gemm_k=widths[cblk],
         succ_ptr=succ_ptr,
         succ_list=succ_list,
-        mutex=np.full(U, -1, dtype=np.int64),
+        mutex=np.full(n_tasks, -1, dtype=np.int64),
         granularity="unit",
         symbol=symbol,
         factotype=factotype,
-        fused_components=fused_components,
-        unit_ptr=part.unit_ptr,
+        fused_components=comps,
+        unit_ptr=unit_ptr,
         unit_panels=part.unit_panels,
+        row_range=row_range,
     )
+
+
+def _block_edges(symbol, blocks: RowBlocks, c: int,
+                 p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges from split panel ``c``'s row blocks to its split tree parent
+    ``p``'s tasks, as offsets from each panel's ``DIAG`` (0 the ``DIAG``,
+    ``1 + j`` row block ``j``).
+
+    ``c``'s tail rows all land in ``p`` (its couple into ``p`` starts at
+    ``i0 = 0``).  Block ``i`` of ``c`` precedes ``p``'s ``DIAG`` when it
+    holds a row facing ``p``, else each of ``p``'s blocks its rows land
+    in — whichever is first to read them; every later reader follows
+    that one (the ``DIAG`` precedes ``p``'s blocks, and a row below
+    ``p``'s columns is a row of ``p``'s block, which an ancestor reads
+    after it).  So ``p``'s ``DIAG`` waits only for the blocks of ``c``
+    facing it, not for the whole of ``c``.
+    """
+    from repro.kernels.indexcache import get_couple_cache
+
+    plan = get_couple_cache(symbol)
+    lo, hi = int(plan.tgt_ptr[p]), int(plan.tgt_ptr[p + 1])
+    cp = lo + int(np.searchsorted(plan.src[lo:hi], c))
+    rl = plan.rows_local[plan.rl_ptr[cp]: plan.rl_ptr[cp + 1]]
+    wc = int(plan.layout.width[c])
+    c_rows, p_rows = blocks.bounds(c), blocks.bounds(p)
+    block_of = np.searchsorted(p_rows, rl, side="right")   # 0: diagonal
+    owner = np.searchsorted(c_rows, wc + np.arange(rl.size), side="right")
+    pairs = np.unique(owner * p_rows.size + block_of)
+    owner, block_of = pairs // p_rows.size, pairs % p_rows.size
+    faces = np.zeros(c_rows.size, dtype=bool)
+    faces[owner[block_of == 0]] = True
+    keep = (block_of == 0) | ~faces[owner]
+    return owner[keep], block_of[keep]
+
+
+def _ranges_within(lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(lengths[i])``."""
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1]) if ends.size else 0) - np.repeat(
+        ends - lengths, lengths)
 
 
 def _build_fused(

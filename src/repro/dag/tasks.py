@@ -26,13 +26,19 @@ class TaskKind(IntEnum):
     a single-panel task of the ``"unit"`` DAG: the panel plus the
     updates it receives);
     ``SUBTREE`` — a whole leaf subtree of the supernode tree fused into
-    one task (the paper's future-work granularity coarsening, §VI).
+    one task (the paper's future-work granularity coarsening, §VI);
+    ``DIAG`` — the diagonal task of a split panel of the ``"unit"`` DAG:
+    the updates into its diagonal block, then that block's factorization;
+    ``ROWS`` — a row-block task of a split panel: the updates into a range
+    of its below-diagonal rows, then their TRSM.
     """
 
     PANEL = 0
     UPDATE = 1
     PANEL1D = 2
     SUBTREE = 3
+    DIAG = 4
+    ROWS = 5
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,7 @@ class TaskDAG:
         fused_components: dict | None = None,
         unit_ptr: np.ndarray | None = None,
         unit_panels: np.ndarray | None = None,
+        row_range: np.ndarray | None = None,
     ) -> None:
         self.kind = kind
         self.cblk = cblk
@@ -138,6 +145,11 @@ class TaskDAG:
         #: ascending.  The units partition the panels.
         self.unit_ptr = unit_ptr
         self.unit_panels = unit_panels
+        #: Unit DAGs: ``(n_tasks, 2)`` local rows ``[r0, r1)`` of panel
+        #: ``cblk[t]`` a ``DIAG`` (``[0, width)``; it is that panel's
+        #: unit) or ``ROWS`` task (no unit member) covers; ``(0, 0)`` for
+        #: the other tasks.
+        self.row_range = row_range
         # In-degrees from the successor lists.
         n_deps = np.zeros(kind.size, dtype=np.int64)
         np.add.at(n_deps, succ_list, 1)

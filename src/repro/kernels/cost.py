@@ -22,6 +22,9 @@ __all__ = [
     "flops_gemm",
     "flops_panel",
     "flops_update",
+    "flops_rows",
+    "flops_update_rows",
+    "flops_component",
     "flops_total",
     "index_overhead_flops",
     "panel_bytes",
@@ -120,6 +123,50 @@ def flops_update(
     if factotype == "lu":
         return flops_gemm(m, n, w) + flops_gemm(np.maximum(m - n, 0), n, w)
     raise ValueError(f"unknown factotype {factotype!r}")
+
+
+def flops_rows(w: int, rows: int, factotype: str) -> float:
+    """The below-diagonal part of :func:`flops_panel` for ``rows`` of its
+    rows: the TRSM(s), and for LDLᵀ the ``D⁻¹`` scaling — what a
+    row-block task solves.  Linear in ``rows``, so the row blocks of a
+    panel sum to ``flops_panel(w, below) - flops_panel(w, 0)``."""
+    if factotype == "llt":
+        return flops_trsm(w, rows)
+    if factotype == "ldlt":
+        return flops_trsm(w, rows) + 1.0 * w * rows
+    if factotype == "lu":
+        return 2.0 * flops_trsm(w, rows)
+    raise ValueError(f"unknown factotype {factotype!r}")
+
+
+def flops_update_rows(rows: int, n: int, w: int, factotype: str) -> float:
+    """The share of an update's GEMMs that lands in ``rows`` target rows
+    strictly below the target's diagonal block (LU: both sides).  The
+    diagonal block's share is ``flops_update(n, n, w)``, which also
+    carries the LDLᵀ ``L·D`` rebuild, so the shares sum to
+    :func:`flops_update`."""
+    if factotype not in ("llt", "ldlt", "lu"):
+        raise ValueError(f"unknown factotype {factotype!r}")
+    return (2.0 if factotype == "lu" else 1.0) * flops_gemm(rows, n, w)
+
+
+def flops_component(comp: tuple, factotype: str, *,
+                    recompute_ld: bool = True) -> float:
+    """Real flops of one kernel component of a fused task
+    (:attr:`repro.dag.tasks.TaskDAG.fused_components`): ``("panel", w,
+    below)``, ``("update", m, n, w)``, ``("rows", w, rows)`` or
+    ``("slice", rows, n, w)``."""
+    tag = comp[0]
+    if tag == "panel":
+        return flops_panel(comp[1], comp[2], factotype)
+    if tag == "update":
+        return flops_update(comp[1], comp[2], comp[3], factotype,
+                            recompute_ld=recompute_ld)
+    if tag == "rows":
+        return flops_rows(comp[1], comp[2], factotype)
+    if tag == "slice":
+        return flops_update_rows(comp[1], comp[2], comp[3], factotype)
+    raise ValueError(f"unknown kernel component {tag!r}")
 
 
 def index_overhead_flops(dag) -> np.ndarray:

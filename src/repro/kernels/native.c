@@ -3,7 +3,14 @@
  * factorize_panels_{d,z}: for each listed panel, ascending — apply the
  * updates of its source panels in ascending source order (GEMM into
  * scratch, scatter-subtract through the couple plan's rows_local), then
- * factor the diagonal block with LAPACK and solve the panel TRSM(s).
+ * factor the diagonal block with LAPACK and solve the panel TRSM(s).  A
+ * panel the row-block partition splits runs as its tasks do, one after
+ * the other: its diagonal task, then each row block.
+ *
+ * factorize_block_{d,z}: one task of a split panel.  Rows [0, width) are
+ * its diagonal task: the updates into the diagonal block, then its LAPACK
+ * factorization and nothing else.  A row range below it is a row-block
+ * task: the updates into those rows, then their TRSM(s).
  *
  * solve_panels_{d,z}: the forward (listed panels ascending) or backward
  * (descending) steps of the left-looking triangular solve, over the same
@@ -79,24 +86,49 @@ int64_t repro_work_len(const plan_t *p)
     return p->max_mn + p->max_nw + p->max_w * p->max_w + SYTRF_NB * p->max_w + 1;
 }
 
+/* The first i in [0, n) with rl[i] >= row, rl ascending (n if none). */
+static int64_t first_at_least(const int64_t *rl, int64_t n, int64_t row)
+{
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (rl[mid] < row)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* x . y without C99 Annex G: gcc's inline complex product calls libgcc
+ * on a NaN result, and that check costs more than the product. */
+static inline double complex cmul(double complex x, double complex y)
+{
+    double a = creal(x), b = cimag(x), c = creal(y), e = cimag(y);
+    return CMPLX(a * c - b * e, a * e + b * c);
+}
+
 #define REPRO_BODY
 
 #define T double
 #define S(name) name##_d
 #define BASE 0
 #define MODULUS(x) fabs(x)
+#define MUL(x, y) ((x) * (y))
 #define HAVE_POTRF 1
 #include "native.c"
 #undef T
 #undef S
 #undef BASE
 #undef MODULUS
+#undef MUL
 #undef HAVE_POTRF
 
 #define T double complex
 #define S(name) name##_z
 #define BASE N_FN
 #define MODULUS(x) cabs(x)
+#define MUL(x, y) cmul(x, y)
 #define HAVE_POTRF 0 /* complex LL^T is rejected in Python (TypeError) */
 #include "native.c"
 
@@ -486,9 +518,12 @@ static void S(scatter)(T *panel, int64_t wt, const int64_t *rl_rows,
     }
 }
 
-/* Every update landing in panel t, ascending source. */
+/* Every update landing in rows [r0, r1) of panel t, ascending source.
+ * A couple's tail rows that land there are one slice [a, b) of its
+ * rows_local (ascending): only their product with the facing rows is
+ * formed and scattered, on the L side and (LU) the U side. */
 static void S(update)(const plan_t *p, int ft, T *L, T *U, const T *D,
-                      int64_t t, T *work)
+                      int64_t t, int64_t r0, int64_t r1, T *work)
 {
     T *out = work, *scaled = work + p->max_mn;
     int64_t wt = p->width[t];
@@ -497,24 +532,60 @@ static void S(update)(const plan_t *p, int ft, T *L, T *U, const T *D,
         int64_t i0 = p->i0[c], n = p->i1[c] - i0;
         int64_t m = p->height[k] - w - i0;
         const int64_t *rl = p->rows_local + p->rl_ptr[c];
+        int64_t a = first_at_least(rl, m, r0), b = first_at_least(rl, m, r1);
+        if (a == b)
+            continue;
         T *tail = L + p->offset[k] + (w + i0) * w; /* m x w; first n rows face t */
-        T *facing = tail;
-        if (ft == LDLT) { /* (L.D) of the facing rows */
+        T *rows = tail + a * w, *facing = tail;
+        if (ft == LDLT) { /* L.D.L^T: scale the shorter operand by D */
             const T *d = D + p->d_off[k];
-            for (int64_t j = 0; j < n; j++)
+            T **side = b - a < n ? &rows : &facing;
+            const T *from = *side;
+            for (int64_t j = 0; j < (b - a < n ? b - a : n); j++)
                 for (int64_t q = 0; q < w; q++)
-                    scaled[j * w + q] = tail[j * w + q] * d[q];
-            facing = scaled;
+                    scaled[j * w + q] = MUL(from[j * w + q], d[q]);
+            *side = scaled;
         } else if (ft == LU) {
             facing = U + p->offset[k] + (w + i0) * w;
         }
-        S(product)(tail, facing, (int)m, (int)n, (int)w, out);
-        S(scatter)(L + p->offset[t], wt, rl, rl, m, n, out);
-        if (ft == LU && m > n) { /* U side: rows strictly below t's block */
-            T *utail = U + p->offset[k] + (w + i0 + n) * w;
-            S(product)(utail, tail, (int)(m - n), (int)n, (int)w, out);
-            S(scatter)(U + p->offset[t], wt, rl + n, rl, m - n, n, out);
+        S(product)(rows, facing, (int)(b - a), (int)n, (int)w, out);
+        S(scatter)(L + p->offset[t], wt, rl + a, rl, b - a, n, out);
+        int64_t u = a > n ? a : n; /* U side: rows strictly below t's block */
+        if (ft == LU && b > u) {
+            T *utail = U + p->offset[k] + (w + i0 + u) * w;
+            S(product)(utail, tail, (int)(b - u), (int)n, (int)w, out);
+            S(scatter)(U + p->offset[t], wt, rl + u, rl, b - u, n, out);
         }
+    }
+}
+
+/* The panel TRSM(s) of rows [r0, r1) of panel k, below its factored
+ * diagonal block; inv: room for width elements (LDL^T: D^-1). */
+static void S(trsm_rows)(const plan_t *p, int ft, T *L, T *U, const T *D,
+                         int64_t k, int64_t r0, int64_t r1, T *inv)
+{
+    int64_t w = p->width[k], rows = r1 - r0;
+    T *blk = L + p->offset[k], *x = blk + r0 * w;
+    int iw = (int)w, ib = (int)rows;
+    T one = 1;
+    S(trsm_t) trsm = (S(trsm_t))blas[BASE + TRSM];
+    if (rows <= 0)
+        return;
+    if (ft == LLT) { /* L21 = A21 . L11^-T */
+        trsm("L", "U", "T", "N", &iw, &ib, &one, blk, &iw, x, &iw);
+    } else if (ft == LDLT) { /* L21 = A21 . L11^-T . D^-1 */
+        const T *d = D + p->d_off[k];
+        trsm("L", "U", "T", "U", &iw, &ib, &one, blk, &iw, x, &iw);
+        for (int64_t q = 0; q < w; q++)
+            inv[q] = 1 / d[q];
+        for (int64_t r = 0; r < rows; r++)
+            for (int64_t q = 0; q < w; q++)
+                x[r * w + q] = MUL(x[r * w + q], inv[q]);
+    } else {
+        /* L21 = A21 . U11^-1; U12^T = A12^T . L11^-T (unit lower) */
+        trsm("L", "L", "N", "N", &iw, &ib, &one, blk, &iw, x, &iw);
+        trsm("L", "U", "T", "U", &iw, &ib, &one, blk, &iw,
+             U + p->offset[k] + r0 * w, &iw);
     }
 }
 
@@ -532,19 +603,17 @@ static int S(pivots_ok)(const T *s, int64_t w, const int *ipiv, int info,
     return 1;
 }
 
-/* Factor the diagonal block of panel k and solve its TRSM(s).
- * Returns 0 to hand the panel back to Python, untouched. */
+/* Factor the diagonal block of panel k, and with whole != 0 solve its
+ * TRSM(s) as well.  Returns 0 to hand the panel back to Python, untouched. */
 static int S(factor)(const plan_t *p, int ft, T *L, T *U, T *D, int64_t k,
-                     double threshold, T *work, int *ipiv)
+                     double threshold, T *work, int *ipiv, int whole)
 {
-    int64_t w = p->width[k], below = p->height[k] - w;
-    T *blk = L + p->offset[k], *x = blk + w * w;
+    int64_t w = p->width[k];
+    T *blk = L + p->offset[k];
     T *s = work + p->max_mn + p->max_nw; /* w x w, column-major */
     T *lapack_work = s + p->max_w * p->max_w;
-    int iw = (int)w, ib = (int)below, info = 0;
+    int iw = (int)w, info = 0;
     int lwork = (int)(SYTRF_NB * p->max_w + 1);
-    T one = 1;
-    S(trsm_t) trsm = (S(trsm_t))blas[BASE + TRSM];
 
     if (ft == LLT) {
         if (!HAVE_POTRF)
@@ -562,64 +631,84 @@ static int S(factor)(const plan_t *p, int ft, T *L, T *U, T *D, int64_t k,
         for (int64_t i = 0; i < w; i++)
             for (int64_t j = 0; j < w; j++)
                 blk[i * w + j] = j <= i ? s[i * w + j] : 0;
-        if (below) /* L21 = A21 . L11^-T */
-            trsm("L", "U", "T", "N", &iw, &ib, &one, blk, &iw, x, &iw);
-        return 1;
-    }
-
-    /* ?sytrf('U') on the row-major block would eliminate backwards and
-     * ?getrf of it would factor the transpose, so lay the block out
-     * column-major (sytrf reads the lower triangle only). */
-    for (int64_t i = 0; i < w; i++)
-        for (int64_t j = 0; j < w; j++)
-            s[i + j * w] = blk[i * w + j];
-    if (ft == LDLT)
-        ((S(sytrf_t))blas[BASE + SYTRF])("L", &iw, s, &iw, ipiv, lapack_work,
-                                         &lwork, &info);
-    else
-        ((S(getrf_t))blas[BASE + GETRF])(&iw, &iw, s, &iw, ipiv, &info);
-    if (!S(pivots_ok)(s, w, ipiv, info, threshold))
-        return 0;
-
-    if (ft == LDLT) {
-        T *d = D + p->d_off[k];
-        for (int64_t i = 0; i < w; i++) {
-            d[i] = s[i + i * w];
-            for (int64_t j = 0; j < w; j++)
-                blk[i * w + j] = j < i ? s[i + j * w] : (j == i ? 1 : 0);
-        }
-        if (below) { /* L21 = A21 . L11^-T . D^-1 */
-            trsm("L", "U", "T", "U", &iw, &ib, &one, blk, &iw, x, &iw);
-            for (int64_t r = 0; r < below; r++)
-                for (int64_t q = 0; q < w; q++)
-                    x[r * w + q] /= d[q];
-        }
     } else {
-        for (int64_t i = 0; i < w; i++) /* packed L\U, row-major */
+        /* ?sytrf('U') on the row-major block would eliminate backwards
+         * and ?getrf of it would factor the transpose, so lay the block
+         * out column-major (sytrf reads the lower triangle only). */
+        for (int64_t i = 0; i < w; i++)
             for (int64_t j = 0; j < w; j++)
-                blk[i * w + j] = s[i + j * w];
-        if (below) {
-            /* L21 = A21 . U11^-1; U12^T = A12^T . L11^-T (unit lower) */
-            trsm("L", "L", "N", "N", &iw, &ib, &one, blk, &iw, x, &iw);
-            trsm("L", "U", "T", "U", &iw, &ib, &one, blk, &iw,
-                 U + p->offset[k] + w * w, &iw);
+                s[i + j * w] = blk[i * w + j];
+        if (ft == LDLT)
+            ((S(sytrf_t))blas[BASE + SYTRF])("L", &iw, s, &iw, ipiv,
+                                             lapack_work, &lwork, &info);
+        else
+            ((S(getrf_t))blas[BASE + GETRF])(&iw, &iw, s, &iw, ipiv, &info);
+        if (!S(pivots_ok)(s, w, ipiv, info, threshold))
+            return 0;
+        if (ft == LDLT) {
+            T *d = D + p->d_off[k];
+            for (int64_t i = 0; i < w; i++) {
+                d[i] = s[i + i * w];
+                for (int64_t j = 0; j < w; j++)
+                    blk[i * w + j] = j < i ? s[i + j * w] : (j == i ? 1 : 0);
+            }
+        } else {
+            for (int64_t i = 0; i < w; i++) /* packed L\U, row-major */
+                for (int64_t j = 0; j < w; j++)
+                    blk[i * w + j] = s[i + j * w];
         }
     }
+    if (whole)
+        S(trsm_rows)(p, ft, L, U, D, k, w, p->height[k], work);
     return 1;
 }
 
-/* Factorize panels[start..n).  Returns n, or the position of a panel
- * handed back to Python (updates applied, diagonal block untouched);
- * the caller factors it and re-enters at that position + 1. */
+/* One task of split panel k: rows [0, width) are its diagonal task (the
+ * updates into the diagonal block, then its factorization only; returns 0
+ * to hand the block back to Python, updates applied, block untouched),
+ * any range [r0, r1) below them a row block (its updates, then its
+ * TRSM(s); returns 1). */
+int64_t S(repro_factorize_block)(const plan_t *p, int ft, T *L, T *U, T *D,
+                                 int64_t k, int64_t r0, int64_t r1,
+                                 double threshold, T *work, int *ipiv)
+{
+    S(update)(p, ft, L, U, D, k, r0, r1, work);
+    if (r0 == 0)
+        return S(factor)(p, ft, L, U, D, k, threshold, work, ipiv, 0);
+    S(trsm_rows)(p, ft, L, U, D, k, r0, r1, work);
+    return 1;
+}
+
+/* Factorize panels[start..n).  A panel with row blocks (block_ptr[k] <
+ * block_ptr[k + 1]: the boundaries block_rows[block_ptr[k]..block_ptr[k +
+ * 1]], from its width to its height) runs its diagonal task, then each
+ * row block; any other panel runs whole.  block_ptr == NULL: no panel is
+ * split.  Returns n, or the position of a panel whose diagonal block is
+ * handed back to Python (updates applied, block untouched): the caller
+ * factors it, runs a split panel's row blocks, and re-enters at that
+ * position + 1. */
 int64_t S(repro_factorize_panels)(const plan_t *p, int ft, T *L, T *U, T *D,
                                   const int64_t *panels, int64_t n,
-                                  int64_t start, double threshold, T *work,
-                                  int *ipiv)
+                                  int64_t start, const int64_t *block_ptr,
+                                  const int64_t *block_rows, double threshold,
+                                  T *work, int *ipiv)
 {
     for (int64_t i = start; i < n; i++) {
-        S(update)(p, ft, L, U, D, panels[i], work);
-        if (!S(factor)(p, ft, L, U, D, panels[i], threshold, work, ipiv))
+        int64_t k = panels[i];
+        int64_t lo = block_ptr ? block_ptr[k] : 0;
+        int64_t hi = block_ptr ? block_ptr[k + 1] : 0;
+        if (lo == hi) {
+            S(update)(p, ft, L, U, D, k, 0, p->height[k], work);
+            if (!S(factor)(p, ft, L, U, D, k, threshold, work, ipiv, 1))
+                return i;
+            continue;
+        }
+        if (!S(repro_factorize_block)(p, ft, L, U, D, k, 0, p->width[k],
+                                      threshold, work, ipiv))
             return i;
+        for (int64_t j = lo; j + 1 < hi; j++)
+            S(repro_factorize_block)(p, ft, L, U, D, k, block_rows[j],
+                                     block_rows[j + 1], threshold, work, ipiv);
     }
     return n;
 }

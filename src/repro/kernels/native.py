@@ -1,11 +1,14 @@
-"""Native numeric backend: one GIL-free C call per unit.
+"""Native numeric backend: one GIL-free C call per task.
 
 ``native.c`` (next to this file) factorizes a run of panels left-looking
 — per panel, every update GEMM + scatter-subtract in ascending source
-order, then the LAPACK diagonal factorization and the panel TRSM(s) —
-runs the forward or backward triangular sweep over a run of panels
-(:class:`SolveSweeps`), runs every task of a solve DAG in one call
-(:func:`run_dag`, over a :class:`DagTasks`) and multiplies a CSC matrix
+order, then the LAPACK diagonal factorization and the panel TRSM(s); a
+panel :func:`repro.dag.builder.row_blocks` splits runs as its diagonal
+task and then its row blocks — or one task of a split panel
+(:func:`factorize_block`), runs the forward or backward triangular
+sweep over a run of panels (:class:`SolveSweeps`), runs every task of a
+solve DAG in one call (:func:`run_dag`, over a :class:`DagTasks`) and
+multiplies a CSC matrix
 by a dense block (:func:`csc_matvec`), reading the flat couple plan
 (:mod:`repro.kernels.indexcache`) and the factor arenas
 (:mod:`repro.core.factor`) through raw pointers.  This
@@ -19,7 +22,8 @@ runs the C/Python hand-back loop:
   panel comes back with its updates applied and its diagonal block
   untouched, :func:`repro.kernels.panel.panel_factorize` runs on it
   (perturbation counting, ``ZeroDivisionError``, ``LinAlgError`` — one
-  implementation), and C is re-entered at the next panel;
+  implementation; a split panel's diagonal block only, its row blocks
+  then run in C), and C is re-entered at the next panel;
 * the NumPy kernels stay the fallback and the oracle:
   :func:`resolve_kernels` turns ``"native"`` into ``"numpy"`` (with a
   ``RuntimeWarning``) when there is no compiler, no capsule or no place
@@ -53,6 +57,7 @@ __all__ = [
     "availability",
     "build",
     "csc_matvec",
+    "factorize_block",
     "factorize_panels",
     "load",
     "resolve_kernels",
@@ -168,6 +173,16 @@ def _declare(lib: ctypes.CDLL, entry_points: Any) -> ctypes.CDLL:
             plan_p, ctypes.c_int,
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,   # L, U, D
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,     # panels
+            ctypes.c_void_p, ctypes.c_void_p,                    # row blocks
+            ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,   # scratch
+        ]
+        fn.restype = ctypes.c_int64
+    for name in ("repro_factorize_block_d", "repro_factorize_block_z"):
+        fn = getattr(lib, name)
+        fn.argtypes = [
+            plan_p, ctypes.c_int,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,   # L, U, D
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,      # k, rows
             ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,   # scratch
         ]
         fn.restype = ctypes.c_int64
@@ -334,6 +349,34 @@ def _panel_list(factor: Any, panels: np.ndarray) -> np.ndarray:
     return panels
 
 
+def _row_blocks(factor: Any):
+    """The factor's row-block partition, checked against its layout (C
+    follows the boundaries unchecked): each split panel's boundaries
+    rise strictly from its width to its height."""
+    from repro.dag.builder import row_blocks
+
+    blocks = row_blocks(factor.symbol, factor.factotype, factor.dtype)
+    lay = factor.index_cache.layout
+    ptr, rows = blocks.ptr, blocks.rows
+    counts = np.diff(ptr)
+    ok = (ptr.size == factor.symbol.n_cblk + 1 and ptr[0] == 0
+          and ptr[-1] == rows.size and not np.any(counts == 1))
+    if ok and rows.size:
+        split = np.flatnonzero(counts)
+        owner = np.repeat(split, counts[split])
+        ok = (np.array_equal(rows[ptr[split]], lay.width[split])
+              and np.array_equal(rows[ptr[split + 1] - 1], lay.height[split])
+              and np.all((np.diff(rows) > 0) | (owner[1:] != owner[:-1])))
+    if not ok:
+        raise ValueError("row blocks do not partition the panels' rows")
+    return blocks
+
+
+def _threshold(factor: Any) -> float:
+    monitor = factor.pivot_monitor
+    return 0.0 if monitor is None else float(monitor.threshold)
+
+
 def factorize_panels(
     factor: Any, panels: np.ndarray, scratch: Optional[Scratch] = None
 ) -> None:
@@ -342,26 +385,62 @@ def factorize_panels(
     Every source panel of a listed panel must be final or listed before
     it.  Equivalent to, per panel ``p``: ``panel_update(factor, k, p)``
     for its sources ``k`` ascending, then ``panel_factorize(factor, p)``
-    — which is also exactly what runs for a panel C hands back.
+    — which is also exactly what runs for a panel C hands back.  A panel
+    the row-block partition splits runs its diagonal task, then each row
+    block (:func:`factorize_block`), whatever the caller.
     """
     fn, struct, L, U, D = _bind(factor, "factorize_panels")
     panels = _panel_list(factor, panels)
+    blocks = _row_blocks(factor)
     n = int(panels.size)
     if scratch is None:
         scratch = Scratch(factor)
-    monitor = factor.pivot_monitor
-    threshold = 0.0 if monitor is None else float(monitor.threshold)
     position = 0
     while True:
         position = fn(
             ctypes.byref(struct), _FACTOTYPES[factor.factotype], L, U, D,
-            panels.ctypes.data, n, position, threshold,
+            panels.ctypes.data, n, position, blocks.ptr.ctypes.data,
+            blocks.rows.ctypes.data, _threshold(factor),
             scratch.work.ctypes.data, scratch.ipiv.ctypes.data,
         )
         if position >= n:
             return
-        panel_factorize(factor, int(panels[position]))
+        k = int(panels[position])
+        bounds = blocks.bounds(k).tolist()
+        if not bounds:
+            panel_factorize(factor, k)
+        else:
+            panel_factorize(factor, k, diagonal_only=True)
+            for r0, r1 in zip(bounds[:-1], bounds[1:]):
+                factorize_block(factor, k, (r0, r1), scratch)
         position += 1
+
+
+def factorize_block(factor: Any, k: int, rows: tuple[int, int],
+                    scratch: Optional[Scratch] = None) -> None:
+    """One task of split panel ``k``, in place: ``rows == (0, width)`` is
+    its diagonal task (the updates into the diagonal block, then its
+    factorization — handed back to :func:`panel_factorize` with
+    ``diagonal_only=True`` when LAPACK would pivot or perturb), a range
+    ``width <= r0 < r1 <= height`` a row block (the updates into those
+    rows, then their TRSM(s); the diagonal task must have run).  Every
+    source panel must be final."""
+    fn, struct, L, U, D = _bind(factor, "factorize_block")
+    K = factor.symbol.n_cblk
+    if not 0 <= k < K:
+        raise ValueError("panel index out of range")
+    lay = factor.index_cache.layout
+    w, h = int(lay.width[k]), int(lay.height[k])
+    r0, r1 = int(rows[0]), int(rows[1])
+    if not ((r0, r1) == (0, w) or w <= r0 < r1 <= h):
+        raise ValueError(f"rows {rows} are neither panel {k}'s diagonal "
+                         f"block nor a range below it")
+    if scratch is None:
+        scratch = Scratch(factor)
+    if not fn(ctypes.byref(struct), _FACTOTYPES[factor.factotype], L, U, D,
+              k, r0, r1, _threshold(factor), scratch.work.ctypes.data,
+              scratch.ipiv.ctypes.data):
+        panel_factorize(factor, k, diagonal_only=True)
 
 
 class SolveSweeps:

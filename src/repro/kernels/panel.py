@@ -36,31 +36,38 @@ __all__ = [
 ]
 
 
-def panel_factorize(factor, k: int) -> None:
-    """Factorize panel ``k`` in place (diagonal block + panel TRSM)."""
+def panel_factorize(factor, k: int, *, diagonal_only: bool = False) -> None:
+    """Factorize panel ``k`` in place (diagonal block + panel TRSM).
+
+    ``diagonal_only`` factors the diagonal block (and sets ``D``) but
+    leaves the rows below it alone: a split panel's diagonal task, whose
+    row-block tasks solve their own rows
+    (:func:`repro.kernels.native.factorize_block`).
+    """
     sym = factor.symbol
     w = sym.cblk_width(k)
     Lk = factor.L[k]
     diag = Lk[:w, :w]
     monitor = getattr(factor, "pivot_monitor", None)
+    below = Lk.shape[0] > w and not diagonal_only
 
     if factor.factotype == "llt":
         ld = potrf(diag)
         Lk[:w, :w] = np.tril(ld)
-        if Lk.shape[0] > w:
+        if below:
             Lk[w:, :] = trsm_lower_right(ld, Lk[w:, :])
     elif factor.factotype == "ldlt":
         ld, d = ldlt_nopiv(diag, monitor)
         Lk[:w, :w] = ld
         factor.D[k][:] = d   # in place: D[k] is a view of the arena
-        if Lk.shape[0] > w:
+        if below:
             # L21 = A21 · L11^{-T} · D^{-1}
             Lk[w:, :] = trsm_lower_right(ld, Lk[w:, :], unit=True) / d
     elif factor.factotype == "lu":
         lu = getrf_nopiv(diag, monitor)
         Lk[:w, :w] = lu  # packed L\U diagonal block
         Uk = factor.U[k]
-        if Lk.shape[0] > w:
+        if below:
             # L21 = A21 · U11^{-1}  ⇔  U11ᵀ · L21ᵀ = A21ᵀ
             # (only lu's upper triangle, U11, is read)
             Lk[w:, :] = triangular_solve(

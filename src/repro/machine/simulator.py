@@ -320,21 +320,13 @@ class _Simulator(EventLoop):
 
     def _components_duration(self, components, peak: float, traits) -> float:
         """CPU duration of a fused task from its kernel components."""
-        from repro.kernels.cost import (
-            complex_multiplier,
-            flops_panel,
-            flops_update,
-        )
+        from repro.kernels.cost import complex_multiplier, flops_component
 
         mult = complex_multiplier(self.dtype)
         total = 0.0
         for comp in components:
-            if comp[0] == "panel":
-                _, w, bl = comp
-                eff = self.cpu_model.panel_eff(float(w), float(bl))
-                total += mult * flops_panel(w, bl, self.dag.factotype) / (
-                    peak * eff
-                )
+            if comp[0] in ("panel", "rows"):
+                eff = self.cpu_model.panel_eff(float(comp[1]), float(comp[2]))
             else:
                 _, m, nn, w = comp
                 eff = self.cpu_model.update_eff(
@@ -342,10 +334,9 @@ class _Simulator(EventLoop):
                     recompute_ld=traits.recompute_ld,
                     index_cache=traits.index_cache,
                 )
-                total += mult * flops_update(
-                    m, nn, w, self.dag.factotype,
-                    recompute_ld=traits.recompute_ld,
-                ) / (peak * eff)
+            total += mult * flops_component(
+                comp, self.dag.factotype, recompute_ld=traits.recompute_ld,
+            ) / (peak * eff)
         return total
 
     # ------------------------------------------------------------------

@@ -9,14 +9,16 @@ trace's ``meta`` for the S2xx verifier.
 
 The pool executes the *unit* DAG (``build_dag(granularity="unit")``):
 one left-looking task per panel or fused leaf subtree, edges along the
-supernode tree only.  A unit task applies, panel by panel, the updates
-its panels receive (ascending source order) and then factorizes them;
-every write lands in a panel the task owns and every read is ordered by
-a tree edge, so the bodies take **no lock** and the factor is bit-for-bit
-the sequential driver's — whatever the worker count, scheduler and
-interleaving (:class:`_ThreadedUnitRun`).  The 2D couple DAG (a panel
-task per cblk, an update task per couple) is the simulators'
-(:mod:`repro.machine`); no real execution runs it.
+supernode tree only, and each large top-of-tree panel cut into a
+diagonal task and row-block tasks.  A unit task applies, panel by panel,
+the updates its panels receive (ascending source order) and then
+factorizes them; a diagonal or row-block task does the same for its
+rows of one panel.  Every write lands in rows the task owns and every
+read is ordered by an edge, so the bodies take **no lock** and the
+factor is bit-for-bit the sequential driver's — whatever the worker
+count, scheduler and interleaving (:class:`_ThreadedUnitRun`).  The 2D
+couple DAG (a panel task per cblk, an update task per couple) is the
+simulators' (:mod:`repro.machine`); no real execution runs it.
 
 The pool (:class:`_PoolRun`), whose worker loop is pop → run → publish:
 
@@ -37,13 +39,13 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
 
 from repro.core.factor import NumericFactor
 from repro.dag.builder import get_dag
+from repro.dag.tasks import TaskKind
 from repro.kernels import native
 from repro.kernels.dense import triangular_solve
 from repro.kernels.indexcache import get_couple_cache
@@ -71,15 +73,10 @@ class _PoolRun:
     The engine beneath the factorization; a subclass supplies the task
     body (:meth:`_run_task`).  Hardening:
 
-    * a task body that raises is retried up to ``max_retries`` times
-      (each failed attempt lands in the trace as a ``"task-error"``
-      fault with a ``"requeue"`` recovery).  A body that mutates shared
-      state must leave it as it found it when it raises (the
-      factorization restores its panels from a checkpoint taken only
-      when ``max_retries > 0``);
-    * past the budget the task is *quarantined* — its exception is kept,
-      its not-yet-run descendants are abandoned, and every independent
-      task still executes (no whole-run abort).  ``run()`` re-raises the
+    * a task body that raises is *quarantined* — its exception is kept
+      (and lands in the trace as a ``"task-error"`` fault), its
+      not-yet-run descendants are abandoned, and every independent task
+      still executes (no whole-run abort).  ``run()`` re-raises the
       first quarantined exception once the rest of the DAG drained;
     * ``watchdog_s`` bounds the wait for progress: instead of joining
       forever on a wedged pool, ``run()`` raises a diagnostic naming the
@@ -92,7 +89,6 @@ class _PoolRun:
     def __init__(self, dag, n_workers: int,
                  trace: Optional[ExecutionTrace],
                  scheduler: ThreadScheduler | str,
-                 max_retries: int = 0,
                  watchdog_s: float | None = None,
                  record_sync: bool = False) -> None:
         if int(n_workers) < 1:
@@ -100,7 +96,6 @@ class _PoolRun:
         self.dag = dag
         self.n_workers = int(n_workers)
         self.trace = trace
-        self.max_retries = max_retries
         self.watchdog_s = watchdog_s
         self.scheduler = get_thread_scheduler(scheduler)
         self.scheduler.bind(dag, self.n_workers)
@@ -123,7 +118,6 @@ class _PoolRun:
             [[] for _ in range(self.n_workers + 1)]
             if (record_sync and trace is not None) else None
         )
-        self.attempts: dict[int, int] = {}
         self.quarantined: dict[int, BaseException] = {}
         self.abandoned: set[int] = set()
         self.aborted = False
@@ -204,17 +198,6 @@ class _PoolRun:
         for ev in self.wakeups:
             ev.set()
 
-    def _wake(self, hint: int, me: int) -> None:
-        """Wake the routed worker, or any parked one for shared pools."""
-        if 0 <= hint < self.n_workers:
-            if hint != me:
-                self.wakeups[hint].set()
-                if self._sync_rows is not None:
-                    now = self._now()
-                    self._sync("wake", me, f"worker{hint}", -1, now, now)
-            return
-        self._wake_any(me)
-
     def _wake_any(self, me: int) -> None:
         for w in range(self.n_workers):
             if w != me and not self.wakeups[w].is_set():
@@ -260,27 +243,13 @@ class _PoolRun:
                 surplus -= 1
 
     def _on_failure(self, t: int, worker: int, exc: BaseException) -> None:
-        cblk = int(self.dag.cblk[t])
         with self.state:
-            att = self.attempts.get(t, 0) + 1
-            self.attempts[t] = att
-            now = time.perf_counter() - self.t0
-            retry = att <= self.max_retries
             if self.trace is not None:
-                self.trace.record_fault(
-                    "task-error", t, cblk, f"cpu{worker}", now, now, att,
-                )
-                if retry:
-                    self.trace.record_recovery(
-                        "requeue", t, cblk, f"cpu{worker}", now, att,
-                    )
-            if not retry:
-                self._quarantine_locked(t, exc)
-        if retry:
-            hint = self._push(t, worker)
-            self._wake(hint, worker)
-        else:
-            self._wake_all()
+                now = time.perf_counter() - self.t0
+                self.trace.record_fault("task-error", t, int(self.dag.cblk[t]),
+                                        f"cpu{worker}", now, now, 1)
+            self._quarantine_locked(t, exc)
+        self._wake_all()
 
     # -- the worker loop -----------------------------------------------
     def _park(self, worker: int) -> None:
@@ -413,21 +382,22 @@ class _ThreadedUnitRun(_PoolRun):
     """One threaded factorization on the unit DAG.
 
     Task ``u`` of the unit DAG (:func:`repro.dag.builder._build_unit`)
-    factorizes the panels of unit ``u`` left-looking: for each member
+    factorizes the panels of its unit left-looking: for each member
     panel ascending, apply the updates of its source panels in ascending
-    source order, then :func:`panel_factorize` it.  That is the order
-    the sequential driver's updates reach each panel in, and every
-    source panel is final before the task starts (same unit, or ordered
-    by a tree edge) — so the factor is bit-identical to
+    source order, then :func:`panel_factorize` it.  A ``DIAG`` task does
+    that for the diagonal block of its panel only, a ``ROWS`` task for
+    its row block (updates, then the block's TRSM).  That is the order
+    the sequential driver's updates reach each row in, and every panel a
+    task reads is final before it starts (same task, or ordered by an
+    edge) — so the factor is bit-identical to
     :func:`repro.core.factorization.factorize_sequential` and the body
     takes no lock.  The kernels are the sequential driver's: on the
-    native backend one GIL-free C call per unit
-    (:func:`repro.kernels.native.factorize_panels`, per-worker scratch),
-    else :func:`panel_update` and :func:`panel_factorize`.
-
-    A body only writes its own unit's panels, so with a retry budget it
-    copies them first and puts the copy back when it raises: the retry
-    starts from the values the first attempt started from.
+    native backend one GIL-free C call per task
+    (:func:`repro.kernels.native.factorize_panels` /
+    :func:`~repro.kernels.native.factorize_block`, per-worker scratch),
+    else :func:`panel_update` and :func:`panel_factorize` — whole panels:
+    the ``DIAG`` task runs its panel whole and its ``ROWS`` tasks have
+    nothing left to do.
     """
 
     phase_label = "factorization"
@@ -442,37 +412,28 @@ class _ThreadedUnitRun(_PoolRun):
             [native.Scratch(factor) for _ in range(self.n_workers)]
             if factor.kernels == "native" else None
         )
-
-    def _sides(self) -> list[Sequence[np.ndarray]]:
-        """The factor's per-panel arrays a task writes (L, U, D)."""
-        factor = self.factor
-        return [side for side in (factor.L, factor.U, factor.D)
-                if side is not None]
+        self._kind = dag.kind.tolist()
+        self._rows = [tuple(r) for r in dag.row_range.tolist()]
 
     def _run_task(self, t: int, worker: int) -> None:
         dag, factor = self.dag, self.factor
+        kind = self._kind[t]
+        if self._scratch is not None and kind in (TaskKind.DIAG,
+                                                  TaskKind.ROWS):
+            native.factorize_block(factor, int(dag.cblk[t]), self._rows[t],
+                                   self._scratch[worker])
+            return
+        if kind == TaskKind.ROWS:
+            return          # the NumPy DIAG task ran the whole panel
         panels = dag.unit_panels[dag.unit_ptr[t]: dag.unit_ptr[t + 1]]
-        saved = (
-            [[side[k].copy() for k in panels.tolist()]
-             for side in self._sides()]
-            if self.max_retries > 0 else None
-        )
-        try:
-            if self._scratch is not None:
-                native.factorize_panels(factor, panels,
-                                        self._scratch[worker])
-            else:
-                cache = factor.index_cache
-                for k in panels.tolist():
-                    for j in cache.source_ids(k):
-                        panel_update(factor, j, k)
-                    panel_factorize(factor, k)
-        except BaseException:
-            if saved is not None:
-                for side, copies in zip(self._sides(), saved):
-                    for k, copy in zip(panels.tolist(), copies):
-                        side[k][...] = copy
-            raise
+        if self._scratch is not None:
+            native.factorize_panels(factor, panels, self._scratch[worker])
+            return
+        cache = factor.index_cache
+        for k in panels.tolist():
+            for j in cache.source_ids(k):
+                panel_update(factor, j, k)
+            panel_factorize(factor, k)
 
 
 class _ThreadedSolve:
@@ -699,7 +660,6 @@ def factorize_threaded(
     n_workers: int = 4,
     dtype=None,
     trace: Optional[ExecutionTrace] = None,
-    max_retries: int = 0,
     watchdog_s: float | None = None,
     scheduler: ThreadScheduler | str = "ws",
     pivot_threshold: float = 0.0,
@@ -709,14 +669,15 @@ def factorize_threaded(
     """Factorize on a thread pool; returns the :class:`NumericFactor`.
 
     The pool runs the unit DAG — one left-looking, lock-free task per
-    panel or fused leaf subtree (:class:`_ThreadedUnitRun`) — and its
+    panel or fused leaf subtree, a diagonal task and row-block tasks per
+    large panel (:class:`_ThreadedUnitRun`) — and its
     factor is **bit-identical** to :func:`~repro.core.factorization.\
 factorize_sequential`'s on the same backend for any worker count,
     scheduler and interleaving.  ``trace.meta["granularity"]`` names
     that DAG (``"unit"``).
 
     ``kernels`` selects the numeric backend: ``"native"`` (the default:
-    one C call per unit, :mod:`repro.kernels.native`; equal to the NumPy
+    one C call per task, :mod:`repro.kernels.native`; equal to the NumPy
     kernels to roundoff) or ``"numpy"`` (the reference).  ``"native"``
     falls back to ``"numpy"`` when it cannot be built here.  Both the
     requested and the *effective* backend are stamped into
@@ -729,11 +690,10 @@ ThreadScheduler` instance; the choice is stamped into ``trace.meta``.
 
     Pass an :class:`ExecutionTrace` to collect per-task timings (rows
     are buffered per worker, so the overhead stays off the hot path).
-    ``max_retries`` re-runs a raising task body that many times before
-    quarantining it (see :class:`_PoolRun`), each retry from a copy of
-    the unit's panels taken before the failed attempt; ``watchdog_s``
-    turns a wedged pool into a diagnostic ``RuntimeError`` instead of an
-    unbounded ``join()``.  ``pivot_threshold`` > 0 enables the same
+    A raising task body is quarantined (see :class:`_PoolRun`);
+    ``watchdog_s`` turns a wedged pool into a diagnostic
+    ``RuntimeError`` instead of an unbounded ``join()``.
+    ``pivot_threshold`` > 0 enables the same
     static-pivot perturbation as the sequential driver (the monitor's
     counter is thread-safe).
 
@@ -760,8 +720,8 @@ ThreadScheduler` instance; the choice is stamped into ``trace.meta``.
     dag = get_dag(symbol, factotype, granularity="unit", dtype=factor.dtype,
                   n_workers=n_workers)
     run = _ThreadedUnitRun(
-        factor, dag, n_workers, trace, max_retries=max_retries,
-        watchdog_s=watchdog_s, scheduler=scheduler, record_sync=record_sync,
+        factor, dag, n_workers, trace, watchdog_s=watchdog_s,
+        scheduler=scheduler, record_sync=record_sync,
     )
     if trace is not None:
         # Before the run: a trace names the DAG it ran even when the

@@ -35,7 +35,17 @@ Per :class:`~repro.dag.tasks.TaskKind`:
   the very arrays the runtime's task body iterates, i.e. what the task
   *does* touch; that they partition the panels is checked here (H105)
   and that the edges order every cross-unit read is the hazard pass's
-  job, from the symbolically derived couples as always.
+  job, from the symbolically derived couples as always;
+* a ``DIAG`` task of the ``"unit"`` DAG (the unit of one split panel) —
+  WRITE rows ``[0, w)`` of its panel and its ``D``, READ the facing rows
+  of every source panel; a ``ROWS`` task — WRITE its ``row_range`` of
+  the panel's L (and U for LU), READ the panel's diagonal block (its
+  ``DIAG``) and, per source couple with rows in its range, the facing
+  rows and that slice of the source.  The memory objects of a split
+  panel are its diagonal block and its row blocks: a read of a split
+  source names the ``ROWS`` tasks holding the rows read (and, for
+  LDLᵀ, the ``DIAG`` holding ``D``), and the ``ROWS`` ranges must tile
+  the rows below the diagonal block (H105).
 
 Subtree membership is *re-derived* here rather than read from builder
 metadata: the couples absent from the DAG's ``UPDATE`` tasks must be the
@@ -81,6 +91,16 @@ class AccessSets:
     accum_panel: np.ndarray
     #: problems found while deriving (ownership conflicts &c).
     problems: list = field(default_factory=list)
+    #: per cross-task couple: the task that wrote what it reads
+    #: (``writer[read_panel]``, ``-1`` when unowned, unless a split
+    #: panel names the row block).
+    read_writer: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.read_writer is None:
+            owned = self.read_panel >= 0
+            self.read_writer = np.full(self.read_panel.size, -1, np.int64)
+            self.read_writer[owned] = self.writer[self.read_panel[owned]]
 
     @property
     def n_panels(self) -> int:
@@ -163,7 +183,10 @@ def derive_accesses(dag: TaskDAG, report: Report | None = None) -> AccessSets:
             np.arange(dag.n_tasks, dtype=np.int64), np.diff(unit_ptr)
         )
         writer[owners != 1] = -1
-        return left_looking()
+        blocks = _row_blocks(dag, writer, note)
+        if not blocks:
+            return left_looking()
+        return _split_reads(dag, writer, blocks, problems)
 
     if dag.granularity in ("1d", "1d-left"):
         # One PANEL1D task per cblk, task index == cblk by construction;
@@ -269,3 +292,114 @@ def derive_accesses(dag: TaskDAG, report: Report | None = None) -> AccessSets:
     read_panel = dag.cblk[couple_task].astype(np.int64)
     accum_panel = dag.target[couple_task].astype(np.int64)
     return AccessSets(writer, couple_task, read_panel, accum_panel, problems)
+
+
+def _row_blocks(dag: TaskDAG, writer: np.ndarray, note) -> dict:
+    """The split panels of a unit DAG: ``{panel: (tasks, r0, r1)}``, its
+    ``ROWS`` tasks by ascending rows, after checking that they tile the
+    rows below the diagonal block and that the panel's owner is a
+    ``DIAG`` task over its diagonal block (H105)."""
+    rows_ids = np.flatnonzero(dag.kind == TaskKind.ROWS)
+    diag_ids = np.flatnonzero(dag.kind == TaskKind.DIAG)
+    if rows_ids.size + diag_ids.size == 0:
+        return {}
+    if dag.row_range is None or dag.row_range.shape != (dag.n_tasks, 2):
+        note("H105", "unit DAG has DIAG/ROWS tasks but no row_range")
+        return {}
+    sym = dag.symbol
+    width = np.diff(sym.cblk_ptr).astype(np.int64)
+    height = sym.cblk_heights()
+    blocks: dict = {}
+    for k in np.unique(dag.cblk[np.concatenate([rows_ids, diag_ids])]):
+        k = int(k)
+        owner = int(writer[k])
+        if owner < 0 or dag.kind[owner] != TaskKind.DIAG \
+                or tuple(dag.row_range[owner]) != (0, int(width[k])):
+            note("H105", f"split panel {k}'s diagonal block is not owned by "
+                         "one DIAG task over rows [0, width)",
+                 () if owner < 0 else (owner,))
+            continue
+        mine = rows_ids[dag.cblk[rows_ids] == k]
+        r0, r1 = dag.row_range[mine].T
+        order = np.argsort(r0, kind="stable")
+        mine, r0, r1 = mine[order], r0[order], r1[order]
+        bounds = np.concatenate([r0, r1[-1:]]) if mine.size else r0
+        if not (mine.size and bounds[0] == width[k] and bounds[-1] == height[k]
+                and np.array_equal(r1[:-1], r0[1:]) and np.all(r0 < r1)):
+            note("H105", f"the ROWS tasks of panel {k} do not tile its rows "
+                         f"[{int(width[k])}, {int(height[k])}) once each",
+                 tuple(int(t) for t in mine[:4]))
+            continue
+        blocks[k] = (mine, r0, r1)
+    return blocks
+
+
+def _split_reads(dag: TaskDAG, writer: np.ndarray, blocks: dict,
+                 problems: list) -> AccessSets:
+    """Left-looking reads of a unit DAG with split panels, per row block.
+
+    A couple ``k → t`` reads rows of ``k``'s tail: all of them from
+    ``t``'s own task, or, when ``t`` is split, the facing rows from its
+    ``DIAG`` and the facing rows plus the slice landing in its range
+    from each ``ROWS`` task the slice is not empty for.  A read of split
+    ``k`` is written by the ``ROWS`` tasks over the rows read (and the
+    ``DIAG``, which holds ``D``, for LDLᵀ); every ``ROWS`` task also
+    reads its own panel's diagonal block.
+    """
+    # Lazy: the couple plan sits in the kernels layer.
+    from repro.kernels.indexcache import get_couple_cache
+
+    plan = get_couple_cache(dag.symbol)
+    width = plan.layout.width
+    ldlt = dag.factotype == "ldlt"
+    tasks: list[int] = []
+    panels: list[int] = []
+    writers: list[int] = []
+
+    def read(task: int, k: int, lo: int, hi: int) -> None:
+        """``task`` reads tail rows ``[lo, hi)`` of panel ``k``."""
+        found = blocks.get(k)
+        if found is None:
+            hit = [int(writer[k])]
+        else:
+            mine, r0, r1 = found
+            lo, hi = lo + int(width[k]), hi + int(width[k])
+            hit = mine[(r0 < hi) & (r1 > lo)].tolist()
+            if ldlt:
+                hit.append(int(writer[k]))
+        for u in hit:
+            tasks.append(task)
+            panels.append(k)
+            writers.append(u)
+
+    src, tgt = plan.src.tolist(), plan.tgt.tolist()
+    i0s, i1s = plan.i0.tolist(), plan.i1.tolist()
+    below = plan.layout.below.tolist()
+    rl_ptr = plan.rl_ptr.tolist()
+    for c, (k, t) in enumerate(zip(src, tgt)):
+        i0, i1 = i0s[c], i1s[c]
+        if writer[t] < 0:
+            continue
+        if t not in blocks:
+            read(int(writer[t]), k, i0, below[k])
+            continue
+        read(int(writer[t]), k, i0, i1)
+        rl = plan.rows_local[rl_ptr[c]: rl_ptr[c + 1]]
+        mine, r0, r1 = blocks[t]
+        a = np.searchsorted(rl, r0)
+        b = np.searchsorted(rl, r1)
+        for task, ai, bi in zip(mine.tolist(), a.tolist(), b.tolist()):
+            if ai < bi:
+                read(task, k, i0, i1)
+                read(task, k, i0 + ai, i0 + bi)
+    for k, (mine, _, _) in blocks.items():
+        for task in mine.tolist():
+            tasks.append(task)
+            panels.append(k)
+            writers.append(int(writer[k]))
+    n = len(tasks)
+    return AccessSets(
+        writer, np.asarray(tasks, dtype=np.int64),
+        np.asarray(panels, dtype=np.int64), np.full(n, -1, dtype=np.int64),
+        problems, np.asarray(writers, dtype=np.int64),
+    )

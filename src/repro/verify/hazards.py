@@ -136,18 +136,16 @@ def analyze_hazards(
 
     # ------------------------------------------------------------------
     # Pair enumeration (vectorized).  For each cross-task couple:
-    #   RAW : writer(read_panel)  ⇝  couple_task
+    #   RAW : read_writer         ⇝  couple_task
     #   ACC : couple_task         ⇝  writer(accum_panel)
     # ------------------------------------------------------------------
     writer = acc.writer
-    valid = np.ones(acc.couple_task.size, dtype=bool)
-    valid &= acc.read_panel >= 0
     srcs: list[np.ndarray] = []
     dsts: list[np.ndarray] = []
     kinds: list[np.ndarray] = []
 
-    raw_ok = valid & (writer[np.maximum(acc.read_panel, 0)] >= 0)
-    raw_u = writer[acc.read_panel[raw_ok]]
+    raw_ok = (acc.read_panel >= 0) & (acc.read_writer >= 0)
+    raw_u = acc.read_writer[raw_ok]
     raw_v = acc.couple_task[raw_ok]
     keep = raw_u != raw_v
     srcs.append(raw_u[keep])

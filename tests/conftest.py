@@ -73,6 +73,22 @@ def no_unit_floor(monkeypatch):
     monkeypatch.setattr("repro.dag.builder.MIN_UNIT_FLOPS", 0.0)
 
 
+def split_every_panel(monkeypatch) -> None:
+    """Drop the unit and split floors and cut row blocks of 3 rows, so
+    that the test matrices get a unit tree whose panels split into a
+    diagonal task and row-block tasks (``row_blocks`` and the DAGs are
+    memoised on the symbol under these constants)."""
+    monkeypatch.setattr("repro.dag.builder.MIN_UNIT_FLOPS", 0.0)
+    monkeypatch.setattr("repro.dag.builder.MIN_SPLIT_FLOPS", 0.0)
+    monkeypatch.setattr("repro.dag.builder.ROW_BLOCK", 3)
+
+
+@pytest.fixture
+def split_panels(monkeypatch):
+    """:func:`split_every_panel` for one test."""
+    split_every_panel(monkeypatch)
+
+
 @pytest.fixture
 def python_analysis(monkeypatch):
     """Run the ordering and symbolic passes through their Python bodies

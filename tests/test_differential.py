@@ -6,7 +6,13 @@ through every factotype x {sequential, threaded} x nrhs in {1, 3}, with
 two ``update_values`` refactorizations.  The threaded solve must equal
 ``solve_factored`` bit for bit on every worker count in {1, 2, 3}, pop
 order and nrhs in {1, 3, 16}, for the native factor and for the same
-panels on the NumPy bodies.  Every solution must meet the
+panels on the NumPy bodies.  With every panel split into a diagonal
+task and row blocks, each factotype is factorized sequentially and on
+1-3 workers under both pop orders, on both kernel backends: the threaded
+factors equal the sequential one bit for bit, the native factor the
+NumPy one to 1e-12, every 1-, 3- and 16-column solve meets SuperLU's
+backward error, and a hand-back on a split panel perturbs the same
+pivots on both drivers.  Every solution must meet the
 scaled backward error of ``benchmarks/e2e/reference.py`` (imported, not
 copied) wherever SuperLU meets it; an input the solver rejects must raise
 a typed exception (or warning), quickly.  Every refactorization must
@@ -31,14 +37,19 @@ from hypothesis import strategies as st
 
 from repro import SparseSolver
 from repro.core.factor import AssemblyMap, NumericFactor, assembly_map
+from repro.core.factorization import factorize_sequential
 from repro.core.options import SolverOptions
 from repro.core.refinement import ConvergenceWarning
 from repro.core.triangular import solve_factored
+from repro.dag.builder import row_blocks
 from repro.graph import native
+from repro.kernels import native as native_kernels
 from repro.runtime.scheduling import THREAD_SCHEDULERS
-from repro.runtime.threaded import solve_threaded
+from repro.runtime.threaded import factorize_threaded, solve_threaded
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
-from repro.symbolic import amalgamate
+from repro.sparse.generators import grid_laplacian_2d
+from repro.symbolic import amalgamate, analyze
+from tests.conftest import split_every_panel
 
 _spec = importlib.util.spec_from_file_location(
     "e2e_reference",
@@ -253,6 +264,109 @@ def test_threaded_solve_is_the_sequential_solve(pattern, data):
                                          scheduler=scheduler)
                     assert np.array_equal(got, ref), (
                         f.kernels, nrhs, n_workers, scheduler)
+
+
+# ----------------------------------------------------------------------
+# split panels: diagonal task + row blocks
+# ----------------------------------------------------------------------
+def _panels(factor) -> list[np.ndarray]:
+    return [p for side in (factor.L, factor.U, factor.D) if side is not None
+            for p in side]
+
+
+def _assert_identical(a, b, what) -> None:
+    assert all(np.array_equal(x, y) for x, y in zip(_panels(a), _panels(b))), what
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large,
+                                 HealthCheck.function_scoped_fixture])
+@given(pattern=patterns(), data=st.data())
+def test_split_panels_match_superlu(monkeypatch, pattern, data):
+    """Every factotype, driver, pop order and backend on split panels:
+    the threaded factor is the sequential one bit for bit (per backend),
+    the native factor the NumPy one to 1e-12, and every solve
+    SuperLU-accurate."""
+    split_every_panel(monkeypatch)
+    n, rows, cols = pattern
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16),
+                                          label="seed"))
+    res = analyze(matrix_values(n, rows, cols, "lu",
+                                np.empty(0, dtype=np.int64), True, rng))
+    for ft in FACTOTYPES:
+        matrix = matrix_values(n, rows, cols, ft, np.empty(0, dtype=np.int64),
+                               True, rng)
+        _check_split(res, matrix, ft, rng)
+
+
+def _check_split(res, matrix, ft, rng) -> None:
+    n, perm = matrix.n_rows, res.perm
+    permuted = matrix.permute(perm.perm)
+    a = reference.to_scipy(n, matrix.colptr, matrix.rowind, matrix.values)
+    rhs = [rng.standard_normal((n,) if k == 1 else (n, k)) for k in (1, 3, 16)]
+    tols = [max(reference.BACKWARD_TOL,
+                SUPERLU_SLACK * superlu_backward_error(matrix, b))
+            for b in rhs] if n else []
+    seq = {}
+    for kernels in ("native", "numpy"):
+        seq[kernels] = ref = factorize_sequential(res.symbol, permuted, ft,
+                                                  kernels=kernels)
+        runs = [(ref, solve_factored, 1)] + [
+            (factorize_threaded(res.symbol, permuted, ft, n_workers=w,
+                                scheduler=order, kernels=kernels),
+             solve_threaded, w)
+            for w in (1, 2, 3) for order in ("ws", "priority")]
+        for factor, solve, w in runs:
+            _assert_identical(ref, factor, (kernels, w))
+            for b, tol in zip(rhs, tols):
+                options = {} if solve is solve_factored else {"n_workers": w}
+                x = perm.undo_on_vector(
+                    solve(factor, perm.apply_to_vector(b), **options))
+                err = reference.backward_error(a, x, b)
+                assert err <= tol, (ft, kernels, w, b.shape, err, tol)
+    for x, y in zip(_panels(seq["native"]), _panels(seq["numpy"])):
+        assert np.allclose(x, y, rtol=1e-12, atol=1e-12 * max(
+            1.0, float(np.abs(y).max(initial=0.0))))
+
+
+@pytest.mark.skipif(native_kernels.availability() is not None,
+                    reason="native kernels unavailable")
+@pytest.mark.parametrize("ft", ["ldlt", "lu"])
+def test_split_panel_handback_is_the_same_on_both_drivers(monkeypatch, ft):
+    """A tiny pivot in a split panel's diagonal block: C hands the block
+    back, Python perturbs it (diagonal only) and the row blocks solve
+    in C — the same factor and perturbation count on both drivers."""
+    split_every_panel(monkeypatch)
+    matrix = grid_laplacian_2d(12, jitter=0.05, seed=4)
+    res = analyze(matrix)
+    permuted = matrix.permute(res.perm.perm)
+    blocks = row_blocks(res.symbol, ft)
+    clean = factorize_sequential(res.symbol, permuted, ft)
+    split = np.flatnonzero(np.diff(blocks.ptr))
+    k = int(split[-1])
+    diag = np.abs(np.diagonal(clean.L[k][:res.symbol.cblk_width(k)])
+                  if ft == "lu" else clean.D[k])
+    threshold = float(diag.min()) * 1.01     # bites in panel k at least
+    handed = []
+    inner = native_kernels.panel_factorize
+
+    def spy(factor, k, **options):
+        handed.append((k, options.get("diagonal_only", False)))
+        inner(factor, k, **options)
+
+    monkeypatch.setattr(native_kernels, "panel_factorize", spy)
+    seq = factorize_sequential(res.symbol, permuted, ft,
+                               pivot_threshold=threshold)
+    assert (k, True) in handed
+    assert seq.pivot_monitor.n_perturbed > 0
+    for w in (1, 3):
+        handed.clear()
+        thr = factorize_threaded(res.symbol, permuted, ft, n_workers=w,
+                                 pivot_threshold=threshold)
+        assert (k, True) in handed
+        assert thr.pivot_monitor.n_perturbed == seq.pivot_monitor.n_perturbed
+        _assert_identical(seq, thr, w)
 
 
 # ----------------------------------------------------------------------

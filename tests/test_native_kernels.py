@@ -201,9 +201,9 @@ def handbacks(monkeypatch):
     seen: list[int] = []
     inner = native.panel_factorize
 
-    def counting(factor, k):
+    def counting(factor, k, **options):
         seen.append(k)
-        inner(factor, k)
+        inner(factor, k, **options)
 
     monkeypatch.setattr(native, "panel_factorize", counting)
     return seen

@@ -442,25 +442,9 @@ class TestThreaded:
 
         run._execute = execute
 
-    def test_retry_recovers_transient_failure(self, run_parts):
-        cls, factor, dag = run_parts
-        trace = ExecutionTrace()
-        run = cls(factor, dag, 3, trace, max_retries=2)
-        self._flaky(run, victim=0, n_failures=2)
-        run.run()  # must not raise: two failures, budget of two retries
-        assert run.n_done == dag.n_tasks
-        assert not run.quarantined
-        faults = [f for f in trace.fault_events if f.kind == "task-error"]
-        assert len(faults) == 2
-        assert all(f.task == 0 for f in faults)
-        assert len([r for r in trace.recovery_events
-                    if r.kind == "requeue"]) == 2
-        # Exactly-once completion still holds for every task.
-        assert sorted(e.task for e in trace.events) == list(range(dag.n_tasks))
-
     def test_quarantine_spares_independent_tasks(self, run_parts):
         cls, factor, dag = run_parts
-        run = cls(factor, dag, 3, None, max_retries=1)
+        run = cls(factor, dag, 3, None)
         self._flaky(run, victim=0, n_failures=99)
         with pytest.raises(RuntimeError, match="transient failure on task 0"):
             run.run()
@@ -494,7 +478,7 @@ class TestThreaded:
 
     def test_worker_exception_propagates(self, run_parts):
         cls, factor, dag = run_parts
-        run = cls(factor, dag, 2, None)  # max_retries=0
+        run = cls(factor, dag, 2, None)
 
         def execute(t, worker):
             raise ValueError(f"boom on task {t}")
@@ -511,7 +495,7 @@ class TestThreaded:
         permuted = grid2d_small.permute(res.perm.perm)
         ref = factorize_sequential(res.symbol, permuted, "llt")
         par = factorize_threaded(res.symbol, permuted, "llt", n_workers=3,
-                                 max_retries=1, watchdog_s=30.0)
+                                 watchdog_s=30.0)
         for a, b in zip(ref.L, par.L):
             assert np.allclose(a, b, atol=1e-10)
 

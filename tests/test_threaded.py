@@ -150,103 +150,6 @@ def _unit_run(res, permuted, factotype="llt", n_workers=3, **options):
     return ref, factor, dag, run
 
 
-@pytest.mark.parametrize("scheduler", ["ws", "priority"])
-def test_retry_before_mutation_is_clean(grid2d_small, no_unit_floor,
-                                        scheduler):
-    """A task that fails *before* touching its panels re-runs under every
-    scheduler and still produces the exact sequential factor."""
-    res, permuted = _setup(grid2d_small, "llt")
-    ref, factor, dag, run = _unit_run(res, permuted, max_retries=1,
-                                      scheduler=scheduler)
-    assert dag.n_tasks > 2
-    original = run._execute
-    fails = {"left": 1}
-
-    def execute(t, worker):
-        # Raise before _run_task: no panel bytes were written yet.
-        if t == dag.n_tasks // 2 and fails["left"] > 0:
-            fails["left"] -= 1
-            raise RuntimeError("transient failure before mutation")
-        original(t, worker)
-
-    run._execute = execute
-    run.run()
-    assert run.n_done == dag.n_tasks
-    for a, b in zip(ref.L, factor.L):
-        assert np.array_equal(a, b)
-
-
-def _factor_sides(factor):
-    return [side for side in (factor.L, factor.U, factor.D)
-            if side is not None]
-
-
-@pytest.mark.parametrize("kernels", ["numpy", "native"])
-@pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
-def test_retry_after_mutation_restores_the_panels(monkeypatch, factotype,
-                                                  kernels):
-    """A unit that raises after it has updated and factorized some of its
-    panels in place is retried from a copy of those panels taken before
-    the attempt, so the retry gives the sequential factor bit for bit.
-    Without the copy the retry re-applies every update to panels that
-    already hold them: a wrong LDLᵀ/LU factor with no error, and an LLᵀ
-    that reports an SPD matrix as not positive definite."""
-    from repro.kernels import native
-    from repro.runtime import threaded
-    from repro.sparse.generators import grid_laplacian_2d
-
-    if kernels == "native" and native.availability() is not None:
-        pytest.skip("the native kernel cannot be built here")
-    res, permuted = _setup(grid_laplacian_2d(12), factotype)
-    ref = factorize_sequential(res.symbol, permuted, factotype,
-                               kernels=kernels)
-    assert get_dag(res.symbol, factotype, granularity="unit",
-                   n_workers=1).n_tasks == 1
-    last = res.symbol.n_cblk - 1
-    fails = {"left": 1}
-    if kernels == "numpy":
-        original = threaded.panel_factorize
-
-        def panel_factorize(factor, k):
-            if k == last and fails["left"] > 0:
-                fails["left"] -= 1
-                raise MemoryError("transient failure on the last panel")
-            original(factor, k)
-
-        monkeypatch.setattr(threaded, "panel_factorize", panel_factorize)
-    else:
-        original = native.factorize_panels
-
-        def factorize_panels(factor, panels, scratch=None):
-            if fails["left"] > 0:
-                fails["left"] -= 1
-                original(factor, panels[: panels.size // 2], scratch)
-                raise MemoryError("transient failure mid-unit")
-            original(factor, panels, scratch)
-
-        monkeypatch.setattr(native, "factorize_panels", factorize_panels)
-    trace = ExecutionTrace()
-    par = factorize_threaded(res.symbol, permuted, factotype, n_workers=1,
-                             max_retries=1, kernels=kernels, trace=trace)
-    assert fails["left"] == 0
-    assert [f.kind for f in trace.fault_events] == ["task-error"]
-    for a_side, b_side in zip(_factor_sides(ref), _factor_sides(par)):
-        for a, b in zip(a_side, b_side):
-            assert np.array_equal(a, b)
-
-
-def test_no_checkpoint_without_a_retry_budget(grid2d_small, monkeypatch):
-    """At the default ``max_retries=0`` a unit body copies no panel."""
-    from repro.runtime import threaded
-
-    res, permuted = _setup(grid2d_small, "ldlt")
-    copies = []
-    monkeypatch.setattr(threaded._ThreadedUnitRun, "_sides",
-                        lambda self: copies.append(1) or [])
-    factorize_threaded(res.symbol, permuted, "ldlt", n_workers=2)
-    assert copies == []
-
-
 def test_solve_dag_phase_field(grid2d_small):
     """The solve DAG carries an explicit per-task backward flag; the
     runtime must not infer the phase from task numbering."""
@@ -589,30 +492,10 @@ class TestInversePriorityHardening:
     anti-critical-path heap maximizes how long failed work's
     descendants linger ready — the hardening must hold regardless."""
 
-    def test_retry_recovers(self, grid2d_small, no_unit_floor):
-        res, permuted = _setup(grid2d_small, "llt")
-        ref, factor, dag, run = _unit_run(
-            res, permuted, max_retries=2, scheduler="inverse-priority")
-        original = run._execute
-        fails = {"left": 2}
-
-        def execute(t, worker):
-            if t == dag.n_tasks // 3 and fails["left"] > 0:
-                fails["left"] -= 1
-                raise RuntimeError("transient failure")
-            original(t, worker)
-
-        run._execute = execute
-        run.run()
-        assert run.n_done == dag.n_tasks
-        assert not run.quarantined
-        for a, b in zip(ref.L, factor.L):
-            assert np.array_equal(a, b)
-
     def test_quarantine_spares_independent_tasks(self, grid2d_small,
                                                  no_unit_floor):
         res, permuted = _setup(grid2d_small, "llt")
-        _, _, dag, run = _unit_run(res, permuted, max_retries=1,
+        _, _, dag, run = _unit_run(res, permuted,
                                    scheduler="inverse-priority")
         original = run._execute
 

@@ -18,20 +18,29 @@ from repro import SolverOptions, SparseSolver
 from repro.core.factor import NumericFactor
 from repro.core.factorization import factorize_sequential
 from repro.dag import TaskKind, build_dag, get_dag, update_couples
+from repro.dag import critical_path
 from repro.dag.builder import (
     FUSE_UNITS_PER_WORKER,
     MIN_UNIT_FLOPS,
     dag_of_trace,
+    row_blocks,
     supernode_parent,
 )
-from repro.kernels.cost import flops_total
+from repro.kernels.cost import (
+    flops_component,
+    flops_panel,
+    flops_total,
+    flops_update,
+)
 from repro.kernels.indexcache import get_couple_cache
 from repro.runtime.scheduling import THREAD_SCHEDULERS
 from repro.runtime.threaded import _ThreadedUnitRun, factorize_threaded
 from repro.runtime.tracing import ExecutionTrace
+from repro.sparse import load_matrix
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic import analyze
 from repro.verify.hazards import analyze_hazards, drop_edge
+from tests.test_analysis_golden import E2E_INPUTS
 
 #: (factotype, complex?) — LLᵀ is real-only (``potrf`` rejects complex).
 CASES = [("llt", False), ("ldlt", False), ("lu", False),
@@ -207,16 +216,19 @@ def test_small_tree_is_one_task(grid2d_medium):
         assert dag.unit_panels.tolist() == list(range(sym.n_cblk))
 
 
-def test_unit_dag_simulates(grid2d_medium, no_unit_floor):
-    """``fused_components`` lets the machine simulator cost unit tasks."""
+def test_unit_dag_simulates(grid2d_medium, split_panels):
+    """``fused_components`` lets the machine simulator cost unit tasks,
+    diagonal tasks and row-block tasks alike."""
     from repro.machine import mirage, simulate
     from repro.runtime import get_policy
 
     sym = analyze(grid2d_medium).symbol
-    dag = build_dag(sym, "llt", granularity="unit", n_workers=2)
-    r = simulate(dag, mirage(n_cores=2, n_gpus=0), get_policy("native"))
-    r.trace.validate(dag)
-    assert r.makespan > 0
+    for ft in ("llt", "ldlt", "lu"):
+        dag = build_dag(sym, ft, granularity="unit", n_workers=2)
+        assert {TaskKind.DIAG, TaskKind.ROWS} <= set(dag.kind.tolist())
+        r = simulate(dag, mirage(n_cores=2, n_gpus=0), get_policy("native"))
+        r.trace.validate(dag)
+        assert r.makespan > 0
 
 
 def test_solver_reuses_the_memoised_dag(grid2d_medium, monkeypatch):
@@ -287,30 +299,8 @@ def _unit_run(mat, **pool_options):
     return res, permuted, factor, dag, run
 
 
-def test_retry_before_mutation_is_clean(grid2d_medium, no_unit_floor):
-    res, permuted, factor, dag, run = _unit_run(grid2d_medium,
-                                                max_retries=1)
-    original = run._execute
-    fails = {"left": 1}
-
-    def execute(t, worker):
-        if t == dag.n_tasks // 2 and fails["left"] > 0:
-            fails["left"] -= 1
-            raise RuntimeError("transient failure before mutation")
-        original(t, worker)
-
-    run._execute = execute
-    run.run()
-    assert run.n_done == dag.n_tasks and fails["left"] == 0
-    # _unit_run assembles its own factor, which runs the NumPy kernels.
-    _assert_identical(
-        factorize_sequential(res.symbol, permuted, "llt", kernels="numpy"),
-        factor,
-    )
-
-
 def test_quarantine_spares_independent_units(grid2d_medium, no_unit_floor):
-    _, _, _, dag, run = _unit_run(grid2d_medium, max_retries=1)
+    _, _, _, dag, run = _unit_run(grid2d_medium)
     original = run._execute
 
     def execute(t, worker):
@@ -357,3 +347,115 @@ def test_hazards_flag_a_broken_partition(grid2d_medium, no_unit_floor):
     rep = analyze_hazards(dag)
     assert not rep.ok
     assert {f.code for f in rep.findings if f.severity == "error"} == {"H105"}
+
+
+# ----------------------------------------------------------------------
+# split panels: one diagonal task and row-block tasks per large panel
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("ft,cplx", CASES)
+def test_split_dag_structure(grid2d_small, split_panels, monkeypatch, ft,
+                             cplx):
+    """Every split panel is a DIAG task over its diagonal block and ROWS
+    tasks that tile the rows below it; a ROWS task waits for its DIAG and
+    for child row blocks only; the tasks of a panel weigh what the panel
+    weighs in the unit DAG, and their kernel components sum to their
+    flops; every edge is needed."""
+    sym = analyze(grid2d_small).symbol
+    dtype = np.complex128 if cplx else np.float64
+    dag = build_dag(sym, ft, granularity="unit", n_workers=2, dtype=dtype)
+    blocks = row_blocks(sym, ft, dtype)
+    diag = np.flatnonzero(dag.kind == TaskKind.DIAG)
+    rows = np.flatnonzero(dag.kind == TaskKind.ROWS)
+    assert diag.size and rows.size
+    width = np.diff(sym.cblk_ptr)
+    for t in diag.tolist():
+        k = int(dag.cblk[t])
+        assert dag.unit_panels[dag.unit_ptr[t]:dag.unit_ptr[t + 1]].tolist() \
+            == [k]
+        assert tuple(dag.row_range[t]) == (0, width[k])
+        mine = rows[dag.cblk[rows] == k]
+        assert np.array_equal(
+            np.concatenate([dag.row_range[mine, 0], dag.row_range[mine[-1:], 1]]),
+            blocks.bounds(k))
+        for r in mine.tolist():
+            preds = dag.predecessors(r)
+            assert t in preds.tolist()           # its own DIAG, and only
+            others = preds[preds != t]           # the blocks of a child
+            assert np.all((dag.kind[others] == TaskKind.ROWS)
+                          & (dag.cblk[others] < k))
+    assert np.all(np.diff(dag.unit_ptr)[rows] == 0)
+    mult = 4 if cplx else 1
+    for t in range(dag.n_tasks):
+        assert dag.flops[t] == pytest.approx(mult * sum(
+            flops_component(c, ft) for c in dag.fused_components[t]),
+            rel=1e-12)
+
+    monkeypatch.setattr("repro.dag.builder.ROW_BLOCK", 10 ** 9)
+    whole = build_dag(sym, ft, granularity="unit", n_workers=2, dtype=dtype)
+    assert not np.any(np.isin(whole.kind, (TaskKind.DIAG, TaskKind.ROWS)))
+    assert dag.flops.sum() == pytest.approx(whole.flops.sum(), rel=1e-12)
+    src, tgt, ms, ns = update_couples(sym)
+    below = sym.cblk_heights() - width
+    for t in diag.tolist():
+        k = int(dag.cblk[t])
+        into = tgt == k
+        weight = mult * (flops_panel(width[k], below[k], ft) + flops_update(
+            ms[into], ns[into], width[src[into]], ft).sum())
+        assert dag.flops[dag.cblk == k].sum() == pytest.approx(weight,
+                                                               rel=1e-12)
+
+    assert analyze_hazards(dag).ok
+    for e in range(dag.n_edges):
+        assert not analyze_hazards(drop_edge(dag, e)).ok
+
+
+@pytest.mark.parametrize("workload,ft", [("shell2d_lu", "lu"),
+                                         ("vol3d_ldlt", "ldlt")])
+def test_small_bench_workloads_split_no_panel(workload, ft):
+    """Below MIN_SPLIT_FLOPS nothing splits: the threaded workloads worth
+    less than it keep their one-task unit DAG."""
+    matrix = load_matrix(*E2E_INPUTS[workload], 0)
+    sym = analyze(matrix).symbol
+    dtype = matrix.values.dtype
+    assert not np.diff(row_blocks(sym, ft, dtype).ptr).any()
+    assert get_dag(sym, ft, granularity="unit", dtype=dtype,
+                   n_workers=2).n_tasks == 1
+
+
+def test_row_blocks_shorten_the_critical_path_of_helm3d(monkeypatch):
+    """The top separators of ``helm3d_zldlt`` are one chain of panels
+    holding 89 % of the flops; split, the flop-weighted critical path is
+    at most 0.4 of the total, which itself does not move."""
+    matrix = load_matrix(*E2E_INPUTS["helm3d_zldlt"], 0)
+    sym = analyze(matrix).symbol
+    dtype = matrix.values.dtype
+    dag = build_dag(sym, "ldlt", granularity="unit", dtype=dtype,
+                    n_workers=2)
+    monkeypatch.setattr("repro.dag.builder.ROW_BLOCK", 10 ** 9)
+    whole = build_dag(sym, "ldlt", granularity="unit", dtype=dtype,
+                      n_workers=2)
+    assert np.any(dag.kind == TaskKind.ROWS)
+    assert dag.total_flops() == pytest.approx(whole.total_flops(), rel=1e-12)
+    assert critical_path(whole)[0] > 0.85 * whole.total_flops()
+    assert critical_path(dag)[0] <= 0.4 * dag.total_flops()
+
+
+@pytest.mark.parametrize("ft,cplx", CASES)
+def test_split_factor_is_bit_identical(grid2d_medium, helmholtz_small,
+                                       split_panels, ft, cplx):
+    """Sequential (one C call, each split panel's blocks in turn) and
+    threaded (one task per block) factors are equal bit for bit, on
+    either backend, and the native one is within 1e-12 of NumPy's."""
+    res, permuted = _setup(helmholtz_small if cplx else grid2d_medium)
+    seq = {}
+    for kernels in ("native", "numpy"):
+        seq[kernels] = ref = factorize_sequential(res.symbol, permuted, ft,
+                                                  kernels=kernels)
+        for n_workers in (1, 2, 3):
+            _assert_identical(ref, factorize_threaded(
+                res.symbol, permuted, ft, n_workers=n_workers,
+                kernels=kernels))
+    for name in ("L", "U", "D"):
+        a, b = getattr(seq["native"], name), getattr(seq["numpy"], name)
+        for x, y in zip(a or (), b or ()):
+            assert np.allclose(x, y, rtol=1e-12, atol=1e-12)

@@ -33,6 +33,25 @@ def test_single_granularity_and_policy(capsys):
     assert "schedule[native]" in out
 
 
+def test_unit_granularity_is_clean_with_split_panels(capsys, split_panels):
+    """The unit DAG with row-block tasks passes the hazard audit, and its
+    threaded factorization (and the solve on it) the C7xx audit."""
+    import numpy as np
+
+    from repro.dag import TaskKind, get_dag
+    from repro.sparse.generators import grid_laplacian_2d
+    from repro.symbolic import analyze
+
+    sym = analyze(grid_laplacian_2d(12)).symbol
+    assert np.any(get_dag(sym, "llt", granularity="unit").kind
+                  == TaskKind.ROWS)
+    code, out = run(["verify", "--matrix", "lap2d", "--size", "12",
+                     "--granularity", "unit",
+                     "--only", "hazards,concurrency"], capsys)
+    assert code == 0, out
+    assert "hazards[unit]" in out and "concurrency[unit]" in out
+
+
 def test_inject_drop_edge_fails_and_names_pair(capsys):
     code, out = run(["verify", "--matrix", "lap2d", "--size", "10",
                      "--granularity", "2d", "--only", "hazards",
