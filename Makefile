@@ -78,10 +78,12 @@ race-smoke:
 # factors against the NumPy kernels (1e-12) and each other (bit for
 # bit), solve each with 1, 3 and 16 columns (native sweeps vs NumPy
 # bodies; the C DAG executor at 1, 2 and 3 workers vs the sequential
-# solve, plus one traced run through the C7xx audit), and analyse one matrix per
-# generator family with the C helper
-# and with the Python bodies (identical arrays).  No C compiler:
-# SKIPPED, exit 0.
+# solve, plus one traced run through the C7xx audit), factorize a matrix
+# whose panels split at 1-3 workers under every pop order (bit for bit),
+# and one with zeros on its diagonal whose blocks come back to Python
+# inside the executor (the sequential driver's factor or error), and
+# analyse one matrix per generator family with the C helper and with
+# the Python bodies (identical arrays).  No C compiler: SKIPPED, exit 0.
 native-smoke:
 	@$(PYTHON) benchmarks/native_smoke.py; \
 	status=$$?; \

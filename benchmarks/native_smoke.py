@@ -15,8 +15,12 @@ sequential native solve (bit for bit); one traced executor run per
 factor must pass the schedule check and the C7xx concurrency audit.
 One more matrix, factorized with the split floors lowered so that its
 panels split into a diagonal task and row-block tasks, checks each
-factotype the same way (NumPy 1e-12; the pool at 1, 2 and 3 workers bit
-for bit) and audits one traced two-worker run (S2xx and C7xx).
+factotype the same way (NumPy 1e-12; the DAG executor at 1, 2 and 3
+workers under each pop order bit for bit) and audits one traced
+two-worker run (S2xx and C7xx).  The same matrix with zeros on its
+diagonal makes C hand diagonal blocks back to Python inside the
+executor: at 2 workers the LDLᵀ and LU factors, or errors, must be the
+sequential driver's.
 Prints the effective backend.  Without a C compiler there is
 nothing to build: it says ``SKIPPED (no C compiler)`` and exits 0.
 """
@@ -131,11 +135,12 @@ def check_solve(ft: str, factor) -> None:
 
 def check_split() -> None:
     """A matrix whose panels split: native factor == NumPy (1e-12), the
-    pool at 1, 2 and 3 workers == the sequential driver (bits), and one
-    traced two-worker run passes S2xx and C7xx."""
+    DAG executor at 1, 2 and 3 workers under each pop order == the
+    sequential driver (bits), and one traced two-worker run passes S2xx
+    and C7xx."""
     from repro.core.factorization import factorize_sequential
     from repro.dag import TaskKind, builder
-    from repro.runtime.threaded import factorize_threaded
+    from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
     from repro.runtime.tracing import ExecutionTrace
     from repro.sparse.generators import grid_laplacian_3d
     from repro.symbolic import analyze
@@ -155,8 +160,9 @@ def check_split() -> None:
             sys.exit(f"native-smoke: split {ft}: no panel split")
         ref = factorize_sequential(res.symbol, permuted, ft, kernels="numpy")
         seq = factorize_sequential(res.symbol, permuted, ft)
-        pars = [factorize_threaded(res.symbol, permuted, ft, n_workers=w)
-                for w in (1, 2, 3)]
+        pars = [factorize_threaded(res.symbol, permuted, ft, n_workers=w,
+                                   scheduler=order)
+                for w in (1, 2, 3) for order in THREAD_SCHEDULERS]
         for side in ("L", "U", "D"):
             if getattr(ref, side) is None:
                 continue
@@ -176,8 +182,69 @@ def check_split() -> None:
             sys.exit(f"native-smoke: split {ft} traced run fails its audit:\n"
                      + "\n".join(r.format() for r in reports))
         print(f"native-smoke: split {ft} ok ({dag.n_tasks} tasks, {n_rows} "
-              "row blocks; NumPy 1e-12, pool at 1-3 workers bit for bit, "
-              "S2xx and C7xx clean)")
+              "row blocks; NumPy 1e-12, the executor at 1-3 workers and "
+              "every pop order bit for bit, S2xx and C7xx clean)")
+
+
+def _outcome(run):
+    """``(None, factor)``, or ``(exception type, text)`` when it raised."""
+    try:
+        return None, run()
+    except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def check_handback() -> None:
+    """Zero diagonal entries (with check_split's lowered floors): C hands
+    diagonal blocks back to Python inside the executor, and the
+    two-worker factor, or error, is the sequential driver's."""
+    from repro.core.factorization import factorize_sequential
+    from repro.kernels import native
+    from repro.runtime.threaded import factorize_threaded
+    from repro.sparse.csc import SparseMatrixCSC
+    from repro.sparse.generators import grid_laplacian_3d
+    from repro.symbolic import analyze
+
+    dense = grid_laplacian_3d(7, jitter=0.05, seed=3).to_dense()
+    handed = []
+    inner = native.panel_factorize
+
+    def spy(factor, k, **options):
+        handed.append(k)
+        inner(factor, k, **options)
+
+    native.panel_factorize = spy
+    try:
+        for zeros in ([5, 100, 200], list(range(0, dense.shape[0], 37))):
+            a = dense.copy()
+            a[zeros, zeros] = 0.0
+            matrix = SparseMatrixCSC.from_dense(a)
+            res = analyze(matrix)
+            permuted = matrix.permute(res.perm.perm)
+            for ft in ("ldlt", "lu"):
+                seq = _outcome(lambda: factorize_sequential(
+                    res.symbol, permuted, ft))
+                handed.clear()
+                par = _outcome(lambda: factorize_threaded(
+                    res.symbol, permuted, ft, n_workers=2))
+                same = seq[0] is par[0] and (
+                    seq[1] == par[1] if seq[0] else all(
+                        np.array_equal(_flat(seq[1], side),
+                                       _flat(par[1], side))
+                        for side in ("L", "U", "D")
+                        if getattr(seq[1], side) is not None))
+                if not (handed and same):
+                    sys.exit(f"native-smoke: hand-back {ft} with "
+                             f"{len(zeros)} zero(s) on the diagonal: "
+                             f"{len(handed)} hand-back(s), sequential "
+                             f"{seq[0] or 'factor'}, executor "
+                             f"{par[0] or 'factor'}")
+                print(f"native-smoke: hand-back {ft} ok ({len(handed)} "
+                      f"block(s) back to Python at 2 workers; "
+                      f"{seq[0].__name__ if seq[0] else 'factor'} as the "
+                      "sequential driver)")
+    finally:
+        native.panel_factorize = inner
 
 
 def main() -> None:
@@ -227,6 +294,7 @@ def main() -> None:
                   f"(effective backend {seq.kernels!r}, both drivers)")
             check_solve(ft, seq)
         check_split()
+        check_handback()
         check_analysis()
 
 

@@ -1,13 +1,14 @@
-"""Real parallel factorization on a thread pool.
+"""Real parallel factorization on the C DAG executor.
 
 Unlike the other examples (which *simulate* scheduling on a modelled
-machine), this one executes the factorization DAG for real: worker
-threads pull ready tasks and call the NumPy/BLAS kernels, which release
-the GIL, so panels genuinely factor in parallel.  The pool runs the
-coarse *unit* DAG (one lock-free task per panel or fused leaf subtree —
-a handful of tasks per worker, and a single task when the whole tree is
-worth under 1e8 flops), so the factor is bit-identical to the sequential
-driver's; it is checked against it and used to solve a system.
+machine), this one executes the factorization DAG for real: one
+GIL-free call runs every task, the calling thread and C worker threads
+popping ready tasks and calling the native kernels, so panels genuinely
+factor in parallel.  The executor runs the coarse *unit* DAG (one
+lock-free task per panel or fused leaf subtree — a handful of tasks per
+worker, and a single task when the whole tree is worth under 1e8
+flops), so the factor is bit-identical to the sequential driver's; it is
+checked against it and used to solve a system.
 
     python examples/threaded_factorization.py [grid] [workers]
 """

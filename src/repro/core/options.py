@@ -25,7 +25,7 @@ class SolverOptions:
         Analyze-phase options (ordering, amalgamation, splitting).
     runtime:
         Which engine executes the factorization DAG: ``"sequential"``
-        (reference driver), ``"threaded"`` (real thread-pool execution),
+        (reference driver), ``"threaded"`` (real parallel execution),
         or one of the scheduler policies (``"native"``, ``"starpu"``,
         ``"parsec"``) when simulating.
     n_workers:

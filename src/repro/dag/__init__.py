@@ -1,8 +1,8 @@
 """Factorization task DAG.
 
 The symbol structure is unrolled into a DAG of tasks at one of three
-granularities — the paper's two (§V) and the one the real thread pool
-executes:
+granularities — the paper's two (§V) and the one the real threaded
+runtime executes:
 
 * ``"1d"`` — PaStiX's original tasks: one task per panel bundling the
   diagonal factorization, the panel TRSM, *and every update the panel

@@ -33,8 +33,8 @@ def longest_path_levels(
     is the classic critical-path list-scheduling priority: running the
     highest level first keeps the longest dependency chain moving.  Both
     the simulated policies (:func:`repro.runtime.base.bottom_levels`)
-    and the real threaded :class:`repro.runtime.scheduling.\
-CriticalPathScheduler` rank tasks by it.
+    and the threaded runtime's ``"priority"`` pop order
+    (:mod:`repro.runtime.threaded`) rank tasks by it.
     """
     w = dag.flops.astype(np.float64) if weights is None \
         else np.asarray(weights, dtype=np.float64)

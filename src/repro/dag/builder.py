@@ -116,8 +116,8 @@ def row_blocks(symbol: SymbolMatrix, factotype: str = "llt",
     equal shares of their rows' flops (:func:`_balanced_bounds`).  It
     depends on the symbol only — not on values or workers — and is
     memoised on it, so
-    the sequential driver (one C call over every panel) and the thread
-    pool (one task per block) cut every panel the same way, and their
+    the sequential driver (one C call over every panel) and the threaded
+    driver (one task per block) cut every panel the same way, and their
     factors stay bit-identical.
     """
     key = ("rows", factotype, np.dtype(dtype).str, ROW_BLOCK,
@@ -323,8 +323,8 @@ def build_dag(
     ``granularity="2d"`` (simulated runtimes): one panel task per cblk +
     one update task per couple.  ``granularity="1d"`` (native PaStiX):
     panel and its updates fused into a single task, dependencies
-    panel→panel.  ``granularity="unit"`` (what the real thread pool
-    executes): one left-looking task per *unit*, see :func:`_build_unit`;
+    panel→panel.  ``granularity="unit"`` (what the real threaded
+    runtime executes): one left-looking task per *unit*, see :func:`_build_unit`;
     ``n_workers`` sets its fusion threshold and is ignored otherwise.
 
     ``recompute_ld`` matches the runtime-style LDLᵀ update kernel (see

@@ -23,8 +23,9 @@
  * run_dag: every task of a task DAG in one call.  The caller is worker
  * 0 and n_workers - 1 pthreads join it; a finishing task decrements its
  * successors' counters and queues the ones that reach zero, under one
- * mutex.  A task is (lo, hi, kind): today the solve steps of
- * panels[lo..hi), forward or backward.
+ * mutex.  A task is (lo, hi, kind, panel): the forward or backward solve
+ * steps of panels[lo..hi), a factorize_panels call over panels[lo..hi),
+ * or a factorize_block call on rows [lo, hi) of panel `panel`.
  *
  * csc_matvec_{d,z}: A x for a CSC matrix, adding in stored order.
  *
@@ -141,11 +142,11 @@ typedef struct {
     int64_t n_tasks;
     const int64_t *succ_ptr, *succ_list; /* CSR successors */
     const int64_t *n_deps;               /* in-degree of every task */
-    const int64_t *task;                 /* n_tasks x 3: lo, hi, kind */
-    const double *rank; /* NULL: LIFO ready set; else max-heap on rank */
+    const int64_t *task;                 /* n_tasks x 4: lo, hi, kind, panel */
+    const double *rank; /* NULL: work stealing; else max-heap on rank */
 } dag_t;
 
-enum { FORWARD = 0, BACKWARD = 1 };
+enum { FORWARD = 0, BACKWARD = 1, PANELS = 2, BLOCK = 3 };
 
 /* The arguments of solve_panels_{d,z} every solve task shares; a task
  * adds its panel range, its sweep and its worker's gather buffer. */
@@ -156,6 +157,26 @@ typedef struct {
     const int64_t *panels;
 } solve_t;
 
+/* Called, with the GIL taken, when C hands a diagonal block back: Python
+ * factors it and finishes the task, kind PANELS from panels[lo + at] on,
+ * kind BLOCK (at 0) on panel `panel`.  Returns nonzero when it raised. */
+typedef int (*handback_t)(int64_t kind, int64_t lo, int64_t hi,
+                          int64_t panel, int64_t at, int64_t worker);
+
+/* The arguments of factorize_{panels,block}_{d,z} every factorization
+ * task shares; a task adds its panels or its block, and its worker's
+ * scratch. */
+typedef struct {
+    const plan_t *plan;
+    int64_t ft, complex_;
+    void *L, *U, *D;
+    const int64_t *panels, *block_ptr, *block_rows;
+    double threshold;
+    void *const *work; /* per worker */
+    int *const *ipiv;  /* per worker */
+    handback_t handback;
+} facto_t;
+
 /* Rows of (task, worker, t0, t1), times in ns since the call began.
  * rows == NULL: not recorded.  n counts past cap on overflow. */
 typedef struct {
@@ -164,7 +185,7 @@ typedef struct {
 } log_t;
 
 typedef struct {
-    log_t task, publish, park, wake;
+    log_t task, publish, park, wake, fault;
 } trace_t;
 
 /* A parked worker re-checks the ready set at least this often, so a
@@ -173,13 +194,14 @@ typedef struct {
 
 typedef struct {
     const dag_t *dag;
-    const solve_t *body;
+    const solve_t *solve;
+    const facto_t *facto;
     trace_t *trace; /* NULL: no clock is read for the trace */
     pthread_mutex_t mu;
     pthread_cond_t cv;
-    int64_t *deps_left, *ready;
+    int64_t *deps_left, *ready, *owner; /* owner: without a rank only */
     int64_t n_ready, n_done, n_parked, start;
-    int overflow;
+    int overflow, failed; /* failed: a hand-back raised, pop no more */
 } exec_t;
 
 static int64_t now_ns(void)
@@ -212,24 +234,39 @@ static int before(const double *rank, int64_t a, int64_t b)
     return rank[a] > rank[b] || (rank[a] == rank[b] && a < b);
 }
 
-/* The ready set: a stack (LIFO), or a binary max-heap on rank. */
-static void push(exec_t *e, int64_t t)
+/* The ready set: a binary max-heap on rank, or work stealing's order over
+ * one array, oldest first: each task is tagged with the worker that
+ * released it (the sources with worker 0), and a worker pops the newest
+ * task it released, else steals the oldest.  One worker pops LIFO. */
+static void push(exec_t *e, int64_t t, int64_t w)
 {
     const double *rank = e->dag->rank;
     int64_t i = e->n_ready++;
-    while (rank && i > 0 && before(rank, t, e->ready[(i - 1) / 2])) {
+    if (!rank) {
+        e->ready[i] = t, e->owner[i] = w;
+        return;
+    }
+    while (i > 0 && before(rank, t, e->ready[(i - 1) / 2])) {
         e->ready[i] = e->ready[(i - 1) / 2];
         i = (i - 1) / 2;
     }
     e->ready[i] = t;
 }
 
-static int64_t pop(exec_t *e)
+static int64_t pop(exec_t *e, int64_t w)
 {
     const double *rank = e->dag->rank;
     int64_t n = --e->n_ready;
-    if (!rank)
-        return e->ready[n];
+    if (!rank) {
+        int64_t i = n; /* the newest of w's, else 0: the oldest */
+        while (i > 0 && e->owner[i] != w)
+            i--;
+        int64_t t = e->ready[i];
+        size_t tail = (size_t)(n - i) * sizeof(int64_t);
+        memmove(e->ready + i, e->ready + i + 1, tail);
+        memmove(e->owner + i, e->owner + i + 1, tail);
+        return t;
+    }
     int64_t top = e->ready[0], last = e->ready[n], i = 0;
     for (;;) {
         int64_t c = 2 * i + 1;
@@ -246,10 +283,9 @@ static int64_t pop(exec_t *e)
     return top;
 }
 
-static void run_task(const solve_t *b, const int64_t *task, int worker)
+static void run_solve(const solve_t *b, int64_t lo, int64_t hi, int backward,
+                      int worker)
 {
-    int64_t lo = task[0], hi = task[1];
-    int backward = task[2] == BACKWARD;
     if (b->complex_)
         repro_solve_panels_z(b->plan, (int)b->ft, b->L, b->U, b->D, b->x,
                              b->nrhs, b->slab, b->panels + lo, hi - lo,
@@ -263,19 +299,58 @@ static void run_task(const solve_t *b, const int64_t *task, int worker)
                              (double *)b->gather + worker * b->gather_len);
 }
 
+/* Task t on worker w.  Returns nonzero when its hand-back raised. */
+static int run_task(const exec_t *e, int64_t t, int w)
+{
+    const int64_t *task = e->dag->task + 4 * t;
+    int64_t lo = task[0], hi = task[1], kind = task[2], panel = task[3];
+    if (kind == FORWARD || kind == BACKWARD) {
+        run_solve(e->solve, lo, hi, kind == BACKWARD, w);
+        return 0;
+    }
+    const facto_t *f = e->facto;
+    int ft = (int)f->ft;
+    void *scratch = f->work[w];
+    int64_t at; /* where C handed a block back; hi - lo: nowhere */
+    if (kind == PANELS && f->complex_)
+        at = repro_factorize_panels_z(f->plan, ft, f->L, f->U, f->D,
+                                      f->panels + lo, hi - lo, 0, f->block_ptr,
+                                      f->block_rows, f->threshold, scratch,
+                                      f->ipiv[w]);
+    else if (kind == PANELS)
+        at = repro_factorize_panels_d(f->plan, ft, f->L, f->U, f->D,
+                                      f->panels + lo, hi - lo, 0, f->block_ptr,
+                                      f->block_rows, f->threshold, scratch,
+                                      f->ipiv[w]);
+    else if (f->complex_)
+        at = repro_factorize_block_z(f->plan, ft, f->L, f->U, f->D, panel, lo,
+                                     hi, f->threshold, scratch, f->ipiv[w])
+                 ? hi - lo
+                 : 0;
+    else
+        at = repro_factorize_block_d(f->plan, ft, f->L, f->U, f->D, panel, lo,
+                                     hi, f->threshold, scratch, f->ipiv[w])
+                 ? hi - lo
+                 : 0;
+    if (at == hi - lo)
+        return 0;
+    return f->handback(kind, lo, hi, panel, at, w);
+}
+
 /* The worker loop: pop, run, publish.  The mutex orders memory: a task's
  * writes precede the unlock that publishes it, and every successor is
- * popped under a later lock of the same mutex. */
+ * popped under a later lock of the same mutex.  A failed task publishes
+ * nothing: the loop ends once the tasks in flight are done. */
 static void work(exec_t *e, int w)
 {
     const dag_t *d = e->dag;
     trace_t *tr = e->trace;
     pthread_mutex_lock(&e->mu);
     for (;;) {
-        if (e->n_ready == 0 && e->n_done < d->n_tasks) {
+        if (e->n_ready == 0 && e->n_done < d->n_tasks && !e->failed) {
             int64_t t0 = tr ? since(e) : 0;
             e->n_parked++;
-            while (e->n_ready == 0 && e->n_done < d->n_tasks) {
+            while (e->n_ready == 0 && e->n_done < d->n_tasks && !e->failed) {
                 int64_t deadline = now_ns() + PARK_NS;
                 struct timespec ts = {deadline / 1000000000LL,
                                       deadline % 1000000000LL};
@@ -285,23 +360,30 @@ static void work(exec_t *e, int w)
             if (tr && tr->park.rows)
                 log_row(e, &tr->park, -1, w, t0, since(e));
         }
-        if (e->n_done >= d->n_tasks)
+        if (e->n_done >= d->n_tasks || e->failed)
             break;
-        int64_t t = pop(e);
+        int64_t t = pop(e, w);
         pthread_mutex_unlock(&e->mu);
 
         int64_t t0 = tr ? since(e) : 0;
-        run_task(e->body, d->task + 3 * t, w);
+        int failed = run_task(e, t, w);
         int64_t t1 = tr ? since(e) : 0;
 
         pthread_mutex_lock(&e->mu);
+        if (failed) {
+            e->failed = 1;
+            if (tr)
+                log_row(e, &tr->fault, t, w, t0, t1);
+            pthread_cond_broadcast(&e->cv);
+            continue;
+        }
         if (tr)
             log_row(e, &tr->task, t, w, t0, t1);
         int64_t released = 0;
         for (int64_t i = d->succ_ptr[t]; i < d->succ_ptr[t + 1]; i++) {
             int64_t s = d->succ_list[i];
             if (--e->deps_left[s] == 0) {
-                push(e, s);
+                push(e, s, w);
                 released++;
             }
         }
@@ -384,21 +466,24 @@ static int worker_cpus(int *cpus)
     return n;
 }
 
-/* Run every task of d.  Returns 0, -1 when out of memory (nothing ran)
- * or -2 when a trace log overflowed (every task ran; the rows past cap
- * are counted, not written). */
-int64_t repro_run_dag(const dag_t *d, const solve_t *body, int64_t n_workers,
-                      trace_t *trace)
+/* Run every task of d: solve tasks on `solve`, factorization tasks on
+ * `facto`.  Returns 0, -1 when out of memory (nothing ran), -2 when a
+ * trace log overflowed (every task ran; the rows past cap are counted,
+ * not written) or -3 when a hand-back raised (no task started after it). */
+int64_t repro_run_dag(const dag_t *d, const solve_t *solve,
+                      const facto_t *facto, int64_t n_workers, trace_t *trace)
 {
-    exec_t e = {.dag = d, .body = body, .trace = trace};
+    exec_t e = {.dag = d, .solve = solve, .facto = facto, .trace = trace};
     if (d->n_tasks == 0)
         return 0;
     e.deps_left = malloc((size_t)d->n_tasks * sizeof(int64_t));
     e.ready = malloc((size_t)d->n_tasks * sizeof(int64_t));
+    e.owner = malloc((size_t)d->n_tasks * sizeof(int64_t));
     pthread_t *threads = malloc((size_t)n_workers * sizeof(pthread_t));
     worker_arg_t *args = malloc((size_t)n_workers * sizeof(worker_arg_t));
-    if (!e.deps_left || !e.ready || !threads || !args) {
-        free(e.deps_left), free(e.ready), free(threads), free(args);
+    if (!e.deps_left || !e.ready || !e.owner || !threads || !args) {
+        free(e.deps_left), free(e.ready), free(e.owner), free(threads),
+            free(args);
         return -1;
     }
     pthread_condattr_t attr;
@@ -412,7 +497,7 @@ int64_t repro_run_dag(const dag_t *d, const solve_t *body, int64_t n_workers,
     memcpy(e.deps_left, d->n_deps, (size_t)d->n_tasks * sizeof(int64_t));
     for (int64_t t = 0; t < d->n_tasks; t++)
         if (d->n_deps[t] == 0)
-            push(&e, t);
+            push(&e, t, 0);
 
     int cpus[CPU_SETSIZE], n_cpus = n_workers > 1 ? worker_cpus(cpus) : 0;
     int64_t started = 1; /* worker 0 is this thread */
@@ -427,8 +512,8 @@ int64_t repro_run_dag(const dag_t *d, const solve_t *body, int64_t n_workers,
 
     pthread_cond_destroy(&e.cv);
     pthread_mutex_destroy(&e.mu);
-    free(e.deps_left), free(e.ready), free(threads), free(args);
-    return e.overflow ? -2 : 0;
+    free(e.deps_left), free(e.ready), free(e.owner), free(threads), free(args);
+    return e.failed ? -3 : e.overflow ? -2 : 0;
 }
 
 /* ---------------------------------------------------------------- */

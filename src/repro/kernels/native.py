@@ -7,8 +7,8 @@ panel :func:`repro.dag.builder.row_blocks` splits runs as its diagonal
 task and then its row blocks — or one task of a split panel
 (:func:`factorize_block`), runs the forward or backward triangular
 sweep over a run of panels (:class:`SolveSweeps`), runs every task of a
-solve DAG in one call (:func:`run_dag`, over a :class:`DagTasks`) and
-multiplies a CSC matrix
+solve or factorization DAG in one call (:func:`run_dag`, over a
+:class:`DagTasks`) and multiplies a CSC matrix
 by a dense block (:func:`csc_matvec`), reading the flat couple plan
 (:mod:`repro.kernels.indexcache`) and the factor arenas
 (:mod:`repro.core.factor`) through raw pointers.  This
@@ -23,7 +23,8 @@ runs the C/Python hand-back loop:
   untouched, :func:`repro.kernels.panel.panel_factorize` runs on it
   (perturbation counting, ``ZeroDivisionError``, ``LinAlgError`` — one
   implementation; a split panel's diagonal block only, its row blocks
-  then run in C), and C is re-entered at the next panel;
+  then run in C), and C is re-entered at the next panel (inside the
+  executor, a GIL-taking callback runs the rest of that task);
 * the NumPy kernels stay the fallback and the oracle:
   :func:`resolve_kernels` turns ``"native"`` into ``"numpy"`` (with a
   ``RuntimeWarning``) when there is no compiler, no capsule or no place
@@ -51,6 +52,7 @@ from repro.kernels.panel import panel_factorize
 __all__ = [
     "DagLogs",
     "DagTasks",
+    "FactorizeTasks",
     "NativeUnavailable",
     "Scratch",
     "SolveSweeps",
@@ -68,6 +70,10 @@ __all__ = [
 SOURCE = Path(__file__).with_name("native.c")
 
 _FACTOTYPES = {"llt": 0, "ldlt": 1, "lu": 2}
+#: Task kinds of the DAG executor (``native.c``): the forward or backward
+#: solve steps of a panel range, a factorization of a panel range, one
+#: block of a split panel.
+FORWARD, BACKWARD, PANELS, BLOCK = range(4)
 #: The C function suffix per factor dtype.
 _SUFFIX = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
 #: Entry points per scalar type, in ``native.c``'s ``blas[]`` order
@@ -114,6 +120,22 @@ class _SolveBody(ctypes.Structure):
     ]
 
 
+#: ``handback_t`` of ``native.c``: ``(kind, lo, hi, panel, at, worker)``.
+_HANDBACK = ctypes.CFUNCTYPE(ctypes.c_int, *[ctypes.c_int64] * 6)
+
+
+class _FactoBody(ctypes.Structure):
+    """``facto_t`` of ``native.c``."""
+
+    _fields_ = [("plan", ctypes.c_void_p)] + [
+        (name, ctypes.c_int64) for name in ("ft", "complex_")
+    ] + [
+        (name, ctypes.c_void_p)
+        for name in ("L", "U", "D", "panels", "block_ptr", "block_rows")
+    ] + [("threshold", ctypes.c_double), ("work", ctypes.c_void_p),
+         ("ipiv", ctypes.c_void_p), ("handback", _HANDBACK)]
+
+
 class _Log(ctypes.Structure):
     """``log_t`` of ``native.c``."""
 
@@ -124,7 +146,8 @@ class _Log(ctypes.Structure):
 class _Trace(ctypes.Structure):
     """``trace_t`` of ``native.c``."""
 
-    _fields_ = [(name, _Log) for name in ("task", "publish", "park", "wake")]
+    _fields_ = [(name, _Log) for name in ("task", "publish", "park", "wake",
+                                          "fault")]
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +220,8 @@ def _declare(lib: ctypes.CDLL, entry_points: Any) -> ctypes.CDLL:
         ]
         fn.restype = None
     lib.repro_run_dag.argtypes = [
-        ctypes.POINTER(_Dag), ctypes.POINTER(_SolveBody), ctypes.c_int64,
-        ctypes.POINTER(_Trace),
+        ctypes.POINTER(_Dag), ctypes.POINTER(_SolveBody),
+        ctypes.POINTER(_FactoBody), ctypes.c_int64, ctypes.POINTER(_Trace),
     ]
     lib.repro_run_dag.restype = ctypes.c_int64
     for name, extra in (("repro_csc_matvec_d", []),
@@ -405,15 +428,21 @@ def factorize_panels(
         )
         if position >= n:
             return
-        k = int(panels[position])
-        bounds = blocks.bounds(k).tolist()
-        if not bounds:
-            panel_factorize(factor, k)
-        else:
-            panel_factorize(factor, k, diagonal_only=True)
-            for r0, r1 in zip(bounds[:-1], bounds[1:]):
-                factorize_block(factor, k, (r0, r1), scratch)
+        _hand_back(factor, int(panels[position]), blocks, scratch)
         position += 1
+
+
+def _hand_back(factor: Any, k: int, blocks: Any, scratch: Scratch) -> None:
+    """Finish panel ``k``, whose diagonal block C handed back (updates
+    applied, block untouched): :func:`panel_factorize` on it, and for a
+    split panel on its diagonal block only, then its row blocks in C."""
+    bounds = blocks.bounds(k).tolist()
+    if not bounds:
+        panel_factorize(factor, k)
+        return
+    panel_factorize(factor, k, diagonal_only=True)
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        factorize_block(factor, k, (r0, r1), scratch)
 
 
 def factorize_block(factor: Any, k: int, rows: tuple[int, int],
@@ -444,7 +473,8 @@ def factorize_block(factor: Any, k: int, rows: tuple[int, int],
 
 
 class SolveSweeps:
-    """The native triangular sweeps of one solve, over ``x`` in place.
+    """The native triangular sweeps of one solve, over ``x`` in place:
+    the body of the ``FORWARD`` and ``BACKWARD`` tasks of :func:`run_dag`.
 
     ``x`` is ``(n,)`` or ``(n, nrhs)``, C-contiguous, writable and of the
     factor's dtype.  ``panels`` is the panel list the calls take ranges of
@@ -458,6 +488,8 @@ class SolveSweeps:
     Everything is checked here, once, before any pointer crosses: the
     factor's arenas and plan, ``x`` and the panel ids.
     """
+
+    TASK_KINDS = frozenset({FORWARD, BACKWARD})
 
     def __init__(self, factor: Any, x: np.ndarray,
                  panels: Optional[np.ndarray] = None,
@@ -481,9 +513,9 @@ class SolveSweeps:
             self.slab = np.empty((int(lay.row_ptr[-1]) - n) * nrhs, x.dtype)
         # One gather buffer per worker, rows of one array: the executor
         # finds worker w's at gather + w * gather_len.
+        self.n_workers = max(1, n_workers)
         self.gather = np.empty(
-            (max(1, n_workers), int(lay.below.max(initial=0)) * nrhs),
-            x.dtype)
+            (self.n_workers, int(lay.below.max(initial=0)) * nrhs), x.dtype)
         self._keepalive = (factor, x)
         # Raw addresses, taken once: ``ndarray.ctypes`` costs about a
         # microsecond per access, the call itself a few.
@@ -522,6 +554,71 @@ def solve_sweeps(factor: Any, x: np.ndarray,
     return SolveSweeps(factor, x, panels, n_workers)
 
 
+class FactorizeTasks:
+    """The native bodies of a factorization's tasks, on ``factor`` in
+    place: a ``PANELS`` task ``(lo, hi)`` of :func:`run_dag` is
+    :func:`factorize_panels` over ``panels[lo:hi]``, a ``BLOCK`` task
+    ``(lo, hi, panel)`` is :func:`factorize_block` on rows ``[lo, hi)``
+    of ``panel``; each of the ``n_workers`` has its own :class:`Scratch`.
+
+    A diagonal block C hands back reaches :func:`_finish_task`, through a
+    ``ctypes`` callback that takes the GIL, and runs those two functions'
+    Python code for the rest of that task while the other workers stay in
+    C.  An exception raised there is appended to ``errors``: the executor
+    starts no task after it and :func:`run_dag` re-raises the first.
+    Everything is checked here, before any pointer crosses: the factor's
+    arenas and plan, the panel ids and the row blocks.
+    """
+
+    TASK_KINDS = frozenset({PANELS, BLOCK})
+
+    def __init__(self, factor: Any, panels: np.ndarray,
+                 n_workers: int = 1) -> None:
+        _, struct, L, U, D = _bind(factor, "factorize_panels")
+        self.panels = _panel_list(factor, panels)
+        self.layout = factor.index_cache.layout
+        blocks = _row_blocks(factor)
+        scratch = [Scratch(factor) for _ in range(max(1, n_workers))]
+        self.n_workers = len(scratch)
+        self.errors: list[BaseException] = []
+        pointers = ctypes.c_void_p * self.n_workers
+        self._work = pointers(*(s.work.ctypes.data for s in scratch))
+        self._ipiv = pointers(*(s.ipiv.ctypes.data for s in scratch))
+        # The callback holds what it needs, not this object: no cycle
+        # keeps a factor alive after its run.
+        self._callback = _HANDBACK(functools.partial(
+            _finish_task, factor, self.panels, blocks, scratch, self.errors))
+        self.body = _FactoBody(
+            plan=ctypes.addressof(struct), ft=_FACTOTYPES[factor.factotype],
+            complex_=np.iscomplexobj(factor.L_arena), L=L, U=U, D=D,
+            panels=self.panels.ctypes.data, block_ptr=blocks.ptr.ctypes.data,
+            block_rows=blocks.rows.ctypes.data, threshold=_threshold(factor),
+            work=ctypes.addressof(self._work),
+            ipiv=ctypes.addressof(self._ipiv), handback=self._callback,
+        )
+
+
+def _finish_task(factor: Any, panels: np.ndarray, blocks: Any,
+                 scratch: list[Scratch], errors: list[BaseException],
+                 kind: int, lo: int, hi: int, panel: int, at: int,
+                 worker: int) -> int:
+    """The rest of a task after C handed a diagonal block back: the block
+    of a ``BLOCK`` task, else ``panels[lo + at]`` and the panels after
+    it.  Returns 1 when it raised (the exception goes to ``errors``)."""
+    try:
+        if kind == BLOCK:
+            panel_factorize(factor, panel, diagonal_only=True)
+            return 0
+        rest = panels[lo + at:hi]
+        _hand_back(factor, int(rest[0]), blocks, scratch[worker])
+        if rest.size > 1:
+            factorize_panels(factor, rest[1:], scratch[worker])
+    except BaseException as exc:     # re-raised by run_dag
+        errors.append(exc)
+        return 1
+    return 0
+
+
 # ----------------------------------------------------------------------
 # The DAG executor
 # ----------------------------------------------------------------------
@@ -537,26 +634,31 @@ class DagTasks:
 
     ``succ_ptr`` / ``succ_list`` are the successors in CSR form,
     ``n_deps`` every task's in-degree (it must be the number of times the
-    task appears in ``succ_list``), ``tasks`` one ``(lo, hi, kind)``
-    record per task: the panels ``[lo, hi)`` of the executor's panel list
-    (``0 <= lo <= hi <= n_panels``), forward (``kind`` 0) or backward (1).
+    task appears in ``succ_list``), ``tasks`` one ``(lo, hi, kind,
+    panel)`` record per task.  A ``FORWARD``, ``BACKWARD`` or ``PANELS``
+    task runs the panels ``[lo, hi)`` of its body's panel list
+    (``0 <= lo <= hi <= n_panels``; ``panel`` unused).  A ``BLOCK`` task
+    runs rows ``[lo, hi)`` of ``panel`` of ``layout`` (the factor's
+    :class:`~repro.kernels.indexcache.PanelLayout`): its diagonal block
+    ``(0, width)``, or a range ``width <= lo < hi <= height`` below it.
     The graph must be acyclic — a cycle would never drain — and
     ``order`` is its Kahn order (:func:`repro.dag.tasks.kahn_order`, LIFO):
-    what the executor runs with one worker and the LIFO ready set, and
-    what a solve without the executor runs.  Every
+    what the executor runs with one worker and no rank, and
+    what a run without the executor runs.  Every
     violation is a ``ValueError``, raised here, before any pointer can
     reach C.
     """
 
     def __init__(self, succ_ptr: Any, succ_list: Any, n_deps: Any,
-                 tasks: Any, n_panels: int) -> None:
+                 tasks: Any, n_panels: int, layout: Any = None) -> None:
         self.succ_ptr = _int64("succ_ptr", succ_ptr)
         self.succ_list = _int64("succ_list", succ_list)
         self.n_deps = _int64("n_deps", n_deps)
         self.tasks = _int64("tasks", tasks, ndim=2)
         n = self.n_tasks = self.n_deps.size
-        if self.tasks.shape != (n, 3):
-            raise ValueError(f"tasks must be {n} (lo, hi, kind) records")
+        if self.tasks.shape != (n, 4):
+            raise ValueError(f"tasks must be {n} (lo, hi, kind, panel) "
+                             f"records")
         ptr = self.succ_ptr
         if (ptr.size != n + 1 or ptr[0] != 0 or ptr[-1] != self.succ_list.size
                 or np.any(np.diff(ptr) < 0)):
@@ -567,18 +669,33 @@ class DagTasks:
         if not np.array_equal(np.bincount(self.succ_list, minlength=n),
                               self.n_deps):
             raise ValueError("n_deps is not the in-degree of succ_list")
-        lo, hi, kind = self.tasks.T
-        if n and not (np.all(0 <= lo) and np.all(lo <= hi)
-                      and np.all(hi <= n_panels)):
+        lo, hi, kind, panel = self.tasks.T
+        if not np.all((FORWARD <= kind) & (kind <= BLOCK)):
+            raise ValueError("task kind must be 0 (forward), 1 (backward), "
+                             "2 (panels) or 3 (block)")
+        span = kind != BLOCK
+        if not (np.all(0 <= lo[span]) and np.all(lo[span] <= hi[span])
+                and np.all(hi[span] <= n_panels)):
             raise ValueError(f"task panel range out of [0, {n_panels}]")
-        if not np.all((kind == 0) | (kind == 1)):
-            raise ValueError("task kind must be 0 (forward) or 1 (backward)")
+        if not np.all(span):
+            if layout is None:
+                raise ValueError("block tasks need the panel layout")
+            k, r0, r1 = panel[~span], lo[~span], hi[~span]
+            if not np.all((0 <= k) & (k < layout.width.size)):
+                raise ValueError("block task panel out of range")
+            w, h = layout.width[k], layout.height[k]
+            if not np.all(((r0 == 0) & (r1 == w))
+                          | ((w <= r0) & (r0 < r1) & (r1 <= h))):
+                raise ValueError("block task rows are neither a diagonal "
+                                 "block nor a range below it")
         from repro.dag.tasks import kahn_order
 
         self.order = kahn_order(ptr, self.succ_list, self.n_deps)
         if self.order.size != n:
             raise ValueError("task graph contains a cycle")
-        self.max_hi = int(hi.max(initial=0))
+        self.kinds = frozenset(np.unique(kind).tolist())
+        self.layout = layout
+        self.max_hi = int(hi[span].max(initial=0))
         self._struct = _Dag(
             n_tasks=n, succ_ptr=self.succ_ptr.ctypes.data,
             succ_list=self.succ_list.ctypes.data,
@@ -589,12 +706,13 @@ class DagTasks:
 class DagLogs:
     """Preallocated ``(cap, 4)`` int64 rows ``(task, worker, t0_ns,
     t1_ns)`` the executor writes a trace into, per kind: ``task`` (one
-    per task run), and the sync rows ``publish`` (taken under the mutex:
-    ``t0 == t1``), ``park`` (one per idle episode, ``task`` -1) and
-    ``wake`` (one per signal, ``task`` -1).  Times are nanoseconds since
-    the call began.  A kind with capacity 0 is not recorded."""
+    per task run), ``fault`` (one per task whose hand-back raised), and
+    the sync rows ``publish`` (taken under the mutex: ``t0 == t1``),
+    ``park`` (one per idle episode, ``task`` -1) and ``wake`` (one per
+    signal, ``task`` -1).  Times are nanoseconds since the call began.  A
+    kind with capacity 0 is not recorded."""
 
-    KINDS = ("task", "publish", "park", "wake")
+    KINDS = ("task", "publish", "park", "wake", "fault")
 
     def __init__(self, caps: dict[str, int]) -> None:
         self.rows = {k: np.zeros((int(caps.get(k, 0)), 4), dtype=np.int64)
@@ -607,36 +725,54 @@ class DagLogs:
     def sized_for(cls, n_tasks: int, n_workers: int,
                   sync: bool) -> "DagLogs":
         """Room for every row a run can write: a task runs and publishes
-        once, a park episode ends with a pop or at the end, and a signal
-        hands on a released task."""
-        caps = {"task": n_tasks}
+        once, a worker fails at most one task, a park episode ends with a
+        pop or at the end, and a signal hands on a released task."""
+        caps = {"task": n_tasks, "fault": n_workers}
         if sync:
             caps.update(publish=n_tasks, park=n_tasks + n_workers,
                         wake=n_tasks)
         return cls(caps)
+
+    def append(self, kind: str, task: int, worker: int, t0: int,
+               t1: int) -> None:
+        """Write one row as the executor does (a run without it)."""
+        log = getattr(self.struct, kind)
+        if log.n < log.cap:
+            self.rows[kind][log.n] = (task, worker, t0, t1)
+            log.n += 1
 
     def written(self, kind: str) -> np.ndarray:
         """The rows of ``kind`` the run wrote."""
         return self.rows[kind][:getattr(self.struct, kind).n]
 
 
-def run_dag(tasks: DagTasks, sweeps: SolveSweeps, n_workers: int,
-            rank: Optional[np.ndarray] = None,
+def run_dag(tasks: DagTasks, body: Union[SolveSweeps, FactorizeTasks],
+            n_workers: int, rank: Optional[np.ndarray] = None,
             logs: Optional[DagLogs] = None) -> None:
-    """Run every task of ``tasks`` on ``sweeps`` in one GIL-free call.
+    """Run every task of ``tasks`` on ``body`` in one GIL-free call.
 
     The calling thread is worker 0; ``n_workers - 1`` pthreads join it
-    (``sweeps`` must have a gather buffer for each).  The ready set is a
-    stack (LIFO) or, with ``rank``, a heap that pops the highest rank
-    first.  ``logs`` receives the trace rows; a log that runs out of
-    room raises ``RuntimeError`` after the run (the solve itself
-    completed).
+    (``body`` must have buffers for each).  Without ``rank`` a worker pops
+    the newest ready task it released, else the oldest one (work
+    stealing over one shared set; one worker pops LIFO); with ``rank``
+    the ready set is a heap that pops the highest rank first.
+    ``logs`` receives the trace rows; a log that runs out of room raises
+    ``RuntimeError`` after the run (the run itself completed).  A
+    hand-back that raised stops the executor from starting tasks; its
+    exception is re-raised here once the workers have joined.
     """
     n_workers = int(n_workers)
-    if not 1 <= n_workers <= sweeps.gather.shape[0]:
-        raise ValueError(f"n_workers must be in [1, {sweeps.gather.shape[0]}]")
-    if tasks.max_hi > sweeps.panels.size:
-        raise ValueError("task panel range out of the sweeps' panel list")
+    if not 1 <= n_workers <= body.n_workers:
+        raise ValueError(f"n_workers must be in [1, {body.n_workers}]")
+    if not tasks.kinds <= body.TASK_KINDS:
+        raise ValueError(f"{type(body).__name__} does not run task kinds "
+                         f"{sorted(tasks.kinds - body.TASK_KINDS)}")
+    if tasks.max_hi > body.panels.size:
+        raise ValueError("task panel range out of the body's panel list")
+    if BLOCK in tasks.kinds and not all(
+            np.array_equal(getattr(tasks.layout, a), getattr(body.layout, a))
+            for a in ("width", "height")):
+        raise ValueError("block tasks checked against another panel layout")
     dag = tasks._struct
     if rank is not None:
         if not (isinstance(rank, np.ndarray) and rank.dtype == np.float64
@@ -645,11 +781,16 @@ def run_dag(tasks: DagTasks, sweeps: SolveSweeps, n_workers: int,
             raise ValueError(f"rank must be {tasks.n_tasks} finite float64")
         dag = _Dag.from_buffer_copy(dag)
         dag.rank = rank.ctypes.data
+    solve = ctypes.byref(body.body) if isinstance(body, SolveSweeps) else None
+    facto = None if solve is not None else ctypes.byref(body.body)
     status = load().repro_run_dag(
-        ctypes.byref(dag), ctypes.byref(sweeps.body), n_workers,
+        ctypes.byref(dag), solve, facto, n_workers,
         None if logs is None else ctypes.byref(logs.struct))
     if status == -1:
         raise MemoryError("the DAG executor could not allocate its state")
+    if status == -3:
+        assert isinstance(body, FactorizeTasks) and body.errors
+        raise body.errors[0]
     if status == -2:
         assert logs is not None
         full = {k: (getattr(logs.struct, k).n, logs.rows[k].shape[0])

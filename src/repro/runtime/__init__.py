@@ -14,27 +14,21 @@ Three scheduler policies reproduce the paper's three software stacks:
   CUDA streams, tasks instantiated when ready (low memory, small extra
   dispatch cost).
 
-:mod:`repro.runtime.threaded` executes the same DAG for real on a Python
-thread pool (NumPy's BLAS releases the GIL); :mod:`repro.runtime.tracing`
-provides the execution-trace container used by the simulator, the
-threaded engine, and the tests.
+:mod:`repro.runtime.threaded` executes the factorization and solve DAGs
+for real on the C DAG executor (one GIL-free call per phase);
+:mod:`repro.runtime.tracing` provides the execution-trace container used
+by the simulator, the threaded engine, and the tests.
 """
 
 from repro.runtime.base import PolicyTraits, SchedulerPolicy, bottom_levels
-from repro.runtime.static_schedule import (
-    StaticPolicy,
-    StaticSchedule,
-    static_schedule,
-)
 from repro.runtime.native import NativePolicy
 from repro.runtime.starpu import StarPUPolicy
 from repro.runtime.parsec import ParsecPolicy
-from repro.runtime.scheduling import (
+from repro.runtime.threaded import (
     THREAD_SCHEDULERS,
-    ThreadScheduler,
-    get_thread_scheduler,
+    factorize_threaded,
+    solve_threaded,
 )
-from repro.runtime.threaded import factorize_threaded, solve_threaded
 from repro.runtime.tracing import ExecutionTrace, TraceEvent
 
 _POLICIES = {
@@ -59,17 +53,12 @@ __all__ = [
     "PolicyTraits",
     "SchedulerPolicy",
     "bottom_levels",
-    "StaticPolicy",
-    "StaticSchedule",
-    "static_schedule",
     "NativePolicy",
     "StarPUPolicy",
     "ParsecPolicy",
     "factorize_threaded",
     "solve_threaded",
-    "ThreadScheduler",
     "THREAD_SCHEDULERS",
-    "get_thread_scheduler",
     "ExecutionTrace",
     "TraceEvent",
     "get_policy",

@@ -163,19 +163,14 @@ class SyncEvent:
     * ``"lock"`` — a mutex hold window: ``obj`` is the lock name,
       ``start`` the moment the lock was *acquired*, ``end`` its release,
       ``wait_s`` how long the acquire blocked, ``n`` how many writes the
-      window covered (no task body of today's pool takes a lock, so its
-      runs report zero lock time);
-    * ``"publish"`` — a task's completion became visible to the pool
-      (dependency counters decremented);
-    * ``"park"`` — a worker's idle nap window (``obj`` =
-      ``"worker{w}"``): one bounded wait in the factorization pool, one
-      idle episode of timed waits in the solve's C executor;
-    * ``"wake"`` — this worker set ``obj`` = ``"worker{v}"``'s wakeup
-      event, or (the C executor) signalled its condition variable,
-      ``obj`` = ``"pool"`` (instantaneous);
-    * ``"steal"`` — a scheduler steal probe against ``obj`` =
-      ``"worker{victim}"``: ``task`` is the stolen task, or ``-1``
-      for a failed attempt (instantaneous).
+      window covered (no task body of the threaded runtime takes a lock,
+      so its runs report zero lock time);
+    * ``"publish"`` — a task's completion became visible to the
+      executor (dependency counters decremented);
+    * ``"park"`` — a worker's idle episode of timed waits (``obj`` =
+      ``"worker{w}"``);
+    * ``"wake"`` — this worker signalled the executor's condition
+      variable, ``obj`` = ``"pool"`` (instantaneous).
     """
 
     kind: str

@@ -41,16 +41,13 @@ through ``python -m repro verify``:
   first-divergence localization, and meta/seed stamping completeness
   (D8xx) over the canonical order-sensitive trace fingerprint
   (:meth:`~repro.runtime.tracing.ExecutionTrace.fingerprint`);
-* :func:`repro.verify.lint.lint_paths` — one AST lint engine for three
-  rule families (``family=`` ``"RV3"``/``"RV4"``/``"RV5"``): the
+* :func:`repro.verify.lint.lint_paths` — one AST lint engine for two
+  rule families (``family=`` ``"RV3"``/``"RV5"``): the
   project's simulation invariants over the package (RV3xx: no
   frozen-dataclass mutation, no float-equality on times, ``traits`` on
   every policy, no ambiguous NumPy truthiness, no shared mutable
   dataclass defaults, no iteration over unordered sets, no unseeded
-  randomness); the lock discipline of ``repro.runtime`` (RV4xx:
-  unlocked shared writes, condition waits without a predicate loop,
-  inconsistent lock order, sleep-as-synchronization, unguarded reads of
-  lock-guarded state); and the event-loop discipline of the shared
+  randomness); and the event-loop discipline of the shared
   event core, the simulators and the fault layer, the static shadow of
   D8xx (RV5xx: heap pushes without a monotonic tie-breaker, float
   equality on simulated clocks, unordered-set choices, wall clocks or

@@ -27,7 +27,7 @@ Per :class:`~repro.dag.tasks.TaskKind`:
   fused updates' accesses;
 * ``SUBTREE`` — WRITE every member cblk of the fused subtree; internal
   updates stay inside the task;
-* a task of the ``"unit"`` DAG (what the thread pool executes) — WRITE
+* a task of the ``"unit"`` DAG (what the threaded runtime executes) — WRITE
   every member panel of its unit, READ every source panel outside the
   unit.  It is left-looking like ``"1d-left"``: all its writes land in
   panels it owns, so there is no cross-task ACCUM.  Membership is the

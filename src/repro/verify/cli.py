@@ -16,8 +16,8 @@ report per audited artifact:
   and of a kernel burst (fingerprints, tie-breaks, RNG provenance);
 * ``symbolic`` — N5xx symbolic-structure, DAG-cost and couple-cache
   audits;
-* ``lint`` — the RV3xx project lint, RV5xx event-loop lint and RV4xx
-  lock-discipline lint (:mod:`repro.verify.lint`).
+* ``lint`` — the RV3xx project lint and the RV5xx event-loop lint
+  (:mod:`repro.verify.lint`).
 
 ``--only PASS[,PASS]`` selects passes (default: all).  Exit status is 0
 iff every report is clean, which is what ``make verify`` and CI consume.
@@ -480,8 +480,7 @@ def _concurrency_pass(args: argparse.Namespace, matrix: Any, res: Any,
     runtime (``record_sync=True``) and feeds the recorded ``SyncEvent``
     stream to the auditor, against the DAG the trace names
     (:func:`repro.dag.builder.dag_of_trace`; the solve DAG for the
-    solve).  (The static side — the RV4xx lock-discipline lint — runs
-    in the lint pass.)
+    solve).
     """
     from repro.dag.builder import dag_of_trace
     from repro.dag.solve_builder import build_solve_dag
@@ -574,13 +573,13 @@ def _symbolic_pass(args: argparse.Namespace, matrix: Any, res: Any,
 def _lint_pass(args: argparse.Namespace, matrix: Any, res: Any,
                reports: list[Report]) -> None:
     """RV3xx over the package (or ``--lint-path``), then the RV5xx
-    event-loop lint and the RV4xx lock-discipline lint over their
-    default scopes (the static counterparts of D8xx and C7xx)."""
+    event-loop lint over its default scope (the static counterpart of
+    D8xx)."""
     import repro
     from repro.verify.lint import lint_report
 
     root = Path(args.lint_path or Path(repro.__file__).parent)
-    for family, paths in (("RV3", [root]), ("RV5", None), ("RV4", None)):
+    for family, paths in (("RV3", [root]), ("RV5", None)):
         t0 = time.perf_counter()
         rep = lint_report(paths, family)
         rep.stats["seconds"] = time.perf_counter() - t0

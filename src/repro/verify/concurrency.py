@@ -2,12 +2,11 @@
 real threaded runtime.
 
 The threaded engine hand-rolls the synchronization the paper delegates
-to StarPU/PaRSEC — per-worker deques, completion publishes under one
-state lock, evented worker parking (the factorization pool); one mutex,
-one condition variable and timed parks (the solve's C executor).  Its
-task bodies take no lock (each task writes only what it owns; every
-read is ordered by a DAG edge), so what is left to prove is that the
-*pool* honoured the DAG.
+to StarPU/PaRSEC — one mutex, one condition variable and timed parks in
+the C DAG executor that runs both phases.  Its task bodies take no lock
+(each task writes only what it owns; every read is ordered by a DAG
+edge), so what is left to prove is that the *executor* honoured the
+DAG.
 This pass replays the :class:`~repro.runtime.tracing.SyncEvent` stream
 recorded by ``factorize_threaded(..., record_sync=True)`` (or
 ``solve_threaded``) together with the task events.
@@ -15,7 +14,7 @@ recorded by ``factorize_threaded(..., record_sync=True)`` (or
 Checks:
 
 * **C702 read of unpublished completion** — a task started before some
-  predecessor's completion was published to the pool (its dependency
+  predecessor's completion was published to the executor (its dependency
   counter was decremented on state the reader could not yet see);
 * **C705 lost wakeup** — a worker parked past the horizon while a task
   that had been ready since before the park sat unstarted until after
@@ -53,10 +52,9 @@ __all__ = [
 ]
 
 #: A park window at least this long, spanning a ready task's idle wait,
-#: is a lost wakeup (C705).  The pool's park timeout is 0.02 s, so an
-#: honest nap never comes close.  The solve's C executor records whole
-#: idle episodes, which can be longer, but it parks a worker only while
-#: the ready set is empty, so no ready task waits through an honest one.
+#: is a lost wakeup (C705).  The C executor records whole idle episodes,
+#: which can be longer, but it parks a worker only while the ready set
+#: is empty, so no ready task waits through an honest one.
 PARK_HORIZON_S = 0.1
 
 _TOL = 1e-9

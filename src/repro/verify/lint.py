@@ -1,5 +1,5 @@
 """Project lint engine (AST-based, stdlib only): one parse per file, one
-``# noqa`` path, three rule families.
+``# noqa`` path, two rule families.
 
 A family is registered under its code prefix as ``(report name,
 default scope, check)``; the check walks the parsed files of its scope and emits
@@ -32,22 +32,6 @@ parse yields ``RVx00`` and the other files are still linted.
 * **RV307 unseeded-random** — no legacy ``np.random.<sampler>(...)`` or
   stdlib ``random.<sampler>(...)`` module draws, and no
   ``np.random.default_rng()`` / ``random.Random()`` without a seed.
-
-**RV4xx — lock discipline** (scope: ``repro.runtime``, the code worker
-threads run; the static side of the C7xx trace audit).
-
-* **RV401 unlocked shared write** — in a class owning a ``threading``
-  lock/condition (directly or through a base in the linted set), an
-  augmented assignment on a ``self`` attribute outside any ``with
-  self.<lock>:`` block and outside the setup methods.
-* **RV402 wait without predicate loop** — ``self.<condition>.wait()``
-  not lexically inside a ``while`` loop.
-* **RV403 inconsistent lock order** — a cycle in the graph of lexically
-  nested ``with self.<lockA>: ... with self.<lockB>:`` acquisitions.
-* **RV404 sleep as synchronization** — any ``time.sleep(...)``.
-* **RV405 unguarded read of lock-guarded state** — a ``return`` outside
-  any lock block (and outside setup methods) reading an attribute the
-  class both touches under a lock and mutates in place.
 
 **RV5xx — event-loop discipline** (scope: the shared event core, the
 three simulators and the fault layer; the static side of the D8xx
@@ -354,6 +338,17 @@ def _rng_call(node: ast.Call) -> Optional[tuple[str, str]]:
     ):
         return "np", f.attr
     return None
+
+
+def _module_call(node: ast.AST, module: str, names: Iterable[str]) -> bool:
+    """``node`` is ``<module>.<name>(...)`` for one of ``names``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in names
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == module
+    )
 
 
 class _Rules(ast.NodeVisitor):
@@ -714,302 +709,6 @@ def _project_rules(files: list[_File]) -> None:
 
 
 # ----------------------------------------------------------------------
-# RV4xx: lock discipline
-# ----------------------------------------------------------------------
-#: Methods that run before (or after) the worker threads exist.
-_SETUP_METHODS = {"__init__", "setup", "bind", "__post_init__"}
-
-#: threading constructors whose product is a mutual-exclusion object.
-_LOCK_CTORS = {"Lock", "RLock", "Condition", "Semaphore",
-               "BoundedSemaphore"}
-
-#: Container methods that mutate their receiver in place.
-_MUTATOR_METHODS = {
-    "append", "appendleft", "pop", "popleft", "extend", "extendleft",
-    "add", "remove", "discard", "clear", "update", "setdefault",
-    "insert",
-}
-
-#: ``heapq`` functions that mutate their first argument.
-_HEAPQ_MUTATORS = {"heappush", "heappop", "heapify", "heappushpop",
-                   "heapreplace"}
-
-
-def _module_call(node: ast.AST, module: str, names: Iterable[str]) -> bool:
-    """``node`` is ``<module>.<name>(...)`` for one of ``names``."""
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in names
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == module
-    )
-
-
-def _self_attr(node: ast.expr) -> Optional[str]:
-    """``self.X`` or ``self.X[...]`` -> ``"X"``; else ``None``."""
-    if isinstance(node, ast.Subscript):
-        return _self_attr(node.value)
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def _assigned_self_attrs(cls: ast.ClassDef, ctors: set[str]) -> set[str]:
-    """``self`` attributes assigned a value constructing one of the
-    ``threading`` classes ``ctors`` (possibly inside a list or
-    comprehension, the per-panel lock-table idiom)."""
-    out: set[str] = set()
-    for node in ast.walk(cls):
-        if isinstance(node, ast.Assign) and any(
-            _module_call(sub, "threading", ctors)
-            for sub in ast.walk(node.value)
-        ):
-            out.update(a for a in map(_self_attr, node.targets) if a)
-    return out
-
-
-def _condition_attrs(cls: ast.ClassDef) -> set[str]:
-    return _assigned_self_attrs(cls, {"Condition"})
-
-
-def _lock_attrs(cls: ast.ClassDef) -> set[str]:
-    return _assigned_self_attrs(cls, _LOCK_CTORS)
-
-
-def _witnessed_attrs(lock_attrs: set[str]):
-    """Probe factory: ``self`` attributes touched inside a ``with
-    self.<lock>:`` body of the probed class."""
-
-    def probe(cls: ast.ClassDef) -> set[str]:
-        out: set[str] = set()
-        for node in ast.walk(cls):
-            if isinstance(node, ast.With) and any(
-                _self_attr(item.context_expr) in lock_attrs
-                for item in node.items
-            ):
-                for stmt in node.body:
-                    for sub in ast.walk(stmt):
-                        if isinstance(sub, ast.Attribute) and _self_attr(sub):
-                            out.add(_self_attr(sub))
-        return out - lock_attrs
-
-    return probe
-
-
-def _mutated_attrs(cls: ast.ClassDef) -> set[str]:
-    """``self`` attributes the class mutates anywhere (shared state):
-    augmented or subscript assignment, in-place container calls, or
-    ``heapq`` operations.  Plain ``self.X = ...`` rebinds are treated
-    as initialisation, not mutation."""
-    out: set[str] = set()
-    for node in ast.walk(cls):
-        if isinstance(node, ast.AugAssign):
-            out.add(_self_attr(node.target))
-        elif isinstance(node, (ast.Assign, ast.Delete)):
-            out.update(_self_attr(t) for t in node.targets
-                       if isinstance(t, ast.Subscript))
-        elif isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATOR_METHODS:
-                out.add(_self_attr(node.func.value))
-            elif _module_call(node, "heapq", _HEAPQ_MUTATORS) and node.args:
-                out.add(_self_attr(node.args[0]))
-    out.discard(None)
-    return out
-
-
-class _LockRules:
-    """Lint one class's methods against the RV401/402/403/405 rules."""
-
-    def __init__(self, f: _File, cls: ast.ClassDef, lock_attrs: set[str],
-                 cond_attrs: set[str], guarded_attrs: set[str],
-                 lock_order: dict[str, set[str]]) -> None:
-        self.f = f
-        self.cls = cls
-        self.lock_attrs = lock_attrs
-        self.cond_attrs = cond_attrs
-        self.guarded_attrs = guarded_attrs
-        self.lock_order = lock_order
-
-    def lint(self) -> None:
-        for stmt in self.cls.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._walk(stmt.body, held=[],
-                           in_setup=stmt.name in _SETUP_METHODS,
-                           in_while=False)
-
-    def _walk(self, body, held: list[str], in_setup: bool,
-              in_while: bool) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.With):
-                acquired = [a for a in (_self_attr(item.context_expr)
-                                        for item in stmt.items)
-                            if a is not None and a in self.lock_attrs]
-                for new in acquired:
-                    for outer in held:
-                        if outer != new:
-                            self.lock_order.setdefault(
-                                f"{self.cls.name}.{outer}", set()
-                            ).add(f"{self.cls.name}.{new}")
-                self._walk(stmt.body, held + acquired, in_setup, in_while)
-                # Expressions in the with header still need the scans.
-                for item in stmt.items:
-                    self._scan_waits(item.context_expr, in_while)
-                continue
-            if isinstance(stmt, ast.While):
-                self._scan_waits(stmt.test, in_while=True)
-                self._walk(stmt.body + stmt.orelse, held, in_setup,
-                           in_while=True)
-                continue
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # Nested defs (callbacks) run on unknown threads: lint
-                # them as non-setup code holding nothing.
-                self._walk(stmt.body, held=[], in_setup=False,
-                           in_while=False)
-                continue
-            if not in_setup and not held:
-                self._check_unlocked(stmt)
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self._scan_waits(child, in_while)
-            # Recurse into compound statements (if/for/try bodies).
-            for field in ("body", "orelse", "finalbody"):
-                sub = getattr(stmt, field, None)
-                if sub:
-                    self._walk(sub, held, in_setup, in_while)
-            for h in getattr(stmt, "handlers", None) or ():
-                self._walk(h.body, held, in_setup, in_while)
-
-    def _check_unlocked(self, stmt: ast.stmt) -> None:
-        """RV401 / RV405 on a statement run outside setup and any lock."""
-        if isinstance(stmt, ast.AugAssign):
-            attr = _self_attr(stmt.target)
-            if attr is not None and attr not in self.lock_attrs:
-                self.f.emit(
-                    stmt, "RV401",
-                    f"read-modify-write of shared attribute self.{attr} in "
-                    f"lock-owning class {self.cls.name} outside any "
-                    "`with self.<lock>:` block",
-                )
-        if isinstance(stmt, ast.Return) and stmt.value is not None:
-            for node in ast.walk(stmt.value):
-                attr = _self_attr(node) \
-                    if isinstance(node, ast.Attribute) else None
-                if attr is not None and attr in self.guarded_attrs:
-                    self.f.emit(
-                        stmt, "RV405",
-                        f"return reads lock-guarded attribute self.{attr} "
-                        f"of {self.cls.name} without holding the lock that "
-                        "elsewhere guards its mutation (torn read against "
-                        "a concurrent multi-step update)",
-                    )
-                    return
-
-    def _scan_waits(self, expr: ast.expr, in_while: bool) -> None:
-        if in_while:
-            return
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "wait":
-                base_attr = _self_attr(node.func.value)
-                if base_attr is not None and base_attr in self.cond_attrs:
-                    self.f.emit(
-                        node, "RV402",
-                        f"self.{base_attr}.wait() outside a while "
-                        "loop: condition waits wake spuriously; "
-                        "re-check the predicate in a loop",
-                    )
-
-
-def _lock_order_cycle(lock_order: dict[str, set[str]]) -> list[str]:
-    """The first cycle (as a node path) in the acquisition graph."""
-    state: dict[str, int] = {}
-    cycle: list[str] = []
-
-    def dfs(n: str, pathstack: list[str]) -> bool:
-        state[n] = 1
-        pathstack.append(n)
-        for nxt in sorted(lock_order.get(n, ())):
-            if state.get(nxt, 0) == 1:
-                cycle.extend(pathstack[pathstack.index(nxt):] + [nxt])
-                return True
-            if state.get(nxt, 0) == 0 and dfs(nxt, pathstack):
-                return True
-        pathstack.pop()
-        state[n] = 2
-        return False
-
-    for n in sorted(lock_order):
-        if state.get(n, 0) == 0 and dfs(n, []):
-            break
-    return cycle
-
-
-@_family("RV4", "lockdiscipline", ("src/repro/runtime",))
-def _lock_rules(files: list[_File]) -> None:
-    # Resolve lock ownership through base classes named in the linted
-    # set: a subclass of a lock-owning scheduler shares its discipline.
-    by_name: dict[str, ast.ClassDef] = {}
-    for f in files:
-        for node in ast.walk(f.tree):
-            if isinstance(node, ast.ClassDef):
-                by_name.setdefault(node.name, node)
-
-    def inherited(cls: ast.ClassDef, probe) -> set[str]:
-        out: set[str] = set(probe(cls))
-        seen = {cls.name}
-        stack = [b.id for b in cls.bases if isinstance(b, ast.Name)]
-        while stack:
-            name = stack.pop()
-            if name in seen or name not in by_name:
-                continue
-            seen.add(name)
-            base = by_name[name]
-            out |= probe(base)
-            stack.extend(b.id for b in base.bases
-                         if isinstance(b, ast.Name))
-        return out
-
-    lock_order: dict[str, set[str]] = {}
-    order_sites: dict[str, tuple[_File, int]] = {}
-    for f in files:
-        for node in ast.walk(f.tree):
-            if _module_call(node, "time", ("sleep",)):
-                f.emit(node, "RV404",
-                       "time.sleep() in concurrent runtime code: "
-                       "synchronize with events/joins, never with naps")
-        for node in ast.walk(f.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            locks = inherited(node, _lock_attrs)
-            conds = inherited(node, _condition_attrs)
-            if not locks and not conds:
-                continue
-            # RV405 guarded set: attributes the class hierarchy both
-            # touches under a lock AND mutates in place somewhere.
-            guarded = inherited(node, _witnessed_attrs(locks | conds)) \
-                & inherited(node, _mutated_attrs)
-            before = {k: set(v) for k, v in lock_order.items()}
-            _LockRules(f, node, locks | conds, conds, guarded,
-                       lock_order).lint()
-            for k, v in lock_order.items():
-                for dst in v - before.get(k, set()):
-                    order_sites.setdefault(f"{k}->{dst}", (f, node.lineno))
-    cycle = _lock_order_cycle(lock_order)
-    if cycle:
-        edge = f"{cycle[0]}->{cycle[1]}" if len(cycle) > 1 else ""
-        f, line = order_sites.get(edge, (files[0], 0))
-        f.emit_at(line, 0, "RV403", "inconsistent lock acquisition order: "
-                  + " -> ".join(cycle))
-
-
-# ----------------------------------------------------------------------
 # RV5xx: event-loop discipline
 # ----------------------------------------------------------------------
 #: Terminal attribute/variable names treated as simulated-clock values.
@@ -1129,7 +828,7 @@ class _EventLoopRules(_Rules):
 @_family("RV5", "eventloop", (
     # The shared event core, the three simulators and the fault layer
     # whose RNG they consume.  (The threaded runtime legitimately reads
-    # wall clocks and is audited by RV4xx/C7xx instead.)
+    # wall clocks and is audited by C7xx instead.)
     "src/repro/sim.py",
     "src/repro/machine/simulator.py",
     "src/repro/machine/streamsim.py",

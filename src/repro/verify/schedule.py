@@ -73,11 +73,10 @@ def verify_schedule(dag: TaskDAG, trace: ExecutionTrace) -> Report:
     sched = trace.meta.get("scheduler")
     if sched is not None:
         from repro.runtime import _POLICIES
-        from repro.runtime.scheduling import THREAD_SCHEDULERS
+        from repro.runtime.threaded import THREAD_SCHEDULERS
 
         report.stats["scheduler"] = sched
-        if sched not in THREAD_SCHEDULERS and sched not in _POLICIES \
-                and sched != "static":
+        if sched not in THREAD_SCHEDULERS and sched not in _POLICIES:
             report.add(
                 "S208",
                 f"trace records unknown scheduler {sched!r}; registered "

@@ -22,8 +22,7 @@ from repro.core.factor import NumericFactor
 from repro.core.factorization import factorize_sequential
 from repro.kernels import native
 from repro.kernels.indexcache import CouplePlanError, get_couple_cache
-from repro.runtime.scheduling import THREAD_SCHEDULERS
-from repro.runtime.threaded import factorize_threaded
+from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic import SymbolicOptions, analyze
 from repro.verify import stale_couple_map

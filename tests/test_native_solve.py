@@ -23,8 +23,7 @@ from repro.core.factorization import factorize_sequential
 from repro.core.triangular import solve_factored
 from repro.dag.solve_builder import build_solve_dag
 from repro.kernels import native
-from repro.runtime.scheduling import THREAD_SCHEDULERS
-from repro.runtime.threaded import solve_threaded
+from repro.runtime.threaded import THREAD_SCHEDULERS, solve_threaded
 from repro.runtime.tracing import ExecutionTrace
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic import analyze
@@ -270,13 +269,15 @@ def test_malformed_arguments_are_rejected(grid2d_small):
 
 def test_executor_arguments_and_trace_logs(grid2d_medium):
     """``run_dag`` checks what its DagTasks could not (the worker count
-    against the gather buffers, the rank), and a trace log that runs out
-    of room is an error after a complete solve, never a silent cut."""
-    from repro.runtime.threaded import _solve_tasks
+    against the gather buffers, the rank, a body that runs every kind of
+    task in the DAG), and a trace log that runs out of room is an error
+    after a complete solve, never a silent cut."""
+    from repro.dag import get_dag
+    from repro.runtime.threaded import _executor_tasks
 
     factor = _factor(grid2d_medium, "lu")
     dag = build_solve_dag(factor.symbol, "lu", n_workers=2)
-    tasks, _ = _solve_tasks(dag)
+    tasks, _ = _executor_tasks(dag)
     b = np.random.default_rng(3).standard_normal(grid2d_medium.n_rows)
     ref = solve_factored(factor, b)
 
@@ -291,6 +292,12 @@ def test_executor_arguments_and_trace_logs(grid2d_medium):
                  np.full(tasks.n_tasks, np.nan)):
         with pytest.raises(ValueError, match="rank"):
             native.run_dag(tasks, sweeps()[1], 2, rank)
+    unit = get_dag(factor.symbol, "lu", granularity="unit", n_workers=2)
+    for wrong, body in ((tasks, native.FactorizeTasks(factor,
+                                                      unit.unit_panels, 2)),
+                        (_executor_tasks(unit)[0], sweeps()[1])):
+        with pytest.raises(ValueError, match="does not run task kinds"):
+            native.run_dag(wrong, body, 2)
     short = dag.copy(unit_panels=dag.unit_panels[:1])
     with pytest.raises(ValueError, match="panel list"):
         native.run_dag(tasks, native.SolveSweeps(

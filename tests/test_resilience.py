@@ -3,8 +3,8 @@
 Covers the resilience subsystem end to end: the seeded
 :class:`~repro.resilience.FaultModel`, recovery in the machine
 simulator (worker crash, GPU loss, transfer retry, stragglers), the
-distributed simulator (node failure, message resend), and the hardened
-threaded runtime (bounded retry, quarantine, watchdog).  Every
+distributed simulator (node failure, message resend), and the threaded
+runtime (a raising task reaches the caller and the trace).  Every
 recovered trace must satisfy the R6xx auditor and the regular schedule
 validator — recovery that produces an infeasible schedule is a bug,
 not a feature.
@@ -409,83 +409,24 @@ class TestDistributed:
 # threaded runtime
 # ----------------------------------------------------------------------
 class TestThreaded:
-    @pytest.fixture()
-    def run_parts(self, grid2d_small, no_unit_floor):
-        """A bare pool run over a real unit tree (tests patch its
-        ``_execute``)."""
-        from functools import partial
+    def test_worker_exception_propagates(self, grid2d_small, no_unit_floor,
+                                         monkeypatch):
+        """A task body that raises reaches the caller as it was raised,
+        and the trace records it as a ``"task-error"`` fault."""
+        from repro.runtime import threaded
 
-        from repro.core.factor import NumericFactor
-        from repro.kernels.indexcache import get_couple_cache
-        from repro.runtime.threaded import _ThreadedUnitRun
+        def boom(factor, k, **options):
+            raise ValueError(f"boom on panel {k}")
 
+        monkeypatch.setattr(threaded, "panel_factorize", boom)
         res = analyze(grid2d_small)
         permuted = grid2d_small.permute(res.perm.perm)
-        factor = NumericFactor.assemble(res.symbol, permuted, "llt")
-        factor.index_cache = get_couple_cache(res.symbol)
-        dag = build_dag(res.symbol, "llt", granularity="unit",
-                        dtype=factor.dtype, n_workers=3)
-        assert dag.n_tasks > 2
-        return partial(_ThreadedUnitRun, scheduler="ws"), factor, dag
-
-    @staticmethod
-    def _flaky(run, victim, n_failures):
-        """Make task ``victim``'s body raise on its first N attempts."""
-        original = run._execute
-        fails = {"left": n_failures}
-
-        def execute(t, worker):
-            if t == victim and fails["left"] > 0:
-                fails["left"] -= 1
-                raise RuntimeError(f"transient failure on task {t}")
-            original(t, worker)
-
-        run._execute = execute
-
-    def test_quarantine_spares_independent_tasks(self, run_parts):
-        cls, factor, dag = run_parts
-        run = cls(factor, dag, 3, None)
-        self._flaky(run, victim=0, n_failures=99)
-        with pytest.raises(RuntimeError, match="transient failure on task 0"):
-            run.run()
-        # The failing task and its descendants are abandoned; every
-        # independent task still ran (no whole-run abort).
-        assert 0 in run.abandoned
-        assert run.n_done + len(run.abandoned) == dag.n_tasks
-        assert run.n_done > 0
-
-    def test_watchdog_names_the_wedge(self, run_parts):
-        import threading
-
-        cls, factor, dag = run_parts
-        release = threading.Event()
-        run = cls(factor, dag, 2, None, watchdog_s=0.25)
-        original = run._execute
-
-        def execute(t, worker):
-            if t == 0:
-                release.wait(timeout=10.0)  # wedge until the test frees us
-            original(t, worker)
-
-        run._execute = execute
-        try:
-            with pytest.raises(RuntimeError, match="no progress"):
-                run.run()
-        finally:
-            release.set()
-        probe = run._watchdog_message()
-        assert "done" in probe and "ready queue" in probe
-
-    def test_worker_exception_propagates(self, run_parts):
-        cls, factor, dag = run_parts
-        run = cls(factor, dag, 2, None)
-
-        def execute(t, worker):
-            raise ValueError(f"boom on task {t}")
-
-        run._execute = execute
-        with pytest.raises(ValueError, match="boom on task"):
-            run.run()
+        trace = ExecutionTrace()
+        with pytest.raises(ValueError, match="boom on panel"):
+            threaded.factorize_threaded(res.symbol, permuted, "llt",
+                                        n_workers=2, kernels="numpy",
+                                        trace=trace)
+        assert [f.kind for f in trace.fault_events] == ["task-error"]
 
     def test_factorize_threaded_passthrough(self, grid2d_small):
         from repro.core.factorization import factorize_sequential
@@ -494,8 +435,7 @@ class TestThreaded:
         res = analyze(grid2d_small)
         permuted = grid2d_small.permute(res.perm.perm)
         ref = factorize_sequential(res.symbol, permuted, "llt")
-        par = factorize_threaded(res.symbol, permuted, "llt", n_workers=3,
-                                 watchdog_s=30.0)
+        par = factorize_threaded(res.symbol, permuted, "llt", n_workers=3)
         for a, b in zip(ref.L, par.L):
             assert np.allclose(a, b, atol=1e-10)
 

@@ -1,18 +1,12 @@
-"""Unit tests for the pluggable thread schedulers and their plumbing."""
+"""The DAG executor's pop orders and their plumbing."""
 
 import numpy as np
 import pytest
 
-from repro.dag import build_dag, longest_path_levels
+from repro.dag import build_dag, get_dag, longest_path_levels
 from repro.dag.analysis import critical_path
-from repro.runtime.scheduling import (
-    THREAD_SCHEDULERS,
-    CriticalPathScheduler,
-    InversePriorityScheduler,
-    ThreadScheduler,
-    WorkStealingScheduler,
-    get_thread_scheduler,
-)
+from repro.kernels import native
+from repro.runtime.threaded import THREAD_SCHEDULERS
 from repro.symbolic import analyze
 
 
@@ -22,39 +16,89 @@ def dag(grid2d_small):
     return build_dag(res.symbol, "llt", granularity="2d")
 
 
+def _run(mat, scheduler, n_workers=1):
+    """A traced threaded factorization of ``mat``: the unit DAG it ran
+    and its tasks in the order they started."""
+    from repro.runtime.threaded import factorize_threaded
+    from repro.runtime.tracing import ExecutionTrace
+
+    res = analyze(mat)
+    trace = ExecutionTrace()
+    factorize_threaded(res.symbol, mat.permute(res.perm.perm), "llt",
+                       n_workers=n_workers, trace=trace, scheduler=scheduler)
+    unit = get_dag(res.symbol, "llt", granularity="unit",
+                   n_workers=n_workers)
+    assert unit.n_tasks > 4
+    order = [e.task for e in sorted(trace.events, key=lambda e: e.start)]
+    return unit, order
+
+
+def _ready_sets(unit, order):
+    """The ready set before each pop of a one-worker run in ``order``."""
+    deps = unit.n_deps.copy()
+    ready = set(np.flatnonzero(deps == 0).tolist())
+    for t in order:
+        yield sorted(ready), t
+        ready.remove(t)
+        for s in unit.successors(t).tolist():
+            deps[s] -= 1
+            if deps[s] == 0:
+                ready.add(s)
+
+
 # ----------------------------------------------------------------------
-# registry
+# the three names
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_all_names_resolve(self):
-        for name, cls in THREAD_SCHEDULERS.items():
-            sched = get_thread_scheduler(name)
-            assert isinstance(sched, cls)
-            assert sched.name == name
+    def test_all_names_resolve(self, grid2d_small):
+        """Both drivers run every pop order and stamp its name."""
+        from repro.core.factorization import factorize_sequential
+        from repro.runtime.threaded import factorize_threaded, solve_threaded
+        from repro.runtime.tracing import ExecutionTrace
 
-    def test_instance_passthrough(self):
-        inst = CriticalPathScheduler()
-        assert get_thread_scheduler(inst) is inst
+        res = analyze(grid2d_small)
+        permuted = grid2d_small.permute(res.perm.perm)
+        factor = factorize_sequential(res.symbol, permuted, "llt")
+        for name in THREAD_SCHEDULERS:
+            traces = [ExecutionTrace(), ExecutionTrace()]
+            factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
+                               trace=traces[0], scheduler=name)
+            solve_threaded(factor, np.ones(res.symbol.n), n_workers=2,
+                           trace=traces[1], scheduler=name)
+            assert [t.meta["scheduler"] for t in traces] == [name, name]
 
-    def test_class_is_instantiated(self):
-        assert isinstance(
-            get_thread_scheduler(WorkStealingScheduler),
-            WorkStealingScheduler,
-        )
+    @staticmethod
+    def _drivers(mat):
+        """Run both drivers on ``mat`` with the given options."""
+        from repro.core.factorization import factorize_sequential
+        from repro.runtime.threaded import factorize_threaded, solve_threaded
 
-    def test_unknown_name_lists_registry(self):
-        with pytest.raises(KeyError, match="inverse-priority"):
-            get_thread_scheduler("lottery")
+        res = analyze(mat)
+        permuted = mat.permute(res.perm.perm)
+        factor = factorize_sequential(res.symbol, permuted, "llt")
+        return [
+            lambda **o: factorize_threaded(res.symbol, permuted, "llt", **o),
+            lambda **o: solve_threaded(factor, np.ones(res.symbol.n), **o),
+        ]
+
+    def test_unknown_name_lists_registry(self, grid2d_small):
+        """An unknown pop order, a name or an object, is a ``ValueError``
+        naming the three."""
+        for run in self._drivers(grid2d_small):
+            for scheduler in ("lottery", object()):
+                with pytest.raises(ValueError, match="inverse-priority"):
+                    run(n_workers=2, scheduler=scheduler)
+
+    @pytest.mark.parametrize("name", ["fifo", "affinity", "adaptive"])
+    def test_deleted_policies_are_unknown(self, grid2d_small, name):
+        for run in self._drivers(grid2d_small):
+            with pytest.raises(ValueError, match=r"are \['inverse-priority', "
+                                                 r"'priority', 'ws'\]"):
+                run(n_workers=2, scheduler=name)
 
     def test_expected_policies_registered(self):
         assert set(THREAD_SCHEDULERS) == {"ws", "priority",
                                           "inverse-priority"}
-
-    @pytest.mark.parametrize("name", ["fifo", "affinity", "adaptive"])
-    def test_deleted_policies_are_unknown(self, name):
-        with pytest.raises(KeyError, match=r"available: \['inverse-priority', "
-                                           r"'priority', 'ws'\]"):
-            get_thread_scheduler(name)
 
     def test_solve_defaults_to_work_stealing(self, grid2d_small):
         from repro.core.factorization import factorize_sequential
@@ -100,95 +144,40 @@ class TestLongestPathLevels:
 
 
 # ----------------------------------------------------------------------
-# scheduler contract: everything pushed comes out exactly once
+# executor contract: every task runs exactly once
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(THREAD_SCHEDULERS))
-def test_exactly_once_drain(dag, name):
-    sched = get_thread_scheduler(name)
-    sched.bind(dag, n_workers=3)
-    for t in range(dag.n_tasks):
-        hint = sched.push(t, -1)
-        assert -1 <= hint < 3
-    assert sched.has_work()
-    popped = []
-    worker = 0
-    while True:
-        t = sched.pop(worker)
-        if t is None:
-            break
-        popped.append(t)
-        worker = (worker + 1) % 3
-    assert sorted(popped) == list(range(dag.n_tasks))
-    assert not sched.has_work()
-    assert sched.pop(0) is None
-
-
-@pytest.mark.parametrize("name", sorted(THREAD_SCHEDULERS))
-def test_rebind_resets_state(dag, name):
-    sched = get_thread_scheduler(name)
-    sched.bind(dag, n_workers=2)
-    sched.push(0, -1)
-    sched.bind(dag, n_workers=2)  # re-bind: queue must be empty again
-    assert not sched.has_work()
-    assert sched.snapshot() == []
+def test_exactly_once_drain(grid2d_medium, no_unit_floor, name):
+    unit, order = _run(grid2d_medium, name, n_workers=3)
+    assert sorted(order) == list(range(unit.n_tasks))
 
 
 # ----------------------------------------------------------------------
-# policy-specific behaviour
+# the pop orders, seen through a one-worker run
 # ----------------------------------------------------------------------
+@pytest.mark.skipif(native.availability() is not None,
+                    reason="the heaps are the C executor's; without it the "
+                           "tasks run in Kahn order")
 class TestCriticalPath:
-    def test_pops_highest_level_first(self, dag):
-        sched = CriticalPathScheduler()
-        sched.bind(dag, n_workers=1)
-        levels = longest_path_levels(dag)
-        for t in range(dag.n_tasks):
-            sched.push(t, -1)
-        order = [sched.pop(0) for _ in range(dag.n_tasks)]
-        got = levels[np.array(order)]
-        assert np.all(got[:-1] >= got[1:] - 1e-9)
+    def test_pops_highest_level_first(self, grid2d_medium, no_unit_floor):
+        unit, order = _run(grid2d_medium, "priority")
+        levels = longest_path_levels(unit)
+        for ready, t in _ready_sets(unit, order):
+            assert levels[t] == levels[ready].max()
 
-    def test_inverse_pops_lowest_first(self, dag):
-        sched = InversePriorityScheduler()
-        sched.bind(dag, n_workers=1)
-        levels = longest_path_levels(dag)
-        for t in range(dag.n_tasks):
-            sched.push(t, -1)
-        order = [sched.pop(0) for _ in range(dag.n_tasks)]
-        got = levels[np.array(order)]
-        assert np.all(got[:-1] <= got[1:] + 1e-9)
+    def test_inverse_pops_lowest_first(self, grid2d_medium, no_unit_floor):
+        unit, order = _run(grid2d_medium, "inverse-priority")
+        levels = longest_path_levels(unit)
+        for ready, t in _ready_sets(unit, order):
+            assert levels[t] == levels[ready].min()
 
 
 class TestWorkStealing:
-    def test_local_pop_is_lifo(self, dag):
-        sched = WorkStealingScheduler()
-        sched.bind(dag, n_workers=2)
-        for t in (0, 1, 2):
-            assert sched.push(t, 0) == 0  # routed to the pushing worker
-        assert sched.pop(0) == 2  # own deque: newest first
-
-    def test_steal_takes_oldest(self, dag):
-        sched = WorkStealingScheduler()
-        sched.bind(dag, n_workers=2)
-        for t in (0, 1, 2):
-            sched.push(t, 0)
-        assert sched.pop(1) == 0  # victim's cold end: oldest first
-        assert sched.stats()["steals"] == 1
-
-    def test_initial_seeding_round_robins(self, dag):
-        sched = WorkStealingScheduler()
-        sched.bind(dag, n_workers=3)
-        hints = [sched.push(t, -1) for t in range(6)]
-        assert hints == [0, 1, 2, 0, 1, 2]
-
-    def test_victim_order_is_seeded(self, dag):
-        a = WorkStealingScheduler()
-        b = WorkStealingScheduler()
-        a.bind(dag, n_workers=4)
-        b.bind(dag, n_workers=4)
-        for _ in range(5):
-            a._rngs[0].shuffle(a._victims[0])
-            b._rngs[0].shuffle(b._victims[0])
-            assert a._victims[0] == b._victims[0]
+    def test_local_pop_is_lifo(self, grid2d_medium, no_unit_floor):
+        """``"ws"``: a worker pops the newest task it released, so one
+        worker runs the DAG's LIFO Kahn order."""
+        unit, order = _run(grid2d_medium, "ws")
+        assert order == unit.kahn_order().tolist()
 
 
 # ----------------------------------------------------------------------
@@ -244,35 +233,3 @@ class TestProvenance:
         report = verify_schedule(
             dag_of_trace(res.symbol, "llt", trace), trace)
         assert {f.code for f in report.findings} == {"S208"}
-
-
-# ----------------------------------------------------------------------
-# custom scheduler injection
-# ----------------------------------------------------------------------
-def test_custom_scheduler_instance(grid2d_small):
-    """factorize_threaded accepts a ThreadScheduler instance directly."""
-    from repro.core.factorization import factorize_sequential
-    from repro.runtime.threaded import factorize_threaded
-
-    class NoisyWs(WorkStealingScheduler):
-        name = "ws"  # keep a registered name for the S208 audit
-
-        def setup(self):
-            super().setup()
-            self.pushes = 0
-
-        def push(self, task, worker):
-            self.pushes += 1
-            return super().push(task, worker)
-
-    res = analyze(grid2d_small)
-    permuted = grid2d_small.permute(res.perm.perm)
-    sched = NoisyWs()
-    ref = factorize_sequential(res.symbol, permuted, "llt")
-    par = factorize_threaded(
-        res.symbol, permuted, "llt", n_workers=2, scheduler=sched
-    )
-    assert sched.pushes > 0
-    for a, b in zip(ref.L, par.L):
-        assert np.allclose(a, b, atol=1e-10)
-    assert isinstance(sched, ThreadScheduler)

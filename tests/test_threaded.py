@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.factorization import factorize_sequential
-from repro.runtime.scheduling import THREAD_SCHEDULERS
-from repro.runtime.threaded import factorize_threaded
+from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
 from repro.runtime.tracing import ExecutionTrace
 from repro.dag import build_dag, get_dag
 from repro.dag.builder import dag_of_trace
@@ -110,6 +109,29 @@ def test_non_positive_worker_count_is_rejected(grid2d_small, driver,
         run()
 
 
+@pytest.mark.parametrize("driver", ["factorize", "solve"])
+def test_pool_arguments_are_checked(grid2d_small, driver):
+    """Both drivers refuse ``n_workers < 1``, and a pop order they do not
+    have with a ``ValueError`` naming the three they do, before any work
+    starts."""
+    from repro.runtime.threaded import solve_threaded
+
+    res, permuted = _setup(grid2d_small, "llt")
+    factor = factorize_sequential(res.symbol, permuted, "llt")
+
+    def run(**options):
+        if driver == "factorize":
+            factorize_threaded(res.symbol, permuted, "llt", **options)
+        else:
+            solve_threaded(factor, np.ones(permuted.n_rows), **options)
+
+    with pytest.raises(ValueError, match="n_workers must be positive"):
+        run(n_workers=0)
+    with pytest.raises(ValueError,
+                       match=r"\['inverse-priority', 'priority', 'ws'\]"):
+        run(n_workers=2, scheduler="lottery")
+
+
 def test_ldlt_pivot_threshold_threaded(grid2d_medium):
     """Static pivot perturbation is order-independent: the threaded LDLᵀ
     with a biting threshold must agree with the sequential driver, and
@@ -130,24 +152,6 @@ def test_ldlt_pivot_threshold_threaded(grid2d_medium):
     assert par.pivot_monitor is not None
     assert ref.pivot_monitor.n_perturbed > 0  # the threshold really bit
     assert par.pivot_monitor.n_perturbed == ref.pivot_monitor.n_perturbed
-
-
-def _unit_run(res, permuted, factotype="llt", n_workers=3, **options):
-    """A bare unit-DAG pool run on the NumPy kernels (tests patch its
-    ``_execute``), and the sequential factor it must reproduce."""
-    from repro.core.factor import NumericFactor
-    from repro.kernels.indexcache import get_couple_cache
-    from repro.runtime.threaded import _ThreadedUnitRun
-
-    ref = factorize_sequential(res.symbol, permuted, factotype,
-                               kernels="numpy")
-    factor = NumericFactor.assemble(res.symbol, permuted, factotype)
-    factor.index_cache = get_couple_cache(res.symbol)
-    dag = build_dag(res.symbol, factotype, granularity="unit",
-                    dtype=factor.dtype, n_workers=n_workers)
-    options.setdefault("scheduler", "ws")
-    run = _ThreadedUnitRun(factor, dag, n_workers, None, **options)
-    return ref, factor, dag, run
 
 
 def test_solve_dag_phase_field(grid2d_small):
@@ -310,18 +314,17 @@ class TestThreadedSolve:
         from repro.runtime import threaded
 
         seen = []
-        init = threaded._PoolRun.__init__
-        run = threaded._run_dag
+        factorize, run = threaded._factorize_dag, threaded._run_dag
 
-        def spy(self, dag, *args, **kwargs):
+        def spy(factor, dag, *args, **kwargs):
             seen.append(dag)
-            init(self, dag, *args, **kwargs)
+            factorize(factor, dag, *args, **kwargs)
 
         def run_spy(factor, x, dag, *args, **kwargs):
             seen.append(dag)
             run(factor, x, dag, *args, **kwargs)
 
-        monkeypatch.setattr(threaded._PoolRun, "__init__", spy)
+        monkeypatch.setattr(threaded, "_factorize_dag", spy)
         monkeypatch.setattr(threaded, "_run_dag", run_spy)
         res, permuted = _setup(grid2d_small, "ldlt")
         for _ in range(2):
@@ -354,7 +357,8 @@ class TestThreadedSolve:
 class TestSolveExecutor:
     """The solve runs its whole DAG in one executor call: no Python
     thread, a DAG checked before any pointer reaches C, and the small
-    and degenerate cases run like any other."""
+    and degenerate cases run like any other.  (So does the
+    factorization.)"""
 
     @staticmethod
     def _factors(mat, factotype="ldlt"):
@@ -387,10 +391,9 @@ class TestSolveExecutor:
                 x = solve_threaded(factor, b, n_workers=3, trace=trace,
                                    scheduler=scheduler, record_sync=True)
                 assert np.array_equal(x, solve_factored(factor, b))
-        assert started == []
         factorize_threaded(res.symbol, grid2d_medium.permute(res.perm.perm),
                            "ldlt", n_workers=2)
-        assert len(started) == 2           # the spy sees the factorization
+        assert started == []
 
     def test_malformed_dag_is_rejected_before_c(self, grid2d_medium,
                                                 monkeypatch):
@@ -439,21 +442,36 @@ class TestSolveExecutor:
     def test_tasks_are_checked_one_by_one(self):
         from repro.kernels.native import DagTasks
 
+        from types import SimpleNamespace
+
         ptr, succ = np.array([0, 1, 1]), np.array([1])
-        ok = np.array([[0, 1, 0], [1, 2, 1]])
+        ok = np.array([[0, 1, 0, 0], [1, 2, 1, 0]])
         assert DagTasks(ptr, succ, [0, 1], ok, 2).order.tolist() == [0, 1]
+        # Panel 0 is 2 wide and 5 high: a block task covers rows (0, 2)
+        # or a range in [2, 5).
+        layout = SimpleNamespace(width=np.array([2]), height=np.array([5]))
+        blocks = np.array([[0, 2, 3, 0], [2, 5, 3, 0]])
+        assert DagTasks(ptr, succ, [0, 1], blocks, 0, layout).kinds == {3}
         bad = [
             ((np.array([0, 2, 1]), succ, [0, 1], ok, 2), "CSR"),
             ((ptr, np.array([2]), [0, 1], ok, 2), "successor out of range"),
             ((ptr, succ, [0, 0], ok, 2), "in-degree"),
             ((ptr, succ, [0, 1], ok, 1), "panel range"),
-            ((ptr, succ, [0, 1], np.array([[1, 0, 0], [1, 2, 1]]), 2),
+            ((ptr, succ, [0, 1], np.array([[1, 0, 0, 0], [1, 2, 1, 0]]), 2),
              "panel range"),
-            ((ptr, succ, [0, 1], np.array([[0, 1, 2], [1, 2, 1]]), 2),
+            ((ptr, succ, [0, 1], np.array([[0, 1, 4, 0], [1, 2, 1, 0]]), 2),
              "kind"),
             ((ptr, succ, [0, 1], ok[:1], 2), "records"),
+            ((ptr, succ, [0, 1], ok[:, :3], 2), "records"),
             ((ptr, succ.astype(float), [0, 1], ok, 2), "integer"),
             ((np.array([0, 1, 2]), np.array([1, 0]), [1, 1], ok, 2), "cycle"),
+            ((ptr, succ, [0, 1], blocks, 0), "layout"),
+            ((ptr, succ, [0, 1], blocks + [0, 0, 0, 1], 0, layout),
+             "panel out of range"),
+            ((ptr, succ, [0, 1], blocks + [[0, 1, 0, 0], [0, 1, 0, 0]], 0,
+              layout), "rows"),
+            ((ptr, succ, [0, 1], blocks - [[0, 0, 0, 0], [1, 0, 0, 0]], 0,
+              layout), "rows"),
         ]
         for args, match in bad:
             with pytest.raises(ValueError, match=match):
@@ -487,49 +505,48 @@ class TestSolveExecutor:
                         assert counts.get("publish", 0) == len(trace.events)
 
 
-class TestInversePriorityHardening:
-    """Watchdog + quarantine under the inverse-priority scheduler: the
-    anti-critical-path heap maximizes how long failed work's
-    descendants linger ready — the hardening must hold regardless."""
+class TestFailingTask:
+    """A task that raises stops the run: no task starts after it, it
+    lands in the trace as a ``"task-error"`` fault, and its exception
+    reaches the caller — under the worst pop order too, on either
+    backend."""
 
-    def test_quarantine_spares_independent_tasks(self, grid2d_small,
-                                                 no_unit_floor):
-        res, permuted = _setup(grid2d_small, "llt")
-        _, _, dag, run = _unit_run(res, permuted,
-                                   scheduler="inverse-priority")
-        original = run._execute
+    @pytest.mark.parametrize("kernels", ["native", "numpy"])
+    def test_raising_task_is_traced_and_reraised(self, grid2d_small,
+                                                 no_unit_floor, kernels):
+        from repro.kernels import native
+        from repro.runtime import threaded
 
-        def execute(t, worker):
-            if t == 0:
-                raise RuntimeError("permanent failure on task 0")
-            original(t, worker)
+        if kernels == "native" and native.availability() is not None:
+            pytest.skip("native kernels unavailable")
+        res, permuted = _setup(grid2d_small, "ldlt")
+        dag = get_dag(res.symbol, "ldlt", granularity="unit", n_workers=3)
+        assert dag.n_tasks > 3          # more than the workers can fail
+        for n_workers in (1, 3):
+            seen = []
 
-        run._execute = execute
-        with pytest.raises(RuntimeError, match="permanent failure"):
-            run.run()
-        assert 0 in run.abandoned
-        assert run.n_done + len(run.abandoned) == dag.n_tasks
-        assert run.n_done > 0
+            def boom(factor, k, **options):
+                seen.append(k)
+                raise ZeroDivisionError(f"boom in panel {k}")
 
-    def test_watchdog_names_the_wedge(self, grid2d_small, no_unit_floor):
-        import threading
-
-        res, permuted = _setup(grid2d_small, "llt")
-        _, _, _, run = _unit_run(res, permuted, n_workers=2,
-                                 watchdog_s=0.25,
-                                 scheduler="inverse-priority")
-        release = threading.Event()
-        original = run._execute
-
-        def execute(t, worker):
-            if t == 0:
-                release.wait(timeout=10.0)
-            original(t, worker)
-
-        run._execute = execute
-        try:
-            with pytest.raises(RuntimeError, match="no progress"):
-                run.run()
-        finally:
-            release.set()
-        assert "factorization" in run._watchdog_message()
+            with pytest.MonkeyPatch.context() as mp:
+                # Every diagonal block comes back to Python (a threshold
+                # no pivot meets) and the first one raises.
+                mp.setattr(native if kernels == "native" else threaded,
+                           "panel_factorize", boom)
+                trace = ExecutionTrace()
+                with pytest.raises(ZeroDivisionError, match="boom in panel"):
+                    factorize_threaded(res.symbol, permuted, "ldlt",
+                                       n_workers=n_workers, trace=trace,
+                                       scheduler="inverse-priority",
+                                       pivot_threshold=1e300,
+                                       kernels=kernels, record_sync=True)
+            faults = trace.fault_events
+            assert len(faults) == len(seen) >= 1
+            assert {f.kind for f in faults} == {"task-error"}
+            ran = {e.task for e in trace.events}
+            assert not ran & {f.task for f in faults}
+            assert len(ran) + len(faults) < dag.n_tasks
+            assert trace.meta["granularity"] == "unit"
+            counts = trace.meta["sync_stats"]["counts"]
+            assert counts.get("publish", 0) == len(trace.events)

@@ -1,4 +1,4 @@
-"""Unit-granular factorization: the DAG the thread pool runs by default.
+"""Unit-granular factorization: the DAG the threaded driver runs.
 
 ``build_dag(granularity="unit")`` has one left-looking task per unit (a
 panel or a fused leaf subtree) and tree edges only; the threaded body
@@ -9,13 +9,11 @@ matrices are far below ``MIN_UNIT_FLOPS``, so most tests lift the floor
 """
 
 import sys
-import threading
 
 import numpy as np
 import pytest
 
 from repro import SolverOptions, SparseSolver
-from repro.core.factor import NumericFactor
 from repro.core.factorization import factorize_sequential
 from repro.dag import TaskKind, build_dag, get_dag, update_couples
 from repro.dag import critical_path
@@ -32,9 +30,7 @@ from repro.kernels.cost import (
     flops_total,
     flops_update,
 )
-from repro.kernels.indexcache import get_couple_cache
-from repro.runtime.scheduling import THREAD_SCHEDULERS
-from repro.runtime.threaded import _ThreadedUnitRun, factorize_threaded
+from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
 from repro.runtime.tracing import ExecutionTrace
 from repro.sparse import load_matrix
 from repro.sparse.csc import SparseMatrixCSC
@@ -105,19 +101,27 @@ def test_pivot_threshold_bit_identical(grid2d_medium, no_unit_floor,
 def test_interleaving_cannot_change_the_factor(grid2d_medium, no_unit_floor):
     """Stress: more workers than cores and a tiny switch interval force
     as many interleavings as the host allows; a write not ordered by a
-    tree edge would show as a differing bit."""
+    tree edge would show as a differing bit.  With a pivot threshold that
+    bites, blocks also come back to Python from several C workers at
+    once, through the GIL-taking callback."""
     res, permuted = _setup(grid2d_medium)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for kernels in ("numpy", "native"):
+        for kernels, threshold in (("numpy", 0.0), ("native", 0.0),
+                                   ("native", 3.0)):
             ref = factorize_sequential(res.symbol, permuted, "ldlt",
-                                       kernels=kernels)
+                                       kernels=kernels,
+                                       pivot_threshold=threshold)
             for _ in range(10):
                 got = factorize_threaded(res.symbol, permuted, "ldlt",
-                                         n_workers=8, watchdog_s=30.0,
-                                         kernels=kernels)
+                                         n_workers=8, kernels=kernels,
+                                         pivot_threshold=threshold)
                 _assert_identical(ref, got)
+                assert (got.pivot_monitor is None) == (threshold == 0.0)
+                if threshold:
+                    assert got.pivot_monitor.n_perturbed \
+                        == ref.pivot_monitor.n_perturbed > 0
     finally:
         sys.setswitchinterval(old)
 
@@ -237,13 +241,13 @@ def test_solver_reuses_the_memoised_dag(grid2d_medium, monkeypatch):
     from repro.runtime import threaded
 
     seen = []
-    init = threaded._ThreadedUnitRun.__init__
+    run = threaded._factorize_dag
 
-    def spy(self, factor, dag, *args, **kwargs):
+    def spy(factor, dag, *args, **kwargs):
         seen.append(dag)
-        init(self, factor, dag, *args, **kwargs)
+        run(factor, dag, *args, **kwargs)
 
-    monkeypatch.setattr(threaded._ThreadedUnitRun, "__init__", spy)
+    monkeypatch.setattr(threaded, "_factorize_dag", spy)
     solver = SparseSolver(grid2d_medium, SolverOptions(
         factotype="ldlt", runtime="threaded", n_workers=2))
     solver.factorize()
@@ -256,10 +260,10 @@ def test_solver_reuses_the_memoised_dag(grid2d_medium, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the pool runs the unit DAG only
+# the threaded driver runs the unit DAG only
 # ----------------------------------------------------------------------
 def test_unknown_granularity_rejected(grid2d_small):
-    """The pool has one DAG: there is no granularity to choose."""
+    """The driver has one DAG: there is no granularity to choose."""
     res, permuted = _setup(grid2d_small)
     with pytest.raises(TypeError, match="granularity"):
         factorize_threaded(res.symbol, permuted, "llt", granularity="2d")
@@ -276,64 +280,13 @@ def test_trace_names_its_dag(grid2d_medium, no_unit_floor):
     assert trace.meta["granularity"] == "unit"
     assert 'meta:granularity="unit"' in trace.fingerprint_lines()
     dag = dag_of_trace(res.symbol, "llt", trace)
-    # The audited DAG is the one the pool ran: same memoised object,
+    # The audited DAG is the one the executor ran: same memoised object,
     # every task executed exactly once, dependencies honoured.
     assert dag is get_dag(res.symbol, "llt", granularity="unit",
                           n_workers=3)
     assert dag.n_tasks > 1
     assert sorted(e.task for e in trace.events) == list(range(dag.n_tasks))
     trace.validate(dag)
-
-
-# ----------------------------------------------------------------------
-# pool hardening on unit tasks
-# ----------------------------------------------------------------------
-def _unit_run(mat, **pool_options):
-    res, permuted = _setup(mat)
-    factor = NumericFactor.assemble(res.symbol, permuted, "llt")
-    factor.index_cache = get_couple_cache(res.symbol)
-    dag = build_dag(res.symbol, "llt", granularity="unit", n_workers=3,
-                    dtype=factor.dtype)
-    pool_options.setdefault("scheduler", "ws")
-    run = _ThreadedUnitRun(factor, dag, 3, None, **pool_options)
-    return res, permuted, factor, dag, run
-
-
-def test_quarantine_spares_independent_units(grid2d_medium, no_unit_floor):
-    _, _, _, dag, run = _unit_run(grid2d_medium)
-    original = run._execute
-
-    def execute(t, worker):
-        if t == 0:
-            raise RuntimeError("permanent failure on unit 0")
-        original(t, worker)
-
-    run._execute = execute
-    with pytest.raises(RuntimeError, match="permanent failure"):
-        run.run()
-    assert 0 in run.abandoned
-    assert run.n_done + len(run.abandoned) == dag.n_tasks
-    assert run.n_done > 0
-
-
-def test_watchdog_names_the_wedged_unit(grid2d_medium, no_unit_floor):
-    _, _, _, dag, run = _unit_run(grid2d_medium, watchdog_s=0.25)
-    release = threading.Event()
-    original = run._execute
-    wedged = int(dag.sources()[0])
-
-    def execute(t, worker):
-        if t == wedged:
-            release.wait(timeout=10.0)
-        original(t, worker)
-
-    run._execute = execute
-    try:
-        with pytest.raises(RuntimeError, match="no progress") as info:
-            run.run()
-    finally:
-        release.set()
-    assert "threaded factorization" in str(info.value)
 
 
 def test_hazards_flag_a_broken_partition(grid2d_medium, no_unit_floor):

@@ -279,7 +279,7 @@ def test_inject_drop_seq_fails(capsys):
 def test_lint_pass_includes_eventloop(capsys):
     code, out = run(["verify", "--only", "lint"], capsys)
     assert code == 0
-    assert "== eventloop ==" in out and "== lockdiscipline ==" in out
+    assert "== eventloop ==" in out and "lockdiscipline" not in out
     assert "hazards[" not in out and "health[" not in out
 
 

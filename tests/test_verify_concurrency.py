@@ -1,4 +1,4 @@
-"""C7xx concurrency auditor + RV4xx lock-discipline lint tests.
+"""C7xx concurrency auditor tests.
 
 Live coverage: sync-instrumented threaded runs (the lock-free unit DAG:
 no lock windows, C702 + C705 + C707 carry the audit) must come out
@@ -6,14 +6,9 @@ clean for every scheduler and both kernel backends, and instrumentation
 off must mean *off* (no events, no meta, unchanged numerics).  Checker
 coverage: each C7xx code is triggered either by one of the shipped
 fault injectors or by a surgical hand-corruption of a real trace.
-RV4xx coverage: each lint rule on synthetic sources, plus the
-noqa-stripped real runtime tree.
 """
 
-import ast
 import itertools
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +23,6 @@ from repro.verify.concurrency import (
     swallow_wakeup,
     verify_concurrency,
 )
-from repro.verify.lint import lint_paths, lint_report, lint_sources
 
 
 def _traced_run(mat, factotype="llt", *, scheduler="ws", n_workers=3,
@@ -260,197 +254,3 @@ def test_c702_unpublished_read(grid2d_small, no_unit_floor):
     ]
     _restamp(trace)
     assert "C702" in _codes(verify_concurrency(dag, trace))
-
-
-# ----------------------------------------------------------------------
-# RV4xx lock-discipline lint
-# ----------------------------------------------------------------------
-_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-
-
-def test_real_tree_is_clean():
-    findings = lint_paths(family="RV4")
-    assert findings == []
-    rep = lint_report(family="RV4")
-    assert rep.ok
-
-
-def test_noqa_stripped_tree_flags_the_counters():
-    """Every ``# noqa: RV4xx`` in the pool vouches for a site the linter
-    really sees: stripping them all must expose exactly the four
-    deliberate lock-free reads, and nothing else."""
-    sources = {}
-    for name in ("runtime/threaded.py", "runtime/scheduling.py"):
-        p = _SRC / name
-        sources[str(p)] = re.sub(r"#\s*noqa: RV4\d\d", "", p.read_text())
-    findings = lint_sources(sources, "RV4")
-
-    def site(f):
-        tree = ast.parse(sources[f.path])
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) \
-                        and fn.lineno <= f.line <= fn.end_lineno:
-                    return f.code, f"{cls.name}.{fn.name}"
-        return f.code, f"{Path(f.path).name}:{f.line}"
-
-    assert sorted(site(f) for f in findings) == [
-        ("RV405", "WorkStealingScheduler.has_work"),
-        ("RV405", "WorkStealingScheduler.stats"),
-        ("RV405", "_PoolRun._push"),
-        ("RV405", "_PoolRun._settled"),
-    ]
-
-
-def test_rv401_unlocked_shared_write():
-    src = """
-import threading
-class Pool:
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.n_done = 0
-        self.n_done += 1          # setup method: exempt
-    def good(self):
-        with self.lock:
-            self.n_done += 1
-    def bad(self):
-        self.n_done += 1
-    def vouched(self):
-        self.n_done += 1  # noqa: RV401
-    def local_ok(self):
-        n = 0
-        n += 1
-"""
-    findings = lint_sources({"m.py": src}, "RV4")
-    assert [(f.code, f.line) for f in findings] == [("RV401", 12)]
-
-
-def test_rv401_inherited_locks_and_lock_tables():
-    src = """
-import threading
-class Base:
-    def setup(self):
-        self.locks = [threading.Lock() for _ in range(4)]
-        self.count = 0
-class Child(Base):
-    def bad(self):
-        self.count += 1
-    def good(self):
-        with self.locks[0]:
-            self.count += 1
-class NoLocks:
-    def fine(self):
-        self.count += 1
-"""
-    findings = lint_sources({"m.py": src}, "RV4")
-    assert [(f.code, f.line) for f in findings] == [("RV401", 9)]
-
-
-def test_rv402_wait_without_predicate_loop():
-    src = """
-import threading
-class Waiter:
-    def __init__(self):
-        self.cv = threading.Condition()
-        self.ready = False
-    def bad(self):
-        with self.cv:
-            self.cv.wait()
-    def good(self):
-        with self.cv:
-            while not self.ready:
-                self.cv.wait()
-"""
-    findings = lint_sources({"m.py": src}, "RV4")
-    assert [(f.code, f.line) for f in findings] == [("RV402", 9)]
-
-
-def test_rv403_inconsistent_lock_order():
-    src = """
-import threading
-class TwoLocks:
-    def __init__(self):
-        self.a = threading.Lock()
-        self.b = threading.Lock()
-    def one(self):
-        with self.a:
-            with self.b:
-                pass
-    def two(self):
-        with self.b:
-            with self.a:
-                pass
-"""
-    findings = lint_sources({"m.py": src}, "RV4")
-    assert [f.code for f in findings] == ["RV403"]
-    assert "->" in findings[0].message
-
-
-def test_rv403_consistent_order_is_clean():
-    src = """
-import threading
-class TwoLocks:
-    def __init__(self):
-        self.a = threading.Lock()
-        self.b = threading.Lock()
-    def one(self):
-        with self.a:
-            with self.b:
-                pass
-    def two(self):
-        with self.a:
-            with self.b:
-                pass
-"""
-    assert lint_sources({"m.py": src}, "RV4") == []
-
-
-def test_rv404_sleep_as_synchronization():
-    src = """
-import time
-def poll():
-    time.sleep(0.05)
-def vouched():
-    time.sleep(0.05)  # noqa: RV404
-"""
-    findings = lint_sources({"m.py": src}, "RV4")
-    assert [(f.code, f.line) for f in findings] == [("RV404", 4)]
-
-
-_RACY_HAS_WORK = '''
-import heapq, threading
-
-class S:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._heap = []
-
-    def push(self, t, w):
-        with self._lock:
-            heapq.heappush(self._heap, t)
-        return 0
-
-    def has_work(self):
-        return bool(self._heap)
-'''
-
-
-def test_rv405_flags_unguarded_has_work():
-    """The lint regression for an unguarded ``has_work()`` on a heap."""
-    findings = lint_sources({"s.py": _RACY_HAS_WORK}, "RV4")
-    assert [(f.code, f.line) for f in findings] == [("RV405", 15)]
-    assert "self._heap" in findings[0].message
-
-    fixed = _RACY_HAS_WORK.replace(
-        "    def has_work(self):\n        return bool(self._heap)\n",
-        "    def has_work(self):\n"
-        "        with self._lock:\n"
-        "            return bool(self._heap)\n",
-    )
-    assert lint_sources({"s.py": fixed}, "RV4") == []
-
-
-def test_rv405_default_scope_clean():
-    assert [f for f in lint_paths(family="RV4") if f.code == "RV405"] == []

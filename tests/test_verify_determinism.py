@@ -13,9 +13,8 @@ from repro.machine import mirage, simulate
 from repro.machine.streamsim import simulate_kernel_burst
 from repro.resilience import FaultModel, FaultSpec, RecoveryPolicy
 from repro.runtime import get_policy
-from repro.runtime.scheduling import THREAD_SCHEDULERS
 from repro.runtime.seq import MonotonicCounter, monotonic_counter
-from repro.runtime.threaded import factorize_threaded
+from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
 from repro.runtime.tracing import ExecutionTrace
 from repro.symbolic import analyze
 from repro.verify.determinism import (

@@ -233,7 +233,6 @@ def test_syntax_error_reported_not_raised():
 @pytest.mark.parametrize("family, snippet, code", [
     ("RV3", FROZEN_PRELUDE + "def f(tr: PolicyTraits):\n    tr.name = 1\n",
      "RV301"),
-    ("RV4", "import time\ntime.sleep(1)\n", "RV404"),
     ("RV5", "import time\nt = time.time()\n", "RV504"),
 ])
 def test_syntax_error_does_not_hide_other_files(family, snippet, code):
