@@ -21,7 +21,8 @@
  * docs/solver_internals.md (layouts, the hand-back contract).
  *
  * run_dag: every task of a task DAG in one call.  The caller is worker
- * 0 and n_workers - 1 pthreads join it; a finishing task decrements its
+ * 0 and up to n_workers - 1 pthreads join it, each started when a task is
+ * ready that no parked worker will take; a finishing task decrements its
  * successors' counters and queues the ones that reach zero, under one
  * mutex.  A task is (lo, hi, kind, panel): the forward or backward solve
  * steps of panels[lo..hi), a factorize_panels call over panels[lo..hi),
@@ -192,7 +193,14 @@ typedef struct {
  * lost wakeup costs a short delay, never a hang. */
 #define PARK_NS 20000000LL
 
+typedef struct exec exec_t;
+
 typedef struct {
+    exec_t *e;
+    int w;
+} worker_arg_t;
+
+struct exec {
     const dag_t *dag;
     const solve_t *solve;
     const facto_t *facto;
@@ -202,7 +210,12 @@ typedef struct {
     int64_t *deps_left, *ready, *owner; /* owner: without a rank only */
     int64_t n_ready, n_done, n_parked, start;
     int overflow, failed; /* failed: a hand-back raised, pop no more */
-} exec_t;
+    /* Workers 1 .. n_started - 1 run in threads[]; n_workers caps them. */
+    pthread_t *threads;
+    worker_arg_t *args;
+    int64_t n_workers, n_started;
+    int cpus[CPU_SETSIZE], n_cpus;
+};
 
 static int64_t now_ns(void)
 {
@@ -337,6 +350,66 @@ static int run_task(const exec_t *e, int64_t t, int w)
     return f->handback(kind, lo, hi, panel, at, w);
 }
 
+static void work(exec_t *e, int w);
+
+static void *worker_main(void *arg)
+{
+    worker_arg_t *a = arg;
+    work(a->e, a->w);
+    return NULL;
+}
+
+/* Start the next worker (mutex held), bound to CPU
+ * cpus[w % n_cpus] (n_cpus < 2: left to the kernel), as PaStiX, StarPU
+ * and PaRSEC bind their workers.  Left alone, a fresh thread shares its
+ * parent's CPU for a while, which serializes a short solve.  A worker
+ * starts only when a ready task waits for it: one that could only park
+ * would cost its start and, at the end, its wakeup to exit, which waits
+ * for its CPU when another process holds that.  If the thread cannot
+ * start, the run goes on with the workers there are. */
+static void start_worker(exec_t *e)
+{
+    int64_t w = e->n_started;
+    worker_arg_t *a = &e->args[w];
+    *a = (worker_arg_t){e, (int)w};
+    pthread_attr_t attr;
+    pthread_attr_init(&attr);
+#ifdef __linux__
+    if (e->n_cpus > 1) {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(e->cpus[w % e->n_cpus], &one);
+        pthread_attr_setaffinity_np(&attr, sizeof one, &one);
+    }
+#endif
+    if (pthread_create(&e->threads[w], &attr, worker_main, a) == 0)
+        e->n_started++;
+    else
+        e->n_workers = w; /* start no more */
+    pthread_attr_destroy(&attr);
+}
+
+/* The CPUs this process may run on, starting with the caller's (worker
+ * 0's), so that the other workers land on the others first. */
+static int worker_cpus(int *cpus)
+{
+    int n = 0;
+#ifdef __linux__
+    cpu_set_t allowed;
+    int here = sched_getcpu();
+    if (sched_getaffinity(0, sizeof allowed, &allowed) != 0)
+        return 0;
+    if (here >= 0 && CPU_ISSET(here, &allowed))
+        cpus[n++] = here;
+    for (int c = 0; c < CPU_SETSIZE; c++)
+        if (CPU_ISSET(c, &allowed) && c != here)
+            cpus[n++] = c;
+#else
+    (void)cpus;
+#endif
+    return n;
+}
+
 /* The worker loop: pop, run, publish.  The mutex orders memory: a task's
  * writes precede the unlock that publishes it, and every successor is
  * popped under a later lock of the same mutex.  A failed task publishes
@@ -363,6 +436,8 @@ static void work(exec_t *e, int w)
         if (e->n_done >= d->n_tasks || e->failed)
             break;
         int64_t t = pop(e, w);
+        if (e->n_ready > e->n_parked && e->n_started < e->n_workers)
+            start_worker(e);
         pthread_mutex_unlock(&e->mu);
 
         int64_t t0 = tr ? since(e) : 0;
@@ -409,63 +484,6 @@ static void work(exec_t *e, int w)
     pthread_mutex_unlock(&e->mu);
 }
 
-typedef struct {
-    exec_t *e;
-    int w;
-} worker_arg_t;
-
-static void *worker_main(void *arg)
-{
-    worker_arg_t *a = arg;
-    work(a->e, a->w);
-    return NULL;
-}
-
-/* Start worker a->w bound to CPU cpus[a->w % n_cpus] (n_cpus < 2: left
- * to the kernel), as PaStiX, StarPU and PaRSEC bind their workers.  Left
- * alone, a fresh thread shares its parent's CPU for a while, which
- * serializes a short solve. */
-static int start_worker(pthread_t *thread, worker_arg_t *a, const int *cpus,
-                        int n_cpus)
-{
-    pthread_attr_t attr;
-    pthread_attr_init(&attr);
-#ifdef __linux__
-    if (n_cpus > 1) {
-        cpu_set_t one;
-        CPU_ZERO(&one);
-        CPU_SET(cpus[a->w % n_cpus], &one);
-        pthread_attr_setaffinity_np(&attr, sizeof one, &one);
-    }
-#else
-    (void)cpus, (void)n_cpus;
-#endif
-    int status = pthread_create(thread, &attr, worker_main, a);
-    pthread_attr_destroy(&attr);
-    return status;
-}
-
-/* The CPUs this process may run on, starting with the caller's (worker
- * 0's), so that the other workers land on the others first. */
-static int worker_cpus(int *cpus)
-{
-    int n = 0;
-#ifdef __linux__
-    cpu_set_t allowed;
-    int here = sched_getcpu();
-    if (sched_getaffinity(0, sizeof allowed, &allowed) != 0)
-        return 0;
-    if (here >= 0 && CPU_ISSET(here, &allowed))
-        cpus[n++] = here;
-    for (int c = 0; c < CPU_SETSIZE; c++)
-        if (CPU_ISSET(c, &allowed) && c != here)
-            cpus[n++] = c;
-#else
-    (void)cpus;
-#endif
-    return n;
-}
-
 /* Run every task of d: solve tasks on `solve`, factorization tasks on
  * `facto`.  Returns 0, -1 when out of memory (nothing ran), -2 when a
  * trace log overflowed (every task ran; the rows past cap are counted,
@@ -473,17 +491,18 @@ static int worker_cpus(int *cpus)
 int64_t repro_run_dag(const dag_t *d, const solve_t *solve,
                       const facto_t *facto, int64_t n_workers, trace_t *trace)
 {
-    exec_t e = {.dag = d, .solve = solve, .facto = facto, .trace = trace};
+    exec_t e = {.dag = d, .solve = solve, .facto = facto, .trace = trace,
+                .n_workers = n_workers, .n_started = 1};
     if (d->n_tasks == 0)
         return 0;
     e.deps_left = malloc((size_t)d->n_tasks * sizeof(int64_t));
     e.ready = malloc((size_t)d->n_tasks * sizeof(int64_t));
     e.owner = malloc((size_t)d->n_tasks * sizeof(int64_t));
-    pthread_t *threads = malloc((size_t)n_workers * sizeof(pthread_t));
-    worker_arg_t *args = malloc((size_t)n_workers * sizeof(worker_arg_t));
-    if (!e.deps_left || !e.ready || !e.owner || !threads || !args) {
-        free(e.deps_left), free(e.ready), free(e.owner), free(threads),
-            free(args);
+    e.threads = malloc((size_t)n_workers * sizeof(pthread_t));
+    e.args = malloc((size_t)n_workers * sizeof(worker_arg_t));
+    if (!e.deps_left || !e.ready || !e.owner || !e.threads || !e.args) {
+        free(e.deps_left), free(e.ready), free(e.owner), free(e.threads),
+            free(e.args);
         return -1;
     }
     pthread_condattr_t attr;
@@ -499,20 +518,18 @@ int64_t repro_run_dag(const dag_t *d, const solve_t *solve,
         if (d->n_deps[t] == 0)
             push(&e, t, 0);
 
-    int cpus[CPU_SETSIZE], n_cpus = n_workers > 1 ? worker_cpus(cpus) : 0;
-    int64_t started = 1; /* worker 0 is this thread */
-    for (int64_t w = 1; w < n_workers; w++) {
-        args[started] = (worker_arg_t){&e, (int)started};
-        if (start_worker(&threads[started], &args[started], cpus, n_cpus) == 0)
-            started++; /* else run with the workers there are */
-    }
-    work(&e, 0);
-    for (int64_t w = 1; w < started; w++)
-        pthread_join(threads[w], NULL);
+    e.n_cpus = n_workers > 1 ? worker_cpus(e.cpus) : 0;
+    work(&e, 0); /* worker 0 is this thread */
+    /* No worker starts once work() has returned: starts happen under the
+     * mutex, with a pop, and nothing is popped after the last task or a
+     * failure. */
+    for (int64_t w = 1; w < e.n_started; w++)
+        pthread_join(e.threads[w], NULL);
 
     pthread_cond_destroy(&e.cv);
     pthread_mutex_destroy(&e.mu);
-    free(e.deps_left), free(e.ready), free(e.owner), free(threads), free(args);
+    free(e.deps_left), free(e.ready), free(e.owner), free(e.threads),
+        free(e.args);
     return e.failed ? -3 : e.overflow ? -2 : 0;
 }
 

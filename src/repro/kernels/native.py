@@ -751,10 +751,11 @@ def run_dag(tasks: DagTasks, body: Union[SolveSweeps, FactorizeTasks],
             logs: Optional[DagLogs] = None) -> None:
     """Run every task of ``tasks`` on ``body`` in one GIL-free call.
 
-    The calling thread is worker 0; ``n_workers - 1`` pthreads join it
-    (``body`` must have buffers for each).  Without ``rank`` a worker pops
-    the newest ready task it released, else the oldest one (work
-    stealing over one shared set; one worker pops LIFO); with ``rank``
+    The calling thread is worker 0; up to ``n_workers - 1`` pthreads
+    join it, each started when a ready task waits that no parked worker
+    will take (``body`` must have buffers for each).  Without ``rank`` a
+    worker pops the newest ready task it released, else the oldest one
+    (work stealing over one shared set; one worker pops LIFO); with ``rank``
     the ready set is a heap that pops the highest rank first.
     ``logs`` receives the trace rows; a log that runs out of room raises
     ``RuntimeError`` after the run (the run itself completed).  A

@@ -2,8 +2,9 @@
 
 Both phases run on one engine, the C DAG executor
 (:func:`repro.kernels.native.run_dag`): one GIL-free call runs every
-task of a DAG, the calling thread as worker 0 and ``n_workers - 1`` C
-threads with it, and a finishing task decrements its successors'
+task of a DAG, the calling thread as worker 0 and up to
+``n_workers - 1`` C threads with it, each started when a ready task
+waits for it, and a finishing task decrements its successors'
 counters and queues the ones that become ready (PaRSEC's decentralized
 release).  ``scheduler`` names the ready set's pop order, one of
 :data:`THREAD_SCHEDULERS`, and is stamped into the trace's ``meta`` for
@@ -316,8 +317,8 @@ def solve_threaded(
     memoised on the symbol, so repeated solves build and check it once.
 
     On a native factor one GIL-free call runs the whole DAG
-    (:func:`repro.kernels.native.run_dag`): the calling thread and
-    ``n_workers - 1`` C threads pop ready tasks from one shared set, and
+    (:func:`repro.kernels.native.run_dag`): the calling thread and up
+    to ``n_workers - 1`` C threads pop ready tasks from one shared set, and
     a finishing task releases its successors itself.  ``scheduler`` is
     the pop order, one of :data:`THREAD_SCHEDULERS`.  A NumPy or
     list-built factor runs the same tasks, in a topological order, on

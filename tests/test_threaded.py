@@ -63,6 +63,19 @@ def test_trace_is_valid_schedule(grid2d_small):
     trace.validate(dag)
 
 
+def test_one_task_dag_starts_no_worker(grid2d_small):
+    """A worker starts only when a ready task waits for it: a one-task
+    factorization runs on the caller alone, and no worker parks."""
+    res, permuted = _setup(grid2d_small, "ldlt")
+    dag = get_dag(res.symbol, "ldlt", granularity="unit", n_workers=4)
+    assert dag.n_tasks == 1
+    trace = ExecutionTrace()
+    factorize_threaded(res.symbol, permuted, "ldlt", n_workers=4,
+                       trace=trace, record_sync=True)
+    assert trace.resources() == ["cpu0"]
+    assert trace.meta["sync_stats"]["counts"] == {"publish": 1}
+
+
 def test_failure_propagates(grid2d_small):
     res, permuted = _setup(grid2d_small, "llt")
     bad = permuted.to_dense()
