@@ -61,11 +61,14 @@ chaos-smoke:
 	else echo "chaos-smoke: FAILED"; fi; exit $$status
 
 # Quick concurrency gate: `repro verify` runs a sync-traced threaded
-# factorization and a threaded solve on its factor, and audits each
-# against the DAG it ran (C702 publish order, C705 lost wakeups, C707
-# sync provenance).
+# factorization and a threaded solve on its factor at two workers, and
+# audits each against the DAG it ran (C702 publish order, C705 lost
+# wakeups, C707 sync provenance).  lap3d at size 22 (n = 10648, ~1 s) is
+# the smallest generator grid whose solve (4.1e6 flops) clears
+# MIN_SOLVE_FLOPS (4e6), so the solve trace has a real tree of tasks
+# (148 at two workers), not the two-task chain of a smaller solve.
 race-smoke:
-	@$(PYTHON) -m repro verify --matrix lap2d --size 16 \
+	@$(PYTHON) -m repro verify --matrix lap3d --size 22 --cores 2 \
 		--only concurrency >/dev/null; \
 	status=$$?; \
 	if [ $$status -eq 0 ]; then echo "race-smoke: clean"; \
@@ -77,8 +80,9 @@ race-smoke:
 # factorize one small matrix per factotype in both drivers and check the
 # factors against the NumPy kernels (1e-12) and each other (bit for
 # bit), solve each with 1, 3 and 16 columns (native sweeps vs NumPy
-# bodies; the C DAG executor at 1, 2 and 3 workers vs the sequential
-# solve, plus one traced run through the C7xx audit), factorize a matrix
+# bodies; the C DAG executor, MIN_SOLVE_FLOPS lowered so that it runs a
+# tree of tasks, at 1, 2 and 3 workers vs the sequential solve, plus one
+# traced run through the C7xx audit), factorize a matrix
 # whose panels split at 1-3 workers under every pop order (bit for bit),
 # and one with zeros on its diagonal whose blocks come back to Python
 # inside the executor (the sequential driver's factor or error), and

@@ -10,9 +10,10 @@ matrix per generator family through the analysis with the C helper and
 with the Python bodies (equal fingerprints, equal minimum-degree
 orderings).  Each factor is also solved with 1, 3 and 16 right-hand
 sides: the native sweeps against the NumPy bodies (1e-12), and the C
-DAG executor (``solve_threaded``) with 1, 2 and 3 workers against the
-sequential native solve (bit for bit); one traced executor run per
-factor must pass the schedule check and the C7xx concurrency audit.
+DAG executor (``solve_threaded``, the solve floor lowered so that its DAG
+is a tree of tasks) with 1, 2 and 3 workers against the sequential
+native solve (bit for bit); one traced executor run per factor must pass
+the schedule check and the C7xx concurrency audit.
 One more matrix, factorized with the split floors lowered so that its
 panels split into a diagonal task and row-block tasks, checks each
 factotype the same way (NumPy 1e-12; the DAG executor at 1, 2 and 3
@@ -98,11 +99,15 @@ def check_solve(ft: str, factor) -> None:
     import dataclasses
 
     from repro.core.triangular import solve_factored
+    from repro.dag import builder
     from repro.dag.solve_builder import build_solve_dag
     from repro.runtime.threaded import solve_threaded
     from repro.runtime.tracing import ExecutionTrace
     from repro.verify.concurrency import verify_concurrency
 
+    # Generator-sized solves weigh less than the solve floor, which makes
+    # them a two-task chain: lower it, so the executor runs a real tree.
+    builder.MIN_SOLVE_FLOPS = 0.0
     reference = dataclasses.replace(factor, kernels="numpy")
     rng = np.random.default_rng(0)
     for nrhs in (1, 3, 16):
@@ -124,6 +129,8 @@ def check_solve(ft: str, factor) -> None:
     solve_threaded(factor, np.ones(factor.n), n_workers=3, trace=trace,
                    record_sync=True)
     dag = build_solve_dag(factor.symbol, ft, dtype=factor.dtype, n_workers=3)
+    if dag.n_tasks <= 2:
+        sys.exit(f"native-smoke: {ft} solve DAG has {dag.n_tasks} tasks")
     trace.validate(dag)
     report = verify_concurrency(dag, trace)
     if not report.ok or trace.meta["kernels"] != "native":

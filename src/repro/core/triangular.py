@@ -70,6 +70,20 @@ def backward_solve(factor: NumericFactor, y: np.ndarray) -> np.ndarray:
     return x
 
 
+def rhs_copy(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
+    """``b`` copied C-contiguous in the factor's dtype: the array a solve
+    works on in place.  A complex ``b`` on a real factor raises
+    ``TypeError`` — the cast would drop its imaginary part;
+    :meth:`repro.core.solver.SparseSolver.solve` solves its real and
+    imaginary parts as one real block instead."""
+    if np.iscomplexobj(b) and not np.issubdtype(factor.dtype,
+                                                np.complexfloating):
+        raise TypeError(f"complex right-hand side on a real "
+                        f"({np.dtype(factor.dtype)}) factor: solve its "
+                        f"real and imaginary parts separately")
+    return np.array(b, dtype=factor.dtype, order="C")
+
+
 def solve_factored(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
     """Full solve through the factor: forward, (diagonal,) backward.
 
@@ -80,9 +94,10 @@ def solve_factored(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
     The backend follows ``factor.kernels``: on a native factor one C call
     per sweep (:class:`repro.kernels.native.SolveSweeps`: the steps
     ``solve_threaded`` runs per task, in the same order per row, so the
-    two are bit-identical), otherwise the NumPy sweeps above.
+    two are bit-identical), otherwise the NumPy sweeps above.  A complex
+    ``b`` on a real factor raises ``TypeError`` (:func:`rhs_copy`).
     """
-    x = np.array(b, dtype=factor.dtype, order="C")
+    x = rhs_copy(factor, b)
     sweeps = native.solve_sweeps(factor, x)
     if sweeps is not None:
         sweeps.run(0, factor.n_cblk, backward=False)

@@ -23,6 +23,7 @@ __all__ = [
     "dag_of_trace",
     "symbol_memo",
     "FUSE_UNITS_PER_WORKER",
+    "MIN_SOLVE_FLOPS",
     "MIN_SPLIT_FLOPS",
     "MIN_UNIT_FLOPS",
     "ROW_BLOCK",
@@ -43,6 +44,14 @@ FUSE_UNITS_PER_WORKER = 8
 #: only ~2 ms of GEMM-rate arithmetic — so a tree worth less than this
 #: is one task, whatever the worker count.
 MIN_UNIT_FLOPS = 1e8
+
+#: Flop floor of a partitioned solve DAG (its total: both sweeps, all
+#: right-hand sides).  Below it the whole tree is one unit — one forward
+#: and one backward task, a chain no second worker joins — as a second
+#: worker costs more than it takes over: on a 2-core x86-64 host the
+#: threaded solve's w=2 / w=1 time ratio crosses 1 at about 3.7e6 flops
+#: (the solve work floor of ``docs/performance.md``).
+MIN_SOLVE_FLOPS = 4e6
 
 #: Rows of a row-block task, on average: a split panel's below-diagonal
 #: rows are cut into ``ceil(below / ROW_BLOCK)`` blocks of about equal
@@ -232,17 +241,18 @@ def fused_subtree_groups(
     (weight: panel storage).
     """
     K = parent.size
-    subtree = np.asarray(weight, dtype=np.float64).copy()
+    up = parent.tolist()
+    subtree = np.asarray(weight, dtype=np.float64).tolist()
     for k in range(K):  # ascending is bottom-up (parent > child)
-        if parent[k] >= 0:
-            subtree[parent[k]] += subtree[k]
-    group = np.full(K, -1, dtype=np.int64)
+        if up[k] >= 0:
+            subtree[up[k]] += subtree[k]
+    group = [-1] * K
     for k in range(K - 1, -1, -1):
         if subtree[k] > threshold:
             continue
-        p = parent[k]
+        p = up[k]
         group[k] = group[p] if p >= 0 and group[p] >= 0 else k
-    return group
+    return np.array(group, dtype=np.int64)
 
 
 class UnitPartition(NamedTuple):
@@ -535,14 +545,23 @@ def _build_unit(
     flops = np.zeros(n_tasks)
     flops[~is_rows] = np.bincount(unit_of, weights=weight, minlength=U)
     row_range = np.zeros((n_tasks, 2), dtype=np.int64)
-    comps: dict[int, list] = {int(first[u]): [] for u in range(U)}
-    for u, w, b in zip(unit_of.tolist(), widths.tolist(), below.tolist()):
-        if not split[u]:
-            comps[int(first[u])].append(("panel", w, b))
-    for u, m, n, w in zip(unit_of[tgt].tolist(), ms.tolist(), ns.tolist(),
-                          widths[src].tolist()):
-        if not split[u]:
-            comps[int(first[u])].append(("update", m, n, w))
+    split_comps: dict[int, list] = {}
+
+    def components() -> dict[int, list]:
+        # Built on first read: only the machine simulator reads them.
+        head, unsplit = first[:-1].tolist(), (~split).tolist()
+        comps: dict[int, list] = {t: [] for t in head}
+        for u, w, b in zip(unit_of.tolist(), widths.tolist(),
+                           below.tolist()):
+            if unsplit[u]:
+                comps[head[u]].append(("panel", w, b))
+        for u, m, n, w in zip(unit_of[tgt].tolist(), ms.tolist(),
+                              ns.tolist(), widths[src].tolist()):
+            if unsplit[u]:
+                comps[head[u]].append(("update", m, n, w))
+        comps.update(split_comps)
+        return comps
+
     if split.any():
         from repro.kernels.indexcache import get_couple_cache
 
@@ -559,11 +578,11 @@ def _build_unit(
             row_range[t0] = (0, w)
             row_range[t0 + 1: t0 + 1 + nb] = np.column_stack(
                 [bounds[:-1], bounds[1:]])
-            comps[t0] = [("panel", w, 0)] + [
+            split_comps[t0] = [("panel", w, 0)] + [
                 ("update", a, a, b) for a, b in zip(n.tolist(), ws.tolist())]
             for j, r in enumerate(np.diff(bounds).tolist()):
                 got = np.flatnonzero(counts[:, j])
-                comps[t0 + 1 + j] = [("rows", w, r)] + [
+                split_comps[t0 + 1 + j] = [("rows", w, r)] + [
                     ("slice", a, b, c) for a, b, c in zip(
                         counts[got, j].tolist(), n[got].tolist(),
                         ws[got].tolist())]
@@ -607,7 +626,7 @@ def _build_unit(
         granularity="unit",
         symbol=symbol,
         factotype=factotype,
-        fused_components=comps,
+        fused_components=components,
         unit_ptr=unit_ptr,
         unit_panels=part.unit_panels,
         row_range=row_range,

@@ -12,6 +12,15 @@ tasks".
   ``total / (FUSE_UNITS_PER_WORKER · n_workers)``
   (:func:`repro.dag.builder.unit_partition`, shared with the
   unit-granular factorization DAG).  The units partition the panels.
+* A solve of fewer flops than :data:`repro.dag.builder.MIN_SOLVE_FLOPS`
+  (the DAG's total: both sweeps, all right-hand sides, the complex
+  multiplier included) is **one unit**: the whole tree — every
+  tree of a forest, back to back — in one forward and one backward task.
+  The rule is all or nothing: above the floor the partition is the one
+  above, whatever the worker count.  Per task and per worker the
+  executor's costs are fixed, and on so little work a second worker
+  only slows the solve down (``docs/performance.md``, the solve work
+  floor); a chain of two tasks never starts one.
 * There is **one task per unit per sweep**: ``F(u)`` runs the forward
   steps of the unit's panels in ascending order, ``B(u)`` their backward
   steps in descending order.
@@ -41,8 +50,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dag import builder
 from repro.dag.builder import (
     FUSE_UNITS_PER_WORKER,
+    UnitPartition,
     _csr_from_edges,
     symbol_memo,
     unit_partition,
@@ -68,35 +79,53 @@ def build_solve_dag(
     repeated solves, refinement steps and refactorizations of one
     pattern share one DAG object, which callers must not modify.
     ``nrhs`` scales every task's flops (block right-hand sides);
-    ``n_workers`` sets the fusion threshold (see the module docstring).
+    ``n_workers`` sets the fusion threshold, and a solve under
+    :data:`~repro.dag.builder.MIN_SOLVE_FLOPS` is one unit (see the module
+    docstring).
     The returned DAG has ``dag.phase == "solve"``; the simulator uses its
     bandwidth-bound efficiency model and keeps everything on CPUs (the
     paper does not offload the solve).
     """
     nrhs, n_workers = int(nrhs), max(1, int(n_workers))
-    key = ("solve", factotype, np.dtype(dtype).str, nrhs, n_workers)
+    floor = builder.MIN_SOLVE_FLOPS
+    key = ("solve", factotype, np.dtype(dtype).str, nrhs, n_workers, floor)
     return symbol_memo(
         symbol, key,
-        lambda: _build(symbol, factotype, dtype, nrhs, n_workers),
+        lambda: _build(symbol, factotype, dtype, nrhs, n_workers, floor),
     )
 
 
-def _build(symbol, factotype, dtype, nrhs, n_workers) -> TaskDAG:
+def _one_unit(n_panels: int) -> UnitPartition:
+    """Every panel in one unit, named by the last one (a root: a parent
+    follows its children), with no unit edge."""
+    return UnitPartition(
+        np.array([n_panels - 1], dtype=np.int64),
+        np.zeros(n_panels, dtype=np.int64),
+        np.array([0, n_panels], dtype=np.int64),
+        np.arange(n_panels, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.zeros(1, dtype=np.int64),
+    )
+
+
+def _build(symbol, factotype, dtype, nrhs, n_workers, floor) -> TaskDAG:
     widths = np.diff(symbol.cblk_ptr).astype(np.int64)
     heights = symbol.cblk_heights()
     below = heights - widths
-
-    storage = (widths * heights).astype(np.float64)
-    part = unit_partition(
-        symbol, storage, storage.sum() / (FUSE_UNITS_PER_WORKER * n_workers)
-    )
-    roots, unit_of = part.roots, part.unit_of
-    U = roots.size
 
     # Per sweep and panel: the diagonal tri-solve (w²) and the GEMV/GEMM
     # of the below rows (2·below·w); same count in both sweeps.
     mult = complex_multiplier(dtype) * float(nrhs)
     panel_flops = mult * (widths * (widths + 2 * below)).astype(np.float64)
+    if symbol.n_cblk and 2.0 * panel_flops.sum() < floor:  # both sweeps
+        part = _one_unit(symbol.n_cblk)
+    else:
+        storage = (widths * heights).astype(np.float64)
+        part = unit_partition(symbol, storage, storage.sum()
+                              / (FUSE_UNITS_PER_WORKER * n_workers))
+    roots, unit_of = part.roots, part.unit_of
+    U = roots.size
     flops = np.bincount(unit_of, weights=panel_flops, minlength=U)
     mean_width = np.maximum(1, np.rint(
         np.bincount(unit_of, weights=panel_flops * widths, minlength=U)

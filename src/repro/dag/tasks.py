@@ -10,7 +10,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class TaskDAG:
         granularity: str,
         symbol=None,
         factotype: str = "llt",
-        fused_components: dict | None = None,
+        fused_components: dict | Callable[[], dict] | None = None,
         unit_ptr: np.ndarray | None = None,
         unit_panels: np.ndarray | None = None,
         row_range: np.ndarray | None = None,
@@ -135,10 +135,7 @@ class TaskDAG:
         #: "facto" (default) or "solve" — selects the simulator's kernel
         #: efficiency model and GPU eligibility.
         self.phase = "facto"
-        #: For SUBTREE tasks: task id -> list of kernel components, each
-        #: ("panel", width, below) or ("update", m, n, w) — used by the
-        #: simulator's duration models.
-        self.fused_components = fused_components or {}
+        self._fused_components = fused_components or {}
         #: Unit-granular DAGs (``build_dag(granularity="unit")`` and the
         #: solve DAG): the panels a task runs back to back, in CSR form —
         #: unit ``u`` is ``unit_panels[unit_ptr[u]:unit_ptr[u + 1]]``,
@@ -165,6 +162,18 @@ class TaskDAG:
                          for n, v in args.items()}, **fields)
         out.phase = self.phase
         return out
+
+    @property
+    def fused_components(self) -> dict:
+        """For fused tasks: task id -> list of kernel components, each
+        ``("panel", width, below)`` or ``("update", m, n, w)`` (see
+        :func:`repro.kernels.cost.flops_component`) — read only by the
+        machine simulator's duration models.  A builder may pass a
+        function instead of the dict; it runs on first read."""
+        comps = self._fused_components
+        if callable(comps):
+            comps = self._fused_components = comps()
+        return comps
 
     # ------------------------------------------------------------------
     @property

@@ -40,6 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.factor import NumericFactor
+from repro.core.triangular import rhs_copy
 from repro.dag.builder import get_dag
 from repro.dag.tasks import TaskKind
 from repro.kernels import native
@@ -312,9 +313,12 @@ def solve_threaded(
 
     Bit-identical to :func:`repro.core.triangular.solve_factored` on the
     same factor (one right-hand side ``(n,)`` or a block ``(n, k)``, copied
-    C-contiguous in the factor's dtype) whatever the worker count and
-    scheduler, but executed as the coarse solve-phase DAG; the DAG is
-    memoised on the symbol, so repeated solves build and check it once.
+    C-contiguous in the factor's dtype; a complex ``b`` on a real factor
+    raises ``TypeError``) whatever the worker count and scheduler, but
+    executed as the coarse solve-phase DAG; the DAG is memoised on the
+    symbol, so repeated solves build and check it once.  A solve under
+    :data:`repro.dag.builder.MIN_SOLVE_FLOPS` is one forward and one
+    backward task, on the calling thread alone.
 
     On a native factor one GIL-free call runs the whole DAG
     (:func:`repro.kernels.native.run_dag`): the calling thread and up
@@ -333,7 +337,7 @@ def solve_threaded(
     from repro.dag.solve_builder import build_solve_dag
 
     n_workers = _check_pool(n_workers, scheduler)
-    x = np.array(b, dtype=factor.dtype, order="C")
+    x = rhs_copy(factor, b)
     dag = build_solve_dag(
         factor.symbol, factor.factotype, dtype=factor.dtype,
         nrhs=1 if x.ndim == 1 else x.shape[1], n_workers=n_workers,

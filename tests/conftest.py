@@ -62,23 +62,29 @@ def random_spd_small() -> SparseMatrixCSC:
 
 @pytest.fixture
 def no_unit_floor(monkeypatch):
-    """Drop the unit DAG's flop floor (``MIN_UNIT_FLOPS``).
+    """Drop the unit DAG's and the solve DAG's flop floors
+    (``MIN_UNIT_FLOPS``, ``MIN_SOLVE_FLOPS``).
 
-    The test matrices are worth far less than 1e8 flops, so with the
-    floor every unit DAG is one task; without it they get a real unit
-    tree (tens of tasks), which is what the concurrency, bit-identity
-    and structure tests of the unit path need to exercise.  DAGs are
-    memoised per symbol, so tests using this analyze their own symbol.
+    The test matrices are worth far less than either floor, so with them
+    every unit DAG is one task and every solve DAG one forward and one
+    backward task; without them they get a real unit tree (tens of
+    tasks), which is what the concurrency, bit-identity and structure
+    tests of the unit and solve paths need to exercise.  Unit DAGs are
+    memoised per symbol without the floor in the key, so tests using
+    this analyze their own symbol.
     """
     monkeypatch.setattr("repro.dag.builder.MIN_UNIT_FLOPS", 0.0)
+    monkeypatch.setattr("repro.dag.builder.MIN_SOLVE_FLOPS", 0.0)
 
 
 def split_every_panel(monkeypatch) -> None:
-    """Drop the unit and split floors and cut row blocks of 3 rows, so
-    that the test matrices get a unit tree whose panels split into a
-    diagonal task and row-block tasks (``row_blocks`` and the DAGs are
-    memoised on the symbol under these constants)."""
+    """Drop the unit, solve and split floors and cut row blocks of 3
+    rows, so that the test matrices get a unit tree whose panels split
+    into a diagonal task and row-block tasks, and a many-task solve DAG
+    (``row_blocks`` and the DAGs are memoised on the symbol under these
+    constants)."""
     monkeypatch.setattr("repro.dag.builder.MIN_UNIT_FLOPS", 0.0)
+    monkeypatch.setattr("repro.dag.builder.MIN_SOLVE_FLOPS", 0.0)
     monkeypatch.setattr("repro.dag.builder.MIN_SPLIT_FLOPS", 0.0)
     monkeypatch.setattr("repro.dag.builder.ROW_BLOCK", 3)
 

@@ -29,10 +29,15 @@ from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic import analyze
 from tests.test_native_kernels import NO_AMALGAMATION, factotypes, make_matrix
 
-pytestmark = pytest.mark.skipif(
-    native.availability() is not None,
-    reason=f"native backend unavailable: {native.availability()}",
-)
+#: Without the flop floors the test matrices' solve DAGs have many tasks
+#: (with them, one forward and one backward task).
+pytestmark = [
+    pytest.mark.skipif(
+        native.availability() is not None,
+        reason=f"native backend unavailable: {native.availability()}",
+    ),
+    pytest.mark.usefixtures("no_unit_floor"),
+]
 
 RTOL = 1e-12
 
@@ -101,7 +106,7 @@ def test_native_matches_numpy_bodies(cplx, shape):
 
 @pytest.mark.parametrize("scheduler", sorted(THREAD_SCHEDULERS))
 def test_threaded_equals_sequential_every_scheduler(
-        grid2d_medium, helmholtz_small, no_unit_floor, scheduler):
+        grid2d_medium, helmholtz_small, scheduler):
     rng = np.random.default_rng(2)
     for mat, cplx in ((grid2d_medium, False), (helmholtz_small, True)):
         for ft in factotypes(cplx):
@@ -219,8 +224,7 @@ def test_tiny_systems(n, ft):
     nrhs=st.sampled_from([None, 1, 3, 16]),
     n_workers=st.sampled_from([1, 2, 4]),
 )
-def test_generated_systems(no_unit_floor, kind, n, seed, cplx, chains, nrhs,
-                           n_workers):
+def test_generated_systems(kind, n, seed, cplx, chains, nrhs, n_workers):
     """Grids, arrowheads and width-1 chains (no amalgamation)."""
     rng = np.random.default_rng(seed)
     for ft in factotypes(cplx):

@@ -50,7 +50,7 @@ def _ready_sets(unit, order):
 # the three names
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_all_names_resolve(self, grid2d_small):
+    def test_all_names_resolve(self, grid2d_small, no_unit_floor):
         """Both drivers run every pop order and stamp its name."""
         from repro.core.factorization import factorize_sequential
         from repro.runtime.threaded import factorize_threaded, solve_threaded
@@ -100,7 +100,8 @@ class TestRegistry:
         assert set(THREAD_SCHEDULERS) == {"ws", "priority",
                                           "inverse-priority"}
 
-    def test_solve_defaults_to_work_stealing(self, grid2d_small):
+    def test_solve_defaults_to_work_stealing(self, grid2d_small,
+                                             no_unit_floor):
         from repro.core.factorization import factorize_sequential
         from repro.runtime.threaded import solve_threaded
         from repro.runtime.tracing import ExecutionTrace

@@ -1,15 +1,21 @@
-"""Solve-phase DAG tests (coarse: one task per unit per sweep)."""
+"""Solve-phase DAG tests (coarse: one task per unit per sweep).
+
+The test matrices are far below ``MIN_SOLVE_FLOPS``, so the tests of
+the partitioned DAG lift the floor (``no_unit_floor``); ``TestWorkFloor``
+checks the floor itself."""
 
 import numpy as np
 import pytest
 
 from repro.dag import build_dag, build_solve_dag, critical_path, update_couples
-from repro.dag.builder import supernode_parent
+from repro.dag.builder import MIN_SOLVE_FLOPS, supernode_parent
 from repro.dag.tasks import TaskKind
 from repro.machine import mirage, simulate
 from repro.runtime import get_policy
+from repro.sparse import load_matrix
 from repro.sparse.generators import grid_laplacian_2d, grid_laplacian_3d
 from repro.symbolic import analyze
+from tests.conftest import COMPONENT_SIZES, many_component_matrix
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +28,8 @@ def sym3():
     return analyze(grid_laplacian_3d(10, jitter=0.05, seed=2)).symbol
 
 
-@pytest.fixture(scope="module")
-def sdag(sym):
+@pytest.fixture
+def sdag(sym, no_unit_floor):
     return build_solve_dag(sym, "llt")
 
 
@@ -57,7 +63,7 @@ class TestStructure:
         sdag.validate()
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4, 64])
-    def test_units_partition_panels(self, sym, n_workers):
+    def test_units_partition_panels(self, sym, no_unit_floor, n_workers):
         dag = build_solve_dag(sym, "llt", n_workers=n_workers)
         assert np.array_equal(np.sort(dag.unit_panels),
                               np.arange(sym.n_cblk))
@@ -69,7 +75,8 @@ class TestStructure:
             assert fused == (members.size > 1)
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_fused_units_are_complete_subtrees(self, sym, n_workers):
+    def test_fused_units_are_complete_subtrees(self, sym, no_unit_floor,
+                                               n_workers):
         """A fused unit holds *every* descendant of its top panel."""
         dag = build_solve_dag(sym, "llt", n_workers=n_workers)
         parent = supernode_parent(sym)
@@ -89,7 +96,7 @@ class TestStructure:
                 assert (anc == members[-1]) == (k in inside)
         assert n_fused > 0
 
-    def test_fewer_workers_fuse_more(self, sym):
+    def test_fewer_workers_fuse_more(self, sym, no_unit_floor):
         counts = [build_solve_dag(sym, "llt", n_workers=w).n_tasks
                   for w in (1, 2, 4, 64)]
         assert counts == sorted(counts)
@@ -155,7 +162,7 @@ class TestStructure:
         assert four.total_flops() == pytest.approx(4 * one.total_flops())
         assert np.all(four.gemm_n == 4)
 
-    def test_flops_independent_of_fusion(self, sym):
+    def test_flops_independent_of_fusion(self, sym, no_unit_floor):
         """Coarsening moves flops between tasks, never changes the sum:
         per sweep, w² + 2·below·w per panel."""
         widths = np.diff(sym.cblk_ptr)
@@ -210,7 +217,7 @@ class TestSimulation:
         r = simulate(sdag, mirage(n_cores=4, n_gpus=2), get_policy("parsec"))
         assert all(not e.resource.startswith("gpu") for e in r.trace.events)
 
-    def test_solve_throughput_far_below_facto(self, sym3):
+    def test_solve_throughput_far_below_facto(self, sym3, no_unit_floor):
         """The solve phase is bandwidth-bound: its achieved GFlop/s on 12
         cores must sit far below the factorization's (on a 3D problem —
         a toy 2D factorization is itself overhead-bound)."""
@@ -234,3 +241,101 @@ class TestSimulation:
         turn = back.index(True)
         assert parent[sdag.cblk[path[turn]]] < 0
         assert sdag.solve_unit[path[turn - 1]] == sdag.solve_unit[path[turn]]
+
+
+#: The arrays that make up a solve DAG.
+_FIELDS = ("kind", "cblk", "target", "flops", "gemm_m", "gemm_n", "gemm_k",
+           "succ_ptr", "succ_list", "mutex", "unit_ptr", "unit_panels",
+           "solve_backward", "solve_unit")
+
+
+def _without_floor(monkeypatch, build):
+    """``build()`` with ``MIN_SOLVE_FLOPS`` dropped: the partition the
+    DAG has without the floor."""
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.dag.builder.MIN_SOLVE_FLOPS", 0.0)
+        return build()
+
+
+def _assert_same_dag(a, b):
+    for name in _FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestWorkFloor:
+    """Under ``MIN_SOLVE_FLOPS`` the whole tree is one unit; above it the
+    partition is the one it has without the floor."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_below_the_floor_one_forward_one_backward(self, sym, n_workers):
+        dag = build_solve_dag(sym, "llt", n_workers=n_workers)
+        assert dag.total_flops() < MIN_SOLVE_FLOPS
+        assert dag.n_tasks == 2 and dag.n_edges == 1 and dag.has_edge(0, 1)
+        assert dag.solve_backward.tolist() == [False, True]
+        assert dag.solve_unit.tolist() == [0, 0]
+        assert np.array_equal(dag.unit_ptr, [0, sym.n_cblk])
+        assert np.array_equal(dag.unit_panels, np.arange(sym.n_cblk))
+        assert dag.cblk.tolist() == [sym.n_cblk - 1] * 2
+        assert np.all(dag.kind == TaskKind.SUBTREE)
+        assert dag.total_flops() == pytest.approx(
+            build_solve_dag(sym, "llt", n_workers=64).total_flops())
+        dag.validate()
+
+    def test_a_forest_is_one_unit(self):
+        """Every tree of a forest, back to back, in the one unit: still
+        the sequential solve bit for bit."""
+        from repro.core.factorization import factorize_sequential
+        from repro.core.triangular import solve_factored
+        from repro.runtime.threaded import solve_threaded
+
+        mat = many_component_matrix(COMPONENT_SIZES, seed=4)
+        res = analyze(mat)
+        assert np.count_nonzero(supernode_parent(res.symbol) < 0) > 1
+        dag = build_solve_dag(res.symbol, "ldlt", n_workers=2)
+        assert dag.n_tasks == 2
+        factor = factorize_sequential(res.symbol, mat.permute(res.perm.perm),
+                                      "ldlt")
+        b = np.random.default_rng(3).standard_normal((mat.n_rows, 3))
+        assert np.array_equal(solve_threaded(factor, b, n_workers=2),
+                              solve_factored(factor, b))
+
+    def test_the_floor_is_part_of_the_memo_key(self, sym, monkeypatch):
+        floored = build_solve_dag(sym, "lu", n_workers=2)
+        fine = _without_floor(
+            monkeypatch, lambda: build_solve_dag(sym, "lu", n_workers=2))
+        assert fine is not floored and fine.n_tasks > 2
+        assert build_solve_dag(sym, "lu", n_workers=2) is floored
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_above_the_floor_the_partition_is_unchanged(self, sym,
+                                                        monkeypatch,
+                                                        n_workers):
+        """A 128-column complex solve of the same symbol clears the
+        floor: its DAG is, array for array, the one without it."""
+        def build():
+            return build_solve_dag(sym, "ldlt", dtype=np.complex128,
+                                   nrhs=128, n_workers=n_workers)
+
+        dag = build()
+        assert dag.total_flops() >= MIN_SOLVE_FLOPS
+        assert dag.n_tasks > 2
+        _assert_same_dag(dag, _without_floor(monkeypatch, build))
+
+    def test_benchmark_inputs(self, monkeypatch):
+        """The solves of the wall-clock benchmark's threaded workloads:
+        the Serena and afshell10 analogues are under the floor, and the
+        pmlDF one (54 Mflop) keeps its DAG exactly."""
+        for name, scale, ft in (("Serena", 0.5, "ldlt"),
+                                ("afshell10", 0.5, "lu")):
+            sym = analyze(load_matrix(name, scale, 0)).symbol
+            assert build_solve_dag(sym, ft, n_workers=2).n_tasks == 2
+        mat = load_matrix("pmlDF", 1.3, 0)
+        sym = analyze(mat).symbol
+
+        def build():
+            return build_solve_dag(sym, "ldlt", dtype=mat.values.dtype,
+                                   n_workers=2)
+
+        dag = build()
+        assert dag.total_flops() > 10 * MIN_SOLVE_FLOPS
+        _assert_same_dag(dag, _without_floor(monkeypatch, build))

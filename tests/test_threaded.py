@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.factorization import factorize_sequential
-from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
+from repro.core.triangular import solve_factored
+from repro.runtime.threaded import (
+    THREAD_SCHEDULERS,
+    factorize_threaded,
+    solve_threaded,
+)
 from repro.runtime.tracing import ExecutionTrace
 from repro.dag import build_dag, get_dag
 from repro.dag.builder import dag_of_trace
@@ -74,6 +79,43 @@ def test_one_task_dag_starts_no_worker(grid2d_small):
                        trace=trace, record_sync=True)
     assert trace.resources() == ["cpu0"]
     assert trace.meta["sync_stats"]["counts"] == {"publish": 1}
+
+
+def test_small_solve_starts_no_worker(grid2d_small):
+    """Under ``MIN_SOLVE_FLOPS`` the solve DAG is a forward and a
+    backward task: a chain, so a two-worker solve runs on the caller
+    alone and no worker parks."""
+    from repro.dag.solve_builder import build_solve_dag
+
+    res, permuted = _setup(grid2d_small, "ldlt")
+    factor = factorize_sequential(res.symbol, permuted, "ldlt")
+    assert build_solve_dag(res.symbol, "ldlt", n_workers=2).n_tasks == 2
+    b = np.random.default_rng(2).standard_normal(permuted.n_rows)
+    trace = ExecutionTrace()
+    x = solve_threaded(factor, b, n_workers=2, trace=trace,
+                       record_sync=True)
+    assert np.array_equal(x, solve_factored(factor, b))
+    assert trace.resources() == ["cpu0"]
+    assert trace.meta["sync_stats"]["counts"] == {"publish": 2}
+
+
+@pytest.mark.parametrize("solve", [solve_factored, solve_threaded],
+                         ids=["solve_factored", "solve_threaded"])
+def test_complex_rhs_on_a_real_factor_is_rejected(grid2d_small, solve):
+    """Casting a complex ``b`` to a real factor's dtype would drop its
+    imaginary part: both solves refuse it (``SparseSolver.solve`` splits
+    it into a real block instead), on either backend."""
+    import dataclasses
+
+    res, permuted = _setup(grid2d_small, "ldlt")
+    factor = factorize_sequential(res.symbol, permuted, "ldlt")
+    b = np.ones(permuted.n_rows) * (1 + 1j)
+    for f in (factor, dataclasses.replace(factor, kernels="numpy")):
+        for rhs in (b, b[:, None], list(b)):
+            with pytest.raises(TypeError, match="complex right-hand side"):
+                solve(f, rhs)
+        x = solve(f, b.real)
+        assert not np.iscomplexobj(x)
 
 
 def test_failure_propagates(grid2d_small):
@@ -167,7 +209,7 @@ def test_ldlt_pivot_threshold_threaded(grid2d_medium):
     assert par.pivot_monitor.n_perturbed == ref.pivot_monitor.n_perturbed
 
 
-def test_solve_dag_phase_field(grid2d_small):
+def test_solve_dag_phase_field(grid2d_small, no_unit_floor):
     """The solve DAG carries an explicit per-task backward flag; the
     runtime must not infer the phase from task numbering."""
     from repro.dag.solve_builder import build_solve_dag
@@ -197,10 +239,13 @@ def _solve_cases(mat, factotype, complex_rhs=False):
     return factor, permuted, rhs
 
 
+@pytest.mark.usefixtures("no_unit_floor")
 class TestThreadedSolve:
     """The threaded solve is *bit-identical* to ``solve_factored``: every
     shared write is ordered by a DAG edge, so neither the worker count,
-    the scheduler nor the interleaving can change a single bit."""
+    the scheduler nor the interleaving can change a single bit.  (The
+    test matrices are below ``MIN_SOLVE_FLOPS``: without the floor their
+    solve DAGs have tens of tasks.)"""
 
     @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
     def test_matches_sequential_solve(self, grid2d_medium, factotype):
@@ -367,11 +412,13 @@ class TestThreadedSolve:
         assert build_dag(res.symbol, "ldlt", **unit) is not facto
 
 
+@pytest.mark.usefixtures("no_unit_floor")
 class TestSolveExecutor:
     """The solve runs its whole DAG in one executor call: no Python
     thread, a DAG checked before any pointer reaches C, and the small
     and degenerate cases run like any other.  (So does the
-    factorization.)"""
+    factorization.)  Without the flop floors, so that the DAGs have
+    many tasks."""
 
     @staticmethod
     def _factors(mat, factotype="ldlt"):

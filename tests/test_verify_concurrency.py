@@ -81,7 +81,7 @@ def test_unit_run_passes(grid2d_medium, no_unit_floor, scheduler,
     assert stats["counts"]["publish"] == dag.n_tasks
 
 
-def test_solve_run_passes(grid2d_small):
+def test_solve_run_passes(grid2d_small, no_unit_floor):
     """The coarse solve DAG has no mutex group and its bodies take no
     lock: the audit reduces to publish order along the DAG edges (C702)
     plus the sync-stats provenance, and the trace must show no hold —
@@ -115,7 +115,7 @@ def test_solve_run_passes(grid2d_small):
         assert counts["publish"] == dag.n_tasks
 
 
-def test_solve_run_unpublished_read_is_caught(grid2d_small):
+def test_solve_run_unpublished_read_is_caught(grid2d_small, no_unit_floor):
     """C702 is what guards the lock-free solve: a task that started
     before its predecessor's publish must be flagged."""
     from repro.dag.solve_builder import build_solve_dag
