@@ -21,8 +21,8 @@ inject_modes = $(shell PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c \
 	'from repro.verify.cli import INJECTS; print(len(INJECTS))')
 
 .PHONY: test verify lint hazards typecheck bench figures selftest chaos \
-	chaos-smoke race-smoke determinism-smoke native-smoke fuzz-smoke \
-	e2e-smoke ci
+	chaos-smoke race-smoke determinism-smoke native-smoke sanitize-smoke \
+	fuzz-smoke e2e-smoke ci
 
 # Tier-1: everything under tests/, which includes the golden analysis
 # fingerprints (test_analysis_golden.py) and the many-components
@@ -94,6 +94,34 @@ native-smoke:
 	if [ $$status -eq 0 ]; then echo "native-smoke: clean"; \
 	else echo "native-smoke: FAILED"; fi; exit $$status
 
+# Sanitizer gate: build both C libraries with AddressSanitizer and
+# UndefinedBehaviorSanitizer (REPRO_CFLAGS, which repro.cbuild appends
+# to its flags and its cache key) into a private temporary cache, preload
+# libasan into the uninstrumented interpreter (leak checks off: CPython
+# keeps its arenas to the end), and run the differential fuzzer (the
+# C-vs-NumPy plan draws among them), the corrupted-plan checks and
+# native-smoke.  Any finding aborts the process, so the gate fails.  No C
+# compiler or no libasan: SKIPPED.
+SANITIZE_CFLAGS := -fsanitize=address,undefined \
+	-fno-sanitize-recover=undefined -fno-omit-frame-pointer
+sanitize-smoke:
+	@cc=$$(command -v cc || command -v gcc); \
+	asan=$$([ -n "$$cc" ] && $$cc -print-file-name=libasan.so); \
+	if [ -z "$$cc" ] || [ ! -e "$$asan" ]; then \
+		echo "sanitize-smoke: SKIPPED (no C compiler or libasan)"; \
+		exit 0; fi; \
+	cache=$$(mktemp -d); \
+	export XDG_CACHE_HOME=$$cache ASAN_OPTIONS=detect_leaks=0 \
+		REPRO_CFLAGS="$(SANITIZE_CFLAGS)"; \
+	LD_PRELOAD=$$asan $(PYTHON) -m pytest -q tests/test_differential.py \
+		tests/test_indexcache.py \
+		-k "test_differential or corrupt or checkers" \
+		>/dev/null \
+	&& LD_PRELOAD=$$asan $(PYTHON) benchmarks/native_smoke.py >/dev/null; \
+	status=$$?; rm -rf "$$cache"; \
+	if [ $$status -eq 0 ]; then echo "sanitize-smoke: clean"; \
+	else echo "sanitize-smoke: FAILED"; fi; exit $$status
+
 # D8xx determinism gate: a seeded same-seed double-run of the machine
 # simulator (with the fault scenario) and of the stream-burst simulator
 # on a small matrix; their canonical trace fingerprints must match
@@ -129,17 +157,18 @@ e2e-smoke:
 # (lint/hazards/schedule/memory/symbolic/concurrency/determinism +
 # ruff/mypy when installed), the fault-injection self-tests, the
 # live-race gate, the determinism gate, the bounded chaos gate, the
-# native-kernel gate, the differential fuzzer and the wall-clock
-# benchmark's smoke run.  make
+# native-kernel gate, the sanitizer gate, the differential fuzzer and the
+# wall-clock benchmark's smoke run.  make
 # stops at the first failing stage, so reaching the recipe means every
 # stage that ran passed; the summary names the ones that did not run.
 ci: verify selftest race-smoke determinism-smoke chaos-smoke \
-	native-smoke fuzz-smoke e2e-smoke
+	native-smoke sanitize-smoke fuzz-smoke e2e-smoke
 	@echo "ci: lint ok, ruff $(call tool_status,ruff), hazards ok," \
 		"mypy $(call tool_status,mypy), test ok," \
 		"selftest ok ($(inject_modes) inject modes caught)," \
 		"race-smoke ok, determinism-smoke ok, chaos-smoke ok," \
-		"native-smoke $(native_status), fuzz-smoke ok, e2e-smoke ok"
+		"native-smoke $(native_status), sanitize-smoke $(native_status)," \
+		"fuzz-smoke ok, e2e-smoke ok"
 
 lint:
 	$(PYTHON) -m repro verify --only lint

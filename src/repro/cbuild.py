@@ -4,11 +4,13 @@ The one place that knows how a ``.c`` file next to a module becomes a
 loaded ``ctypes`` library: the host's ``cc``/``gcc``, fixed flags, a
 shared object cached as ``${XDG_CACHE_HOME:-~/.cache}/repro/
 <stem>-<hash>.so`` (the hash covering the source, the compiler's version
-line and the flags).  Code is loaded from that directory, so it must be
-the caller's own and nobody else's to write; otherwise the build goes to
-a per-process temporary directory.  Clients
-(:mod:`repro.kernels.native`, :mod:`repro.graph.native`) declare the
-entry points of what comes back.
+line and the flags).  ``REPRO_CFLAGS`` adds flags (a sanitizer build,
+``make sanitize-smoke``); they join the hash, so such a build never
+replaces a default object, and unset it changes neither.  Code is loaded
+from that directory, so it must be the caller's own and nobody else's to
+write; otherwise the build goes to a per-process temporary directory.
+Clients (:mod:`repro.kernels.native`, :mod:`repro.graph.native`)
+declare the entry points of what comes back.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import tempfile
@@ -24,7 +27,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 __all__ = ["FLAGS", "NativeUnavailable", "build", "cache_dir", "compiler",
-           "load_library"]
+           "flags", "load_library"]
 
 #: No ``-ffast-math`` (the finite tests must hold), no ``-march=native``
 #: (the cached object must survive a host migration), no contraction of
@@ -32,6 +35,11 @@ __all__ = ["FLAGS", "NativeUnavailable", "build", "cache_dir", "compiler",
 #: the analysis scores must round as NumPy rounds them on every host.
 #: ``-pthread``: the DAG executor of ``native.c`` starts its workers.
 FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
+
+
+def flags() -> tuple[str, ...]:
+    """:data:`FLAGS`, then the words of ``$REPRO_CFLAGS``."""
+    return FLAGS + tuple(shlex.split(os.environ.get("REPRO_CFLAGS", "")))
 
 
 class NativeUnavailable(RuntimeError):
@@ -70,6 +78,7 @@ def build(source: Path, directory: Path) -> tuple[Path, dict[str, Any]]:
     half-written file.
     """
     cc = compiler()
+    options = flags()
     try:
         version = subprocess.run(
             [cc, "--version"], capture_output=True, text=True, check=True
@@ -79,10 +88,10 @@ def build(source: Path, directory: Path) -> tuple[Path, dict[str, Any]]:
         raise NativeUnavailable(
             f"cannot query {cc} or read {source.name}: {exc}")
     digest = hashlib.sha256(
-        text + version.encode() + " ".join(FLAGS).encode()
+        text + version.encode() + " ".join(options).encode()
     ).hexdigest()[:16]
     target = directory / f"{source.stem}-{digest}.so"
-    info = {"compiler": version, "flags": " ".join(FLAGS), "build_s": 0.0,
+    info = {"compiler": version, "flags": " ".join(options), "build_s": 0.0,
             "cached": target.exists()}
     if info["cached"]:
         return target, info
@@ -91,7 +100,7 @@ def build(source: Path, directory: Path) -> tuple[Path, dict[str, Any]]:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *FLAGS, str(source), "-o", tmp, "-lm"],
+            [cc, *options, str(source), "-o", tmp, "-lm"],
             capture_output=True, text=True,
         )
         if proc.returncode != 0:

@@ -22,14 +22,18 @@ Assembly is one gather-scatter per side, ``arena[dst] = values[src]``,
 through an :class:`AssemblyMap`: the value → arena positions depend on
 the symbol and the pattern only, so the map is built once and memoised on
 the symbol, keyed by the pattern arrays themselves (held by reference).
-A refactorization of the same pattern arrays reuses it.
+A refactorization of the same pattern arrays reuses it.  The map is
+built by ``repro_assembly_map`` of the analysis helper
+(:func:`repro.graph.native.assembly_map`) when it loads, by its NumPy
+body otherwise; a pattern entry the symbol has no place for is a
+``ValueError`` on both.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -89,28 +93,65 @@ class AssemblyMap:
 
     def __init__(self, symbol: SymbolMatrix, colptr: np.ndarray,
                  rowind: np.ndarray, lu: bool) -> None:
+        # Lazy: the analysis helper is not needed to read a factor.
+        from repro.graph import native
+
         self.symbol, self.colptr, self.rowind = symbol, colptr, rowind
         layout = panel_layout(symbol)
+        lib = native.library()
+        try:
+            sides = (None if lib is None else native.assembly_map(
+                lib, symbol, layout, colptr, rowind, lu))
+        except LookupError as missing:
+            self._missing(int(missing.args[0]))
+        if sides is None:
+            sides = self._map_numpy(layout, lu)
+        self.L_src, self.L_dst, self.U_src, self.U_dst = sides
+
+    def _map_numpy(self, layout, lu: bool) -> tuple:
+        """The map's NumPy body: the path without a C compiler, and the
+        oracle ``repro_assembly_map`` equals array for array."""
+        symbol, colptr, rowind = self.symbol, self.colptr, self.rowind
         cols = entry_owners(colptr)
         owner = symbol.col2cblk[cols]
+        bad = []
 
-        def positions(tgt, grow, gcol):
-            """Arena index of panel ``tgt``'s (grow, gcol)."""
-            return (layout.offset[tgt]
-                    + layout.local_rows(tgt, grow) * layout.width[tgt]
+        def positions(src, tgt, grow, gcol):
+            """Arena index of panel ``tgt``'s (grow, gcol); records the
+            first entry of ``src`` whose row the panel does not hold."""
+            local = layout.local_rows(tgt, grow)
+            at = np.minimum(layout.row_ptr[tgt] + local, layout.rows.size - 1)
+            held = (local < layout.height[tgt]) & (layout.rows[at] == grow)
+            if not held.all():
+                bad.append(int(src[np.argmin(held)]))
+            return (layout.offset[tgt] + local * layout.width[tgt]
                     + (gcol - symbol.cblk_ptr[tgt]))
 
         low = rowind >= symbol.cblk_ptr[owner]
-        self.L_src = np.flatnonzero(low)
-        self.L_dst = positions(owner[low], rowind[low], cols[low])
-        self.U_src = self.U_dst = None
+        L_src = np.flatnonzero(low)
+        L_dst = positions(L_src, owner[low], rowind[low], cols[low])
+        U_src = U_dst = None
         if lu:
             # In-diagonal-block upper entries were already placed by the
             # lower side (row >= fcol covers them).
-            self.U_src = np.flatnonzero(~low)
-            urows = rowind[self.U_src]
-            self.U_dst = positions(symbol.col2cblk[urows], cols[self.U_src],
-                                   urows)
+            U_src = np.flatnonzero(~low)
+            urows = rowind[U_src]
+            U_dst = positions(U_src, symbol.col2cblk[urows], cols[U_src],
+                              urows)
+        if bad:
+            self._missing(min(bad))
+        return L_src, L_dst, U_src, U_dst
+
+    def _missing(self, entry: int) -> NoReturn:
+        """Raise for pattern entry ``entry``, which lands in no row of
+        the panel it belongs to: the pattern is not the symbol's."""
+        row = int(self.rowind[entry])
+        col = int(np.searchsorted(self.colptr, entry, side="right")) - 1
+        owner, fcol = self.symbol.col2cblk, self.symbol.cblk_ptr
+        panel = owner[col] if row >= fcol[owner[col]] else owner[row]
+        raise ValueError(
+            f"pattern entry ({row}, {col}) is not in the symbol: panel "
+            f"{int(panel)} holds no place for it")
 
     def apply(self, factor: "NumericFactor", values: np.ndarray) -> None:
         """Scatter ``values`` into ``factor``'s (zeroed) arenas."""
@@ -152,7 +193,7 @@ class NumericFactor:
     L: Sequence[np.ndarray]
     U: Optional[Sequence[np.ndarray]]
     D: Optional[Sequence[np.ndarray]]
-    rows: list[np.ndarray]
+    rows: Sequence[np.ndarray]
     #: Optional :class:`repro.kernels.dense.PivotMonitor` enabling
     #: static-pivot perturbation during panel factorizations.
     pivot_monitor: Optional[object] = None
@@ -186,7 +227,7 @@ class NumericFactor:
         dtype = np.dtype(dtype)
         layout = panel_layout(symbol)
         factor = cls(symbol, factotype, dtype, [], None, None,
-                     layout.panel_rows)
+                     ArenaPanels(layout.rows, layout.row_ptr))
         factor._bind_arenas(
             np.zeros(int(layout.offset[-1]), dtype=dtype),
             np.zeros(int(layout.offset[-1]), dtype=dtype)

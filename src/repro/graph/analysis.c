@@ -8,6 +8,9 @@
  *                            symbolic/etree.py, symbolic/colcount.py
  *   repro_supernode_rows     symbolic/supernodes.py (supernode_row_sets)
  *   repro_amalgamate         symbolic/supernodes.py (amalgamate)
+ *   repro_permute_pattern    sparse/csc.py (SparseMatrixCSC.permute)
+ *   repro_couple_plan        kernels/indexcache.py (the couple plan)
+ *   repro_assembly_map       core/factor.py (AssemblyMap)
  *
  * Each is called through ctypes (GIL released) from repro/graph/native.py,
  * which checks every array before its pointer crosses.  The Python bodies
@@ -996,4 +999,315 @@ i64 repro_amalgamate(i64 n_sn, const i64 *snptr, const i64 *ptr,
     free(block);
     free(a.heap.item);
     return status == OK ? n_keep : status;
+}
+
+/* ------------------------------------------------------------------ */
+/* The plans of a fresh factorization: couple plan, assembly map,      */
+/* symmetric permutation                                               */
+/* ------------------------------------------------------------------ */
+
+/* The first i in [0, n) with a[i] >= x (n if none), a ascending. */
+static i64 lower_bound(const i64 *a, i64 n, i64 x)
+{
+    i64 lo = 0, hi = n;
+    while (lo < hi) {
+        i64 mid = lo + (hi - lo) / 2;
+        if (a[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* Where the rows of one panel sit among them: after place_panel(pl, k),
+ * row r is the pos[r]-th row of panel k iff stamp[r] == k.  A panel's
+ * rows ascend (a repeated row keeps its first place); the scatter of one
+ * panel's rows makes every later lookup in it a load, not a search. */
+typedef struct {
+    const i64 *row_ptr, *rows;
+    i64 *pos, *stamp;
+} place_t;
+
+static int place_init(place_t *pl, i64 n, const i64 *row_ptr, const i64 *rows)
+{
+    i64 r;
+    pl->row_ptr = row_ptr;
+    pl->rows = rows;
+    pl->pos = malloc((size_t)(2 * n + 1) * sizeof(i64));
+    if (!pl->pos)
+        return NO_MEMORY;
+    pl->stamp = pl->pos + n;
+    for (r = 0; r < n; r++)
+        pl->stamp[r] = -1;
+    return OK;
+}
+
+static void place_panel(place_t *pl, i64 k)
+{
+    i64 i;
+    for (i = pl->row_ptr[k + 1] - 1; i >= pl->row_ptr[k]; i--) {
+        pl->pos[pl->rows[i]] = i - pl->row_ptr[k];
+        pl->stamp[pl->rows[i]] = k;
+    }
+}
+
+/* The position among panel k's rows of the first at least r (its height
+ * if none) — the searchsorted of the Python bodies — with k placed. */
+static i64 place_find(const place_t *pl, i64 k, i64 r)
+{
+    if (pl->stamp[r] == k)
+        return pl->pos[r];
+    return lower_bound(pl->rows + pl->row_ptr[k],
+                       pl->row_ptr[k + 1] - pl->row_ptr[k], r);
+}
+
+/* The update couples of a symbol in (source, target) order, as
+ * dag/builder.py's update_couples enumerates them: a couple is a maximal
+ * run of equal (owner, face) among the off-diagonal bloks, `m` the rows
+ * of the owner's off-diagonal bloks from the run on, `n` the run's. */
+typedef struct {
+    i64 n_cblk;
+    const i64 *blok_ptr, *frow, *lrow, *face;
+    i64 k, b, left; /* owner, next blok, owner's off-diagonal rows from b */
+} couples_t;
+
+static void couples_start(couples_t *it, i64 k)
+{
+    i64 b;
+    it->k = k;
+    it->left = 0;
+    if (k >= it->n_cblk)
+        return;
+    it->b = it->blok_ptr[k];
+    for (b = it->b; b < it->blok_ptr[k + 1]; b++)
+        if (it->face[b] != k)
+            it->left += it->lrow[b] - it->frow[b];
+}
+
+static int couples_next(couples_t *it, i64 *src, i64 *tgt, i64 *m, i64 *n)
+{
+    while (it->k < it->n_cblk) {
+        i64 k = it->k, end = it->blok_ptr[k + 1], b = it->b, f;
+        while (b < end && it->face[b] == k)
+            b++;
+        if (b == end) {
+            couples_start(it, k + 1);
+            continue;
+        }
+        f = it->face[b];
+        *src = k;
+        *tgt = f;
+        *m = it->left;
+        *n = 0;
+        for (; b < end; b++) {
+            if (it->face[b] == k)
+                continue; /* a diagonal blok does not end the run */
+            if (it->face[b] != f)
+                break;
+            *n += it->lrow[b] - it->frow[b];
+            it->left -= it->lrow[b] - it->frow[b];
+        }
+        it->b = b;
+        return 1;
+    }
+    return 0;
+}
+
+/* kernels/indexcache.py's couple plan.  Count mode (src == NULL): the
+ * number of couples and of row-map entries into counts[0..1].  Fill mode:
+ * every array, the caller's, sized from the counts.  A counting sort on
+ * the target gives the (target, source) order; rows_local[.] is the
+ * position of each tail row of the source among the target's rows, read
+ * from the target's placed rows.  INCONSISTENT: a tail that does not fit
+ * its panel (the Python body decides what that means). */
+i64 repro_couple_plan(i64 n, i64 n_cblk, const i64 *blok_ptr,
+                      const i64 *frow, const i64 *lrow, const i64 *face,
+                      const i64 *width,
+                      const i64 *row_ptr, const i64 *rows, i64 *counts,
+                      int32_t *src, int32_t *tgt, int32_t *i0, int32_t *i1,
+                      i64 *tgt_ptr, i64 *src_ptr, int32_t *by_src,
+                      i64 *rl_ptr, i64 *rows_local)
+{
+    couples_t it = {n_cblk, blok_ptr, frow, lrow, face, 0, 0, 0};
+    place_t pl;
+    i64 k, t, m, nf, c, g, n_couples = 0, n_rows = 0, *cursor;
+
+    if (!src) {
+        for (couples_start(&it, 0); couples_next(&it, &k, &t, &m, &nf);) {
+            if (m < 0 || m > row_ptr[k + 1] - row_ptr[k] - width[k])
+                return INCONSISTENT;
+            n_couples++;
+            n_rows += m;
+        }
+        counts[0] = n_couples;
+        counts[1] = n_rows;
+        return OK;
+    }
+    n_couples = counts[0];
+    cursor = malloc((size_t)(n_cblk + 1) * sizeof(i64));
+    if (!cursor || place_init(&pl, n, row_ptr, rows) != OK) {
+        free(cursor);
+        return NO_MEMORY;
+    }
+    memset(tgt_ptr, 0, (size_t)(n_cblk + 1) * sizeof(i64));
+    memset(src_ptr, 0, (size_t)(n_cblk + 1) * sizeof(i64));
+    for (couples_start(&it, 0); couples_next(&it, &k, &t, &m, &nf);) {
+        tgt_ptr[t + 1]++;
+        src_ptr[k + 1]++;
+    }
+    for (k = 0; k < n_cblk; k++) {
+        tgt_ptr[k + 1] += tgt_ptr[k];
+        src_ptr[k + 1] += src_ptr[k];
+        cursor[k] = tgt_ptr[k];
+    }
+    rl_ptr[0] = 0;
+    g = 0;
+    for (couples_start(&it, 0); couples_next(&it, &k, &t, &m, &nf); g++) {
+        i64 below = row_ptr[k + 1] - row_ptr[k] - width[k];
+        c = cursor[t]++;
+        by_src[g] = (int32_t)c;
+        src[c] = (int32_t)k;
+        tgt[c] = (int32_t)t;
+        i0[c] = (int32_t)(below - m);
+        i1[c] = (int32_t)(below - m + nf);
+        rl_ptr[c + 1] = m;
+    }
+    for (c = 0; c < n_couples; c++)
+        rl_ptr[c + 1] += rl_ptr[c];
+    for (t = 0; t < n_cblk; t++) {
+        if (tgt_ptr[t] < tgt_ptr[t + 1])
+            place_panel(&pl, t);
+        for (c = tgt_ptr[t]; c < tgt_ptr[t + 1]; c++) {
+            i64 j, len = rl_ptr[c + 1] - rl_ptr[c];
+            const i64 *tail = rows + row_ptr[src[c] + 1] - len;
+            for (j = 0; j < len; j++)
+                rows_local[rl_ptr[c] + j] = place_find(&pl, t, tail[j]);
+        }
+    }
+    free(cursor);
+    free(pl.pos);
+    return OK;
+}
+
+/* core/factor.py's assembly map: where each entry of a CSC pattern lands
+ * in the factor arenas.  Entry (i, j) with i at or below the first column
+ * of j's panel k goes to L: panel k, the row holding i, column j (read
+ * from k's placed rows).  Otherwise, for LU only, it goes to U,
+ * transposed: panel u of row i, the row holding j, column i (a search).
+ * Count mode (L_src == NULL): the entry counts of each side into
+ * counts[0..1].  Fill mode: the source indices and arena positions.
+ * MISSING: the entry counts[2] has no row to land in. */
+enum { MISSING = -3 };
+
+i64 repro_assembly_map(i64 n, const i64 *colptr, const i64 *rowind,
+                       const i64 *cblk_ptr, const i64 *col2cblk,
+                       const i64 *offset, const i64 *width,
+                       const i64 *row_ptr, const i64 *rows, int lu,
+                       i64 *counts, i64 *L_src, i64 *L_dst, i64 *U_src,
+                       i64 *U_dst)
+{
+    i64 j, e, nl = 0, nu = 0, placed = -1, status = OK;
+    place_t pl;
+    if (!L_src) {
+        for (j = 0; j < n; j++)
+            for (e = colptr[j]; e < colptr[j + 1]; e++) {
+                if (rowind[e] >= cblk_ptr[col2cblk[j]])
+                    nl++;
+                else
+                    nu += lu;
+            }
+        counts[0] = nl;
+        counts[1] = nu;
+        return OK;
+    }
+    if (place_init(&pl, n, row_ptr, rows) != OK)
+        return NO_MEMORY;
+    for (j = 0; j < n && status == OK; j++) {
+        i64 k = col2cblk[j], fcol = cblk_ptr[k];
+        for (e = colptr[j]; e < colptr[j + 1]; e++) {
+            i64 i = rowind[e], u, at;
+            if (i >= fcol) {
+                if (k != placed)
+                    place_panel(&pl, placed = k);
+                if (pl.stamp[i] != k)
+                    break;
+                L_src[nl] = e;
+                L_dst[nl++] = offset[k] + pl.pos[i] * width[k] + (j - fcol);
+            } else if (lu) {
+                u = col2cblk[i];
+                at = place_find(&pl, u, j);
+                if (at == row_ptr[u + 1] - row_ptr[u]
+                    || rows[row_ptr[u] + at] != j)
+                    break;
+                U_src[nu] = e;
+                U_dst[nu++] = offset[u] + at * width[u] + (i - cblk_ptr[u]);
+            }
+        }
+        if (e < colptr[j + 1]) {
+            counts[2] = e;
+            status = MISSING;
+        }
+    }
+    free(pl.pos);
+    return status;
+}
+
+/* P A P^T of a CSC pattern, perm[old] = new, in O(n + nnz): a counting
+ * sort of the entries by new row, then a stable one by new column, so
+ * rows ascend within every column.  Writes the new pattern and, unless
+ * src is NULL, the index of every entry's source entry.  Returns the
+ * number of entries whose coordinates repeat the entry before them (0 for
+ * a pattern without duplicates). */
+typedef struct {
+    i64 col, src;
+} by_row_t;
+
+i64 repro_permute_pattern(i64 n, const i64 *colptr, const i64 *rowind,
+                          const i64 *perm, i64 *out_colptr, i64 *out_rowind,
+                          i64 *src)
+{
+    i64 nnz = colptr[n], j, e, r, dups = 0;
+    i64 *row_end = malloc((size_t)(2 * n + 1) * sizeof(i64)), *cursor;
+    by_row_t *by_row = malloc((size_t)(nnz ? nnz : 1) * sizeof(by_row_t));
+    if (!row_end || !by_row) {
+        free(row_end);
+        free(by_row);
+        return NO_MEMORY;
+    }
+    cursor = row_end + n + 1;
+    memset(row_end, 0, (size_t)(n + 1) * sizeof(i64));
+    out_colptr[0] = 0;
+    for (e = 0; e < nnz; e++)
+        row_end[perm[rowind[e]] + 1]++;
+    for (j = 0; j < n; j++) {
+        row_end[j + 1] += row_end[j];
+        out_colptr[perm[j] + 1] = colptr[j + 1] - colptr[j];
+    }
+    for (j = 0; j < n; j++) {
+        cursor[j] = out_colptr[j];
+        out_colptr[j + 1] += out_colptr[j];
+    }
+    /* By new row; row_end[r] moves from the start to the end of row r.
+     * One record per entry: one cache line written, not two. */
+    for (j = 0; j < n; j++)
+        for (e = colptr[j]; e < colptr[j + 1]; e++) {
+            by_row_t *at = by_row + row_end[perm[rowind[e]]]++;
+            at->col = perm[j];
+            at->src = e;
+        }
+    /* By new column, rows ascending. */
+    for (r = 0, e = 0; r < n; r++)
+        for (; e < row_end[r]; e++) {
+            i64 at = cursor[by_row[e].col]++;
+            out_rowind[at] = r;
+            if (src)
+                src[at] = by_row[e].src;
+        }
+    free(row_end);
+    free(by_row);
+    for (j = 0; j < n; j++)
+        for (e = out_colptr[j] + 1; e < out_colptr[j + 1]; e++)
+            dups += out_rowind[e] == out_rowind[e - 1];
+    return dups;
 }

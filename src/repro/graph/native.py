@@ -2,12 +2,18 @@
 
 ``analysis.c`` (next to this file) holds the default nested dissection,
 the minimum-degree ordering and the elimination-tree / postorder /
-column-count / supernode-row / amalgamation passes.  :mod:`repro.cbuild`
-compiles and caches it on first use; no BLAS or LAPACK is involved.  The public
-functions of :mod:`repro.ordering` and :mod:`repro.symbolic` ask
-:func:`library` and call the wrappers below when it answers, their own
-Python bodies otherwise — the bodies are the fallback and the oracle, and
-the results are identical element for element.
+column-count / supernode-row / amalgamation passes, and the plans a
+fresh factorization builds from the symbol: the symmetric permutation of
+a pattern (:meth:`repro.sparse.csc.SparseMatrixCSC.permute`), the couple
+plan (:class:`repro.kernels.indexcache.CoupleMapCache`) and the assembly
+map (:class:`repro.core.factor.AssemblyMap`).  :mod:`repro.cbuild`
+compiles and caches it on first use; no BLAS or LAPACK is involved.  The
+public functions of :mod:`repro.ordering` and :mod:`repro.symbolic`, and
+those three classes, ask :func:`library` and call the wrappers below when
+it answers, their own Python bodies otherwise — the bodies are the
+fallback and the oracle, and the results are identical element for
+element.  (The couple plan's bounds check is not here: it is
+``native.c``'s, so that the builder and the check stay independent.)
 
 Every array is checked before its pointer crosses (C-contiguous int64,
 pointer arrays non-decreasing from 0 to the index count, indices in
@@ -30,12 +36,15 @@ from repro.cbuild import NativeUnavailable
 
 __all__ = [
     "amalgamate",
+    "assembly_map",
     "availability",
     "column_counts",
+    "couple_plan",
     "elimination_tree",
     "library",
     "minimum_degree",
     "nested_dissection",
+    "permute_pattern",
     "postorder",
     "supernode_rows",
 ]
@@ -43,7 +52,7 @@ __all__ = [
 SOURCE = Path(__file__).with_name("analysis.c")
 
 #: ``analysis.c``'s status codes.
-_NO_MEMORY, _INCONSISTENT = -1, -2
+_NO_MEMORY, _INCONSISTENT, _MISSING = -1, -2, -3
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 _SIGNATURES = {
@@ -55,6 +64,9 @@ _SIGNATURES = {
     "repro_column_counts": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR],
     "repro_supernode_rows": [_I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
     "repro_amalgamate": [_I64, _PTR, _PTR, _PTR, ctypes.c_double, _PTR],
+    "repro_couple_plan": [_I64, _I64] + [_PTR] * 17,
+    "repro_assembly_map": [_I64] + [_PTR] * 8 + [ctypes.c_int] + [_PTR] * 5,
+    "repro_permute_pattern": [_I64] + [_PTR] * 6,
 }
 
 
@@ -278,3 +290,129 @@ def amalgamate(
         raise AssertionError("amalgamation produced a non-contiguous "
                              "partition")
     return keep[:count]
+
+
+# ----------------------------------------------------------------------
+# The plans of a fresh factorization
+# ----------------------------------------------------------------------
+def _symbol_arrays(symbol, layout) -> Optional[dict]:
+    """The symbol and layout arrays the plan builders read, checked; or
+    ``None`` when one is not what they assume (the Python bodies run)."""
+    K = symbol.n_cblk
+    n_blok = np.size(symbol.blok_frow)
+    try:
+        arrays = dict(
+            blok_ptr=_pointers("blok_ptr", symbol.blok_ptr, K, n_blok),
+            frow=_int64("blok_frow", symbol.blok_frow, n_blok),
+            lrow=_int64("blok_lrow", symbol.blok_lrow, n_blok),
+            face=_int64("blok_face", symbol.blok_face, n_blok),
+            owner=_int64("blok_owner", symbol.blok_owner, n_blok),
+            cblk_ptr=_pointers("cblk_ptr", symbol.cblk_ptr, K, symbol.n),
+            col2cblk=_int64("col2cblk", symbol.col2cblk, symbol.n),
+            width=_int64("width", layout.width, K),
+            offset=_int64("offset", layout.offset, K + 1),
+            row_ptr=_pointers("row_ptr", layout.row_ptr, K,
+                              np.size(layout.rows)),
+            rows=_int64("rows", layout.rows, np.size(layout.rows)),
+        )
+        _within("blok_face", arrays["face"], 0, K)
+        _within("col2cblk", arrays["col2cblk"], 0, K)
+        _within("rows", arrays["rows"], 0, symbol.n)
+    except ValueError:
+        return None
+    # The Python bodies walk the bloks by blok_owner, C by blok_ptr; the
+    # int32 couple scalars must hold every panel id and row count.
+    if (not np.array_equal(arrays["owner"], np.repeat(
+            np.arange(K, dtype=np.int64), np.diff(arrays["blok_ptr"])))
+            or max(K, np.size(layout.rows)) >= 2 ** 31):
+        return None
+    return arrays
+
+
+def couple_plan(lib: ctypes.CDLL, symbol, layout) -> Optional[dict]:
+    """The couple plan of :class:`repro.kernels.indexcache.CoupleMapCache`
+    as a dict of its arrays (``src`` ... ``by_src``), or ``None`` when
+    the symbol is not one C builds it for (the Python body decides)."""
+    a = _symbol_arrays(symbol, layout)
+    if a is None:
+        return None
+    K = symbol.n_cblk
+    counts = np.zeros(3, dtype=np.int64)
+    head = (symbol.n, K, a["blok_ptr"].ctypes.data, a["frow"].ctypes.data,
+            a["lrow"].ctypes.data, a["face"].ctypes.data,
+            a["width"].ctypes.data, a["row_ptr"].ctypes.data,
+            a["rows"].ctypes.data, counts.ctypes.data)
+    if not _checked(lib.repro_couple_plan(*head, *[None] * 9)):
+        return None
+    C, R = int(counts[0]), int(counts[1])
+    out = {name: np.empty(C, dtype=np.int32)
+           for name in ("src", "tgt", "i0", "i1", "by_src")}
+    out.update(tgt_ptr=np.empty(K + 1, dtype=np.int64),
+               src_ptr=np.empty(K + 1, dtype=np.int64),
+               rl_ptr=np.empty(C + 1, dtype=np.int64),
+               rows_local=np.empty(R, dtype=np.int64))
+    _checked(lib.repro_couple_plan(*head, *(out[name].ctypes.data for name in (
+        "src", "tgt", "i0", "i1", "tgt_ptr", "src_ptr", "by_src", "rl_ptr",
+        "rows_local"))))
+    return out
+
+
+def assembly_map(lib: ctypes.CDLL, symbol, layout, colptr: np.ndarray,
+                 rowind: np.ndarray, lu: bool):
+    """``(L_src, L_dst, U_src, U_dst)`` of
+    :class:`repro.core.factor.AssemblyMap` (``U_*`` ``None`` unless
+    ``lu``); ``None`` when the arguments are not ones C maps (the Python
+    body decides).  Raises ``LookupError(e)`` for the first entry ``e``
+    with no place in its panel."""
+    a = _symbol_arrays(symbol, layout)
+    n = symbol.n
+    try:
+        colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
+    except ValueError:
+        return None
+    if a is None:
+        return None
+    counts = np.zeros(3, dtype=np.int64)
+    head = (n, colptr.ctypes.data, rowind.ctypes.data,
+            *(a[name].ctypes.data for name in (
+                "cblk_ptr", "col2cblk", "offset", "width", "row_ptr", "rows")),
+            int(lu), counts.ctypes.data)
+    _checked(lib.repro_assembly_map(*head, None, None, None, None))
+    sides = [np.empty(int(counts[0]), dtype=np.int64) for _ in range(2)]
+    sides += ([np.empty(int(counts[1]), dtype=np.int64) for _ in range(2)]
+              if lu else [None, None])
+    status = lib.repro_assembly_map(
+        *head, *(None if arr is None else arr.ctypes.data for arr in sides))
+    if status == _MISSING:
+        raise LookupError(int(counts[2]))
+    _checked(status)
+    return tuple(sides)
+
+
+def permute_pattern(
+    lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray,
+    perm: np.ndarray, sources: bool = True,
+) -> Optional[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """``(colptr, rowind, src)`` of ``P A Pᵀ`` for an ``n × n`` pattern
+    and a permutation ``perm`` (old → new, checked by the caller): rows
+    ascending within every column, ``src`` the index of every entry's
+    source entry (``None`` unless ``sources``).  ``None`` when the
+    pattern arrays are malformed (the Python body decides).  Raises
+    ``ValueError`` on duplicate coordinates, as
+    ``coo_to_csc(sum_duplicates=False)`` does."""
+    try:
+        colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
+    except ValueError:
+        return None
+    perm = np.ascontiguousarray(perm, dtype=np.int64)
+    out_colptr = np.empty(n + 1, dtype=np.int64)
+    out_rowind = np.empty(rowind.size, dtype=np.int64)
+    src = np.empty(rowind.size, dtype=np.int64) if sources else None
+    dups = lib.repro_permute_pattern(
+        n, colptr.ctypes.data, rowind.ctypes.data, perm.ctypes.data,
+        out_colptr.ctypes.data, out_rowind.ctypes.data,
+        None if src is None else src.ctypes.data)
+    _checked(dups)
+    if dups:
+        raise ValueError(f"{dups} duplicate coordinates")
+    return out_colptr, out_rowind, src

@@ -37,17 +37,27 @@ The NumPy kernels, the threaded solve and the audit read the same arrays
 through :meth:`CoupleMapCache.lookup`, :attr:`~CoupleMapCache.sources`
 and :attr:`~CoupleMapCache.facing`, which hand out views.
 
+The plan is built by ``repro_couple_plan`` of the analysis helper
+(``graph/analysis.c``, :func:`repro.graph.native.couple_plan`) when it
+loads, by :meth:`CoupleMapCache._build_numpy` otherwise: the NumPy body
+is the oracle, and the two give the same arrays, dtypes included.
+
 Because C indexes through the arrays unchecked,
 :meth:`CoupleMapCache.validate` proves them in range — every row map
 entry against the target row it names — once per plan, and raises
-:class:`CouplePlanError` before any native call otherwise.  Independently
-of that guard the plan is audited: ``repro.verify.symbols.
-verify_couple_cache`` (N507/N508) re-derives every map from the symbol
-through *different* primitives (``make selftest`` proves it fires).
+:class:`CouplePlanError` before any native call otherwise.  The checks
+run in ``native.c`` (``repro_check_plan``, through
+:func:`repro.kernels.native.check_plan`) when the kernel library loads,
+as NumPy array passes otherwise, with the same messages
+(:data:`PLAN_CHECKS`).  Independently of that guard the plan is audited:
+``repro.verify.symbols.verify_couple_cache`` (N507/N508) re-derives
+every map from the symbol through *different* primitives (``make
+selftest`` proves it fires).
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from bisect import bisect_left
 
@@ -59,6 +69,7 @@ from repro.symbolic.structures import SymbolMatrix
 __all__ = [
     "CoupleMapCache",
     "CouplePlanError",
+    "PLAN_CHECKS",
     "PanelLayout",
     "get_couple_cache",
     "panel_layout",
@@ -67,6 +78,27 @@ __all__ = [
 
 class CouplePlanError(ValueError):
     """A couple plan failed its bounds checks (stale or corrupted)."""
+
+
+#: The checks of :meth:`CoupleMapCache.validate` after the dtypes and
+#: lengths, in the order they run, as the :class:`CouplePlanError` text
+#: each raises.  ``native.c``'s ``repro_check_plan`` returns the 1-based
+#: number of the first that fails.
+PLAN_CHECKS = (
+    "tgt_ptr does not partition the couples by target",
+    "a couple does not point from a lower to a higher panel",
+    "sources of a target are not strictly ascending",
+    "i0 <= i1 <= tail length violated",
+    "rl_ptr does not give every couple its tail length",
+    "rows_local out of the target panel's range",
+    "rows_local does not map source rows onto equal target rows",
+    "facing rows outside the target's diagonal block",
+)
+
+
+def _require(ok, what: str) -> None:
+    if not bool(np.all(ok)):
+        raise CouplePlanError(f"couple plan rejected: {what}")
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -82,11 +114,13 @@ class PanelLayout:
 
     Panel ``k`` is ``height[k] × width[k]`` (``below[k]`` rows under the
     diagonal block), row-major, and starts at element ``offset[k]`` of a
-    factor arena (``offset[-1]`` elements in all); its global factor rows (own columns, then the below rows) are
-    ``rows[row_ptr[k]:row_ptr[k+1]]``.  ``keyed = rows + n·panel`` is
-    strictly increasing, so one global ``searchsorted`` localises any
-    batch of ``(panel, row)`` pairs.  All arrays are read-only: they are
-    shared by every factor of the symbol.
+    factor arena (``offset[-1]`` elements in all); its global factor
+    rows (own columns, then the below rows) are
+    ``rows[row_ptr[k]:row_ptr[k+1]]``.  ``keyed = rows + n·panel`` (made
+    on first use: only the NumPy bodies search it) is strictly
+    increasing, so one global ``searchsorted`` localises any batch of
+    ``(panel, row)`` pairs.  All arrays are read-only: they are shared by
+    every factor of the symbol.
     """
 
     def __init__(self, symbol: SymbolMatrix) -> None:
@@ -105,13 +139,15 @@ class PanelLayout:
             symbol.blok_frow.astype(np.int64, copy=False),
             (symbol.blok_lrow - symbol.blok_frow).astype(np.int64, copy=False),
         )
-        self.keyed = self.rows + symbol.n * entry_owners(self.row_ptr)
         for arr in (self.width, self.height, self.below, self.offset,
-                    self.row_ptr, self.rows, self.keyed):
+                    self.row_ptr, self.rows):
             arr.flags.writeable = False
-        rp = self.row_ptr.tolist()
-        #: ``panel_rows[k]``: the rows of panel ``k`` (a view of ``rows``).
-        self.panel_rows = [self.rows[rp[k]: rp[k + 1]] for k in range(K)]
+
+    @functools.cached_property
+    def keyed(self) -> np.ndarray:
+        keyed = self.rows + self.symbol.n * entry_owners(self.row_ptr)
+        keyed.flags.writeable = False
+        return keyed
 
     def local_rows(self, panel: np.ndarray, row: np.ndarray) -> np.ndarray:
         """Position of global ``row[i]`` among the rows of ``panel[i]``."""
@@ -150,6 +186,21 @@ class CoupleMapCache:
         self.build_s = time.perf_counter() - t0
 
     def _build(self) -> None:
+        # Lazy: the analysis helper sits above the kernels' import graph.
+        from repro.graph import native
+
+        lib = native.library()
+        arrays = (None if lib is None
+                  else native.couple_plan(lib, self.symbol, self.layout))
+        if arrays is None:
+            self._build_numpy()
+        else:
+            for name in self._ARRAYS:
+                setattr(self, name, arrays[name])
+
+    def _build_numpy(self) -> None:
+        """:meth:`_build`'s NumPy body: the path without a C compiler,
+        and the oracle ``repro_couple_plan`` equals array for array."""
         # Lazy: the DAG layer sits above the kernels it costs.
         from repro.dag.builder import update_couples
 
@@ -202,72 +253,81 @@ class CoupleMapCache:
     def validate(self) -> None:
         """Prove every index C will follow is in range, once per plan.
 
-        Checks the pointer arrays, ``src < tgt``, ``0 ≤ i0 < i1 ≤`` the
-        source's tail length, that every ``rows_local`` entry names the
-        target row holding the *same* global row as the source row it
-        maps (which bounds it by the target's height), and that the
-        facing slice lands in the target's diagonal block (it is used as
-        a column index).  Also sizes the native scratch
-        (``max_mn``/``max_nw``/``max_w``).  Raises
-        :class:`CouplePlanError`; a plan that passed is not re-checked.
+        Checks the dtypes and lengths, then :data:`PLAN_CHECKS` in order:
+        the pointer arrays, ``src < tgt``, ``0 ≤ i0 < i1 ≤`` the source's
+        tail length, that every ``rows_local`` entry names the target row
+        holding the *same* global row as the source row it maps (which
+        bounds it by the target's height), and that the facing slice
+        lands in the target's diagonal block (it is used as a column
+        index).  Also sizes the native scratch (``max_mn``/``max_nw``/
+        ``max_w``).  ``native.c``'s ``repro_check_plan`` runs the checks
+        when the kernel library loads, :meth:`_check_numpy` otherwise;
+        either raises the same :class:`CouplePlanError`.  A plan that
+        passed is not re-checked.
         """
         if self._valid:
             return
-        lay = self.layout
-        K, C = self.symbol.n_cblk, self.src.size
-
-        def require(ok, what: str) -> None:
-            if not bool(np.all(ok)):
-                raise CouplePlanError(f"couple plan rejected: {what}")
-
         for name in self._ARRAYS:
             arr = getattr(self, name)
-            require(
+            _require(
                 arr.dtype == self._DTYPES.get(name, np.int64)
                 and arr.ndim == 1 and arr.flags.c_contiguous,
                 f"{name} has the wrong dtype or layout",
             )
-        require(
+        K, C = self.symbol.n_cblk, self.src.size
+        _require(
             self.tgt.size == C and self.i0.size == C and self.i1.size == C
             and self.tgt_ptr.size == K + 1 and self.rl_ptr.size == C + 1,
             "array lengths disagree",
         )
+        # Lazy: the kernel library imports this module.
+        from repro.kernels import native
+
+        maxima = native.check_plan(self)
+        if maxima is None:
+            maxima = self._check_numpy()
+        self.max_mn, self.max_nw, self.max_w = maxima
+        self._valid = True
+
+    def _check_numpy(self) -> tuple[int, int, int]:
+        """:data:`PLAN_CHECKS` as array passes: the path without a C
+        compiler, and the oracle ``repro_check_plan`` agrees with on the
+        first failing check and on the scratch sizes it returns."""
+        lay = self.layout
+        C = self.src.size
+        check = iter(PLAN_CHECKS)
+
+        def require(ok) -> None:
+            _require(ok, next(check))
+
         require(
             self.tgt_ptr[0] == 0 and self.tgt_ptr[-1] == C
+            and bool(np.all(np.diff(self.tgt_ptr) >= 0))
             and np.array_equal(self.tgt, entry_owners(self.tgt_ptr)),
-            "tgt_ptr does not partition the couples by target",
         )
-        require((0 <= self.src) & (self.src < self.tgt),
-                "a couple does not point from a lower to a higher panel")
+        require((0 <= self.src) & (self.src < self.tgt))
         same = self.tgt[1:] == self.tgt[:-1]
-        require(self.src[1:][same] > self.src[:-1][same],
-                "sources of a target are not strictly ascending")
+        require(self.src[1:][same] > self.src[:-1][same])
         tail = lay.below[self.src]
-        require((0 <= self.i0) & (self.i0 < self.i1) & (self.i1 <= tail),
-                "i0 <= i1 <= tail length violated")
+        require((0 <= self.i0) & (self.i0 < self.i1) & (self.i1 <= tail))
         m = tail - self.i0
         require(
             self.rl_ptr[0] == 0 and self.rl_ptr[-1] == self.rows_local.size
             and np.array_equal(np.diff(self.rl_ptr), m),
-            "rl_ptr does not give every couple its tail length",
         )
         tgt_rep = np.repeat(self.tgt, m)
         rl = self.rows_local
-        require((0 <= rl) & (rl < lay.height[tgt_rep]),
-                "rows_local out of the target panel's range")
+        require((0 <= rl) & (rl < lay.height[tgt_rep]))
         require(
             lay.rows[lay.row_ptr[tgt_rep] + rl]
             == lay.rows[self._tail_index(m)],
-            "rows_local does not map source rows onto equal target rows",
         )
         n = self.i1 - self.i0
         facing = _ranges(self.rl_ptr[:-1], n)
-        require(rl[facing] < np.repeat(lay.width[self.tgt], n),
-                "facing rows outside the target's diagonal block")
-        self.max_mn = int((m * n).max(initial=0))
-        self.max_nw = int((n * lay.width[self.src]).max(initial=0))
-        self.max_w = int(lay.width.max(initial=0))
-        self._valid = True
+        require(rl[facing] < np.repeat(lay.width[self.tgt], n))
+        return (int((m * n).max(initial=0)),
+                int((n * lay.width[self.src]).max(initial=0)),
+                int(lay.width.max(initial=0)))
 
     # ------------------------------------------------------------------
     def _lists(self) -> tuple:

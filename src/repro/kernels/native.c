@@ -30,6 +30,9 @@
  *
  * csc_matvec_{d,z}: A x for a CSC matrix, adding in stored order.
  *
+ * check_plan: the bounds check of a couple plan, before any of the
+ * calls above follows it (kernels/indexcache.py: CoupleMapCache.validate).
+ *
  * Panels are row-major h x w, i.e. column-major w x h matrices with
  * leading dimension w holding the transpose; every BLAS/LAPACK call below
  * is written in those column-major terms.
@@ -582,6 +585,99 @@ void repro_csc_matvec_z(int64_t n_cols, const int64_t *colptr,
                 }
             }
         }
+}
+
+/* ---------------------------------------------------------------- */
+/* The bounds check of a couple plan                                 */
+/* ---------------------------------------------------------------- */
+
+/* The checks of kernels/indexcache.py's CoupleMapCache.validate, in its
+ * PLAN_CHECKS order (1-based). */
+enum {
+    CHECK_TGT_PTR = 1, CHECK_ORDER, CHECK_ASCENDING, CHECK_SLICE,
+    CHECK_RL_PTR, CHECK_RANGE, CHECK_ROWS, CHECK_FACING
+};
+
+/* Every index the kernels follow through a couple plan, proven in range
+ * in one pass per array: 0 and the scratch sizes max_mn, max_nw, max_w in
+ * out[0..2], or the first check that fails — the one the NumPy checks,
+ * each over every couple in turn, report.  Within a pass each element
+ * stops at its first failure (a later check of it may not be safe to
+ * make) and the pass reports the smallest.  The caller has checked the
+ * lengths and dtypes; the layout (height, width, row_ptr, rows) is the
+ * symbol's own. */
+int64_t repro_check_plan(int64_t n_cblk, int64_t n_couples,
+                         const int64_t *height, const int64_t *width,
+                         const int64_t *row_ptr, const int64_t *rows,
+                         const int64_t *tgt_ptr, const int32_t *src,
+                         const int32_t *tgt, const int32_t *i0,
+                         const int32_t *i1, const int64_t *rl_ptr,
+                         int64_t n_local, const int64_t *rows_local,
+                         int64_t *out)
+{
+    int64_t t, c, fail = 0, max_mn = 0, max_nw = 0, max_w = 0;
+
+    if (tgt_ptr[0] != 0 || tgt_ptr[n_cblk] != n_couples)
+        return CHECK_TGT_PTR;
+    for (t = 0; t < n_cblk; t++)
+        if (tgt_ptr[t + 1] < tgt_ptr[t])
+            return CHECK_TGT_PTR;
+    for (t = 0; t < n_cblk; t++)
+        for (c = tgt_ptr[t]; c < tgt_ptr[t + 1]; c++)
+            if (tgt[c] != t)
+                return CHECK_TGT_PTR;
+
+    for (c = 0; c < n_couples && fail != CHECK_ORDER; c++) {
+        int64_t code = 0, k = src[c];
+        if (!(0 <= k && k < tgt[c]))
+            code = CHECK_ORDER;
+        else if (c && tgt[c] == tgt[c - 1] && !(k > src[c - 1]))
+            code = CHECK_ASCENDING;
+        else if (!(0 <= i0[c] && i0[c] < i1[c]
+                   && i1[c] <= height[k] - width[k]))
+            code = CHECK_SLICE;
+        if (code && (!fail || code < fail))
+            fail = code;
+    }
+    if (fail)
+        return fail;
+
+    if (rl_ptr[0] != 0 || rl_ptr[n_couples] != n_local)
+        return CHECK_RL_PTR;
+    for (c = 0; c < n_couples; c++)
+        if (rl_ptr[c + 1] - rl_ptr[c] != height[src[c]] - width[src[c]] - i0[c])
+            return CHECK_RL_PTR;
+
+    for (c = 0; c < n_couples; c++) {
+        int64_t k = src[c], j, m = rl_ptr[c + 1] - rl_ptr[c], n = i1[c] - i0[c];
+        const int64_t *rl = rows_local + rl_ptr[c];
+        const int64_t *target = rows + row_ptr[tgt[c]];
+        const int64_t *tail = rows + row_ptr[k] + width[k] + i0[c];
+        for (j = 0; j < m; j++) {
+            int64_t code = 0;
+            if (!(0 <= rl[j] && rl[j] < height[tgt[c]]))
+                return CHECK_RANGE;
+            if (target[rl[j]] != tail[j])
+                code = CHECK_ROWS;
+            else if (j < n && rl[j] >= width[tgt[c]])
+                code = CHECK_FACING;
+            if (code && (!fail || code < fail))
+                fail = code;
+        }
+        if (m * n > max_mn)
+            max_mn = m * n;
+        if (n * width[k] > max_nw)
+            max_nw = n * width[k];
+    }
+    if (fail)
+        return fail;
+    for (t = 0; t < n_cblk; t++)
+        if (width[t] > max_w)
+            max_w = width[t];
+    out[0] = max_mn;
+    out[1] = max_nw;
+    out[2] = max_w;
+    return 0;
 }
 
 #else /* REPRO_BODY: one scalar type T */

@@ -46,7 +46,11 @@ import numpy as np
 
 from repro import cbuild
 from repro.cbuild import NativeUnavailable
-from repro.kernels.indexcache import CoupleMapCache
+from repro.kernels.indexcache import (
+    PLAN_CHECKS,
+    CoupleMapCache,
+    CouplePlanError,
+)
 from repro.kernels.panel import panel_factorize
 
 __all__ = [
@@ -58,6 +62,7 @@ __all__ = [
     "SolveSweeps",
     "availability",
     "build",
+    "check_plan",
     "csc_matvec",
     "factorize_block",
     "factorize_panels",
@@ -230,6 +235,9 @@ def _declare(lib: ctypes.CDLL, entry_points: Any) -> ctypes.CDLL:
         fn.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 4 + [
             ctypes.c_int64, ctypes.c_void_p] + extra
         fn.restype = None
+    lib.repro_check_plan.argtypes = [ctypes.c_int64] * 2 + [
+        ctypes.c_void_p] * 10 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
+    lib.repro_check_plan.restype = ctypes.c_int64
     lib.repro_init(entry_points)
     return lib
 
@@ -290,6 +298,30 @@ def resolve_kernels(requested: str, *, dtype: Any = np.float64) -> str:
 # ----------------------------------------------------------------------
 # Calling the kernel
 # ----------------------------------------------------------------------
+def check_plan(plan: CoupleMapCache) -> Optional[tuple[int, int, int]]:
+    """``repro_check_plan`` on ``plan``: its ``(max_mn, max_nw, max_w)``,
+    or ``None`` when the library does not load (the NumPy checks run).
+    Raises :class:`~repro.kernels.indexcache.CouplePlanError` with the
+    text of the first of :data:`~repro.kernels.indexcache.PLAN_CHECKS`
+    that fails.  The caller (:meth:`CoupleMapCache.validate`) has checked
+    the dtypes and lengths of the plan arrays."""
+    lib = _library()
+    if isinstance(lib, NativeUnavailable):
+        return None
+    lay = plan.layout
+    out = np.zeros(3, dtype=np.int64)
+    code = lib.repro_check_plan(
+        plan.symbol.n_cblk, plan.src.size,
+        *(arr.ctypes.data for arr in (
+            lay.height, lay.width, lay.row_ptr, lay.rows, plan.tgt_ptr,
+            plan.src, plan.tgt, plan.i0, plan.i1, plan.rl_ptr)),
+        plan.rows_local.size, plan.rows_local.ctypes.data, out.ctypes.data,
+    )
+    if code:
+        raise CouplePlanError(f"couple plan rejected: {PLAN_CHECKS[code - 1]}")
+    return int(out[0]), int(out[1]), int(out[2])
+
+
 def _plan_struct(plan: CoupleMapCache) -> _Plan:
     """The validated plan as a ``plan_t`` (memoised on the plan, which
     owns every array the pointers refer to)."""

@@ -301,11 +301,33 @@ class SparseMatrixCSC:
         """Symmetric permutation :math:`P A P^T`.
 
         ``perm`` maps *old* index → *new* index (scatter convention):
-        row/column ``i`` of ``A`` becomes row/column ``perm[i]``.
+        row/column ``i`` of ``A`` becomes row/column ``perm[i]``; it must
+        be a permutation of ``range(n)``.  Runs the analysis helper's
+        ``repro_permute_pattern`` (two counting sorts) when it loads,
+        :meth:`_permute_numpy` otherwise; the two are identical.
         """
         perm = np.asarray(perm, dtype=np.int64)
         if perm.shape != (self.n_rows,) or not self.is_square:
             raise ValueError("perm must have length n for a square matrix")
+        n = self.n_rows
+        if n and (perm.min() < 0 or perm.max() >= n
+                  or np.bincount(perm, minlength=n).max() != 1):
+            raise ValueError("perm must be a permutation of range(n)")
+        from repro.graph import native
+
+        lib = native.library()
+        out = (None if lib is None else native.permute_pattern(
+            lib, n, self.colptr, self.rowind, perm, self.values is not None))
+        if out is None:
+            return self._permute_numpy(perm)
+        colptr, rowind, src = out
+        return SparseMatrixCSC(n, n, colptr, rowind,
+                               None if self.values is None
+                               else self.values[src])
+
+    def _permute_numpy(self, perm: np.ndarray) -> "SparseMatrixCSC":
+        """:meth:`permute`'s NumPy body: the path without a C compiler,
+        and the oracle the C counting sorts equal array for array."""
         rows, cols, vals = self.to_coo()
         return coo_to_csc(
             self.n_rows,

@@ -18,13 +18,18 @@ copied) wherever SuperLU meets it; an input the solver rejects must raise
 a typed exception (or warning), quickly.  Every refactorization must
 assemble through the symbol's memoised map exactly what a fresh map
 assembles, and the C amalgamation must equal its Python body on random
-supernode trees.
+supernode trees.  The plans of a fresh factorization built in C — the
+permuted pattern, the couple plan with its bounds check and the assembly
+map of every factotype — must equal their NumPy bodies array for array,
+on random patterns, forests, 0 x 0 / 1 x 1, asymmetric LU patterns and
+the four benchmark inputs.
 
 ``make fuzz-smoke`` runs this file alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import time
 import warnings
@@ -44,6 +49,8 @@ from repro.core.triangular import solve_factored
 from repro.dag.builder import row_blocks
 from repro.graph import native
 from repro.kernels import native as native_kernels
+from repro.kernels.indexcache import CoupleMapCache
+from repro.sparse import load_matrix
 from repro.runtime.threaded import (
     THREAD_SCHEDULERS,
     factorize_threaded,
@@ -53,6 +60,7 @@ from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
 from repro.sparse.generators import grid_laplacian_2d
 from repro.symbolic import amalgamate, analyze
 from tests.conftest import split_every_panel
+from tests.test_analysis_golden import E2E_INPUTS
 
 _spec = importlib.util.spec_from_file_location(
     "e2e_reference",
@@ -427,3 +435,86 @@ def test_native_amalgamate_equals_python(tree, ratio):
     assert np.array_equal(got[0], want[0])
     assert len(got[1]) == len(want[1])
     assert all(a is b for a, b in zip(got[1], want[1]))
+
+
+# ----------------------------------------------------------------------
+# C plans of a fresh factorization == their NumPy bodies
+# ----------------------------------------------------------------------
+@st.composite
+def plan_matrices(draw) -> SparseMatrixCSC:
+    """A matrix for the plan builders: a :func:`patterns` draw or a
+    random forest (its tree edges), with a full diagonal; for LU, one
+    random side of some off-diagonal pairs dropped (an asymmetric
+    pattern, so that the U side of the assembly has entries of its own)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        n, rows, cols = draw(patterns())
+    else:
+        n = draw(st.integers(1, 60))
+        parent = np.array([rng.integers(i + 1, n + 1) for i in range(n)])
+        child = np.flatnonzero(parent < n)   # parent n: a root
+        rows, cols = parent[child], child
+    ft = draw(st.sampled_from(FACTOTYPES))
+    matrix = matrix_values(n, rows, cols, ft, np.empty(0, dtype=np.int64),
+                           True, rng)
+    if ft == "lu" and matrix.nnz:
+        r, c, v = matrix.to_coo()
+        keep = (r == c) | (rng.random(r.size) < 0.7)
+        matrix = coo_to_csc(n, n, r[keep], c[keep], v[keep])
+    return matrix, ft
+
+
+@contextlib.contextmanager
+def _python_bodies():
+    """Inside: the analysis helper does not load (the NumPy bodies run)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "library", lambda: None)
+        yield
+
+
+def assert_plans_match_numpy(matrix: SparseMatrixCSC, ft: str) -> None:
+    """The permuted pattern, the couple plan and its scratch sizes, and
+    the assembly map of ``matrix`` for ``ft``: C against NumPy."""
+    res = analyze(matrix)
+    symbol, perm = res.symbol, res.perm.perm
+    got_plan = CoupleMapCache(symbol)
+    with _python_bodies():
+        want = matrix.permute(perm)
+        want_plan = CoupleMapCache(symbol)
+    got = matrix.permute(perm)
+    for name in ("colptr", "rowind", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in CoupleMapCache._ARRAYS:
+        a, b = getattr(got_plan, name), getattr(want_plan, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    got_plan.validate()
+    assert (got_plan.max_mn, got_plan.max_nw, got_plan.max_w) == \
+        want_plan._check_numpy()
+    got_map = AssemblyMap(symbol, got.colptr, got.rowind, ft == "lu")
+    with _python_bodies():
+        want_map = AssemblyMap(symbol, got.colptr, got.rowind, ft == "lu")
+    for name in ("L_src", "L_dst", "U_src", "U_dst"):
+        a, b = getattr(got_map, name), getattr(want_map, name)
+        assert (a is None) == (b is None) == (name[0] == "U" and ft != "lu")
+        assert a is None or (a.dtype == b.dtype and np.array_equal(a, b))
+
+
+_NO_C = (native.availability() is not None
+         or native_kernels.availability() is not None)
+
+
+@pytest.mark.skipif(_NO_C, reason="native analysis or kernels unavailable")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(drawn=plan_matrices())
+def test_native_plans_equal_python(drawn):
+    assert_plans_match_numpy(*drawn)
+
+
+@pytest.mark.skipif(_NO_C, reason="native analysis or kernels unavailable")
+@pytest.mark.parametrize("workload", sorted(E2E_INPUTS))
+@pytest.mark.parametrize("ft", FACTOTYPES)
+def test_native_plans_equal_python_on_benchmark_inputs(workload, ft):
+    assert_plans_match_numpy(load_matrix(*E2E_INPUTS[workload], 0), ft)

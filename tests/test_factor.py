@@ -269,3 +269,64 @@ class TestAssembleVectorized:
             assert np.array_equal(a, b)
         for a, b in zip(ref.U, fast.U):
             assert np.array_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# a pattern entry the symbol has no place for
+# ----------------------------------------------------------------------
+def _with_stray_pair(backend, monkeypatch):
+    """``grid_laplacian_3d(5)``'s symbol and its permuted pattern plus the
+    pair (122, 0) / (0, 122), which no panel of the symbol holds (panel
+    0's rows are 0, 10, 49, 120, 123, 124)."""
+    from repro.graph import native
+    from repro.sparse.csc import coo_to_csc
+    from repro.sparse.generators import grid_laplacian_3d
+
+    if backend == "python":
+        monkeypatch.setattr(native, "library", lambda: None)
+    matrix = grid_laplacian_3d(5)
+    res = analyze(matrix)
+    permuted = matrix.permute(res.perm.perm)
+    rows, cols, vals = permuted.to_coo()
+    stray = coo_to_csc(permuted.n_rows, permuted.n_cols,
+                       np.r_[rows, 122, 0], np.r_[cols, 0, 122],
+                       np.r_[vals, 0.01, 0.01])
+    return res.symbol, stray
+
+
+@pytest.mark.parametrize("backend", ["native", "python"])
+@pytest.mark.parametrize("factotype", ["ldlt", "lu"])
+@pytest.mark.parametrize("driver", ["sequential", "threaded"])
+def test_entry_outside_the_symbol_is_rejected(monkeypatch, backend,
+                                              factotype, driver):
+    """Assembly used to land (122, 0) on a neighbouring slot of panel 0,
+    which a later write overwrote: the factor silently lost the entry.
+    Both assembly maps now name the first such entry, in storage order,
+    through both drivers."""
+    from repro.core.factorization import factorize_sequential
+    from repro.runtime.threaded import factorize_threaded
+
+    symbol, stray = _with_stray_pair(backend, monkeypatch)
+    run = factorize_sequential if driver == "sequential" else \
+        factorize_threaded
+    with pytest.raises(ValueError, match=r"entry \(122, 0\) is not in the "
+                                         r"symbol: panel 0"):
+        run(symbol, stray, factotype)
+
+
+@pytest.mark.parametrize("backend", ["native", "python"])
+def test_upper_entry_outside_the_symbol_is_rejected(monkeypatch, backend):
+    """An LU upper entry lands transposed in its row's panel: (0, 122)
+    alone has no place in panel 0 either."""
+    from repro.core.factor import AssemblyMap
+    from repro.sparse.csc import coo_to_csc
+
+    symbol, stray = _with_stray_pair(backend, monkeypatch)
+    rows, cols, vals = stray.to_coo()
+    keep = ~((rows == 122) & (cols == 0))
+    upper = coo_to_csc(stray.n_rows, stray.n_cols, rows[keep], cols[keep],
+                       vals[keep])
+    AssemblyMap(symbol, upper.colptr, upper.rowind, False)   # L side only
+    with pytest.raises(ValueError, match=r"entry \(0, 122\) is not in the "
+                                         r"symbol: panel 0"):
+        AssemblyMap(symbol, upper.colptr, upper.rowind, True)

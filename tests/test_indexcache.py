@@ -11,6 +11,7 @@ from repro.core.factorization import (
 )
 from repro.dag import TaskKind, build_dag
 from repro.dag.builder import dag_of_trace
+from repro.kernels import native
 from repro.kernels.cost import index_overhead_flops
 from repro.kernels.indexcache import (
     CoupleMapCache,
@@ -30,6 +31,103 @@ from tests.test_analysis_golden import E2E_INPUTS
 def _setup(mat):
     res = analyze(mat)
     return res, mat.permute(res.perm.perm)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def checker(request, monkeypatch):
+    """Which bounds check :meth:`CoupleMapCache.validate` runs:
+    ``native.c``'s ``repro_check_plan`` or the NumPy checks."""
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "check_plan", lambda plan: None)
+    elif native.availability() is not None:
+        pytest.skip("native kernels unavailable")
+    return request.param
+
+
+def _reverse_sources(plan):
+    """The sources of the target with the most reversed (the corruption
+    :meth:`TestCoupleMapCache.test_source_lists_transpose_the_facing_lists`
+    makes for the N508 audit)."""
+    t = int(np.argmax(np.diff(plan.tgt_ptr)))
+    lo, hi = plan.tgt_ptr[t], plan.tgt_ptr[t + 1]
+    plan.src[lo:hi] = plan.src[lo:hi][::-1].copy()
+
+
+def _stretch_facing(plan):
+    """One couple's facing slice grown by a row below the target's
+    diagonal block: its row map stays right, its column map does not."""
+    c = int(np.flatnonzero(plan.i1 < plan.layout.below[plan.src])[0])
+    plan.i1[c] += 1
+
+
+#: Corruptions of a clean plan, each with the check that must name it
+#: (the text of its :class:`CouplePlanError`).
+CORRUPTIONS = {
+    "dtype": (lambda plan: setattr(plan, "src", plan.src.astype(np.int64)),
+              "src has the wrong dtype"),
+    "length": (lambda plan: setattr(plan, "i0", plan.i0[:-1]),
+               "array lengths disagree"),
+    "tgt_ptr end": (lambda plan: plan.tgt_ptr.__setitem__(
+        -1, plan.tgt_ptr[-1] + 1), "tgt_ptr does not partition"),
+    "tgt_ptr decreasing": (lambda plan: plan.tgt_ptr.__setitem__(
+        1, plan.tgt_ptr[2] + 1), "tgt_ptr does not partition"),
+    "downward": (lambda plan: plan.src.__setitem__(0, plan.tgt[0]),
+                 "lower to a higher"),
+    "descending": (_reverse_sources, "strictly ascending"),
+    "i1 high": (lambda plan: plan.i1.__setitem__(0, 10**6), "tail length"),
+    "i0 negative": (lambda plan: plan.i0.__setitem__(0, -1), "tail length"),
+    "rl_ptr": (lambda plan: plan.rl_ptr.__setitem__(1, plan.rl_ptr[1] + 1),
+               "rl_ptr does not give"),
+    "rows_local high": (lambda plan: plan.rows_local.__setitem__(0, 10**6),
+                        "rows_local out of"),
+    "rows_local negative": (lambda plan: plan.rows_local.__setitem__(0, -1),
+                            "rows_local out of"),
+    "stale": (lambda plan: plan.rows_local.__setitem__(
+        slice(0, 2), plan.rows_local[:2][::-1].copy()), "equal target rows"),
+    "facing": (_stretch_facing, "outside the target's diagonal block"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_plan_is_rejected(grid2d_small, checker, name):
+    """Each checker names the same first failing check; the plan stays
+    unvalidated."""
+    corrupt, message = CORRUPTIONS[name]
+    symbol = analyze(grid2d_small).symbol
+    plan = get_couple_cache(symbol).clone()
+    corrupt(plan)
+    with pytest.raises(CouplePlanError,
+                       match=f"^couple plan rejected: .*{message}"):
+        plan.validate()
+    assert not plan._valid
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_both_checkers_raise_the_same_message(grid2d_small, monkeypatch,
+                                              name):
+    if native.availability() is not None:
+        pytest.skip("native kernels unavailable")
+    symbol = analyze(grid2d_small).symbol
+    messages = []
+    for numpy_checks in (False, True):
+        plan = get_couple_cache(symbol).clone()
+        CORRUPTIONS[name][0](plan)
+        with monkeypatch.context() as patch:
+            if numpy_checks:
+                patch.setattr(native, "check_plan", lambda plan: None)
+            with pytest.raises(CouplePlanError) as info:
+                plan.validate()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_both_checkers_size_the_scratch_alike(grid2d_medium):
+    if native.availability() is not None:
+        pytest.skip("native kernels unavailable")
+    plan = CoupleMapCache(analyze(grid2d_medium).symbol)
+    plan.validate()
+    assert (plan.max_mn, plan.max_nw, plan.max_w) == plan._check_numpy()
+    assert plan.max_mn > 0
 
 
 #: ``CoupleMapCache.nbytes()`` of the dict-of-dataclasses cache the flat

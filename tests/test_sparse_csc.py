@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.graph import native as graph_native
 from repro.kernels import native
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
 
@@ -134,6 +135,29 @@ class TestTransforms:
         m = SparseMatrixCSC.identity(3)
         with pytest.raises(ValueError):
             m.permute(np.array([0, 1]))
+
+    @pytest.mark.parametrize("backend", ["native", "python"])
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1, 3], [-1, 0, 1],
+                                      [2, 2, 2]])
+    def test_permute_rejects_a_non_permutation(self, monkeypatch, backend,
+                                               perm):
+        """Both paths refuse a ``perm`` that is not a bijection on
+        ``[0, n)`` (``[0, 0, 1]`` used to return a matrix)."""
+        if backend == "python":
+            monkeypatch.setattr(graph_native, "library", lambda: None)
+        m = coo_to_csc(3, 3, [2, 0], [2, 1], [5.0, 1.0])
+        with pytest.raises(ValueError, match="permutation"):
+            m.permute(np.array(perm))
+
+    @pytest.mark.parametrize("backend", ["native", "python"])
+    def test_permute_rejects_duplicate_coordinates(self, monkeypatch,
+                                                   backend):
+        if backend == "python":
+            monkeypatch.setattr(graph_native, "library", lambda: None)
+        m = SparseMatrixCSC(2, 2, np.array([0, 2, 3]), np.array([1, 1, 0]),
+                            np.ones(3))
+        with pytest.raises(ValueError, match="1 duplicate coordinates"):
+            m.permute(np.array([1, 0]))
 
     def test_pattern_drops_values(self):
         m = SparseMatrixCSC.identity(3)
