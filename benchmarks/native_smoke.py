@@ -14,14 +14,19 @@ DAG executor (``solve_threaded``, the solve floor lowered so that its DAG
 is a tree of tasks) with 1, 2 and 3 workers against the sequential
 native solve (bit for bit); one traced executor run per factor must pass
 the schedule check and the C7xx concurrency audit.
-One more matrix, factorized with the split floors lowered so that its
-panels split into a diagonal task and row-block tasks, checks each
-factotype the same way (NumPy 1e-12; the DAG executor at 1, 2 and 3
-workers under each pop order bit for bit) and audits one traced
-two-worker run (S2xx and C7xx).  The same matrix with zeros on its
-diagonal makes C hand diagonal blocks back to Python inside the
-executor: at 2 workers the LDLᵀ and LU factors, or errors, must be the
-sequential driver's.
+A matrix just above the unit floor (``MIN_UNIT_FLOPS``, at the default
+constants) runs as a tree of unit tasks: per factotype the DAG executor
+at 1, 2 and 3 workers under each pop order must equal the sequential
+driver bit for bit, and one traced two-worker run must pass S2xx and
+C7xx.  One more matrix, factorized with the split floors lowered so
+that its panels split into a diagonal task and row-block tasks, checks
+each factotype the same way (NumPy 1e-12; the DAG executor at 1, 2 and
+3 workers under each pop order bit for bit) and audits one traced
+two-worker run (S2xx and C7xx).  The same matrix with zero pivots on
+the diagonal of narrow leaf panels (blocks C eliminates itself) makes C
+hand those blocks back to Python inside the executor: at 2 workers the
+LDLᵀ and LU errors, and the factors perturbed under a pivot threshold,
+must be the sequential driver's.
 Prints the effective backend.  Without a C compiler there is
 nothing to build: it says ``SKIPPED (no C compiler)`` and exits 0.
 """
@@ -140,6 +145,62 @@ def check_solve(ft: str, factor) -> None:
           "and the DAG executor at 1-3 workers; C7xx clean)")
 
 
+def _check_drivers(what: str, res, permuted, ft: str) -> int:
+    """The DAG executor at 1-3 workers under every pop order == the
+    sequential driver, bit for bit, and one traced two-worker run clean
+    under S2xx and C7xx.  Returns the DAG's task count."""
+    from repro.core.factorization import factorize_sequential
+    from repro.dag import builder
+    from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
+    from repro.runtime.tracing import ExecutionTrace
+    from repro.verify.concurrency import verify_concurrency
+    from repro.verify.schedule import verify_schedule
+
+    dag = builder.get_dag(res.symbol, ft, granularity="unit", n_workers=2)
+    seq = factorize_sequential(res.symbol, permuted, ft)
+    for w in (1, 2, 3):
+        for order in THREAD_SCHEDULERS:
+            par = factorize_threaded(res.symbol, permuted, ft, n_workers=w,
+                                     scheduler=order)
+            for side in ("L", "U", "D"):
+                if getattr(seq, side) is not None and not np.array_equal(
+                        _flat(seq, side), _flat(par, side)):
+                    sys.exit(f"native-smoke: {what} {ft} {side}: the "
+                             f"executor at {w} worker(s), {order}, is not "
+                             "bit-identical to the sequential driver")
+    trace = ExecutionTrace()
+    factorize_threaded(res.symbol, permuted, ft, n_workers=2, trace=trace,
+                       record_sync=True)
+    reports = [verify_schedule(dag, trace), verify_concurrency(dag, trace)]
+    if not all(r.ok for r in reports):
+        sys.exit(f"native-smoke: {what} {ft} traced run fails its audit:\n"
+                 + "\n".join(r.format() for r in reports))
+    return dag.n_tasks
+
+
+def check_floor() -> None:
+    """A matrix above the unit floor, at the default constants: a tree of
+    unit tasks, run by the executor as the sequential driver runs it."""
+    from repro.dag import builder
+    from repro.kernels.cost import flops_total
+    from repro.sparse.generators import grid_laplacian_3d
+    from repro.symbolic import analyze
+
+    matrix = grid_laplacian_3d(12, jitter=0.05, seed=3)
+    res = analyze(matrix)
+    permuted = matrix.permute(res.perm.perm)
+    for ft in ("llt", "ldlt", "lu"):
+        flops = flops_total(res.symbol, ft)
+        n_tasks = _check_drivers("floor", res, permuted, ft)
+        if not (flops >= builder.MIN_UNIT_FLOPS and n_tasks > 1):
+            sys.exit(f"native-smoke: floor {ft}: {flops:.2e} flops ran as "
+                     f"{n_tasks} task(s), not a tree above MIN_UNIT_FLOPS "
+                     f"({builder.MIN_UNIT_FLOPS:.0e})")
+        print(f"native-smoke: floor {ft} ok ({flops:.1e} flops, {n_tasks} "
+              "tasks; the executor at 1-3 workers and every pop order bit "
+              "for bit, S2xx and C7xx clean)")
+
+
 def check_split() -> None:
     """A matrix whose panels split: native factor == NumPy (1e-12), the
     DAG executor at 1, 2 and 3 workers under each pop order == the
@@ -147,12 +208,8 @@ def check_split() -> None:
     and C7xx."""
     from repro.core.factorization import factorize_sequential
     from repro.dag import TaskKind, builder
-    from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
-    from repro.runtime.tracing import ExecutionTrace
     from repro.sparse.generators import grid_laplacian_3d
     from repro.symbolic import analyze
-    from repro.verify.concurrency import verify_concurrency
-    from repro.verify.schedule import verify_schedule
 
     # Generator-sized matrices weigh less than the floors: lower them.
     builder.MIN_UNIT_FLOPS = builder.MIN_SPLIT_FLOPS = 0.0
@@ -167,9 +224,6 @@ def check_split() -> None:
             sys.exit(f"native-smoke: split {ft}: no panel split")
         ref = factorize_sequential(res.symbol, permuted, ft, kernels="numpy")
         seq = factorize_sequential(res.symbol, permuted, ft)
-        pars = [factorize_threaded(res.symbol, permuted, ft, n_workers=w,
-                                   scheduler=order)
-                for w in (1, 2, 3) for order in THREAD_SCHEDULERS]
         for side in ("L", "U", "D"):
             if getattr(ref, side) is None:
                 continue
@@ -178,16 +232,7 @@ def check_split() -> None:
             if not err <= RTOL:
                 sys.exit(f"native-smoke: split {ft} {side} deviates from "
                          f"the NumPy kernels by {err:.3e} (bound {RTOL})")
-            if not all(np.array_equal(b, _flat(p, side)) for p in pars):
-                sys.exit(f"native-smoke: split {ft} {side}: a threaded "
-                         "factor is not bit-identical to the sequential")
-        trace = ExecutionTrace()
-        factorize_threaded(res.symbol, permuted, ft, n_workers=2,
-                           trace=trace, record_sync=True)
-        reports = [verify_schedule(dag, trace), verify_concurrency(dag, trace)]
-        if not all(r.ok for r in reports):
-            sys.exit(f"native-smoke: split {ft} traced run fails its audit:\n"
-                     + "\n".join(r.format() for r in reports))
+        _check_drivers("split", res, permuted, ft)
         print(f"native-smoke: split {ft} ok ({dag.n_tasks} tasks, {n_rows} "
               "row blocks; NumPy 1e-12, the executor at 1-3 workers and "
               "every pop order bit for bit, S2xx and C7xx clean)")
@@ -202,17 +247,26 @@ def _outcome(run):
 
 
 def check_handback() -> None:
-    """Zero diagonal entries (with check_split's lowered floors): C hands
-    diagonal blocks back to Python inside the executor, and the
-    two-worker factor, or error, is the sequential driver's."""
+    """Zero pivots (with check_split's lowered floors) on the first
+    column of narrow leaf panels, whose diagonal blocks receive no update
+    and C eliminates itself: C hands them back to Python inside the
+    executor, and the two-worker error — or, under a pivot threshold,
+    the perturbed factor — is the sequential driver's."""
     from repro.core.factorization import factorize_sequential
     from repro.kernels import native
+    from repro.kernels.indexcache import get_couple_cache
     from repro.runtime.threaded import factorize_threaded
     from repro.sparse.csc import SparseMatrixCSC
     from repro.sparse.generators import grid_laplacian_3d
     from repro.symbolic import analyze
 
-    dense = grid_laplacian_3d(7, jitter=0.05, seed=3).to_dense()
+    matrix = grid_laplacian_3d(7, jitter=0.05, seed=3)
+    res = analyze(matrix)
+    permuted = matrix.permute(res.perm.perm)
+    sym, plan = res.symbol, get_couple_cache(res.symbol)
+    widths = np.diff(sym.cblk_ptr)
+    narrow = native.kernel_bounds()["narrow"]
+    leaves = np.flatnonzero((np.diff(plan.tgt_ptr) == 0) & (widths <= narrow))
     handed = []
     inner = native.panel_factorize
 
@@ -222,34 +276,42 @@ def check_handback() -> None:
 
     native.panel_factorize = spy
     try:
-        for zeros in ([5, 100, 200], list(range(0, dense.shape[0], 37))):
-            a = dense.copy()
-            a[zeros, zeros] = 0.0
-            matrix = SparseMatrixCSC.from_dense(a)
-            res = analyze(matrix)
-            permuted = matrix.permute(res.perm.perm)
+        for panels in (leaves[:3], leaves[::7]):
+            values = permuted.values.copy()
+            for k in panels.tolist():
+                col = int(sym.cblk_ptr[k])
+                at = permuted.colptr[col] + np.searchsorted(
+                    permuted.rowind[permuted.colptr[col]:
+                                    permuted.colptr[col + 1]], col)
+                values[at] = 0.0
+            zeroed = SparseMatrixCSC(permuted.n_rows, permuted.n_cols,
+                                     permuted.colptr, permuted.rowind, values)
             for ft in ("ldlt", "lu"):
-                seq = _outcome(lambda: factorize_sequential(
-                    res.symbol, permuted, ft))
-                handed.clear()
-                par = _outcome(lambda: factorize_threaded(
-                    res.symbol, permuted, ft, n_workers=2))
-                same = seq[0] is par[0] and (
-                    seq[1] == par[1] if seq[0] else all(
-                        np.array_equal(_flat(seq[1], side),
-                                       _flat(par[1], side))
-                        for side in ("L", "U", "D")
-                        if getattr(seq[1], side) is not None))
-                if not (handed and same):
-                    sys.exit(f"native-smoke: hand-back {ft} with "
-                             f"{len(zeros)} zero(s) on the diagonal: "
-                             f"{len(handed)} hand-back(s), sequential "
-                             f"{seq[0] or 'factor'}, executor "
-                             f"{par[0] or 'factor'}")
-                print(f"native-smoke: hand-back {ft} ok ({len(handed)} "
-                      f"block(s) back to Python at 2 workers; "
-                      f"{seq[0].__name__ if seq[0] else 'factor'} as the "
-                      "sequential driver)")
+                for threshold in (0.0, 1e-3):
+                    seq = _outcome(lambda: factorize_sequential(
+                        sym, zeroed, ft, pivot_threshold=threshold))
+                    handed.clear()
+                    par = _outcome(lambda: factorize_threaded(
+                        sym, zeroed, ft, n_workers=2,
+                        pivot_threshold=threshold))
+                    same = seq[0] is par[0] and (
+                        seq[1] == par[1] if seq[0] else all(
+                            np.array_equal(_flat(seq[1], side),
+                                           _flat(par[1], side))
+                            for side in ("L", "U", "D")
+                            if getattr(seq[1], side) is not None))
+                    if not (handed and set(handed) <= set(panels.tolist())
+                            and same):
+                        sys.exit(f"native-smoke: hand-back {ft} with "
+                                 f"{panels.size} zero pivot(s), threshold "
+                                 f"{threshold}: panels {handed} back, "
+                                 f"sequential {seq[0] or 'factor'}, "
+                                 f"executor {par[0] or 'factor'}")
+                    print(f"native-smoke: hand-back {ft} ok ({len(handed)} "
+                          f"narrow block(s) back to Python at 2 workers, "
+                          f"threshold {threshold}; "
+                          f"{seq[0].__name__ if seq[0] else 'factor'} as "
+                          "the sequential driver)")
     finally:
         native.panel_factorize = inner
 
@@ -300,6 +362,7 @@ def main() -> None:
             print(f"native-smoke: {ft} {matrix.values.dtype} ok "
                   f"(effective backend {seq.kernels!r}, both drivers)")
             check_solve(ft, seq)
+        check_floor()
         check_split()
         check_handback()
         check_analysis()

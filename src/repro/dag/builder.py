@@ -38,12 +38,13 @@ __all__ = [
 #: stays in the tens to low hundreds whatever the number of panels.
 FUSE_UNITS_PER_WORKER = 8
 
-#: Flop floor of a factorization unit.  Below it a task is interpreter-
-#: bound: two threads sharing the GIL run such work *slower* than one
-#: (the two-thread floor of ``docs/performance.md``), and 1e8 flops is
-#: only ~2 ms of GEMM-rate arithmetic — so a tree worth less than this
-#: is one task, whatever the worker count.
-MIN_UNIT_FLOPS = 1e8
+#: Flop floor of a factorization unit: a tree worth less than this is
+#: one task, whatever the worker count, and no fused subtree is smaller.
+#: Below it a second worker of the C executor costs more than it takes
+#: over: on a 2-core x86-64 host the w=2 / w=1 time ratio of the unit
+#: DAG's factorization crosses 1 at about 3.5e6 flops (the small
+#: factorizations of ``docs/performance.md``).
+MIN_UNIT_FLOPS = 4e6
 
 #: Flop floor of a partitioned solve DAG (its total: both sweeps, all
 #: right-hand sides).  Below it the whole tree is one unit — one forward
@@ -81,14 +82,33 @@ get_couple_cache`) — it lives on the symbol object: repeated solves,
     return dag
 
 
+def _plan_couples(symbol: SymbolMatrix):
+    """:func:`update_couples` read off the symbol's couple plan, which a
+    factorization builds anyway (the same arrays, in the same by-source
+    order)."""
+    from repro.kernels.indexcache import get_couple_cache
+
+    plan = get_couple_cache(symbol)
+    by_src = plan.by_src
+    src = plan.src[by_src].astype(np.int64)
+    i0 = plan.i0[by_src].astype(np.int64)
+    ms = plan.layout.below[src] - i0
+    return (src, plan.tgt[by_src].astype(np.int64), ms,
+            plan.i1[by_src].astype(np.int64) - i0)
+
+
 def _weights(symbol: SymbolMatrix, factotype: str, dtype,
-             recompute_ld: bool = True):
+             recompute_ld: bool = True, from_plan: bool = False):
     """Per-panel geometry, the update couples and their flops:
-    ``(widths, below, (src, tgt, ms, ns), panel_flops, upd_flops)``."""
+    ``(widths, below, (src, tgt, ms, ns), panel_flops, upd_flops)``.
+    ``from_plan``: the couples of the symbol's couple plan (the unit DAG
+    and the row blocks, which a factorization builds), else of the symbol
+    itself (the simulators' DAGs, which need no plan)."""
     widths = np.diff(symbol.cblk_ptr).astype(np.int64)
     below = symbol.cblk_heights() - widths
     mult = complex_multiplier(dtype)
-    src, tgt, ms, ns = couples = update_couples(symbol)
+    src, tgt, ms, ns = couples = (
+        _plan_couples if from_plan else update_couples)(symbol)
     # Array calls: one count per task, bit-identical to the scalar ones.
     panel_flops = mult * flops_panel(widths, below, factotype)
     upd_flops = mult * flops_update(
@@ -134,7 +154,7 @@ def row_blocks(symbol: SymbolMatrix, factotype: str = "llt",
 
     def build() -> RowBlocks:
         widths, below, couples, panel_flops, upd_flops = _weights(
-            symbol, factotype, dtype)
+            symbol, factotype, dtype, from_plan=True)
         weight = panel_flops + np.bincount(couples[1], weights=upd_flops,
                                            minlength=symbol.n_cblk)
         nb = -(-below // max(1, int(ROW_BLOCK)))
@@ -349,7 +369,7 @@ def build_dag(
     """
     K = symbol.n_cblk
     widths, below, (src, tgt, ms, ns), panel_flops, upd_flops = _weights(
-        symbol, factotype, dtype, recompute_ld)
+        symbol, factotype, dtype, recompute_ld, granularity == "unit")
     n_upd = src.size
 
     if granularity == "unit":
@@ -449,10 +469,10 @@ def get_dag(
     injectors, tests) keep building their own with :func:`build_dag`.
     """
     n_workers = max(1, int(n_workers))
-    # Only unit DAGs depend on the worker count and the split constants.
+    # Only unit DAGs depend on the worker count and the floors.
     key = ("facto", factotype, np.dtype(dtype).str, granularity) + (
-        (n_workers, ROW_BLOCK, MIN_SPLIT_FLOPS) if granularity == "unit"
-        else ())
+        (n_workers, ROW_BLOCK, MIN_SPLIT_FLOPS, MIN_UNIT_FLOPS,
+         FUSE_UNITS_PER_WORKER) if granularity == "unit" else ())
     return symbol_memo(symbol, key, lambda: build_dag(
         symbol, factotype, granularity=granularity, dtype=dtype,
         n_workers=n_workers,

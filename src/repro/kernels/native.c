@@ -2,13 +2,15 @@
  *
  * factorize_panels_{d,z}: for each listed panel, ascending — apply the
  * updates of its source panels in ascending source order (GEMM into
- * scratch, scatter-subtract through the couple plan's rows_local), then
- * factor the diagonal block with LAPACK and solve the panel TRSM(s).  A
- * panel the row-block partition splits runs as its tasks do, one after
+ * scratch, scatter-subtract through the couple plan's rows_local; a tiny
+ * couple is one fused loop that subtracts each product entry straight
+ * into the target), then factor the diagonal block and solve the panel
+ * TRSM(s): with LAPACK and BLAS, or in plain loops for a narrow panel.
+ * A panel the row-block partition splits runs as its tasks do, one after
  * the other: its diagonal task, then each row block.
  *
  * factorize_block_{d,z}: one task of a split panel.  Rows [0, width) are
- * its diagonal task: the updates into the diagonal block, then its LAPACK
+ * its diagonal task: the updates into the diagonal block, then its
  * factorization and nothing else.  A row range below it is a row-block
  * task: the updates into those rows, then their TRSM(s).
  *
@@ -37,11 +39,17 @@
  * leading dimension w holding the transpose; every BLAS/LAPACK call below
  * is written in those column-major terms.
  *
- * The pivot policy lives in Python only.  The diagonal block is factored
- * in a scratch copy and committed only if LAPACK succeeded, interchanged
- * nothing, and every pivot is finite and not under the threshold;
- * otherwise the panel is handed back with its updates applied and its
- * diagonal block untouched.
+ * The pivot policy (perturb a tiny pivot, or raise) lives in Python only.
+ * The diagonal block is factored in a scratch copy and committed only if
+ * every pivot is one the Python column loop would keep as it is: finite,
+ * nonzero and not under the threshold (LL^T: positive).  A narrow block
+ * (width <= NARROW) is eliminated here without pivoting, as that loop
+ * does; a wider one goes to LAPACK, and is committed only if LAPACK
+ * succeeded and interchanged nothing.  Otherwise the panel is handed back
+ * with its updates applied and its diagonal block untouched.
+ *
+ * counters: NULL, or 2 N_PHASES int64 per calling thread that the calls
+ * above add each phase's nanoseconds and call count to.
  *
  * The file includes itself twice: once for double, once for double
  * complex.  No -ffast-math: the finite tests must hold.
@@ -77,6 +85,20 @@ typedef struct {
 enum { LLT = 0, LDLT = 1, LU = 2 };
 enum { GEMM, TRSM, POTRF, SYTRF, GETRF, GEMV, TRSV, N_FN };
 
+/* Panels at most this wide factor their diagonal block and solve their
+ * TRSM(s) in plain loops, with no BLAS or LAPACK call; couples of at most
+ * TINY multiply-adds per side ((b - a) n w) are one fused product and
+ * scatter.  Both from a sweep on a 2-core x86-64 host
+ * (docs/performance.md, "Small factorizations"). */
+#define NARROW 16
+#define TINY 2048
+
+/* Both bounds, for the tests (kernels/native.py: kernel_bounds). */
+const int64_t repro_kernel_bounds[2] = {NARROW, TINY};
+
+/* The phases the counters time, each as (nanoseconds, calls). */
+enum { PH_GEMM, PH_SCATTER, PH_FUSED, PH_SCALE, PH_DIAG, PH_TRSM, N_PHASES };
+
 /* LAPACK workspace of ?sytrf, in elements per column of the block. */
 #define SYTRF_NB 64
 
@@ -103,6 +125,28 @@ static int64_t first_at_least(const int64_t *rl, int64_t n, int64_t row)
             hi = mid;
     }
     return lo;
+}
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000LL + ts.tv_nsec;
+}
+
+/* A phase's start (0 when not counted), and its end: add the time since
+ * t0 and one call to its counters. */
+static inline int64_t tick(const int64_t *counters)
+{
+    return counters ? now_ns() : 0;
+}
+
+static inline void tock(int64_t *counters, int phase, int64_t t0)
+{
+    if (counters) {
+        counters[2 * phase] += now_ns() - t0;
+        counters[2 * phase + 1]++;
+    }
 }
 
 /* x . y without C99 Annex G: gcc's inline complex product calls libgcc
@@ -176,8 +220,9 @@ typedef struct {
     void *L, *U, *D;
     const int64_t *panels, *block_ptr, *block_rows;
     double threshold;
-    void *const *work; /* per worker */
-    int *const *ipiv;  /* per worker */
+    void *const *work;        /* per worker */
+    int *const *ipiv;         /* per worker */
+    int64_t *const *counters; /* per worker, each NULL or 2 N_PHASES */
     handback_t handback;
 } facto_t;
 
@@ -219,13 +264,6 @@ struct exec {
     int64_t n_workers, n_started;
     int cpus[CPU_SETSIZE], n_cpus;
 };
-
-static int64_t now_ns(void)
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (int64_t)ts.tv_sec * 1000000000LL + ts.tv_nsec;
-}
 
 static int64_t since(const exec_t *e) { return now_ns() - e->start; }
 
@@ -327,25 +365,28 @@ static int run_task(const exec_t *e, int64_t t, int w)
     const facto_t *f = e->facto;
     int ft = (int)f->ft;
     void *scratch = f->work[w];
+    int64_t *cnt = f->counters[w];
     int64_t at; /* where C handed a block back; hi - lo: nowhere */
     if (kind == PANELS && f->complex_)
         at = repro_factorize_panels_z(f->plan, ft, f->L, f->U, f->D,
                                       f->panels + lo, hi - lo, 0, f->block_ptr,
                                       f->block_rows, f->threshold, scratch,
-                                      f->ipiv[w]);
+                                      f->ipiv[w], cnt);
     else if (kind == PANELS)
         at = repro_factorize_panels_d(f->plan, ft, f->L, f->U, f->D,
                                       f->panels + lo, hi - lo, 0, f->block_ptr,
                                       f->block_rows, f->threshold, scratch,
-                                      f->ipiv[w]);
+                                      f->ipiv[w], cnt);
     else if (f->complex_)
         at = repro_factorize_block_z(f->plan, ft, f->L, f->U, f->D, panel, lo,
-                                     hi, f->threshold, scratch, f->ipiv[w])
+                                     hi, f->threshold, scratch, f->ipiv[w],
+                                     cnt)
                  ? hi - lo
                  : 0;
     else
         at = repro_factorize_block_d(f->plan, ft, f->L, f->U, f->D, panel, lo,
-                                     hi, f->threshold, scratch, f->ipiv[w])
+                                     hi, f->threshold, scratch, f->ipiv[w],
+                                     cnt)
                  ? hi - lo
                  : 0;
     if (at == hi - lo)
@@ -542,16 +583,31 @@ int64_t repro_run_dag(const dag_t *d, const solve_t *solve,
 
 /* out (n_rows x k, row-major, zeroed) += A x, x n_cols x k row-major:
  * column by column, entry by entry in stored order — the order
- * np.add.at adds in, so every output element gets the same sums. */
+ * np.add.at adds in, so every output element gets the same sums.  One
+ * column (k = 1) runs without an inner loop, a block two columns per
+ * step: the same products and sums, without a loop's overhead around
+ * each entry. */
 void repro_csc_matvec_d(int64_t n_cols, const int64_t *colptr,
                         const int64_t *rowind, const double *val,
                         const double *x, int64_t k, double *out)
 {
+    if (k == 1) {
+        for (int64_t j = 0; j < n_cols; j++)
+            for (int64_t e = colptr[j]; e < colptr[j + 1]; e++)
+                out[rowind[e]] += val[e] * x[j];
+        return;
+    }
     for (int64_t j = 0; j < n_cols; j++)
         for (int64_t e = colptr[j]; e < colptr[j + 1]; e++) {
             double v = val[e], *o = out + rowind[e] * k;
             const double *xj = x + j * k;
-            for (int64_t r = 0; r < k; r++)
+            int64_t r = 0;
+            for (; r + 2 <= k; r += 2) {
+                double a = v * xj[r], b = v * xj[r + 1];
+                o[r] += a;
+                o[r + 1] += b;
+            }
+            if (r < k)
                 o[r] += v * xj[r];
         }
 }
@@ -716,12 +772,55 @@ static void S(scatter)(T *panel, int64_t wt, const int64_t *rl_rows,
     }
 }
 
+/* The product and scatter above as one loop, for a tiny couple: each
+ * entry of a (rows x w) . b (n x w)^T, the rows of a scaled by d first
+ * when d != NULL (L.D.L^T; scaled: room for w), is summed in a register
+ * and subtracted straight from panel[rl[i], rl[j]]. */
+static void S(fused)(T *panel, int64_t wt, const int64_t *rl_rows,
+                     const int64_t *rl_cols, int64_t rows, int64_t n,
+                     int64_t w, const T *a, const T *b, const T *d, T *scaled)
+{
+    for (int64_t i = 0; i < rows; i++) {
+        const T *row = a + i * w;
+        if (d) {
+            for (int64_t q = 0; q < w; q++)
+                scaled[q] = MUL(row[q], d[q]);
+            row = scaled;
+        }
+        T *dst = panel + rl_rows[i] * wt;
+        int64_t j = 0;
+        for (; j + 4 <= n; j += 4) { /* four independent sums */
+            const T *c0 = b + j * w, *c1 = c0 + w, *c2 = c1 + w, *c3 = c2 + w;
+            T s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+            for (int64_t q = 0; q < w; q++) {
+                s0 += MUL(row[q], c0[q]);
+                s1 += MUL(row[q], c1[q]);
+                s2 += MUL(row[q], c2[q]);
+                s3 += MUL(row[q], c3[q]);
+            }
+            dst[rl_cols[j]] -= s0;
+            dst[rl_cols[j + 1]] -= s1;
+            dst[rl_cols[j + 2]] -= s2;
+            dst[rl_cols[j + 3]] -= s3;
+        }
+        for (; j < n; j++) {
+            const T *col = b + j * w;
+            T acc = 0;
+            for (int64_t q = 0; q < w; q++)
+                acc += MUL(row[q], col[q]);
+            dst[rl_cols[j]] -= acc;
+        }
+    }
+}
+
 /* Every update landing in rows [r0, r1) of panel t, ascending source.
  * A couple's tail rows that land there are one slice [a, b) of its
  * rows_local (ascending): only their product with the facing rows is
- * formed and scattered, on the L side and (LU) the U side. */
+ * formed and scattered, on the L side and (LU) the U side — through GEMM
+ * and scratch, or fused for a tiny couple. */
 static void S(update)(const plan_t *p, int ft, T *L, T *U, const T *D,
-                      int64_t t, int64_t r0, int64_t r1, T *work)
+                      int64_t t, int64_t r0, int64_t r1, T *work,
+                      int64_t *cnt)
 {
     T *out = work, *scaled = work + p->max_mn;
     int64_t wt = p->width[t];
@@ -735,6 +834,19 @@ static void S(update)(const plan_t *p, int ft, T *L, T *U, const T *D,
             continue;
         T *tail = L + p->offset[k] + (w + i0) * w; /* m x w; first n rows face t */
         T *rows = tail + a * w, *facing = tail;
+        T *utail = U ? U + p->offset[k] + (w + i0) * w : NULL;
+        int64_t u = a > n ? a : n; /* U side: rows strictly below t's block */
+        int64_t t0 = tick(cnt);
+        if ((b - a) * n * w <= TINY) {
+            S(fused)(L + p->offset[t], wt, rl + a, rl, b - a, n, w, rows,
+                     ft == LU ? utail : facing,
+                     ft == LDLT ? D + p->d_off[k] : NULL, scaled);
+            if (ft == LU && b > u)
+                S(fused)(U + p->offset[t], wt, rl + u, rl, b - u, n, w,
+                         utail + u * w, tail, NULL, scaled);
+            tock(cnt, PH_FUSED, t0);
+            continue;
+        }
         if (ft == LDLT) { /* L.D.L^T: scale the shorter operand by D */
             const T *d = D + p->d_off[k];
             T **side = b - a < n ? &rows : &facing;
@@ -743,39 +855,94 @@ static void S(update)(const plan_t *p, int ft, T *L, T *U, const T *D,
                 for (int64_t q = 0; q < w; q++)
                     scaled[j * w + q] = MUL(from[j * w + q], d[q]);
             *side = scaled;
+            tock(cnt, PH_SCALE, t0);
         } else if (ft == LU) {
-            facing = U + p->offset[k] + (w + i0) * w;
+            facing = utail;
         }
+        t0 = tick(cnt);
         S(product)(rows, facing, (int)(b - a), (int)n, (int)w, out);
+        tock(cnt, PH_GEMM, t0);
+        t0 = tick(cnt);
         S(scatter)(L + p->offset[t], wt, rl + a, rl, b - a, n, out);
-        int64_t u = a > n ? a : n; /* U side: rows strictly below t's block */
+        tock(cnt, PH_SCATTER, t0);
         if (ft == LU && b > u) {
-            T *utail = U + p->offset[k] + (w + i0 + u) * w;
-            S(product)(utail, tail, (int)(b - u), (int)n, (int)w, out);
+            t0 = tick(cnt);
+            S(product)(utail + u * w, tail, (int)(b - u), (int)n, (int)w, out);
+            tock(cnt, PH_GEMM, t0);
+            t0 = tick(cnt);
             S(scatter)(U + p->offset[t], wt, rl + u, rl, b - u, n, out);
+            tock(cnt, PH_SCATTER, t0);
         }
     }
 }
 
+/* x (rows x w, row-major) = x . A^-1 for the row-major w x w upper
+ * triangle A of tri (row j's entries right of the diagonal: the
+ * multipliers of y[j]), one row at a time, in one pass: y[j] = x[j] .
+ * inv[j] (inv NULL: a unit diagonal), then x[q] -= y[j] A[j, q] for every
+ * q > j — an axpy per column, not a dot product, so no sum waits on the
+ * one before.  With d_inv (L.D.L^T) each row leaves scaled by it. */
+static void S(solve_rows)(const T *tri, int64_t w, const T *inv,
+                          const T *d_inv, T *x, int64_t rows)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        T *xr = x + r * w;
+        for (int64_t j = 0; j < w; j++) {
+            T y = inv ? MUL(xr[j], inv[j]) : xr[j];
+            const T *aj = tri + j * w;
+            xr[j] = y;
+            for (int64_t q = j + 1; q < w; q++)
+                xr[q] -= MUL(y, aj[q]);
+        }
+        if (d_inv)
+            for (int64_t j = 0; j < w; j++)
+                xr[j] = MUL(xr[j], d_inv[j]);
+    }
+}
+
 /* The panel TRSM(s) of rows [r0, r1) of panel k, below its factored
- * diagonal block; inv: room for width elements (LDL^T: D^-1). */
+ * diagonal block.  A narrow panel solves them in solve_rows, a wider one
+ * with BLAS; both use the factor's scratch past its update buffers. */
 static void S(trsm_rows)(const plan_t *p, int ft, T *L, T *U, const T *D,
-                         int64_t k, int64_t r0, int64_t r1, T *inv)
+                         int64_t k, int64_t r0, int64_t r1, T *work,
+                         int64_t *cnt)
 {
     int64_t w = p->width[k], rows = r1 - r0;
     T *blk = L + p->offset[k], *x = blk + r0 * w;
+    T *tri = work + p->max_mn + p->max_nw; /* w x w */
+    T *inv = tri + p->max_w * p->max_w;    /* w */
     int iw = (int)w, ib = (int)rows;
     T one = 1;
     S(trsm_t) trsm = (S(trsm_t))blas[BASE + TRSM];
     if (rows <= 0)
         return;
-    if (ft == LLT) { /* L21 = A21 . L11^-T */
-        trsm("L", "U", "T", "N", &iw, &ib, &one, blk, &iw, x, &iw);
-    } else if (ft == LDLT) { /* L21 = A21 . L11^-T . D^-1 */
+    int64_t t0 = tick(cnt);
+    if (ft == LDLT) { /* D^-1 */
         const T *d = D + p->d_off[k];
-        trsm("L", "U", "T", "U", &iw, &ib, &one, blk, &iw, x, &iw);
         for (int64_t q = 0; q < w; q++)
             inv[q] = 1 / d[q];
+    } else if (w <= NARROW) { /* the diagonal of L11 (LL^T) or U11 (LU) */
+        for (int64_t q = 0; q < w; q++)
+            inv[q] = 1 / blk[q * w + q];
+    }
+    if (w <= NARROW && ft != LU) {
+        /* L21 = A21 . L11^-T (L.D.L^T: unit, then . D^-1) */
+        for (int64_t j = 0; j < w; j++)
+            for (int64_t q = j + 1; q < w; q++)
+                tri[j * w + q] = blk[q * w + j];
+        S(solve_rows)(tri, w, ft == LLT ? inv : NULL,
+                      ft == LDLT ? inv : NULL, x, rows);
+    } else if (w <= NARROW) {
+        /* L21 = A21 . U11^-1; U12^T = A12^T . L11^-T (unit lower) */
+        S(solve_rows)(blk, w, inv, NULL, x, rows);
+        for (int64_t j = 0; j < w; j++)
+            for (int64_t q = j + 1; q < w; q++)
+                tri[j * w + q] = blk[q * w + j];
+        S(solve_rows)(tri, w, NULL, NULL, U + p->offset[k] + r0 * w, rows);
+    } else if (ft == LLT) { /* L21 = A21 . L11^-T */
+        trsm("L", "U", "T", "N", &iw, &ib, &one, blk, &iw, x, &iw);
+    } else if (ft == LDLT) { /* L21 = A21 . L11^-T . D^-1 */
+        trsm("L", "U", "T", "U", &iw, &ib, &one, blk, &iw, x, &iw);
         for (int64_t r = 0; r < rows; r++)
             for (int64_t q = 0; q < w; q++)
                 x[r * w + q] = MUL(x[r * w + q], inv[q]);
@@ -785,6 +952,15 @@ static void S(trsm_rows)(const plan_t *p, int ft, T *L, T *U, const T *D,
         trsm("L", "U", "T", "U", &iw, &ib, &one, blk, &iw,
              U + p->offset[k] + r0 * w, &iw);
     }
+    tock(cnt, PH_TRSM, t0);
+}
+
+/* Would the Python column loop keep this pivot as it is?  Not when it is
+ * zero, under the threshold, Inf or NaN: it perturbs or raises. */
+static int S(pivot_ok)(T pivot, double threshold)
+{
+    double size = MODULUS(pivot);
+    return size > 0 && size >= threshold && size < INFINITY;
 }
 
 /* Did LAPACK do what static pivoting does?  (PR 15's _static_pivots_ok.) */
@@ -793,10 +969,47 @@ static int S(pivots_ok)(const T *s, int64_t w, const int *ipiv, int info,
 {
     if (info != 0)
         return 0;
-    for (int64_t i = 0; i < w; i++) {
-        double size = MODULUS(s[i + i * w]);
-        if (ipiv[i] != i + 1 || !(size >= threshold) || !(size < INFINITY))
+    for (int64_t i = 0; i < w; i++)
+        if (ipiv[i] != i + 1 || !S(pivot_ok)(s[i + i * w], threshold))
             return 0; /* interchange, 2x2 block, tiny, Inf or NaN pivot */
+    return 1;
+}
+
+/* The w x w row-major block s, eliminated in place right-looking without
+ * pivoting: kernels/dense.py's column loops of ldlt_nopiv (the diagonal
+ * of D on the diagonal, unit L below it) and getrf_nopiv (packed L\U),
+ * and Cholesky (L on and below the diagonal).  LL^T and LDL^T read and
+ * write the lower triangle only.  Returns 0 at the first pivot that loop
+ * would perturb or reject (LL^T: one that is not positive and finite). */
+static int S(eliminate)(T *s, int64_t w, int ft, double threshold)
+{
+    for (int64_t j = 0; j < w; j++) {
+        T *sj = s + j * w;
+        T piv = sj[j];
+        if (ft == LLT) {
+#if HAVE_POTRF
+            if (!(piv > 0 && piv < INFINITY))
+                return 0;
+            sj[j] = piv = sqrt(piv);
+#else
+            return 0;
+#endif
+        } else if (!S(pivot_ok)(piv, threshold)) {
+            return 0;
+        }
+        for (int64_t i = j + 1; i < w; i++)
+            s[i * w + j] /= piv;
+        for (int64_t i = j + 1; i < w; i++) {
+            T *si = s + i * w;
+            if (ft == LU) {
+                for (int64_t q = j + 1; q < w; q++)
+                    si[q] -= MUL(si[j], sj[q]);
+                continue;
+            }
+            T lij = ft == LDLT ? MUL(si[j], piv) : si[j];
+            for (int64_t q = j + 1; q <= i; q++)
+                si[q] -= MUL(lij, s[q * w + j]);
+        }
     }
     return 1;
 }
@@ -804,18 +1017,38 @@ static int S(pivots_ok)(const T *s, int64_t w, const int *ipiv, int info,
 /* Factor the diagonal block of panel k, and with whole != 0 solve its
  * TRSM(s) as well.  Returns 0 to hand the panel back to Python, untouched. */
 static int S(factor)(const plan_t *p, int ft, T *L, T *U, T *D, int64_t k,
-                     double threshold, T *work, int *ipiv, int whole)
+                     double threshold, T *work, int *ipiv, int whole,
+                     int64_t *cnt)
 {
     int64_t w = p->width[k];
     T *blk = L + p->offset[k];
-    T *s = work + p->max_mn + p->max_nw; /* w x w, column-major */
+    T *s = work + p->max_mn + p->max_nw; /* w x w */
     T *lapack_work = s + p->max_w * p->max_w;
     int iw = (int)w, info = 0;
     int lwork = (int)(SYTRF_NB * p->max_w + 1);
+    int64_t t0 = tick(cnt);
 
-    if (ft == LLT) {
-        if (!HAVE_POTRF)
+    if (ft == LLT && !HAVE_POTRF)
+        return 0;
+    if (w <= NARROW) {
+        memcpy(s, blk, (size_t)(w * w) * sizeof(T));
+        if (!S(eliminate)(s, w, ft, threshold))
             return 0;
+        if (ft == LDLT) {
+            T *d = D + p->d_off[k];
+            for (int64_t i = 0; i < w; i++) {
+                d[i] = s[i * w + i];
+                for (int64_t j = 0; j < w; j++)
+                    blk[i * w + j] = j < i ? s[i * w + j] : (j == i ? 1 : 0);
+            }
+        } else if (ft == LLT) {
+            for (int64_t i = 0; i < w; i++)
+                for (int64_t j = 0; j < w; j++)
+                    blk[i * w + j] = j <= i ? s[i * w + j] : 0;
+        } else {
+            memcpy(blk, s, (size_t)(w * w) * sizeof(T));
+        }
+    } else if (ft == LLT) {
         /* Only the row-major lower triangle is valid: that is the
          * column-major upper one, and U^T U with U stored there is the
          * row-major lower Cholesky factor. */
@@ -856,8 +1089,9 @@ static int S(factor)(const plan_t *p, int ft, T *L, T *U, T *D, int64_t k,
                     blk[i * w + j] = s[i + j * w];
         }
     }
+    tock(cnt, PH_DIAG, t0);
     if (whole)
-        S(trsm_rows)(p, ft, L, U, D, k, w, p->height[k], work);
+        S(trsm_rows)(p, ft, L, U, D, k, w, p->height[k], work, cnt);
     return 1;
 }
 
@@ -868,12 +1102,13 @@ static int S(factor)(const plan_t *p, int ft, T *L, T *U, T *D, int64_t k,
  * TRSM(s); returns 1). */
 int64_t S(repro_factorize_block)(const plan_t *p, int ft, T *L, T *U, T *D,
                                  int64_t k, int64_t r0, int64_t r1,
-                                 double threshold, T *work, int *ipiv)
+                                 double threshold, T *work, int *ipiv,
+                                 int64_t *cnt)
 {
-    S(update)(p, ft, L, U, D, k, r0, r1, work);
+    S(update)(p, ft, L, U, D, k, r0, r1, work, cnt);
     if (r0 == 0)
-        return S(factor)(p, ft, L, U, D, k, threshold, work, ipiv, 0);
-    S(trsm_rows)(p, ft, L, U, D, k, r0, r1, work);
+        return S(factor)(p, ft, L, U, D, k, threshold, work, ipiv, 0, cnt);
+    S(trsm_rows)(p, ft, L, U, D, k, r0, r1, work, cnt);
     return 1;
 }
 
@@ -889,24 +1124,25 @@ int64_t S(repro_factorize_panels)(const plan_t *p, int ft, T *L, T *U, T *D,
                                   const int64_t *panels, int64_t n,
                                   int64_t start, const int64_t *block_ptr,
                                   const int64_t *block_rows, double threshold,
-                                  T *work, int *ipiv)
+                                  T *work, int *ipiv, int64_t *cnt)
 {
     for (int64_t i = start; i < n; i++) {
         int64_t k = panels[i];
         int64_t lo = block_ptr ? block_ptr[k] : 0;
         int64_t hi = block_ptr ? block_ptr[k + 1] : 0;
         if (lo == hi) {
-            S(update)(p, ft, L, U, D, k, 0, p->height[k], work);
-            if (!S(factor)(p, ft, L, U, D, k, threshold, work, ipiv, 1))
+            S(update)(p, ft, L, U, D, k, 0, p->height[k], work, cnt);
+            if (!S(factor)(p, ft, L, U, D, k, threshold, work, ipiv, 1, cnt))
                 return i;
             continue;
         }
         if (!S(repro_factorize_block)(p, ft, L, U, D, k, 0, p->width[k],
-                                      threshold, work, ipiv))
+                                      threshold, work, ipiv, cnt))
             return i;
         for (int64_t j = lo; j + 1 < hi; j++)
             S(repro_factorize_block)(p, ft, L, U, D, k, block_rows[j],
-                                     block_rows[j + 1], threshold, work, ipiv);
+                                     block_rows[j + 1], threshold, work, ipiv,
+                                     cnt);
     }
     return n;
 }

@@ -18,8 +18,12 @@ BLAS/LAPACK entry points of ``scipy.linalg.cython_blas`` /
 runs the C/Python hand-back loop:
 
 * the **pivot policy is not re-implemented in C**.  C commits a diagonal
-  block only when LAPACK did exactly what static pivoting does; any other
-  panel comes back with its updates applied and its diagonal block
+  block only when every pivot is one static pivoting keeps as it is
+  (finite, nonzero, not under the threshold; LLᵀ: positive): a narrow
+  block (``NARROW`` columns or fewer) eliminated in C without pivoting,
+  as the column loops of :mod:`repro.kernels.dense` do, a wider one
+  factored by LAPACK and kept only if LAPACK interchanged nothing.  Any
+  other panel comes back with its updates applied and its diagonal block
   untouched, :func:`repro.kernels.panel.panel_factorize` runs on it
   (perturbation counting, ``ZeroDivisionError``, ``LinAlgError`` — one
   implementation; a split panel's diagonal block only, its row blocks
@@ -58,6 +62,7 @@ __all__ = [
     "DagTasks",
     "FactorizeTasks",
     "NativeUnavailable",
+    "PHASES",
     "Scratch",
     "SolveSweeps",
     "availability",
@@ -66,6 +71,7 @@ __all__ = [
     "csc_matvec",
     "factorize_block",
     "factorize_panels",
+    "kernel_bounds",
     "load",
     "resolve_kernels",
     "run_dag",
@@ -79,6 +85,12 @@ _FACTOTYPES = {"llt": 0, "ldlt": 1, "lu": 2}
 #: solve steps of a panel range, a factorization of a panel range, one
 #: block of a split panel.
 FORWARD, BACKWARD, PANELS, BLOCK = range(4)
+#: The phases ``native.c`` times into a thread's counters, in its
+#: ``PH_*`` order, each as (nanoseconds, calls): the update GEMM, its
+#: scatter, the fused product and scatter of a tiny couple, the L·D
+#: scaling of an update operand, the diagonal block's factorization and
+#: the panel TRSM(s).
+PHASES = ("gemm", "scatter", "fused", "scale", "diag", "trsm")
 #: The C function suffix per factor dtype.
 _SUFFIX = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
 #: Entry points per scalar type, in ``native.c``'s ``blas[]`` order
@@ -137,8 +149,9 @@ class _FactoBody(ctypes.Structure):
     ] + [
         (name, ctypes.c_void_p)
         for name in ("L", "U", "D", "panels", "block_ptr", "block_rows")
-    ] + [("threshold", ctypes.c_double), ("work", ctypes.c_void_p),
-         ("ipiv", ctypes.c_void_p), ("handback", _HANDBACK)]
+    ] + [("threshold", ctypes.c_double)] + [
+        (name, ctypes.c_void_p) for name in ("work", "ipiv", "counters")
+    ] + [("handback", _HANDBACK)]
 
 
 class _Log(ctypes.Structure):
@@ -203,6 +216,7 @@ def _declare(lib: ctypes.CDLL, entry_points: Any) -> ctypes.CDLL:
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,     # panels
             ctypes.c_void_p, ctypes.c_void_p,                    # row blocks
             ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,   # scratch
+            ctypes.c_void_p,                                     # counters
         ]
         fn.restype = ctypes.c_int64
     for name in ("repro_factorize_block_d", "repro_factorize_block_z"):
@@ -212,6 +226,7 @@ def _declare(lib: ctypes.CDLL, entry_points: Any) -> ctypes.CDLL:
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,   # L, U, D
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,      # k, rows
             ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,   # scratch
+            ctypes.c_void_p,                                     # counters
         ]
         fn.restype = ctypes.c_int64
     for name in ("repro_solve_panels_d", "repro_solve_panels_z"):
@@ -267,6 +282,15 @@ def availability() -> Optional[str]:
     except NativeUnavailable as exc:
         return str(exc)
     return None
+
+
+def kernel_bounds() -> dict[str, int]:
+    """The two size bounds compiled into ``native.c``: ``"narrow"``, the
+    widest panel whose diagonal block and TRSM(s) run as plain C loops,
+    and ``"tiny"``, the most multiply-adds ``(rows · facing · width)`` of
+    a couple side that is one fused product and scatter."""
+    narrow, tiny = (ctypes.c_int64 * 2).in_dll(load(), "repro_kernel_bounds")
+    return {"narrow": int(narrow), "tiny": int(tiny)}
 
 
 def resolve_kernels(requested: str, *, dtype: Any = np.float64) -> str:
@@ -347,14 +371,22 @@ def _plan_struct(plan: CoupleMapCache) -> _Plan:
 
 
 class Scratch:
-    """Per-thread work buffers of one factor's native calls."""
+    """Per-thread work buffers of one factor's native calls and, with
+    ``counters=True``, that thread's phase counters: ``counters[i]`` is
+    the ``(nanoseconds, calls)`` of :data:`PHASES` ``[i]`` that the calls
+    made with this scratch add up (``None``: not counted, no clock
+    read)."""
 
-    def __init__(self, factor: Any) -> None:
+    def __init__(self, factor: Any, counters: bool = False) -> None:
         plan = _plan_struct(factor.index_cache)
         self.work = np.empty(
             load().repro_work_len(ctypes.byref(plan)), dtype=factor.dtype
         )
         self.ipiv = np.empty(plan.max_w + 1, dtype=np.intc)
+        self.counters = (np.zeros((len(PHASES), 2), dtype=np.int64)
+                         if counters else None)
+        self.counters_ptr = (None if self.counters is None
+                             else self.counters.ctypes.data)
 
 
 def _arena_pointer(factor: Any, name: str, size: int) -> Optional[int]:
@@ -457,6 +489,7 @@ def factorize_panels(
             panels.ctypes.data, n, position, blocks.ptr.ctypes.data,
             blocks.rows.ctypes.data, _threshold(factor),
             scratch.work.ctypes.data, scratch.ipiv.ctypes.data,
+            scratch.counters_ptr,
         )
         if position >= n:
             return
@@ -500,7 +533,7 @@ def factorize_block(factor: Any, k: int, rows: tuple[int, int],
         scratch = Scratch(factor)
     if not fn(ctypes.byref(struct), _FACTOTYPES[factor.factotype], L, U, D,
               k, r0, r1, _threshold(factor), scratch.work.ctypes.data,
-              scratch.ipiv.ctypes.data):
+              scratch.ipiv.ctypes.data, scratch.counters_ptr):
         panel_factorize(factor, k, diagonal_only=True)
 
 
@@ -591,7 +624,8 @@ class FactorizeTasks:
     place: a ``PANELS`` task ``(lo, hi)`` of :func:`run_dag` is
     :func:`factorize_panels` over ``panels[lo:hi]``, a ``BLOCK`` task
     ``(lo, hi, panel)`` is :func:`factorize_block` on rows ``[lo, hi)``
-    of ``panel``; each of the ``n_workers`` has its own :class:`Scratch`.
+    of ``panel``; each of the ``n_workers`` has its own :class:`Scratch`,
+    with phase counters when ``counters`` is true (:meth:`phases`).
 
     A diagonal block C hands back reaches :func:`_finish_task`, through a
     ``ctypes`` callback that takes the GIL, and runs those two functions'
@@ -605,17 +639,19 @@ class FactorizeTasks:
     TASK_KINDS = frozenset({PANELS, BLOCK})
 
     def __init__(self, factor: Any, panels: np.ndarray,
-                 n_workers: int = 1) -> None:
+                 n_workers: int = 1, counters: bool = False) -> None:
         _, struct, L, U, D = _bind(factor, "factorize_panels")
         self.panels = _panel_list(factor, panels)
         self.layout = factor.index_cache.layout
         blocks = _row_blocks(factor)
-        scratch = [Scratch(factor) for _ in range(max(1, n_workers))]
+        scratch = [Scratch(factor, counters) for _ in range(max(1, n_workers))]
+        self.scratch = scratch
         self.n_workers = len(scratch)
         self.errors: list[BaseException] = []
         pointers = ctypes.c_void_p * self.n_workers
         self._work = pointers(*(s.work.ctypes.data for s in scratch))
         self._ipiv = pointers(*(s.ipiv.ctypes.data for s in scratch))
+        self._counters = pointers(*(s.counters_ptr for s in scratch))
         # The callback holds what it needs, not this object: no cycle
         # keeps a factor alive after its run.
         self._callback = _HANDBACK(functools.partial(
@@ -626,8 +662,19 @@ class FactorizeTasks:
             panels=self.panels.ctypes.data, block_ptr=blocks.ptr.ctypes.data,
             block_rows=blocks.rows.ctypes.data, threshold=_threshold(factor),
             work=ctypes.addressof(self._work),
-            ipiv=ctypes.addressof(self._ipiv), handback=self._callback,
+            ipiv=ctypes.addressof(self._ipiv),
+            counters=ctypes.addressof(self._counters), handback=self._callback,
         )
+
+    def phases(self) -> Optional[dict[str, dict[str, list[int]]]]:
+        """Per phase of :data:`PHASES`, the ``"ns"`` and ``"calls"`` each
+        worker's scratch added up (hand-backs included), or ``None``
+        without counters."""
+        if self.scratch[0].counters is None:
+            return None
+        return {name: {"ns": [int(s.counters[i, 0]) for s in self.scratch],
+                       "calls": [int(s.counters[i, 1]) for s in self.scratch]}
+                for i, name in enumerate(PHASES)}
 
 
 def _finish_task(factor: Any, panels: np.ndarray, blocks: Any,

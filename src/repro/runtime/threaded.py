@@ -283,10 +283,13 @@ def _factorize_dag(factor: NumericFactor, dag, n_workers: int, order: str,
     """Run every task of the unit DAG ``dag`` on ``factor`` in place: the
     native bodies on a native factor, else the NumPy kernels — whole
     panels: a ``DIAG`` task runs its panel whole and its ``ROWS`` tasks
-    have nothing left to do."""
+    have nothing left to do.  A traced native run times the kernels'
+    phases too: ``trace.meta["kernel_phases"]``
+    (:meth:`~repro.kernels.native.FactorizeTasks.phases`, per worker)."""
     body = None
     if factor.kernels == "native":
-        body = native.FactorizeTasks(factor, dag.unit_panels, n_workers)
+        body = native.FactorizeTasks(factor, dag.unit_panels, n_workers,
+                                     counters=trace is not None)
 
     def fallback(t: int) -> None:
         if dag.kind[t] == TaskKind.ROWS:
@@ -298,6 +301,8 @@ def _factorize_dag(factor: NumericFactor, dag, n_workers: int, order: str,
             panel_factorize(factor, k)
 
     _execute(dag, body, fallback, n_workers, order, trace, record_sync)
+    if trace is not None and body is not None:
+        trace.meta["kernel_phases"] = body.phases()
 
 
 def solve_threaded(

@@ -36,33 +36,30 @@ def split_supernodes(
     """
     if max_width < 1:
         raise ValueError("max_width must be >= 1")
-    K = snptr.size - 1
-    new_bounds: list[int] = [0]
+    snptr = np.asarray(snptr)
+    widths = np.diff(snptr).astype(np.int64)
+    # Panels per supernode: enough for max_width, at least min_panels
+    # (when > 1), at most one column each.
+    m = np.minimum(np.maximum(-(-widths // max_width), max(min_panels, 1)),
+                   widths)
+    # Only the supernodes that split take the loop; the runs between
+    # them keep their bounds and rowsets as they are.
+    bounds: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
     new_rowsets: list[np.ndarray] = []
-    for k in range(K):
-        f, l = int(snptr[k]), int(snptr[k + 1])
-        w = l - f
-        m = max(min_panels if w > max_width or min_panels > 1 else 1,
-                -(-w // max_width))
-        m = min(m, w)  # at most one column per panel
-        if m == 1:
-            new_bounds.append(l)
-            new_rowsets.append(rowsets[k])
-            continue
+    prev = 0
+    for k in np.flatnonzero(m > 1).tolist():
+        bounds.append(snptr[prev + 1:k + 1])
+        new_rowsets.extend(rowsets[prev:k])
+        f, l, mk = int(snptr[k]), int(snptr[k + 1]), int(m[k])
         # Near-equal widths: the first (w % m) panels get one extra column.
-        base, extra = divmod(w, m)
-        start = f
-        for i in range(m):
-            width = base + (1 if i < extra else 0)
-            end = start + width
-            if end < l:
-                tail = np.arange(end, l, dtype=np.int64)
-                rows = np.concatenate([tail, rowsets[k]])
-            else:
-                rows = rowsets[k]
-            new_bounds.append(end)
-            new_rowsets.append(rows)
-            start = end
-        assert start == l
-    return np.asarray(new_bounds, dtype=np.int64), new_rowsets
-
+        base, extra = divmod(l - f, mk)
+        ends = f + np.cumsum(base + (np.arange(mk) < extra))
+        bounds.append(ends)
+        for end in ends[:-1].tolist():
+            new_rowsets.append(np.concatenate(
+                [np.arange(end, l, dtype=np.int64), rowsets[k]]))
+        new_rowsets.append(rowsets[k])
+        prev = k + 1
+    bounds.append(snptr[prev + 1:])
+    new_rowsets.extend(rowsets[prev:])
+    return np.concatenate(bounds).astype(np.int64), new_rowsets

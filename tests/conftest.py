@@ -69,9 +69,8 @@ def no_unit_floor(monkeypatch):
     every unit DAG is one task and every solve DAG one forward and one
     backward task; without them they get a real unit tree (tens of
     tasks), which is what the concurrency, bit-identity and structure
-    tests of the unit and solve paths need to exercise.  Unit DAGs are
-    memoised per symbol without the floor in the key, so tests using
-    this analyze their own symbol.
+    tests of the unit and solve paths need to exercise.  Both floors are
+    in the keys the DAGs are memoised under on the symbol.
     """
     monkeypatch.setattr("repro.dag.builder.MIN_UNIT_FLOPS", 0.0)
     monkeypatch.setattr("repro.dag.builder.MIN_SOLVE_FLOPS", 0.0)

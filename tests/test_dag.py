@@ -165,3 +165,14 @@ class TestAnalysis:
         t = dag.task(sym.n_cblk)  # first update task
         assert t.is_update
         assert t.flops > 0
+
+
+def test_unit_weights_read_the_couple_plan(sym):
+    """The unit DAG and the row blocks weigh the couples of the symbol's
+    couple plan: the same arrays :func:`update_couples` enumerates, in
+    the same order and dtypes."""
+    from repro.dag.builder import _plan_couples
+
+    for got, want in zip(_plan_couples(sym), update_couples(sym)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+

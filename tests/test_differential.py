@@ -58,7 +58,7 @@ from repro.runtime.threaded import (
 )
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
 from repro.sparse.generators import grid_laplacian_2d
-from repro.symbolic import amalgamate, analyze
+from repro.symbolic import SymbolicOptions, amalgamate, analyze
 from tests.conftest import split_every_panel
 from tests.test_analysis_golden import E2E_INPUTS
 
@@ -325,6 +325,13 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _assert_close(ref, got) -> None:
+    """Every panel of ``got`` equals ``ref``'s to 1e-12."""
+    for x, y in zip(_panels(got), _panels(ref)):
+        assert np.allclose(x, y, rtol=1e-12, atol=1e-12 * max(
+            1.0, float(np.abs(y).max(initial=0.0))))
+
+
 def _check_split(res, matrix, ft, rng) -> None:
     n, perm = matrix.n_rows, res.perm
     permuted = matrix.permute(perm.perm)
@@ -356,9 +363,7 @@ def _check_split(res, matrix, ft, rng) -> None:
                 err = reference.backward_error(a, x, b)
                 assert err <= tol, (ft, kernels, w, b.shape, err, tol)
     if len(seq) == 2:
-        for x, y in zip(_panels(seq["native"]), _panels(seq["numpy"])):
-            assert np.allclose(x, y, rtol=1e-12, atol=1e-12 * max(
-                1.0, float(np.abs(y).max(initial=0.0))))
+        _assert_close(seq["numpy"], seq["native"])
 
 
 @pytest.mark.skipif(native_kernels.availability() is not None,
@@ -398,6 +403,148 @@ def test_split_panel_handback_is_the_same_on_both_drivers(monkeypatch, ft):
         assert (k, True) in handed
         assert thr.pivot_monitor.n_perturbed == seq.pivot_monitor.n_perturbed
         _assert_identical(seq, thr, w)
+
+
+# ----------------------------------------------------------------------
+# Narrow panels: the C elimination == the NumPy kernels' column loops
+# ----------------------------------------------------------------------
+_NO_KERNELS = native_kernels.availability() is not None
+
+
+def _narrow() -> int:
+    return native_kernels.kernel_bounds()["narrow"]
+
+
+def _two_panels(width: int, ft: str, cplx: bool, pivots: bool,
+                rng: np.random.Generator):
+    """A dense ``2 width`` matrix analysed into two panels of ``width``
+    columns (the first with ``width`` rows below it, so its TRSM and one
+    update run too), with random values, diagonally dominant — except,
+    with ``pivots``, a leading 2 x 2 whose large off-diagonal pair makes
+    ``?sytrf`` / ``?getrf`` pivot while every pivot of the column loop
+    stays far from zero."""
+    n = 2 * width
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    if cplx:
+        a = a + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    if ft != "lu":
+        a = (a + a.T) / 2
+    np.fill_diagonal(a, 0.0)
+    dominance = np.abs(a).sum(axis=1) + rng.uniform(0.5, 1.5, n)
+    signs = 1.0 if ft == "llt" else rng.choice([-1.0, 1.0], n)
+    np.fill_diagonal(a, dominance * signs)
+    if pivots:
+        big = 3.0 * max(abs(a[0, 0]), abs(a[1, 1]))
+        a[0, 1] = a[1, 0] = big
+    res = analyze(SparseMatrixCSC.from_dense(a),
+                  SymbolicOptions(ordering="natural", split_max_width=width))
+    assert np.diff(res.symbol.cblk_ptr).tolist() == [width, width]
+    return res.symbol, SparseMatrixCSC.from_dense(a).permute(res.perm.perm)
+
+
+def _pivots(factor) -> np.ndarray:
+    """The pivots the column loops check: D, or U's diagonal."""
+    if factor.factotype == "ldlt":
+        return np.concatenate(list(factor.D))
+    return np.concatenate([np.diagonal(p[:p.shape[1]]) for p in factor.L])
+
+
+@contextlib.contextmanager
+def _counting_handbacks():
+    """The panels C hands back to ``panel_factorize``, in order."""
+    seen: list[int] = []
+    inner = native_kernels.panel_factorize
+
+    def spy(factor, k, **options):
+        seen.append(k)
+        inner(factor, k, **options)
+
+    native_kernels.panel_factorize = spy
+    try:
+        yield seen
+    finally:
+        native_kernels.panel_factorize = inner
+
+
+@pytest.mark.skipif(_NO_KERNELS, reason="native kernels unavailable")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_narrow_panels_match_the_column_loops(data):
+    """Widths 1 to the narrow bound + 1, every factotype, real and
+    complex, thresholds that bite: the native factor is the NumPy one to
+    1e-12 with the same perturbation count.  A narrow block LAPACK would
+    pivot commits in C (no hand-back); a narrow block hands back only
+    where a pivot is under the threshold."""
+    width = data.draw(st.integers(1, _narrow() + 1), label="width")
+    ft = data.draw(st.sampled_from(FACTOTYPES), label="factotype")
+    cplx = ft != "llt" and data.draw(st.booleans(), label="complex")
+    pivots = width > 1 and ft != "llt" and data.draw(st.booleans(),
+                                                     label="lapack pivots")
+    bites = ft != "llt" and data.draw(st.booleans(), label="threshold")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16),
+                                          label="seed"))
+    symbol, permuted = _two_panels(width, ft, cplx, pivots, rng)
+    threshold = 0.0
+    if bites:   # between the two smallest pivot sizes: perturbs some
+        size = np.sort(np.abs(_pivots(factorize_sequential(
+            symbol, permuted, ft, kernels="numpy"))))
+        threshold = float(size[0] + size[min(1, size.size - 1)]) / 2 + 1e-300
+    ref = factorize_sequential(symbol, permuted, ft, kernels="numpy",
+                               pivot_threshold=threshold)
+    with _counting_handbacks() as handed:
+        got = factorize_sequential(symbol, permuted, ft,
+                                   pivot_threshold=threshold)
+    assert got.kernels == "native"
+    _assert_close(ref, got)
+    if bites:
+        assert (got.pivot_monitor.n_perturbed
+                == ref.pivot_monitor.n_perturbed > 0)
+    if width <= _narrow():
+        assert bool(handed) == bites, handed
+
+
+@pytest.mark.skipif(_NO_KERNELS, reason="native kernels unavailable")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_narrow_pivot_failures_end_as_before(data):
+    """A zero, tiny or NaN first pivot of a narrow block: C hands the
+    block back and the run ends where the NumPy kernels end — the same
+    typed error and text, or (a tiny pivot under the threshold) the same
+    perturbed factor to 1e-12."""
+    width = data.draw(st.integers(1, _narrow()), label="width")
+    ft = data.draw(st.sampled_from(FACTOTYPES), label="factotype")
+    cplx = ft != "llt" and data.draw(st.booleans(), label="complex")
+    kind = data.draw(st.sampled_from(["zero", "tiny", "nan"]), label="pivot")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16),
+                                          label="seed"))
+    symbol, permuted = _two_panels(width, ft, cplx, False, rng)
+    values = permuted.values.copy()
+    first = permuted.colptr[0]          # row 0 leads column 0
+    assert permuted.rowind[first] == 0
+    values[first] = {"zero": 0.0, "tiny": 1e-300, "nan": np.nan}[kind]
+    poisoned = SparseMatrixCSC(permuted.n_rows, permuted.n_cols,
+                               permuted.colptr, permuted.rowind, values)
+    # Perturbed to a size like its neighbours': no growth to amplify
+    # the two backends' roundoff.
+    threshold = 0.25 if kind == "tiny" else 0.0
+    run = {k: (lambda k=k: factorize_sequential(
+        symbol, poisoned, ft, kernels=k, pivot_threshold=threshold))
+        for k in ("numpy", "native")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = _outcome(run["numpy"])
+        with _counting_handbacks() as handed:
+            got = _outcome(run["native"])
+    if ft != "llt" or kind != "tiny":   # LL^T takes a tiny positive pivot
+        assert handed[:1] == [0]
+    assert got[0] == expected[0]
+    if got[0] != "ok":
+        assert got[1] == expected[1]
+    elif kind == "nan":
+        for x, y in zip(_panels(got[1]), _panels(expected[1])):
+            assert np.array_equal(np.isnan(x), np.isnan(y))
+    else:
+        _assert_close(expected[1], got[1])
 
 
 # ----------------------------------------------------------------------

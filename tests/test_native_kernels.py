@@ -282,16 +282,32 @@ def test_tiny_pivots_are_perturbed_alike(grid2d_medium, no_unit_floor,
     assert_identical(seq, got)
 
 
+def _leading(block, width: int) -> np.ndarray:
+    """``block`` in the top-left corner of a ``width``-wide dense block
+    whose other pivots are large: one panel of that width."""
+    a = np.full((width, width), 0.01) + np.diag(np.full(width, 10.0))
+    a[:2, :2] = block
+    return a
+
+
 @pytest.mark.parametrize("ft,block", [
     ("ldlt", [[1.0, 5.0], [5.0, 1.0]]),     # ?sytrf takes a 2×2 pivot
     ("lu", [[1.0, 5.0], [4.0, 1.0]]),       # ?getrf swaps the rows
 ])
 def test_blocks_lapack_would_pivot_take_the_python_loop(handbacks, ft, block):
-    symbol, permuted = _dense(block)
-    ref = factorize_sequential(symbol, permuted, ft, kernels="numpy")
-    got = factorize_sequential(symbol, permuted, ft)
-    assert got.kernels == "native" and handbacks == [0]
-    assert_identical(ref, got)   # one panel, no update: the same code ran
+    """Every pivot passes, but LAPACK would pivot: a narrow block is
+    eliminated in C without pivoting, a block wider than the bound goes
+    back to the Python column loop; either way the factor is the column
+    loop's, bit for bit (one panel, no update, the same operations)."""
+    narrow = native.kernel_bounds()["narrow"]
+    for width, back in ((2, []), (narrow, []), (narrow + 1, [0])):
+        symbol, permuted = _dense(_leading(block, width))
+        assert np.diff(symbol.cblk_ptr).tolist() == [width]
+        del handbacks[:]
+        ref = factorize_sequential(symbol, permuted, ft, kernels="numpy")
+        got = factorize_sequential(symbol, permuted, ft)
+        assert got.kernels == "native" and handbacks == back, width
+        assert_identical(ref, got)
 
 
 @pytest.mark.parametrize("ft", ["llt", "ldlt", "lu"])
@@ -315,6 +331,76 @@ def test_nan_never_yields_an_accepted_factor(grid2d_small, handbacks, ft):
             assert np.isnan(b).any()
     else:
         assert got[1] == expected[1]
+
+
+# ----------------------------------------------------------------------
+# the tiny-couple bound and the phase counters
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("ft", ["llt", "ldlt", "lu"])
+def test_tiny_bound_on_both_sides(ft):
+    """Panels of 8 columns cut from one dense block: couple ``(i, j)``
+    runs ``(rows below j's first column) x 8 x 8`` multiply-adds, so the
+    couples land on both sides of the tiny bound — one exactly on it.
+    Those at or under it are one fused loop each, the others a GEMM and
+    a scatter per side (LDLᵀ: and an L·D scaling); the factor is the
+    NumPy one either way."""
+    tiny = native.kernel_bounds()["tiny"]
+    w = 8
+    assert tiny % w ** 3 == 0
+    n = w * (tiny // w ** 3 + 2)
+    a = make_matrix("dense", n, 5, cplx=False, unsymmetric=ft == "lu")
+    symbol, permuted = _setup(a, SymbolicOptions(ordering="natural",
+                                                 split_max_width=w))
+    assert np.all(np.diff(symbol.cblk_ptr) == w)
+    plan = get_couple_cache(symbol)
+    m = plan.layout.below[plan.src] - plan.i0
+    n_face = plan.i1 - plan.i0
+    cost = m * n_face * w
+    assert np.any(cost == tiny) and np.any(cost > tiny)
+    factor = NumericFactor.assemble(symbol, permuted, ft)
+    factor.kernels, factor.index_cache = "native", plan
+    scratch = native.Scratch(factor, counters=True)
+    native.factorize_panels(factor, np.arange(symbol.n_cblk), scratch)
+    got = {name: (int(ns), int(calls))
+           for name, (ns, calls) in zip(native.PHASES, scratch.counters)}
+    big = cost > tiny
+    sides = int(big.sum()) + (int(np.sum(big & (m > n_face)))
+                              if ft == "lu" else 0)
+    assert got["fused"][1] == int(np.sum(~big))
+    assert got["gemm"][1] == got["scatter"][1] == sides
+    assert got["scale"][1] == (int(big.sum()) if ft == "ldlt" else 0)
+    assert got["diag"][1] == symbol.n_cblk
+    assert got["trsm"][1] == symbol.n_cblk - 1     # the last: no rows below
+    assert all(ns >= 0 for ns, _ in got.values())
+    ref = factorize_sequential(symbol, permuted, ft, kernels="numpy")
+    assert_close(ref, factor)
+
+
+def test_counters_reach_a_traced_run_only(grid2d_medium, no_unit_floor):
+    """A traced threaded run stamps every worker's phase counters into
+    ``trace.meta`` — provenance-free, so not fingerprinted — and an
+    untraced run reads no clock for them."""
+    from repro.runtime.tracing import META_FINGERPRINT_KEYS, ExecutionTrace
+
+    symbol, permuted = _setup(grid2d_medium)
+    trace = ExecutionTrace()
+    traced = factorize_threaded(symbol, permuted, "ldlt", n_workers=2,
+                                trace=trace)
+    phases = trace.meta["kernel_phases"]
+    assert "kernel_phases" not in META_FINGERPRINT_KEYS
+    assert list(phases) == list(native.PHASES)
+    assert all(len(v["ns"]) == len(v["calls"]) == 2 for v in phases.values())
+    below = np.count_nonzero(symbol.cblk_heights() > np.diff(symbol.cblk_ptr))
+    assert sum(phases["diag"]["calls"]) == symbol.n_cblk
+    assert sum(phases["trsm"]["calls"]) == below
+    assert sum(phases["fused"]["calls"]) + sum(phases["gemm"]["calls"]) \
+        == get_couple_cache(symbol).n_couples
+    plain = factorize_threaded(symbol, permuted, "ldlt", n_workers=2)
+    assert_identical(traced, plain)
+    factor = NumericFactor.assemble(symbol, permuted, "ldlt")
+    factor.kernels, factor.index_cache = "native", get_couple_cache(symbol)
+    assert native.FactorizeTasks(factor, np.arange(symbol.n_cblk),
+                                 2).phases() is None
 
 
 # ----------------------------------------------------------------------

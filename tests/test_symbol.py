@@ -116,6 +116,35 @@ class TestSplitting:
         assert np.array_equal(r2[0], [1, 2, 3, 4, 7, 9])
         assert np.array_equal(r2[-1], [7, 9])
 
+    @pytest.mark.parametrize("max_width,min_panels", [
+        (1, 1), (3, 1), (4, 2), (7, 3), (128, 1), (128, 2)])
+    def test_split_equals_a_loop_over_every_supernode(self, max_width,
+                                                      min_panels):
+        """The split loops over the supernodes it splits only; a loop
+        over every supernode, the old body, gives the same arrays."""
+        rng = np.random.default_rng(max_width * 10 + min_panels)
+        snptr = np.concatenate(([0], np.cumsum(rng.integers(1, 12, 40))))
+        rowsets = [np.sort(rng.choice(np.arange(500, 600), rng.integers(0, 5),
+                                      replace=False)) for _ in range(40)]
+        want_bounds, want_rows = [0], []
+        for k in range(40):
+            f, l = int(snptr[k]), int(snptr[k + 1])
+            m = min(max(max(min_panels, 1), -(-(l - f) // max_width)), l - f)
+            base, extra = divmod(l - f, m)
+            start = f
+            for i in range(m):
+                start += base + (i < extra)
+                want_bounds.append(start)
+                want_rows.append(np.concatenate(
+                    [np.arange(start, l), rowsets[k]]) if start < l
+                    else rowsets[k])
+        s2, r2 = split_supernodes(snptr, rowsets, max_width=max_width,
+                                  min_panels=min_panels)
+        assert s2.dtype == np.int64 and s2.tolist() == want_bounds
+        assert len(r2) == len(want_rows)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(r2, want_rows))
+
     def test_bad_width(self):
         with pytest.raises(ValueError):
             split_supernodes(np.array([0, 3]), [np.empty(0, np.int64)],

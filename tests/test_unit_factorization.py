@@ -210,8 +210,8 @@ def test_unit_dag_structure(grid2d_medium, no_unit_floor, factotype,
 
 def test_small_tree_is_one_task(grid2d_medium):
     """Under MIN_UNIT_FLOPS the whole tree is a single task, whatever
-    the worker count (the two-thread floor: splitting interpreter-bound
-    work across GIL-sharing threads only slows it down)."""
+    the worker count (a second worker of the executor costs more than
+    it takes over on so little work)."""
     sym = analyze(grid2d_medium).symbol
     assert flops_total(sym, "lu") < MIN_UNIT_FLOPS
     for n_workers in (1, 2, 16):
@@ -365,14 +365,37 @@ def test_split_dag_structure(grid2d_small, split_panels, monkeypatch, ft,
 @pytest.mark.parametrize("workload,ft", [("shell2d_lu", "lu"),
                                          ("vol3d_ldlt", "ldlt")])
 def test_small_bench_workloads_split_no_panel(workload, ft):
-    """Below MIN_SPLIT_FLOPS nothing splits: the threaded workloads worth
-    less than it keep their one-task unit DAG."""
+    """Below MIN_SPLIT_FLOPS nothing splits, but the threaded workloads
+    worth less than it are above MIN_UNIT_FLOPS: their unit DAG is a
+    tree of whole-panel units, with at least two leaves for the two
+    workers to start on."""
     matrix = load_matrix(*E2E_INPUTS[workload], 0)
     sym = analyze(matrix).symbol
     dtype = matrix.values.dtype
     assert not np.diff(row_blocks(sym, ft, dtype).ptr).any()
-    assert get_dag(sym, ft, granularity="unit", dtype=dtype,
-                   n_workers=2).n_tasks == 1
+    dag = get_dag(sym, ft, granularity="unit", dtype=dtype, n_workers=2)
+    assert dag.n_tasks > 1 and dag.total_flops() > MIN_UNIT_FLOPS
+    assert np.isin(dag.kind, (TaskKind.PANEL1D, TaskKind.SUBTREE)).all()
+    assert int(np.sum(dag.n_deps == 0)) >= 2
+
+
+@pytest.mark.parametrize("workload,ft", [("shell2d_lu", "lu"),
+                                         ("vol3d_ldlt", "ldlt")])
+def test_small_bench_workloads_threaded_is_sequential(workload, ft):
+    """Their multi-task unit DAGs run bit for bit as the sequential
+    driver, at 1 to 3 workers under every pop order."""
+    matrix = load_matrix(*E2E_INPUTS[workload], 0)
+    res = analyze(matrix)
+    permuted = matrix.permute(res.perm.perm)
+    seq = factorize_sequential(res.symbol, permuted, ft)
+    for n_workers in (1, 2, 3):
+        for order in sorted(THREAD_SCHEDULERS):
+            got = factorize_threaded(res.symbol, permuted, ft,
+                                     n_workers=n_workers, scheduler=order)
+            for side in ("L_arena", "U_arena", "D_arena"):
+                a, b = getattr(seq, side), getattr(got, side)
+                assert (a is None and b is None) or np.array_equal(a, b), (
+                    n_workers, order, side)
 
 
 def test_row_blocks_shorten_the_critical_path_of_helm3d(monkeypatch):
