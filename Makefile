@@ -20,7 +20,7 @@ native_status = $(shell { command -v cc || command -v gcc; } >/dev/null 2>&1 \
 inject_modes = $(shell PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c \
 	'from repro.verify.cli import INJECTS; print(len(INJECTS))')
 
-.PHONY: test verify lint hazards typecheck bench figures selftest chaos \
+.PHONY: test test-nocc verify lint hazards typecheck bench figures selftest chaos \
 	chaos-smoke race-smoke determinism-smoke native-smoke sanitize-smoke \
 	fuzz-smoke e2e-smoke ci
 
@@ -29,6 +29,19 @@ inject_modes = $(shell PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c \
 # regression (test_many_components.py).
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Tier-1 without a C compiler: PATH holds only the interpreter (linked
+# into a temporary bin directory, since `python` may be a shell shim that
+# needs bash) and the cache is fresh, so both native libraries raise
+# NativeUnavailable and every Python body runs.
+test-nocc:
+	@bin=$$(mktemp -d); cache=$$(mktemp -d); \
+	ln -s "$$($(PYTHON) -c 'import sys; print(sys.executable)')" \
+		"$$bin/python"; \
+	PATH=$$bin XDG_CACHE_HOME=$$cache "$$bin/python" -m pytest -x; \
+	status=$$?; rm -rf "$$bin" "$$cache"; \
+	if [ $$status -eq 0 ]; then echo "test-nocc: clean"; \
+	else echo "test-nocc: FAILED"; fi; exit $$status
 
 # The full static-analysis gate: project linter + DAG hazard coverage +
 # schedule feasibility + memory/symbolic audits (python -m repro
@@ -154,18 +167,19 @@ e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
-# Everything CI runs: tier-1 tests, the static-analysis gate
-# (lint/hazards/schedule/memory/symbolic/concurrency/determinism +
-# ruff/mypy when installed), the fault-injection self-tests, the
+# Everything CI runs: tier-1 tests with and without a C compiler, the
+# static-analysis gate (lint/hazards/schedule/memory/symbolic/
+# concurrency/determinism + ruff/mypy when installed), the
+# fault-injection self-tests, the
 # live-race gate, the determinism gate, the bounded chaos gate, the
 # native-kernel gate, the sanitizer gate, the differential fuzzer and the
 # wall-clock benchmark's smoke run.  make
 # stops at the first failing stage, so reaching the recipe means every
 # stage that ran passed; the summary names the ones that did not run.
-ci: verify selftest race-smoke determinism-smoke chaos-smoke \
+ci: verify test-nocc selftest race-smoke determinism-smoke chaos-smoke \
 	native-smoke sanitize-smoke fuzz-smoke e2e-smoke
 	@echo "ci: lint ok, ruff $(call tool_status,ruff), hazards ok," \
-		"mypy $(call tool_status,mypy), test ok," \
+		"mypy $(call tool_status,mypy), test ok, test-nocc ok," \
 		"selftest ok ($(inject_modes) inject modes caught)," \
 		"race-smoke ok, determinism-smoke ok, chaos-smoke ok," \
 		"native-smoke $(native_status), sanitize-smoke $(native_status)," \

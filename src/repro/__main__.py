@@ -70,7 +70,7 @@ def cmd_analyze(args) -> int:
     import time
 
     from repro.dag import build_dag, dag_summary
-    from repro.graph import native as native_analysis
+    from repro.graph import Graph, native as native_analysis
     from repro.kernels.cost import flops_total
     from repro.kernels.native import availability
     from repro.ordering import nested_dissection
@@ -83,7 +83,8 @@ def cmd_analyze(args) -> int:
     start = time.perf_counter()
     if opts.ordering == "nd":
         opts = dataclasses.replace(opts, ordering=nested_dissection(
-            matrix.symmetrize_pattern().with_full_diagonal(), opts.nd_options
+            Graph.from_symmetric_pattern(
+                matrix.symmetrize_pattern().with_full_diagonal())
         ))
     ordered = time.perf_counter()
     res = analyze(matrix, opts)

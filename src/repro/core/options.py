@@ -9,7 +9,7 @@ from repro.symbolic.analyze import SymbolicOptions
 __all__ = ["SolverOptions"]
 
 _FACTOTYPES = ("llt", "ldlt", "lu")
-_RUNTIMES = ("sequential", "native", "starpu", "parsec", "threaded")
+_RUNTIMES = ("sequential", "threaded")
 _KERNELS = ("native", "numpy")
 
 
@@ -24,10 +24,11 @@ class SolverOptions:
     symbolic:
         Analyze-phase options (ordering, amalgamation, splitting).
     runtime:
-        Which engine executes the factorization DAG: ``"sequential"``
-        (reference driver), ``"threaded"`` (real parallel execution),
-        or one of the scheduler policies (``"native"``, ``"starpu"``,
-        ``"parsec"``) when simulating.
+        Which engine executes the factorization and the solve:
+        ``"sequential"`` (the reference driver) or ``"threaded"`` (the
+        unit DAG on the C executor, ``n_workers`` workers).  The
+        scheduler policies of the paper (native / StarPU / PaRSEC) are
+        simulated only (``python -m repro simulate --policy``).
     n_workers:
         Worker threads for the threaded runtime.
     kernels:

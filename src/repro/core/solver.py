@@ -148,9 +148,7 @@ class SparseSolver:
         )
 
         start = time.perf_counter()
-        if opts.runtime in ("sequential", "native", "starpu", "parsec"):
-            # The scheduler policies change *simulated* performance, not
-            # numerics; real execution uses the reference driver.
+        if opts.runtime == "sequential":
             self.factor = factorize_sequential(
                 analysis.symbol,
                 permuted,
@@ -158,7 +156,7 @@ class SparseSolver:
                 pivot_threshold=opts.pivot_threshold,
                 kernels=opts.kernels,
             )
-        elif opts.runtime == "threaded":
+        else:
             from repro.runtime.threaded import factorize_threaded
 
             self.factor = factorize_threaded(
@@ -169,8 +167,6 @@ class SparseSolver:
                 pivot_threshold=opts.pivot_threshold,
                 kernels=opts.kernels,
             )
-        else:  # pragma: no cover - guarded by SolverOptions
-            raise ValueError(f"unknown runtime {opts.runtime!r}")
         elapsed = time.perf_counter() - start
 
         monitor = getattr(self.factor, "pivot_monitor", None)

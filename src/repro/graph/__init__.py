@@ -1,15 +1,13 @@
 """Graph substrate for fill-reducing orderings.
 
-An adjacency-list graph (CSR arrays), breadth-first machinery, vertex
-separators, and a multilevel edge-bisection partitioner.  Everything here
-is pattern-only: the ordering stage never looks at numerical values.
+An adjacency-list graph (CSR arrays), breadth-first machinery and
+level-set vertex separators.  Everything here is pattern-only: the
+ordering stage never looks at numerical values.
 """
 
 from repro.graph.adjacency import Graph
 from repro.graph.bfs import bfs_levels, pseudo_peripheral_vertex, connected_components
 from repro.graph.separator import level_set_separator, thin_separator
-from repro.graph.coarsen import heavy_edge_matching, coarsen_graph
-from repro.graph.partition import multilevel_bisection, edge_cut
 
 __all__ = [
     "Graph",
@@ -18,8 +16,4 @@ __all__ = [
     "connected_components",
     "level_set_separator",
     "thin_separator",
-    "heavy_edge_matching",
-    "coarsen_graph",
-    "multilevel_bisection",
-    "edge_cut",
 ]

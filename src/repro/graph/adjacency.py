@@ -18,16 +18,14 @@ class Graph:
 
     ``xadj`` has length ``n + 1``; the neighbours of vertex ``v`` are
     ``adjncy[xadj[v]:xadj[v+1]]``.  Self-loops are disallowed; every edge
-    appears in both endpoints' lists.  ``vwgt`` carries vertex weights
-    (defaults to 1), used by coarsened graphs so balance is computed on
-    original-vertex counts.
+    appears in both endpoints' lists.  ``vwgt`` carries the vertex
+    weights separator balance is computed on (defaults to 1).
     """
 
     n: int
     xadj: np.ndarray
     adjncy: np.ndarray
     vwgt: Optional[np.ndarray] = None
-    ewgt: Optional[np.ndarray] = None
     #: :meth:`subgraph`'s relabelling scratch (all ``-1`` between calls).
     _relabel: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
@@ -39,10 +37,6 @@ class Graph:
     def n_edges(self) -> int:
         """Number of undirected edges."""
         return int(self.adjncy.size) // 2
-
-    @property
-    def total_weight(self) -> int:
-        return int(self.vwgt.sum())
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.adjncy[self.xadj[v] : self.xadj[v + 1]]
@@ -68,9 +62,14 @@ class Graph:
         The pattern is symmetrised (the graph of :math:`A + A^T`) and the
         diagonal is dropped, matching what PaStiX hands to Scotch.
         """
-        # A pattern-symmetric CSC minus its diagonal *is* the sorted
-        # adjacency (symmetrising an already symmetric pattern is cheap).
-        sym = mat.symmetrize_pattern()
+        return cls.from_symmetric_pattern(mat.symmetrize_pattern())
+
+    @classmethod
+    def from_symmetric_pattern(cls, sym: SparseMatrixCSC) -> "Graph":
+        """Adjacency graph of a pattern that is already symmetric, with
+        rows ascending and unique in each column (what
+        :meth:`SparseMatrixCSC.symmetrize_pattern` returns): that CSC
+        minus its diagonal *is* the sorted adjacency."""
         cols = entry_owners(sym.colptr)
         off = sym.rowind != cols
         return cls(sym.n_rows, bucket_pointers(cols[off], sym.n_rows),

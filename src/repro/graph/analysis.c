@@ -2,7 +2,7 @@
  *
  *   repro_nested_dissection  the default nested dissection of
  *                            ordering/nested_dissection.py (level-set
- *                            separators, mindeg or natural leaves)
+ *                            separators, minimum-degree leaves)
  *   repro_minimum_degree     ordering/mindeg.py
  *   repro_etree / repro_postorder / repro_column_counts
  *                            symbolic/etree.py, symbolic/colcount.py
@@ -503,8 +503,7 @@ static void relabel(work_t *w, const i64 *list, i64 size, i64 rid)
  * local id" in the Python driver's relabelled subgraphs is "lowest
  * original id" here and no subgraph is ever built. */
 i64 repro_nested_dissection(i64 n, const i64 *xadj, const i64 *adjncy,
-                            const i64 *vwgt, i64 leaf_size, int leaf_mindeg,
-                            i64 *iperm)
+                            const i64 *vwgt, i64 leaf_size, i64 *iperm)
 {
     work_t w;
     i64 sp = 0, next_rid = 1, v, k;
@@ -583,7 +582,7 @@ i64 repro_nested_dissection(i64 n, const i64 *xadj, const i64 *adjncy,
             break;
         if (counts[0] == 0 || counts[1] == 0 || counts[2] == 0) {
             /* A leaf, or separation failed (dense or tiny region). */
-            if (leaf_mindeg && size > 2)
+            if (size > 2)
                 status = minimum_degree(&w, list, size, rid, list);
             continue;
         }

@@ -56,8 +56,7 @@ _NO_MEMORY, _INCONSISTENT, _MISSING = -1, -2, -3
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 _SIGNATURES = {
-    "repro_nested_dissection": [_I64, _PTR, _PTR, _PTR, _I64, ctypes.c_int,
-                                _PTR],
+    "repro_nested_dissection": [_I64, _PTR, _PTR, _PTR, _I64, _PTR],
     "repro_minimum_degree": [_I64, _PTR, _PTR, _PTR],
     "repro_etree": [_I64, _PTR, _PTR, _PTR],
     "repro_postorder": [_I64, _PTR, _PTR],
@@ -155,7 +154,7 @@ def _checked(status: int) -> bool:
 # ----------------------------------------------------------------------
 def nested_dissection(
     lib: ctypes.CDLL, n: int, xadj: np.ndarray, adjncy: np.ndarray,
-    vwgt: np.ndarray, leaf_size: int, leaf_mindeg: bool,
+    vwgt: np.ndarray, leaf_size: int,
 ) -> Optional[np.ndarray]:
     """``iperm`` of the default nested dissection, or ``None`` when the
     adjacency turned out not to be symmetric (the Python driver decides
@@ -166,7 +165,7 @@ def nested_dissection(
     # Every leaf_size >= n means "one leaf"; keep the value inside int64.
     status = lib.repro_nested_dissection(
         n, xadj.ctypes.data, adjncy.ctypes.data, vwgt.ctypes.data,
-        max(-1, min(int(leaf_size), n)), int(leaf_mindeg), iperm.ctypes.data,
+        max(-1, min(int(leaf_size), n)), iperm.ctypes.data,
     )
     return iperm if _checked(status) else None
 

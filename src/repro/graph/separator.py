@@ -17,9 +17,8 @@ import numpy as np
 
 from repro.graph.adjacency import Graph
 from repro.graph.bfs import pseudo_peripheral_vertex
-from repro.sparse.csc import entry_owners
 
-__all__ = ["level_set_separator", "thin_separator", "separator_from_edge_cut"]
+__all__ = ["level_set_separator", "thin_separator"]
 
 
 def level_set_separator(
@@ -134,22 +133,3 @@ def thin_separator(
         side[sep_ids] = target
     return _by_side(side)
 
-
-def separator_from_edge_cut(
-    graph: Graph, part: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Derive a vertex separator from a 2-way edge partition.
-
-    ``part`` is a 0/1 array.  Boundary vertices of the *smaller* boundary
-    side form the separator (a cheap one-sided vertex cover of the cut).
-    """
-    src = entry_owners(graph.xadj)
-    cut = part[src] != part[graph.adjncy]
-    b0 = np.unique(src[cut & (part[src] == 0)])
-    b1 = np.unique(src[cut & (part[src] == 1)])
-    sep = b0 if b0.size <= b1.size else b1
-    in_sep = np.zeros(graph.n, dtype=bool)
-    in_sep[sep] = True
-    part_a = np.flatnonzero((part == 0) & ~in_sep).astype(np.int64)
-    part_b = np.flatnonzero((part == 1) & ~in_sep).astype(np.int64)
-    return thin_separator(graph, sep.astype(np.int64), part_a, part_b)

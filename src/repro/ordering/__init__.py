@@ -2,22 +2,15 @@
 
 The analysis phase of the solver permutes the matrix with a fill-reducing
 ordering before symbolic factorization.  Nested dissection is the paper's
-ordering (PaStiX uses Scotch); minimum degree and reverse Cuthill–McKee
-are provided as alternatives for leaves, small problems, and ablations.
+ordering (PaStiX uses Scotch); minimum degree orders its leaves.
 """
 
 from repro.ordering.perm import Permutation
-from repro.ordering.rcm import reverse_cuthill_mckee
 from repro.ordering.mindeg import minimum_degree
-from repro.ordering.nested_dissection import (
-    nested_dissection,
-    NestedDissectionOptions,
-)
+from repro.ordering.nested_dissection import nested_dissection
 
 __all__ = [
     "Permutation",
-    "reverse_cuthill_mckee",
     "minimum_degree",
     "nested_dissection",
-    "NestedDissectionOptions",
 ]

@@ -7,79 +7,39 @@ supernodes at the top of the elimination tree — exactly the blocks the
 paper offloads to GPUs.
 
 PaStiX delegates this to Scotch; here it is built on
-:mod:`repro.graph`, and the default configuration (level-set separators,
-``"mindeg"`` or ``"natural"`` leaves) runs as one C call when
-:mod:`repro.graph.native` loads — the driver below is its fallback and its
-oracle, permutation for permutation.  Two separator engines are
-available:
-
-* ``"levelset"`` (default) — BFS level-set separator, cheap and robust;
-* ``"multilevel"`` — multilevel edge bisection + vertex cover, better
-  separators at higher cost (used in the ordering-quality ablation).
+:mod:`repro.graph`: BFS level-set separators, and minimum degree on the
+leaves (regions of at most :data:`LEAF_SIZE` vertices).  It runs as one C
+call when :mod:`repro.graph.native` loads; the driver below is its
+fallback and its oracle, permutation for permutation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graph import native
 from repro.graph.adjacency import Graph
 from repro.graph.bfs import connected_components
-from repro.graph.partition import multilevel_bisection
-from repro.graph.separator import level_set_separator, separator_from_edge_cut
+from repro.graph.separator import level_set_separator
 from repro.ordering.mindeg import minimum_degree
 from repro.ordering.perm import Permutation
 from repro.sparse.csc import SparseMatrixCSC
 
-__all__ = ["nested_dissection", "NestedDissectionOptions"]
+__all__ = ["nested_dissection"]
+
+#: Regions of at most this many vertices stop recursing and are ordered
+#: by minimum degree.
+LEAF_SIZE = 96
 
 
-@dataclass(frozen=True)
-class NestedDissectionOptions:
-    """Tuning knobs for :func:`nested_dissection`.
-
-    Attributes
-    ----------
-    leaf_size:
-        Subgraphs at or below this size stop recursing and are ordered
-        with ``leaf_ordering``.
-    leaf_ordering:
-        ``"mindeg"`` (default), ``"natural"`` or ``"rcm"``.
-    separator:
-        ``"levelset"`` or ``"multilevel"``.
-    seed:
-        Seed for the multilevel engine's randomised matching.
-    """
-
-    leaf_size: int = 96
-    leaf_ordering: str = "mindeg"
-    separator: str = "levelset"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.leaf_ordering not in ("mindeg", "natural", "rcm"):
-            raise ValueError(f"unknown leaf ordering {self.leaf_ordering!r}")
-        if self.separator not in ("levelset", "multilevel"):
-            raise ValueError(f"unknown separator engine {self.separator!r}")
-
-
-def _order_leaf(sub: Graph, opts: NestedDissectionOptions) -> np.ndarray:
+def _order_leaf(sub: Graph) -> np.ndarray:
     """Local ordering of a leaf subgraph; returns local iperm (new→old)."""
-    if opts.leaf_ordering == "natural" or sub.n <= 2:
+    if sub.n <= 2:
         return np.arange(sub.n, dtype=np.int64)
-    if opts.leaf_ordering == "rcm":
-        from repro.ordering.rcm import reverse_cuthill_mckee
-
-        return reverse_cuthill_mckee(sub).iperm
     return minimum_degree(sub).iperm
 
 
-def nested_dissection(
-    source: Graph | SparseMatrixCSC,
-    options: NestedDissectionOptions | None = None,
-) -> Permutation:
+def nested_dissection(source: Graph | SparseMatrixCSC) -> Permutation:
     """Compute a nested-dissection permutation (scatter form).
 
     Accepts a :class:`Graph` or a square sparse matrix (whose symmetrised
@@ -87,15 +47,12 @@ def nested_dissection(
     interior before its separator, recursively, so separators stack at the
     end of the ordering.
     """
-    opts = options or NestedDissectionOptions()
     graph = source if isinstance(source, Graph) else Graph.from_matrix(source)
     n = graph.n
-    if (opts.separator == "levelset" and opts.leaf_ordering != "rcm"
-            and graph.vwgt.dtype.kind in "iu"
+    if (graph.vwgt.dtype.kind in "iu"
             and (lib := native.library()) is not None):
         iperm = native.nested_dissection(
-            lib, n, graph.xadj, graph.adjncy, graph.vwgt, opts.leaf_size,
-            opts.leaf_ordering == "mindeg",
+            lib, n, graph.xadj, graph.adjncy, graph.vwgt, LEAF_SIZE
         )
         if iperm is not None:
             return Permutation.from_iperm(iperm)
@@ -132,18 +89,15 @@ def nested_dissection(
                 )
             continue
 
-        if size <= opts.leaf_size:
+        if size <= LEAF_SIZE:
             sep = pa = pb = vertices[:0]
-        elif opts.separator == "multilevel":
-            part = multilevel_bisection(sub, seed=opts.seed)
-            sep, pa, pb = separator_from_edge_cut(sub, part)
         else:
             sep, pa, pb = level_set_separator(sub)
 
         if sep.size == 0 or pa.size == 0 or pb.size == 0:
             # A leaf, or separation failed (dense or tiny graph): order
             # the region locally.
-            iperm[lo:hi] = mapping[_order_leaf(sub, opts)]
+            iperm[lo:hi] = mapping[_order_leaf(sub)]
             continue
 
         # Layout: [A | B | separator]; separator gets the last positions.

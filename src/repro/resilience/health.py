@@ -196,12 +196,6 @@ class HealthMonitor:
     def ewma(self, resource: str) -> float:
         return self._ewma.get(resource, 1.0)
 
-    def snapshot(self) -> dict[str, tuple[str, float]]:
-        """``resource -> (state, ewma)`` for diagnostics / watchdogs."""
-        with self._lock:
-            return {r: (s, self._ewma.get(r, 1.0))
-                    for r, s in sorted(self._state.items())}
-
     def counts(self) -> dict[str, int]:
         """Number of resources currently in each state."""
         out = {s: 0 for s in HEALTH_STATES}

@@ -23,7 +23,6 @@ from repro.symbolic.supernodes import (
 from repro.symbolic.structures import SymbolMatrix, CBlk, Blok, build_symbol
 from repro.symbolic.splitting import split_supernodes
 from repro.symbolic.analyze import analyze, SymbolicOptions, AnalysisResult
-from repro.symbolic.persistence import save_analysis, load_analysis
 
 __all__ = [
     "elimination_tree",
@@ -42,6 +41,4 @@ __all__ = [
     "analyze",
     "SymbolicOptions",
     "AnalysisResult",
-    "save_analysis",
-    "load_analysis",
 ]

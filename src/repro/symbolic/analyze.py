@@ -8,14 +8,12 @@ different runtimes/machines) all reuse the resulting
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ordering.nested_dissection import (
-    NestedDissectionOptions,
-    nested_dissection,
-)
+from repro.graph.adjacency import Graph
+from repro.ordering.nested_dissection import nested_dissection
 from repro.ordering.perm import Permutation
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic.colcount import column_counts
@@ -55,9 +53,6 @@ class SymbolicOptions:
     amalgamation_ratio: float | None = 0.12
     split_max_width: int | None = 128
     min_panels: int = 1
-    nd_options: NestedDissectionOptions = field(
-        default_factory=NestedDissectionOptions
-    )
 
 
 @dataclass
@@ -106,7 +101,7 @@ def analyze(
     if isinstance(opts.ordering, Permutation):
         perm1 = opts.ordering
     elif opts.ordering == "nd":
-        perm1 = nested_dissection(pattern, opts.nd_options)
+        perm1 = nested_dissection(Graph.from_symmetric_pattern(pattern))
     elif opts.ordering == "natural":
         perm1 = Permutation.identity(n)
     else:

@@ -18,7 +18,6 @@ Layout conventions (mirroring PaStiX):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -114,9 +113,6 @@ class SymbolMatrix:
     def cblk_width(self, k: int) -> int:
         return int(self.cblk_ptr[k + 1] - self.cblk_ptr[k])
 
-    def cblk_widths(self) -> np.ndarray:
-        return np.diff(self.cblk_ptr)
-
     def cblk_heights(self) -> np.ndarray:
         """:meth:`cblk_height` of every panel at once (int64)."""
         return np.add.reduceat(
@@ -150,10 +146,6 @@ class SymbolMatrix:
     def facing_bloks(self, k: int) -> np.ndarray:
         """Off-diagonal bloks (by index) whose rows fall inside cblk ``k``."""
         return self.face_list[self.face_ptr[k]: self.face_ptr[k + 1]]
-
-    def iter_cblks(self) -> Iterator[CBlk]:
-        for k in range(self.n_cblk):
-            yield self.cblk(k)
 
     # ------------------------------------------------------------------
     def nnz(self, *, factotype: str = "llt") -> int:

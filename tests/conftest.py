@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,11 @@ def split_every_panel(monkeypatch) -> None:
 def split_panels(monkeypatch):
     """:func:`split_every_panel` for one test."""
     split_every_panel(monkeypatch)
+
+
+#: The nested-dissection module, whose ``LEAF_SIZE`` tests patch (the
+#: package attribute ``repro.ordering.nested_dissection`` is the function).
+ND = importlib.import_module("repro.ordering.nested_dissection")
 
 
 @pytest.fixture

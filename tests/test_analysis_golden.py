@@ -19,16 +19,16 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.graph import native
-from repro.ordering import NestedDissectionOptions
 from repro.sparse import grid_laplacian_2d, load_matrix
 from repro.sparse.collection import collection_names
 from repro.symbolic import SymbolicOptions, analyze
-from tests.conftest import COMPONENT_SIZES, many_component_matrix
+from tests.conftest import COMPONENT_SIZES, ND, many_component_matrix
 
 GOLDEN = Path(__file__).parent / "data" / "analysis_golden.json"
 
@@ -40,13 +40,9 @@ E2E_INPUTS = {
     "elast3d_llt_seq_rhs16": ("audi", 1.0),
 }
 
-#: Non-default paths through the BFS that ``graph.partition`` and
-#: ``ordering.rcm`` share with the default ordering.
+#: The analysis without a fill-reducing ordering: etree, column counts,
+#: supernodes and symbol of the matrix as given.
 VARIANTS = {
-    "multilevel": SymbolicOptions(
-        nd_options=NestedDissectionOptions(separator="multilevel")),
-    "rcm_leaves": SymbolicOptions(
-        nd_options=NestedDissectionOptions(leaf_ordering="rcm")),
     "natural": SymbolicOptions(ordering="natural"),
 }
 
@@ -69,15 +65,17 @@ def _cases():
         yield f"e2e/{wl}", inp, None
     for label, opts in VARIANTS.items():
         yield f"variant/{label}", None, opts
-    yield "components/300v40c", "components", SymbolicOptions(
-        nd_options=NestedDissectionOptions(leaf_size=12))
+    yield "components/300v40c", "components", None
 
 
 def _digest(inp, opts) -> str:
     if inp is None:
         matrix = grid_laplacian_2d(24, jitter=0.05, seed=4)
     elif inp == "components":
+        # Leaves of 12 vertices, so that components get separators too.
         matrix = many_component_matrix(COMPONENT_SIZES, seed=21)
+        with mock.patch.object(ND, "LEAF_SIZE", 12):
+            return fingerprint(analyze(matrix, opts))
     else:
         matrix = load_matrix(inp[0], inp[1], 0)
     return fingerprint(analyze(matrix, opts))

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from repro.graph import Graph, connected_components
-from repro.ordering import NestedDissectionOptions, nested_dissection
+from repro.ordering import nested_dissection
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic import analyze
-from tests.conftest import COMPONENT_SIZES, many_component_matrix
+from tests.conftest import COMPONENT_SIZES, ND, many_component_matrix
 
 
 def _best_of(fn, attempts: int, good_enough: float) -> float:
@@ -47,19 +47,19 @@ def test_block_diagonal_matrix_analyzes_in_linear_time():
 
 
 @pytest.mark.parametrize("leaf_size", [2, 12, 96])
-def test_components_are_dissected_independently(leaf_size):
+def test_components_are_dissected_independently(leaf_size, monkeypatch):
     """[component 0 | component 1 | …] in order of smallest vertex, each
     ordered as if it were the whole graph."""
     a = many_component_matrix(COMPONENT_SIZES, seed=21)
     g = Graph.from_matrix(a)
-    opts = NestedDissectionOptions(leaf_size=leaf_size)
+    monkeypatch.setattr(ND, "LEAF_SIZE", leaf_size)
     expected = []
     comp = connected_components(g)
     assert comp.max() + 1 == len(COMPONENT_SIZES)
     for c in range(len(COMPONENT_SIZES)):
         sub, members = g.subgraph(np.flatnonzero(comp == c))
-        expected.append(members[nested_dissection(sub, opts).iperm])
-    got = nested_dissection(g, opts).iperm
+        expected.append(members[nested_dissection(sub).iperm])
+    got = nested_dissection(g).iperm
     assert np.array_equal(got, np.concatenate(expected))
 
 

@@ -21,11 +21,7 @@ from hypothesis import strategies as st
 
 from repro import cbuild
 from repro.graph import Graph, native
-from repro.ordering import (
-    NestedDissectionOptions,
-    minimum_degree,
-    nested_dissection,
-)
+from repro.ordering import minimum_degree, nested_dissection
 from repro.sparse import load_matrix
 from repro.sparse.collection import collection_names
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc, entry_owners
@@ -38,7 +34,7 @@ from repro.symbolic import (
     postorder,
     supernode_row_sets,
 )
-from tests.conftest import COMPONENT_SIZES, many_component_matrix
+from tests.conftest import COMPONENT_SIZES, ND, many_component_matrix
 from tests.test_analysis_golden import GOLDEN, _cases, _digest, fingerprint
 
 pytestmark = pytest.mark.skipif(
@@ -62,17 +58,14 @@ def assert_orderings_agree(graph: Graph, leaf_sizes=LEAF_SIZES) -> None:
     Python bodies."""
     lib = native.library()
     csr = (graph.n, graph.xadj, graph.adjncy)
-    for leaf_ordering in ("mindeg", "natural"):
-        for leaf_size in leaf_sizes:
-            opts = NestedDissectionOptions(leaf_size=leaf_size,
-                                           leaf_ordering=leaf_ordering)
-            want = oracle(nested_dissection, graph, opts)
-            assert nested_dissection(graph, opts) == want
-            iperm = native.nested_dissection(
-                lib, *csr, graph.vwgt, leaf_size, leaf_ordering == "mindeg")
-            assert iperm is not None
-            assert np.array_equal(iperm, want.iperm), (leaf_ordering,
-                                                       leaf_size)
+    for leaf_size in leaf_sizes:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ND, "LEAF_SIZE", leaf_size)
+            want = oracle(nested_dissection, graph)
+            assert nested_dissection(graph) == want
+        iperm = native.nested_dissection(lib, *csr, graph.vwgt, leaf_size)
+        assert iperm is not None
+        assert np.array_equal(iperm, want.iperm), leaf_size
     want = oracle(minimum_degree, graph)
     assert minimum_degree(graph) == want
     iperm = native.minimum_degree(lib, *csr)
@@ -221,7 +214,7 @@ def test_malformed_adjacency_is_rejected(xadj, adjncy):
     n = 3 if xadj.size == 4 else 2
     ones = np.ones(n, dtype=np.int64)
     with pytest.raises(ValueError):
-        native.nested_dissection(lib, n, xadj, adjncy, ones, 0, True)
+        native.nested_dissection(lib, n, xadj, adjncy, ones, 0)
     with pytest.raises(ValueError):
         native.minimum_degree(lib, n, xadj, adjncy)
     with pytest.raises(ValueError):
@@ -248,7 +241,7 @@ def test_malformed_trees_and_partitions_are_rejected():
     with pytest.raises(ValueError):
         native.postorder(lib, _i64(1, 3, -1))
     with pytest.raises(ValueError):
-        native.nested_dissection(lib, 3, colptr, rowind, _i64(1, 1), 0, True)
+        native.nested_dissection(lib, 3, colptr, rowind, _i64(1, 1), 0)
     for snptr in (_i64(0, 2), _i64(1, 3), _i64(0, 2, 1, 3), _i64()):
         with pytest.raises(ValueError):
             native.supernode_rows(lib, 3, colptr, rowind, snptr)
@@ -269,18 +262,18 @@ def test_malformed_trees_and_partitions_are_rejected():
     (_i64(0, 1, 1, 1), _i64(1), False),       # 0 -> 1 only
     (_i64(0, 1, 2, 2), _i64(1, 2), True),     # 0 -> 1 -> 2 only
 ])
-def test_one_way_edges_go_to_the_python_body(xadj, adjncy, dissection_notices):
+def test_one_way_edges_go_to_the_python_body(xadj, adjncy, dissection_notices,
+                                             monkeypatch):
     """An adjacency missing its reverse edges passes the array checks; C
     notices the broken invariant and hands the graph back."""
     lib = native.library()
     ones = np.ones(3, dtype=np.int64)
     assert native.minimum_degree(lib, 3, xadj, adjncy) is None
-    iperm = native.nested_dissection(lib, 3, xadj, adjncy, ones, 0, True)
+    iperm = native.nested_dissection(lib, 3, xadj, adjncy, ones, 0)
     assert (iperm is None) == dissection_notices
     graph = Graph(3, xadj, adjncy)
-    opts = NestedDissectionOptions(leaf_size=0)
-    assert nested_dissection(graph, opts) == oracle(nested_dissection, graph,
-                                                   opts)
+    monkeypatch.setattr(ND, "LEAF_SIZE", 0)
+    assert nested_dissection(graph) == oracle(nested_dissection, graph)
     assert minimum_degree(graph) == oracle(minimum_degree, graph)
 
 

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.adjacency import Graph
-from repro.graph.separator import (
-    level_set_separator,
-    separator_from_edge_cut,
-    thin_separator,
-)
+from repro.graph.separator import level_set_separator, thin_separator
 from repro.sparse.generators import grid_laplacian_2d, random_pattern_spd
 
 
@@ -87,15 +83,6 @@ class TestThinning:
             g, np.array([0, 1]), np.array([], dtype=np.int64), np.array([2])
         )
         assert 0 not in sep
-
-
-class TestEdgeCutDerived:
-    def test_separator_from_cut(self):
-        g = Graph.from_matrix(grid_laplacian_2d(6))
-        part = (np.arange(g.n) % 36 >= 18).astype(np.int8)  # top/bottom halves
-        sep, pa, pb = separator_from_edge_cut(g, part)
-        assert_valid_separator(g, sep, pa, pb)
-        assert sep.size <= 6  # one grid row
 
 
 @settings(max_examples=20, deadline=None)
