@@ -6,14 +6,15 @@ and its compiler, flags and seconds are printed — loads them from there,
 and runs the differential checks: one small matrix per factotype in both
 drivers (the native factor against the NumPy one, 1e-12, and the threaded
 native factor against the sequential native one, bit for bit), and one
-matrix per generator family through the analysis with the C helper and
-with the Python bodies (equal fingerprints, equal minimum-degree
-orderings).  Each factor is also solved with 1, 3 and 16 right-hand
-sides: the native sweeps against the NumPy bodies (1e-12), and the C
-DAG executor (``solve_threaded``, the solve floor lowered so that its DAG
-is a tree of tasks) with 1, 2 and 3 workers against the sequential
-native solve (bit for bit); one traced executor run per factor must pass
-the schedule check and the C7xx concurrency audit.
+matrix per generator family through the analysis with the C helper (its
+nested dissection on two threads) and with the Python bodies (equal
+arrays, equal minimum-degree orderings).  Each factor is also solved
+with 1, 3 and 16 right-hand sides: the native sweeps against the NumPy
+bodies (1e-12), and the C DAG executor (``solve_threaded``, the solve
+floor lowered so that its DAG is a tree of tasks) with 1, 2 and 3
+workers against the sequential native solve (bit for bit); one traced
+executor run per factor must pass the schedule check and the C7xx
+concurrency audit.
 A matrix just above the unit floor (``MIN_UNIT_FLOPS``, at the default
 constants) runs as a tree of unit tasks: per factotype the DAG executor
 at 1, 2 and 3 workers under each pop order must equal the sequential
@@ -45,10 +46,11 @@ RTOL = 1e-12
 
 
 def _analysis_arrays(res) -> list[np.ndarray]:
-    sym = res.symbol
+    from repro.graph.native import SYMBOL_FIELDS
+
     return [res.perm.perm, res.parent, res.counts, res.pattern.colptr,
-            res.pattern.rowind, sym.cblk_ptr, sym.blok_ptr, sym.blok_frow,
-            sym.blok_lrow, sym.blok_face]
+            res.pattern.rowind, res.value_map] + [
+                getattr(res.symbol, name) for name in SYMBOL_FIELDS]
 
 
 def cold_build(module, cache: Path) -> None:
@@ -82,7 +84,8 @@ def check_analysis() -> None:
     }
     for name, matrix in families.items():
         graph = Graph.from_matrix(matrix)
-        got = _analysis_arrays(analyze(matrix)) + [minimum_degree(graph).perm]
+        got = _analysis_arrays(analyze(matrix, n_workers=2)) + [
+            minimum_degree(graph).perm]
         with mock.patch.object(native, "library", lambda: None):
             ref = _analysis_arrays(analyze(matrix)) + [
                 minimum_degree(graph).perm]

@@ -107,33 +107,43 @@ class SparseSolver:
         self.analysis: Optional[AnalysisResult] = None
         self.factor: Optional[NumericFactor] = None
         self._permuted: Optional[SparseMatrixCSC] = None
-        #: The permuted pattern, and the index into ``matrix.values`` of
-        #: each of its entries: every later set of values on the same
-        #: pattern permutes by one gather, onto the same pattern arrays
-        #: (which keeps the symbol's memoised assembly map valid).
-        self._permuted_pattern: Optional[SparseMatrixCSC] = None
+        #: The entries of the analysis pattern ``matrix`` has no value for
+        #: (``value_map`` −1), assembled as explicit zeros.
+        self._zeros: Optional[np.ndarray] = None
         self.last_info: Optional[FactorizationInfo] = None
         self.last_refinement: Optional[RefinementResult] = None
 
     # ------------------------------------------------------------------
     def analyze(self) -> AnalysisResult:
-        """Run (or return the cached) analyze phase."""
+        """Run (or return the cached) analyze phase.
+
+        Under ``runtime="threaded"`` the nested dissection uses the
+        solver's ``n_workers`` threads; the result does not depend on it.
+        """
         if self.analysis is None:
-            self.analysis = analyze(self.matrix, self.options.symbolic)
+            opts = self.options
+            self.analysis = analyze(
+                self.matrix, opts.symbolic,
+                n_workers=opts.n_workers if opts.runtime == "threaded" else 1)
         return self.analysis
 
     def _permuted_matrix(self) -> SparseMatrixCSC:
+        """The matrix in the analysis order, on the analysis pattern's own
+        arrays (which keeps the symbol's memoised assembly map valid): one
+        gather of the values through ``value_map``, explicit zeros where
+        the matrix has no entry (those positions are in the symbol)."""
         if self._permuted is None:
-            if self._permuted_pattern is None:
-                m = self.matrix
-                self._permuted_pattern = SparseMatrixCSC(
-                    m.n_rows, m.n_cols, m.colptr, m.rowind,
-                    np.arange(m.nnz, dtype=np.int64),
-                ).permute(self.analyze().perm.perm)
-            pattern = self._permuted_pattern
+            analysis = self.analyze()
+            if self._zeros is None:
+                self._zeros = np.flatnonzero(analysis.value_map < 0)
+            source = self.matrix.values
+            values = (source[analysis.value_map] if source.size
+                      else np.zeros(analysis.value_map.size, source.dtype))
+            values[self._zeros] = 0
+            pattern = analysis.pattern
             self._permuted = SparseMatrixCSC(
                 pattern.n_rows, pattern.n_cols, pattern.colptr,
-                pattern.rowind, self.matrix.values[pattern.values],
+                pattern.rowind, values,
             )
         return self._permuted
 

@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.dag.tasks import TaskDAG, TaskKind
+from repro.graph import native
 from repro.kernels.cost import (
     complex_multiplier,
     flops_panel,
@@ -85,16 +86,22 @@ get_couple_cache`) — it lives on the symbol object: repeated solves,
 def _plan_couples(symbol: SymbolMatrix):
     """:func:`update_couples` read off the symbol's couple plan, which a
     factorization builds anyway (the same arrays, in the same by-source
-    order)."""
+    order).  Memoised next to the plan on the symbol: :func:`row_blocks`
+    and the unit DAG of one factorization both read them."""
     from repro.kernels.indexcache import get_couple_cache
 
     plan = get_couple_cache(symbol)
+    memo = symbol.__dict__.get("_plan_couples_memo")
+    if memo is not None and memo[0] is plan:
+        return memo[1]
     by_src = plan.by_src
     src = plan.src[by_src].astype(np.int64)
     i0 = plan.i0[by_src].astype(np.int64)
     ms = plan.layout.below[src] - i0
-    return (src, plan.tgt[by_src].astype(np.int64), ms,
-            plan.i1[by_src].astype(np.int64) - i0)
+    couples = (src, plan.tgt[by_src].astype(np.int64), ms,
+               plan.i1[by_src].astype(np.int64) - i0)
+    symbol.__dict__["_plan_couples_memo"] = (plan, couples)
+    return couples
 
 
 def _weights(symbol: SymbolMatrix, factotype: str, dtype,
@@ -258,8 +265,13 @@ def fused_subtree_groups(
     ``threshold``; the group's id is the subtree's topmost such cblk, so
     the groups are exactly the maximal subtrees under the threshold.
     Shared by the factorization DAG (weight: flops) and the solve DAG
-    (weight: panel storage).
+    (weight: panel storage).  One C call when the analysis helper loads
+    (:func:`repro.graph.native.subtree_groups`, the same sums in the same
+    order); the loops below are its fallback and oracle.
     """
+    lib = native.library()
+    if lib is not None:
+        return native.subtree_groups(lib, parent, weight, threshold)
     K = parent.size
     up = parent.tolist()
     subtree = np.asarray(weight, dtype=np.float64).tolist()

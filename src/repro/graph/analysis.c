@@ -1,7 +1,18 @@
 /* Native analysis: the ordering and the symbolic passes as single calls.
  *
+ *   repro_symmetrize         analysis pass 1: the pattern of A + A^T with a
+ *                            full diagonal (sparse/csc.py,
+ *                            symmetrize_pattern + with_full_diagonal)
+ *   repro_order              analysis pass 2: nested dissection (or a given
+ *                            permutation), elimination tree, postorder,
+ *                            the permuted pattern and its column counts
+ *                            (symbolic/analyze.py)
+ *   repro_block_symbol       analysis pass 3: supernodes, their row sets,
+ *                            amalgamation, splitting and the SymbolMatrix
+ *                            arrays (symbolic/supernodes.py, splitting.py,
+ *                            structures.py)
  *   repro_nested_dissection  the default nested dissection of
- *                            ordering/nested_dissection.py (level-set
+ *                            ordering/dissection.py (level-set
  *                            separators, minimum-degree leaves)
  *   repro_minimum_degree     ordering/mindeg.py
  *   repro_etree / repro_postorder / repro_column_counts
@@ -11,6 +22,7 @@
  *   repro_permute_pattern    sparse/csc.py (SparseMatrixCSC.permute)
  *   repro_couple_plan        kernels/indexcache.py (the couple plan)
  *   repro_assembly_map       core/factor.py (AssemblyMap)
+ *   repro_subtree_groups     dag/builder.py (fused_subtree_groups)
  *
  * Each is called through ctypes (GIL released) from repro/graph/native.py,
  * which checks every array before its pointer crosses.  The Python bodies
@@ -18,8 +30,11 @@
  * element for element, so every tie-break below is the Python one.
  *
  * No static state: every call allocates its O(n + nnz) work arrays and
- * frees them before returning, so concurrent calls are independent.
+ * frees them before returning, so concurrent calls are independent.  Only
+ * nested dissection starts threads (repro_order's n_workers), and joins
+ * them before it returns.
  */
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -38,10 +53,13 @@ enum {
 /* Minimum degree on one region of a graph                            */
 /* ------------------------------------------------------------------ */
 
-/* Work arrays shared by the ordering entry points.  `region[v]` names the
- * region a vertex belongs to; an adjacency entry counts only when both
- * ends carry the same label, which is how a region of the original graph
- * stands in for the relabelled induced subgraph of the Python driver. */
+/* Work arrays of one ordering thread.  `region[v]` names the region a
+ * vertex belongs to; an adjacency entry counts only when both ends carry
+ * the same label, which is how a region of the original graph stands in
+ * for the relabelled induced subgraph of the Python driver.  The labels
+ * are shared by the threads of one nested dissection; every other array
+ * is the thread's own.  Self-loops (a pattern's diagonal) are skipped;
+ * `vwgt` NULL weighs every vertex 1. */
 typedef struct {
     const i64 *xadj, *adjncy, *vwgt;
     i64 *region;
@@ -56,22 +74,30 @@ typedef struct {
     i64 *heap, *hpos;
     i64 *evars, *estart, *esize; /* element -> its variables, in an arena */
     i64 ecap;
-    /* nested dissection */
-    i64 *tmp, *seplist, *stack;
+    /* nested dissection: `kids` receives a region's sub-regions */
+    i64 *tmp, *seplist, *kids;
     double *level_w;
     int8_t *side, *target;
     void *block;
 } work_t;
 
+/* A region's labels are read while other threads relabel theirs: every
+ * access is a relaxed atomic.  No label a thread writes is ever another
+ * live region's, so what a read returns never changes a decision. */
+#define LABEL(w, x) __atomic_load_n(&(w)->region[x], __ATOMIC_RELAXED)
+#define SET_LABEL(w, x, v) \
+    __atomic_store_n(&(w)->region[x], (v), __ATOMIC_RELAXED)
+#define WEIGHT(w, u) ((w)->vwgt ? (w)->vwgt[u] : 1)
+
 static int work_alloc(work_t *w, i64 n, const i64 *xadj, const i64 *adjncy,
-                      const i64 *vwgt, int dissect)
+                      const i64 *vwgt, i64 *region, int dissect)
 {
     i64 nnz = xadj[n];
-    size_t words = (size_t)(12 * n + 2 * nnz + 2);
+    size_t words = (size_t)(11 * n + 2 * nnz + 2);
     size_t bytes;
     char *p;
     if (dissect)
-        words += (size_t)(5 * n + 4);
+        words += (size_t)(3 * n + 11);
     bytes = words * sizeof(i64) + (dissect ? (size_t)(n + 1) * sizeof(double)
                                              + 2 * (size_t)n : 0);
     memset(w, 0, sizeof *w);
@@ -81,10 +107,10 @@ static int work_alloc(work_t *w, i64 n, const i64 *xadj, const i64 *adjncy,
     w->xadj = xadj;
     w->adjncy = adjncy;
     w->vwgt = vwgt;
+    w->region = region;
     w->ecap = nnz + 1;
 #define TAKE(field, type, count) \
     (w->field = (type *)p, p += (size_t)(count) * sizeof(type))
-    TAKE(region, i64, n);
     TAKE(mark, i64, n);
     TAKE(inr, i64, n);
     TAKE(level, i64, n);
@@ -101,7 +127,7 @@ static int work_alloc(work_t *w, i64 n, const i64 *xadj, const i64 *adjncy,
     if (dissect) {
         TAKE(tmp, i64, n);
         TAKE(seplist, i64, n + 1);
-        TAKE(stack, i64, 3 * (n + 1));
+        TAKE(kids, i64, n + 9); /* components of > 2 vertices, or A and B */
         TAKE(level_w, double, n + 1);
         TAKE(side, int8_t, n);
         TAKE(target, int8_t, n);
@@ -155,6 +181,167 @@ static void heap_down(work_t *w, i64 i, i64 size)
     w->hpos[v] = i;
 }
 
+/* Regions of at most this many vertices (every leaf of the default
+ * nested dissection) keep each vertex set as a 128-bit mask. */
+#define SMALL_REGION 128
+
+typedef uint64_t set_t[2];
+
+#define SET_HAS(set, l) (((set)[(l) >> 6] >> ((l) & 63)) & 1)
+#define SET_ADD(set, l) ((set)[(l) >> 6] |= (uint64_t)1 << ((l) & 63))
+#define SET_DEL(set, l) ((set)[(l) >> 6] &= ~((uint64_t)1 << ((l) & 63)))
+#define SET_FIRST(set) \
+    ((set)[0] ? __builtin_ctzll((set)[0]) : 64 + __builtin_ctzll((set)[1]))
+#define FOR_EACH(l, set, word, bits)                                   \
+    for (word = 0; word < 2; word++)                                   \
+        for (bits = (set)[word];                                       \
+             bits && ((l) = 64 * word + __builtin_ctzll(bits), 1);     \
+             bits &= bits - 1)
+
+/* Set bits of x, without the libgcc call __builtin_popcountll makes on
+ * a base x86-64 target. */
+static i64 popcount64(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ull;
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return (i64)((x * 0x0101010101010101ull) >> 56);
+}
+
+/* The uneliminated vertices by degree: bucket[d] holds those of degree d,
+ * `nonempty` the degrees with any.  Local ids ascend with vertex ids, so
+ * the lowest id of the lowest degree is two first-bit searches. */
+typedef struct {
+    set_t bucket[SMALL_REGION], nonempty;
+} degree_sets_t;
+
+static void degree_add(degree_sets_t *ds, i64 l, i64 d)
+{
+    SET_ADD(ds->bucket[d], l);
+    SET_ADD(ds->nonempty, d);
+}
+
+static void degree_del(degree_sets_t *ds, i64 l, i64 d)
+{
+    SET_DEL(ds->bucket[d], l);
+    if (!(ds->bucket[d][0] | ds->bucket[d][1]))
+        SET_DEL(ds->nonempty, d);
+}
+
+/* The adjacency of a region of at most SMALL_REGION vertices, listed
+ * ascending, as masks over local ids (positions in `list`), into `adj`.
+ * INCONSISTENT: the list does not ascend or the adjacency is not
+ * symmetric (the general loops decide what that means). */
+static int small_adjacency(work_t *w, const i64 *list, i64 size, i64 rid,
+                           set_t *adj)
+{
+    const i64 *xadj = w->xadj, *adjncy = w->adjncy;
+    i64 k, i, l, word;
+    uint64_t bits;
+    for (k = 0; k < size; k++) {
+        if (k && list[k] <= list[k - 1])
+            return INCONSISTENT;
+        w->hpos[list[k]] = k;
+    }
+    for (k = 0; k < size; k++) {
+        i64 u = list[k];
+        adj[k][0] = adj[k][1] = 0;
+        for (i = xadj[u]; i < xadj[u + 1]; i++) {
+            i64 x = adjncy[i];
+            if (x != u && LABEL(w, x) == rid)
+                SET_ADD(adj[k], w->hpos[x]);
+        }
+    }
+    for (k = 0; k < size; k++)
+        FOR_EACH(l, adj[k], word, bits)
+            if (!SET_HAS(adj[l], k))
+                return INCONSISTENT;
+    return OK;
+}
+
+/* Whether the masks connect all `size` vertices. */
+static int small_connected(const set_t *adj, i64 size)
+{
+    set_t seen = {1, 0}, frontier = {1, 0};
+    i64 l, word;
+    uint64_t bits;
+    while (frontier[0] | frontier[1]) {
+        set_t next = {0, 0};
+        FOR_EACH(l, frontier, word, bits) {
+            next[0] |= adj[l][0];
+            next[1] |= adj[l][1];
+        }
+        frontier[0] = next[0] & ~seen[0];
+        frontier[1] = next[1] & ~seen[1];
+        seen[0] |= frontier[0];
+        seen[1] |= frontier[1];
+    }
+    return popcount64(seen[0]) + popcount64(seen[1]) == size;
+}
+
+/* minimum_degree() on small_adjacency()'s masks (which it consumes): the
+ * same exact external degrees, so the same order, with every reach,
+ * element and degree a few mask operations.  `out` may be `list`. */
+static void small_minimum_degree(const i64 *list, i64 size, set_t *adj,
+                                 i64 *out)
+{
+    set_t elems[SMALL_REGION], vars[SMALL_REGION], alive = {0, 0};
+    degree_sets_t ds;
+    i64 degree[SMALL_REGION], order[SMALL_REGION], k, l, e, word;
+    uint64_t bits, ebits;
+    memset(&ds, 0, sizeof ds);
+    for (k = 0; k < size; k++) {
+        elems[k][0] = elems[k][1] = 0;
+        degree[k] = popcount64(adj[k][0]) + popcount64(adj[k][1]);
+        degree_add(&ds, k, degree[k]);
+    }
+    for (k = 0; k < size; k++) {
+        i64 d = SET_FIRST(ds.nonempty), v = SET_FIRST(ds.bucket[d]);
+        set_t r;
+        degree_del(&ds, v, d);
+        /* r = reach(v); the elements adjacent to v die in the new one. */
+        r[0] = adj[v][0];
+        r[1] = adj[v][1];
+        FOR_EACH(e, elems[v], word, ebits) {
+            r[0] |= vars[e][0];
+            r[1] |= vars[e][1];
+        }
+        SET_DEL(r, v);
+        alive[0] &= ~elems[v][0];
+        alive[1] &= ~elems[v][1];
+        SET_ADD(alive, v);
+        vars[v][0] = r[0];
+        vars[v][1] = r[1];
+        order[k] = v;
+        FOR_EACH(l, r, word, bits) {
+            set_t reach;
+            i64 w2;
+            uint64_t b2;
+            /* l loses v and its plain neighbours inside r; its elements
+             * are the live ones and v. */
+            adj[l][0] &= ~r[0];
+            adj[l][1] &= ~r[1];
+            SET_DEL(adj[l], v);
+            elems[l][0] &= alive[0];
+            elems[l][1] &= alive[1];
+            SET_ADD(elems[l], v);
+            reach[0] = adj[l][0];
+            reach[1] = adj[l][1];
+            FOR_EACH(e, elems[l], w2, b2) {
+                reach[0] |= vars[e][0];
+                reach[1] |= vars[e][1];
+            }
+            SET_DEL(reach, l);
+            degree_del(&ds, l, degree[l]);
+            degree[l] = popcount64(reach[0]) + popcount64(reach[1]);
+            degree_add(&ds, l, degree[l]);
+        }
+    }
+    for (k = 0; k < size; k++)
+        order[k] = list[order[k]];
+    memcpy(out, order, (size_t)size * sizeof(i64));
+}
+
 /* Order the `size` vertices of `list` (one region, label `rid`) by exact
  * external minimum degree, lowest id on ties, into `out` (which may be
  * `list`).  Eliminated vertices become elements; forming one absorbs the
@@ -166,11 +353,19 @@ static int minimum_degree(work_t *w, const i64 *list, i64 size, i64 rid,
     i64 *slot = w->slot, *rbuf = w->queue;
     i64 etop = 0, hsize = size, k, i, j;
 
+    if (size <= SMALL_REGION) {
+        set_t adj[SMALL_REGION];
+        if (small_adjacency(w, list, size, rid, adj) == OK) {
+            small_minimum_degree(list, size, adj, out);
+            return OK;
+        }
+    }
+
     for (k = 0; k < size; k++) {
         i64 u = list[k], len = 0, s = ++w->stamp;
         for (i = xadj[u]; i < xadj[u + 1]; i++) {
             i64 x = adjncy[i];
-            if (w->region[x] == rid && w->mark[x] != s) {
+            if (x != u && LABEL(w, x) == rid && w->mark[x] != s) {
                 w->mark[x] = s;
                 slot[xadj[u] + len++] = x;
             }
@@ -301,16 +496,18 @@ i64 repro_minimum_degree(i64 n, const i64 *xadj, const i64 *adjncy,
                          i64 *iperm)
 {
     work_t w;
-    i64 v;
-    int status = work_alloc(&w, n, xadj, adjncy, NULL, 0);
-    if (status != OK)
+    i64 v, *region = calloc((size_t)n + 1, sizeof(i64));
+    int status = region ? work_alloc(&w, n, xadj, adjncy, NULL, region, 0)
+                        : NO_MEMORY;
+    if (status != OK) {
+        free(region);
         return status;
-    for (v = 0; v < n; v++) {
-        w.region[v] = 0;
-        iperm[v] = v;
     }
+    for (v = 0; v < n; v++)
+        iperm[v] = v;
     status = minimum_degree(&w, iperm, n, 0, iperm);
     free(w.block);
+    free(region);
     return status;
 }
 
@@ -337,7 +534,7 @@ static i64 bfs(work_t *w, i64 root, i64 rid)
         i64 u = w->queue[head++], next = w->level[u] + 1;
         for (i = xadj[u]; i < xadj[u + 1]; i++) {
             i64 x = adjncy[i];
-            if (w->region[x] == rid && w->mark[x] != s) {
+            if (w->mark[x] != s && LABEL(w, x) == rid) {
                 w->mark[x] = s;
                 w->level[x] = next;
                 w->queue[tail++] = x;
@@ -349,11 +546,13 @@ static i64 bfs(work_t *w, i64 root, i64 rid)
 
 /* Split the connected region `list` into separator / A / B (side 0 / 1 /
  * 2); counts[side] receives the sizes.  level_set_separator() of
- * graph/separator.py on the induced subgraph, whose vertex 0 is list[0]. */
+ * graph/separator.py on the induced subgraph, whose vertex 0 is list[0].
+ * `have_bfs`: the search from list[0] is in `level` / `queue` already
+ * (the component check ran it). */
 static int separate(work_t *w, const i64 *list, i64 size, i64 rid,
-                    i64 counts[3])
+                    int have_bfs, i64 counts[3])
 {
-    const i64 *xadj = w->xadj, *adjncy = w->adjncy, *vwgt = w->vwgt;
+    const i64 *xadj = w->xadj, *adjncy = w->adjncy;
     i64 ecc, sweep, i, k, depth, lev, best = -1, ns = 0, pass;
     i64 wa_int = 0, wb_int = 0;
     double total = 0.0, cum = 0.0, best_score = 0.0;
@@ -362,7 +561,7 @@ static int separate(work_t *w, const i64 *list, i64 size, i64 rid,
     /* George-Liu: restart from a minimum-degree vertex of the deepest
      * level (lowest id on ties) until the eccentricity stops growing.
      * The level structure kept is always the last one computed. */
-    if (bfs(w, list[0], rid) != size)
+    if (!have_bfs && bfs(w, list[0], rid) != size)
         return INCONSISTENT;
     ecc = w->level[w->queue[size - 1]];
     for (sweep = 0; sweep < PERIPHERAL_SWEEPS; sweep++) {
@@ -370,7 +569,7 @@ static int separate(work_t *w, const i64 *list, i64 size, i64 rid,
         for (k = size - 1; k >= 0 && w->level[w->queue[k]] == ecc; k--) {
             i64 u = w->queue[k], deg = 0;
             for (i = xadj[u]; i < xadj[u + 1]; i++)
-                deg += w->region[adjncy[i]] == rid;
+                deg += adjncy[i] != u && LABEL(w, adjncy[i]) == rid;
             if (cand < 0 || deg < cand_deg || (deg == cand_deg && u < cand)) {
                 cand = u;
                 cand_deg = deg;
@@ -391,7 +590,7 @@ static int separate(work_t *w, const i64 *list, i64 size, i64 rid,
     for (i = 0; i <= depth; i++)
         w->level_w[i] = 0.0;
     for (k = 0; k < size; k++) {
-        double weight = (double)vwgt[list[k]];
+        double weight = (double)WEIGHT(w, list[k]);
         w->level_w[w->level[list[k]]] += weight;
         total += weight;
     }
@@ -425,7 +624,7 @@ static int separate(work_t *w, const i64 *list, i64 size, i64 rid,
         for (k = 0; k < size; k++)
             w->side[list[k]] = 2;
         for (i = xadj[v]; i < xadj[v + 1]; i++)
-            if (w->region[adjncy[i]] == rid)
+            if (LABEL(w, adjncy[i]) == rid)
                 w->side[adjncy[i]] = 0;
         w->side[v] = 1;
         for (k = 0; k < size; k++)
@@ -441,11 +640,11 @@ static int separate(work_t *w, const i64 *list, i64 size, i64 rid,
         } else if (l < best) {
             w->side[u] = 1;
             counts[1]++;
-            wa_int += vwgt[u];
+            wa_int += WEIGHT(w, u);
         } else {
             w->side[u] = 2;
             counts[2]++;
-            wb_int += vwgt[u];
+            wb_int += WEIGHT(w, u);
         }
     }
 
@@ -460,7 +659,7 @@ static int separate(work_t *w, const i64 *list, i64 size, i64 rid,
             int has_a = 0, has_b = 0;
             for (i = xadj[u]; i < xadj[u + 1]; i++) {
                 i64 x = adjncy[i];
-                if (w->region[x] != rid)
+                if (LABEL(w, x) != rid)
                     continue;
                 has_a |= w->side[x] == 1;
                 has_b |= w->side[x] == 2;
@@ -475,10 +674,10 @@ static int separate(work_t *w, const i64 *list, i64 size, i64 rid,
             w->side[u] = w->target[k];
             if (w->target[k] == 1) {
                 counts[1]++;
-                wa_int += vwgt[u];
+                wa_int += WEIGHT(w, u);
             } else if (w->target[k] == 2) {
                 counts[2]++;
-                wb_int += vwgt[u];
+                wb_int += WEIGHT(w, u);
             } else {
                 w->seplist[kept++] = u;
             }
@@ -489,124 +688,271 @@ static int separate(work_t *w, const i64 *list, i64 size, i64 rid,
     return OK;
 }
 
-/* Give the vertices of `list` a fresh region label (or -1: final). */
+/* Give the vertices of `list` region label `rid` (-1: final). */
 static void relabel(work_t *w, const i64 *list, i64 size, i64 rid)
 {
     i64 k;
     for (k = 0; k < size; k++)
-        w->region[list[k]] = rid;
+        SET_LABEL(w, list[k], rid);
 }
 
-/* The whole default nested dissection.  A region's vertex list is kept,
- * ascending, in the very slice of `iperm` the region will fill: every
- * split and every grouping by component below is stable, so "lowest
- * local id" in the Python driver's relabelled subgraphs is "lowest
- * original id" here and no subgraph is ever built. */
-i64 repro_nested_dissection(i64 n, const i64 *xadj, const i64 *adjncy,
-                            const i64 *vwgt, i64 leaf_size, i64 *iperm)
+/* Queue sub-region iperm[lo, lo + size) in w->kids. */
+static void add_kid(work_t *w, i64 *n_kids, i64 lo, i64 size, i64 connected)
 {
-    work_t w;
-    i64 sp = 0, next_rid = 1, v, k;
-    int status = work_alloc(&w, n, xadj, adjncy, vwgt, 1);
+    w->kids[3 * *n_kids] = lo;
+    w->kids[3 * *n_kids + 1] = size;
+    w->kids[3 * *n_kids + 2] = connected;
+    (*n_kids)++;
+}
+
+/* One region of the nested dissection: the vertices iperm[lo, lo + size),
+ * ascending, all labelled lo + 1.  It is split into components, or into
+ * A, B and a separator, or ordered as a leaf, in place; its sub-regions
+ * go to w->kids, each labelled one plus the first position of its slice.
+ * Live regions hold disjoint slices, so their labels are distinct, and a
+ * finished leaf keeps a label no later region can take: the labels are
+ * those of the sequential run, whatever order the regions run in. */
+static int dissect_region(work_t *w, i64 *iperm, i64 leaf_size, i64 lo,
+                          i64 size, i64 connected, i64 *n_kids)
+{
+    i64 rid = lo + 1, counts[3], at[3], *list = iperm + lo, k;
+    int have_bfs = 0, status = OK;
+    *n_kids = 0;
+
+    if (!connected && size > 2 && size <= leaf_size && size <= SMALL_REGION) {
+        /* A leaf: its masks answer the component check too. */
+        set_t adj[SMALL_REGION];
+        if (small_adjacency(w, list, size, rid, adj) == OK
+            && small_connected(adj, size)) {
+            small_minimum_degree(list, size, adj, list);
+            return OK;
+        }
+    }
+    if (!connected) {
+        /* Components in order of their smallest vertex. */
+        i64 base = w->stamp, ncomp = 0, *csize = w->seplist;
+        for (k = 0; k < size; k++) {
+            i64 reached, q;
+            if (w->mark[list[k]] > base)
+                continue;
+            reached = bfs(w, list[k], rid);
+            if (ncomp == 0 && reached == size) {
+                have_bfs = 1; /* connected, the common case: separate() */
+                break;        /* starts from this very search */
+            }
+            for (q = 0; q < reached; q++)
+                w->level[w->queue[q]] = ncomp;
+            csize[ncomp++] = reached;
+        }
+        if (ncomp > 1) {
+            /* Grouped by component, ascending inside each — already
+             * final for components of one or two vertices. */
+            i64 first = 0, c;
+            for (c = 0; c < ncomp; c++) {
+                i64 count = csize[c];
+                csize[c] = first;
+                first += count;
+            }
+            csize[ncomp] = first;
+            memcpy(w->tmp, list, (size_t)size * sizeof(i64));
+            for (k = 0; k < size; k++)
+                list[csize[w->level[w->tmp[k]]]++] = w->tmp[k];
+            /* csize[c] is now the end of component c. */
+            first = 0;
+            for (c = 0; c < ncomp; c++) {
+                i64 count = csize[c] - first;
+                if (count > 2) {
+                    relabel(w, list + first, count, lo + first + 1);
+                    add_kid(w, n_kids, lo + first, count, 1);
+                } else {
+                    relabel(w, list + first, count, -1);
+                }
+                first = csize[c];
+            }
+            return OK;
+        }
+    }
+
+    counts[0] = 0;
+    if (size > leaf_size && size > 1)
+        status = separate(w, list, size, rid, have_bfs, counts);
     if (status != OK)
         return status;
+    if (counts[0] == 0 || counts[1] == 0 || counts[2] == 0) {
+        /* A leaf, or separation failed (dense or tiny region). */
+        return size > 2 ? minimum_degree(w, list, size, rid, list) : OK;
+    }
+
+    /* Layout: [A | B | separator], each ascending; A keeps the label. */
+    at[1] = 0;
+    at[2] = counts[1];
+    at[0] = counts[1] + counts[2];
+    memcpy(w->tmp, list, (size_t)size * sizeof(i64));
+    for (k = 0; k < size; k++)
+        list[at[w->side[w->tmp[k]]]++] = w->tmp[k];
+    relabel(w, list + counts[1], counts[2], lo + counts[1] + 1);
+    relabel(w, list + counts[1] + counts[2], counts[0], -1);
+    add_kid(w, n_kids, lo, counts[1], 0);
+    add_kid(w, n_kids, lo + counts[1], counts[2], 0);
+    return OK;
+}
+
+/* At most this many threads order one graph. */
+#define ND_MAX_WORKERS 64
+
+/* One nested dissection: the graph, the shared labels and iperm, and a
+ * stack of regions (lo, size, connected) the threads pop under `mu`. */
+typedef struct {
+    i64 n, leaf_size;
+    const i64 *xadj, *adjncy, *vwgt;
+    i64 *region, *iperm, *stack;
+    i64 sp, busy, waiting;
+    int status, n_workers, n_started;
+    pthread_mutex_t mu;
+    pthread_cond_t cv;
+    pthread_t threads[ND_MAX_WORKERS];
+} dissection_t;
+
+static int dissection_work(dissection_t *d, work_t *w)
+{
+    return work_alloc(w, d->n, d->xadj, d->adjncy, d->vwgt, d->region, 1);
+}
+
+static void *dissection_thread(void *arg);
+
+/* Pop a region, dissect it, push its sub-regions, until no region is left
+ * and none is being worked on.  The caller (worker 0) starts the other
+ * workers, one at a time, when regions wait that no idle worker will
+ * take: a second thread only once a split has left two regions. */
+static void dissection_loop(dissection_t *d, work_t *w, int is_caller)
+{
+    pthread_mutex_lock(&d->mu);
+    for (;;) {
+        i64 lo, size, connected, n_kids = 0, k;
+        int status;
+        while (d->sp == 0 && d->busy > 0 && d->status == OK) {
+            d->waiting++;
+            pthread_cond_wait(&d->cv, &d->mu);
+            d->waiting--;
+        }
+        if (d->sp == 0 || d->status != OK)
+            break;
+        d->sp--;
+        lo = d->stack[3 * d->sp];
+        size = d->stack[3 * d->sp + 1];
+        connected = d->stack[3 * d->sp + 2];
+        d->busy++;
+        pthread_mutex_unlock(&d->mu);
+
+        status = dissect_region(w, d->iperm, d->leaf_size, lo, size,
+                                connected, &n_kids);
+
+        pthread_mutex_lock(&d->mu);
+        d->busy--;
+        if (status != OK)
+            d->status = status;
+        for (k = 0; k < 3 * n_kids; k++)
+            d->stack[3 * d->sp + k] = w->kids[k];
+        d->sp += n_kids;
+        if (d->waiting > 0 && (n_kids > 0 || d->busy == 0 || status != OK))
+            pthread_cond_broadcast(&d->cv);
+        while (is_caller && d->status == OK && d->n_started < d->n_workers
+               && d->sp > d->waiting + 1) {
+            int t = d->n_started;
+            pthread_mutex_unlock(&d->mu);
+            t = pthread_create(&d->threads[t], NULL, dissection_thread, d);
+            pthread_mutex_lock(&d->mu);
+            if (t != 0) {
+                d->n_workers = d->n_started; /* start no more */
+                break;
+            }
+            d->n_started++;
+            d->waiting++; /* counted idle until it takes a region */
+        }
+    }
+    pthread_cond_broadcast(&d->cv);
+    pthread_mutex_unlock(&d->mu);
+}
+
+static void *dissection_thread(void *arg)
+{
+    dissection_t *d = arg;
+    work_t w;
+    int status = dissection_work(d, &w);
+    pthread_mutex_lock(&d->mu);
+    d->waiting--;
+    if (status != OK) {
+        /* Without work arrays this thread takes no region. */
+        pthread_mutex_unlock(&d->mu);
+        return NULL;
+    }
+    pthread_mutex_unlock(&d->mu);
+    dissection_loop(d, &w, 0);
+    free(w.block);
+    return NULL;
+}
+
+/* The whole default nested dissection, on up to n_workers threads.  A
+ * region's vertex list is kept, ascending, in the very slice of `iperm`
+ * the region will fill: every split and every grouping by component is
+ * stable, so "lowest local id" in the Python driver's relabelled
+ * subgraphs is "lowest original id" here and no subgraph is ever built.
+ * A region's outcome depends on its own vertices only, so iperm is the
+ * same at every worker count. */
+static int nested_dissection(i64 n, const i64 *xadj, const i64 *adjncy,
+                             const i64 *vwgt, i64 leaf_size, i64 n_workers,
+                             i64 *iperm)
+{
+    dissection_t d;
+    work_t w;
+    i64 v;
+    int status, t;
+    memset(&d, 0, sizeof d);
+    d.n = n;
+    d.leaf_size = leaf_size;
+    d.xadj = xadj;
+    d.adjncy = adjncy;
+    d.vwgt = vwgt;
+    d.iperm = iperm;
+    d.n_workers = n_workers < 1 ? 1
+                  : n_workers > ND_MAX_WORKERS ? ND_MAX_WORKERS
+                                               : (int)n_workers;
+    d.n_started = 1;
+    d.region = malloc((size_t)(4 * n + 3) * sizeof(i64));
+    if (!d.region)
+        return NO_MEMORY;
+    d.stack = d.region + n;
+    status = dissection_work(&d, &w);
+    if (status != OK) {
+        free(d.region);
+        return status;
+    }
     for (v = 0; v < n; v++) {
-        w.region[v] = 0;
+        d.region[v] = 1;
         iperm[v] = v;
     }
     if (n > 0) {
-        w.stack[0] = 0;
-        w.stack[1] = n;
-        w.stack[2] = 0;
-        sp = 1;
+        d.stack[0] = 0;
+        d.stack[1] = n;
+        d.stack[2] = 0;
+        d.sp = 1;
     }
-    while (sp > 0 && status == OK) {
-        i64 lo, size, connected, rid, counts[3], *list, at[3];
-        sp--;
-        lo = w.stack[3 * sp];
-        size = w.stack[3 * sp + 1];
-        connected = w.stack[3 * sp + 2];
-        list = iperm + lo;
-        rid = w.region[list[0]];
-
-        if (!connected) {
-            /* Components in order of their smallest vertex. */
-            i64 base = w.stamp, ncomp = 0, *csize = w.seplist;
-            for (k = 0; k < size; k++) {
-                i64 reached, q;
-                if (w.mark[list[k]] > base)
-                    continue;
-                reached = bfs(&w, list[k], rid);
-                if (ncomp == 0 && reached == size)
-                    break; /* connected: the common case */
-                for (q = 0; q < reached; q++)
-                    w.level[w.queue[q]] = ncomp;
-                csize[ncomp++] = reached;
-            }
-            if (ncomp > 1) {
-                /* Grouped by component, ascending inside each — already
-                 * final for components of one or two vertices. */
-                i64 first = 0, c;
-                for (c = 0; c < ncomp; c++) {
-                    i64 count = csize[c];
-                    csize[c] = first;
-                    first += count;
-                }
-                csize[ncomp] = first;
-                memcpy(w.tmp, list, (size_t)size * sizeof(i64));
-                for (k = 0; k < size; k++)
-                    list[csize[w.level[w.tmp[k]]]++] = w.tmp[k];
-                /* csize[c] is now the end of component c. */
-                first = 0;
-                for (c = 0; c < ncomp; c++) {
-                    i64 count = csize[c] - first;
-                    if (count > 2) {
-                        relabel(&w, list + first, count, next_rid++);
-                        w.stack[3 * sp] = lo + first;
-                        w.stack[3 * sp + 1] = count;
-                        w.stack[3 * sp + 2] = 1;
-                        sp++;
-                    } else {
-                        relabel(&w, list + first, count, -1);
-                    }
-                    first = csize[c];
-                }
-                continue;
-            }
-        }
-
-        counts[0] = 0;
-        if (size > leaf_size && size > 1)
-            status = separate(&w, list, size, rid, counts);
-        if (status != OK)
-            break;
-        if (counts[0] == 0 || counts[1] == 0 || counts[2] == 0) {
-            /* A leaf, or separation failed (dense or tiny region). */
-            if (size > 2)
-                status = minimum_degree(&w, list, size, rid, list);
-            continue;
-        }
-
-        /* Layout: [A | B | separator], each ascending. */
-        at[1] = 0;
-        at[2] = counts[1];
-        at[0] = counts[1] + counts[2];
-        memcpy(w.tmp, list, (size_t)size * sizeof(i64));
-        for (k = 0; k < size; k++)
-            list[at[w.side[w.tmp[k]]]++] = w.tmp[k];
-        relabel(&w, list + counts[1], counts[2], next_rid++);
-        relabel(&w, list + counts[1] + counts[2], counts[0], -1);
-        w.stack[3 * sp] = lo;
-        w.stack[3 * sp + 1] = counts[1];
-        w.stack[3 * sp + 2] = 0;
-        sp++;
-        w.stack[3 * sp] = lo + counts[1];
-        w.stack[3 * sp + 1] = counts[2];
-        w.stack[3 * sp + 2] = 0;
-        sp++;
-    }
+    pthread_mutex_init(&d.mu, NULL);
+    pthread_cond_init(&d.cv, NULL);
+    dissection_loop(&d, &w, 1);
+    for (t = 1; t < d.n_started; t++)
+        pthread_join(d.threads[t], NULL);
+    pthread_cond_destroy(&d.cv);
+    pthread_mutex_destroy(&d.mu);
     free(w.block);
-    return status;
+    free(d.region);
+    return d.status;
+}
+
+i64 repro_nested_dissection(i64 n, const i64 *xadj, const i64 *adjncy,
+                            const i64 *vwgt, i64 leaf_size, i64 *iperm)
+{
+    return nested_dissection(n, xadj, adjncy, vwgt, leaf_size, 1, iperm);
 }
 
 /* ------------------------------------------------------------------ */
@@ -744,124 +1090,126 @@ i64 repro_column_counts(i64 n, const i64 *colptr, const i64 *rowind,
  * supernode on the path from the supernode of each entry A(i, j) below
  * its supernode's columns up to (not including) the supernode holding
  * column i; a supernode's parent is the owner of the first row it
- * received.  Rows arrive ascending, so every set comes out sorted without
- * a sort.  `rows` == NULL: only count, into `ptr[1:]`; otherwise `ptr`
- * holds the offsets and `rows` is filled. */
-i64 repro_supernode_rows(i64 n, const i64 *colptr, const i64 *rowind,
-                         i64 n_sn, const i64 *snptr, i64 *ptr, i64 *rows,
-                         i64 *parent_sn)
+ * received.  The pattern is symmetric, as for every symbolic pass, so the
+ * entries of row i below their supernodes are the entries of column i
+ * above the first column of i's own supernode.  Rows arrive ascending, so
+ * every set comes out sorted without a sort.  fill[s] receives the size
+ * of set s; unless `rows` is NULL the set is written to rows[ptr[s] ...],
+ * at most ptr[s + 1] - ptr[s] rows of it (a slot sized from column counts
+ * overflows only if they are wrong). */
+static int row_sets(i64 n, const i64 *colptr, const i64 *rowind, i64 n_sn,
+                    const i64 *snptr, const i64 *ptr, i64 *rows,
+                    i64 *parent_sn, i64 *fill)
 {
-    i64 *mark = malloc((size_t)(n + 2 * n_sn + colptr[n] + 2) * sizeof(i64));
-    i64 *fill, *rptr, *rsn, s, i, j, p;
+    i64 *mark = malloc((size_t)(n + n_sn + 1) * sizeof(i64));
+    i64 *col2sn, s, i, p;
     if (!mark)
         return NO_MEMORY;
-    fill = mark + n_sn;
-    rptr = fill + n_sn;  /* n + 1: row -> its entries below a supernode */
-    rsn = rptr + n + 1;  /* ... as the supernodes of their columns */
-    memset(rptr, 0, (size_t)(n + 1) * sizeof(i64));
-    for (s = 0; s < n_sn; s++)
-        for (j = snptr[s]; j < snptr[s + 1]; j++)
-            for (p = colptr[j]; p < colptr[j + 1]; p++)
-                if (rowind[p] >= snptr[s + 1])
-                    rptr[rowind[p] + 1]++;
-    for (i = 0; i < n; i++)
-        rptr[i + 1] += rptr[i];
-    for (s = 0; s < n_sn; s++)
-        for (j = snptr[s]; j < snptr[s + 1]; j++)
-            for (p = colptr[j]; p < colptr[j + 1]; p++)
-                if (rowind[p] >= snptr[s + 1])
-                    rsn[rptr[rowind[p]]++] = s;
-    /* rptr[i] is now the end of row i's entries, rptr[i - 1] their start. */
+    col2sn = mark + n_sn;
     for (s = 0; s < n_sn; s++) {
         mark[s] = parent_sn[s] = -1;
         fill[s] = 0;
+        for (i = snptr[s]; i < snptr[s + 1]; i++)
+            col2sn[i] = s;
     }
-    s = 0; /* the supernode holding column i */
     for (i = 0; i < n; i++) {
-        i64 t;
-        while (snptr[s + 1] <= i)
-            s++;
-        for (p = i ? rptr[i - 1] : 0; p < rptr[i]; p++) {
-            for (t = rsn[p]; t != s && mark[t] != i; t = parent_sn[t]) {
+        i64 si = col2sn[i], first = snptr[si], t;
+        for (p = colptr[i]; p < colptr[i + 1]; p++) {
+            if (rowind[p] >= first)
+                continue;
+            for (t = col2sn[rowind[p]]; t != si && mark[t] != i;
+                 t = parent_sn[t]) {
                 mark[t] = i;
                 if (fill[t] == 0)
-                    parent_sn[t] = s;
-                if (rows)
+                    parent_sn[t] = si;
+                if (rows && ptr[t] + fill[t] < ptr[t + 1])
                     rows[ptr[t] + fill[t]] = i;
                 fill[t]++;
             }
         }
     }
-    if (!rows)
-        memcpy(ptr + 1, fill, (size_t)n_sn * sizeof(i64));
     free(mark);
     return OK;
+}
+
+/* `rows` == NULL: only count, into `ptr[1:]`; otherwise `ptr` holds the
+ * offsets and `rows` is filled. */
+i64 repro_supernode_rows(i64 n, const i64 *colptr, const i64 *rowind,
+                         i64 n_sn, const i64 *snptr, i64 *ptr, i64 *rows,
+                         i64 *parent_sn)
+{
+    i64 *fill = malloc((size_t)(n_sn + 1) * sizeof(i64));
+    int status;
+    if (!fill)
+        return NO_MEMORY;
+    status = row_sets(n, colptr, rowind, n_sn, snptr, ptr, rows, parent_sn,
+                      fill);
+    if (status == OK && !rows)
+        memcpy(ptr + 1, fill, (size_t)n_sn * sizeof(i64));
+    free(fill);
+    return status;
 }
 
 /* ------------------------------------------------------------------ */
 /* Amalgamation                                                        */
 /* ------------------------------------------------------------------ */
 
-/* One merge candidate, ordered as the Python tuple (fill, c, p, vc, vp):
- * the key is a total order, so the pop order does not depend on how the
- * heap breaks ties. */
+/* The merge candidates, one per child: child c of parent p (contiguous,
+ * both alive) at key (fill, c).  The Python loop keeps every pushed
+ * (fill, c, p, vc, vp) in a heap and skips the stale ones; the valid ones
+ * are exactly these — one per child, at the current versions — so popping
+ * the least (fill, c) here is popping its least valid tuple.  An indexed
+ * binary heap of keys: `pos[c]` is c's slot, -1 when c has no candidate. */
 typedef struct {
-    i64 fill, c, p, vc, vp;
-} merge_t;
-
-static int merge_less(const merge_t *a, const merge_t *b)
-{
-    if (a->fill != b->fill)
-        return a->fill < b->fill;
-    if (a->c != b->c)
-        return a->c < b->c;
-    if (a->p != b->p)
-        return a->p < b->p;
-    if (a->vc != b->vc)
-        return a->vc < b->vc;
-    return a->vp < b->vp;
-}
+    i64 fill, c;
+} cand_t;
 
 typedef struct {
-    merge_t *item;
-    i64 size, cap;
-} merge_heap_t;
+    cand_t *heap;
+    i64 *pos, size;
+} candidates_t;
 
-static int merge_push(merge_heap_t *h, merge_t m)
+static int cand_less(cand_t a, cand_t b)
 {
-    i64 i;
-    if (h->size == h->cap) {
-        merge_t *grown = realloc(h->item, (size_t)(2 * h->cap) * sizeof m);
-        if (!grown)
-            return NO_MEMORY;
-        h->item = grown;
-        h->cap *= 2;
-    }
-    for (i = h->size++; i > 0; i = (i - 1) / 2) {
-        merge_t *up = &h->item[(i - 1) / 2];
-        if (!merge_less(&m, up))
-            break;
-        h->item[i] = *up;
-    }
-    h->item[i] = m;
-    return OK;
+    return a.fill < b.fill || (a.fill == b.fill && a.c < b.c);
 }
 
-static merge_t merge_pop(merge_heap_t *h)
+static void cand_place(candidates_t *h, i64 i, cand_t item)
 {
-    merge_t top = h->item[0], last = h->item[--h->size];
-    i64 i = 0, c;
-    while ((c = 2 * i + 1) < h->size) {
-        if (c + 1 < h->size && merge_less(&h->item[c + 1], &h->item[c]))
-            c++;
-        if (!merge_less(&h->item[c], &last))
-            break;
-        h->item[i] = h->item[c];
-        i = c;
+    h->heap[i] = item;
+    h->pos[item.c] = i;
+}
+
+static void cand_sift(candidates_t *h, i64 i)
+{
+    cand_t item = h->heap[i];
+    i64 child;
+    while (i > 0 && cand_less(item, h->heap[(i - 1) / 2])) {
+        cand_place(h, i, h->heap[(i - 1) / 2]);
+        i = (i - 1) / 2;
     }
-    if (h->size)
-        h->item[i] = last;
-    return top;
+    while ((child = 2 * i + 1) < h->size) {
+        if (child + 1 < h->size
+            && cand_less(h->heap[child + 1], h->heap[child]))
+            child++;
+        if (!cand_less(h->heap[child], item))
+            break;
+        cand_place(h, i, h->heap[child]);
+        i = child;
+    }
+    cand_place(h, i, item);
+}
+
+static void cand_remove(candidates_t *h, i64 c)
+{
+    i64 i = h->pos[c];
+    if (i < 0)
+        return;
+    h->pos[c] = -1;
+    if (i < --h->size) {
+        cand_place(h, i, h->heap[h->size]);
+        cand_sift(h, i);
+    }
 }
 
 /* nnz of one supernode of the (lower) factor. */
@@ -870,133 +1218,135 @@ static i64 sn_nnz(i64 width, i64 nrows)
     return width * (width + 1) / 2 + width * nrows;
 }
 
+/* The merge state: a merged supernode points at the one that absorbed it
+ * (`into`, path-compressed), so an alive supernode's parent is the root
+ * of its original parent; `ends[c]` lists the supernodes whose columns
+ * end at column c, which is where a grown parent finds its contiguous
+ * children without scanning all of them. */
 typedef struct {
-    i64 *fcol, *lcol, *nrows, *parent, *version, *head, *next;
+    i64 *fcol, *lcol, *nrows, *parent, *into, *ends, *next;
     char *alive;
-    merge_heap_t heap;
+    candidates_t cand;
 } amalg_t;
 
-/* Queue merging child c into parent p at its current versions. */
-static int amalg_push(amalg_t *a, i64 c, i64 p)
+/* The alive supernode that holds supernode s now. */
+static i64 amalg_root(amalg_t *a, i64 s)
 {
-    i64 wc = a->lcol[c] - a->fcol[c], wp = a->lcol[p] - a->fcol[p];
-    merge_t m;
-    m.fill = sn_nnz(wc + wp, a->nrows[p]) - sn_nnz(wc, a->nrows[c])
-             - sn_nnz(wp, a->nrows[p]);
-    m.c = c;
-    m.p = p;
-    m.vc = a->version[c];
-    m.vp = a->version[p];
-    return merge_push(&a->heap, m);
+    i64 root = s, up;
+    while (a->into[root] >= 0)
+        root = a->into[root];
+    for (; s != root; s = up) {
+        up = a->into[s];
+        a->into[s] = root;
+    }
+    return root;
 }
+
+/* (Re)queue merging child c into parent p, at their current sizes. */
+static void amalg_offer(amalg_t *a, i64 c, i64 p)
+{
+    candidates_t *h = &a->cand;
+    i64 wc = a->lcol[c] - a->fcol[c], wp = a->lcol[p] - a->fcol[p];
+    cand_t item;
+    item.fill = sn_nnz(wc + wp, a->nrows[p]) - sn_nnz(wc, a->nrows[c])
+                - sn_nnz(wp, a->nrows[p]);
+    item.c = c;
+    if (h->pos[c] < 0)
+        h->pos[c] = h->size++;
+    h->heap[h->pos[c]] = item;
+    cand_sift(h, h->pos[c]);
+}
+
+/* The alive children of p whose columns end at column `col`. */
+#define FOR_EACH_ENDING(a, g, col, p)                                    \
+    for (g = (a)->ends[col]; g >= 0; g = (a)->next[g])                  \
+        if ((a)->alive[g] && (a)->parent[g] >= 0                        \
+            && amalg_root(a, (a)->parent[g]) == (p))
 
 /* Cheapest-fill-first merging of children into their parents
  * (symbolic/supernodes.py, amalgamate): supernode s spans columns
  * [snptr[s], snptr[s+1]), has ptr[s+1] - ptr[s] rows below them and
  * parent_sn[s] > s (or -1).  A merge grows the parent downwards over the
  * contiguous child and keeps the parent's rows; merges stop at the first
- * one that costs more than the remaining budget, ratio x nnz(L).  The
- * survivors go to `keep`, ascending (which is ascending first column);
- * returns their number. */
+ * one that costs more than the remaining budget, ratio x nnz(L).  After a
+ * merge of c into p the candidates that change are p's into its parent,
+ * the children that ended where p began (no longer contiguous, unless c
+ * had no columns) and those that end where p now begins — the ones the
+ * Python loop finds among all of p's children.  The survivors go to
+ * `keep` in ascending first column; returns their number. */
 i64 repro_amalgamate(i64 n_sn, const i64 *snptr, const i64 *ptr,
                      const i64 *parent_sn, double ratio, i64 *keep)
 {
     amalg_t a;
-    i64 *block, s, g, n_keep = 0, total = 0;
+    i64 *block, s, g, n_keep = 0, total = 0, n_cols;
     double budget;
     int status = OK;
     if (n_sn == 0)
         return 0;
-    block = malloc((size_t)(7 * n_sn) * sizeof(i64) + (size_t)n_sn);
-    a.heap.cap = n_sn + 1;
-    a.heap.size = 0;
-    a.heap.item = malloc((size_t)a.heap.cap * sizeof(merge_t));
-    if (!block || !a.heap.item) {
-        free(block);
-        free(a.heap.item);
+    n_cols = snptr[n_sn] + 1;
+    block = malloc((size_t)(9 * n_sn + n_cols) * sizeof(i64) + (size_t)n_sn);
+    if (!block)
         return NO_MEMORY;
-    }
     a.fcol = block;
     a.lcol = a.fcol + n_sn;
     a.nrows = a.lcol + n_sn;
     a.parent = a.nrows + n_sn;
-    a.version = a.parent + n_sn;
-    a.head = a.version + n_sn;
-    a.next = a.head + n_sn;
-    a.alive = (char *)(a.next + n_sn);
-    for (s = 0; s < n_sn; s++) {
+    a.into = a.parent + n_sn;
+    a.next = a.into + n_sn;
+    a.cand.heap = (cand_t *)(a.next + n_sn);
+    a.cand.pos = (i64 *)(a.cand.heap + n_sn);
+    a.ends = a.cand.pos + n_sn;
+    a.alive = (char *)(a.ends + n_cols);
+    a.cand.size = 0;
+    for (g = 0; g < n_cols; g++)
+        a.ends[g] = -1;
+    for (s = n_sn - 1; s >= 0; s--) {
         a.fcol[s] = snptr[s];
         a.lcol[s] = snptr[s + 1];
         a.nrows[s] = ptr[s + 1] - ptr[s];
         a.parent[s] = parent_sn[s];
-        a.version[s] = 0;
-        a.head[s] = -1;
+        a.into[s] = a.cand.pos[s] = -1;
         a.alive[s] = 1;
+        a.next[s] = a.ends[a.lcol[s]];
+        a.ends[a.lcol[s]] = s;
         total += sn_nnz(a.lcol[s] - a.fcol[s], a.nrows[s]);
     }
-    for (s = 0; s < n_sn; s++)
-        if (a.parent[s] >= 0) {
-            a.next[s] = a.head[a.parent[s]];
-            a.head[a.parent[s]] = s;
-        }
     budget = ratio * (double)total;
-    for (s = 0; s < n_sn && status == OK; s++)
+    for (s = 0; s < n_sn; s++)
         if (a.parent[s] >= 0 && a.lcol[s] == a.fcol[a.parent[s]])
-            status = amalg_push(&a, s, a.parent[s]);
+            amalg_offer(&a, s, a.parent[s]);
 
-    while (status == OK && a.heap.size) {
-        merge_t m = merge_pop(&a.heap);
-        i64 c = m.c, p = m.p, gp, *link;
-        if (!(a.alive[c] && a.alive[p]))
-            continue;
-        if (a.version[c] != m.vc || a.version[p] != m.vp)
-            continue;
-        if ((double)m.fill > budget)
+    while (a.cand.size) {
+        cand_t top = a.cand.heap[0];
+        i64 c = top.c, p = amalg_root(&a, a.parent[c]), gp;
+        if ((double)top.fill > budget)
             break; /* the cheapest remaining merge exceeds the budget */
         /* Merge c into p: p grows downwards and keeps its rows. */
-        budget -= (double)m.fill;
+        budget -= (double)top.fill;
+        cand_remove(&a.cand, c);
+        FOR_EACH_ENDING(&a, g, a.fcol[p], p)
+            cand_remove(&a.cand, g);
         a.fcol[p] = a.fcol[c];
         a.alive[c] = 0;
-        a.version[p]++;
-        for (g = a.head[c]; g >= 0;) {
-            i64 after = a.next[g];
-            if (a.alive[g]) {
-                a.parent[g] = p;
-                a.next[g] = a.head[p];
-                a.head[p] = g;
-            }
-            g = after;
-        }
-        a.head[c] = -1;
-        /* New candidate pairs involving the grown parent. */
-        gp = a.parent[p];
-        if (gp >= 0 && a.alive[gp] && a.lcol[p] == a.fcol[gp])
-            status = amalg_push(&a, p, gp);
-        for (link = &a.head[p]; status == OK && *link >= 0;) {
-            g = *link;
-            if (!a.alive[g]) {
-                *link = a.next[g]; /* drop a merged child from the list */
-                continue;
-            }
-            if (a.lcol[g] == a.fcol[p])
-                status = amalg_push(&a, g, p);
-            link = &a.next[g];
-        }
+        a.into[c] = p;
+        gp = a.parent[p] < 0 ? -1 : amalg_root(&a, a.parent[p]);
+        if (gp >= 0 && a.lcol[p] == a.fcol[gp])
+            amalg_offer(&a, p, gp);
+        FOR_EACH_ENDING(&a, g, a.fcol[p], p)
+            amalg_offer(&a, g, p);
     }
-    if (status == OK) {
-        for (s = 0; s < n_sn; s++)
-            if (a.alive[s]) {
-                /* The survivors must tile the columns. */
-                if (a.fcol[s] != (n_keep ? a.lcol[keep[n_keep - 1]]
-                                         : snptr[0]))
-                    status = INCONSISTENT;
-                keep[n_keep++] = s;
-            }
-        if (n_keep && a.lcol[keep[n_keep - 1]] != snptr[n_sn])
+    /* The survivors, stably by first column (index order, but around
+     * supernodes without columns), must tile the columns. */
+    for (s = 0; s < n_sn; s++)
+        if (a.alive[s]) {
+            for (g = n_keep++; g > 0 && a.fcol[keep[g - 1]] > a.fcol[s]; g--)
+                keep[g] = keep[g - 1];
+            keep[g] = s;
+        }
+    for (g = 1; g < n_keep; g++)
+        if (a.fcol[keep[g]] != a.lcol[keep[g - 1]])
             status = INCONSISTENT;
-    }
     free(block);
-    free(a.heap.item);
     return status == OK ? n_keep : status;
 }
 
@@ -1309,4 +1659,513 @@ i64 repro_permute_pattern(i64 n, const i64 *colptr, const i64 *rowind,
         for (e = out_colptr[j] + 1; e < out_colptr[j + 1]; e++)
             dups += out_rowind[e] == out_rowind[e - 1];
     return dups;
+}
+
+/* ------------------------------------------------------------------ */
+/* The analysis in three passes (symbolic/analyze.py)                  */
+/* ------------------------------------------------------------------ */
+
+/* Pass 1 when A's pattern is symmetric (the common case): A plus the
+ * diagonal entries it lacks, in one sweep.  Entry (r, j)'s transpose is
+ * the next unvisited entry of column r — columns are visited ascending
+ * and rows ascend — and checking that it is (j, r) proves the symmetry
+ * entry by entry.  Returns the entries written, or -1 at the first
+ * entry that breaks the symmetry or the ascent of its column. */
+static i64 symmetrize_symmetric(i64 n, const i64 *colptr, const i64 *rowind,
+                                i64 *out_colptr, i64 *out_rowind,
+                                i64 *tsrc, i64 *seen)
+{
+    i64 j, e, out = 0;
+    memset(seen, 0, (size_t)n * sizeof(i64));
+    out_colptr[0] = 0;
+    for (j = 0; j < n; j++) {
+        int diag = 0;
+        for (e = colptr[j]; e < colptr[j + 1]; e++) {
+            i64 r = rowind[e], t;
+            if (e > colptr[j] && r <= rowind[e - 1])
+                return -1;
+            if (!diag && r >= j) {
+                if (r > j) {
+                    out_rowind[out] = j;
+                    tsrc[out++] = -1;
+                }
+                diag = 1;
+            }
+            t = colptr[r] + seen[r]++;
+            if (t >= colptr[r + 1] || rowind[t] != j)
+                return -1;
+            out_rowind[out] = r;
+            tsrc[out++] = t;
+        }
+        if (!diag) {
+            out_rowind[out] = j;
+            tsrc[out++] = -1;
+        }
+        out_colptr[j + 1] = out;
+    }
+    return out;
+}
+
+/* Pass 1: the pattern of A + A^T with every diagonal entry, rows strictly
+ * ascending in every column, in O(n + nnz).  tsrc[e] is the index in A of
+ * the transpose of entry e — of A(j, r) for entry (r, j) — or -1 where A
+ * has none; pass 2 writes its pattern from the transposes.  A symmetric
+ * pattern takes one sweep (symmetrize_symmetric); any other, A^T by one
+ * counting sort of the entries by row (columns ascend within a row), then
+ * per column a merge of A's column, A^T's column and the diagonal.  The
+ * output arrays hold 2 nnz(A) + n entries; returns how many were written,
+ * or INCONSISTENT when a column of A is not strictly ascending (the
+ * Python body decides what that means). */
+i64 repro_symmetrize(i64 n, const i64 *colptr, const i64 *rowind,
+                     i64 *out_colptr, i64 *out_rowind, i64 *tsrc)
+{
+    i64 nnz = colptr[n], j, e, out = 0;
+    i64 *row_end = malloc((size_t)(n + 1) * sizeof(i64));
+    by_row_t *by_row;
+    if (!row_end)
+        return NO_MEMORY;
+    out = symmetrize_symmetric(n, colptr, rowind, out_colptr, out_rowind,
+                               tsrc, row_end);
+    if (out >= 0) {
+        free(row_end);
+        return out;
+    }
+    by_row = malloc((size_t)(nnz ? nnz : 1) * sizeof(by_row_t));
+    if (!by_row) {
+        free(row_end);
+        return NO_MEMORY;
+    }
+    out = 0;
+    memset(row_end, 0, (size_t)(n + 1) * sizeof(i64));
+    for (e = 0; e < nnz; e++)
+        row_end[rowind[e] + 1]++;
+    for (j = 0; j < n; j++)
+        row_end[j + 1] += row_end[j];
+    /* row_end[r] moves from the start to the end of row r. */
+    for (j = 0; j < n; j++)
+        for (e = colptr[j]; e < colptr[j + 1]; e++) {
+            by_row_t *at = by_row + row_end[rowind[e]]++;
+            at->col = j;
+            at->src = e;
+        }
+    out_colptr[0] = 0;
+    for (j = 0; j < n; j++) {
+        i64 a = colptr[j], a_end = colptr[j + 1];
+        i64 t = j ? row_end[j - 1] : 0, t_end = row_end[j];
+        int diag = 0;
+        for (;;) {
+            i64 r = INT64_MAX, from = -1;
+            if (a < a_end)
+                r = rowind[a];
+            if (t < t_end && by_row[t].col < r)
+                r = by_row[t].col;
+            if (!diag && j < r)
+                r = j;
+            if (r == INT64_MAX)
+                break;
+            if (a < a_end && rowind[a] == r) {
+                a++;
+                if (a < a_end && rowind[a] <= r) {
+                    free(row_end);
+                    free(by_row);
+                    return INCONSISTENT;
+                }
+            }
+            if (t < t_end && by_row[t].col == r)
+                from = by_row[t++].src;
+            diag |= r == j;
+            out_rowind[out] = r;
+            tsrc[out++] = from;
+        }
+        out_colptr[j + 1] = out;
+    }
+    free(row_end);
+    free(by_row);
+    return out;
+}
+
+/* Pass 2 on a pattern from pass 1: the fill-reducing order, then the
+ * elimination tree of the reordered pattern, read through the
+ * permutation without building it (Liu's algorithm: the tree does not
+ * depend on the order of a column's entries), its postorder, the
+ * composed permutation `perm` (old -> new), the tree relabelled in it
+ * (`parent`, parent[j] > j), the reordered pattern and its column counts.
+ * `given` (old -> new) replaces nested dissection, which runs on up to
+ * n_workers threads.  The pattern is symmetric, so its reordering is that
+ * of its transpose, which one counting sort writes with rows ascending:
+ * reading the columns in the new order, entry (i, j) puts row perm[j]
+ * into column perm[i].  value_map[f] is then `tsrc` (pass 1's index in A
+ * of each entry's transpose) of the entry that wrote f: the index in A
+ * of f itself.  INCONSISTENT: the pattern is not symmetric. */
+i64 repro_order(i64 n, const i64 *colptr, const i64 *rowind,
+                const i64 *tsrc, i64 leaf_size, i64 n_workers,
+                const i64 *given, i64 *perm, i64 *parent, i64 *counts,
+                i64 *out_colptr, i64 *out_rowind, i64 *value_map)
+{
+    i64 *iperm1 = malloc((size_t)(5 * n + 1) * sizeof(i64));
+    i64 *perm1, *parent1, *post, *scratch, k, p, placed;
+    int status = OK;
+    if (!iperm1)
+        return NO_MEMORY;
+    perm1 = iperm1 + n;
+    parent1 = perm1 + n;
+    post = parent1 + n;
+    scratch = post + n;
+    if (given) {
+        for (k = 0; k < n; k++)
+            iperm1[given[k]] = k;
+    } else {
+        status = nested_dissection(n, colptr, rowind, NULL, leaf_size,
+                                   n_workers, iperm1);
+    }
+    if (status != OK)
+        goto done;
+    for (k = 0; k < n; k++)
+        perm1[iperm1[k]] = k;
+
+    /* scratch: the ancestors of the path compression. */
+    for (k = 0; k < n; k++) {
+        i64 j = iperm1[k];
+        parent1[k] = scratch[k] = -1;
+        for (p = colptr[j]; p < colptr[j + 1]; p++) {
+            i64 i = perm1[rowind[p]];
+            while (i != -1 && i < k) {
+                i64 next = scratch[i];
+                scratch[i] = k;
+                if (next == -1)
+                    parent1[i] = k;
+                i = next;
+            }
+        }
+    }
+    placed = repro_postorder(n, parent1, post);
+    if (placed != n) {
+        status = placed < 0 ? (int)placed : INCONSISTENT;
+        goto done;
+    }
+    /* scratch: the rank of every node in the postorder; iperm1 becomes
+     * the composed gather form. */
+    for (k = 0; k < n; k++) {
+        scratch[post[k]] = k;
+        post[k] = iperm1[post[k]];
+    }
+    for (k = 0; k < n; k++) {
+        perm[post[k]] = k;
+        parent[scratch[k]] = parent1[k] < 0 ? -1 : scratch[parent1[k]];
+    }
+    for (k = 0; k < n; k++)
+        if (parent[k] != -1 && parent[k] <= k)
+            status = INCONSISTENT;
+    if (status != OK)
+        goto done;
+
+    /* The reordered transpose: column perm[i] gets the rows of row i,
+     * which arrive ascending; scratch: the cursor of every column. */
+    memset(out_colptr, 0, (size_t)(n + 1) * sizeof(i64));
+    for (p = 0; p < colptr[n]; p++)
+        out_colptr[perm[rowind[p]] + 1]++;
+    for (k = 0; k < n; k++) {
+        out_colptr[k + 1] += out_colptr[k];
+        scratch[k] = out_colptr[k];
+    }
+    for (k = 0; k < n; k++) {
+        i64 j = post[k];
+        for (p = colptr[j]; p < colptr[j + 1]; p++) {
+            i64 at = scratch[perm[rowind[p]]]++;
+            out_rowind[at] = k;
+            value_map[at] = tsrc[p];
+        }
+    }
+    /* The postordered tree is its own postorder. */
+    for (k = 0; k < n; k++)
+        scratch[k] = k;
+    status = (int)repro_column_counts(n, out_colptr, out_rowind, parent,
+                                      scratch, counts);
+done:
+    free(iperm1);
+    return status;
+}
+
+/* Pass 3's result, until the caller has room for it. */
+typedef struct {
+    i64 n_cblk, n_blok, n;
+    /* cblk_ptr, blok_ptr, face_ptr: n_cblk + 1; frow, lrow, face, owner:
+     * n_blok; face_list: n_blok - n_cblk; col2cblk: n */
+    i64 *cblk_ptr, *blok_ptr, *frow, *lrow, *face, *owner, *col2cblk,
+        *face_ptr, *face_list;
+} symbol_t;
+
+/* Row set sizes that differ from the column counts. */
+enum { MISMATCH = -4 };
+
+/* The runs of panel k's below rows: [lo, hi) of its own supernode (the
+ * columns of the panels after k, when a split made them rows of k), then
+ * set[0 .. len).  A run ends at a row gap or a new facing panel.  Writes
+ * the runs from blok b on when `sym->frow` is set; returns their number. */
+static i64 panel_runs(symbol_t *sym, i64 k, i64 b, i64 lo, i64 hi,
+                      const i64 *set, i64 len)
+{
+    const i64 *col2cblk = sym->col2cblk;
+    i64 runs = 0, prev = -2, i, r;
+    for (i = 0; i < hi - lo + len; i++) {
+        r = i < hi - lo ? lo + i : set[i - (hi - lo)];
+        if (r != prev + 1 || col2cblk[r] != col2cblk[prev]) {
+            if (sym->frow) {
+                sym->frow[b + runs] = r;
+                sym->face[b + runs] = col2cblk[r];
+                sym->owner[b + runs] = k;
+            }
+            runs++;
+        }
+        if (sym->frow)
+            sym->lrow[b + runs - 1] = r + 1;
+        prev = r;
+    }
+    return runs;
+}
+
+/* How many panels split_supernodes() cuts a supernode of w columns into:
+ * enough for max_width (0: no splitting), at least min_panels, at most
+ * one column each. */
+static i64 split_count(i64 w, i64 max_width, i64 min_panels)
+{
+    i64 m;
+    if (max_width <= 0)
+        return 1;
+    m = (w + max_width - 1) / max_width;
+    if (m < min_panels)
+        m = min_panels;
+    return m < w ? m : w;
+}
+
+/* Pass 3 on pass 2's pattern, tree and counts: fundamental supernodes,
+ * their row sets in one fill pass into slots sized from the column counts
+ * (MISMATCH, with info[2..4] = the first supernode whose set does not
+ * fit, its size and the count-derived one), amalgamation (`merge`: at
+ * `ratio`), splitting (`max_width` > 0: panels at most that wide, at
+ * least `min_panels`) and the SymbolMatrix arrays, with the facing index.
+ * The result stays in *out, info[0..1] = its panel and blok counts, until
+ * repro_block_symbol_take copies it out.  INCONSISTENT: amalgamation
+ * left a partition that does not tile the columns. */
+i64 repro_block_symbol(i64 n, const i64 *colptr, const i64 *rowind,
+                       const i64 *parent, const i64 *counts, int merge,
+                       double ratio, i64 max_width, i64 min_panels,
+                       i64 *info, void **out)
+{
+    i64 *snptr = malloc((size_t)(3 * n + 3) * sizeof(i64));
+    i64 *ptr, *parent_sn, *fill = NULL, *keep = NULL, *rows = NULL;
+    i64 *panels, *cursor, n_sn = 0, n_keep, K = 0, n_blok = 0, s, j, k, b;
+    symbol_t *sym = NULL;
+    int status = OK;
+    *out = NULL;
+    if (!snptr)
+        return NO_MEMORY;
+    ptr = snptr + n + 1;
+    parent_sn = ptr + n + 1;
+
+    /* Fundamental supernodes: column j continues column j - 1's iff it
+     * is its parent and its count is one less. */
+    for (j = 0; j < n; j++)
+        if (j == 0 || !(parent[j - 1] == j && counts[j - 1] == counts[j] + 1))
+            snptr[n_sn++] = j;
+    snptr[n_sn] = n;
+
+    /* Row sets, in slots sized counts[first column] - width. */
+    ptr[0] = 0;
+    for (s = 0; s < n_sn; s++) {
+        i64 size = counts[snptr[s]] - (snptr[s + 1] - snptr[s]);
+        ptr[s + 1] = ptr[s] + (size > 0 ? size : 0);
+    }
+    fill = malloc((size_t)(3 * n_sn + 1) * sizeof(i64));
+    rows = malloc((size_t)(ptr[n_sn] + 1) * sizeof(i64));
+    if (!fill || !rows) {
+        status = NO_MEMORY;
+        goto done;
+    }
+    keep = fill + n_sn;
+    panels = keep + n_sn;
+    status = row_sets(n, colptr, rowind, n_sn, snptr, ptr, rows, parent_sn,
+                      fill);
+    if (status != OK)
+        goto done;
+    for (s = 0; s < n_sn; s++) {
+        i64 expected = counts[snptr[s]] - (snptr[s + 1] - snptr[s]);
+        if (fill[s] != expected) {
+            info[2] = s;
+            info[3] = fill[s];
+            info[4] = expected;
+            status = MISMATCH;
+            goto done;
+        }
+    }
+
+    /* Amalgamation keeps whole supernodes: survivor keep[i] spans
+     * columns [panels[i], panels[i + 1]) above its own row set. */
+    if (merge) {
+        n_keep = repro_amalgamate(n_sn, snptr, ptr, parent_sn, ratio, keep);
+        if (n_keep < 0) {
+            status = (int)n_keep;
+            goto done;
+        }
+    } else {
+        for (s = 0; s < n_sn; s++)
+            keep[s] = s;
+        n_keep = n_sn;
+    }
+    panels[0] = 0;
+    for (s = 0; s < n_keep; s++)
+        panels[s + 1] = snptr[keep[s] + 1];
+
+    sym = calloc(1, sizeof *sym);
+    if (!sym) {
+        status = NO_MEMORY;
+        goto done;
+    }
+    *out = sym;
+    /* Splitting: the panel count of every survivor, then the panels. */
+    for (s = 0; s < n_keep; s++)
+        K += split_count(panels[s + 1] - panels[s], max_width, min_panels);
+    sym->n = n;
+    sym->n_cblk = K;
+    sym->cblk_ptr = malloc((size_t)(4 * (K + 1) + n) * sizeof(i64));
+    if (!sym->cblk_ptr) {
+        status = NO_MEMORY;
+        goto done;
+    }
+    sym->blok_ptr = sym->cblk_ptr + K + 1;
+    sym->face_ptr = sym->blok_ptr + K + 1;
+    sym->col2cblk = sym->face_ptr + K + 1;
+    for (s = 0, k = 0; s < n_keep; s++) {
+        i64 f = panels[s], w = panels[s + 1] - f, base, extra, i;
+        i64 m = split_count(w, max_width, min_panels);
+        /* Near-equal widths: the first w % m panels one column wider. */
+        base = w / m;
+        extra = w % m;
+        for (i = 0; i < m; i++, k++) {
+            sym->cblk_ptr[k] = f;
+            f += base + (i < extra);
+        }
+    }
+    sym->cblk_ptr[K] = n;
+    for (k = 0; k < K; k++)
+        for (j = sym->cblk_ptr[k]; j < sym->cblk_ptr[k + 1]; j++)
+            sym->col2cblk[j] = k;
+
+    /* Bloks: count, then write; `s` follows the survivor of panel k. */
+    for (int write = 0; write < 2; write++) {
+        for (k = 0, s = 0, b = 0; k < K; k++) {
+            i64 l, *set;
+            while (panels[s + 1] <= sym->cblk_ptr[k])
+                s++;
+            l = panels[s + 1];
+            set = rows + ptr[keep[s]];
+            if (write) {
+                sym->blok_ptr[k] = b;
+                sym->frow[b] = sym->cblk_ptr[k];
+                sym->lrow[b] = sym->cblk_ptr[k + 1];
+                sym->face[b] = sym->owner[b] = k;
+            }
+            b += 1 + panel_runs(sym, k, b + 1, sym->cblk_ptr[k + 1], l, set,
+                                ptr[keep[s] + 1] - ptr[keep[s]]);
+        }
+        if (!write) {
+            n_blok = b;
+            sym->n_blok = n_blok;
+            sym->frow = malloc((size_t)(5 * n_blok - K + 1) * sizeof(i64));
+            if (!sym->frow) {
+                status = NO_MEMORY;
+                goto done;
+            }
+            sym->lrow = sym->frow + n_blok;
+            sym->face = sym->lrow + n_blok;
+            sym->owner = sym->face + n_blok;
+            sym->face_list = sym->owner + n_blok;
+        }
+    }
+    sym->blok_ptr[K] = n_blok;
+
+    /* The off-diagonal bloks facing each panel, ascending. */
+    memset(sym->face_ptr, 0, (size_t)(K + 1) * sizeof(i64));
+    for (b = 0; b < n_blok; b++)
+        if (sym->face[b] != sym->owner[b])
+            sym->face_ptr[sym->face[b] + 1]++;
+    cursor = sym->col2cblk + n;
+    for (k = 0; k < K; k++) {
+        sym->face_ptr[k + 1] += sym->face_ptr[k];
+        cursor[k] = sym->face_ptr[k];
+    }
+    for (b = 0; b < n_blok; b++)
+        if (sym->face[b] != sym->owner[b])
+            sym->face_list[cursor[sym->face[b]]++] = b;
+    info[0] = K;
+    info[1] = n_blok;
+done:
+    free(snptr);
+    free(fill);
+    free(rows);
+    if (status != OK && sym) {
+        free(sym->cblk_ptr);
+        free(sym->frow);
+        free(sym);
+        *out = NULL;
+    }
+    return status;
+}
+
+/* Copy pass 3's result into the caller's arrays (sized from info) and
+ * free it; `cblk_ptr` NULL: only free it. */
+void repro_block_symbol_take(void *handle, i64 *cblk_ptr, i64 *blok_ptr,
+                             i64 *frow, i64 *lrow, i64 *face, i64 *owner,
+                             i64 *col2cblk, i64 *face_ptr, i64 *face_list)
+{
+    symbol_t *sym = handle;
+    size_t K1 = (size_t)(sym->n_cblk + 1) * sizeof(i64);
+    size_t nb = (size_t)sym->n_blok * sizeof(i64);
+    if (cblk_ptr) {
+        memcpy(cblk_ptr, sym->cblk_ptr, K1);
+        memcpy(blok_ptr, sym->blok_ptr, K1);
+        memcpy(face_ptr, sym->face_ptr, K1);
+        memcpy(frow, sym->frow, nb);
+        memcpy(lrow, sym->lrow, nb);
+        memcpy(face, sym->face, nb);
+        memcpy(owner, sym->owner, nb);
+        memcpy(face_list, sym->face_list,
+               (size_t)(sym->n_blok - sym->n_cblk) * sizeof(i64));
+        memcpy(col2cblk, sym->col2cblk, (size_t)sym->n * sizeof(i64));
+    }
+    free(sym->cblk_ptr);
+    free(sym->frow);
+    free(sym);
+}
+
+/* ------------------------------------------------------------------ */
+/* Fused leaf subtrees (dag/builder.py)                                */
+/* ------------------------------------------------------------------ */
+
+/* fused_subtree_groups: every node's subtree weight, accumulated in
+ * ascending node order as the Python loop does (so the sums round
+ * alike), then, descending, the group of every node whose subtree weighs
+ * at most `threshold`: its parent's group, or itself (-1: unfused). */
+i64 repro_subtree_groups(i64 K, const i64 *parent, const double *weight,
+                         double threshold, i64 *group)
+{
+    double *subtree = malloc((size_t)(K + 1) * sizeof(double));
+    i64 k;
+    if (!subtree)
+        return NO_MEMORY;
+    for (k = 0; k < K; k++) {
+        subtree[k] = weight[k];
+        group[k] = -1;
+    }
+    for (k = 0; k < K; k++)
+        if (parent[k] >= 0)
+            subtree[parent[k]] += subtree[k];
+    for (k = K - 1; k >= 0; k--) {
+        i64 p = parent[k];
+        if (subtree[k] > threshold)
+            continue;
+        group[k] = p >= 0 && group[p] >= 0 ? group[p] : k;
+    }
+    free(subtree);
+    return OK;
 }

@@ -1,8 +1,11 @@
 """Native analysis helper: the ordering and symbolic loops as C calls.
 
-``analysis.c`` (next to this file) holds the default nested dissection,
-the minimum-degree ordering and the elimination-tree / postorder /
-column-count / supernode-row / amalgamation passes, and the plans a
+``analysis.c`` (next to this file) holds the three passes
+:func:`repro.symbolic.analyze` makes (:func:`symmetrize`, :func:`order`,
+:func:`block_symbol`), the default nested dissection, the
+minimum-degree ordering and the elimination-tree / postorder /
+column-count / supernode-row / amalgamation passes, the fused-subtree
+grouping of the DAG builders (:func:`subtree_groups`), and the plans a
 fresh factorization builds from the symbol: the symmetric permutation of
 a pattern (:meth:`repro.sparse.csc.SparseMatrixCSC.permute`), the couple
 plan (:class:`repro.kernels.indexcache.CoupleMapCache`) and the assembly
@@ -18,7 +21,8 @@ element.  (The couple plan's bounds check is not here: it is
 Every array is checked before its pointer crosses (C-contiguous int64,
 pointer arrays non-decreasing from 0 to the index count, indices in
 range): O(n + nnz) and vectorised.  The C side keeps no state between
-calls and ctypes releases the GIL for each.
+calls and ctypes releases the GIL for each; only nested dissection
+starts threads, and it joins them before it returns.
 """
 
 from __future__ import annotations
@@ -38,21 +42,25 @@ __all__ = [
     "amalgamate",
     "assembly_map",
     "availability",
+    "block_symbol",
     "column_counts",
     "couple_plan",
     "elimination_tree",
     "library",
     "minimum_degree",
     "nested_dissection",
+    "order",
     "permute_pattern",
     "postorder",
+    "subtree_groups",
     "supernode_rows",
+    "symmetrize",
 ]
 
 SOURCE = Path(__file__).with_name("analysis.c")
 
 #: ``analysis.c``'s status codes.
-_NO_MEMORY, _INCONSISTENT, _MISSING = -1, -2, -3
+_NO_MEMORY, _INCONSISTENT, _MISSING, _MISMATCH = -1, -2, -3, -4
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 _SIGNATURES = {
@@ -66,6 +74,12 @@ _SIGNATURES = {
     "repro_couple_plan": [_I64, _I64] + [_PTR] * 17,
     "repro_assembly_map": [_I64] + [_PTR] * 8 + [ctypes.c_int] + [_PTR] * 5,
     "repro_permute_pattern": [_I64] + [_PTR] * 6,
+    "repro_symmetrize": [_I64] + [_PTR] * 5,
+    "repro_order": [_I64, _PTR, _PTR, _PTR, _I64, _I64] + [_PTR] * 7,
+    "repro_block_symbol": [_I64] + [_PTR] * 4 + [
+        ctypes.c_int, ctypes.c_double, _I64, _I64, _PTR,
+        ctypes.POINTER(_PTR)],
+    "repro_subtree_groups": [_I64, _PTR, _PTR, ctypes.c_double, _PTR],
 }
 
 
@@ -86,6 +100,8 @@ def _library() -> Union[ctypes.CDLL, NativeUnavailable]:
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = _I64
+    lib.repro_block_symbol_take.argtypes = [_PTR] * 10
+    lib.repro_block_symbol_take.restype = None
     return lib
 
 
@@ -236,7 +252,8 @@ def supernode_rows(
     lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray,
     snptr: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat ``(ptr, rows, parent_snode)`` of the below-supernode row sets:
+    """Flat ``(ptr, rows, parent_snode)`` of the below-supernode row sets
+    of a symmetric pattern (C reads row ``i`` as column ``i``):
     supernode ``s`` owns ``rows[ptr[s]:ptr[s + 1]]``, ascending."""
     colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
     n_sn = np.size(snptr) - 1
@@ -289,6 +306,143 @@ def amalgamate(
         raise AssertionError("amalgamation produced a non-contiguous "
                              "partition")
     return keep[:count]
+
+
+# ----------------------------------------------------------------------
+# The analysis in three passes
+# ----------------------------------------------------------------------
+#: The most threads one nested dissection starts (``ND_MAX_WORKERS`` in C).
+_MAX_ORDER_WORKERS = 64
+
+
+def symmetrize(
+    lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Pass 1: ``(colptr, rowind, tsrc)`` of the pattern of ``A + Aᵀ``
+    with every diagonal entry, rows ascending in every column, and the
+    index in ``A`` of each entry's transpose (of ``A[j, r]`` for entry
+    ``(r, j)``; ``-1`` where ``A`` has none), which :func:`order` turns
+    into the value map.  ``None`` when the arrays are malformed or a
+    column of ``A`` is not strictly ascending (the Python body decides
+    what that means)."""
+    try:
+        colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
+    except ValueError:
+        return None
+    room = 2 * rowind.size + n
+    out_colptr = np.empty(n + 1, dtype=np.int64)
+    out_rowind = np.empty(room, dtype=np.int64)
+    tsrc = np.empty(room, dtype=np.int64)
+    nnz = lib.repro_symmetrize(n, colptr.ctypes.data, rowind.ctypes.data,
+                               out_colptr.ctypes.data,
+                               out_rowind.ctypes.data, tsrc.ctypes.data)
+    if not _checked(nnz):
+        return None
+    return out_colptr, out_rowind[:nnz], tsrc[:nnz]
+
+
+def order(
+    lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray,
+    tsrc: np.ndarray, leaf_size: int, n_workers: int,
+    perm: Optional[np.ndarray] = None,
+) -> Optional[tuple[np.ndarray, ...]]:
+    """Pass 2 on pass 1's symmetric pattern: ``(perm, parent, counts,
+    colptr, rowind, value_map)`` — the composed permutation (old → new)
+    of nested dissection on up to ``n_workers`` threads (or of ``perm``)
+    and the elimination tree's postorder, that tree and the column counts
+    in the new order, and the pattern reordered once, with the index in
+    ``A`` of each entry (read from pass 1's ``tsrc``: the pattern is
+    written from its transpose).  ``None`` when the pattern turned out
+    not to be symmetric."""
+    colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
+    tsrc = _int64("tsrc", tsrc, rowind.size)
+    if perm is not None:
+        perm = _int64("perm", perm, n)
+        _within("perm", perm, 0, n)
+        if n and np.bincount(perm, minlength=n).max() != 1:
+            raise ValueError("perm must be a permutation of range(n)")
+    out = [np.empty(n, dtype=np.int64) for _ in range(3)]
+    out += [np.empty(n + 1, dtype=np.int64)]
+    out += [np.empty(rowind.size, dtype=np.int64) for _ in range(2)]
+    status = lib.repro_order(
+        n, colptr.ctypes.data, rowind.ctypes.data, tsrc.ctypes.data,
+        max(-1, min(int(leaf_size), n)),
+        max(1, min(int(n_workers), _MAX_ORDER_WORKERS)),
+        None if perm is None else perm.ctypes.data,
+        *(arr.ctypes.data for arr in out))
+    return tuple(out) if _checked(status) else None
+
+
+#: The :class:`repro.symbolic.structures.SymbolMatrix` fields pass 3
+#: fills, in ``repro_block_symbol_take``'s order.
+SYMBOL_FIELDS = ("cblk_ptr", "blok_ptr", "blok_frow", "blok_lrow",
+                 "blok_face", "blok_owner", "col2cblk", "face_ptr",
+                 "face_list")
+
+
+def block_symbol(
+    lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray,
+    parent: np.ndarray, counts: np.ndarray, ratio: Optional[float],
+    max_width: Optional[int], min_panels: int,
+) -> dict[str, np.ndarray]:
+    """Pass 3 on pass 2's pattern, tree and counts: the arrays of the
+    block symbol (:data:`SYMBOL_FIELDS`) after amalgamation at ``ratio``
+    (``None``: none) and splitting at ``max_width`` (``None``: none).
+    Raises ``AssertionError`` where the Python body does: a row set whose
+    size is not the count-derived one, an amalgamation that does not
+    tile the columns."""
+    colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
+    parent = _int64("parent", parent, n)
+    counts = _int64("counts", counts, n)
+    if max_width is not None and max_width < 1:
+        raise ValueError("max_width must be >= 1")
+    info = np.zeros(5, dtype=np.int64)
+    handle = ctypes.c_void_p()
+    status = lib.repro_block_symbol(
+        n, colptr.ctypes.data, rowind.ctypes.data, parent.ctypes.data,
+        counts.ctypes.data, int(ratio is not None),
+        0.0 if ratio is None else float(ratio),
+        0 if max_width is None else min(int(max_width), max(n, 1)),
+        max(1, min(int(min_panels), max(n, 1))), info.ctypes.data,
+        ctypes.byref(handle))
+    if status == _MISMATCH:
+        raise AssertionError(
+            f"supernode {info[2]}: row set size {info[3]} != "
+            f"count-derived {info[4]}")
+    if not _checked(status):
+        raise AssertionError("amalgamation produced a non-contiguous "
+                             "partition")
+    K, n_blok = int(info[0]), int(info[1])
+    sizes = (K + 1, K + 1, n_blok, n_blok, n_blok, n_blok, n, K + 1,
+             n_blok - K)
+    try:
+        out = {name: np.empty(size, dtype=np.int64)
+               for name, size in zip(SYMBOL_FIELDS, sizes)}
+    except MemoryError:
+        lib.repro_block_symbol_take(handle, *[None] * len(SYMBOL_FIELDS))
+        raise
+    lib.repro_block_symbol_take(handle, *(out[name].ctypes.data
+                                          for name in SYMBOL_FIELDS))
+    return out
+
+
+def subtree_groups(
+    lib: ctypes.CDLL, parent: np.ndarray, weight: np.ndarray,
+    threshold: float,
+) -> np.ndarray:
+    """:func:`repro.dag.builder.fused_subtree_groups` of a forest whose
+    ``parent`` entries are ``-1`` or node ids."""
+    K = np.size(parent)
+    parent = _int64("parent", parent, K)
+    _within("parent", parent, -1, K)
+    weight = np.ascontiguousarray(weight, dtype=np.float64)
+    if weight.shape != (K,):
+        raise ValueError(f"weight must be {K} numbers")
+    group = np.empty(K, dtype=np.int64)
+    _checked(lib.repro_subtree_groups(K, parent.ctypes.data,
+                                      weight.ctypes.data, float(threshold),
+                                      group.ctypes.data))
+    return group
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ ordering (PaStiX uses Scotch); minimum degree orders its leaves.
 
 from repro.ordering.perm import Permutation
 from repro.ordering.mindeg import minimum_degree
-from repro.ordering.nested_dissection import nested_dissection
+from repro.ordering.dissection import nested_dissection
 
 __all__ = [
     "Permutation",

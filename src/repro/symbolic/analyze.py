@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graph import native
 from repro.graph.adjacency import Graph
-from repro.ordering.nested_dissection import nested_dissection
+from repro.ordering import dissection
 from repro.ordering.perm import Permutation
-from repro.sparse.csc import SparseMatrixCSC
+from repro.sparse.csc import SparseMatrixCSC, entry_owners
 from repro.symbolic.colcount import column_counts
 from repro.symbolic.etree import EliminationTree, elimination_tree, postorder
 from repro.symbolic.splitting import split_supernodes
@@ -63,6 +64,10 @@ class AnalysisResult:
     ``pattern`` is the permuted symmetrised pattern with full diagonal;
     ``symbol`` the block structure; ``parent``/``counts`` the elimination
     tree and factor column counts of the permuted matrix.
+    ``value_map[e]`` is the index into the analysed matrix's values of
+    entry ``e`` of ``pattern``, ``-1`` where that matrix has no entry (a
+    position of ``Aᵀ`` only, or an added diagonal): a factorization
+    gathers its values through it, with no further permutation.
     """
 
     perm: Permutation
@@ -70,6 +75,7 @@ class AnalysisResult:
     symbol: SymbolMatrix
     parent: np.ndarray
     counts: np.ndarray
+    value_map: np.ndarray
 
     @property
     def n(self) -> int:
@@ -83,6 +89,8 @@ class AnalysisResult:
 def analyze(
     matrix: SparseMatrixCSC,
     options: SymbolicOptions | None = None,
+    *,
+    n_workers: int = 1,
 ) -> AnalysisResult:
     """Run the full analyze phase on ``matrix``.
 
@@ -90,22 +98,73 @@ def analyze(
     postorder the elimination tree (so supernodes are contiguous), compute
     column counts, detect/amalgamate/split supernodes, and build the block
     symbol structure.
+
+    With the analysis helper of :mod:`repro.graph.native` these are three
+    C calls — symmetrise, order, block symbol — and nested dissection
+    runs its independent regions on up to ``n_workers`` threads; the
+    result is the same at every worker count.  Without it the Python
+    bodies below run, step by step; the two are identical.
     """
     opts = options or SymbolicOptions()
     if not matrix.is_square:
         raise ValueError("analyze requires a square matrix")
-    n = matrix.n_rows
+    if not (isinstance(opts.ordering, Permutation)
+            or opts.ordering in ("nd", "natural")):
+        raise ValueError(f"unknown ordering {opts.ordering!r}")
+    lib = native.library()
+    if lib is not None:
+        result = _analyze_native(lib, matrix, opts, n_workers)
+        if result is not None:
+            return result
+    return _analyze_python(matrix, opts)
 
+
+def _analyze_native(lib, matrix: SparseMatrixCSC, opts: SymbolicOptions,
+                    n_workers: int) -> AnalysisResult | None:
+    """The analysis as three C calls; ``None`` when the matrix is one the
+    Python bodies must decide about (malformed or unsorted columns)."""
+    n = matrix.n_rows
+    sym = native.symmetrize(lib, n, matrix.colptr, matrix.rowind)
+    if sym is None:
+        return None
+    colptr, rowind, tsrc = sym
+    given = (None if opts.ordering == "nd"
+             else np.arange(n, dtype=np.int64) if opts.ordering == "natural"
+             else opts.ordering.perm)
+    if given is not None and given.shape != (n,):
+        raise ValueError("perm must have length n for a square matrix")
+    ordered = native.order(lib, n, colptr, rowind, tsrc,
+                           dissection.LEAF_SIZE, n_workers, given)
+    if ordered is None:
+        return None
+    perm, parent, counts, colptr, rowind, value_map = ordered
+    symbol = SymbolMatrix(n=n, **native.block_symbol(
+        lib, n, colptr, rowind, parent, counts, opts.amalgamation_ratio,
+        opts.split_max_width, opts.min_panels))
+    return AnalysisResult(
+        perm=Permutation(perm),
+        pattern=SparseMatrixCSC(n, n, colptr, rowind),
+        symbol=symbol,
+        parent=parent,
+        counts=counts,
+        value_map=value_map,
+    )
+
+
+def _analyze_python(matrix: SparseMatrixCSC,
+                    opts: SymbolicOptions) -> AnalysisResult:
+    """The analysis step by step: the path without a C compiler, and the
+    oracle the three C passes equal array for array."""
+    n = matrix.n_rows
     pattern = matrix.symmetrize_pattern().with_full_diagonal()
 
     if isinstance(opts.ordering, Permutation):
         perm1 = opts.ordering
     elif opts.ordering == "nd":
-        perm1 = nested_dissection(Graph.from_symmetric_pattern(pattern))
-    elif opts.ordering == "natural":
-        perm1 = Permutation.identity(n)
+        perm1 = dissection.nested_dissection(
+            Graph.from_symmetric_pattern(pattern))
     else:
-        raise ValueError(f"unknown ordering {opts.ordering!r}")
+        perm1 = Permutation.identity(n)
 
     permuted = pattern.permute(perm1.perm)
 
@@ -138,10 +197,35 @@ def analyze(
         )
 
     symbol = build_symbol(n, snptr, rowsets)
+    perm = perm1 @ perm2
     return AnalysisResult(
-        perm=perm1 @ perm2,
+        perm=perm,
         pattern=final_pattern,
         symbol=symbol,
         parent=parent,
         counts=counts,
+        value_map=_value_map(matrix, final_pattern, perm.iperm),
     )
+
+
+def _value_map(matrix: SparseMatrixCSC, pattern: SparseMatrixCSC,
+               iperm: np.ndarray) -> np.ndarray:
+    """For every entry of ``pattern`` (in the new order, ``iperm[new] =
+    old``), the index of ``matrix``'s entry at the same original
+    coordinates, or ``-1``: a search among its sorted coordinate keys.
+    Raises ``ValueError`` on duplicate coordinates, as the permutation of
+    the values does."""
+    n = matrix.n_rows
+    key = entry_owners(matrix.colptr) * n + matrix.rowind
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeats = np.count_nonzero(key[1:] == key[:-1])
+    if repeats:
+        raise ValueError(f"{repeats} duplicate coordinates")
+    want = iperm[entry_owners(pattern.colptr)] * n + iperm[pattern.rowind]
+    at = np.searchsorted(key, want)
+    found = at < key.size
+    found[found] = key[at[found]] == want[found]
+    value_map = np.full(want.size, -1, dtype=np.int64)
+    value_map[found] = order[at[found]]
+    return value_map

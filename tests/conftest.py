@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
-
 import numpy as np
 import pytest
 
@@ -94,11 +92,6 @@ def split_every_panel(monkeypatch) -> None:
 def split_panels(monkeypatch):
     """:func:`split_every_panel` for one test."""
     split_every_panel(monkeypatch)
-
-
-#: The nested-dissection module, whose ``LEAF_SIZE`` tests patch (the
-#: package attribute ``repro.ordering.nested_dissection`` is the function).
-ND = importlib.import_module("repro.ordering.nested_dissection")
 
 
 @pytest.fixture

@@ -8,9 +8,10 @@ permuted pattern or block symbol: every D8xx baseline and every
 (before the array-native rewrite of ``graph``/``ordering``/``symbolic``)
 with ``python -m tests.test_analysis_golden --record``.
 
-Every digest is checked twice: through whatever backend this host runs by
-default (the C helper of ``repro.graph.native`` when it loads) and through
-the Python bodies, which must agree byte for byte.
+Every digest is checked through whatever backend this host runs by
+default (the C helper of ``repro.graph.native`` when it loads, its nested
+dissection on 1, 2 and 4 threads) and through the Python bodies, which
+must agree byte for byte.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ import numpy as np
 import pytest
 
 from repro.graph import native
+from repro.ordering import dissection
 from repro.sparse import grid_laplacian_2d, load_matrix
 from repro.sparse.collection import collection_names
 from repro.symbolic import SymbolicOptions, analyze
-from tests.conftest import COMPONENT_SIZES, ND, many_component_matrix
+from tests.conftest import COMPONENT_SIZES, many_component_matrix
 
 GOLDEN = Path(__file__).parent / "data" / "analysis_golden.json"
 
@@ -68,31 +70,32 @@ def _cases():
     yield "components/300v40c", "components", None
 
 
-def _digest(inp, opts) -> str:
+def _digest(inp, opts, n_workers: int = 1) -> str:
     if inp is None:
         matrix = grid_laplacian_2d(24, jitter=0.05, seed=4)
     elif inp == "components":
         # Leaves of 12 vertices, so that components get separators too.
         matrix = many_component_matrix(COMPONENT_SIZES, seed=21)
-        with mock.patch.object(ND, "LEAF_SIZE", 12):
-            return fingerprint(analyze(matrix, opts))
+        with mock.patch.object(dissection, "LEAF_SIZE", 12):
+            return fingerprint(analyze(matrix, opts, n_workers=n_workers))
     else:
         matrix = load_matrix(inp[0], inp[1], 0)
-    return fingerprint(analyze(matrix, opts))
+    return fingerprint(analyze(matrix, opts, n_workers=n_workers))
 
 
 @pytest.fixture
 def etree_calls(monkeypatch):
     """Calls that reached the C helper (every analysis needs an
-    elimination tree, whatever its ordering)."""
+    elimination tree, whatever its ordering: the C analysis builds it in
+    its second pass, :func:`repro.graph.native.order`)."""
     calls = []
-    inner = native.elimination_tree
+    inner = native.order
 
     def spy(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(native, "elimination_tree", spy)
+    monkeypatch.setattr(native, "order", spy)
     return calls
 
 
@@ -105,6 +108,14 @@ def test_analysis_matches_golden(key, inp, opts, etree_calls):
     golden = json.loads(GOLDEN.read_text())
     assert _digest(inp, opts) == golden[key]
     assert bool(etree_calls) == (native.availability() is None)
+
+
+@CASES
+@pytest.mark.parametrize("n_workers", [2, 4])
+def test_threaded_analysis_matches_golden(key, inp, opts, n_workers):
+    """Nested dissection on 2 or 4 threads: the same digests."""
+    golden = json.loads(GOLDEN.read_text())
+    assert _digest(inp, opts, n_workers) == golden[key]
 
 
 @CASES

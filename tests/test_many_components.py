@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from repro.graph import Graph, connected_components
-from repro.ordering import nested_dissection
+from repro.ordering import dissection, nested_dissection
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic import analyze
-from tests.conftest import COMPONENT_SIZES, ND, many_component_matrix
+from tests.conftest import COMPONENT_SIZES, many_component_matrix
 
 
 def _best_of(fn, attempts: int, good_enough: float) -> float:
@@ -52,7 +52,7 @@ def test_components_are_dissected_independently(leaf_size, monkeypatch):
     ordered as if it were the whole graph."""
     a = many_component_matrix(COMPONENT_SIZES, seed=21)
     g = Graph.from_matrix(a)
-    monkeypatch.setattr(ND, "LEAF_SIZE", leaf_size)
+    monkeypatch.setattr(dissection, "LEAF_SIZE", leaf_size)
     expected = []
     comp = connected_components(g)
     assert comp.max() + 1 == len(COMPONENT_SIZES)

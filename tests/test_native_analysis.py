@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro import cbuild
 from repro.graph import Graph, native
-from repro.ordering import minimum_degree, nested_dissection
+from repro.ordering import dissection, minimum_degree, nested_dissection
 from repro.sparse import load_matrix
 from repro.sparse.collection import collection_names
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc, entry_owners
@@ -34,7 +34,7 @@ from repro.symbolic import (
     postorder,
     supernode_row_sets,
 )
-from tests.conftest import COMPONENT_SIZES, ND, many_component_matrix
+from tests.conftest import COMPONENT_SIZES, many_component_matrix
 from tests.test_analysis_golden import GOLDEN, _cases, _digest, fingerprint
 
 pytestmark = pytest.mark.skipif(
@@ -60,7 +60,7 @@ def assert_orderings_agree(graph: Graph, leaf_sizes=LEAF_SIZES) -> None:
     csr = (graph.n, graph.xadj, graph.adjncy)
     for leaf_size in leaf_sizes:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ND, "LEAF_SIZE", leaf_size)
+            patch.setattr(dissection, "LEAF_SIZE", leaf_size)
             want = oracle(nested_dissection, graph)
             assert nested_dissection(graph) == want
         iperm = native.nested_dissection(lib, *csr, graph.vwgt, leaf_size)
@@ -272,7 +272,7 @@ def test_one_way_edges_go_to_the_python_body(xadj, adjncy, dissection_notices,
     iperm = native.nested_dissection(lib, 3, xadj, adjncy, ones, 0)
     assert (iperm is None) == dissection_notices
     graph = Graph(3, xadj, adjncy)
-    monkeypatch.setattr(ND, "LEAF_SIZE", 0)
+    monkeypatch.setattr(dissection, "LEAF_SIZE", 0)
     assert nested_dissection(graph) == oracle(nested_dissection, graph)
     assert minimum_degree(graph) == oracle(minimum_degree, graph)
 

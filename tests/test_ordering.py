@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.adjacency import Graph
-from repro.ordering import Permutation, minimum_degree, nested_dissection
+from repro.ordering import (
+    Permutation,
+    dissection,
+    minimum_degree,
+    nested_dissection,
+)
 from repro.sparse.generators import grid_laplacian_2d, random_pattern_spd
-from tests.conftest import ND
 
 
 def fill_in(mat, perm: Permutation) -> int:
@@ -163,7 +167,7 @@ class TestNestedDissection:
         assert fill_in(m, p) < fill_in(m, Permutation.identity(m.n_rows))
 
     def test_leaf_orderings(self, grid2d_small, monkeypatch):
-        monkeypatch.setattr(ND, "LEAF_SIZE", 16)
+        monkeypatch.setattr(dissection, "LEAF_SIZE", 16)
         p = nested_dissection(grid2d_small)
         assert np.array_equal(np.sort(p.perm), np.arange(grid2d_small.n_rows))
 
