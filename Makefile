@@ -22,7 +22,7 @@ inject_modes = $(shell PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c \
 
 .PHONY: test test-nocc verify lint hazards typecheck bench figures selftest chaos \
 	chaos-smoke race-smoke determinism-smoke native-smoke sanitize-smoke \
-	tsan-smoke fuzz-smoke e2e-smoke ci
+	fuzz-smoke e2e-smoke ci
 
 # Tier-1: everything under tests/, which includes the golden analysis
 # fingerprints (test_analysis_golden.py) and the many-components
@@ -140,19 +140,6 @@ sanitize-smoke:
 	if [ $$status -eq 0 ]; then echo "sanitize-smoke: clean"; \
 	else echo "sanitize-smoke: FAILED"; fi; exit $$status
 
-# ThreadSanitizer gate of the analysis passes: a standalone C harness
-# over graph/analysis.c (benchmarks/analysis_harness.c), built with
-# -fsanitize=thread, orders the four benchmark inputs and the
-# many-components matrix with nested dissection at 1-4 threads; every
-# output must be identical and any race report fails the gate.  No C
-# compiler or no TSan runtime: SKIPPED.
-tsan-smoke:
-	@out=$$($(PYTHON) benchmarks/tsan_smoke.py 2>&1); \
-	status=$$?; \
-	if [ $$status -ne 0 ]; then echo "$$out"; echo "tsan-smoke: FAILED"; \
-	elif echo "$$out" | grep -q SKIPPED; then echo "$$out"; \
-	else echo "tsan-smoke: clean"; fi; exit $$status
-
 # D8xx determinism gate: a seeded same-seed double-run of the machine
 # simulator (with the fault scenario) and of the stream-burst simulator
 # on a small matrix; their canonical trace fingerprints must match
@@ -189,19 +176,17 @@ e2e-smoke:
 # concurrency/determinism + ruff/mypy when installed), the
 # fault-injection self-tests, the
 # live-race gate, the determinism gate, the bounded chaos gate, the
-# native-kernel gate, the sanitizer gates (ASan + UBSan, and TSan on the
-# analysis passes), the differential fuzzer and the wall-clock
-# benchmark's smoke run.  make
+# native-kernel gate, the sanitizer gate, the differential fuzzer and the
+# wall-clock benchmark's smoke run.  make
 # stops at the first failing stage, so reaching the recipe means every
 # stage that ran passed; the summary names the ones that did not run.
 ci: verify test-nocc selftest race-smoke determinism-smoke chaos-smoke \
-	native-smoke sanitize-smoke tsan-smoke fuzz-smoke e2e-smoke
+	native-smoke sanitize-smoke fuzz-smoke e2e-smoke
 	@echo "ci: lint ok, ruff $(call tool_status,ruff), hazards ok," \
 		"mypy $(call tool_status,mypy), test ok, test-nocc ok," \
 		"selftest ok ($(inject_modes) inject modes caught)," \
 		"race-smoke ok, determinism-smoke ok, chaos-smoke ok," \
 		"native-smoke $(native_status), sanitize-smoke $(native_status)," \
-		"tsan-smoke $(native_status)," \
 		"fuzz-smoke ok, e2e-smoke ok"
 
 lint:

@@ -84,7 +84,7 @@ def check_analysis() -> None:
     }
     for name, matrix in families.items():
         graph = Graph.from_matrix(matrix)
-        got = _analysis_arrays(analyze(matrix, n_workers=2)) + [
+        got = _analysis_arrays(analyze(matrix)) + [
             minimum_degree(graph).perm]
         with mock.patch.object(native, "library", lambda: None):
             ref = _analysis_arrays(analyze(matrix)) + [

@@ -115,16 +115,9 @@ class SparseSolver:
 
     # ------------------------------------------------------------------
     def analyze(self) -> AnalysisResult:
-        """Run (or return the cached) analyze phase.
-
-        Under ``runtime="threaded"`` the nested dissection uses the
-        solver's ``n_workers`` threads; the result does not depend on it.
-        """
+        """Run (or return the cached) analyze phase."""
         if self.analysis is None:
-            opts = self.options
-            self.analysis = analyze(
-                self.matrix, opts.symbolic,
-                n_workers=opts.n_workers if opts.runtime == "threaded" else 1)
+            self.analysis = analyze(self.matrix, self.options.symbolic)
         return self.analysis
 
     def _permuted_matrix(self) -> SparseMatrixCSC:

@@ -7,7 +7,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.dag.tasks import TaskDAG, TaskKind
-from repro.graph import native
 from repro.kernels.cost import (
     complex_multiplier,
     flops_panel,
@@ -265,13 +264,8 @@ def fused_subtree_groups(
     ``threshold``; the group's id is the subtree's topmost such cblk, so
     the groups are exactly the maximal subtrees under the threshold.
     Shared by the factorization DAG (weight: flops) and the solve DAG
-    (weight: panel storage).  One C call when the analysis helper loads
-    (:func:`repro.graph.native.subtree_groups`, the same sums in the same
-    order); the loops below are its fallback and oracle.
+    (weight: panel storage).
     """
-    lib = native.library()
-    if lib is not None:
-        return native.subtree_groups(lib, parent, weight, threshold)
     K = parent.size
     up = parent.tolist()
     subtree = np.asarray(weight, dtype=np.float64).tolist()

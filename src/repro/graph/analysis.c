@@ -22,7 +22,6 @@
  *   repro_permute_pattern    sparse/csc.py (SparseMatrixCSC.permute)
  *   repro_couple_plan        kernels/indexcache.py (the couple plan)
  *   repro_assembly_map       core/factor.py (AssemblyMap)
- *   repro_subtree_groups     dag/builder.py (fused_subtree_groups)
  *
  * Each is called through ctypes (GIL released) from repro/graph/native.py,
  * which checks every array before its pointer crosses.  The Python bodies
@@ -30,11 +29,8 @@
  * element for element, so every tie-break below is the Python one.
  *
  * No static state: every call allocates its O(n + nnz) work arrays and
- * frees them before returning, so concurrent calls are independent.  Only
- * nested dissection starts threads (repro_order's n_workers), and joins
- * them before it returns.
+ * frees them before returning, so concurrent calls are independent.
  */
-#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -53,13 +49,11 @@ enum {
 /* Minimum degree on one region of a graph                            */
 /* ------------------------------------------------------------------ */
 
-/* Work arrays of one ordering thread.  `region[v]` names the region a
- * vertex belongs to; an adjacency entry counts only when both ends carry
- * the same label, which is how a region of the original graph stands in
- * for the relabelled induced subgraph of the Python driver.  The labels
- * are shared by the threads of one nested dissection; every other array
- * is the thread's own.  Self-loops (a pattern's diagonal) are skipped;
- * `vwgt` NULL weighs every vertex 1. */
+/* Work arrays of one ordering.  `region[v]` names the region a vertex
+ * belongs to; an adjacency entry counts only when both ends carry the
+ * same label, which is how a region of the original graph stands in for
+ * the relabelled induced subgraph of the Python driver.  Self-loops (a
+ * pattern's diagonal) are skipped; `vwgt` NULL weighs every vertex 1. */
 typedef struct {
     const i64 *xadj, *adjncy, *vwgt;
     i64 *region;
@@ -81,12 +75,6 @@ typedef struct {
     void *block;
 } work_t;
 
-/* A region's labels are read while other threads relabel theirs: every
- * access is a relaxed atomic.  No label a thread writes is ever another
- * live region's, so what a read returns never changes a decision. */
-#define LABEL(w, x) __atomic_load_n(&(w)->region[x], __ATOMIC_RELAXED)
-#define SET_LABEL(w, x, v) \
-    __atomic_store_n(&(w)->region[x], (v), __ATOMIC_RELAXED)
 #define WEIGHT(w, u) ((w)->vwgt ? (w)->vwgt[u] : 1)
 
 static int work_alloc(work_t *w, i64 n, const i64 *xadj, const i64 *adjncy,
@@ -248,7 +236,7 @@ static int small_adjacency(work_t *w, const i64 *list, i64 size, i64 rid,
         adj[k][0] = adj[k][1] = 0;
         for (i = xadj[u]; i < xadj[u + 1]; i++) {
             i64 x = adjncy[i];
-            if (x != u && LABEL(w, x) == rid)
+            if (x != u && w->region[x] == rid)
                 SET_ADD(adj[k], w->hpos[x]);
         }
     }
@@ -365,7 +353,7 @@ static int minimum_degree(work_t *w, const i64 *list, i64 size, i64 rid,
         i64 u = list[k], len = 0, s = ++w->stamp;
         for (i = xadj[u]; i < xadj[u + 1]; i++) {
             i64 x = adjncy[i];
-            if (x != u && LABEL(w, x) == rid && w->mark[x] != s) {
+            if (x != u && w->region[x] == rid && w->mark[x] != s) {
                 w->mark[x] = s;
                 slot[xadj[u] + len++] = x;
             }
@@ -534,7 +522,7 @@ static i64 bfs(work_t *w, i64 root, i64 rid)
         i64 u = w->queue[head++], next = w->level[u] + 1;
         for (i = xadj[u]; i < xadj[u + 1]; i++) {
             i64 x = adjncy[i];
-            if (w->mark[x] != s && LABEL(w, x) == rid) {
+            if (w->mark[x] != s && w->region[x] == rid) {
                 w->mark[x] = s;
                 w->level[x] = next;
                 w->queue[tail++] = x;
@@ -569,7 +557,7 @@ static int separate(work_t *w, const i64 *list, i64 size, i64 rid,
         for (k = size - 1; k >= 0 && w->level[w->queue[k]] == ecc; k--) {
             i64 u = w->queue[k], deg = 0;
             for (i = xadj[u]; i < xadj[u + 1]; i++)
-                deg += adjncy[i] != u && LABEL(w, adjncy[i]) == rid;
+                deg += adjncy[i] != u && w->region[adjncy[i]] == rid;
             if (cand < 0 || deg < cand_deg || (deg == cand_deg && u < cand)) {
                 cand = u;
                 cand_deg = deg;
@@ -624,7 +612,7 @@ static int separate(work_t *w, const i64 *list, i64 size, i64 rid,
         for (k = 0; k < size; k++)
             w->side[list[k]] = 2;
         for (i = xadj[v]; i < xadj[v + 1]; i++)
-            if (LABEL(w, adjncy[i]) == rid)
+            if (w->region[adjncy[i]] == rid)
                 w->side[adjncy[i]] = 0;
         w->side[v] = 1;
         for (k = 0; k < size; k++)
@@ -659,7 +647,7 @@ static int separate(work_t *w, const i64 *list, i64 size, i64 rid,
             int has_a = 0, has_b = 0;
             for (i = xadj[u]; i < xadj[u + 1]; i++) {
                 i64 x = adjncy[i];
-                if (LABEL(w, x) != rid)
+                if (w->region[x] != rid)
                     continue;
                 has_a |= w->side[x] == 1;
                 has_b |= w->side[x] == 2;
@@ -693,7 +681,7 @@ static void relabel(work_t *w, const i64 *list, i64 size, i64 rid)
 {
     i64 k;
     for (k = 0; k < size; k++)
-        SET_LABEL(w, list[k], rid);
+        w->region[list[k]] = rid;
 }
 
 /* Queue sub-region iperm[lo, lo + size) in w->kids. */
@@ -710,8 +698,7 @@ static void add_kid(work_t *w, i64 *n_kids, i64 lo, i64 size, i64 connected)
  * A, B and a separator, or ordered as a leaf, in place; its sub-regions
  * go to w->kids, each labelled one plus the first position of its slice.
  * Live regions hold disjoint slices, so their labels are distinct, and a
- * finished leaf keeps a label no later region can take: the labels are
- * those of the sequential run, whatever order the regions run in. */
+ * finished leaf keeps a label no later region can take. */
 static int dissect_region(work_t *w, i64 *iperm, i64 leaf_size, i64 lo,
                           i64 size, i64 connected, i64 *n_kids)
 {
@@ -797,178 +784,76 @@ static int dissect_region(work_t *w, i64 *iperm, i64 leaf_size, i64 lo,
     return OK;
 }
 
-/* At most this many threads order one graph. */
-#define ND_MAX_WORKERS 64
-
-/* One nested dissection: the graph, the shared labels and iperm, and a
- * stack of regions (lo, size, connected) the threads pop under `mu`. */
-typedef struct {
-    i64 n, leaf_size;
-    const i64 *xadj, *adjncy, *vwgt;
-    i64 *region, *iperm, *stack;
-    i64 sp, busy, waiting;
-    int status, n_workers, n_started;
-    pthread_mutex_t mu;
-    pthread_cond_t cv;
-    pthread_t threads[ND_MAX_WORKERS];
-} dissection_t;
-
-static int dissection_work(dissection_t *d, work_t *w)
-{
-    return work_alloc(w, d->n, d->xadj, d->adjncy, d->vwgt, d->region, 1);
-}
-
-static void *dissection_thread(void *arg);
-
-/* Pop a region, dissect it, push its sub-regions, until no region is left
- * and none is being worked on.  The caller (worker 0) starts the other
- * workers, one at a time, when regions wait that no idle worker will
- * take: a second thread only once a split has left two regions. */
-static void dissection_loop(dissection_t *d, work_t *w, int is_caller)
-{
-    pthread_mutex_lock(&d->mu);
-    for (;;) {
-        i64 lo, size, connected, n_kids = 0, k;
-        int status;
-        while (d->sp == 0 && d->busy > 0 && d->status == OK) {
-            d->waiting++;
-            pthread_cond_wait(&d->cv, &d->mu);
-            d->waiting--;
-        }
-        if (d->sp == 0 || d->status != OK)
-            break;
-        d->sp--;
-        lo = d->stack[3 * d->sp];
-        size = d->stack[3 * d->sp + 1];
-        connected = d->stack[3 * d->sp + 2];
-        d->busy++;
-        pthread_mutex_unlock(&d->mu);
-
-        status = dissect_region(w, d->iperm, d->leaf_size, lo, size,
-                                connected, &n_kids);
-
-        pthread_mutex_lock(&d->mu);
-        d->busy--;
-        if (status != OK)
-            d->status = status;
-        for (k = 0; k < 3 * n_kids; k++)
-            d->stack[3 * d->sp + k] = w->kids[k];
-        d->sp += n_kids;
-        if (d->waiting > 0 && (n_kids > 0 || d->busy == 0 || status != OK))
-            pthread_cond_broadcast(&d->cv);
-        while (is_caller && d->status == OK && d->n_started < d->n_workers
-               && d->sp > d->waiting + 1) {
-            int t = d->n_started;
-            pthread_mutex_unlock(&d->mu);
-            t = pthread_create(&d->threads[t], NULL, dissection_thread, d);
-            pthread_mutex_lock(&d->mu);
-            if (t != 0) {
-                d->n_workers = d->n_started; /* start no more */
-                break;
-            }
-            d->n_started++;
-            d->waiting++; /* counted idle until it takes a region */
-        }
-    }
-    pthread_cond_broadcast(&d->cv);
-    pthread_mutex_unlock(&d->mu);
-}
-
-static void *dissection_thread(void *arg)
-{
-    dissection_t *d = arg;
-    work_t w;
-    int status = dissection_work(d, &w);
-    pthread_mutex_lock(&d->mu);
-    d->waiting--;
-    if (status != OK) {
-        /* Without work arrays this thread takes no region. */
-        pthread_mutex_unlock(&d->mu);
-        return NULL;
-    }
-    pthread_mutex_unlock(&d->mu);
-    dissection_loop(d, &w, 0);
-    free(w.block);
-    return NULL;
-}
-
-/* The whole default nested dissection, on up to n_workers threads.  A
- * region's vertex list is kept, ascending, in the very slice of `iperm`
- * the region will fill: every split and every grouping by component is
- * stable, so "lowest local id" in the Python driver's relabelled
- * subgraphs is "lowest original id" here and no subgraph is ever built.
- * A region's outcome depends on its own vertices only, so iperm is the
- * same at every worker count. */
+/* The whole default nested dissection.  A region's vertex list is kept,
+ * ascending, in the very slice of `iperm` the region will fill: every
+ * split and every grouping by component is stable, so "lowest local id"
+ * in the Python driver's relabelled subgraphs is "lowest original id"
+ * here and no subgraph is ever built.  The regions wait on a stack of
+ * (lo, size, connected), popped last in first out as the driver does. */
 static int nested_dissection(i64 n, const i64 *xadj, const i64 *adjncy,
-                             const i64 *vwgt, i64 leaf_size, i64 n_workers,
-                             i64 *iperm)
+                             const i64 *vwgt, i64 leaf_size, i64 *iperm)
 {
-    dissection_t d;
+    i64 *region = malloc((size_t)(4 * n + 3) * sizeof(i64)), *stack;
+    i64 sp = 0, v;
     work_t w;
-    i64 v;
-    int status, t;
-    memset(&d, 0, sizeof d);
-    d.n = n;
-    d.leaf_size = leaf_size;
-    d.xadj = xadj;
-    d.adjncy = adjncy;
-    d.vwgt = vwgt;
-    d.iperm = iperm;
-    d.n_workers = n_workers < 1 ? 1
-                  : n_workers > ND_MAX_WORKERS ? ND_MAX_WORKERS
-                                               : (int)n_workers;
-    d.n_started = 1;
-    d.region = malloc((size_t)(4 * n + 3) * sizeof(i64));
-    if (!d.region)
+    int status;
+    if (!region)
         return NO_MEMORY;
-    d.stack = d.region + n;
-    status = dissection_work(&d, &w);
+    stack = region + n;
+    status = work_alloc(&w, n, xadj, adjncy, vwgt, region, 1);
     if (status != OK) {
-        free(d.region);
+        free(region);
         return status;
     }
     for (v = 0; v < n; v++) {
-        d.region[v] = 1;
+        region[v] = 1;
         iperm[v] = v;
     }
     if (n > 0) {
-        d.stack[0] = 0;
-        d.stack[1] = n;
-        d.stack[2] = 0;
-        d.sp = 1;
+        stack[0] = 0;
+        stack[1] = n;
+        stack[2] = 0;
+        sp = 1;
     }
-    pthread_mutex_init(&d.mu, NULL);
-    pthread_cond_init(&d.cv, NULL);
-    dissection_loop(&d, &w, 1);
-    for (t = 1; t < d.n_started; t++)
-        pthread_join(d.threads[t], NULL);
-    pthread_cond_destroy(&d.cv);
-    pthread_mutex_destroy(&d.mu);
+    while (sp > 0 && status == OK) {
+        i64 n_kids, k;
+        sp--;
+        status = dissect_region(&w, iperm, leaf_size, stack[3 * sp],
+                                stack[3 * sp + 1], stack[3 * sp + 2],
+                                &n_kids);
+        for (k = 0; k < 3 * n_kids; k++)
+            stack[3 * sp + k] = w.kids[k];
+        sp += n_kids;
+    }
     free(w.block);
-    free(d.region);
-    return d.status;
+    free(region);
+    return status;
 }
 
 i64 repro_nested_dissection(i64 n, const i64 *xadj, const i64 *adjncy,
                             const i64 *vwgt, i64 leaf_size, i64 *iperm)
 {
-    return nested_dissection(n, xadj, adjncy, vwgt, leaf_size, 1, iperm);
+    return nested_dissection(n, xadj, adjncy, vwgt, leaf_size, iperm);
 }
 
 /* ------------------------------------------------------------------ */
 /* Elimination tree, postorder, column counts, supernode row sets      */
 /* ------------------------------------------------------------------ */
 
-/* Liu's algorithm with path compression on a symmetric pattern. */
-i64 repro_etree(i64 n, const i64 *colptr, const i64 *rowind, i64 *parent)
+/* Liu's algorithm with path compression on a symmetric pattern, read in
+ * the order iperm (new -> old; perm its inverse), or as it is when iperm
+ * is NULL: the tree does not depend on the order of a column's entries,
+ * so the reordered pattern need not be built.  `ancestor`: n words. */
+static void etree(i64 n, const i64 *colptr, const i64 *rowind,
+                  const i64 *iperm, const i64 *perm, i64 *parent,
+                  i64 *ancestor)
 {
-    i64 *ancestor = malloc((size_t)(n + 1) * sizeof(i64)), k, p;
-    if (!ancestor)
-        return NO_MEMORY;
+    i64 k, p;
     for (k = 0; k < n; k++) {
+        i64 j = iperm ? iperm[k] : k;
         parent[k] = ancestor[k] = -1;
-        for (p = colptr[k]; p < colptr[k + 1]; p++) {
-            i64 i = rowind[p];
+        for (p = colptr[j]; p < colptr[j + 1]; p++) {
+            i64 i = perm ? perm[rowind[p]] : rowind[p];
             while (i != -1 && i < k) {
                 i64 next = ancestor[i];
                 ancestor[i] = k;
@@ -978,6 +863,14 @@ i64 repro_etree(i64 n, const i64 *colptr, const i64 *rowind, i64 *parent)
             }
         }
     }
+}
+
+i64 repro_etree(i64 n, const i64 *colptr, const i64 *rowind, i64 *parent)
+{
+    i64 *ancestor = malloc((size_t)(n + 1) * sizeof(i64));
+    if (!ancestor)
+        return NO_MEMORY;
+    etree(n, colptr, rowind, NULL, NULL, parent, ancestor);
     free(ancestor);
     return OK;
 }
@@ -1786,21 +1679,20 @@ i64 repro_symmetrize(i64 n, const i64 *colptr, const i64 *rowind,
 
 /* Pass 2 on a pattern from pass 1: the fill-reducing order, then the
  * elimination tree of the reordered pattern, read through the
- * permutation without building it (Liu's algorithm: the tree does not
- * depend on the order of a column's entries), its postorder, the
- * composed permutation `perm` (old -> new), the tree relabelled in it
- * (`parent`, parent[j] > j), the reordered pattern and its column counts.
- * `given` (old -> new) replaces nested dissection, which runs on up to
- * n_workers threads.  The pattern is symmetric, so its reordering is that
- * of its transpose, which one counting sort writes with rows ascending:
- * reading the columns in the new order, entry (i, j) puts row perm[j]
- * into column perm[i].  value_map[f] is then `tsrc` (pass 1's index in A
- * of each entry's transpose) of the entry that wrote f: the index in A
- * of f itself.  INCONSISTENT: the pattern is not symmetric. */
+ * permutation without building it, its postorder, the composed
+ * permutation `perm` (old -> new), the tree relabelled in it (`parent`,
+ * parent[j] > j), the reordered pattern and its column counts.  `given`
+ * (old -> new) replaces nested dissection.  The pattern is symmetric, so
+ * its reordering is that of its transpose, which one counting sort
+ * writes with rows ascending: reading the columns in the new order,
+ * entry (i, j) puts row perm[j] into column perm[i].  value_map[f] is
+ * then `tsrc` (pass 1's index in A of each entry's transpose) of the
+ * entry that wrote f: the index in A of f itself.  INCONSISTENT: the
+ * pattern is not symmetric. */
 i64 repro_order(i64 n, const i64 *colptr, const i64 *rowind,
-                const i64 *tsrc, i64 leaf_size, i64 n_workers,
-                const i64 *given, i64 *perm, i64 *parent, i64 *counts,
-                i64 *out_colptr, i64 *out_rowind, i64 *value_map)
+                const i64 *tsrc, i64 leaf_size, const i64 *given,
+                i64 *perm, i64 *parent, i64 *counts, i64 *out_colptr,
+                i64 *out_rowind, i64 *value_map)
 {
     i64 *iperm1 = malloc((size_t)(5 * n + 1) * sizeof(i64));
     i64 *perm1, *parent1, *post, *scratch, k, p, placed;
@@ -1816,28 +1708,14 @@ i64 repro_order(i64 n, const i64 *colptr, const i64 *rowind,
             iperm1[given[k]] = k;
     } else {
         status = nested_dissection(n, colptr, rowind, NULL, leaf_size,
-                                   n_workers, iperm1);
+                                   iperm1);
     }
     if (status != OK)
         goto done;
     for (k = 0; k < n; k++)
         perm1[iperm1[k]] = k;
 
-    /* scratch: the ancestors of the path compression. */
-    for (k = 0; k < n; k++) {
-        i64 j = iperm1[k];
-        parent1[k] = scratch[k] = -1;
-        for (p = colptr[j]; p < colptr[j + 1]; p++) {
-            i64 i = perm1[rowind[p]];
-            while (i != -1 && i < k) {
-                i64 next = scratch[i];
-                scratch[i] = k;
-                if (next == -1)
-                    parent1[i] = k;
-                i = next;
-            }
-        }
-    }
+    etree(n, colptr, rowind, iperm1, perm1, parent1, scratch);
     placed = repro_postorder(n, parent1, post);
     if (placed != n) {
         status = placed < 0 ? (int)placed : INCONSISTENT;
@@ -2136,36 +2014,4 @@ void repro_block_symbol_take(void *handle, i64 *cblk_ptr, i64 *blok_ptr,
     free(sym->cblk_ptr);
     free(sym->frow);
     free(sym);
-}
-
-/* ------------------------------------------------------------------ */
-/* Fused leaf subtrees (dag/builder.py)                                */
-/* ------------------------------------------------------------------ */
-
-/* fused_subtree_groups: every node's subtree weight, accumulated in
- * ascending node order as the Python loop does (so the sums round
- * alike), then, descending, the group of every node whose subtree weighs
- * at most `threshold`: its parent's group, or itself (-1: unfused). */
-i64 repro_subtree_groups(i64 K, const i64 *parent, const double *weight,
-                         double threshold, i64 *group)
-{
-    double *subtree = malloc((size_t)(K + 1) * sizeof(double));
-    i64 k;
-    if (!subtree)
-        return NO_MEMORY;
-    for (k = 0; k < K; k++) {
-        subtree[k] = weight[k];
-        group[k] = -1;
-    }
-    for (k = 0; k < K; k++)
-        if (parent[k] >= 0)
-            subtree[parent[k]] += subtree[k];
-    for (k = K - 1; k >= 0; k--) {
-        i64 p = parent[k];
-        if (subtree[k] > threshold)
-            continue;
-        group[k] = p >= 0 && group[p] >= 0 ? group[p] : k;
-    }
-    free(subtree);
-    return OK;
 }

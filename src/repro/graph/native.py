@@ -4,8 +4,7 @@
 :func:`repro.symbolic.analyze` makes (:func:`symmetrize`, :func:`order`,
 :func:`block_symbol`), the default nested dissection, the
 minimum-degree ordering and the elimination-tree / postorder /
-column-count / supernode-row / amalgamation passes, the fused-subtree
-grouping of the DAG builders (:func:`subtree_groups`), and the plans a
+column-count / supernode-row / amalgamation passes, and the plans a
 fresh factorization builds from the symbol: the symmetric permutation of
 a pattern (:meth:`repro.sparse.csc.SparseMatrixCSC.permute`), the couple
 plan (:class:`repro.kernels.indexcache.CoupleMapCache`) and the assembly
@@ -21,14 +20,15 @@ element.  (The couple plan's bounds check is not here: it is
 Every array is checked before its pointer crosses (C-contiguous int64,
 pointer arrays non-decreasing from 0 to the index count, indices in
 range): O(n + nnz) and vectorised.  The C side keeps no state between
-calls and ctypes releases the GIL for each; only nested dissection
-starts threads, and it joins them before it returns.
+calls and ctypes releases the GIL for each.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import threading
 import warnings
 from pathlib import Path
 from typing import Optional, Union
@@ -52,7 +52,7 @@ __all__ = [
     "order",
     "permute_pattern",
     "postorder",
-    "subtree_groups",
+    "python_bodies",
     "supernode_rows",
     "symmetrize",
 ]
@@ -75,11 +75,10 @@ _SIGNATURES = {
     "repro_assembly_map": [_I64] + [_PTR] * 8 + [ctypes.c_int] + [_PTR] * 5,
     "repro_permute_pattern": [_I64] + [_PTR] * 6,
     "repro_symmetrize": [_I64] + [_PTR] * 5,
-    "repro_order": [_I64, _PTR, _PTR, _PTR, _I64, _I64] + [_PTR] * 7,
+    "repro_order": [_I64, _PTR, _PTR, _PTR, _I64] + [_PTR] * 7,
     "repro_block_symbol": [_I64] + [_PTR] * 4 + [
         ctypes.c_int, ctypes.c_double, _I64, _I64, _PTR,
         ctypes.POINTER(_PTR)],
-    "repro_subtree_groups": [_I64, _PTR, _PTR, ctypes.c_double, _PTR],
 }
 
 
@@ -105,10 +104,30 @@ def _library() -> Union[ctypes.CDLL, NativeUnavailable]:
     return lib
 
 
+#: ``python`` set: :func:`python_bodies` is active on this thread.
+_local = threading.local()
+
+
 def library() -> Optional[ctypes.CDLL]:
-    """The loaded helper, or ``None`` when the Python bodies must run."""
+    """The loaded helper, or ``None`` when the Python bodies must run (no
+    helper, or inside :func:`python_bodies` on this thread)."""
+    if getattr(_local, "python", False):
+        return None
     lib = _library()
     return None if isinstance(lib, NativeUnavailable) else lib
+
+
+@contextlib.contextmanager
+def python_bodies():
+    """Within the block, on the calling thread only, :func:`library`
+    answers ``None``: every public function runs its Python body, as
+    the oracle the C calls are checked against."""
+    previous = getattr(_local, "python", False)
+    _local.python = True
+    try:
+        yield
+    finally:
+        _local.python = previous
 
 
 def availability() -> Optional[str]:
@@ -311,9 +330,6 @@ def amalgamate(
 # ----------------------------------------------------------------------
 # The analysis in three passes
 # ----------------------------------------------------------------------
-#: The most threads one nested dissection starts (``ND_MAX_WORKERS`` in C).
-_MAX_ORDER_WORKERS = 64
-
 
 def symmetrize(
     lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray
@@ -343,17 +359,15 @@ def symmetrize(
 
 def order(
     lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray,
-    tsrc: np.ndarray, leaf_size: int, n_workers: int,
-    perm: Optional[np.ndarray] = None,
+    tsrc: np.ndarray, leaf_size: int, perm: Optional[np.ndarray] = None,
 ) -> Optional[tuple[np.ndarray, ...]]:
     """Pass 2 on pass 1's symmetric pattern: ``(perm, parent, counts,
     colptr, rowind, value_map)`` — the composed permutation (old → new)
-    of nested dissection on up to ``n_workers`` threads (or of ``perm``)
-    and the elimination tree's postorder, that tree and the column counts
-    in the new order, and the pattern reordered once, with the index in
-    ``A`` of each entry (read from pass 1's ``tsrc``: the pattern is
-    written from its transpose).  ``None`` when the pattern turned out
-    not to be symmetric."""
+    of nested dissection (or of ``perm``) and the elimination tree's
+    postorder, that tree and the column counts in the new order, and the
+    pattern reordered once, with the index in ``A`` of each entry (read
+    from pass 1's ``tsrc``: the pattern is written from its transpose).
+    ``None`` when the pattern turned out not to be symmetric."""
     colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
     tsrc = _int64("tsrc", tsrc, rowind.size)
     if perm is not None:
@@ -367,7 +381,6 @@ def order(
     status = lib.repro_order(
         n, colptr.ctypes.data, rowind.ctypes.data, tsrc.ctypes.data,
         max(-1, min(int(leaf_size), n)),
-        max(1, min(int(n_workers), _MAX_ORDER_WORKERS)),
         None if perm is None else perm.ctypes.data,
         *(arr.ctypes.data for arr in out))
     return tuple(out) if _checked(status) else None
@@ -424,25 +437,6 @@ def block_symbol(
     lib.repro_block_symbol_take(handle, *(out[name].ctypes.data
                                           for name in SYMBOL_FIELDS))
     return out
-
-
-def subtree_groups(
-    lib: ctypes.CDLL, parent: np.ndarray, weight: np.ndarray,
-    threshold: float,
-) -> np.ndarray:
-    """:func:`repro.dag.builder.fused_subtree_groups` of a forest whose
-    ``parent`` entries are ``-1`` or node ids."""
-    K = np.size(parent)
-    parent = _int64("parent", parent, K)
-    _within("parent", parent, -1, K)
-    weight = np.ascontiguousarray(weight, dtype=np.float64)
-    if weight.shape != (K,):
-        raise ValueError(f"weight must be {K} numbers")
-    group = np.empty(K, dtype=np.int64)
-    _checked(lib.repro_subtree_groups(K, parent.ctypes.data,
-                                      weight.ctypes.data, float(threshold),
-                                      group.ctypes.data))
-    return group
 
 
 # ----------------------------------------------------------------------

@@ -89,8 +89,6 @@ class AnalysisResult:
 def analyze(
     matrix: SparseMatrixCSC,
     options: SymbolicOptions | None = None,
-    *,
-    n_workers: int = 1,
 ) -> AnalysisResult:
     """Run the full analyze phase on ``matrix``.
 
@@ -100,10 +98,8 @@ def analyze(
     symbol structure.
 
     With the analysis helper of :mod:`repro.graph.native` these are three
-    C calls — symmetrise, order, block symbol — and nested dissection
-    runs its independent regions on up to ``n_workers`` threads; the
-    result is the same at every worker count.  Without it the Python
-    bodies below run, step by step; the two are identical.
+    C calls — symmetrise, order, block symbol.  Without it the Python
+    bodies run, step by step; the two are identical.
     """
     opts = options or SymbolicOptions()
     if not matrix.is_square:
@@ -113,14 +109,14 @@ def analyze(
         raise ValueError(f"unknown ordering {opts.ordering!r}")
     lib = native.library()
     if lib is not None:
-        result = _analyze_native(lib, matrix, opts, n_workers)
+        result = _analyze_native(lib, matrix, opts)
         if result is not None:
             return result
     return _analyze_python(matrix, opts)
 
 
-def _analyze_native(lib, matrix: SparseMatrixCSC, opts: SymbolicOptions,
-                    n_workers: int) -> AnalysisResult | None:
+def _analyze_native(lib, matrix: SparseMatrixCSC,
+                    opts: SymbolicOptions) -> AnalysisResult | None:
     """The analysis as three C calls; ``None`` when the matrix is one the
     Python bodies must decide about (malformed or unsorted columns)."""
     n = matrix.n_rows
@@ -134,7 +130,7 @@ def _analyze_native(lib, matrix: SparseMatrixCSC, opts: SymbolicOptions,
     if given is not None and given.shape != (n,):
         raise ValueError("perm must have length n for a square matrix")
     ordered = native.order(lib, n, colptr, rowind, tsrc,
-                           dissection.LEAF_SIZE, n_workers, given)
+                           dissection.LEAF_SIZE, given)
     if ordered is None:
         return None
     perm, parent, counts, colptr, rowind, value_map = ordered
@@ -154,7 +150,14 @@ def _analyze_native(lib, matrix: SparseMatrixCSC, opts: SymbolicOptions,
 def _analyze_python(matrix: SparseMatrixCSC,
                     opts: SymbolicOptions) -> AnalysisResult:
     """The analysis step by step: the path without a C compiler, and the
-    oracle the three C passes equal array for array."""
+    oracle the three C passes equal array for array.  Every step runs its
+    Python body, also where the helper loads."""
+    with native.python_bodies():
+        return _analyze_steps(matrix, opts)
+
+
+def _analyze_steps(matrix: SparseMatrixCSC,
+                   opts: SymbolicOptions) -> AnalysisResult:
     n = matrix.n_rows
     pattern = matrix.symmetrize_pattern().with_full_diagonal()
 

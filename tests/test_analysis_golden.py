@@ -70,17 +70,17 @@ def _cases():
     yield "components/300v40c", "components", None
 
 
-def _digest(inp, opts, n_workers: int = 1) -> str:
+def _digest(inp, opts) -> str:
     if inp is None:
         matrix = grid_laplacian_2d(24, jitter=0.05, seed=4)
     elif inp == "components":
         # Leaves of 12 vertices, so that components get separators too.
         matrix = many_component_matrix(COMPONENT_SIZES, seed=21)
         with mock.patch.object(dissection, "LEAF_SIZE", 12):
-            return fingerprint(analyze(matrix, opts, n_workers=n_workers))
+            return fingerprint(analyze(matrix, opts))
     else:
         matrix = load_matrix(inp[0], inp[1], 0)
-    return fingerprint(analyze(matrix, opts, n_workers=n_workers))
+    return fingerprint(analyze(matrix, opts))
 
 
 @pytest.fixture
@@ -108,14 +108,6 @@ def test_analysis_matches_golden(key, inp, opts, etree_calls):
     golden = json.loads(GOLDEN.read_text())
     assert _digest(inp, opts) == golden[key]
     assert bool(etree_calls) == (native.availability() is None)
-
-
-@CASES
-@pytest.mark.parametrize("n_workers", [2, 4])
-def test_threaded_analysis_matches_golden(key, inp, opts, n_workers):
-    """Nested dissection on 2 or 4 threads: the same digests."""
-    golden = json.loads(GOLDEN.read_text())
-    assert _digest(inp, opts, n_workers) == golden[key]
 
 
 @CASES

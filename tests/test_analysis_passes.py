@@ -1,19 +1,19 @@
 """The analysis as three C passes against the Python bodies.
 
-``analyze()`` runs ``repro_symmetrize``, ``repro_order`` (nested
-dissection on up to ``n_workers`` threads) and ``repro_block_symbol``
-when the analysis helper loads; every array it returns — permutation,
-tree, counts, pattern, value map and every field of the symbol — must
-equal what the step-by-step Python bodies return, at every worker count,
+``analyze()`` runs ``repro_symmetrize``, ``repro_order`` and
+``repro_block_symbol`` when the analysis helper loads; every array it
+returns — permutation, tree, counts, pattern, value map and every field
+of the symbol — must equal what the step-by-step Python bodies return,
 on ugly patterns: n = 0 and 1, empty columns, missing diagonals,
-unsymmetric and disconnected patterns, one dense row.  The helpers the
-passes share with the rest of the package (amalgamation, the fused
-subtree groups of the DAG builders) are checked the same way.
+unsymmetric and disconnected patterns, one dense row.  Amalgamation,
+which pass 3 shares with the public :func:`amalgamate`, is checked the
+same way.
 """
 
 from __future__ import annotations
 
 import importlib
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro import SolverOptions, SparseSolver
 from repro.core.factorization import factorize_sequential
-from repro.dag.builder import fused_subtree_groups
 from repro.graph import native
 from repro.ordering import dissection
 from repro.ordering.perm import Permutation
@@ -52,8 +51,7 @@ OPTIONS = {
 
 def python_bodies(fn, *args, **kwargs):
     """``fn(*args)`` with the analysis helper hidden."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(native, "library", lambda: None)
+    with native.python_bodies():
         return fn(*args, **kwargs)
 
 
@@ -128,17 +126,14 @@ def assert_same_analysis(got, want) -> None:
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(matrix=ugly_matrices(), workers=st.sampled_from([1, 2, 3]),
-       leaf_size=st.sampled_from([0, 2, 5, 96]),
+@given(matrix=ugly_matrices(), leaf_size=st.sampled_from([0, 2, 5, 96]),
        options=st.sampled_from(sorted(OPTIONS)))
-def test_three_passes_equal_the_python_bodies(matrix, workers, leaf_size,
-                                              options):
+def test_three_passes_equal_the_python_bodies(matrix, leaf_size, options):
     opts = OPTIONS[options]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dissection, "LEAF_SIZE", leaf_size)
-        got = ANALYZE._analyze_native(native.library(), matrix, opts,
-                                      workers)
-        want = python_bodies(analyze, matrix, opts)
+        got = ANALYZE._analyze_native(native.library(), matrix, opts)
+        want = ANALYZE._analyze_python(matrix, opts)
     assert got is not None
     assert_same_analysis(got, want)
 
@@ -146,7 +141,7 @@ def test_three_passes_equal_the_python_bodies(matrix, workers, leaf_size,
 @settings(max_examples=60, deadline=None)
 @given(matrix=ugly_matrices())
 def test_value_map_names_the_entry_at_the_same_coordinates(matrix):
-    result = analyze(matrix, n_workers=2)
+    result = analyze(matrix)
     n, iperm = matrix.n_rows, result.perm.iperm
     pattern = result.pattern
     old_row = iperm[pattern.rowind]
@@ -201,21 +196,25 @@ def test_wrong_column_counts_fail_as_in_the_python_body():
     assert str(c_error.value) == str(py_error.value)
 
 
-def test_the_solver_orders_on_its_own_workers(monkeypatch):
-    seen = []
-    inner = native.order
+def test_the_python_bodies_call_no_c(monkeypatch):
+    """``_analyze_python`` is the oracle: no step reaches the helper, on
+    the calling thread only."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a C call inside the Python bodies")
 
-    def spy(lib, n, colptr, rowind, tsrc, leaf_size, n_workers, perm=None):
-        seen.append(n_workers)
-        return inner(lib, n, colptr, rowind, tsrc, leaf_size, n_workers,
-                     perm)
-
-    monkeypatch.setattr(native, "order", spy)
-    matrix = random_matrix(30, seed=3)
-    for runtime, workers in (("threaded", 3), ("sequential", 3)):
-        SparseSolver(matrix, SolverOptions(runtime=runtime,
-                                           n_workers=workers)).analyze()
-    assert seen == [3, 1]
+    for name in ("nested_dissection", "minimum_degree", "elimination_tree",
+                 "postorder", "column_counts", "supernode_rows",
+                 "amalgamate", "permute_pattern"):
+        monkeypatch.setattr(native, name, refuse)
+    ANALYZE._analyze_python(random_matrix(60, seed=4), SymbolicOptions())
+    assert native.library() is not None
+    with native.python_bodies():
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(native.library()))
+        thread.start()
+        thread.join()
+        assert native.library() is None
+    assert seen[0] is not None
 
 
 def test_explicit_zeros_leave_the_factor_unchanged():
@@ -241,35 +240,8 @@ def test_explicit_zeros_leave_the_factor_unchanged():
 
 
 # ----------------------------------------------------------------------
-# Helpers shared with the rest of the package
+# Amalgamation, shared with the public function
 # ----------------------------------------------------------------------
-@st.composite
-def forests(draw):
-    """``(parent, weight, threshold)``: parents later nodes mostly, but
-    any node (or none) too, so that the C loop must follow the Python
-    one's order rather than a tree property."""
-    k = draw(st.integers(0, 80))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    parent = np.full(k, -1, dtype=np.int64)
-    for s in range(k):
-        if rng.random() < 0.85:
-            parent[s] = (rng.integers(s + 1, k) if s + 1 < k and
-                         rng.random() < 0.8 else rng.integers(0, k))
-    weight = rng.random(k) * draw(st.sampled_from([1.0, 1e6, 1e-3]))
-    threshold = float(weight.sum() * draw(st.floats(0.0, 1.2)))
-    return parent, weight, threshold
-
-
-@settings(max_examples=200, deadline=None)
-@given(forest=forests())
-def test_subtree_groups_equal_the_python_loop(forest):
-    parent, weight, threshold = forest
-    got = fused_subtree_groups(parent, weight, threshold)
-    want = python_bodies(fused_subtree_groups, parent, weight, threshold)
-    assert got.dtype == want.dtype == np.int64
-    assert np.array_equal(got, want)
-
-
 @st.composite
 def supernodes_with_empty_ones(draw):
     """``(snptr, rowsets, parent_snode)`` with zero-width supernodes among
