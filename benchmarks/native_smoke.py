@@ -7,10 +7,11 @@ and runs the differential checks: one small matrix per factotype in both
 drivers (the native factor against the NumPy one, 1e-12, and the threaded
 native factor against the sequential native one, bit for bit), and one
 matrix per generator family through the analysis with the C helper (its
-nested dissection on two threads) and with the Python bodies (equal
-arrays, equal minimum-degree orderings).  Each factor is also solved
-with 1, 3 and 16 right-hand sides: the native sweeps against the NumPy
-bodies (1e-12), and the C DAG executor (``solve_threaded``, the solve
+nested dissection on two threads) and with the Python bodies
+(``repro.cbuild.python_bodies``: equal arrays, equal nested-dissection
+orderings).  Each factor is also solved with 1, 3 and 16 right-hand
+sides: the native sweeps against the NumPy bodies on the same panels
+(1e-12), and the C DAG executor (``solve_threaded``, the solve
 floor lowered so that its DAG is a tree of tasks) with 1, 2 and 3
 workers against the sequential native solve (bit for bit); one traced
 executor run per factor must pass the schedule check and the C7xx
@@ -67,10 +68,9 @@ def cold_build(module, cache: Path) -> None:
 
 def check_analysis() -> None:
     """C helper == Python bodies on one matrix per generator family."""
-    from unittest import mock
-
-    from repro.graph import Graph, native
-    from repro.ordering import minimum_degree
+    from repro import cbuild
+    from repro.graph import Graph
+    from repro.ordering import nested_dissection
     from repro.sparse import generators as gen
     from repro.symbolic import analyze
 
@@ -85,15 +85,24 @@ def check_analysis() -> None:
     for name, matrix in families.items():
         graph = Graph.from_matrix(matrix)
         got = _analysis_arrays(analyze(matrix)) + [
-            minimum_degree(graph).perm]
-        with mock.patch.object(native, "library", lambda: None):
+            nested_dissection(graph).perm]
+        with cbuild.python_bodies():
             ref = _analysis_arrays(analyze(matrix)) + [
-                minimum_degree(graph).perm]
+                nested_dissection(graph).perm]
         if not all(np.array_equal(a, b) for a, b in zip(got, ref)):
             sys.exit(f"native-smoke: analysis of {name} differs between "
                      "the C helper and the Python bodies")
         print(f"native-smoke: analysis {name} n={matrix.n_rows} ok "
               "(C helper == Python bodies)")
+
+
+def numpy_factor(*args):
+    """``factorize_sequential`` on the NumPy kernels, the oracle."""
+    from repro import cbuild
+    from repro.core.factorization import factorize_sequential
+
+    with cbuild.python_bodies():
+        return factorize_sequential(*args)
 
 
 def _flat(factor, side: str) -> np.ndarray:
@@ -104,8 +113,7 @@ def check_solve(ft: str, factor) -> None:
     """Native sweeps == NumPy bodies (1e-12) on the same factor, the DAG
     executor == sequential native solve (bits) at 1, 2 and 3 workers, 1,
     3 and 16 columns; a traced executor run audits clean."""
-    import dataclasses
-
+    from repro import cbuild
     from repro.core.triangular import solve_factored
     from repro.dag import builder
     from repro.dag.solve_builder import build_solve_dag
@@ -116,11 +124,11 @@ def check_solve(ft: str, factor) -> None:
     # Generator-sized solves weigh less than the solve floor, which makes
     # them a two-task chain: lower it, so the executor runs a real tree.
     builder.MIN_SOLVE_FLOPS = 0.0
-    reference = dataclasses.replace(factor, kernels="numpy")
     rng = np.random.default_rng(0)
     for nrhs in (1, 3, 16):
         b = rng.standard_normal((factor.n, nrhs))
-        ref = solve_factored(reference, b)
+        with cbuild.python_bodies():
+            ref = solve_factored(factor, b)
         seq = solve_factored(factor, b)
         err = float(np.abs(ref - seq).max() / np.abs(ref).max())
         if not err <= RTOL:
@@ -225,7 +233,7 @@ def check_split() -> None:
         n_rows = int(np.sum(dag.kind == TaskKind.ROWS))
         if not n_rows:
             sys.exit(f"native-smoke: split {ft}: no panel split")
-        ref = factorize_sequential(res.symbol, permuted, ft, kernels="numpy")
+        ref = numpy_factor(res.symbol, permuted, ft)
         seq = factorize_sequential(res.symbol, permuted, ft)
         for side in ("L", "U", "D"):
             if getattr(ref, side) is None:
@@ -344,8 +352,7 @@ def main() -> None:
         for ft, matrix in cases:
             res = analyze(matrix, SymbolicOptions(split_max_width=16))
             permuted = matrix.permute(res.perm.perm)
-            ref = factorize_sequential(res.symbol, permuted, ft,
-                                       kernels="numpy")
+            ref = numpy_factor(res.symbol, permuted, ft)
             seq = factorize_sequential(res.symbol, permuted, ft)
             par = factorize_threaded(res.symbol, permuted, ft, n_workers=2)
             if (seq.kernels, par.kernels) != ("native", "native"):

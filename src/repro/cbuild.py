@@ -10,11 +10,15 @@ replaces a default object, and unset it changes neither.  Code is loaded
 from that directory, so it must be the caller's own and nobody else's to
 write; otherwise the build goes to a per-process temporary directory.
 Clients (:mod:`repro.kernels.native`, :mod:`repro.graph.native`)
-declare the entry points of what comes back.
+declare the entry points of what comes back, and both answer
+:func:`python_bodies`: inside it, on the calling thread, neither library
+is reached and every step runs its Python or NumPy body, the oracle the
+C code is checked against.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -22,12 +26,13 @@ import shlex
 import shutil
 import subprocess
 import tempfile
+import threading
 import time
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 __all__ = ["FLAGS", "NativeUnavailable", "build", "cache_dir", "compiler",
-           "flags", "load_library"]
+           "flags", "load_library", "python_bodies", "python_only"]
 
 #: No ``-ffast-math`` (the finite tests must hold), no ``-march=native``
 #: (the cached object must survive a host migration), no contraction of
@@ -44,6 +49,28 @@ def flags() -> tuple[str, ...]:
 
 class NativeUnavailable(RuntimeError):
     """A C source cannot be built or loaded on this host."""
+
+
+#: ``python`` set: :func:`python_bodies` is active on this thread.
+_local = threading.local()
+
+
+@contextlib.contextmanager
+def python_bodies() -> Iterator[None]:
+    """Within the block, on the calling thread only, no C library is
+    called: the analysis, the factorization, both solves and the
+    mat-vec run their Python and NumPy bodies."""
+    previous = python_only()
+    _local.python = True
+    try:
+        yield
+    finally:
+        _local.python = previous
+
+
+def python_only() -> bool:
+    """``True`` inside :func:`python_bodies` on this thread."""
+    return getattr(_local, "python", False)
 
 
 def compiler() -> str:

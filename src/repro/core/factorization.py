@@ -57,7 +57,6 @@ def factorize_sequential(
     *,
     dtype=None,
     pivot_threshold: float = 0.0,
-    kernels: str = "native",
 ) -> NumericFactor:
     """Factorize ``matrix`` (already permuted to the analysis order).
 
@@ -70,19 +69,19 @@ get_couple_cache`) is attached as ``factor.index_cache``, so no update
     ``factor.pivot_monitor`` (iterative refinement recovers the digits —
     the static-pivoting recipe PaStiX shares with SuperLU-dist).
 
-    ``kernels`` selects the numeric backend: ``"native"`` (the default:
-    the C kernel of :mod:`repro.kernels.native`, agreeing with the NumPy
-    kernels to roundoff) or ``"numpy"`` (the reference, right-looking:
-    each panel is factorized, then applied to every panel it faces).
-    ``"native"`` falls back to ``"numpy"`` when it cannot be built here
-    (:func:`repro.kernels.native.resolve_kernels`).  The effective
-    backend is recorded as ``factor.kernels``.
+    The host picks the numeric backend
+    (:func:`repro.kernels.native.resolve_kernels`): the C kernel of
+    :mod:`repro.kernels.native` where it loads, agreeing with the NumPy
+    kernels to roundoff, else the NumPy kernels (the reference,
+    right-looking: each panel is factorized, then applied to every panel
+    it faces; also inside :func:`repro.cbuild.python_bodies`).  It is
+    recorded as ``factor.kernels``.
     """
     from repro.kernels.indexcache import get_couple_cache
     from repro.kernels.native import factorize_panels, resolve_kernels
 
     factor = NumericFactor.assemble(symbol, matrix, factotype, dtype=dtype)
-    factor.kernels = resolve_kernels(kernels, dtype=factor.dtype)
+    factor.kernels = resolve_kernels(factor.dtype)
     factor.index_cache = get_couple_cache(symbol)
     if pivot_threshold > 0.0:
         from repro.kernels.dense import PivotMonitor

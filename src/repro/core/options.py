@@ -10,7 +10,6 @@ __all__ = ["SolverOptions"]
 
 _FACTOTYPES = ("llt", "ldlt", "lu")
 _RUNTIMES = ("sequential", "threaded")
-_KERNELS = ("native", "numpy")
 
 
 @dataclass(frozen=True)
@@ -31,18 +30,9 @@ class SolverOptions:
         simulated only (``python -m repro simulate --policy``).
     n_workers:
         Worker threads for the threaded runtime.
-    kernels:
-        Numeric kernel backend: ``"native"`` (the default: one C call
-        per unit, built on first use with the host's C compiler —
-        :mod:`repro.kernels.native`) or ``"numpy"`` (the reference and
-        the fallback).  ``"native"`` degrades to numpy with a
-        ``RuntimeWarning`` when it cannot be built.  The *effective*
-        backend is reported as ``FactorizationInfo.kernels`` and stamped
-        into ``trace.meta["kernels"]``.
-    refine:
-        Run iterative refinement inside :meth:`SparseSolver.solve`.
     refine_tol / refine_max_iter:
-        Refinement stopping criteria.
+        Stopping criteria of the refinement :meth:`SparseSolver.solve`
+        runs (``method="none"`` skips it).
     pivot_threshold:
         When > 0, pivots smaller in magnitude are perturbed to
         ±threshold instead of failing (static-pivoting recovery; the
@@ -53,8 +43,6 @@ class SolverOptions:
     symbolic: SymbolicOptions = field(default_factory=SymbolicOptions)
     runtime: str = "sequential"
     n_workers: int = 4
-    kernels: str = "native"
-    refine: bool = True
     refine_tol: float = 1e-12
     refine_max_iter: int = 10
     pivot_threshold: float = 0.0
@@ -64,8 +52,6 @@ class SolverOptions:
             raise ValueError(f"factotype must be one of {_FACTOTYPES}")
         if self.runtime not in _RUNTIMES:
             raise ValueError(f"runtime must be one of {_RUNTIMES}")
-        if self.kernels not in _KERNELS:
-            raise ValueError(f"kernels must be one of {_KERNELS}")
         if self.n_workers < 1:
             raise ValueError("n_workers must be positive")
         if self.pivot_threshold < 0:

@@ -70,8 +70,8 @@ class FactorizationInfo:
     flops: float
     elapsed: float
     n_pivots_perturbed: int = 0
-    #: The numeric backend that actually ran (``"native"`` or
-    #: ``"numpy"``) — not the one requested.
+    #: The numeric backend that ran (``"native"`` or ``"numpy"``), as
+    #: :func:`repro.kernels.native.resolve_kernels` picked it.
     kernels: str = "numpy"
 
     @property
@@ -157,7 +157,6 @@ class SparseSolver:
                 permuted,
                 opts.factotype,
                 pivot_threshold=opts.pivot_threshold,
-                kernels=opts.kernels,
             )
         else:
             from repro.runtime.threaded import factorize_threaded
@@ -168,7 +167,6 @@ class SparseSolver:
                 opts.factotype,
                 n_workers=opts.n_workers,
                 pivot_threshold=opts.pivot_threshold,
-                kernels=opts.kernels,
             )
         elapsed = time.perf_counter() - start
 
@@ -236,7 +234,7 @@ class SparseSolver:
             raise ValueError(
                 "block right-hand sides support methods 'refine' and 'none'"
             )
-        if method == "none" or (method == "refine" and not self.options.refine):
+        if method == "none":
             return self._raw_solve(b)
         if method == "refine":
             result = iterative_refinement(

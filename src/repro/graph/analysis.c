@@ -14,19 +14,18 @@
  *   repro_nested_dissection  the default nested dissection of
  *                            ordering/dissection.py (level-set
  *                            separators, minimum-degree leaves)
- *   repro_minimum_degree     ordering/mindeg.py
- *   repro_etree / repro_postorder / repro_column_counts
- *                            symbolic/etree.py, symbolic/colcount.py
- *   repro_supernode_rows     symbolic/supernodes.py (supernode_row_sets)
- *   repro_amalgamate         symbolic/supernodes.py (amalgamate)
  *   repro_permute_pattern    sparse/csc.py (SparseMatrixCSC.permute)
  *   repro_couple_plan        kernels/indexcache.py (the couple plan)
  *   repro_assembly_map       core/factor.py (AssemblyMap)
  *
  * Each is called through ctypes (GIL released) from repro/graph/native.py,
- * which checks every array before its pointer crosses.  The Python bodies
- * stay as fallback and oracle: the results here are identical to theirs,
- * element for element, so every tie-break below is the Python one.
+ * which checks every array before its pointer crosses.  The single steps
+ * the passes take (minimum degree, elimination tree, postorder, column
+ * counts, supernode row sets, amalgamation) are static: their Python
+ * bodies (ordering/mindeg.py, symbolic/etree.py, colcount.py,
+ * supernodes.py) stay as fallback and oracle, and the results here are
+ * identical to theirs, element for element, so every tie-break below is
+ * the Python one.
  *
  * No static state: every call allocates its O(n + nnz) work arrays and
  * frees them before returning, so concurrent calls are independent.
@@ -480,25 +479,6 @@ static int minimum_degree(work_t *w, const i64 *list, i64 size, i64 rid,
     return OK;
 }
 
-i64 repro_minimum_degree(i64 n, const i64 *xadj, const i64 *adjncy,
-                         i64 *iperm)
-{
-    work_t w;
-    i64 v, *region = calloc((size_t)n + 1, sizeof(i64));
-    int status = region ? work_alloc(&w, n, xadj, adjncy, NULL, region, 0)
-                        : NO_MEMORY;
-    if (status != OK) {
-        free(region);
-        return status;
-    }
-    for (v = 0; v < n; v++)
-        iperm[v] = v;
-    status = minimum_degree(&w, iperm, n, 0, iperm);
-    free(w.block);
-    free(region);
-    return status;
-}
-
 /* ------------------------------------------------------------------ */
 /* Nested dissection                                                  */
 /* ------------------------------------------------------------------ */
@@ -865,19 +845,9 @@ static void etree(i64 n, const i64 *colptr, const i64 *rowind,
     }
 }
 
-i64 repro_etree(i64 n, const i64 *colptr, const i64 *rowind, i64 *parent)
-{
-    i64 *ancestor = malloc((size_t)(n + 1) * sizeof(i64));
-    if (!ancestor)
-        return NO_MEMORY;
-    etree(n, colptr, rowind, NULL, NULL, parent, ancestor);
-    free(ancestor);
-    return OK;
-}
-
 /* Depth-first postorder, children in ascending order.  Returns how many
  * nodes it placed (fewer than n: `parent` is not a forest). */
-i64 repro_postorder(i64 n, const i64 *parent, i64 *post)
+static i64 postorder(i64 n, const i64 *parent, i64 *post)
 {
     i64 *head = malloc((size_t)(3 * n + 1) * sizeof(i64)), *next, *stack;
     i64 v, count = 0;
@@ -915,10 +885,10 @@ i64 repro_postorder(i64 n, const i64 *parent, i64 *post)
 }
 
 /* Gilbert-Ng-Peyton column counts (cs_counts).  `post` must be a
- * postorder of `parent` — checked by the caller, it is what makes every
- * loop below terminate. */
-i64 repro_column_counts(i64 n, const i64 *colptr, const i64 *rowind,
-                        const i64 *parent, const i64 *post, i64 *counts)
+ * postorder of `parent` — repro_order passes a postordered tree, and that
+ * is what makes every loop below terminate. */
+static i64 column_counts(i64 n, const i64 *colptr, const i64 *rowind,
+                         const i64 *parent, const i64 *post, i64 *counts)
 {
     i64 *first = malloc((size_t)(4 * n + 1) * sizeof(i64));
     i64 *maxfirst, *prevleaf, *ancestor, *delta = counts, k, p;
@@ -1023,24 +993,6 @@ static int row_sets(i64 n, const i64 *colptr, const i64 *rowind, i64 n_sn,
     }
     free(mark);
     return OK;
-}
-
-/* `rows` == NULL: only count, into `ptr[1:]`; otherwise `ptr` holds the
- * offsets and `rows` is filled. */
-i64 repro_supernode_rows(i64 n, const i64 *colptr, const i64 *rowind,
-                         i64 n_sn, const i64 *snptr, i64 *ptr, i64 *rows,
-                         i64 *parent_sn)
-{
-    i64 *fill = malloc((size_t)(n_sn + 1) * sizeof(i64));
-    int status;
-    if (!fill)
-        return NO_MEMORY;
-    status = row_sets(n, colptr, rowind, n_sn, snptr, ptr, rows, parent_sn,
-                      fill);
-    if (status == OK && !rows)
-        memcpy(ptr + 1, fill, (size_t)n_sn * sizeof(i64));
-    free(fill);
-    return status;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1167,8 +1119,8 @@ static void amalg_offer(amalg_t *a, i64 c, i64 p)
  * had no columns) and those that end where p now begins — the ones the
  * Python loop finds among all of p's children.  The survivors go to
  * `keep` in ascending first column; returns their number. */
-i64 repro_amalgamate(i64 n_sn, const i64 *snptr, const i64 *ptr,
-                     const i64 *parent_sn, double ratio, i64 *keep)
+static i64 amalgamate(i64 n_sn, const i64 *snptr, const i64 *ptr,
+                      const i64 *parent_sn, double ratio, i64 *keep)
 {
     amalg_t a;
     i64 *block, s, g, n_keep = 0, total = 0, n_cols;
@@ -1716,7 +1668,7 @@ i64 repro_order(i64 n, const i64 *colptr, const i64 *rowind,
         perm1[iperm1[k]] = k;
 
     etree(n, colptr, rowind, iperm1, perm1, parent1, scratch);
-    placed = repro_postorder(n, parent1, post);
+    placed = postorder(n, parent1, post);
     if (placed != n) {
         status = placed < 0 ? (int)placed : INCONSISTENT;
         goto done;
@@ -1757,8 +1709,8 @@ i64 repro_order(i64 n, const i64 *colptr, const i64 *rowind,
     /* The postordered tree is its own postorder. */
     for (k = 0; k < n; k++)
         scratch[k] = k;
-    status = (int)repro_column_counts(n, out_colptr, out_rowind, parent,
-                                      scratch, counts);
+    status = (int)column_counts(n, out_colptr, out_rowind, parent, scratch,
+                                counts);
 done:
     free(iperm1);
     return status;
@@ -1803,16 +1755,13 @@ static i64 panel_runs(symbol_t *sym, i64 k, i64 b, i64 lo, i64 hi,
 }
 
 /* How many panels split_supernodes() cuts a supernode of w columns into:
- * enough for max_width (0: no splitting), at least min_panels, at most
- * one column each. */
-static i64 split_count(i64 w, i64 max_width, i64 min_panels)
+ * enough for max_width (0: no splitting), at most one column each. */
+static i64 split_count(i64 w, i64 max_width)
 {
     i64 m;
     if (max_width <= 0)
         return 1;
     m = (w + max_width - 1) / max_width;
-    if (m < min_panels)
-        m = min_panels;
     return m < w ? m : w;
 }
 
@@ -1820,15 +1769,15 @@ static i64 split_count(i64 w, i64 max_width, i64 min_panels)
  * their row sets in one fill pass into slots sized from the column counts
  * (MISMATCH, with info[2..4] = the first supernode whose set does not
  * fit, its size and the count-derived one), amalgamation (`merge`: at
- * `ratio`), splitting (`max_width` > 0: panels at most that wide, at
- * least `min_panels`) and the SymbolMatrix arrays, with the facing index.
+ * `ratio`), splitting (`max_width` > 0: panels at most that wide) and
+ * the SymbolMatrix arrays, with the facing index.
  * The result stays in *out, info[0..1] = its panel and blok counts, until
  * repro_block_symbol_take copies it out.  INCONSISTENT: amalgamation
  * left a partition that does not tile the columns. */
 i64 repro_block_symbol(i64 n, const i64 *colptr, const i64 *rowind,
                        const i64 *parent, const i64 *counts, int merge,
-                       double ratio, i64 max_width, i64 min_panels,
-                       i64 *info, void **out)
+                       double ratio, i64 max_width, i64 *info,
+                       void **out)
 {
     i64 *snptr = malloc((size_t)(3 * n + 3) * sizeof(i64));
     i64 *ptr, *parent_sn, *fill = NULL, *keep = NULL, *rows = NULL;
@@ -1880,7 +1829,7 @@ i64 repro_block_symbol(i64 n, const i64 *colptr, const i64 *rowind,
     /* Amalgamation keeps whole supernodes: survivor keep[i] spans
      * columns [panels[i], panels[i + 1]) above its own row set. */
     if (merge) {
-        n_keep = repro_amalgamate(n_sn, snptr, ptr, parent_sn, ratio, keep);
+        n_keep = amalgamate(n_sn, snptr, ptr, parent_sn, ratio, keep);
         if (n_keep < 0) {
             status = (int)n_keep;
             goto done;
@@ -1902,7 +1851,7 @@ i64 repro_block_symbol(i64 n, const i64 *colptr, const i64 *rowind,
     *out = sym;
     /* Splitting: the panel count of every survivor, then the panels. */
     for (s = 0; s < n_keep; s++)
-        K += split_count(panels[s + 1] - panels[s], max_width, min_panels);
+        K += split_count(panels[s + 1] - panels[s], max_width);
     sym->n = n;
     sym->n_cblk = K;
     sym->cblk_ptr = malloc((size_t)(4 * (K + 1) + n) * sizeof(i64));
@@ -1915,7 +1864,7 @@ i64 repro_block_symbol(i64 n, const i64 *colptr, const i64 *rowind,
     sym->col2cblk = sym->face_ptr + K + 1;
     for (s = 0, k = 0; s < n_keep; s++) {
         i64 f = panels[s], w = panels[s + 1] - f, base, extra, i;
-        i64 m = split_count(w, max_width, min_panels);
+        i64 m = split_count(w, max_width);
         /* Near-equal widths: the first w % m panels one column wider. */
         base = w / m;
         extra = w % m;

@@ -2,19 +2,20 @@
 
 ``analysis.c`` (next to this file) holds the three passes
 :func:`repro.symbolic.analyze` makes (:func:`symmetrize`, :func:`order`,
-:func:`block_symbol`), the default nested dissection, the
-minimum-degree ordering and the elimination-tree / postorder /
-column-count / supernode-row / amalgamation passes, and the plans a
-fresh factorization builds from the symbol: the symmetric permutation of
-a pattern (:meth:`repro.sparse.csc.SparseMatrixCSC.permute`), the couple
+:func:`block_symbol`), the default nested dissection
+(:func:`repro.ordering.nested_dissection`), and the plans a fresh
+factorization builds from the symbol: the symmetric permutation of a
+pattern (:meth:`repro.sparse.csc.SparseMatrixCSC.permute`), the couple
 plan (:class:`repro.kernels.indexcache.CoupleMapCache`) and the assembly
 map (:class:`repro.core.factor.AssemblyMap`).  :mod:`repro.cbuild`
-compiles and caches it on first use; no BLAS or LAPACK is involved.  The
-public functions of :mod:`repro.ordering` and :mod:`repro.symbolic`, and
-those three classes, ask :func:`library` and call the wrappers below when
-it answers, their own Python bodies otherwise — the bodies are the
-fallback and the oracle, and the results are identical element for
-element.  (The couple plan's bounds check is not here: it is
+compiles and caches it on first use; no BLAS or LAPACK is involved.
+Each caller asks :func:`library` and calls the wrapper below when it
+answers, its own Python body otherwise — the bodies are the fallback and
+the oracle, and the results are identical element for element.  The
+single steps of the analysis (elimination tree, postorder, column
+counts, supernode row sets, amalgamation, minimum degree) have no entry
+point of their own: the passes run them in C, their public functions in
+Python.  (The couple plan's bounds check is not here: it is
 ``native.c``'s, so that the builder and the check stay independent.)
 
 Every array is checked before its pointer crosses (C-contiguous int64,
@@ -25,10 +26,8 @@ calls and ctypes releases the GIL for each.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
-import threading
 import warnings
 from pathlib import Path
 from typing import Optional, Union
@@ -39,21 +38,14 @@ from repro import cbuild
 from repro.cbuild import NativeUnavailable
 
 __all__ = [
-    "amalgamate",
     "assembly_map",
     "availability",
     "block_symbol",
-    "column_counts",
     "couple_plan",
-    "elimination_tree",
     "library",
-    "minimum_degree",
     "nested_dissection",
     "order",
     "permute_pattern",
-    "postorder",
-    "python_bodies",
-    "supernode_rows",
     "symmetrize",
 ]
 
@@ -65,20 +57,13 @@ _NO_MEMORY, _INCONSISTENT, _MISSING, _MISMATCH = -1, -2, -3, -4
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 _SIGNATURES = {
     "repro_nested_dissection": [_I64, _PTR, _PTR, _PTR, _I64, _PTR],
-    "repro_minimum_degree": [_I64, _PTR, _PTR, _PTR],
-    "repro_etree": [_I64, _PTR, _PTR, _PTR],
-    "repro_postorder": [_I64, _PTR, _PTR],
-    "repro_column_counts": [_I64, _PTR, _PTR, _PTR, _PTR, _PTR],
-    "repro_supernode_rows": [_I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
-    "repro_amalgamate": [_I64, _PTR, _PTR, _PTR, ctypes.c_double, _PTR],
     "repro_couple_plan": [_I64, _I64] + [_PTR] * 17,
     "repro_assembly_map": [_I64] + [_PTR] * 8 + [ctypes.c_int] + [_PTR] * 5,
     "repro_permute_pattern": [_I64] + [_PTR] * 6,
     "repro_symmetrize": [_I64] + [_PTR] * 5,
     "repro_order": [_I64, _PTR, _PTR, _PTR, _I64] + [_PTR] * 7,
     "repro_block_symbol": [_I64] + [_PTR] * 4 + [
-        ctypes.c_int, ctypes.c_double, _I64, _I64, _PTR,
-        ctypes.POINTER(_PTR)],
+        ctypes.c_int, ctypes.c_double, _I64, _PTR, ctypes.POINTER(_PTR)],
 }
 
 
@@ -104,30 +89,14 @@ def _library() -> Union[ctypes.CDLL, NativeUnavailable]:
     return lib
 
 
-#: ``python`` set: :func:`python_bodies` is active on this thread.
-_local = threading.local()
-
-
 def library() -> Optional[ctypes.CDLL]:
     """The loaded helper, or ``None`` when the Python bodies must run (no
-    helper, or inside :func:`python_bodies` on this thread)."""
-    if getattr(_local, "python", False):
+    helper, or inside :func:`repro.cbuild.python_bodies` on this
+    thread)."""
+    if cbuild.python_only():
         return None
     lib = _library()
     return None if isinstance(lib, NativeUnavailable) else lib
-
-
-@contextlib.contextmanager
-def python_bodies():
-    """Within the block, on the calling thread only, :func:`library`
-    answers ``None``: every public function runs its Python body, as
-    the oracle the C calls are checked against."""
-    previous = getattr(_local, "python", False)
-    _local.python = True
-    try:
-        yield
-    finally:
-        _local.python = previous
 
 
 def availability() -> Optional[str]:
@@ -205,132 +174,9 @@ def nested_dissection(
     return iperm if _checked(status) else None
 
 
-def minimum_degree(
-    lib: ctypes.CDLL, n: int, xadj: np.ndarray, adjncy: np.ndarray
-) -> Optional[np.ndarray]:
-    """``iperm`` of the minimum-degree ordering (``None`` as above)."""
-    xadj, adjncy = _compressed(n, xadj, adjncy, ("xadj", "adjncy"))
-    iperm = np.empty(n, dtype=np.int64)
-    status = lib.repro_minimum_degree(
-        n, xadj.ctypes.data, adjncy.ctypes.data, iperm.ctypes.data
-    )
-    return iperm if _checked(status) else None
-
-
-# ----------------------------------------------------------------------
-# Symbolic
-# ----------------------------------------------------------------------
-def elimination_tree(
-    lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray
-) -> np.ndarray:
-    colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
-    parent = np.empty(n, dtype=np.int64)
-    _checked(lib.repro_etree(
-        n, colptr.ctypes.data, rowind.ctypes.data, parent.ctypes.data
-    ))
-    return parent
-
-
-def postorder(lib: ctypes.CDLL, parent: np.ndarray) -> Optional[np.ndarray]:
-    """A postorder of ``parent``, or ``None`` when it is not a forest."""
-    n = np.size(parent)
-    parent = _int64("parent", parent, n)
-    if n and parent.max() >= n:
-        raise ValueError("parent has an entry outside the tree")
-    post = np.empty(n, dtype=np.int64)
-    placed = lib.repro_postorder(n, parent.ctypes.data, post.ctypes.data)
-    _checked(placed)
-    return post if placed == n else None
-
-
-def column_counts(
-    lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray,
-    parent: np.ndarray, post: np.ndarray,
-) -> np.ndarray:
-    colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
-    parent = _int64("parent", parent, n)
-    post = _int64("post", post, n)
-    _within("parent", parent, -1, n)
-    _within("post", post, 0, n)
-    # A permutation in which every node precedes its parent: the tree is
-    # acyclic, which is what bounds the C loops.
-    rank = np.full(n, -1, dtype=np.int64)
-    rank[post] = np.arange(n, dtype=np.int64)
-    child = np.flatnonzero(parent >= 0)
-    if (rank < 0).any() or (rank[parent[child]] <= rank[child]).any():
-        raise ValueError("post is not a postorder of parent")
-    counts = np.empty(n, dtype=np.int64)
-    _checked(lib.repro_column_counts(
-        n, colptr.ctypes.data, rowind.ctypes.data, parent.ctypes.data,
-        post.ctypes.data, counts.ctypes.data,
-    ))
-    return counts
-
-
-def supernode_rows(
-    lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray,
-    snptr: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat ``(ptr, rows, parent_snode)`` of the below-supernode row sets
-    of a symmetric pattern (C reads row ``i`` as column ``i``):
-    supernode ``s`` owns ``rows[ptr[s]:ptr[s + 1]]``, ascending."""
-    colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
-    n_sn = np.size(snptr) - 1
-    snptr = _pointers("snptr", snptr, n_sn, n)
-    ptr = np.zeros(n_sn + 1, dtype=np.int64)
-    parent_sn = np.empty(n_sn, dtype=np.int64)
-
-    def run(rows: Optional[np.ndarray]) -> None:
-        _checked(lib.repro_supernode_rows(
-            n, colptr.ctypes.data, rowind.ctypes.data, n_sn,
-            snptr.ctypes.data, ptr.ctypes.data,
-            None if rows is None else rows.ctypes.data,
-            parent_sn.ctypes.data,
-        ))
-
-    run(None)                      # sizes into ptr[1:]
-    np.cumsum(ptr, out=ptr)
-    rows = np.empty(int(ptr[-1]), dtype=np.int64)
-    run(rows)
-    return ptr, rows, parent_sn
-
-
-def amalgamate(
-    lib: ctypes.CDLL, snptr: np.ndarray, ptr: np.ndarray,
-    parent_sn: np.ndarray, ratio: float,
-) -> np.ndarray:
-    """The supernodes that survive the cheapest-fill-first merging, in
-    ascending first column; supernode ``s`` spans columns
-    ``snptr[s]:snptr[s + 1]`` above ``ptr[s + 1] - ptr[s]`` rows, and
-    ``parent_sn[s]`` is ``-1`` or a later supernode."""
-    snptr = _int64("snptr", snptr, np.size(snptr))
-    n_sn = snptr.size - 1
-    if n_sn < 0:
-        raise ValueError("snptr is empty")
-    snptr = _pointers("snptr", snptr, n_sn, int(snptr[-1]))
-    ptr = _int64("ptr", ptr, n_sn + 1)
-    ptr = _pointers("ptr", ptr, n_sn, int(ptr[-1]))
-    parent_sn = _int64("parent_snode", parent_sn, n_sn)
-    _within("parent_snode", parent_sn, -1, n_sn)
-    # Every merge then joins a supernode to a later one: the merge loop
-    # cannot cycle.
-    if ((parent_sn >= 0) & (parent_sn <= np.arange(n_sn))).any():
-        raise ValueError("parent_snode must name a later supernode")
-    keep = np.empty(n_sn, dtype=np.int64)
-    count = lib.repro_amalgamate(
-        n_sn, snptr.ctypes.data, ptr.ctypes.data, parent_sn.ctypes.data,
-        float(ratio), keep.ctypes.data,
-    )
-    if not _checked(count):
-        raise AssertionError("amalgamation produced a non-contiguous "
-                             "partition")
-    return keep[:count]
-
-
 # ----------------------------------------------------------------------
 # The analysis in three passes
 # ----------------------------------------------------------------------
-
 def symmetrize(
     lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -396,7 +242,7 @@ SYMBOL_FIELDS = ("cblk_ptr", "blok_ptr", "blok_frow", "blok_lrow",
 def block_symbol(
     lib: ctypes.CDLL, n: int, colptr: np.ndarray, rowind: np.ndarray,
     parent: np.ndarray, counts: np.ndarray, ratio: Optional[float],
-    max_width: Optional[int], min_panels: int,
+    max_width: Optional[int],
 ) -> dict[str, np.ndarray]:
     """Pass 3 on pass 2's pattern, tree and counts: the arrays of the
     block symbol (:data:`SYMBOL_FIELDS`) after amalgamation at ``ratio``
@@ -416,8 +262,7 @@ def block_symbol(
         counts.ctypes.data, int(ratio is not None),
         0.0 if ratio is None else float(ratio),
         0 if max_width is None else min(int(max_width), max(n, 1)),
-        max(1, min(int(min_panels), max(n, 1))), info.ctypes.data,
-        ctypes.byref(handle))
+        info.ctypes.data, ctypes.byref(handle))
     if status == _MISMATCH:
         raise AssertionError(
             f"supernode {info[2]}: row set size {info[3]} != "

@@ -29,10 +29,12 @@ runs the C/Python hand-back loop:
   implementation; a split panel's diagonal block only, its row blocks
   then run in C), and C is re-entered at the next panel (inside the
   executor, a GIL-taking callback runs the rest of that task);
-* the NumPy kernels stay the fallback and the oracle:
-  :func:`resolve_kernels` turns ``"native"`` into ``"numpy"`` (with a
+* the NumPy kernels stay the fallback and the oracle: no option picks
+  the backend, :func:`resolve_kernels` answers ``"numpy"`` (with a
   ``RuntimeWarning``) when there is no compiler, no capsule or no place
-  to build, and silently for a dtype the C code has no body for.
+  to build, and silently for a dtype the C code has no body for or
+  inside :func:`repro.cbuild.python_bodies` — which :func:`library`,
+  and so the solves, the plan check and :func:`csc_matvec`, honour too.
 
 Compiling, caching (``${XDG_CACHE_HOME:-~/.cache}/repro/
 native-<hash>.so``) and loading are :mod:`repro.cbuild`'s.
@@ -72,6 +74,7 @@ __all__ = [
     "factorize_block",
     "factorize_panels",
     "kernel_bounds",
+    "library",
     "load",
     "resolve_kernels",
     "run_dag",
@@ -275,6 +278,18 @@ def load() -> ctypes.CDLL:
     return lib
 
 
+def library() -> Optional[ctypes.CDLL]:
+    """The loaded kernel library, or ``None`` when the NumPy bodies must
+    run (no library, or inside :func:`repro.cbuild.python_bodies` on this
+    thread)."""
+    if cbuild.python_only():
+        return None
+    try:
+        return load()
+    except NativeUnavailable:
+        return None
+
+
 def availability() -> Optional[str]:
     """``None`` when the native backend is usable, else the reason."""
     try:
@@ -293,25 +308,21 @@ def kernel_bounds() -> dict[str, int]:
     return {"narrow": int(narrow), "tiny": int(tiny)}
 
 
-def resolve_kernels(requested: str, *, dtype: Any = np.float64) -> str:
-    """Effective kernel backend for a requested one.
+def resolve_kernels(dtype: Any) -> str:
+    """The kernel backend a factorization of ``dtype`` runs on this host.
 
-    ``"numpy"`` is always honoured.  ``"native"`` stays ``"native"``
-    when the library loads and the dtype is float64/complex128; another
-    dtype resolves to ``"numpy"`` silently, an unusable library does so
-    with a ``RuntimeWarning``.
+    ``"native"`` when the library loads and the dtype is
+    float64/complex128; ``"numpy"`` otherwise — silently for another
+    dtype or inside :func:`repro.cbuild.python_bodies`, with a
+    ``RuntimeWarning`` for a library that does not load.
     """
-    if requested == "numpy":
-        return "numpy"
-    if requested != "native":
-        raise ValueError(f"unknown kernels backend {requested!r}")
-    if np.dtype(dtype) not in (np.float64, np.complex128):
+    if np.dtype(dtype) not in _SUFFIX or cbuild.python_only():
         return "numpy"
     try:
         load()
     except NativeUnavailable as exc:
         warnings.warn(
-            f"kernels='native' is unavailable ({exc}); "
+            f"the native kernels are unavailable ({exc}); "
             "falling back to the NumPy kernels",
             RuntimeWarning, stacklevel=3,
         )
@@ -324,13 +335,13 @@ def resolve_kernels(requested: str, *, dtype: Any = np.float64) -> str:
 # ----------------------------------------------------------------------
 def check_plan(plan: CoupleMapCache) -> Optional[tuple[int, int, int]]:
     """``repro_check_plan`` on ``plan``: its ``(max_mn, max_nw, max_w)``,
-    or ``None`` when the library does not load (the NumPy checks run).
-    Raises :class:`~repro.kernels.indexcache.CouplePlanError` with the
-    text of the first of :data:`~repro.kernels.indexcache.PLAN_CHECKS`
+    or ``None`` when :func:`library` answers ``None`` (the NumPy checks
+    run).  Raises :class:`~repro.kernels.indexcache.CouplePlanError` with
+    the text of the first of :data:`~repro.kernels.indexcache.PLAN_CHECKS`
     that fails.  The caller (:meth:`CoupleMapCache.validate`) has checked
     the dtypes and lengths of the plan arrays."""
-    lib = _library()
-    if isinstance(lib, NativeUnavailable):
+    lib = library()
+    if lib is None:
         return None
     lay = plan.layout
     out = np.zeros(3, dtype=np.int64)
@@ -611,10 +622,11 @@ def solve_sweeps(factor: Any, x: np.ndarray,
                  panels: Optional[np.ndarray] = None,
                  n_workers: int = 1) -> Optional[SolveSweeps]:
     """The native sweeps of a solve of ``factor``, or ``None`` for the
-    NumPy bodies: the solve follows ``factor.kernels``, and needs an
-    arena-backed factor with its plan attached."""
+    NumPy bodies: the solve follows ``factor.kernels`` (and
+    :func:`library`), and needs an arena-backed factor with its plan
+    attached."""
     if (factor.kernels != "native" or factor.L_arena is None
-            or factor.index_cache is None):
+            or factor.index_cache is None or library() is None):
         return None
     return SolveSweeps(factor, x, panels, n_workers)
 
@@ -913,19 +925,18 @@ def csc_matvec(n_rows: int, colptr: np.ndarray, rowind: np.ndarray,
                values: np.ndarray, x: np.ndarray) -> Optional[np.ndarray]:
     """``A @ x`` in C for the CSC matrix ``(colptr, rowind, values)``,
     bit-identical to ``SparseMatrixCSC.matvec``'s NumPy body, or ``None``
-    when that body must run: no library, a dtype other than a float64 or
-    complex128 matrix times an operand that casts to it exactly (a real
-    matrix times a complex ``x`` is NumPy's), a host whose complex
-    product rounding the C loop does not reproduce, or index arrays C
-    could not follow safely (NumPy then raises its own error).  ``x`` is
-    ``(n_cols,)`` or ``(n_cols, k)``."""
+    when that body must run: no :func:`library`, a dtype other than a
+    float64 or complex128 matrix times an operand that casts to it
+    exactly (a real matrix times a complex ``x`` is NumPy's), a host
+    whose complex product rounding the C loop does not reproduce, or
+    index arrays C could not follow safely (NumPy then raises its own
+    error).  ``x`` is ``(n_cols,)`` or ``(n_cols, k)``."""
     dtype = values.dtype
     if dtype not in (np.float64, _C128) or x.dtype.kind not in "biufc" \
             or np.result_type(dtype, x.dtype) != dtype:
         return None
-    try:
-        lib = load()
-    except NativeUnavailable:
+    lib = library()
+    if lib is None:
         return None
     fused = _complex_product() if dtype == _C128 else 0
     if fused is None:

@@ -20,7 +20,6 @@ from operator import or_
 
 import numpy as np
 
-from repro.graph import native
 from repro.graph.adjacency import Graph
 from repro.ordering.perm import Permutation
 
@@ -40,16 +39,11 @@ def minimum_degree(graph: Graph) -> Permutation:
     """Minimum-degree ordering of ``graph`` (scatter-form permutation);
     ties go to the lowest vertex id.
 
-    Runs in C when :mod:`repro.graph.native` loads (a marker-array
-    quotient graph, O(n + edges) memory); the body below is the fallback
-    and the oracle.
+    The leaves of the default nested dissection run the same ordering in
+    C (``graph/analysis.c``, a marker-array quotient graph), equal to
+    this body vertex for vertex.
     """
     n = graph.n
-    lib = native.library()
-    if lib is not None:
-        iperm = native.minimum_degree(lib, n, graph.xadj, graph.adjncy)
-        if iperm is not None:
-            return Permutation.from_iperm(iperm)
     # Every vertex set is a Python int used as a bitset (bit u = vertex
     # u): union, difference and cardinality are single C calls, where
     # set objects paid a hash insertion per member per reach().

@@ -362,7 +362,6 @@ def factorize_threaded(
     scheduler: str = "ws",
     pivot_threshold: float = 0.0,
     record_sync: bool = False,
-    kernels: str = "native",
 ) -> NumericFactor:
     """Factorize on the DAG executor; returns the :class:`NumericFactor`.
 
@@ -373,13 +372,12 @@ def factorize_threaded(
     backend for any worker count, pop order and interleaving.
     ``trace.meta["granularity"]`` names that DAG (``"unit"``).
 
-    ``kernels`` selects the numeric backend: ``"native"`` (the default:
-    one C call per task, all of them inside one executor call,
-    :mod:`repro.kernels.native`; equal to the NumPy kernels to roundoff)
-    or ``"numpy"`` (the reference, run in a topological order on the
-    calling thread).  ``"native"`` falls back to ``"numpy"`` when it
-    cannot be built here.  Both the requested and the *effective* backend
-    are stamped into ``trace.meta``, with the couple plan's counters.
+    The host picks the numeric backend, as for the sequential driver:
+    one C call per task, all of them inside one executor call
+    (:mod:`repro.kernels.native`; equal to the NumPy kernels to roundoff)
+    where the library loads, else the NumPy kernels, run in a topological
+    order on the calling thread.  The backend is stamped into
+    ``trace.meta["kernels"]``, with the couple plan's counters.
 
     ``scheduler`` is the pop order, one of :data:`THREAD_SCHEDULERS`
     (``"ws"``, the default, or ``"priority"``, a critical-path heap);
@@ -402,7 +400,7 @@ def factorize_threaded(
     """
     n_workers = _check_pool(n_workers, scheduler)
     factor = NumericFactor.assemble(symbol, matrix, factotype, dtype=dtype)
-    factor.kernels = native.resolve_kernels(kernels, dtype=factor.dtype)
+    factor.kernels = native.resolve_kernels(factor.dtype)
     factor.index_cache = get_couple_cache(symbol)
     if pivot_threshold > 0.0:
         from repro.kernels.dense import PivotMonitor
@@ -416,6 +414,5 @@ def factorize_threaded(
         trace.meta["granularity"] = "unit"
     _factorize_dag(factor, dag, n_workers, scheduler, trace, record_sync)
     if trace is not None:
-        trace.meta["kernels_requested"] = kernels
         trace.meta["index_cache_stats"] = factor.index_cache.stats()
     return factor

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import cbuild
 from repro.graph import native
 from repro.graph.adjacency import Graph
 from repro.ordering import dissection
@@ -44,16 +45,13 @@ class SymbolicOptions:
         paper raises PaStiX's default to ~0.12 for GPU-friendly blocks.
         ``None`` disables amalgamation.
     split_max_width:
-        Panels wider than this are split vertically.  ``None`` disables
-        splitting (PaStiX's original 1D tasks).
-    min_panels:
-        Force at least this many panels per splittable supernode.
+        Panels wider than this are split vertically into near-equal
+        panels.  ``None`` disables splitting (PaStiX's original 1D tasks).
     """
 
     ordering: object = "nd"
     amalgamation_ratio: float | None = 0.12
     split_max_width: int | None = 128
-    min_panels: int = 1
 
 
 @dataclass
@@ -136,7 +134,7 @@ def _analyze_native(lib, matrix: SparseMatrixCSC,
     perm, parent, counts, colptr, rowind, value_map = ordered
     symbol = SymbolMatrix(n=n, **native.block_symbol(
         lib, n, colptr, rowind, parent, counts, opts.amalgamation_ratio,
-        opts.split_max_width, opts.min_panels))
+        opts.split_max_width))
     return AnalysisResult(
         perm=Permutation(perm),
         pattern=SparseMatrixCSC(n, n, colptr, rowind),
@@ -152,7 +150,7 @@ def _analyze_python(matrix: SparseMatrixCSC,
     """The analysis step by step: the path without a C compiler, and the
     oracle the three C passes equal array for array.  Every step runs its
     Python body, also where the helper loads."""
-    with native.python_bodies():
+    with cbuild.python_bodies():
         return _analyze_steps(matrix, opts)
 
 
@@ -192,12 +190,8 @@ def _analyze_steps(matrix: SparseMatrixCSC,
         opts.amalgamation_ratio,
     )
     if opts.split_max_width is not None:
-        snptr, rowsets = split_supernodes(
-            snptr,
-            rowsets,
-            max_width=opts.split_max_width,
-            min_panels=opts.min_panels,
-        )
+        snptr, rowsets = split_supernodes(snptr, rowsets,
+                                          max_width=opts.split_max_width)
 
     symbol = build_symbol(n, snptr, rowsets)
     perm = perm1 @ perm2

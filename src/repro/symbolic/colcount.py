@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph import native
 from repro.sparse.csc import SparseMatrixCSC, bucket_pointers, entry_owners
 
 __all__ = ["column_counts"]
@@ -36,10 +35,6 @@ def column_counts(
         Elimination tree and a postorder of it.
     """
     n = pattern.n_cols
-    lib = native.library()
-    if lib is not None:
-        return native.column_counts(lib, n, pattern.colptr, pattern.rowind,
-                                    parent, post)
     # Python lists throughout: single-element indexing of an int64 array
     # boxes a NumPy scalar per access.  Pass 2 reads the entries below the
     # diagonal only, so only they convert.

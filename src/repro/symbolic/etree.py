@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph import native
 from repro.sparse.csc import SparseMatrixCSC, bucket_pointers, entry_owners
 
 __all__ = ["elimination_tree", "postorder", "tree_depths", "EliminationTree"]
@@ -31,9 +30,6 @@ def elimination_tree(pattern: SparseMatrixCSC) -> np.ndarray:
     n = pattern.n_cols
     if not pattern.is_square:
         raise ValueError("elimination tree needs a square matrix")
-    lib = native.library()
-    if lib is not None:
-        return native.elimination_tree(lib, n, pattern.colptr, pattern.rowind)
     # The loop runs on Python lists: indexing an int64 array element by
     # element boxes a NumPy scalar per access, ~5x the cost of a list.
     # Only the entries above the diagonal drive it, so only they convert.
@@ -62,12 +58,6 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     node appears after all of its descendants.  Children are visited in
     ascending index order, giving a deterministic result.
     """
-    lib = native.library()
-    if lib is not None:
-        post = native.postorder(lib, parent)
-        if post is None:
-            raise ValueError("parent array contains a cycle")
-        return post
     n = parent.size
     parent = parent.tolist()   # list indexing, as in elimination_tree
     # Build child lists as a linked structure (head/next arrays) so the

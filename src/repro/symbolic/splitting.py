@@ -26,22 +26,15 @@ def split_supernodes(
     rowsets: list[np.ndarray],
     *,
     max_width: int = 128,
-    min_panels: int = 1,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Split every supernode wider than ``max_width`` into near-equal panels.
-
-    ``min_panels`` forces at least that many panels for any splittable
-    supernode (used by ablations to over-decompose).  Returns the new
-    ``(snptr, rowsets)``.
-    """
+    """Split every supernode wider than ``max_width`` into near-equal
+    panels.  Returns the new ``(snptr, rowsets)``."""
     if max_width < 1:
         raise ValueError("max_width must be >= 1")
     snptr = np.asarray(snptr)
     widths = np.diff(snptr).astype(np.int64)
-    # Panels per supernode: enough for max_width, at least min_panels
-    # (when > 1), at most one column each.
-    m = np.minimum(np.maximum(-(-widths // max_width), max(min_panels, 1)),
-                   widths)
+    # Panels per supernode: enough for max_width, at most one column each.
+    m = np.minimum(-(-widths // max_width), widths)
     # Only the supernodes that split take the loop; the runs between
     # them keep their bounds and rowsets as they are.
     bounds: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph import native
 from repro.sparse.csc import SparseMatrixCSC, bucket_pointers, entry_owners
 
 __all__ = [
@@ -104,19 +103,6 @@ def _flat_row_sets(
     ``rows[ptr[s]:ptr[s + 1]]``."""
     K = snptr.size - 1
     expected = None if counts is None else counts[snptr[:-1]] - np.diff(snptr)
-    lib = native.library()
-    if lib is not None:
-        # Row by row in C: every set comes out sorted, in one flat array.
-        ptr, rows, parent_snode = native.supernode_rows(
-            lib, pattern.n_cols, pattern.colptr, pattern.rowind, snptr)
-        sizes = np.diff(ptr)
-        if expected is not None and not np.array_equal(sizes, expected):
-            s = int(np.flatnonzero(sizes != expected)[0])
-            raise AssertionError(
-                f"supernode {s}: row set size {sizes[s]} != "
-                f"count-derived {expected[s]}"
-            )
-        return ptr, rows, parent_snode
     col2sn = entry_owners(snptr)
 
     # A's own contribution to every supernode in one pass: the entries
@@ -198,20 +184,7 @@ def _merge(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The merge loop of :func:`amalgamate` on row counts alone
     (``ptr[s + 1] - ptr[s]`` rows below supernode ``s``): the new
-    ``snptr`` and the surviving supernodes, in ascending first column.
-    C when the analysis helper is loaded, the Python heap otherwise."""
-    lib = native.library()
-    if lib is not None:
-        keep = native.amalgamate(lib, snptr, ptr, parent_snode, ratio)
-    else:
-        keep = _merge_python(snptr, ptr, parent_snode, ratio)
-    new_snptr = np.concatenate([snptr[:1], snptr[keep + 1]])
-    return new_snptr.astype(np.int64, copy=False), keep
-
-
-def _merge_python(
-    snptr: np.ndarray, ptr: np.ndarray, parent_snode: np.ndarray, ratio: float
-) -> np.ndarray:
+    ``snptr`` and the surviving supernodes, in ascending first column."""
     import heapq
 
     K = snptr.size - 1
@@ -273,4 +246,6 @@ def _merge_python(
     # Sanity: contiguous partition.
     if [fcol[s] for s in order[1:]] != [lcol[s] for s in order[:-1]]:
         raise AssertionError("amalgamation produced a non-contiguous partition")
-    return np.asarray(order, dtype=np.int64)
+    keep = np.asarray(order, dtype=np.int64)
+    return np.concatenate([snptr[:1], snptr[keep + 1]]).astype(
+        np.int64, copy=False), keep

@@ -21,11 +21,7 @@ Checks (``verify_symbolic``):
   fill, never removes entries);
 * **N502 per-column counts** — inside panel ``k`` the structure stores
   ``height(k) − i`` entries for its ``i``-th column; this must equal
-  (or, amalgamated, dominate) the re-derived count of that column;
-* **N503 blok/cblk aggregation** — summing blok rows × panel widths
-  minus the diagonal upper triangles must reproduce ``symbol.nnz()``:
-  the blok arrays and the height-based formula are two representations
-  of one factor.
+  (or, amalgamated, dominate) the re-derived count of that column.
 
 Checks (``verify_dag_costs``):
 
@@ -162,22 +158,6 @@ def verify_symbolic(
                 f"re-derived count {int(derived[j])}",
             )
     report.stats["column_mismatches"] = n_bad
-
-    # N503: blok-level aggregation vs the height-based nnz formula.
-    sizes = (sym.blok_lrow - sym.blok_frow).astype(np.int64)
-    nnz_blok = int(
-        (sizes * widths[sym.blok_owner]).sum()
-        - (widths * (widths - 1) // 2).sum()
-    )
-    lower = int((widths * (widths + 1) // 2 + widths * (heights - widths)).sum())
-    if nnz_blok != lower:
-        report.add(
-            "N503",
-            f"blok-level nnz {nnz_blok} disagrees with the cblk-level "
-            f"formula {lower}: blok arrays and panel heights describe "
-            "different factors",
-        )
-
     report.stats["n"] = n
     report.stats["n_cblk"] = sym.n_cblk
     report.stats["nnz_colcount"] = nnz_cc

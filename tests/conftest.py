@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro import cbuild
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
 from repro.sparse.generators import (
     grid_laplacian_2d,
@@ -12,6 +15,13 @@ from repro.sparse.generators import (
     helmholtz_like_2d,
     random_pattern_spd,
 )
+
+
+def backend(kernels: str):
+    """The block a ``"native"`` or ``"numpy"`` case runs in: as it is
+    (the host's backend), or under :func:`repro.cbuild.python_bodies`."""
+    return (cbuild.python_bodies() if kernels == "numpy"
+            else contextlib.nullcontext())
 
 
 def random_spd_dense(n: int, density: float, seed: int) -> np.ndarray:
@@ -95,10 +105,12 @@ def split_panels(monkeypatch):
 
 
 @pytest.fixture
-def python_analysis(monkeypatch):
-    """Run the ordering and symbolic passes through their Python bodies
-    (the oracle), as on a host where ``repro.graph.native`` cannot load."""
-    monkeypatch.setattr("repro.graph.native.library", lambda: None)
+def python_analysis():
+    """Run the test inside :func:`repro.cbuild.python_bodies`: the
+    ordering and symbolic passes take their Python bodies (the oracle),
+    as on a host where ``repro.graph.native`` cannot load."""
+    with cbuild.python_bodies():
+        yield
 
 
 #: 300 vertices in 40 components, from singletons to one of 116 (the

@@ -5,9 +5,7 @@
 returns — permutation, tree, counts, pattern, value map and every field
 of the symbol — must equal what the step-by-step Python bodies return,
 on ugly patterns: n = 0 and 1, empty columns, missing diagonals,
-unsymmetric and disconnected patterns, one dense row.  Amalgamation,
-which pass 3 shares with the public :func:`amalgamate`, is checked the
-same way.
+unsymmetric and disconnected patterns, one dense row.
 """
 
 from __future__ import annotations
@@ -20,13 +18,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import SolverOptions, SparseSolver
+from repro import SolverOptions, SparseSolver, cbuild
 from repro.core.factorization import factorize_sequential
 from repro.graph import native
 from repro.ordering import dissection
 from repro.ordering.perm import Permutation
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc, entry_owners
-from repro.symbolic import SymbolicOptions, amalgamate, analyze
+from repro.kernels import native as kernels_native
+from repro.symbolic import SymbolicOptions, analyze
 
 #: The analysis module (the package attribute ``repro.symbolic.analyze``
 #: is the function).
@@ -43,7 +42,7 @@ OPTIONS = {
     "default": SymbolicOptions(),
     "no-amalgamation": SymbolicOptions(amalgamation_ratio=None),
     "no-split": SymbolicOptions(split_max_width=None),
-    "narrow": SymbolicOptions(split_max_width=2, min_panels=3),
+    "narrow": SymbolicOptions(split_max_width=2),
     "greedy": SymbolicOptions(amalgamation_ratio=1e6),
     "natural": SymbolicOptions(ordering="natural"),
 }
@@ -51,7 +50,7 @@ OPTIONS = {
 
 def python_bodies(fn, *args, **kwargs):
     """``fn(*args)`` with the analysis helper hidden."""
-    with native.python_bodies():
+    with cbuild.python_bodies():
         return fn(*args, **kwargs)
 
 
@@ -188,7 +187,7 @@ def test_wrong_column_counts_fail_as_in_the_python_body():
     lib, n = native.library(), res.n
     with pytest.raises(AssertionError) as c_error:
         native.block_symbol(lib, n, res.pattern.colptr, res.pattern.rowind,
-                            res.parent, counts, None, None, 1)
+                            res.parent, counts, None, None)
     with pytest.raises(AssertionError) as py_error:
         python_bodies(ANALYZE.amalgamated_row_sets, res.pattern,
                       ANALYZE.fundamental_supernodes(res.parent, counts),
@@ -197,24 +196,29 @@ def test_wrong_column_counts_fail_as_in_the_python_body():
 
 
 def test_the_python_bodies_call_no_c(monkeypatch):
-    """``_analyze_python`` is the oracle: no step reaches the helper, on
-    the calling thread only."""
+    """``_analyze_python`` is the oracle: no step reaches the helper, and
+    :func:`repro.cbuild.python_bodies` hides both libraries on the calling
+    thread only."""
     def refuse(*args, **kwargs):
         raise AssertionError("a C call inside the Python bodies")
 
-    for name in ("nested_dissection", "minimum_degree", "elimination_tree",
-                 "postorder", "column_counts", "supernode_rows",
-                 "amalgamate", "permute_pattern"):
+    for name in ("nested_dissection", "permute_pattern", "symmetrize",
+                 "order", "block_symbol"):
         monkeypatch.setattr(native, name, refuse)
     ANALYZE._analyze_python(random_matrix(60, seed=4), SymbolicOptions())
-    assert native.library() is not None
-    with native.python_bodies():
+    libraries = [library for library in (native.library,
+                                         kernels_native.library)
+                 if library() is not None]
+    assert native.library in libraries
+    with cbuild.python_bodies():
         seen = []
-        thread = threading.Thread(target=lambda: seen.append(native.library()))
+        thread = threading.Thread(
+            target=lambda: seen.extend(library() for library in libraries))
         thread.start()
-        thread.join()
-        assert native.library() is None
-    assert seen[0] is not None
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert all(library() is None for library in libraries)
+    assert len(seen) == len(libraries) and None not in seen
 
 
 def test_explicit_zeros_leave_the_factor_unchanged():
@@ -237,40 +241,3 @@ def test_explicit_zeros_leave_the_factor_unchanged():
     for side in ("L_arena", "U_arena"):
         assert np.array_equal(getattr(solver.factor, side),
                               getattr(reference, side))
-
-
-# ----------------------------------------------------------------------
-# Amalgamation, shared with the public function
-# ----------------------------------------------------------------------
-@st.composite
-def supernodes_with_empty_ones(draw):
-    """``(snptr, rowsets, parent_snode)`` with zero-width supernodes among
-    the others: several of them end at one column."""
-    k = draw(st.integers(0, 50))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    snptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(rng.integers(0, 4, k), out=snptr[1:])
-    parent = np.full(k, -1, dtype=np.int64)
-    for s in range(k - 1):
-        if rng.random() < 0.9:
-            parent[s] = s + 1 if rng.random() < 0.6 else rng.integers(s + 1, k)
-    rowsets = [np.arange(int(r)) for r in rng.integers(0, 30, k)]
-    return snptr, rowsets, parent
-
-
-@settings(max_examples=200, deadline=None)
-@given(tree=supernodes_with_empty_ones(),
-       ratio=st.sampled_from([0.0, 0.12, 3.0, 1e6]))
-def test_amalgamation_with_empty_supernodes_equals_python(tree, ratio):
-    snptr, rowsets, parent = tree
-    try:
-        want = python_bodies(amalgamate, snptr, rowsets, parent, ratio=ratio)
-    except AssertionError as error:
-        with pytest.raises(AssertionError, match=str(error)):
-            amalgamate(snptr, rowsets, parent, ratio=ratio)
-        return
-    got = amalgamate(snptr, rowsets, parent, ratio=ratio)
-    assert np.array_equal(got[0], want[0])
-    assert all(a is b for a, b in zip(got[1], want[1]))
-    assert len(got[1]) == len(want[1])
-

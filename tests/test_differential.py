@@ -40,7 +40,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import SparseSolver
+from repro import SparseSolver, cbuild
 from repro.core.factor import AssemblyMap, NumericFactor, assembly_map
 from repro.core.factorization import factorize_sequential
 from repro.core.options import SolverOptions
@@ -58,9 +58,10 @@ from repro.runtime.threaded import (
 )
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
 from repro.sparse.generators import grid_laplacian_2d
-from repro.symbolic import SymbolicOptions, amalgamate, analyze
-from tests.conftest import split_every_panel
+from repro.symbolic import SymbolicOptions, analyze
+from tests.conftest import backend, split_every_panel
 from tests.test_analysis_golden import E2E_INPUTS
+from tests.test_analysis_passes import assert_same_analysis
 
 _spec = importlib.util.spec_from_file_location(
     "e2e_reference",
@@ -255,8 +256,6 @@ def test_threaded_solve_is_the_sequential_solve(no_unit_floor, pattern,
     backends: the solve DAG orders every shared write, so no schedule
     can change a bit.  (Without the flop floors: the drawn systems are
     far below ``MIN_SOLVE_FLOPS``, whose DAG is a two-task chain.)"""
-    import dataclasses
-
     n, rows, cols = pattern
     ft = data.draw(st.sampled_from(FACTOTYPES), label="factotype")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16),
@@ -268,16 +267,17 @@ def test_threaded_solve_is_the_sequential_solve(no_unit_floor, pattern,
         warnings.simplefilter("ignore", RuntimeWarning)
         solver.factorize()
     factor = solver.factor
-    for f in (factor, dataclasses.replace(factor, kernels="numpy")):
+    for kernels in ("native", "numpy"):
         for nrhs in (1, 3, 16):
             b = rng.standard_normal((n,) if nrhs == 1 else (n, nrhs))
-            ref = solve_factored(f, b)
-            for n_workers in (1, 2, 3):
-                for scheduler in sorted(THREAD_SCHEDULERS):
-                    got = solve_threaded(f, b, n_workers=n_workers,
-                                         scheduler=scheduler)
-                    assert np.array_equal(got, ref), (
-                        f.kernels, nrhs, n_workers, scheduler)
+            with backend(kernels):
+                ref = solve_factored(factor, b)
+                for n_workers in (1, 2, 3):
+                    for scheduler in sorted(THREAD_SCHEDULERS):
+                        got = solve_threaded(factor, b, n_workers=n_workers,
+                                             scheduler=scheduler)
+                        assert np.array_equal(got, ref), (
+                            kernels, nrhs, n_workers, scheduler)
 
 
 # ----------------------------------------------------------------------
@@ -342,13 +342,14 @@ def _check_split(res, matrix, ft, rng) -> None:
             for b in rhs] if n else []
     seq = {}
     for kernels in ("native", "numpy"):
-        status, ref = _outcome(lambda: factorize_sequential(
-            res.symbol, permuted, ft, kernels=kernels))
-        runs = [(status, ref, solve_factored, 1)] + [
-            (*_outcome(lambda: factorize_threaded(
-                res.symbol, permuted, ft, n_workers=w, scheduler=order,
-                kernels=kernels)), solve_threaded, w)
-            for w in (1, 2, 3) for order in sorted(THREAD_SCHEDULERS)]
+        with backend(kernels):
+            status, ref = _outcome(lambda: factorize_sequential(
+                res.symbol, permuted, ft))
+            runs = [(status, ref, solve_factored, 1)] + [
+                (*_outcome(lambda: factorize_threaded(
+                    res.symbol, permuted, ft, n_workers=w,
+                    scheduler=order)), solve_threaded, w)
+                for w in (1, 2, 3) for order in sorted(THREAD_SCHEDULERS)]
         if status != "ok":
             assert all(run[:2] == (status, ref) for run in runs), kernels
             continue
@@ -485,12 +486,14 @@ def test_narrow_panels_match_the_column_loops(data):
                                           label="seed"))
     symbol, permuted = _two_panels(width, ft, cplx, pivots, rng)
     threshold = 0.0
-    if bites:   # between the two smallest pivot sizes: perturbs some
-        size = np.sort(np.abs(_pivots(factorize_sequential(
-            symbol, permuted, ft, kernels="numpy"))))
-        threshold = float(size[0] + size[min(1, size.size - 1)]) / 2 + 1e-300
-    ref = factorize_sequential(symbol, permuted, ft, kernels="numpy",
-                               pivot_threshold=threshold)
+    with cbuild.python_bodies():
+        if bites:   # between the two smallest pivot sizes: perturbs some
+            size = np.sort(np.abs(_pivots(factorize_sequential(
+                symbol, permuted, ft))))
+            threshold = (float(size[0] + size[min(1, size.size - 1)]) / 2
+                         + 1e-300)
+        ref = factorize_sequential(symbol, permuted, ft,
+                                   pivot_threshold=threshold)
     with _counting_handbacks() as handed:
         got = factorize_sequential(symbol, permuted, ft,
                                    pivot_threshold=threshold)
@@ -527,14 +530,16 @@ def test_narrow_pivot_failures_end_as_before(data):
     # Perturbed to a size like its neighbours': no growth to amplify
     # the two backends' roundoff.
     threshold = 0.25 if kind == "tiny" else 0.0
-    run = {k: (lambda k=k: factorize_sequential(
-        symbol, poisoned, ft, kernels=k, pivot_threshold=threshold))
-        for k in ("numpy", "native")}
+    def run():
+        return factorize_sequential(symbol, poisoned, ft,
+                                    pivot_threshold=threshold)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        expected = _outcome(run["numpy"])
+        with cbuild.python_bodies():
+            expected = _outcome(run)
         with _counting_handbacks() as handed:
-            got = _outcome(run["native"])
+            got = _outcome(run)
     if ft != "llt" or kind != "tiny":   # LL^T takes a tiny positive pivot
         assert handed[:1] == [0]
     assert got[0] == expected[0]
@@ -548,40 +553,26 @@ def test_narrow_pivot_failures_end_as_before(data):
 
 
 # ----------------------------------------------------------------------
-# C amalgamation == Python amalgamation
+# C amalgamation (inside pass 3) == Python amalgamation
 # ----------------------------------------------------------------------
-@st.composite
-def supernode_trees(draw):
-    """``(snptr, rowsets, parent_snode)``: random widths and row counts,
-    every parent a later supernode (or none)."""
-    k = draw(st.integers(0, 60))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    snptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(rng.integers(1, 6, k), out=snptr[1:])
-    parent = np.full(k, -1, dtype=np.int64)
-    for s in range(k - 1):
-        if rng.random() < 0.9:
-            # Mostly the next supernode, so that many pairs are contiguous.
-            parent[s] = s + 1 if rng.random() < 0.6 else rng.integers(s + 1, k)
-    rowsets = [np.arange(int(r)) for r in rng.integers(0, 40, k)]
-    return snptr, rowsets, parent
-
-
 @pytest.mark.skipif(native.availability() is not None,
                     reason="native analysis unavailable")
-@settings(max_examples=300, deadline=None)
-@given(tree=supernode_trees(),
+@settings(max_examples=150, deadline=None)
+@given(drawn=patterns(),
        ratio=st.sampled_from([0.0, 0.05, 0.12, 0.5, 3.0, 1e6]))
-def test_native_amalgamate_equals_python(tree, ratio):
-    snptr, rowsets, parent = tree
-    got = amalgamate(snptr, rowsets, parent, ratio=ratio)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(native, "library", lambda: None)
-        want = amalgamate(snptr, rowsets, parent, ratio=ratio)
-    assert got[0].dtype == want[0].dtype == np.int64
-    assert np.array_equal(got[0], want[0])
-    assert len(got[1]) == len(want[1])
-    assert all(a is b for a, b in zip(got[1], want[1]))
+def test_native_amalgamate_equals_python(drawn, ratio):
+    """The merge loop pass 3 runs in C against the Python heap, from the
+    fundamental supernodes of drawn patterns: the same panels, row sets
+    and every other array of the analysis."""
+    n, rows, cols = drawn
+    diag = np.arange(n)
+    pattern = coo_to_csc(n, n, np.concatenate([rows, cols, diag]),
+                         np.concatenate([cols, rows, diag]))
+    opts = SymbolicOptions(amalgamation_ratio=ratio, split_max_width=None)
+    got = analyze(pattern, opts)
+    with cbuild.python_bodies():
+        want = analyze(pattern, opts)
+    assert_same_analysis(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -611,21 +602,13 @@ def plan_matrices(draw) -> SparseMatrixCSC:
     return matrix, ft
 
 
-@contextlib.contextmanager
-def _python_bodies():
-    """Inside: the analysis helper does not load (the NumPy bodies run)."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(native, "library", lambda: None)
-        yield
-
-
 def assert_plans_match_numpy(matrix: SparseMatrixCSC, ft: str) -> None:
     """The permuted pattern, the couple plan and its scratch sizes, and
     the assembly map of ``matrix`` for ``ft``: C against NumPy."""
     res = analyze(matrix)
     symbol, perm = res.symbol, res.perm.perm
     got_plan = CoupleMapCache(symbol)
-    with _python_bodies():
+    with cbuild.python_bodies():
         want = matrix.permute(perm)
         want_plan = CoupleMapCache(symbol)
     got = matrix.permute(perm)
@@ -639,7 +622,7 @@ def assert_plans_match_numpy(matrix: SparseMatrixCSC, ft: str) -> None:
     assert (got_plan.max_mn, got_plan.max_nw, got_plan.max_w) == \
         want_plan._check_numpy()
     got_map = AssemblyMap(symbol, got.colptr, got.rowind, ft == "lu")
-    with _python_bodies():
+    with cbuild.python_bodies():
         want_map = AssemblyMap(symbol, got.colptr, got.rowind, ft == "lu")
     for name in ("L_src", "L_dst", "U_src", "U_dst"):
         a, b = getattr(got_map, name), getattr(want_map, name)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import cbuild
 from repro.core.factor import NumericFactor
 from repro.core.factorization import (
     contributing_cblks,
@@ -25,6 +26,7 @@ from repro.sparse import load_matrix
 from repro.sparse.collection import collection_names
 from repro.symbolic import analyze
 from repro.verify import stale_couple_map, verify_couple_cache
+from tests.conftest import backend
 from tests.test_analysis_golden import E2E_INPUTS
 
 
@@ -34,14 +36,14 @@ def _setup(mat):
 
 
 @pytest.fixture(params=["native", "numpy"])
-def checker(request, monkeypatch):
+def checker(request):
     """Which bounds check :meth:`CoupleMapCache.validate` runs:
-    ``native.c``'s ``repro_check_plan`` or the NumPy checks."""
-    if request.param == "numpy":
-        monkeypatch.setattr(native, "check_plan", lambda plan: None)
-    elif native.availability() is not None:
+    ``native.c``'s ``repro_check_plan`` or the NumPy checks (inside
+    :func:`repro.cbuild.python_bodies`)."""
+    if request.param == "native" and native.availability() is not None:
         pytest.skip("native kernels unavailable")
-    return request.param
+    with backend(request.param):
+        yield request.param
 
 
 def _reverse_sources(plan):
@@ -103,20 +105,16 @@ def test_corrupt_plan_is_rejected(grid2d_small, checker, name):
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-def test_both_checkers_raise_the_same_message(grid2d_small, monkeypatch,
-                                              name):
+def test_both_checkers_raise_the_same_message(grid2d_small, name):
     if native.availability() is not None:
         pytest.skip("native kernels unavailable")
     symbol = analyze(grid2d_small).symbol
     messages = []
-    for numpy_checks in (False, True):
+    for checks in ("native", "numpy"):
         plan = get_couple_cache(symbol).clone()
         CORRUPTIONS[name][0](plan)
-        with monkeypatch.context() as patch:
-            if numpy_checks:
-                patch.setattr(native, "check_plan", lambda plan: None)
-            with pytest.raises(CouplePlanError) as info:
-                plan.validate()
+        with backend(checks), pytest.raises(CouplePlanError) as info:
+            plan.validate()
         messages.append(str(info.value))
     assert messages[0] == messages[1]
 
@@ -246,8 +244,8 @@ class TestCoupleMapCache:
 
 
 class TestBitIdenticalFactors:
-    """Statements about the NumPy kernels (``kernels="numpy"`` pinned on
-    the side that would otherwise run the native backend)."""
+    """Statements about the NumPy kernels (:func:`repro.cbuild.python_bodies`
+    on the side that would otherwise run the native backend)."""
 
     @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
     def test_cached_equals_uncached(self, grid2d_small, factotype):
@@ -260,9 +258,8 @@ class TestBitIdenticalFactors:
             panel_factorize(ref, k)
             for t in facing_cblks(res.symbol, k).tolist():
                 panel_update(ref, k, t)
-        cached = factorize_sequential(
-            res.symbol, permuted, factotype, kernels="numpy",
-        )
+        with cbuild.python_bodies():
+            cached = factorize_sequential(res.symbol, permuted, factotype)
         assert cached.index_cache is get_couple_cache(res.symbol)
         for a, b in zip(ref.L, cached.L):
             assert np.array_equal(a, b)

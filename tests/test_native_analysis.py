@@ -1,11 +1,12 @@
 """The C analysis helper against its oracle, the Python bodies.
 
 ``repro.graph.native`` must return exactly what the Python ordering and
-symbolic loops return — permutation, ``parent``, ``post``, ``counts``, row
-sets, element for element — on the collection, on graphs with many
-components and on generated graphs down to the empty one; it must refuse
-malformed arrays before dereferencing them, keep no state between calls,
-and leave a host without a compiler on the Python bodies.
+symbolic loops return — the nested dissection, and through the three
+analysis passes ``parent``, ``counts``, the pattern and the symbol,
+element for element — on the collection, on graphs with many components
+and on generated graphs down to the empty one; it must refuse malformed
+arrays before dereferencing them, keep no state between calls, and
+leave a host without a compiler on the Python bodies.
 """
 
 from __future__ import annotations
@@ -26,16 +27,15 @@ from repro.sparse import load_matrix
 from repro.sparse.collection import collection_names
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc, entry_owners
 from repro.symbolic import (
-    amalgamate,
+    SymbolicOptions,
     analyze,
-    column_counts,
-    elimination_tree,
     fundamental_supernodes,
     postorder,
     supernode_row_sets,
 )
 from tests.conftest import COMPONENT_SIZES, many_component_matrix
 from tests.test_analysis_golden import GOLDEN, _cases, _digest, fingerprint
+from tests.test_analysis_passes import assert_same_analysis
 
 pytestmark = pytest.mark.skipif(
     native.availability() is not None,
@@ -47,14 +47,13 @@ LEAF_SIZES = (0, 7, 32, 96, 10 ** 6)
 
 def oracle(fn, *args, **kwargs):
     """``fn(*args)`` through the Python bodies."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(native, "library", lambda: None)
+    with cbuild.python_bodies():
         return fn(*args, **kwargs)
 
 
 def assert_orderings_agree(graph: Graph, leaf_sizes=LEAF_SIZES) -> None:
-    """The public entry points and the C wrappers themselves (which answer
-    ``None`` only for an adjacency they found inconsistent) against the
+    """The public nested dissection and its C wrapper (which answers
+    ``None`` only for an adjacency it found inconsistent) against the
     Python bodies."""
     lib = native.library()
     csr = (graph.n, graph.xadj, graph.adjncy)
@@ -66,40 +65,17 @@ def assert_orderings_agree(graph: Graph, leaf_sizes=LEAF_SIZES) -> None:
         iperm = native.nested_dissection(lib, *csr, graph.vwgt, leaf_size)
         assert iperm is not None
         assert np.array_equal(iperm, want.iperm), leaf_size
-    want = oracle(minimum_degree, graph)
-    assert minimum_degree(graph) == want
-    iperm = native.minimum_degree(lib, *csr)
-    assert iperm is not None and np.array_equal(iperm, want.iperm)
 
 
 def assert_symbolic_agrees(pattern: SparseMatrixCSC) -> None:
-    """etree / postorder / counts / row sets of a symmetric pattern with a
-    full diagonal, relabelled into a postorder on the way as ``analyze``
-    does."""
-    parent = elimination_tree(pattern)
-    assert np.array_equal(parent, oracle(elimination_tree, pattern))
-    post = postorder(parent)
-    assert np.array_equal(post, oracle(postorder, parent))
-    counts = column_counts(pattern, parent, post)
-    assert np.array_equal(counts, oracle(column_counts, pattern, parent, post))
-
-    rank = np.empty_like(post)
-    rank[post] = np.arange(post.size)
-    pattern = pattern.permute(rank)
-    parent = elimination_tree(pattern)
-    counts = column_counts(pattern, parent, np.arange(post.size))
-    snptr = fundamental_supernodes(parent, counts)
-    rowsets, parent_sn = supernode_row_sets(pattern, snptr, counts)
-    ref_sets, ref_parent = oracle(supernode_row_sets, pattern, snptr, counts)
-    assert np.array_equal(parent_sn, ref_parent)
-    assert len(rowsets) == len(ref_sets)
-    for got, want in zip(rowsets, ref_sets):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    for ratio in (0.0, 0.12, 1.0):
-        got = amalgamate(snptr, rowsets, parent_sn, ratio=ratio)
-        want = oracle(amalgamate, snptr, rowsets, parent_sn, ratio=ratio)
-        assert np.array_equal(got[0], want[0])
-        assert [s.size for s in got[1]] == [s.size for s in want[1]]
+    """The etree, postorder, counts, row sets, amalgamation and splitting
+    of a symmetric pattern with a full diagonal, kept in its own order:
+    the analysis passes against the Python bodies."""
+    for ratio in (None, 0.0, 0.12, 1.0):
+        opts = SymbolicOptions(ordering="natural", amalgamation_ratio=ratio,
+                               split_max_width=None if ratio else 4)
+        want = oracle(analyze, pattern, opts)
+        assert_same_analysis(analyze(pattern, opts), want)
 
 
 def graph_pattern(graph: Graph) -> SparseMatrixCSC:
@@ -177,9 +153,9 @@ def test_weighted_vertices_agree():
 
 
 @pytest.mark.parametrize("backend", ["native", "python"])
-def test_errors_are_the_same_on_both_backends(backend, request, grid2d_small):
-    if backend == "python":
-        request.getfixturevalue("python_analysis")
+def test_errors_are_the_same_on_both_backends(backend, grid2d_small):
+    """Wrong column counts: pass 3 and the Python row sets raise the same
+    error."""
     with pytest.raises(ValueError, match="contains a cycle"):
         postorder(np.array([1, 2, 0, -1], dtype=np.int64))
     res = analyze(grid2d_small)
@@ -188,7 +164,12 @@ def test_errors_are_the_same_on_both_backends(backend, request, grid2d_small):
     bad[snptr[2]] += 1
     with pytest.raises(AssertionError, match=r"supernode 2: row set size \d+ "
                                              r"!= count-derived \d+"):
-        supernode_row_sets(res.pattern, snptr, bad)
+        if backend == "native":
+            native.block_symbol(native.library(), res.n, res.pattern.colptr,
+                                res.pattern.rowind, res.parent, bad, None,
+                                None)
+        else:
+            supernode_row_sets(res.pattern, snptr, bad)
 
 
 # ----------------------------------------------------------------------
@@ -210,52 +191,41 @@ def _i64(*values):
 ], ids=["end", "start", "decreasing", "high", "negative", "short", "float",
         "2d"])
 def test_malformed_adjacency_is_rejected(xadj, adjncy):
+    """By the ordering and by the passes that take a pattern (pass 1 hands
+    it back to the Python body instead)."""
     lib = native.library()
     n = 3 if xadj.size == 4 else 2
     ones = np.ones(n, dtype=np.int64)
     with pytest.raises(ValueError):
         native.nested_dissection(lib, n, xadj, adjncy, ones, 0)
+    assert native.symmetrize(lib, n, xadj, adjncy) is None
     with pytest.raises(ValueError):
-        native.minimum_degree(lib, n, xadj, adjncy)
+        native.order(lib, n, xadj, adjncy, np.zeros(adjncy.size, np.int64),
+                     0)
     with pytest.raises(ValueError):
-        native.elimination_tree(lib, n, xadj, adjncy)
-    with pytest.raises(ValueError):
-        native.column_counts(lib, n, xadj, adjncy,
-                             np.full(n, -1, dtype=np.int64), np.arange(n))
-    with pytest.raises(ValueError):
-        native.supernode_rows(lib, n, xadj, adjncy, _i64(0, n))
+        native.block_symbol(lib, n, xadj, adjncy,
+                            np.full(n, -1, dtype=np.int64), ones, None, None)
 
 
 def test_malformed_trees_and_partitions_are_rejected():
+    """Weights, trees, counts and permutations of the wrong size, a
+    ``perm`` that is not a permutation, a width below one."""
     lib = native.library()
     colptr, rowind = _i64(0, 2, 4, 5), _i64(0, 1, 0, 1, 2)
-    good = dict(parent=_i64(1, -1, -1), post=_i64(0, 1, 2))
-    for bad in (dict(parent=_i64(1, 3, -1)), dict(parent=_i64(1, -2, -1)),
-                dict(parent=_i64(1, -1)), dict(post=_i64(0, 1, 3)),
-                dict(post=_i64(0, 1, 1)), dict(post=_i64(1, 0, 2)),
-                dict(parent=_i64(1, 0, -1))):
-        args = {**good, **bad}
-        with pytest.raises(ValueError):
-            native.column_counts(lib, 3, colptr, rowind, args["parent"],
-                                 args["post"])
-    with pytest.raises(ValueError):
-        native.postorder(lib, _i64(1, 3, -1))
+    tsrc, parent, counts = _i64(0, 1, 2, 3, 4), _i64(1, -1, -1), _i64(2, 1, 1)
     with pytest.raises(ValueError):
         native.nested_dissection(lib, 3, colptr, rowind, _i64(1, 1), 0)
-    for snptr in (_i64(0, 2), _i64(1, 3), _i64(0, 2, 1, 3), _i64()):
+    for perm in (_i64(0, 1), _i64(0, 1, 1), _i64(0, 1, 3), _i64(-1, 0, 1)):
         with pytest.raises(ValueError):
-            native.supernode_rows(lib, 3, colptr, rowind, snptr)
-    snptr, ptr = _i64(0, 1, 3, 4), _i64(0, 2, 3, 3)
-    for bad in (dict(parent=_i64(1, 2, 0)),    # a parent before its child
-                dict(parent=_i64(0, 2, -1)),   # its own parent
-                dict(parent=_i64(1, 3, -1)),   # out of range
-                dict(parent=_i64(1, -1)),      # too short
-                dict(snptr=_i64(0, 2, 1, 4)), dict(snptr=_i64()),
-                dict(ptr=_i64(0, 2, 1, 3)), dict(ptr=_i64(1, 2, 3, 3))):
-        args = {**dict(snptr=snptr, ptr=ptr, parent=_i64(1, 2, -1)), **bad}
+            native.order(lib, 3, colptr, rowind, tsrc, 0, perm)
+    with pytest.raises(ValueError):
+        native.order(lib, 3, colptr, rowind, tsrc[:-1], 0)
+    for bad in (dict(parent=parent[:-1]), dict(counts=counts[:-1]),
+                dict(max_width=0)):
+        args = {**dict(parent=parent, counts=counts, max_width=None), **bad}
         with pytest.raises(ValueError):
-            native.amalgamate(lib, args["snptr"], args["ptr"],
-                              args["parent"], 0.12)
+            native.block_symbol(lib, 3, colptr, rowind, args["parent"],
+                                args["counts"], 0.12, args["max_width"])
 
 
 @pytest.mark.parametrize("xadj,adjncy,dissection_notices", [
@@ -268,13 +238,11 @@ def test_one_way_edges_go_to_the_python_body(xadj, adjncy, dissection_notices,
     notices the broken invariant and hands the graph back."""
     lib = native.library()
     ones = np.ones(3, dtype=np.int64)
-    assert native.minimum_degree(lib, 3, xadj, adjncy) is None
     iperm = native.nested_dissection(lib, 3, xadj, adjncy, ones, 0)
     assert (iperm is None) == dissection_notices
     graph = Graph(3, xadj, adjncy)
     monkeypatch.setattr(dissection, "LEAF_SIZE", 0)
     assert nested_dissection(graph) == oracle(nested_dissection, graph)
-    assert minimum_degree(graph) == oracle(minimum_degree, graph)
 
 
 # ----------------------------------------------------------------------

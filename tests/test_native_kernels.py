@@ -1,11 +1,12 @@
 """The native backend against its oracle, the NumPy kernels.
 
-Differential tests: ``kernels="native"`` factors equal ``"numpy"`` ones
-to 1e-12, threaded runs equal the sequential one bit for bit *within* the
-native backend, every pivot failure ends where the NumPy kernels end
-(C hands the panel back to the one Python implementation of the pivot
-policy), a corrupted plan never reaches C, and a host that cannot build
-the library silently-but-loudly runs the NumPy kernels.
+Differential tests: native factors equal the NumPy ones (factorized
+under :func:`repro.cbuild.python_bodies`) to 1e-12, threaded runs equal
+the sequential one bit for bit *within* the native backend, every pivot
+failure ends where the NumPy kernels end (C hands the panel back to the
+one Python implementation of the pivot policy), a corrupted plan never
+reaches C, and a host that cannot build the library silently-but-loudly
+runs the NumPy kernels.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic import SymbolicOptions, analyze
 from repro.verify import stale_couple_map
+from tests.conftest import backend
 
 pytestmark = pytest.mark.skipif(
     native.availability() is not None,
@@ -109,6 +111,12 @@ def make_matrix(kind: str, n: int, seed: int, cplx: bool,
     return SparseMatrixCSC.from_dense(a)
 
 
+def numpy_factor(*args, **kwargs):
+    """``factorize_sequential`` on the NumPy kernels, the oracle."""
+    with cbuild.python_bodies():
+        return factorize_sequential(*args, **kwargs)
+
+
 def factotypes(cplx: bool):
     return ("ldlt", "lu") if cplx else ("llt", "ldlt", "lu")
 
@@ -122,7 +130,7 @@ def test_drivers_agree_on_every_scheduler(grid2d_medium, helmholtz_small,
                                           no_unit_floor, cplx, scheduler):
     symbol, permuted = _setup(helmholtz_small if cplx else grid2d_medium)
     for ft in factotypes(cplx):
-        ref = factorize_sequential(symbol, permuted, ft, kernels="numpy")
+        ref = numpy_factor(symbol, permuted, ft)
         seq = factorize_sequential(symbol, permuted, ft)
         assert (ref.kernels, seq.kernels) == ("numpy", "native")
         assert np.iscomplexobj(seq.L[0]) == cplx
@@ -153,7 +161,7 @@ def test_generated_matrices(no_unit_floor, kind, n, seed, cplx, chains,
     for ft in factotypes(cplx):
         mat = make_matrix(kind, n, seed, cplx, unsymmetric=ft == "lu")
         symbol, permuted = _setup(mat, options)
-        ref = factorize_sequential(symbol, permuted, ft, kernels="numpy")
+        ref = numpy_factor(symbol, permuted, ft)
         seq = factorize_sequential(symbol, permuted, ft)
         assert_close(ref, seq)
         assert_identical(seq, factorize_threaded(
@@ -167,8 +175,7 @@ def test_empty_and_scalar(n):
     for ft in ("llt", "ldlt", "lu"):
         seq = factorize_sequential(symbol, permuted, ft)
         assert seq.kernels == "native"
-        assert_close(factorize_sequential(symbol, permuted, ft,
-                                          kernels="numpy"), seq)
+        assert_close(numpy_factor(symbol, permuted, ft), seq)
 
 
 def test_width_one_chain_is_really_width_one():
@@ -180,15 +187,14 @@ def test_width_one_chain_is_really_width_one():
 
 def test_solver_reports_the_effective_backend(grid2d_small):
     b = np.ones(grid2d_small.n_rows)
-    for requested, runtime in (("native", "sequential"), ("native", "threaded"),
-                               ("numpy", "sequential")):
+    for kernels, runtime in (("native", "sequential"), ("native", "threaded"),
+                             ("numpy", "sequential")):
         solver = SparseSolver(grid2d_small, SolverOptions(
-            kernels=requested, runtime=runtime, n_workers=2))
-        assert solver.factorize().kernels == requested
-        assert solver.residual_norm(solver.solve(b), b) < 1e-12
-    assert SolverOptions().kernels == "native"
-    with pytest.raises(ValueError, match="kernels"):
-        SolverOptions(kernels="compiled")
+            runtime=runtime, n_workers=2))
+        with backend(kernels):
+            assert solver.factorize().kernels == kernels
+            assert solver.residual_norm(solver.solve(b), b) < 1e-12
+    assert not hasattr(SolverOptions(), "kernels")   # the host decides
 
 
 # ----------------------------------------------------------------------
@@ -233,10 +239,10 @@ def test_zero_pivot_raises_the_same_error(handbacks, ft, driver):
     symbol, permuted = _dense([[0.0, 1.0], [1.0, 0.0]])
 
     def run(kernels):
-        if driver == "sequential":
-            return factorize_sequential(symbol, permuted, ft, kernels=kernels)
-        return factorize_threaded(symbol, permuted, ft, n_workers=2,
-                                  kernels=kernels)
+        with backend(kernels):
+            if driver == "sequential":
+                return factorize_sequential(symbol, permuted, ft)
+            return factorize_threaded(symbol, permuted, ft, n_workers=2)
 
     expected = _outcome(lambda: run("numpy"))
     assert expected[0] is ZeroDivisionError and "zero pivot" in expected[1]
@@ -246,8 +252,7 @@ def test_zero_pivot_raises_the_same_error(handbacks, ft, driver):
 
 def test_non_spd_block_raises_the_same_error(handbacks):
     symbol, permuted = _dense([[1.0, 2.0], [2.0, 1.0]])
-    expected = _outcome(
-        lambda: factorize_sequential(symbol, permuted, "llt", kernels="numpy"))
+    expected = _outcome(lambda: numpy_factor(symbol, permuted, "llt"))
     assert expected[0] is np.linalg.LinAlgError
     assert _outcome(
         lambda: factorize_sequential(symbol, permuted, "llt")) == expected
@@ -256,8 +261,7 @@ def test_non_spd_block_raises_the_same_error(handbacks):
 
 def test_complex_llt_is_rejected_as_before(helmholtz_small, handbacks):
     symbol, permuted = _setup(helmholtz_small)
-    expected = _outcome(
-        lambda: factorize_sequential(symbol, permuted, "llt", kernels="numpy"))
+    expected = _outcome(lambda: numpy_factor(symbol, permuted, "llt"))
     assert expected[0] is TypeError
     assert _outcome(
         lambda: factorize_sequential(symbol, permuted, "llt")) == expected
@@ -268,8 +272,7 @@ def test_tiny_pivots_are_perturbed_alike(grid2d_medium, no_unit_floor,
                                          handbacks, ft):
     symbol, permuted = _setup(grid2d_medium)
     threshold = 3.0   # above the smallest pivot: guaranteed to bite
-    ref = factorize_sequential(symbol, permuted, ft, kernels="numpy",
-                               pivot_threshold=threshold)
+    ref = numpy_factor(symbol, permuted, ft, pivot_threshold=threshold)
     assert ref.pivot_monitor.n_perturbed > 0
     seq = factorize_sequential(symbol, permuted, ft,
                                pivot_threshold=threshold)
@@ -304,7 +307,7 @@ def test_blocks_lapack_would_pivot_take_the_python_loop(handbacks, ft, block):
         symbol, permuted = _dense(_leading(block, width))
         assert np.diff(symbol.cblk_ptr).tolist() == [width]
         del handbacks[:]
-        ref = factorize_sequential(symbol, permuted, ft, kernels="numpy")
+        ref = numpy_factor(symbol, permuted, ft)
         got = factorize_sequential(symbol, permuted, ft)
         assert got.kernels == "native" and handbacks == back, width
         assert_identical(ref, got)
@@ -319,8 +322,8 @@ def test_nan_never_yields_an_accepted_factor(grid2d_small, handbacks, ft):
     poisoned.values[0] = np.nan   # the first diagonal entry
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        expected = _outcome(lambda: factorize_sequential(
-            symbol, poisoned, ft, kernels="numpy"))
+        expected = _outcome(lambda: numpy_factor(
+            symbol, poisoned, ft))
         del handbacks[:]
         got = _outcome(lambda: factorize_sequential(symbol, poisoned, ft))
     assert handbacks, "C accepted a block with a NaN pivot"
@@ -372,7 +375,7 @@ def test_tiny_bound_on_both_sides(ft):
     assert got["diag"][1] == symbol.n_cblk
     assert got["trsm"][1] == symbol.n_cblk - 1     # the last: no rows below
     assert all(ns >= 0 for ns, _ in got.values())
-    ref = factorize_sequential(symbol, permuted, ft, kernels="numpy")
+    ref = numpy_factor(symbol, permuted, ft)
     assert_close(ref, factor)
 
 
@@ -476,9 +479,8 @@ def test_unsupported_dtype_resolves_to_numpy_silently(grid2d_small):
         f = factorize_threaded(symbol, permuted, "ldlt", n_workers=2,
                                dtype=np.float32)
         assert f.kernels == "numpy"
-    for backend in ("fortran", "compiled"):
-        with pytest.raises(ValueError, match="unknown kernels"):
-            native.resolve_kernels(backend)
+    assert native.resolve_kernels(np.float32) == "numpy"
+    assert native.resolve_kernels(np.complex128) == "native"
 
 
 @pytest.mark.parametrize("reason", [
@@ -491,9 +493,9 @@ def test_unloadable_library_falls_back_to_numpy(grid2d_small, monkeypatch,
     monkeypatch.setattr(native, "load", failing)
     symbol, permuted = _setup(grid2d_small)
     for ft in ("llt", "ldlt", "lu"):
-        ref = factorize_sequential(symbol, permuted, ft, kernels="numpy")
+        ref = numpy_factor(symbol, permuted, ft)
         with pytest.warns(RuntimeWarning, match="falling back") as record:
-            got = factorize_sequential(symbol, permuted, ft, kernels="native")
+            got = factorize_sequential(symbol, permuted, ft)
         assert len(record) == 1 and reason in str(record[0].message)
         assert got.kernels == "numpy"
         assert_identical(ref, got)

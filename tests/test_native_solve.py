@@ -1,12 +1,12 @@
 """The native triangular solve against its oracle, the NumPy bodies.
 
-Differential tests on the *same* factor: ``factor.kernels`` picks the
-solve backend, so a copy with ``kernels="numpy"`` runs the NumPy sweeps
-over the very same panels.  Native is within 1e-12 of NumPy, and the
-threaded solve is bit-identical to ``solve_factored`` *within* each
-backend (both make the same calls, only grouped differently).  Malformed
-arguments never reach C, and a host that cannot load the library solves
-exactly as the NumPy bodies do.
+Differential tests on the *same* factor: inside
+:func:`repro.cbuild.python_bodies` a native factor's solves run the
+NumPy sweeps over the very same panels.  Native is within 1e-12 of
+NumPy, and the threaded solve is bit-identical to ``solve_factored``
+*within* each backend (both make the same calls, only grouped
+differently).  Malformed arguments never reach C, and a host that cannot
+load the library solves exactly as the NumPy bodies do.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import SolverOptions, SparseSolver
+from repro import SolverOptions, SparseSolver, cbuild
 from repro.core.factorization import factorize_sequential
 from repro.core.triangular import solve_factored
 from repro.dag.solve_builder import build_solve_dag
@@ -27,7 +27,13 @@ from repro.runtime.threaded import THREAD_SCHEDULERS, solve_threaded
 from repro.runtime.tracing import ExecutionTrace
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic import analyze
-from tests.test_native_kernels import NO_AMALGAMATION, factotypes, make_matrix
+from tests.conftest import backend
+from tests.test_native_kernels import (
+    NO_AMALGAMATION,
+    factotypes,
+    make_matrix,
+    numpy_factor,
+)
 
 #: Without the flop floors the test matrices' solve DAGs have many tasks
 #: (with them, one forward and one backward task).
@@ -52,9 +58,10 @@ def _factor(mat, ft, options=None):
     return factor
 
 
-def _numpy(factor):
-    """The same panels, solved by the NumPy bodies."""
-    return dataclasses.replace(factor, kernels="numpy")
+def _numpy_solve(factor, b):
+    """``solve_factored`` of the same panels by the NumPy bodies."""
+    with cbuild.python_bodies():
+        return solve_factored(factor, b)
 
 
 def _rhs(rng, n, shape, cplx=False):
@@ -75,12 +82,13 @@ def assert_close(ref, got):
 def assert_parity(factor, b, n_workers=2):
     """Both backends × both runtimes on ``b``; returns the native answer."""
     got = {}
-    for backend, f in (("native", factor), ("numpy", _numpy(factor))):
-        seq = solve_factored(f, b)
-        par = solve_threaded(f, b, n_workers=n_workers)
+    for kernels in ("native", "numpy"):
+        with backend(kernels):
+            seq = solve_factored(factor, b)
+            par = solve_threaded(factor, b, n_workers=n_workers)
         assert seq.shape == b.shape and seq.dtype == factor.dtype
-        assert np.array_equal(seq, par, equal_nan=True), backend
-        got[backend] = seq
+        assert np.array_equal(seq, par, equal_nan=True), kernels
+        got[kernels] = seq
     assert_close(got["numpy"], got["native"])
     return got["native"]
 
@@ -113,11 +121,13 @@ def test_threaded_equals_sequential_every_scheduler(
             factor = _factor(mat, ft)
             for shape in ((), (3,)):
                 b = _rhs(rng, mat.n_rows, shape, cplx)
-                for f in (factor, _numpy(factor)):
-                    ref = solve_factored(f, b)
-                    for n_workers in (1, 2, 4):
-                        assert np.array_equal(ref, solve_threaded(
-                            f, b, n_workers=n_workers, scheduler=scheduler))
+                for kernels in ("native", "numpy"):
+                    with backend(kernels):
+                        ref = solve_factored(factor, b)
+                        for n_workers in (1, 2, 4):
+                            assert np.array_equal(ref, solve_threaded(
+                                factor, b, n_workers=n_workers,
+                                scheduler=scheduler))
 
 
 def test_one_call_per_sweep_and_per_task(grid2d_medium, monkeypatch):
@@ -148,7 +158,8 @@ def test_one_call_per_sweep_and_per_task(grid2d_medium, monkeypatch):
     assert sorted(e.task for e in trace.events) == list(range(dag.n_tasks))
     assert trace.meta["kernels"] == "native"
     trace = ExecutionTrace()
-    solve_threaded(_numpy(factor), b, n_workers=2, trace=trace)
+    with cbuild.python_bodies():
+        solve_threaded(factor, b, n_workers=2, trace=trace)
     assert trace.meta["kernels"] == "numpy"
     assert calls == ["dag"] and len(trace.events) == dag.n_tasks
 
@@ -175,8 +186,10 @@ def test_rhs_layouts_and_dtypes(grid2d_small, ft, case):
     b = _edge_rhs(grid2d_small.n_rows)[case]
     assert_parity(factor, b)
     plain = np.ascontiguousarray(b, dtype=factor.dtype)
-    for f in (factor, _numpy(factor)):
-        assert np.array_equal(solve_factored(f, b), solve_factored(f, plain))
+    for kernels in ("native", "numpy"):
+        with backend(kernels):
+            assert np.array_equal(solve_factored(factor, b),
+                                  solve_factored(factor, plain))
 
 
 @pytest.mark.parametrize("runtime", ["sequential", "threaded"])
@@ -186,8 +199,9 @@ def test_complex_rhs_on_a_real_factor(grid2d_small, runtime):
     got = {}
     for kernels in ("native", "numpy"):
         solver = SparseSolver(grid2d_small, SolverOptions(
-            kernels=kernels, runtime=runtime, n_workers=2))
-        got[kernels] = solver.solve(b, method="none")
+            runtime=runtime, n_workers=2))
+        with backend(kernels):
+            got[kernels] = solver.solve(b, method="none")
         assert np.iscomplexobj(got[kernels])
         assert solver.residual_norm(got[kernels], b) < 1e-12
     assert_close(got["numpy"], got["native"])
@@ -330,18 +344,16 @@ def test_factors_without_arenas_take_the_numpy_bodies(grid2d_small):
     b = np.random.default_rng(6).standard_normal(grid2d_small.n_rows)
     x = np.ones(grid2d_small.n_rows)
     assert native.solve_sweeps(lists, x, np.arange(factor.n_cblk)) is None
-    assert np.array_equal(solve_factored(lists, b),
-                          solve_factored(_numpy(factor), b))
+    assert np.array_equal(solve_factored(lists, b), _numpy_solve(factor, b))
     assert np.array_equal(solve_threaded(lists, b, n_workers=2),
-                          solve_factored(_numpy(factor), b))
+                          _numpy_solve(factor, b))
 
 
 def test_unloadable_library_solves_exactly_like_numpy(grid2d_small,
                                                       monkeypatch):
     res = analyze(grid2d_small)
     permuted = grid2d_small.permute(res.perm.perm)
-    refs = {ft: factorize_sequential(res.symbol, permuted, ft,
-                                     kernels="numpy")
+    refs = {ft: numpy_factor(res.symbol, permuted, ft)
             for ft in ("llt", "ldlt", "lu")}
 
     def failing():

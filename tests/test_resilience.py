@@ -13,6 +13,7 @@ not a feature.
 import numpy as np
 import pytest
 
+from repro import cbuild
 from repro.dag import build_dag
 from repro.distributed import ClusterSpec, map_cblks, simulate_distributed
 from repro.machine import mirage, simulate
@@ -422,10 +423,10 @@ class TestThreaded:
         res = analyze(grid2d_small)
         permuted = grid2d_small.permute(res.perm.perm)
         trace = ExecutionTrace()
-        with pytest.raises(ValueError, match="boom on panel"):
+        with cbuild.python_bodies(), pytest.raises(ValueError,
+                                                   match="boom on panel"):
             threaded.factorize_threaded(res.symbol, permuted, "llt",
-                                        n_workers=2, kernels="numpy",
-                                        trace=trace)
+                                        n_workers=2, trace=trace)
         assert [f.kind for f in trace.fault_events] == ["task-error"]
 
     def test_factorize_threaded_passthrough(self, grid2d_small):

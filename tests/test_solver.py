@@ -5,6 +5,7 @@ import pytest
 
 from repro import SolverOptions, SparseSolver
 from repro.symbolic import SymbolicOptions
+from tests.conftest import backend
 
 
 class TestBasics:
@@ -59,9 +60,9 @@ class TestBasics:
         assert s.last_refinement.converged
 
     def test_no_refinement(self, grid2d_small):
-        s = SparseSolver(grid2d_small, SolverOptions(refine=False))
+        s = SparseSolver(grid2d_small)
         b = np.ones(grid2d_small.n_rows)
-        x = s.solve(b)
+        x = s.solve(b, method="none")
         assert s.last_refinement is None
         assert s.residual_norm(x, b) < 1e-10
 
@@ -120,7 +121,7 @@ class TestBlockAndReuse:
         assert resid / np.linalg.norm(B) < 1e-12
 
     def test_block_rhs_no_refine(self, grid2d_small):
-        s = SparseSolver(grid2d_small, SolverOptions(refine=False))
+        s = SparseSolver(grid2d_small)
         B = np.ones((grid2d_small.n_rows, 3))
         X = s.solve(B, method="none")
         resid = np.linalg.norm(B - grid2d_small.matvec(X))
@@ -409,8 +410,8 @@ class TestThreadedSolvePath:
 
         mat = coo_to_csc(0, 0, [], [], np.array([], dtype=float))
         s = SparseSolver(mat, SolverOptions(
-            factotype=factotype, runtime=runtime, kernels=kernels,
-            n_workers=2))
-        for shape in ((0,), (0, 3)):
-            x = s.solve(np.zeros(shape), method="none")
-            assert x.shape == shape and x.dtype == np.float64
+            factotype=factotype, runtime=runtime, n_workers=2))
+        with backend(kernels):
+            for shape in ((0,), (0, 3)):
+                x = s.solve(np.zeros(shape), method="none")
+                assert x.shape == shape and x.dtype == np.float64

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import native as graph_native
 from repro.kernels import native
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
 
@@ -139,21 +138,20 @@ class TestTransforms:
     @pytest.mark.parametrize("backend", ["native", "python"])
     @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1, 3], [-1, 0, 1],
                                       [2, 2, 2]])
-    def test_permute_rejects_a_non_permutation(self, monkeypatch, backend,
+    def test_permute_rejects_a_non_permutation(self, request, backend,
                                                perm):
         """Both paths refuse a ``perm`` that is not a bijection on
         ``[0, n)`` (``[0, 0, 1]`` used to return a matrix)."""
         if backend == "python":
-            monkeypatch.setattr(graph_native, "library", lambda: None)
+            request.getfixturevalue("python_analysis")
         m = coo_to_csc(3, 3, [2, 0], [2, 1], [5.0, 1.0])
         with pytest.raises(ValueError, match="permutation"):
             m.permute(np.array(perm))
 
     @pytest.mark.parametrize("backend", ["native", "python"])
-    def test_permute_rejects_duplicate_coordinates(self, monkeypatch,
-                                                   backend):
+    def test_permute_rejects_duplicate_coordinates(self, request, backend):
         if backend == "python":
-            monkeypatch.setattr(graph_native, "library", lambda: None)
+            request.getfixturevalue("python_analysis")
         m = SparseMatrixCSC(2, 2, np.array([0, 2, 3]), np.array([1, 1, 0]),
                             np.ones(3))
         with pytest.raises(ValueError, match="1 duplicate coordinates"):

@@ -99,14 +99,6 @@ class TestSplitting:
         split = analyze(grid2d_medium, SymbolicOptions(split_max_width=8))
         assert split.symbol.n_cblk > full.symbol.n_cblk
 
-    def test_min_panels_forces_decomposition(self, grid2d_small):
-        one = analyze(grid2d_small, SymbolicOptions(split_max_width=1000))
-        forced = analyze(
-            grid2d_small,
-            SymbolicOptions(split_max_width=1000, min_panels=2),
-        )
-        assert forced.symbol.n_cblk > one.symbol.n_cblk
-
     def test_split_never_exceeds_columns(self):
         # max_width=1: every panel is a single column.
         snptr = np.array([0, 5], dtype=np.int64)
@@ -116,20 +108,18 @@ class TestSplitting:
         assert np.array_equal(r2[0], [1, 2, 3, 4, 7, 9])
         assert np.array_equal(r2[-1], [7, 9])
 
-    @pytest.mark.parametrize("max_width,min_panels", [
-        (1, 1), (3, 1), (4, 2), (7, 3), (128, 1), (128, 2)])
-    def test_split_equals_a_loop_over_every_supernode(self, max_width,
-                                                      min_panels):
+    @pytest.mark.parametrize("max_width", [1, 3, 4, 7, 128])
+    def test_split_equals_a_loop_over_every_supernode(self, max_width):
         """The split loops over the supernodes it splits only; a loop
         over every supernode, the old body, gives the same arrays."""
-        rng = np.random.default_rng(max_width * 10 + min_panels)
+        rng = np.random.default_rng(max_width)
         snptr = np.concatenate(([0], np.cumsum(rng.integers(1, 12, 40))))
         rowsets = [np.sort(rng.choice(np.arange(500, 600), rng.integers(0, 5),
                                       replace=False)) for _ in range(40)]
         want_bounds, want_rows = [0], []
         for k in range(40):
             f, l = int(snptr[k]), int(snptr[k + 1])
-            m = min(max(max(min_panels, 1), -(-(l - f) // max_width)), l - f)
+            m = min(-(-(l - f) // max_width), l - f)
             base, extra = divmod(l - f, m)
             start = f
             for i in range(m):
@@ -138,8 +128,7 @@ class TestSplitting:
                 want_rows.append(np.concatenate(
                     [np.arange(start, l), rowsets[k]]) if start < l
                     else rowsets[k])
-        s2, r2 = split_supernodes(snptr, rowsets, max_width=max_width,
-                                  min_panels=min_panels)
+        s2, r2 = split_supernodes(snptr, rowsets, max_width=max_width)
         assert s2.dtype == np.int64 and s2.tolist() == want_bounds
         assert len(r2) == len(want_rows)
         assert all(a.dtype == b.dtype and np.array_equal(a, b)

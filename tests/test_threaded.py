@@ -14,6 +14,7 @@ from repro.runtime.tracing import ExecutionTrace
 from repro.dag import build_dag, get_dag
 from repro.dag.builder import dag_of_trace
 from repro.symbolic import analyze
+from tests.conftest import backend
 
 
 def _setup(mat, factotype):
@@ -105,16 +106,16 @@ def test_complex_rhs_on_a_real_factor_is_rejected(grid2d_small, solve):
     """Casting a complex ``b`` to a real factor's dtype would drop its
     imaginary part: both solves refuse it (``SparseSolver.solve`` splits
     it into a real block instead), on either backend."""
-    import dataclasses
-
     res, permuted = _setup(grid2d_small, "ldlt")
     factor = factorize_sequential(res.symbol, permuted, "ldlt")
     b = np.ones(permuted.n_rows) * (1 + 1j)
-    for f in (factor, dataclasses.replace(factor, kernels="numpy")):
-        for rhs in (b, b[:, None], list(b)):
-            with pytest.raises(TypeError, match="complex right-hand side"):
-                solve(f, rhs)
-        x = solve(f, b.real)
+    for kernels in ("native", "numpy"):
+        with backend(kernels):
+            for rhs in (b, b[:, None], list(b)):
+                with pytest.raises(TypeError,
+                                   match="complex right-hand side"):
+                    solve(factor, rhs)
+            x = solve(factor, b.real)
         assert not np.iscomplexobj(x)
 
 
@@ -421,13 +422,10 @@ class TestSolveExecutor:
     many tasks."""
 
     @staticmethod
-    def _factors(mat, factotype="ldlt"):
-        """The same panels on the native and the NumPy bodies."""
-        import dataclasses
-
+    def _factor(mat, factotype="ldlt"):
+        """A factor whose panels the cases solve on both backends."""
         res, permuted = _setup(mat, factotype)
-        factor = factorize_sequential(res.symbol, permuted, factotype)
-        return res, [factor, dataclasses.replace(factor, kernels="numpy")]
+        return res, factorize_sequential(res.symbol, permuted, factotype)
 
     def test_solve_starts_no_python_thread(self, grid2d_medium, monkeypatch):
         import threading
@@ -443,14 +441,15 @@ class TestSolveExecutor:
             start(self)
 
         monkeypatch.setattr(threading.Thread, "start", spy)
-        res, factors = self._factors(grid2d_medium)
+        res, factor = self._factor(grid2d_medium)
         b = np.random.default_rng(1).standard_normal((res.symbol.n, 3))
-        for factor in factors:
+        for kernels in ("native", "numpy"):
             for scheduler in sorted(THREAD_SCHEDULERS):
                 trace = ExecutionTrace()
-                x = solve_threaded(factor, b, n_workers=3, trace=trace,
-                                   scheduler=scheduler, record_sync=True)
-                assert np.array_equal(x, solve_factored(factor, b))
+                with backend(kernels):
+                    x = solve_threaded(factor, b, n_workers=3, trace=trace,
+                                       scheduler=scheduler, record_sync=True)
+                    assert np.array_equal(x, solve_factored(factor, b))
         factorize_threaded(res.symbol, grid2d_medium.permute(res.perm.perm),
                            "ldlt", n_workers=2)
         assert started == []
@@ -461,7 +460,7 @@ class TestSolveExecutor:
         from repro.kernels import native
         from repro.runtime.threaded import solve_threaded
 
-        res, factors = self._factors(grid2d_medium)
+        res, factor = self._factor(grid2d_medium)
         dag = solve_builder.build_solve_dag(res.symbol, "ldlt", n_workers=2)
         assert dag.n_tasks > 2 and dag.n_edges > 0
 
@@ -493,11 +492,11 @@ class TestSolveExecutor:
                 bad.n_deps = np.bincount(bad.succ_list, minlength=bad.n_tasks)
             monkeypatch.setattr(solve_builder, "build_solve_dag",
                                 lambda *a, bad=bad, **k: bad)
-            for factor in factors:
-                with pytest.raises(ValueError):
+            for kernels in ("native", "numpy"):
+                with backend(kernels), pytest.raises(ValueError):
                     solve_threaded(factor, np.ones(res.symbol.n), n_workers=2)
         with pytest.raises(ValueError, match="n_workers must be positive"):
-            solve_threaded(factors[0], np.ones(res.symbol.n), n_workers=0)
+            solve_threaded(factor, np.ones(res.symbol.n), n_workers=0)
 
     def test_tasks_are_checked_one_by_one(self):
         from repro.kernels.native import DagTasks
@@ -547,18 +546,21 @@ class TestSolveExecutor:
         from repro.sparse.csc import SparseMatrixCSC
 
         for mat in (SparseMatrixCSC.from_dense(np.eye(0)), grid2d_small):
-            res, factors = self._factors(mat, factotype)
+            res, factor = self._factor(mat, factotype)
             n = res.symbol.n
             n_tasks = build_solve_dag(res.symbol, factotype,
                                       n_workers=2).n_tasks
             assert n_tasks == (0 if n == 0 else n_tasks)
-            for factor in factors:
+            for kernels in ("native", "numpy"):
                 for b in (np.ones(n), np.ones((n, 0)), np.ones((n, 2))):
-                    ref = solve_factored(factor, b)
+                    with backend(kernels):
+                        ref = solve_factored(factor, b)
                     for n_workers in (1, 2, n_tasks + 5):
                         trace = ExecutionTrace()
-                        x = solve_threaded(factor, b, n_workers=n_workers,
-                                           trace=trace, record_sync=True)
+                        with backend(kernels):
+                            x = solve_threaded(factor, b,
+                                               n_workers=n_workers,
+                                               trace=trace, record_sync=True)
                         assert x.shape == b.shape
                         assert np.array_equal(x, ref)
                         counts = trace.meta["sync_stats"]["counts"]
@@ -595,12 +597,13 @@ class TestFailingTask:
                 mp.setattr(native if kernels == "native" else threaded,
                            "panel_factorize", boom)
                 trace = ExecutionTrace()
-                with pytest.raises(ZeroDivisionError, match="boom in panel"):
+                with backend(kernels), pytest.raises(
+                        ZeroDivisionError, match="boom in panel"):
                     factorize_threaded(res.symbol, permuted, "ldlt",
                                        n_workers=n_workers, trace=trace,
                                        scheduler="inverse-priority",
                                        pivot_threshold=1e300,
-                                       kernels=kernels, record_sync=True)
+                                       record_sync=True)
             faults = trace.fault_events
             assert len(faults) == len(seen) >= 1
             assert {f.kind for f in faults} == {"task-error"}

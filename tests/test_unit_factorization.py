@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro import SolverOptions, SparseSolver
+from repro import SolverOptions, SparseSolver, cbuild
 from repro.core.factorization import factorize_sequential
 from repro.dag import TaskKind, build_dag, get_dag, update_couples
 from repro.dag import critical_path
@@ -36,6 +36,7 @@ from repro.sparse import load_matrix
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic import analyze
 from repro.verify.hazards import analyze_hazards, drop_edge
+from tests.conftest import backend
 from tests.test_analysis_golden import E2E_INPUTS
 
 #: (factotype, complex?) — LLᵀ is real-only (``potrf`` rejects complex).
@@ -70,14 +71,14 @@ def test_bit_identical_to_sequential(grid2d_medium, helmholtz_small,
     res, permuted = _setup(helmholtz_small if cplx else grid2d_medium)
     # A statement about the NumPy kernels (the native backend:
     # tests/test_native_kernels.py).
-    ref = factorize_sequential(res.symbol, permuted, factotype,
-                               kernels="numpy")
-    assert np.iscomplexobj(ref.L[0]) == cplx
-    for n_workers in (1, 2, 3, 4):
-        got = factorize_threaded(
-            res.symbol, permuted, factotype, n_workers=n_workers,
-            scheduler=scheduler, kernels="numpy")
-        _assert_identical(ref, got)
+    with cbuild.python_bodies():
+        ref = factorize_sequential(res.symbol, permuted, factotype)
+        assert np.iscomplexobj(ref.L[0]) == cplx
+        for n_workers in (1, 2, 3, 4):
+            got = factorize_threaded(
+                res.symbol, permuted, factotype, n_workers=n_workers,
+                scheduler=scheduler)
+            _assert_identical(ref, got)
     assert get_dag(res.symbol, factotype, granularity="unit",
                    dtype=ref.dtype, n_workers=4).n_tasks > 4
 
@@ -110,13 +111,14 @@ def test_interleaving_cannot_change_the_factor(grid2d_medium, no_unit_floor):
     try:
         for kernels, threshold in (("numpy", 0.0), ("native", 0.0),
                                    ("native", 3.0)):
-            ref = factorize_sequential(res.symbol, permuted, "ldlt",
-                                       kernels=kernels,
-                                       pivot_threshold=threshold)
+            with backend(kernels):
+                ref = factorize_sequential(res.symbol, permuted, "ldlt",
+                                           pivot_threshold=threshold)
             for _ in range(10):
-                got = factorize_threaded(res.symbol, permuted, "ldlt",
-                                         n_workers=8, kernels=kernels,
-                                         pivot_threshold=threshold)
+                with backend(kernels):
+                    got = factorize_threaded(res.symbol, permuted, "ldlt",
+                                             n_workers=8,
+                                             pivot_threshold=threshold)
                 _assert_identical(ref, got)
                 assert (got.pivot_monitor is None) == (threshold == 0.0)
                 if threshold:
@@ -425,12 +427,12 @@ def test_split_factor_is_bit_identical(grid2d_medium, helmholtz_small,
     res, permuted = _setup(helmholtz_small if cplx else grid2d_medium)
     seq = {}
     for kernels in ("native", "numpy"):
-        seq[kernels] = ref = factorize_sequential(res.symbol, permuted, ft,
-                                                  kernels=kernels)
-        for n_workers in (1, 2, 3):
-            _assert_identical(ref, factorize_threaded(
-                res.symbol, permuted, ft, n_workers=n_workers,
-                kernels=kernels))
+        with backend(kernels):
+            seq[kernels] = ref = factorize_sequential(res.symbol, permuted,
+                                                      ft)
+            for n_workers in (1, 2, 3):
+                _assert_identical(ref, factorize_threaded(
+                    res.symbol, permuted, ft, n_workers=n_workers))
     for name in ("L", "U", "D"):
         a, b = getattr(seq["native"], name), getattr(seq["numpy"], name)
         for x, y in zip(a or (), b or ()):

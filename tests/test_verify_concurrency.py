@@ -23,19 +23,20 @@ from repro.verify.concurrency import (
     swallow_wakeup,
     verify_concurrency,
 )
+from tests.conftest import backend
 
 
 def _traced_run(mat, factotype="llt", *, scheduler="ws", n_workers=3,
-                record_sync=True, kernels="native"):
+                record_sync=True, bodies="native"):
     """Run, and pair the trace with the DAG it names."""
     res = analyze(mat)
     permuted = mat.permute(res.perm.perm)
     trace = ExecutionTrace()
-    factor = factorize_threaded(
-        res.symbol, permuted, factotype, n_workers=n_workers,
-        trace=trace, scheduler=scheduler, record_sync=record_sync,
-        kernels=kernels,
-    )
+    with backend(bodies):
+        factor = factorize_threaded(
+            res.symbol, permuted, factotype, n_workers=n_workers,
+            trace=trace, scheduler=scheduler, record_sync=record_sync,
+        )
     dag = dag_of_trace(res.symbol, factotype, trace, dtype=factor.dtype)
     assert dag.granularity == "unit"
     return dag, trace, factor
@@ -53,7 +54,7 @@ def _codes(report, errors_only=True):
 @pytest.mark.parametrize("native", [False, True])
 def test_clean_run_passes(grid2d_small, no_unit_floor, scheduler, native):
     dag, trace, _ = _traced_run(grid2d_small, scheduler=scheduler,
-                                kernels="native" if native else "numpy")
+                                bodies="native" if native else "numpy")
     assert dag.n_tasks > 1
     rep = verify_concurrency(dag, trace)
     assert rep.ok, rep.format()
@@ -97,8 +98,9 @@ def test_solve_run_passes(grid2d_small, no_unit_floor):
     for (factotype, scheduler), kernels in itertools.product(
             [("llt", "inverse-priority"), ("ldlt", "ws"), ("lu", "priority")],
             ["native", "numpy"]):
-        factor = factorize_threaded(res.symbol, permuted, factotype,
-                                    n_workers=3, kernels=kernels)
+        with backend(kernels):
+            factor = factorize_threaded(res.symbol, permuted, factotype,
+                                        n_workers=3)
         trace = ExecutionTrace()
         x = solve_threaded(factor, b, n_workers=3, trace=trace,
                            record_sync=True, scheduler=scheduler)

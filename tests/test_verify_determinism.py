@@ -25,6 +25,7 @@ from repro.verify.determinism import (
     verify_determinism,
 )
 from repro.verify.lint import FAMILIES, lint_paths, lint_sources
+from tests.conftest import backend
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +75,9 @@ def _burst_trace():
 def _threaded_trace(res, matrix, scheduler, kernels):
     permuted = matrix.permute(res.perm.perm)
     trace = ExecutionTrace()
-    factorize_threaded(
-        res.symbol, permuted, "llt", n_workers=2, trace=trace,
-        scheduler=scheduler, kernels=kernels,
-    )
+    with backend(kernels):
+        factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
+                           trace=trace, scheduler=scheduler)
     return trace
 
 
