@@ -77,10 +77,10 @@ chaos-smoke:
 # Quick concurrency gate: `repro verify` runs a sync-traced threaded
 # factorization and a threaded solve on its factor at two workers, and
 # audits each against the DAG it ran (C702 publish order, C705 lost
-# wakeups, C707 sync provenance).  lap3d at size 22 (n = 10648, ~1 s) is
-# the smallest generator grid whose solve (4.1e6 flops) clears
-# MIN_SOLVE_FLOPS (4e6), so the solve trace has a real tree of tasks
-# (148 at two workers), not the two-task chain of a smaller solve.
+# wakeups, C707 sync provenance).  lap3d at size 22 (n = 10648, ~1 s):
+# its solve (4.1e6 flops) clears MIN_SOLVE_FLOPS (2e6) twice over, so
+# the solve trace has a real tree of tasks (148 at two workers), not the
+# two-task chain of a solve under the floor.
 race-smoke:
 	@$(PYTHON) -m repro verify --matrix lap3d --size 22 --cores 2 \
 		--only concurrency >/dev/null; \
@@ -116,8 +116,10 @@ native-smoke:
 # keeps its arenas to the end), and run the differential fuzzer (the
 # C-vs-NumPy plan draws among them), the corrupted-plan checks and
 # native-smoke.  The differential tests of the three analysis passes
-# (test_analysis_passes.py) run under it too.  Any finding aborts the
-# process, so the gate fails.  No C compiler or no libasan: SKIPPED.
+# (test_analysis_passes.py) and of the native solve
+# (test_native_solve.py: the narrow steps' plain loops, the executor's
+# solve tasks) run under it too.  Any finding aborts the process, so the
+# gate fails.  No C compiler or no libasan: SKIPPED.
 SANITIZE_CFLAGS := -fsanitize=address,undefined \
 	-fno-sanitize-recover=undefined -fno-omit-frame-pointer
 sanitize-smoke:
@@ -134,7 +136,8 @@ sanitize-smoke:
 		-k "test_differential or corrupt or checkers" \
 		>/dev/null \
 	&& LD_PRELOAD=$$asan $(PYTHON) -m pytest -q \
-		tests/test_analysis_passes.py >/dev/null \
+		tests/test_analysis_passes.py tests/test_native_solve.py \
+		>/dev/null \
 	&& LD_PRELOAD=$$asan $(PYTHON) benchmarks/native_smoke.py >/dev/null; \
 	status=$$?; rm -rf "$$cache"; \
 	if [ $$status -eq 0 ]; then echo "sanitize-smoke: clean"; \

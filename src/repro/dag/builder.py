@@ -48,11 +48,12 @@ MIN_UNIT_FLOPS = 4e6
 
 #: Flop floor of a partitioned solve DAG (its total: both sweeps, all
 #: right-hand sides).  Below it the whole tree is one unit — one forward
-#: and one backward task, a chain no second worker joins — as a second
+#: and one backward task, run as the two plain sweeps — as a second
 #: worker costs more than it takes over: on a 2-core x86-64 host the
-#: threaded solve's w=2 / w=1 time ratio crosses 1 at about 3.7e6 flops
-#: (the solve work floor of ``docs/performance.md``).
-MIN_SOLVE_FLOPS = 4e6
+#: threaded solve at w=2 is at most the two sweeps' time on every input
+#: measured above 2e6 flops, and loses on some below it (the solve work
+#: floor and "Small solves" of ``docs/performance.md``).
+MIN_SOLVE_FLOPS = 2e6
 
 #: Rows of a row-block task, on average: a split panel's below-diagonal
 #: rows are cut into ``ceil(below / ROW_BLOCK)`` blocks of about equal

@@ -1388,10 +1388,13 @@ i64 repro_couple_plan(i64 n, i64 n_cblk, const i64 *blok_ptr,
  * in the factor arenas.  Entry (i, j) with i at or below the first column
  * of j's panel k goes to L: panel k, the row holding i, column j (read
  * from k's placed rows).  Otherwise, for LU only, it goes to U,
- * transposed: panel u of row i, the row holding j, column i (a search).
+ * transposed: panel u of row i, the row holding j, column i — where its
+ * transpose (j, i) lands in L.  The upper entries are sorted by row i (a
+ * transpose of that side, O(n + nnz)), so that each panel u is placed
+ * once and every lookup in it is a load, not a search.
  * Count mode (L_src == NULL): the entry counts of each side into
  * counts[0..1].  Fill mode: the source indices and arena positions.
- * MISSING: the entry counts[2] has no row to land in. */
+ * MISSING: the entry counts[2] has no row to land in (the first one). */
 enum { MISSING = -3 };
 
 i64 repro_assembly_map(i64 n, const i64 *colptr, const i64 *rowind,
@@ -1401,7 +1404,8 @@ i64 repro_assembly_map(i64 n, const i64 *colptr, const i64 *rowind,
                        i64 *counts, i64 *L_src, i64 *L_dst, i64 *U_src,
                        i64 *U_dst)
 {
-    i64 j, e, nl = 0, nu = 0, placed = -1, status = OK;
+    i64 j, e, u, nl = 0, nu = 0, placed = -1, missing = -1;
+    i64 *by_row, *slot, start;
     place_t pl;
     if (!L_src) {
         for (j = 0; j < n; j++)
@@ -1417,34 +1421,63 @@ i64 repro_assembly_map(i64 n, const i64 *colptr, const i64 *rowind,
     }
     if (place_init(&pl, n, row_ptr, rows) != OK)
         return NO_MEMORY;
-    for (j = 0; j < n && status == OK; j++) {
+    /* by_row[i + 1]: the upper entries of row i, then where they end in
+     * slot, the upper entries grouped by row.  Up to the first missing
+     * lower entry, U_dst holds each upper entry's column. */
+    by_row = calloc((size_t)(n + 1 + (lu ? colptr[n] : 0)) + 1, sizeof(i64));
+    if (!by_row) {
+        free(pl.pos);
+        return NO_MEMORY;
+    }
+    slot = by_row + n + 1;
+    for (j = 0; j < n && missing < 0; j++) {
         i64 k = col2cblk[j], fcol = cblk_ptr[k];
         for (e = colptr[j]; e < colptr[j + 1]; e++) {
-            i64 i = rowind[e], u, at;
+            i64 i = rowind[e];
             if (i >= fcol) {
                 if (k != placed)
                     place_panel(&pl, placed = k);
-                if (pl.stamp[i] != k)
+                if (pl.stamp[i] != k) {
+                    missing = e;
                     break;
+                }
                 L_src[nl] = e;
                 L_dst[nl++] = offset[k] + pl.pos[i] * width[k] + (j - fcol);
             } else if (lu) {
-                u = col2cblk[i];
-                at = place_find(&pl, u, j);
-                if (at == row_ptr[u + 1] - row_ptr[u]
-                    || rows[row_ptr[u] + at] != j)
-                    break;
                 U_src[nu] = e;
-                U_dst[nu++] = offset[u] + at * width[u] + (i - cblk_ptr[u]);
+                U_dst[nu++] = j;
+                by_row[i + 1]++;
             }
         }
-        if (e < colptr[j + 1]) {
-            counts[2] = e;
-            status = MISSING;
-        }
     }
+    for (j = 0; j < n && lu; j++)
+        by_row[j + 1] += by_row[j];
+    for (e = 0; e < nu; e++)
+        slot[by_row[rowind[U_src[e]]]++] = e;
+    /* Row i's entries are now slot[by_row[i - 1] .. by_row[i]). */
+    start = 0;
+    for (u = 0; u < (lu && n ? col2cblk[n - 1] + 1 : 0); u++) {
+        i64 i, f = cblk_ptr[u], end = by_row[cblk_ptr[u + 1] - 1];
+        if (start < end)
+            place_panel(&pl, u);
+        for (i = f; start < end; i++)
+            for (; start < by_row[i]; start++) {
+                i64 t = slot[start], col = U_dst[t];
+                if (pl.stamp[col] != u) {
+                    if (missing < 0 || U_src[t] < missing)
+                        missing = U_src[t];
+                    continue;
+                }
+                U_dst[t] = offset[u] + pl.pos[col] * width[u] + (i - f);
+            }
+    }
+    free(by_row);
     free(pl.pos);
-    return status;
+    if (missing >= 0) {
+        counts[2] = missing;
+        return MISSING;
+    }
+    return OK;
 }
 
 /* P A P^T of a CSC pattern, perm[old] = new, in O(n + nnz): a counting

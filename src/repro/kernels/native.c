@@ -1150,7 +1150,10 @@ int64_t S(repro_factorize_panels)(const plan_t *p, int ft, T *L, T *U, T *D,
 /* x holds n x nrhs row-major, so a segment of w rows is the column-major
  * nrhs x w matrix X^T (leading dimension nrhs): a left solve op(A) X = B
  * is the right solve X^T op(A)^T = B^T below.  With one right-hand side
- * the same solves and products are ?trsv / ?gemv on the plain vector.
+ * the same solves and products are ?trsv / ?gemv on the plain vector, or
+ * plain loops for a panel at most NARROW wide (no BLAS call: most panels
+ * of a small solve are a few columns wide, and a call costs more than
+ * its arithmetic); the backward loops read x[rows below k] in place.
  * slab[k], the product L21 . y_k of panel k, holds below x nrhs elements
  * at (row_ptr[k] - d_off[k]) . nrhs: the running sum of height - width.
  *
@@ -1181,7 +1184,22 @@ static void S(forward)(const plan_t *p, int ft, T *L, T *x, int64_t nrhs,
     char *diag = ft == LLT ? "N" : "U";
     int iw = (int)w, ib = (int)below, ir = (int)nrhs, inc = 1;
     T one = 1, zero = 0;
-    if (nrhs == 1) {
+    if (nrhs == 1 && w <= NARROW) {
+        for (int64_t i = 0; i < w; i++) { /* y_k = L11^-1 x[f:l] */
+            const T *li = blk + i * w;
+            T s = xk[i];
+            for (int64_t j = 0; j < i; j++)
+                s -= MUL(li[j], xk[j]);
+            xk[i] = ft == LLT ? s / li[i] : s;
+        }
+        for (int64_t i = 0; i < below; i++) { /* L21 . y_k */
+            const T *li = blk + (w + i) * w;
+            T s = MUL(li[0], xk[0]);
+            for (int64_t j = 1; j < w; j++)
+                s += MUL(li[j], xk[j]);
+            out[i] = s;
+        }
+    } else if (nrhs == 1) {
         /* L11 is the column-major upper triangle's transpose */
         ((S(trsv_t))blas[BASE + TRSV])("U", "T", diag, &iw, blk, &iw, xk, &inc);
         if (below)
@@ -1221,9 +1239,35 @@ static void S(backward)(const plan_t *p, int ft, T *L, T *U, const T *D,
             for (int64_t r = 0; r < nrhs; r++)
                 xk[q * nrhs + r] /= d[q];
     }
+    const int64_t *rows = p->rows + p->row_ptr[k] + w;
+    T *tall = (ft == LU ? U : L) + p->offset[k] + w * w;
+    if (nrhs == 1 && w <= NARROW) {
+        for (int64_t i = 0; i < below; i++) { /* - tall^T . x[rows] */
+            const T *ti = tall + i * w;
+            T xi = x[rows[i]];
+            for (int64_t j = 0; j < w; j++)
+                xk[j] -= MUL(ti[j], xi);
+        }
+        if (ft == LU) { /* U11 x = ..., row i of U11 right of the diagonal */
+            for (int64_t i = w - 1; i >= 0; i--) {
+                const T *ui = blk + i * w;
+                T s = xk[i];
+                for (int64_t j = i + 1; j < w; j++)
+                    s -= MUL(ui[j], xk[j]);
+                xk[i] = s / ui[i];
+            }
+            return;
+        }
+        for (int64_t i = w - 1; i >= 0; i--) { /* L11^T x = ... */
+            const T *li = blk + i * w;
+            T y = ft == LLT ? xk[i] / li[i] : xk[i];
+            xk[i] = y;
+            for (int64_t j = 0; j < i; j++)
+                xk[j] -= MUL(li[j], y);
+        }
+        return;
+    }
     if (below) {
-        const int64_t *rows = p->rows + p->row_ptr[k] + w;
-        T *tall = (ft == LU ? U : L) + p->offset[k] + w * w;
         for (int64_t i = 0; i < below; i++) {
             const T *src = x + rows[i] * nrhs;
             for (int64_t r = 0; r < nrhs; r++)

@@ -28,8 +28,10 @@ cblk, an update task per couple) is the simulators'
 (:mod:`repro.machine`); no real execution runs it.
 
 The solve (:func:`solve_threaded`) runs the solve DAG the same way, on
-the native sweeps or :class:`_ThreadedSolve`'s NumPy bodies.  Neither
-phase starts a Python thread.
+the native sweeps or :class:`_ThreadedSolve`'s NumPy bodies, except a
+DAG of one unit (a solve under the work floor), whose two tasks are the
+two native sweeps, called on the calling thread without the executor.
+Neither phase starts a Python thread.
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ def _rank(dag, ranks: dict[str, np.ndarray],
 
 def _execute(dag, body, fallback: Optional[Callable[[int], None]],
              n_workers: int, order: str, trace: Optional[ExecutionTrace],
-             record_sync: bool) -> None:
+             record_sync: bool, kernels: str) -> None:
     """Run every task of ``dag``: the executor's one entry point.
 
     With a native ``body`` (:class:`~repro.kernels.native.SolveSweeps` or
@@ -206,7 +208,8 @@ def _execute(dag, body, fallback: Optional[Callable[[int], None]],
     gets the same shape.  A trace receives one row per task run and one
     ``"task-error"`` fault for a task that raised — written also when
     the run raises — and, with ``record_sync``, the publish, park and
-    wake events the C7xx audit replays.
+    wake events the C7xx audit replays; ``kernels`` is the backend its
+    ``meta`` names.
     """
     tasks, ranks = _executor_tasks(dag)
     sync = record_sync and trace is not None
@@ -233,8 +236,7 @@ def _execute(dag, body, fallback: Optional[Callable[[int], None]],
                     logs.append("publish", t, 0, t1, t1)
     finally:
         if trace is not None:
-            _record(trace, dag, logs, order, n_workers, sync,
-                    "numpy" if body is None else "native")
+            _record(trace, dag, logs, order, n_workers, sync, kernels)
 
 
 def _record(trace: ExecutionTrace, dag, logs: native.DagLogs, order: str,
@@ -263,18 +265,33 @@ def _run_dag(factor: NumericFactor, x: np.ndarray, dag, n_workers: int,
              record_sync: bool) -> None:
     """Run every task of the solve DAG ``dag`` on ``x`` in place: the
     native sweeps when ``factor`` has them, else the NumPy bodies of
-    :class:`_ThreadedSolve`."""
-    sweeps = native.solve_sweeps(factor, x, dag.unit_panels, n_workers)
-    fallback = None
+    :class:`_ThreadedSolve`.
+
+    A DAG of one unit (a solve under ``MIN_SOLVE_FLOPS``: its forward
+    and its backward task, every panel ascending) has nothing to run in
+    parallel, so on a native factor its two tasks are
+    ``solve_factored``'s two right-looking sweeps, called on this thread
+    without the executor: no slab arena, one gather buffer, and the same
+    bits as the left-looking steps of a multi-unit run."""
+    one_unit = dag.unit_ptr.size == 2
+    sweeps = (native.solve_sweeps(factor, x) if one_unit else
+              native.solve_sweeps(factor, x, dag.unit_panels, n_workers))
     if sweeps is None:
-        body = _ThreadedSolve(factor, x, dag.unit_panels)
-        records = _executor_tasks(dag)[0].tasks.tolist()
+        run = _ThreadedSolve(factor, x, dag.unit_panels).run_task
+    elif one_unit:
+        run = sweeps.run       # its panels are the unit's: all, ascending
+    else:
+        _execute(dag, sweeps, None, n_workers, order, trace, record_sync,
+                 "native")
+        return
+    records = _executor_tasks(dag)[0].tasks.tolist()
 
-        def fallback(t: int) -> None:
-            lo, hi, backward, _ = records[t]
-            body.run_task(lo, hi, backward)
+    def fallback(t: int) -> None:
+        lo, hi, backward, _ = records[t]
+        run(lo, hi, backward)
 
-    _execute(dag, sweeps, fallback, n_workers, order, trace, record_sync)
+    _execute(dag, None, fallback, n_workers, order, trace, record_sync,
+             "numpy" if sweeps is None else "native")
 
 
 def _factorize_dag(factor: NumericFactor, dag, n_workers: int, order: str,
@@ -300,7 +317,8 @@ def _factorize_dag(factor: NumericFactor, dag, n_workers: int, order: str,
                 panel_update(factor, j, k)
             panel_factorize(factor, k)
 
-    _execute(dag, body, fallback, n_workers, order, trace, record_sync)
+    _execute(dag, body, fallback, n_workers, order, trace, record_sync,
+             "numpy" if body is None else "native")
     if trace is not None and body is not None:
         trace.meta["kernel_phases"] = body.phases()
 
@@ -323,9 +341,10 @@ def solve_threaded(
     executed as the coarse solve-phase DAG; the DAG is memoised on the
     symbol, so repeated solves build and check it once.  A solve under
     :data:`repro.dag.builder.MIN_SOLVE_FLOPS` is one forward and one
-    backward task, on the calling thread alone.
+    backward task, on the calling thread alone: on a native factor the
+    two sweep calls of ``solve_factored``, without the executor.
 
-    On a native factor one GIL-free call runs the whole DAG
+    Otherwise, on a native factor one GIL-free call runs the whole DAG
     (:func:`repro.kernels.native.run_dag`): the calling thread and up
     to ``n_workers - 1`` C threads pop ready tasks from one shared set, and
     a finishing task releases its successors itself.  ``scheduler`` is

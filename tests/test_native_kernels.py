@@ -96,7 +96,13 @@ def make_matrix(kind: str, n: int, seed: int, cplx: bool,
     """Diagonally dominant matrix on a generated symmetric pattern:
     real SPD, complex symmetric, or (``unsymmetric``) LU-only values."""
     rng = np.random.default_rng(seed)
-    pattern = _dense_pattern(kind, n, rng)
+    return matrix_on(_dense_pattern(kind, n, rng), rng, cplx, unsymmetric)
+
+
+def matrix_on(pattern: np.ndarray, rng, cplx: bool,
+              unsymmetric: bool = False) -> SparseMatrixCSC:
+    """:func:`make_matrix`'s values on a given symmetric boolean
+    ``pattern`` (diagonal included)."""
     n = pattern.shape[0]
     sym = rng.uniform(-1.0, 1.0, (n, n))
     a = (sym + sym.T) / 2

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro import SolverOptions, SparseSolver, cbuild
 from repro.core.factorization import factorize_sequential
 from repro.core.triangular import solve_factored
+from repro.dag import builder
 from repro.dag.solve_builder import build_solve_dag
 from repro.kernels import native
 from repro.runtime.threaded import THREAD_SCHEDULERS, solve_threaded
@@ -32,6 +33,7 @@ from tests.test_native_kernels import (
     NO_AMALGAMATION,
     factotypes,
     make_matrix,
+    matrix_on,
     numpy_factor,
 )
 
@@ -132,7 +134,9 @@ def test_threaded_equals_sequential_every_scheduler(
 
 def test_one_call_per_sweep_and_per_task(grid2d_medium, monkeypatch):
     """``solve_factored`` makes one sweep call per sweep; a threaded
-    solve makes one executor call, which runs each task once."""
+    solve of one unit makes the same two calls, without the executor;
+    one of several units makes one executor call, which runs each task
+    once."""
     calls = []
     run, run_dag = native.SolveSweeps.run, native.run_dag
 
@@ -150,18 +154,101 @@ def test_one_call_per_sweep_and_per_task(grid2d_medium, monkeypatch):
     b = np.ones(grid2d_medium.n_rows)
     solve_factored(factor, b)
     assert calls == [False, True]
-    del calls[:]
-    trace = ExecutionTrace()
-    solve_threaded(factor, b, n_workers=2, trace=trace)
-    dag = build_solve_dag(factor.symbol, "ldlt", n_workers=2)
-    assert calls == ["dag"]
-    assert sorted(e.task for e in trace.events) == list(range(dag.n_tasks))
-    assert trace.meta["kernels"] == "native"
-    trace = ExecutionTrace()
-    with cbuild.python_bodies():
+    for floor, want in ((float("inf"), [False, True]), (0.0, ["dag"])):
+        monkeypatch.setattr(builder, "MIN_SOLVE_FLOPS", floor)
+        dag = build_solve_dag(factor.symbol, "ldlt", n_workers=2)
+        assert (dag.n_tasks == 2) == (floor > 0)
+        del calls[:]
+        trace = ExecutionTrace()
         solve_threaded(factor, b, n_workers=2, trace=trace)
-    assert trace.meta["kernels"] == "numpy"
-    assert calls == ["dag"] and len(trace.events) == dag.n_tasks
+        assert calls == want
+        assert sorted(e.task for e in trace.events) == list(range(dag.n_tasks))
+        assert trace.meta["kernels"] == "native"
+        del calls[:]
+        trace = ExecutionTrace()
+        with cbuild.python_bodies():
+            solve_threaded(factor, b, n_workers=2, trace=trace)
+        assert trace.meta["kernels"] == "numpy"
+        assert calls == [] and len(trace.events) == dag.n_tasks
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_one_unit_chain_trace(grid2d_medium, helmholtz_small, monkeypatch,
+                              cplx):
+    """A solve of one unit runs its two tasks on the calling thread
+    without the executor, and its sync trace still has the executor's
+    shape: two task rows and their publishes, which pass the schedule
+    check (S2xx) and the concurrency audit (C7xx)."""
+    from repro.verify.concurrency import verify_concurrency
+    from repro.verify.schedule import verify_schedule
+
+    monkeypatch.setattr(builder, "MIN_SOLVE_FLOPS", float("inf"))
+    monkeypatch.setattr(native, "run_dag", None)    # never called
+    mat = helmholtz_small if cplx else grid2d_medium
+    b = _rhs(np.random.default_rng(9), mat.n_rows, (), cplx)
+    for ft in factotypes(cplx):
+        factor = _factor(mat, ft)
+        dag = build_solve_dag(factor.symbol, ft, dtype=factor.dtype,
+                              n_workers=3)
+        assert dag.n_tasks == 2
+        for order in sorted(THREAD_SCHEDULERS):
+            trace = ExecutionTrace()
+            x = solve_threaded(factor, b, n_workers=3, scheduler=order,
+                               trace=trace, record_sync=True)
+            assert np.array_equal(x, solve_factored(factor, b))
+            assert [e.task for e in trace.events] == [0, 1]
+            assert trace.meta["kernels"] == "native"
+            assert trace.meta["sync_stats"]["counts"]["publish"] == 2
+            for rep in (verify_schedule(dag, trace),
+                        verify_concurrency(dag, trace)):
+                assert rep.ok, rep.format()
+
+
+# ----------------------------------------------------------------------
+# narrow steps: one right-hand side, no BLAS call
+# ----------------------------------------------------------------------
+def _block_chains(*chains) -> np.ndarray:
+    """Block-diagonal pattern of independent chains of dense blocks, each
+    block coupled densely to the next one of its chain: in natural order
+    and without amalgamation, a panel per block (the last two blocks of a
+    chain share one).  Rows below a block are its successor's."""
+    n = sum(sum(c) for c in chains)
+    pattern = np.zeros((n, n), dtype=bool)
+    start = 0
+    for widths in chains:
+        bounds = np.cumsum([start, *widths])
+        for a, c in zip(bounds[:-2], bounds[2:]):
+            pattern[a:c, a:c] = True
+        start = bounds[-1]
+    return pattern
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_narrow_steps(cplx):
+    """Panels 1, ``NARROW`` and ``NARROW + 1`` wide (the first two solved
+    in plain loops, the last by BLAS) with one right-hand side: native
+    within 1e-12 of NumPy, the multi-unit threaded solve (left-looking
+    over slabs) bit-identical to the right-looking sweeps, and a NaN
+    reaching the same entries on both backends."""
+    narrow = native.kernel_bounds()["narrow"]
+    pattern = _block_chains([1, narrow, narrow + 1, 1, 1],
+                            [narrow + 1, 1, narrow, 1])
+    rng = np.random.default_rng(8)
+    for ft in factotypes(cplx):
+        mat = matrix_on(pattern, rng, cplx, unsymmetric=ft == "lu")
+        factor = _factor(mat, ft, NO_AMALGAMATION)
+        widths = np.diff(factor.symbol.cblk_ptr)
+        assert {1, narrow, narrow + 1} <= set(widths.tolist())
+        assert build_solve_dag(factor.symbol, ft, dtype=factor.dtype,
+                               n_workers=2).n_tasks > 2
+        b = _rhs(rng, mat.n_rows, (), cplx)
+        for n_workers in (1, 2, 3):
+            assert_parity(factor, b, n_workers)
+        b[narrow] = np.nan                  # the first chain's second block
+        with np.errstate(invalid="ignore"):
+            x = assert_parity(factor, b)
+        first = sum((1, narrow, narrow + 1, 1, 1))
+        assert np.isnan(x[:first]).any() and np.isfinite(x[first:]).all()
 
 
 # ----------------------------------------------------------------------
