@@ -97,8 +97,9 @@ race-smoke:
 # bodies; the C DAG executor, MIN_SOLVE_FLOPS lowered so that it runs a
 # tree of tasks, at 1, 2 and 3 workers vs the sequential solve, plus one
 # traced run through the C7xx audit), factorize a matrix above the unit
-# floor and one whose panels split at 1-3 workers under every pop order
-# (bit for bit), and one with zero pivots on narrow panels whose blocks
+# floor and one whose panels split at 1-3 workers (bit for bit; the
+# executor has one pop order, work stealing), and one with zero pivots
+# on narrow panels whose blocks
 # come back to Python inside the executor (the sequential driver's
 # factor or error), and
 # analyse one matrix per generator family with the C helper and with

@@ -18,13 +18,12 @@ executor run per factor must pass the schedule check and the C7xx
 concurrency audit.
 A matrix just above the unit floor (``MIN_UNIT_FLOPS``, at the default
 constants) runs as a tree of unit tasks: per factotype the DAG executor
-at 1, 2 and 3 workers under each pop order must equal the sequential
-driver bit for bit, and one traced two-worker run must pass S2xx and
-C7xx.  One more matrix, factorized with the split floors lowered so
-that its panels split into a diagonal task and row-block tasks, checks
-each factotype the same way (NumPy 1e-12; the DAG executor at 1, 2 and
-3 workers under each pop order bit for bit) and audits one traced
-two-worker run (S2xx and C7xx).  The same matrix with zero pivots on
+at 1, 2 and 3 workers must equal the sequential driver bit for bit, and
+one traced two-worker run must pass S2xx and C7xx.  One more matrix,
+factorized with the split floors lowered so that its panels split into
+a diagonal task and row-block tasks, checks each factotype the same way
+(NumPy 1e-12; the DAG executor at 1, 2 and 3 workers bit for bit) and
+audits one traced two-worker run (S2xx and C7xx).  The same matrix with zero pivots on
 the diagonal of narrow leaf panels (blocks C eliminates itself) makes C
 hand those blocks back to Python inside the executor: at 2 workers the
 LDLᵀ and LU errors, and the factors perturbed under a pivot threshold,
@@ -157,12 +156,12 @@ def check_solve(ft: str, factor) -> None:
 
 
 def _check_drivers(what: str, res, permuted, ft: str) -> int:
-    """The DAG executor at 1-3 workers under every pop order == the
-    sequential driver, bit for bit, and one traced two-worker run clean
-    under S2xx and C7xx.  Returns the DAG's task count."""
+    """The DAG executor at 1-3 workers == the sequential driver, bit for
+    bit, and one traced two-worker run clean under S2xx and C7xx.
+    Returns the DAG's task count."""
     from repro.core.factorization import factorize_sequential
     from repro.dag import builder
-    from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
+    from repro.runtime.threaded import factorize_threaded
     from repro.runtime.tracing import ExecutionTrace
     from repro.verify.concurrency import verify_concurrency
     from repro.verify.schedule import verify_schedule
@@ -170,15 +169,13 @@ def _check_drivers(what: str, res, permuted, ft: str) -> int:
     dag = builder.get_dag(res.symbol, ft, granularity="unit", n_workers=2)
     seq = factorize_sequential(res.symbol, permuted, ft)
     for w in (1, 2, 3):
-        for order in THREAD_SCHEDULERS:
-            par = factorize_threaded(res.symbol, permuted, ft, n_workers=w,
-                                     scheduler=order)
-            for side in ("L", "U", "D"):
-                if getattr(seq, side) is not None and not np.array_equal(
-                        _flat(seq, side), _flat(par, side)):
-                    sys.exit(f"native-smoke: {what} {ft} {side}: the "
-                             f"executor at {w} worker(s), {order}, is not "
-                             "bit-identical to the sequential driver")
+        par = factorize_threaded(res.symbol, permuted, ft, n_workers=w)
+        for side in ("L", "U", "D"):
+            if getattr(seq, side) is not None and not np.array_equal(
+                    _flat(seq, side), _flat(par, side)):
+                sys.exit(f"native-smoke: {what} {ft} {side}: the executor "
+                         f"at {w} worker(s) is not bit-identical to the "
+                         "sequential driver")
     trace = ExecutionTrace()
     factorize_threaded(res.symbol, permuted, ft, n_workers=2, trace=trace,
                        record_sync=True)
@@ -208,14 +205,13 @@ def check_floor() -> None:
                      f"{n_tasks} task(s), not a tree above MIN_UNIT_FLOPS "
                      f"({builder.MIN_UNIT_FLOPS:.0e})")
         print(f"native-smoke: floor {ft} ok ({flops:.1e} flops, {n_tasks} "
-              "tasks; the executor at 1-3 workers and every pop order bit "
-              "for bit, S2xx and C7xx clean)")
+              "tasks; the executor at 1-3 workers bit for bit, S2xx and "
+              "C7xx clean)")
 
 
 def check_split() -> None:
     """A matrix whose panels split: native factor == NumPy (1e-12), the
-    DAG executor at 1, 2 and 3 workers under each pop order == the
-    sequential driver (bits), and one traced two-worker run passes S2xx
+    DAG executor at 1, 2 and 3 workers == the sequential driver (bits), and one traced two-worker run passes S2xx
     and C7xx."""
     from repro.core.factorization import factorize_sequential
     from repro.dag import TaskKind, builder
@@ -245,8 +241,8 @@ def check_split() -> None:
                          f"the NumPy kernels by {err:.3e} (bound {RTOL})")
         _check_drivers("split", res, permuted, ft)
         print(f"native-smoke: split {ft} ok ({dag.n_tasks} tasks, {n_rows} "
-              "row blocks; NumPy 1e-12, the executor at 1-3 workers and "
-              "every pop order bit for bit, S2xx and C7xx clean)")
+              "row blocks; NumPy 1e-12, the executor at 1-3 workers bit "
+              "for bit, S2xx and C7xx clean)")
 
 
 def _outcome(run):

@@ -3,8 +3,8 @@ solves, iterative refinement, and the public :class:`SparseSolver` API.
 """
 
 from repro.core.factor import NumericFactor
-from repro.core.factorization import factorize_sequential, factorization_order
-from repro.core.triangular import solve_factored, forward_solve, backward_solve
+from repro.core.factorization import factorize_sequential
+from repro.core.triangular import solve_factored
 from repro.core.refinement import (
     iterative_refinement,
     RefinementResult,
@@ -18,10 +18,7 @@ from repro.core.solver import SparseSolver, FactorizationInfo
 __all__ = [
     "NumericFactor",
     "factorize_sequential",
-    "factorization_order",
     "solve_factored",
-    "forward_solve",
-    "backward_solve",
     "iterative_refinement",
     "RefinementResult",
     "ConvergenceWarning",

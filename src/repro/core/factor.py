@@ -15,8 +15,9 @@ arena (``L_arena``; ``U_arena``, ``D_arena``), laid out by
 :class:`repro.kernels.indexcache.PanelLayout`: ``factor.L[k]`` is a view,
 made on first access (:class:`ArenaPanels`), and the native kernel
 (:mod:`repro.kernels.native`) reaches every panel from the arena's base
-pointer.  A factor built from plain per-panel lists has no arena and runs
-on the NumPy kernels only.
+pointer.  Every factor is arena-backed: :meth:`NumericFactor.allocate`
+and :meth:`NumericFactor.assemble` build the arenas, and
+:meth:`NumericFactor.copy` copies them.
 
 Assembly is one gather-scatter per side, ``arena[dst] = values[src]``,
 through an :class:`AssemblyMap`: the value → arena positions depend on
@@ -204,8 +205,8 @@ class NumericFactor:
     #: Effective numeric kernel backend: ``"native"``
     #: (:mod:`repro.kernels.native`) or ``"numpy"``.
     kernels: str = "numpy"
-    #: The arenas ``L``/``U``/``D`` are views of (``None`` for a factor
-    #: built from plain lists).
+    #: The arenas ``L``/``U``/``D`` are views of (``None`` for an absent
+    #: side: ``U`` outside LU, ``D`` outside LDLᵀ).
     L_arena: Optional[np.ndarray] = None
     U_arena: Optional[np.ndarray] = None
     D_arena: Optional[np.ndarray] = None
@@ -282,32 +283,18 @@ class NumericFactor:
         return self.symbol.n_cblk
 
     def nbytes(self) -> int:
-        """Total bytes of panel storage."""
-        if self.L_arena is not None:
-            # The panels tile their arenas.
-            return sum(a.nbytes for a in (self.L_arena, self.U_arena,
-                                          self.D_arena) if a is not None)
-        total = sum(p.nbytes for p in self.L)
-        if self.U is not None:
-            total += sum(p.nbytes for p in self.U)
-        if self.D is not None:
-            total += sum(d.nbytes for d in self.D)
-        return total
+        """Total bytes of panel storage (the panels tile their arenas)."""
+        return sum(a.nbytes for a in (self.L_arena, self.U_arena,
+                                      self.D_arena) if a is not None)
 
     def copy(self) -> "NumericFactor":
         out = NumericFactor(
             self.symbol, self.factotype, self.dtype, [], None, None, self.rows
         )
-        if self.L_arena is not None:
-            out._bind_arenas(
-                *(None if a is None else a.copy()
-                  for a in (self.L_arena, self.U_arena, self.D_arena))
-            )
-        else:
-            out.L, out.U, out.D = (
-                None if side is None else [p.copy() for p in side]
-                for side in (self.L, self.U, self.D)
-            )
+        out._bind_arenas(
+            *(None if a is None else a.copy()
+              for a in (self.L_arena, self.U_arena, self.D_arena))
+        )
         out.pivot_monitor = self.pivot_monitor
         out.index_cache = self.index_cache
         out.kernels = self.kernels

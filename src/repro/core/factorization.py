@@ -1,15 +1,14 @@
 """Sequential supernodal factorization.
 
-The reference driver on the NumPy kernels: panels in ascending order,
-each panel factorized then immediately applied to all facing panels (the
-right-looking variant PaStiX uses, §III).  The task-based runtimes
-execute exactly the same kernel calls in a different
-(dependency-respecting) order, so this driver doubles as the correctness
-oracle for every scheduler.  On the default native backend the whole
-factorization is one C call over all panels
-(:func:`repro.kernels.native.factorize_panels`), left-looking with
-ascending sources — the order in which the right-looking loop's updates
-reach each panel.
+The reference driver: every panel in ascending order, left-looking —
+each panel receives the updates of its sources (ascending), then is
+factorized.  Ascending source order is the order in which PaStiX's
+right-looking loop (§III) delivers those updates, so the factor is the
+same.  The task-based runtimes execute exactly the same kernel calls in
+a different (dependency-respecting) order, so this driver doubles as the
+correctness oracle for every scheduler.  One loop runs it on either
+backend: :func:`repro.kernels.native.factorize_panels` (one C call over
+all panels) or its NumPy twin :func:`repro.kernels.panel.factorize_panels`.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.factor import NumericFactor
-from repro.kernels.panel import panel_factorize, panel_update
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic.structures import SymbolMatrix
 
-__all__ = ["factorize_sequential", "factorization_order", "facing_cblks"]
+__all__ = ["factorize_sequential", "facing_cblks"]
 
 
 def facing_cblks(symbol: SymbolMatrix, k: int) -> np.ndarray:
@@ -34,12 +32,6 @@ def facing_cblks(symbol: SymbolMatrix, k: int) -> np.ndarray:
     keep = np.ones(faces.size, dtype=bool)
     keep[1:] = faces[1:] != faces[:-1]
     return faces[keep]
-
-
-def factorization_order(symbol: SymbolMatrix) -> range:
-    """Panel processing order of the sequential driver (ascending is a
-    topological order: every update goes from a lower to a higher cblk)."""
-    return range(symbol.n_cblk)
 
 
 def contributing_cblks(symbol: SymbolMatrix, t: int) -> np.ndarray:
@@ -72,26 +64,20 @@ get_couple_cache`) is attached as ``factor.index_cache``, so no update
     The host picks the numeric backend
     (:func:`repro.kernels.native.resolve_kernels`): the C kernel of
     :mod:`repro.kernels.native` where it loads, agreeing with the NumPy
-    kernels to roundoff, else the NumPy kernels (the reference,
-    right-looking: each panel is factorized, then applied to every panel
-    it faces; also inside :func:`repro.cbuild.python_bodies`).  It is
-    recorded as ``factor.kernels``.
+    kernels to roundoff, else the NumPy kernels (the reference; also
+    inside :func:`repro.cbuild.python_bodies`).  It is recorded as
+    ``factor.kernels``.
     """
+    from repro.kernels import native, panel
     from repro.kernels.indexcache import get_couple_cache
-    from repro.kernels.native import factorize_panels, resolve_kernels
 
     factor = NumericFactor.assemble(symbol, matrix, factotype, dtype=dtype)
-    factor.kernels = resolve_kernels(factor.dtype)
+    factor.kernels = native.resolve_kernels(factor.dtype)
     factor.index_cache = get_couple_cache(symbol)
     if pivot_threshold > 0.0:
         from repro.kernels.dense import PivotMonitor
 
         factor.pivot_monitor = PivotMonitor(pivot_threshold)
-    if factor.kernels == "native":
-        factorize_panels(factor, np.arange(symbol.n_cblk, dtype=np.int64))
-    else:
-        for k in factorization_order(symbol):
-            panel_factorize(factor, k)
-            for t in facing_cblks(symbol, k):
-                panel_update(factor, k, int(t))
+    body = native if factor.kernels == "native" else panel
+    body.factorize_panels(factor, np.arange(symbol.n_cblk, dtype=np.int64))
     return factor

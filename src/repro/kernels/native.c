@@ -191,7 +191,6 @@ typedef struct {
     const int64_t *succ_ptr, *succ_list; /* CSR successors */
     const int64_t *n_deps;               /* in-degree of every task */
     const int64_t *task;                 /* n_tasks x 4: lo, hi, kind, panel */
-    const double *rank; /* NULL: work stealing; else max-heap on rank */
 } dag_t;
 
 enum { FORWARD = 0, BACKWARD = 1, PANELS = 2, BLOCK = 3 };
@@ -255,7 +254,7 @@ struct exec {
     trace_t *trace; /* NULL: no clock is read for the trace */
     pthread_mutex_t mu;
     pthread_cond_t cv;
-    int64_t *deps_left, *ready, *owner; /* owner: without a rank only */
+    int64_t *deps_left, *ready, *owner;
     int64_t n_ready, n_done, n_parked, start;
     int overflow, failed; /* failed: a hand-back raised, pop no more */
     /* Workers 1 .. n_started - 1 run in threads[]; n_workers caps them. */
@@ -282,59 +281,27 @@ static void log_row(exec_t *e, log_t *log, int64_t task, int64_t worker,
     log->n++;
 }
 
-/* Does a run before b?  Higher rank first, then the lower task id. */
-static int before(const double *rank, int64_t a, int64_t b)
-{
-    return rank[a] > rank[b] || (rank[a] == rank[b] && a < b);
-}
-
-/* The ready set: a binary max-heap on rank, or work stealing's order over
- * one array, oldest first: each task is tagged with the worker that
- * released it (the sources with worker 0), and a worker pops the newest
- * task it released, else steals the oldest.  One worker pops LIFO. */
+/* The ready set: work stealing's order over one array, oldest first:
+ * each task is tagged with the worker that released it (the sources with
+ * worker 0), and a worker pops the newest task it released, else steals
+ * the oldest.  One worker pops LIFO. */
 static void push(exec_t *e, int64_t t, int64_t w)
 {
-    const double *rank = e->dag->rank;
     int64_t i = e->n_ready++;
-    if (!rank) {
-        e->ready[i] = t, e->owner[i] = w;
-        return;
-    }
-    while (i > 0 && before(rank, t, e->ready[(i - 1) / 2])) {
-        e->ready[i] = e->ready[(i - 1) / 2];
-        i = (i - 1) / 2;
-    }
-    e->ready[i] = t;
+    e->ready[i] = t, e->owner[i] = w;
 }
 
 static int64_t pop(exec_t *e, int64_t w)
 {
-    const double *rank = e->dag->rank;
     int64_t n = --e->n_ready;
-    if (!rank) {
-        int64_t i = n; /* the newest of w's, else 0: the oldest */
-        while (i > 0 && e->owner[i] != w)
-            i--;
-        int64_t t = e->ready[i];
-        size_t tail = (size_t)(n - i) * sizeof(int64_t);
-        memmove(e->ready + i, e->ready + i + 1, tail);
-        memmove(e->owner + i, e->owner + i + 1, tail);
-        return t;
-    }
-    int64_t top = e->ready[0], last = e->ready[n], i = 0;
-    for (;;) {
-        int64_t c = 2 * i + 1;
-        if (c >= n)
-            break;
-        if (c + 1 < n && before(rank, e->ready[c + 1], e->ready[c]))
-            c++;
-        if (!before(rank, e->ready[c], last))
-            break;
-        e->ready[i] = e->ready[c];
-        i = c;
-    }
-    e->ready[i] = last;
-    return top;
+    int64_t i = n; /* the newest of w's, else 0: the oldest */
+    while (i > 0 && e->owner[i] != w)
+        i--;
+    int64_t t = e->ready[i];
+    size_t tail = (size_t)(n - i) * sizeof(int64_t);
+    memmove(e->ready + i, e->ready + i + 1, tail);
+    memmove(e->owner + i, e->owner + i + 1, tail);
+    return t;
 }
 
 static void run_solve(const solve_t *b, int64_t lo, int64_t hi, int backward,

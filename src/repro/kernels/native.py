@@ -124,7 +124,7 @@ class _Dag(ctypes.Structure):
 
     _fields_ = [("n_tasks", ctypes.c_int64)] + [
         (name, ctypes.c_void_p)
-        for name in ("succ_ptr", "succ_list", "n_deps", "task", "rank")
+        for name in ("succ_ptr", "succ_list", "n_deps", "task")
     ]
 
 
@@ -623,10 +623,9 @@ def solve_sweeps(factor: Any, x: np.ndarray,
                  n_workers: int = 1) -> Optional[SolveSweeps]:
     """The native sweeps of a solve of ``factor``, or ``None`` for the
     NumPy bodies: the solve follows ``factor.kernels`` (and
-    :func:`library`), and needs an arena-backed factor with its plan
-    attached."""
-    if (factor.kernels != "native" or factor.L_arena is None
-            or factor.index_cache is None or library() is None):
+    :func:`library`), and needs the factor's plan attached."""
+    if (factor.kernels != "native" or factor.index_cache is None
+            or library() is None):
         return None
     return SolveSweeps(factor, x, panels, n_workers)
 
@@ -734,8 +733,8 @@ class DagTasks:
     ``(0, width)``, or a range ``width <= lo < hi <= height`` below it.
     The graph must be acyclic — a cycle would never drain — and
     ``order`` is its Kahn order (:func:`repro.dag.tasks.kahn_order`, LIFO):
-    what the executor runs with one worker and no rank, and
-    what a run without the executor runs.  Every
+    what the executor runs with one worker, and what a run without the
+    executor runs.  Every
     violation is a ``ValueError``, raised here, before any pointer can
     reach C.
     """
@@ -838,16 +837,14 @@ class DagLogs:
 
 
 def run_dag(tasks: DagTasks, body: Union[SolveSweeps, FactorizeTasks],
-            n_workers: int, rank: Optional[np.ndarray] = None,
-            logs: Optional[DagLogs] = None) -> None:
+            n_workers: int, logs: Optional[DagLogs] = None) -> None:
     """Run every task of ``tasks`` on ``body`` in one GIL-free call.
 
     The calling thread is worker 0; up to ``n_workers - 1`` pthreads
     join it, each started when a ready task waits that no parked worker
-    will take (``body`` must have buffers for each).  Without ``rank`` a
-    worker pops the newest ready task it released, else the oldest one
-    (work stealing over one shared set; one worker pops LIFO); with ``rank``
-    the ready set is a heap that pops the highest rank first.
+    will take (``body`` must have buffers for each).  A worker pops the
+    newest ready task it released, else the oldest one (work stealing
+    over one shared set; one worker pops LIFO).
     ``logs`` receives the trace rows; a log that runs out of room raises
     ``RuntimeError`` after the run (the run itself completed).  A
     hand-back that raised stops the executor from starting tasks; its
@@ -865,18 +862,10 @@ def run_dag(tasks: DagTasks, body: Union[SolveSweeps, FactorizeTasks],
             np.array_equal(getattr(tasks.layout, a), getattr(body.layout, a))
             for a in ("width", "height")):
         raise ValueError("block tasks checked against another panel layout")
-    dag = tasks._struct
-    if rank is not None:
-        if not (isinstance(rank, np.ndarray) and rank.dtype == np.float64
-                and rank.shape == (tasks.n_tasks,)
-                and rank.flags.c_contiguous and np.all(np.isfinite(rank))):
-            raise ValueError(f"rank must be {tasks.n_tasks} finite float64")
-        dag = _Dag.from_buffer_copy(dag)
-        dag.rank = rank.ctypes.data
     solve = ctypes.byref(body.body) if isinstance(body, SolveSweeps) else None
     facto = None if solve is not None else ctypes.byref(body.body)
     status = load().repro_run_dag(
-        ctypes.byref(dag), solve, facto, n_workers,
+        ctypes.byref(tasks._struct), solve, facto, n_workers,
         None if logs is None else ctypes.byref(logs.struct))
     if status == -1:
         raise MemoryError("the DAG executor could not allocate its state")

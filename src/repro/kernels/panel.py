@@ -8,6 +8,10 @@ The two task bodies of the factorization DAG (paper §V):
   facing panel: the sparse GEMM with scatter into the gappy destination
   (one task per (panel, facing panel) couple).
 
+:func:`factorize_panels` runs them left-looking over a range of panels:
+the NumPy twin of :func:`repro.kernels.native.factorize_panels`, and the
+one loop both factorization drivers run on the NumPy kernels.
+
 Both operate in place on a :class:`repro.core.factor.NumericFactor`-like
 object (duck-typed: ``L``, ``U``, ``D``, ``rows``, ``symbol``,
 ``factotype`` attributes), so they are equally callable from the
@@ -28,6 +32,7 @@ from repro.kernels.dense import (
 )
 
 __all__ = [
+    "factorize_panels",
     "panel_factorize",
     "panel_update",
     "panel_update_compute",
@@ -205,3 +210,18 @@ def panel_update(factor, k: int, t: int) -> None:
     parts = panel_update_compute(factor, k, t)
     if parts is not None:
         panel_update_scatter(factor, t, parts)
+
+
+def factorize_panels(factor, panels) -> None:
+    """Factorize ``panels`` (ascending panel ids) of ``factor`` in place,
+    left-looking: per panel ``t``, the updates of its sources
+    (``factor.index_cache.source_ids(t)``, ascending), then
+    :func:`panel_factorize`.  Every source of a listed panel must be
+    final or listed before it.  Each panel receives its updates in the
+    order a right-looking loop would send them, so the factor does not
+    depend on how the panels are cut into ranges."""
+    cache = factor.index_cache
+    for t in np.asarray(panels).tolist():
+        for k in cache.source_ids(t):
+            panel_update(factor, k, t)
+        panel_factorize(factor, t)

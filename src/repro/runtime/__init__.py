@@ -24,11 +24,7 @@ from repro.runtime.base import PolicyTraits, SchedulerPolicy, bottom_levels
 from repro.runtime.native import NativePolicy
 from repro.runtime.starpu import StarPUPolicy
 from repro.runtime.parsec import ParsecPolicy
-from repro.runtime.threaded import (
-    THREAD_SCHEDULERS,
-    factorize_threaded,
-    solve_threaded,
-)
+from repro.runtime.threaded import factorize_threaded, solve_threaded
 from repro.runtime.tracing import ExecutionTrace, TraceEvent
 
 _POLICIES = {
@@ -58,7 +54,6 @@ __all__ = [
     "ParsecPolicy",
     "factorize_threaded",
     "solve_threaded",
-    "THREAD_SCHEDULERS",
     "ExecutionTrace",
     "TraceEvent",
     "get_policy",

@@ -38,7 +38,6 @@ META_FINGERPRINT_KEYS = (
     "producer",
     "clock",
     "policy",
-    "scheduler",
     "n_workers",
     # Which DAG a threaded run executed ("unit"): task ids only mean
     # something against it (repro.dag.builder.dag_of_trace).
@@ -311,10 +310,10 @@ def sync_stats(events: Iterable[SyncEvent]) -> dict:
 class ExecutionTrace:
     """A complete schedule: task executions plus optional transfers.
 
-    ``meta`` carries producer-side provenance — the threaded engine
-    stamps ``{"scheduler": <registry name>, "n_workers": N}`` so the
-    S2xx verifier and the benchmark reports know which policy made the
-    schedule without re-deriving it from timings.
+    ``meta`` carries producer-side provenance — the simulators stamp
+    their ``policy``, the threaded engine its ``n_workers`` — so the
+    verifiers and the benchmark reports know what made the schedule
+    without re-deriving it from timings.
     """
 
     events: list[TraceEvent] = field(default_factory=list)

@@ -14,13 +14,7 @@ this pass reports.  Given a :class:`~repro.dag.tasks.TaskDAG` and an
   facing panel) never overlap in time, on any resource (``S205``);
 * **placement** — GPU resources only ever run UPDATE-kind tasks: panel
   factorizations stay on CPU, paper §V-B (``S206``); solve-phase DAGs
-  never offload at all;
-* **provenance** — a trace stamped with a scheduler name
-  (``trace.meta["scheduler"]``, written by the threaded engine) must
-  name a registered policy (``S208``); an unknown name means the trace
-  and the runtime registry drifted.  The name is surfaced in
-  ``report.stats`` so benchmark sweeps can audit which policy produced
-  each schedule.
+  never offload at all.
 
 All comparisons use an absolute tolerance ``_TOL`` — simulated times are
 floats and exact equality would misreport back-to-back events.  The
@@ -67,22 +61,6 @@ def verify_schedule(dag: TaskDAG, trace: ExecutionTrace) -> Report:
     n = dag.n_tasks
     report.stats["tasks"] = n
     report.stats["events"] = len(trace.events)
-
-    # Provenance: the threaded engine stamps the scheduler that produced
-    # the trace; audit the stamp against the registries (S208).
-    sched = trace.meta.get("scheduler")
-    if sched is not None:
-        from repro.runtime import _POLICIES
-        from repro.runtime.threaded import THREAD_SCHEDULERS
-
-        report.stats["scheduler"] = sched
-        if sched not in THREAD_SCHEDULERS and sched not in _POLICIES:
-            report.add(
-                "S208",
-                f"trace records unknown scheduler {sched!r}; registered "
-                f"thread schedulers: {sorted(THREAD_SCHEDULERS)}, "
-                f"simulated policies: {sorted(_POLICIES)}",
-            )
 
     seen = np.zeros(n, dtype=np.int64)
     start = np.full(n, np.nan)

@@ -51,11 +51,7 @@ from repro.graph import native
 from repro.kernels import native as native_kernels
 from repro.kernels.indexcache import CoupleMapCache
 from repro.sparse import load_matrix
-from repro.runtime.threaded import (
-    THREAD_SCHEDULERS,
-    factorize_threaded,
-    solve_threaded,
-)
+from repro.runtime.threaded import factorize_threaded, solve_threaded
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
 from repro.sparse.generators import grid_laplacian_2d
 from repro.symbolic import SymbolicOptions, analyze
@@ -273,11 +269,9 @@ def test_threaded_solve_is_the_sequential_solve(no_unit_floor, pattern,
             with backend(kernels):
                 ref = solve_factored(factor, b)
                 for n_workers in (1, 2, 3):
-                    for scheduler in sorted(THREAD_SCHEDULERS):
-                        got = solve_threaded(factor, b, n_workers=n_workers,
-                                             scheduler=scheduler)
-                        assert np.array_equal(got, ref), (
-                            kernels, nrhs, n_workers, scheduler)
+                    got = solve_threaded(factor, b, n_workers=n_workers)
+                    assert np.array_equal(got, ref), (
+                        kernels, nrhs, n_workers)
 
 
 # ----------------------------------------------------------------------
@@ -347,9 +341,9 @@ def _check_split(res, matrix, ft, rng) -> None:
                 res.symbol, permuted, ft))
             runs = [(status, ref, solve_factored, 1)] + [
                 (*_outcome(lambda: factorize_threaded(
-                    res.symbol, permuted, ft, n_workers=w,
-                    scheduler=order)), solve_threaded, w)
-                for w in (1, 2, 3) for order in sorted(THREAD_SCHEDULERS)]
+                    res.symbol, permuted, ft, n_workers=w)),
+                 solve_threaded, w)
+                for w in (1, 2, 3)]
         if status != "ok":
             assert all(run[:2] == (status, ref) for run in runs), kernels
             continue

@@ -113,34 +113,19 @@ class TestArena:
             for a, b in zip(getattr(f, name), getattr(g, name)):
                 assert np.array_equal(a, b) and np.shares_memory(b, arena)
 
-    def test_list_built_factor_copies_without_an_arena(self, grid2d_small):
-        sym = analyze(grid2d_small).symbol
-        f = NumericFactor.allocate(sym, "ldlt")
-        lists = NumericFactor(sym, "ldlt", f.dtype,
-                              [p + 1.0 for p in f.L], None,
-                              [d + 2.0 for d in f.D], f.rows)
-        g = lists.copy()
-        assert g.L_arena is None and g.D_arena is None
-        assert all(np.array_equal(a, b) and not np.shares_memory(a, b)
-                   for a, b in zip(lists.L + lists.D, g.L + g.D))
-
 
 @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
-def test_nbytes_and_copy_with_and_without_arenas(grid2d_small, factotype,
-                                                monkeypatch):
+def test_nbytes_and_copy_read_the_arenas(grid2d_small, factotype,
+                                         monkeypatch):
     """``nbytes()`` reads the arenas without making a panel view, and is
-    the per-panel sum a list-built factor of the same panels reports;
-    ``copy()`` keeps both, and the panels, on either kind of factor."""
+    the per-panel sum of the same panels; ``copy()`` keeps both, and the
+    panels."""
     from repro.core.factor import ArenaPanels
 
     res = analyze(grid2d_small)
     permuted = grid2d_small.permute(res.perm.perm)
     backed = NumericFactor.assemble(res.symbol, permuted, factotype)
     sides = [getattr(backed, name) for name in ("L", "U", "D")]
-    lists = NumericFactor(
-        res.symbol, factotype, backed.dtype,
-        *(None if side is None else [p.copy() for p in side]
-          for side in sides), backed.rows)
     per_panel = sum(p.nbytes for side in sides if side is not None
                     for p in side)
 
@@ -157,15 +142,14 @@ def test_nbytes_and_copy_with_and_without_arenas(grid2d_small, factotype,
     assert not views
     monkeypatch.undo()
 
-    for factor in (backed, lists):
-        assert factor.nbytes() == per_panel
-        twin = factor.copy()
-        assert twin.nbytes() == per_panel
-        for name in ("L", "U", "D"):
-            a, b = getattr(factor, name), getattr(twin, name)
-            assert (a is None) == (b is None)
-            assert a is None or all(np.array_equal(p, q)
-                                    for p, q in zip(a, b, strict=True))
+    assert backed.nbytes() == per_panel
+    twin = backed.copy()
+    assert twin.nbytes() == per_panel
+    for name in ("L", "U", "D"):
+        a, b = getattr(backed, name), getattr(twin, name)
+        assert (a is None) == (b is None)
+        assert a is None or all(np.array_equal(p, q)
+                                for p, q in zip(a, b, strict=True))
 
 
 class TestAssemble:

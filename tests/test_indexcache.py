@@ -289,14 +289,10 @@ class TestBitIdenticalFactors:
 class TestThreadedPlan:
     """The pool attaches the memoised plan and stamps its counters."""
 
-    @pytest.mark.parametrize("scheduler", ["ws", "priority"])
-    def test_matches_sequential(self, grid2d_medium, no_unit_floor,
-                                scheduler):
+    def test_matches_sequential(self, grid2d_medium, no_unit_floor):
         res, permuted = _setup(grid2d_medium)
         ref = factorize_sequential(res.symbol, permuted, "llt")
-        par = factorize_threaded(
-            res.symbol, permuted, "llt", n_workers=4, scheduler=scheduler,
-        )
+        par = factorize_threaded(res.symbol, permuted, "llt", n_workers=4)
         assert par.index_cache is ref.index_cache
         for a, b in zip(ref.L, par.L):
             assert np.array_equal(a, b)

@@ -23,7 +23,7 @@ from repro.core.factor import NumericFactor
 from repro.core.factorization import factorize_sequential
 from repro.kernels import native
 from repro.kernels.indexcache import CouplePlanError, get_couple_cache
-from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
+from repro.runtime.threaded import factorize_threaded
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic import SymbolicOptions, analyze
 from repro.verify import stale_couple_map
@@ -130,10 +130,8 @@ def factotypes(cplx: bool):
 # ----------------------------------------------------------------------
 # native == numpy (1e-12), threaded == sequential (bits) within native
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("scheduler", sorted(THREAD_SCHEDULERS))
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-def test_drivers_agree_on_every_scheduler(grid2d_medium, helmholtz_small,
-                                          no_unit_floor, cplx, scheduler):
+def test_drivers_agree(grid2d_medium, helmholtz_small, no_unit_floor, cplx):
     symbol, permuted = _setup(helmholtz_small if cplx else grid2d_medium)
     for ft in factotypes(cplx):
         ref = numpy_factor(symbol, permuted, ft)
@@ -141,8 +139,8 @@ def test_drivers_agree_on_every_scheduler(grid2d_medium, helmholtz_small,
         assert (ref.kernels, seq.kernels) == ("numpy", "native")
         assert np.iscomplexobj(seq.L[0]) == cplx
         assert_close(ref, seq)
-        for n_workers in (1, 2, 4):
-            got = factorize_threaded(symbol, permuted, ft, scheduler=scheduler,
+        for n_workers in (1, 2, 3):
+            got = factorize_threaded(symbol, permuted, ft,
                                      n_workers=n_workers)
             assert got.kernels == "native"
             assert_identical(seq, got)
@@ -157,10 +155,9 @@ def test_drivers_agree_on_every_scheduler(grid2d_medium, helmholtz_small,
     cplx=st.booleans(),
     chains=st.booleans(),
     n_workers=st.sampled_from([1, 2, 4]),
-    scheduler=st.sampled_from(sorted(THREAD_SCHEDULERS)),
 )
 def test_generated_matrices(no_unit_floor, kind, n, seed, cplx, chains,
-                            n_workers, scheduler):
+                            n_workers):
     """Grids, arrowheads, random patterns, 1×1, width-1 chains (no
     amalgamation) and a single dense panel."""
     options = NO_AMALGAMATION if chains else None
@@ -171,7 +168,7 @@ def test_generated_matrices(no_unit_floor, kind, n, seed, cplx, chains,
         seq = factorize_sequential(symbol, permuted, ft)
         assert_close(ref, seq)
         assert_identical(seq, factorize_threaded(
-            symbol, permuted, ft, n_workers=n_workers, scheduler=scheduler))
+            symbol, permuted, ft, n_workers=n_workers))
 
 
 @pytest.mark.parametrize("n", [0, 1])

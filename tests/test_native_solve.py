@@ -24,7 +24,7 @@ from repro.core.triangular import solve_factored
 from repro.dag import builder
 from repro.dag.solve_builder import build_solve_dag
 from repro.kernels import native
-from repro.runtime.threaded import THREAD_SCHEDULERS, solve_threaded
+from repro.runtime.threaded import solve_threaded
 from repro.runtime.tracing import ExecutionTrace
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic import analyze
@@ -58,12 +58,6 @@ def _factor(mat, ft, options=None):
     factor = factorize_sequential(res.symbol, mat.permute(res.perm.perm), ft)
     assert factor.kernels == "native"
     return factor
-
-
-def _numpy_solve(factor, b):
-    """``solve_factored`` of the same panels by the NumPy bodies."""
-    with cbuild.python_bodies():
-        return solve_factored(factor, b)
 
 
 def _rhs(rng, n, shape, cplx=False):
@@ -114,9 +108,7 @@ def test_native_matches_numpy_bodies(cplx, shape):
         assert np.abs(resid).max() <= 1e-12 * np.abs(b).max()
 
 
-@pytest.mark.parametrize("scheduler", sorted(THREAD_SCHEDULERS))
-def test_threaded_equals_sequential_every_scheduler(
-        grid2d_medium, helmholtz_small, scheduler):
+def test_threaded_equals_sequential(grid2d_medium, helmholtz_small):
     rng = np.random.default_rng(2)
     for mat, cplx in ((grid2d_medium, False), (helmholtz_small, True)):
         for ft in factotypes(cplx):
@@ -126,10 +118,9 @@ def test_threaded_equals_sequential_every_scheduler(
                 for kernels in ("native", "numpy"):
                     with backend(kernels):
                         ref = solve_factored(factor, b)
-                        for n_workers in (1, 2, 4):
+                        for n_workers in (1, 2, 3):
                             assert np.array_equal(ref, solve_threaded(
-                                factor, b, n_workers=n_workers,
-                                scheduler=scheduler))
+                                factor, b, n_workers=n_workers))
 
 
 def test_one_call_per_sweep_and_per_task(grid2d_medium, monkeypatch):
@@ -191,17 +182,16 @@ def test_one_unit_chain_trace(grid2d_medium, helmholtz_small, monkeypatch,
         dag = build_solve_dag(factor.symbol, ft, dtype=factor.dtype,
                               n_workers=3)
         assert dag.n_tasks == 2
-        for order in sorted(THREAD_SCHEDULERS):
-            trace = ExecutionTrace()
-            x = solve_threaded(factor, b, n_workers=3, scheduler=order,
-                               trace=trace, record_sync=True)
-            assert np.array_equal(x, solve_factored(factor, b))
-            assert [e.task for e in trace.events] == [0, 1]
-            assert trace.meta["kernels"] == "native"
-            assert trace.meta["sync_stats"]["counts"]["publish"] == 2
-            for rep in (verify_schedule(dag, trace),
-                        verify_concurrency(dag, trace)):
-                assert rep.ok, rep.format()
+        trace = ExecutionTrace()
+        x = solve_threaded(factor, b, n_workers=3, trace=trace,
+                           record_sync=True)
+        assert np.array_equal(x, solve_factored(factor, b))
+        assert [e.task for e in trace.events] == [0, 1]
+        assert trace.meta["kernels"] == "native"
+        assert trace.meta["sync_stats"]["counts"]["publish"] == 2
+        for rep in (verify_schedule(dag, trace),
+                    verify_concurrency(dag, trace)):
+            assert rep.ok, rep.format()
 
 
 # ----------------------------------------------------------------------
@@ -374,15 +364,15 @@ def test_malformed_arguments_are_rejected(grid2d_small):
 
 def test_executor_arguments_and_trace_logs(grid2d_medium):
     """``run_dag`` checks what its DagTasks could not (the worker count
-    against the gather buffers, the rank, a body that runs every kind of
-    task in the DAG), and a trace log that runs out of room is an error
+    against the gather buffers, a body that runs every kind of task in the
+    DAG), and a trace log that runs out of room is an error
     after a complete solve, never a silent cut."""
     from repro.dag import get_dag
     from repro.runtime.threaded import _executor_tasks
 
     factor = _factor(grid2d_medium, "lu")
     dag = build_solve_dag(factor.symbol, "lu", n_workers=2)
-    tasks, _ = _executor_tasks(dag)
+    tasks = _executor_tasks(dag)
     b = np.random.default_rng(3).standard_normal(grid2d_medium.n_rows)
     ref = solve_factored(factor, b)
 
@@ -393,14 +383,10 @@ def test_executor_arguments_and_trace_logs(grid2d_medium):
     for n_workers in (0, 3):
         with pytest.raises(ValueError, match="n_workers"):
             native.run_dag(tasks, sweeps()[1], n_workers)
-    for rank in (np.zeros(tasks.n_tasks + 1), np.zeros(tasks.n_tasks, int),
-                 np.full(tasks.n_tasks, np.nan)):
-        with pytest.raises(ValueError, match="rank"):
-            native.run_dag(tasks, sweeps()[1], 2, rank)
     unit = get_dag(factor.symbol, "lu", granularity="unit", n_workers=2)
     for wrong, body in ((tasks, native.FactorizeTasks(factor,
                                                       unit.unit_panels, 2)),
-                        (_executor_tasks(unit)[0], sweeps()[1])):
+                        (_executor_tasks(unit), sweeps()[1])):
         with pytest.raises(ValueError, match="does not run task kinds"):
             native.run_dag(wrong, body, 2)
     short = dag.copy(unit_panels=dag.unit_panels[:1])
@@ -410,8 +396,7 @@ def test_executor_arguments_and_trace_logs(grid2d_medium):
 
     x, sw = sweeps()
     logs = native.DagLogs.sized_for(tasks.n_tasks, 2, sync=True)
-    native.run_dag(tasks, sw, 2, -np.arange(tasks.n_tasks, dtype=float),
-                   logs)
+    native.run_dag(tasks, sw, 2, logs)
     assert np.array_equal(x, ref)
     rows = logs.written("task")
     assert sorted(rows[:, 0]) == list(range(tasks.n_tasks))
@@ -420,20 +405,9 @@ def test_executor_arguments_and_trace_logs(grid2d_medium):
     x, sw = sweeps()
     logs = native.DagLogs({"task": tasks.n_tasks - 1})
     with pytest.raises(RuntimeError, match="overflow.*'task'"):
-        native.run_dag(tasks, sw, 2, None, logs)
+        native.run_dag(tasks, sw, 2, logs)
     assert np.array_equal(x, ref)        # the solve itself completed
     assert len(logs.written("task")) == tasks.n_tasks - 1
-
-
-def test_factors_without_arenas_take_the_numpy_bodies(grid2d_small):
-    factor = _factor(grid2d_small, "lu")
-    lists = dataclasses.replace(factor, L_arena=None, U_arena=None)
-    b = np.random.default_rng(6).standard_normal(grid2d_small.n_rows)
-    x = np.ones(grid2d_small.n_rows)
-    assert native.solve_sweeps(lists, x, np.arange(factor.n_cblk)) is None
-    assert np.array_equal(solve_factored(lists, b), _numpy_solve(factor, b))
-    assert np.array_equal(solve_threaded(lists, b, n_workers=2),
-                          _numpy_solve(factor, b))
 
 
 def test_unloadable_library_solves_exactly_like_numpy(grid2d_small,

@@ -414,12 +414,13 @@ class TestThreaded:
                                          monkeypatch):
         """A task body that raises reaches the caller as it was raised,
         and the trace records it as a ``"task-error"`` fault."""
+        from repro.kernels import panel
         from repro.runtime import threaded
 
         def boom(factor, k, **options):
             raise ValueError(f"boom on panel {k}")
 
-        monkeypatch.setattr(threaded, "panel_factorize", boom)
+        monkeypatch.setattr(panel, "panel_factorize", boom)
         res = analyze(grid2d_small)
         permuted = grid2d_small.permute(res.perm.perm)
         trace = ExecutionTrace()

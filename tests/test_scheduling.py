@@ -1,12 +1,10 @@
-"""The DAG executor's pop orders and their plumbing."""
+"""The DAG executor's one pop order (work stealing) and its plumbing."""
 
 import numpy as np
 import pytest
 
 from repro.dag import build_dag, get_dag, longest_path_levels
 from repro.dag.analysis import critical_path
-from repro.kernels import native
-from repro.runtime.threaded import THREAD_SCHEDULERS
 from repro.symbolic import analyze
 
 
@@ -16,7 +14,7 @@ def dag(grid2d_small):
     return build_dag(res.symbol, "llt", granularity="2d")
 
 
-def _run(mat, scheduler, n_workers=1):
+def _run(mat, n_workers=1):
     """A traced threaded factorization of ``mat``: the unit DAG it ran
     and its tasks in the order they started."""
     from repro.runtime.threaded import factorize_threaded
@@ -25,7 +23,7 @@ def _run(mat, scheduler, n_workers=1):
     res = analyze(mat)
     trace = ExecutionTrace()
     factorize_threaded(res.symbol, mat.permute(res.perm.perm), "llt",
-                       n_workers=n_workers, trace=trace, scheduler=scheduler)
+                       n_workers=n_workers, trace=trace)
     unit = get_dag(res.symbol, "llt", granularity="unit",
                    n_workers=n_workers)
     assert unit.n_tasks > 4
@@ -33,76 +31,39 @@ def _run(mat, scheduler, n_workers=1):
     return unit, order
 
 
-def _ready_sets(unit, order):
-    """The ready set before each pop of a one-worker run in ``order``."""
-    deps = unit.n_deps.copy()
-    ready = set(np.flatnonzero(deps == 0).tolist())
-    for t in order:
-        yield sorted(ready), t
-        ready.remove(t)
-        for s in unit.successors(t).tolist():
-            deps[s] -= 1
-            if deps[s] == 0:
-                ready.add(s)
+def _drivers(mat):
+    """Both threaded drivers on ``mat``, as callables taking keywords."""
+    from repro.core.factorization import factorize_sequential
+    from repro.runtime.threaded import factorize_threaded, solve_threaded
+
+    res = analyze(mat)
+    permuted = mat.permute(res.perm.perm)
+    factor = factorize_sequential(res.symbol, permuted, "llt")
+    return [
+        lambda **o: factorize_threaded(res.symbol, permuted, "llt", **o),
+        lambda **o: solve_threaded(factor, np.ones(res.symbol.n), **o),
+    ]
 
 
 # ----------------------------------------------------------------------
-# the three names
+# no pop-order knob
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_all_names_resolve(self, grid2d_small, no_unit_floor):
-        """Both drivers run every pop order and stamp its name."""
-        from repro.core.factorization import factorize_sequential
-        from repro.runtime.threaded import factorize_threaded, solve_threaded
-        from repro.runtime.tracing import ExecutionTrace
-
-        res = analyze(grid2d_small)
-        permuted = grid2d_small.permute(res.perm.perm)
-        factor = factorize_sequential(res.symbol, permuted, "llt")
-        for name in THREAD_SCHEDULERS:
-            traces = [ExecutionTrace(), ExecutionTrace()]
-            factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
-                               trace=traces[0], scheduler=name)
-            solve_threaded(factor, np.ones(res.symbol.n), n_workers=2,
-                           trace=traces[1], scheduler=name)
-            assert [t.meta["scheduler"] for t in traces] == [name, name]
-
-    @staticmethod
-    def _drivers(mat):
-        """Run both drivers on ``mat`` with the given options."""
-        from repro.core.factorization import factorize_sequential
-        from repro.runtime.threaded import factorize_threaded, solve_threaded
-
-        res = analyze(mat)
-        permuted = mat.permute(res.perm.perm)
-        factor = factorize_sequential(res.symbol, permuted, "llt")
-        return [
-            lambda **o: factorize_threaded(res.symbol, permuted, "llt", **o),
-            lambda **o: solve_threaded(factor, np.ones(res.symbol.n), **o),
-        ]
-
-    def test_unknown_name_lists_registry(self, grid2d_small):
-        """An unknown pop order, a name or an object, is a ``ValueError``
-        naming the three."""
-        for run in self._drivers(grid2d_small):
-            for scheduler in ("lottery", object()):
-                with pytest.raises(ValueError, match="inverse-priority"):
-                    run(n_workers=2, scheduler=scheduler)
-
-    @pytest.mark.parametrize("name", ["fifo", "affinity", "adaptive"])
+    @pytest.mark.parametrize("name", ["fifo", "affinity", "adaptive",
+                                      "priority", "inverse-priority"])
     def test_deleted_policies_are_unknown(self, grid2d_small, name):
-        for run in self._drivers(grid2d_small):
-            with pytest.raises(ValueError, match=r"are \['inverse-priority', "
-                                                 r"'priority', 'ws'\]"):
+        """Neither driver takes a pop order: naming one, a deleted one
+        included, is a ``TypeError``."""
+        for run in _drivers(grid2d_small):
+            with pytest.raises(TypeError, match="scheduler"):
                 run(n_workers=2, scheduler=name)
-
-    def test_expected_policies_registered(self):
-        assert set(THREAD_SCHEDULERS) == {"ws", "priority",
-                                          "inverse-priority"}
 
     def test_solve_defaults_to_work_stealing(self, grid2d_small,
                                              no_unit_floor):
+        """The solve's executor pops as the factorization's does: one
+        worker runs the solve DAG's LIFO Kahn order."""
         from repro.core.factorization import factorize_sequential
+        from repro.dag.solve_builder import build_solve_dag
         from repro.runtime.threaded import solve_threaded
         from repro.runtime.tracing import ExecutionTrace
 
@@ -110,9 +71,13 @@ class TestRegistry:
         factor = factorize_sequential(
             res.symbol, grid2d_small.permute(res.perm.perm), "llt")
         trace = ExecutionTrace()
-        solve_threaded(factor, np.ones(res.symbol.n), n_workers=2,
+        solve_threaded(factor, np.ones(res.symbol.n), n_workers=1,
                        trace=trace)
-        assert trace.meta["scheduler"] == "ws"
+        dag = build_solve_dag(factor.symbol, "llt", n_workers=1)
+        assert dag.n_tasks > 2
+        order = [e.task for e in sorted(trace.events, key=lambda e: e.start)]
+        assert order == dag.kahn_order().tolist()
+        assert "scheduler" not in trace.meta
 
 
 # ----------------------------------------------------------------------
@@ -147,42 +112,43 @@ class TestLongestPathLevels:
 # ----------------------------------------------------------------------
 # executor contract: every task runs exactly once
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(THREAD_SCHEDULERS))
-def test_exactly_once_drain(grid2d_medium, no_unit_floor, name):
-    unit, order = _run(grid2d_medium, name, n_workers=3)
+def test_exactly_once_drain(grid2d_medium, no_unit_floor):
+    unit, order = _run(grid2d_medium, n_workers=3)
     assert sorted(order) == list(range(unit.n_tasks))
 
 
 # ----------------------------------------------------------------------
-# the pop orders, seen through a one-worker run
+# the pop order, seen through a one-worker run
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(native.availability() is not None,
-                    reason="the heaps are the C executor's; without it the "
-                           "tasks run in Kahn order")
-class TestCriticalPath:
-    def test_pops_highest_level_first(self, grid2d_medium, no_unit_floor):
-        unit, order = _run(grid2d_medium, "priority")
-        levels = longest_path_levels(unit)
-        for ready, t in _ready_sets(unit, order):
-            assert levels[t] == levels[ready].max()
-
-    def test_inverse_pops_lowest_first(self, grid2d_medium, no_unit_floor):
-        unit, order = _run(grid2d_medium, "inverse-priority")
-        levels = longest_path_levels(unit)
-        for ready, t in _ready_sets(unit, order):
-            assert levels[t] == levels[ready].min()
-
-
 class TestWorkStealing:
     def test_local_pop_is_lifo(self, grid2d_medium, no_unit_floor):
-        """``"ws"``: a worker pops the newest task it released, so one
-        worker runs the DAG's LIFO Kahn order."""
-        unit, order = _run(grid2d_medium, "ws")
+        """A worker pops the newest task it released, so one worker runs
+        the DAG's LIFO Kahn order — not the ascending panel order the
+        sequential driver walks — and the factor and the solve are still
+        the sequential driver's, bit for bit, at 1, 2 and 3 workers."""
+        from repro.core.factorization import factorize_sequential
+        from repro.core.triangular import solve_factored
+        from repro.runtime.threaded import factorize_threaded, solve_threaded
+
+        unit, order = _run(grid2d_medium)
         assert order == unit.kahn_order().tolist()
+        assert order != np.argsort(unit.cblk, kind="stable").tolist()
+
+        res = analyze(grid2d_medium)
+        permuted = grid2d_medium.permute(res.perm.perm)
+        seq = factorize_sequential(res.symbol, permuted, "llt")
+        b = np.random.default_rng(0).standard_normal((res.symbol.n, 2))
+        ref = solve_factored(seq, b)
+        for n_workers in (1, 2, 3):
+            par = factorize_threaded(res.symbol, permuted, "llt",
+                                     n_workers=n_workers)
+            assert np.array_equal(par.L_arena, seq.L_arena)
+            assert np.array_equal(
+                solve_threaded(seq, b, n_workers=n_workers), ref)
 
 
 # ----------------------------------------------------------------------
-# provenance: trace.meta stamp + S208 audit
+# provenance: trace.meta stamp
 # ----------------------------------------------------------------------
 class TestProvenance:
     def test_threaded_run_stamps_meta(self, grid2d_small):
@@ -193,44 +159,8 @@ class TestProvenance:
         permuted = grid2d_small.permute(res.perm.perm)
         trace = ExecutionTrace()
         factorize_threaded(
-            res.symbol, permuted, "llt", n_workers=2,
-            trace=trace, scheduler="priority",
-        )
-        assert trace.meta["scheduler"] == "priority"
-        assert trace.meta["n_workers"] == 2
-        assert trace.meta["granularity"] == "unit"
-
-    def test_verifier_accepts_known_scheduler(self, grid2d_small):
-        from repro.dag.builder import dag_of_trace
-        from repro.runtime.threaded import factorize_threaded
-        from repro.runtime.tracing import ExecutionTrace
-        from repro.verify import verify_schedule
-
-        res = analyze(grid2d_small)
-        permuted = grid2d_small.permute(res.perm.perm)
-        trace = ExecutionTrace()
-        factorize_threaded(
-            res.symbol, permuted, "llt", n_workers=2,
-            trace=trace, scheduler="ws",
-        )
-        report = verify_schedule(
-            dag_of_trace(res.symbol, "llt", trace), trace)
-        assert report.ok, report.format()
-        assert report.stats["scheduler"] == "ws"
-
-    def test_verifier_flags_unknown_scheduler(self, grid2d_small):
-        from repro.dag.builder import dag_of_trace
-        from repro.runtime.threaded import factorize_threaded
-        from repro.runtime.tracing import ExecutionTrace
-        from repro.verify import verify_schedule
-
-        res = analyze(grid2d_small)
-        permuted = grid2d_small.permute(res.perm.perm)
-        trace = ExecutionTrace()
-        factorize_threaded(
             res.symbol, permuted, "llt", n_workers=2, trace=trace,
         )
-        trace.meta["scheduler"] = "lottery"
-        report = verify_schedule(
-            dag_of_trace(res.symbol, "llt", trace), trace)
-        assert {f.code for f in report.findings} == {"S208"}
+        assert "scheduler" not in trace.meta
+        assert trace.meta["n_workers"] == 2
+        assert trace.meta["granularity"] == "unit"

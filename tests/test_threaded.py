@@ -5,11 +5,7 @@ import pytest
 
 from repro.core.factorization import factorize_sequential
 from repro.core.triangular import solve_factored
-from repro.runtime.threaded import (
-    THREAD_SCHEDULERS,
-    factorize_threaded,
-    solve_threaded,
-)
+from repro.runtime.threaded import factorize_threaded, solve_threaded
 from repro.runtime.tracing import ExecutionTrace
 from repro.dag import build_dag, get_dag
 from repro.dag.builder import dag_of_trace
@@ -131,13 +127,10 @@ def test_failure_propagates(grid2d_small):
         factorize_threaded(res.symbol, broken, "llt", n_workers=2)
 
 
-@pytest.mark.parametrize("scheduler", ["ws", "priority"])
-def test_all_schedulers_match_sequential(grid2d_small, scheduler):
+def test_threaded_matches_sequential(grid2d_small):
     res, permuted = _setup(grid2d_small, "llt")
     ref = factorize_sequential(res.symbol, permuted, "llt")
-    par = factorize_threaded(
-        res.symbol, permuted, "llt", n_workers=3, scheduler=scheduler
-    )
+    par = factorize_threaded(res.symbol, permuted, "llt", n_workers=3)
     for a, b in zip(ref.L, par.L):
         assert np.allclose(a, b, atol=1e-10)
 
@@ -167,9 +160,7 @@ def test_non_positive_worker_count_is_rejected(grid2d_small, driver,
 
 @pytest.mark.parametrize("driver", ["factorize", "solve"])
 def test_pool_arguments_are_checked(grid2d_small, driver):
-    """Both drivers refuse ``n_workers < 1``, and a pop order they do not
-    have with a ``ValueError`` naming the three they do, before any work
-    starts."""
+    """Both drivers refuse ``n_workers < 1`` before any work starts."""
     from repro.runtime.threaded import solve_threaded
 
     res, permuted = _setup(grid2d_small, "llt")
@@ -183,9 +174,6 @@ def test_pool_arguments_are_checked(grid2d_small, driver):
 
     with pytest.raises(ValueError, match="n_workers must be positive"):
         run(n_workers=0)
-    with pytest.raises(ValueError,
-                       match=r"\['inverse-priority', 'priority', 'ws'\]"):
-        run(n_workers=2, scheduler="lottery")
 
 
 def test_ldlt_pivot_threshold_threaded(grid2d_medium):
@@ -243,8 +231,8 @@ def _solve_cases(mat, factotype, complex_rhs=False):
 @pytest.mark.usefixtures("no_unit_floor")
 class TestThreadedSolve:
     """The threaded solve is *bit-identical* to ``solve_factored``: every
-    shared write is ordered by a DAG edge, so neither the worker count,
-    the scheduler nor the interleaving can change a single bit.  (The
+    shared write is ordered by a DAG edge, so neither the worker count
+    nor the interleaving can change a single bit.  (The
     test matrices are below ``MIN_SOLVE_FLOPS``: without the floor their
     solve DAGs have tens of tasks.)"""
 
@@ -284,8 +272,7 @@ class TestThreadedSolve:
         x = solve_threaded(factor, b, n_workers=2)
         assert np.allclose(permuted.matvec(x), b, atol=1e-9)
 
-    @pytest.mark.parametrize("scheduler", sorted(THREAD_SCHEDULERS))
-    def test_solve_schedulers(self, grid2d_small, helmholtz_small, scheduler):
+    def test_solve_worker_counts(self, grid2d_small, helmholtz_small):
         from repro.core.triangular import solve_factored
         from repro.runtime.threaded import solve_threaded
 
@@ -295,9 +282,8 @@ class TestThreadedSolve:
         for factor, _, rhs in cases:
             for b in rhs:
                 ref = solve_factored(factor, b)
-                for n_workers in (1, 2, 4):
-                    par = solve_threaded(factor, b, n_workers=n_workers,
-                                         scheduler=scheduler)
+                for n_workers in (1, 2, 3, 4):
+                    par = solve_threaded(factor, b, n_workers=n_workers)
                     assert np.array_equal(ref, par)
 
     def test_block_rhs_ldlt(self, grid2d_small):
@@ -334,8 +320,7 @@ class TestThreadedSolve:
         try:
             for rep in range(10):
                 for b, ref in zip(rhs, refs):
-                    par = solve_threaded(factor, b, n_workers=8,
-                                         scheduler="ws")
+                    par = solve_threaded(factor, b, n_workers=8)
                     assert np.array_equal(ref, par), rep
         finally:
             sys.setswitchinterval(old)
@@ -444,12 +429,11 @@ class TestSolveExecutor:
         res, factor = self._factor(grid2d_medium)
         b = np.random.default_rng(1).standard_normal((res.symbol.n, 3))
         for kernels in ("native", "numpy"):
-            for scheduler in sorted(THREAD_SCHEDULERS):
-                trace = ExecutionTrace()
-                with backend(kernels):
-                    x = solve_threaded(factor, b, n_workers=3, trace=trace,
-                                       scheduler=scheduler, record_sync=True)
-                    assert np.array_equal(x, solve_factored(factor, b))
+            trace = ExecutionTrace()
+            with backend(kernels):
+                x = solve_threaded(factor, b, n_workers=3, trace=trace,
+                                   record_sync=True)
+                assert np.array_equal(x, solve_factored(factor, b))
         factorize_threaded(res.symbol, grid2d_medium.permute(res.perm.perm),
                            "ldlt", n_workers=2)
         assert started == []
@@ -570,14 +554,12 @@ class TestSolveExecutor:
 class TestFailingTask:
     """A task that raises stops the run: no task starts after it, it
     lands in the trace as a ``"task-error"`` fault, and its exception
-    reaches the caller — under the worst pop order too, on either
-    backend."""
+    reaches the caller, on either backend."""
 
     @pytest.mark.parametrize("kernels", ["native", "numpy"])
     def test_raising_task_is_traced_and_reraised(self, grid2d_small,
                                                  no_unit_floor, kernels):
-        from repro.kernels import native
-        from repro.runtime import threaded
+        from repro.kernels import native, panel
 
         if kernels == "native" and native.availability() is not None:
             pytest.skip("native kernels unavailable")
@@ -594,14 +576,13 @@ class TestFailingTask:
             with pytest.MonkeyPatch.context() as mp:
                 # Every diagonal block comes back to Python (a threshold
                 # no pivot meets) and the first one raises.
-                mp.setattr(native if kernels == "native" else threaded,
+                mp.setattr(native if kernels == "native" else panel,
                            "panel_factorize", boom)
                 trace = ExecutionTrace()
                 with backend(kernels), pytest.raises(
                         ZeroDivisionError, match="boom in panel"):
                     factorize_threaded(res.symbol, permuted, "ldlt",
                                        n_workers=n_workers, trace=trace,
-                                       scheduler="inverse-priority",
                                        pivot_threshold=1e300,
                                        record_sync=True)
             faults = trace.fault_events

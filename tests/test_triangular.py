@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from repro.core.factorization import factorize_sequential
-from repro.core.triangular import backward_solve, forward_solve, solve_factored
+from repro.core.triangular import SolveSteps, solve_factored
 from repro.symbolic import analyze
 
 
@@ -18,10 +18,17 @@ def llt_setup(grid2d_small):
     return factor, L, permuted
 
 
+def _sweep(factor, b, backward):
+    """One NumPy sweep over every panel, on a copy of ``b``."""
+    x = b.copy()
+    SolveSteps(factor, x).run(0, factor.n_cblk, backward=backward)
+    return x
+
+
 def test_forward_matches_dense(llt_setup):
     factor, L, _ = llt_setup
     b = np.random.default_rng(0).standard_normal(L.shape[0])
-    y = forward_solve(factor, b)
+    y = _sweep(factor, b, backward=False)
     ref = sla.solve_triangular(L, b, lower=True)
     assert np.allclose(y, ref, atol=1e-10)
 
@@ -29,7 +36,7 @@ def test_forward_matches_dense(llt_setup):
 def test_backward_matches_dense(llt_setup):
     factor, L, _ = llt_setup
     b = np.random.default_rng(1).standard_normal(L.shape[0])
-    x = backward_solve(factor, b)
+    x = _sweep(factor, b, backward=True)
     ref = sla.solve_triangular(L.T, b, lower=False)
     assert np.allclose(x, ref, atol=1e-10)
 

@@ -3,7 +3,7 @@
 ``build_dag(granularity="unit")`` has one left-looking task per unit (a
 panel or a fused leaf subtree) and tree edges only; the threaded body
 takes no lock and must reproduce ``factorize_sequential`` *bit for bit*
-whatever the worker count, scheduler and interleaving.  The test
+whatever the worker count and interleaving.  The test
 matrices are far below ``MIN_UNIT_FLOPS``, so most tests lift the floor
 (``no_unit_floor``) to get a real unit tree.
 """
@@ -30,7 +30,7 @@ from repro.kernels.cost import (
     flops_total,
     flops_update,
 )
-from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
+from repro.runtime.threaded import factorize_threaded
 from repro.runtime.tracing import ExecutionTrace
 from repro.sparse import load_matrix
 from repro.sparse.csc import SparseMatrixCSC
@@ -63,11 +63,9 @@ def _assert_identical(ref, got):
 # ----------------------------------------------------------------------
 # bit-identity with the sequential driver
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("scheduler", sorted(THREAD_SCHEDULERS))
 @pytest.mark.parametrize("factotype,cplx", CASES)
 def test_bit_identical_to_sequential(grid2d_medium, helmholtz_small,
-                                     no_unit_floor, factotype, cplx,
-                                     scheduler):
+                                     no_unit_floor, factotype, cplx):
     res, permuted = _setup(helmholtz_small if cplx else grid2d_medium)
     # A statement about the NumPy kernels (the native backend:
     # tests/test_native_kernels.py).
@@ -76,8 +74,7 @@ def test_bit_identical_to_sequential(grid2d_medium, helmholtz_small,
         assert np.iscomplexobj(ref.L[0]) == cplx
         for n_workers in (1, 2, 3, 4):
             got = factorize_threaded(
-                res.symbol, permuted, factotype, n_workers=n_workers,
-                scheduler=scheduler)
+                res.symbol, permuted, factotype, n_workers=n_workers)
             _assert_identical(ref, got)
     assert get_dag(res.symbol, factotype, granularity="unit",
                    dtype=ref.dtype, n_workers=4).n_tasks > 4
@@ -385,19 +382,18 @@ def test_small_bench_workloads_split_no_panel(workload, ft):
                                          ("vol3d_ldlt", "ldlt")])
 def test_small_bench_workloads_threaded_is_sequential(workload, ft):
     """Their multi-task unit DAGs run bit for bit as the sequential
-    driver, at 1 to 3 workers under every pop order."""
+    driver, at 1 to 3 workers."""
     matrix = load_matrix(*E2E_INPUTS[workload], 0)
     res = analyze(matrix)
     permuted = matrix.permute(res.perm.perm)
     seq = factorize_sequential(res.symbol, permuted, ft)
     for n_workers in (1, 2, 3):
-        for order in sorted(THREAD_SCHEDULERS):
-            got = factorize_threaded(res.symbol, permuted, ft,
-                                     n_workers=n_workers, scheduler=order)
-            for side in ("L_arena", "U_arena", "D_arena"):
-                a, b = getattr(seq, side), getattr(got, side)
-                assert (a is None and b is None) or np.array_equal(a, b), (
-                    n_workers, order, side)
+        got = factorize_threaded(res.symbol, permuted, ft,
+                                 n_workers=n_workers)
+        for side in ("L_arena", "U_arena", "D_arena"):
+            a, b = getattr(seq, side), getattr(got, side)
+            assert (a is None and b is None) or np.array_equal(a, b), (
+                n_workers, side)
 
 
 def test_row_blocks_shorten_the_critical_path_of_helm3d(monkeypatch):

@@ -2,10 +2,10 @@
 
 Live coverage: sync-instrumented threaded runs (the lock-free unit DAG:
 no lock windows, C702 + C705 + C707 carry the audit) must come out
-clean for every scheduler and both kernel backends, and instrumentation
-off must mean *off* (no events, no meta, unchanged numerics).  Checker
-coverage: each C7xx code is triggered either by one of the shipped
-fault injectors or by a surgical hand-corruption of a real trace.
+clean on both kernel backends, and instrumentation off must mean *off*
+(no events, no meta, unchanged numerics).  Checker coverage: each C7xx
+code is triggered either by one of the shipped fault injectors or by a
+surgical hand-corruption of a real trace.
 """
 
 import itertools
@@ -26,8 +26,8 @@ from repro.verify.concurrency import (
 from tests.conftest import backend
 
 
-def _traced_run(mat, factotype="llt", *, scheduler="ws", n_workers=3,
-                record_sync=True, bodies="native"):
+def _traced_run(mat, factotype="llt", *, n_workers=3, record_sync=True,
+                bodies="native"):
     """Run, and pair the trace with the DAG it names."""
     res = analyze(mat)
     permuted = mat.permute(res.perm.perm)
@@ -35,7 +35,7 @@ def _traced_run(mat, factotype="llt", *, scheduler="ws", n_workers=3,
     with backend(bodies):
         factor = factorize_threaded(
             res.symbol, permuted, factotype, n_workers=n_workers,
-            trace=trace, scheduler=scheduler, record_sync=record_sync,
+            trace=trace, record_sync=record_sync,
         )
     dag = dag_of_trace(res.symbol, factotype, trace, dtype=factor.dtype)
     assert dag.granularity == "unit"
@@ -50,10 +50,9 @@ def _codes(report, errors_only=True):
 # ----------------------------------------------------------------------
 # clean runs
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("scheduler", ["ws", "priority", "inverse-priority"])
 @pytest.mark.parametrize("native", [False, True])
-def test_clean_run_passes(grid2d_small, no_unit_floor, scheduler, native):
-    dag, trace, _ = _traced_run(grid2d_small, scheduler=scheduler,
+def test_clean_run_passes(grid2d_small, no_unit_floor, native):
+    dag, trace, _ = _traced_run(grid2d_small,
                                 bodies="native" if native else "numpy")
     assert dag.n_tasks > 1
     rep = verify_concurrency(dag, trace)
@@ -62,16 +61,13 @@ def test_clean_run_passes(grid2d_small, no_unit_floor, scheduler, native):
     assert rep.stats["tasks"] == dag.n_tasks
 
 
-@pytest.mark.parametrize("scheduler", ["ws", "priority", "inverse-priority"])
 @pytest.mark.parametrize("factotype", ["llt", "ldlt", "lu"])
-def test_unit_run_passes(grid2d_medium, no_unit_floor, scheduler,
-                         factotype):
+def test_unit_run_passes(grid2d_medium, no_unit_floor, factotype):
     """The unit DAG has no mutex group and its bodies take no lock: as
     for the solve, the audit is publish order along the tree edges
     (C702) plus the sync-stats provenance (C707), and the trace must
     show no hold window."""
-    dag, trace, _ = _traced_run(grid2d_medium, factotype,
-                                scheduler=scheduler)
+    dag, trace, _ = _traced_run(grid2d_medium, factotype)
     assert 1 < dag.n_tasks == len(trace.events)
     trace.validate(dag)
     rep = verify_concurrency(dag, trace)
@@ -95,15 +91,14 @@ def test_solve_run_passes(grid2d_small, no_unit_floor):
     res = analyze(grid2d_small)
     permuted = grid2d_small.permute(res.perm.perm)
     b = np.random.default_rng(7).standard_normal(permuted.n_rows)
-    for (factotype, scheduler), kernels in itertools.product(
-            [("llt", "inverse-priority"), ("ldlt", "ws"), ("lu", "priority")],
-            ["native", "numpy"]):
+    for factotype, kernels in itertools.product(["llt", "ldlt", "lu"],
+                                                ["native", "numpy"]):
         with backend(kernels):
             factor = factorize_threaded(res.symbol, permuted, factotype,
                                         n_workers=3)
         trace = ExecutionTrace()
         x = solve_threaded(factor, b, n_workers=3, trace=trace,
-                           record_sync=True, scheduler=scheduler)
+                           record_sync=True)
         assert trace.meta["kernels"] == factor.kernels
         assert np.array_equal(x, solve_factored(factor, b))
         dag = build_solve_dag(res.symbol, factotype, dtype=factor.dtype,

@@ -14,7 +14,7 @@ from repro.machine.streamsim import simulate_kernel_burst
 from repro.resilience import FaultModel, FaultSpec, RecoveryPolicy
 from repro.runtime import get_policy
 from repro.runtime.seq import MonotonicCounter, monotonic_counter
-from repro.runtime.threaded import THREAD_SCHEDULERS, factorize_threaded
+from repro.runtime.threaded import factorize_threaded
 from repro.runtime.tracing import ExecutionTrace
 from repro.symbolic import analyze
 from repro.verify.determinism import (
@@ -72,12 +72,12 @@ def _burst_trace():
     return tr
 
 
-def _threaded_trace(res, matrix, scheduler, kernels):
+def _threaded_trace(res, matrix, kernels):
     permuted = matrix.permute(res.perm.perm)
     trace = ExecutionTrace()
     with backend(kernels):
         factorize_threaded(res.symbol, permuted, "llt", n_workers=2,
-                           trace=trace, scheduler=scheduler)
+                           trace=trace)
     return trace
 
 
@@ -105,13 +105,11 @@ class TestFingerprintStability:
     def test_streamsim_double_run_identical(self):
         assert _burst_trace().fingerprint() == _burst_trace().fingerprint()
 
-    @pytest.mark.parametrize("scheduler", sorted(THREAD_SCHEDULERS))
     @pytest.mark.parametrize("native", [False, True])
-    def test_threaded_fingerprint_stable(self, res, grid2d_small,
-                                         scheduler, native):
+    def test_threaded_fingerprint_stable(self, res, grid2d_small, native):
         kernels = "native" if native else "numpy"
-        a = _threaded_trace(res, grid2d_small, scheduler, kernels)
-        b = _threaded_trace(res, grid2d_small, scheduler, kernels)
+        a = _threaded_trace(res, grid2d_small, kernels)
+        b = _threaded_trace(res, grid2d_small, kernels)
         assert a.meta["clock"] == "wall"
         assert a.fingerprint() == b.fingerprint()
         # The fingerprint names the DAG the task ids refer to.
