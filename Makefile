@@ -98,8 +98,10 @@ race-smoke:
 # tree of tasks, at 1, 2 and 3 workers vs the sequential solve, plus one
 # traced run through the C7xx audit), factorize a matrix above the unit
 # floor and one whose panels split at 1-3 workers (bit for bit; the
-# executor has one pop order, work stealing), and one with zero pivots
-# on narrow panels whose blocks
+# executor has one pop order, work stealing), compare the factorization's
+# plan of the C pass (layout, couple plan, counts, row blocks, unit DAG)
+# with the NumPy builders' on one matrix per factotype (identical
+# arrays), factorize one with zero pivots on narrow panels whose blocks
 # come back to Python inside the executor (the sequential driver's
 # factor or error), and
 # analyse one matrix per generator family with the C helper and with
@@ -117,9 +119,11 @@ native-smoke:
 # keeps its arenas to the end), and run the differential fuzzer (the
 # C-vs-NumPy plan draws among them), the corrupted-plan checks and
 # native-smoke.  The differential tests of the three analysis passes
-# (test_analysis_passes.py) and of the native solve
-# (test_native_solve.py: the narrow steps' plain loops, the executor's
-# solve tasks) run under it too.  Any finding aborts the process, so the
+# (test_analysis_passes.py), of the factorization's plan in one C pass
+# (test_factor_plan.py: every plan array against the NumPy builders,
+# malformed symbols) and of the native solve (test_native_solve.py: the
+# narrow steps' plain loops, the executor's solve tasks) run under it
+# too.  Any finding aborts the process, so the
 # gate fails.  No C compiler or no libasan: SKIPPED.
 SANITIZE_CFLAGS := -fsanitize=address,undefined \
 	-fno-sanitize-recover=undefined -fno-omit-frame-pointer
@@ -137,7 +141,8 @@ sanitize-smoke:
 		-k "test_differential or corrupt or checkers" \
 		>/dev/null \
 	&& LD_PRELOAD=$$asan $(PYTHON) -m pytest -q \
-		tests/test_analysis_passes.py tests/test_native_solve.py \
+		tests/test_analysis_passes.py tests/test_factor_plan.py \
+		tests/test_native_solve.py \
 		>/dev/null \
 	&& LD_PRELOAD=$$asan $(PYTHON) benchmarks/native_smoke.py >/dev/null; \
 	status=$$?; rm -rf "$$cache"; \

@@ -23,8 +23,10 @@ one traced two-worker run must pass S2xx and C7xx.  One more matrix,
 factorized with the split floors lowered so that its panels split into
 a diagonal task and row-block tasks, checks each factotype the same way
 (NumPy 1e-12; the DAG executor at 1, 2 and 3 workers bit for bit) and
-audits one traced two-worker run (S2xx and C7xx).  The same matrix with zero pivots on
-the diagonal of narrow leaf panels (blocks C eliminates itself) makes C
+audits one traced two-worker run (S2xx and C7xx); with those floors, one
+matrix per factotype checks the factorization's plan of the C pass
+against the NumPy builders (``python_bodies``: every array equal).  The
+split matrix with zero pivots on the diagonal of narrow leaf panels (blocks C eliminates itself) makes C
 hand those blocks back to Python inside the executor: at 2 workers the
 LDLᵀ and LU errors, and the factors perturbed under a pivot threshold,
 must be the sequential driver's.
@@ -245,6 +247,66 @@ def check_split() -> None:
               "for bit, S2xx and C7xx clean)")
 
 
+def _plan_arrays(symbol, ft: str, n_workers: int) -> dict:
+    """Every array of the factorization's plan of ``symbol``, read through
+    its accessors, as ``{name: array}``."""
+    from repro.dag import builder
+    from repro.kernels.indexcache import (
+        CoupleMapCache,
+        PanelLayout,
+        get_couple_cache,
+        panel_layout,
+    )
+    from repro.runtime.threaded import _executor_tasks
+
+    lay, plan = panel_layout(symbol), get_couple_cache(symbol)
+    plan.validate()
+    blocks = builder.row_blocks(symbol, ft)
+    dag = builder.get_dag(symbol, ft, granularity="unit", n_workers=n_workers)
+    tasks = _executor_tasks(dag)
+    out = {name: getattr(lay, name) for name in PanelLayout._ARRAYS}
+    out.update({name: getattr(plan, name) for name in CoupleMapCache._ARRAYS})
+    out.update(maxima=np.array([plan.max_mn, plan.max_nw, plan.max_w]),
+               counts=np.array(builder.symbol_counts(symbol, ft, np.float64)),
+               block_ptr=blocks.ptr, block_rows=blocks.rows,
+               tasks=tasks.tasks, order=tasks.order)
+    for name in ("kind", "cblk", "unit_ptr", "unit_panels", "row_range",
+                 "succ_ptr", "succ_list", "n_deps", "flops"):
+        out[f"dag.{name}"] = getattr(dag, name)
+    return out
+
+
+def check_plan() -> None:
+    """The factorization's plan in one C pass (layout, couple plan,
+    counts, row blocks, unit DAG and its executor form) == the NumPy
+    builders' (``python_bodies``), one matrix per factotype, with
+    check_split's lowered floors so that panels split."""
+    from repro import cbuild
+    from repro.dag import TaskKind, builder
+    from repro.graph import native
+    from repro.sparse.generators import grid_laplacian_3d
+    from repro.symbolic import analyze
+
+    for ft, seed in (("llt", 4), ("ldlt", 5), ("lu", 6)):
+        matrix = grid_laplacian_3d(8, jitter=0.05, seed=seed)
+        symbol = analyze(matrix).symbol
+        builder.factor_plan(symbol, ft, np.float64, 2)
+        if native.planned(symbol) is None:
+            sys.exit(f"native-smoke: plan {ft}: the C pass did not run")
+        got = _plan_arrays(symbol, ft, 2)
+        with cbuild.python_bodies():
+            want = _plan_arrays(analyze(matrix).symbol, ft, 2)
+        for name, a in got.items():
+            if not (a.dtype == want[name].dtype
+                    and np.array_equal(a, want[name])):
+                sys.exit(f"native-smoke: plan {ft}: {name} differs from "
+                         "the NumPy builders'")
+        n_rows = int(np.sum(got["dag.kind"] == TaskKind.ROWS))
+        print(f"native-smoke: plan {ft} ok ({got['dag.kind'].size} tasks, "
+              f"{n_rows} row blocks; every array equal to the NumPy "
+              "builders')")
+
+
 def _outcome(run):
     """``(None, factor)``, or ``(exception type, text)`` when it raised."""
     try:
@@ -370,6 +432,7 @@ def main() -> None:
             check_solve(ft, seq)
         check_floor()
         check_split()
+        check_plan()
         check_handback()
         check_analysis()
 

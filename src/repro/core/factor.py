@@ -25,9 +25,9 @@ the symbol and the pattern only, so the map is built once and memoised on
 the symbol, keyed by the pattern arrays themselves (held by reference).
 A refactorization of the same pattern arrays reuses it.  The map is
 built by ``repro_assembly_map`` of the analysis helper
-(:func:`repro.graph.native.assembly_map`) when it loads, by its NumPy
-body otherwise; a pattern entry the symbol has no place for is a
-``ValueError`` on both.
+(:func:`repro.graph.native.assembly_map`, on the arrays the plan pass
+checked) when it loads, by its NumPy body otherwise; a pattern entry the
+symbol has no place for is a ``ValueError`` on both.
 """
 
 from __future__ import annotations
@@ -94,12 +94,15 @@ class AssemblyMap:
 
     def __init__(self, symbol: SymbolMatrix, colptr: np.ndarray,
                  rowind: np.ndarray, lu: bool) -> None:
-        # Lazy: the analysis helper is not needed to read a factor.
+        # Lazy: the analysis helper and the plan pass sit above.
+        from repro.dag.builder import factor_plan
         from repro.graph import native
 
         self.symbol, self.colptr, self.rowind = symbol, colptr, rowind
         layout = panel_layout(symbol)
         lib = native.library()
+        if lib is not None:
+            factor_plan(symbol)       # a no-op once the plan is built
         try:
             sides = (None if lib is None else native.assembly_map(
                 lib, symbol, layout, colptr, rowind, lu))

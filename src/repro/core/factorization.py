@@ -54,7 +54,8 @@ def factorize_sequential(
 
     The symbol's couple plan (:func:`repro.kernels.indexcache.\
 get_couple_cache`) is attached as ``factor.index_cache``, so no update
-    re-derives its index bookkeeping.
+    re-derives its index bookkeeping; a new pattern's plans are built in
+    one pass first (:func:`repro.dag.builder.factor_plan`).
 
     ``pivot_threshold`` > 0 enables static-pivot perturbation: pivots
     smaller in magnitude are replaced by ±threshold and counted on
@@ -68,9 +69,12 @@ get_couple_cache`) is attached as ``factor.index_cache``, so no update
     inside :func:`repro.cbuild.python_bodies`).  It is recorded as
     ``factor.kernels``.
     """
+    from repro.dag.builder import factor_plan
     from repro.kernels import native, panel
     from repro.kernels.indexcache import get_couple_cache
 
+    if matrix.values is not None:
+        factor_plan(symbol, factotype, dtype or matrix.values.dtype)
     factor = NumericFactor.assemble(symbol, matrix, factotype, dtype=dtype)
     factor.kernels = native.resolve_kernels(factor.dtype)
     factor.index_cache = get_couple_cache(symbol)

@@ -34,29 +34,11 @@ from repro.core.refinement import (
     iterative_refinement,
 )
 from repro.core.triangular import solve_factored
-from repro.kernels.cost import flops_total
+from repro.dag.builder import symbol_counts
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic.analyze import AnalysisResult, analyze
 
 __all__ = ["SparseSolver", "FactorizationInfo"]
-
-
-def _symbol_counts(symbol, factotype: str, dtype) -> tuple[float, int]:
-    """``(flops, nnz_factor)`` of factorizing ``symbol``.
-
-    Both depend on the symbol only, so — like the couple plan they are
-    read off and the DAGs — they are computed once per analysis and
-    memoised on the symbol object: refactorizing new values of one
-    pattern does not pay them again.
-    """
-    memo = symbol.__dict__.setdefault("_counts_memo", {})
-    key = (factotype, np.dtype(dtype).str)
-    if key not in memo:
-        memo[key] = (
-            flops_total(symbol, factotype, dtype),
-            symbol.nnz(factotype=factotype),
-        )
-    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -146,9 +128,6 @@ class SparseSolver:
         analysis = self.analyze()
         permuted = self._permuted_matrix()
         opts = self.options
-        flops, nnz_factor = _symbol_counts(
-            analysis.symbol, opts.factotype, self.matrix.values.dtype
-        )
 
         start = time.perf_counter()
         if opts.runtime == "sequential":
@@ -169,6 +148,10 @@ class SparseSolver:
                 pivot_threshold=opts.pivot_threshold,
             )
         elapsed = time.perf_counter() - start
+        # Read off the plan the driver built for this pattern.
+        flops, nnz_factor = symbol_counts(
+            analysis.symbol, opts.factotype, self.matrix.values.dtype
+        )
 
         monitor = getattr(self.factor, "pivot_monitor", None)
         self.last_info = FactorizationInfo(

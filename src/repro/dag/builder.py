@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -11,6 +13,7 @@ from repro.kernels.cost import (
     complex_multiplier,
     flops_panel,
     flops_rows,
+    flops_total,
     flops_update,
     flops_update_rows,
 )
@@ -19,8 +22,10 @@ from repro.symbolic.structures import SymbolMatrix
 __all__ = [
     "update_couples",
     "build_dag",
+    "factor_plan",
     "get_dag",
     "dag_of_trace",
+    "symbol_counts",
     "symbol_memo",
     "FUSE_UNITS_PER_WORKER",
     "MIN_SOLVE_FLOPS",
@@ -83,14 +88,163 @@ get_couple_cache`) — it lives on the symbol object: repeated solves,
     return dag
 
 
+def _rows_key(factotype: str, dtype) -> tuple:
+    return ("rows", factotype, np.dtype(dtype).str, ROW_BLOCK,
+            MIN_SPLIT_FLOPS)
+
+
+def _dag_key(factotype: str, dtype, granularity: str, n_workers: int) -> tuple:
+    # Only unit DAGs depend on the worker count and the floors.
+    return ("facto", factotype, np.dtype(dtype).str, granularity) + (
+        (n_workers, ROW_BLOCK, MIN_SPLIT_FLOPS, MIN_UNIT_FLOPS,
+         FUSE_UNITS_PER_WORKER) if granularity == "unit" else ())
+
+
+def _memo(symbol: SymbolMatrix, key: tuple):
+    """What :func:`symbol_memo` holds under ``key`` for ``symbol``, or
+    ``None``."""
+    value = symbol.__dict__.get("_dag_memo", {}).get(key)
+    return value if value is not None and value.symbol is symbol else None
+
+
+def _own(symbol: SymbolMatrix, attr: str) -> bool:
+    return getattr(symbol.__dict__.get(attr), "symbol", None) is symbol
+
+
+def factor_plan(symbol: SymbolMatrix, factotype: str | None = None,
+                dtype=np.float64, n_workers: int | None = None) -> None:
+    """Build what a first factorization of ``symbol`` reads in one pass
+    of the analysis helper (:func:`repro.graph.native.factor_plan`), and
+    memoise each part where its accessor looks for it: the
+    :class:`~repro.kernels.indexcache.PanelLayout` and the couple plan
+    (checked); with ``factotype`` (and ``dtype``) also the flop count and
+    factor size (:func:`symbol_counts`) and the row blocks
+    (:func:`row_blocks`); with ``n_workers`` also the unit DAG
+    (:func:`get_dag`) and its executor form, checked
+    (:func:`repro.runtime.threaded._executor_tasks`).
+
+    Like PaRSEC's parameterized task graph (PAPER.md §1), the DAG is read
+    off the symbolic structure in the same pass, not built apart.  The
+    unit DAG's ``flops``, ``gemm_*`` and ``fused_components`` — which
+    only the simulators and the audits read — are deferred to their
+    first read (:func:`_unit_costs`).  A part already memoised stays
+    (factors and plans refer to it); the pass runs only if one is
+    missing.  Nothing happens without the helper, inside
+    :func:`repro.cbuild.python_bodies`, or for a symbol the pass builds
+    no plan for: the accessors then run their NumPy bodies, which are
+    the oracle and raise what they raise.
+    """
+    from repro.graph import native
+    from repro.kernels.indexcache import CoupleMapCache, PanelLayout
+
+    if factotype is not None and factotype not in ("llt", "ldlt", "lu"):
+        return
+    d = symbol.__dict__
+    dtype = np.dtype(dtype)
+    missing = not (_own(symbol, "_panel_layout")
+                   and _own(symbol, "_couple_cache")
+                   and native.planned(symbol) is not None)
+    if factotype is not None:
+        missing = missing or (
+            (factotype, dtype.str) not in d.get("_counts_memo", {})
+            or _memo(symbol, _rows_key(factotype, dtype)) is None)
+    if n_workers is not None:
+        n_workers = max(1, int(n_workers))
+        key = _dag_key(factotype, dtype, "unit", n_workers)
+        missing = missing or _memo(symbol, key) is None
+    lib = native.library() if missing else None
+    if lib is None:
+        return
+    start = time.perf_counter()
+    out = native.factor_plan(
+        lib, symbol, factotype, complex_multiplier(dtype),
+        max(1, int(ROW_BLOCK)), MIN_SPLIT_FLOPS,
+        0.0 if n_workers is None else FUSE_UNITS_PER_WORKER * n_workers,
+        MIN_UNIT_FLOPS)
+    if out is None:
+        return
+    if not _own(symbol, "_panel_layout"):
+        d["_panel_layout"] = PanelLayout(symbol, out)
+    if not _own(symbol, "_couple_cache"):
+        d["_couple_cache"] = CoupleMapCache(symbol, out,
+                                            time.perf_counter() - start)
+    if factotype is None:
+        return
+    d.setdefault("_counts_memo", {}).setdefault(
+        (factotype, dtype.str), (out["flops"], out["nnz"]))
+    memo = d.setdefault("_dag_memo", {})
+    if _memo(symbol, _rows_key(factotype, dtype)) is None:
+        memo[_rows_key(factotype, dtype)] = RowBlocks(
+            out["block_ptr"], out["block_rows"], symbol)
+    if n_workers is not None and _memo(symbol, key) is None:
+        memo[key] = _plan_dag(symbol, factotype, dtype, out)
+
+
+def _plan_dag(symbol: SymbolMatrix, factotype: str, dtype, out) -> TaskDAG:
+    """The unit DAG of :func:`factor_plan`'s pass, with its executor form
+    attached and the fields only simulators read deferred."""
+    from repro.kernels import native
+    from repro.kernels.indexcache import panel_layout
+
+    kind, cblk, unit_ptr, unit_panels, row_range = (out[name] for name in (
+        "kind", "cblk", "unit_ptr", "unit_panels", "row_range"))
+
+    @functools.cache
+    def costs():
+        widths, below, couples, panel_flops, upd_flops = _weights(
+            symbol, factotype, dtype, from_plan=True)
+        weight = panel_flops + np.bincount(
+            couples[1], weights=upd_flops, minlength=symbol.n_cblk)
+        return _unit_costs(symbol, factotype, complex_multiplier(dtype),
+                           True, (widths, below, couples, weight), kind,
+                           cblk, unit_ptr, unit_panels, row_range)
+
+    deferred = [lambda i=i: costs()[i] for i in range(4)]
+    dag = _unit_dag(symbol, factotype, kind, cblk, out["succ_ptr"],
+                    out["succ_list"], unit_ptr, unit_panels, row_range,
+                    *deferred, lambda: costs()[4]())
+    dag._executor = native.DagTasks.checked(
+        out["succ_ptr"], out["succ_list"], out["n_deps"], out["records"],
+        out["order"], out["kinds"], out["max_hi"], panel_layout(symbol))
+    return dag
+
+
+def symbol_counts(symbol: SymbolMatrix, factotype: str,
+                  dtype) -> tuple[float, int]:
+    """``(flops, nnz_factor)`` of factorizing ``symbol``
+    (:func:`repro.kernels.cost.flops_total`,
+    :meth:`~repro.symbolic.structures.SymbolMatrix.nnz`).
+
+    Both depend on the symbol only, so — like the plans they are read
+    off — they are computed once per analysis (by :func:`factor_plan`'s
+    pass when the helper loads) and memoised on the symbol object:
+    refactorizing new values of one pattern does not pay them again.
+    """
+    memo = symbol.__dict__.setdefault("_counts_memo", {})
+    key = (factotype, np.dtype(dtype).str)
+    if key not in memo:
+        factor_plan(symbol, factotype, dtype)
+    if key not in memo:
+        memo[key] = (flops_total(symbol, factotype, dtype),
+                     symbol.nnz(factotype=factotype))
+    return memo[key]
+
+
+def _plan(symbol: SymbolMatrix):
+    """The symbol's couple plan (:func:`repro.kernels.indexcache.\
+get_couple_cache`)."""
+    # Lazy: the kernels import the cost model this module imports.
+    from repro.kernels.indexcache import get_couple_cache
+
+    return get_couple_cache(symbol)
+
+
 def _plan_couples(symbol: SymbolMatrix):
     """:func:`update_couples` read off the symbol's couple plan, which a
     factorization builds anyway (the same arrays, in the same by-source
     order).  Memoised next to the plan on the symbol: :func:`row_blocks`
     and the unit DAG of one factorization both read them."""
-    from repro.kernels.indexcache import get_couple_cache
-
-    plan = get_couple_cache(symbol)
+    plan = _plan(symbol)
     memo = symbol.__dict__.get("_plan_couples_memo")
     if memo is not None and memo[0] is plan:
         return memo[1]
@@ -156,10 +310,13 @@ def row_blocks(symbol: SymbolMatrix, factotype: str = "llt",
     driver (one task per block) cut every panel the same way, and their
     factors stay bit-identical.
     """
-    key = ("rows", factotype, np.dtype(dtype).str, ROW_BLOCK,
-           MIN_SPLIT_FLOPS)
+    key = _rows_key(factotype, dtype)
 
     def build() -> RowBlocks:
+        factor_plan(symbol, factotype, dtype)
+        blocks = _memo(symbol, key)
+        if blocks is not None:
+            return blocks
         widths, below, couples, panel_flops, upd_flops = _weights(
             symbol, factotype, dtype, from_plan=True)
         weight = panel_flops + np.bincount(couples[1], weights=upd_flops,
@@ -168,13 +325,8 @@ def row_blocks(symbol: SymbolMatrix, factotype: str = "llt",
         nb[(nb < 2) | ~(weight >= MIN_SPLIT_FLOPS)] = 0
         ptr = np.zeros(symbol.n_cblk + 1, dtype=np.int64)
         np.cumsum(np.where(nb > 0, nb + 1, 0), out=ptr[1:])
-        split = np.flatnonzero(nb)
-        if split.size:
-            from repro.kernels.indexcache import get_couple_cache
-
-            plan = get_couple_cache(symbol)
-        rows = [_balanced_bounds(plan, factotype, k, int(nb[k]))
-                for k in split.tolist()]
+        rows = [_balanced_bounds(_plan(symbol), factotype, k, int(nb[k]))
+                for k in np.flatnonzero(nb).tolist()]
         return RowBlocks(ptr, np.concatenate(rows).astype(np.int64)
                          if rows else np.empty(0, np.int64), symbol)
 
@@ -470,20 +622,26 @@ def get_dag(
     dtype=np.float64,
     n_workers: int = 4,
 ) -> TaskDAG:
-    """:func:`build_dag` memoised on the symbol (see :func:`symbol_memo`).
+    """:func:`build_dag` memoised on the symbol (see :func:`symbol_memo`);
+    a unit DAG comes from the plan pass (:func:`factor_plan`) when the
+    analysis helper loads.
 
     What the runtimes execute; callers that edit a DAG (the verify
     injectors, tests) keep building their own with :func:`build_dag`.
     """
     n_workers = max(1, int(n_workers))
-    # Only unit DAGs depend on the worker count and the floors.
-    key = ("facto", factotype, np.dtype(dtype).str, granularity) + (
-        (n_workers, ROW_BLOCK, MIN_SPLIT_FLOPS, MIN_UNIT_FLOPS,
-         FUSE_UNITS_PER_WORKER) if granularity == "unit" else ())
-    return symbol_memo(symbol, key, lambda: build_dag(
-        symbol, factotype, granularity=granularity, dtype=dtype,
-        n_workers=n_workers,
-    ))
+    key = _dag_key(factotype, dtype, granularity, n_workers)
+
+    def build() -> TaskDAG:
+        if granularity == "unit":
+            factor_plan(symbol, factotype, dtype, n_workers)
+            dag = _memo(symbol, key)
+            if dag is not None:
+                return dag
+        return build_dag(symbol, factotype, granularity=granularity,
+                         dtype=dtype, n_workers=n_workers)
+
+    return symbol_memo(symbol, key, build)
 
 
 def dag_of_trace(
@@ -551,7 +709,6 @@ def _build_unit(
         weight.sum() / (FUSE_UNITS_PER_WORKER * n_workers), MIN_UNIT_FLOPS
     ))
     U = part.roots.size
-    unit_of = part.unit_of
     n_bounds = np.diff(blocks.ptr)[part.roots]
     split = n_bounds > 0
     # Tasks in unit order: a unit's one task, or its DIAG then its ROWS.
@@ -569,56 +726,14 @@ def _build_unit(
     np.cumsum(members, out=unit_ptr[1:])
     cblk = part.roots[task_unit]
 
-    flops = np.zeros(n_tasks)
-    flops[~is_rows] = np.bincount(unit_of, weights=weight, minlength=U)
     row_range = np.zeros((n_tasks, 2), dtype=np.int64)
-    split_comps: dict[int, list] = {}
-
-    def components() -> dict[int, list]:
-        # Built on first read: only the machine simulator reads them.
-        head, unsplit = first[:-1].tolist(), (~split).tolist()
-        comps: dict[int, list] = {t: [] for t in head}
-        for u, w, b in zip(unit_of.tolist(), widths.tolist(),
-                           below.tolist()):
-            if unsplit[u]:
-                comps[head[u]].append(("panel", w, b))
-        for u, m, n, w in zip(unit_of[tgt].tolist(), ms.tolist(),
-                              ns.tolist(), widths[src].tolist()):
-            if unsplit[u]:
-                comps[head[u]].append(("update", m, n, w))
-        comps.update(split_comps)
-        return comps
-
-    if split.any():
-        from repro.kernels.indexcache import get_couple_cache
-
-        plan = get_couple_cache(symbol)
-        for u in np.flatnonzero(split).tolist():
-            k, t0 = int(part.roots[u]), int(first[u])
-            bounds = blocks.bounds(k)
-            w, nb = int(widths[k]), bounds.size - 1
-            n, ws, couple, rows = _couples_into(plan, k)
-            block = np.searchsorted(bounds, rows, side="right") - 1
-            mine = block >= 0                    # -1: the diagonal block
-            counts = np.bincount(couple[mine] * nb + block[mine],
-                                 minlength=n.size * nb).reshape(n.size, nb)
-            row_range[t0] = (0, w)
-            row_range[t0 + 1: t0 + 1 + nb] = np.column_stack(
-                [bounds[:-1], bounds[1:]])
-            split_comps[t0] = [("panel", w, 0)] + [
-                ("update", a, a, b) for a, b in zip(n.tolist(), ws.tolist())]
-            for j, r in enumerate(np.diff(bounds).tolist()):
-                got = np.flatnonzero(counts[:, j])
-                split_comps[t0 + 1 + j] = [("rows", w, r)] + [
-                    ("slice", a, b, c) for a, b, c in zip(
-                        counts[got, j].tolist(), n[got].tolist(),
-                        ws[got].tolist())]
-            flops[t0] = mult * (flops_panel(w, 0, factotype) + flops_update(
-                n, n, ws, factotype, recompute_ld=recompute_ld).sum())
-            flops[t0 + 1: t0 + 1 + nb] = mult * (
-                flops_rows(w, np.diff(bounds), factotype)
-                + flops_update_rows(counts, n[:, None], ws[:, None],
-                                    factotype).sum(axis=0))
+    for u in np.flatnonzero(split).tolist():
+        k, t0 = int(part.roots[u]), int(first[u])
+        bounds = blocks.bounds(k)
+        nb = bounds.size - 1
+        row_range[t0] = (0, widths[k])
+        row_range[t0 + 1: t0 + 1 + nb] = np.column_stack(
+            [bounds[:-1], bounds[1:]])
 
     # Edges: every last task of a child unit -> the parent unit's first
     # task, unless both are split (below); a DIAG -> each of its ROWS.
@@ -639,25 +754,87 @@ def _build_unit(
         tails.append(first[pu] + t)
     succ_ptr, succ_list = _csr_from_edges(
         n_tasks, np.concatenate(heads), np.concatenate(tails))
+    costs = _unit_costs(symbol, factotype, mult, recompute_ld,
+                        (widths, below, (src, tgt, ms, ns), weight),
+                        kind, cblk, unit_ptr, part.unit_panels, row_range)
+    return _unit_dag(symbol, factotype, kind, cblk, succ_ptr, succ_list,
+                     unit_ptr, part.unit_panels, row_range, *costs)
+
+
+def _unit_dag(symbol, factotype, kind, cblk, succ_ptr, succ_list, unit_ptr,
+              unit_panels, row_range, flops, gemm_m, gemm_n, gemm_k,
+              components) -> TaskDAG:
     return TaskDAG(
-        kind=kind,
-        cblk=cblk,
-        target=cblk.copy(),
-        flops=flops,
-        gemm_m=np.zeros(n_tasks, np.int64),
-        gemm_n=np.zeros(n_tasks, np.int64),
-        gemm_k=widths[cblk],
-        succ_ptr=succ_ptr,
-        succ_list=succ_list,
-        mutex=np.full(n_tasks, -1, dtype=np.int64),
-        granularity="unit",
-        symbol=symbol,
-        factotype=factotype,
-        fused_components=components,
-        unit_ptr=unit_ptr,
-        unit_panels=part.unit_panels,
-        row_range=row_range,
+        kind=kind, cblk=cblk, target=cblk.copy(), flops=flops,
+        gemm_m=gemm_m, gemm_n=gemm_n, gemm_k=gemm_k, succ_ptr=succ_ptr,
+        succ_list=succ_list, mutex=np.full(kind.size, -1, dtype=np.int64),
+        granularity="unit", symbol=symbol, factotype=factotype,
+        fused_components=components, unit_ptr=unit_ptr,
+        unit_panels=unit_panels, row_range=row_range,
     )
+
+
+def _unit_costs(symbol, factotype, mult, recompute_ld, geometry, kind, cblk,
+                unit_ptr, unit_panels, row_range):
+    """``(flops, gemm_m, gemm_n, gemm_k, components)`` of a unit DAG, read
+    off its tasks: a unit task costs the weights of its panels, a
+    ``DIAG`` or ``ROWS`` task the kernels of its rows (see
+    :func:`_build_unit`); ``components`` builds ``fused_components``.
+    ``geometry`` is ``(widths, below, (src, tgt, ms, ns), weight)`` of
+    :func:`_weights` and the panel weights."""
+    widths, below, (src, tgt, ms, ns), weight = geometry
+    head = np.flatnonzero(kind != TaskKind.ROWS)    # each unit's first task
+    unit_of = np.empty(symbol.n_cblk, dtype=np.int64)
+    unit_of[unit_panels] = np.repeat(np.arange(head.size),
+                                     np.diff(unit_ptr)[head])
+    flops = np.zeros(kind.size)
+    flops[head] = np.bincount(unit_of, weights=weight, minlength=head.size)
+    ends = np.append(head[1:], kind.size).tolist()
+    split = []
+    for i in np.flatnonzero(kind[head] == TaskKind.DIAG).tolist():
+        t0, t1 = int(head[i]), ends[i]
+        k = int(cblk[t0])
+        bounds = np.append(row_range[t0 + 1:t1, 0], row_range[t1 - 1, 1])
+        w, nb = int(widths[k]), bounds.size - 1
+        n, ws, couple, rows = _couples_into(_plan(symbol), k)
+        block = np.searchsorted(bounds, rows, side="right") - 1
+        mine = block >= 0                    # -1: the diagonal block
+        counts = np.bincount(couple[mine] * nb + block[mine],
+                             minlength=n.size * nb).reshape(n.size, nb)
+        flops[t0] = mult * (flops_panel(w, 0, factotype) + flops_update(
+            n, n, ws, factotype, recompute_ld=recompute_ld).sum())
+        flops[t0 + 1:t1] = mult * (
+            flops_rows(w, np.diff(bounds), factotype)
+            + flops_update_rows(counts, n[:, None], ws[:, None],
+                                factotype).sum(axis=0))
+        split.append((t0, w, bounds, n, ws, counts))
+
+    def components() -> dict[int, list]:
+        # Built on first read: only the machine simulator reads them.
+        first, unsplit = head.tolist(), (kind[head] != TaskKind.DIAG).tolist()
+        comps: dict[int, list] = {t: [] for t in first}
+        for u, w, b in zip(unit_of.tolist(), widths.tolist(),
+                           below.tolist()):
+            if unsplit[u]:
+                comps[first[u]].append(("panel", w, b))
+        for u, m, n, w in zip(unit_of[tgt].tolist(), ms.tolist(),
+                              ns.tolist(), widths[src].tolist()):
+            if unsplit[u]:
+                comps[first[u]].append(("update", m, n, w))
+        for t0, w, bounds, n, ws, counts in split:
+            comps[t0] = [("panel", w, 0)] + [
+                ("update", a, a, b) for a, b in zip(n.tolist(), ws.tolist())]
+            for j, r in enumerate(np.diff(bounds).tolist()):
+                got = np.flatnonzero(counts[:, j])
+                comps[t0 + 1 + j] = [("rows", w, r)] + [
+                    ("slice", a, b, c) for a, b, c in zip(
+                        counts[got, j].tolist(), n[got].tolist(),
+                        ws[got].tolist())]
+        return comps
+
+    n_tasks = kind.size
+    return (flops, np.zeros(n_tasks, np.int64), np.zeros(n_tasks, np.int64),
+            widths[cblk], components)
 
 
 def _block_edges(symbol, blocks: RowBlocks, c: int,
@@ -675,9 +852,7 @@ def _block_edges(symbol, blocks: RowBlocks, c: int,
     after it).  So ``p``'s ``DIAG`` waits only for the blocks of ``c``
     facing it, not for the whole of ``c``.
     """
-    from repro.kernels.indexcache import get_couple_cache
-
-    plan = get_couple_cache(symbol)
+    plan = _plan(symbol)
     lo, hi = int(plan.tgt_ptr[p]), int(plan.tgt_ptr[p + 1])
     cp = lo + int(np.searchsorted(plan.src[lo:hi], c))
     rl = plan.rows_local[plan.rl_ptr[cp]: plan.rl_ptr[cp + 1]]

@@ -99,15 +99,19 @@ class TaskDAG:
         :func:`repro.dag.builder.build_dag`).
     """
 
+    #: The fields only the simulators and audits read: a builder may pass
+    #: a function instead of the array, which runs on first read.
+    DEFERRED = ("flops", "gemm_m", "gemm_n", "gemm_k")
+
     def __init__(
         self,
         kind: np.ndarray,
         cblk: np.ndarray,
         target: np.ndarray,
-        flops: np.ndarray,
-        gemm_m: np.ndarray,
-        gemm_n: np.ndarray,
-        gemm_k: np.ndarray,
+        flops: np.ndarray | Callable[[], np.ndarray],
+        gemm_m: np.ndarray | Callable[[], np.ndarray],
+        gemm_n: np.ndarray | Callable[[], np.ndarray],
+        gemm_k: np.ndarray | Callable[[], np.ndarray],
         succ_ptr: np.ndarray,
         succ_list: np.ndarray,
         mutex: np.ndarray,
@@ -122,10 +126,12 @@ class TaskDAG:
         self.kind = kind
         self.cblk = cblk
         self.target = target
-        self.flops = flops
-        self.gemm_m = gemm_m
-        self.gemm_n = gemm_n
-        self.gemm_k = gemm_k
+        self._deferred = {}
+        for name, value in zip(self.DEFERRED, (flops, gemm_m, gemm_n, gemm_k)):
+            if callable(value):
+                self._deferred[name] = value
+            else:
+                setattr(self, name, value)
         self.succ_ptr = succ_ptr
         self.succ_list = succ_list
         self.mutex = mutex
@@ -151,6 +157,15 @@ class TaskDAG:
         n_deps = np.zeros(kind.size, dtype=np.int64)
         np.add.at(n_deps, succ_list, 1)
         self.n_deps = n_deps
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute not set: a deferred field.
+        build = self.__dict__.get("_deferred", {}).pop(name, None)
+        if build is None:
+            raise AttributeError(name)
+        value = build()
+        setattr(self, name, value)
+        return value
 
     def copy(self, **fields: Any) -> "TaskDAG":
         """Copy of the DAG — arrays copied, ``symbol`` shared, ``phase``

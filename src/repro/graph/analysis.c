@@ -15,7 +15,13 @@
  *                            ordering/dissection.py (level-set
  *                            separators, minimum-degree leaves)
  *   repro_permute_pattern    sparse/csc.py (SparseMatrixCSC.permute)
- *   repro_couple_plan        kernels/indexcache.py (the couple plan)
+ *   repro_factor_plan        what a first factorization reads: the panel
+ *                            layout and the couple plan
+ *                            (kernels/indexcache.py), flops_total and
+ *                            nnz, the row blocks and the unit DAG in the
+ *                            executor's form (dag/builder.py)
+ *   repro_check_plan         the couple plan's bounds checks
+ *                            (CoupleMapCache.validate)
  *   repro_assembly_map       core/factor.py (AssemblyMap)
  *
  * Each is called through ctypes (GIL released) from repro/graph/native.py,
@@ -30,6 +36,7 @@
  * No static state: every call allocates its O(n + nnz) work arrays and
  * frees them before returning, so concurrent calls are independent.
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -1215,12 +1222,15 @@ static i64 lower_bound(const i64 *a, i64 n, i64 x)
 }
 
 /* Where the rows of one panel sit among them: after place_panel(pl, k),
- * row r is the pos[r]-th row of panel k iff stamp[r] == k.  A panel's
+ * row r is the at[r].pos-th row of panel k iff at[r].stamp == k (both
+ * int32: the callers check that panel ids and heights fit).  A panel's
  * rows ascend (a repeated row keeps its first place); the scatter of one
  * panel's rows makes every later lookup in it a load, not a search. */
 typedef struct {
     const i64 *row_ptr, *rows;
-    i64 *pos, *stamp;
+    struct {
+        int32_t pos, stamp;
+    } *at; /* per row: its place, and the panel placed last */
 } place_t;
 
 static int place_init(place_t *pl, i64 n, const i64 *row_ptr, const i64 *rows)
@@ -1228,12 +1238,11 @@ static int place_init(place_t *pl, i64 n, const i64 *row_ptr, const i64 *rows)
     i64 r;
     pl->row_ptr = row_ptr;
     pl->rows = rows;
-    pl->pos = malloc((size_t)(2 * n + 1) * sizeof(i64));
-    if (!pl->pos)
+    pl->at = malloc((size_t)(n + 1) * sizeof(*pl->at));
+    if (!pl->at)
         return NO_MEMORY;
-    pl->stamp = pl->pos + n;
     for (r = 0; r < n; r++)
-        pl->stamp[r] = -1;
+        pl->at[r].stamp = -1;
     return OK;
 }
 
@@ -1241,8 +1250,8 @@ static void place_panel(place_t *pl, i64 k)
 {
     i64 i;
     for (i = pl->row_ptr[k + 1] - 1; i >= pl->row_ptr[k]; i--) {
-        pl->pos[pl->rows[i]] = i - pl->row_ptr[k];
-        pl->stamp[pl->rows[i]] = k;
+        pl->at[pl->rows[i]].pos = (int32_t)(i - pl->row_ptr[k]);
+        pl->at[pl->rows[i]].stamp = (int32_t)k;
     }
 }
 
@@ -1250,138 +1259,890 @@ static void place_panel(place_t *pl, i64 k)
  * if none) — the searchsorted of the Python bodies — with k placed. */
 static i64 place_find(const place_t *pl, i64 k, i64 r)
 {
-    if (pl->stamp[r] == k)
-        return pl->pos[r];
+    if (pl->at[r].stamp == k)
+        return pl->at[r].pos;
     return lower_bound(pl->rows + pl->row_ptr[k],
                        pl->row_ptr[k + 1] - pl->row_ptr[k], r);
 }
 
-/* The update couples of a symbol in (source, target) order, as
- * dag/builder.py's update_couples enumerates them: a couple is a maximal
- * run of equal (owner, face) among the off-diagonal bloks, `m` the rows
- * of the owner's off-diagonal bloks from the run on, `n` the run's. */
+/* The factorization's plan (dag/builder.py, factor_plan): one pass over
+ * a symbol builds what a first factorization reads, into arrays of the
+ * same values as the NumPy builders' — the PanelLayout
+ * (kernels/indexcache.py), the couple plan, checked as
+ * CoupleMapCache.validate checks it, the factorization's flop count and
+ * factor size (kernels/cost.py flops_total, SymbolMatrix.nnz), the row
+ * blocks (dag/builder.py row_blocks) and the unit DAG in the executor's
+ * form (dag/builder.py _build_unit, runtime/threaded.py _executor_tasks),
+ * checked as kernels/native.py's DagTasks checks it. */
+
+/* The checks of kernels/indexcache.py's CoupleMapCache.validate, in its
+ * PLAN_CHECKS order (1-based). */
+enum {
+    CHECK_TGT_PTR = 1, CHECK_ORDER, CHECK_ASCENDING, CHECK_SLICE,
+    CHECK_RL_PTR, CHECK_RANGE, CHECK_ROWS, CHECK_FACING
+};
+
+/* A couple plan over a symbol's layout, as the checks read it. */
 typedef struct {
-    i64 n_cblk;
-    const i64 *blok_ptr, *frow, *lrow, *face;
-    i64 k, b, left; /* owner, next blok, owner's off-diagonal rows from b */
-} couples_t;
+    i64 n_cblk, n_couples, n_local;
+    const i64 *height, *width, *row_ptr, *rows, *tgt_ptr, *rl_ptr,
+        *rows_local;
+    const int32_t *src, *tgt, *i0, *i1;
+} plan_view_t;
 
-static void couples_start(couples_t *it, i64 k)
+/* The checks of the couple plan's pointers and scalars: CHECK_TGT_PTR,
+ * then CHECK_ORDER, CHECK_ASCENDING and CHECK_SLICE over every couple,
+ * then CHECK_RL_PTR; 0 or the first that fails. */
+static i64 check_couples(const plan_view_t *v)
 {
-    i64 b;
-    it->k = k;
-    it->left = 0;
-    if (k >= it->n_cblk)
-        return;
-    it->b = it->blok_ptr[k];
-    for (b = it->b; b < it->blok_ptr[k + 1]; b++)
-        if (it->face[b] != k)
-            it->left += it->lrow[b] - it->frow[b];
-}
+    i64 t, c, fail = 0, K = v->n_cblk, C = v->n_couples;
 
-static int couples_next(couples_t *it, i64 *src, i64 *tgt, i64 *m, i64 *n)
-{
-    while (it->k < it->n_cblk) {
-        i64 k = it->k, end = it->blok_ptr[k + 1], b = it->b, f;
-        while (b < end && it->face[b] == k)
-            b++;
-        if (b == end) {
-            couples_start(it, k + 1);
-            continue;
-        }
-        f = it->face[b];
-        *src = k;
-        *tgt = f;
-        *m = it->left;
-        *n = 0;
-        for (; b < end; b++) {
-            if (it->face[b] == k)
-                continue; /* a diagonal blok does not end the run */
-            if (it->face[b] != f)
-                break;
-            *n += it->lrow[b] - it->frow[b];
-            it->left -= it->lrow[b] - it->frow[b];
-        }
-        it->b = b;
-        return 1;
+    if (v->tgt_ptr[0] != 0 || v->tgt_ptr[K] != C)
+        return CHECK_TGT_PTR;
+    for (t = 0; t < K; t++)
+        if (v->tgt_ptr[t + 1] < v->tgt_ptr[t])
+            return CHECK_TGT_PTR;
+    for (t = 0; t < K; t++)
+        for (c = v->tgt_ptr[t]; c < v->tgt_ptr[t + 1]; c++)
+            if (v->tgt[c] != t)
+                return CHECK_TGT_PTR;
+
+    for (c = 0; c < C && fail != CHECK_ORDER; c++) {
+        i64 code = 0, k = v->src[c];
+        if (!(0 <= k && k < v->tgt[c]))
+            code = CHECK_ORDER;
+        else if (c && v->tgt[c] == v->tgt[c - 1] && !(k > v->src[c - 1]))
+            code = CHECK_ASCENDING;
+        else if (!(0 <= v->i0[c] && v->i0[c] < v->i1[c]
+                   && v->i1[c] <= v->height[k] - v->width[k]))
+            code = CHECK_SLICE;
+        if (code && (!fail || code < fail))
+            fail = code;
     }
+    if (fail)
+        return fail;
+
+    if (v->rl_ptr[0] != 0 || v->rl_ptr[C] != v->n_local)
+        return CHECK_RL_PTR;
+    for (c = 0; c < C; c++)
+        if (v->rl_ptr[c + 1] - v->rl_ptr[c]
+            != v->height[v->src[c]] - v->width[v->src[c]] - v->i0[c])
+            return CHECK_RL_PTR;
     return 0;
 }
 
-/* kernels/indexcache.py's couple plan.  Count mode (src == NULL): the
- * number of couples and of row-map entries into counts[0..1].  Fill mode:
- * every array, the caller's, sized from the counts.  A counting sort on
- * the target gives the (target, source) order; rows_local[.] is the
- * position of each tail row of the source among the target's rows, read
- * from the target's placed rows.  INCONSISTENT: a tail that does not fit
- * its panel (the Python body decides what that means). */
-i64 repro_couple_plan(i64 n, i64 n_cblk, const i64 *blok_ptr,
-                      const i64 *frow, const i64 *lrow, const i64 *face,
-                      const i64 *width,
-                      const i64 *row_ptr, const i64 *rows, i64 *counts,
-                      int32_t *src, int32_t *tgt, int32_t *i0, int32_t *i1,
-                      i64 *tgt_ptr, i64 *src_ptr, int32_t *by_src,
-                      i64 *rl_ptr, i64 *rows_local)
+/* The checks of couple c's row map, which check_couples has proven in
+ * bounds: CHECK_RANGE (at once: a later check of the entry may not be
+ * safe to make), CHECK_ROWS and CHECK_FACING; 0 or the first that
+ * fails. */
+static i64 check_rows(const plan_view_t *v, i64 c)
 {
-    couples_t it = {n_cblk, blok_ptr, frow, lrow, face, 0, 0, 0};
-    place_t pl;
-    i64 k, t, m, nf, c, g, n_couples = 0, n_rows = 0, *cursor;
+    i64 k = v->src[c], t = v->tgt[c], j;
+    i64 m = v->rl_ptr[c + 1] - v->rl_ptr[c], n = v->i1[c] - v->i0[c];
+    uint64_t height = (uint64_t)v->height[t];
+    int other = 0, facing = 0; /* a row that differs; a facing row below */
+    const i64 *rl = v->rows_local + v->rl_ptr[c];
+    const i64 *target = v->rows + v->row_ptr[t];
+    const i64 *tail = v->rows + v->row_ptr[k] + v->width[k] + v->i0[c];
+    for (j = 0; j < m; j++) {
+        if ((uint64_t)rl[j] >= height)
+            return CHECK_RANGE;
+        other |= target[rl[j]] != tail[j];
+        facing |= (j < n) & (rl[j] >= v->width[t]);
+    }
+    return other ? CHECK_ROWS : facing ? CHECK_FACING : 0;
+}
 
-    if (!src) {
-        for (couples_start(&it, 0); couples_next(&it, &k, &t, &m, &nf);) {
-            if (m < 0 || m > row_ptr[k + 1] - row_ptr[k] - width[k])
-                return INCONSISTENT;
-            n_couples++;
-            n_rows += m;
+/* The scratch sizes of a checked plan into out[0..2]: the largest m * n
+ * and n * width of a couple, and the widest panel. */
+static void plan_maxima(const plan_view_t *v, i64 *out)
+{
+    i64 c, t;
+    out[0] = out[1] = out[2] = 0;
+    for (c = 0; c < v->n_couples; c++) {
+        i64 m = v->rl_ptr[c + 1] - v->rl_ptr[c], n = v->i1[c] - v->i0[c];
+        if (m * n > out[0])
+            out[0] = m * n;
+        if (n * v->width[v->src[c]] > out[1])
+            out[1] = n * v->width[v->src[c]];
+    }
+    for (t = 0; t < v->n_cblk; t++)
+        if (v->width[t] > out[2])
+            out[2] = v->width[t];
+}
+
+/* Every index the kernels follow through a couple plan, proven in range:
+ * 0 and the scratch sizes max_mn, max_nw, max_w in out[0..2], or the
+ * first check that fails — the one the NumPy checks, each over every
+ * couple in turn, report.  The caller has checked the lengths and
+ * dtypes; the layout (height, width, row_ptr, rows) is the symbol's
+ * own.  The plan pass below makes the same checks on the plan it
+ * builds, each couple's row map while it is at hand. */
+i64 repro_check_plan(i64 n_cblk, i64 n_couples, const i64 *height,
+                     const i64 *width, const i64 *row_ptr, const i64 *rows,
+                     const i64 *tgt_ptr, const int32_t *src,
+                     const int32_t *tgt, const int32_t *i0,
+                     const int32_t *i1, const i64 *rl_ptr, i64 n_local,
+                     const i64 *rows_local, i64 *out)
+{
+    plan_view_t v = {n_cblk, n_couples, n_local, height, width, row_ptr,
+                     rows, tgt_ptr, rl_ptr, rows_local, src, tgt, i0, i1};
+    i64 c, code, fail = check_couples(&v);
+    if (fail)
+        return fail;
+    for (c = 0; c < n_couples; c++) {
+        code = check_rows(&v, c);
+        if (code == CHECK_RANGE)
+            return code;
+        if (code && (!fail || code < fail))
+            fail = code;
+    }
+    if (fail)
+        return fail;
+    plan_maxima(&v, out);
+    return 0;
+}
+
+/* numpy's sum of a float64 vector (its pairwise_sum): blocks of at most
+ * 128 summed in eight interleaved accumulators, larger runs halved at a
+ * multiple of eight, so that a total here is numpy's, bit for bit. */
+static double pairwise_sum(const double *a, i64 n)
+{
+    double r[8], res = 0.;
+    i64 i, j, half;
+    if (n < 8) {
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n > 128) {
+        half = n / 2;
+        half -= half % 8;
+        return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+    }
+    for (j = 0; j < 8; j++)
+        r[j] = a[j];
+    for (i = 8; i < n - n % 8; i += 8)
+        for (j = 0; j < 8; j++)
+            r[j] += a[i + j];
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+enum { LLT, LDLT, LU };
+
+/* kernels/cost.py's flop counts as numpy evaluates them on int64 arrays:
+ * powers in integers, then each operation in double, left to right. */
+static double flops_gemm(i64 m, i64 n, i64 k)
+{
+    return 2.0 * (double)m * (double)n * (double)k;
+}
+
+static double flops_panel(i64 w, i64 b, int ft)
+{
+    double trsm = 1.0 * (double)b * (double)w * (double)w;
+    if (ft == LDLT)
+        return (double)(w * w * w) / 3.0 + (double)(w * w) + trsm
+               + 1.0 * (double)w * (double)b;
+    if (ft == LU)
+        return 2.0 * (double)(w * w * w) / 3.0 - (double)(w * w) / 2.0
+               - (double)w / 6.0 + 2.0 * trsm;
+    return (double)(w * w * w) / 3.0 + (double)(w * w) / 2.0
+           + (double)w / 6.0 + trsm;
+}
+
+static double flops_update(i64 m, i64 n, i64 w, int ft, int recompute_ld)
+{
+    double gemm = flops_gemm(m, n, w);
+    if (ft == LDLT)
+        return gemm + (recompute_ld ? 1.0 * (double)n * (double)w : 0.0);
+    if (ft == LU)
+        return gemm + flops_gemm(m > n ? m - n : 0, n, w);
+    return gemm;
+}
+
+/* The first i in [0, n) with a[i] >= x (n if none), a ascending. */
+static i64 lower_bound_f(const double *a, i64 n, double x)
+{
+    i64 lo = 0, hi = n;
+    while (lo < hi) {
+        i64 mid = lo + (hi - lo) / 2;
+        if (a[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* The number of a[0 .. n) at most x, a ascending. */
+static i64 count_upto(const i64 *a, i64 n, i64 x)
+{
+    i64 lo = 0, hi = n;
+    while (lo < hi) {
+        i64 mid = lo + (hi - lo) / 2;
+        if (a[mid] <= x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* A symbol's layout and couple plan, the caller's arrays, and what the
+ * pass derives from them. */
+typedef struct {
+    i64 n_cblk;
+    const i64 *blok_ptr, *face;
+    i64 *width, *height, *below, *row_ptr, *tgt_ptr, *rl_ptr, *rows_local;
+    int32_t *src, *tgt, *i0, *i1, *by_src;
+    i64 *block_ptr, *block_rows;
+    double *weight; /* per panel: own flops + the updates it receives */
+} fplan_t;
+
+/* The unit DAG in the executor's form, until the caller has room. */
+typedef struct {
+    i64 n_rows, n_tasks, n_edges, n_cblk;
+    i64 *block_rows, *unit_panels, *unit_ptr, *cblk, *row_range,
+        *succ_ptr, *succ_list, *n_deps, *records, *order;
+    int8_t *kind;
+} unit_dag_t;
+
+static void unit_dag_free(unit_dag_t *d)
+{
+    if (!d)
+        return;
+    free(d->block_rows);
+    free(d->unit_panels);
+    free(d->unit_ptr);
+    free(d->cblk);
+    free(d->row_range);
+    free(d->succ_ptr);
+    free(d->succ_list);
+    free(d->n_deps);
+    free(d->records);
+    free(d->order);
+    free(d->kind);
+    free(d);
+}
+
+/* dag/builder.py's _balanced_bounds: the nb + 1 boundaries of panel k's
+ * row blocks, from its width to its height, cut where the running flops
+ * of its rows (the update GEMMs each row receives, then its TRSM) cross
+ * j / nb of the total, at least one row per block. */
+static int balanced_bounds(const fplan_t *p, i64 k, i64 nb, int ft,
+                           i64 *out)
+{
+    i64 w = p->width[k], h = p->height[k], c, e, j, prev = 0;
+    double trsm = 1.0 * 1.0 * (double)w * (double)w, own, *cum;
+    cum = calloc((size_t)(h - w), sizeof(double));
+    if (!cum)
+        return NO_MEMORY;
+    own = ft == LDLT ? trsm + 1.0 * (double)w * 1.0
+                     : ft == LU ? 2.0 * trsm : trsm;
+    for (c = p->tgt_ptr[k]; c < p->tgt_ptr[k + 1]; c++) {
+        double add = (ft == LU ? 2.0 : 1.0)
+                     * flops_gemm(1, p->i1[c] - p->i0[c], p->width[p->src[c]]);
+        for (e = p->rl_ptr[c]; e < p->rl_ptr[c + 1]; e++)
+            if (p->rows_local[e] >= w)
+                cum[p->rows_local[e] - w] += add;
+    }
+    for (j = 0; j < h - w; j++) {
+        cum[j] = own + cum[j];
+        if (j)
+            cum[j] = cum[j - 1] + cum[j];
+    }
+    out[0] = w;
+    for (j = 1; j < nb; j++) {
+        double share = cum[h - w - 1] * (double)j / (double)nb;
+        i64 cut = lower_bound_f(cum, h - w, share) + 1;
+        if (cut < prev + 1)
+            cut = prev + 1;
+        if (cut > h - w - (nb - j))
+            cut = h - w - (nb - j);
+        out[j] = w + (prev = cut);
+    }
+    out[nb] = h;
+    free(cum);
+    return OK;
+}
+
+/* dag/builder.py's row_blocks: a panel splits when its weight reaches
+ * min_split and its below rows span at least two blocks of row_block. */
+static int row_blocks(fplan_t *p, int ft, i64 row_block, double min_split)
+{
+    i64 k, K = p->n_cblk;
+    p->block_ptr[0] = 0;
+    for (k = 0; k < K; k++) {
+        i64 nb = (p->below[k] + row_block - 1) / row_block;
+        if (nb < 2 || !(p->weight[k] >= min_split))
+            nb = 0;
+        p->block_ptr[k + 1] = p->block_ptr[k] + (nb ? nb + 1 : 0);
+    }
+    p->block_rows = malloc((size_t)(p->block_ptr[K] + 1) * sizeof(i64));
+    if (!p->block_rows)
+        return NO_MEMORY;
+    for (k = 0; k < K; k++) {
+        i64 nb = p->block_ptr[k + 1] - p->block_ptr[k] - 1;
+        if (nb > 0 && balanced_bounds(p, k, nb, ft,
+                                      p->block_rows + p->block_ptr[k]) != OK)
+            return NO_MEMORY;
+    }
+    return OK;
+}
+
+typedef struct {
+    i64 *head, *tail, n, cap;
+} edges_t;
+
+static int edge(edges_t *e, i64 head, i64 tail)
+{
+    if (e->n == e->cap) {
+        i64 cap = 2 * e->cap + 16;
+        i64 *h = realloc(e->head, (size_t)cap * sizeof(i64));
+        if (!h)
+            return NO_MEMORY;
+        e->head = h;
+        h = realloc(e->tail, (size_t)cap * sizeof(i64));
+        if (!h)
+            return NO_MEMORY;
+        e->tail = h;
+        e->cap = cap;
+    }
+    e->head[e->n] = head;
+    e->tail[e->n++] = tail;
+    return OK;
+}
+
+/* dag/builder.py's _block_edges: edges from split panel c's row blocks
+ * to its split tree parent p's tasks, as offsets from each panel's DIAG
+ * (0 the DIAG, 1 + j row block j), shifted by tc and tp.  A block of c
+ * holding a row facing p precedes p's DIAG only; any other block, each
+ * block of p its rows land in. */
+static int block_edges(const fplan_t *p, i64 c, i64 q, i64 tc, i64 tq,
+                       edges_t *e)
+{
+    i64 lo = p->tgt_ptr[q], hi = p->tgt_ptr[q + 1], cp = lo, j, o, b;
+    const i64 *cb = p->block_rows + p->block_ptr[c];
+    const i64 *qb = p->block_rows + p->block_ptr[q];
+    i64 ncb = p->block_ptr[c + 1] - p->block_ptr[c];
+    i64 nqb = p->block_ptr[q + 1] - p->block_ptr[q];
+    char *seen;
+    while (cp < hi && p->src[cp] < c)
+        cp++;
+    if (cp == hi || p->src[cp] != c)
+        return INCONSISTENT;
+    seen = calloc((size_t)(ncb * nqb), 1);
+    if (!seen)
+        return NO_MEMORY;
+    for (j = 0; j < p->rl_ptr[cp + 1] - p->rl_ptr[cp]; j++) {
+        o = count_upto(cb, ncb, p->width[c] + j);
+        b = count_upto(qb, nqb, p->rows_local[p->rl_ptr[cp] + j]);
+        if (o >= ncb || b >= nqb) {
+            free(seen);
+            return INCONSISTENT;
         }
-        counts[0] = n_couples;
-        counts[1] = n_rows;
+        seen[o * nqb + b] = 1;
+    }
+    for (o = 0; o < ncb; o++)
+        for (b = 0; b < nqb; b++)
+            if (seen[o * nqb + b] && (b == 0 || !seen[o * nqb])
+                && edge(e, tc + o, tq + b) != OK) {
+                free(seen);
+                return NO_MEMORY;
+            }
+    free(seen);
+    return OK;
+}
+
+/* The task kinds of dag/tasks.py's TaskKind, and of the executor. */
+enum { PANEL1D = 2, SUBTREE = 3, DIAG = 4, ROWS = 5 };
+enum { PANELS = 2, BLOCK = 3 };
+
+/* kernels/native.py's DagTasks checks, on the executor's arrays: the
+ * successor CSR and its range, the in-degrees, the task kinds, the panel
+ * ranges and block rows, and acyclicity — the LIFO Kahn order, into
+ * d->order, must reach every task.  info[0..1]: the bit set of the task
+ * kinds and the largest panel range end. */
+static int check_dag(const unit_dag_t *d, const i64 *width,
+                     const i64 *height, i64 *info)
+{
+    i64 n = d->n_tasks, t, e, top = 0, pos = 0, *indeg, *stack;
+    if (d->succ_ptr[0] != 0 || d->succ_ptr[n] != d->n_edges)
+        return INCONSISTENT;
+    for (t = 0; t < n; t++)
+        if (d->succ_ptr[t + 1] < d->succ_ptr[t])
+            return INCONSISTENT;
+    indeg = calloc((size_t)(2 * n + 1), sizeof(i64));
+    if (!indeg)
+        return NO_MEMORY;
+    stack = indeg + n;
+    info[0] = info[1] = 0;
+    for (t = 0; t < n; t++) {
+        const i64 *r = d->records + 4 * t;
+        for (e = d->succ_ptr[t]; e < d->succ_ptr[t + 1]; e++) {
+            if (!(0 <= d->succ_list[e] && d->succ_list[e] < n))
+                goto inconsistent;
+            indeg[d->succ_list[e]]++;
+        }
+        if (!(0 <= r[2] && r[2] <= BLOCK))
+            goto inconsistent;
+        info[0] |= (i64)1 << r[2];
+        if (r[2] != BLOCK) {
+            if (!(0 <= r[0] && r[0] <= r[1] && r[1] <= d->n_cblk))
+                goto inconsistent;
+            if (r[1] > info[1])
+                info[1] = r[1];
+        } else if (!(0 <= r[3] && r[3] < d->n_cblk)
+                   || !((r[0] == 0 && r[1] == width[r[3]])
+                        || (width[r[3]] <= r[0] && r[0] < r[1]
+                            && r[1] <= height[r[3]]))) {
+            goto inconsistent;
+        }
+    }
+    for (t = 0; t < n; t++)
+        if (indeg[t] != d->n_deps[t])
+            goto inconsistent;
+    for (t = 0; t < n; t++)
+        if (!indeg[t])
+            stack[top++] = t;
+    while (top) {
+        t = stack[--top];
+        d->order[pos++] = t;
+        for (e = d->succ_ptr[t]; e < d->succ_ptr[t + 1]; e++)
+            if (!--indeg[d->succ_list[e]])
+                stack[top++] = d->succ_list[e];
+    }
+    free(indeg);
+    return pos == n ? OK : INCONSISTENT;
+inconsistent:
+    free(indeg);
+    return INCONSISTENT;
+}
+
+/* dag/builder.py's unit_partition and _build_unit, in the executor's
+ * form (runtime/threaded.py's _executor_tasks).  The panels are grouped
+ * into units: every maximal subtree of the supernode tree whose weight
+ * is at most `threshold` (a split panel weighs infinitely much), every
+ * other panel alone.  A task per unit — a split panel's unit a DIAG and
+ * a ROWS task per block — and edges along the unit tree. */
+static int unit_dag(const fplan_t *p, double threshold, unit_dag_t *d)
+{
+    i64 K = p->n_cblk, k, u, t, U = 0, n_tasks, e, status = NO_MEMORY;
+    i64 *parent = malloc((size_t)(6 * K + 2) * sizeof(i64));
+    i64 *group, *unit_of, *roots, *first, *size;
+    double *sub = malloc((size_t)(K + 1) * sizeof(double));
+    edges_t ed = {NULL, NULL, 0, 0};
+    if (!parent || !sub)
+        goto done;
+    group = parent + K;
+    unit_of = group + K;
+    roots = unit_of + K;
+    size = roots + K;
+    first = size + K; /* U + 1 <= K + 1 entries, then a cursor */
+
+    /* supernode_parent and fused_subtree_groups */
+    for (k = 0; k < K; k++) {
+        i64 b = p->blok_ptr[k] + 1;
+        parent[k] = b < p->blok_ptr[k + 1] ? p->face[b] : -1;
+        sub[k] = p->block_ptr[k + 1] > p->block_ptr[k] ? INFINITY
+                                                       : p->weight[k];
+        group[k] = -1;
+    }
+    for (k = 0; k < K; k++)
+        if (parent[k] >= 0)
+            sub[parent[k]] += sub[k];
+    for (k = K - 1; k >= 0; k--)
+        if (!(sub[k] > threshold))
+            group[k] = parent[k] >= 0 && group[parent[k]] >= 0
+                           ? group[parent[k]] : k;
+
+    /* unit_partition: units numbered by their topmost panel */
+    for (k = 0; k < K; k++) {
+        i64 top = group[k] >= 0 ? group[k] : k;
+        if (top == k) {
+            roots[U] = k;
+            size[U] = 0;
+            unit_of[k] = U++;
+        }
+    }
+    for (k = 0; k < K; k++)
+        size[unit_of[k] = unit_of[group[k] >= 0 ? group[k] : k]]++;
+    d->unit_panels = malloc((size_t)(K + 1) * sizeof(i64));
+    if (!d->unit_panels)
+        goto done;
+    first[0] = 0;
+    for (u = 0; u < U; u++)
+        first[u + 1] = first[u] + size[u];
+    for (k = 0; k < K; k++)
+        d->unit_panels[first[unit_of[k]]++] = k;
+
+    /* Tasks in unit order: a unit's one task, or its DIAG then ROWS. */
+    first[0] = 0;
+    for (u = 0; u < U; u++) {
+        i64 nb = p->block_ptr[roots[u] + 1] - p->block_ptr[roots[u]];
+        first[u + 1] = first[u] + (nb ? nb : 1);
+    }
+    n_tasks = d->n_tasks = first[U];
+    d->kind = malloc((size_t)(n_tasks + 1));
+    d->unit_ptr = malloc((size_t)(n_tasks + 1) * sizeof(i64));
+    d->cblk = malloc((size_t)(n_tasks + 1) * sizeof(i64));
+    d->row_range = malloc((size_t)(2 * n_tasks + 1) * sizeof(i64));
+    d->succ_ptr = calloc((size_t)(n_tasks + 2), sizeof(i64));
+    d->n_deps = calloc((size_t)(n_tasks + 1), sizeof(i64));
+    d->records = malloc((size_t)(4 * n_tasks + 1) * sizeof(i64));
+    d->order = malloc((size_t)(n_tasks + 1) * sizeof(i64));
+    if (!d->kind || !d->unit_ptr || !d->cblk || !d->row_range
+        || !d->succ_ptr || !d->n_deps || !d->records || !d->order)
+        goto done;
+    d->unit_ptr[0] = 0;
+    for (u = 0; u < U; u++) {
+        i64 r = roots[u], nb = p->block_ptr[r + 1] - p->block_ptr[r] - 1;
+        const i64 *bounds = p->block_rows + p->block_ptr[r];
+        for (t = first[u]; t < first[u + 1]; t++) {
+            i64 j = t - first[u];
+            d->cblk[t] = r;
+            d->kind[t] = nb < 0 ? (size[u] > 1 ? SUBTREE : PANEL1D)
+                                : j ? ROWS : DIAG;
+            d->unit_ptr[t + 1] = d->unit_ptr[t] + (j ? 0 : size[u]);
+            d->row_range[2 * t] = nb < 0 ? 0 : j ? bounds[j - 1] : 0;
+            d->row_range[2 * t + 1] = nb < 0 ? 0 : j ? bounds[j] : p->width[r];
+        }
+    }
+
+    /* Edges: every last task of a child unit -> the parent unit's first
+     * task, unless both are split (block_edges); a DIAG -> its ROWS. */
+    for (u = 0; u < U; u++) {
+        i64 up = parent[roots[u]], a, both;
+        if (up < 0)
+            continue;
+        a = unit_of[up];
+        both = first[u + 1] - first[u] > 1 && first[a + 1] - first[a] > 1;
+        if (!both)
+            for (t = first[u] + (first[u + 1] - first[u] > 1);
+                 t < first[u + 1]; t++)
+                if (edge(&ed, t, first[a]) != OK)
+                    goto done;
+    }
+    for (t = 0; t < n_tasks; t++)
+        if (d->kind[t] == ROWS && edge(&ed, first[unit_of[d->cblk[t]]], t) != OK)
+            goto done;
+    for (u = 0; u < U; u++) {
+        i64 up = parent[roots[u]], a;
+        if (up < 0)
+            continue;
+        a = unit_of[up];
+        if (first[u + 1] - first[u] > 1 && first[a + 1] - first[a] > 1
+            && (status = block_edges(p, roots[u], roots[a], first[u],
+                                     first[a], &ed)) != OK)
+            goto done;
+    }
+    status = NO_MEMORY;
+
+    /* CSR by head, stable: within a head, the edges in the order above */
+    d->n_edges = ed.n;
+    d->succ_list = malloc((size_t)(ed.n + 1) * sizeof(i64));
+    if (!d->succ_list)
+        goto done;
+    for (e = 0; e < ed.n; e++) {
+        d->succ_ptr[ed.head[e] + 1]++;
+        d->n_deps[ed.tail[e]]++;
+    }
+    for (t = 0; t < n_tasks; t++)
+        d->succ_ptr[t + 1] += d->succ_ptr[t];
+    {
+        i64 *cursor = malloc((size_t)(n_tasks + 1) * sizeof(i64));
+        if (!cursor)
+            goto done;
+        memcpy(cursor, d->succ_ptr, (size_t)(n_tasks + 1) * sizeof(i64));
+        for (e = 0; e < ed.n; e++)
+            d->succ_list[cursor[ed.head[e]]++] = ed.tail[e];
+        free(cursor);
+    }
+    for (t = 0; t < n_tasks; t++) {
+        i64 *r = d->records + 4 * t, block = d->kind[t] >= DIAG;
+        r[0] = block ? d->row_range[2 * t] : d->unit_ptr[t];
+        r[1] = block ? d->row_range[2 * t + 1] : d->unit_ptr[t + 1];
+        r[2] = block ? BLOCK : PANELS;
+        r[3] = d->cblk[t];
+    }
+    status = OK;
+done:
+    free(parent);
+    free(sub);
+    free(ed.head);
+    free(ed.tail);
+    return (int)status;
+}
+
+/* What repro_factor_plan reports in info[]. */
+enum {
+    INFO_COUPLES, INFO_LOCAL, INFO_ROWS, INFO_MAX_MN, INFO_MAX_NW,
+    INFO_MAX_W, INFO_NNZ, INFO_BLOCK_ROWS, INFO_TASKS, INFO_EDGES,
+    INFO_KINDS, INFO_MAX_HI
+};
+
+/* The factorization's plan of a symbol (see the top of this section),
+ * into the caller's arrays: the layout (width, height, below, offset,
+ * row_ptr, rows), the couple plan (src, tgt, i0, i1, tgt_ptr, src_ptr,
+ * by_src, rl_ptr, rows_local) and the row blocks' pointers, arrays[0..15].
+ * Count mode (fill == 0) writes the K-long ones (arrays[0..4], [10],
+ * [11]; the others may be NULL) and the couple, row-map entry and layout
+ * row counts into info[0..2] — or returns INCONSISTENT for a symbol this
+ * pass does not build for: pointers that do not run from 0 to the blok
+ * and column counts, a panel without bloks, a blok its owner array does
+ * not give its panel, a face or a col2cblk entry that is no panel, a
+ * blok reversed or outside [0, n), a panel with fewer rows than columns,
+ * a tail that does not fit its panel, a size past int32; the NumPy
+ * builders decide what it means.  Fill mode, after count mode on the
+ * same arrays: the rest of the layout and the couple plan, checked
+ * (INCONSISTENT if a check fails), with its scratch sizes in info[3..5].
+ * With a factotype ft >= 0 (LLT, LDLT, LU; `mult` 4 for a complex dtype)
+ * also the factor's nnz into info[6], flops_total into flops[0] and the
+ * row blocks: their pointers into arrays[15], their boundaries, info[7]
+ * of them, kept in *handle.  With `units` > 0 (FUSE_UNITS_PER_WORKER *
+ * n_workers) also the unit DAG, fused up to flops[1] = max(total weight
+ * / units, min_unit): info[8..9] tasks and edges, kept in *handle, and
+ * the task kinds and largest panel range end its check found in
+ * info[10..11].  repro_factor_plan_take copies *handle out. */
+i64 repro_factor_plan(i64 n, i64 n_cblk, i64 n_blok, const i64 *blok_ptr,
+                      const i64 *frow, const i64 *lrow, const i64 *face,
+                      const i64 *owner, const i64 *cblk_ptr,
+                      const i64 *col2cblk, int ft, double mult,
+                      i64 row_block, double min_split, double units,
+                      double min_unit, i64 *info, double *flops,
+                      void **arrays, int fill, void **handle)
+{
+    fplan_t p = {.n_cblk = n_cblk, .blok_ptr = blok_ptr, .face = face};
+    plan_view_t v;
+    unit_dag_t *d = NULL;
+    place_t pl;
+    int rejected = 0;
+    i64 K = n_cblk, k, b, t, c, g, *cursor, *src_ptr, *rows;
+    i64 n_couples = 0, n_local = 0, lower = 0;
+    double *pf = NULL, *uf = NULL;
+    int status = NO_MEMORY;
+
+    *handle = NULL;
+    p.width = arrays[0];
+    p.height = arrays[1];
+    p.below = arrays[2];
+    p.row_ptr = arrays[4];
+    p.tgt_ptr = arrays[10];
+    src_ptr = arrays[11];
+    if (!fill) {
+        /* One pass over the bloks: their checks, the layout's K-long
+         * arrays, and the couples per source and per target.  A couple
+         * is a maximal run of equal (owner, face) among the off-diagonal
+         * bloks (a diagonal blok does not end a run), its tail `m` the
+         * owner's off-diagonal rows from the run on: the `left` rows of
+         * the panel less the rows before the run. */
+        i64 *offset = arrays[3];
+        if (blok_ptr[0] != 0 || blok_ptr[K] != n_blok || cblk_ptr[0] != 0
+            || cblk_ptr[K] != n)
+            return INCONSISTENT;
+        for (k = 0; k < K; k++)
+            if (blok_ptr[k + 1] <= blok_ptr[k] || cblk_ptr[k + 1] < cblk_ptr[k])
+                return INCONSISTENT;
+        for (g = 0; g < n; g++)
+            if (!(0 <= col2cblk[g] && col2cblk[g] < K))
+                return INCONSISTENT;
+        memset(p.tgt_ptr, 0, (size_t)(K + 1) * sizeof(i64));
+        offset[0] = p.row_ptr[0] = src_ptr[0] = 0;
+        for (k = 0; k < K; k++) {
+            i64 h = 0, left = 0, runs = 0, before = 0, f = -1;
+            for (b = blok_ptr[k]; b < blok_ptr[k + 1]; b++) {
+                if (!(owner[b] == k && 0 <= face[b] && face[b] < K
+                      && 0 <= frow[b] && frow[b] <= lrow[b] && lrow[b] <= n))
+                    return INCONSISTENT;
+                h += lrow[b] - frow[b];
+                if (face[b] == k)
+                    continue;
+                if (face[b] != f) {
+                    f = face[b];
+                    runs++;
+                    before += left;
+                    p.tgt_ptr[f + 1]++;
+                }
+                left += lrow[b] - frow[b];
+            }
+            p.width[k] = cblk_ptr[k + 1] - cblk_ptr[k];
+            p.height[k] = h;
+            p.below[k] = h - p.width[k];
+            if (p.below[k] < 0 || (runs && left > p.below[k]))
+                return INCONSISTENT;
+            p.row_ptr[k + 1] = p.row_ptr[k] + h;
+            offset[k + 1] = offset[k] + h * p.width[k];
+            src_ptr[k + 1] = src_ptr[k] + runs;
+            n_local += runs * left - before;
+        }
+        for (k = 0; k < K; k++)
+            p.tgt_ptr[k + 1] += p.tgt_ptr[k];
+        if (K >= INT32_MAX || p.row_ptr[K] >= INT32_MAX)
+            return INCONSISTENT;
+        info[INFO_COUPLES] = src_ptr[K];
+        info[INFO_LOCAL] = n_local;
+        info[INFO_ROWS] = p.row_ptr[K];
         return OK;
     }
-    n_couples = counts[0];
-    cursor = malloc((size_t)(n_cblk + 1) * sizeof(i64));
-    if (!cursor || place_init(&pl, n, row_ptr, rows) != OK) {
+    p.src = arrays[6];
+    p.tgt = arrays[7];
+    p.i0 = arrays[8];
+    p.i1 = arrays[9];
+    p.by_src = arrays[12];
+    p.rl_ptr = arrays[13];
+    p.rows_local = arrays[14];
+    n_couples = info[INFO_COUPLES];
+    rows = arrays[5];
+    v = (plan_view_t){K, n_couples, info[INFO_LOCAL], p.height, p.width,
+                      p.row_ptr, rows, p.tgt_ptr, p.rl_ptr, p.rows_local,
+                      p.src, p.tgt, p.i0, p.i1};
+    cursor = malloc((size_t)(K + 1) * sizeof(i64));
+    if (!cursor || place_init(&pl, n, p.row_ptr, rows) != OK) {
         free(cursor);
         return NO_MEMORY;
     }
-    memset(tgt_ptr, 0, (size_t)(n_cblk + 1) * sizeof(i64));
-    memset(src_ptr, 0, (size_t)(n_cblk + 1) * sizeof(i64));
-    for (couples_start(&it, 0); couples_next(&it, &k, &t, &m, &nf);) {
-        tgt_ptr[t + 1]++;
-        src_ptr[k + 1]++;
+    memcpy(cursor, p.tgt_ptr, (size_t)(K + 1) * sizeof(i64));
+
+    /* The rows of each panel, and its couples in (source, target) order,
+     * each placed at its target's cursor: the (target, source) order. */
+    for (k = 0, g = 0; k < K; k++) {
+        i64 left = 0, f = -1, r = p.row_ptr[k];
+        for (b = blok_ptr[k]; b < blok_ptr[k + 1]; b++) {
+            for (t = frow[b]; t < lrow[b]; t++)
+                rows[r++] = t;
+            if (face[b] != k)
+                left += lrow[b] - frow[b];
+        }
+        for (b = blok_ptr[k], c = -1; b < blok_ptr[k + 1]; b++) {
+            if (face[b] == k)
+                continue;
+            if (face[b] != f) {
+                f = face[b];
+                c = cursor[f]++;
+                p.by_src[g++] = (int32_t)c;
+                p.src[c] = (int32_t)k;
+                p.tgt[c] = (int32_t)f;
+                p.i0[c] = p.i1[c] = (int32_t)(p.below[k] - left);
+                p.rl_ptr[c + 1] = left;
+            }
+            p.i1[c] += (int32_t)(lrow[b] - frow[b]);
+            left -= lrow[b] - frow[b];
+        }
     }
-    for (k = 0; k < n_cblk; k++) {
-        tgt_ptr[k + 1] += tgt_ptr[k];
-        src_ptr[k + 1] += src_ptr[k];
-        cursor[k] = tgt_ptr[k];
-    }
-    rl_ptr[0] = 0;
-    g = 0;
-    for (couples_start(&it, 0); couples_next(&it, &k, &t, &m, &nf); g++) {
-        i64 below = row_ptr[k + 1] - row_ptr[k] - width[k];
-        c = cursor[t]++;
-        by_src[g] = (int32_t)c;
-        src[c] = (int32_t)k;
-        tgt[c] = (int32_t)t;
-        i0[c] = (int32_t)(below - m);
-        i1[c] = (int32_t)(below - m + nf);
-        rl_ptr[c + 1] = m;
-    }
+    p.rl_ptr[0] = 0;
     for (c = 0; c < n_couples; c++)
-        rl_ptr[c + 1] += rl_ptr[c];
-    for (t = 0; t < n_cblk; t++) {
-        if (tgt_ptr[t] < tgt_ptr[t + 1])
+        p.rl_ptr[c + 1] += p.rl_ptr[c];
+
+    /* The row maps, target by target: rows_local[.] is the position of
+     * each tail row of a source among the target's placed rows, checked
+     * while it is at hand. */
+    for (t = 0; t < K; t++) {
+        if (p.tgt_ptr[t] < p.tgt_ptr[t + 1])
             place_panel(&pl, t);
-        for (c = tgt_ptr[t]; c < tgt_ptr[t + 1]; c++) {
-            i64 j, len = rl_ptr[c + 1] - rl_ptr[c];
-            const i64 *tail = rows + row_ptr[src[c] + 1] - len;
+        for (c = p.tgt_ptr[t]; c < p.tgt_ptr[t + 1]; c++) {
+            i64 j, len = p.rl_ptr[c + 1] - p.rl_ptr[c];
+            const i64 *tail = rows + p.row_ptr[p.src[c] + 1] - len;
             for (j = 0; j < len; j++)
-                rows_local[rl_ptr[c] + j] = place_find(&pl, t, tail[j]);
+                p.rows_local[p.rl_ptr[c] + j] = place_find(&pl, t, tail[j]);
+            rejected |= check_rows(&v, c) != 0;
         }
     }
     free(cursor);
-    free(pl.pos);
-    return OK;
+    free(pl.at);
+    if (rejected || check_couples(&v))
+        return INCONSISTENT;
+    plan_maxima(&v, info + INFO_MAX_MN);
+    if (ft < 0)
+        return OK;
+
+    /* flops_total and nnz: the panels, then the couples in plan order,
+     * each summed as numpy sums; the weights: the updates a panel
+     * receives added in source order, as bincount adds them. */
+    pf = malloc((size_t)(2 * K + 1) * sizeof(double));
+    uf = malloc((size_t)(n_couples + 1) * sizeof(double));
+    d = calloc(1, sizeof(unit_dag_t));
+    if (!pf || !uf || !d)
+        goto done;
+    p.weight = pf + K;
+    for (k = 0; k < K; k++) {
+        i64 w = p.width[k];
+        pf[k] = flops_panel(w, p.below[k], ft);
+        p.weight[k] = 0.0;
+        lower += w * (w + 1) / 2 + w * p.below[k];
+    }
+    info[INFO_NNZ] = ft == LU ? 2 * lower - n : lower;
+    for (c = 0; c < n_couples; c++)
+        uf[c] = flops_update(p.below[p.src[c]] - p.i0[c], p.i1[c] - p.i0[c],
+                             p.width[p.src[c]], ft, 0);
+    flops[0] = (pairwise_sum(pf, K) + pairwise_sum(uf, n_couples)) * mult;
+    for (g = 0; g < n_couples; g++) {
+        c = p.by_src[g];
+        p.weight[p.tgt[c]] += mult * flops_update(
+            p.below[p.src[c]] - p.i0[c], p.i1[c] - p.i0[c],
+            p.width[p.src[c]], ft, 1);
+    }
+    for (k = 0; k < K; k++)
+        p.weight[k] = mult * pf[k] + p.weight[k];
+
+    p.block_ptr = arrays[15];
+    status = row_blocks(&p, ft, row_block, min_split);
+    d->block_rows = p.block_rows;
+    if (status != OK)
+        goto done;
+    d->n_rows = info[INFO_BLOCK_ROWS] = p.block_ptr[K];
+    d->n_cblk = K;
+    if (units > 0) {
+        double threshold = pairwise_sum(p.weight, K) / units;
+        if (min_unit > threshold)
+            threshold = min_unit;
+        flops[1] = threshold;
+        if ((status = unit_dag(&p, threshold, d)) != OK
+            || (status = check_dag(d, p.width, p.height,
+                                   info + INFO_KINDS)) != OK)
+            goto done;
+        info[INFO_TASKS] = d->n_tasks;
+        info[INFO_EDGES] = d->n_edges;
+    }
+    status = OK;
+done:
+    free(pf);
+    free(uf);
+    if (status != OK)
+        unit_dag_free(d);
+    else
+        *handle = d;
+    return status;
+}
+
+/* Copy repro_factor_plan's *handle into the caller's arrays (sized from
+ * its info) and free it: the row-block boundaries, then with the unit
+ * DAG its unit_panels, kind, unit_ptr, cblk, row_range, succ_ptr,
+ * succ_list, n_deps, the executor's (lo, hi, kind, panel) records and
+ * the LIFO Kahn order.  `arrays` NULL: only free it. */
+void repro_factor_plan_take(void *handle, void **arrays)
+{
+    unit_dag_t *d = handle;
+    i64 n = d->n_tasks;
+    if (arrays) {
+        memcpy(arrays[0], d->block_rows, (size_t)d->n_rows * sizeof(i64));
+        if (d->order) {
+            memcpy(arrays[1], d->unit_panels, (size_t)d->n_cblk * sizeof(i64));
+            memcpy(arrays[2], d->kind, (size_t)n);
+            memcpy(arrays[3], d->unit_ptr, (size_t)(n + 1) * sizeof(i64));
+            memcpy(arrays[4], d->cblk, (size_t)n * sizeof(i64));
+            memcpy(arrays[5], d->row_range, (size_t)(2 * n) * sizeof(i64));
+            memcpy(arrays[6], d->succ_ptr, (size_t)(n + 1) * sizeof(i64));
+            memcpy(arrays[7], d->succ_list,
+                   (size_t)d->n_edges * sizeof(i64));
+            memcpy(arrays[8], d->n_deps, (size_t)n * sizeof(i64));
+            memcpy(arrays[9], d->records, (size_t)(4 * n) * sizeof(i64));
+            memcpy(arrays[10], d->order, (size_t)n * sizeof(i64));
+        }
+    }
+    unit_dag_free(d);
 }
 
 /* core/factor.py's assembly map: where each entry of a CSC pattern lands
@@ -1393,7 +2154,8 @@ i64 repro_couple_plan(i64 n, i64 n_cblk, const i64 *blok_ptr,
  * transpose of that side, O(n + nnz)), so that each panel u is placed
  * once and every lookup in it is a load, not a search.
  * Count mode (L_src == NULL): the entry counts of each side into
- * counts[0..1].  Fill mode: the source indices and arena positions.
+ * counts[0..1].  Fill mode, with those counts: the source indices and
+ * arena positions.
  * MISSING: the entry counts[2] has no row to land in (the first one). */
 enum { MISSING = -3 };
 
@@ -1424,11 +2186,12 @@ i64 repro_assembly_map(i64 n, const i64 *colptr, const i64 *rowind,
     /* by_row[i + 1]: the upper entries of row i, then where they end in
      * slot, the upper entries grouped by row.  Up to the first missing
      * lower entry, U_dst holds each upper entry's column. */
-    by_row = calloc((size_t)(n + 1 + (lu ? colptr[n] : 0)) + 1, sizeof(i64));
+    by_row = malloc((size_t)(n + 2 + (lu ? counts[1] : 0)) * sizeof(i64));
     if (!by_row) {
-        free(pl.pos);
+        free(pl.at);
         return NO_MEMORY;
     }
+    memset(by_row, 0, (size_t)(n + 1) * sizeof(i64));
     slot = by_row + n + 1;
     for (j = 0; j < n && missing < 0; j++) {
         i64 k = col2cblk[j], fcol = cblk_ptr[k];
@@ -1437,12 +2200,12 @@ i64 repro_assembly_map(i64 n, const i64 *colptr, const i64 *rowind,
             if (i >= fcol) {
                 if (k != placed)
                     place_panel(&pl, placed = k);
-                if (pl.stamp[i] != k) {
+                if (pl.at[i].stamp != k) {
                     missing = e;
                     break;
                 }
                 L_src[nl] = e;
-                L_dst[nl++] = offset[k] + pl.pos[i] * width[k] + (j - fcol);
+                L_dst[nl++] = offset[k] + pl.at[i].pos * width[k] + (j - fcol);
             } else if (lu) {
                 U_src[nu] = e;
                 U_dst[nu++] = j;
@@ -1463,16 +2226,16 @@ i64 repro_assembly_map(i64 n, const i64 *colptr, const i64 *rowind,
         for (i = f; start < end; i++)
             for (; start < by_row[i]; start++) {
                 i64 t = slot[start], col = U_dst[t];
-                if (pl.stamp[col] != u) {
+                if (pl.at[col].stamp != u) {
                     if (missing < 0 || U_src[t] < missing)
                         missing = U_src[t];
                     continue;
                 }
-                U_dst[t] = offset[u] + pl.pos[col] * width[u] + (i - f);
+                U_dst[t] = offset[u] + pl.at[col].pos * width[u] + (i - f);
             }
     }
     free(by_row);
-    free(pl.pos);
+    free(pl.at);
     if (missing >= 0) {
         counts[2] = missing;
         return MISSING;

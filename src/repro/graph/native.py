@@ -4,9 +4,12 @@
 :func:`repro.symbolic.analyze` makes (:func:`symmetrize`, :func:`order`,
 :func:`block_symbol`), the default nested dissection
 (:func:`repro.ordering.nested_dissection`), and the plans a fresh
-factorization builds from the symbol: the symmetric permutation of a
-pattern (:meth:`repro.sparse.csc.SparseMatrixCSC.permute`), the couple
-plan (:class:`repro.kernels.indexcache.CoupleMapCache`) and the assembly
+factorization builds: the symmetric permutation of a pattern
+(:meth:`repro.sparse.csc.SparseMatrixCSC.permute`), the factorization's
+plan of a symbol in one pass (:func:`factor_plan`: the panel layout and
+the couple plan of :mod:`repro.kernels.indexcache`, the flop count, the
+row blocks and the unit DAG of :func:`repro.dag.builder.factor_plan`),
+the couple plan's bounds check (:func:`check_plan`) and the assembly
 map (:class:`repro.core.factor.AssemblyMap`).  :mod:`repro.cbuild`
 compiles and caches it on first use; no BLAS or LAPACK is involved.
 Each caller asks :func:`library` and calls the wrapper below when it
@@ -15,12 +18,15 @@ the oracle, and the results are identical element for element.  The
 single steps of the analysis (elimination tree, postorder, column
 counts, supernode row sets, amalgamation, minimum degree) have no entry
 point of their own: the passes run them in C, their public functions in
-Python.  (The couple plan's bounds check is not here: it is
-``native.c``'s, so that the builder and the check stay independent.)
+Python.  The plan pass checks what it built as the Python checks would
+(the couple plan's bounds check, the executor's DAG checks), with
+functions of their own, and hands back nothing that failed.
 
 Every array is checked before its pointer crosses (C-contiguous int64,
 pointer arrays non-decreasing from 0 to the index count, indices in
-range): O(n + nnz) and vectorised.  The C side keeps no state between
+range): O(n + nnz) and vectorised — except the symbol's arrays of the
+plan pass, whose values its count call checks in C before it follows
+any of them.  The C side keeps no state between
 calls and ctypes releases the GIL for each.
 """
 
@@ -41,11 +47,13 @@ __all__ = [
     "assembly_map",
     "availability",
     "block_symbol",
-    "couple_plan",
+    "check_plan",
+    "factor_plan",
     "library",
     "nested_dissection",
     "order",
     "permute_pattern",
+    "planned",
     "symmetrize",
 ]
 
@@ -57,7 +65,11 @@ _NO_MEMORY, _INCONSISTENT, _MISSING, _MISMATCH = -1, -2, -3, -4
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 _SIGNATURES = {
     "repro_nested_dissection": [_I64, _PTR, _PTR, _PTR, _I64, _PTR],
-    "repro_couple_plan": [_I64, _I64] + [_PTR] * 17,
+    "repro_factor_plan": [_I64, _I64, _I64] + [_PTR] * 7 + [
+        ctypes.c_int, ctypes.c_double, _I64, ctypes.c_double,
+        ctypes.c_double, ctypes.c_double] + [_PTR] * 3 + [
+        ctypes.c_int, ctypes.POINTER(_PTR)],
+    "repro_check_plan": [_I64, _I64] + [_PTR] * 10 + [_I64, _PTR, _PTR],
     "repro_assembly_map": [_I64] + [_PTR] * 8 + [ctypes.c_int] + [_PTR] * 5,
     "repro_permute_pattern": [_I64] + [_PTR] * 6,
     "repro_symmetrize": [_I64] + [_PTR] * 5,
@@ -86,6 +98,8 @@ def _library() -> Union[ctypes.CDLL, NativeUnavailable]:
         fn.restype = _I64
     lib.repro_block_symbol_take.argtypes = [_PTR] * 10
     lib.repro_block_symbol_take.restype = None
+    lib.repro_factor_plan_take.argtypes = [_PTR, _PTR]
+    lib.repro_factor_plan_take.restype = None
     return lib
 
 
@@ -287,76 +301,159 @@ def block_symbol(
 # ----------------------------------------------------------------------
 # The plans of a fresh factorization
 # ----------------------------------------------------------------------
-def _symbol_arrays(symbol, layout) -> Optional[dict]:
-    """The symbol and layout arrays the plan builders read, checked; or
-    ``None`` when one is not what they assume (the Python bodies run)."""
-    K = symbol.n_cblk
-    n_blok = np.size(symbol.blok_frow)
+def _symbol_arrays(symbol) -> Optional[dict]:
+    """The symbol arrays the plan pass reads, as C-contiguous int64 of the
+    symbol's sizes (the pass checks their values); or ``None`` when one
+    is not (the Python bodies run)."""
+    K, n_blok = symbol.n_cblk, np.size(symbol.blok_frow)
+    if K < 0:
+        return None
     try:
-        arrays = dict(
-            blok_ptr=_pointers("blok_ptr", symbol.blok_ptr, K, n_blok),
-            frow=_int64("blok_frow", symbol.blok_frow, n_blok),
-            lrow=_int64("blok_lrow", symbol.blok_lrow, n_blok),
-            face=_int64("blok_face", symbol.blok_face, n_blok),
-            owner=_int64("blok_owner", symbol.blok_owner, n_blok),
-            cblk_ptr=_pointers("cblk_ptr", symbol.cblk_ptr, K, symbol.n),
-            col2cblk=_int64("col2cblk", symbol.col2cblk, symbol.n),
-            width=_int64("width", layout.width, K),
-            offset=_int64("offset", layout.offset, K + 1),
-            row_ptr=_pointers("row_ptr", layout.row_ptr, K,
-                              np.size(layout.rows)),
-            rows=_int64("rows", layout.rows, np.size(layout.rows)),
-        )
-        _within("blok_face", arrays["face"], 0, K)
-        _within("col2cblk", arrays["col2cblk"], 0, K)
-        _within("rows", arrays["rows"], 0, symbol.n)
+        return {name: _int64(field, getattr(symbol, field), size)
+                for name, field, size in (
+                    ("blok_ptr", "blok_ptr", K + 1),
+                    ("frow", "blok_frow", n_blok),
+                    ("lrow", "blok_lrow", n_blok),
+                    ("face", "blok_face", n_blok),
+                    ("owner", "blok_owner", n_blok),
+                    ("cblk_ptr", "cblk_ptr", K + 1),
+                    ("col2cblk", "col2cblk", symbol.n))}
     except ValueError:
         return None
-    # The Python bodies walk the bloks by blok_owner, C by blok_ptr; the
-    # int32 couple scalars must hold every panel id and row count.
-    if (not np.array_equal(arrays["owner"], np.repeat(
-            np.arange(K, dtype=np.int64), np.diff(arrays["blok_ptr"])))
-            or max(K, np.size(layout.rows)) >= 2 ** 31):
-        return None
-    return arrays
 
 
-def couple_plan(lib: ctypes.CDLL, symbol, layout) -> Optional[dict]:
-    """The couple plan of :class:`repro.kernels.indexcache.CoupleMapCache`
-    as a dict of its arrays (``src`` ... ``by_src``), or ``None`` when
-    the symbol is not one C builds it for (the Python body decides)."""
-    a = _symbol_arrays(symbol, layout)
+#: ``repro_factor_plan``'s arrays in its order: name, dtype and size
+#: (``K`` panels, ``C`` couples, ``R`` row-map entries, ``NR`` layout
+#: rows) — the layout, the couple plan, the row blocks' pointers.
+_PLAN_ARRAYS = (
+    ("width", np.int64, "K"), ("height", np.int64, "K"),
+    ("below", np.int64, "K"), ("offset", np.int64, "K1"),
+    ("row_ptr", np.int64, "K1"), ("rows", np.int64, "NR"),
+    ("src", np.int32, "C"), ("tgt", np.int32, "C"), ("i0", np.int32, "C"),
+    ("i1", np.int32, "C"), ("tgt_ptr", np.int64, "K1"),
+    ("src_ptr", np.int64, "K1"), ("by_src", np.int32, "C"),
+    ("rl_ptr", np.int64, "C1"), ("rows_local", np.int64, "R"),
+    ("block_ptr", np.int64, "K1"),
+)
+#: ``repro_factor_plan_take``'s arrays in its order (``B`` row-block
+#: boundaries, ``T`` tasks, ``E`` edges): the row blocks, then the unit
+#: DAG in the executor's form.
+_DAG_ARRAYS = (
+    ("block_rows", np.int64, "B"), ("unit_panels", np.int64, "K"),
+    ("kind", np.int8, "T"), ("unit_ptr", np.int64, "T1"),
+    ("cblk", np.int64, "T"), ("row_range", np.int64, "T2"),
+    ("succ_ptr", np.int64, "T1"), ("succ_list", np.int64, "E"),
+    ("n_deps", np.int64, "T"), ("records", np.int64, "T4"),
+    ("order", np.int64, "T"),
+)
+_FACTOTYPES = {"llt": 0, "ldlt": 1, "lu": 2}
+
+
+def factor_plan(lib: ctypes.CDLL, symbol, factotype: Optional[str] = None,
+                mult: float = 1.0, row_block: int = 1,
+                min_split: float = 0.0, units: float = 0.0,
+                min_unit: float = 0.0) -> Optional[dict]:
+    """``repro_factor_plan`` on ``symbol``: a dict of the arrays of its
+    panel layout (``width`` ... ``rows``), its couple plan (``src`` ...
+    ``rows_local``, checked: ``max_mn``, ``max_nw``, ``max_w``), and
+    records the checked symbol arrays (:func:`planned`); with
+    ``factotype`` also
+    ``flops`` (``flops_total`` times ``mult``), ``nnz`` and the row blocks
+    (``block_ptr``, ``block_rows``; panels split at ``row_block`` rows
+    and ``min_split`` flops); with ``units`` > 0 (fusion units: workers
+    times the units per worker) also the unit DAG fused up to
+    ``threshold`` = max(weight / ``units``, ``min_unit``): ``unit_panels``,
+    ``kind`` ... ``row_range`` as :class:`~repro.dag.tasks.TaskDAG` holds
+    them, ``succ_ptr``, ``succ_list``, ``n_deps``, the executor's
+    ``records`` and ``order``, and the ``kinds`` and ``max_hi`` its check
+    found.  ``None`` when the symbol is not one C builds a plan for, or
+    the plan failed a check: the Python bodies then run, and raise what
+    they raise."""
+    a = _symbol_arrays(symbol)
     if a is None:
         return None
     K = symbol.n_cblk
-    counts = np.zeros(3, dtype=np.int64)
-    head = (symbol.n, K, a["blok_ptr"].ctypes.data, a["frow"].ctypes.data,
-            a["lrow"].ctypes.data, a["face"].ctypes.data,
-            a["width"].ctypes.data, a["row_ptr"].ctypes.data,
-            a["rows"].ctypes.data, counts.ctypes.data)
-    if not _checked(lib.repro_couple_plan(*head, *[None] * 9)):
+    info = np.zeros(12, dtype=np.int64)
+    flops = np.zeros(2, dtype=np.float64)
+    handle = ctypes.c_void_p()
+    head = (symbol.n, K, a["frow"].size, *(a[name].ctypes.data for name in (
+        "blok_ptr", "frow", "lrow", "face", "owner", "cblk_ptr", "col2cblk")),
+        _FACTOTYPES.get(factotype, -1), float(mult), int(row_block),
+        float(min_split), float(units), float(min_unit), info.ctypes.data,
+        flops.ctypes.data)
+    out: dict = {}
+    table = (_PTR * len(_PLAN_ARRAYS))()
+
+    def allocate(sizes: dict) -> None:
+        for slot, (name, dtype, size) in enumerate(_PLAN_ARRAYS):
+            if size in sizes:
+                out[name] = np.empty(sizes[size], dtype=dtype)
+                table[slot] = out[name].ctypes.data
+
+    allocate(dict(K=K, K1=K + 1))          # what the count call writes
+    if not _checked(lib.repro_factor_plan(*head, table, 0,
+                                          ctypes.byref(handle))):
         return None
-    C, R = int(counts[0]), int(counts[1])
-    out = {name: np.empty(C, dtype=np.int32)
-           for name in ("src", "tgt", "i0", "i1", "by_src")}
-    out.update(tgt_ptr=np.empty(K + 1, dtype=np.int64),
-               src_ptr=np.empty(K + 1, dtype=np.int64),
-               rl_ptr=np.empty(C + 1, dtype=np.int64),
-               rows_local=np.empty(R, dtype=np.int64))
-    _checked(lib.repro_couple_plan(*head, *(out[name].ctypes.data for name in (
-        "src", "tgt", "i0", "i1", "tgt_ptr", "src_ptr", "by_src", "rl_ptr",
-        "rows_local"))))
+    C, R, NR = (int(v) for v in info[:3])
+    allocate(dict(C=C, C1=C + 1, R=R, NR=NR))
+    status = lib.repro_factor_plan(*head, table, 1, ctypes.byref(handle))
+    if not _checked(status):
+        return None
+    symbol.__dict__["_plan_arrays"] = (symbol, a)
+    out.update(max_mn=int(info[3]), max_nw=int(info[4]), max_w=int(info[5]))
+    if factotype is None:
+        return out
+    T = int(info[8])
+    shapes = dict(B=int(info[7]), K=K, T=T, T1=T + 1, T2=(T, 2), T4=(T, 4),
+                  E=int(info[9]))
+    try:
+        taken = {name: np.empty(shapes[size], dtype=dtype) for name, dtype, size
+                 in (_DAG_ARRAYS if units > 0 else _DAG_ARRAYS[:1])}
+    except MemoryError:
+        lib.repro_factor_plan_take(handle, None)
+        raise
+    lib.repro_factor_plan_take(handle, (_PTR * len(taken))(
+        *(arr.ctypes.data for arr in taken.values())))
+    out.update(taken, flops=float(flops[0]), nnz=int(info[6]),
+               threshold=float(flops[1]), kinds=int(info[10]),
+               max_hi=int(info[11]))
     return out
+
+
+def check_plan(lib: ctypes.CDLL, plan) -> Optional[tuple[int, int, int]]:
+    """``repro_check_plan`` on the couple plan ``plan`` (its dtypes and
+    lengths checked by the caller): ``(max_mn, max_nw, max_w)``, or the
+    1-based number of the first check of
+    :data:`repro.kernels.indexcache.PLAN_CHECKS` that fails."""
+    lay = plan.layout
+    out = np.zeros(3, dtype=np.int64)
+    code = lib.repro_check_plan(
+        plan.symbol.n_cblk, plan.src.size,
+        *(arr.ctypes.data for arr in (
+            lay.height, lay.width, lay.row_ptr, lay.rows, plan.tgt_ptr,
+            plan.src, plan.tgt, plan.i0, plan.i1, plan.rl_ptr)),
+        plan.rows_local.size, plan.rows_local.ctypes.data, out.ctypes.data,
+    )
+    return int(code) if code else (int(out[0]), int(out[1]), int(out[2]))
+
+
+def planned(symbol) -> Optional[dict]:
+    """The symbol arrays of the last :func:`factor_plan` that succeeded
+    on ``symbol``, checked by it — the proof that its layout is one C
+    can follow — or ``None``."""
+    memo = symbol.__dict__.get("_plan_arrays")
+    return memo[1] if memo is not None and memo[0] is symbol else None
 
 
 def assembly_map(lib: ctypes.CDLL, symbol, layout, colptr: np.ndarray,
                  rowind: np.ndarray, lu: bool):
     """``(L_src, L_dst, U_src, U_dst)`` of
     :class:`repro.core.factor.AssemblyMap` (``U_*`` ``None`` unless
-    ``lu``); ``None`` when the arguments are not ones C maps (the Python
-    body decides).  Raises ``LookupError(e)`` for the first entry ``e``
-    with no place in its panel."""
-    a = _symbol_arrays(symbol, layout)
+    ``lu``); ``None`` when no plan pass succeeded on ``symbol``
+    (:func:`planned`) or the pattern arrays are not ones C maps (the
+    Python body decides).  Raises ``LookupError(e)`` for the first entry
+    ``e`` with no place in its panel."""
+    a = planned(symbol)
     n = symbol.n
     try:
         colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
@@ -366,8 +463,9 @@ def assembly_map(lib: ctypes.CDLL, symbol, layout, colptr: np.ndarray,
         return None
     counts = np.zeros(3, dtype=np.int64)
     head = (n, colptr.ctypes.data, rowind.ctypes.data,
-            *(a[name].ctypes.data for name in (
-                "cblk_ptr", "col2cblk", "offset", "width", "row_ptr", "rows")),
+            a["cblk_ptr"].ctypes.data, a["col2cblk"].ctypes.data,
+            *(getattr(layout, name).ctypes.data for name in (
+                "offset", "width", "row_ptr", "rows")),
             int(lu), counts.ctypes.data)
     _checked(lib.repro_assembly_map(*head, None, None, None, None))
     sides = [np.empty(int(counts[0]), dtype=np.int64) for _ in range(2)]

@@ -37,19 +37,22 @@ The NumPy kernels, the threaded solve and the audit read the same arrays
 through :meth:`CoupleMapCache.lookup`, :attr:`~CoupleMapCache.sources`
 and :attr:`~CoupleMapCache.facing`, which hand out views.
 
-The plan is built by ``repro_couple_plan`` of the analysis helper
-(``graph/analysis.c``, :func:`repro.graph.native.couple_plan`) when it
-loads, by :meth:`CoupleMapCache._build_numpy` otherwise: the NumPy body
-is the oracle, and the two give the same arrays, dtypes included.
+The plan and the layout are built with the rest of a factorization's
+plan, in one pass of the analysis helper
+(:func:`repro.dag.builder.factor_plan`, ``repro_factor_plan`` of
+``graph/analysis.c``) when it loads, by :meth:`CoupleMapCache.
+_build_numpy` and :class:`PanelLayout`'s NumPy body otherwise: the NumPy
+bodies are the oracle, and the two give the same arrays, dtypes
+included.
 
 Because C indexes through the arrays unchecked,
 :meth:`CoupleMapCache.validate` proves them in range — every row map
 entry against the target row it names — once per plan, and raises
 :class:`CouplePlanError` before any native call otherwise.  The checks
-run in ``native.c`` (``repro_check_plan``, through
-:func:`repro.kernels.native.check_plan`) when the kernel library loads,
-as NumPy array passes otherwise, with the same messages
-(:data:`PLAN_CHECKS`).  Independently of that guard the plan is audited:
+run in C (``repro_check_plan``, through
+:func:`repro.graph.native.check_plan`; the plan pass runs them on the
+plan it builds) when the analysis helper loads, as NumPy array passes
+otherwise, with the same messages (:data:`PLAN_CHECKS`).  Independently of that guard the plan is audited:
 ``repro.verify.symbols.verify_couple_cache`` (N507/N508) re-derives
 every map from the symbol through *different* primitives (``make
 selftest`` proves it fires).
@@ -82,7 +85,7 @@ class CouplePlanError(ValueError):
 
 #: The checks of :meth:`CoupleMapCache.validate` after the dtypes and
 #: lengths, in the order they run, as the :class:`CouplePlanError` text
-#: each raises.  ``native.c``'s ``repro_check_plan`` returns the 1-based
+#: each raises.  ``analysis.c``'s ``repro_check_plan`` returns the 1-based
 #: number of the first that fails.
 PLAN_CHECKS = (
     "tgt_ptr does not partition the couples by target",
@@ -120,11 +123,26 @@ class PanelLayout:
     on first use: only the NumPy bodies search it) is strictly
     increasing, so one global ``searchsorted`` localises any batch of
     ``(panel, row)`` pairs.  All arrays are read-only: they are shared by
-    every factor of the symbol.
+    every factor of the symbol.  ``arrays`` are the six arrays as the
+    plan pass built them (:func:`repro.dag.builder.factor_plan`); without
+    them the NumPy body builds them.
     """
 
-    def __init__(self, symbol: SymbolMatrix) -> None:
+    _ARRAYS = ("width", "height", "below", "offset", "row_ptr", "rows")
+
+    def __init__(self, symbol: SymbolMatrix,
+                 arrays: dict | None = None) -> None:
         self.symbol = symbol
+        if arrays is not None:
+            for name in self._ARRAYS:
+                setattr(self, name, arrays[name])
+        else:
+            self._build_numpy()
+        for name in self._ARRAYS:
+            getattr(self, name).flags.writeable = False
+
+    def _build_numpy(self) -> None:
+        symbol = self.symbol
         K = symbol.n_cblk
         self.width = np.diff(symbol.cblk_ptr).astype(np.int64)
         self.height = (
@@ -139,9 +157,6 @@ class PanelLayout:
             symbol.blok_frow.astype(np.int64, copy=False),
             (symbol.blok_lrow - symbol.blok_frow).astype(np.int64, copy=False),
         )
-        for arr in (self.width, self.height, self.below, self.offset,
-                    self.row_ptr, self.rows):
-            arr.flags.writeable = False
 
     @functools.cached_property
     def keyed(self) -> np.ndarray:
@@ -160,12 +175,26 @@ class PanelLayout:
         )
 
 
+def _memoised(symbol: SymbolMatrix, attr: str):
+    """``symbol``'s own memo ``attr`` (not one a copy of another symbol's
+    ``__dict__`` carried over), or ``None``."""
+    value = symbol.__dict__.get(attr)
+    return value if value is not None and value.symbol is symbol else None
+
+
 def panel_layout(symbol: SymbolMatrix) -> PanelLayout:
-    """The symbol's :class:`PanelLayout`, built on first use, memoised."""
-    layout = getattr(symbol, "_panel_layout", None)
-    if layout is None or layout.symbol is not symbol:
-        layout = PanelLayout(symbol)
-        symbol._panel_layout = layout
+    """The symbol's :class:`PanelLayout`, built on first use with the
+    couple plan (:func:`repro.dag.builder.factor_plan`), else by its
+    NumPy body, and memoised."""
+    layout = _memoised(symbol, "_panel_layout")
+    if layout is None:
+        # Lazy: the plan pass sits above the kernels' import graph.
+        from repro.dag.builder import factor_plan
+
+        factor_plan(symbol)
+        layout = _memoised(symbol, "_panel_layout")
+    if layout is None:
+        layout = symbol._panel_layout = PanelLayout(symbol)
     return layout
 
 
@@ -174,33 +203,33 @@ class CoupleMapCache:
     module docstring for the layout), built in array passes.
 
     ``n_couples`` counts the true couples: every ``(source, facing)``
-    pair with at least one facing row.
+    pair with at least one facing row.  ``arrays`` are the plan's arrays
+    as the plan pass built and checked them
+    (:func:`repro.dag.builder.factor_plan`: its ``max_mn``, ``max_nw``
+    and ``max_w`` too), which makes the plan valid and ``build_s`` that
+    pass's time; without them the NumPy body builds them.
     """
 
-    def __init__(self, symbol: SymbolMatrix) -> None:
+    def __init__(self, symbol: SymbolMatrix, arrays: dict | None = None,
+                 build_s: float = 0.0) -> None:
         t0 = time.perf_counter()
         self.symbol = symbol
         self.layout = panel_layout(symbol)
-        self._build()
         self._reset_derived()
-        self.build_s = time.perf_counter() - t0
-
-    def _build(self) -> None:
-        # Lazy: the analysis helper sits above the kernels' import graph.
-        from repro.graph import native
-
-        lib = native.library()
-        arrays = (None if lib is None
-                  else native.couple_plan(lib, self.symbol, self.layout))
         if arrays is None:
             self._build_numpy()
-        else:
-            for name in self._ARRAYS:
-                setattr(self, name, arrays[name])
+            self.build_s = time.perf_counter() - t0
+            return
+        for name in self._ARRAYS:
+            setattr(self, name, arrays[name])
+        self.max_mn, self.max_nw, self.max_w = (
+            arrays["max_mn"], arrays["max_nw"], arrays["max_w"])
+        self._valid = True
+        self.build_s = build_s
 
     def _build_numpy(self) -> None:
-        """:meth:`_build`'s NumPy body: the path without a C compiler,
-        and the oracle ``repro_couple_plan`` equals array for array."""
+        """The plan's NumPy body: the path without a C compiler, and the
+        oracle ``repro_factor_plan`` equals array for array."""
         # Lazy: the DAG layer sits above the kernels it costs.
         from repro.dag.builder import update_couples
 
@@ -260,10 +289,11 @@ class CoupleMapCache:
         bounds it by the target's height), and that the facing slice
         lands in the target's diagonal block (it is used as a column
         index).  Also sizes the native scratch (``max_mn``/``max_nw``/
-        ``max_w``).  ``native.c``'s ``repro_check_plan`` runs the checks
-        when the kernel library loads, :meth:`_check_numpy` otherwise;
+        ``max_w``).  ``analysis.c``'s ``repro_check_plan`` runs the checks
+        when the analysis helper loads, :meth:`_check_numpy` otherwise;
         either raises the same :class:`CouplePlanError`.  A plan that
-        passed is not re-checked.
+        passed (or that the plan pass built, and checked) is not
+        re-checked.
         """
         if self._valid:
             return
@@ -280,12 +310,14 @@ class CoupleMapCache:
             and self.tgt_ptr.size == K + 1 and self.rl_ptr.size == C + 1,
             "array lengths disagree",
         )
-        # Lazy: the kernel library imports this module.
-        from repro.kernels import native
+        # Lazy: the analysis helper sits above the kernels' import graph.
+        from repro.graph import native
 
-        maxima = native.check_plan(self)
-        if maxima is None:
-            maxima = self._check_numpy()
+        lib = native.library()
+        maxima = (self._check_numpy() if lib is None
+                  else native.check_plan(lib, self))
+        if isinstance(maxima, int):
+            _require(False, PLAN_CHECKS[maxima - 1])
         self.max_mn, self.max_nw, self.max_w = maxima
         self._valid = True
 
@@ -419,12 +451,19 @@ def get_couple_cache(symbol: SymbolMatrix) -> CoupleMapCache:
 
     The plan lives on the symbol object itself (``_couple_cache``), so
     two factorizations of the same pattern — and the sequential driver,
-    the threaded runtime, and the verify audit — all share one build.
-    A lost race between concurrent first callers at worst builds twice;
-    both results are identical, so either may win.
+    the threaded runtime, and the verify audit — all share one build: by
+    the plan pass (:func:`repro.dag.builder.factor_plan`) when the
+    analysis helper loads, else by the NumPy body.  A lost race between
+    concurrent first callers at worst builds twice; both results are
+    identical, so either may win.
     """
-    cache = getattr(symbol, "_couple_cache", None)
-    if cache is None or cache.symbol is not symbol:
-        cache = CoupleMapCache(symbol)
-        symbol._couple_cache = cache
+    cache = _memoised(symbol, "_couple_cache")
+    if cache is None:
+        # Lazy: the plan pass sits above the kernels' import graph.
+        from repro.dag.builder import factor_plan
+
+        factor_plan(symbol)
+        cache = _memoised(symbol, "_couple_cache")
+    if cache is None:
+        cache = symbol._couple_cache = CoupleMapCache(symbol)
     return cache

@@ -34,7 +34,7 @@ runs the C/Python hand-back loop:
   ``RuntimeWarning``) when there is no compiler, no capsule or no place
   to build, and silently for a dtype the C code has no body for or
   inside :func:`repro.cbuild.python_bodies` — which :func:`library`,
-  and so the solves, the plan check and :func:`csc_matvec`, honour too.
+  and so the solves and :func:`csc_matvec`, honour too.
 
 Compiling, caching (``${XDG_CACHE_HOME:-~/.cache}/repro/
 native-<hash>.so``) and loading are :mod:`repro.cbuild`'s.
@@ -52,11 +52,7 @@ import numpy as np
 
 from repro import cbuild
 from repro.cbuild import NativeUnavailable
-from repro.kernels.indexcache import (
-    PLAN_CHECKS,
-    CoupleMapCache,
-    CouplePlanError,
-)
+from repro.kernels.indexcache import CoupleMapCache
 from repro.kernels.panel import panel_factorize
 
 __all__ = [
@@ -69,7 +65,6 @@ __all__ = [
     "SolveSweeps",
     "availability",
     "build",
-    "check_plan",
     "csc_matvec",
     "factorize_block",
     "factorize_panels",
@@ -253,9 +248,6 @@ def _declare(lib: ctypes.CDLL, entry_points: Any) -> ctypes.CDLL:
         fn.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 4 + [
             ctypes.c_int64, ctypes.c_void_p] + extra
         fn.restype = None
-    lib.repro_check_plan.argtypes = [ctypes.c_int64] * 2 + [
-        ctypes.c_void_p] * 10 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
-    lib.repro_check_plan.restype = ctypes.c_int64
     lib.repro_init(entry_points)
     return lib
 
@@ -333,30 +325,6 @@ def resolve_kernels(dtype: Any) -> str:
 # ----------------------------------------------------------------------
 # Calling the kernel
 # ----------------------------------------------------------------------
-def check_plan(plan: CoupleMapCache) -> Optional[tuple[int, int, int]]:
-    """``repro_check_plan`` on ``plan``: its ``(max_mn, max_nw, max_w)``,
-    or ``None`` when :func:`library` answers ``None`` (the NumPy checks
-    run).  Raises :class:`~repro.kernels.indexcache.CouplePlanError` with
-    the text of the first of :data:`~repro.kernels.indexcache.PLAN_CHECKS`
-    that fails.  The caller (:meth:`CoupleMapCache.validate`) has checked
-    the dtypes and lengths of the plan arrays."""
-    lib = library()
-    if lib is None:
-        return None
-    lay = plan.layout
-    out = np.zeros(3, dtype=np.int64)
-    code = lib.repro_check_plan(
-        plan.symbol.n_cblk, plan.src.size,
-        *(arr.ctypes.data for arr in (
-            lay.height, lay.width, lay.row_ptr, lay.rows, plan.tgt_ptr,
-            plan.src, plan.tgt, plan.i0, plan.i1, plan.rl_ptr)),
-        plan.rows_local.size, plan.rows_local.ctypes.data, out.ctypes.data,
-    )
-    if code:
-        raise CouplePlanError(f"couple plan rejected: {PLAN_CHECKS[code - 1]}")
-    return int(out[0]), int(out[1]), int(out[2])
-
-
 def _plan_struct(plan: CoupleMapCache) -> _Plan:
     """The validated plan as a ``plan_t`` (memoised on the plan, which
     owns every array the pointers refer to)."""
@@ -548,6 +516,26 @@ def factorize_block(factor: Any, k: int, rows: tuple[int, int],
         panel_factorize(factor, k, diagonal_only=True)
 
 
+def _solve_binding(factor: Any) -> tuple:
+    """What every solve of ``factor`` hands C: :func:`_bind`'s function,
+    ``plan_t`` and arena pointers, the list of every panel and the most
+    rows below a diagonal block — checked and read once, and memoised on
+    the factor while its arenas, plan, dtype and factotype are the ones
+    checked."""
+    held = (factor.L_arena, factor.U_arena, factor.D_arena,
+            factor.index_cache)
+    kind = (factor.dtype, factor.factotype)
+    memo = factor.__dict__.get("_solve_binding")
+    if (memo is None or memo[1] != kind
+            or any(a is not b for a, b in zip(memo[0], held))):
+        every_panel = np.arange(factor.symbol.n_cblk, dtype=np.int64)
+        every_panel.flags.writeable = False
+        memo = factor._solve_binding = (held, kind, _bind(
+            factor, "solve_panels") + (every_panel, int(
+                factor.index_cache.layout.below.max(initial=0))))
+    return memo[2]
+
+
 class SolveSweeps:
     """The native triangular sweeps of one solve, over ``x`` in place:
     the body of the ``FORWARD`` and ``BACKWARD`` tasks of :func:`run_dag`.
@@ -561,8 +549,9 @@ class SolveSweeps:
     every panel ascending, run by one thread in ascending ranges: no slab
     arena, each forward step pushes its product straight into the rows
     below — the same values in the same order, so the same bits.
-    Everything is checked here, once, before any pointer crosses: the
-    factor's arenas and plan, ``x`` and the panel ids.
+    Everything is checked before any pointer crosses: the factor's arenas
+    and plan once per factor (:func:`_solve_binding`), ``x`` and the
+    panel ids here.
     """
 
     TASK_KINDS = frozenset({FORWARD, BACKWARD})
@@ -570,7 +559,7 @@ class SolveSweeps:
     def __init__(self, factor: Any, x: np.ndarray,
                  panels: Optional[np.ndarray] = None,
                  n_workers: int = 1) -> None:
-        fn, struct, L, U, D = _bind(factor, "solve_panels")
+        fn, struct, L, U, D, every_panel, max_below = _solve_binding(factor)
         n = factor.symbol.n
         if not (
             isinstance(x, np.ndarray) and x.dtype == factor.dtype
@@ -580,18 +569,18 @@ class SolveSweeps:
             raise ValueError(f"x must be a writable C-contiguous ({n},) or "
                              f"({n}, nrhs) array of {factor.dtype}")
         nrhs = 1 if x.ndim == 1 else x.shape[1]
-        lay = factor.index_cache.layout
         if panels is None:
-            self.panels = np.arange(factor.symbol.n_cblk, dtype=np.int64)
+            self.panels = every_panel
             self.slab = None
         else:
             self.panels = _panel_list(factor, panels)
-            self.slab = np.empty((int(lay.row_ptr[-1]) - n) * nrhs, x.dtype)
+            self.slab = np.empty(
+                (int(factor.index_cache.layout.row_ptr[-1]) - n) * nrhs,
+                x.dtype)
         # One gather buffer per worker, rows of one array: the executor
         # finds worker w's at gather + w * gather_len.
         self.n_workers = max(1, n_workers)
-        self.gather = np.empty(
-            (self.n_workers, int(lay.below.max(initial=0)) * nrhs), x.dtype)
+        self.gather = np.empty((self.n_workers, max_below * nrhs), x.dtype)
         self._keepalive = (factor, x)
         # Raw addresses, taken once: ``ndarray.ctypes`` costs about a
         # microsecond per access, the call itself a few.
@@ -780,14 +769,34 @@ class DagTasks:
                                  "block nor a range below it")
         from repro.dag.tasks import kahn_order
 
-        self.order = kahn_order(ptr, self.succ_list, self.n_deps)
-        if self.order.size != n:
+        order = kahn_order(ptr, self.succ_list, self.n_deps)
+        if order.size != n:
             raise ValueError("task graph contains a cycle")
-        self.kinds = frozenset(np.unique(kind).tolist())
+        self._adopt(order, frozenset(np.unique(kind).tolist()),
+                    int(hi[span].max(initial=0)), layout)
+
+    @classmethod
+    def checked(cls, succ_ptr: np.ndarray, succ_list: np.ndarray,
+                n_deps: np.ndarray, tasks: np.ndarray, order: np.ndarray,
+                kinds: int, max_hi: int, layout: Any) -> "DagTasks":
+        """The DAG the plan pass built and checked as :meth:`__init__`
+        checks (``repro_factor_plan``: every check above, and ``order``
+        its Kahn order), from its int64 arrays; ``kinds`` is the bit set
+        of its task kinds, ``max_hi`` its largest panel range end."""
+        self = cls.__new__(cls)
+        self.succ_ptr, self.succ_list, self.n_deps, self.tasks = (
+            succ_ptr, succ_list, n_deps, tasks)
+        self.n_tasks = n_deps.size
+        self._adopt(order, frozenset(k for k in range(BLOCK + 1)
+                                     if kinds >> k & 1), max_hi, layout)
+        return self
+
+    def _adopt(self, order: np.ndarray, kinds: frozenset, max_hi: int,
+               layout: Any) -> None:
+        self.order, self.kinds, self.max_hi = order, kinds, max_hi
         self.layout = layout
-        self.max_hi = int(hi[span].max(initial=0))
         self._struct = _Dag(
-            n_tasks=n, succ_ptr=self.succ_ptr.ctypes.data,
+            n_tasks=self.n_tasks, succ_ptr=self.succ_ptr.ctypes.data,
             succ_list=self.succ_list.ctypes.data,
             n_deps=self.n_deps.ctypes.data, task=self.tasks.ctypes.data,
         )

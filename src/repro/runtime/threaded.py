@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.factor import NumericFactor
 from repro.core.triangular import SolveSteps, rhs_copy
-from repro.dag.builder import get_dag
+from repro.dag.builder import factor_plan, get_dag
 from repro.dag.tasks import TaskKind
 from repro.kernels import native
 from repro.kernels.indexcache import get_couple_cache, panel_layout
@@ -270,7 +270,9 @@ def factorize_threaded(
 
     The executor runs the unit DAG — one left-looking, lock-free task per
     panel or fused leaf subtree, a diagonal task and row-block tasks per
-    large panel — and its factor is **bit-identical** to
+    large panel, built for a new pattern in the same pass as the rest of
+    its plan (:func:`repro.dag.builder.factor_plan`) — and its factor is
+    **bit-identical** to
     :func:`~repro.core.factorization.factorize_sequential`'s on the same
     backend for any worker count and interleaving.
     ``trace.meta["granularity"]`` names that DAG (``"unit"``).
@@ -299,6 +301,9 @@ def factorize_threaded(
     (:func:`repro.machine.simulate`).
     """
     n_workers = _check_pool(n_workers)
+    if matrix.values is not None:
+        factor_plan(symbol, factotype, dtype or matrix.values.dtype,
+                    n_workers)
     factor = NumericFactor.assemble(symbol, matrix, factotype, dtype=dtype)
     factor.kernels = native.resolve_kernels(factor.dtype)
     factor.index_cache = get_couple_cache(symbol)

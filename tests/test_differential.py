@@ -49,7 +49,7 @@ from repro.core.triangular import solve_factored
 from repro.dag.builder import row_blocks
 from repro.graph import native
 from repro.kernels import native as native_kernels
-from repro.kernels.indexcache import CoupleMapCache
+from repro.kernels.indexcache import CoupleMapCache, get_couple_cache
 from repro.sparse import load_matrix
 from repro.runtime.threaded import factorize_threaded, solve_threaded
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
@@ -601,7 +601,8 @@ def assert_plans_match_numpy(matrix: SparseMatrixCSC, ft: str) -> None:
     the assembly map of ``matrix`` for ``ft``: C against NumPy."""
     res = analyze(matrix)
     symbol, perm = res.symbol, res.perm.perm
-    got_plan = CoupleMapCache(symbol)
+    got_plan = get_couple_cache(symbol)        # the plan pass's
+    assert native.planned(symbol) is not None
     with cbuild.python_bodies():
         want = matrix.permute(perm)
         want_plan = CoupleMapCache(symbol)

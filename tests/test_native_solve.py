@@ -163,6 +163,44 @@ def test_one_call_per_sweep_and_per_task(grid2d_medium, monkeypatch):
         assert calls == [] and len(trace.events) == dag.n_tasks
 
 
+def test_solves_bind_once_per_factor(grid2d_medium, monkeypatch):
+    """The arena and plan checks of a solve run once per factor: every
+    later solve, threaded solve and refinement step of it reuses them,
+    while a new factor or a new arena binds again; the answers are
+    ``array_equal`` to those of a factor that never solved before."""
+    binds = []
+    bind = native._bind
+
+    def counting(factor, name):
+        binds.append(name)
+        return bind(factor, name)
+
+    monkeypatch.setattr(native, "_bind", counting)
+    factor = _factor(grid2d_medium, "lu")
+    rng = np.random.default_rng(5)
+    rhs = [_rhs(rng, grid2d_medium.n_rows, shape) for shape in
+           ((), (3,), ())]
+
+    def solves(f):
+        return ([solve_factored(f, b) for b in rhs]
+                + [solve_threaded(f, b, n_workers=n) for b in rhs
+                   for n in (1, 2)])
+
+    got = solves(factor)
+    assert binds.count("solve_panels") == 1
+    solver = SparseSolver(grid2d_medium, SolverOptions(factotype="lu"))
+    solver.factorize()
+    for b in rhs:
+        solver.solve(b)                # refinement: several raw solves
+    assert binds.count("solve_panels") == 2
+    unbound = factor.copy()
+    assert all(np.array_equal(x, y) for x, y in zip(solves(unbound), got))
+    assert binds.count("solve_panels") == 3
+    unbound.L_arena = unbound.L_arena.copy()
+    assert np.array_equal(solve_factored(unbound, rhs[0]), got[0])
+    assert binds.count("solve_panels") == 4
+
+
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
 def test_one_unit_chain_trace(grid2d_medium, helmholtz_small, monkeypatch,
                               cplx):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import SolverOptions, SparseSolver
+from repro import SolverOptions, SparseSolver, cbuild
 from repro.symbolic import SymbolicOptions
 from tests.conftest import backend
 
@@ -153,13 +153,15 @@ class TestBlockAndReuse:
         ``symbol.nnz`` — Python loops over every panel and couple — on
         each call, outside ``FactorizationInfo.elapsed`` but inside what
         a caller times.  Both depend on the symbol only: once per
-        analysis (per factotype/dtype), never again."""
-        from repro.core import solver as solver_mod
+        analysis (per factotype/dtype), never again.  Counted on the
+        NumPy bodies: with the analysis helper the plan pass computes
+        both, once (``test_factor_plan.py``)."""
+        from repro.dag import builder
         from repro.sparse.generators import grid_laplacian_2d
         from repro.symbolic.structures import SymbolMatrix
 
         calls = {"flops": 0, "nnz": 0}
-        real_flops, real_nnz = solver_mod.flops_total, SymbolMatrix.nnz
+        real_flops, real_nnz = builder.flops_total, SymbolMatrix.nnz
 
         def flops(*args, **kwargs):
             calls["flops"] += 1
@@ -169,14 +171,15 @@ class TestBlockAndReuse:
             calls["nnz"] += 1
             return real_nnz(self, **kwargs)
 
-        monkeypatch.setattr(solver_mod, "flops_total", flops)
+        monkeypatch.setattr(builder, "flops_total", flops)
         monkeypatch.setattr(SymbolMatrix, "nnz", nnz)
         s = SparseSolver(grid2d_small, SolverOptions(
             factotype="ldlt", runtime=runtime, n_workers=2))
-        first = s.factorize()
-        s.update_values(grid_laplacian_2d(8, jitter=0.3, seed=99))
-        again = s.factorize()
-        s.factorize()
+        with cbuild.python_bodies():
+            first = s.factorize()
+            s.update_values(grid_laplacian_2d(8, jitter=0.3, seed=99))
+            again = s.factorize()
+            s.factorize()
         assert calls == {"flops": 1, "nnz": 1}
         assert (again.flops, again.nnz_factor) == \
             (first.flops, first.nnz_factor)

@@ -140,7 +140,7 @@ def test_threaded_matches_sequential(grid2d_small):
 def test_non_positive_worker_count_is_rejected(grid2d_small, driver,
                                                n_workers):
     """Both drivers refuse ``n_workers < 1`` with the rule and the text
-    of ``SolverOptions``, before any worker starts."""
+    of ``SolverOptions``, before any work starts."""
     from repro.runtime.threaded import solve_threaded
 
     res, permuted = _setup(grid2d_small, "llt")
@@ -156,24 +156,6 @@ def test_non_positive_worker_count_is_rejected(grid2d_small, driver,
                            n_workers=n_workers)
     with pytest.raises(ValueError, match="n_workers must be positive"):
         run()
-
-
-@pytest.mark.parametrize("driver", ["factorize", "solve"])
-def test_pool_arguments_are_checked(grid2d_small, driver):
-    """Both drivers refuse ``n_workers < 1`` before any work starts."""
-    from repro.runtime.threaded import solve_threaded
-
-    res, permuted = _setup(grid2d_small, "llt")
-    factor = factorize_sequential(res.symbol, permuted, "llt")
-
-    def run(**options):
-        if driver == "factorize":
-            factorize_threaded(res.symbol, permuted, "llt", **options)
-        else:
-            solve_threaded(factor, np.ones(permuted.n_rows), **options)
-
-    with pytest.raises(ValueError, match="n_workers must be positive"):
-        run(n_workers=0)
 
 
 def test_ldlt_pivot_threshold_threaded(grid2d_medium):
