@@ -2154,24 +2154,32 @@ void repro_factor_plan_take(void *handle, void **arrays)
  * transpose of that side, O(n + nnz)), so that each panel u is placed
  * once and every lookup in it is a load, not a search.
  * Count mode (L_src == NULL): the entry counts of each side into
- * counts[0..1].  Fill mode, with those counts: the source indices and
- * arena positions.
+ * counts[0..1], or INCONSISTENT for pattern arrays that are not a CSC
+ * pattern of nnz entries (the Python body decides what they mean).  Fill
+ * mode, with those counts: the source indices and arena positions.
  * MISSING: the entry counts[2] has no row to land in (the first one). */
 enum { MISSING = -3 };
 
-i64 repro_assembly_map(i64 n, const i64 *colptr, const i64 *rowind,
-                       const i64 *cblk_ptr, const i64 *col2cblk,
-                       const i64 *offset, const i64 *width,
-                       const i64 *row_ptr, const i64 *rows, int lu,
-                       i64 *counts, i64 *L_src, i64 *L_dst, i64 *U_src,
-                       i64 *U_dst)
+i64 repro_assembly_map(i64 n, i64 nnz, const i64 *colptr,
+                       const i64 *rowind, const i64 *cblk_ptr,
+                       const i64 *col2cblk, const i64 *offset,
+                       const i64 *width, const i64 *row_ptr, const i64 *rows,
+                       int lu, i64 *counts, i64 *L_src, i64 *L_dst,
+                       i64 *U_src, i64 *U_dst)
 {
     i64 j, e, u, nl = 0, nu = 0, placed = -1, missing = -1;
     i64 *by_row, *slot, start;
     place_t pl;
     if (!L_src) {
+        if (colptr[0] != 0 || colptr[n] != nnz)
+            return INCONSISTENT;
+        for (j = 0; j < n; j++)
+            if (colptr[j + 1] < colptr[j])
+                return INCONSISTENT;
         for (j = 0; j < n; j++)
             for (e = colptr[j]; e < colptr[j + 1]; e++) {
+                if (!(0 <= rowind[e] && rowind[e] < n))
+                    return INCONSISTENT;
                 if (rowind[e] >= cblk_ptr[col2cblk[j]])
                     nl++;
                 else

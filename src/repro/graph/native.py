@@ -25,8 +25,8 @@ functions of their own, and hands back nothing that failed.
 Every array is checked before its pointer crosses (C-contiguous int64,
 pointer arrays non-decreasing from 0 to the index count, indices in
 range): O(n + nnz) and vectorised — except the symbol's arrays of the
-plan pass, whose values its count call checks in C before it follows
-any of them.  The C side keeps no state between
+plan pass and the pattern of the assembly map, whose values their count
+calls check in C before following any of them.  The C side keeps no state between
 calls and ctypes releases the GIL for each.
 """
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import warnings
 from pathlib import Path
 from typing import Optional, Union
@@ -70,7 +71,8 @@ _SIGNATURES = {
         ctypes.c_double, ctypes.c_double] + [_PTR] * 3 + [
         ctypes.c_int, ctypes.POINTER(_PTR)],
     "repro_check_plan": [_I64, _I64] + [_PTR] * 10 + [_I64, _PTR, _PTR],
-    "repro_assembly_map": [_I64] + [_PTR] * 8 + [ctypes.c_int] + [_PTR] * 5,
+    "repro_assembly_map": [_I64, _I64] + [_PTR] * 8 + [ctypes.c_int] + [
+        _PTR] * 5,
     "repro_permute_pattern": [_I64] + [_PTR] * 6,
     "repro_symmetrize": [_I64] + [_PTR] * 5,
     "repro_order": [_I64, _PTR, _PTR, _PTR, _I64] + [_PTR] * 7,
@@ -349,6 +351,25 @@ _DAG_ARRAYS = (
 _FACTOTYPES = {"llt": 0, "ldlt": 1, "lu": 2}
 
 
+def _views(fields, shapes: dict) -> tuple[dict, list]:
+    """The arrays of ``fields`` (name, dtype, key of ``shapes``) as views
+    of one new buffer, each 8-byte aligned, and their addresses: one
+    allocation and one address read for them all."""
+    sizes = []
+    for _, dtype, key in fields:
+        shape = shapes[key]
+        count = math.prod(shape) if isinstance(shape, tuple) else shape
+        sizes.append(count * np.dtype(dtype).itemsize)
+    starts = [0]
+    for size in sizes:
+        starts.append(starts[-1] + -(-size // 8) * 8)
+    buf = np.empty(starts[-1], dtype=np.uint8)
+    base = buf.ctypes.data
+    arrays = {name: buf[start:start + size].view(dtype).reshape(shapes[key])
+              for (name, dtype, key), start, size in zip(fields, starts, sizes)}
+    return arrays, [base + start for start in starts[:-1]]
+
+
 def factor_plan(lib: ctypes.CDLL, symbol, factotype: Optional[str] = None,
                 mult: float = 1.0, row_block: int = 1,
                 min_split: float = 0.0, units: float = 0.0,
@@ -381,21 +402,21 @@ def factor_plan(lib: ctypes.CDLL, symbol, factotype: Optional[str] = None,
         _FACTOTYPES.get(factotype, -1), float(mult), int(row_block),
         float(min_split), float(units), float(min_unit), info.ctypes.data,
         flops.ctypes.data)
-    out: dict = {}
     table = (_PTR * len(_PLAN_ARRAYS))()
 
-    def allocate(sizes: dict) -> None:
-        for slot, (name, dtype, size) in enumerate(_PLAN_ARRAYS):
-            if size in sizes:
-                out[name] = np.empty(sizes[size], dtype=dtype)
-                table[slot] = out[name].ctypes.data
+    def allocate(sizes: dict) -> dict:
+        slots = [i for i, f in enumerate(_PLAN_ARRAYS) if f[2] in sizes]
+        arrays, addresses = _views([_PLAN_ARRAYS[i] for i in slots], sizes)
+        for slot, address in zip(slots, addresses):
+            table[slot] = address
+        return arrays
 
-    allocate(dict(K=K, K1=K + 1))          # what the count call writes
+    out = allocate(dict(K=K, K1=K + 1))    # what the count call writes
     if not _checked(lib.repro_factor_plan(*head, table, 0,
                                           ctypes.byref(handle))):
         return None
     C, R, NR = (int(v) for v in info[:3])
-    allocate(dict(C=C, C1=C + 1, R=R, NR=NR))
+    out.update(allocate(dict(C=C, C1=C + 1, R=R, NR=NR)))
     status = lib.repro_factor_plan(*head, table, 1, ctypes.byref(handle))
     if not _checked(status):
         return None
@@ -406,14 +427,13 @@ def factor_plan(lib: ctypes.CDLL, symbol, factotype: Optional[str] = None,
     T = int(info[8])
     shapes = dict(B=int(info[7]), K=K, T=T, T1=T + 1, T2=(T, 2), T4=(T, 4),
                   E=int(info[9]))
+    fields = _DAG_ARRAYS if units > 0 else _DAG_ARRAYS[:1]
     try:
-        taken = {name: np.empty(shapes[size], dtype=dtype) for name, dtype, size
-                 in (_DAG_ARRAYS if units > 0 else _DAG_ARRAYS[:1])}
+        taken, addresses = _views(fields, shapes)
     except MemoryError:
         lib.repro_factor_plan_take(handle, None)
         raise
-    lib.repro_factor_plan_take(handle, (_PTR * len(taken))(
-        *(arr.ctypes.data for arr in taken.values())))
+    lib.repro_factor_plan_take(handle, (_PTR * len(fields))(*addresses))
     out.update(taken, flops=float(flops[0]), nnz=int(info[6]),
                threshold=float(flops[1]), kinds=int(info[10]),
                max_hi=int(info[11]))
@@ -456,18 +476,20 @@ def assembly_map(lib: ctypes.CDLL, symbol, layout, colptr: np.ndarray,
     a = planned(symbol)
     n = symbol.n
     try:
-        colptr, rowind = _compressed(n, colptr, rowind, ("colptr", "rowind"))
+        colptr = _int64("colptr", colptr, n + 1)
+        rowind = _int64("rowind", rowind, np.size(rowind))
     except ValueError:
         return None
     if a is None:
         return None
     counts = np.zeros(3, dtype=np.int64)
-    head = (n, colptr.ctypes.data, rowind.ctypes.data,
+    head = (n, rowind.size, colptr.ctypes.data, rowind.ctypes.data,
             a["cblk_ptr"].ctypes.data, a["col2cblk"].ctypes.data,
             *(getattr(layout, name).ctypes.data for name in (
                 "offset", "width", "row_ptr", "rows")),
             int(lu), counts.ctypes.data)
-    _checked(lib.repro_assembly_map(*head, None, None, None, None))
+    if not _checked(lib.repro_assembly_map(*head, None, None, None, None)):
+        return None       # the count call checks the pattern's values
     sides = [np.empty(int(counts[0]), dtype=np.int64) for _ in range(2)]
     sides += ([np.empty(int(counts[1]), dtype=np.int64) for _ in range(2)]
               if lu else [None, None])
