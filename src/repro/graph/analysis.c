@@ -1203,8 +1203,8 @@ static i64 amalgamate(i64 n_sn, const i64 *snptr, const i64 *ptr,
 }
 
 /* ------------------------------------------------------------------ */
-/* The plans of a fresh factorization: couple plan, assembly map,      */
-/* symmetric permutation                                               */
+/* The plans of a fresh factorization: the factorization's plan of a  */
+/* symbol, the assembly map, the symmetric permutation                 */
 /* ------------------------------------------------------------------ */
 
 /* The first i in [0, n) with a[i] >= x (n if none), a ascending. */
@@ -1741,7 +1741,7 @@ static int unit_dag(const fplan_t *p, double threshold, unit_dag_t *d)
     unit_of = group + K;
     roots = unit_of + K;
     size = roots + K;
-    first = size + K; /* U + 1 <= K + 1 entries, then a cursor */
+    first = size + K; /* per unit: where its panels, then its tasks, start */
 
     /* supernode_parent and fused_subtree_groups */
     for (k = 0; k < K; k++) {

@@ -52,7 +52,8 @@ entry against the target row it names — once per plan, and raises
 run in C (``repro_check_plan``, through
 :func:`repro.graph.native.check_plan`; the plan pass runs them on the
 plan it builds) when the analysis helper loads, as NumPy array passes
-otherwise, with the same messages (:data:`PLAN_CHECKS`).  Independently of that guard the plan is audited:
+otherwise, with the same messages (:data:`PLAN_CHECKS`).  Independently
+of that guard the plan is audited:
 ``repro.verify.symbols.verify_couple_cache`` (N507/N508) re-derives
 every map from the symbol through *different* primitives (``make
 selftest`` proves it fires).

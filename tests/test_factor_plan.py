@@ -157,16 +157,16 @@ def _one_panel() -> SparseMatrixCSC:
     return coo_to_csc(6, 6, rows, cols, dense[rows, cols])
 
 
-@pytest.mark.parametrize("case", ["one panel", "no couples", "1 x 1"])
+@pytest.mark.parametrize("case", ["one-panel", "no-couples", "1-x-1"])
 @pytest.mark.parametrize("ft", ["llt", "ldlt", "lu"])
 def test_edge_cases(case, ft, no_unit_floor):
-    matrix = {"one panel": _one_panel,
-              "no couples": lambda: SparseMatrixCSC.identity(30),
-              "1 x 1": lambda: SparseMatrixCSC.identity(1)}[case]()
+    matrix = {"one-panel": _one_panel,
+              "no-couples": lambda: SparseMatrixCSC.identity(30),
+              "1-x-1": lambda: SparseMatrixCSC.identity(1)}[case]()
     symbol = analyze(matrix).symbol
     got = assert_plan_matches_numpy(symbol, ft, np.float64, 2)
     assert got["plan.src"].size == 0
-    if case != "no couples":
+    if case != "no-couples":
         assert got["layout.width"].size == 1
 
 
@@ -177,20 +177,20 @@ def _corrupt(symbol: SymbolMatrix, name: str) -> SymbolMatrix:
         "blok_owner", "col2cblk")}
     off = np.flatnonzero(fields["blok_face"] != fields["blok_owner"])
     b = int(off[len(off) // 2])
-    if name == "face out of range":
+    if name == "face-out-of-range":
         fields["blok_face"][b] = symbol.n_cblk
-    elif name == "downward couple":
+    elif name == "downward-couple":
         fields["blok_face"][b] = fields["blok_owner"][b] - 1
-    elif name == "reversed blok":
+    elif name == "reversed-blok":
         fields["blok_frow"][b], fields["blok_lrow"][b] = (
             fields["blok_lrow"][b], fields["blok_frow"][b] - 1)
-    elif name == "row past n":
+    elif name == "row-past-n":
         fields["blok_lrow"][b] = symbol.n + 3
-    elif name == "row not in the target":
+    elif name == "row-not-in-the-target":
         fields["blok_frow"][b] -= 1
-    elif name == "blok_ptr decreasing":
+    elif name == "blok_ptr-decreasing":
         fields["blok_ptr"][1] = fields["blok_ptr"][2] + 1
-    elif name == "panel without bloks":
+    elif name == "panel-without-bloks":
         fields["blok_ptr"][1] = 0
     return SymbolMatrix(symbol.n, face_ptr=symbol.face_ptr,
                         face_list=symbol.face_list, **fields)
@@ -219,8 +219,8 @@ def _plan_steps(symbol, permuted, n_workers) -> None:
 
 @pytest.mark.parametrize("n_workers", [None, 2], ids=["sequential", "unit"])
 @pytest.mark.parametrize("name", [
-    "face out of range", "downward couple", "reversed blok", "row past n",
-    "row not in the target", "blok_ptr decreasing", "panel without bloks"])
+    "face-out-of-range", "downward-couple", "reversed-blok", "row-past-n",
+    "row-not-in-the-target", "blok_ptr-decreasing", "panel-without-bloks"])
 def test_malformed_symbol_raises_what_numpy_raises(grid2d_medium, no_unit_floor,
                                                    name, n_workers):
     res = analyze(grid2d_medium)
