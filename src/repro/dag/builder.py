@@ -107,10 +107,6 @@ def _memo(symbol: SymbolMatrix, key: tuple):
     return value if value is not None and value.symbol is symbol else None
 
 
-def _own(symbol: SymbolMatrix, attr: str) -> bool:
-    return getattr(symbol.__dict__.get(attr), "symbol", None) is symbol
-
-
 def factor_plan(symbol: SymbolMatrix, factotype: str | None = None,
                 dtype=np.float64, n_workers: int | None = None) -> None:
     """Build what a first factorization of ``symbol`` reads in one pass
@@ -136,13 +132,14 @@ def factor_plan(symbol: SymbolMatrix, factotype: str | None = None,
     """
     from repro.graph import native
     from repro.kernels.indexcache import CoupleMapCache, PanelLayout
+    from repro.kernels.indexcache import _memoised as own
 
     if factotype is not None and factotype not in ("llt", "ldlt", "lu"):
         return
     d = symbol.__dict__
     dtype = np.dtype(dtype)
-    missing = not (_own(symbol, "_panel_layout")
-                   and _own(symbol, "_couple_cache")
+    missing = not (own(symbol, "_panel_layout")
+                   and own(symbol, "_couple_cache")
                    and native.planned(symbol) is not None)
     if factotype is not None:
         missing = missing or (
@@ -163,9 +160,9 @@ def factor_plan(symbol: SymbolMatrix, factotype: str | None = None,
         MIN_UNIT_FLOPS)
     if out is None:
         return
-    if not _own(symbol, "_panel_layout"):
+    if not own(symbol, "_panel_layout"):
         d["_panel_layout"] = PanelLayout(symbol, out)
-    if not _own(symbol, "_couple_cache"):
+    if not own(symbol, "_couple_cache"):
         d["_couple_cache"] = CoupleMapCache(symbol, out,
                                             time.perf_counter() - start)
     if factotype is None:
