@@ -283,15 +283,13 @@ def check_plan() -> None:
     check_split's lowered floors so that panels split."""
     from repro import cbuild
     from repro.dag import TaskKind, builder
-    from repro.graph import native
     from repro.sparse.generators import grid_laplacian_3d
     from repro.symbolic import analyze
 
     for ft, seed in (("llt", 4), ("ldlt", 5), ("lu", 6)):
         matrix = grid_laplacian_3d(8, jitter=0.05, seed=seed)
         symbol = analyze(matrix).symbol
-        builder.factor_plan(symbol, ft, np.float64, 2)
-        if native.planned(symbol) is None:
+        if not builder.factor_plan(symbol, ft, np.float64, 2):
             sys.exit(f"native-smoke: plan {ft}: the C pass did not run")
         got = _plan_arrays(symbol, ft, 2)
         with cbuild.python_bodies():

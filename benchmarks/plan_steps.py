@@ -7,7 +7,10 @@ them, in ms (medians over the repetitions): with the analysis helper's
 one-pass plan (``repro.dag.builder.factor_plan``) its pass first, then
 the accessors, which find their parts memoised; without it (an older
 tree) each step builds its own part.  Also the whole ``factorize()`` of
-a fresh solver against a refactorization of the same pattern.
+a fresh solver against a refactorization of the same pattern, and the
+plan lookups such a refactorization makes (the driver's ``factor_plan``
+call, then the accessors it reads), timed once right after the fresh
+``factorize()``, in us: all of them, and the ``factor_plan`` call alone.
 
     OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \\
         python benchmarks/plan_steps.py [--reps 12] [WORKLOAD ...]
@@ -75,6 +78,30 @@ def _steps(solver: SparseSolver, ft: str, runtime: str, w: int) -> list:
     return steps
 
 
+def _lookups(solver: SparseSolver, ft: str, runtime: str, w: int):
+    """The plan lookups of a second ``factorize()`` of ``solver``, in
+    the order the driver and the solver make them: the driver's
+    ``factor_plan`` call, then the accessors."""
+    symbol, dtype = solver.analysis.symbol, solver.matrix.values.dtype
+    permuted = solver._permuted_matrix()
+    unit = runtime != "sequential"
+
+    def plan() -> None:
+        builder.factor_plan(symbol, ft, dtype, w if unit else None)
+
+    def accessors() -> None:
+        assembly_map(symbol, permuted, ft)
+        panel_layout(symbol)
+        get_couple_cache(symbol)
+        if unit:
+            threaded._executor_tasks(builder.get_dag(
+                symbol, ft, granularity="unit", dtype=dtype, n_workers=w))
+        builder.row_blocks(symbol, ft, dtype)
+        builder.symbol_counts(symbol, ft, dtype)
+
+    return plan, accessors
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workloads", nargs="*", help="default: all four")
@@ -86,7 +113,7 @@ def main() -> None:
         A = load_matrix(matrix, scale, 0)
         opts = SolverOptions(factotype=ft, runtime=runtime, n_workers=w)
         times: dict[str, list[float]] = {}
-        fresh, again = [], []
+        fresh, again, lookups, plan_call = [], [], [], []
         for rep in range(args.reps + 1):       # the first one warms up
             solver = SparseSolver(A, opts)
             solver.analyze()
@@ -97,9 +124,15 @@ def main() -> None:
             other = SparseSolver(A, opts)
             other.analyze()
             other._permuted_matrix()
-            t_fresh, t_again = _timed(other.factorize), _timed(other.factorize)
+            t_fresh = _timed(other.factorize)
+            plan, accessors = _lookups(other, ft, runtime, w)
+            t_plan = _timed(plan)
+            t_lookups = t_plan + _timed(accessors)
+            t_again = _timed(other.factorize)
             if rep:
                 fresh.append(t_fresh)
+                lookups.append(t_lookups * 1e3)
+                plan_call.append(t_plan * 1e3)
                 again.append(t_again)
         print(f"== {name}")
         total = 0.0
@@ -109,6 +142,9 @@ def main() -> None:
         print(f"  {'sum':<16} {total:8.3f} ms")
         print(f"  factorize(): fresh {statistics.median(fresh):.2f} ms, "
               f"refactorization {statistics.median(again):.2f} ms")
+        print(f"  refactorization's plan lookups "
+              f"{statistics.median(lookups):.1f} us (factor_plan "
+              f"{statistics.median(plan_call):.1f} us)")
 
 
 if __name__ == "__main__":

@@ -21,8 +21,9 @@ and :meth:`NumericFactor.assemble` build the arenas, and
 
 Assembly is one gather-scatter per side, ``arena[dst] = values[src]``,
 through an :class:`AssemblyMap`: the value → arena positions depend on
-the symbol and the pattern only, so the map is built once and memoised on
-the symbol, keyed by the pattern arrays themselves (held by reference).
+the symbol and the pattern only, so the map is built once and memoised in
+the symbol's plan store, kept while the pattern arrays are the very ones
+it was built from (held by reference).
 A refactorization of the same pattern arrays reuses it.  The map is
 built by ``repro_assembly_map`` of the analysis helper
 (:func:`repro.graph.native.assembly_map`, on the arrays the plan pass
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro.kernels.indexcache import panel_layout
 from repro.sparse.csc import SparseMatrixCSC, entry_owners
-from repro.symbolic.structures import SymbolMatrix
+from repro.symbolic.structures import SymbolMatrix, memo, plan_store
 
 __all__ = ["ArenaPanels", "AssemblyMap", "NumericFactor", "assembly_map"]
 
@@ -101,11 +102,12 @@ class AssemblyMap:
         self.symbol, self.colptr, self.rowind = symbol, colptr, rowind
         layout = panel_layout(symbol)
         lib = native.library()
-        if lib is not None:
-            factor_plan(symbol)       # a no-op once the plan is built
+        checked = None if lib is None else memo(
+            symbol, "symbol arrays",
+            lambda: factor_plan(symbol).get("symbol arrays"))
         try:
-            sides = (None if lib is None else native.assembly_map(
-                lib, symbol, layout, colptr, rowind, lu))
+            sides = (None if checked is None else native.assembly_map(
+                lib, checked, layout, colptr, rowind, lu))
         except LookupError as missing:
             self._missing(int(missing.args[0]))
         if sides is None:
@@ -167,23 +169,23 @@ class AssemblyMap:
 def assembly_map(symbol: SymbolMatrix, matrix: SparseMatrixCSC,
                  factotype: str) -> AssemblyMap:
     """The :class:`AssemblyMap` of ``matrix``'s pattern into ``symbol``'s
-    panels, memoised on the symbol.
+    panels, memoised in its plan store.
 
-    The memo keeps one map per side set (LU or not) and reuses it while
+    The store keeps one map per side set (LU or not) and reuses it while
     ``matrix`` carries the very ``colptr`` / ``rowind`` arrays it was
     built from: a caller that refactorizes new values on the same pattern
     arrays (:class:`repro.core.solver.SparseSolver`) builds it once.  Do
     not edit those arrays in place.  A lost race between concurrent first
     callers at worst builds twice; both results are identical.
     """
-    lu = factotype == "lu"
-    memo = symbol.__dict__.setdefault("_assembly_memo", {})
-    amap = memo.get(lu)
-    if (amap is None or amap.symbol is not symbol
-            or amap.colptr is not matrix.colptr
-            or amap.rowind is not matrix.rowind):
-        amap = memo[lu] = AssemblyMap(symbol, matrix.colptr, matrix.rowind,
-                                      lu)
+    key = ("assembly", factotype == "lu")
+
+    def build() -> AssemblyMap:
+        return AssemblyMap(symbol, matrix.colptr, matrix.rowind, key[1])
+
+    amap = memo(symbol, key, build)
+    if amap.colptr is not matrix.colptr or amap.rowind is not matrix.rowind:
+        amap = plan_store(symbol)[key] = build()
     return amap
 
 

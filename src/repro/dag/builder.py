@@ -17,7 +17,7 @@ from repro.kernels.cost import (
     flops_update,
     flops_update_rows,
 )
-from repro.symbolic.structures import SymbolMatrix
+from repro.symbolic.structures import SymbolMatrix, memo
 
 __all__ = [
     "update_couples",
@@ -26,7 +26,6 @@ __all__ = [
     "get_dag",
     "dag_of_trace",
     "symbol_counts",
-    "symbol_memo",
     "FUSE_UNITS_PER_WORKER",
     "MIN_SOLVE_FLOPS",
     "MIN_SPLIT_FLOPS",
@@ -71,23 +70,6 @@ ROW_BLOCK = 128
 MIN_SPLIT_FLOPS = 1e8
 
 
-def symbol_memo(symbol: SymbolMatrix, key: tuple, build) -> TaskDAG:
-    """The DAG ``build()`` returns, memoised on ``symbol`` under ``key``.
-
-    A DAG depends on the symbol only and runtimes only read it, so —
-    like the couple cache (:func:`repro.kernels.indexcache.\
-get_couple_cache`) — it lives on the symbol object: repeated solves,
-    refinement steps and refactorizations of one pattern build it once.
-    A lost race between concurrent first callers at worst builds twice;
-    both results are identical, so either may win.
-    """
-    memo = symbol.__dict__.setdefault("_dag_memo", {})
-    dag = memo.get(key)
-    if dag is None or dag.symbol is not symbol:
-        dag = memo[key] = build()
-    return dag
-
-
 def _rows_key(factotype: str, dtype) -> tuple:
     return ("rows", factotype, np.dtype(dtype).str, ROW_BLOCK,
             MIN_SPLIT_FLOPS)
@@ -100,58 +82,51 @@ def _dag_key(factotype: str, dtype, granularity: str, n_workers: int) -> tuple:
          FUSE_UNITS_PER_WORKER) if granularity == "unit" else ())
 
 
-def _memo(symbol: SymbolMatrix, key: tuple):
-    """What :func:`symbol_memo` holds under ``key`` for ``symbol``, or
-    ``None``."""
-    value = symbol.__dict__.get("_dag_memo", {}).get(key)
-    return value if value is not None and value.symbol is symbol else None
-
-
 def factor_plan(symbol: SymbolMatrix, factotype: str | None = None,
-                dtype=np.float64, n_workers: int | None = None) -> None:
+                dtype=np.float64, n_workers: int | None = None) -> dict:
     """Build what a first factorization of ``symbol`` reads in one pass
     of the analysis helper (:func:`repro.graph.native.factor_plan`), and
-    memoise each part where its accessor looks for it: the
-    :class:`~repro.kernels.indexcache.PanelLayout` and the couple plan
-    (checked); with ``factotype`` (and ``dtype``) also the flop count and
-    factor size (:func:`symbol_counts`) and the row blocks
-    (:func:`row_blocks`); with ``n_workers`` also the unit DAG
-    (:func:`get_dag`) and its executor form, checked
-    (:func:`repro.runtime.threaded._executor_tasks`).
+    memoise each part in the symbol's plan store
+    (:func:`~repro.symbolic.structures.memo`) under the key its accessor
+    reads: the :class:`~repro.kernels.indexcache.PanelLayout`, the couple
+    plan (checked) and the symbol arrays the pass checked; with
+    ``factotype`` (and ``dtype``) also the flop count and factor size
+    (:func:`symbol_counts`) and the row blocks (:func:`row_blocks`); with
+    ``n_workers`` also the unit DAG (:func:`get_dag`) and its executor
+    form, checked (:func:`repro.runtime.threaded._executor_tasks`).
+    Returns those parts by key.
 
     Like PaRSEC's parameterized task graph (PAPER.md §1), the DAG is read
     off the symbolic structure in the same pass, not built apart.  The
     unit DAG's ``flops``, ``gemm_*`` and ``fused_components`` — which
     only the simulators and the audits read — are deferred to their
-    first read (:func:`_unit_costs`).  A part already memoised stays
-    (factors and plans refer to it); the pass runs only if one is
-    missing.  Nothing happens without the helper, inside
-    :func:`repro.cbuild.python_bodies`, or for a symbol the pass builds
-    no plan for: the accessors then run their NumPy bodies, which are
-    the oracle and raise what they raise.
+    first read (:func:`_unit_costs`).  The pass is memoised under its
+    arguments and the floors it reads, and a part already memoised stays
+    (factors and plans refer to it).  Nothing is built (``{}``) without
+    the helper, inside :func:`repro.cbuild.python_bodies`, or for a
+    symbol the pass builds no plan for: the accessors then run their
+    NumPy bodies, which are the oracle and raise what they raise.
     """
+    if factotype not in (None, "llt", "ldlt", "lu"):
+        return {}
+    dtype = np.dtype(dtype)
+    n_workers = None if n_workers is None else max(1, int(n_workers))
+    key = ("pass", factotype, dtype.str, n_workers, ROW_BLOCK,
+           MIN_SPLIT_FLOPS, MIN_UNIT_FLOPS, FUSE_UNITS_PER_WORKER)
+    return memo(symbol, key, lambda: _plan_pass(
+        symbol, factotype, dtype, n_workers)) or {}
+
+
+def _plan_pass(symbol: SymbolMatrix, factotype: str | None, dtype,
+               n_workers: int | None) -> dict | None:
+    """:func:`factor_plan`'s pass: its parts, each memoised (``{}`` for a
+    symbol it builds no plan for, ``None`` without the helper)."""
     from repro.graph import native
     from repro.kernels.indexcache import CoupleMapCache, PanelLayout
-    from repro.kernels.indexcache import _memoised as own
 
-    if factotype is not None and factotype not in ("llt", "ldlt", "lu"):
-        return
-    d = symbol.__dict__
-    dtype = np.dtype(dtype)
-    missing = not (own(symbol, "_panel_layout")
-                   and own(symbol, "_couple_cache")
-                   and native.planned(symbol) is not None)
-    if factotype is not None:
-        missing = missing or (
-            (factotype, dtype.str) not in d.get("_counts_memo", {})
-            or _memo(symbol, _rows_key(factotype, dtype)) is None)
-    if n_workers is not None:
-        n_workers = max(1, int(n_workers))
-        key = _dag_key(factotype, dtype, "unit", n_workers)
-        missing = missing or _memo(symbol, key) is None
-    lib = native.library() if missing else None
+    lib = native.library()
     if lib is None:
-        return
+        return None
     start = time.perf_counter()
     out = native.factor_plan(
         lib, symbol, factotype, complex_multiplier(dtype),
@@ -159,22 +134,22 @@ def factor_plan(symbol: SymbolMatrix, factotype: str | None = None,
         0.0 if n_workers is None else FUSE_UNITS_PER_WORKER * n_workers,
         MIN_UNIT_FLOPS)
     if out is None:
-        return
-    if not own(symbol, "_panel_layout"):
-        d["_panel_layout"] = PanelLayout(symbol, out)
-    if not own(symbol, "_couple_cache"):
-        d["_couple_cache"] = CoupleMapCache(symbol, out,
-                                            time.perf_counter() - start)
-    if factotype is None:
-        return
-    d.setdefault("_counts_memo", {}).setdefault(
-        (factotype, dtype.str), (out["flops"], out["nnz"]))
-    memo = d.setdefault("_dag_memo", {})
-    if _memo(symbol, _rows_key(factotype, dtype)) is None:
-        memo[_rows_key(factotype, dtype)] = RowBlocks(
-            out["block_ptr"], out["block_rows"], symbol)
-    if n_workers is not None and _memo(symbol, key) is None:
-        memo[key] = _plan_dag(symbol, factotype, dtype, out)
+        return {}
+    builds = {
+        "symbol arrays": lambda: out["symbol"],
+        "layout": lambda: PanelLayout(symbol, out),
+        "couple plan": lambda: CoupleMapCache(
+            symbol, out, time.perf_counter() - start),
+    }
+    if factotype is not None:
+        builds[("counts", factotype, dtype.str)] = lambda: (
+            out["flops"], out["nnz"])
+        builds[_rows_key(factotype, dtype)] = lambda: RowBlocks(
+            out["block_ptr"], out["block_rows"])
+    if n_workers is not None:
+        builds[_dag_key(factotype, dtype, "unit", n_workers)] = (
+            lambda: _plan_dag(symbol, factotype, dtype, out))
+    return {key: memo(symbol, key, build) for key, build in builds.items()}
 
 
 def _plan_dag(symbol: SymbolMatrix, factotype: str, dtype, out) -> TaskDAG:
@@ -214,17 +189,14 @@ def symbol_counts(symbol: SymbolMatrix, factotype: str,
 
     Both depend on the symbol only, so — like the plans they are read
     off — they are computed once per analysis (by :func:`factor_plan`'s
-    pass when the helper loads) and memoised on the symbol object:
+    pass when the helper loads) and memoised in its plan store:
     refactorizing new values of one pattern does not pay them again.
     """
-    memo = symbol.__dict__.setdefault("_counts_memo", {})
-    key = (factotype, np.dtype(dtype).str)
-    if key not in memo:
-        factor_plan(symbol, factotype, dtype)
-    if key not in memo:
-        memo[key] = (flops_total(symbol, factotype, dtype),
-                     symbol.nnz(factotype=factotype))
-    return memo[key]
+    key = ("counts", factotype, np.dtype(dtype).str)
+    return memo(symbol, key, lambda: factor_plan(
+        symbol, factotype, dtype).get(key) or (
+            flops_total(symbol, factotype, dtype),
+            symbol.nnz(factotype=factotype)))
 
 
 def _plan(symbol: SymbolMatrix):
@@ -239,20 +211,18 @@ get_couple_cache`)."""
 def _plan_couples(symbol: SymbolMatrix):
     """:func:`update_couples` read off the symbol's couple plan, which a
     factorization builds anyway (the same arrays, in the same by-source
-    order).  Memoised next to the plan on the symbol: :func:`row_blocks`
-    and the unit DAG of one factorization both read them."""
-    plan = _plan(symbol)
-    memo = symbol.__dict__.get("_plan_couples_memo")
-    if memo is not None and memo[0] is plan:
-        return memo[1]
-    by_src = plan.by_src
-    src = plan.src[by_src].astype(np.int64)
-    i0 = plan.i0[by_src].astype(np.int64)
-    ms = plan.layout.below[src] - i0
-    couples = (src, plan.tgt[by_src].astype(np.int64), ms,
-               plan.i1[by_src].astype(np.int64) - i0)
-    symbol.__dict__["_plan_couples_memo"] = (plan, couples)
-    return couples
+    order).  Memoised next to the plan: :func:`row_blocks` and the unit
+    DAG of one factorization both read them."""
+    def build():
+        plan = _plan(symbol)
+        by_src = plan.by_src
+        src = plan.src[by_src].astype(np.int64)
+        i0 = plan.i0[by_src].astype(np.int64)
+        return (src, plan.tgt[by_src].astype(np.int64),
+                plan.layout.below[src] - i0,
+                plan.i1[by_src].astype(np.int64) - i0)
+
+    return memo(symbol, "couples", build)
 
 
 def _weights(symbol: SymbolMatrix, factotype: str, dtype,
@@ -286,7 +256,6 @@ class RowBlocks(NamedTuple):
 
     ptr: np.ndarray
     rows: np.ndarray
-    symbol: SymbolMatrix
 
     def bounds(self, k: int) -> np.ndarray:
         """Panel ``k``'s block boundaries (empty: not split)."""
@@ -302,16 +271,14 @@ def row_blocks(symbol: SymbolMatrix, factotype: str = "llt",
     part spans at least two ``ROW_BLOCK`` blocks; the blocks are cut at
     equal shares of their rows' flops (:func:`_balanced_bounds`).  It
     depends on the symbol only — not on values or workers — and is
-    memoised on it, so
-    the sequential driver (one C call over every panel) and the threaded
-    driver (one task per block) cut every panel the same way, and their
-    factors stay bit-identical.
+    memoised in its plan store, so the sequential driver (one C call over
+    every panel) and the threaded driver (one task per block) cut every
+    panel the same way, and their factors stay bit-identical.
     """
     key = _rows_key(factotype, dtype)
 
     def build() -> RowBlocks:
-        factor_plan(symbol, factotype, dtype)
-        blocks = _memo(symbol, key)
+        blocks = factor_plan(symbol, factotype, dtype).get(key)
         if blocks is not None:
             return blocks
         widths, below, couples, panel_flops, upd_flops = _weights(
@@ -325,9 +292,9 @@ def row_blocks(symbol: SymbolMatrix, factotype: str = "llt",
         rows = [_balanced_bounds(_plan(symbol), factotype, k, int(nb[k]))
                 for k in np.flatnonzero(nb).tolist()]
         return RowBlocks(ptr, np.concatenate(rows).astype(np.int64)
-                         if rows else np.empty(0, np.int64), symbol)
+                         if rows else np.empty(0, np.int64))
 
-    return symbol_memo(symbol, key, build)
+    return memo(symbol, key, build)
 
 
 def _couples_into(plan, k: int):
@@ -619,9 +586,9 @@ def get_dag(
     dtype=np.float64,
     n_workers: int = 4,
 ) -> TaskDAG:
-    """:func:`build_dag` memoised on the symbol (see :func:`symbol_memo`);
-    a unit DAG comes from the plan pass (:func:`factor_plan`) when the
-    analysis helper loads.
+    """:func:`build_dag` memoised in the symbol's plan store
+    (:func:`~repro.symbolic.structures.memo`); a unit DAG comes from the
+    plan pass (:func:`factor_plan`) when the analysis helper loads.
 
     What the runtimes execute; callers that edit a DAG (the verify
     injectors, tests) keep building their own with :func:`build_dag`.
@@ -631,14 +598,13 @@ def get_dag(
 
     def build() -> TaskDAG:
         if granularity == "unit":
-            factor_plan(symbol, factotype, dtype, n_workers)
-            dag = _memo(symbol, key)
+            dag = factor_plan(symbol, factotype, dtype, n_workers).get(key)
             if dag is not None:
                 return dag
         return build_dag(symbol, factotype, granularity=granularity,
                          dtype=dtype, n_workers=n_workers)
 
-    return symbol_memo(symbol, key, build)
+    return memo(symbol, key, build)
 
 
 def dag_of_trace(

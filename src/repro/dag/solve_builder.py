@@ -55,12 +55,11 @@ from repro.dag.builder import (
     FUSE_UNITS_PER_WORKER,
     UnitPartition,
     _csr_from_edges,
-    symbol_memo,
     unit_partition,
 )
 from repro.dag.tasks import TaskDAG, TaskKind
 from repro.kernels.cost import complex_multiplier
-from repro.symbolic.structures import SymbolMatrix
+from repro.symbolic.structures import SymbolMatrix, memo
 
 __all__ = ["build_solve_dag", "FUSE_UNITS_PER_WORKER"]
 
@@ -75,7 +74,8 @@ def build_solve_dag(
 ) -> TaskDAG:
     """The forward+backward solve of ``symbol`` as a coarse DAG.
 
-    Memoised on the symbol (:func:`repro.dag.builder.symbol_memo`):
+    Memoised in the symbol's plan store
+    (:func:`~repro.symbolic.structures.memo`):
     repeated solves, refinement steps and refactorizations of one
     pattern share one DAG object, which callers must not modify.
     ``nrhs`` scales every task's flops (block right-hand sides);
@@ -89,7 +89,7 @@ def build_solve_dag(
     nrhs, n_workers = int(nrhs), max(1, int(n_workers))
     floor = builder.MIN_SOLVE_FLOPS
     key = ("solve", factotype, np.dtype(dtype).str, nrhs, n_workers, floor)
-    return symbol_memo(
+    return memo(
         symbol, key,
         lambda: _build(symbol, factotype, dtype, nrhs, n_workers, floor),
     )

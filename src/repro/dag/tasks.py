@@ -97,11 +97,16 @@ class TaskDAG:
     granularity:
         ``"2d"``, ``"1d"``, ``"1d-left"`` or ``"unit"`` (see
         :func:`repro.dag.builder.build_dag`).
+    fused_components:
+        For fused tasks: task id -> list of kernel components, each
+        ``("panel", width, below)`` or ``("update", m, n, w)`` (see
+        :func:`repro.kernels.cost.flops_component`) — read only by the
+        machine simulator's duration models.
     """
 
     #: The fields only the simulators and audits read: a builder may pass
-    #: a function instead of the array, which runs on first read.
-    DEFERRED = ("flops", "gemm_m", "gemm_n", "gemm_k")
+    #: a function instead of the value, which runs on first read.
+    DEFERRED = ("flops", "gemm_m", "gemm_n", "gemm_k", "fused_components")
 
     def __init__(
         self,
@@ -127,7 +132,8 @@ class TaskDAG:
         self.cblk = cblk
         self.target = target
         self._deferred = {}
-        for name, value in zip(self.DEFERRED, (flops, gemm_m, gemm_n, gemm_k)):
+        for name, value in zip(self.DEFERRED, (flops, gemm_m, gemm_n, gemm_k,
+                                               fused_components or {})):
             if callable(value):
                 self._deferred[name] = value
             else:
@@ -141,7 +147,6 @@ class TaskDAG:
         #: "facto" (default) or "solve" — selects the simulator's kernel
         #: efficiency model and GPU eligibility.
         self.phase = "facto"
-        self._fused_components = fused_components or {}
         #: Unit-granular DAGs (``build_dag(granularity="unit")`` and the
         #: solve DAG): the panels a task runs back to back, in CSR form —
         #: unit ``u`` is ``unit_panels[unit_ptr[u]:unit_ptr[u + 1]]``,
@@ -177,18 +182,6 @@ class TaskDAG:
                          for n, v in args.items()}, **fields)
         out.phase = self.phase
         return out
-
-    @property
-    def fused_components(self) -> dict:
-        """For fused tasks: task id -> list of kernel components, each
-        ``("panel", width, below)`` or ``("update", m, n, w)`` (see
-        :func:`repro.kernels.cost.flops_component`) — read only by the
-        machine simulator's duration models.  A builder may pass a
-        function instead of the dict; it runs on first read."""
-        comps = self._fused_components
-        if callable(comps):
-            comps = self._fused_components = comps()
-        return comps
 
     # ------------------------------------------------------------------
     @property

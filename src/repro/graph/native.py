@@ -54,7 +54,6 @@ __all__ = [
     "nested_dissection",
     "order",
     "permute_pattern",
-    "planned",
     "symmetrize",
 ]
 
@@ -376,9 +375,8 @@ def factor_plan(lib: ctypes.CDLL, symbol, factotype: Optional[str] = None,
                 min_unit: float = 0.0) -> Optional[dict]:
     """``repro_factor_plan`` on ``symbol``: a dict of the arrays of its
     panel layout (``width`` ... ``rows``), its couple plan (``src`` ...
-    ``rows_local``, checked: ``max_mn``, ``max_nw``, ``max_w``), and
-    records the checked symbol arrays (:func:`planned`); with
-    ``factotype`` also
+    ``rows_local``, checked: ``max_mn``, ``max_nw``, ``max_w``) and the
+    symbol arrays it checked (``symbol``); with ``factotype`` also
     ``flops`` (``flops_total`` times ``mult``), ``nnz`` and the row blocks
     (``block_ptr``, ``block_rows``; panels split at ``row_block`` rows
     and ``min_split`` flops); with ``units`` > 0 (fusion units: workers
@@ -420,8 +418,8 @@ def factor_plan(lib: ctypes.CDLL, symbol, factotype: Optional[str] = None,
     status = lib.repro_factor_plan(*head, table, 1, ctypes.byref(handle))
     if not _checked(status):
         return None
-    symbol.__dict__["_plan_arrays"] = (symbol, a)
-    out.update(max_mn=int(info[3]), max_nw=int(info[4]), max_w=int(info[5]))
+    out.update(max_mn=int(info[3]), max_nw=int(info[4]), max_w=int(info[5]),
+               symbol=a)
     if factotype is None:
         return out
     T = int(info[8])
@@ -457,30 +455,19 @@ def check_plan(lib: ctypes.CDLL, plan) -> Optional[tuple[int, int, int]]:
     return int(code) if code else (int(out[0]), int(out[1]), int(out[2]))
 
 
-def planned(symbol) -> Optional[dict]:
-    """The symbol arrays of the last :func:`factor_plan` that succeeded
-    on ``symbol``, checked by it — the proof that its layout is one C
-    can follow — or ``None``."""
-    memo = symbol.__dict__.get("_plan_arrays")
-    return memo[1] if memo is not None and memo[0] is symbol else None
-
-
-def assembly_map(lib: ctypes.CDLL, symbol, layout, colptr: np.ndarray,
+def assembly_map(lib: ctypes.CDLL, a: dict, layout, colptr: np.ndarray,
                  rowind: np.ndarray, lu: bool):
     """``(L_src, L_dst, U_src, U_dst)`` of
     :class:`repro.core.factor.AssemblyMap` (``U_*`` ``None`` unless
-    ``lu``); ``None`` when no plan pass succeeded on ``symbol``
-    (:func:`planned`) or the pattern arrays are not ones C maps (the
-    Python body decides).  Raises ``LookupError(e)`` for the first entry
-    ``e`` with no place in its panel."""
-    a = planned(symbol)
-    n = symbol.n
+    ``lu``) on the symbol arrays ``a`` a :func:`factor_plan` checked;
+    ``None`` when the pattern arrays are not ones C maps (the Python body
+    decides).  Raises ``LookupError(e)`` for the first entry ``e`` with
+    no place in its panel."""
+    n = a["col2cblk"].size
     try:
         colptr = _int64("colptr", colptr, n + 1)
         rowind = _int64("rowind", rowind, np.size(rowind))
     except ValueError:
-        return None
-    if a is None:
         return None
     counts = np.zeros(3, dtype=np.int64)
     head = (n, rowind.size, colptr.ctypes.data, rowind.ctypes.data,

@@ -13,7 +13,7 @@ its GEMM can scatter into the facing panel:
 
 All of it is **purely symbolic**, so it is built once per
 :class:`~repro.symbolic.structures.SymbolMatrix` (:func:`get_couple_cache`
-memoises on the symbol object) and shared by every factorization and
+memoises it in the symbol's plan store) and shared by every factorization and
 solve of that pattern.  The paper's sparse-GEMM discussion (§V) singles
 out exactly this bookkeeping as the non-BLAS cost of the update task;
 PaStiX's ``blok``/``cblk`` solver structures play the same role.
@@ -68,7 +68,7 @@ from bisect import bisect_left
 import numpy as np
 
 from repro.sparse.csc import bucket_pointers, entry_owners
-from repro.symbolic.structures import SymbolMatrix
+from repro.symbolic.structures import SymbolMatrix, memo
 
 __all__ = [
     "CoupleMapCache",
@@ -176,27 +176,17 @@ class PanelLayout:
         )
 
 
-def _memoised(symbol: SymbolMatrix, attr: str):
-    """``symbol``'s own memo ``attr`` (not one a copy of another symbol's
-    ``__dict__`` carried over), or ``None``."""
-    value = symbol.__dict__.get(attr)
-    return value if value is not None and value.symbol is symbol else None
-
-
 def panel_layout(symbol: SymbolMatrix) -> PanelLayout:
     """The symbol's :class:`PanelLayout`, built on first use with the
     couple plan (:func:`repro.dag.builder.factor_plan`), else by its
-    NumPy body, and memoised."""
-    layout = _memoised(symbol, "_panel_layout")
-    if layout is None:
+    NumPy body, and memoised in its plan store."""
+    def build() -> PanelLayout:
         # Lazy: the plan pass sits above the kernels' import graph.
         from repro.dag.builder import factor_plan
 
-        factor_plan(symbol)
-        layout = _memoised(symbol, "_panel_layout")
-    if layout is None:
-        layout = symbol._panel_layout = PanelLayout(symbol)
-    return layout
+        return factor_plan(symbol).get("layout") or PanelLayout(symbol)
+
+    return memo(symbol, "layout", build)
 
 
 class CoupleMapCache:
@@ -450,21 +440,18 @@ class CoupleMapCache:
 def get_couple_cache(symbol: SymbolMatrix) -> CoupleMapCache:
     """The symbol's couple plan, built on first use and memoized.
 
-    The plan lives on the symbol object itself (``_couple_cache``), so
-    two factorizations of the same pattern — and the sequential driver,
-    the threaded runtime, and the verify audit — all share one build: by
-    the plan pass (:func:`repro.dag.builder.factor_plan`) when the
-    analysis helper loads, else by the NumPy body.  A lost race between
-    concurrent first callers at worst builds twice; both results are
-    identical, so either may win.
+    The plan lives in the symbol's plan store
+    (:func:`~repro.symbolic.structures.memo`), so two factorizations of
+    the same pattern — and the sequential driver, the threaded runtime,
+    and the verify audit — all share one build: by the plan pass
+    (:func:`repro.dag.builder.factor_plan`) when the analysis helper
+    loads, else by the NumPy body.
     """
-    cache = _memoised(symbol, "_couple_cache")
-    if cache is None:
+    def build() -> CoupleMapCache:
         # Lazy: the plan pass sits above the kernels' import graph.
         from repro.dag.builder import factor_plan
 
-        factor_plan(symbol)
-        cache = _memoised(symbol, "_couple_cache")
-    if cache is None:
-        cache = symbol._couple_cache = CoupleMapCache(symbol)
-    return cache
+        return (factor_plan(symbol).get("couple plan")
+                or CoupleMapCache(symbol))
+
+    return memo(symbol, "couple plan", build)

@@ -224,8 +224,8 @@ def solve_threaded(
     same factor (one right-hand side ``(n,)`` or a block ``(n, k)``, copied
     C-contiguous in the factor's dtype; a complex ``b`` on a real factor
     raises ``TypeError``) whatever the worker count and interleaving, but
-    executed as the coarse solve-phase DAG; the DAG is memoised on the
-    symbol, so repeated solves build and check it once.  A solve under
+    executed as the coarse solve-phase DAG; the DAG is memoised in the
+    symbol's plan store, so repeated solves build and check it once.  A solve under
     :data:`repro.dag.builder.MIN_SOLVE_FLOPS` is one forward and one
     backward task, on the calling thread alone: on a native factor the
     two sweep calls of ``solve_factored``, without the executor.

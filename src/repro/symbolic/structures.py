@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.sparse.csc import bucket_pointers, entry_owners
 
-__all__ = ["SymbolMatrix", "CBlk", "Blok", "build_symbol"]
+__all__ = ["SymbolMatrix", "CBlk", "Blok", "build_symbol", "memo", "plan_store"]
 
 
 @dataclass(frozen=True)
@@ -229,6 +229,38 @@ class SymbolMatrix:
             f"SymbolMatrix(n={self.n}, cblks={self.n_cblk}, "
             f"bloks={self.n_blok}, nnz={self.nnz()})"
         )
+
+
+def plan_store(symbol: SymbolMatrix) -> dict:
+    """``symbol``'s plan store: every product of its pattern a
+    factorization or solve reads again (the panel layout, the couple plan,
+    the counts, the row blocks, the DAGs, the assembly map; the keys are
+    listed in ``docs/solver_internals.md`` §4.0), by key.
+
+    It lives on the symbol object, so every factorization and solve of
+    one analysis shares one build of each.  A symbol owns its store: a
+    copy that carried the original's ``__dict__`` over (``copy.copy``)
+    gets a new, empty one.
+    """
+    owner, store = symbol.__dict__.get("_plans", (None, None))
+    if owner is not symbol:
+        store = {}
+        symbol.__dict__["_plans"] = (symbol, store)
+    return store
+
+
+def memo(symbol: SymbolMatrix, key, build):
+    """``plan_store(symbol)[key]``, set to ``build()`` on a miss (unless
+    that is ``None``: nothing is memoised).  A part already memoised
+    stays — one ``build`` memoised itself, or a concurrent first caller
+    won the race — and every caller gets that one."""
+    store = plan_store(symbol)
+    value = store.get(key)
+    if value is None:
+        value = build()
+        if value is not None:
+            value = store.setdefault(key, value)
+    return value
 
 
 def build_symbol(

@@ -90,8 +90,8 @@ def split_every_panel(monkeypatch) -> None:
     """Drop the unit, solve and split floors and cut row blocks of 3
     rows, so that the test matrices get a unit tree whose panels split
     into a diagonal task and row-block tasks, and a many-task solve DAG
-    (``row_blocks`` and the DAGs are memoised on the symbol under these
-    constants)."""
+    (``row_blocks`` and the DAGs are memoised in the symbol's plan store
+    under keys that carry these constants)."""
     monkeypatch.setattr("repro.dag.builder.MIN_UNIT_FLOPS", 0.0)
     monkeypatch.setattr("repro.dag.builder.MIN_SOLVE_FLOPS", 0.0)
     monkeypatch.setattr("repro.dag.builder.MIN_SPLIT_FLOPS", 0.0)

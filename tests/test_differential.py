@@ -46,7 +46,7 @@ from repro.core.factorization import factorize_sequential
 from repro.core.options import SolverOptions
 from repro.core.refinement import ConvergenceWarning
 from repro.core.triangular import solve_factored
-from repro.dag.builder import row_blocks
+from repro.dag.builder import factor_plan, row_blocks
 from repro.graph import native
 from repro.kernels import native as native_kernels
 from repro.kernels.indexcache import CoupleMapCache, get_couple_cache
@@ -55,6 +55,7 @@ from repro.runtime.threaded import factorize_threaded, solve_threaded
 from repro.sparse.csc import SparseMatrixCSC, coo_to_csc
 from repro.sparse.generators import grid_laplacian_2d
 from repro.symbolic import SymbolicOptions, analyze
+from repro.symbolic.structures import plan_store
 from tests.conftest import backend, split_every_panel
 from tests.test_analysis_golden import E2E_INPUTS
 from tests.test_analysis_passes import assert_same_analysis
@@ -170,7 +171,7 @@ def assert_memoised_map_is_fresh(solver: SparseSolver) -> None:
     symbol, ft = solver.analysis.symbol, solver.options.factotype
     permuted = solver._permuted_matrix()
     memo = assembly_map(symbol, permuted, ft)
-    assert memo is symbol._assembly_memo[ft == "lu"]
+    assert any(part is memo for part in plan_store(symbol).values())
     fresh = solver.matrix.permute(solver.analysis.perm.perm)
     arenas = []
     for amap, values in ((memo, permuted.values),
@@ -601,8 +602,8 @@ def assert_plans_match_numpy(matrix: SparseMatrixCSC, ft: str) -> None:
     the assembly map of ``matrix`` for ``ft``: C against NumPy."""
     res = analyze(matrix)
     symbol, perm = res.symbol, res.perm.perm
-    got_plan = get_couple_cache(symbol)        # the plan pass's
-    assert native.planned(symbol) is not None
+    got_plan = get_couple_cache(symbol)
+    assert factor_plan(symbol)["couple plan"] is got_plan
     with cbuild.python_bodies():
         want = matrix.permute(perm)
         want_plan = CoupleMapCache(symbol)

@@ -10,11 +10,14 @@ malformed symbol must raise what the NumPy builders raise.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import cbuild
-from repro.core.factor import assembly_map
+from repro.core.factor import AssemblyMap, assembly_map
 from repro.dag import TaskKind, builder
 from repro.graph import native
 from repro.kernels.indexcache import (
@@ -27,7 +30,7 @@ from repro.runtime.threaded import _executor_tasks
 from repro.sparse import SparseMatrixCSC, load_matrix
 from repro.sparse.collection import MATRIX_COLLECTION, collection_names
 from repro.symbolic import analyze
-from repro.symbolic.structures import SymbolMatrix
+from repro.symbolic.structures import SymbolMatrix, plan_store
 from tests.conftest import split_every_panel
 
 pytestmark = pytest.mark.skipif(
@@ -79,12 +82,18 @@ def _read(symbol, ft, dtype, n_workers) -> dict:
 def assert_plan_matches_numpy(symbol, ft, dtype, n_workers=None) -> dict:
     """The C pass's plan of ``symbol`` against the NumPy builders' of the
     same arrays; returns the C side."""
-    builder.factor_plan(symbol, ft, dtype, n_workers)
-    assert native.planned(symbol) is not None, "the C pass did not run"
+    assert builder.factor_plan(symbol, ft, dtype, n_workers), \
+        "the C pass did not run"
     assert get_couple_cache(symbol)._valid      # checked by the pass
     got = _read(symbol, ft, dtype, n_workers)
     with cbuild.python_bodies():
         want = _read(_fresh(symbol), ft, dtype, n_workers)
+    assert_same(got, want)
+    return got
+
+
+def assert_same(got: dict, want: dict) -> None:
+    """Every entry equal, arrays ``array_equal`` with their dtypes."""
     assert got.keys() == want.keys()
     for name, a in got.items():
         b = want[name]
@@ -92,7 +101,6 @@ def assert_plan_matches_numpy(symbol, ft, dtype, n_workers=None) -> dict:
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         else:
             assert a == b, name
-    return got
 
 
 @pytest.mark.parametrize("scale", [0.3, 0.5])
@@ -236,16 +244,23 @@ def test_malformed_symbol_raises_what_numpy_raises(grid2d_medium, no_unit_floor,
 
 def test_plan_pass_runs_once_per_pattern(grid2d_medium, monkeypatch,
                                          no_unit_floor):
-    """A first factorization makes one C pass; refactorizations and the
-    solver's counts read its memos."""
+    """A first factorization makes one C pass and no NumPy build;
+    refactorizations and the solver's counts read its memos."""
     calls = []
-    plan = native.factor_plan
 
-    def counting(*args, **kwargs):
-        calls.append(args[2:4])
-        return plan(*args, **kwargs)
+    def counting(owner, name):
+        body = getattr(owner, name)
 
-    monkeypatch.setattr(native, "factor_plan", counting)
+        def spy(*args, **kwargs):
+            calls.append(name if name != "factor_plan" else args[2:4])
+            return body(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    for owner, name in ((native, "factor_plan"), (builder, "build_dag"),
+                        (CoupleMapCache, "_build_numpy"),
+                        (AssemblyMap, "_map_numpy")):
+        counting(owner, name)
     from repro import SolverOptions, SparseSolver
 
     solver = SparseSolver(grid2d_medium, SolverOptions(
@@ -256,6 +271,43 @@ def test_plan_pass_runs_once_per_pattern(grid2d_medium, monkeypatch,
     assert info.flops == builder.flops_total(solver.analysis.symbol, "lu")
     symbol = solver.analysis.symbol
     assert info.nnz_factor == symbol.nnz(factotype="lu")
+
+
+@pytest.mark.parametrize("make", [copy.copy, dataclasses.replace, _fresh],
+                         ids=["copy", "replace", "fresh"])
+def test_a_copied_symbol_builds_its_own_plans(grid2d_medium, no_unit_floor,
+                                              make):
+    """A copy of an analysed, factorized symbol — ``copy.copy`` shares its
+    ``__dict__`` entries — gets none of its plans: it builds and memoises
+    its own, equal to the original's, and the original keeps its own."""
+    from repro import SolverOptions, SparseSolver
+
+    solver = SparseSolver(grid2d_medium, SolverOptions(
+        factotype="lu", runtime="threaded", n_workers=2))
+    solver.factorize()
+    symbol, permuted = solver.analysis.symbol, solver._permuted_matrix()
+    theirs = dict(plan_store(symbol))
+    other = make(symbol)
+    assert not plan_store(other)
+
+    def read(sym) -> dict:
+        out = _read(sym, "lu", np.float64, 2)
+        amap = assembly_map(sym, permuted, "lu")
+        for name in ("L_src", "L_dst", "U_src", "U_dst"):
+            out[f"assembly.{name}"] = getattr(amap, name)
+        return out
+
+    assert_same(read(other), read(symbol))
+    mine = dict(plan_store(other))
+    read(other)
+    assert plan_store(other).keys() == mine.keys()
+    for store, want in ((plan_store(other), mine),
+                        (plan_store(symbol), theirs)):
+        assert all(store[key] is part for key, part in want.items())
+    assert not {id(part) for part in mine.values()} & {
+        id(part) for part in theirs.values()}
+    assert all(getattr(part, "symbol", other) is other
+               for part in mine.values())
 
 
 def test_deferred_dag_fields_outlive_the_floors(grid2d_medium, monkeypatch):

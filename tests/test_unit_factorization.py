@@ -15,7 +15,7 @@ import pytest
 
 from repro import SolverOptions, SparseSolver, cbuild
 from repro.core.factorization import factorize_sequential
-from repro.dag import TaskKind, build_dag, get_dag, update_couples
+from repro.dag import TaskDAG, TaskKind, build_dag, get_dag, update_couples
 from repro.dag import critical_path
 from repro.dag.builder import (
     FUSE_UNITS_PER_WORKER,
@@ -35,6 +35,7 @@ from repro.runtime.tracing import ExecutionTrace
 from repro.sparse import load_matrix
 from repro.sparse.csc import SparseMatrixCSC
 from repro.symbolic import analyze
+from repro.symbolic.structures import plan_store
 from repro.verify.hazards import analyze_hazards, drop_edge
 from tests.conftest import backend
 from tests.test_analysis_golden import E2E_INPUTS
@@ -254,8 +255,9 @@ def test_solver_reuses_the_memoised_dag(grid2d_medium, monkeypatch):
     solver.factorize()
     assert len(seen) == 2 and seen[0] is seen[1]
     assert seen[0].granularity == "unit" and seen[0].n_tasks <= 64
-    memo = solver.analysis.symbol._dag_memo
-    assert [key[3] for key in memo if key[0] == "facto"] == ["unit"]
+    dags = [part for part in plan_store(solver.analysis.symbol).values()
+            if isinstance(part, TaskDAG) and part.phase == "facto"]
+    assert [dag.granularity for dag in dags] == ["unit"]
 
 
 # ----------------------------------------------------------------------
