@@ -10,8 +10,6 @@ from repro.core.refinement import (
     RefinementResult,
     ConvergenceWarning,
 )
-from repro.core.krylov import gmres, conjugate_gradient, bicgstab, KrylovResult
-from repro.core.condest import condest, norm1, inverse_norm1_estimate
 from repro.core.options import SolverOptions
 from repro.core.solver import SparseSolver, FactorizationInfo
 
@@ -22,13 +20,6 @@ __all__ = [
     "iterative_refinement",
     "RefinementResult",
     "ConvergenceWarning",
-    "gmres",
-    "conjugate_gradient",
-    "bicgstab",
-    "KrylovResult",
-    "condest",
-    "norm1",
-    "inverse_norm1_estimate",
     "SolverOptions",
     "SparseSolver",
     "FactorizationInfo",

@@ -19,8 +19,8 @@ __all__ = ["iterative_refinement", "RefinementResult", "ConvergenceWarning"]
 
 
 class ConvergenceWarning(RuntimeWarning):
-    """:meth:`repro.SparseSolver.solve` returns an answer whose outer
-    iteration (refinement or Krylov) stopped short of its tolerance.
+    """:meth:`repro.SparseSolver.solve` returns an answer whose iterative
+    refinement stopped short of its tolerance.
 
     Without pivoting a tiny pivot can leave a factor that refinement
     cannot correct; the warning is how such an answer is told apart from

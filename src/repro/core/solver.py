@@ -194,57 +194,35 @@ class SparseSolver:
     def solve(self, b: np.ndarray, *, method: str = "refine") -> np.ndarray:
         """Solve ``A x = b`` (factorizing first if needed).
 
-        ``method`` selects the outer iteration around the factorization
-        (mirroring PaStiX's refinement choices):
+        ``method`` is ``"refine"`` (default: iterative refinement around
+        the factorization, PaStiX's answer to a perturbed pivot) or
+        ``"none"`` (a single forward/backward solve), for one or a block
+        of right-hand sides.
 
-        * ``"refine"`` — simple iterative refinement (default);
-        * ``"gmres"`` / ``"bicgstab"`` — Krylov solves with the
-          factorization as right preconditioner (useful when the factor
-          is only approximate or the system is ill-conditioned);
-        * ``"cg"`` — preconditioned conjugate gradients (SPD only);
-        * ``"none"`` — a single forward/backward solve.
-
-        An answer whose iteration stopped short of ``refine_tol`` comes
-        with a :class:`~repro.core.refinement.ConvergenceWarning`
-        (``last_refinement`` holds the details).
+        A refined answer that stopped short of ``refine_tol`` comes with a
+        :class:`~repro.core.refinement.ConvergenceWarning`;
+        ``last_refinement`` holds the last refinement's details (``None``
+        after a ``"none"`` solve).
         """
-        if self.factor is None:
-            self.factorize()
         b = np.asarray(b)
         if b.ndim not in (1, 2) or b.shape[0] != self.matrix.n_rows:
             raise ValueError("right-hand side has wrong shape")
-        if b.ndim == 2 and method not in ("refine", "none"):
+        if method not in ("refine", "none"):
             raise ValueError(
-                "block right-hand sides support methods 'refine' and 'none'"
+                f"solve method must be 'refine' or 'none', not {method!r}"
             )
+        if self.factor is None:
+            self.factorize()
         if method == "none":
+            self.last_refinement = None
             return self._raw_solve(b)
-        if method == "refine":
-            result = iterative_refinement(
-                self.matrix,
-                self._raw_solve,
-                b,
-                tol=self.options.refine_tol,
-                max_iter=self.options.refine_max_iter,
-            )
-        else:
-            from repro.core.krylov import (
-                bicgstab,
-                conjugate_gradient,
-                gmres,
-            )
-
-            solvers = {"gmres": gmres, "cg": conjugate_gradient,
-                       "bicgstab": bicgstab}
-            if method not in solvers:
-                raise ValueError(f"unknown solve method {method!r}")
-            result = solvers[method](
-                self.matrix,
-                b,
-                precondition=self._raw_solve,
-                tol=self.options.refine_tol,
-                max_iter=self.options.refine_max_iter * 10,
-            )
+        result = iterative_refinement(
+            self.matrix,
+            self._raw_solve,
+            b,
+            tol=self.options.refine_tol,
+            max_iter=self.options.refine_max_iter,
+        )
         self.last_refinement = result
         if not result.converged:
             warnings.warn(
@@ -279,15 +257,7 @@ class SparseSolver:
         self._permuted = None   # invalidate the permuted values
         self.factor = None      # force refactorization
         self.last_info = None
-
-    def condest(self) -> float:
-        """Estimated 1-norm condition number (Hager–Higham, symmetric
-        factorizations use the same solve for Aᵀ)."""
-        from repro.core.condest import condest as _condest
-
-        if self.factor is None:
-            self.factorize()
-        return _condest(self.matrix, self._raw_solve)
+        self.last_refinement = None
 
     def residual_norm(self, x: np.ndarray, b: np.ndarray) -> float:
         """Relative residual ‖b − A x‖₂ / ‖b‖₂."""

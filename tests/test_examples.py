@@ -8,56 +8,33 @@ import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
+#: script -> (command-line arguments, substrings its output must contain)
+CASES = {
+    "quickstart.py": (("8",), ("OK", "residual")),
+    "scheduler_comparison.py": (
+        ("MHD", "0.4"),
+        ("native", "starpu", "parsec", "makespan"),  # gantt printed
+    ),
+    "hybrid_gpu_speedup.py": (("0.4",), ("Serena", "afshell10", "PCIe traffic")),
+    "threaded_factorization.py": (("8", "2"), ("speedup", "residual")),
+    "complex_helmholtz.py": (("16",), ("ldlt", "lu", "LU factor storage")),
+    "distributed_fanin.py": (("MHD", "0.5"), ("strong scaling", "fan-in")),
+}
 
-def run_example(name: str, *args: str) -> str:
+
+def test_every_example_has_a_case():
+    assert set(CASES) == {path.name for path in EXAMPLES.glob("*.py")}
+
+
+@pytest.mark.parametrize("script", sorted(CASES))
+def test_example_runs(script):
+    args, expected = CASES[script]
     proc = subprocess.run(
-        [sys.executable, str(EXAMPLES / name), *args],
+        [sys.executable, str(EXAMPLES / script), *args],
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout
-
-
-def test_quickstart():
-    out = run_example("quickstart.py", "8")
-    assert "OK" in out
-    assert "residual" in out
-
-
-def test_scheduler_comparison():
-    out = run_example("scheduler_comparison.py", "MHD", "0.4")
-    for policy in ("native", "starpu", "parsec"):
-        assert policy in out
-    assert "makespan" in out  # gantt printed
-
-
-def test_hybrid_gpu_speedup():
-    out = run_example("hybrid_gpu_speedup.py", "0.4")
-    assert "Serena" in out and "afshell10" in out
-    assert "PCIe traffic" in out
-
-
-def test_threaded_factorization():
-    out = run_example("threaded_factorization.py", "8", "2")
-    assert "speedup" in out
-    assert "residual" in out
-
-
-def test_complex_helmholtz():
-    out = run_example("complex_helmholtz.py", "16")
-    assert "ldlt" in out and "lu" in out
-    assert "LU factor storage" in out
-
-
-def test_distributed_fanin():
-    out = run_example("distributed_fanin.py", "MHD", "0.5")
-    assert "strong scaling" in out
-    assert "fan-in" in out
-
-
-def test_preconditioned_iterative():
-    out = run_example("preconditioned_iterative.py", "7")
-    assert "none" in out
-    assert "exact factorization" in out
+    missing = [text for text in expected if text not in proc.stdout]
+    assert not missing, f"{script} printed none of {missing}"
